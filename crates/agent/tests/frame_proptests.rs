@@ -1,12 +1,83 @@
 //! Property tests for the wire-protocol frame codec: arbitrary frames
-//! round-trip byte-exactly, every truncation is detected, garbage and
-//! oversize inputs are rejected without panicking, and decode never
-//! allocates for an oversize length prefix.
+//! round-trip byte-exactly, every truncation is detected, and arbitrary
+//! bytes — random buffers and damaged valid frames alike — decode to a
+//! frame that re-encodes to the very same bytes or to a typed error,
+//! without panicking and without reserving more than a constant times
+//! the input length.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use detector_agent::{Frame, FrameError, MAX_FRAME};
 use detector_core::types::{NodeId, PathId, PathIdRange};
-use detector_system::{PathCounters, PingEntry, PingerReport, Pinglist};
+use detector_system::{FlowRecord, PathCounters, PingEntry, PingerReport, Pinglist};
 use proptest::prelude::*;
+
+thread_local! {
+    /// Bytes this thread has requested from the allocator so far.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator plus a per-thread tally of requested bytes, so a
+/// property can bound what one `Frame::decode` call reserves while other
+/// tests run on other threads.
+struct Tally;
+
+fn tally(bytes: usize) {
+    // Ignoring the error is right: it only occurs while the thread is
+    // being torn down, after every measurement.
+    let _ = REQUESTED.try_with(|r| r.set(r.get().saturating_add(bytes)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s contract is this allocator's contract. The tally is a
+// const-initialised `Cell<usize>` without a destructor: bumping it never
+// allocates, so the allocator does not re-enter itself.
+unsafe impl GlobalAlloc for Tally {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(new_size);
+        // SAFETY: as for `dealloc`, plus the caller's `realloc` contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Tally = Tally;
+
+/// What decoding may reserve per input byte. The dearest honest input is
+/// a pinglist of minimal 8-byte entries growing a `Vec` of 48-byte
+/// `PingEntry`s by doubling (≤ 4 × 48 / 8 = 24); a report's 4-byte flow
+/// records cost 24 / 4 = 6.
+const RESERVE_PER_BYTE: usize = 32;
+
+/// Decodes arbitrary bytes under the three guarantees of the codec: no
+/// panic, bounded reservation, and a canonical encoding (whatever
+/// decodes re-encodes to exactly the input).
+fn decode_checked(bytes: &[u8]) -> Result<Frame, FrameError> {
+    let before = REQUESTED.with(Cell::get);
+    let got = Frame::decode(bytes);
+    let reserved = REQUESTED.with(Cell::get) - before;
+    assert!(
+        reserved <= RESERVE_PER_BYTE * bytes.len() + 64,
+        "decoding {} bytes reserved {reserved}",
+        bytes.len()
+    );
+    if let Ok(frame) = &got {
+        assert_eq!(frame.encode(), bytes, "{frame:?} is not canonical");
+    }
+    got
+}
 
 /// Builds one arbitrary entry from raw draws.
 fn entry(path: u32, hops: &[u32], responder: u32, waypoint: u32) -> PingEntry {
@@ -74,23 +145,35 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
             agent: b as u32,
         },
         11 => {
-            let mut report = PingerReport {
+            // Distinct ascending keys from the raw draws; every path
+            // carries up to three flows, some sharing a source port.
+            let mut keys = hops;
+            keys.sort_unstable();
+            keys.dedup();
+            let counters = |h: u32| PathCounters {
+                sent: a % (u64::from(h) + 1) + u64::from(h) / 2,
+                lost: u64::from(h) / 2,
+                rtt_sum_us: f64::from(h) * 1.5,
+                rtt_max_us: (b % 1_000_000) as f64 / 7.0,
+            };
+            let flows = keys.iter().flat_map(|&h| {
+                (0..h % 4).map(move |i| FlowRecord {
+                    path: PathId(h),
+                    sport: a as u16 % 60_000 + (i / 2) as u16,
+                    dscp: b as u8 / 2 + (i % 2) as u8,
+                    sent: b >> (h % 64),
+                    lost: (b >> (h % 64)) / (u64::from(i) + 1),
+                })
+            });
+            Frame::Report(PingerReport {
                 pinger,
                 window: b,
-                ..PingerReport::default()
-            };
-            for (i, &h) in hops.iter().enumerate() {
-                let c = PathCounters {
-                    sent: u64::from(h),
-                    lost: u64::from(h) / 2,
-                    rtt_sum_us: f64::from(h) * 1.5,
-                    rtt_max_us: f64::from(h),
-                };
-                report.paths.insert(PathId(h), c);
-                report.in_rack.insert(NodeId(h), c);
-                report.flows.insert((PathId(h), a ^ i as u64), (a, b));
-            }
-            Frame::Report(report)
+                paths: keys.iter().map(|&h| (PathId(h), counters(h))).collect(),
+                in_rack: (keys.iter().skip(1))
+                    .map(|&h| (NodeId(h + 7), counters(h)))
+                    .collect(),
+                flows: flows.collect(),
+            })
         }
         12 => Frame::WindowDone {
             window: a,
@@ -114,7 +197,7 @@ proptest! {
     ) {
         let f = frame(kind, a, b, hops, entries);
         let bytes = f.encode();
-        prop_assert_eq!(Frame::decode(&bytes).unwrap(), f);
+        prop_assert_eq!(decode_checked(&bytes).unwrap(), f);
     }
 
     /// Every strict prefix of a valid frame is `Truncated`; a trailing
@@ -140,12 +223,35 @@ proptest! {
         prop_assert_eq!(Frame::decode(&padded), Err(FrameError::TrailingBytes));
     }
 
-    /// Arbitrary garbage never panics the decoder — it either parses or
-    /// fails with a typed error.
+    /// A valid `Report` frame with bits flipped, its tail cut or grown
+    /// (length prefix patched to match, so the damage reaches the report
+    /// decoder) still decodes canonically or fails typed.
     #[test]
-    fn garbage_never_panics(raw in proptest::collection::vec(0u64..256, 0..64)) {
-        let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
-        let _ = Frame::decode(&bytes);
+    fn damaged_report_frames_never_panic(
+        a in 0u64..u64::MAX,
+        b in 0u64..u64::MAX,
+        hops in proptest::collection::vec(0u32..10_000, 0..12),
+        flips in proptest::collection::vec((0usize..4096, 0u8..8), 0..4),
+        resize in 0usize..64,
+        patch_prefix in 0u8..2,
+    ) {
+        let mut bytes = frame(11, a, b, hops, 0).encode();
+        prop_assert!(decode_checked(&bytes).is_ok());
+        for (at, bit) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        // 0..32 cuts the tail, 32..64 appends that many bytes.
+        if resize < 32 {
+            bytes.truncate(bytes.len().saturating_sub(resize).max(5));
+        } else {
+            bytes.extend((32..resize).map(|i| (a >> (i % 57)) as u8));
+        }
+        if patch_prefix == 1 {
+            let len = (bytes.len() - 4) as u32;
+            bytes[..4].copy_from_slice(&len.to_be_bytes());
+        }
+        let _ = decode_checked(&bytes);
     }
 
     /// A corrupted length prefix above `MAX_FRAME` is rejected up front,
@@ -157,5 +263,32 @@ proptest! {
         let mut bytes = len.to_be_bytes().to_vec();
         bytes.extend(std::iter::repeat_n(0u8, tail as usize));
         prop_assert_eq!(Frame::decode(&bytes), Err(FrameError::Oversize(len)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// Arbitrary garbage never panics the decoder — it either parses
+    /// (canonically) or fails with a typed error. Half the cases get a
+    /// consistent length prefix and a valid tag so the payload decoders
+    /// are reached, not just the header checks; half the bytes are drawn
+    /// from 0..4, the values flags, counts and varint tails take, so the
+    /// decoders get past their first field.
+    #[test]
+    fn garbage_never_panics(
+        raw in proptest::collection::vec(0u64..512, 0..96),
+        framed in 0u8..2,
+        tag in 0u8..14,
+    ) {
+        let mut bytes: Vec<u8> = (raw.iter())
+            .map(|&b| if b < 256 { b as u8 } else { b as u8 % 4 })
+            .collect();
+        if framed == 1 && bytes.len() >= 5 {
+            let len = (bytes.len() - 4) as u32;
+            bytes[..4].copy_from_slice(&len.to_be_bytes());
+            bytes[4] = tag;
+        }
+        let _ = decode_checked(&bytes);
     }
 }

@@ -18,10 +18,12 @@ use crate::lexer::TokKind;
 use crate::{Check, Diagnostic, FileCtx};
 
 /// The per-window hot paths: everything executed per probe, per report
-/// or per window by the sequential and pipelined drivers. Control-plane
-/// code (controller, planner) re-plans between windows and reports
-/// typed `PmcError`s already.
+/// or per window by the sequential and pipelined drivers, plus the
+/// agent-tier frame codec, which parses bytes off real sockets.
+/// Control-plane code (controller, planner) re-plans between windows and
+/// reports typed `PmcError`s already.
 const SCOPE: &[&str] = &[
+    "crates/agent/src/frame.rs",
     "crates/core/src/pll/components.rs",
     "crates/ingest/src/plane.rs",
     "crates/system/src/scheduler.rs",
@@ -102,10 +104,12 @@ pub fn run(ctx: &FileCtx) -> Vec<Diagnostic> {
 /// A `[` directly after one of these tokens is an index expression (an
 /// array literal, attribute, or slice type follows `=`, `#`, `:`, `&`,
 /// `(`, `,`, `<`, `!`, ... instead). Keywords are never index bases:
-/// `mut [u32]` in a signature and `return [a, b]` start a slice type or
-/// array literal, not an indexing.
+/// `mut [u32]` in a signature, `return [a, b]` and `let [a] = ...` start
+/// a slice type, array literal or slice pattern, not an indexing.
 fn is_index_base(prev: &TokKind) -> bool {
-    const KEYWORDS: &[&str] = &["mut", "dyn", "in", "return", "else", "break", "const"];
+    const KEYWORDS: &[&str] = &[
+        "mut", "dyn", "in", "return", "else", "break", "const", "let",
+    ];
     match prev {
         TokKind::Ident(id) => !KEYWORDS.contains(&id.as_str()),
         TokKind::Punct(']') | TokKind::Punct(')') => true,
@@ -138,6 +142,13 @@ mod tests {
         ] {
             assert!(in_scope(rel), "{rel} must be panic-path scoped");
         }
+    }
+
+    #[test]
+    fn frame_codec_is_in_scope() {
+        // Every byte a peer sends goes through this file; a panic there
+        // is a remote crash.
+        assert!(in_scope("crates/agent/src/frame.rs"));
     }
 
     #[test]
@@ -183,6 +194,7 @@ mod tests {
             fn f(parent: &mut [u32]) -> [u8; 2] {
                 let _s: &dyn std::any::Any = &1u8;
                 for _x in [1, 2] {}
+                let [_only] = [0u8];
                 return [0, 1];
             }
         ";

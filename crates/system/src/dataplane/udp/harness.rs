@@ -152,10 +152,12 @@ fn responder_loop(
         };
         match responder.echo(Bytes::copy_from_slice(frame), clock.wall_us()) {
             Ok(reply) => {
+                // Counted before the send, so whoever sees the echo also
+                // sees it counted.
+                stats.echoed.fetch_add(1, Ordering::Relaxed);
                 // Echo to wherever the probe came from; losing the send
                 // surfaces as a probe timeout, never a responder crash.
                 let _ = socket.send_to(reply.as_ref(), src);
-                stats.echoed.fetch_add(1, Ordering::Relaxed);
             }
             // The WrongPort bugfix in action: stray traffic is dropped
             // silently, not counted as corruption.

@@ -403,22 +403,20 @@ mod tests {
     }
 
     fn report(pinger: u32, window: u64, rows: &[(u32, u64, u64)]) -> PingerReport {
-        let mut r = PingerReport {
-            pinger: NodeId(pinger),
-            window,
+        // Rows are given in ascending path order, as reports carry them.
+        let counters = |sent, lost| PathCounters {
+            sent,
+            lost,
             ..Default::default()
         };
-        for &(p, sent, lost) in rows {
-            r.paths.insert(
-                PathId(p),
-                PathCounters {
-                    sent,
-                    lost,
-                    ..Default::default()
-                },
-            );
+        PingerReport {
+            pinger: NodeId(pinger),
+            window,
+            paths: (rows.iter())
+                .map(|&(p, sent, lost)| (PathId(p), counters(sent, lost)))
+                .collect(),
+            ..Default::default()
         }
-        r
     }
 
     #[test]

@@ -97,6 +97,11 @@ pub fn decode_entry(buf: &mut &[u8]) -> Option<PingEntry> {
         _ => return None,
     };
     let route_len = u16::from_be_bytes(take(buf, 2)?.try_into().expect("2 bytes")) as usize;
+    // Two bytes off the wire must not reserve 256 KB: the hops have to
+    // be there before room is made for them.
+    if buf.len() < route_len * 4 {
+        return None;
+    }
     let mut route = Vec::with_capacity(route_len);
     for _ in 0..route_len {
         route.push(NodeId(take_u32(buf)?));

@@ -1,7 +1,7 @@
 //! The pinger: sends source-routed probes and aggregates window reports
 //! (§3.1, §6.1), plus the batched per-server form the schedulers drive.
 
-use detector_core::types::NodeId;
+use detector_core::types::{NodeId, PathId};
 use detector_simnet::FlowKey;
 use detector_topology::{Dcn, Route};
 use rand::rngs::SmallRng;
@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use crate::dataplane::{DataPlane, ProbeTag};
 use crate::pinglist::Pinglist;
-use crate::report::{PathCounters, PingerReport};
+use crate::report::{FlowRecord, PathCounters, PingerReport};
 use crate::SystemConfig;
 
 /// A pinger bound to its current pinglist.
@@ -17,6 +17,15 @@ pub struct Pinger {
     list: Pinglist,
     /// Resolved routes, one per pinglist entry.
     routes: Vec<Route>,
+    /// Counter slot of each entry: an index into `path_keys` for a path
+    /// entry, `path_keys.len()` plus an index into `rack_keys` for an
+    /// in-rack one. Entries probing the same path (or responder) share a
+    /// slot, so a window accumulates each key's counters in probe order.
+    slots: Vec<usize>,
+    /// The bound entries' distinct path ids, ascending.
+    path_keys: Vec<PathId>,
+    /// The bound in-rack entries' distinct responders, ascending.
+    rack_keys: Vec<NodeId>,
     /// [`Pinglist::stamp`] of the *dispatched* list (before any
     /// unresolvable entries were dropped) — half of the binding-cache
     /// key, see [`Pinger::bound_to`].
@@ -25,9 +34,10 @@ pub struct Pinger {
 
 impl Pinger {
     /// Binds a pinglist, resolving each entry's node route against the
-    /// monitored topology's graph. Entries whose route cannot be resolved
-    /// (e.g. stale after a topology change) are dropped, as a production
-    /// pinger would on a dispatch error.
+    /// monitored topology's graph and its report key to a counter slot.
+    /// Entries whose route cannot be resolved (e.g. stale after a
+    /// topology change) are dropped, as a production pinger would on a
+    /// dispatch error.
     pub fn bind(list: Pinglist, graph: &Dcn) -> Self {
         let stamp = list.stamp;
         let mut kept = Pinglist {
@@ -41,9 +51,33 @@ impl Pinger {
                 kept.entries.push(e);
             }
         }
+        let mut path_keys: Vec<PathId> = kept.entries.iter().filter_map(|e| e.path).collect();
+        path_keys.sort_unstable();
+        path_keys.dedup();
+        let in_rack = kept.entries.iter().filter(|e| e.path.is_none());
+        let mut rack_keys: Vec<NodeId> = in_rack.map(|e| e.responder).collect();
+        rack_keys.sort_unstable();
+        rack_keys.dedup();
+        let slots = kept
+            .entries
+            .iter()
+            .map(|e| match e.path {
+                Some(pid) => {
+                    let (Ok(at) | Err(at)) = path_keys.binary_search(&pid);
+                    at
+                }
+                None => {
+                    let (Ok(at) | Err(at)) = rack_keys.binary_search(&e.responder);
+                    path_keys.len() + at
+                }
+            })
+            .collect();
         Self {
             list: kept,
             routes,
+            slots,
+            path_keys,
+            rack_keys,
             stamp,
         }
     }
@@ -76,10 +110,10 @@ impl Pinger {
         self.list.entries.len()
     }
 
-    /// Runs one reporting window: loops over entries and source ports at
-    /// the configured rate, confirms each loss with
-    /// [`SystemConfig::confirm_probes`] same-content re-probes, and
-    /// aggregates counters.
+    /// Runs one reporting window: sweeps the entries at the configured
+    /// rate, advancing the source port and QoS class every sweep,
+    /// confirms each loss with [`SystemConfig::confirm_probes`]
+    /// same-content re-probes, and aggregates counters.
     pub fn run_window(
         &self,
         dataplane: &dyn DataPlane,
@@ -92,64 +126,98 @@ impl Pinger {
             window,
             ..Default::default()
         };
-        if self.list.entries.is_empty() {
+        let entries = &self.list.entries;
+        if entries.is_empty() {
             return report;
         }
         let budget = (cfg.probe_rate_pps * cfg.window_s as f64) as u64;
-        for i in 0..budget {
-            let ei = (i as usize) % self.list.entries.len();
-            let sweep = (i as usize) / self.list.entries.len();
-            // detlint::allow(panic_path, reason = "ei is i % entries.len() with non-emptiness checked above")
-            let entry = &self.list.entries[ei];
-            // detlint::allow(panic_path, reason = "routes is built 1:1 with entries in bind(), so ei is in bounds")
-            let route = &self.routes[ei];
+        let full_sweeps = budget / entries.len() as u64;
+        let partial = (budget % entries.len() as u64) as usize;
+        let mut counters =
+            vec![PathCounters::default(); self.path_keys.len() + self.rack_keys.len()];
+        // One record per scheduled path probe, merged per flow below.
+        let path_probes = |n| entries.iter().take(n).filter(|e| e.path.is_some()).count();
+        let mut flows = Vec::with_capacity(
+            full_sweeps as usize * path_probes(entries.len()) + path_probes(partial),
+        );
+        for sweep in 0..=full_sweeps {
             let sport = self
                 .list
                 .base_sport
-                .wrapping_add((sweep % self.list.port_range.max(1) as usize) as u16);
-            let mut flow = FlowKey::udp(
-                self.list.pinger.0,
-                entry.responder.0,
-                sport,
-                self.list.dport,
-            );
+                .wrapping_add((sweep % u64::from(self.list.port_range.max(1))) as u16);
             // Cycle QoS classes so class-specific failures (e.g. a
             // misconfigured priority queue) are exposed (§6.1).
-            if !cfg.dscp_classes.is_empty() {
-                // detlint::allow(panic_path, reason = "index is modulo len of a list checked non-empty")
-                flow.dscp = cfg.dscp_classes[sweep % cfg.dscp_classes.len()];
-            }
-
-            let tag = ProbeTag {
-                window,
-                path_id: entry.path.map_or(ProbeTag::IN_RACK, |p| p.0),
-                waypoint: entry.waypoint.map_or(0, |n| n.0),
+            let class = sweep as usize % cfg.dscp_classes.len().max(1);
+            let dscp = cfg.dscp_classes.get(class).copied();
+            let len = if sweep < full_sweeps {
+                entries.len()
+            } else {
+                partial
             };
-            let counters = match entry.path {
-                Some(pid) => report.paths.entry(pid).or_default(),
-                None => report.in_rack.entry(entry.responder).or_default(),
-            };
-            let lost = probe_once(dataplane, tag, route, flow, cfg, counters, rng);
-            let mut flow_sent = 1u64;
-            let mut flow_lost = u64::from(lost);
-            if lost {
-                // Confirm the loss pattern with same-content re-probes
-                // (§3.1): deterministic drops stay lost, random drops may
-                // get through — exactly the signal the diagnoser wants.
-                for _ in 0..cfg.confirm_probes {
-                    flow_sent += 1;
-                    flow_lost +=
-                        u64::from(probe_once(dataplane, tag, route, flow, cfg, counters, rng));
+            let bound = entries.iter().zip(&self.routes).zip(&self.slots);
+            for ((entry, route), &slot) in bound.take(len) {
+                let mut flow = FlowKey::udp(
+                    self.list.pinger.0,
+                    entry.responder.0,
+                    sport,
+                    self.list.dport,
+                );
+                if let Some(dscp) = dscp {
+                    flow.dscp = dscp;
+                }
+                let tag = ProbeTag {
+                    window,
+                    path_id: entry.path.map_or(ProbeTag::IN_RACK, |p| p.0),
+                    waypoint: entry.waypoint.map_or(0, |n| n.0),
+                };
+                // detlint::allow(panic_path, reason = "bind() draws every slot from path_keys ++ rack_keys, which size counters")
+                let counters = &mut counters[slot];
+                let lost = probe_once(dataplane, tag, route, flow, cfg, counters, rng);
+                let mut flow_sent = 1u64;
+                let mut flow_lost = u64::from(lost);
+                if lost {
+                    // Confirm the loss pattern with same-content re-probes
+                    // (§3.1): deterministic drops stay lost, random drops may
+                    // get through — exactly the signal the diagnoser wants.
+                    for _ in 0..cfg.confirm_probes {
+                        flow_sent += 1;
+                        flow_lost +=
+                            u64::from(probe_once(dataplane, tag, route, flow, cfg, counters, rng));
+                    }
+                }
+                // Per-flow counters feed the loss-type classifier (§7).
+                if let Some(path) = entry.path {
+                    flows.push(FlowRecord {
+                        path,
+                        sport: flow.sport,
+                        dscp: flow.dscp,
+                        sent: flow_sent,
+                        lost: flow_lost,
+                    });
                 }
             }
-            // Per-flow counters feed the loss-type classifier (§7).
-            if let Some(pid) = entry.path {
-                let key = (pid, (flow.sport as u64) | ((flow.dscp as u64) << 16));
-                let e = report.flows.entry(key).or_insert((0, 0));
-                e.0 += flow_sent;
-                e.1 += flow_lost;
-            }
         }
+        flows.sort_unstable_by_key(FlowRecord::key);
+        flows.dedup_by(|next, kept| {
+            let same = next.key() == kept.key();
+            if same {
+                kept.sent += next.sent;
+                kept.lost += next.lost;
+            }
+            same
+        });
+        flows.shrink_to_fit();
+        report.flows = flows;
+        // A short window may not reach every entry: only probed keys report.
+        let (paths, in_rack) = counters.split_at(self.path_keys.len());
+        report.paths = (self.path_keys.iter().copied())
+            .zip(paths.iter().copied())
+            .filter(|(_, c)| c.sent > 0)
+            .collect();
+        report.in_rack = (self.rack_keys.iter().copied())
+            .zip(in_rack.iter().copied())
+            .filter(|(_, c)| c.sent > 0)
+            .collect();
         report
     }
 }
@@ -303,10 +371,10 @@ impl PingerCostModel {
 mod tests {
     use super::*;
     use crate::pinglist::PingEntry;
-    use detector_core::types::PathId;
     use detector_simnet::{Fabric, LossDiscipline};
     use detector_topology::{DcnTopology, Fattree};
-    use rand::SeedableRng;
+    use rand::Rng;
+    use std::collections::HashMap;
 
     fn setup(ft: &Fattree) -> (Pinglist, Fabric<'_>) {
         let pinger = ft.server(0, 0, 0);
@@ -347,7 +415,7 @@ mod tests {
         let cfg = SystemConfig::default();
         let mut rng = SmallRng::seed_from_u64(1);
         let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
-        let c = rep.paths[&PathId(0)];
+        let c = *rep.path(PathId(0)).unwrap();
         assert_eq!(c.sent, 300); // 10 pps × 30 s.
         assert_eq!(c.lost, 0);
         assert!(c.mean_rtt_us() > 0.0);
@@ -362,7 +430,7 @@ mod tests {
         let cfg = SystemConfig::default();
         let mut rng = SmallRng::seed_from_u64(2);
         let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
-        let c = rep.paths[&PathId(0)];
+        let c = *rep.path(PathId(0)).unwrap();
         // Each of the 300 scheduled probes is lost and confirmed twice.
         assert_eq!(c.sent, 300 * 3);
         assert_eq!(c.lost, 300 * 3);
@@ -383,7 +451,7 @@ mod tests {
         let cfg = SystemConfig::default();
         let mut rng = SmallRng::seed_from_u64(3);
         let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
-        let c = rep.paths[&PathId(0)];
+        let c = *rep.path(PathId(0)).unwrap();
         // Some ports blackholed, some clean: strictly partial.
         assert!(c.lost > 0);
         assert!(c.lost < c.sent);
@@ -417,7 +485,7 @@ mod tests {
         let cfg = SystemConfig::default();
         let mut rng = SmallRng::seed_from_u64(5);
         let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
-        let c = rep.paths[&PathId(0)];
+        let c = *rep.path(PathId(0)).unwrap();
         assert!(c.lost > 0, "EF probes must be lost");
         assert!(c.lost < c.sent, "other classes must get through");
         // The lost fraction is near one third of the *scheduled* probes
@@ -506,6 +574,210 @@ mod tests {
         assert_eq!(partial.num_entries(), 1, "bad entry dropped at bind");
         assert!(partial.bound_to(&with_bad_entry));
         assert!(!partial.bound_to(&list));
+    }
+
+    /// The per-probe `HashMap` accumulation `run_window` replaced — two
+    /// map lookups per probe, keyed as the report used to be — kept as
+    /// the oracle for the slot-indexed rewrite.
+    fn run_window_reference(
+        p: &Pinger,
+        dataplane: &dyn DataPlane,
+        cfg: &SystemConfig,
+        window: u64,
+        rng: &mut SmallRng,
+    ) -> PingerReport {
+        let mut paths: HashMap<PathId, PathCounters> = HashMap::new();
+        let mut in_rack: HashMap<NodeId, PathCounters> = HashMap::new();
+        let mut flows: HashMap<(PathId, u16, u8), (u64, u64)> = HashMap::new();
+        let budget = (cfg.probe_rate_pps * cfg.window_s as f64) as u64;
+        for i in 0..if p.list.entries.is_empty() { 0 } else { budget } {
+            let ei = (i as usize) % p.list.entries.len();
+            let sweep = (i as usize) / p.list.entries.len();
+            let entry = &p.list.entries[ei];
+            let route = &p.routes[ei];
+            let sport = p
+                .list
+                .base_sport
+                .wrapping_add((sweep % p.list.port_range.max(1) as usize) as u16);
+            let mut flow = FlowKey::udp(p.list.pinger.0, entry.responder.0, sport, p.list.dport);
+            if !cfg.dscp_classes.is_empty() {
+                flow.dscp = cfg.dscp_classes[sweep % cfg.dscp_classes.len()];
+            }
+            let tag = ProbeTag {
+                window,
+                path_id: entry.path.map_or(ProbeTag::IN_RACK, |p| p.0),
+                waypoint: entry.waypoint.map_or(0, |n| n.0),
+            };
+            let counters = match entry.path {
+                Some(pid) => paths.entry(pid).or_default(),
+                None => in_rack.entry(entry.responder).or_default(),
+            };
+            let lost = probe_once(dataplane, tag, route, flow, cfg, counters, rng);
+            let mut flow_sent = 1u64;
+            let mut flow_lost = u64::from(lost);
+            if lost {
+                for _ in 0..cfg.confirm_probes {
+                    flow_sent += 1;
+                    flow_lost +=
+                        u64::from(probe_once(dataplane, tag, route, flow, cfg, counters, rng));
+                }
+            }
+            if let Some(pid) = entry.path {
+                let e = flows.entry((pid, flow.sport, flow.dscp)).or_insert((0, 0));
+                e.0 += flow_sent;
+                e.1 += flow_lost;
+            }
+        }
+        let mut report = PingerReport {
+            pinger: p.list.pinger,
+            window,
+            paths: paths.into_iter().collect(),
+            in_rack: in_rack.into_iter().collect(),
+            flows: flows
+                .into_iter()
+                .map(|((path, sport, dscp), (sent, lost))| FlowRecord {
+                    path,
+                    sport,
+                    dscp,
+                    sent,
+                    lost,
+                })
+                .collect(),
+        };
+        report.paths.sort_unstable_by_key(|(p, _)| *p);
+        report.in_rack.sort_unstable_by_key(|(n, _)| *n);
+        report.flows.sort_unstable_by_key(FlowRecord::key);
+        report
+    }
+
+    #[test]
+    fn slot_indexed_window_is_bit_identical_to_the_hashmap_reference() {
+        let ft = Fattree::new(6).unwrap();
+        let pinger = ft.server(0, 0, 0);
+        // Three cross-pod routes, one intra-pod route and two in-rack peers:
+        // entries are drawn from these with repetition, so lists carry
+        // duplicate `PathId`s (also across different routes) and
+        // duplicate in-rack responders.
+        let cross = |agg: u32, core: u32, pod: u32| {
+            let responder = ft.server(pod, 0, 0);
+            let route = vec![
+                pinger,
+                ft.edge(0, 0),
+                ft.agg(0, agg),
+                ft.core(agg, core),
+                ft.agg(pod, agg),
+                ft.edge(pod, 0),
+                responder,
+            ];
+            (route, responder, Some(ft.core(agg, core)))
+        };
+        let intra = {
+            let responder = ft.server(0, 1, 0);
+            let route = vec![
+                pinger,
+                ft.edge(0, 0),
+                ft.agg(0, 1),
+                ft.edge(0, 1),
+                responder,
+            ];
+            (route, responder, None)
+        };
+        let rack = |host: u32| {
+            let responder = ft.server(0, 0, host);
+            (vec![pinger, ft.edge(0, 0), responder], responder, None)
+        };
+        let shapes = [cross(0, 0, 1), cross(1, 1, 2), cross(0, 1, 3), intra];
+        let disciplines = [
+            LossDiscipline::Healthy,
+            LossDiscipline::Full,
+            LossDiscipline::RandomPartial { rate: 0.4 },
+            LossDiscipline::DeterministicPartial {
+                fraction: 0.5,
+                salt: 7,
+            },
+            LossDiscipline::DscpBlackhole { dscp: 46 },
+        ];
+        let mut draw = SmallRng::seed_from_u64(0x51_07);
+        for case in 0..96u64 {
+            let mut entries = Vec::new();
+            for _ in 0..draw.gen_range(0..9usize) {
+                let (route, responder, waypoint) = if draw.gen_range(0..4u32) == 0 {
+                    rack(draw.gen_range(1..3u32))
+                } else {
+                    shapes[draw.gen_range(0..shapes.len())].clone()
+                };
+                let in_rack = route.len() == 3;
+                entries.push(PingEntry {
+                    path: (!in_rack).then(|| PathId(draw.gen_range(0..4u32) * 5)),
+                    route,
+                    responder,
+                    waypoint,
+                });
+            }
+            let mut list = Pinglist {
+                version: case,
+                pinger,
+                entries,
+                interval_us: 100_000,
+                base_sport: if case % 7 == 0 { u16::MAX - 1 } else { 33000 },
+                port_range: [0, 1, 2, 5, 16][draw.gen_range(0..5usize)],
+                dport: 53533,
+                stamp: 0,
+            };
+            list.seal();
+            let mut cfg = SystemConfig {
+                // Shorter than, equal to and longer than the port ranges.
+                dscp_classes: [
+                    vec![],
+                    vec![46],
+                    vec![0, 18, 46],
+                    vec![0, 8, 18, 26, 34, 46, 48],
+                ][draw.gen_range(0..4usize)]
+                .clone(),
+                confirm_probes: draw.gen_range(0..4u32),
+                ..SystemConfig::default()
+            };
+            // Budgets below, at and far above one sweep of the list.
+            cfg.probe_rate_pps = [0.1, 0.2, 1.0, 10.0][draw.gen_range(0..4usize)];
+            let mut fabric = Fabric::quiet(&ft);
+            let disc = disciplines[draw.gen_range(0..disciplines.len())];
+            let links = [
+                ft.ea_link(0, 0, 0),
+                ft.ea_link(0, 0, 1),
+                ft.server_link(0, 0, 1),
+            ];
+            fabric.set_discipline_both(links[draw.gen_range(0..links.len())], disc);
+
+            let bound = Pinger::bind(list, ft.graph());
+            let seed = draw.gen_range(0..u64::MAX);
+            let got = bound.run_window(&fabric, &cfg, case, &mut SmallRng::seed_from_u64(seed));
+            let want = run_window_reference(
+                &bound,
+                &fabric,
+                &cfg,
+                case,
+                &mut SmallRng::seed_from_u64(seed),
+            );
+            // `PartialEq` on `f64` would accept -0.0 == 0.0; compare the
+            // RTT accumulators bit for bit.
+            let bits = |r: &PingerReport| -> Vec<(u64, u64)> {
+                let all = r.paths.iter().map(|(_, c)| c);
+                all.chain(r.in_rack.iter().map(|(_, c)| c))
+                    .map(|c| (c.rtt_sum_us.to_bits(), c.rtt_max_us.to_bits()))
+                    .collect()
+            };
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            assert!(got.paths.windows(2).all(|w| w[0].0 < w[1].0), "case {case}");
+            assert!(
+                got.in_rack.windows(2).all(|w| w[0].0 < w[1].0),
+                "case {case}"
+            );
+            assert!(
+                got.flows.windows(2).all(|w| w[0].key() < w[1].key()),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! Every 30 seconds each pinger aggregates per-path counters into a report
 //! and POSTs it to the diagnoser, which stores them for real-time analysis
-//! and later queries. The store is concurrency-safe (parking_lot) because
-//! production pingers report independently.
+//! and later queries. A report is three sorted runs — paths, in-rack
+//! responders, per-flow records — built once by the pinger, shipped
+//! delta-coded in that order, and iterated (never re-keyed) by the
+//! ingest plane, the watchdog and the store. The store is
+//! concurrency-safe (parking_lot) because production pingers report
+//! independently.
 
 use std::collections::HashMap;
 
@@ -44,37 +48,75 @@ impl PathCounters {
     }
 }
 
+/// One flow's counters on one path over one window: the raw material
+/// for loss-type classification (§7). A flow is the probe header the
+/// fabric hashes on — source port and DSCP class.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlowRecord {
+    /// The probed path.
+    pub path: PathId,
+    /// The probes' UDP source port.
+    pub sport: u16,
+    /// The probes' DSCP class.
+    pub dscp: u8,
+    /// Probes sent on this flow (confirmation re-probes included).
+    pub sent: u64,
+    /// Probes lost on this flow.
+    pub lost: u64,
+}
+
+impl FlowRecord {
+    /// The record's position in [`PingerReport::flows`].
+    pub fn key(&self) -> (PathId, u16, u8) {
+        (self.path, self.sport, self.dscp)
+    }
+}
+
 /// One pinger's report for one window.
+///
+/// The three runs are strictly ascending by key, and every flow record's
+/// path has an entry in `paths` — [`Pinger::run_window`] builds reports
+/// that way, the frame decoder rejects anything else, and a record
+/// breaking it is not representable on the wire.
+///
+/// [`Pinger::run_window`]: crate::Pinger::run_window
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PingerReport {
     /// Reporting pinger.
     pub pinger: NodeId,
     /// Window index (window start / window length).
     pub window: u64,
-    /// Counters per probe-matrix path.
-    pub paths: HashMap<PathId, PathCounters>,
-    /// Counters for in-rack probes (server–ToR links), keyed by responder.
-    pub in_rack: HashMap<NodeId, PathCounters>,
-    /// Per-flow counters per path, keyed by (path, flow discriminator):
-    /// the raw material for loss-type classification (§7). The flow
-    /// discriminator packs the probe's source port and DSCP class.
-    pub flows: HashMap<(PathId, u64), (u64, u64)>,
+    /// Counters per probe-matrix path, ascending by path id.
+    pub paths: Vec<(PathId, PathCounters)>,
+    /// Counters for in-rack probes (server–ToR links), ascending by
+    /// responder.
+    pub in_rack: Vec<(NodeId, PathCounters)>,
+    /// Per-flow counters per path, ascending by [`FlowRecord::key`].
+    pub flows: Vec<FlowRecord>,
 }
 
 impl PingerReport {
+    /// The counters of `path`, if the report covers it.
+    pub fn path(&self, path: PathId) -> Option<&PathCounters> {
+        let at = self.paths.binary_search_by_key(&path, |(p, _)| *p).ok()?;
+        self.paths.get(at).map(|(_, c)| c)
+    }
+
+    fn counters(&self) -> impl Iterator<Item = &PathCounters> {
+        let paths = self.paths.iter().map(|(_, c)| c);
+        paths.chain(self.in_rack.iter().map(|(_, c)| c))
+    }
+
     /// Total probes sent in this report (paths + in-rack).
     pub fn total_sent(&self) -> u64 {
-        self.paths.values().map(|c| c.sent).sum::<u64>()
-            + self.in_rack.values().map(|c| c.sent).sum::<u64>()
+        self.counters().map(|c| c.sent).sum()
     }
 
     /// True when every probe of the report was lost (a strong hint the
     /// *pinger* is sick, not the network — §5.1 outliers).
     pub fn all_lost(&self) -> bool {
         let sent = self.total_sent();
-        let lost = self.paths.values().map(|c| c.lost).sum::<u64>()
-            + self.in_rack.values().map(|c| c.lost).sum::<u64>();
-        sent > 0 && lost == sent
+        sent > 0 && self.counters().map(|c| c.lost).sum::<u64>() == sent
     }
 }
 
@@ -185,13 +227,11 @@ impl ReportStore {
                 if excluded(r.pinger) {
                     continue;
                 }
-                for (&(pid, flow), &(sent, lost)) in &r.flows {
-                    if !keep_path(pid) {
-                        continue;
-                    }
-                    let e = agg.entry((r.pinger, pid, flow)).or_insert((0, 0));
-                    e.0 += sent;
-                    e.1 += lost;
+                for f in r.flows.iter().filter(|f| keep_path(f.path)) {
+                    let flow = u64::from(f.sport) | (u64::from(f.dscp) << 16);
+                    let e = agg.entry((r.pinger, f.path, flow)).or_insert((0, 0));
+                    e.0 += f.sent;
+                    e.1 += f.lost;
                 }
             }
         }
@@ -215,22 +255,17 @@ mod tests {
     use super::*;
 
     fn report(pinger: u32, window: u64, path: u32, sent: u64, lost: u64) -> PingerReport {
-        let mut paths = HashMap::new();
-        paths.insert(
-            PathId(path),
-            PathCounters {
-                sent,
-                lost,
-                rtt_sum_us: 100.0 * (sent - lost) as f64,
-                rtt_max_us: 120.0,
-            },
-        );
+        let counters = PathCounters {
+            sent,
+            lost,
+            rtt_sum_us: 100.0 * (sent - lost) as f64,
+            rtt_max_us: 120.0,
+        };
         PingerReport {
             pinger: NodeId(pinger),
             window,
-            paths,
-            in_rack: HashMap::new(),
-            flows: HashMap::new(),
+            paths: vec![(PathId(path), counters)],
+            ..Default::default()
         }
     }
 

@@ -74,20 +74,17 @@ mod tests {
     use detector_core::types::PathId;
 
     fn report(pinger: u32, lost_all: bool) -> PingerReport {
-        let mut r = PingerReport {
-            pinger: NodeId(pinger),
-            window: 0,
+        let counters = PathCounters {
+            sent: 10,
+            lost: if lost_all { 10 } else { 1 },
             ..Default::default()
         };
-        r.paths.insert(
-            PathId(0),
-            PathCounters {
-                sent: 10,
-                lost: if lost_all { 10 } else { 1 },
-                ..Default::default()
-            },
-        );
-        r
+        PingerReport {
+            pinger: NodeId(pinger),
+            window: 0,
+            paths: vec![(PathId(0), counters)],
+            ..Default::default()
+        }
     }
 
     #[test]

@@ -496,8 +496,12 @@ mod tests {
             for i in 0..4 {
                 let tx = tx.clone();
                 s.spawn(move |_| tx.send(i).unwrap());
-                // Serialize the parks so arrival order is deterministic.
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                // Serialize the parks so arrival order is deterministic:
+                // a parked sender's message is visible in the queue, and
+                // nothing receives until all four are parked.
+                while rx.len() <= i as usize {
+                    std::thread::yield_now();
+                }
             }
             drop(tx);
             let got: Vec<i32> = rx.iter().collect();
