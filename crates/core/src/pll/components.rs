@@ -1,28 +1,36 @@
-//! Component-decomposed parallel PLL: Observation 1 of §4.3 applied to
-//! the localization stage (§5).
+//! Component-decomposed PLL — the diagnoser's localizer: Observation 1 of
+//! §4.3 applied to the localization stage (§5).
 //!
-//! The path/link incidence graph of one observed window splits into
-//! connected components; losses in one component can only be explained by
-//! that component's links, so the greedy cover decomposes into
-//! independent per-component covers that run in parallel on a
-//! [`JobPool`]. [`ComponentPll`] caches the skeleton (link→paths index,
-//! component partition) per plan epoch exactly like
-//! [`IncrementalPll`](super::IncrementalPll) — reused while the observed
-//! path-id set is stable, patched per window for flipped lossy flags,
-//! fully rebuilt on [`invalidate`](ComponentPll::invalidate) (new probe
-//! matrix: plan epoch change, cycle refresh) — so steady-state windows
-//! pay only the per-component greedy.
+//! The *lossy* path/link incidence of one observed window — the lossy
+//! observations and the links they cross — splits into connected
+//! components; losses in one component can only be explained by that
+//! component's links, so the greedy cover decomposes into independent
+//! per-component covers: [`ComponentJob`]s that run inline or in parallel
+//! on a [`JobPool`]. Clean observations take no part in the partition —
+//! they only enter through the hit-ratio denominators, which are static
+//! per window — so the components are exactly the window's independent
+//! localization subproblems, one job each.
+//!
+//! [`ComponentPll`] caches the skeleton (link→paths index, component
+//! partition, per-component candidate links with their hit ratios) under
+//! the reuse key **(observed path ids, lossy flags)**: a window with the
+//! same key as its predecessor only swaps the loss counters in — and
+//! returns the cached verdict outright when the counters are identical
+//! too. Any other window, and the first one after
+//! [`invalidate`](ComponentPll::invalidate) (new probe matrix: plan epoch
+//! change, cycle refresh), rebuilds the skeleton from scratch.
 //!
 //! # Why the merged cover equals the global greedy
 //!
 //! Component subproblems are *independent*: a link's hit ratio is a
-//! per-window constant (explanation never rewrites observations), and a
-//! pick in one component cannot change scores in another (they share no
-//! observed paths). Within one component the global greedy's picks form a
-//! strictly decreasing sequence of selection keys
-//! `(consistent, explained_losses, hit_ratio, smaller-link-wins)` — each
-//! pick only lowers the remaining candidates' scores — and the key is
-//! recorded verbatim on every [`SuspectLink`]. The global greedy is
+//! per-window constant (explanation never rewrites observations), a
+//! link's score only ever counts lossy observations — all of which sit in
+//! the link's own component — and a pick in one component cannot change
+//! scores in another (they share no lossy paths). Within one component
+//! the global greedy's picks form a strictly decreasing sequence of
+//! selection keys `(explained_losses, hit_ratio, smaller-link-wins)` —
+//! each pick only lowers the remaining candidates' scores — and the key
+//! is recorded verbatim on every [`SuspectLink`]. The global greedy is
 //! therefore exactly the descending merge of the per-component pick
 //! sequences, and since keys are globally unique (the link id
 //! participates), merging reduces to sorting the concatenated suspects by
@@ -32,66 +40,154 @@
 //! global unexplained list is the index-ordered union of the
 //! per-component leftovers and those stray observations. The result is
 //! bit-identical to [`localize`](super::localize) — property-tested in
-//! this module and end-to-end (results + full ordered event streams) in
+//! this module, over the `Diagnoser` API in `tests/diagnoser_oracle.rs`,
+//! and end-to-end (results + full ordered event streams) in
 //! `tests/scheduler_equivalence.rs` and `tests/distributed_equivalence.rs`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use super::pll_impl::{greedy_scoped, Diagnosis, GreedyOutcome, ObservedMatrix, SuspectLink};
+use super::pll_impl::{greedy_scoped, index_links, Diagnosis, GreedyOutcome, SuspectLink};
 use super::{preprocess, PllConfig};
 use crate::pmc::{JobPool, ProbeMatrix};
-use crate::types::{LinkId, PathId, PathObservation};
+use crate::types::{LinkId, PathObservation};
 
-/// Immutable per-window solve state shared by that window's
-/// [`ComponentJob`]s.
+/// One connected component of the lossy path/link incidence.
+#[derive(Debug, Default)]
+struct Component {
+    /// The component's candidate links with their hit ratios, ascending
+    /// link order — the restriction of what `localize` computes globally.
+    hit: Vec<(LinkId, f64)>,
+    /// The component's lossy observation indices, ascending.
+    scope: Vec<u32>,
+}
+
+/// Everything windows with the same reuse key share, built once per
+/// rebuild and handed to every [`ComponentJob`] behind one `Arc`.
 #[derive(Debug)]
-struct Snapshot {
-    obs: Vec<PathObservation>,
-    link_paths: Vec<Vec<u32>>,
-    lossy_count: Vec<u32>,
+struct Skeleton {
     cfg: PllConfig,
+    /// Link → indices into the observation vector (lossy and clean: the
+    /// lengths are the hit-ratio denominators).
+    link_paths: Vec<Vec<u32>>,
+    /// The partition, ascending by smallest candidate link.
+    comps: Vec<Component>,
+    /// Lossy observations outside every component (path id does not
+    /// resolve in the matrix, or the path covers no links), ascending:
+    /// unexplainable.
+    stray: Vec<u32>,
+}
+
+/// Sentinel for a union-find root no component was opened for yet.
+const NO_COMP: u32 = u32::MAX;
+
+impl Skeleton {
+    fn build(matrix: &ProbeMatrix, obs: &[PathObservation], cfg: PllConfig) -> Self {
+        let link_paths = index_links(matrix, obs);
+
+        // One pass over the lossy observations: per-link lossy counts
+        // (hit-ratio numerators) and a union-find over link indices in
+        // which every lossy path is one clique. The smaller index becomes
+        // the root, so a component's root is its smallest link
+        // (deterministic partition order, matching `pmc::decompose`).
+        let mut lossy_count: Vec<u32> = vec![0; link_paths.len()];
+        let mut parent: Vec<u32> = (0..link_paths.len() as u32).collect();
+        let mut anchored: Vec<(u32, u32)> = Vec::new();
+        let mut stray: Vec<u32> = Vec::new();
+        for (oi, o) in obs.iter().enumerate().filter(|(_, o)| o.is_lossy()) {
+            let links = matrix.path(o.path).map(|p| p.links()).unwrap_or_default();
+            let Some((first, rest)) = links.split_first() else {
+                stray.push(oi as u32);
+                continue;
+            };
+            anchored.push((oi as u32, first.0));
+            for l in links {
+                if let Some(c) = lossy_count.get_mut(l.index()) {
+                    *c += 1;
+                }
+            }
+            for l in rest {
+                union(&mut parent, first.0, l.0);
+            }
+        }
+
+        // Candidate links in ascending order open their components in
+        // ascending order of smallest link and fill each hit list sorted.
+        let mut comp_of_root: Vec<u32> = vec![NO_COMP; link_paths.len()];
+        let mut comps: Vec<Component> = Vec::new();
+        for (li, (&lossy, paths)) in lossy_count.iter().zip(&link_paths).enumerate() {
+            if lossy == 0 {
+                continue;
+            }
+            let root = find(&mut parent, li as u32);
+            let Some(slot) = comp_of_root.get_mut(root as usize) else {
+                continue;
+            };
+            if *slot == NO_COMP {
+                *slot = comps.len() as u32;
+                comps.push(Component::default());
+            }
+            if let Some(c) = comps.get_mut(*slot as usize) {
+                c.hit
+                    .push((LinkId(li as u32), lossy as f64 / paths.len() as f64));
+            }
+        }
+        for (oi, first) in anchored {
+            let root = find(&mut parent, first);
+            let comp = comp_of_root
+                .get(root as usize)
+                .and_then(|&ci| comps.get_mut(ci as usize));
+            if let Some(c) = comp {
+                c.scope.push(oi);
+            }
+        }
+
+        Self {
+            cfg,
+            link_paths,
+            comps,
+            stray,
+        }
+    }
 }
 
 /// One component's greedy cover as a self-contained, sendable work item:
 /// run it on any thread (a [`JobPool`] worker, a scheduler's probe
 /// worker, inline) and hand the [`ComponentVerdict`] back to
-/// [`ComponentPll::complete`]. Jobs of one window share their snapshot.
+/// [`ComponentPll::complete`]. Jobs of one window share the skeleton and
+/// the window's observations; a job itself is a component index.
 #[derive(Clone, Debug)]
 pub struct ComponentJob {
-    shared: Arc<Snapshot>,
-    /// The component's link indices, ascending.
-    links: Vec<u32>,
-    /// The component's observation indices, ascending.
-    scope: Vec<u32>,
+    skeleton: Arc<Skeleton>,
+    obs: Arc<Vec<PathObservation>>,
+    comp: usize,
 }
 
 impl ComponentJob {
     /// Runs the component's greedy cover. Pure: no shared mutable state,
     /// any order and thread.
     pub fn run(&self) -> ComponentVerdict {
-        let s = &self.shared;
-        // The component's candidate hit list, ascending link order — the
-        // restriction of what `localize` computes globally.
-        let hit: Vec<(LinkId, f64)> = self
-            .links
-            .iter()
-            .filter_map(|&li| {
-                let lossy = *s.lossy_count.get(li as usize)?;
-                if lossy == 0 {
-                    return None;
-                }
-                let total = s.link_paths.get(li as usize)?.len();
-                Some((LinkId(li), lossy as f64 / total as f64))
-            })
-            .collect();
-        ComponentVerdict(greedy_scoped(
-            &s.obs,
-            &s.link_paths,
-            &hit,
-            &s.cfg,
-            Some(&self.scope),
-        ))
+        let s = &self.skeleton;
+        match s.comps.get(self.comp) {
+            Some(c) => ComponentVerdict(greedy_scoped(
+                &self.obs,
+                &s.link_paths,
+                &c.hit,
+                &s.cfg,
+                &c.scope,
+            )),
+            None => ComponentVerdict::empty(),
+        }
+    }
+
+    /// Runs every job on up to `workers` scoped threads — clamped to the
+    /// host's cores, since the jobs are CPU-bound; `1` runs inline on the
+    /// caller's thread — verdicts in job order.
+    pub fn run_all(jobs: &[ComponentJob], workers: usize) -> Vec<ComponentVerdict> {
+        JobPool::clamped(workers).run_indexed(jobs.len(), |i| {
+            jobs.get(i)
+                .map_or_else(ComponentVerdict::empty, ComponentJob::run)
+        })
     }
 }
 
@@ -101,10 +197,9 @@ impl ComponentJob {
 pub struct ComponentVerdict(GreedyOutcome);
 
 impl ComponentVerdict {
-    /// A verdict with no suspects and no unexplained paths — the
-    /// identity of the merge. Lets executor plumbing produce a
-    /// placeholder where a job slot is structurally unreachable.
-    pub fn empty() -> Self {
+    /// No suspects, nothing unexplained — the identity of the merge, for
+    /// the structurally unreachable "no such job" slots.
+    fn empty() -> Self {
         ComponentVerdict(GreedyOutcome {
             suspects: Vec::new(),
             unexplained: Vec::new(),
@@ -115,76 +210,54 @@ impl ComponentVerdict {
 /// What [`ComponentPll::prepare`] decided about the window.
 #[derive(Debug)]
 pub enum ComponentPlan {
-    /// The diagnosis is already final (cached verdict, or an all-healthy
-    /// window) — no jobs to run and no [`complete`](ComponentPll::complete)
-    /// call due.
+    /// The diagnosis is already final (cached verdict, or a window with
+    /// no component to solve) — no jobs to run and no
+    /// [`complete`](ComponentPll::complete) call due.
     Ready(Diagnosis),
     /// Per-component jobs to execute — concurrently or not — before
     /// handing every verdict to [`complete`](ComponentPll::complete).
     Fanout(Vec<ComponentJob>),
 }
 
-/// Sentinel for an observation outside every component (its path id does
-/// not resolve in the matrix, or the path covers no links).
-const NO_COMP: u32 = u32::MAX;
-
-/// One connected component of the observed path/link incidence.
-#[derive(Clone, Debug)]
-struct Component {
-    /// Link indices of the component, ascending.
-    links: Vec<u32>,
-    /// Observation indices of the component, ascending.
-    obs: Vec<u32>,
-}
-
-/// Cached cross-window component-parallel PLL state. One instance per
+/// Cached cross-window component-decomposed PLL state. One instance per
 /// diagnoser; feed it every window in order and
-/// [`invalidate`](ComponentPll::invalidate) it on matrix changes, exactly
-/// like [`IncrementalPll`](super::IncrementalPll).
-#[derive(Debug, Default)]
+/// [`invalidate`](ComponentPll::invalidate) it on matrix changes.
+#[derive(Debug)]
 pub struct ComponentPll {
-    /// Cached skeleton is usable (set after a full rebuild, cleared by
-    /// [`invalidate`](ComponentPll::invalidate)).
-    valid: bool,
-    /// Pre-processed observation ids the skeleton was built for.
-    path_ids: Vec<PathId>,
-    /// Link → indices into the observation vector.
-    link_paths: Vec<Vec<u32>>,
-    /// Observation → indices of the links its path covers.
-    obs_links: Vec<Vec<u32>>,
-    /// Previous window's pre-processed observations.
-    obs: Vec<PathObservation>,
-    /// Previous window's per-observation lossy flags.
-    lossy: Vec<bool>,
-    /// Per-link count of lossy observed paths (hit-ratio numerators).
-    lossy_count: Vec<u32>,
-    /// The component partition, ascending by smallest link index.
-    comps: Vec<Component>,
-    /// Observation → component ordinal ([`NO_COMP`] for stray paths).
-    comp_of_obs: Vec<u32>,
-    /// Previous window's verdict (for the unchanged-window shortcut).
+    cfg: PllConfig,
+    /// The cached skeleton; `None` before the first window and after
+    /// [`invalidate`](ComponentPll::invalidate).
+    skeleton: Option<Arc<Skeleton>>,
+    /// The latest window's pre-processed observations.
+    obs: Arc<Vec<PathObservation>>,
+    /// The latest window's verdict (for the unchanged-window shortcut).
     verdict: Diagnosis,
-    /// `prefer_consistent` of the window being prepared, for the merge in
-    /// [`complete`](ComponentPll::complete).
-    prefer_consistent: bool,
     full_rebuilds: u64,
-    patched_windows: u64,
+    reused_skeletons: u64,
     reused_verdicts: u64,
 }
 
 impl ComponentPll {
-    /// Fresh, empty state: the first window always rebuilds fully.
-    pub fn new() -> Self {
-        Self::default()
+    /// Fresh, empty state: the first window always rebuilds.
+    pub fn new(cfg: PllConfig) -> Self {
+        Self {
+            cfg,
+            skeleton: None,
+            obs: Arc::default(),
+            verdict: Diagnosis::default(),
+            full_rebuilds: 0,
+            reused_skeletons: 0,
+            reused_verdicts: 0,
+        }
     }
 
-    /// Drops the cached skeleton and partition. Call whenever the probe
-    /// matrix changes (plan epoch change, cycle refresh, any
-    /// topology-event driven re-plan): a `LinkUp` can merge two
-    /// components, and a stale two-component partition would silently
-    /// split the greedy.
+    /// Drops the cached skeleton. Call whenever the probe matrix changes
+    /// (plan epoch change, cycle refresh, any topology-event driven
+    /// re-plan): path ids may be reused with different link sets, which
+    /// the reuse key alone cannot detect, and a stale partition would
+    /// silently split or fuse the greedy.
     pub fn invalidate(&mut self) {
-        self.valid = false;
+        self.skeleton = None;
     }
 
     /// Windows that rebuilt the skeleton and partition from scratch.
@@ -192,9 +265,9 @@ impl ComponentPll {
         self.full_rebuilds
     }
 
-    /// Windows that patched the cached skeleton.
-    pub fn patched_windows(&self) -> u64 {
-        self.patched_windows
+    /// Windows that swapped new loss counters into the cached skeleton.
+    pub fn reused_skeletons(&self) -> u64 {
+        self.reused_skeletons
     }
 
     /// Windows that returned the cached verdict unchanged.
@@ -202,128 +275,86 @@ impl ComponentPll {
         self.reused_verdicts
     }
 
-    /// Components in the cached partition (0 before the first rebuild).
-    pub fn num_components(&self) -> usize {
-        self.comps.len()
+    /// `(lossy_paths, components)` of the latest prepared window:
+    /// observations that stay lossy after noise filtering (those whose
+    /// path id does not resolve in the matrix included), and the
+    /// connected components their links induce — the number of
+    /// independent localization subproblems, one [`ComponentJob`] each.
+    /// `(0, 0)` before the first window and after
+    /// [`invalidate`](ComponentPll::invalidate).
+    pub fn window_shape(&self) -> (u64, u64) {
+        let Some(s) = &self.skeleton else {
+            return (0, 0);
+        };
+        let lossy = s.stray.len() + s.comps.iter().map(|c| c.scope.len()).sum::<usize>();
+        (lossy as u64, s.comps.len() as u64)
     }
 
-    /// Localizes one window by running per-component greedy covers on up
-    /// to `workers` scoped threads — clamped to the host's cores, since
-    /// the jobs are CPU-bound — and merging. Produces exactly what
+    /// Localizes one window: [`prepare`](ComponentPll::prepare), every
+    /// job on up to `workers` threads ([`ComponentJob::run_all`]),
+    /// [`complete`](ComponentPll::complete). Produces exactly what
     /// [`localize`](super::localize) would for the same inputs, for any
-    /// worker count (1 runs inline on the caller's thread).
+    /// worker count.
     pub fn localize(
         &mut self,
         matrix: &ProbeMatrix,
         observations: &[PathObservation],
-        cfg: &PllConfig,
         workers: usize,
     ) -> Diagnosis {
-        match self.prepare(matrix, observations, cfg) {
+        match self.prepare(matrix, observations) {
             ComponentPlan::Ready(d) => d,
-            ComponentPlan::Fanout(jobs) => {
-                let outcomes = JobPool::clamped(workers).run_indexed(jobs.len(), |i| {
-                    jobs.get(i)
-                        .map(ComponentJob::run)
-                        .unwrap_or_else(ComponentVerdict::empty)
-                });
-                self.complete(outcomes)
-            }
+            ComponentPlan::Fanout(jobs) => self.complete(ComponentJob::run_all(&jobs, workers)),
         }
     }
 
-    /// Phase 1 of a window: preprocesses, reuses/patches/rebuilds the
-    /// cached skeleton, and either finishes outright
-    /// ([`ComponentPlan::Ready`]) or hands back the window's per-component
-    /// jobs. Executing every job (any threads, any order) and passing the
-    /// verdicts to [`complete`](ComponentPll::complete) finishes the
-    /// window; [`localize`](ComponentPll::localize) is exactly that on a
-    /// [`JobPool`]. Do not interleave another `prepare` before the
-    /// matching `complete`.
+    /// Phase 1 of a window: preprocesses, reuses or rebuilds the cached
+    /// skeleton, and either finishes outright ([`ComponentPlan::Ready`])
+    /// or hands back the window's per-component jobs. Executing every job
+    /// (any threads, any order) and passing the verdicts to
+    /// [`complete`](ComponentPll::complete) finishes the window. Do not
+    /// interleave another `prepare` before the matching `complete`.
     pub fn prepare(
         &mut self,
         matrix: &ProbeMatrix,
         observations: &[PathObservation],
-        cfg: &PllConfig,
     ) -> ComponentPlan {
-        let obs = preprocess(observations, cfg, &HashSet::new());
-        let reusable = self.valid
-            && self.link_paths.len() == matrix.num_links
-            && self.path_ids.len() == obs.len()
-            && self.path_ids.iter().zip(&obs).all(|(p, o)| *p == o.path);
-        if !reusable {
-            self.rebuild(matrix, obs, cfg);
-            self.full_rebuilds += 1;
-        } else if self.obs == obs {
-            self.reused_verdicts += 1;
-            return ComponentPlan::Ready(self.verdict.clone());
-        } else {
-            // Patch: flip the lossy counters of links on paths whose
-            // lossy flag changed since the previous window. The partition
-            // itself needs no patching — it depends only on the path-id
-            // set, which the reuse key above pinned.
-            for ((o, was), links) in obs
-                .iter()
-                .zip(self.lossy.iter_mut())
-                .zip(self.obs_links.iter())
-            {
-                let is = o.is_lossy();
-                if *was == is {
-                    continue;
-                }
-                *was = is;
-                for &li in links {
-                    if let Some(c) = self.lossy_count.get_mut(li as usize) {
-                        if is {
-                            *c += 1;
-                        } else {
-                            *c -= 1;
-                        }
-                    }
-                }
-            }
-            self.obs = obs;
-            self.patched_windows += 1;
-        }
-        self.prefer_consistent = cfg.prefer_consistent;
-
-        // Active components: at least one lossy observation. An
-        // all-healthy window short-circuits to zero jobs here — without
-        // touching the skeleton (it was patched above, never dropped).
-        let active: Vec<&Component> = self
-            .comps
-            .iter()
-            .filter(|c| {
-                c.obs
+        let obs = preprocess(observations, &self.cfg, &HashSet::new());
+        let same_key = |prev: &[PathObservation]| {
+            prev.len() == obs.len()
+                && prev
                     .iter()
-                    .any(|&oi| self.lossy.get(oi as usize).copied().unwrap_or(false))
-            })
-            .collect();
-        if active.is_empty() {
-            let unexplained_paths = self
-                .stray()
-                .filter_map(|oi| self.obs.get(oi as usize).map(|o| o.path))
-                .collect();
-            self.verdict = Diagnosis {
-                suspects: Vec::new(),
-                unexplained_paths,
-            };
-            return ComponentPlan::Ready(self.verdict.clone());
-        }
+                    .zip(&obs)
+                    .all(|(p, o)| p.path == o.path && p.is_lossy() == o.is_lossy())
+        };
+        let skeleton = match &self.skeleton {
+            Some(s) if s.link_paths.len() == matrix.num_links && same_key(&self.obs) => {
+                if *self.obs == obs {
+                    self.reused_verdicts += 1;
+                    return ComponentPlan::Ready(self.verdict.clone());
+                }
+                self.reused_skeletons += 1;
+                Arc::clone(s)
+            }
+            _ => {
+                self.full_rebuilds += 1;
+                let s = Arc::new(Skeleton::build(matrix, &obs, self.cfg));
+                self.skeleton = Some(Arc::clone(&s));
+                s
+            }
+        };
+        self.obs = Arc::new(obs);
 
-        let shared = Arc::new(Snapshot {
-            obs: self.obs.clone(),
-            link_paths: self.link_paths.clone(),
-            lossy_count: self.lossy_count.clone(),
-            cfg: *cfg,
-        });
+        // No lossy observation that resolves to links (an all-healthy
+        // window, typically): nothing to solve.
+        if skeleton.comps.is_empty() {
+            return ComponentPlan::Ready(self.complete(Vec::new()));
+        }
         ComponentPlan::Fanout(
-            active
-                .iter()
+            (0..skeleton.comps.len())
                 .map(|comp| ComponentJob {
-                    shared: Arc::clone(&shared),
-                    links: comp.links.clone(),
-                    scope: comp.obs.clone(),
+                    skeleton: Arc::clone(&skeleton),
+                    obs: Arc::clone(&self.obs),
+                    comp,
                 })
                 .collect(),
         )
@@ -335,7 +366,10 @@ impl ComponentPll {
     /// selection key) and caches it for the identical-window shortcut.
     pub fn complete(&mut self, outcomes: Vec<ComponentVerdict>) -> Diagnosis {
         let mut suspects: Vec<SuspectLink> = Vec::new();
-        let mut unexplained: Vec<u32> = self.stray().collect();
+        let mut unexplained: Vec<u32> = match &self.skeleton {
+            Some(s) => s.stray.clone(),
+            None => Vec::new(),
+        };
         for ComponentVerdict(out) in outcomes {
             suspects.extend(out.suspects);
             unexplained.extend(out.unexplained);
@@ -344,12 +378,9 @@ impl ComponentPll {
         // strictly decrease within a component and are globally unique
         // (the link id participates), so this reproduces the exact pick
         // order of the global greedy (see the module docs).
-        let prefer = self.prefer_consistent;
         suspects.sort_by(|a, b| {
-            let ca = prefer && a.hit_ratio >= 1.0 - 1e-12;
-            let cb = prefer && b.hit_ratio >= 1.0 - 1e-12;
-            cb.cmp(&ca)
-                .then_with(|| b.explained_losses.cmp(&a.explained_losses))
+            b.explained_losses
+                .cmp(&a.explained_losses)
                 .then_with(|| b.hit_ratio.total_cmp(&a.hit_ratio))
                 .then_with(|| a.link.cmp(&b.link))
         });
@@ -363,110 +394,6 @@ impl ComponentPll {
             unexplained_paths,
         };
         self.verdict.clone()
-    }
-
-    /// Lossy observations outside every component: unexplainable.
-    fn stray(&self) -> impl Iterator<Item = u32> + '_ {
-        self.lossy
-            .iter()
-            .zip(&self.comp_of_obs)
-            .enumerate()
-            .filter(|(_, (&lossy, &ci))| lossy && ci == NO_COMP)
-            .map(|(oi, _)| oi as u32)
-    }
-
-    /// Rebuilds the skeleton and the component partition from scratch.
-    fn rebuild(&mut self, matrix: &ProbeMatrix, obs: Vec<PathObservation>, cfg: &PllConfig) {
-        // `obs` is already pre-processed; feeding it back through `build`
-        // is exact (noise-normalized rows stay 0).
-        let om = ObservedMatrix::build(matrix, &obs, cfg);
-
-        // Invert link→obs into obs→links (the patch path walks it, and
-        // every observation's link list is one union-find clique).
-        let mut obs_links: Vec<Vec<u32>> = vec![Vec::new(); om.obs.len()];
-        for (li, paths) in om.link_paths.iter().enumerate() {
-            for &oi in paths {
-                if let Some(ls) = obs_links.get_mut(oi as usize) {
-                    ls.push(li as u32);
-                }
-            }
-        }
-
-        // Union-find over link indices; the smaller index becomes the
-        // root, so a component's root is its smallest link (deterministic
-        // partition order, matching `pmc::decompose`).
-        let mut parent: Vec<u32> = (0..om.link_paths.len() as u32).collect();
-        for links in &obs_links {
-            let Some((&first, rest)) = links.split_first() else {
-                continue;
-            };
-            for &l in rest {
-                union(&mut parent, first, l);
-            }
-        }
-
-        // Dense component ordinals, ascending by root (= smallest link).
-        let mut roots: Vec<u32> = om
-            .link_paths
-            .iter()
-            .enumerate()
-            .filter(|(_, paths)| !paths.is_empty())
-            .map(|(li, _)| find(&mut parent, li as u32))
-            .collect();
-        roots.sort_unstable();
-        roots.dedup();
-        let comp_of_root = |r: u32, roots: &[u32]| -> u32 {
-            roots.binary_search(&r).map_or(NO_COMP, |i| i as u32)
-        };
-
-        let mut comps: Vec<Component> = roots
-            .iter()
-            .map(|_| Component {
-                links: Vec::new(),
-                obs: Vec::new(),
-            })
-            .collect();
-        for (li, paths) in om.link_paths.iter().enumerate() {
-            if paths.is_empty() {
-                continue;
-            }
-            let ci = comp_of_root(find(&mut parent, li as u32), &roots);
-            if let Some(c) = comps.get_mut(ci as usize) {
-                c.links.push(li as u32);
-            }
-        }
-        let mut comp_of_obs: Vec<u32> = vec![NO_COMP; om.obs.len()];
-        for (oi, links) in obs_links.iter().enumerate() {
-            let Some(&first) = links.first() else {
-                continue;
-            };
-            let ci = comp_of_root(find(&mut parent, first), &roots);
-            if let Some(slot) = comp_of_obs.get_mut(oi) {
-                *slot = ci;
-            }
-            if let Some(c) = comps.get_mut(ci as usize) {
-                c.obs.push(oi as u32);
-            }
-        }
-
-        self.path_ids = om.obs.iter().map(|o| o.path).collect();
-        self.lossy = om.obs.iter().map(|o| o.is_lossy()).collect();
-        self.lossy_count = om
-            .link_paths
-            .iter()
-            .map(|paths| {
-                paths
-                    .iter()
-                    .filter(|&&oi| om.obs.get(oi as usize).is_some_and(|o| o.is_lossy()))
-                    .count() as u32
-            })
-            .collect();
-        self.obs = om.obs;
-        self.link_paths = om.link_paths;
-        self.obs_links = obs_links;
-        self.comps = comps;
-        self.comp_of_obs = comp_of_obs;
-        self.valid = true;
     }
 }
 
@@ -504,81 +431,11 @@ fn union(parent: &mut [u32], a: u32, b: u32) {
     }
 }
 
-/// Cheap per-window statistics of the lossy-path/link incidence:
-/// `(lossy_paths, components)`, where `lossy_paths` counts the
-/// pre-processed observations that stay lossy after noise filtering and
-/// `components` counts the connected components their links induce — the
-/// number of independent localization subproblems in the window. Costs
-/// O(lossy incidence): an all-healthy window does no per-link work at
-/// all. Lossy observations whose path id does not resolve in the matrix
-/// count toward `lossy_paths` but induce no component (no links).
-///
-/// The count is a pure function of (matrix, observations, cfg), so every
-/// driver — sequential, pipelined, distributed — reports the same value
-/// for the same window regardless of the `parallel_components` knob.
-pub fn lossy_components(
-    matrix: &ProbeMatrix,
-    observations: &[PathObservation],
-    cfg: &PllConfig,
-) -> (u64, u64) {
-    let obs = preprocess(observations, cfg, &HashSet::new());
-    let mut lossy_paths = 0u64;
-    // Sparse union-find over link ids, smaller-root discipline (same as
-    // `pmc::decompose`).
-    let mut parent: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    fn find_sparse(parent: &mut std::collections::HashMap<u32, u32>, x: u32) -> u32 {
-        let mut root = x;
-        while let Some(&p) = parent.get(&root) {
-            if p == root {
-                break;
-            }
-            root = p;
-        }
-        let mut cur = x;
-        while cur != root {
-            let next = parent.insert(cur, root).unwrap_or(root);
-            cur = next;
-        }
-        root
-    }
-    for o in &obs {
-        if !o.is_lossy() {
-            continue;
-        }
-        lossy_paths += 1;
-        let Some(path) = matrix.path(o.path) else {
-            continue;
-        };
-        let Some((&first, rest)) = path.links().split_first() else {
-            continue;
-        };
-        parent.entry(first.0).or_insert(first.0);
-        for l in rest {
-            let ra = find_sparse(&mut parent, first.0);
-            parent.entry(l.0).or_insert(l.0);
-            let rb = find_sparse(&mut parent, l.0);
-            if ra != rb {
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent.insert(hi, lo);
-            }
-        }
-    }
-    let mut roots: Vec<u32> = {
-        let keys: Vec<u32> = parent.keys().copied().collect();
-        keys.into_iter()
-            .map(|k| find_sparse(&mut parent, k))
-            .collect()
-    };
-    roots.sort_unstable();
-    roots.dedup();
-    (lossy_paths, roots.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::localize;
     use super::*;
-    use crate::types::ProbePath;
+    use crate::types::{PathId, ProbePath};
     use proptest::prelude::*;
 
     /// Two disjoint 2-link islands plus a stray single-link path:
@@ -600,10 +457,17 @@ mod tests {
             .collect()
     }
 
+    fn pll() -> ComponentPll {
+        ComponentPll::new(PllConfig::default())
+    }
+
     #[test]
     fn partition_splits_disjoint_islands() {
+        // Only the lossy incidence partitions: island {0,1} fails alone
+        // and is the window's single component — the clean island and the
+        // clean stray path induce none.
         let m = matrix();
-        let mut c = ComponentPll::new();
+        let mut c = pll();
         let w = obs(&[
             (0, 100, 100),
             (1, 100, 100),
@@ -611,10 +475,17 @@ mod tests {
             (3, 100, 0),
             (4, 100, 0),
         ]);
-        let d = c.localize(&m, &w, &PllConfig::default(), 4);
-        assert_eq!(c.num_components(), 3);
+        let d = c.localize(&m, &w, 4);
+        assert_eq!(c.window_shape(), (2, 1));
         assert_eq!(d, localize(&m, &w, &PllConfig::default()));
         assert_eq!(d.suspect_links(), vec![LinkId(0)]);
+        // All three islands lossy: three components.
+        let w = obs(&[(0, 100, 40), (2, 100, 40), (4, 100, 40)]);
+        assert_eq!(
+            c.localize(&m, &w, 4),
+            localize(&m, &w, &PllConfig::default())
+        );
+        assert_eq!(c.window_shape(), (3, 3));
     }
 
     #[test]
@@ -637,37 +508,71 @@ mod tests {
             vec![LinkId(3), LinkId(0)]
         );
         for workers in [1, 2, 8] {
-            let mut c = ComponentPll::new();
-            assert_eq!(c.localize(&m, &w, &cfg, workers), seq);
+            assert_eq!(pll().localize(&m, &w, workers), seq);
         }
+
+        // A tie on explained losses across components falls to the hit
+        // ratio before the link id: link 5 (80 lost, hit ratio 1) goes
+        // ahead of link 0 (40 + 40 lost, hit ratio 2/3).
+        let m = ProbeMatrix::from_paths(
+            6,
+            vec![
+                ProbePath::from_links(0, vec![LinkId(0)]),
+                ProbePath::from_links(1, vec![LinkId(0)]),
+                ProbePath::from_links(2, vec![LinkId(0)]),
+                ProbePath::from_links(3, vec![LinkId(5)]),
+            ],
+        );
+        let w = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 80)]);
+        let seq = localize(&m, &w, &cfg);
+        assert_eq!(
+            seq.suspects.iter().map(|s| s.link).collect::<Vec<_>>(),
+            vec![LinkId(5), LinkId(0)]
+        );
+        assert_eq!(pll().localize(&m, &w, 1), seq);
     }
 
     #[test]
     fn all_healthy_window_short_circuits_without_invalidating() {
         let m = matrix();
         let cfg = PllConfig::default();
-        let mut c = ComponentPll::new();
+        let mut c = pll();
         let lossy = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
         let clean = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
-        c.localize(&m, &lossy, &cfg, 4);
-        let d = c.localize(&m, &clean, &cfg, 4);
+        c.localize(&m, &lossy, 4);
+        let ComponentPlan::Ready(d) = c.prepare(&m, &clean) else {
+            panic!("an all-healthy window has no jobs to run");
+        };
         assert!(d.is_clean());
         assert_eq!(d, localize(&m, &clean, &cfg));
-        // The clean window patched the cached skeleton, it did not
-        // rebuild it.
-        assert_eq!(c.full_rebuilds(), 1);
-        assert_eq!(c.patched_windows(), 1);
+        assert_eq!(c.window_shape(), (0, 0));
+        // The lossy flags changed, so the clean window rebuilt (to an
+        // empty partition); a second clean window with other counters
+        // reuses that skeleton, a third identical one the verdict.
+        assert_eq!(c.full_rebuilds(), 2);
+        let clean2 = obs(&[(0, 90, 0), (1, 100, 0), (2, 100, 0)]);
+        assert!(c.localize(&m, &clean2, 4).is_clean());
+        assert!(c.localize(&m, &clean2, 4).is_clean());
+        assert_eq!(
+            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
+            (2, 1, 1)
+        );
     }
 
     #[test]
     fn unresolvable_lossy_paths_stay_unexplained() {
         let m = matrix();
         let cfg = PllConfig::default();
-        let mut c = ComponentPll::new();
+        let mut c = pll();
         let w = obs(&[(0, 100, 100), (1, 100, 100), (99, 100, 100)]);
-        let d = c.localize(&m, &w, &cfg, 4);
+        let d = c.localize(&m, &w, 4);
         assert_eq!(d, localize(&m, &w, &cfg));
         assert_eq!(d.unexplained_paths, vec![PathId(99)]);
+        // Lossy, but outside every component.
+        assert_eq!(c.window_shape(), (3, 1));
+        let stray = obs(&[(99, 100, 40)]);
+        assert_eq!(c.localize(&m, &stray, 4), localize(&m, &stray, &cfg));
+        assert_eq!(c.window_shape(), (1, 0));
     }
 
     #[test]
@@ -676,10 +581,10 @@ mod tests {
         // bridges the two islands: after invalidate the partition must
         // merge to a single component.
         let cfg = PllConfig::default();
-        let mut c = ComponentPll::new();
-        let w = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0), (3, 100, 0)]);
-        c.localize(&matrix(), &w, &cfg, 4);
-        assert_eq!(c.num_components(), 2);
+        let mut c = pll();
+        let w = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 40), (3, 100, 40)]);
+        c.localize(&matrix(), &w, 4);
+        assert_eq!(c.window_shape(), (4, 2));
 
         let bridged = ProbeMatrix::from_paths(
             5,
@@ -691,37 +596,84 @@ mod tests {
             ],
         );
         c.invalidate();
-        let d = c.localize(&bridged, &w, &cfg, 4);
-        assert_eq!(c.num_components(), 1);
+        assert_eq!(c.window_shape(), (0, 0));
+        let d = c.localize(&bridged, &w, 4);
+        assert_eq!(c.window_shape(), (4, 1));
         assert_eq!(c.full_rebuilds(), 2);
+        assert_eq!(c.reused_verdicts(), 0);
         assert_eq!(d, localize(&bridged, &w, &cfg));
     }
 
     #[test]
-    fn lossy_components_counts_the_incidence() {
+    fn same_key_swaps_counters_and_identical_window_reuses_the_verdict() {
         let m = matrix();
         let cfg = PllConfig::default();
-        let healthy = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
-        assert_eq!(lossy_components(&m, &healthy, &cfg), (0, 0));
-        let both = obs(&[(0, 100, 40), (2, 100, 40), (4, 100, 40)]);
-        assert_eq!(lossy_components(&m, &both, &cfg), (3, 3));
-        let stray = obs(&[(99, 100, 40)]);
-        assert_eq!(lossy_components(&m, &stray, &cfg), (1, 0));
+        let mut c = pll();
+        let w1 = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 90), (3, 100, 90)]);
+        // Same ids and lossy flags, other counters — the merge order of
+        // the two islands flips with them.
+        let w2 = obs(&[(0, 100, 90), (1, 100, 90), (2, 100, 40), (3, 100, 40)]);
+        for w in [&w1, &w2, &w2, &w1] {
+            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+        }
+        assert_eq!(
+            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
+            (1, 2, 1)
+        );
+    }
+
+    #[test]
+    fn changed_key_triggers_a_rebuild() {
+        let m = matrix();
+        let cfg = PllConfig::default();
+        let mut c = pll();
+        let base = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
+        c.localize(&m, &base, 1);
+        // A path drops out of the window (e.g. its pinger went down); a
+        // lossy flag flips; the set comes back.
+        let fewer = obs(&[(0, 100, 100), (1, 100, 100)]);
+        let flipped = obs(&[(0, 100, 100), (1, 100, 0), (2, 100, 0)]);
+        for w in [&fewer, &base, &flipped, &base] {
+            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+        }
+        assert_eq!(c.full_rebuilds(), 5);
+        assert_eq!(c.reused_skeletons() + c.reused_verdicts(), 0);
+    }
+
+    #[test]
+    fn noise_normalized_windows_stay_equivalent() {
+        // The reuse key is taken after pre-processing: losses below the
+        // noise thresholds are clean for the key, the partition and the
+        // hit ratios alike.
+        let m = matrix();
+        let cfg = PllConfig {
+            min_loss_count: 3,
+            ..PllConfig::default()
+        };
+        let mut c = ComponentPll::new(cfg);
+        let w1 = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 2), (3, 100, 0)]);
+        let w2 = obs(&[(0, 100, 90), (1, 100, 80), (2, 100, 0), (3, 100, 1)]);
+        let w3 = obs(&[(0, 100, 2), (1, 100, 1), (2, 100, 0), (3, 100, 0)]);
+        for w in [&w1, &w2, &w3] {
+            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+        }
+        assert_eq!((c.full_rebuilds(), c.reused_skeletons()), (2, 1));
+        assert_eq!(c.window_shape(), (0, 0));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random 12-link topologies under multi-window biased-random
-        /// loss: parallel-component localization matches the sequential
-        /// oracle for every worker count, in both greedy orders, with
-        /// skeleton reuse across the windows of one run.
+        /// loss: component-decomposed localization matches the plain
+        /// whole-window oracle for every worker count, with skeleton
+        /// reuse across the windows of one run, and reports the lossy
+        /// incidence's shape.
         #[test]
         fn matches_localize_across_windows_and_workers(
             paths in proptest::collection::vec(proptest::collection::vec(0u32..12, 1..4), 4..12),
             windows in proptest::collection::vec(proptest::collection::vec(0u64..3, 4..12), 1..5),
             workers in 1usize..5,
-            consistent in 0u32..2,
         ) {
             let probe_paths: Vec<ProbePath> = paths
                 .iter()
@@ -734,12 +686,8 @@ mod tests {
                 })
                 .collect();
             let m = ProbeMatrix::from_paths(12, probe_paths);
-            let cfg = if consistent == 1 {
-                PllConfig::default().consistency_first()
-            } else {
-                PllConfig::default()
-            };
-            let mut c = ComponentPll::new();
+            let cfg = PllConfig::default();
+            let mut c = ComponentPll::new(cfg);
             for w in &windows {
                 let window: Vec<PathObservation> = w
                     .iter()
@@ -747,9 +695,11 @@ mod tests {
                     .enumerate()
                     .map(|(i, &sev)| PathObservation::new(PathId(i as u32), 100, sev * 40))
                     .collect();
-                let par = c.localize(&m, &window, &cfg, workers);
+                let par = c.localize(&m, &window, workers);
                 let seq = localize(&m, &window, &cfg);
                 prop_assert_eq!(par, seq);
+                let lossy = window.iter().filter(|o| o.is_lossy()).count() as u64;
+                prop_assert_eq!(c.window_shape().0, lossy);
             }
         }
     }

@@ -12,7 +12,6 @@
 
 mod classify;
 pub mod components;
-mod incremental;
 mod localizer;
 mod metrics;
 mod omp;
@@ -23,10 +22,7 @@ mod score_alg;
 mod tomo;
 
 pub use classify::{classify_loss, ClassifyConfig, FlowSample, LossClassification, LossType};
-pub use components::{
-    lossy_components, ComponentJob, ComponentPlan, ComponentPll, ComponentVerdict,
-};
-pub use incremental::IncrementalPll;
+pub use components::{ComponentJob, ComponentPlan, ComponentPll, ComponentVerdict};
 pub use localizer::{Localizer, OmpLocalizer, PllLocalizer, ScoreLocalizer, TomoLocalizer};
 pub use metrics::{evaluate_diagnosis, LocalizationMetrics};
 pub use omp::{localize_omp, OmpConfig};
@@ -49,22 +45,6 @@ pub struct PllConfig {
     pub loss_ratio_filter: f64,
     /// Paths with fewer lost packets than this are treated as clean.
     pub min_loss_count: u64,
-    /// Greedy selection order. `false` (the paper-faithful default)
-    /// ranks candidates purely by explained losses, using the hit ratio
-    /// as an eligibility filter. `true` promotes *fully consistent*
-    /// links — hit ratio exactly 1, i.e. every observed path through the
-    /// link is lossy — ahead of any partially consistent candidate,
-    /// which cuts residual false positives when observations are
-    /// noiseless (evaluated by the Table 4 sweep in
-    /// `tests/accuracy_table4.rs` before being adopted as a default).
-    pub prefer_consistent: bool,
-    /// Run localization through [`IncrementalPll`]: cache the
-    /// link-paths skeleton across windows and re-score only the links
-    /// whose paths flipped between lossy and clean, falling back to a
-    /// full rebuild on plan epoch changes, cycle refreshes, or any
-    /// change to the observed path-id set. Produces exactly the same
-    /// diagnosis as the full run (property-tested); off by default.
-    pub incremental: bool,
 }
 
 impl Default for PllConfig {
@@ -73,8 +53,6 @@ impl Default for PllConfig {
             hit_ratio_threshold: 0.6,
             loss_ratio_filter: 1e-3,
             min_loss_count: 1,
-            prefer_consistent: false,
-            incremental: false,
         }
     }
 }
@@ -83,20 +61,6 @@ impl PllConfig {
     /// Overrides the hit-ratio threshold.
     pub fn with_hit_ratio(mut self, t: f64) -> Self {
         self.hit_ratio_threshold = t;
-        self
-    }
-
-    /// Switches the greedy to consistency-first selection (see
-    /// [`PllConfig::prefer_consistent`]).
-    pub fn consistency_first(mut self) -> Self {
-        self.prefer_consistent = true;
-        self
-    }
-
-    /// Enables incremental cross-window localization (see
-    /// [`PllConfig::incremental`]).
-    pub fn incremental(mut self) -> Self {
-        self.incremental = true;
         self
     }
 }

@@ -135,18 +135,7 @@ impl ObservedMatrix {
         cfg: &PllConfig,
     ) -> Self {
         let obs = preprocess(observations, cfg, &HashSet::new());
-        let mut link_paths: Vec<Vec<u32>> = vec![Vec::new(); matrix.num_links];
-        for (oi, o) in obs.iter().enumerate() {
-            // Resolve through the matrix's id index: ids may be segmented
-            // (sparse within per-cell ranges), and observations against a
-            // retired pre-re-base id simply drop out here.
-            let Some(path) = matrix.path(o.path) else {
-                continue;
-            };
-            for l in path.links() {
-                link_paths[l.index()].push(oi as u32);
-            }
-        }
+        let link_paths = index_links(matrix, &obs);
         let mut candidate_links: Vec<LinkId> = Vec::new();
         for (li, paths) in link_paths.iter().enumerate() {
             if paths.iter().any(|&oi| obs[oi as usize].is_lossy()) {
@@ -174,6 +163,24 @@ impl ObservedMatrix {
     }
 }
 
+/// The link → observed-paths index of one pre-processed window: for every
+/// physical link, the indices into `obs` of the observed paths through it.
+pub(super) fn index_links(matrix: &ProbeMatrix, obs: &[PathObservation]) -> Vec<Vec<u32>> {
+    let mut link_paths: Vec<Vec<u32>> = vec![Vec::new(); matrix.num_links];
+    for (oi, o) in obs.iter().enumerate() {
+        // Resolve through the matrix's id index: ids may be segmented
+        // (sparse within per-cell ranges), and observations against a
+        // retired pre-re-base id simply drop out here.
+        let Some(path) = matrix.path(o.path) else {
+            continue;
+        };
+        for l in path.links() {
+            link_paths[l.index()].push(oi as u32);
+        }
+    }
+    link_paths
+}
+
 /// Localizes packet losses with the PLL algorithm.
 ///
 /// Observations are pre-processed first (noise filtering, §5.1); callers
@@ -185,6 +192,11 @@ impl ObservedMatrix {
 /// lost packets, until every lossy path is explained or no candidate
 /// remains (remaining paths are reported in
 /// [`Diagnosis::unexplained_paths`]).
+///
+/// This is the plain whole-window run — the [`Localizer`](super::Localizer)
+/// behind the baselines comparison and the oracle every test compares
+/// [`ComponentPll`](super::ComponentPll), the diagnoser's localizer,
+/// against.
 pub fn localize(
     matrix: &ProbeMatrix,
     observations: &[PathObservation],
@@ -198,25 +210,12 @@ pub fn localize(
         .iter()
         .map(|&l| (l, om.hit_ratio(l)))
         .collect();
-    greedy(&om.obs, &om.link_paths, &hit, cfg)
-}
-
-/// The greedy cover (Steps 3–5) over a pre-indexed window: `obs` are the
-/// pre-processed observations, `link_paths` maps every link to its
-/// observed path indices, `hit` lists the candidate links with their hit
-/// ratios in ascending link order. Factored out of [`localize`] so the
-/// incremental mode can rerun it against a cached skeleton.
-pub(super) fn greedy(
-    obs: &[PathObservation],
-    link_paths: &[Vec<u32>],
-    hit: &[(LinkId, f64)],
-    cfg: &PllConfig,
-) -> Diagnosis {
-    let outcome = greedy_scoped(obs, link_paths, hit, cfg, None);
+    let everything: Vec<u32> = (0..om.obs.len() as u32).collect();
+    let outcome = greedy_scoped(&om.obs, &om.link_paths, &hit, cfg, &everything);
     let unexplained_paths = outcome
         .unexplained
         .iter()
-        .map(|&oi| obs[oi as usize].path)
+        .map(|&oi| om.obs[oi as usize].path)
         .collect();
     Diagnosis {
         suspects: outcome.suspects,
@@ -224,55 +223,45 @@ pub(super) fn greedy(
     }
 }
 
-/// The output of one (possibly component-scoped) greedy run: the suspects
-/// in selection order plus the *indices* (into `obs`) of the lossy
-/// observations no suspect explained, ascending.
+/// The output of one greedy run: the suspects in selection order plus the
+/// *indices* (into `obs`) of the scope's lossy observations no suspect
+/// explained, in scope order.
 #[derive(Debug)]
 pub(super) struct GreedyOutcome {
     pub suspects: Vec<SuspectLink>,
     pub unexplained: Vec<u32>,
 }
 
-/// [`greedy`] restricted to a scope of observation indices. With
-/// `scope = None` every observation participates (the classic global run);
-/// with `Some(indices)` only those observations seed the unexplained set
-/// and the remaining-loss budget, which is exactly the greedy of the
-/// subproblem induced by one connected component of the path/link
-/// incidence (see [`components`](super::components)) — provided `hit`
-/// lists only that component's candidate links.
+/// The greedy cover (Steps 3–5) over a pre-indexed window, restricted to
+/// a `scope` of observation indices: `obs` are the pre-processed
+/// observations, `link_paths` maps every link to its observed path
+/// indices, `hit` lists the candidate links with their hit ratios in
+/// ascending link order. Only the scope's observations seed the
+/// unexplained set and the remaining-loss budget. With every index in
+/// scope this is the classic global run ([`localize`]); with one
+/// connected component's lossy observations — and `hit` listing only that
+/// component's candidate links — it is exactly the greedy of the
+/// subproblem the component induces (see [`components`](super::components)).
 pub(super) fn greedy_scoped(
     obs: &[PathObservation],
     link_paths: &[Vec<u32>],
     hit: &[(LinkId, f64)],
     cfg: &PllConfig,
-    scope: Option<&[u32]>,
+    scope: &[u32],
 ) -> GreedyOutcome {
     let mut unexplained: Vec<bool> = vec![false; obs.len()];
     let mut remaining: u64 = 0;
-    match scope {
-        None => {
-            for (oi, o) in obs.iter().enumerate() {
-                unexplained[oi] = o.is_lossy();
-                remaining += o.lost;
-            }
-        }
-        Some(indices) => {
-            for &oi in indices {
-                let o = &obs[oi as usize];
-                unexplained[oi as usize] = o.is_lossy();
-                remaining += o.lost;
-            }
-        }
+    for &oi in scope {
+        let o = &obs[oi as usize];
+        unexplained[oi as usize] = o.is_lossy();
+        remaining += o.lost;
     }
     let mut suspects = Vec::new();
 
     while remaining > 0 {
-        // Step 3: score = lost packets this link could still explain.
-        // The paper-faithful order ranks by score with the hit ratio as a
-        // filter only; the consistency-first variant promotes fully
-        // consistent links (hit ratio 1: *every* observed path through
-        // the link is lossy) ahead of any partially consistent one.
-        let mut best: Option<(bool, u64, f64, LinkId)> = None;
+        // Step 3: score = lost packets this link could still explain,
+        // with the hit ratio as an eligibility filter and tie-breaker.
+        let mut best: Option<(u64, f64, LinkId)> = None;
         for &(l, h) in hit {
             if h < cfg.hit_ratio_threshold {
                 continue;
@@ -285,19 +274,17 @@ pub(super) fn greedy_scoped(
             if score == 0 {
                 continue;
             }
-            let consistent = cfg.prefer_consistent && h >= 1.0 - 1e-12;
             let better = match best {
                 None => true,
-                Some((bc, bs, bh, bl)) => {
-                    (consistent, score, h, std::cmp::Reverse(l))
-                        > (bc, bs, bh, std::cmp::Reverse(bl))
+                Some((bs, bh, bl)) => {
+                    (score, h, std::cmp::Reverse(l)) > (bs, bh, std::cmp::Reverse(bl))
                 }
             };
             if better {
-                best = Some((consistent, score, h, l));
+                best = Some((score, h, l));
             }
         }
-        let Some((_, score, h, link)) = best else {
+        let Some((score, h, link)) = best else {
             break;
         };
 
@@ -322,12 +309,13 @@ pub(super) fn greedy_scoped(
         });
     }
 
-    let unexplained_indices = (0..obs.len() as u32)
-        .filter(|&oi| unexplained[oi as usize])
-        .collect();
     GreedyOutcome {
         suspects,
-        unexplained: unexplained_indices,
+        unexplained: scope
+            .iter()
+            .copied()
+            .filter(|&oi| unexplained[oi as usize])
+            .collect(),
     }
 }
 
@@ -466,32 +454,6 @@ mod tests {
         );
         assert!(d.suspects.is_empty());
         assert_eq!(d.unexplained_paths, vec![PathId(7)]);
-    }
-
-    #[test]
-    fn consistency_first_prefers_fully_consistent_links() {
-        // Link 0 lies on p0, p1 (lossy) and p2 (clean): hit ratio 2/3,
-        // score 200. Links 1 and 2 are fully consistent (hit ratio 1)
-        // with score 100 each. The paper-faithful order blames link 0
-        // alone; consistency-first blames exactly the consistent pair.
-        let paths = vec![
-            ProbePath::from_links(0, vec![LinkId(0), LinkId(1)]),
-            ProbePath::from_links(1, vec![LinkId(0), LinkId(2)]),
-            ProbePath::from_links(2, vec![LinkId(0)]),
-        ];
-        let m = ProbeMatrix::from_paths(3, paths);
-        let window = [(0u32, 100u64, 100u64), (1, 100, 100), (2, 100, 0)];
-
-        let score_first = localize(&m, &obs(&window), &PllConfig::default());
-        assert_eq!(score_first.suspect_links(), vec![LinkId(0)]);
-
-        let consistency_first =
-            localize(&m, &obs(&window), &PllConfig::default().consistency_first());
-        assert_eq!(
-            consistency_first.suspect_links(),
-            vec![LinkId(1), LinkId(2)]
-        );
-        assert!(consistency_first.unexplained_paths.is_empty());
     }
 
     #[test]

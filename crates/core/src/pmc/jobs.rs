@@ -75,6 +75,12 @@ impl JobPool {
     /// ([`run_indexed`](Self::run_indexed)), so the clamp never changes
     /// a result — only wall clock.
     pub fn clamped(workers: usize) -> Self {
+        // One worker is one worker on any host: skip the parallelism
+        // query (a syscall plus cgroup file reads, ~13 µs measured) on
+        // the inline path — diagnosis takes it once a window.
+        if workers <= 1 {
+            return Self::new(1);
+        }
         Self::new(workers.min(Self::host().workers()))
     }
 

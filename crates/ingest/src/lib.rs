@@ -6,7 +6,7 @@
 //! report lands — no per-window `Vec<PingerReport>` assembly between
 //! collection and diagnosis.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`IngestPlane`] — the sharded counter store with per-window lanes:
 //!   diagnosis [`seal`](IngestPlane::seal)s a frozen, sorted snapshot of
@@ -14,9 +14,6 @@
 //!   would aggregate from the same reports) while the next window keeps
 //!   accumulating in its own lane; [`retract`](IngestPlane::retract)
 //!   forfeits a crashed agent's partial window exactly.
-//! * [`SpaceSaving`] — top-K heavy-hitter tracking of the lossiest paths
-//!   with the classic space-saving guarantee: any path whose true loss
-//!   weight exceeds the k-th tracked count is tracked.
 //! * [`prefilter`] — reduces a sealed window to the observations that
 //!   can influence PLL's verdict (lossy paths plus all paths sharing a
 //!   link with one), provably without changing the diagnosis.
@@ -28,8 +25,6 @@
 
 mod plane;
 mod prefilter;
-mod topk;
 
 pub use plane::{IngestConfig, IngestPlane, SealedWindow};
 pub use prefilter::{prefilter, Prefiltered};
-pub use topk::{SpaceSaving, TopKEntry};

@@ -52,7 +52,8 @@ pub struct IngestConfig {
     /// `pipeline depth + 1` lanes suffice; extra in-flight windows fall
     /// back to the overflow map.
     pub lanes: usize,
-    /// Heavy-hitter tracker capacity for the top-K pre-filter.
+    /// The top-K budget of the pre-filter's `topk_hits` statistic: a
+    /// window with more lossy paths than this reports zero hits.
     pub topk: usize,
 }
 

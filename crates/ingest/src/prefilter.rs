@@ -9,14 +9,13 @@
 //! changes nothing, and on a healthy fabric it is almost the whole
 //! window.
 //!
-//! The [`SpaceSaving`] tracker supplies the lossy set cheaply: fed every
-//! lossy observation (in sorted path order, for determinism), an
-//! unsaturated tracker holds *exactly* the distinct lossy paths —
-//! `topk_hits` reports how many. A saturated tracker (more distinct
-//! lossy paths than `K`) can no longer vouch for exactness, so the
-//! filter falls back to a full scan of the sealed snapshot and reports
-//! `topk_hits = 0`; the kept set is identical either way, only the fast
-//! path differs.
+//! The filter is always the same two passes over the sealed snapshot:
+//! collect the links of every lossy path, then keep what touches them.
+//! `k`, the plane's top-K budget
+//! ([`IngestConfig::topk`](crate::IngestConfig::topk)), only shapes the
+//! `topk_hits` statistic — the number of lossy paths while they fit the
+//! budget, zero once the window holds more than `k` of them — never the
+//! kept set.
 //!
 //! Lossiness here is the raw `lost > 0`, deliberately *wider* than
 //! PLL's noise filter (`preprocess` may normalize small losses away):
@@ -29,50 +28,35 @@ use std::collections::HashSet;
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
 
-use crate::topk::SpaceSaving;
-
 /// Outcome of pre-filtering one sealed window.
 #[derive(Clone, Debug)]
 pub struct Prefiltered {
     /// The kept observations, in the input (sorted-by-path) order.
     pub observations: Vec<PathObservation>,
-    /// Lossy paths confirmed through the unsaturated top-K tracker; zero
-    /// when the tracker saturated and the filter fell back to the full
-    /// scan.
+    /// Lossy paths of the window while there are at most `k` of them;
+    /// zero when the window saturates the top-K budget (more than `k`).
     pub topk_hits: u64,
     /// Observations dropped as irrelevant to any suspect link.
     pub dropped: usize,
 }
 
-/// Filters `observations` (sorted by path id, as
+/// Filters `observations` (sorted by path id, one per path, as
 /// [`crate::SealedWindow`] produces them) down to the paths that can
-/// influence PLL's verdict against `matrix`. `k` is the heavy-hitter
-/// tracker capacity.
-///
-/// The tracker is constructed fresh on every call: its state — counts,
-/// overestimates, saturation — is strictly per-window, so a heavy
-/// hitter in one window can never leak weight into the next window's
-/// offered set (see the window-boundary notes on [`SpaceSaving`]).
+/// influence PLL's verdict against `matrix`. `k` is the top-K budget
+/// `topk_hits` is reported against; the kept set does not depend on it.
 pub fn prefilter(matrix: &ProbeMatrix, observations: &[PathObservation], k: usize) -> Prefiltered {
-    let mut tracker = SpaceSaving::new(k);
-    for o in observations {
-        tracker.offer(o.path, o.lost);
-    }
-    let topk_hits = if tracker.saturated() {
-        0
-    } else {
-        tracker.len() as u64
-    };
-
     // Links on any lossy path. Paths the matrix cannot resolve (retired
     // pre-re-base ids) contribute no links but are kept when lossy: they
     // surface as unexplained, exactly as without the filter.
     let mut suspect_links: HashSet<LinkId> = HashSet::new();
+    let mut lossy = 0u64;
     for o in observations.iter().filter(|o| o.is_lossy()) {
+        lossy += 1;
         if let Some(path) = matrix.path(o.path) {
             suspect_links.extend(path.links());
         }
     }
+    let topk_hits = if lossy > k as u64 { 0 } else { lossy };
 
     let mut kept = Vec::with_capacity(observations.len());
     for o in observations {
@@ -147,6 +131,8 @@ mod tests {
 
     #[test]
     fn saturated_tracker_falls_back_but_keeps_the_same_set() {
+        // "Saturated": more lossy paths than the top-K budget. Only the
+        // statistic reacts; there is no tracker whose state could differ.
         let o = obs(&[
             (0, 100, 10),
             (1, 100, 10),

@@ -1,7 +1,5 @@
-//! Property tests for the ingest plane's three correctness claims:
+//! Property tests for the ingest plane's correctness claims:
 //!
-//! * the space-saving tracker's classic guarantee — no path whose true
-//!   offered weight exceeds the k-th tracked count is ever missing;
 //! * the top-K pre-filter never changes a diagnosis: PLL over the kept
 //!   set equals PLL over the full window, for arbitrary matrices and
 //!   observations (β-identifiable failure sets are a subset of this);
@@ -14,7 +12,7 @@ use std::collections::HashMap;
 use detector_core::pll::{localize, PllConfig};
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathId, PathObservation, ProbePath};
-use detector_ingest::{prefilter, IngestConfig, IngestPlane, SpaceSaving};
+use detector_ingest::{prefilter, IngestConfig, IngestPlane};
 use proptest::prelude::*;
 
 /// A matrix from raw link-id sets (empty sets are dropped; ids are
@@ -33,49 +31,9 @@ fn matrix_from(link_sets: &[Vec<u32>]) -> ProbeMatrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Space-saving guarantee: after any offer sequence, every path
-    /// whose true total weight exceeds the smallest tracked count is
-    /// tracked, and every tracked count brackets the truth:
-    /// `count - overestimate <= true <= count`.
-    #[test]
-    fn space_saving_never_loses_a_heavy_hitter(
-        offers in proptest::collection::vec((0u32..40, 0u64..25), 0..250),
-        k in 1usize..12,
-    ) {
-        let mut tracker = SpaceSaving::new(k);
-        let mut truth: HashMap<u32, u64> = HashMap::new();
-        for &(path, weight) in &offers {
-            tracker.offer(PathId(path), weight);
-            if weight > 0 {
-                *truth.entry(path).or_default() += weight;
-            }
-        }
-        let bound = tracker.min_count();
-        for (&path, &total) in &truth {
-            prop_assert!(
-                total <= bound || tracker.contains(PathId(path)),
-                "path {path} has true weight {total} > bound {bound} but is untracked"
-            );
-        }
-        for e in tracker.ranked() {
-            let total = truth.get(&e.path.0).copied().unwrap_or(0);
-            prop_assert!(e.count >= total, "count {} under-counts {total}", e.count);
-            prop_assert!(
-                e.count - e.overestimate <= total,
-                "guaranteed floor {} exceeds true weight {total}",
-                e.count - e.overestimate
-            );
-        }
-        if !tracker.saturated() {
-            // Unsaturated tracker == exact offered set, the property the
-            // pre-filter's `topk_hits` statistic rests on.
-            prop_assert_eq!(tracker.len(), truth.len());
-        }
-    }
-
     /// Pre-filter exactness: PLL over the kept observations equals PLL
     /// over the whole window — for any matrix shape, loss pattern and
-    /// tracker capacity (saturated or not).
+    /// top-K budget (saturated or not).
     #[test]
     fn prefiltered_diagnosis_equals_full_diagnosis(
         link_sets in proptest::collection::vec(
@@ -158,9 +116,9 @@ proptest! {
     /// Window isolation of the top-K pre-filter: with folds for windows
     /// w and w+1 interleaved through the plane, each sealed window's
     /// pre-filter — kept set *and* `topk_hits` — equals the pre-filter
-    /// of that window's naive totals alone. A heavy hitter offered in
-    /// window w contributes nothing to window w+1's offered set: a path
-    /// lossy only in w never appears in w+1's kept observations.
+    /// of that window's naive totals alone. A heavy hitter of window w
+    /// contributes nothing to window w+1: a path lossy only in w never
+    /// appears in w+1's kept observations or its `topk_hits`.
     #[test]
     fn topk_window_state_never_leaks_across_windows(
         link_sets in proptest::collection::vec(
@@ -211,7 +169,7 @@ proptest! {
             prop_assert_eq!(
                 from_plane.topk_hits,
                 from_naive.topk_hits,
-                "window {}'s tracker must start fresh",
+                "window {}'s topk_hits must count its own folds only",
                 window
             );
             // Explicitly: nothing from the other window's fold stream

@@ -11,18 +11,18 @@
 //!   need per-pinger or per-flow attribution (loss classification,
 //!   watchdog exclusions applied after ingestion).
 //!
-//! Diagnosis runs over the sealed snapshot, pre-filtered to the paths
-//! that can influence the verdict (the top-K heavy-hitter pre-filter) —
-//! or, with [`PllConfig::incremental`], through the cached-skeleton
-//! incremental localizer. Both are exactly equivalent to full PLL over
-//! the unfiltered window.
+//! Diagnosis is one path: seal the snapshot, subtract watchdog
+//! exclusions, pre-filter to the paths that can influence the verdict,
+//! and localize through the cached-skeleton [`ComponentPll`] — one job
+//! per connected component of the lossy path/link incidence, run inline
+//! or fanned out. It is exactly equivalent to plain `localize` over the
+//! unfiltered window.
 
 use detector_core::pll::{
-    classify_loss, localize, lossy_components, ClassifyConfig, ComponentJob, ComponentPlan,
-    ComponentPll, ComponentVerdict, Diagnosis, FlowSample, IncrementalPll, LossClassification,
-    PllConfig,
+    classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, ComponentVerdict,
+    Diagnosis, FlowSample, LossClassification, PllConfig,
 };
-use detector_core::pmc::{JobPool, ProbeMatrix};
+use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
 use detector_ingest::{prefilter, IngestPlane};
 use serde::{Deserialize, Serialize};
@@ -34,13 +34,14 @@ use crate::watchdog::Watchdog;
 /// algorithm it runs, [`PllConfig`]).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct DiagConfig {
-    /// Worker threads for component-parallel PLL. `1` (the default)
-    /// localizes sequentially; `> 1` partitions each window's lossy
-    /// observations into connected components of the path/link incidence
-    /// and solves them concurrently on a scoped pool, merging suspects
-    /// back into the exact sequential order ([`ComponentPll`]). Results
-    /// and the event stream are bit-identical either way — the knob
-    /// trades threads for multi-failure diagnosis latency.
+    /// Worker threads for the per-component PLL jobs. Every window is
+    /// localized as one [`ComponentJob`] per connected component of its
+    /// lossy path/link incidence ([`ComponentPll`]); `1` (the default)
+    /// runs the jobs inline on the diagnosing thread, `> 1` solves them
+    /// concurrently — on a scoped pool, or on the pipelined scheduler's
+    /// probe workers. The merge restores the exact global greedy order,
+    /// so results and the event stream are bit-identical either way —
+    /// the knob trades threads for multi-failure diagnosis latency.
     pub parallel_components: usize,
 }
 
@@ -71,8 +72,8 @@ pub struct DiagnosisEvent {
     pub diagnosis: Diagnosis,
     /// Reports folded into the window (exclusions subtracted).
     pub reports: u64,
-    /// Lossy paths confirmed through the unsaturated top-K tracker
-    /// (zero on saturation fallback) — see
+    /// Lossy paths of the sealed window while they fit the top-K budget
+    /// (zero beyond it) — see
     /// [`RuntimeEvent::IngestStats`](crate::RuntimeEvent::IngestStats).
     pub topk_hits: u64,
     /// Shard key-claim CAS retries while the window accumulated.
@@ -84,7 +85,7 @@ pub struct DiagnosisEvent {
     /// the post-exclusion window, so identical across drivers.
     pub lossy_paths: u64,
     /// Connected components of the lossy path/link incidence: the
-    /// fan-out width component-parallel PLL would use this window.
+    /// number of [`ComponentJob`]s the window's localization consists of.
     pub components: u64,
 }
 
@@ -123,10 +124,10 @@ impl PendingDiagnosis {
 /// What [`Diagnoser::diagnose_prepare`] decided about the window.
 #[derive(Debug)]
 pub enum DiagStep {
-    /// The window's diagnosis is final — no fan-out happened.
+    /// The window's diagnosis is final — its jobs, if any, ran inline.
     Done(DiagnosisEvent),
-    /// Component-parallel fan-out: execute every job (any threads, any
-    /// order) and pass the verdicts to
+    /// Fan-out (`parallel_components > 1`): execute every job (any
+    /// threads, any order) and pass the verdicts to
     /// [`Diagnoser::diagnose_complete`] with the pending state.
     Fanout(PendingDiagnosis, Vec<ComponentJob>),
 }
@@ -134,12 +135,10 @@ pub enum DiagStep {
 /// The diagnoser service.
 pub struct Diagnoser {
     matrix: ProbeMatrix,
-    pll: PllConfig,
     diag: DiagConfig,
     store: ReportStore,
     plane: IngestPlane,
-    incremental: IncrementalPll,
-    parallel: ComponentPll,
+    localizer: ComponentPll,
 }
 
 impl Diagnoser {
@@ -148,12 +147,10 @@ impl Diagnoser {
         let plane = IngestPlane::for_paths(matrix.num_paths());
         Self {
             matrix,
-            pll,
             diag: DiagConfig::default(),
             store: ReportStore::new(),
             plane,
-            incremental: IncrementalPll::new(),
-            parallel: ComponentPll::new(),
+            localizer: ComponentPll::new(pll),
         }
     }
 
@@ -169,18 +166,17 @@ impl Diagnoser {
     }
 
     /// Replaces the probe matrix (new controller cycle or plan epoch).
-    /// Invalidates the incremental-PLL skeleton — path ids may be reused
-    /// with different link sets — and re-sizes the ingest plane when the
-    /// plan outgrew it. Callers install matrices between windows, after
-    /// the previous window was sealed, so no folded counters are in
-    /// flight here.
+    /// Invalidates the localizer's cached skeleton — path ids may be
+    /// reused with different link sets — and re-sizes the ingest plane
+    /// when the plan outgrew it. Callers install matrices between
+    /// windows, after the previous window was sealed, so no folded
+    /// counters are in flight here.
     pub fn set_matrix(&mut self, matrix: ProbeMatrix) {
         let cfg = self.plane.config();
         if 2 * matrix.num_paths() > cfg.shards * cfg.slots_per_shard {
             self.plane = IngestPlane::for_paths(matrix.num_paths());
         }
-        self.incremental.invalidate();
-        self.parallel.invalidate();
+        self.localizer.invalidate();
         self.matrix = matrix;
     }
 
@@ -231,31 +227,28 @@ impl Diagnoser {
     /// pingers' stored contributions from the snapshot (the plane folds
     /// reports as they arrive, before health verdicts settle). The
     /// result is exactly `localize` over
-    /// [`observations`](Diagnoser::observations) — including under
-    /// component-parallel fan-out (`DiagConfig::parallel_components > 1`),
-    /// which runs the per-component jobs on an internal [`JobPool`].
+    /// [`observations`](Diagnoser::observations), for any
+    /// `DiagConfig::parallel_components` (a fan-out runs its jobs on an
+    /// internal scoped pool here).
     pub fn diagnose(&mut self, window: u64, watchdog: &Watchdog) -> DiagnosisEvent {
         match self.diagnose_prepare(window, watchdog) {
             DiagStep::Done(ev) => ev,
             DiagStep::Fanout(pending, jobs) => {
-                let verdicts =
-                    JobPool::clamped(self.diag.parallel_components).run_indexed(jobs.len(), |i| {
-                        jobs.get(i)
-                            .map(ComponentJob::run)
-                            .unwrap_or_else(ComponentVerdict::empty)
-                    });
+                let verdicts = ComponentJob::run_all(&jobs, self.diag.parallel_components);
                 self.diagnose_complete(pending, verdicts)
             }
         }
     }
 
     /// Phase 1 of a window's diagnosis: seals the snapshot, applies
-    /// exclusions, and either finishes outright ([`DiagStep::Done`] — the
-    /// sequential localizer branches, a cached verdict, or an all-healthy
-    /// window) or hands back the window's per-component PLL jobs for the
-    /// caller to execute on threads of its choosing (the pipelined
-    /// scheduler ships them to its probe workers). Every job's verdict
-    /// must then go to [`diagnose_complete`](Diagnoser::diagnose_complete).
+    /// exclusions, pre-filters, and prepares the window's per-component
+    /// PLL jobs. With `parallel_components == 1` — or when there is
+    /// nothing to run: a cached verdict, an all-healthy window — the
+    /// window finishes here ([`DiagStep::Done`]); otherwise the jobs go
+    /// back to the caller to execute on threads of its choosing (the
+    /// pipelined scheduler ships them to its probe workers), and every
+    /// job's verdict must then go to
+    /// [`diagnose_complete`](Diagnoser::diagnose_complete).
     pub fn diagnose_prepare(&mut self, window: u64, watchdog: &Watchdog) -> DiagStep {
         let sealed = self.plane.seal(window);
         let mut obs = sealed.observations;
@@ -277,66 +270,30 @@ impl Diagnoser {
             });
         }
 
-        let num_observations = obs.len();
-        // The shape of the window's diagnosis work, for `DiagStats`: a
-        // pure function of the post-exclusion observations, so every
-        // driver reports the same numbers regardless of which localizer
-        // branch runs below.
-        let (lossy_paths, components) = lossy_components(&self.matrix, &obs, &self.pll);
-        let k = self.plane.config().topk;
-        let workers = self.diag.parallel_components;
+        let kept = prefilter(&self.matrix, &obs, self.plane.config().topk);
+        let plan = self.localizer.prepare(&self.matrix, &kept.observations);
+        // The shape of the window's diagnosis work, for `DiagStats`: the
+        // partition the localizer just prepared — a pure function of the
+        // post-exclusion observations, so every driver reports the same
+        // numbers.
+        let (lossy_paths, components) = self.localizer.window_shape();
         let pending = PendingDiagnosis {
             window,
-            num_observations,
+            num_observations: obs.len(),
             reports,
-            topk_hits: 0,
+            topk_hits: kept.topk_hits,
             shard_contention: sealed.shard_contention,
             retract_mismatch: sealed.retract_mismatch,
             lossy_paths,
             components,
         };
-        if self.pll.incremental {
-            // The incremental localizers key their skeleton on the whole
-            // observed id set, so they consume the unfiltered snapshot;
-            // the tracker statistic is computed the same way the
-            // pre-filter would.
-            let distinct_lossy = obs.iter().filter(|o| o.is_lossy()).count() as u64;
-            let hits = if distinct_lossy > k as u64 {
-                0
-            } else {
-                distinct_lossy
-            };
-            let pending = PendingDiagnosis {
-                topk_hits: hits,
-                ..pending
-            };
-            if workers > 1 {
-                match self.parallel.prepare(&self.matrix, &obs, &self.pll) {
-                    ComponentPlan::Ready(d) => DiagStep::Done(pending.finish(d)),
-                    ComponentPlan::Fanout(jobs) => DiagStep::Fanout(pending, jobs),
-                }
-            } else {
-                let d = self.incremental.localize(&self.matrix, &obs, &self.pll);
-                DiagStep::Done(pending.finish(d))
+        match plan {
+            ComponentPlan::Ready(d) => DiagStep::Done(pending.finish(d)),
+            ComponentPlan::Fanout(jobs) if self.diag.parallel_components <= 1 => {
+                let verdicts = ComponentJob::run_all(&jobs, 1);
+                DiagStep::Done(self.diagnose_complete(pending, verdicts))
             }
-        } else {
-            let f = prefilter(&self.matrix, &obs, k);
-            let pending = PendingDiagnosis {
-                topk_hits: f.topk_hits,
-                ..pending
-            };
-            if workers > 1 {
-                match self
-                    .parallel
-                    .prepare(&self.matrix, &f.observations, &self.pll)
-                {
-                    ComponentPlan::Ready(d) => DiagStep::Done(pending.finish(d)),
-                    ComponentPlan::Fanout(jobs) => DiagStep::Fanout(pending, jobs),
-                }
-            } else {
-                let d = localize(&self.matrix, &f.observations, &self.pll);
-                DiagStep::Done(pending.finish(d))
-            }
+            ComponentPlan::Fanout(jobs) => DiagStep::Fanout(pending, jobs),
         }
     }
 
@@ -348,7 +305,7 @@ impl Diagnoser {
         pending: PendingDiagnosis,
         verdicts: Vec<ComponentVerdict>,
     ) -> DiagnosisEvent {
-        pending.finish(self.parallel.complete(verdicts))
+        pending.finish(self.localizer.complete(verdicts))
     }
 
     /// Prunes stored reports older than `keep_from`.
@@ -389,6 +346,7 @@ impl Diagnoser {
 mod tests {
     use super::*;
     use crate::report::PathCounters;
+    use detector_core::pll::localize;
     use detector_core::types::{LinkId, NodeId, PathId, ProbePath};
 
     fn matrix() -> ProbeMatrix {
@@ -482,21 +440,5 @@ mod tests {
         assert_eq!(ev.num_observations, 0);
         assert_eq!(ev.reports, 0);
         assert!(ev.diagnosis.is_clean());
-    }
-
-    #[test]
-    fn incremental_mode_matches_full_diagnosis() {
-        let mut full = Diagnoser::new(matrix(), PllConfig::default());
-        let mut inc = Diagnoser::new(matrix(), PllConfig::default().incremental());
-        for w in 0..4u64 {
-            let lost = if w % 2 == 0 { 25 } else { 0 };
-            for d in [&full, &inc] {
-                d.ingest(report(1, w, &[(0, 50, lost), (1, 50, lost), (2, 50, 0)]));
-            }
-            let a = full.diagnose(w, &Watchdog::new());
-            let b = inc.diagnose(w, &Watchdog::new());
-            assert_eq!(a.diagnosis, b.diagnosis, "window {w}");
-            assert_eq!(a.topk_hits, b.topk_hits, "window {w}");
-        }
     }
 }

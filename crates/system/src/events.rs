@@ -114,9 +114,9 @@ pub enum RuntimeEvent {
         /// Distinct paths with observations after health exclusions —
         /// equals the window's `num_observations`.
         paths_active: u64,
-        /// Lossy paths served by the unsaturated top-K tracker; zero
-        /// when the tracker saturated (more distinct lossy paths than
-        /// its capacity) and the pre-filter fell back to a full scan.
+        /// Lossy paths of the sealed window while they fit the ingest
+        /// plane's top-K budget (`IngestConfig::topk`); zero when the
+        /// window holds more lossy paths than that.
         topk_hits: u64,
         /// Key-claim CAS retries in the shards while the window
         /// accumulated. Depends on the execution schedule (always zero
@@ -131,8 +131,9 @@ pub enum RuntimeEvent {
     },
     /// Shape of the diagnosis work for the window: how many lossy paths
     /// survived ingestion and how many connected components of the
-    /// lossy-path/link incidence they split into — the fan-out width of
-    /// component-parallel PLL (`DiagConfig::parallel_components`).
+    /// lossy-path/link incidence they split into — the number of
+    /// per-component PLL jobs the window was localized as (inline, or
+    /// fanned out over `DiagConfig::parallel_components` workers).
     /// Deterministic (a pure function of the sealed window and the probe
     /// plan), so equivalence harnesses compare it un-normalized. Emitted
     /// after [`IngestStats`](RuntimeEvent::IngestStats), before
@@ -142,8 +143,9 @@ pub enum RuntimeEvent {
         window: u64,
         /// Observed paths with losses above the noise filters.
         lossy_paths: u64,
-        /// Connected components of the lossy incidence — independent PLL
-        /// subproblems. Zero for an all-healthy window.
+        /// Connected components of the lossy incidence — the window's
+        /// independent PLL subproblems, one job each. Zero for an
+        /// all-healthy window.
         components: u64,
         /// Suspect links in the window's diagnosis.
         suspects: u64,

@@ -133,7 +133,8 @@ pub struct SystemConfig {
     pub pmc: PmcConfig,
     /// Loss-localization settings.
     pub pll: PllConfig,
-    /// Diagnosis-stage settings (component-parallel PLL fan-out); see
+    /// Diagnosis-stage settings (worker count of the per-component PLL
+    /// jobs); see
     /// [`DiagConfig`]. Orthogonal to `pll`: the algorithm is configured
     /// there, how the stage executes it here.
     pub diag: DiagConfig,
@@ -207,7 +208,7 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the component-parallel diagnosis worker count (see
+    /// Sets the worker count of the per-component PLL jobs (see
     /// [`DiagConfig::parallel_components`]).
     pub fn with_parallel_diagnosis(mut self, workers: usize) -> Self {
         self.diag = self.diag.with_parallel_components(workers);

@@ -131,7 +131,7 @@ pub mod prelude {
     pub use detector_core::types::{
         LinkId, NodeId, PathId, PathIdRange, PathObservation, ProbePath,
     };
-    pub use detector_ingest::{prefilter, IngestConfig, IngestPlane, SealedWindow, SpaceSaving};
+    pub use detector_ingest::{prefilter, IngestConfig, IngestPlane, SealedWindow};
     pub use detector_simnet::{
         partition_hosts, ChurnSchedule, Fabric, FailureGenerator, FailureScenario, FlowKey,
         HostGroups, LossDiscipline,

@@ -1,19 +1,15 @@
-//! The ROADMAP's Table 4 evaluation: score-first (paper-faithful) vs
-//! consistency-first PLL greedy on noiseless failure episodes.
+//! The Table 4 accuracy floor of the PLL greedy on noiseless failure
+//! episodes.
 //!
 //! The PLL greedy ranks candidate links by explained losses with the hit
-//! ratio as an eligibility filter (§5.3). The ROADMAP hypothesizes that
-//! preferring *fully consistent* links (hit ratio 1) first would cut
-//! residual false positives in the noiseless case. This sweep runs both
-//! variants over noiseless Fattree and VL2 failure episodes at Table 4's
-//! probe budget (30 probes per path), prints the comparison, and asserts
-//! the paper-faithful variant's accuracy floor so the default
-//! configuration can never silently regress.
+//! ratio as an eligibility filter (§5.3). This sweep runs it over
+//! noiseless Fattree and VL2 failure episodes at Table 4's probe budget
+//! (30 probes per path), prints the table, and asserts the accuracy
+//! floor so the configuration can never silently regress.
 //!
 //! The sweep honours `DETECTOR_BENCH_SCALE`: the default `quick` runs
 //! Fattree(8) + VL2(8,6); `paper` runs the paper's Table 4 sizes —
-//! Fattree(18) and VL2(20,12) — which is the regime the ROADMAP's
-//! "re-evaluate consistency-first at paper sizes" item asks for.
+//! Fattree(18) and VL2(20,12).
 //!
 //! The sweep is `#[ignore]`d (minutes of episodes); the CI smoke job
 //! runs it in release mode next to the scheduler soak, at both scales:
@@ -28,9 +24,7 @@ use detector_bench::{bench_pll, episode_metrics, pct, Scale, Table};
 
 /// Micro-averaged noiseless campaign: `episodes` random scenarios with
 /// `n_failures` simultaneous link failures each, probed on a quiet
-/// fabric (no background loss — the regime the consistency-first
-/// hypothesis is about).
-#[allow(clippy::too_many_arguments)]
+/// fabric (no background loss).
 fn noiseless_campaign(
     topo: &(dyn DcnTopology + Sync),
     matrix: &ProbeMatrix,
@@ -53,9 +47,8 @@ fn noiseless_campaign(
 
 #[test]
 #[ignore = "accuracy sweep (minutes); run by the CI smoke job in release mode"]
-fn table4_noiseless_score_first_vs_consistency_first() {
-    let score_first = PllLocalizer::new(bench_pll());
-    let consistency_first = PllLocalizer::new(bench_pll().consistency_first());
+fn table4_noiseless_accuracy_floors() {
+    let pll = PllLocalizer::new(bench_pll());
     let gen = FailureGenerator::links_only().with_min_rate(0.1);
     // Accuracy floors per simultaneous-failure count: a (1, 1) matrix
     // certifies single-failure identification (Table 4's (1,1) row is
@@ -63,9 +56,7 @@ fn table4_noiseless_score_first_vs_consistency_first() {
     // steps down the way the paper's multi-failure columns do.
     let failures: [(usize, f64); 3] = [(1, 0.95), (3, 0.85), (5, 0.75)];
     // Paper scale runs Table 4's sizes with fewer episodes per cell —
-    // the per-episode probe volume is ~20× quick's, and the verdict
-    // question (does consistency-first hold accuracy while cutting
-    // false positives?) is about the regime, not the sample count.
+    // the per-episode probe volume is ~20× quick's.
     let scale = Scale::from_env();
     let (ft_radix, vl_params, episodes) = match scale {
         Scale::Quick => (8u32, (8u32, 6u32, 2u32), 12usize),
@@ -89,51 +80,21 @@ fn table4_noiseless_score_first_vs_consistency_first() {
         ]
     };
 
-    let mut table = Table::new(vec![
-        "topology",
-        "fails",
-        "score acc",
-        "score FP",
-        "cons acc",
-        "cons FP",
-    ]);
+    let mut table = Table::new(vec!["topology", "fails", "accuracy", "FP"]);
     for (name, topo, matrix) in &topos {
         for (fi, &(n, floor)) in failures.iter().enumerate() {
             let seed = 0x7AB4 + fi as u64;
-            let s =
-                noiseless_campaign(topo.as_ref(), matrix, &gen, n, episodes, &score_first, seed);
-            let c = noiseless_campaign(
-                topo.as_ref(),
-                matrix,
-                &gen,
-                n,
-                episodes,
-                &consistency_first,
-                seed,
-            );
+            let m = noiseless_campaign(topo.as_ref(), matrix, &gen, n, episodes, &pll, seed);
             table.row(vec![
                 name.clone(),
                 n.to_string(),
-                pct(s.accuracy),
-                s.false_positives.to_string(),
-                pct(c.accuracy),
-                c.false_positives.to_string(),
+                pct(m.accuracy),
+                m.false_positives.to_string(),
             ]);
-
             assert!(
-                s.accuracy >= floor,
+                m.accuracy >= floor,
                 "{name} @ {n} failures: paper-faithful accuracy {} below floor {floor}",
-                s.accuracy
-            );
-            // The variant under evaluation must never blame *more*
-            // wrong links than the paper-faithful greedy in the
-            // noiseless regime — that is its entire selling point.
-            assert!(
-                c.false_positives <= s.false_positives,
-                "{name} @ {n} failures: consistency-first raised false positives \
-                 ({} > {})",
-                c.false_positives,
-                s.false_positives
+                m.accuracy
             );
         }
     }
@@ -142,7 +103,4 @@ fn table4_noiseless_score_first_vs_consistency_first() {
          {episodes} episodes/cell):"
     );
     table.print();
-    println!("\nROADMAP verdict input: adopt consistency-first only if it holds");
-    println!("accuracy while cutting false positives at both scales (the paper");
-    println!("regime is DETECTOR_BENCH_SCALE=paper: Fattree(18) + VL2(20,12)).");
 }

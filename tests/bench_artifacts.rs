@@ -11,7 +11,6 @@
 //! CRITERION_JSON=$PWD/BENCH_replan.json cargo bench -p detector-bench --bench replan_latency
 //! CRITERION_JSON=$PWD/BENCH_sched.json  cargo bench -p detector-bench --bench scheduler_throughput
 //! CRITERION_JSON=$PWD/BENCH_ingest.json cargo bench -p detector-bench --bench ingest_throughput
-//! CRITERION_JSON=$PWD/BENCH_diag.json   cargo bench -p detector-bench --bench diag_parallel
 //! CRITERION_JSON=$PWD/BENCH_udp.json    cargo bench -p detector-bench --bench probe_rtt
 //! ```
 //!
@@ -163,57 +162,6 @@ fn ingest_snapshot_holds_throughput_floor_and_scheduler_guard() {
         ingest_ns as f64 <= sched_ns as f64 * 1.1,
         "ingest-era pipelined window campaign ({ingest_ns} ns) is more than 10% slower \
          than the committed scheduler baseline ({sched_ns} ns)"
-    );
-}
-
-/// The component-parallel diagnosis snapshot carries the PR's two perf
-/// claims, checked against the *committed* records:
-///
-/// * on the Fattree(16) multi-failure storm, the component-decomposed
-///   fan-out at 4 workers diagnoses a window ≥1.5× faster than the
-///   sequential `localize` oracle (medians of the same alternating
-///   two-window workload);
-/// * routing component jobs through the pipelined scheduler's worker
-///   channel kept end-to-end windows/s — `fattree16_windows/
-///   pipelined_diag4` here vs `fattree16_cpu/pipelined` in
-///   `BENCH_sched.json` — within 10% of the committed baseline.
-#[test]
-fn diag_snapshot_holds_speedup_and_scheduler_guard() {
-    let recs = records("BENCH_diag.json");
-    check_schema("BENCH_diag.json", &recs);
-
-    let median_of = |recs: &[Json], group: &str, bench: &str| -> u64 {
-        recs.iter()
-            .find(|r| {
-                r.get("group").and_then(Json::as_str) == Some(group)
-                    && r.get("bench").and_then(Json::as_str) == Some(bench)
-            })
-            .unwrap_or_else(|| panic!("missing record {group}/{bench}"))
-            .get("median_ns")
-            .and_then(Json::as_u64)
-            .unwrap()
-    };
-    let multifail = "diag_parallel/fattree16_multifail";
-    let sequential = median_of(&recs, multifail, "sequential");
-    let parallel = median_of(&recs, multifail, "parallel_4w");
-    // The attribution arm must stay in the snapshot so the decomposition
-    // vs thread-fan-out split remains visible.
-    let _ = median_of(&recs, multifail, "parallel_1w");
-    assert!(
-        sequential as f64 >= parallel as f64 * 1.5,
-        "component-parallel diagnosis must hold its 1.5× speedup over the \
-         sequential oracle: sequential {sequential} ns, parallel_4w {parallel} ns"
-    );
-
-    // Both campaigns run 4 windows, so windows/s compare as inverse
-    // medians against the committed scheduler baseline.
-    let diag_ns = median_of(&recs, "diag_parallel/fattree16_windows", "pipelined_diag4");
-    let sched = records("BENCH_sched.json");
-    let sched_ns = median_of(&sched, "scheduler_throughput/fattree16_cpu", "pipelined");
-    assert!(
-        diag_ns as f64 <= sched_ns as f64 * 1.1,
-        "diagnosis fan-out slowed the pipelined window campaign ({diag_ns} ns) more \
-         than 10% past the committed scheduler baseline ({sched_ns} ns)"
     );
 }
 

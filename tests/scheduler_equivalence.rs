@@ -32,22 +32,9 @@ fn config() -> SystemConfig {
     }
 }
 
-/// The same short-cycle config with incremental PLL switched on.
-fn incremental_config() -> SystemConfig {
-    let mut cfg = config();
-    cfg.pll = cfg.pll.incremental();
-    cfg
-}
-
 /// The short-cycle config with component-parallel diagnosis.
 fn parallel_config(workers: usize) -> SystemConfig {
     config().with_parallel_diagnosis(workers)
-}
-
-/// Component-parallel diagnosis composed with the incremental
-/// skeleton cache.
-fn parallel_incremental_config(workers: usize) -> SystemConfig {
-    incremental_config().with_parallel_diagnosis(workers)
 }
 
 fn detector_with(ft: &Arc<Fattree>, sink: CollectingSink, cfg: SystemConfig) -> Detector {
@@ -168,81 +155,10 @@ fn check_equivalence(
     assert_eq!(seq.matrix().uncoverable, pipe.matrix().uncoverable);
 }
 
-/// Runs the same scenario full-rescore sequential (the oracle) and
-/// incremental in both drivers, asserting the patched localizer changes
-/// nothing: identical window results and identical normalized event
-/// streams (diagnoses, and the `IngestStats` top-K accounting, match
-/// mode for mode).
-fn check_incremental_equivalence(
-    ft: Arc<Fattree>,
-    failures: &[(u16, u8, u8)],
-    raw_script: &[(u8, u8, u16)],
-    windows: u64,
-    seed: u64,
-    pipeline: &PipelineConfig,
-) {
-    let mut fabric = Fabric::new(ft.as_ref(), seed ^ 0xFAB);
-    for &(link, kind, level) in failures {
-        let (l, d) = decode_failure(&ft, link, kind, level);
-        fabric.set_discipline_both(l, d);
-    }
-    let script = raw_script
-        .iter()
-        .fold(Script::new(), |s, &(window, kind, target)| {
-            s.at(
-                u64::from(window) % windows,
-                decode_action(&ft, kind, target),
-            )
-        });
-
-    let full_sink = CollectingSink::new();
-    let mut full = detector(&ft, full_sink.clone());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let full_results = full
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("full-rescore oracle");
-
-    let inc_sink = CollectingSink::new();
-    let mut inc = detector_with(&ft, inc_sink.clone(), incremental_config());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let inc_results = inc
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("incremental sequential run");
-
-    let pipe_sink = CollectingSink::new();
-    let mut pipe = detector_with(&ft, pipe_sink.clone(), incremental_config());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let pipe_results = pipe
-        .run_pipelined(&fabric, windows, &script, pipeline, &mut rng)
-        .expect("incremental pipelined run");
-
-    assert_eq!(
-        full_results, inc_results,
-        "incremental sequential diverges from the full rescore \
-         (script {raw_script:?}, failures {failures:?})"
-    );
-    assert_eq!(
-        full_results, pipe_results,
-        "incremental pipelined diverges from the full rescore \
-         (script {raw_script:?}, failures {failures:?})"
-    );
-    let oracle_events = normalize(full_sink.events());
-    assert_eq!(
-        oracle_events,
-        normalize(inc_sink.events()),
-        "incremental sequential event stream diverges"
-    );
-    assert_eq!(
-        oracle_events,
-        normalize(pipe_sink.events()),
-        "incremental pipelined event stream diverges"
-    );
-}
-
 /// Runs the same scenario with the sequential single-threaded oracle and
-/// with component-parallel diagnosis in both drivers — plus the
-/// parallel × incremental composition — asserting bit-identical window
-/// results and (normalized) event streams throughout.
+/// with component-parallel diagnosis in both drivers, asserting
+/// bit-identical window results and (normalized) event streams
+/// throughout.
 fn check_parallel_equivalence(
     ft: Arc<Fattree>,
     failures: &[(u16, u8, u8)],
@@ -307,30 +223,17 @@ fn check_parallel_equivalence(
         normalize(pipe_sink.events()),
         "parallel pipelined event stream diverges (workers {workers})"
     );
-
-    let both_sink = CollectingSink::new();
-    let mut both = detector_with(&ft, both_sink.clone(), parallel_incremental_config(workers));
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let both_results = both
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("parallel incremental run");
-    assert_eq!(
-        seq_results, both_results,
-        "parallel × incremental diverges from the sequential oracle \
-         (script {raw_script:?}, failures {failures:?}, workers {workers})"
-    );
-    assert_eq!(
-        oracle_events,
-        normalize(both_sink.events()),
-        "parallel × incremental event stream diverges (workers {workers})"
-    );
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The core property: any loss pattern + churn/health script +
     /// cycle refreshes ⇒ pipelined ≡ sequential, events and results.
+    /// Churn and the short cycle exercise the localizer's
+    /// rebuild-after-invalidate path, stable stretches its skeleton and
+    /// verdict reuse (`tests/diagnoser_oracle.rs` holds the diagnoser
+    /// itself against plain `localize`).
     #[test]
     fn pipelined_equals_sequential(
         failures in proptest::collection::vec((0u16..64, 0u8..3, 0u8..8), 0..3),
@@ -350,33 +253,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Incremental ≡ full: with `PllConfig::incremental` the patched
-    /// localizer produces exactly the full-rescore diagnosis — results
-    /// and event streams — under loss × churn × cycle refresh, in both
-    /// the sequential and pipelined drivers. Churn and the short cycle
-    /// exercise the fallback-to-rebuild paths; stable stretches
-    /// exercise the patch path.
-    #[test]
-    fn incremental_localization_equals_full(
-        failures in proptest::collection::vec((0u16..64, 0u8..3, 0u8..8), 0..3),
-        raw_script in proptest::collection::vec((0u8..6, 0u8..6, 0u16..64), 0..6),
-        seed in 0u64..1_000,
-        workers in 1usize..5,
-    ) {
-        let ft = Arc::new(Fattree::new(4).unwrap());
-        let pipeline = PipelineConfig { probe_workers: workers, depth: 2 };
-        check_incremental_equivalence(ft, &failures, &raw_script, 5, seed, &pipeline);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
     /// Component-parallel ≡ sequential: with `parallel_components > 1`
     /// the fanned-out per-component PLL produces exactly the
     /// single-threaded diagnosis — results and event streams — in both
-    /// drivers and composed with the incremental skeleton cache, under
-    /// loss × churn × cycle refresh. Random churn splits and merges the
+    /// drivers, under loss × churn × cycle refresh. Random churn splits and merges the
     /// lossy component structure mid-run (drains and link flaps move
     /// paths between islands); the targeted
     /// `component_merge_and_split_stays_equivalent` below pins a
@@ -689,23 +569,21 @@ fn component_merge_and_split_stays_equivalent() {
     let mut rng = SmallRng::seed_from_u64(7);
     let seq_results = seq.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
 
-    for cfg in [parallel_config(4), parallel_incremental_config(4)] {
-        let par_sink = CollectingSink::new();
-        let mut par = detector_with(&ft, par_sink.clone(), cfg);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let par_results = par.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
-        assert_eq!(seq_results, par_results);
-        assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
-        // The component structure really merged and split mid-run.
-        assert_eq!(
-            diag_stats(par_sink.events())
-                .iter()
-                .map(|&(_, _, c, _)| c)
-                .collect::<Vec<_>>(),
-            vec![2, 1, 1, 2, 2],
-            "the drain/undrain must merge then split the lossy components"
-        );
-    }
+    let par_sink = CollectingSink::new();
+    let mut par = detector_with(&ft, par_sink.clone(), parallel_config(4));
+    let mut rng = SmallRng::seed_from_u64(7);
+    let par_results = par.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
+    assert_eq!(seq_results, par_results);
+    assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
+    // The component structure really merged and split mid-run.
+    assert_eq!(
+        diag_stats(par_sink.events())
+            .iter()
+            .map(|&(_, _, c, _)| c)
+            .collect::<Vec<_>>(),
+        vec![2, 1, 1, 2, 2],
+        "the drain/undrain must merge then split the lossy components"
+    );
 
     // And the pipelined driver rides the fan-out through its worker
     // channel across the same transitions.
@@ -791,10 +669,7 @@ fn all_healthy_windows_short_circuit_identically() {
     // Zero lossy paths: every window of a quiet fabric must
     // short-circuit to an empty component set — DiagStats reports zero
     // components — while still emitting DiagnosisReady with empty
-    // suspects in the exact oracle position, and without invalidating
-    // the incremental skeleton (stream equality across the
-    // parallel × incremental composition would break if the clean
-    // windows forced rebuild-induced divergence).
+    // suspects in the exact oracle position.
     let ft = Arc::new(Fattree::new(4).unwrap());
     let fabric = Fabric::quiet(ft.as_ref());
 
@@ -805,35 +680,33 @@ fn all_healthy_windows_short_circuit_identically() {
         .run_scripted(&fabric, 4, &Script::new(), &mut rng)
         .unwrap();
 
-    for cfg in [parallel_config(4), parallel_incremental_config(4)] {
-        let par_sink = CollectingSink::new();
-        let mut par = detector_with(&ft, par_sink.clone(), cfg);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let par_results = par
-            .run_scripted(&fabric, 4, &Script::new(), &mut rng)
-            .unwrap();
-        assert_eq!(seq_results, par_results);
-        assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
-        assert_eq!(
-            diag_stats(par_sink.events()),
-            vec![(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)],
-            "all-healthy windows must report zero lossy paths and components"
-        );
-        // Each window still reaches an (empty) diagnosis, directly
-        // after its stats events.
-        let events = par_sink.events();
-        for w in 0..4u64 {
-            let stats_at = events
-                .iter()
-                .position(|e| matches!(e, RuntimeEvent::DiagStats { window, .. } if *window == w))
-                .expect("DiagStats present");
-            match events.get(stats_at + 1) {
-                Some(RuntimeEvent::DiagnosisReady(res)) => {
-                    assert_eq!(res.window, w);
-                    assert!(res.diagnosis.is_clean(), "quiet window must diagnose clean");
-                }
-                other => panic!("DiagStats must immediately precede DiagnosisReady, got {other:?}"),
+    let par_sink = CollectingSink::new();
+    let mut par = detector_with(&ft, par_sink.clone(), parallel_config(4));
+    let mut rng = SmallRng::seed_from_u64(3);
+    let par_results = par
+        .run_scripted(&fabric, 4, &Script::new(), &mut rng)
+        .unwrap();
+    assert_eq!(seq_results, par_results);
+    assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
+    assert_eq!(
+        diag_stats(par_sink.events()),
+        vec![(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)],
+        "all-healthy windows must report zero lossy paths and components"
+    );
+    // Each window still reaches an (empty) diagnosis, directly
+    // after its stats events.
+    let events = par_sink.events();
+    for w in 0..4u64 {
+        let stats_at = events
+            .iter()
+            .position(|e| matches!(e, RuntimeEvent::DiagStats { window, .. } if *window == w))
+            .expect("DiagStats present");
+        match events.get(stats_at + 1) {
+            Some(RuntimeEvent::DiagnosisReady(res)) => {
+                assert_eq!(res.window, w);
+                assert!(res.diagnosis.is_clean(), "quiet window must diagnose clean");
             }
+            other => panic!("DiagStats must immediately precede DiagnosisReady, got {other:?}"),
         }
     }
 }
