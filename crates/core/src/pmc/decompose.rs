@@ -6,20 +6,35 @@
 //! solved in parallel. In a k-ary Fattree the inter-switch links split into
 //! k/2 components, one per aggregation-switch column.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
+use super::index::{CandidateIndex, IndexedCell};
+use super::{solve_restricted, PmcConfig, PmcError, SubSolution};
 use crate::types::{LinkId, ProbePath};
 
-/// One independent PMC subproblem.
+/// One independent PMC subproblem: a link universe, the candidate paths
+/// within it and their candidate index, built once so every solve and
+/// re-solve of the subproblem runs on it.
 #[derive(Clone, Debug)]
 pub struct Subproblem {
-    /// Sorted link universe of the subproblem.
-    pub universe: Vec<LinkId>,
-    /// Candidate paths entirely within the universe.
-    pub candidates: Vec<ProbePath>,
+    universe: Vec<LinkId>,
+    candidates: Vec<ProbePath>,
+    index: CandidateIndex,
 }
 
 impl Subproblem {
+    /// A subproblem over an explicit universe; every candidate link must
+    /// be in it.
+    pub fn new(universe: Vec<LinkId>, candidates: Vec<ProbePath>) -> Result<Self, PmcError> {
+        let index = CandidateIndex::build(&universe, &candidates)?;
+        Ok(Self {
+            universe,
+            candidates,
+            index,
+        })
+    }
+
     /// Wraps a candidate set as a single subproblem (no decomposition);
     /// the universe is inferred from the links the candidates cover.
     pub fn whole(candidates: Vec<ProbePath>) -> Self {
@@ -29,10 +44,55 @@ impl Subproblem {
             .collect();
         universe.sort_unstable();
         universe.dedup();
-        Self {
-            universe,
-            candidates,
+        Self::new(universe, candidates).expect("the universe is the candidates' links")
+    }
+
+    /// Sorted link universe of the subproblem.
+    pub fn universe(&self) -> &[LinkId] {
+        &self.universe
+    }
+
+    /// Candidate paths entirely within the universe.
+    pub fn candidates(&self) -> &[ProbePath] {
+        &self.candidates
+    }
+
+    fn indexed(&self) -> IndexedCell<'_> {
+        IndexedCell {
+            universe: &self.universe,
+            candidates: &self.candidates,
+            index: &self.index,
         }
+    }
+
+    /// Solves the whole subproblem with the configured strategy.
+    pub(crate) fn solve(
+        &self,
+        cfg: &PmcConfig,
+        deadline: Option<Instant>,
+    ) -> Result<SubSolution, PmcError> {
+        solve_restricted(self.indexed(), &HashSet::new(), None, cfg, deadline)
+    }
+
+    /// [`resolve_subproblem`](super::resolve_subproblem) on the stored
+    /// index: no per-call indexing, no copy of the candidates.
+    pub fn resolve(
+        &self,
+        excluded: &HashSet<LinkId>,
+        cfg: &PmcConfig,
+    ) -> Result<SubSolution, PmcError> {
+        solve_restricted(self.indexed(), excluded, None, cfg, cfg.deadline())
+    }
+
+    /// [`resolve_subproblem_seeded`](super::resolve_subproblem_seeded) on
+    /// the stored index.
+    pub fn resolve_seeded(
+        &self,
+        excluded: &HashSet<LinkId>,
+        seed: &[ProbePath],
+        cfg: &PmcConfig,
+    ) -> Result<SubSolution, PmcError> {
+        solve_restricted(self.indexed(), excluded, Some(seed), cfg, cfg.deadline())
     }
 }
 
@@ -99,13 +159,8 @@ pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
     roots.sort_unstable();
     let root_index: HashMap<u32, usize> = roots.iter().enumerate().map(|(i, &r)| (r, i)).collect();
 
-    let mut subs: Vec<Subproblem> = roots
-        .iter()
-        .map(|_| Subproblem {
-            universe: Vec::new(),
-            candidates: Vec::new(),
-        })
-        .collect();
+    let mut subs: Vec<(Vec<LinkId>, Vec<ProbePath>)> =
+        roots.iter().map(|_| (Vec::new(), Vec::new())).collect();
 
     // Assign links to component universes.
     let link_ids: Vec<u32> = uf.parent.keys().copied().collect();
@@ -113,7 +168,7 @@ pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
     sorted_links.sort_unstable();
     for l in sorted_links {
         let r = uf.find(l);
-        subs[root_index[&r]].universe.push(LinkId(l));
+        subs[root_index[&r]].0.push(LinkId(l));
     }
 
     for p in candidates {
@@ -121,9 +176,13 @@ pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
             continue;
         }
         let r = uf.find(p.links()[0].0);
-        subs[root_index[&r]].candidates.push(p);
+        subs[root_index[&r]].1.push(p);
     }
-    subs
+    subs.into_iter()
+        .map(|(universe, candidates)| {
+            Subproblem::new(universe, candidates).expect("a component holds its paths' links")
+        })
+        .collect()
 }
 
 #[cfg(test)]

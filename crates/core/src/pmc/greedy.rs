@@ -3,82 +3,80 @@
 
 use std::time::Instant;
 
+use super::index::Pool;
 use super::state::SelectionState;
 use super::{check_deadline, PmcConfig, PmcError, SubSolution};
-use crate::types::{LinkId, ProbePath};
 
-/// Runs the strawman greedy over a materialized candidate set.
-pub(crate) fn run(
-    universe: Vec<LinkId>,
-    candidates: Vec<ProbePath>,
-    cfg: &PmcConfig,
-    deadline: Option<Instant>,
-) -> Result<SubSolution, PmcError> {
-    let state = SelectionState::new(&universe, cfg)?;
-    complete(state, candidates, cfg, deadline)
-}
-
-/// Continues the strawman greedy from an existing selection state — the
-/// completion half of a seeded re-solve (`resolve_subproblem_seeded`
-/// pre-selects the surviving previous solution, then repairs from here).
-pub(crate) fn complete(
+/// Runs the strawman greedy from `state` over every candidate of `pool`.
+/// A `state` that already holds a selection makes this the completion half
+/// of a seeded re-solve (`resolve_subproblem_seeded` pre-selects the
+/// surviving previous solution, then repairs from here).
+pub(crate) fn run<P: Pool>(
+    mut pool: P,
     mut state: SelectionState,
-    candidates: Vec<ProbePath>,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
 ) -> Result<SubSolution, PmcError> {
     // detlint::allow(determinism, reason = "PMC solver timeout clock; deadlines only abort, never alter a completed plan")
     let start = Instant::now();
-    let mut alive: Vec<Option<ProbePath>> = candidates
-        .into_iter()
-        .map(|p| if p.is_empty() { None } else { Some(p) })
-        .collect();
+    // Indices of the candidates still in play, in candidate order.
+    let mut alive: Vec<u32> = Vec::new();
+    while pool.pull(|i, _| {
+        alive.push(i);
+        Ok(true)
+    })? {}
 
     while !state.targets_met() {
         check_deadline(deadline, start)?;
+        // (score, position in `alive`) of the first best candidate.
         let mut best: Option<(i64, usize)> = None;
-        let mut evals = 0usize;
-        for (i, slot) in alive.iter_mut().enumerate() {
-            let Some(p) = slot.as_ref() else { continue };
-            let e = state.evaluate(p)?;
-            evals += 1;
-            if evals.is_multiple_of(4096) {
+        let mut kept = 0;
+        for at in 0..alive.len() {
+            let i = alive[at];
+            let e = state.evaluate_locals(pool.get(i).0);
+            if (at + 1).is_multiple_of(4096) {
                 check_deadline(deadline, start)?;
             }
             if !e.useful(cfg.beta) {
                 // A useless path can never become useful again (its links
                 // are fully covered and its incident link sets can no
                 // longer split); drop it permanently.
-                *slot = None;
                 continue;
             }
             if best.is_none_or(|(s, _)| e.score < s) {
-                best = Some((e.score, i));
+                best = Some((e.score, kept));
             }
+            alive[kept] = i;
+            kept += 1;
         }
+        alive.truncate(kept);
         match best {
-            Some((_, i)) => {
-                let p = alive[i].take().expect("best candidate vanished");
-                state.select(&p)?;
+            Some((_, at)) => {
+                let (locals, path) = pool.get(alive.remove(at));
+                state.select_locals(locals, path);
             }
             None => break,
         }
     }
 
-    let targets_met = state.targets_met();
-    let coverage = state.min_coverage();
-    let cells = state.cells();
-    Ok(SubSolution {
-        paths: state.into_selected(),
-        targets_met,
-        coverage,
-        cells,
-    })
+    Ok(state.into_solution())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmc::Subproblem;
+    use crate::types::{LinkId, ProbePath};
+
+    /// Solves a materialized subproblem with `cfg`'s strategy.
+    fn run(
+        universe: Vec<LinkId>,
+        candidates: Vec<ProbePath>,
+        cfg: &PmcConfig,
+        deadline: Option<Instant>,
+    ) -> Result<SubSolution, PmcError> {
+        Subproblem::new(universe, candidates)?.solve(cfg, deadline)
+    }
 
     fn links(n: u32) -> Vec<LinkId> {
         (0..n).map(LinkId).collect()

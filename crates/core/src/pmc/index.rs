@@ -1,0 +1,325 @@
+//! Candidate index: every candidate's links as sorted local indices.
+//!
+//! The greedy loops never look at a [`ProbePath`] until they select it.
+//! A subproblem's candidates are indexed once — CSR offsets plus each
+//! candidate's links as dense local indices into the subproblem's
+//! universe — and a solve addresses candidates by position: heap and
+//! alive entries hold a `u32`, scoring reads a `&[u32]`. Excluding links
+//! (the incremental re-plan) does not copy or filter the candidates: the
+//! pristine locals are renumbered through a monotone remap onto the
+//! restricted universe, and a candidate crossing an excluded link fails
+//! the alive test instead.
+
+use std::borrow::Cow;
+use std::collections::HashSet;
+
+use super::PmcError;
+use crate::types::{LinkId, ProbePath};
+
+/// Remap entry of a link excluded from the restricted universe.
+const EXCLUDED: u32 = u32::MAX;
+
+/// Global link id → dense local index of a universe (local `i` is
+/// `universe[i]`, whatever order the universe is in).
+#[derive(Clone, Debug)]
+pub(crate) struct LinkLookup {
+    /// `(link, local)` sorted by link.
+    by_link: Vec<(LinkId, u32)>,
+}
+
+impl LinkLookup {
+    pub(crate) fn new(universe: &[LinkId]) -> Self {
+        let mut by_link: Vec<(LinkId, u32)> = universe
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (l, i as u32))
+            .collect();
+        by_link.sort_unstable();
+        Self { by_link }
+    }
+
+    #[inline]
+    pub(crate) fn local(&self, link: LinkId) -> Option<u32> {
+        self.by_link
+            .binary_search_by_key(&link, |&(l, _)| l)
+            .ok()
+            .map(|at| self.by_link[at].1)
+    }
+}
+
+/// CSR of candidate → sorted local link indices.
+#[derive(Clone, Debug)]
+pub(crate) struct CandidateIndex {
+    /// Candidate `i` owns `locals[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    locals: Vec<u32>,
+}
+
+impl CandidateIndex {
+    pub(crate) fn new() -> Self {
+        Self {
+            offsets: vec![0],
+            locals: Vec::new(),
+        }
+    }
+
+    /// Indexes `candidates` over `universe`; a candidate link outside the
+    /// universe is an error.
+    pub(crate) fn build(universe: &[LinkId], candidates: &[ProbePath]) -> Result<Self, PmcError> {
+        let lookup = LinkLookup::new(universe);
+        let mut index = Self::new();
+        index.offsets.reserve(candidates.len());
+        index
+            .locals
+            .reserve(candidates.iter().map(ProbePath::len).sum());
+        for p in candidates {
+            index.push(&lookup, p)?;
+        }
+        Ok(index)
+    }
+
+    /// Appends one candidate.
+    pub(crate) fn push(&mut self, lookup: &LinkLookup, path: &ProbePath) -> Result<(), PmcError> {
+        let start = self.locals.len();
+        for &link in path.links() {
+            match lookup.local(link) {
+                Some(i) => self.locals.push(i),
+                None => {
+                    self.locals.truncate(start);
+                    return Err(PmcError::UnknownLink { link });
+                }
+            }
+        }
+        self.locals[start..].sort_unstable();
+        let end = u32::try_from(self.locals.len()).expect("candidate index exceeds u32 offsets");
+        self.offsets.push(end);
+        Ok(())
+    }
+
+    /// Removes the most recently appended candidate.
+    pub(crate) fn pop(&mut self) {
+        if self.offsets.len() > 1 {
+            self.offsets.pop();
+            let end = *self.offsets.last().expect("offsets keep their leading 0");
+            self.locals.truncate(end as usize);
+        }
+    }
+
+    /// Number of indexed candidates.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Candidate `i`'s links as sorted local indices.
+    #[inline]
+    pub(crate) fn locals(&self, i: usize) -> &[u32] {
+        &self.locals[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// The candidates of one solve, addressed by index.
+pub(crate) trait Pool {
+    /// Offers the next batch: calls `admit(i, locals)` for every candidate
+    /// of the batch that covers a link and crosses no excluded one, in
+    /// candidate order, `locals` being its sorted links in the solve's
+    /// universe. A candidate `admit` turns down is never asked for again.
+    /// Returns false once no batch is left.
+    fn pull(
+        &mut self,
+        admit: impl FnMut(u32, &[u32]) -> Result<bool, PmcError>,
+    ) -> Result<bool, PmcError>;
+
+    /// The locals and the path of a candidate `pull` offered and `admit`
+    /// kept.
+    fn get(&mut self, i: u32) -> (&[u32], &ProbePath);
+}
+
+/// A materialized subproblem seen through its candidate index.
+#[derive(Clone, Copy)]
+pub(crate) struct IndexedCell<'a> {
+    /// Link universe the index numbers its locals in.
+    pub(crate) universe: &'a [LinkId],
+    pub(crate) candidates: &'a [ProbePath],
+    pub(crate) index: &'a CandidateIndex,
+}
+
+/// [`Pool`] over an [`IndexedCell`] with part of its universe excluded:
+/// one batch of every surviving candidate.
+pub(crate) struct CellPool<'a> {
+    cell: IndexedCell<'a>,
+    /// The universe without the excluded links, in the cell's order.
+    universe: Cow<'a, [LinkId]>,
+    /// Cell local → restricted local ([`EXCLUDED`] for an excluded link);
+    /// `None` when nothing is excluded. Monotone, so remapped locals stay
+    /// sorted.
+    remap: Option<Vec<u32>>,
+    /// Remapped locals of the candidate last looked at.
+    scratch: Vec<u32>,
+    pulled: bool,
+}
+
+impl<'a> CellPool<'a> {
+    pub(crate) fn new(cell: IndexedCell<'a>, excluded: &HashSet<LinkId>) -> Self {
+        let hit = !excluded.is_empty() && cell.universe.iter().any(|l| excluded.contains(l));
+        let (universe, remap) = if hit {
+            let mut universe = Vec::with_capacity(cell.universe.len());
+            let remap = cell
+                .universe
+                .iter()
+                .map(|l| {
+                    if excluded.contains(l) {
+                        EXCLUDED
+                    } else {
+                        universe.push(*l);
+                        universe.len() as u32 - 1
+                    }
+                })
+                .collect();
+            (Cow::Owned(universe), Some(remap))
+        } else {
+            (Cow::Borrowed(cell.universe), None)
+        };
+        Self {
+            cell,
+            universe,
+            remap,
+            scratch: Vec::new(),
+            pulled: false,
+        }
+    }
+
+    /// The restricted universe candidates' locals index into.
+    pub(crate) fn universe(&self) -> &[LinkId] {
+        &self.universe
+    }
+}
+
+/// Candidate `i`'s locals in the restricted universe; `None` if it covers
+/// no link or crosses an excluded one.
+fn restricted<'s>(
+    index: &'s CandidateIndex,
+    remap: Option<&[u32]>,
+    scratch: &'s mut Vec<u32>,
+    i: usize,
+) -> Option<&'s [u32]> {
+    let locals = index.locals(i);
+    if locals.is_empty() {
+        return None;
+    }
+    let Some(remap) = remap else {
+        return Some(locals);
+    };
+    scratch.clear();
+    for &l in locals {
+        let r = remap[l as usize];
+        if r == EXCLUDED {
+            return None;
+        }
+        scratch.push(r);
+    }
+    Some(scratch)
+}
+
+impl Pool for CellPool<'_> {
+    fn pull(
+        &mut self,
+        mut admit: impl FnMut(u32, &[u32]) -> Result<bool, PmcError>,
+    ) -> Result<bool, PmcError> {
+        if self.pulled {
+            return Ok(false);
+        }
+        self.pulled = true;
+        for i in 0..self.cell.index.len() {
+            if let Some(locals) =
+                restricted(self.cell.index, self.remap.as_deref(), &mut self.scratch, i)
+            {
+                admit(i as u32, locals)?;
+            }
+        }
+        Ok(true)
+    }
+
+    fn get(&mut self, i: u32) -> (&[u32], &ProbePath) {
+        let i = i as usize;
+        let locals = restricted(self.cell.index, self.remap.as_deref(), &mut self.scratch, i)
+            .expect("only offered candidates are asked for");
+        (locals, &self.cell.candidates[i])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn path(id: u32, ls: &[u32]) -> ProbePath {
+        ProbePath::from_links(id, ls.iter().map(|&l| LinkId(l)).collect())
+    }
+
+    #[test]
+    fn locals_follow_universe_order_and_come_out_sorted() {
+        // Local numbering follows the universe's (unsorted) order, so a
+        // path's link order and its local order may disagree.
+        let universe = [LinkId(30), LinkId(10), LinkId(20)];
+        let index = CandidateIndex::build(
+            &universe,
+            &[path(0, &[10, 30]), path(1, &[]), path(2, &[20])],
+        )
+        .unwrap();
+        assert_eq!(index.len(), 3);
+        assert_eq!(index.locals(0), &[0, 1]);
+        assert!(index.locals(1).is_empty());
+        assert_eq!(index.locals(2), &[2]);
+    }
+
+    #[test]
+    fn unknown_link_is_reported_and_leaves_the_index_intact() {
+        let lookup = LinkLookup::new(&[LinkId(0), LinkId(1)]);
+        let mut index = CandidateIndex::new();
+        index.push(&lookup, &path(0, &[1])).unwrap();
+        let err = index.push(&lookup, &path(1, &[0, 7])).unwrap_err();
+        assert_eq!(err, PmcError::UnknownLink { link: LinkId(7) });
+        assert_eq!(index.len(), 1);
+        index.push(&lookup, &path(2, &[0])).unwrap();
+        assert_eq!(index.locals(1), &[0]);
+        index.pop();
+        assert_eq!(index.len(), 1);
+        assert_eq!(index.locals(0), &[1]);
+    }
+
+    #[test]
+    fn exclusion_renumbers_survivors_and_kills_crossing_candidates() {
+        let universe: Vec<LinkId> = (0..4).map(LinkId).collect();
+        let candidates = vec![
+            path(0, &[0, 1]),
+            path(1, &[2, 3]),
+            path(2, &[]),
+            path(3, &[3]),
+        ];
+        let index = CandidateIndex::build(&universe, &candidates).unwrap();
+        let cell = IndexedCell {
+            universe: &universe,
+            candidates: &candidates,
+            index: &index,
+        };
+        let excluded: HashSet<LinkId> = [LinkId(1), LinkId(9)].into_iter().collect();
+        let mut pool = CellPool::new(cell, &excluded);
+        assert_eq!(pool.universe(), &[LinkId(0), LinkId(2), LinkId(3)]);
+        let mut offered = Vec::new();
+        assert!(pool
+            .pull(|i, locals| {
+                offered.push((i, locals.to_vec()));
+                Ok(true)
+            })
+            .unwrap());
+        assert_eq!(offered, vec![(1, vec![1, 2]), (3, vec![2])]);
+        assert!(!pool.pull(|_, _| Ok(true)).unwrap());
+        let (locals, p) = pool.get(3);
+        assert_eq!((locals, p.id.0), (&[2u32][..], 3));
+
+        // Excluding nothing the universe holds borrows everything.
+        let none: HashSet<LinkId> = [LinkId(9)].into_iter().collect();
+        let mut pool = CellPool::new(cell, &none);
+        assert_eq!(pool.universe(), &universe[..]);
+        assert_eq!(pool.get(1).0, &[2, 3]);
+    }
+}

@@ -9,78 +9,36 @@
 //! near-greedy heuristic, while the achieved (α, β) targets remain exactly
 //! verified by the selection state.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use super::provider::{CandidateProvider, ExhaustiveProvider};
+use super::index::Pool;
 use super::state::SelectionState;
 use super::{check_deadline, PmcConfig, PmcError, SubSolution};
-use crate::types::{LinkId, ProbePath};
 
-struct Entry {
-    score: i64,
-    order: u32,
-    path: ProbePath,
-}
+/// A heap entry: a (possibly stale) score and the candidate's index.
+/// `BinaryHeap` is a max-heap, so entries are reversed: the smallest score
+/// — and, on ties, the earliest offered candidate — sits on top.
+type Entry = Reverse<(i64, u32)>;
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.score == other.score && self.order == other.order
-    }
-}
-
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: BinaryHeap is a max-heap, we want the smallest score
-        // (and, on ties, the earliest inserted path) on top.
-        other
-            .score
-            .cmp(&self.score)
-            .then_with(|| other.order.cmp(&self.order))
-    }
-}
-
-/// Runs the lazy greedy over a materialized candidate set.
-pub(crate) fn run(
-    universe: Vec<LinkId>,
-    candidates: Vec<ProbePath>,
-    cfg: &PmcConfig,
-    deadline: Option<Instant>,
-) -> Result<SubSolution, PmcError> {
-    run_with_provider(
-        ExhaustiveProvider::with_universe(universe, candidates),
-        cfg,
-        deadline,
-    )
-}
-
-/// Runs the lazy greedy, pulling candidate batches on demand.
-pub(crate) fn run_with_provider<P: CandidateProvider>(
-    mut provider: P,
+/// Runs the lazy greedy from `state` over the candidates of `pool`, pulling
+/// its batches on demand.
+pub(crate) fn run<P: Pool>(
+    mut pool: P,
+    mut state: SelectionState,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
 ) -> Result<SubSolution, PmcError> {
     // detlint::allow(determinism, reason = "PMC solver timeout clock; deadlines only abort, never alter a completed plan")
     let start = Instant::now();
-    let universe = provider.universe().to_vec();
-    let mut state = SelectionState::new(&universe, cfg)?;
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-    let mut order = 0u32;
     let mut exhausted = false;
     let mut pulled = 0u64;
     // Cap on how many candidates may be pulled ahead of need: keeps peak
     // memory bounded on astronomically large providers while letting the
     // greedy see enough variety to stay close to the exhaustive solution.
-    let pull_budget = (universe.len() as u64 * 64).max(1 << 16);
+    let pull_budget = (state.universe().num_links() as u64 * 64).max(1 << 16);
     // Best (lowest) fresh score seen in the most recently pulled batch; as
     // long as fresh rounds keep producing scores at this level, a pooled
     // candidate scoring worse should not be committed before pulling more.
@@ -94,10 +52,9 @@ pub(crate) fn run_with_provider<P: CandidateProvider>(
                 break;
             }
             if !pull_batch(
-                &mut provider,
+                &mut pool,
                 &mut state,
                 &mut heap,
-                &mut order,
                 &mut pulled,
                 &mut batch_min,
                 cfg,
@@ -109,8 +66,8 @@ pub(crate) fn run_with_provider<P: CandidateProvider>(
             continue;
         }
 
-        let top = heap.pop().expect("heap checked non-empty");
-        let e = state.evaluate(&top.path)?;
+        let Reverse((_, top)) = heap.pop().expect("heap checked non-empty");
+        let e = state.evaluate_locals(pool.get(top).0);
         if !e.useful(cfg.beta) {
             // Permanently useless (see greedy.rs); drop it.
             continue;
@@ -122,16 +79,11 @@ pub(crate) fn run_with_provider<P: CandidateProvider>(
         // incremental greedy close to the exhaustive one without ever
         // materializing the full candidate set.
         if e.score > batch_min && !exhausted && pulled < pull_budget {
-            heap.push(Entry {
-                score: e.score,
-                order: top.order,
-                path: top.path,
-            });
+            heap.push(Reverse((e.score, top)));
             if !pull_batch(
-                &mut provider,
+                &mut pool,
                 &mut state,
                 &mut heap,
-                &mut order,
                 &mut pulled,
                 &mut batch_min,
                 cfg,
@@ -143,77 +95,66 @@ pub(crate) fn run_with_provider<P: CandidateProvider>(
             continue;
         }
 
-        let next_key = heap.peek().map(|t| t.score);
+        let next_key = heap.peek().map(|Reverse((score, _))| *score);
         if next_key.is_none_or(|k| e.score <= k) {
-            state.select(&top.path)?;
+            let (locals, path) = pool.get(top);
+            state.select_locals(locals, path);
         } else {
-            heap.push(Entry {
-                score: e.score,
-                order: top.order,
-                path: top.path,
-            });
+            heap.push(Reverse((e.score, top)));
         }
     }
 
-    let targets_met = state.targets_met();
-    let coverage = state.min_coverage();
-    let cells = state.cells();
-    Ok(SubSolution {
-        paths: state.into_selected(),
-        targets_met,
-        coverage,
-        cells,
-    })
+    Ok(state.into_solution())
 }
 
-/// Pulls one batch from the provider into the heap; returns false when the
-/// provider is exhausted.
+/// Pulls one batch from the pool into the heap; returns false when the
+/// pool is exhausted.
 #[allow(clippy::too_many_arguments)]
-fn pull_batch<P: CandidateProvider>(
-    provider: &mut P,
+fn pull_batch<P: Pool>(
+    pool: &mut P,
     state: &mut SelectionState,
     heap: &mut BinaryHeap<Entry>,
-    order: &mut u32,
     pulled: &mut u64,
     batch_min: &mut i64,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
     start: Instant,
 ) -> Result<bool, PmcError> {
-    let batch = provider.next_batch();
-    if batch.is_empty() {
-        *batch_min = i64::MAX;
-        return Ok(false);
-    }
     let mut evals = 0usize;
     let mut min_score = i64::MAX;
-    for p in batch {
-        if p.is_empty() {
-            continue;
-        }
-        let e = state.evaluate(&p)?;
+    let more = pool.pull(|i, locals| {
+        let e = state.evaluate_locals(locals);
         evals += 1;
         if evals.is_multiple_of(4096) {
             check_deadline(deadline, start)?;
         }
-        if e.useful(cfg.beta) {
+        let useful = e.useful(cfg.beta);
+        if useful {
             min_score = min_score.min(e.score);
-            heap.push(Entry {
-                score: e.score,
-                order: *order,
-                path: p,
-            });
-            *order += 1;
+            heap.push(Reverse((e.score, i)));
             *pulled += 1;
         }
-    }
+        Ok(useful)
+    })?;
     *batch_min = min_score;
-    Ok(true)
+    Ok(more)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmc::{construct_with_provider, CandidateProvider, Subproblem};
+    use crate::types::{LinkId, ProbePath};
+
+    /// Solves a materialized subproblem with `cfg`'s strategy.
+    fn run(
+        universe: Vec<LinkId>,
+        candidates: Vec<ProbePath>,
+        cfg: &PmcConfig,
+        deadline: Option<Instant>,
+    ) -> Result<SubSolution, PmcError> {
+        Subproblem::new(universe, candidates)?.solve(cfg, deadline)
+    }
 
     fn links(n: u32) -> Vec<LinkId> {
         (0..n).map(LinkId).collect()
@@ -243,7 +184,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let straw = super::super::greedy::run(
+        let straw = run(
             links(6),
             candidates,
             &PmcConfig::identifiable(1).strawman(),
@@ -274,13 +215,12 @@ mod tests {
                 }
             }
         }
-        let sol = run_with_provider(
+        let sol = construct_with_provider(
             TwoBatches {
                 universe: links(2),
                 stage: 0,
             },
             &PmcConfig::identifiable(1),
-            None,
         )
         .unwrap();
         assert!(sol.targets_met);
@@ -302,24 +242,11 @@ mod tests {
 
     #[test]
     fn heap_orders_by_score_then_insertion() {
-        let mut h = BinaryHeap::new();
-        h.push(Entry {
-            score: 5,
-            order: 0,
-            path: path(0, &[0]),
-        });
-        h.push(Entry {
-            score: -1,
-            order: 1,
-            path: path(1, &[1]),
-        });
-        h.push(Entry {
-            score: -1,
-            order: 2,
-            path: path(2, &[2]),
-        });
-        let first = h.pop().unwrap();
-        assert_eq!(first.score, -1);
-        assert_eq!(first.order, 1);
+        let mut h: BinaryHeap<Entry> = BinaryHeap::new();
+        h.push(Reverse((5, 0)));
+        h.push(Reverse((-1, 1)));
+        h.push(Reverse((-1, 2)));
+        assert_eq!(h.pop(), Some(Reverse((-1, 1))));
+        assert_eq!(h.pop(), Some(Reverse((-1, 2))));
     }
 }

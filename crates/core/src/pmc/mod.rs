@@ -18,32 +18,40 @@
 //! published optimizations: problem decomposition ([`decompose`]), lazy
 //! score updates à la CELF ([`Strategy::Lazy`]), and symmetry reduction via
 //! incremental [`CandidateProvider`]s that never materialize the full path
-//! set (providers are implemented by `detector-topology`).
+//! set (providers are implemented by `detector-topology`). Both greedy
+//! loops address candidates through a candidate index — each candidate's
+//! links as sorted local indices, built once per [`Subproblem`] or grown
+//! batch by batch from a provider — so heap and alive entries hold an
+//! index, an exclusion is a renumbering, and a path is cloned only when
+//! selected.
 
 mod decompose;
 mod greedy;
+mod index;
 mod jobs;
 mod lazy;
 mod parallel;
 mod provider;
+#[cfg(test)]
+mod reference;
 mod state;
 mod verify;
 mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
 pub use jobs::{CellJob, CellSolution, JobPool};
-pub use parallel::{
-    construct_decomposed_parallel, resolve_subproblems_parallel, run_indexed_parallel,
-};
+pub use parallel::{construct_decomposed_parallel, run_indexed_parallel};
 pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
 pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};
 pub use virtual_links::ExtendedUniverse;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use crate::types::{LinkId, PathId, ProbePath};
+use index::{CandidateIndex, CellPool, IndexedCell};
+use provider::ProviderPool;
 
 /// Selection strategy for the greedy loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,6 +150,12 @@ impl PmcConfig {
     pub fn with_stable_patch(mut self) -> Self {
         self.stable_patch = true;
         self
+    }
+
+    /// The instant a solve starting now must finish by.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
+        self.timeout.map(|t| Instant::now() + t)
     }
 }
 
@@ -404,8 +418,7 @@ pub fn construct(
     candidates: Vec<ProbePath>,
     cfg: &PmcConfig,
 ) -> Result<ProbeMatrix, PmcError> {
-    // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
-    let deadline = cfg.timeout.map(|t| Instant::now() + t);
+    let deadline = cfg.deadline();
     for p in &candidates {
         if let Some(l) = p.links().iter().find(|l| l.index() >= num_links) {
             return Err(PmcError::UnknownLink { link: *l });
@@ -433,8 +446,8 @@ pub fn construct(
         construct_decomposed_parallel(subproblems, cfg, deadline)?
     } else {
         let mut out = Vec::with_capacity(subproblems.len());
-        for sp in subproblems {
-            out.push(solve_subproblem(sp.universe, sp.candidates, cfg, deadline)?);
+        for sp in &subproblems {
+            out.push(sp.solve(cfg, deadline)?);
         }
         out
     };
@@ -452,9 +465,9 @@ pub fn construct_with_provider<P: CandidateProvider>(
     provider: P,
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
-    // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
-    let deadline = cfg.timeout.map(|t| Instant::now() + t);
-    lazy::run_with_provider(provider, cfg, deadline)
+    let deadline = cfg.deadline();
+    let state = SelectionState::new(provider.universe(), cfg)?;
+    lazy::run(ProviderPool::new(provider), state, cfg, deadline)
 }
 
 /// Re-solves one subproblem with part of its universe excluded — the
@@ -467,6 +480,11 @@ pub fn construct_with_provider<P: CandidateProvider>(
 /// The result is identical to solving the same restricted subproblem from
 /// scratch: the greedy is deterministic and the restriction depends only
 /// on `(universe, candidates, excluded)`, not on any previous solution.
+///
+/// Every candidate link must be in `universe`. The candidates are indexed
+/// on every call; a caller that re-solves the same subproblem repeatedly
+/// keeps a [`Subproblem`] and calls [`Subproblem::resolve`], which indexes
+/// once.
 ///
 /// # Examples
 ///
@@ -490,22 +508,10 @@ pub fn construct_with_provider<P: CandidateProvider>(
 pub fn resolve_subproblem(
     universe: &[LinkId],
     candidates: &[ProbePath],
-    excluded: &std::collections::HashSet<LinkId>,
+    excluded: &HashSet<LinkId>,
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
-    // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
-    let deadline = cfg.timeout.map(|t| Instant::now() + t);
-    let universe: Vec<LinkId> = universe
-        .iter()
-        .copied()
-        .filter(|l| !excluded.contains(l))
-        .collect();
-    let candidates: Vec<ProbePath> = candidates
-        .iter()
-        .filter(|p| !p.links().iter().any(|l| excluded.contains(l)))
-        .cloned()
-        .collect();
-    solve_subproblem(universe, candidates, cfg, deadline)
+    index_and_solve(universe, candidates, excluded, None, cfg)
 }
 
 /// Re-solves one subproblem with part of its universe excluded, *seeded*
@@ -550,23 +556,50 @@ pub fn resolve_subproblem(
 pub fn resolve_subproblem_seeded(
     universe: &[LinkId],
     candidates: &[ProbePath],
-    excluded: &std::collections::HashSet<LinkId>,
+    excluded: &HashSet<LinkId>,
     seed: &[ProbePath],
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
-    // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
-    let deadline = cfg.timeout.map(|t| Instant::now() + t);
-    let universe: Vec<LinkId> = universe
-        .iter()
-        .copied()
-        .filter(|l| !excluded.contains(l))
-        .collect();
-    let candidates: Vec<ProbePath> = candidates
-        .iter()
-        .filter(|p| !p.links().iter().any(|l| excluded.contains(l)))
-        .cloned()
-        .collect();
-    let mut state = SelectionState::new(&universe, cfg)?;
+    index_and_solve(universe, candidates, excluded, Some(seed), cfg)
+}
+
+/// Indexes a subproblem handed over as slices, then solves it restricted.
+fn index_and_solve(
+    universe: &[LinkId],
+    candidates: &[ProbePath],
+    excluded: &HashSet<LinkId>,
+    seed: Option<&[ProbePath]>,
+    cfg: &PmcConfig,
+) -> Result<SubSolution, PmcError> {
+    let deadline = cfg.deadline();
+    let index = CandidateIndex::build(universe, candidates)?;
+    let cell = IndexedCell {
+        universe,
+        candidates,
+        index: &index,
+    };
+    solve_restricted(cell, excluded, seed, cfg, deadline)
+}
+
+/// Solves `cell` without the `excluded` links: they leave the universe and
+/// every candidate crossing one fails the pool's alive test. Unseeded, the
+/// configured strategy runs; with a `seed`, its surviving paths that still
+/// make progress are pre-selected in order and the strawman completes.
+pub(crate) fn solve_restricted(
+    cell: IndexedCell<'_>,
+    excluded: &HashSet<LinkId>,
+    seed: Option<&[ProbePath]>,
+    cfg: &PmcConfig,
+    deadline: Option<Instant>,
+) -> Result<SubSolution, PmcError> {
+    let pool = CellPool::new(cell, excluded);
+    let mut state = SelectionState::new(pool.universe(), cfg)?;
+    let Some(seed) = seed else {
+        return match cfg.strategy {
+            Strategy::Strawman => greedy::run(pool, state, cfg, deadline),
+            Strategy::Lazy => lazy::run(pool, state, cfg, deadline),
+        };
+    };
     for p in seed {
         if p.is_empty() || p.links().iter().any(|l| excluded.contains(l)) {
             continue;
@@ -575,7 +608,7 @@ pub fn resolve_subproblem_seeded(
             state.select(p)?;
         }
     }
-    greedy::complete(state, candidates, cfg, deadline)
+    greedy::run(pool, state, cfg, deadline)
 }
 
 /// Merges per-subproblem solutions into a dense probe matrix.
@@ -612,19 +645,6 @@ pub(crate) fn merge_solutions(
         },
         uncoverable,
         index: PathIndex::Dense,
-    }
-}
-
-/// Solves one materialized subproblem with the configured strategy.
-pub(crate) fn solve_subproblem(
-    universe: Vec<LinkId>,
-    candidates: Vec<ProbePath>,
-    cfg: &PmcConfig,
-    deadline: Option<Instant>,
-) -> Result<SubSolution, PmcError> {
-    match cfg.strategy {
-        Strategy::Strawman => greedy::run(universe, candidates, cfg, deadline),
-        Strategy::Lazy => lazy::run(universe, candidates, cfg, deadline),
     }
 }
 

@@ -7,13 +7,10 @@
 //! sequential one. The same driver powers the incremental planner's
 //! multi-cell patch re-solves in `detector-system`.
 
-use std::collections::HashSet;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use super::decompose::Subproblem;
-use super::{solve_subproblem, JobPool, PmcConfig, PmcError, SubSolution};
-use crate::types::{LinkId, ProbePath};
+use super::{JobPool, PmcConfig, PmcError, SubSolution};
 
 /// Runs `n` indexed jobs on up to `available_parallelism` scoped
 /// threads, returning results in index order. With one core (or one
@@ -37,64 +34,16 @@ pub fn construct_decomposed_parallel(
     cfg: &PmcConfig,
     deadline: Option<Instant>,
 ) -> Result<Vec<SubSolution>, PmcError> {
-    let n = subproblems.len();
-    // Job closures take ownership of their subproblem through the slot.
-    let work: Vec<Mutex<Option<Subproblem>>> = subproblems
+    JobPool::from_config(cfg)
+        .run_indexed(subproblems.len(), |i| subproblems[i].solve(cfg, deadline))
         .into_iter()
-        .map(|s| Mutex::new(Some(s)))
-        .collect();
-    let out = JobPool::from_config(cfg).run_indexed(n, |i| {
-        let sp = work[i]
-            .lock()
-            .expect("work queue poisoned")
-            .take()
-            .expect("subproblem taken twice");
-        solve_subproblem(sp.universe, sp.candidates, cfg, deadline)
-    });
-    out.into_iter().collect()
-}
-
-/// Re-solves many subproblems with per-subproblem exclusions on multiple
-/// threads — the batched form of
-/// [`resolve_subproblem`](super::resolve_subproblem). Each `(universe,
-/// candidates, excluded)` triple is restricted exactly as
-/// `resolve_subproblem` restricts it, then the batch rides
-/// [`construct_decomposed_parallel`]; results come back in input order
-/// and each solve is deterministic, so a *successful* batch is exactly
-/// what re-solving the same cells one by one would produce. Timeout
-/// semantics differ: the batch shares one wall-clock budget from
-/// `cfg.timeout` (like a from-scratch decomposed build), whereas
-/// one-by-one re-solves restart the budget per cell — a batch can time
-/// out where N sequential calls would each squeak by. (The incremental
-/// planner's patch path therefore drives its cells through
-/// [`run_indexed_parallel`] with per-cell budgets instead.)
-pub fn resolve_subproblems_parallel(
-    work: Vec<(&[LinkId], &[ProbePath], &HashSet<LinkId>)>,
-    cfg: &PmcConfig,
-) -> Result<Vec<SubSolution>, PmcError> {
-    // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
-    let deadline = cfg.timeout.map(|t| Instant::now() + t);
-    let restricted: Vec<Subproblem> = work
-        .into_iter()
-        .map(|(universe, candidates, excluded)| Subproblem {
-            universe: universe
-                .iter()
-                .copied()
-                .filter(|l| !excluded.contains(l))
-                .collect(),
-            candidates: candidates
-                .iter()
-                .filter(|p| !p.links().iter().any(|l| excluded.contains(l)))
-                .cloned()
-                .collect(),
-        })
-        .collect();
-    construct_decomposed_parallel(restricted, cfg, deadline)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{LinkId, ProbePath};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn path(id: u32, ls: &[u32]) -> ProbePath {
@@ -116,8 +65,8 @@ mod tests {
         let cfg = PmcConfig::identifiable(1);
         let par = construct_decomposed_parallel(subs.clone(), &cfg, None).unwrap();
         let mut seq = Vec::new();
-        for sp in subs {
-            seq.push(solve_subproblem(sp.universe, sp.candidates, &cfg, None).unwrap());
+        for sp in &subs {
+            seq.push(sp.solve(&cfg, None).unwrap());
         }
         assert_eq!(par.len(), seq.len());
         for (a, b) in par.iter().zip(seq.iter()) {
@@ -146,40 +95,5 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 64);
         assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
         assert!(run_indexed_parallel(0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn batched_resolve_matches_one_by_one() {
-        // 6 disjoint two-link components, each losing a different link.
-        let mut subs = Vec::new();
-        for c in 0..6u32 {
-            let base = c * 2;
-            let candidates = vec![
-                path(c * 3, &[base, base + 1]),
-                path(c * 3 + 1, &[base]),
-                path(c * 3 + 2, &[base + 1]),
-            ];
-            let universe = vec![LinkId(base), LinkId(base + 1)];
-            let excluded: HashSet<LinkId> = if c % 2 == 0 {
-                [LinkId(base)].into_iter().collect()
-            } else {
-                HashSet::new()
-            };
-            subs.push((universe, candidates, excluded));
-        }
-        let cfg = PmcConfig::identifiable(1);
-        let work: Vec<(&[LinkId], &[ProbePath], &HashSet<LinkId>)> = subs
-            .iter()
-            .map(|(u, c, e)| (u.as_slice(), c.as_slice(), e))
-            .collect();
-        let batched = resolve_subproblems_parallel(work, &cfg).unwrap();
-        for ((universe, candidates, excluded), got) in subs.iter().zip(&batched) {
-            let want =
-                super::super::resolve_subproblem(universe, candidates, excluded, &cfg).unwrap();
-            assert_eq!(got.targets_met, want.targets_met);
-            let la: Vec<_> = got.paths.iter().map(|p| p.links().to_vec()).collect();
-            let lb: Vec<_> = want.paths.iter().map(|p| p.links().to_vec()).collect();
-            assert_eq!(la, lb);
-        }
     }
 }

@@ -8,6 +8,8 @@
 //! group — and the lazy greedy pulls further rounds only while its (α, β)
 //! targets are unmet.
 
+use super::index::{CandidateIndex, LinkLookup, Pool};
+use super::PmcError;
 use crate::types::{LinkId, ProbePath};
 
 /// A source of candidate probe paths for one PMC subproblem.
@@ -150,6 +152,57 @@ impl<P: CandidateProvider> CandidateProvider for ExcludingProvider<P> {
         // Upper bound: the inner provider's estimate counts candidates
         // that may be filtered out.
         self.inner.remaining_hint()
+    }
+}
+
+/// [`Pool`] fed by a provider: every pulled batch is indexed and the
+/// candidates the greedy keeps are stored, so the loop that serves
+/// materialized cells serves providers too.
+pub(crate) struct ProviderPool<P> {
+    provider: P,
+    lookup: LinkLookup,
+    /// The kept candidates; `index` holds their locals.
+    paths: Vec<ProbePath>,
+    index: CandidateIndex,
+}
+
+impl<P: CandidateProvider> ProviderPool<P> {
+    pub(crate) fn new(provider: P) -> Self {
+        Self {
+            lookup: LinkLookup::new(provider.universe()),
+            provider,
+            paths: Vec::new(),
+            index: CandidateIndex::new(),
+        }
+    }
+}
+
+impl<P: CandidateProvider> Pool for ProviderPool<P> {
+    fn pull(
+        &mut self,
+        mut admit: impl FnMut(u32, &[u32]) -> Result<bool, PmcError>,
+    ) -> Result<bool, PmcError> {
+        let batch = self.provider.next_batch();
+        if batch.is_empty() {
+            return Ok(false);
+        }
+        for p in batch {
+            if p.is_empty() {
+                continue;
+            }
+            let i = self.paths.len();
+            self.index.push(&self.lookup, &p)?;
+            if admit(i as u32, self.index.locals(i))? {
+                self.paths.push(p);
+            } else {
+                self.index.pop();
+            }
+        }
+        Ok(true)
+    }
+
+    fn get(&mut self, i: u32) -> (&[u32], &ProbePath) {
+        (self.index.locals(i as usize), &self.paths[i as usize])
     }
 }
 

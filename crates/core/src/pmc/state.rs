@@ -1,10 +1,8 @@
 //! Greedy selection state: link-set partition refinement plus coverage
 //! weights and the path score of eq. (1).
 
-use std::collections::HashMap;
-
 use super::virtual_links::ExtendedUniverse;
-use super::{PmcConfig, PmcError};
+use super::{PmcConfig, PmcError, SubSolution};
 use crate::types::{LinkId, ProbePath};
 
 /// A partition of extended-link elements into "link sets", refined by each
@@ -20,7 +18,8 @@ struct Partition {
     num_cells: u64,
     /// Scratch: per-cell stamp for distinct-cell counting.
     stamp: Vec<u32>,
-    /// Scratch: per-cell incident-element count for split prediction.
+    /// Scratch: per-cell incident-element count for split prediction;
+    /// during a refinement, a split cell's buddy and a buddy's origin.
     inc_count: Vec<u64>,
     /// Current stamp round.
     round: u32,
@@ -52,11 +51,11 @@ impl Partition {
     /// Counts, without modifying the partition, how many distinct cells the
     /// incident elements touch and how many of those cells would actually
     /// split (contain both incident and non-incident elements).
-    fn probe(&mut self, incident: &[u64]) -> (u64, u64) {
+    fn probe(&mut self, incident: impl Iterator<Item = u64> + Clone) -> (u64, u64) {
         self.round += 1;
         let round = self.round;
         let mut touched = 0u64;
-        for &e in incident {
+        for e in incident.clone() {
             let c = self.cell_of[e as usize] as usize;
             if self.stamp[c] != round {
                 self.stamp[c] = round;
@@ -67,7 +66,7 @@ impl Partition {
         }
         let mut splits = 0u64;
         // Second pass over distinct cells via the stamped counts.
-        for &e in incident {
+        for e in incident {
             let c = self.cell_of[e as usize] as usize;
             if self.stamp[c] == round {
                 if self.inc_count[c] < self.cell_size[c] {
@@ -83,27 +82,30 @@ impl Partition {
 
     /// Refines the partition by the incident-element set of a selected
     /// path, returning the number of cells that split.
-    fn refine(&mut self, incident: &[u64]) -> u64 {
-        let mut buddy: HashMap<u32, u32> = HashMap::new();
-        for &e in incident {
-            let c = self.cell_of[e as usize];
-            let b = *buddy.entry(c).or_insert_with(|| {
-                let id = self.cell_size.len() as u32;
+    fn refine(&mut self, incident: impl Iterator<Item = u64>) -> u64 {
+        self.round += 1;
+        let round = self.round;
+        // Every touched cell gets a fresh buddy cell, in first-touch
+        // order; its incident elements move there.
+        let first_buddy = self.cell_size.len();
+        for e in incident {
+            let c = self.cell_of[e as usize] as usize;
+            if self.stamp[c] != round {
+                self.stamp[c] = round;
+                self.inc_count[c] = self.cell_size.len() as u64;
                 self.cell_size.push(0);
                 self.stamp.push(0);
-                self.inc_count.push(0);
-                id
-            });
-            self.cell_size[c as usize] -= 1;
-            self.cell_size[b as usize] += 1;
-            self.cell_of[e as usize] = b;
-        }
-        let mut splits = 0;
-        for (&c, _) in buddy.iter() {
-            if self.cell_size[c as usize] > 0 {
-                splits += 1;
+                self.inc_count.push(c as u64);
             }
+            let b = self.inc_count[c] as usize;
+            self.cell_size[c] -= 1;
+            self.cell_size[b] += 1;
+            self.cell_of[e as usize] = b as u32;
         }
+        // A cell split if it kept elements; otherwise it moved wholesale.
+        let splits = (first_buddy..self.cell_size.len())
+            .filter(|&b| self.cell_size[self.inc_count[b] as usize] > 0)
+            .count() as u64;
         self.num_cells += splits;
         splits
     }
@@ -143,7 +145,8 @@ pub struct SelectionState {
     under_covered: usize,
     /// Scratch bitmap for incident enumeration.
     in_path: Vec<bool>,
-    /// Scratch buffer of incident elements.
+    /// Scratch buffer of incident elements (β ≥ 2 only: up to β = 1 a
+    /// path's incident elements are its local link indices).
     incident: Vec<u64>,
     /// Scratch buffer of local link indices.
     locals: Vec<u32>,
@@ -205,57 +208,92 @@ impl SelectionState {
         self.selected
     }
 
-    fn load_locals(&mut self, path: &ProbePath) -> Result<(), PmcError> {
-        self.locals.clear();
-        for &l in path.links() {
-            match self.universe.local(l) {
-                Some(i) => self.locals.push(i),
-                None => return Err(PmcError::UnknownLink { link: l }),
-            }
+    /// Consumes the state, returning the selection and what it achieved.
+    pub(crate) fn into_solution(self) -> SubSolution {
+        SubSolution {
+            targets_met: self.targets_met(),
+            coverage: self.min_coverage(),
+            cells: self.cells(),
+            paths: self.selected,
         }
-        self.locals.sort_unstable();
-        Ok(())
     }
 
-    fn load_incident(&mut self) {
+    /// Runs `f` on the path's links as sorted local indices.
+    fn with_locals<T>(
+        &mut self,
+        path: &ProbePath,
+        f: impl FnOnce(&mut Self, &[u32]) -> T,
+    ) -> Result<T, PmcError> {
+        let mut locals = std::mem::take(&mut self.locals);
+        locals.clear();
+        let found = path.links().iter().try_for_each(|&link| {
+            let local = self.universe.local(link);
+            locals.push(local.ok_or(PmcError::UnknownLink { link })?);
+            Ok(())
+        });
+        let out = found.map(|()| {
+            locals.sort_unstable();
+            f(self, &locals)
+        });
+        self.locals = locals;
+        out
+    }
+
+    fn load_incident(&mut self, locals: &[u32]) {
         self.incident.clear();
         let incident = &mut self.incident;
         self.universe
-            .for_each_incident(&self.locals, &mut self.in_path, |e| incident.push(e));
+            .for_each_incident(locals, &mut self.in_path, |e| incident.push(e));
     }
 
     /// Scores a candidate path against the current state.
     pub fn evaluate(&mut self, path: &ProbePath) -> Result<Eval, PmcError> {
-        self.load_locals(path)?;
-        self.load_incident();
-        let (touched, splits) = self.partition.probe(&self.incident);
-        let weight: i64 = self.locals.iter().map(|&l| self.w[l as usize] as i64).sum();
-        let coverage_gain = self
-            .locals
+        self.with_locals(path, |state, locals| state.evaluate_locals(locals))
+    }
+
+    /// [`SelectionState::evaluate`] for a path given as its sorted,
+    /// de-duplicated local link indices.
+    pub(crate) fn evaluate_locals(&mut self, locals: &[u32]) -> Eval {
+        let (touched, splits) = if self.beta <= 1 {
+            self.partition.probe(locals.iter().map(|&l| u64::from(l)))
+        } else {
+            self.load_incident(locals);
+            self.partition.probe(self.incident.iter().copied())
+        };
+        let weight: i64 = locals.iter().map(|&l| self.w[l as usize] as i64).sum();
+        let coverage_gain = locals
             .iter()
             .filter(|&&l| self.w[l as usize] < self.alpha)
             .count() as u32;
-        Ok(Eval {
+        Eval {
             score: weight - touched as i64,
             split_gain: if self.beta >= 1 { splits } else { 0 },
             coverage_gain,
-        })
+        }
     }
 
     /// Selects a path: refines the partition and updates link weights.
     pub fn select(&mut self, path: &ProbePath) -> Result<(), PmcError> {
-        self.load_locals(path)?;
-        self.load_incident();
-        self.partition.refine(&self.incident);
-        for i in 0..self.locals.len() {
-            let l = self.locals[i] as usize;
+        self.with_locals(path, |state, locals| state.select_locals(locals, path))
+    }
+
+    /// [`SelectionState::select`] for a path whose sorted, de-duplicated
+    /// local link indices are `locals`.
+    pub(crate) fn select_locals(&mut self, locals: &[u32], path: &ProbePath) {
+        if self.beta <= 1 {
+            self.partition.refine(locals.iter().map(|&l| u64::from(l)));
+        } else {
+            self.load_incident(locals);
+            self.partition.refine(self.incident.iter().copied());
+        }
+        for &l in locals {
+            let l = l as usize;
             self.w[l] += 1;
             if self.w[l] == self.alpha {
                 self.under_covered -= 1;
             }
         }
         self.selected.push(path.clone());
-        Ok(())
     }
 }
 
@@ -351,5 +389,127 @@ mod tests {
         let _ = st.evaluate(&path(0, &[0, 2])).unwrap();
         let _ = st.evaluate(&path(1, &[1, 3])).unwrap();
         assert_eq!(st.cells(), before);
+    }
+
+    /// Brute-force model of the selection state: every extended element
+    /// (link subset of size 1..=β) keeps the list of selected paths that
+    /// cover it, and the link sets are the groups of equal lists.
+    struct Naive {
+        elements: Vec<Vec<u32>>,
+        covered_by: Vec<Vec<u32>>,
+        w: Vec<u32>,
+        alpha: u32,
+        beta: u32,
+        selected: u32,
+    }
+
+    impl Naive {
+        fn new(n: u32, alpha: u32, beta: u32) -> Self {
+            let mut elements: Vec<Vec<u32>> = (0..n).map(|a| vec![a]).collect();
+            if beta >= 2 {
+                for a in 0..n {
+                    elements.extend((a + 1..n).map(|b| vec![a, b]));
+                }
+            }
+            if beta >= 3 {
+                for a in 0..n {
+                    for b in a + 1..n {
+                        elements.extend((b + 1..n).map(|c| vec![a, b, c]));
+                    }
+                }
+            }
+            Self {
+                covered_by: vec![Vec::new(); elements.len()],
+                elements,
+                w: vec![0; n as usize],
+                alpha,
+                beta,
+                selected: 0,
+            }
+        }
+
+        /// Per link set: (elements incident to the path, all elements).
+        fn link_sets(&self, links: &[u32]) -> std::collections::BTreeMap<&[u32], (u64, u64)> {
+            let mut sets = std::collections::BTreeMap::new();
+            for (e, by) in self.elements.iter().zip(&self.covered_by) {
+                let set = sets.entry(by.as_slice()).or_insert((0, 0));
+                set.0 += u64::from(e.iter().any(|l| links.contains(l)));
+                set.1 += 1;
+            }
+            sets
+        }
+
+        fn evaluate(&self, links: &[u32]) -> Eval {
+            let sets = self.link_sets(links);
+            let touched = sets.values().filter(|(inc, _)| *inc > 0).count() as i64;
+            let splits = sets.values().filter(|(inc, all)| 0 < *inc && inc < all);
+            let weight: i64 = links.iter().map(|&l| i64::from(self.w[l as usize])).sum();
+            Eval {
+                score: weight - touched,
+                split_gain: if self.beta >= 1 {
+                    splits.count() as u64
+                } else {
+                    0
+                },
+                coverage_gain: links
+                    .iter()
+                    .filter(|&&l| self.w[l as usize] < self.alpha)
+                    .count() as u32,
+            }
+        }
+
+        fn select(&mut self, links: &[u32]) {
+            for (e, by) in self.elements.iter().zip(&mut self.covered_by) {
+                if e.iter().any(|l| links.contains(l)) {
+                    by.push(self.selected);
+                }
+            }
+            for &l in links {
+                self.w[l as usize] += 1;
+            }
+            self.selected += 1;
+        }
+
+        fn cells(&self) -> (u64, u64) {
+            (self.link_sets(&[]).len() as u64, self.elements.len() as u64)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Scores, splits and cell counts follow the brute-force model
+        /// through any interleaving of evaluations and selections, for
+        /// every β (β ≤ 1 scores straight off the locals, β ≥ 2 off the
+        /// enumerated incident elements).
+        #[test]
+        fn kernel_matches_the_brute_force_model(
+            n in 1u32..9,
+            alpha in 0u32..4,
+            beta in 0u32..4,
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0u32..8, 0..4), 0u32..3),
+                1..24,
+            ),
+        ) {
+            let links: Vec<LinkId> = (0..n).map(LinkId).collect();
+            let mut st = SelectionState::new(&links, &cfg(alpha, beta)).unwrap();
+            let mut model = Naive::new(n, alpha, beta);
+            for (id, (raw, select)) in steps.iter().enumerate() {
+                let p = path(id as u32, &raw.iter().map(|l| l % n).collect::<Vec<_>>());
+                let ls: Vec<u32> = p.links().iter().map(|l| l.0).collect();
+                assert_eq!(st.evaluate(&p).unwrap(), model.evaluate(&ls), "step {id}");
+                if *select == 0 {
+                    st.select(&p).unwrap();
+                    model.select(&ls);
+                }
+                assert_eq!(st.cells(), model.cells(), "step {id}");
+                assert_eq!(st.min_coverage(), *model.w.iter().min().unwrap());
+                let covered = model.w.iter().all(|&w| w >= alpha);
+                let discrete = beta == 0 || model.cells().0 == model.cells().1;
+                assert_eq!(st.targets_met(), covered && discrete, "step {id}");
+            }
+            assert_eq!(st.selected().len() as u32, model.selected);
+        }
     }
 }

@@ -145,7 +145,7 @@ pub fn max_identifiability(matrix: &ProbeMatrix, up_to: u32) -> u32 {
 
     // Links never covered at all → not even 1-identifiable. (Components
     // only contain covered links, so compare against the universe size.)
-    let covered: usize = comps.iter().map(|c| c.universe.len()).sum();
+    let covered: usize = comps.iter().map(|c| c.universe().len()).sum();
     if covered < matrix.num_links {
         return 0;
     }
@@ -154,13 +154,13 @@ pub fn max_identifiability(matrix: &ProbeMatrix, up_to: u32) -> u32 {
     for comp in &comps {
         // Dense path numbering within the component.
         let link_pos: HashMap<LinkId, usize> = comp
-            .universe
+            .universe()
             .iter()
             .enumerate()
             .map(|(i, &l)| (l, i))
             .collect();
-        let mut sigs: Vec<Vec<u32>> = vec![Vec::new(); comp.universe.len()];
-        for (pi, p) in comp.candidates.iter().enumerate() {
+        let mut sigs: Vec<Vec<u32>> = vec![Vec::new(); comp.universe().len()];
+        for (pi, p) in comp.candidates().iter().enumerate() {
             for l in p.links() {
                 sigs[link_pos[l]].push(pi as u32);
             }

@@ -14,8 +14,7 @@
 //! columns contain that path (its *incident* elements: every subset with at
 //! least one constituent on the path).
 
-use std::collections::HashMap;
-
+use super::index::LinkLookup;
 use super::PmcError;
 use crate::types::LinkId;
 
@@ -26,7 +25,7 @@ pub struct ExtendedUniverse {
     /// Dense local index → global link id.
     links: Vec<LinkId>,
     /// Global link id → dense local index.
-    index: HashMap<LinkId, u32>,
+    index: LinkLookup,
     beta: u32,
     n: u64,
     /// Element ids `[n, pairs_end)` are pairs.
@@ -70,11 +69,7 @@ impl ExtendedUniverse {
                 limit: cap,
             });
         }
-        let index: HashMap<LinkId, u32> = links
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i as u32))
-            .collect();
+        let index = LinkLookup::new(&links);
         let triple_prefix = if beta >= 3 {
             // triple_prefix[i] = Σ_{a<i} C(n-1-a, 2).
             let mut pre = Vec::with_capacity(n as usize + 1);
@@ -120,7 +115,7 @@ impl ExtendedUniverse {
     /// Maps a global link id to its dense local index.
     #[inline]
     pub fn local(&self, link: LinkId) -> Option<u32> {
-        self.index.get(&link).copied()
+        self.index.local(link)
     }
 
     /// Maps a dense local index back to the global link id.

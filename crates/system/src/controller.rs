@@ -26,7 +26,7 @@ use crate::{SharedTopology, SystemConfig};
 pub struct Deployment {
     /// The probe matrix of this cycle.
     pub matrix: ProbeMatrix,
-    /// One pinglist per active pinger.
+    /// One pinglist per active pinger, ascending by pinger.
     pub pinglists: Vec<Pinglist>,
     /// Cycle number.
     pub version: u64,
@@ -48,10 +48,15 @@ impl Deployment {
     /// other cell's entries bit-identical, so this count covers exactly
     /// the pinglists carrying paths of the touched cells.
     pub fn rebase_versions(&mut self, prev: &Deployment) -> usize {
+        debug_assert!(prev.pinglists.is_sorted_by_key(|l| l.pinger));
         let mut redispatched = 0;
         for list in &mut self.pinglists {
-            match prev.pinglists.iter().find(|l| l.pinger == list.pinger) {
-                Some(old) if old.same_assignment(list) => list.version = old.version,
+            let old = prev
+                .pinglists
+                .binary_search_by_key(&list.pinger, |l| l.pinger)
+                .map(|at| &prev.pinglists[at]);
+            match old {
+                Ok(old) if old.same_assignment(list) => list.version = old.version,
                 _ => redispatched += 1,
             }
         }
@@ -636,6 +641,75 @@ mod tests {
         // original version and nothing is re-dispatched.
         assert_eq!(redispatched, 0);
         assert!(d2.pinglists.iter().all(|l| l.version == d1.version));
+    }
+
+    /// `rebase_versions` by a linear pinger scan per list — the quadratic
+    /// form the binary search replaced.
+    fn rebase_by_scan(next: &mut Deployment, prev: &Deployment) -> usize {
+        let mut redispatched = 0;
+        for list in &mut next.pinglists {
+            match prev.pinglists.iter().find(|l| l.pinger == list.pinger) {
+                Some(old) if old.same_assignment(list) => list.version = old.version,
+                _ => redispatched += 1,
+            }
+        }
+        redispatched
+    }
+
+    /// Rebases a copy of `next` each way; returns the (agreed) count.
+    fn rebase_both_ways(next: &mut Deployment, prev: &Deployment) -> usize {
+        let mut scanned = next.clone();
+        let want = rebase_by_scan(&mut scanned, prev);
+        assert_eq!(next.rebase_versions(prev), want);
+        let versions = |d: &Deployment| d.pinglists.iter().map(|l| l.version).collect::<Vec<_>>();
+        assert_eq!(versions(next), versions(&scanned));
+        want
+    }
+
+    #[test]
+    fn rebase_matches_a_linear_scan_with_pingers_added_removed_and_changed() {
+        let ft = Arc::new(Fattree::new(4).unwrap());
+        let mut ctl = Controller::new(ft, SystemConfig::default());
+        let full = ctl.build_deployment(&HashSet::new()).unwrap();
+        let lists = full.pinglists.len();
+        assert!(lists > 2);
+
+        // Unchanged cycle.
+        let mut next = ctl.build_deployment(&HashSet::new()).unwrap();
+        assert_eq!(rebase_both_ways(&mut next, &full), 0);
+
+        // Pinger added: `prev` lacks a list in the middle of the order.
+        let mut prev = full.clone();
+        let added = prev.pinglists.remove(lists / 2).pinger;
+        let mut next = ctl.build_deployment(&HashSet::new()).unwrap();
+        assert_eq!(rebase_both_ways(&mut next, &prev), 1);
+        for l in &next.pinglists {
+            assert_eq!(l.version == next.version, l.pinger == added);
+        }
+
+        // Pinger removed: `prev` has a list `next` no longer carries.
+        let mut next = ctl.build_deployment(&HashSet::new()).unwrap();
+        next.pinglists.remove(0);
+        assert_eq!(rebase_both_ways(&mut next, &full), 0);
+        assert!(next.pinglists.iter().all(|l| l.version == full.version));
+
+        // A link-down re-plan on the cell-affinity fixtures: some lists
+        // change, some keep their version.
+        let ft = Arc::new(Fattree::new(8).unwrap());
+        for affinity in [false, true] {
+            let cfg = SystemConfig {
+                pingers_per_tor: 4,
+                cell_affinity: affinity,
+                ..SystemConfig::default()
+            };
+            let mut ctl = Controller::new(ft.clone(), cfg);
+            let prev = ctl.build_deployment(&HashSet::new()).unwrap();
+            let link = ft.ea_link(1, 1, 0);
+            ctl.apply_event(&TopologyEvent::LinkDown { link }).unwrap();
+            let mut next = ctl.build_deployment(&HashSet::new()).unwrap();
+            let redispatched = rebase_both_ways(&mut next, &prev);
+            assert!(0 < redispatched && redispatched < next.pinglists.len());
+        }
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! Two candidate-source modes mirror the controller's former split:
 //!
 //! * **materialized** — small topologies enumerate every candidate once;
-//!   cells own their slice of the pristine candidate set and re-solve via
-//!   [`resolve_subproblem`] with the offline links excluded;
+//!   cells own their slice of the pristine candidate set as an indexed
+//!   [`Subproblem`] and re-solve via [`Subproblem::resolve`] with the
+//!   offline links excluded — on the candidate index, never on a
+//!   filtered copy of the candidates;
 //! * **symmetric** — large topologies never materialize candidates. One
 //!   pristine base solution per isomorphism class is replicated to every
 //!   component; an affected component maps its offline links back into
@@ -43,12 +45,12 @@
 //! within a plan's lifetime, so a stale id can never alias a live path.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 use detector_core::pmc::{
-    construct_decomposed_parallel, construct_with_provider, decompose, resolve_subproblem,
-    resolve_subproblem_seeded, Achieved, ExcludingProvider, JobPool, PmcConfig, PmcError,
-    ProbeMatrix, SubSolution, Subproblem,
+    construct_with_provider, decompose, resolve_subproblem_seeded, Achieved, ExcludingProvider,
+    JobPool, PmcConfig, PmcError, ProbeMatrix, SubSolution, Subproblem,
 };
 use detector_core::types::{LinkId, PathIdRange, ProbePath};
 use detector_topology::{BaseComponent, SharedTopology};
@@ -95,8 +97,9 @@ impl IdHeadroom {
 /// Where a cell's candidates come from when it must be re-solved.
 #[derive(Clone, Debug)]
 enum CellSource {
-    /// The cell's pristine candidate slice, fully materialized.
-    Materialized(Vec<ProbePath>),
+    /// The cell's pristine candidate slice, fully materialized and
+    /// indexed once; shared, so cloning a plan copies no candidate.
+    Materialized(Arc<Subproblem>),
     /// Replica `replica` of symmetry base `base`: candidates are pulled
     /// from a fresh base provider and re-homed on demand.
     Replica {
@@ -241,60 +244,38 @@ impl ProbePlan {
             vec![Subproblem::whole(candidates)]
         };
 
-        // Restricted copies feed the solvers; the pristine candidates stay
-        // in the cells for future re-solves. The parallel driver returns
-        // solutions in subproblem order and each cell's solve is
-        // deterministic, so this path is observably identical to the
-        // sequential one (and to a later incremental re-solve of the same
-        // restricted cell).
-        let solutions: Vec<SubSolution> = if cfg.parallel && subproblems.len() > 1 {
-            // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
-            let deadline = cfg.timeout.map(|t| Instant::now() + t);
-            let restricted: Vec<Subproblem> = subproblems
-                .iter()
-                .map(|sp| Subproblem {
-                    universe: sp
-                        .universe
-                        .iter()
-                        .copied()
-                        .filter(|l| !offline.contains(l))
-                        .collect(),
-                    candidates: sp
-                        .candidates
-                        .iter()
-                        .filter(|p| !p.links().iter().any(|l| offline.contains(l)))
-                        .cloned()
-                        .collect(),
-                })
-                .collect();
-            construct_decomposed_parallel(restricted, cfg, deadline)?
-        } else {
-            let mut out = Vec::with_capacity(subproblems.len());
-            for sp in &subproblems {
-                // Membership tests only, so the full offline set stands in
-                // for its intersection with the cell universe.
-                out.push(resolve_subproblem(
-                    &sp.universe,
-                    &sp.candidates,
-                    offline,
-                    cfg,
-                )?);
-            }
-            out
-        };
-
-        let mut cells = Vec::with_capacity(subproblems.len());
-        for (sp, solution) in subproblems.into_iter().zip(solutions) {
-            let excluded = cell_exclusions(&sp.universe, offline);
-            let pristine = excluded.is_empty().then(|| solution.clone());
-            cells.push(PlanCell {
-                universe: sp.universe,
-                excluded,
-                source: CellSource::Materialized(sp.candidates),
-                solution,
-                pristine,
-                range: PathIdRange::default(), // Assigned by the constructor.
-            });
+        // The pristine candidates stay in the cells, indexed, for future
+        // re-solves; the first solve is the same per-cell procedure, over
+        // the same fan-out, as a later incremental re-solve of the cell.
+        let mut cells: Vec<PlanCell> = subproblems
+            .into_iter()
+            .map(|sp| {
+                let universe = sp.universe().to_vec();
+                PlanCell {
+                    excluded: cell_exclusions(&universe, offline),
+                    universe,
+                    source: CellSource::Materialized(Arc::new(sp)),
+                    // Both filled in below.
+                    solution: SubSolution {
+                        paths: Vec::new(),
+                        targets_met: false,
+                        coverage: 0,
+                        cells: (0, 0),
+                    },
+                    pristine: None,
+                    range: PathIdRange::default(), // Assigned by the constructor.
+                }
+            })
+            .collect();
+        let solves: Vec<(usize, Vec<LinkId>)> = cells
+            .iter()
+            .enumerate()
+            .map(|(ci, cell)| (ci, cell.excluded.clone()))
+            .collect();
+        let solutions = resolve_cells(topo, cfg, &cells, &solves, false)?;
+        for (cell, solution) in cells.iter_mut().zip(solutions) {
+            cell.pristine = cell.excluded.is_empty().then(|| solution.clone());
+            cell.solution = solution;
         }
         Ok(cells)
     }
@@ -466,19 +447,14 @@ impl ProbePlan {
             }
         }
 
-        // Phase 1b: re-solve. A multi-cell delta (e.g. a pod drain
-        // touching every group) fans out across threads; each cell's
-        // solve is deterministic, so the parallel patch is observably
-        // identical to re-solving the cells one by one.
-        let solutions: Vec<SubSolution> = if self.cfg.parallel && solves.len() > 1 {
-            self.resolve_cells_parallel(&solves)?
-        } else {
-            let mut out = Vec::with_capacity(solves.len());
-            for (ci, excluded) in &solves {
-                out.push(self.resolve_cell(*ci, excluded)?);
-            }
-            out
-        };
+        // Phase 1b: re-solve.
+        let solutions = resolve_cells(
+            &self.topo,
+            &self.cfg,
+            &self.cells,
+            &solves,
+            self.cfg.stable_patch,
+        )?;
         let mut patches: Vec<(usize, Vec<LinkId>, Option<SubSolution>)> = restores
             .into_iter()
             .map(|(ci, ex)| (ci, ex, None))
@@ -553,88 +529,6 @@ impl ProbePlan {
         self.next_base = u32::MAX - 1;
     }
 
-    /// Re-solves one cell against an exclusion set (does not mutate the
-    /// cell; the caller splices the result).
-    ///
-    /// Under [`PmcConfig::stable_patch`] the re-solve is *seeded* with the
-    /// cell's current solution: surviving paths are pre-selected and the
-    /// greedy repairs only what the delta broke, so the dispatched
-    /// pinglist diff stays proportional to the delta instead of the cell
-    /// size. Replica cells stabilize against the fresh replica solve's
-    /// paths (pulling the seed back into base coordinates would need the
-    /// inverse of the replicate map, which symmetry plans do not expose);
-    /// when the cell heals completely and a pristine solution is cached,
-    /// that cache stands in for the solve as the candidate pool.
-    fn resolve_cell(&self, ci: usize, excluded: &[LinkId]) -> Result<SubSolution, PmcError> {
-        let cell = &self.cells[ci];
-        let excluded_set: HashSet<LinkId> = excluded.iter().copied().collect();
-        match &cell.source {
-            CellSource::Materialized(candidates) => {
-                if self.cfg.stable_patch {
-                    resolve_subproblem_seeded(
-                        &cell.universe,
-                        candidates,
-                        &excluded_set,
-                        &cell.solution.paths,
-                        &self.cfg,
-                    )
-                    .map(|s| align_with_previous(&cell.solution.paths, s))
-                } else {
-                    resolve_subproblem(&cell.universe, candidates, &excluded_set, &self.cfg)
-                }
-            }
-            CellSource::Replica {
-                base,
-                replica,
-                to_base,
-            } => {
-                if self.cfg.stable_patch {
-                    let pool = match (&cell.pristine, excluded.is_empty()) {
-                        (Some(pristine), true) => pristine.paths.clone(),
-                        _ => {
-                            resolve_replica(
-                                &self.topo, &self.cfg, *base, *replica, to_base, excluded,
-                            )?
-                            .paths
-                        }
-                    };
-                    resolve_subproblem_seeded(
-                        &cell.universe,
-                        &pool,
-                        &excluded_set,
-                        &cell.solution.paths,
-                        &self.cfg,
-                    )
-                    .map(|s| align_with_previous(&cell.solution.paths, s))
-                } else {
-                    resolve_replica(&self.topo, &self.cfg, *base, *replica, to_base, excluded)
-                }
-            }
-        }
-    }
-
-    /// Re-solves a batch of cells concurrently, results in input order —
-    /// every cell (materialized or replica) runs the identical
-    /// [`ProbePlan::resolve_cell`] procedure, fanned out over the
-    /// [`JobPool`] the PMC config implies (host parallelism unless
-    /// [`PmcConfig::workers`] bounds it — the distributed controller's
-    /// sharding knob). Because each cell's solve derives its own
-    /// deadline from `cfg.timeout`, the parallel batch has exactly the
-    /// per-cell budget semantics of the sequential fallback: only the
-    /// schedule differs, never the result.
-    fn resolve_cells_parallel(
-        &self,
-        solves: &[(usize, Vec<LinkId>)],
-    ) -> Result<Vec<SubSolution>, PmcError> {
-        JobPool::from_config(&self.cfg)
-            .run_indexed(solves.len(), |i| {
-                let (ci, excluded) = &solves[i];
-                self.resolve_cell(*ci, excluded)
-            })
-            .into_iter()
-            .collect()
-    }
-
     /// Assembles the current per-cell solutions into a *segmented* probe
     /// matrix: each cell's paths are numbered densely within the cell's
     /// stable [`PathIdRange`], so the ids of a cell survive any re-solve
@@ -681,6 +575,80 @@ impl core::fmt::Debug for ProbePlan {
             .field("cells", &self.cells.len())
             .field("offline", &self.offline.len())
             .finish()
+    }
+}
+
+/// Solves `solves` — `(cell ordinal, the cell's new exclusions)` pairs —
+/// without touching the cells, solutions in input order. Every cell
+/// (materialized or replica) runs the identical [`resolve_cell`]
+/// procedure; several cells (a pod drain touching every group, or the
+/// first build) fan out over the [`JobPool`] the PMC config implies (host
+/// parallelism unless [`PmcConfig::workers`] bounds it — the distributed
+/// controller's sharding knob), inline when `cfg.parallel` is off. Each
+/// cell's solve is deterministic and derives its own deadline from
+/// `cfg.timeout`, so only the schedule differs, never the result.
+fn resolve_cells(
+    topo: &SharedTopology,
+    cfg: &PmcConfig,
+    cells: &[PlanCell],
+    solves: &[(usize, Vec<LinkId>)],
+    seeded: bool,
+) -> Result<Vec<SubSolution>, PmcError> {
+    // A lone solve runs inline without asking the host for its
+    // parallelism (a syscall plus cgroup reads on every link flap).
+    let pool = if cfg.parallel && solves.len() > 1 {
+        JobPool::from_config(cfg)
+    } else {
+        JobPool::new(1)
+    };
+    pool.run_indexed(solves.len(), |i| {
+        let (ci, excluded) = &solves[i];
+        resolve_cell(topo, cfg, &cells[*ci], excluded, seeded)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Solves one cell against an exclusion set.
+///
+/// `seeded` ([`PmcConfig::stable_patch`] re-solves) seeds the solve with
+/// the cell's current solution: surviving paths are pre-selected and the
+/// greedy repairs only what the delta broke, so the dispatched pinglist
+/// diff stays proportional to the delta instead of the cell size. Replica
+/// cells stabilize against the fresh replica solve's paths (pulling the
+/// seed back into base coordinates would need the inverse of the replicate
+/// map, which symmetry plans do not expose); when the cell heals
+/// completely and a pristine solution is cached, that cache stands in for
+/// the solve as the candidate pool.
+fn resolve_cell(
+    topo: &SharedTopology,
+    cfg: &PmcConfig,
+    cell: &PlanCell,
+    excluded: &[LinkId],
+    seeded: bool,
+) -> Result<SubSolution, PmcError> {
+    let excluded_set: HashSet<LinkId> = excluded.iter().copied().collect();
+    let previous = &cell.solution.paths;
+    match &cell.source {
+        CellSource::Materialized(sp) if seeded => sp
+            .resolve_seeded(&excluded_set, previous, cfg)
+            .map(|s| align_with_previous(previous, s)),
+        CellSource::Materialized(sp) => sp.resolve(&excluded_set, cfg),
+        CellSource::Replica {
+            base,
+            replica,
+            to_base,
+        } => {
+            if !seeded {
+                return resolve_replica(topo, cfg, *base, *replica, to_base, excluded);
+            }
+            let pool = match (&cell.pristine, excluded.is_empty()) {
+                (Some(pristine), true) => pristine.paths.clone(),
+                _ => resolve_replica(topo, cfg, *base, *replica, to_base, excluded)?.paths,
+            };
+            resolve_subproblem_seeded(&cell.universe, &pool, &excluded_set, previous, cfg)
+                .map(|s| align_with_previous(previous, s))
+        }
     }
 }
 
@@ -791,7 +759,6 @@ fn resolve_replica(
 mod tests {
     use super::*;
     use detector_topology::{DcnTopology, Fattree, TopologyEvent, TopologyView};
-    use std::sync::Arc;
 
     fn shared(k: u32) -> SharedTopology {
         Arc::new(Fattree::new(k).unwrap())
