@@ -2,7 +2,9 @@
 //! round-trip throughput and wire encode/decode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use detector_simnet::{decode_probe, encode_probe, Fabric, FlowKey, LossDiscipline, ProbePacket};
+use detector_simnet::{
+    decode_probe, encode_probe, Fabric, FlowKey, LossDiscipline, ProbePacket, PROBE_WIRE_SIZE,
+};
 use detector_topology::{DcnTopology, Fattree};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -30,10 +32,12 @@ fn bench_simnet(c: &mut Criterion) {
         path_id: 42,
         timestamp_us: 123_456,
     };
-    g.bench_function("probe_encode", |b| b.iter(|| encode_probe(&packet)));
-    let wire = encode_probe(&packet);
+    let mut wire = [0u8; PROBE_WIRE_SIZE];
+    g.bench_function("probe_encode", |b| {
+        b.iter(|| encode_probe(&packet, &mut wire))
+    });
     g.bench_function("probe_decode", |b| {
-        b.iter(|| decode_probe(wire.clone()).unwrap())
+        b.iter(|| decode_probe(&wire[..]).unwrap())
     });
     g.finish();
 }

@@ -19,13 +19,15 @@ use crate::{Check, Diagnostic, FileCtx};
 
 /// The per-window hot paths: everything executed per probe, per report
 /// or per window by the sequential and pipelined drivers, plus the
-/// agent-tier frame codec, which parses bytes off real sockets.
+/// agent-tier frame codec and the probe packet codec, which parse bytes
+/// off real sockets.
 /// Control-plane code (controller, planner) re-plans between windows and
 /// reports typed `PmcError`s already.
 const SCOPE: &[&str] = &[
     "crates/agent/src/frame.rs",
     "crates/core/src/pll/components.rs",
     "crates/ingest/src/plane.rs",
+    "crates/simnet/src/packet.rs",
     "crates/system/src/scheduler.rs",
     "crates/system/src/pinger.rs",
     "crates/system/src/report.rs",
@@ -149,6 +151,13 @@ mod tests {
         // Every byte a peer sends goes through this file; a panic there
         // is a remote crash.
         assert!(in_scope("crates/agent/src/frame.rs"));
+    }
+
+    #[test]
+    fn probe_codec_is_in_scope() {
+        // Prober recv loops and responders both hand it datagrams
+        // straight off a socket.
+        assert!(in_scope("crates/simnet/src/packet.rs"));
     }
 
     #[test]

@@ -46,8 +46,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
-use detector_simnet::{decode_probe, FlowKey, ProbePacket};
+use detector_simnet::{decode_probe, encode_probe, FlowKey, ProbePacket, PROBE_WIRE_SIZE};
 use detector_topology::Route;
 use rand::rngs::SmallRng;
 
@@ -409,7 +408,7 @@ fn recv_loop(shared: &Shared, index: usize) {
         let Some(frame) = buf.get(..len) else {
             continue;
         };
-        let pkt = match decode_probe(Bytes::copy_from_slice(frame)) {
+        let pkt = match decode_probe(frame) {
             Ok(p) => p,
             Err(_) => {
                 Counters::bump(&shared.stats.decode_errors);
@@ -549,6 +548,9 @@ impl DataPlane for UdpDataPlane {
                 rtt_us: 0.0,
             };
         };
+        // Every attempt is encoded into this one stack buffer: nothing on
+        // the send path allocates.
+        let mut wire = [0u8; PROBE_WIRE_SIZE];
         for attempt in 0..sh.retry.attempts() {
             if attempt > 0 {
                 Counters::bump(&sh.stats.retries);
@@ -558,19 +560,22 @@ impl DataPlane for UdpDataPlane {
             let seq = sh.seq.fetch_add(1, Ordering::Relaxed);
             let sent_mono = sh.clock.mono_us();
             let sent_wall = sh.clock.wall_us();
-            let wire = detector_simnet::encode_probe(&ProbePacket {
-                waypoint: tag.waypoint,
-                flow,
-                seq,
-                path_id: tag.path_id,
-                timestamp_us: sent_wall,
-            });
+            encode_probe(
+                &ProbePacket {
+                    waypoint: tag.waypoint,
+                    flow,
+                    seq,
+                    path_id: tag.path_id,
+                    timestamp_us: sent_wall,
+                },
+                &mut wire,
+            );
             sh.pending.register(seq, sent_mono, sent_wall);
             let Some(socket) = sh.sockets.get(seq as usize % sh.sockets.len()) else {
                 sh.pending.cancel(seq);
                 break;
             };
-            if socket.send_to(wire.as_ref(), addr).is_err() {
+            if socket.send_to(&wire, addr).is_err() {
                 sh.pending.cancel(seq);
                 Counters::bump(&sh.stats.send_errors);
                 continue;

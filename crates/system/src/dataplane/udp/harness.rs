@@ -18,8 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
-use detector_simnet::PacketError;
+use detector_simnet::{PacketError, PROBE_WIRE_SIZE};
 
 use super::{LossShim, UdpConfig, UdpDataPlane};
 use crate::clock::ProbeClock;
@@ -130,7 +129,10 @@ fn responder_loop(
     stats: &SharedStats,
 ) {
     let responder = Responder::new(dport);
+    // One receive and one send buffer for the loop's lifetime: an echo
+    // costs no allocation and no copy beyond the kernel's.
     let mut buf = [0u8; 2048];
+    let mut reply = [0u8; PROBE_WIRE_SIZE];
     while !shutdown.load(Ordering::Acquire) {
         let (len, src) = match socket.recv_from(&mut buf) {
             Ok(x) => x,
@@ -150,14 +152,14 @@ fn responder_loop(
         let Some(frame) = buf.get(..len) else {
             continue;
         };
-        match responder.echo(Bytes::copy_from_slice(frame), clock.wall_us()) {
-            Ok(reply) => {
+        match responder.echo(frame, clock.wall_us(), &mut reply) {
+            Ok(()) => {
                 // Counted before the send, so whoever sees the echo also
                 // sees it counted.
                 stats.echoed.fetch_add(1, Ordering::Relaxed);
                 // Echo to wherever the probe came from; losing the send
                 // surfaces as a probe timeout, never a responder crash.
-                let _ = socket.send_to(reply.as_ref(), src);
+                let _ = socket.send_to(&reply, src);
             }
             // The WrongPort bugfix in action: stray traffic is dropped
             // silently, not counted as corruption.
@@ -256,14 +258,17 @@ mod tests {
         let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
         let addr = harness.addrs()[0];
         // A probe with a flipped payload byte, and outright garbage.
-        let mut raw = encode_probe(&ProbePacket {
-            waypoint: 0,
-            flow: FlowKey::udp(1, 2, 33_000, 53_533),
-            seq: 1,
-            path_id: 0,
-            timestamp_us: 0,
-        })
-        .to_vec();
+        let mut raw = [0u8; PROBE_WIRE_SIZE];
+        encode_probe(
+            &ProbePacket {
+                waypoint: 0,
+                flow: FlowKey::udp(1, 2, 33_000, 53_533),
+                seq: 1,
+                path_id: 0,
+                timestamp_us: 0,
+            },
+            &mut raw,
+        );
         // Flip a checksum byte inside the inner header (one IPv4 header in).
         raw[20 + 8] ^= 0xff;
         sender.send_to(&raw, addr).unwrap();
