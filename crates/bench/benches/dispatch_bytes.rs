@@ -2,11 +2,10 @@
 //! Fattree(16) single-link delta — the wire-cost claim of the
 //! distributed control plane (`detector-agent`).
 //!
-//! The controller runs with `PmcConfig::stable_patch` (the distributed
-//! tier's production setting): the cell re-solve is seeded with the
-//! surviving previous solution, so only the paths the dead link actually
-//! broke change ids or entries. Two arms time the wire encoding of the
-//! same delta under the two protocols:
+//! The planner repairs the cell the link went down in: the solve is
+//! seeded with the previous solution, so only the paths the dead link
+//! actually broke change ids or entries. Two arms time the wire encoding
+//! of the same delta under the two protocols:
 //!
 //! * `whole_list` — the pre-diff protocol: every changed pinglist ships
 //!   whole (one `ListReplace` frame per list);
@@ -47,9 +46,7 @@ struct Delta {
 
 fn single_link_delta() -> Delta {
     let ft = Arc::new(Fattree::new(16).expect("fattree"));
-    let mut cfg = SystemConfig::default();
-    cfg.pmc.stable_patch = true;
-    let mut ctl = Controller::new(ft.clone() as SharedTopology, cfg);
+    let mut ctl = Controller::new(ft.clone() as SharedTopology, SystemConfig::default());
     let healthy = HashSet::new();
     let old = ctl.build_deployment(&healthy).expect("initial deployment");
     let ranges_before = ctl.probe_plan().map(|p| p.cell_ranges());

@@ -10,9 +10,9 @@
 //!   re-derives candidates/providers and re-solves every affected
 //!   subproblem plus a pristine base where replicas need it;
 //! * `incremental_*` — [`ProbePlan::apply`] on the standing plan: only
-//!   the subproblem the delta touches is re-solved (`_down`), and a
-//!   repaired link restores the cached pristine solution without solving
-//!   at all (`_up`).
+//!   the subproblem the delta touches is repaired, seeded with the paths
+//!   it already has (`_down`), and a repaired link restores the cached
+//!   pristine solution without solving at all (`_up`).
 //!
 //! Both arms end with `ProbePlan::matrix()` so the cost of assembling the
 //! deployable matrix is included on both sides. The shim's criterion

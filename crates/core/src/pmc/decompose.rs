@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use super::index::{CandidateIndex, IndexedCell};
-use super::{solve_restricted, PmcConfig, PmcError, SubSolution};
+use super::{repair_restricted, solve_restricted, PmcConfig, PmcError, SubSolution};
 use crate::types::{LinkId, ProbePath};
 
 /// One independent PMC subproblem: a link universe, the candidate paths
@@ -58,11 +58,7 @@ impl Subproblem {
     }
 
     fn indexed(&self) -> IndexedCell<'_> {
-        IndexedCell {
-            universe: &self.universe,
-            candidates: &self.candidates,
-            index: &self.index,
-        }
+        self.index.cell(&self.universe, &self.candidates)
     }
 
     /// Solves the whole subproblem with the configured strategy.
@@ -71,7 +67,7 @@ impl Subproblem {
         cfg: &PmcConfig,
         deadline: Option<Instant>,
     ) -> Result<SubSolution, PmcError> {
-        solve_restricted(self.indexed(), &HashSet::new(), None, cfg, deadline)
+        solve_restricted(self.indexed(), &HashSet::new(), cfg, deadline)
     }
 
     /// [`resolve_subproblem`](super::resolve_subproblem) on the stored
@@ -81,18 +77,18 @@ impl Subproblem {
         excluded: &HashSet<LinkId>,
         cfg: &PmcConfig,
     ) -> Result<SubSolution, PmcError> {
-        solve_restricted(self.indexed(), excluded, None, cfg, cfg.deadline())
+        solve_restricted(self.indexed(), excluded, cfg, cfg.deadline())
     }
 
     /// [`resolve_subproblem_seeded`](super::resolve_subproblem_seeded) on
     /// the stored index.
-    pub fn resolve_seeded(
+    pub fn resolve_seeded<'a>(
         &self,
         excluded: &HashSet<LinkId>,
-        seed: &[ProbePath],
+        seed: impl IntoIterator<Item = &'a ProbePath>,
         cfg: &PmcConfig,
     ) -> Result<SubSolution, PmcError> {
-        solve_restricted(self.indexed(), excluded, Some(seed), cfg, cfg.deadline())
+        repair_restricted(self.indexed(), excluded, seed, cfg, cfg.deadline())
     }
 }
 

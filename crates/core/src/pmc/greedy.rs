@@ -3,28 +3,41 @@
 
 use std::time::Instant;
 
-use super::index::Pool;
+use super::index::{CellPool, Pool};
 use super::state::SelectionState;
 use super::{check_deadline, PmcConfig, PmcError, SubSolution};
+use crate::types::ProbePath;
 
-/// Runs the strawman greedy from `state` over every candidate of `pool`.
+/// Runs the strawman greedy from `state` over the candidates of `pool`.
+///
 /// A `state` that already holds a selection makes this the completion half
-/// of a seeded re-solve (`resolve_subproblem_seeded` pre-selects the
-/// surviving previous solution, then repairs from here).
-pub(crate) fn run<P: Pool>(
-    mut pool: P,
+/// of a seeded repair (`resolve_subproblem_seeded` pre-selects the
+/// surviving previous solution, then repairs from here), so the work is
+/// sized by what is still missing, not by the pool: a state that already
+/// meets the targets returns before the pool is looked at, and otherwise
+/// only candidates crossing a *deficient* link
+/// ([`SelectionState::deficient_links`]) enter `alive` — no other
+/// candidate can be `useful`, now or later, so the selection is the one a
+/// scan of the whole pool makes (`reference.rs` keeps that scan and the
+/// proptest comparing the two). `selected` says whether a candidate is
+/// already in the selection as a seed path; it is asked only about a
+/// candidate that is about to lead a round — in candidate order among
+/// equals, so of several copies of a route the earliest stand for the
+/// seeds — and a candidate it claims is dropped for good.
+pub(crate) fn run(
+    mut pool: CellPool<'_>,
     mut state: SelectionState,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
+    mut selected: impl FnMut(&ProbePath) -> bool,
 ) -> Result<SubSolution, PmcError> {
     // detlint::allow(determinism, reason = "PMC solver timeout clock; deadlines only abort, never alter a completed plan")
     let start = Instant::now();
+    if state.targets_met() {
+        return Ok(state.into_solution());
+    }
     // Indices of the candidates still in play, in candidate order.
-    let mut alive: Vec<u32> = Vec::new();
-    while pool.pull(|i, _| {
-        alive.push(i);
-        Ok(true)
-    })? {}
+    let mut alive = pool.crossing(&state.deficient_links());
 
     while !state.targets_met() {
         check_deadline(deadline, start)?;
@@ -33,7 +46,8 @@ pub(crate) fn run<P: Pool>(
         let mut kept = 0;
         for at in 0..alive.len() {
             let i = alive[at];
-            let e = state.evaluate_locals(pool.get(i).0);
+            let (locals, path) = pool.get(i);
+            let e = state.evaluate_locals(locals);
             if (at + 1).is_multiple_of(4096) {
                 check_deadline(deadline, start)?;
             }
@@ -44,6 +58,9 @@ pub(crate) fn run<P: Pool>(
                 continue;
             }
             if best.is_none_or(|(s, _)| e.score < s) {
+                if selected(path) {
+                    continue;
+                }
                 best = Some((e.score, kept));
             }
             alive[kept] = i;

@@ -105,6 +105,20 @@ impl CandidateIndex {
         }
     }
 
+    /// This index together with the `universe` and `candidates` it was
+    /// built over.
+    pub(crate) fn cell<'a>(
+        &'a self,
+        universe: &'a [LinkId],
+        candidates: &'a [ProbePath],
+    ) -> IndexedCell<'a> {
+        IndexedCell {
+            universe,
+            candidates,
+            index: self,
+        }
+    }
+
     /// Number of indexed candidates.
     pub(crate) fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -191,6 +205,33 @@ impl<'a> CellPool<'a> {
     /// The restricted universe candidates' locals index into.
     pub(crate) fn universe(&self) -> &[LinkId] {
         &self.universe
+    }
+
+    /// The candidates [`Pool::pull`] would offer that cross a link
+    /// flagged in `flagged` (indexed by restricted local), in candidate
+    /// order — found on the pristine index rows, one flag lookup per
+    /// link, without renumbering a candidate that is not kept.
+    pub(crate) fn crossing(&self, flagged: &[bool]) -> Vec<u32> {
+        const FLAGGED: u8 = 1;
+        const DEAD: u8 = 2;
+        // Per cell local: flagged, excluded, or neither.
+        let class: Vec<u8> = match &self.remap {
+            None => flagged.iter().map(|&f| u8::from(f)).collect(),
+            Some(remap) => remap
+                .iter()
+                .map(|&r| match r {
+                    EXCLUDED => DEAD,
+                    r => u8::from(flagged[r as usize]),
+                })
+                .collect(),
+        };
+        let index = self.cell.index;
+        (0..index.len() as u32)
+            .filter(|&i| {
+                let classes = index.locals(i as usize).iter().map(|&l| class[l as usize]);
+                classes.fold(0, |seen, c| seen | c) == FLAGGED
+            })
+            .collect()
     }
 }
 
@@ -315,6 +356,10 @@ mod tests {
         assert!(!pool.pull(|_, _| Ok(true)).unwrap());
         let (locals, p) = pool.get(3);
         assert_eq!((locals, p.id.0), (&[2u32][..], 3));
+        // Flags are in restricted locals: link 2 is local 1, link 3 local 2.
+        assert_eq!(pool.crossing(&[true, false, false]), Vec::<u32>::new());
+        assert_eq!(pool.crossing(&[false, true, false]), vec![1]);
+        assert_eq!(pool.crossing(&[true, false, true]), vec![1, 3]);
 
         // Excluding nothing the universe holds borrows everything.
         let none: HashSet<LinkId> = [LinkId(9)].into_iter().collect();

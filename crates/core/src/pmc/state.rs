@@ -48,6 +48,12 @@ impl Partition {
         self.num_cells == num_elements
     }
 
+    /// True while `element` still shares its cell with another element.
+    #[inline]
+    fn shared(&self, element: u64) -> bool {
+        self.cell_size[self.cell_of[element as usize] as usize] > 1
+    }
+
     /// Counts, without modifying the partition, how many distinct cells the
     /// incident elements touch and how many of those cells would actually
     /// split (contain both incident and non-incident elements).
@@ -196,6 +202,32 @@ impl SelectionState {
     /// Minimum coverage achieved so far over the subproblem's links.
     pub fn min_coverage(&self) -> u32 {
         self.w.iter().copied().min().unwrap_or(0)
+    }
+
+    /// Per local link, whether a path must cross it to still be
+    /// [`Eval::useful`]: the link is under-α-covered, or (β ≥ 1) it is a
+    /// physical member of an extended element that still shares its
+    /// partition cell. A path crossing none of these gains no coverage and
+    /// can split no cell — a cell it touches is touched through an element
+    /// one of its links belongs to — and since selections only ever shrink
+    /// this set, it stays useless for the rest of the solve.
+    pub(crate) fn deficient_links(&mut self) -> Vec<bool> {
+        let mut deficient: Vec<bool> = self.w.iter().map(|&w| w < self.alpha).collect();
+        if self.beta == 0 {
+            return deficient;
+        }
+        for (l, deficient) in deficient.iter_mut().enumerate() {
+            if *deficient {
+                continue;
+            }
+            *deficient = if self.beta == 1 {
+                self.partition.shared(l as u64)
+            } else {
+                self.load_incident(&[l as u32]);
+                self.incident.iter().any(|&e| self.partition.shared(e))
+            };
+        }
+        deficient
     }
 
     /// Paths selected so far.

@@ -68,6 +68,14 @@ impl ProbePath {
         &self.nodes
     }
 
+    /// What makes two paths the same probe: the nodes visited and the
+    /// links covered. The [`id`](Self::id) is a row or slot number, not an
+    /// identity — a path keeps its route when it is re-numbered.
+    #[inline]
+    pub fn route(&self) -> (&[NodeId], &[LinkId]) {
+        (&self.nodes, &self.links)
+    }
+
     /// Returns true if the path covers `link`.
     #[inline]
     pub fn covers(&self, link: LinkId) -> bool {

@@ -20,9 +20,11 @@ use crate::{Check, Diagnostic, FileCtx};
 /// The per-window hot paths: everything executed per probe, per report
 /// or per window by the sequential and pipelined drivers, plus the
 /// agent-tier frame codec and the probe packet codec, which parse bytes
-/// off real sockets.
-/// Control-plane code (controller, planner) re-plans between windows and
-/// reports typed `PmcError`s already.
+/// off real sockets, plus the incremental planner: the controller calls
+/// it on every link flap, and a panic there takes the control plane
+/// down with the topology already changed under it.
+/// The rest of the control plane (controller, dispatch) re-plans between
+/// windows and reports typed `PmcError`s already.
 const SCOPE: &[&str] = &[
     "crates/agent/src/frame.rs",
     "crates/core/src/pll/components.rs",
@@ -30,6 +32,7 @@ const SCOPE: &[&str] = &[
     "crates/simnet/src/packet.rs",
     "crates/system/src/scheduler.rs",
     "crates/system/src/pinger.rs",
+    "crates/system/src/planner.rs",
     "crates/system/src/report.rs",
     "crates/system/src/runtime.rs",
     "crates/system/src/events.rs",
@@ -158,6 +161,13 @@ mod tests {
         // Prober recv loops and responders both hand it datagrams
         // straight off a socket.
         assert!(in_scope("crates/simnet/src/packet.rs"));
+    }
+
+    #[test]
+    fn incremental_planner_is_in_scope() {
+        // `ProbePlan::apply` runs on every link flap; its panics are the
+        // controller's.
+        assert!(in_scope("crates/system/src/planner.rs"));
     }
 
     #[test]

@@ -275,15 +275,20 @@ impl Controller {
     }
 
     /// Recomputes the probe matrix from scratch for the *current* view
-    /// state, ignoring the incremental plan. This is the equivalence
-    /// oracle for the incremental path (and the "full recompute" arm of
-    /// the `replan_latency` bench): by construction it runs the identical
-    /// deterministic per-subproblem procedure, so its result must carry
-    /// exactly the paths of [`Controller::compute_matrix`] after any
-    /// event sequence, row for row. `PathId`s may differ: the standing
-    /// plan keeps the id ranges it was born with (id *stability* across
-    /// deltas is the point of segmented allocation), while a fresh plan
-    /// derives its ranges from the current per-cell solution sizes.
+    /// state, ignoring the incremental plan — the canonical plan for the
+    /// current offline set (and the "full recompute" arm of the
+    /// `replan_latency` bench). It is the *targets* oracle for the
+    /// incremental path, not a row oracle: while a link is offline the
+    /// standing plan is a repair of what it had, so after any event
+    /// sequence [`Controller::compute_matrix`] must achieve what this
+    /// achieves (certified targets, uncoverable links, verified coverage
+    /// and identifiability over the online links) without necessarily
+    /// carrying the same paths; with nothing offline the two carry the
+    /// same paths row for row. `PathId`s may differ even then: the
+    /// standing plan keeps the id ranges it was born with (id
+    /// *stability* across deltas is the point of segmented allocation),
+    /// while a fresh plan derives its ranges from the current per-cell
+    /// solution sizes.
     pub fn compute_matrix_from_scratch(&self) -> Result<ProbeMatrix, PmcError> {
         let plan = ProbePlan::with_options(
             self.view.shared(),
@@ -600,17 +605,41 @@ mod tests {
             link: ft.ea_link(0, 0, 0),
         })
         .unwrap();
+        // Degraded, the repaired plan achieves what the from-scratch
+        // plan achieves (coverage compared up to α; beyond it is
+        // incidental in either) without probing an offline link…
         let patched = ctl.compute_matrix().unwrap();
         let scratch = ctl.compute_matrix_from_scratch().unwrap();
-        // Same paths row for row; ids may differ (the patched plan keeps
-        // its birth ranges, the scratch plan derives fresh ones).
+        let alpha = ctl.cfg.pmc.alpha;
+        let certified = |m: &ProbeMatrix| {
+            let a = m.achieved;
+            (a.targets_met, a.identifiability, a.coverage.min(alpha))
+        };
+        assert_eq!(certified(&patched), certified(&scratch));
+        assert_eq!(patched.uncoverable, scratch.uncoverable);
+        for l in ctl.view().offline_links() {
+            assert!(patched.paths.iter().all(|p| !p.covers(*l)));
+        }
+
+        // …and healed, it is the from-scratch plan row for row; ids may
+        // differ (the patched plan keeps its birth ranges, the scratch
+        // plan derives fresh ones).
+        ctl.apply_event(&TopologyEvent::SwitchUndrain {
+            switch: ft.agg(1, 1),
+        })
+        .unwrap();
+        ctl.apply_event(&TopologyEvent::LinkUp {
+            link: ft.ea_link(0, 0, 0),
+        })
+        .unwrap();
+        let patched = ctl.compute_matrix().unwrap();
+        let scratch = ctl.compute_matrix_from_scratch().unwrap();
         assert_eq!(patched.num_paths(), scratch.num_paths());
         for (pa, pb) in patched.paths.iter().zip(&scratch.paths) {
             assert_eq!(pa.links(), pb.links());
             assert_eq!(pa.nodes(), pb.nodes());
         }
         assert_eq!(patched.achieved, scratch.achieved);
-        assert_eq!(patched.uncoverable, scratch.uncoverable);
     }
 
     #[test]

@@ -29,15 +29,14 @@ fn main() {
     let agents = 4;
     let windows = 12;
 
-    // Refreshes at windows 4 and 8 (cycle_s = 120 at 30 s windows).
-    // `stable_patch` is the distributed tier's production setting: cell
-    // re-solves are seeded with the surviving previous solution, so a
-    // delta ships per-entry diffs instead of reshuffled whole lists.
-    let mut cfg = SystemConfig {
+    // Refreshes at windows 4 and 8 (cycle_s = 120 at 30 s windows). The
+    // planner repairs the cell a link goes down in — surviving paths keep
+    // their ids — so the delta ships per-entry diffs instead of
+    // reshuffled whole lists.
+    let cfg = SystemConfig {
         cycle_s: 120,
         ..SystemConfig::default()
     };
-    cfg.pmc.stable_patch = true;
 
     let script = DistScript::new()
         .at(

@@ -35,15 +35,10 @@ use rand::SeedableRng;
 
 /// A short cycle (two 30-second windows) so refreshes fire mid-run.
 fn config() -> SystemConfig {
-    let mut cfg = SystemConfig {
+    SystemConfig {
         cycle_s: 60,
         ..SystemConfig::default()
-    };
-    // The distributed tier's production setting: churn-minimizing seeded
-    // re-solves. Both sides of every equivalence check share it, so the
-    // whole loss × churn × crash matrix runs against the seeded planner.
-    cfg.pmc.stable_patch = true;
-    cfg
+    }
 }
 
 fn sample_server(ft: &Fattree, target: u16) -> NodeId {
@@ -449,11 +444,9 @@ fn fattree32_end_to_end_with_delta_proportional_dispatch() {
     let ft = Arc::new(Fattree::new(32).unwrap());
     let fabric = Fabric::quiet(ft.as_ref());
 
-    // The distributed tier runs the churn-minimizing controller: seeded
-    // cell re-solves keep surviving paths at their ids, so only the
-    // paths the delta actually broke travel.
-    let mut cfg = config();
-    cfg.pmc.stable_patch = true;
+    // The controller repairs a cell a link went down in: surviving paths
+    // keep their ids, so only the paths the delta actually broke travel.
+    let cfg = config();
 
     let mut base = DistributedDetector::new(ft.clone() as SharedTopology, cfg.clone(), 8)
         .expect("boot baseline");
@@ -507,9 +500,7 @@ fn single_link_diff_vs_whole(ft: &Arc<Fattree>, _k: u32) -> (u64, u64) {
     };
     use detector_system::Controller;
 
-    let mut cfg = config();
-    cfg.pmc.stable_patch = true;
-    let mut ctl = Controller::new(ft.clone() as SharedTopology, cfg);
+    let mut ctl = Controller::new(ft.clone() as SharedTopology, config());
     let healthy = std::collections::HashSet::new();
     let dep0 = ctl.build_deployment(&healthy).expect("initial deployment");
     let ranges_before = ctl.probe_plan().map(|p| p.cell_ranges());
