@@ -22,7 +22,7 @@
 //! heartbeat, closed transport, scripted crash) turns into
 //! `PingerUnhealthy` for its host group and the window completes
 //! without it. [`DistributedDetector::run_distributed`] is proven
-//! equivalent to the sequential oracle via [`DistScript::oracle`].
+//! equivalent to the sequential oracle via [`FleetScript::oracle`].
 
 mod agent;
 mod frame;
@@ -31,7 +31,9 @@ mod transport;
 
 pub use agent::{AgentExit, PingerAgent};
 pub use frame::{Frame, FrameError, MAX_FRAME};
-pub use runtime::{DistAction, DistError, DistOutcome, DistScript, DistributedDetector};
+pub use runtime::{
+    DistAction, DistError, DistOutcome, DistScript, DistributedDetector, FleetScript,
+};
 pub use transport::{
     flaky_loopback, loopback, ControlTransport, LoopbackEnd, TcpTransport, Transport,
     TransportError,

@@ -2,60 +2,64 @@
 //! over a fleet of [`PingerAgent`](crate::PingerAgent)s and is proven
 //! equivalent to the single-process sequential oracle.
 //!
+//! It is the **distributed schedule** of the one window protocol
+//! ([`detector_system::window`]): the plan half and close half
+//! [`Detector`](detector_system::Detector) runs, on one thread, with the
+//! two things that really differ swapped in. The *installer* ships a
+//! deployment's wire diff to the agents as frames (which they apply with
+//! [`apply_list_update`](detector_system::dispatch::apply_list_update),
+//! the `ListSeal` stamp as an end-to-end checksum); the *report source*
+//! is the agents' transports — `Report` frames are checked and folded
+//! the moment they arrive, a dead agent's retracted again.
+//!
 //! # Equivalence contract
 //!
 //! [`DistributedDetector::run_distributed`] emits the *identical* event
 //! stream and [`WindowResult`]s as
 //! [`Detector::run_scripted`](detector_system::Detector::run_scripted)
-//! over [`DistScript::oracle`]'s expansion of the same script — up to
-//! the wall-clock `replan_micros` field of `PlanUpdated`. The pillars:
-//!
-//! * **Same seeds.** Exactly one `u64` is drawn from the caller's RNG
-//!   per window (the master seed); each batch derives its own stream via
-//!   [`batch_seed`](detector_system::batch_seed), so probe outcomes are
-//!   independent of where (or in what order) batches run.
-//! * **Same dispatch procedure.** Deployments install through
-//!   [`rebase_and_diff`] — the exact procedure the sequential and
-//!   pipelined drivers share — and agents rebuild lists with
-//!   [`apply_list_update`](detector_system::dispatch::apply_list_update),
-//!   with the `ListSeal` stamp as an end-to-end checksum.
-//! * **Same window protocol.** Events are emitted in `step()`'s order
-//!   (`WindowStarted`, optional `CycleRefreshed`, per-pinglist
-//!   `PingerUnhealthy`/`ReportIngested` in deployment order,
-//!   `DiagnosisReady`), with reports collected from agents first and
-//!   then ingested in pinglist order.
+//! over [`FleetScript::oracle`]'s expansion of the same script — up to
+//! the wall-clock `replan_micros` field of `PlanUpdated`. Events, their
+//! order, the roster snapshot, the install procedure and the close-out
+//! are the shared halves', not a copy; and exactly one `u64` is drawn
+//! per window, each batch deriving its own stream via
+//! [`batch_seed`](detector_system::batch_seed), so probe outcomes do not
+//! depend on where (or in what order) batches run.
 //!
 //! # Failure semantics
 //!
-//! A dead agent (scripted [`DistAction::AgentDown`], a failed heartbeat,
-//! or a transport that dies mid-window) degrades to per-rack
-//! `PingerUnhealthy`: its whole host group is marked unhealthy, its
-//! partial reports for the in-flight window are discarded, and the run
-//! continues — a window is never stalled by a crashed agent. This is
-//! exactly the oracle's `MarkUnhealthy` for every server of the group at
-//! that window. One caveat, shared with the pipelined scheduler's
-//! `ChurnFabric` precedent: a *mid-window* crash coinciding with a cycle
-//! refresh or a scripted topology event in the same window re-plans with
-//! pre-crash health in the distributed run but post-mark health in the
-//! oracle; equivalence under unscripted crashes therefore holds for
-//! windows without a coinciding re-plan (scripted `AgentDown` is always
-//! exact, because its marks land before any dispatch).
+//! A dead agent (scripted [`DistAction::AgentDown`], a failed or
+//! mis-answered heartbeat, or a transport that dies mid-window) degrades
+//! to per-rack `PingerUnhealthy`: its whole host group is marked
+//! unhealthy, its partial reports for the in-flight window are
+//! discarded, and the run continues — a window is never stalled by a
+//! crashed agent. This is exactly the oracle's `MarkUnhealthy` for every
+//! server of the group at that window. One caveat, shared with the
+//! pipelined scheduler's `ChurnFabric` precedent: a *mid-window* crash
+//! coinciding with a cycle refresh or a scripted topology event in the
+//! same window re-plans with pre-crash health in the distributed run but
+//! post-mark health in the oracle; equivalence under unscripted crashes
+//! therefore holds for windows without a coinciding re-plan (scripted
+//! `AgentDown` is always exact, because its marks land before any
+//! dispatch).
+//!
+//! An agent that *talks* but breaks the protocol fails the run with
+//! [`DistError::Protocol`]: a report is outside input, checked before it
+//! is folded — it must name the open window and a pinger of the sender's
+//! host group that the roster expects, once.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use detector_core::pmc::PmcError;
-use detector_core::types::{NodeId, PathIdRange};
+use detector_core::types::NodeId;
 use detector_simnet::{partition_hosts, HostGroups};
-use detector_system::dispatch::{rebase_and_diff, rebase_pairs, DispatchStats, ListUpdate};
+use detector_system::dispatch::{DeploymentDiff, ListUpdate};
+use detector_system::window::{self, CloseHalf, PlanHalf, Ticket};
 use detector_system::{
-    BuildError, Controller, DataPlane, Deployment, Diagnoser, EventSink, RuntimeEvent, Script,
-    SystemConfig, Watchdog, WindowResult,
+    BuildError, DataPlane, Diagnoser, EventSink, PingerReport, Pinglist, Script, ScriptAction,
+    SystemConfig, TopologyEvent, Watchdog, WindowResult, Windowed,
 };
-use detector_system::{SimClock, TopologyEvent};
 use detector_topology::SharedTopology;
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::agent::PingerAgent;
 use crate::frame::Frame;
@@ -78,70 +82,27 @@ pub enum DistAction {
     AgentUp(usize),
 }
 
-/// A windowed script of churn, health marks and agent failures, applied
-/// before each window's dispatch (push order within a window). Window
-/// indices are relative to the start of the run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DistScript {
-    actions: Vec<(u64, DistAction)>,
+impl From<ScriptAction> for DistAction {
+    fn from(action: ScriptAction) -> Self {
+        match action {
+            ScriptAction::Topology(ev) => DistAction::Topology(ev),
+            ScriptAction::MarkUnhealthy(s) => DistAction::MarkUnhealthy(s),
+            ScriptAction::MarkHealthy(s) => DistAction::MarkHealthy(s),
+        }
+    }
 }
 
-impl DistScript {
-    /// An empty script.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// A windowed script of churn, health marks and agent failures; the
+/// agent verbs and the oracle expansion come from [`FleetScript`].
+pub type DistScript = Windowed<DistAction>;
 
-    /// Adds an action firing before `window` (builder style; stable
-    /// order within one window).
-    pub fn at(mut self, window: u64, action: DistAction) -> Self {
-        self.actions.push((window, action));
-        self.actions.sort_by_key(|(w, _)| *w);
-        self
-    }
-
-    /// Adds a topology event firing before `window`.
-    pub fn topology(self, window: u64, event: TopologyEvent) -> Self {
-        self.at(window, DistAction::Topology(event))
-    }
-
-    /// Marks `server` unhealthy before `window`.
-    pub fn mark_unhealthy(self, window: u64, server: NodeId) -> Self {
-        self.at(window, DistAction::MarkUnhealthy(server))
-    }
-
-    /// Clears `server`'s mark before `window`.
-    pub fn mark_healthy(self, window: u64, server: NodeId) -> Self {
-        self.at(window, DistAction::MarkHealthy(server))
-    }
-
+/// What a [`DistScript`] says beyond a single-process [`Script`].
+pub trait FleetScript: Sized {
     /// Kills agent `g` before `window`.
-    pub fn agent_down(self, window: u64, agent: usize) -> Self {
-        self.at(window, DistAction::AgentDown(agent))
-    }
+    fn agent_down(self, window: u64, agent: usize) -> Self;
 
     /// Restarts agent `g` before `window`.
-    pub fn agent_up(self, window: u64, agent: usize) -> Self {
-        self.at(window, DistAction::AgentUp(agent))
-    }
-
-    /// The actions due before the run's `window`-th window.
-    pub fn due(&self, window: u64) -> impl Iterator<Item = &DistAction> {
-        self.actions
-            .iter()
-            .filter(move |(w, _)| *w == window)
-            .map(|(_, a)| a)
-    }
-
-    /// Total number of scripted actions.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when nothing is scripted.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
+    fn agent_up(self, window: u64, agent: usize) -> Self;
 
     /// Expands this script into the sequential oracle's [`Script`]:
     /// `AgentDown(g)` becomes `MarkUnhealthy` for every server of group
@@ -149,26 +110,28 @@ impl DistScript {
     /// everything else passes through. Driving
     /// [`Detector::run_scripted`](detector_system::Detector::run_scripted)
     /// with the expansion reproduces the distributed run exactly.
-    pub fn oracle(&self, groups: &HostGroups) -> Script {
-        let mut script = Script::new();
-        for (window, action) in &self.actions {
-            match action {
-                DistAction::Topology(ev) => script = script.topology(*window, *ev),
-                DistAction::MarkUnhealthy(s) => script = script.mark_unhealthy(*window, *s),
-                DistAction::MarkHealthy(s) => script = script.mark_healthy(*window, *s),
-                DistAction::AgentDown(g) => {
-                    for &s in groups.group(*g) {
-                        script = script.mark_unhealthy(*window, s);
-                    }
-                }
-                DistAction::AgentUp(g) => {
-                    for &s in groups.group(*g) {
-                        script = script.mark_healthy(*window, s);
-                    }
-                }
-            }
-        }
-        script
+    fn oracle(&self, groups: &HostGroups) -> Script;
+}
+
+impl FleetScript for DistScript {
+    fn agent_down(self, window: u64, agent: usize) -> Self {
+        self.at(window, DistAction::AgentDown(agent))
+    }
+
+    fn agent_up(self, window: u64, agent: usize) -> Self {
+        self.at(window, DistAction::AgentUp(agent))
+    }
+
+    fn oracle(&self, groups: &HostGroups) -> Script {
+        let servers = |g: &usize| groups.group(*g).iter();
+        self.iter()
+            .fold(Script::new(), |script, (w, action)| match action {
+                DistAction::Topology(ev) => script.topology(w, *ev),
+                DistAction::MarkUnhealthy(s) => script.mark_unhealthy(w, *s),
+                DistAction::MarkHealthy(s) => script.mark_healthy(w, *s),
+                DistAction::AgentDown(g) => servers(g).fold(script, |s, &x| s.mark_unhealthy(w, x)),
+                DistAction::AgentUp(g) => servers(g).fold(script, |s, &x| s.mark_healthy(w, x)),
+            })
     }
 }
 
@@ -217,43 +180,185 @@ pub struct DistOutcome {
     pub report_bytes: u64,
 }
 
-/// One controller-side agent slot: `None` transport = dead. Bytes moved
-/// over transports of *previous* incarnations (killed or replaced) are
-/// retired into the accumulators so a crash never loses accounting.
-/// Generic over [`ControlTransport`]: loopback ends for the in-process
-/// fleet, [`TcpTransport`](crate::TcpTransport) for real two-process
-/// deployments.
-struct AgentLink {
-    transport: Option<Box<dyn ControlTransport>>,
-    retired_control: u64,
-    retired_report: u64,
+/// The controller's side of the fleet: one transport slot per host
+/// group, `None` = dead. Generic over [`ControlTransport`]: loopback ends
+/// for the in-process fleet, [`TcpTransport`](crate::TcpTransport) for
+/// real two-process deployments.
+struct Fleet<'a> {
+    links: Vec<Option<Box<dyn ControlTransport>>>,
+    groups: &'a HostGroups,
+    /// Wire bytes of pinglist material shipped so far
+    /// ([`DistOutcome::dispatch_bytes`]).
+    dispatch_bytes: u64,
+    /// Bytes moved, in each direction, over transports of incarnations
+    /// that were killed or replaced — a crash never loses accounting.
+    retired: (u64, u64),
 }
 
-impl AgentLink {
-    /// Completes the connection handshake: the first agent-bound frame
-    /// must be `Hello`, anything else (or a dead transport) makes a dead
-    /// slot.
-    fn handshake(transport: Option<Box<dyn ControlTransport>>) -> Self {
-        let transport = transport.filter(|t| matches!(t.recv(), Ok(Frame::Hello { .. })));
-        AgentLink {
-            transport,
-            retired_control: 0,
-            retired_report: 0,
+/// Completes a connection handshake: the first agent-bound frame must be
+/// `Hello`, anything else (or no transport) makes a dead slot.
+fn handshake(t: Option<Box<dyn ControlTransport>>) -> Option<Box<dyn ControlTransport>> {
+    t.filter(|t| matches!(t.recv(), Ok(Frame::Hello { .. })))
+}
+
+impl Fleet<'_> {
+    /// Agent `g`'s transport while it is alive.
+    fn transport(&self, g: usize) -> Option<&dyn ControlTransport> {
+        self.links.get(g)?.as_deref()
+    }
+
+    /// Marks agent `g` dead and its whole host group unhealthy (ascending
+    /// server order — the blast radius of a rack-local agent daemon).
+    fn kill(&mut self, watchdog: &mut Watchdog, g: usize) {
+        if let Some(t) = self.links.get_mut(g).and_then(Option::take) {
+            self.retired.0 += t.bytes_sent();
+            self.retired.1 += t.peer_bytes_sent();
+        }
+        for &s in self.groups.group(g) {
+            watchdog.mark_unhealthy(s);
         }
     }
 
-    fn is_live(&self) -> bool {
-        self.transport.is_some()
+    /// Sends one frame to agent `g`, returning its wire size; a failed
+    /// send means the agent just died — it is killed (group marked
+    /// unhealthy) and 0 is returned, as for an agent already dead.
+    fn ship(&mut self, watchdog: &mut Watchdog, g: usize, frame: &Frame) -> u64 {
+        let Some(t) = self.transport(g) else {
+            return 0;
+        };
+        let before = t.bytes_sent();
+        if t.send(frame).is_ok() {
+            t.bytes_sent() - before
+        } else {
+            self.kill(watchdog, g);
+            0
+        }
     }
 
-    /// Controller→agent bytes over every incarnation of this slot.
-    fn control_bytes(&self) -> u64 {
-        self.retired_control + self.transport.as_ref().map_or(0, |t| t.bytes_sent())
+    /// [`ship`](Self::ship) for pinglist material: counted as dispatch.
+    fn dispatch(&mut self, watchdog: &mut Watchdog, g: usize, frame: Frame) {
+        self.dispatch_bytes += self.ship(watchdog, g, &frame);
     }
 
-    /// Agent→controller bytes over every incarnation of this slot.
-    fn report_bytes(&self) -> u64 {
-        self.retired_report + self.transport.as_ref().map_or(0, |t| t.peer_bytes_sent())
+    /// Ships every list whole to its owner — all of them at boot, only
+    /// group `only`'s when that agent is resynced.
+    fn sync(&mut self, watchdog: &mut Watchdog, lists: &[Pinglist], only: Option<usize>) {
+        for list in lists {
+            match self.groups.owner_of(list.pinger) {
+                Some(g) if only.is_none_or(|o| o == g) => {
+                    self.dispatch(watchdog, g, Frame::ListReplace(list.clone()));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The distributed installer: ships a deployment's wire diff as
+    /// frames — re-bases broadcast to every live agent (`PlanUpdated`
+    /// counts them once), list updates routed to their owners.
+    fn install(&mut self, diff: &DeploymentDiff, watchdog: &mut Watchdog) {
+        for &(old, new) in &diff.rebases {
+            for g in 0..self.links.len() {
+                self.dispatch(watchdog, g, Frame::RangeRebase { old, new });
+            }
+        }
+        for update in &diff.updates {
+            let Some(g) = self.groups.owner_of(update.pinger()) else {
+                continue;
+            };
+            match update {
+                ListUpdate::Replace(list) => {
+                    self.dispatch(watchdog, g, Frame::ListReplace(list.clone()));
+                }
+                ListUpdate::Remove(pinger) => {
+                    self.dispatch(watchdog, g, Frame::ListRemove { pinger: *pinger });
+                }
+                ListUpdate::Diff {
+                    pinger,
+                    version,
+                    stamp,
+                    removed,
+                    added,
+                } => {
+                    let (pinger, version, stamp) = (*pinger, *version, *stamp);
+                    let removes = removed
+                        .iter()
+                        .map(|&key| Frame::EntryRemove { pinger, key });
+                    let adds = added.iter().map(|(index, entry)| Frame::EntryAdd {
+                        pinger,
+                        index: *index,
+                        entry: entry.clone(),
+                    });
+                    let seal = Frame::ListSeal {
+                        pinger,
+                        version,
+                        stamp,
+                    };
+                    for frame in removes.chain(adds).chain([seal]) {
+                        self.dispatch(watchdog, g, frame);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The distributed report source: drains each dispatched agent to
+    /// its `WindowDone`, checking every `Report` and folding it at once —
+    /// aggregation is done before collection ends. An agent dying
+    /// mid-window forfeits its reports (retracted, which lands exactly
+    /// where the fold did) and its racks; it never stalls the window.
+    fn collect(
+        &mut self,
+        diagnoser: &Diagnoser,
+        ticket: &mut Ticket,
+        watchdog: &mut Watchdog,
+        dispatched: &[usize],
+    ) -> Result<HashMap<NodeId, PingerReport>, DistError> {
+        let mut got: HashMap<NodeId, PingerReport> = HashMap::new();
+        for &g in dispatched {
+            let Some(t) = self.transport(g) else {
+                continue;
+            };
+            let mut from_agent: Vec<NodeId> = Vec::new();
+            let died = loop {
+                match t.recv() {
+                    Ok(Frame::Report(r)) => {
+                        let violation = if r.window != ticket.window {
+                            Some("agent reported for a window that is not open")
+                        } else if self.groups.owner_of(r.pinger) != Some(g)
+                            || !ticket.expects(r.pinger)
+                        {
+                            Some("agent reported for a pinger it was not asked to run")
+                        } else if got.contains_key(&r.pinger) {
+                            Some("agent reported a pinger twice")
+                        } else {
+                            None
+                        };
+                        if let Some(why) = violation {
+                            return Err(DistError::Protocol(why));
+                        }
+                        diagnoser.fold(&r);
+                        from_agent.push(r.pinger);
+                        got.insert(r.pinger, r);
+                    }
+                    Ok(Frame::WindowDone { window, .. }) if window == ticket.window => break false,
+                    Ok(_) => {
+                        return Err(DistError::Protocol(
+                            "agent sent an unexpected frame mid-window",
+                        ))
+                    }
+                    Err(_) => break true,
+                }
+            };
+            if died {
+                for r in from_agent.iter().filter_map(|p| got.remove(p)) {
+                    diagnoser.retract(&r);
+                }
+                self.kill(watchdog, g);
+                ticket.forfeit(self.groups.group(g));
+            }
+        }
+        Ok(got)
     }
 }
 
@@ -261,22 +366,16 @@ impl AgentLink {
 /// two-tier deployment, driving one [`PingerAgent`](crate::PingerAgent)
 /// per host group over the wire protocol.
 ///
-/// Construction mirrors the single-process
-/// [`Detector`](detector_system::Detector) exactly (same controller,
-/// first deployment and diagnoser), which is what makes oracle
-/// comparisons meaningful.
+/// It boots the very halves the single-process
+/// [`Detector`](detector_system::Detector) does (same controller, first
+/// deployment and diagnoser), which is what makes oracle comparisons
+/// meaningful.
 pub struct DistributedDetector {
-    topo: SharedTopology,
-    cfg: SystemConfig,
-    controller: Controller,
-    deployment: Deployment,
-    diagnoser: Diagnoser,
+    plan: PlanHalf,
+    close: CloseHalf,
     /// Server health; exposed for scenario scripting, like
     /// [`Detector::watchdog`](detector_system::Detector).
     pub watchdog: Watchdog,
-    clock: SimClock,
-    window: u64,
-    sinks: Vec<Box<dyn EventSink>>,
     groups: HostGroups,
 }
 
@@ -284,29 +383,25 @@ impl DistributedDetector {
     /// Builds the controller tier with `agents` host groups (ToR-
     /// contiguous, via [`partition_hosts`]).
     pub fn new(topo: SharedTopology, cfg: SystemConfig, agents: usize) -> Result<Self, BuildError> {
-        cfg.validate()?;
-        let mut controller = Controller::new(topo.clone(), cfg.clone());
-        let watchdog = Watchdog::new();
-        let deployment = controller.build_deployment(watchdog.unhealthy_set())?;
-        let diagnoser = Diagnoser::new(deployment.matrix.clone(), cfg.pll).with_diag(cfg.diag);
         let groups = partition_hosts(topo.graph(), agents);
+        let (plan, close) = window::boot(topo, cfg, &[])?;
         Ok(Self {
-            topo,
-            cfg,
-            controller,
-            deployment,
-            diagnoser,
-            watchdog,
-            clock: SimClock::new(),
-            window: 0,
-            sinks: Vec::new(),
+            plan,
+            close,
+            watchdog: Watchdog::new(),
             groups,
         })
     }
 
     /// Registers an event sink.
     pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
+        self.close.add_sink(sink);
+    }
+
+    /// The diagnoser: past windows' observations and loss
+    /// classification.
+    pub fn diagnoser(&self) -> &Diagnoser {
+        self.close.diagnoser()
     }
 
     /// The host-group partition (one group per agent).
@@ -316,22 +411,22 @@ impl DistributedDetector {
 
     /// The topology view's current epoch.
     pub fn epoch(&self) -> u64 {
-        self.controller.epoch()
+        self.plan.controller().epoch()
     }
 
     /// Current simulated time, seconds.
     pub fn now_s(&self) -> u64 {
-        self.clock.now_s()
+        self.plan.now_s()
     }
 
     /// The probe matrix currently deployed.
     pub fn matrix(&self) -> &detector_core::pmc::ProbeMatrix {
-        &self.deployment.matrix
+        &self.plan.deployment().matrix
     }
 
     /// The pinglists of the current deployment.
-    pub fn pinglists(&self) -> &[detector_system::Pinglist] {
-        &self.deployment.pinglists
+    pub fn pinglists(&self) -> &[Pinglist] {
+        &self.plan.deployment().pinglists
     }
 
     /// Runs `windows` windows over a fleet of loopback agents spawned on
@@ -362,12 +457,11 @@ impl DistributedDetector {
         faults: &[(usize, usize)],
         rng: &mut SmallRng,
     ) -> Result<DistOutcome, DistError> {
-        let topo = self.topo.clone();
-        let cfg = self.cfg.clone();
+        let topo = self.plan.topo().clone();
+        let cfg = self.plan.cfg().clone();
 
         crossbeam::thread::scope(|scope| -> Result<DistOutcome, DistError> {
-            // --- Fleet bootstrap -------------------------------------
-            let spawn_agent = |g: usize, budget: Option<usize>| -> AgentLink {
+            let spawn_agent = |g: usize, budget: Option<usize>| {
                 let (ctrl_end, agent_end) = match budget {
                     Some(n) => flaky_loopback(n),
                     None => loopback(),
@@ -375,7 +469,7 @@ impl DistributedDetector {
                 let t = topo.clone();
                 let c = cfg.clone();
                 scope.spawn(move |_| PingerAgent::new(g as u32, t, c).serve(&agent_end, dataplane));
-                AgentLink::handshake(Some(Box::new(ctrl_end)))
+                Some(Box::new(ctrl_end) as Box<dyn ControlTransport>)
             };
 
             let mut connect = |g: usize| {
@@ -383,7 +477,7 @@ impl DistributedDetector {
                 spawn_agent(g, budget)
             };
             let mut respawn = |g: usize| spawn_agent(g, None);
-            self.drive_fleet(dataplane, windows, script, &mut connect, &mut respawn, rng)
+            self.run_distributed_over(dataplane, windows, script, rng, &mut connect, &mut respawn)
         })
         .map_err(|_| DistError::Protocol("agent thread panicked"))?
     }
@@ -403,6 +497,8 @@ impl DistributedDetector {
     /// probes execute against whatever data plane the agent processes
     /// see, which the caller must configure identically for oracle
     /// comparisons.
+    ///
+    /// Every distributed entry point ends up in this window loop.
     pub fn run_distributed_over(
         &mut self,
         dataplane: &(dyn DataPlane + Sync),
@@ -412,455 +508,145 @@ impl DistributedDetector {
         connect: &mut dyn FnMut(usize) -> Option<Box<dyn ControlTransport>>,
         respawn: &mut dyn FnMut(usize) -> Option<Box<dyn ControlTransport>>,
     ) -> Result<DistOutcome, DistError> {
-        self.drive_fleet(
-            dataplane,
-            windows,
-            script,
-            &mut |g| AgentLink::handshake(connect(g)),
-            &mut |g| AgentLink::handshake(respawn(g)),
-            rng,
-        )
-    }
-
-    /// The transport-agnostic window loop shared by the loopback and
-    /// multi-process drivers: bootstrap the slots via `connect`, sync the
-    /// first deployment, run the windows (respawning [`DistAction::AgentUp`]
-    /// slots via `respawn`), tear the fleet down, and account the wire.
-    fn drive_fleet(
-        &mut self,
-        dataplane: &(dyn DataPlane + Sync),
-        windows: u64,
-        script: &DistScript,
-        connect: &mut dyn FnMut(usize) -> AgentLink,
-        respawn: &mut dyn FnMut(usize) -> AgentLink,
-        rng: &mut SmallRng,
-    ) -> Result<DistOutcome, DistError> {
-        let n_agents = self.groups.len();
-        let groups = self.groups.clone();
-        {
-            let mut links: Vec<AgentLink> = (0..n_agents).map(&mut *connect).collect();
-            let mut dispatch_bytes = 0u64;
-            for g in 0..n_agents {
-                if !links[g].is_live() {
-                    kill(&mut links, &groups, &mut self.watchdog, g);
-                }
+        let Self {
+            plan,
+            close,
+            watchdog,
+            groups,
+        } = self;
+        let agents = 0..groups.len();
+        let mut fleet = Fleet {
+            links: agents.clone().map(|g| handshake(connect(g))).collect(),
+            groups,
+            dispatch_bytes: 0,
+            retired: (0, 0),
+        };
+        for g in agents.clone() {
+            if fleet.transport(g).is_none() {
+                fleet.kill(watchdog, g);
             }
+        }
+        // Initial full sync: every list travels whole, to its owner.
+        fleet.sync(watchdog, &plan.deployment().pinglists, None);
 
-            // Initial full sync: every list travels whole, to its owner.
-            for list in &self.deployment.pinglists {
-                let frame = Frame::ListReplace(list.clone());
-                if let Some(g) = groups.owner_of(list.pinger) {
-                    dispatch_bytes += ship(&mut links, &groups, &mut self.watchdog, g, &frame);
-                }
-            }
-
-            // --- Window loop -----------------------------------------
-            let mut results = Vec::with_capacity(windows as usize);
-            for i in 0..windows {
-                let window = self.window;
-                let start_s = self.clock.now_s();
-
-                // Scripted actions, in push order within the window.
-                for action in script.due(i) {
-                    match action {
-                        DistAction::Topology(ev) => {
-                            let stats_bytes = self.apply_topology(ev, &mut links, &groups)?;
-                            dispatch_bytes += stats_bytes;
+        let mut results = Vec::with_capacity(windows as usize);
+        for i in 0..windows {
+            // Scripted actions, in push order within the window.
+            for action in script.due(i) {
+                let scripted = match action {
+                    DistAction::Topology(ev) => ScriptAction::Topology(*ev),
+                    DistAction::MarkUnhealthy(s) => ScriptAction::MarkUnhealthy(*s),
+                    DistAction::MarkHealthy(s) => ScriptAction::MarkHealthy(*s),
+                    DistAction::AgentDown(g) => {
+                        if let Some(t) = fleet.transport(*g) {
+                            let _ = t.send(&Frame::Shutdown);
                         }
-                        DistAction::MarkUnhealthy(s) => self.watchdog.mark_unhealthy(*s),
-                        DistAction::MarkHealthy(s) => self.watchdog.mark_healthy(*s),
-                        DistAction::AgentDown(g) => {
-                            if let Some(t) = &links[*g].transport {
-                                let _ = t.send(&Frame::Shutdown);
-                            }
-                            kill(&mut links, &groups, &mut self.watchdog, *g);
-                        }
-                        DistAction::AgentUp(g) => {
-                            let mut fresh = respawn(*g);
-                            fresh.retired_control = links[*g].control_bytes();
-                            fresh.retired_report = links[*g].report_bytes();
-                            links[*g] = fresh;
-                            if links[*g].is_live() {
-                                for &s in groups.group(*g) {
-                                    self.watchdog.mark_healthy(s);
-                                }
-                                // Full resync of the group's lists.
-                                dispatch_bytes += ship(
-                                    &mut links,
-                                    &groups,
-                                    &mut self.watchdog,
-                                    *g,
-                                    &Frame::Reset,
-                                );
-                                for list in &self.deployment.pinglists {
-                                    if groups.owner_of(list.pinger) == Some(*g) {
-                                        let f = Frame::ListReplace(list.clone());
-                                        dispatch_bytes +=
-                                            ship(&mut links, &groups, &mut self.watchdog, *g, &f);
-                                    }
-                                }
-                            } else {
-                                kill(&mut links, &groups, &mut self.watchdog, *g);
-                            }
-                        }
-                    }
-                }
-
-                // Heartbeat sweep: a dead agent degrades to unhealthy
-                // racks *before* this window's dispatch, matching the
-                // oracle's MarkUnhealthy placement.
-                for g in 0..n_agents {
-                    let Some(t) = &links[g].transport else {
+                        fleet.kill(watchdog, *g);
                         continue;
-                    };
-                    let ok = t.send(&Frame::HeartbeatReq { nonce: window }).is_ok()
-                        && matches!(t.recv(), Ok(Frame::HeartbeatAck { .. }));
-                    if !ok {
-                        kill(&mut links, &groups, &mut self.watchdog, g);
                     }
-                }
-
-                self.emit(RuntimeEvent::WindowStarted { window, start_s });
-                dataplane.window_started(window, start_s);
-
-                // Cycle refresh, on exactly step()'s boundary.
-                if window > 0 && start_s.is_multiple_of(self.cfg.cycle_s) {
-                    if let Ok(dep) = self
-                        .controller
-                        .build_deployment(self.watchdog.unhealthy_set())
-                    {
-                        let (version, num_paths) = (dep.version, dep.matrix.num_paths());
-                        let (_, bytes) = self.install_and_ship(dep, &[], &mut links, &groups);
-                        dispatch_bytes += bytes;
-                        self.emit(RuntimeEvent::CycleRefreshed {
-                            window,
-                            version,
-                            num_paths,
-                        });
+                    DistAction::AgentUp(g) => {
+                        // Retire whatever incarnation holds the slot; a
+                        // respawn that fails its handshake leaves it dead.
+                        fleet.kill(watchdog, *g);
+                        let Some(slot) = fleet.links.get_mut(*g) else {
+                            continue;
+                        };
+                        *slot = handshake(respawn(*g));
+                        if slot.is_none() {
+                            continue;
+                        }
+                        for &s in groups.group(*g) {
+                            watchdog.mark_healthy(s);
+                        }
+                        // Full resync of the group's lists.
+                        fleet.dispatch(watchdog, *g, Frame::Reset);
+                        fleet.sync(watchdog, &plan.deployment().pinglists, Some(*g));
+                        continue;
                     }
-                }
-
-                // The window's master seed: the run's only RNG draw.
-                let window_seed: u64 = rng.gen();
-                let mut skip: Vec<NodeId> = self
-                    .deployment
-                    .pinglists
-                    .iter()
-                    .map(|l| l.pinger)
-                    .filter(|&p| !self.watchdog.is_healthy(p))
-                    .collect();
-                skip.sort_unstable();
-
-                let start_frame = Frame::WindowStart {
-                    window,
-                    window_seed,
-                    skip: skip.clone(),
                 };
-                let mut dispatched: Vec<usize> = Vec::new();
-                for g in 0..n_agents {
-                    if !links[g].is_live() {
-                        continue;
-                    }
-                    if ship(&mut links, &groups, &mut self.watchdog, g, &start_frame) > 0 {
-                        dispatched.push(g);
-                    }
+                let replanned = plan.apply(watchdog, &scripted, &mut |diff, _, wd| {
+                    fleet.install(diff, wd)
+                })?;
+                if let Some(replanned) = replanned {
+                    close.replanned(replanned);
                 }
+            }
 
-                // Collect: drain each agent to its WindowDone; an agent
-                // dying mid-window forfeits its reports (its racks go
-                // unhealthy), it never stalls the window. Each Report
-                // frame feeds the ingest-plane shards the moment it is
-                // decoded — aggregation is done before collection ends —
-                // and a dead agent's already-folded reports are
-                // retracted, which lands exactly where the fold did.
-                let mut got: HashMap<NodeId, detector_system::PingerReport> = HashMap::new();
-                for g in dispatched {
-                    let Some(t) = &links[g].transport else {
-                        continue;
-                    };
-                    let mut from_agent: Vec<NodeId> = Vec::new();
-                    let died = loop {
-                        match t.recv() {
-                            Ok(Frame::Report(r)) => {
-                                self.diagnoser.fold(&r);
-                                from_agent.push(r.pinger);
-                                got.insert(r.pinger, r);
-                            }
-                            Ok(Frame::WindowDone { window: w, .. }) if w == window => break false,
-                            Ok(_) => {
-                                return Err(DistError::Protocol(
-                                    "agent sent an unexpected frame mid-window",
-                                ))
-                            }
-                            Err(_) => break true,
-                        }
-                    };
-                    if died {
-                        for p in from_agent {
-                            if let Some(r) = got.remove(&p) {
-                                self.diagnoser.retract(&r);
-                            }
-                        }
-                        kill(&mut links, &groups, &mut self.watchdog, g);
-                    }
-                }
-
-                // Ingest in pinglist order — the exact event order of
-                // sequential step().
-                let mut probes_sent = 0u64;
-                let pingers: Vec<NodeId> =
-                    self.deployment.pinglists.iter().map(|l| l.pinger).collect();
-                for pinger in pingers {
-                    if !self.watchdog.is_healthy(pinger) {
-                        // Keep the fold set ≡ the store set: a report from
-                        // a pinger that went unhealthy after it reported is
-                        // withdrawn from the shards too.
-                        if let Some(r) = got.remove(&pinger) {
-                            self.diagnoser.retract(&r);
-                        }
-                        self.emit(RuntimeEvent::PingerUnhealthy { window, pinger });
-                        continue;
-                    }
-                    let Some(report) = got.remove(&pinger) else {
-                        return Err(DistError::Protocol("no report for a healthy pinger's list"));
-                    };
-                    let sent = report.total_sent();
-                    probes_sent += sent;
-                    self.emit(RuntimeEvent::ReportIngested {
-                        window,
-                        pinger,
-                        probes_sent: sent,
-                        num_paths: report.paths.len(),
-                    });
-                    // Already folded at frame receipt — file the raw
-                    // report only.
-                    self.diagnoser.ingest_stored(report);
-                }
-
-                let event = self.diagnoser.diagnose(window, &self.watchdog);
-                self.clock.advance_s(self.cfg.window_s);
-                self.window += 1;
-                self.diagnoser.prune_before(window.saturating_sub(20));
-                self.emit(RuntimeEvent::IngestStats {
-                    window,
-                    reports: event.reports,
-                    paths_active: event.num_observations as u64,
-                    topk_hits: event.topk_hits,
-                    shard_contention: event.shard_contention,
-                    retract_mismatch: event.retract_mismatch,
-                });
-                self.emit(RuntimeEvent::DiagStats {
-                    window,
-                    lossy_paths: event.lossy_paths,
-                    components: event.components,
-                    suspects: event.diagnosis.suspects.len() as u64,
-                });
-                let result = WindowResult {
-                    window,
-                    start_s,
-                    probes_sent,
-                    num_observations: event.num_observations,
-                    diagnosis: event.diagnosis,
+            // Heartbeat sweep: a dead agent — or one that answers with
+            // anything but this sweep's nonce — degrades to unhealthy
+            // racks *before* this window opens, matching the oracle's
+            // MarkUnhealthy placement.
+            let nonce = plan.next_window();
+            for g in agents.clone() {
+                let Some(t) = fleet.transport(g) else {
+                    continue;
                 };
-                self.emit(RuntimeEvent::DiagnosisReady(result.clone()));
-                dataplane.window_finished(window, self.clock.now_s());
-                results.push(result);
-            }
-
-            // --- Orderly teardown ------------------------------------
-            let mut control_bytes = 0u64;
-            let mut report_bytes = 0u64;
-            for link in &links {
-                if let Some(t) = &link.transport {
-                    let _ = t.send(&Frame::Shutdown);
+                let alive = t.send(&Frame::HeartbeatReq { nonce }).is_ok()
+                    && matches!(t.recv(), Ok(Frame::HeartbeatAck { nonce: n, .. }) if n == nonce);
+                if !alive {
+                    fleet.kill(watchdog, g);
                 }
             }
-            for link in &links {
-                control_bytes += link.control_bytes();
-                report_bytes += link.report_bytes();
-            }
-            Ok(DistOutcome {
-                results,
-                dispatch_bytes,
-                control_bytes,
-                report_bytes,
-            })
-        }
-    }
 
-    /// Mirrors `Detector::apply` with the install step replaced by the
-    /// frame-shipping installer. Returns the dispatch bytes shipped.
-    fn apply_topology(
-        &mut self,
-        event: &TopologyEvent,
-        links: &mut [AgentLink],
-        groups: &HostGroups,
-    ) -> Result<u64, DistError> {
-        // detlint::allow(determinism, reason = "replan_micros stopwatch; measurement only, never branches")
-        let t0 = Instant::now();
-        let ranges_before = self.controller.probe_plan().map(|p| p.cell_ranges());
-        let update = self.controller.apply_event(event)?;
-        let mut stats = DispatchStats::default();
-        let mut bytes = 0u64;
-        if update.links_changed > 0 {
-            let dep = self
-                .controller
-                .build_deployment(self.watchdog.unhealthy_set())?;
-            let ranges_after = self.controller.probe_plan().map(|p| p.cell_ranges());
-            let rebases = rebase_pairs(ranges_before.as_deref(), ranges_after.as_deref());
-            let (s, b) = self.install_and_ship(dep, &rebases, links, groups);
-            stats = s;
-            bytes = b;
-        }
-        self.emit(RuntimeEvent::PlanUpdated {
-            epoch: update.epoch,
-            links_changed: update.links_changed,
-            probes_delta: update.probes_delta,
-            lists_redispatched: stats.lists_redispatched,
-            entries_diffed: stats.entries_diffed,
-            bytes_dispatched: stats.bytes_dispatched,
-            replan_micros: t0.elapsed().as_micros() as u64,
-        });
-        Ok(bytes)
-    }
+            let mut ticket = plan.open(watchdog, dataplane, rng, &mut |diff, _, wd| {
+                fleet.install(diff, wd)
+            });
+            close.header(&mut ticket);
 
-    /// The distributed half of the shared install protocol: rebase +
-    /// diff exactly like the single-process drivers
-    /// ([`rebase_and_diff`]), then ship the diff as frames — re-bases
-    /// broadcast to every live agent, list updates routed to their
-    /// owners — and point the diagnoser at the new matrix. Returns the
-    /// model's [`DispatchStats`] (what `PlanUpdated` reports; re-bases
-    /// counted once) and the wire bytes actually sent (re-bases counted
-    /// per live agent).
-    fn install_and_ship(
-        &mut self,
-        mut dep: Deployment,
-        rebases: &[(PathIdRange, PathIdRange)],
-        links: &mut [AgentLink],
-        groups: &HostGroups,
-    ) -> (DispatchStats, u64) {
-        let (diff, stats) = rebase_and_diff(&self.deployment, &mut dep, rebases);
-        let mut bytes = 0u64;
-        for &(old, new) in &diff.rebases {
-            let frame = Frame::RangeRebase { old, new };
-            for g in 0..links.len() {
-                if links[g].is_live() {
-                    bytes += ship(links, groups, &mut self.watchdog, g, &frame);
-                }
-            }
-        }
-        for update in &diff.updates {
-            let Some(g) = groups.owner_of(update.pinger()) else {
-                continue;
+            // The roster is ascending, so this is the sorted skip list.
+            let skip: Vec<NodeId> = (ticket.roster().iter())
+                .filter(|(_, healthy)| !healthy)
+                .map(|(pinger, _)| *pinger)
+                .collect();
+            let start = Frame::WindowStart {
+                window: ticket.window,
+                window_seed: ticket.seed,
+                skip,
             };
-            match update {
-                ListUpdate::Replace(list) => {
-                    bytes += ship(
-                        links,
-                        groups,
-                        &mut self.watchdog,
-                        g,
-                        &Frame::ListReplace(list.clone()),
-                    );
+            let mut dispatched: Vec<usize> = Vec::new();
+            for g in agents.clone() {
+                if fleet.transport(g).is_none() {
+                    continue;
                 }
-                ListUpdate::Remove(p) => {
-                    bytes += ship(
-                        links,
-                        groups,
-                        &mut self.watchdog,
-                        g,
-                        &Frame::ListRemove { pinger: *p },
-                    );
+                if fleet.ship(watchdog, g, &start) > 0 {
+                    dispatched.push(g);
+                } else {
+                    ticket.forfeit(groups.group(g));
                 }
-                ListUpdate::Diff {
-                    pinger,
-                    version,
-                    stamp,
-                    removed,
-                    added,
-                } => {
-                    for &key in removed {
-                        bytes += ship(
-                            links,
-                            groups,
-                            &mut self.watchdog,
-                            g,
-                            &Frame::EntryRemove {
-                                pinger: *pinger,
-                                key,
-                            },
-                        );
-                    }
-                    for (index, entry) in added {
-                        bytes += ship(
-                            links,
-                            groups,
-                            &mut self.watchdog,
-                            g,
-                            &Frame::EntryAdd {
-                                pinger: *pinger,
-                                index: *index,
-                                entry: entry.clone(),
-                            },
-                        );
-                    }
-                    bytes += ship(
-                        links,
-                        groups,
-                        &mut self.watchdog,
-                        g,
-                        &Frame::ListSeal {
-                            pinger: *pinger,
-                            version: *version,
-                            stamp: *stamp,
-                        },
-                    );
+            }
+
+            let window = ticket.window;
+            let closed = fleet
+                .collect(close.diagnoser(), &mut ticket, watchdog, &dispatched)
+                .and_then(|mut got| {
+                    close
+                        .close(ticket, |pinger| got.remove(&pinger), watchdog, dataplane)
+                        .map_err(|_| DistError::Protocol("no report for a healthy pinger's list"))
+                });
+            match closed {
+                Ok(result) => results.push(result),
+                Err(e) => {
+                    // Nothing of a window that will never close may
+                    // linger in the ingest plane.
+                    close.diagnoser().discard(window);
+                    return Err(e);
                 }
             }
         }
-        self.deployment = dep;
-        self.diagnoser.set_matrix(self.deployment.matrix.clone());
-        (stats, bytes)
-    }
 
-    fn emit(&mut self, ev: RuntimeEvent) {
-        for s in self.sinks.iter_mut() {
-            s.on_event(&ev);
+        // Orderly teardown, then the wire accounting.
+        for g in agents {
+            if let Some(t) = fleet.transport(g) {
+                let _ = t.send(&Frame::Shutdown);
+            }
         }
-    }
-}
-
-/// Marks agent `g` dead and its whole host group unhealthy (ascending
-/// server order — the blast radius of a rack-local agent daemon).
-fn kill(links: &mut [AgentLink], groups: &HostGroups, watchdog: &mut Watchdog, g: usize) {
-    if let Some(t) = links[g].transport.take() {
-        links[g].retired_control += t.bytes_sent();
-        links[g].retired_report += t.peer_bytes_sent();
-    }
-    for &s in groups.group(g) {
-        watchdog.mark_unhealthy(s);
-    }
-}
-
-/// Sends one frame to agent `g`, returning its wire size; a failed send
-/// means the agent just died — it is killed (group marked unhealthy) and
-/// 0 is returned.
-fn ship(
-    links: &mut [AgentLink],
-    groups: &HostGroups,
-    watchdog: &mut Watchdog,
-    g: usize,
-    frame: &Frame,
-) -> u64 {
-    let Some(t) = &links[g].transport else {
-        return 0;
-    };
-    let before = t.bytes_sent();
-    if t.send(frame).is_ok() {
-        t.bytes_sent() - before
-    } else {
-        kill(links, groups, watchdog, g);
-        0
+        let live = fleet.links.iter().flatten();
+        Ok(DistOutcome {
+            results,
+            dispatch_bytes: fleet.dispatch_bytes,
+            control_bytes: fleet.retired.0 + live.clone().map(|t| t.bytes_sent()).sum::<u64>(),
+            report_bytes: fleet.retired.1 + live.map(|t| t.peer_bytes_sent()).sum::<u64>(),
+        })
     }
 }
 
@@ -870,7 +656,7 @@ mod tests {
 
     use detector_simnet::{Fabric, LossDiscipline};
     use detector_system::dispatch::full_dispatch_bytes;
-    use detector_system::{CollectingSink, Detector, ScriptAction};
+    use detector_system::{CollectingSink, Deployment, Detector, RuntimeEvent};
     use detector_topology::{DcnTopology, Fattree};
     use rand::SeedableRng;
 

@@ -3,12 +3,11 @@
 //! The distributed controller shards subproblem re-solves across a
 //! bounded worker pool: each touched plan cell becomes one [`CellJob`],
 //! the pool runs them on up to [`JobPool::workers`] scoped threads, and
-//! the solutions come back in job order. This is the same work-queue
-//! driver as [`run_indexed_parallel`](super::run_indexed_parallel) — one
-//! atomic cursor, scoped threads, slot-per-job results — with the worker
-//! count made explicit so callers (the agent tier's controller, benches
-//! pinning a core count) can bound the solve fan-out instead of
-//! inheriting host parallelism.
+//! the solutions come back in job order. [`JobPool::run_indexed`] is the
+//! workspace's one indexed work-queue driver — one atomic cursor, scoped
+//! threads, slot-per-job results — with the worker count explicit, so
+//! callers (the agent tier's controller, benches pinning a core count)
+//! can bound the solve fan-out instead of inheriting host parallelism.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -40,7 +40,7 @@ mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
 pub use jobs::{CellJob, CellSolution, JobPool};
-pub use parallel::{construct_decomposed_parallel, run_indexed_parallel};
+pub use parallel::construct_decomposed_parallel;
 pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
 pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};

@@ -2,7 +2,7 @@
 //!
 //! The paper solves decomposed subproblems "in parallel" on a 10-core
 //! server; we do the same with scoped threads pulling indexed jobs from
-//! a shared work queue ([`run_indexed_parallel`]). Results are returned
+//! a shared work queue ([`JobPool::run_indexed`]). Results are returned
 //! in job order, so the parallel path is observably identical to the
 //! sequential one. The same driver powers the incremental planner's
 //! multi-cell patch re-solves in `detector-system`.
@@ -11,21 +11,6 @@ use std::time::Instant;
 
 use super::decompose::Subproblem;
 use super::{JobPool, PmcConfig, PmcError, SubSolution};
-
-/// Runs `n` indexed jobs on up to `available_parallelism` scoped
-/// threads, returning results in index order. With one core (or one
-/// job) the jobs run inline. `job(i)` must be safe to call from any
-/// thread; each index is executed exactly once, so deterministic jobs
-/// make the parallel run observably identical to a sequential loop.
-/// Sugar for [`JobPool::host`] + [`JobPool::run_indexed`]; use a
-/// [`JobPool`] directly to bound the worker count.
-pub fn run_indexed_parallel<T, F>(n: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    JobPool::host().run_indexed(n, job)
-}
 
 /// Solves `subproblems` on the pool [`PmcConfig::workers`] implies
 /// (host parallelism unless bounded).
@@ -88,12 +73,12 @@ mod tests {
     #[test]
     fn indexed_driver_preserves_order_and_runs_each_job_once() {
         let calls = AtomicUsize::new(0);
-        let out = run_indexed_parallel(64, |i| {
+        let out = JobPool::host().run_indexed(64, |i| {
             calls.fetch_add(1, Ordering::SeqCst);
             i * i
         });
         assert_eq!(calls.load(Ordering::SeqCst), 64);
         assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
-        assert!(run_indexed_parallel(0, |i| i).is_empty());
+        assert!(JobPool::host().run_indexed(0, |i| i).is_empty());
     }
 }

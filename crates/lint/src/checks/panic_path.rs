@@ -18,7 +18,9 @@ use crate::lexer::TokKind;
 use crate::{Check, Diagnostic, FileCtx};
 
 /// The per-window hot paths: everything executed per probe, per report
-/// or per window by the sequential and pipelined drivers, plus the
+/// or per window — the window protocol's two halves and their three
+/// schedules (inline, pipelined, and the distributed controller, whose
+/// collect loop reads frames a remote agent wrote) — plus the
 /// agent-tier frame codec and the probe packet codec, which parse bytes
 /// off real sockets, plus the incremental planner: the controller calls
 /// it on every link flap, and a panic there takes the control plane
@@ -27,6 +29,7 @@ use crate::{Check, Diagnostic, FileCtx};
 /// windows and reports typed `PmcError`s already.
 const SCOPE: &[&str] = &[
     "crates/agent/src/frame.rs",
+    "crates/agent/src/runtime.rs",
     "crates/core/src/pll/components.rs",
     "crates/ingest/src/plane.rs",
     "crates/simnet/src/packet.rs",
@@ -38,6 +41,7 @@ const SCOPE: &[&str] = &[
     "crates/system/src/events.rs",
     "crates/system/src/diagnoser.rs",
     "crates/system/src/watchdog.rs",
+    "crates/system/src/window.rs",
     "crates/system/src/clock.rs",
     "crates/system/src/responder.rs",
     "crates/system/src/dataplane.rs",
@@ -154,6 +158,21 @@ mod tests {
         // Every byte a peer sends goes through this file; a panic there
         // is a remote crash.
         assert!(in_scope("crates/agent/src/frame.rs"));
+    }
+
+    #[test]
+    fn window_protocol_is_in_scope() {
+        // Both halves run once per window under every driver; a panic
+        // in `close` takes the diagnosis stage down mid-pipeline.
+        assert!(in_scope("crates/system/src/window.rs"));
+    }
+
+    #[test]
+    fn distributed_controller_is_in_scope() {
+        // Its collect loop acts on frames a remote agent wrote: a slot
+        // index or a report it cannot vouch for must be an error, not a
+        // panic.
+        assert!(in_scope("crates/agent/src/runtime.rs"));
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! exclusions, pre-filter to the paths that can influence the verdict,
 //! and localize through the cached-skeleton [`ComponentPll`] — one job
 //! per connected component of the lossy path/link incidence, run inline
-//! or fanned out. It is exactly equivalent to plain `localize` over the
-//! unfiltered window.
+//! or on a scoped pool. It is exactly equivalent to plain `localize`
+//! over the unfiltered window.
 
 use detector_core::pll::{
-    classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, ComponentVerdict,
-    Diagnosis, FlowSample, LossClassification, PllConfig,
+    classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, Diagnosis,
+    FlowSample, LossClassification, PllConfig,
 };
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
@@ -38,10 +38,10 @@ pub struct DiagConfig {
     /// localized as one [`ComponentJob`] per connected component of its
     /// lossy path/link incidence ([`ComponentPll`]); `1` (the default)
     /// runs the jobs inline on the diagnosing thread, `> 1` solves them
-    /// concurrently — on a scoped pool, or on the pipelined scheduler's
-    /// probe workers. The merge restores the exact global greedy order,
-    /// so results and the event stream are bit-identical either way —
-    /// the knob trades threads for multi-failure diagnosis latency.
+    /// concurrently on a scoped pool. The merge restores the exact global
+    /// greedy order, so results and the event stream are bit-identical
+    /// either way — the knob trades threads for multi-failure diagnosis
+    /// latency.
     pub parallel_components: usize,
 }
 
@@ -87,49 +87,6 @@ pub struct DiagnosisEvent {
     /// Connected components of the lossy path/link incidence: the
     /// number of [`ComponentJob`]s the window's localization consists of.
     pub components: u64,
-}
-
-/// The in-flight state of a window whose diagnosis fanned out into
-/// [`ComponentJob`]s: everything of the eventual [`DiagnosisEvent`]
-/// except the verdict itself. Opaque; hand it back to
-/// [`Diagnoser::diagnose_complete`] with the jobs' verdicts.
-#[derive(Clone, Debug)]
-pub struct PendingDiagnosis {
-    window: u64,
-    num_observations: usize,
-    reports: u64,
-    topk_hits: u64,
-    shard_contention: u64,
-    retract_mismatch: u64,
-    lossy_paths: u64,
-    components: u64,
-}
-
-impl PendingDiagnosis {
-    fn finish(self, diagnosis: Diagnosis) -> DiagnosisEvent {
-        DiagnosisEvent {
-            window: self.window,
-            num_observations: self.num_observations,
-            diagnosis,
-            reports: self.reports,
-            topk_hits: self.topk_hits,
-            shard_contention: self.shard_contention,
-            retract_mismatch: self.retract_mismatch,
-            lossy_paths: self.lossy_paths,
-            components: self.components,
-        }
-    }
-}
-
-/// What [`Diagnoser::diagnose_prepare`] decided about the window.
-#[derive(Debug)]
-pub enum DiagStep {
-    /// The window's diagnosis is final — its jobs, if any, ran inline.
-    Done(DiagnosisEvent),
-    /// Fan-out (`parallel_components > 1`): execute every job (any
-    /// threads, any order) and pass the verdicts to
-    /// [`Diagnoser::diagnose_complete`] with the pending state.
-    Fanout(PendingDiagnosis, Vec<ComponentJob>),
 }
 
 /// The diagnoser service.
@@ -187,9 +144,10 @@ impl Diagnoser {
         self.ingest_stored(report);
     }
 
-    /// Folds a report's path counters into the ingest plane only — the
-    /// distributed controller feeds `Report` frames to the shards the
-    /// moment they arrive, before the window's collection completes.
+    /// Folds a report's path counters into the ingest plane only — what
+    /// every driver does as a report is collected (the distributed
+    /// controller the moment a `Report` frame arrives); the raw report
+    /// is filed when its window closes.
     pub fn fold(&self, report: &PingerReport) {
         self.plane.fold(
             report.window,
@@ -228,28 +186,10 @@ impl Diagnoser {
     /// reports as they arrive, before health verdicts settle). The
     /// result is exactly `localize` over
     /// [`observations`](Diagnoser::observations), for any
-    /// `DiagConfig::parallel_components` (a fan-out runs its jobs on an
-    /// internal scoped pool here).
+    /// `DiagConfig::parallel_components`: the window's per-component
+    /// jobs run through [`ComponentJob::run_all`] — inline at `1`, on a
+    /// scoped pool above — and the merge is order-insensitive.
     pub fn diagnose(&mut self, window: u64, watchdog: &Watchdog) -> DiagnosisEvent {
-        match self.diagnose_prepare(window, watchdog) {
-            DiagStep::Done(ev) => ev,
-            DiagStep::Fanout(pending, jobs) => {
-                let verdicts = ComponentJob::run_all(&jobs, self.diag.parallel_components);
-                self.diagnose_complete(pending, verdicts)
-            }
-        }
-    }
-
-    /// Phase 1 of a window's diagnosis: seals the snapshot, applies
-    /// exclusions, pre-filters, and prepares the window's per-component
-    /// PLL jobs. With `parallel_components == 1` — or when there is
-    /// nothing to run: a cached verdict, an all-healthy window — the
-    /// window finishes here ([`DiagStep::Done`]); otherwise the jobs go
-    /// back to the caller to execute on threads of its choosing (the
-    /// pipelined scheduler ships them to its probe workers), and every
-    /// job's verdict must then go to
-    /// [`diagnose_complete`](Diagnoser::diagnose_complete).
-    pub fn diagnose_prepare(&mut self, window: u64, watchdog: &Watchdog) -> DiagStep {
         let sealed = self.plane.seal(window);
         let mut obs = sealed.observations;
         let mut reports = sealed.reports;
@@ -277,35 +217,31 @@ impl Diagnoser {
         // post-exclusion observations, so every driver reports the same
         // numbers.
         let (lossy_paths, components) = self.localizer.window_shape();
-        let pending = PendingDiagnosis {
+        let diagnosis = match plan {
+            ComponentPlan::Ready(diagnosis) => diagnosis,
+            ComponentPlan::Fanout(jobs) => {
+                let verdicts = ComponentJob::run_all(&jobs, self.diag.parallel_components);
+                self.localizer.complete(verdicts)
+            }
+        };
+        DiagnosisEvent {
             window,
             num_observations: obs.len(),
+            diagnosis,
             reports,
             topk_hits: kept.topk_hits,
             shard_contention: sealed.shard_contention,
             retract_mismatch: sealed.retract_mismatch,
             lossy_paths,
             components,
-        };
-        match plan {
-            ComponentPlan::Ready(d) => DiagStep::Done(pending.finish(d)),
-            ComponentPlan::Fanout(jobs) if self.diag.parallel_components <= 1 => {
-                let verdicts = ComponentJob::run_all(&jobs, 1);
-                DiagStep::Done(self.diagnose_complete(pending, verdicts))
-            }
-            ComponentPlan::Fanout(jobs) => DiagStep::Fanout(pending, jobs),
         }
     }
 
-    /// Phase 2 of [`diagnose_prepare`](Diagnoser::diagnose_prepare):
-    /// merges the fan-out's [`ComponentVerdict`]s (any order) into the
-    /// window's final event.
-    pub fn diagnose_complete(
-        &mut self,
-        pending: PendingDiagnosis,
-        verdicts: Vec<ComponentVerdict>,
-    ) -> DiagnosisEvent {
-        pending.finish(self.localizer.complete(verdicts))
+    /// Drops everything folded for a window that will never be
+    /// diagnosed, releasing its lane in the ingest plane. Returns the
+    /// number of folded reports dropped.
+    pub fn discard(&self, window: u64) -> u64 {
+        self.plane.seal(window).reports
     }
 
     /// Prunes stored reports older than `keep_from`.

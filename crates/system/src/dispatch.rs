@@ -462,8 +462,8 @@ pub fn apply_list_update(lists: &mut HashMap<NodeId, Pinglist>, update: &ListUpd
 
 /// [`diff_deployment`] + [`Deployment::rebase_versions`] in install
 /// order, returning the diff alongside the stats — the one procedure
-/// every driver's install path goes through (see
-/// `runtime::install_dispatched`).
+/// every driver's install path goes through (the plan half of
+/// [`window`](crate::window)).
 pub fn rebase_and_diff(
     prev: &Deployment,
     next: &mut Deployment,

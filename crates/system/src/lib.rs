@@ -74,7 +74,9 @@ mod report;
 mod responder;
 mod runtime;
 mod scheduler;
+mod script;
 mod watchdog;
+pub mod window;
 
 use std::fmt;
 
@@ -84,7 +86,7 @@ pub use dataplane::udp::{
     HarnessStats, LossShim, RetryPolicy, UdpConfig, UdpDataPlane, UdpHarness, UdpStats,
 };
 pub use dataplane::{DataPlane, ProbeOutcome, ProbeTag};
-pub use diagnoser::{DiagConfig, DiagStep, Diagnoser, DiagnosisEvent, PendingDiagnosis};
+pub use diagnoser::{DiagConfig, Diagnoser, DiagnosisEvent};
 pub use dispatch::{DeploymentDiff, DispatchStats, ListUpdate};
 pub use events::{CollectingSink, EventSink, JsonLinesSink, RuntimeEvent, WindowResult};
 pub use pinger::{batch_seed, Pinger, PingerBatch, PingerCostModel};
@@ -93,7 +95,8 @@ pub use planner::{IdHeadroom, ProbePlan, ReplanStats, EXHAUSTIVE_LIMIT};
 pub use report::{FlowRecord, PathCounters, PingerReport, ReportStore};
 pub use responder::Responder;
 pub use runtime::{BuildError, Detector, DetectorBuilder};
-pub use scheduler::{PipelineConfig, PipelineError, Script, ScriptAction};
+pub use scheduler::{PipelineConfig, PipelineError};
+pub use script::{Script, ScriptAction, Windowed};
 pub use watchdog::Watchdog;
 
 // The live-topology surface lives in `detector-topology`; re-exported

@@ -3,36 +3,37 @@
 //!
 //! [`Detector`] owns its topology (`Arc<dyn DcnTopology>`), validates its
 //! configuration at build time, and executes windows as an event stream:
-//! every [`step`](Detector::step) emits typed [`RuntimeEvent`]s to the
-//! registered [`EventSink`]s and returns the window's [`WindowResult`].
-//! The network is reached only through the [`DataPlane`] seam, so the
-//! same runtime drives the simulated fabric, a mock, or (eventually) a
-//! real-packet backend.
+//! every [`step`](Detector::step) emits typed [`RuntimeEvent`](crate::RuntimeEvent)s
+//! to the registered [`EventSink`]s and returns the window's
+//! [`WindowResult`]. The network is reached only through the
+//! [`DataPlane`] seam, so the same runtime drives the simulated fabric, a
+//! mock, or the real-packet UDP backend.
+//!
+//! This is the **inline** schedule of the one window protocol
+//! ([`window`](crate::window)): [`Detector::step`] opens a window, runs
+//! its batches on the calling thread, and closes it. The `scheduler`
+//! module and `detector-agent` hold the other two schedules.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use detector_core::pll::LossClassification;
 use detector_core::pmc::{PmcError, ProbeMatrix};
 use detector_core::types::{LinkId, NodeId};
 use detector_topology::{Dcn, DcnTopology, TopologyEvent, TopologyView};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
-use detector_core::types::PathIdRange;
-
-use crate::clock::SimClock;
-use crate::controller::{Controller, Deployment, PlanUpdate};
+use crate::controller::{Deployment, PlanUpdate};
 use crate::dataplane::DataPlane;
-use crate::diagnoser::Diagnoser;
-use crate::dispatch::{rebase_and_diff, rebase_pairs, DispatchStats};
-use crate::events::{EventSink, RuntimeEvent, WindowResult};
+use crate::dispatch::DeploymentDiff;
+use crate::events::{EventSink, WindowResult};
 use crate::pinger::PingerBatch;
 use crate::pinglist::Pinglist;
+use crate::script::Script;
 use crate::watchdog::Watchdog;
+use crate::window::{self, CloseHalf, PlanHalf, Ticket};
 use crate::{ConfigError, SharedTopology, SystemConfig};
 
 /// Why a [`Detector`] could not be built.
@@ -82,8 +83,9 @@ impl DetectorBuilder {
         self
     }
 
-    /// Registers an event sink; sinks observe every [`RuntimeEvent`] in
-    /// emission order. May be called repeatedly.
+    /// Registers an event sink; sinks observe every
+    /// [`RuntimeEvent`](crate::RuntimeEvent) in emission order. May be
+    /// called repeatedly.
     pub fn sink(mut self, sink: Box<dyn EventSink>) -> Self {
         self.sinks.push(sink);
         self
@@ -100,32 +102,14 @@ impl DetectorBuilder {
     /// Validates the configuration, computes the first probe matrix and
     /// pinglists, and returns the runtime handle.
     pub fn build(self) -> Result<Detector, BuildError> {
-        self.cfg.validate()?;
-        let mut controller = Controller::new(self.topo.clone(), self.cfg.clone());
-        if !self.offline.is_empty() {
-            // One batch: the view absorbs every seeded LinkDown before
-            // the first (lazy) plan build, so the plan is born degraded
-            // rather than built pristine and immediately patched.
-            controller.apply_events(
-                self.offline
-                    .iter()
-                    .map(|&link| TopologyEvent::LinkDown { link }),
-            )?;
+        let (plan, mut close) = window::boot(self.topo, self.cfg, &self.offline)?;
+        for sink in self.sinks {
+            close.add_sink(sink);
         }
-        let watchdog = Watchdog::new();
-        let deployment = controller.build_deployment(watchdog.unhealthy_set())?;
-        let diagnoser =
-            Diagnoser::new(deployment.matrix.clone(), self.cfg.pll).with_diag(self.cfg.diag);
         Ok(Detector {
-            topo: self.topo,
-            cfg: self.cfg,
-            controller,
-            deployment,
-            diagnoser,
-            watchdog,
-            clock: SimClock::new(),
-            window: 0,
-            sinks: self.sinks,
+            plan,
+            close,
+            watchdog: Watchdog::new(),
             bound: HashMap::new(),
         })
     }
@@ -136,17 +120,11 @@ impl DetectorBuilder {
 /// Owns the monitored topology; drive it window by window with
 /// [`step`](Self::step) against any [`DataPlane`].
 pub struct Detector {
-    pub(crate) topo: SharedTopology,
-    pub(crate) cfg: SystemConfig,
-    pub(crate) controller: Controller,
-    pub(crate) deployment: Deployment,
-    pub(crate) diagnoser: Diagnoser,
+    pub(crate) plan: PlanHalf,
+    pub(crate) close: CloseHalf,
     /// The watchdog, exposed for scenario scripting (e.g. killing a
     /// pinger server mid-run).
     pub watchdog: Watchdog,
-    pub(crate) clock: SimClock,
-    pub(crate) window: u64,
-    pub(crate) sinks: Vec<Box<dyn EventSink>>,
     /// Bound pinger batches cached across windows, keyed by server;
     /// re-bound only when the dispatched pinglist's version changes
     /// (incremental re-plans keep untouched lists at their old version,
@@ -175,44 +153,44 @@ impl Detector {
 
     /// Registers an additional event sink on a built detector.
     pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
+        self.close.add_sink(sink);
     }
 
     /// The probe matrix currently deployed.
     pub fn matrix(&self) -> &ProbeMatrix {
-        &self.deployment.matrix
+        &self.plan.deployment().matrix
     }
 
     /// The monitored topology.
     pub fn topology(&self) -> &dyn DcnTopology {
-        self.topo.as_ref()
+        self.plan.topo().as_ref()
     }
 
     /// A shared handle to the monitored topology.
     pub fn topology_arc(&self) -> SharedTopology {
-        Arc::clone(&self.topo)
+        Arc::clone(self.plan.topo())
     }
 
     /// The live topology view (epoch, offline links, drained switches).
     pub fn view(&self) -> &TopologyView {
-        self.controller.view()
+        self.plan.controller().view()
     }
 
     /// The partitioned probe plan behind the current deployment: exposes
     /// the per-cell `PathId` ranges and the cells a delta would touch,
     /// so dispatch stability can be asserted from the outside.
     pub fn probe_plan(&self) -> Option<&crate::ProbePlan> {
-        self.controller.probe_plan()
+        self.plan.controller().probe_plan()
     }
 
     /// The topology view's current epoch.
     pub fn epoch(&self) -> u64 {
-        self.controller.epoch()
+        self.plan.controller().epoch()
     }
 
     /// The pinglists of the current deployment.
     pub fn pinglists(&self) -> &[Pinglist] {
-        &self.deployment.pinglists
+        &self.plan.deployment().pinglists
     }
 
     /// Applies a topology event between windows: the view absorbs it, the
@@ -223,8 +201,8 @@ impl Detector {
     /// stable `PathId` range with headroom, so a delta that changes one
     /// cell's path count leaves every other cell's ids — and therefore
     /// the pinglists that carry only those cells' paths — bit-identical.
-    /// A [`RuntimeEvent::PlanUpdated`] (carrying the re-dispatch count)
-    /// is emitted to every sink.
+    /// A [`RuntimeEvent::PlanUpdated`](crate::RuntimeEvent::PlanUpdated)
+    /// (carrying the re-dispatch count) is emitted to every sink.
     ///
     /// # Examples
     ///
@@ -244,83 +222,39 @@ impl Detector {
     /// assert!(run.matrix().uncoverable.contains(&ft.ea_link(0, 0, 0)));
     /// ```
     pub fn apply(&mut self, event: &TopologyEvent) -> Result<PlanUpdate, PmcError> {
-        // detlint::allow(determinism, reason = "replan_micros stopwatch; measurement only, never branches")
-        let t0 = Instant::now();
-        let ranges_before = self.controller.probe_plan().map(|p| p.cell_ranges());
-        let mut update = self.controller.apply_event(event)?;
-        if update.links_changed > 0 {
-            let dep = self
-                .controller
-                .build_deployment(self.watchdog.unhealthy_set())?;
-            // Cells whose id range moved (overflow re-base): the wire
-            // diff broadcasts them so agents can retire the old ids.
-            let ranges_after = self.controller.probe_plan().map(|p| p.cell_ranges());
-            let rebases = rebase_pairs(ranges_before.as_deref(), ranges_after.as_deref());
-            let stats = self.install_deployment(dep, &rebases);
-            update.lists_redispatched = stats.lists_redispatched;
-            update.entries_diffed = stats.entries_diffed;
-            update.bytes_dispatched = stats.bytes_dispatched;
-        }
-        // Report the full replan latency: view update + plan patch +
-        // matrix assembly + pinglist re-dispatch.
-        update.replan_micros = t0.elapsed().as_micros() as u64;
-        let ev = RuntimeEvent::PlanUpdated {
-            epoch: update.epoch,
-            links_changed: update.links_changed,
-            probes_delta: update.probes_delta,
-            lists_redispatched: update.lists_redispatched,
-            entries_diffed: update.entries_diffed,
-            bytes_dispatched: update.bytes_dispatched,
-            replan_micros: update.replan_micros,
-        };
-        for s in self.sinks.iter_mut() {
-            s.on_event(&ev);
-        }
+        let install = &mut prune_bindings(&mut self.bound);
+        let replanned = self.plan.replan(&mut self.watchdog, event, install)?;
+        let update = replanned.update;
+        self.close.replanned(replanned);
         Ok(update)
-    }
-
-    /// Installs a fresh deployment: rebases versions so unchanged lists
-    /// keep their cached pinger bindings, points the diagnoser at the new
-    /// matrix, and prunes bindings of servers no longer on pinger duty.
-    /// Shared by [`Detector::apply`] and the cycle refresh in
-    /// [`Detector::step`]. Returns the dispatch cost.
-    fn install_deployment(
-        &mut self,
-        dep: Deployment,
-        rebases: &[(PathIdRange, PathIdRange)],
-    ) -> DispatchStats {
-        let (matrix, stats) =
-            install_dispatched(&mut self.deployment, &mut self.bound, dep, rebases);
-        self.diagnoser.set_matrix(matrix);
-        stats
     }
 
     /// Scheduled detection probes per window (before loss confirmations):
     /// pingers × rate × window.
     pub fn scheduled_probes_per_window(&self) -> u64 {
-        self.deployment.pinglists.len() as u64
-            * (self.cfg.probe_rate_pps * self.cfg.window_s as f64) as u64
+        let cfg = self.plan.cfg();
+        self.pinglists().len() as u64 * (cfg.probe_rate_pps * cfg.window_s as f64) as u64
     }
 
     /// Current simulated time, seconds.
     pub fn now_s(&self) -> u64 {
-        self.clock.now_s()
+        self.plan.now_s()
     }
 
     /// Classifies the loss pattern behind a suspect link from a past
     /// window's per-flow counters (§7 — narrows the operator's diagnosis
     /// scope: link down vs blackhole vs random corruption vs congestion).
     pub fn classify_suspect(&self, window: u64, link: LinkId) -> Option<LossClassification> {
-        self.diagnoser
-            .classify_suspect(window, link, &self.watchdog)
+        (self.close.diagnoser()).classify_suspect(window, link, &self.watchdog)
     }
 
     /// Runs one window against `dataplane`: every healthy pinger probes
     /// its list, reports are ingested, and the diagnoser runs PLL.
     ///
     /// Event order per window: `WindowStarted`, then an optional
-    /// `CycleRefreshed` (exactly on cycle boundaries), then one
-    /// `PingerUnhealthy` or `ReportIngested` per pinger, and finally
+    /// `CycleRefreshed` (exactly on cycle boundaries) — both before the
+    /// window's first probe — then one `PingerUnhealthy` or
+    /// `ReportIngested` per pinger, the window's statistics, and finally
     /// `DiagnosisReady` carrying the returned [`WindowResult`].
     ///
     /// Exactly one `u64` is drawn from `rng` per window (the window's
@@ -330,153 +264,88 @@ impl Detector {
     /// which is what lets [`run_pipelined`](Detector::run_pipelined)
     /// produce identical results while probing concurrently.
     pub fn step(&mut self, dataplane: &dyn DataPlane, rng: &mut SmallRng) -> WindowResult {
-        let window = self.window;
-        let start_s = self.clock.now_s();
-        let emit = |ev: RuntimeEvent, sinks: &mut Vec<Box<dyn EventSink>>| {
-            for s in sinks.iter_mut() {
-                s.on_event(&ev);
-            }
-        };
+        let Detector {
+            plan,
+            close,
+            watchdog,
+            bound,
+        } = self;
+        let mut ticket = plan.open(watchdog, dataplane, rng, &mut prune_bindings(bound));
+        close.header(&mut ticket);
+        let reports: Vec<_> = batches(plan, &ticket, bound)
+            .map(|batch| {
+                let report = batch.run_window(dataplane, plan.cfg(), ticket.window, ticket.seed);
+                close.diagnoser().fold(&report);
+                report
+            })
+            .collect();
+        let mut reports = reports.into_iter();
+        close
+            .close(
+                ticket,
+                |pinger| reports.next().filter(|r| r.pinger == pinger),
+                watchdog,
+                dataplane,
+            )
+            // detlint::allow(panic_path, reason = "`batches` ran one batch per healthy roster entry, in roster order, just above")
+            .expect("the inline schedule reports for every healthy roster pinger")
+    }
 
-        emit(
-            RuntimeEvent::WindowStarted { window, start_s },
-            &mut self.sinks,
-        );
-        dataplane.window_started(window, start_s);
-
-        // Controller cycle boundary: recompute pinglists (topology or
-        // health may have changed). The matrix itself is recomputed too,
-        // matching §6.1's 10-minute refresh. cycle_s == 0 is rejected at
-        // build time (ConfigError::ZeroCycle), so the boundary check is
-        // well defined here.
-        if window > 0 && start_s.is_multiple_of(self.cfg.cycle_s) {
-            if let Ok(dep) = self
-                .controller
-                .build_deployment(self.watchdog.unhealthy_set())
-            {
-                let (version, num_paths) = (dep.version, dep.matrix.num_paths());
-                self.install_deployment(dep, &[]);
-                emit(
-                    RuntimeEvent::CycleRefreshed {
-                        window,
-                        version,
-                        num_paths,
-                    },
-                    &mut self.sinks,
-                );
+    /// Drives `windows` sequential [`step`](Detector::step)s, applying
+    /// the script's due actions before each — the **sequential oracle**
+    /// the pipelined and distributed runtimes are proven equivalent to.
+    /// Window indices in `script` are relative to the start of this run.
+    pub fn run_scripted(
+        &mut self,
+        dataplane: &dyn DataPlane,
+        windows: u64,
+        script: &Script,
+        rng: &mut SmallRng,
+    ) -> Result<Vec<WindowResult>, PmcError> {
+        let mut out = Vec::with_capacity(windows as usize);
+        for i in 0..windows {
+            for action in script.due(i) {
+                let install = &mut prune_bindings(&mut self.bound);
+                if let Some(replanned) = self.plan.apply(&mut self.watchdog, action, install)? {
+                    self.close.replanned(replanned);
+                }
             }
+            out.push(self.step(dataplane, rng));
         }
-
-        let window_seed: u64 = rng.gen();
-        let mut probes_sent = 0u64;
-        let graph = self.topo.graph();
-        for list in &self.deployment.pinglists {
-            if !self.watchdog.is_healthy(list.pinger) {
-                emit(
-                    RuntimeEvent::PingerUnhealthy {
-                        window,
-                        pinger: list.pinger,
-                    },
-                    &mut self.sinks,
-                );
-                continue;
-            }
-            // Re-bind only when the dispatched list changed: an
-            // incremental re-plan leaves untouched lists at their old
-            // version.
-            let batch = bound_batch(&mut self.bound, list, graph);
-            let report = batch.run_window(dataplane, &self.cfg, window, window_seed);
-            let sent = report.total_sent();
-            probes_sent += sent;
-            emit(
-                RuntimeEvent::ReportIngested {
-                    window,
-                    pinger: list.pinger,
-                    probes_sent: sent,
-                    num_paths: report.paths.len(),
-                },
-                &mut self.sinks,
-            );
-            // Server health comes from the management plane (heartbeats),
-            // not from dataplane loss: an all-lost report usually means the
-            // pinger's rack uplink or ToR failed — precisely what the
-            // diagnoser must see, not a reason to silence the pinger.
-            // External health marks (watchdog.mark_unhealthy) still exclude
-            // reports and pinger duty.
-            self.diagnoser.ingest(report);
-        }
-
-        let event = self.diagnoser.diagnose(window, &self.watchdog);
-        self.clock.advance_s(self.cfg.window_s);
-        self.window += 1;
-        // Keep a few windows of history, as the paper's database would.
-        self.diagnoser.prune_before(window.saturating_sub(20));
-
-        emit(
-            RuntimeEvent::IngestStats {
-                window,
-                reports: event.reports,
-                paths_active: event.num_observations as u64,
-                topk_hits: event.topk_hits,
-                shard_contention: event.shard_contention,
-                retract_mismatch: event.retract_mismatch,
-            },
-            &mut self.sinks,
-        );
-        emit(
-            RuntimeEvent::DiagStats {
-                window,
-                lossy_paths: event.lossy_paths,
-                components: event.components,
-                suspects: event.diagnosis.suspects.len() as u64,
-            },
-            &mut self.sinks,
-        );
-        let result = WindowResult {
-            window,
-            start_s,
-            probes_sent,
-            num_observations: event.num_observations,
-            diagnosis: event.diagnosis,
-        };
-        emit(
-            RuntimeEvent::DiagnosisReady(result.clone()),
-            &mut self.sinks,
-        );
-        dataplane.window_finished(window, self.clock.now_s());
-        result
+        Ok(out)
     }
 }
 
-/// The shared deployment-installation protocol, minus the diagnoser
-/// handoff (in the pipelined scheduler the diagnosis stage owns the
-/// diagnoser, so the dispatcher calls this and ships the returned matrix
-/// in the window's meta record): rebase pinglist versions so cached
-/// batches stay valid, compute the wire diff and its cost, install, and
-/// prune batches of servers no longer on pinger duty. Any change to the
-/// install protocol must go through here (or through
-/// [`rebase_and_diff`], which the distributed controller in
-/// `detector-agent` shares) — sequential/pipelined/distributed
-/// equivalence depends on every driver running the identical procedure.
-pub(crate) fn install_dispatched(
-    deployment: &mut Deployment,
+/// The single-process installer: nothing travels, so all a fresh
+/// deployment asks for is dropping the cached bindings of servers that
+/// left pinger duty.
+pub(crate) fn prune_bindings(
     bound: &mut HashMap<NodeId, Arc<PingerBatch>>,
-    mut dep: Deployment,
-    rebases: &[(PathIdRange, PathIdRange)],
-) -> (ProbeMatrix, DispatchStats) {
-    let (_, stats) = rebase_and_diff(deployment, &mut dep, rebases);
-    *deployment = dep;
-    let active: HashSet<NodeId> = deployment.pinglists.iter().map(|l| l.pinger).collect();
-    bound.retain(|k, _| active.contains(k));
-    (deployment.matrix.clone(), stats)
+) -> impl FnMut(&DeploymentDiff, &Deployment, &mut Watchdog) + '_ {
+    |_, deployment, _| {
+        let lists = &deployment.pinglists;
+        bound.retain(|server, _| lists.binary_search_by_key(server, |l| l.pinger).is_ok());
+    }
+}
+
+/// The window's probe work for a single-process driver: the bound batch
+/// of every roster pinger expected to report, in roster order.
+pub(crate) fn batches<'a>(
+    plan: &'a PlanHalf,
+    ticket: &'a Ticket,
+    bound: &'a mut HashMap<NodeId, Arc<PingerBatch>>,
+) -> impl Iterator<Item = Arc<PingerBatch>> + 'a {
+    let graph = plan.topo().graph();
+    (plan.deployment().pinglists.iter())
+        .filter(|list| ticket.expects(list.pinger))
+        .map(move |list| bound_batch(bound, list, graph))
 }
 
 /// The batch serving `list`, re-binding first iff the dispatched list
 /// changed (§3.2's idempotent pinglist refresh). The binding cache is
 /// keyed on (version, content stamp) so a refresh can never serve a
 /// pre-re-base binding; going through the entry keeps insert-then-get a
-/// single infallible operation. Shared by both drivers — see
-/// [`install_dispatched`] on why they must stay identical.
+/// single infallible operation.
 pub(crate) fn bound_batch(
     bound: &mut HashMap<NodeId, Arc<PingerBatch>>,
     list: &Pinglist,

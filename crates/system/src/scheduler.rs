@@ -5,52 +5,62 @@
 //! sequence — probe, collect, diagnose, repeat. At production scale the
 //! three stages are independent for *different* windows: window N+1's
 //! probes can transmit while window N's reports are still being
-//! diagnosed. [`Detector::run_pipelined`] exploits exactly that, as a
-//! three-stage pipeline over `crossbeam` channels and scoped worker
-//! threads:
+//! diagnosed. [`Detector::run_pipelined`] exploits exactly that. It is
+//! the **pipelined schedule** of the one window protocol (the
+//! [`window`](crate::window) module): the plan half runs on the calling
+//! thread, the close half on a collector thread, and a window's
+//! [`Ticket`] crosses between them on a bounded channel while its
+//! batches cross a pool of probe workers:
 //!
 //! ```text
 //!             ┌────────────────────┐   WindowMeta (bounded, depth)
 //!  script ──▶ │  dispatch stage    │ ───────────────────────────────┐
 //!  (churn,    │  (caller thread)   │   BatchJob                     │
-//!   health)   │  replans, refreshes│ ──────────────┐                ▼
-//!             │  cycles, seeds     │               ▼        ┌──────────────┐
+//!   health)   │  plan half: apply, │ ──────────────┐                ▼
+//!             │  open              │               ▼        ┌──────────────┐
 //!             └────────────────────┘      ┌──────────────┐  │ diagnosis    │
 //!                                         │ probe stage  │  │ stage        │
 //!                                         │ (N workers,  │  │ (1 thread)   │
-//!                                         │ PingerBatch) │─▶│ ingests,     │
-//!                                         └──────────────┘  │ runs PLL,    │
-//!                                           BatchDone       │ emits events │
+//!                                         │ PingerBatch) │─▶│ close half:  │
+//!                                         └──────────────┘  │ header, fold,│
+//!                                           report          │ close        │
 //!                                                           └──────────────┘
 //! ```
 //!
 //! * The **dispatch stage** (the calling thread) walks windows in order:
-//!   it applies the window's scripted [`ScriptAction`]s (topology churn
-//!   through the incremental re-planner, watchdog health marks),
-//!   performs the cycle refresh on exactly the boundaries sequential
-//!   [`Detector::step`] would, draws the window's master seed, and ships
-//!   one [`PingerBatch`] job per healthy pinger.
+//!   it applies the window's scripted [`ScriptAction`](crate::ScriptAction)s
+//!   and opens the window through the plan half — so re-plans, cycle
+//!   refreshes and the seed draw land exactly where sequential
+//!   [`Detector::step`] puts them — and ships one [`PingerBatch`] job per
+//!   roster pinger expected to report.
 //! * The **probe stage** is a pool of workers pulling batch jobs from a
 //!   shared channel; each runs a server's whole pinglist for the window
 //!   with its own RNG stream ([`batch_seed`](crate::batch_seed)) and posts the report.
-//! * The **diagnosis stage** assembles each window's reports (stashing
-//!   early arrivals from younger windows), ingests them in pinglist
-//!   order, runs PLL, and emits the window's [`RuntimeEvent`]s.
+//! * The **diagnosis stage** announces each window, assembles its
+//!   reports (stashing early arrivals from younger windows), and closes
+//!   it through the close half.
 //!
 //! Windows in flight are bounded by [`PipelineConfig::depth`] via the
 //! bounded meta channel, so a slow diagnosis stage back-pressures the
 //! dispatcher instead of letting probes run unboundedly ahead.
 //!
+//! **Thread orchestration** comes in three shapes across `crates/`, and
+//! this is the first: the probe-worker channel above, which carries
+//! batches only. A window's per-component PLL jobs run where every
+//! driver runs them — inside `Diagnoser::diagnose`, on
+//! `JobPool::run_indexed` (the second shape, shared with the planner) —
+//! and the UDP plane's receive threads are the third.
+//!
 //! **Equivalence.** The pipelined run produces *exactly* the event
 //! stream and [`WindowResult`]s of driving [`Detector::step`] over the
 //! same script (the sequential oracle, [`Detector::run_scripted`]):
-//! per-server probe outcomes are a pure function of the window's master
-//! seed ([`batch_seed`](crate::batch_seed)), replans/refreshes happen at the same window
-//! boundaries, the diagnosis stage snapshots the watchdog as of each
-//! window's dispatch, and all events are emitted from one thread in
-//! window order. The only permitted difference is the wall-clock
-//! `replan_micros` field of `PlanUpdated`. This is property-tested in
-//! `tests/scheduler_equivalence.rs`.
+//! both are schedules of the same two halves, per-server probe outcomes
+//! are a pure function of the window's master seed
+//! ([`batch_seed`](crate::batch_seed)), the diagnosis stage judges each
+//! window under the watchdog as of its dispatch, and all events are
+//! emitted from one thread in window order. The only permitted
+//! difference is the wall-clock `replan_micros` field of `PlanUpdated`.
+//! This is property-tested in `tests/scheduler_equivalence.rs`.
 //!
 //! One precondition: the *timing* of the [`DataPlane`] window hooks
 //! differs. The dispatcher fires `window_started(N+1)` while window N's
@@ -67,108 +77,20 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crossbeam::channel;
-use detector_core::pmc::{PmcError, ProbeMatrix};
+use detector_core::pmc::PmcError;
 use detector_core::types::NodeId;
-use detector_topology::TopologyEvent;
 use rand::rngs::SmallRng;
-use rand::Rng;
 
-use detector_core::pll::{ComponentJob, ComponentVerdict};
-
-use crate::controller::Controller;
 use crate::dataplane::DataPlane;
-use crate::diagnoser::DiagStep;
-use crate::dispatch::{rebase_pairs, DispatchStats};
-use crate::events::{RuntimeEvent, WindowResult};
+use crate::events::WindowResult;
 use crate::pinger::PingerBatch;
 use crate::report::PingerReport;
-use crate::runtime::{bound_batch, install_dispatched, Detector};
+use crate::runtime::{batches, prune_bindings, Detector};
+use crate::script::Script;
 use crate::watchdog::Watchdog;
-use crate::SystemConfig;
-
-/// One scripted action, applied at the start of its window (before that
-/// window's probes are dispatched), in push order within the window.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ScriptAction {
-    /// Apply a topology event through the incremental re-planner (what
-    /// [`Detector::apply`] does between sequential windows).
-    Topology(TopologyEvent),
-    /// Mark a server unhealthy (management-plane watchdog signal): it is
-    /// dropped from pinger duty and its reports are excluded.
-    MarkUnhealthy(NodeId),
-    /// Clear a server's unhealthy mark.
-    MarkHealthy(NodeId),
-}
-
-/// A windowed script of runtime actions — churn and pinger failures —
-/// consumed by both [`Detector::run_scripted`] (the sequential oracle)
-/// and [`Detector::run_pipelined`]. Window indices are **relative to the
-/// start of the run** (0 = before the first window of the run).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Script {
-    /// `(window, action)` pairs, sorted by window (stable within one).
-    actions: Vec<(u64, ScriptAction)>,
-}
-
-impl Script {
-    /// An empty script.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an action firing before `window` (builder style). Actions
-    /// pushed for the same window keep their push order.
-    pub fn at(mut self, window: u64, action: ScriptAction) -> Self {
-        self.actions.push((window, action));
-        // Stable sort: same-window actions keep push order.
-        self.actions.sort_by_key(|(w, _)| *w);
-        self
-    }
-
-    /// Adds a topology event firing before `window`.
-    pub fn topology(self, window: u64, event: TopologyEvent) -> Self {
-        self.at(window, ScriptAction::Topology(event))
-    }
-
-    /// Marks `server` unhealthy before `window`.
-    pub fn mark_unhealthy(self, window: u64, server: NodeId) -> Self {
-        self.at(window, ScriptAction::MarkUnhealthy(server))
-    }
-
-    /// Clears `server`'s unhealthy mark before `window`.
-    pub fn mark_healthy(self, window: u64, server: NodeId) -> Self {
-        self.at(window, ScriptAction::MarkHealthy(server))
-    }
-
-    /// Builds a script from `(window, TopologyEvent)` pairs — e.g. the
-    /// entries of a `detector_simnet::ChurnSchedule`.
-    pub fn from_topology_events(events: impl IntoIterator<Item = (u64, TopologyEvent)>) -> Self {
-        events
-            .into_iter()
-            .fold(Self::new(), |s, (w, ev)| s.topology(w, ev))
-    }
-
-    /// The actions due before the run's `window`-th window.
-    pub fn due(&self, window: u64) -> impl Iterator<Item = &ScriptAction> {
-        self.actions
-            .iter()
-            .filter(move |(w, _)| *w == window)
-            .map(|(_, a)| a)
-    }
-
-    /// Total number of scripted actions.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when no action is scripted.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-}
+use crate::window::{Replanned, Ticket};
 
 /// Shape of the pipeline: how wide the probe stage fans out and how many
 /// windows may be in flight at once.
@@ -242,91 +164,20 @@ struct BatchJob {
     batch: Arc<PingerBatch>,
 }
 
-/// Work shipped to the shared worker pool. The probe stage mostly runs
-/// [`PingerBatch`]es, but when diagnosis fans out into per-component PLL
-/// jobs (`DiagConfig::parallel_components > 1`), those ride the same
-/// channel — the workers are the pipeline's only compute pool, so a
-/// multi-failure window's components overlap with younger windows'
-/// probing instead of queueing behind a dedicated thread.
-enum WorkerJob {
-    Probe(BatchJob),
-    // No window/index tag: the collector drains one fan-out completely
-    // before taking the next meta, and the verdict merge is
-    // order-insensitive, so a bare verdict is unambiguous.
-    Diag(ComponentJob),
-}
-
-/// One probe-stage completion. `report` is `None` when the batch
-/// panicked (e.g. a `DataPlane::probe` implementation blew up): the
-/// diagnosis stage turns that into a [`PipelineError::Stage`] instead of
-/// waiting forever for a report that will never come.
-struct BatchDone {
-    window: u64,
-    pinger: NodeId,
-    report: Option<PingerReport>,
-}
-
-/// One worker completion; `Diag`'s payload is `None` on a panicked
-/// component job, mirroring [`BatchDone::report`].
-enum WorkerDone {
-    Batch(BatchDone),
-    Diag(Option<ComponentVerdict>),
-}
-
-/// Everything the diagnosis stage needs to finish one window, sent by
-/// the dispatcher in window order.
+/// What the dispatcher hands the diagnosis stage, in window order.
 struct WindowMeta {
-    window: u64,
-    start_s: u64,
-    end_s: u64,
-    /// Events to emit before `WindowStarted` (scripted `PlanUpdated`s).
-    pre_events: Vec<RuntimeEvent>,
-    /// `CycleRefreshed` payload, when this window sits on a boundary.
-    cycle: Option<(u64, usize)>,
-    /// New probe matrix for the diagnoser when the deployment changed.
-    new_matrix: Option<ProbeMatrix>,
-    /// Every pinger of the window's deployment in pinglist order, with
-    /// its health at dispatch time (unhealthy ⇒ no report expected).
-    roster: Vec<(NodeId, bool)>,
-    /// Watchdog snapshot as of this window's dispatch, used to filter
-    /// reports at diagnosis time exactly like sequential `step` does.
-    watchdog: Watchdog,
-    /// True for the trailing record sent when a scripted re-plan fails
-    /// mid-window: only `pre_events` (the `PlanUpdated`s of the actions
-    /// that *did* apply, matching what sequential `apply` would have
-    /// emitted before erroring) and `new_matrix` are consumed; the
-    /// window itself never runs.
-    flush_only: bool,
+    /// The re-plans applied before the window (their `PlanUpdated`s
+    /// precede its `WindowStarted`).
+    replanned: Vec<Replanned>,
+    /// The open window and the watchdog as of its dispatch — what the
+    /// window is diagnosed under, exactly like sequential `step`. `None`
+    /// in the trailing record sent when a scripted re-plan fails: the
+    /// actions before the failing one did apply, and sequential `apply`
+    /// would have announced each before erroring.
+    window: Option<(Ticket, Watchdog)>,
 }
 
 impl Detector {
-    /// Drives `windows` sequential [`step`](Detector::step)s, applying
-    /// the script's due actions before each — the **sequential oracle**
-    /// the pipelined runtime is proven equivalent to. Window indices in
-    /// `script` are relative to the start of this run.
-    pub fn run_scripted(
-        &mut self,
-        dataplane: &dyn DataPlane,
-        windows: u64,
-        script: &Script,
-        rng: &mut SmallRng,
-    ) -> Result<Vec<WindowResult>, PmcError> {
-        let mut out = Vec::with_capacity(windows as usize);
-        for i in 0..windows {
-            for action in script.due(i) {
-                match action {
-                    ScriptAction::Topology(ev) => {
-                        self.apply(ev)?;
-                    }
-                    ScriptAction::MarkUnhealthy(s) => self.watchdog.mark_unhealthy(*s),
-                    ScriptAction::MarkHealthy(s) => self.watchdog.mark_healthy(*s),
-                }
-            }
-            out.push(self.step(dataplane, rng));
-        }
-        Ok(out)
-    }
-
     /// Runs `windows` windows through the pipelined scheduler: probe
     /// dispatch, report collection and diagnosis overlap across windows
     /// (dispatch / probe-worker / diagnosis stages; the `scheduler`
@@ -339,12 +190,9 @@ impl Detector {
     /// simulated `Fabric` qualifies ([`probe`](DataPlane::probe) takes
     /// `&self`).
     ///
-    /// The equivalence guarantee assumes probe outcomes are a pure
-    /// function of `(route, flow, rng)`: the [`DataPlane`] *window
-    /// hooks* fire at pipeline timing (`window_started(N+1)` while
-    /// window N may still be probing), so a data plane that mutates its
-    /// own probe behavior from those hooks diverges from the sequential
-    /// oracle at depth > 1 (see the module docs).
+    /// The [`DataPlane`] *window hooks* fire at pipeline timing; a plane
+    /// that changes its probe behavior from them is outside the
+    /// guarantee at depth > 1 (see the module docs).
     ///
     /// # Examples
     ///
@@ -380,25 +228,23 @@ impl Detector {
         let depth = pipeline.depth.max(1);
 
         // Disjoint field borrows: the dispatcher (this thread) owns the
-        // planning state, the diagnosis stage owns the diagnoser and the
-        // sinks.
-        let cfg: &SystemConfig = &self.cfg;
-        let graph = self.topo.graph();
-        let controller: &mut Controller = &mut self.controller;
-        let deployment = &mut self.deployment;
-        let diagnoser = &mut self.diagnoser;
-        let watchdog = &mut self.watchdog;
-        let clock = &mut self.clock;
-        let window_counter = &mut self.window;
-        let sinks = &mut self.sinks;
-        let bound = &mut self.bound;
+        // plan half and the watchdog, the diagnosis stage the close half.
+        let Detector {
+            plan,
+            close,
+            watchdog,
+            bound,
+        } = self;
 
-        let (job_tx, job_rx) = channel::unbounded::<WorkerJob>();
-        let (done_tx, done_rx) = channel::unbounded::<WorkerDone>();
+        let (job_tx, job_rx) = channel::unbounded::<BatchJob>();
+        let (done_tx, done_rx) = channel::unbounded::<Option<PingerReport>>();
         // The bounded meta channel is the pipeline-depth regulator: the
         // dispatcher blocks here once `depth` windows are in flight.
         let (meta_tx, meta_rx) = channel::bounded::<WindowMeta>(depth);
 
+        // The probe workers read the configuration while the dispatcher
+        // mutates the plan half that owns it.
+        let cfg = &plan.cfg().clone();
         let mut dispatch_err: Option<PmcError> = None;
 
         let run = crossbeam::thread::scope(|scope| {
@@ -408,45 +254,19 @@ impl Detector {
                 let done_tx = done_tx.clone();
                 scope.spawn(move |_| {
                     while let Ok(job) = job_rx.recv() {
-                        // A panicking DataPlane (or component job) must
-                        // not strand the diagnosis stage waiting for a
-                        // completion that will never come (the other
-                        // workers would keep done_rx connected): catch
-                        // it and let the collector surface a
-                        // PipelineError::Stage instead.
-                        let (done, panicked) = match job {
-                            WorkerJob::Probe(job) => {
-                                let report =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        job.batch.run_window(
-                                            dataplane,
-                                            cfg,
-                                            job.window,
-                                            job.window_seed,
-                                        )
-                                    }))
-                                    .ok();
-                                let panicked = report.is_none();
-                                (
-                                    WorkerDone::Batch(BatchDone {
-                                        window: job.window,
-                                        pinger: job.batch.server(),
-                                        report,
-                                    }),
-                                    panicked,
-                                )
-                            }
-                            WorkerJob::Diag(job) => {
-                                let verdict =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        job.run()
-                                    }))
-                                    .ok();
-                                let panicked = verdict.is_none();
-                                (WorkerDone::Diag(verdict), panicked)
-                            }
-                        };
-                        if done_tx.send(done).is_err() || panicked {
+                        // A panicking DataPlane must not strand the
+                        // diagnosis stage waiting for a completion that
+                        // will never come (the other workers would keep
+                        // done_rx connected): catch it and let the
+                        // collector surface a PipelineError::Stage
+                        // instead.
+                        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            job.batch
+                                .run_window(dataplane, cfg, job.window, job.window_seed)
+                        }))
+                        .ok();
+                        let panicked = report.is_none();
+                        if done_tx.send(report).is_err() || panicked {
                             break; // Diagnosis stage gone, or this worker is compromised.
                         }
                     }
@@ -456,175 +276,54 @@ impl Detector {
             drop(job_rx);
             drop(done_tx);
 
-            // Diagnosis stage. It holds its own sender clone so
-            // per-component PLL jobs ride the same worker pool as probe
-            // batches: when a window's diagnosis fans out, the
-            // components run on whichever workers are idle between
-            // probe batches, and the collector blocks only until the
-            // verdicts drain back through `done_rx`. The clone drops
-            // when the collector returns, so worker shutdown still
-            // follows the dispatcher dropping `job_tx`.
-            let diag_tx = job_tx.clone();
+            // Diagnosis stage.
             let collector = scope.spawn(move |_| -> Result<Vec<WindowResult>, PipelineError> {
                 let mut results = Vec::new();
                 // Reports that arrived before their window's meta.
                 let mut stash: HashMap<u64, HashMap<NodeId, PingerReport>> = HashMap::new();
-                let mut emit = |ev: RuntimeEvent| {
-                    for s in sinks.iter_mut() {
-                        s.on_event(&ev);
-                    }
-                };
                 for meta in meta_rx.iter() {
-                    for ev in meta.pre_events {
-                        emit(ev);
+                    for replanned in meta.replanned {
+                        close.replanned(replanned);
                     }
-                    if let Some(matrix) = meta.new_matrix {
-                        diagnoser.set_matrix(matrix);
-                    }
-                    if meta.flush_only {
+                    let Some((mut ticket, watchdog)) = meta.window else {
                         continue;
-                    }
-                    emit(RuntimeEvent::WindowStarted {
-                        window: meta.window,
-                        start_s: meta.start_s,
-                    });
-                    if let Some((version, num_paths)) = meta.cycle {
-                        emit(RuntimeEvent::CycleRefreshed {
-                            window: meta.window,
-                            version,
-                            num_paths,
-                        });
-                    }
+                    };
+                    close.header(&mut ticket);
 
-                    let expected = meta.roster.iter().filter(|(_, h)| *h).count();
-                    let mut have = stash.remove(&meta.window).unwrap_or_default();
+                    let expected = ticket.roster().iter().filter(|(_, h)| *h).count();
+                    let mut have = stash.remove(&ticket.window).unwrap_or_default();
                     while have.len() < expected {
-                        match done_rx.recv() {
-                            Ok(WorkerDone::Batch(done)) => {
-                                let Some(report) = done.report else {
-                                    return Err(PipelineError::Stage(
-                                        "probe worker panicked while probing",
-                                    ));
-                                };
-                                if done.window == meta.window {
-                                    have.insert(done.pinger, report);
-                                } else {
-                                    // A younger window's report outran
-                                    // this window's stragglers.
-                                    stash
-                                        .entry(done.window)
-                                        .or_default()
-                                        .insert(done.pinger, report);
-                                }
-                            }
-                            // Unreachable: a fan-out is fully drained
-                            // below before the next meta is taken, so no
-                            // verdict can still be in flight here.
-                            Ok(WorkerDone::Diag(_)) => {}
-                            Err(_) => {
-                                return Err(PipelineError::Stage(
-                                    "probe stage disconnected mid-window",
-                                ))
-                            }
-                        }
-                    }
-
-                    let mut probes_sent = 0u64;
-                    for (pinger, healthy) in &meta.roster {
-                        if !healthy {
-                            emit(RuntimeEvent::PingerUnhealthy {
-                                window: meta.window,
-                                pinger: *pinger,
-                            });
-                            continue;
-                        }
-                        let Some(report) = have.remove(pinger) else {
+                        let Ok(done) = done_rx.recv() else {
                             return Err(PipelineError::Stage(
-                                "probe stage omitted a healthy pinger's report",
+                                "probe stage disconnected mid-window",
                             ));
                         };
-                        let sent = report.total_sent();
-                        probes_sent += sent;
-                        emit(RuntimeEvent::ReportIngested {
-                            window: meta.window,
-                            pinger: *pinger,
-                            probes_sent: sent,
-                            num_paths: report.paths.len(),
-                        });
-                        diagnoser.ingest(report);
+                        // `None`: the batch panicked (e.g. a
+                        // `DataPlane::probe` blew up); its report will
+                        // never come.
+                        let Some(report) = done else {
+                            return Err(PipelineError::Stage(
+                                "probe worker panicked while probing",
+                            ));
+                        };
+                        // A younger window's report may outrun this
+                        // window's stragglers.
+                        let of_window = if report.window == ticket.window {
+                            &mut have
+                        } else {
+                            stash.entry(report.window).or_default()
+                        };
+                        of_window.insert(report.pinger, report);
                     }
-
-                    let event = match diagnoser.diagnose_prepare(meta.window, &meta.watchdog) {
-                        DiagStep::Done(event) => event,
-                        DiagStep::Fanout(pending, jobs) => {
-                            // Per-component jobs ride the probe-worker
-                            // channel; the merge is order-insensitive,
-                            // so verdicts are collected in arrival
-                            // order. Probe batches that land during the
-                            // wait belong to younger windows — stash
-                            // them exactly as the report loop does.
-                            let total = jobs.len();
-                            for job in jobs {
-                                if diag_tx.send(WorkerJob::Diag(job)).is_err() {
-                                    return Err(PipelineError::Stage(
-                                        "probe stage gone before diagnosis fan-out",
-                                    ));
-                                }
-                            }
-                            let mut verdicts = Vec::with_capacity(total);
-                            while verdicts.len() < total {
-                                match done_rx.recv() {
-                                    Ok(WorkerDone::Diag(Some(v))) => verdicts.push(v),
-                                    Ok(WorkerDone::Diag(None)) => {
-                                        return Err(PipelineError::Stage(
-                                            "worker panicked in a component job",
-                                        ))
-                                    }
-                                    Ok(WorkerDone::Batch(done)) => {
-                                        let Some(report) = done.report else {
-                                            return Err(PipelineError::Stage(
-                                                "probe worker panicked while probing",
-                                            ));
-                                        };
-                                        stash
-                                            .entry(done.window)
-                                            .or_default()
-                                            .insert(done.pinger, report);
-                                    }
-                                    Err(_) => {
-                                        return Err(PipelineError::Stage(
-                                            "probe stage disconnected mid-diagnosis",
-                                        ))
-                                    }
-                                }
-                            }
-                            diagnoser.diagnose_complete(pending, verdicts)
-                        }
-                    };
-                    diagnoser.prune_before(meta.window.saturating_sub(20));
-                    emit(RuntimeEvent::IngestStats {
-                        window: meta.window,
-                        reports: event.reports,
-                        paths_active: event.num_observations as u64,
-                        topk_hits: event.topk_hits,
-                        shard_contention: event.shard_contention,
-                        retract_mismatch: event.retract_mismatch,
-                    });
-                    emit(RuntimeEvent::DiagStats {
-                        window: meta.window,
-                        lossy_paths: event.lossy_paths,
-                        components: event.components,
-                        suspects: event.diagnosis.suspects.len() as u64,
-                    });
-                    let result = WindowResult {
-                        window: meta.window,
-                        start_s: meta.start_s,
-                        probes_sent,
-                        num_observations: event.num_observations,
-                        diagnosis: event.diagnosis,
-                    };
-                    emit(RuntimeEvent::DiagnosisReady(result.clone()));
-                    dataplane.window_finished(meta.window, meta.end_s);
+                    // Folded only once the window is complete, so a
+                    // stage failure above leaves nothing in the plane.
+                    have.values()
+                        .for_each(|report| close.diagnoser().fold(report));
+                    let result = close
+                        .close(ticket, |pinger| have.remove(&pinger), &watchdog, dataplane)
+                        .map_err(|_| {
+                            PipelineError::Stage("probe stage omitted a healthy pinger's report")
+                        })?;
                     results.push(result);
                 }
                 Ok(results)
@@ -632,135 +331,46 @@ impl Detector {
 
             // Dispatch stage (this thread).
             for i in 0..windows {
-                let window = *window_counter;
-                let start_s = clock.now_s();
-                let mut pre_events = Vec::new();
-                let mut new_matrix: Option<ProbeMatrix> = None;
-
+                let mut replanned = Vec::new();
                 for action in script.due(i) {
-                    match action {
-                        ScriptAction::Topology(ev) => {
-                            // Mirrors `Detector::apply`, with the
-                            // diagnoser's matrix handoff deferred to the
-                            // diagnosis stage via the meta record.
-                            // detlint::allow(determinism, reason = "replan_micros stopwatch; measurement only, never branches")
-                            let t0 = Instant::now();
-                            let ranges_before = controller.probe_plan().map(|p| p.cell_ranges());
-                            let update = match controller.apply_event(ev) {
-                                Ok(u) => u,
-                                Err(e) => {
-                                    dispatch_err = Some(e);
-                                    break;
-                                }
-                            };
-                            let mut stats = DispatchStats::default();
-                            if update.links_changed > 0 {
-                                match controller.build_deployment(watchdog.unhealthy_set()) {
-                                    Ok(dep) => {
-                                        let ranges_after =
-                                            controller.probe_plan().map(|p| p.cell_ranges());
-                                        let rebases = rebase_pairs(
-                                            ranges_before.as_deref(),
-                                            ranges_after.as_deref(),
-                                        );
-                                        let (matrix, s) =
-                                            install_dispatched(deployment, bound, dep, &rebases);
-                                        new_matrix = Some(matrix);
-                                        stats = s;
-                                    }
-                                    Err(e) => {
-                                        dispatch_err = Some(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            pre_events.push(RuntimeEvent::PlanUpdated {
-                                epoch: update.epoch,
-                                links_changed: update.links_changed,
-                                probes_delta: update.probes_delta,
-                                lists_redispatched: stats.lists_redispatched,
-                                entries_diffed: stats.entries_diffed,
-                                bytes_dispatched: stats.bytes_dispatched,
-                                replan_micros: t0.elapsed().as_micros() as u64,
-                            });
+                    match plan.apply(watchdog, action, &mut prune_bindings(bound)) {
+                        Ok(r) => replanned.extend(r),
+                        Err(e) => {
+                            dispatch_err = Some(e);
+                            break;
                         }
-                        ScriptAction::MarkUnhealthy(s) => watchdog.mark_unhealthy(*s),
-                        ScriptAction::MarkHealthy(s) => watchdog.mark_healthy(*s),
                     }
                 }
                 if dispatch_err.is_some() {
-                    // Actions before the failing one did apply (matching
-                    // sequential `apply`, which emits each PlanUpdated
-                    // before the next action can fail): flush their
-                    // events and the installed matrix to the diagnosis
-                    // stage instead of silently dropping them.
-                    if !pre_events.is_empty() || new_matrix.is_some() {
+                    if !replanned.is_empty() {
                         let _ = meta_tx.send(WindowMeta {
-                            window,
-                            start_s,
-                            end_s: start_s,
-                            pre_events,
-                            cycle: None,
-                            new_matrix,
-                            roster: Vec::new(),
-                            watchdog: watchdog.clone(),
-                            flush_only: true,
+                            replanned,
+                            window: None,
                         });
                     }
                     break;
                 }
 
-                // Cycle refresh: the same boundary condition as
-                // sequential `step`.
-                let mut cycle = None;
-                if window > 0 && start_s.is_multiple_of(cfg.cycle_s) {
-                    if let Ok(dep) = controller.build_deployment(watchdog.unhealthy_set()) {
-                        let version = dep.version;
-                        let (matrix, _) = install_dispatched(deployment, bound, dep, &[]);
-                        new_matrix = Some(matrix);
-                        cycle = Some((version, deployment.matrix.num_paths()));
-                    }
-                }
-
-                dataplane.window_started(window, start_s);
-                let window_seed: u64 = rng.gen();
-
-                let mut roster = Vec::with_capacity(deployment.pinglists.len());
-                let mut jobs = Vec::new();
-                for list in &deployment.pinglists {
-                    let healthy = watchdog.is_healthy(list.pinger);
-                    roster.push((list.pinger, healthy));
-                    if !healthy {
-                        continue;
-                    }
-                    jobs.push(BatchJob {
-                        window,
-                        window_seed,
-                        batch: bound_batch(bound, list, graph),
-                    });
-                }
-
+                let ticket = plan.open(watchdog, dataplane, rng, &mut prune_bindings(bound));
+                let jobs: Vec<BatchJob> = batches(plan, &ticket, bound)
+                    .map(|batch| BatchJob {
+                        window: ticket.window,
+                        window_seed: ticket.seed,
+                        batch,
+                    })
+                    .collect();
                 let meta = WindowMeta {
-                    window,
-                    start_s,
-                    end_s: start_s + cfg.window_s,
-                    pre_events,
-                    cycle,
-                    new_matrix,
-                    roster,
-                    watchdog: watchdog.clone(),
-                    flush_only: false,
+                    replanned,
+                    window: Some((ticket, watchdog.clone())),
                 };
                 if meta_tx.send(meta).is_err() {
                     break; // Diagnosis stage is gone; surface its error below.
                 }
                 for job in jobs {
-                    if job_tx.send(WorkerJob::Probe(job)).is_err() {
+                    if job_tx.send(job).is_err() {
                         break;
                     }
                 }
-                clock.advance_s(cfg.window_s);
-                *window_counter += 1;
             }
 
             // End of input: disconnect the stages and drain.
@@ -783,9 +393,9 @@ impl Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::CollectingSink;
+    use crate::events::{CollectingSink, RuntimeEvent};
     use detector_simnet::{Fabric, LossDiscipline};
-    use detector_topology::Fattree;
+    use detector_topology::{Fattree, TopologyEvent};
     use rand::SeedableRng;
     use std::sync::Arc;
 
@@ -927,24 +537,5 @@ mod tests {
             Err(PipelineError::Stage(_)) => {}
             other => panic!("expected a stage error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn script_orders_actions_within_a_window() {
-        let link = detector_core::types::LinkId(4);
-        let s = Script::new()
-            .topology(2, TopologyEvent::LinkUp { link })
-            .topology(0, TopologyEvent::LinkDown { link })
-            .mark_unhealthy(2, NodeId(9));
-        assert_eq!(s.len(), 3);
-        let due: Vec<_> = s.due(2).collect();
-        assert_eq!(
-            due,
-            vec![
-                &ScriptAction::Topology(TopologyEvent::LinkUp { link }),
-                &ScriptAction::MarkUnhealthy(NodeId(9)),
-            ]
-        );
-        assert_eq!(s.due(1).count(), 0);
     }
 }

@@ -112,8 +112,8 @@ pub use detector_topology as topology;
 pub mod prelude {
     pub use detector_agent::{
         flaky_loopback, loopback, AgentExit, ControlTransport, DistAction, DistError, DistOutcome,
-        DistScript, DistributedDetector, Frame, FrameError, LoopbackEnd, PingerAgent, TcpTransport,
-        Transport, TransportError, MAX_FRAME,
+        DistScript, DistributedDetector, FleetScript, Frame, FrameError, LoopbackEnd, PingerAgent,
+        TcpTransport, Transport, TransportError, MAX_FRAME,
     };
     pub use detector_baselines::{
         fbtracert_localize, fbtracert_sweep, netbouncer_localize, netbouncer_sweep, BaselineConfig,

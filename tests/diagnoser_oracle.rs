@@ -1,6 +1,6 @@
 //! The independent oracle of the single diagnosis path.
 //!
-//! Every driver's diagnosis goes through `Diagnoser::diagnose_prepare` —
+//! Every driver's diagnosis goes through `Diagnoser::diagnose` —
 //! seal → exclusions → pre-filter → component-decomposed PLL with its
 //! cached skeleton — so the driver equivalence suites compare that path
 //! with itself. This property holds it against code it shares nothing

@@ -43,49 +43,159 @@ fn window_of(e: &RuntimeEvent) -> u64 {
     }
 }
 
+/// Asserts the per-window event grammar over a whole run's stream:
+/// `PlanUpdated* WindowStarted CycleRefreshed? (PingerUnhealthy |
+/// ReportIngested)+ IngestStats DiagStats DiagnosisReady`, for windows
+/// `0..windows` in order, and nothing else.
+fn assert_window_grammar(driver: &str, events: &[RuntimeEvent], windows: u64) {
+    let mut rest = events.iter().peekable();
+    for w in 0..windows {
+        // Consumes events while they are of one of `kinds` (and, unless
+        // they are plan updates, of this window); returns how many.
+        let mut run_of = |kinds: &[&str]| {
+            let fits = |e: &&RuntimeEvent| {
+                kinds.contains(&kind(e)) && (kind(e) == "plan" || window_of(e) == w)
+            };
+            std::iter::from_fn(|| rest.next_if(fits)).count()
+        };
+        run_of(&["plan"]);
+        assert_eq!(run_of(&["started"]), 1, "{driver}, window {w}: no header");
+        assert!(run_of(&["cycle"]) <= 1, "{driver}, window {w}");
+        let pingers = run_of(&["unhealthy", "report"]);
+        assert!(pingers > 0, "{driver}, window {w}: no pinger accounted for");
+        for tail in ["ingest", "diag", "ready"] {
+            assert_eq!(run_of(&[tail]), 1, "{driver}, window {w}: expected {tail}");
+        }
+    }
+    assert_eq!(rest.next(), None, "{driver}: events after the last window");
+}
+
 #[test]
 fn every_window_is_bracketed_by_started_and_ready() {
+    // One grammar, three schedules of the window protocol. Every run
+    // sees a re-plan before window 1, cycle refreshes at windows 2 and 4,
+    // and a pinger (or agent) dying before window 3 — between refreshes,
+    // so it is still on the roster and surfaces as PingerUnhealthy.
     let ft = fattree();
-    let collector = CollectingSink::new();
-    let mut run = Detector::builder(ft.clone())
-        .sink(Box::new(collector.clone()))
-        .build()
-        .unwrap();
+    let windows = 5u64;
+    let cfg = SystemConfig {
+        cycle_s: 60,
+        ..SystemConfig::default()
+    };
     let fabric = Fabric::quiet(ft.as_ref());
+    let down = TopologyEvent::LinkDown {
+        link: ft.ea_link(0, 0, 0),
+    };
+    let sick = ft.server(1, 0, 0);
+    let detector = |sink: &CollectingSink| {
+        Detector::builder(ft.clone())
+            .config(cfg.clone())
+            .sink(Box::new(sink.clone()))
+            .build()
+            .unwrap()
+    };
+    let script = Script::new().topology(1, down).mark_unhealthy(3, sick);
+
+    let sink = CollectingSink::new();
+    let mut run = detector(&sink);
     let mut rng = SmallRng::seed_from_u64(1);
-    let windows = 4u64;
-    for _ in 0..windows {
+    for w in 0..windows {
+        match w {
+            1 => drop(run.apply(&down).unwrap()),
+            3 => run.watchdog.mark_unhealthy(sick),
+            _ => {}
+        }
         run.step(&fabric, &mut rng);
     }
+    assert_window_grammar("step", &sink.events(), windows);
+    let stepped = sink.events().len();
 
-    let events = collector.events();
-    for w in 0..windows {
-        let of_window: Vec<&RuntimeEvent> = events.iter().filter(|e| window_of(e) == w).collect();
-        assert_eq!(kind(of_window[0]), "started", "window {w} must open first");
-        assert_eq!(
-            kind(of_window[of_window.len() - 1]),
-            "ready",
-            "window {w} must close with DiagnosisReady"
-        );
-        assert_eq!(
-            of_window.iter().filter(|e| kind(e) == "started").count(),
-            1,
-            "window {w}: exactly one WindowStarted"
-        );
-        assert_eq!(
-            of_window.iter().filter(|e| kind(e) == "ready").count(),
-            1,
-            "window {w}: exactly one DiagnosisReady"
-        );
-        // Reports land strictly between the brackets.
-        let reports = of_window.iter().filter(|e| kind(e) == "report").count();
-        assert!(reports > 0, "window {w}: healthy pingers must report");
+    for depth in [1, 3] {
+        let sink = CollectingSink::new();
+        let pipeline = PipelineConfig {
+            probe_workers: 2,
+            depth,
+        };
+        detector(&sink)
+            .run_pipelined(
+                &fabric,
+                windows,
+                &script,
+                &pipeline,
+                &mut SmallRng::seed_from_u64(1),
+            )
+            .unwrap();
+        assert_window_grammar(&format!("pipelined depth {depth}"), &sink.events(), windows);
+        assert_eq!(sink.events().len(), stepped, "same script, same stream");
     }
-    // Windows appear in order.
-    let order: Vec<u64> = events.iter().map(window_of).collect();
-    let mut sorted = order.clone();
-    sorted.sort_unstable();
-    assert_eq!(order, sorted, "windows must not interleave");
+
+    let sink = CollectingSink::new();
+    let mut dist = DistributedDetector::new(ft.clone(), cfg.clone(), 2).unwrap();
+    dist.add_sink(Box::new(sink.clone()));
+    let script = DistScript::new().topology(1, down).agent_down(3, 1);
+    dist.run_distributed(&fabric, windows, &script, &mut SmallRng::seed_from_u64(1))
+        .unwrap();
+    assert_window_grammar("distributed", &sink.events(), windows);
+    let events = sink.events();
+    let dead = events.iter().filter(|e| kind(e) == "unhealthy").count();
+    assert!(dead > 0, "agent 1's racks must surface as PingerUnhealthy");
+}
+
+/// Logs `WindowStarted` events (as a sink) and each window's first probe
+/// (as a data plane) into one shared sequence.
+#[derive(Clone, Default)]
+struct Sequence(Arc<Mutex<Vec<(&'static str, u64)>>>);
+
+impl EventSink for Sequence {
+    fn on_event(&mut self, event: &RuntimeEvent) {
+        if let RuntimeEvent::WindowStarted { window, .. } = event {
+            self.0.lock().unwrap().push(("started", *window));
+        }
+    }
+}
+
+impl DataPlane for Sequence {
+    fn probe(&self, _route: &Route, _flow: FlowKey, _rng: &mut SmallRng) -> ProbeOutcome {
+        unreachable!("the pinger probes through probe_tagged")
+    }
+
+    fn probe_tagged(
+        &self,
+        tag: ProbeTag,
+        _route: &Route,
+        _flow: FlowKey,
+        _rng: &mut SmallRng,
+    ) -> ProbeOutcome {
+        let mut log = self.0.lock().unwrap();
+        if !log.contains(&("probe", tag.window)) {
+            log.push(("probe", tag.window));
+        }
+        ProbeOutcome {
+            delivered: true,
+            rtt_us: 100.0,
+        }
+    }
+}
+
+#[test]
+fn step_announces_a_window_before_its_first_probe() {
+    // The inline schedule must not defer the window's header to close
+    // time: a sink that reacts to WindowStarted (arming a failure
+    // injector, stamping an onset) has to see it before the data plane
+    // sees the window.
+    let seq = Sequence::default();
+    let mut run = Detector::builder(fattree())
+        .sink(Box::new(seq.clone()))
+        .build()
+        .unwrap();
+    let mut rng = SmallRng::seed_from_u64(8);
+    for _ in 0..3 {
+        run.step(&seq, &mut rng);
+    }
+    let want: Vec<_> = (0..3)
+        .flat_map(|w| [("started", w), ("probe", w)])
+        .collect();
+    assert_eq!(*seq.0.lock().unwrap(), want);
 }
 
 #[test]
