@@ -486,7 +486,7 @@ fn decode_list(buf: &mut &[u8]) -> Result<Pinglist, FrameError> {
 /// record (every varint one byte): what [`take_count`] divides the
 /// remaining bytes by.
 const MIN_COUNTERS: usize = 1 + 1 + 8 + 8;
-const MIN_PATH_RECORD: usize = 1 + MIN_COUNTERS + 1;
+const MIN_PATH_RECORD: usize = 1 + MIN_COUNTERS + 1 + 1;
 const MIN_FLOW_RECORD: usize = 1 + 1 + 1 + 1;
 const MIN_IN_RACK_RECORD: usize = 1 + MIN_COUNTERS;
 
@@ -567,8 +567,9 @@ fn take_count(buf: &mut &[u8], min_record: usize) -> Result<usize, FrameError> {
 /// Report payload, in the order the report's runs already have:
 ///
 /// ```text
-/// u32 pinger | varint window | varint #paths | varint #flows
-/// #paths × ( varint path-id delta | counters | varint #flows of the path
+/// u32 pinger | varint window | varint #paths | varint #records
+/// #paths × ( varint path-id delta | counters
+///            varint flows probed | varint #records of the path
 ///            #… × ( varint sport delta | u8 dscp | varint sent | varint lost ) )
 /// varint #in-rack
 /// #in-rack × ( varint responder delta | counters )
@@ -576,8 +577,9 @@ fn take_count(buf: &mut &[u8], min_record: usize) -> Result<usize, FrameError> {
 /// ```
 ///
 /// The first key of a run is absolute; sport deltas restart with every
-/// path. `#flows` is the total over all paths, so the decoder sizes the
-/// flat flow run once.
+/// path. A record is a flow that lost a probe; the flows probed without
+/// one are that count and nothing else. `#records` is the total over
+/// all paths, so the decoder sizes the flat flow run once.
 fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
     put_u32(out, r.pinger.0);
     put_varint(out, r.window);
@@ -585,12 +587,13 @@ fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
     put_varint(out, r.flows.len() as u64);
     let mut flows = r.flows.as_slice();
     let mut prev = 0;
-    for (pid, c) in &r.paths {
+    for ((pid, c), probed) in r.paths.iter().zip(r.probed()) {
         put_delta(out, &mut prev, pid.0);
         encode_counters(c, out);
         let n = flows.iter().take_while(|f| f.path == *pid).count();
         let (own, rest) = flows.split_at(n);
         flows = rest;
+        put_varint(out, u64::from(probed));
         put_varint(out, n as u64);
         let mut prev_sport = 0;
         for f in own {
@@ -608,22 +611,34 @@ fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
     }
 }
 
+const FLOW_PROBES_DISAGREE: FrameError =
+    FrameError::BadPayload("flow probes disagree with the path's");
+
 fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
     let pinger = NodeId(take_u32(buf)?);
     let window = take_varint(buf)?;
     let num_paths = take_count(buf, MIN_PATH_RECORD)?;
     let num_flows = take_count(buf, MIN_FLOW_RECORD)?;
     let mut paths = Vec::with_capacity(num_paths);
+    let mut flows_probed = Vec::with_capacity(num_paths);
     let mut flows = Vec::with_capacity(num_flows);
     let mut prev = None;
     for _ in 0..num_paths {
         let path = PathId(take_key(buf, &mut prev)?);
-        paths.push((path, decode_counters(buf)?));
+        let counters = decode_counters(buf)?;
+        let probed = u32::try_from(take_varint(buf)?)
+            .map_err(|_| FrameError::BadPayload("flow count out of range"))?;
         let own = take_count(buf, MIN_FLOW_RECORD)?;
         if own > num_flows - flows.len() {
             return Err(FrameError::BadPayload("flow counts disagree"));
         }
+        let clean = u64::from(probed)
+            .checked_sub(own as u64)
+            .ok_or(FrameError::BadPayload(
+                "more flow records than flows probed",
+            ))?;
         let mut prev_flow: Option<(u16, u8)> = None;
+        let (mut flow_sent, mut flow_lost) = (0u64, 0u64);
         for _ in 0..own {
             let delta = take_varint(buf)?;
             let [dscp] = take_array(buf)?;
@@ -633,6 +648,13 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
             }
             prev_flow = Some((sport, dscp));
             let (sent, lost) = take_sent_lost(buf)?;
+            if lost == 0 {
+                return Err(FrameError::BadPayload("flow record without a loss"));
+            }
+            // A sum past u64 is past any path's counters; `lost` cannot
+            // overflow before `sent` does.
+            flow_sent = flow_sent.checked_add(sent).ok_or(FLOW_PROBES_DISAGREE)?;
+            flow_lost += lost;
             flows.push(FlowRecord {
                 path,
                 sport,
@@ -641,6 +663,28 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
                 lost,
             });
         }
+        // What lets the diagnoser rebuild the flows without a record by
+        // subtraction: the records' losses are the path's, and their
+        // probes leave at least one for each clean flow — none over when
+        // every flow has a record. Zero flows probed is a path reported
+        // without per-flow information: nothing to check.
+        if probed > 0 {
+            let fits = match flow_sent.checked_add(clean) {
+                Some(least) if clean == 0 => least == counters.sent,
+                Some(least) => least <= counters.sent,
+                None => false,
+            };
+            if !fits {
+                return Err(FLOW_PROBES_DISAGREE);
+            }
+            if flow_lost != counters.lost {
+                return Err(FrameError::BadPayload(
+                    "flow losses disagree with the path's",
+                ));
+            }
+        }
+        paths.push((path, counters));
+        flows_probed.push(probed);
     }
     if flows.len() != num_flows {
         return Err(FrameError::BadPayload("flow counts disagree"));
@@ -656,6 +700,7 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
         pinger,
         window,
         paths,
+        flows_probed,
         in_rack,
         flows,
     })
@@ -711,13 +756,22 @@ mod tests {
                     PathId(3),
                     PathCounters {
                         sent: 300,
-                        lost: 2,
+                        lost: 3,
                         rtt_sum_us: 123_456.75,
                         rtt_max_us: 900.5,
                     },
                 ),
-                (PathId(9), PathCounters::default()),
+                (
+                    PathId(9),
+                    PathCounters {
+                        sent: 1,
+                        lost: 1,
+                        ..Default::default()
+                    },
+                ),
             ],
+            // Path 3 probed a fourth flow, 25 times, and lost nothing on it.
+            flows_probed: vec![4, 1],
             in_rack: vec![(
                 NodeId(101),
                 PathCounters {
@@ -729,9 +783,9 @@ mod tests {
             )],
             flows: vec![
                 flow(3, 33000, 0, 150, 1),
-                flow(3, 33000, 46, 75, 0),
-                flow(3, 33001, 18, 75, 1),
-                flow(9, 40000, 0, 1, 0),
+                flow(3, 33000, 46, 75, 1),
+                flow(3, 33001, 18, 50, 1),
+                flow(9, 40000, 0, 1, 1),
             ],
         }
     }
@@ -901,19 +955,20 @@ mod tests {
         let r = PingerReport {
             flows: report().flows[..3].to_vec(),
             paths: report().paths[..1].to_vec(),
+            flows_probed: vec![4],
             ..report()
         };
         let want = report_frame(&[
             HEAD,
-            &[1, 3],             // One path, three flows in all.
-            &[3, 0xAC, 0x02, 2], // Path 3: sent 300, lost 2 ...
+            &[1, 3],             // One path, three flow records in all.
+            &[3, 0xAC, 0x02, 3], // Path 3: sent 300, lost 3 ...
             &123_456.75f64.to_bits().to_be_bytes(),
             &900.5f64.to_bits().to_be_bytes(),
-            &[3],                                  // ... and its three flows:
+            &[4, 3], // ... over four flows, three of which lost a probe:
             &[0xE8, 0x81, 0x02, 0, 0x96, 0x01, 1], // sport 33000, dscp 0, 150/1
-            &[0, 46, 75, 0],                       // same port, dscp 46
-            &[1, 18, 75, 1],                       // next port, dscp 18
-            &[1, 101, 10, 0],                      // One in-rack responder: 101, 10/0.
+            &[0, 46, 75, 1], // same port, dscp 46
+            &[1, 18, 50, 1], // next port, dscp 18
+            &[1, 101, 10, 0], // One in-rack responder: 101, 10/0.
             &80.0f64.to_bits().to_be_bytes(),
             &12.0f64.to_bits().to_be_bytes(),
         ]);
@@ -922,20 +977,43 @@ mod tests {
     }
 
     #[test]
+    fn a_flow_count_missing_from_the_report_ships_as_zero() {
+        // Reports built by hand often give counters only: the paths then
+        // carry no per-flow information, on the wire and after it.
+        let bare = PingerReport {
+            flows_probed: Vec::new(),
+            flows: Vec::new(),
+            ..report()
+        };
+        let got = Frame::decode(&Frame::Report(bare.clone()).encode());
+        let want = PingerReport {
+            flows_probed: vec![0, 0],
+            ..bare
+        };
+        assert_eq!(got, Ok(Frame::Report(want)));
+    }
+
+    /// Path 3 with `sent`/`lost` probes and zero RTT accumulators, up to
+    /// (not including) its flow counts.
+    fn path3(sent: u8, lost: u8) -> Vec<u8> {
+        [&[3, sent, lost][..], RTT].concat()
+    }
+
+    #[test]
     fn non_ascending_report_keys_are_rejected() {
         let why = "keys not strictly ascending";
         // Path 3 twice (the second key is a zero delta).
-        let path = [&[3, 9, 0][..], RTT, &[0]].concat();
-        bad_report(&[HEAD, &[2, 0], &path, &[0, 9, 0], RTT, &[0], &[0]], why);
+        let path = [&path3(9, 0)[..], &[0, 0]].concat();
+        bad_report(&[HEAD, &[2, 0], &path, &[0, 9, 0], RTT, &[0, 0], &[0]], why);
         // In-rack responder 7 twice.
         let peer = [&[7, 1, 0][..], RTT].concat();
         bad_report(&[HEAD, &[0, 0], &[2], &peer, &[0, 1, 0], RTT], why);
         // The same (port, class) flow twice, then a class going backwards.
-        let two_flows = [&[1, 2][..], &path[..19], &[2], &[80, 46, 1, 0]].concat();
-        bad_report(&[HEAD, &two_flows, &[0, 46, 1, 0], &[0]], why);
-        bad_report(&[HEAD, &two_flows, &[0, 18, 1, 0], &[0]], why);
+        let two_flows = [&[1, 2][..], &path3(2, 2), &[2, 2], &[80, 46, 1, 1]].concat();
+        bad_report(&[HEAD, &two_flows, &[0, 46, 1, 1], &[0]], why);
+        bad_report(&[HEAD, &two_flows, &[0, 18, 1, 1], &[0]], why);
         // A later port with a lower class is in order.
-        let ok = report_frame(&[HEAD, &two_flows, &[1, 18, 1, 0], &[0]]);
+        let ok = report_frame(&[HEAD, &two_flows, &[1, 18, 1, 1], &[0]]);
         assert!(Frame::decode(&ok).is_ok());
     }
 
@@ -943,21 +1021,64 @@ mod tests {
     fn out_of_range_report_keys_are_rejected() {
         let why = "key out of range";
         // Path u32::MAX followed by a delta of one.
-        let last = [&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0][..], RTT, &[0]].concat();
-        bad_report(&[HEAD, &[2, 0], &last, &[1, 1, 0], RTT, &[0], &[0]], why);
+        let last = [&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0][..], RTT, &[0, 0]].concat();
+        bad_report(&[HEAD, &[2, 0], &last, &[1, 1, 0], RTT, &[0, 0], &[0]], why);
         // Source port 65535 + 1.
-        let path = [&[3, 2, 0][..], RTT, &[2]].concat();
-        let flows = [0xFF, 0xFF, 0x03, 0, 1, 0, 1, 0, 1, 0];
-        bad_report(&[HEAD, &[1, 2], &path, &flows, &[0]], why);
+        let flows = [0xFF, 0xFF, 0x03, 0, 1, 1, 1, 0, 1, 1];
+        bad_report(&[HEAD, &[1, 2], &path3(2, 2), &[2, 2], &flows, &[0]], why);
+        // 2^32 flows probed on one path.
+        let many = [0x80, 0x80, 0x80, 0x80, 0x10, 0];
+        let why = "flow count out of range";
+        bad_report(&[HEAD, &[1, 0], &path3(9, 0), &many, &[0]], why);
     }
 
     #[test]
     fn more_lost_than_sent_is_rejected() {
         let why = "lost exceeds sent";
-        bad_report(&[HEAD, &[1, 0], &[3, 9, 10], RTT, &[0], &[0]], why);
+        bad_report(&[HEAD, &[1, 0], &path3(9, 10), &[0, 0], &[0]], why);
         bad_report(&[HEAD, &[0, 0], &[1], &[7, 0, 1], RTT], why);
-        let path = [&[3, 9, 0][..], RTT, &[1]].concat();
-        bad_report(&[HEAD, &[1, 1], &path, &[80, 0, 2, 3], &[0]], why);
+        bad_report(
+            &[HEAD, &[1, 1], &path3(9, 0), &[1, 1], &[80, 0, 2, 3], &[0]],
+            why,
+        );
+    }
+
+    #[test]
+    fn flow_records_that_do_not_add_up_to_their_path_are_rejected() {
+        // What the diagnoser's subtraction relies on, rule by rule. The
+        // path sent 9 probes; its one record is port 80, class 0.
+        let one = |sent, lost, probed, record: [u8; 2]| {
+            let path = [&path3(sent, lost)[..], &[probed, 1], &[80, 0], &record].concat();
+            report_frame(&[HEAD, &[1, 1], &path, &[0]])
+        };
+        let bad = |frame: Vec<u8>, why| {
+            assert_eq!(Frame::decode(&frame), Err(FrameError::BadPayload(why)));
+        };
+        // A record is a flow that lost something.
+        bad(one(9, 0, 1, [9, 0]), "flow record without a loss");
+        // No more records than flows.
+        bad(one(9, 1, 0, [9, 1]), "more flow records than flows probed");
+        // The record's 8 probes and one each for two clean flows are 10.
+        let why = "flow probes disagree with the path's";
+        bad(one(9, 1, 3, [8, 1]), why);
+        // Every flow has a record, and a probe belongs to none of them.
+        bad(one(9, 1, 1, [8, 1]), why);
+        // Two records of u64::MAX probes each: the sum leaves u64.
+        let max = [&[0xFF; 9][..], &[1]].concat();
+        let path = [&[3][..], &max, &[2], RTT, &[2, 2]].concat();
+        let records = [&[80, 0][..], &max, &[1], &[0, 1], &max, &[1]].concat();
+        bad(report_frame(&[HEAD, &[1, 2], &path, &records, &[0]]), why);
+        // One clean flow took the ninth probe: this is a report.
+        assert!(Frame::decode(&one(9, 1, 2, [8, 1])).is_ok());
+        // The path lost 2, its records 1.
+        let why = "flow losses disagree with the path's";
+        bad(one(9, 2, 2, [8, 1]), why);
+        // Flows were probed, one probe was lost, and no flow lost it.
+        let lossless = [&path3(9, 1)[..], &[2, 0]].concat();
+        bad(report_frame(&[HEAD, &[1, 0], &lossless, &[0]]), why);
+        // Zero flows probed is a path without per-flow information.
+        let bare = [&path3(9, 1)[..], &[0, 0]].concat();
+        assert!(Frame::decode(&report_frame(&[HEAD, &[1, 0], &bare, &[0]])).is_ok());
     }
 
     #[test]
@@ -985,17 +1106,15 @@ mod tests {
         bad_report(&[HEAD, &max, &[0, 0]], why);
         bad_report(&[HEAD, &[0], &[0x80, 0x94, 0xEB, 0xDC, 0x03], &[0]], why);
         bad_report(&[HEAD, &[0, 0], &[2], &[7, 1, 0], RTT], why);
-        // A path announcing more flows than bytes are left.
-        let path = [&[3, 9, 0][..], RTT].concat();
-        bad_report(&[HEAD, &[1, 1], &path, &[2], &[80, 0, 1, 0], &[0]], why);
-        // Per-path flow counts above or below the announced total.
+        // A path announcing more records than bytes are left.
+        let path = path3(9, 1);
+        bad_report(&[HEAD, &[1, 1], &path, &[2, 2], &[80, 0, 9, 1], &[0]], why);
+        // Per-path record counts above or below the announced total.
         let why = "flow counts disagree";
+        let records = [80, 0, 8, 1, 1, 0, 1, 1];
+        bad_report(&[HEAD, &[1, 1], &path, &[2, 2], &records, &[0]], why);
         bad_report(
-            &[HEAD, &[1, 1], &path, &[2], &[80, 0, 1, 0, 1, 0, 1, 0], &[0]],
-            why,
-        );
-        bad_report(
-            &[HEAD, &[1, 2], &path, &[1], &[80, 0, 1, 0], &[0, 0, 0, 0]],
+            &[HEAD, &[1, 2], &path, &[1, 1], &[80, 0, 9, 1], &[0, 0, 0, 0]],
             why,
         );
     }
@@ -1003,7 +1122,8 @@ mod tests {
     #[test]
     fn a_report_breaking_its_invariants_does_not_decode() {
         // The fields are public, so nothing stops a caller from building
-        // an unsorted report or a flow record without its path; such a
+        // an unsorted report, a flow record without its path, a record of
+        // a flow that lost nothing or a count that forgets a flow; such a
         // report must fail at the receiver instead of arriving altered.
         let mut unsorted = report();
         unsorted.paths.reverse();
@@ -1011,7 +1131,11 @@ mod tests {
         orphan.paths.remove(0);
         let mut unsorted_flows = report();
         unsorted_flows.flows.swap(0, 2);
-        for bad in [unsorted, orphan, unsorted_flows] {
+        let mut clean_record = report();
+        clean_record.flows[1].lost = 0;
+        let mut short_count = report();
+        short_count.flows_probed[0] = 2;
+        for bad in [unsorted, orphan, unsorted_flows, clean_record, short_count] {
             let got = Frame::decode(&Frame::Report(bad.clone()).encode());
             assert!(matches!(got, Err(FrameError::BadPayload(_))), "{bad:?}");
         }

@@ -719,6 +719,51 @@ mod tests {
     }
 
     #[test]
+    fn a_scripted_event_the_re_plan_rejects_fails_the_run_as_replan() {
+        // Born degraded, as `DetectorBuilder::offline_links` boots:
+        // Fattree(4) plans as two cells of 16 links, a link of each is
+        // offline, and the extended-universe cap is the 15 that remain.
+        // Restoring one asks for a canonical solve over all 16 — the one
+        // re-plan a booted plan can be refused.
+        let ft = Arc::new(Fattree::new(4).unwrap());
+        let (link, other) = (ft.ea_link(0, 0, 0), ft.ea_link(0, 0, 1));
+        let mut cfg = config();
+        cfg.pmc.max_extended_elements = 15;
+        let (plan, close) =
+            window::boot(ft.clone(), cfg, &[link, other]).expect("the degraded plan fits the cap");
+        let sink = CollectingSink::new();
+        let mut dist = DistributedDetector {
+            plan,
+            close,
+            watchdog: Watchdog::new(),
+            groups: partition_hosts(ft.graph(), 2),
+        };
+        dist.add_sink(Box::new(sink.clone()));
+        let fabric = Fabric::quiet(ft.as_ref());
+        let script = DistScript::new().topology(2, TopologyEvent::LinkUp { link });
+        let mut rng = SmallRng::seed_from_u64(1);
+        let err = dist
+            .run_distributed(&fabric, 4, &script, &mut rng)
+            .expect_err("the restore cannot be planned");
+        let too_large = PmcError::UniverseTooLarge {
+            required: 16,
+            limit: 15,
+        };
+        assert!(
+            matches!(&err, DistError::Replan(e) if *e == too_large),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "scripted re-plan failed: extended universe needs 16 elements, limit is 15"
+        );
+        // The two windows before the event ran to their diagnosis; the
+        // fleet was told to stop, not left waiting for a third.
+        let ready = |e: &RuntimeEvent| matches!(e, RuntimeEvent::DiagnosisReady(_));
+        assert_eq!(sink.events().iter().filter(|e| ready(e)).count(), 2);
+    }
+
+    #[test]
     fn oracle_expands_agent_failures_to_group_marks() {
         let ft = Arc::new(Fattree::new(4).unwrap());
         let groups = partition_hosts(ft.graph(), 2);

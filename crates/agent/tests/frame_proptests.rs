@@ -1,16 +1,23 @@
 //! Property tests for the wire-protocol frame codec: arbitrary frames
-//! round-trip byte-exactly, every truncation is detected, and arbitrary
-//! bytes — random buffers and damaged valid frames alike — decode to a
-//! frame that re-encodes to the very same bytes or to a typed error,
-//! without panicking and without reserving more than a constant times
-//! the input length.
+//! and real pingers' reports round-trip byte-exactly, every truncation
+//! is detected, and arbitrary bytes — random buffers and damaged valid
+//! frames alike — decode to a frame that re-encodes to the very same
+//! bytes or to a typed error, without panicking and without reserving
+//! more than a constant times the input length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use detector_agent::{Frame, FrameError, MAX_FRAME};
-use detector_core::types::{NodeId, PathId, PathIdRange};
-use detector_system::{FlowRecord, PathCounters, PingEntry, PingerReport, Pinglist};
+use detector_core::types::{LinkId, NodeId, PathId, PathIdRange};
+use detector_simnet::{Fabric, LossDiscipline};
+use detector_system::{
+    Controller, FlowRecord, PathCounters, PingEntry, PingerBatch, PingerReport, Pinglist,
+    SystemConfig,
+};
+use detector_topology::{DcnTopology, Fattree};
 use proptest::prelude::*;
 
 thread_local! {
@@ -58,7 +65,7 @@ static ALLOCATOR: Tally = Tally;
 /// What decoding may reserve per input byte. The dearest honest input is
 /// a pinglist of minimal 8-byte entries growing a `Vec` of 48-byte
 /// `PingEntry`s by doubling (≤ 4 × 48 / 8 = 24); a report's 4-byte flow
-/// records cost 24 / 4 = 6.
+/// records cost 24 / 4 = 6, its 21-byte path records (40 + 4) / 21 < 3.
 const RESERVE_PER_BYTE: usize = 32;
 
 /// Decodes arbitrary bytes under the three guarantees of the codec: no
@@ -145,34 +152,51 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
             agent: b as u32,
         },
         11 => {
-            // Distinct ascending keys from the raw draws; every path
-            // carries up to three flows, some sharing a source port.
+            // Distinct ascending keys from the raw draws. Every path has
+            // up to three flow records, some sharing a source port, and
+            // up to three clean flows beside them; its counters are what
+            // those add up to. A key divisible by 5 reports counters
+            // only: no flows probed, no records.
+            let bare = |h: u32| h.is_multiple_of(5);
             let mut keys = hops;
             keys.sort_unstable();
             keys.dedup();
-            let counters = |h: u32| PathCounters {
-                sent: a % (u64::from(h) + 1) + u64::from(h) / 2,
-                lost: u64::from(h) / 2,
-                rtt_sum_us: f64::from(h) * 1.5,
-                rtt_max_us: (b % 1_000_000) as f64 / 7.0,
-            };
-            let flows = keys.iter().flat_map(|&h| {
-                (0..h % 4).map(move |i| FlowRecord {
+            let records = |h: u32| {
+                // A quarter of u64 at most: three of them and the clean
+                // flows' probes still fit the path's counter.
+                let per_flow = (b >> (h % 64) >> 2).max(1);
+                (0..if bare(h) { 0 } else { h % 4 }).map(move |i| FlowRecord {
                     path: PathId(h),
                     sport: a as u16 % 60_000 + (i / 2) as u16,
                     dscp: b as u8 / 2 + (i % 2) as u8,
-                    sent: b >> (h % 64),
-                    lost: (b >> (h % 64)) / (u64::from(i) + 1),
+                    sent: per_flow,
+                    lost: (per_flow / (u64::from(i) + 1)).max(1),
                 })
-            });
+            };
+            let clean_flows = |h: u32| if bare(h) { 0 } else { (h / 4) % 4 };
+            let counters = |h: u32| {
+                let own = records(h);
+                let (sent, lost) = own.fold((0, 0), |(s, l), f| (s + f.sent, l + f.lost));
+                // The clean flows' probes: at least one each.
+                let clean = u64::from(clean_flows(h)) * (a % 7 + 1);
+                PathCounters {
+                    sent: sent + if bare(h) { a % 1000 } else { clean },
+                    lost: if bare(h) { a % 1000 / 3 } else { lost },
+                    rtt_sum_us: f64::from(h) * 1.5,
+                    rtt_max_us: (b % 1_000_000) as f64 / 7.0,
+                }
+            };
             Frame::Report(PingerReport {
                 pinger,
                 window: b,
                 paths: keys.iter().map(|&h| (PathId(h), counters(h))).collect(),
+                flows_probed: (keys.iter())
+                    .map(|&h| records(h).count() as u32 + clean_flows(h))
+                    .collect(),
                 in_rack: (keys.iter().skip(1))
                     .map(|&h| (NodeId(h + 7), counters(h)))
                     .collect(),
-                flows: flows.collect(),
+                flows: keys.iter().flat_map(|&h| records(h)).collect(),
             })
         }
         12 => Frame::WindowDone {
@@ -263,6 +287,49 @@ proptest! {
         let mut bytes = len.to_be_bytes().to_vec();
         bytes.extend(std::iter::repeat_n(0u8, tail as usize));
         prop_assert_eq!(Frame::decode(&bytes), Err(FrameError::Oversize(len)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Reports as pingers build them — every loss discipline, on one to
+    /// three links of a noisy Fattree(4) or (6) — satisfy every rule the
+    /// decoder enforces and come back field for field.
+    #[test]
+    fn pinger_reports_round_trip(
+        big in 0u8..2,
+        failures in proptest::collection::vec((0u16..512, 0u8..4, 0u8..60), 1..4),
+        seed in 0u64..1_000,
+    ) {
+        let ft = Arc::new(Fattree::new(if big == 1 { 6 } else { 4 }).unwrap());
+        let cfg = SystemConfig::default();
+        let dep = Controller::new(ft.clone(), cfg.clone())
+            .build_deployment(&HashSet::new())
+            .expect("deployment builds");
+        let mut fabric = Fabric::new(ft.as_ref(), seed);
+        for (link, kind, level) in failures {
+            let discipline = match kind {
+                0 => LossDiscipline::Full,
+                1 => LossDiscipline::DeterministicPartial {
+                    fraction: 0.2 + f64::from(level % 6) / 10.0,
+                    salt: u64::from(level),
+                },
+                2 => LossDiscipline::RandomPartial { rate: 0.01 + f64::from(level % 30) / 100.0 },
+                _ => LossDiscipline::DscpBlackhole { dscp: 46 },
+            };
+            let link = LinkId(u32::from(link) % ft.probe_links() as u32);
+            fabric.set_discipline_both(link, discipline);
+        }
+        let mut records = 0;
+        for list in &dep.pinglists {
+            let batch = PingerBatch::bind(list.clone(), ft.graph());
+            let report = batch.run_window(&fabric, &cfg, seed % 5, seed);
+            records += report.flows.len();
+            let bytes = Frame::Report(report.clone()).encode();
+            prop_assert_eq!(decode_checked(&bytes), Ok(Frame::Report(report)));
+        }
+        prop_assert!(records > 0, "the failures lost nothing");
     }
 }
 

@@ -232,14 +232,91 @@ pub struct Achieved {
 /// row index. Incrementally maintained plans instead allocate each
 /// subproblem a stable [`PathIdRange`](crate::types::PathIdRange) and
 /// leave gaps between cells (headroom), so a row lookup goes through an
-/// explicit id → row map. Consumers never see the difference: both forms
-/// answer [`ProbeMatrix::path`] / [`ProbeMatrix::row_of`].
+/// explicit id → row table. Consumers never see the difference: both
+/// forms answer [`ProbeMatrix::path`] / [`ProbeMatrix::row_of`].
 #[derive(Clone, Debug)]
 enum PathIndex {
     /// `paths[i].id == PathId(i)`: the id is the row index.
     Dense,
-    /// Segmented (sparse-within-range) ids: explicit id → row map.
-    Sparse(HashMap<PathId, u32>),
+    /// Segmented (sparse-within-range) ids: explicit id → row table.
+    Segmented(RowTable),
+}
+
+/// Slot of a [`RowTable`] no path owns (an id in a headroom gap).
+const NO_ROW: u32 = u32::MAX;
+
+/// A [`RowTable`] run may hold this many slots per id it resolves.
+/// The planner's ranges carry at most 8 ids of headroom per path
+/// (`IdHeadroom`: half the cell again, at least 8), so a planned id set
+/// is one run until re-bases have retired most of the id space under it.
+const SLOTS_PER_ROW: u64 = 16;
+
+/// One run of consecutive table slots: ids `first..first + len` resolve
+/// through `rows[start..start + len]`.
+#[derive(Clone, Copy, Debug)]
+struct IdRun {
+    first: u32,
+    len: u32,
+    start: usize,
+}
+
+/// The id → row table of a segmented matrix: a lookup is one subtraction
+/// and one load — the close path resolves ~30 k ids a window and used to
+/// hash each. The id space is cut into runs wherever keeping it whole
+/// would leave more than [`SLOTS_PER_ROW`] slots per resolved id, so the
+/// table stays O(rows) whatever ids the caller hands in; ids between
+/// runs resolve to nothing without a slot of their own.
+#[derive(Clone, Debug)]
+struct RowTable {
+    /// Ascending by `first`, disjoint.
+    runs: Vec<IdRun>,
+    /// The runs' slots back to back; [`NO_ROW`] in a gap.
+    rows: Vec<u32>,
+}
+
+impl RowTable {
+    fn build(paths: &[ProbePath]) -> Self {
+        let mut ids: Vec<(PathId, u32)> = (paths.iter().enumerate())
+            .map(|(row, p)| (p.id, row as u32))
+            .collect();
+        ids.sort_unstable();
+        let mut runs: Vec<IdRun> = Vec::new();
+        let mut rows = Vec::with_capacity(ids.len());
+        // Ids the open run resolves so far.
+        let mut held = 0u64;
+        for (id, row) in ids {
+            match runs.last_mut() {
+                Some(run) if u64::from(id.0 - run.first) < SLOTS_PER_ROW * (held + 1) => {
+                    let slot = id.0 - run.first;
+                    debug_assert!(slot >= run.len, "duplicate path id {id}");
+                    run.len = slot + 1;
+                    rows.resize(run.start + slot as usize, NO_ROW);
+                    held += 1;
+                }
+                _ => {
+                    runs.push(IdRun {
+                        first: id.0,
+                        len: 1,
+                        start: rows.len(),
+                    });
+                    held = 1;
+                }
+            }
+            rows.push(row);
+        }
+        Self { runs, rows }
+    }
+
+    fn row_of(&self, id: PathId) -> Option<usize> {
+        let at = self.runs.partition_point(|run| run.first <= id.0);
+        let run = self.runs.get(at.checked_sub(1)?)?;
+        let slot = id.0 - run.first;
+        if slot >= run.len {
+            return None;
+        }
+        let row = *self.rows.get(run.start + slot as usize)?;
+        (row != NO_ROW).then_some(row as usize)
+    }
 }
 
 /// A constructed probe matrix: the selected probe paths plus metadata.
@@ -283,12 +360,8 @@ impl ProbeMatrix {
     /// caller's path order (cell order, not id order — a re-based cell's
     /// range may sort after a later cell's).
     pub fn from_segmented(num_links: usize, paths: Vec<ProbePath>) -> Self {
-        let mut index: HashMap<PathId, u32> = HashMap::with_capacity(paths.len());
-        for (row, p) in paths.iter().enumerate() {
-            let prev = index.insert(p.id, row as u32);
-            debug_assert!(prev.is_none(), "duplicate path id {}", p.id);
-        }
-        Self::assemble(num_links, paths, PathIndex::Sparse(index))
+        let index = PathIndex::Segmented(RowTable::build(&paths));
+        Self::assemble(num_links, paths, index)
     }
 
     fn assemble(num_links: usize, paths: Vec<ProbePath>, index: PathIndex) -> Self {
@@ -321,7 +394,7 @@ impl ProbeMatrix {
     pub fn row_of(&self, id: PathId) -> Option<usize> {
         match &self.index {
             PathIndex::Dense => (id.index() < self.paths.len()).then(|| id.index()),
-            PathIndex::Sparse(map) => map.get(&id).map(|&row| row as usize),
+            PathIndex::Segmented(table) => table.row_of(id),
         }
     }
 
@@ -786,6 +859,85 @@ mod tests {
         // The link index speaks segmented ids too.
         let idx = m.link_index();
         assert_eq!(idx[2], vec![PathId(8), PathId(9)]);
+    }
+
+    fn segmented(ids: &[u32]) -> ProbeMatrix {
+        let paths = ids
+            .iter()
+            .map(|&id| ProbePath::from_links(id, vec![LinkId(0)]));
+        ProbeMatrix::from_segmented(1, paths.collect())
+    }
+
+    fn table(m: &ProbeMatrix) -> &RowTable {
+        match &m.index {
+            PathIndex::Segmented(table) => table,
+            PathIndex::Dense => panic!("from_segmented builds a row table"),
+        }
+    }
+
+    fn table_bytes(m: &ProbeMatrix) -> usize {
+        let RowTable { runs, rows } = table(m);
+        rows.capacity() * size_of::<u32>() + runs.capacity() * size_of::<IdRun>()
+    }
+
+    #[test]
+    fn row_table_stays_proportional_to_rows_for_any_ids() {
+        // Two neighbours and an id a billion away: three rows, two runs,
+        // and nothing allocated for the gap between them.
+        let far = 1 << 30;
+        let m = segmented(&[8, 9, far]);
+        assert_eq!(m.row_of(PathId(8)), Some(0));
+        assert_eq!(m.row_of(PathId(9)), Some(1));
+        assert_eq!(m.row_of(PathId(far)), Some(2));
+        for gap in [0, 7, 10, 11, 40, far - 1, far + 1, u32::MAX] {
+            assert_eq!(m.row_of(PathId(gap)), None, "id {gap}");
+        }
+        assert!(table_bytes(&m) < 1 << 20, "{} bytes", table_bytes(&m));
+        // The last two ids of the space, in the caller's (descending) order.
+        let m = segmented(&[u32::MAX, u32::MAX - 1, 0]);
+        assert_eq!(m.row_of(PathId(u32::MAX)), Some(0));
+        assert_eq!(m.row_of(PathId(u32::MAX - 1)), Some(1));
+        assert_eq!(m.row_of(PathId(0)), Some(2));
+        assert_eq!(m.row_of(PathId(u32::MAX - 2)), None);
+        assert!(table_bytes(&m) < 1 << 20);
+        assert_eq!(segmented(&[]).row_of(PathId(0)), None);
+    }
+
+    #[test]
+    fn planner_shaped_ranges_resolve_through_one_run() {
+        // Cells of 1, 40 and 3 paths under the default headroom (half
+        // again, at least 8 ids): the lookup is a subtraction and a load.
+        let mut ids: Vec<u32> = vec![0];
+        ids.extend(9..49);
+        ids.extend(69..72);
+        let m = segmented(&ids);
+        assert_eq!(table(&m).runs.len(), 1);
+        assert_eq!(table(&m).rows.len(), 72);
+    }
+
+    proptest::proptest! {
+        /// The table answers every id as the `HashMap` it replaced did:
+        /// clustered, scattered and far-apart ids, in any row order.
+        #[test]
+        fn row_table_resolves_what_a_hash_map_resolves(
+            raw in proptest::collection::vec((0u32..6, 0u32..200), 0..60),
+            probes in proptest::collection::vec((0u32..6, 0u32..260), 0..60),
+        ) {
+            // Six clusters whose bases are 0, 2^6, 2^12 ... 2^30 apart.
+            let id = |(cluster, offset): (u32, u32)| (cluster << (6 * cluster)).wrapping_add(offset);
+            let mut ids: Vec<u32> = raw.iter().copied().map(id).collect();
+            let mut seen = HashSet::new();
+            ids.retain(|i| seen.insert(*i));
+            let m = segmented(&ids);
+            let reference: HashMap<u32, usize> =
+                ids.iter().enumerate().map(|(row, &i)| (i, row)).collect();
+            for probe in probes.iter().copied().map(id).chain(ids.iter().copied()) {
+                proptest::prop_assert_eq!(
+                    m.row_of(PathId(probe)), reference.get(&probe).copied(), "id {}", probe
+                );
+            }
+            proptest::prop_assert!(table_bytes(&m) <= 192 * ids.len());
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! window.
 //!
 //! The filter is always the same two passes over the sealed snapshot:
-//! collect the links of every lossy path, then keep what touches them.
+//! mark the links of every lossy path, then keep what touches them. The
+//! marks are one flag per link of the matrix's universe and ids resolve
+//! through the matrix's flat row table, so a window's ~30 k path look-ups
+//! and ~90 k link probes hash nothing.
 //! `k`, the plane's top-K budget
 //! ([`IngestConfig::topk`](crate::IngestConfig::topk)), only shapes the
 //! `topk_hits` statistic — the number of lossy paths while they fit the
@@ -23,10 +26,32 @@
 //! closures preserves exact equivalence — see
 //! `filtered_diagnosis_is_exact` and the property tests.
 
-use std::collections::HashSet;
-
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
+
+/// The links on at least one lossy path: a flag per link of the matrix's
+/// universe, plus the (normally absent) links a path names beyond it.
+struct SuspectLinks {
+    flags: Vec<bool>,
+    beyond: Vec<LinkId>,
+}
+
+impl SuspectLinks {
+    fn mark(&mut self, link: LinkId) {
+        match self.flags.get_mut(link.index()) {
+            Some(flag) => *flag = true,
+            None if self.beyond.contains(&link) => {}
+            None => self.beyond.push(link),
+        }
+    }
+
+    fn contains(&self, link: LinkId) -> bool {
+        match self.flags.get(link.index()) {
+            Some(&flag) => flag,
+            None => self.beyond.contains(&link),
+        }
+    }
+}
 
 /// Outcome of pre-filtering one sealed window.
 #[derive(Clone, Debug)]
@@ -48,12 +73,15 @@ pub fn prefilter(matrix: &ProbeMatrix, observations: &[PathObservation], k: usiz
     // Links on any lossy path. Paths the matrix cannot resolve (retired
     // pre-re-base ids) contribute no links but are kept when lossy: they
     // surface as unexplained, exactly as without the filter.
-    let mut suspect_links: HashSet<LinkId> = HashSet::new();
+    let mut suspects = SuspectLinks {
+        flags: vec![false; matrix.num_links],
+        beyond: Vec::new(),
+    };
     let mut lossy = 0u64;
     for o in observations.iter().filter(|o| o.is_lossy()) {
         lossy += 1;
         if let Some(path) = matrix.path(o.path) {
-            suspect_links.extend(path.links());
+            path.links().iter().for_each(|&l| suspects.mark(l));
         }
     }
     let topk_hits = if lossy > k as u64 { 0 } else { lossy };
@@ -63,7 +91,7 @@ pub fn prefilter(matrix: &ProbeMatrix, observations: &[PathObservation], k: usiz
         let keep = o.is_lossy()
             || matrix
                 .path(o.path)
-                .is_some_and(|p| p.links().iter().any(|l| suspect_links.contains(l)));
+                .is_some_and(|p| p.links().iter().any(|&l| suspects.contains(l)));
         if keep {
             kept.push(*o);
         }
@@ -81,6 +109,41 @@ mod tests {
     use super::*;
     use detector_core::pll::{localize, PllConfig};
     use detector_core::types::{PathId, ProbePath};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The filter as it was written over a `HashSet<LinkId>`, kept as the
+    /// oracle for the flag vector: returns `(kept, topk_hits, dropped)`.
+    fn prefilter_reference(
+        matrix: &ProbeMatrix,
+        observations: &[PathObservation],
+        k: usize,
+    ) -> (Vec<PathObservation>, u64, usize) {
+        let mut suspect_links: HashSet<LinkId> = HashSet::new();
+        let mut lossy = 0u64;
+        for o in observations.iter().filter(|o| o.is_lossy()) {
+            lossy += 1;
+            if let Some(path) = matrix.path(o.path) {
+                suspect_links.extend(path.links());
+            }
+        }
+        let kept: Vec<PathObservation> = (observations.iter())
+            .filter(|o| {
+                let path = matrix.path(o.path);
+                o.is_lossy()
+                    || path.is_some_and(|p| p.links().iter().any(|l| suspect_links.contains(l)))
+            })
+            .copied()
+            .collect();
+        let dropped = observations.len() - kept.len();
+        (kept, if lossy > k as u64 { 0 } else { lossy }, dropped)
+    }
+
+    fn assert_matches_reference(matrix: &ProbeMatrix, o: &[PathObservation], k: usize) {
+        let got = prefilter(matrix, o, k);
+        let want = prefilter_reference(matrix, o, k);
+        assert_eq!((got.observations, got.topk_hits, got.dropped), want);
+    }
 
     /// p0={0,1}, p1={0,2}, p2={2,3}, p3={3}, p4={1}, p5={4}.
     fn matrix() -> ProbeMatrix {
@@ -155,6 +218,60 @@ mod tests {
         let f = prefilter(&matrix(), &o, 8);
         let kept: Vec<u32> = f.observations.iter().map(|o| o.path.0).collect();
         assert_eq!(kept, vec![99]);
+    }
+
+    #[test]
+    fn links_beyond_the_universe_are_marked_like_any_other() {
+        // The matrix declares 2 links but its paths name links 7 and 9:
+        // no flag exists for those, and they must still tie p1 to the
+        // lossy p0 (and leave p2, on link 9 alone, out) without a panic.
+        let paths = vec![
+            ProbePath::from_links(0, vec![LinkId(0), LinkId(7)]),
+            ProbePath::from_links(1, vec![LinkId(7)]),
+            ProbePath::from_links(2, vec![LinkId(9)]),
+            ProbePath::from_links(3, vec![LinkId(1)]),
+        ];
+        let m = ProbeMatrix::from_paths(2, paths);
+        let o = obs(&[(0, 100, 40), (1, 100, 0), (2, 100, 0), (3, 100, 0)]);
+        let kept: Vec<u32> = (prefilter(&m, &o, 8).observations.iter())
+            .map(|o| o.path.0)
+            .collect();
+        assert_eq!(kept, vec![0, 1]);
+        assert_matches_reference(&m, &o, 8);
+        // The same with no universe at all: every link is beyond it.
+        let m = ProbeMatrix::from_paths(0, m.paths.clone());
+        assert_matches_reference(&m, &o, 8);
+    }
+
+    proptest! {
+        /// Kept set, its order, `topk_hits` and `dropped` are the
+        /// `HashSet` filter's on random segmented matrices — link ids on
+        /// both sides of `num_links`, observations of ids the matrix
+        /// resolves and of ids it does not, lossy or clean.
+        #[test]
+        fn flag_vector_filter_equals_the_hash_set_filter(
+            link_sets in proptest::collection::vec(
+                (0u32..400, proptest::collection::vec(0u32..40, 0..5)), 0..30),
+            num_links in 0usize..40,
+            raw_obs in proptest::collection::vec((0u32..420, 1u64..200, 0u64..4), 0..40),
+            k in 0usize..12,
+        ) {
+            let mut ids = HashSet::new();
+            let paths = (link_sets.into_iter())
+                .filter(|(id, _)| ids.insert(*id))
+                .map(|(id, links)| {
+                    ProbePath::from_links(id, links.into_iter().map(LinkId).collect())
+                })
+                .collect();
+            let matrix = ProbeMatrix::from_segmented(num_links, paths);
+            // A sealed window: ascending, one observation per path.
+            let mut o: Vec<PathObservation> = (raw_obs.into_iter())
+                .map(|(id, sent, lost)| PathObservation::new(PathId(id), sent, lost.min(sent)))
+                .collect();
+            o.sort_unstable_by_key(|o| o.path);
+            o.dedup_by_key(|o| o.path);
+            assert_matches_reference(&matrix, &o, k);
+        }
     }
 
     #[test]

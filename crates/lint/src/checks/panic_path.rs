@@ -32,6 +32,7 @@ const SCOPE: &[&str] = &[
     "crates/agent/src/runtime.rs",
     "crates/core/src/pll/components.rs",
     "crates/ingest/src/plane.rs",
+    "crates/ingest/src/prefilter.rs",
     "crates/simnet/src/packet.rs",
     "crates/system/src/scheduler.rs",
     "crates/system/src/pinger.rs",
@@ -173,6 +174,14 @@ mod tests {
         // index or a report it cannot vouch for must be an error, not a
         // panic.
         assert!(in_scope("crates/agent/src/runtime.rs"));
+    }
+
+    #[test]
+    fn prefilter_is_in_scope() {
+        // Every window's close runs it, and its flag vector is indexed by
+        // link ids a matrix path names — which need not be below
+        // `num_links`.
+        assert!(in_scope("crates/ingest/src/prefilter.rs"));
     }
 
     #[test]

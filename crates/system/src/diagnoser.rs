@@ -9,7 +9,9 @@
 //!   per-window `Vec<PingerReport>` re-aggregation;
 //! * the [`ReportStore`] keeps the raw reports for the consumers that
 //!   need per-pinger or per-flow attribution (loss classification,
-//!   watchdog exclusions applied after ingestion).
+//!   watchdog exclusions applied after ingestion). Reports hold a flow
+//!   record only where a probe was lost, so what the retained windows
+//!   cost follows the loss, not the probing.
 //!
 //! Diagnosis is one path: seal the snapshot, subtract watchdog
 //! exclusions, pre-filter to the paths that can influence the verdict,
@@ -20,7 +22,7 @@
 
 use detector_core::pll::{
     classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, Diagnosis,
-    FlowSample, LossClassification, PllConfig,
+    LossClassification, PllConfig,
 };
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
@@ -249,31 +251,23 @@ impl Diagnoser {
         self.store.prune_before(keep_from);
     }
 
-    /// Classifies the loss pattern behind a suspect link (§7): aggregates
-    /// the per-flow counters of the window's reports over the paths
-    /// through the link and looks at the per-flow loss profile. Each
-    /// (path, flow) pair is one sample — a blackhole drops a flow on one
-    /// path deterministically, so bimodality shows at that granularity.
+    /// Classifies the loss pattern behind a suspect link (§7) from the
+    /// per-flow loss profile of the window's reports over the paths
+    /// through the link. Each (pinger, path, flow) triple is one sample —
+    /// a blackhole drops a flow on one path deterministically, so
+    /// bimodality shows at that granularity. Reports record only the
+    /// flows that lost a probe; the store rebuilds the clean ones from
+    /// each path's flow count ([`ReportStore::flow_samples`]), and the
+    /// verdict is the one a record per flow would give.
     pub fn classify_suspect(
         &self,
         window: u64,
         link: LinkId,
         watchdog: &Watchdog,
     ) -> Option<LossClassification> {
-        let through: std::collections::HashSet<_> =
-            self.matrix.paths_through(link).map(|p| p.id).collect();
-        let samples = self
-            .store
-            .flow_samples(window, &|p| !watchdog.is_healthy(p), &|pid| {
-                through.contains(&pid)
-            });
-        let samples: Vec<FlowSample> = samples
-            .into_iter()
-            .map(|((pinger, pid, flow), (sent, lost))| {
-                let id = ((pinger.0 as u64) << 48) ^ ((pid.0 as u64) << 24) ^ flow;
-                FlowSample::new(id, sent, lost)
-            })
-            .collect();
+        let through = |pid| self.matrix.path(pid).is_some_and(|p| p.covers(link));
+        let excluded = |p| !watchdog.is_healthy(p);
+        let samples = self.store.flow_samples(window, &excluded, &through);
         classify_loss(&samples, &ClassifyConfig::default())
     }
 }

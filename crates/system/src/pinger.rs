@@ -113,7 +113,9 @@ impl Pinger {
     /// Runs one reporting window: sweeps the entries at the configured
     /// rate, advancing the source port and QoS class every sweep,
     /// confirms each loss with [`SystemConfig::confirm_probes`]
-    /// same-content re-probes, and aggregates counters.
+    /// same-content re-probes, and aggregates counters. The report
+    /// keeps a flow record for each flow that lost a probe and, per path,
+    /// the number of flows probed.
     pub fn run_window(
         &self,
         dataplane: &dyn DataPlane,
@@ -206,6 +208,13 @@ impl Pinger {
             }
             same
         });
+        // Every probed path has a record per flow here, so the runs of
+        // equal path ids line up with the probed keys reported below.
+        // The count is taken before the clean flows go: they travel as
+        // that number and nothing else.
+        let per_path = flows.chunk_by(|a, b| a.path == b.path);
+        report.flows_probed = per_path.map(|own| own.len() as u32).collect();
+        flows.retain(|f| f.lost > 0);
         flows.shrink_to_fit();
         report.flows = flows;
         // A short window may not reach every entry: only probed keys report.
@@ -320,6 +329,93 @@ fn probe_once(
     lost
 }
 
+/// The per-probe `HashMap` accumulation `run_window` replaced — two map
+/// lookups per probe, keyed as the report used to be, and a record for
+/// every flow whether it lost a probe or not (`flows_probed` left empty)
+/// — kept as the oracle for the slot-indexed, lossy-only window.
+#[cfg(test)]
+pub(crate) fn run_window_full_records(
+    p: &Pinger,
+    dataplane: &dyn DataPlane,
+    cfg: &SystemConfig,
+    window: u64,
+    rng: &mut SmallRng,
+) -> PingerReport {
+    use std::collections::HashMap;
+    let mut paths: HashMap<PathId, PathCounters> = HashMap::new();
+    let mut in_rack: HashMap<NodeId, PathCounters> = HashMap::new();
+    let mut flows: HashMap<(PathId, u16, u8), (u64, u64)> = HashMap::new();
+    let budget = (cfg.probe_rate_pps * cfg.window_s as f64) as u64;
+    for i in 0..if p.list.entries.is_empty() { 0 } else { budget } {
+        let ei = (i as usize) % p.list.entries.len();
+        let sweep = (i as usize) / p.list.entries.len();
+        let entry = &p.list.entries[ei];
+        let route = &p.routes[ei];
+        let sport = p
+            .list
+            .base_sport
+            .wrapping_add((sweep % p.list.port_range.max(1) as usize) as u16);
+        let mut flow = FlowKey::udp(p.list.pinger.0, entry.responder.0, sport, p.list.dport);
+        if !cfg.dscp_classes.is_empty() {
+            flow.dscp = cfg.dscp_classes[sweep % cfg.dscp_classes.len()];
+        }
+        let tag = ProbeTag {
+            window,
+            path_id: entry.path.map_or(ProbeTag::IN_RACK, |p| p.0),
+            waypoint: entry.waypoint.map_or(0, |n| n.0),
+        };
+        let counters = match entry.path {
+            Some(pid) => paths.entry(pid).or_default(),
+            None => in_rack.entry(entry.responder).or_default(),
+        };
+        let lost = probe_once(dataplane, tag, route, flow, cfg, counters, rng);
+        let mut flow_sent = 1u64;
+        let mut flow_lost = u64::from(lost);
+        if lost {
+            for _ in 0..cfg.confirm_probes {
+                flow_sent += 1;
+                flow_lost += u64::from(probe_once(dataplane, tag, route, flow, cfg, counters, rng));
+            }
+        }
+        if let Some(pid) = entry.path {
+            let e = flows.entry((pid, flow.sport, flow.dscp)).or_insert((0, 0));
+            e.0 += flow_sent;
+            e.1 += flow_lost;
+        }
+    }
+    let mut report = PingerReport {
+        pinger: p.list.pinger,
+        window,
+        paths: paths.into_iter().collect(),
+        flows_probed: Vec::new(),
+        in_rack: in_rack.into_iter().collect(),
+        flows: flows
+            .into_iter()
+            .map(|((path, sport, dscp), (sent, lost))| FlowRecord {
+                path,
+                sport,
+                dscp,
+                sent,
+                lost,
+            })
+            .collect(),
+    };
+    report.paths.sort_unstable_by_key(|(p, _)| *p);
+    report.in_rack.sort_unstable_by_key(|(n, _)| *n);
+    report.flows.sort_unstable_by_key(FlowRecord::key);
+    report
+}
+
+/// What a full-record report becomes on the lossy-only wire: each path's
+/// records counted, then the clean ones dropped.
+#[cfg(test)]
+pub(crate) fn lossy_only(mut full: PingerReport) -> PingerReport {
+    let count = |pid| full.flows.iter().filter(|f| f.path == pid).count() as u32;
+    full.flows_probed = full.paths.iter().map(|(pid, _)| count(*pid)).collect();
+    full.flows.retain(|f| f.lost > 0);
+    full
+}
+
 /// Resource-cost model of a pinger process (Fig. 4b).
 ///
 /// We cannot measure a production pinger process from inside a simulator;
@@ -374,7 +470,6 @@ mod tests {
     use detector_simnet::{Fabric, LossDiscipline};
     use detector_topology::{DcnTopology, Fattree};
     use rand::Rng;
-    use std::collections::HashMap;
 
     fn setup(ft: &Fattree) -> (Pinglist, Fabric<'_>) {
         let pinger = ft.server(0, 0, 0);
@@ -513,6 +608,7 @@ mod tests {
         let b = batch.run_window(&fabric, &cfg, 0, 42);
         assert_eq!(a.paths, b.paths);
         assert_eq!(a.in_rack, b.in_rack);
+        assert_eq!(a.flows_probed, b.flows_probed);
         assert_eq!(a.flows, b.flows);
         let c = batch.run_window(&fabric, &cfg, 0, 43);
         assert_ne!(
@@ -574,80 +670,6 @@ mod tests {
         assert_eq!(partial.num_entries(), 1, "bad entry dropped at bind");
         assert!(partial.bound_to(&with_bad_entry));
         assert!(!partial.bound_to(&list));
-    }
-
-    /// The per-probe `HashMap` accumulation `run_window` replaced — two
-    /// map lookups per probe, keyed as the report used to be — kept as
-    /// the oracle for the slot-indexed rewrite.
-    fn run_window_reference(
-        p: &Pinger,
-        dataplane: &dyn DataPlane,
-        cfg: &SystemConfig,
-        window: u64,
-        rng: &mut SmallRng,
-    ) -> PingerReport {
-        let mut paths: HashMap<PathId, PathCounters> = HashMap::new();
-        let mut in_rack: HashMap<NodeId, PathCounters> = HashMap::new();
-        let mut flows: HashMap<(PathId, u16, u8), (u64, u64)> = HashMap::new();
-        let budget = (cfg.probe_rate_pps * cfg.window_s as f64) as u64;
-        for i in 0..if p.list.entries.is_empty() { 0 } else { budget } {
-            let ei = (i as usize) % p.list.entries.len();
-            let sweep = (i as usize) / p.list.entries.len();
-            let entry = &p.list.entries[ei];
-            let route = &p.routes[ei];
-            let sport = p
-                .list
-                .base_sport
-                .wrapping_add((sweep % p.list.port_range.max(1) as usize) as u16);
-            let mut flow = FlowKey::udp(p.list.pinger.0, entry.responder.0, sport, p.list.dport);
-            if !cfg.dscp_classes.is_empty() {
-                flow.dscp = cfg.dscp_classes[sweep % cfg.dscp_classes.len()];
-            }
-            let tag = ProbeTag {
-                window,
-                path_id: entry.path.map_or(ProbeTag::IN_RACK, |p| p.0),
-                waypoint: entry.waypoint.map_or(0, |n| n.0),
-            };
-            let counters = match entry.path {
-                Some(pid) => paths.entry(pid).or_default(),
-                None => in_rack.entry(entry.responder).or_default(),
-            };
-            let lost = probe_once(dataplane, tag, route, flow, cfg, counters, rng);
-            let mut flow_sent = 1u64;
-            let mut flow_lost = u64::from(lost);
-            if lost {
-                for _ in 0..cfg.confirm_probes {
-                    flow_sent += 1;
-                    flow_lost +=
-                        u64::from(probe_once(dataplane, tag, route, flow, cfg, counters, rng));
-                }
-            }
-            if let Some(pid) = entry.path {
-                let e = flows.entry((pid, flow.sport, flow.dscp)).or_insert((0, 0));
-                e.0 += flow_sent;
-                e.1 += flow_lost;
-            }
-        }
-        let mut report = PingerReport {
-            pinger: p.list.pinger,
-            window,
-            paths: paths.into_iter().collect(),
-            in_rack: in_rack.into_iter().collect(),
-            flows: flows
-                .into_iter()
-                .map(|((path, sport, dscp), (sent, lost))| FlowRecord {
-                    path,
-                    sport,
-                    dscp,
-                    sent,
-                    lost,
-                })
-                .collect(),
-        };
-        report.paths.sort_unstable_by_key(|(p, _)| *p);
-        report.in_rack.sort_unstable_by_key(|(n, _)| *n);
-        report.flows.sort_unstable_by_key(FlowRecord::key);
-        report
     }
 
     #[test]
@@ -751,13 +773,13 @@ mod tests {
             let bound = Pinger::bind(list, ft.graph());
             let seed = draw.gen_range(0..u64::MAX);
             let got = bound.run_window(&fabric, &cfg, case, &mut SmallRng::seed_from_u64(seed));
-            let want = run_window_reference(
+            let want = lossy_only(run_window_full_records(
                 &bound,
                 &fabric,
                 &cfg,
                 case,
                 &mut SmallRng::seed_from_u64(seed),
-            );
+            ));
             // `PartialEq` on `f64` would accept -0.0 == 0.0; compare the
             // RTT accumulators bit for bit.
             let bits = |r: &PingerReport| -> Vec<(u64, u64)> {

@@ -394,6 +394,7 @@ impl Detector {
 mod tests {
     use super::*;
     use crate::events::{CollectingSink, RuntimeEvent};
+    use crate::SystemConfig;
     use detector_simnet::{Fabric, LossDiscipline};
     use detector_topology::{Fattree, TopologyEvent};
     use rand::SeedableRng;
@@ -455,6 +456,48 @@ mod tests {
         assert_eq!(seq.now_s(), pipe.now_s());
         assert_eq!(seq.epoch(), pipe.epoch());
         assert_eq!(seq.matrix().paths, pipe.matrix().paths);
+    }
+
+    #[test]
+    fn a_scripted_event_the_re_plan_rejects_fails_the_run_as_replan() {
+        // Born degraded: Fattree(4) plans as two cells of 16 links, and
+        // this one boots with a link of each offline under an
+        // extended-universe cap the remaining 15 just meet. Restoring
+        // either link asks for a canonical solve over all 16 — the one
+        // re-plan a booted plan can be refused.
+        let ft = Arc::new(Fattree::new(4).unwrap());
+        let (link, other) = (ft.ea_link(0, 0, 0), ft.ea_link(0, 0, 1));
+        let mut cfg = SystemConfig::default();
+        cfg.pmc.max_extended_elements = 15;
+        let sink = CollectingSink::new();
+        let mut run = Detector::builder(ft.clone())
+            .config(cfg)
+            .offline_links([link, other])
+            .sink(Box::new(sink.clone()))
+            .build()
+            .expect("the degraded plan fits the cap");
+        let fabric = Fabric::quiet(ft.as_ref());
+        let script = Script::new().topology(2, TopologyEvent::LinkUp { link });
+        let mut rng = SmallRng::seed_from_u64(1);
+        let err = run
+            .run_pipelined(&fabric, 4, &script, &PipelineConfig::default(), &mut rng)
+            .expect_err("the restore cannot be planned");
+        let too_large = PmcError::UniverseTooLarge {
+            required: 16,
+            limit: 15,
+        };
+        assert!(
+            matches!(&err, PipelineError::Replan(e) if *e == too_large),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "scripted re-plan failed: extended universe needs 16 elements, limit is 15"
+        );
+        // The windows dispatched before the event were completed and
+        // announced; nothing after it was.
+        let finished = |e: &RuntimeEvent| matches!(e, RuntimeEvent::DiagnosisReady(_));
+        assert_eq!(sink.events().iter().filter(|e| finished(e)).count(), 2);
     }
 
     #[test]
