@@ -309,7 +309,7 @@ impl Fleet<'_> {
     /// where the fold did) and its racks; it never stalls the window.
     fn collect(
         &mut self,
-        diagnoser: &Diagnoser,
+        diagnoser: &mut Diagnoser,
         ticket: &mut Ticket,
         watchdog: &mut Watchdog,
         dispatched: &[usize],
@@ -399,9 +399,9 @@ impl DistributedDetector {
     }
 
     /// The diagnoser: past windows' observations and loss
-    /// classification.
-    pub fn diagnoser(&self) -> &Diagnoser {
-        self.close.diagnoser()
+    /// classification, and (`discard`) what a failed run left folded.
+    pub fn diagnoser_mut(&mut self) -> &mut Diagnoser {
+        self.close.diagnoser_mut()
     }
 
     /// The host-group partition (one group per agent).
@@ -617,7 +617,7 @@ impl DistributedDetector {
 
             let window = ticket.window;
             let closed = fleet
-                .collect(close.diagnoser(), &mut ticket, watchdog, &dispatched)
+                .collect(close.diagnoser_mut(), &mut ticket, watchdog, &dispatched)
                 .and_then(|mut got| {
                     close
                         .close(ticket, |pinger| got.remove(&pinger), watchdog, dataplane)
@@ -628,7 +628,7 @@ impl DistributedDetector {
                 Err(e) => {
                     // Nothing of a window that will never close may
                     // linger in the ingest plane.
-                    close.diagnoser().discard(window);
+                    close.diagnoser_mut().discard(window);
                     return Err(e);
                 }
             }

@@ -1,19 +1,23 @@
 //! # detector-ingest
 //!
 //! The streaming ingest plane: per-path `(sent, lost)` counters
-//! aggregate into striped, cache-padded atomic shards as pinger reports
-//! arrive, so a window's observation set exists the moment its last
-//! report lands — no per-window `Vec<PingerReport>` assembly between
-//! collection and diagnosis.
+//! aggregate into the open window's table as pinger reports arrive, so a
+//! window's observation set exists the moment its last report lands — no
+//! per-window `Vec<PingerReport>` assembly between collection and
+//! diagnosis.
 //!
 //! Two pieces:
 //!
-//! * [`IngestPlane`] — the sharded counter store with per-window lanes:
-//!   diagnosis [`seal`](IngestPlane::seal)s a frozen, sorted snapshot of
-//!   window `w` (bit-identical to what `ReportStore::window_observations`
-//!   would aggregate from the same reports) while the next window keeps
-//!   accumulating in its own lane; [`retract`](IngestPlane::retract)
-//!   forfeits a crashed agent's partial window exactly.
+//! * [`IngestPlane`] — the per-window counter store. It has one owner:
+//!   [`fold`](IngestPlane::fold), [`retract`](IngestPlane::retract) and
+//!   [`seal`](IngestPlane::seal) take `&mut self`, and nothing in the
+//!   crate synchronises, because every driver collects a window and
+//!   seals it from one place. `seal` hands diagnosis a sorted snapshot
+//!   of window `w` (bit-identical to what
+//!   `ReportStore::window_observations` would aggregate from the same
+//!   reports) and recycles the window's table; `retract` forfeits a
+//!   crashed agent's partial window exactly, and counts what it cannot
+//!   take back.
 //! * [`prefilter`] — reduces a sealed window to the observations that
 //!   can influence PLL's verdict (lossy paths plus all paths sharing a
 //!   link with one), provably without changing the diagnosis.

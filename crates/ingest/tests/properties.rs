@@ -3,16 +3,16 @@
 //! * the top-K pre-filter never changes a diagnosis: PLL over the kept
 //!   set equals PLL over the full window, for arbitrary matrices and
 //!   observations (β-identifiable failure sets are a subset of this);
-//! * fold/retract/seal agree with the naive per-window aggregation,
-//!   including lane collisions (more in-flight windows than lanes) and
-//!   full-shard overflow.
+//! * fold/retract/seal agree with the naive per-window aggregation —
+//!   counters and fault accounting — under arbitrary retracts, several
+//!   windows open at once and tables that grow mid-window.
 
 use std::collections::HashMap;
 
 use detector_core::pll::{localize, PllConfig};
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathId, PathObservation, ProbePath};
-use detector_ingest::{prefilter, IngestConfig, IngestPlane};
+use detector_ingest::{prefilter, IngestPlane, SealedWindow};
 use proptest::prelude::*;
 
 /// A matrix from raw link-id sets (empty sets are dropped; ids are
@@ -26,6 +26,69 @@ fn matrix_from(link_sets: &[Vec<u32>]) -> ProbeMatrix {
         })
         .collect();
     ProbeMatrix::from_paths(24, paths)
+}
+
+/// One report's `(path, sent, lost)` entries.
+type Entries = Vec<(PathId, u64, u64)>;
+
+/// The plane's contract spelled out the slow way: one map per open
+/// window, one ledger each for reports, mismatches and orphans.
+#[derive(Default)]
+struct Naive {
+    open: HashMap<u64, NaiveWindow>,
+    orphans: u64,
+}
+
+#[derive(Default)]
+struct NaiveWindow {
+    reports: u64,
+    mismatch: u64,
+    paths: HashMap<PathId, (u64, u64)>,
+}
+
+impl Naive {
+    fn fold(&mut self, window: u64, entries: &[(PathId, u64, u64)]) {
+        let w = self.open.entry(window).or_default();
+        w.reports += 1;
+        for &(path, sent, lost) in entries {
+            let have = w.paths.entry(path).or_default();
+            *have = (have.0 + sent, have.1 + lost);
+        }
+    }
+
+    fn retract(&mut self, window: u64, entries: &[(PathId, u64, u64)]) {
+        let Some(w) = self.open.get_mut(&window) else {
+            let nonzero = entries.iter().filter(|&&(_, s, l)| s > 0 || l > 0);
+            self.orphans += 1 + nonzero.count() as u64;
+            return;
+        };
+        if w.reports == 0 {
+            w.mismatch += 1;
+        }
+        w.reports = w.reports.saturating_sub(1);
+        for &(path, sent, lost) in entries {
+            let mut nothing = (0, 0);
+            let have = w.paths.get_mut(&path).unwrap_or(&mut nothing);
+            if sent > have.0 || lost > have.1 {
+                w.mismatch += 1;
+            }
+            *have = (have.0.saturating_sub(sent), have.1.saturating_sub(lost));
+        }
+    }
+
+    fn seal(&mut self, window: u64) -> SealedWindow {
+        let w = self.open.remove(&window).unwrap_or_default();
+        let mut observations: Vec<PathObservation> = (w.paths.into_iter())
+            .filter(|&(_, (s, l))| s > 0 || l > 0)
+            .map(|(p, (s, l))| PathObservation::new(p, s, l))
+            .collect();
+        observations.sort_unstable_by_key(|o| o.path);
+        SealedWindow {
+            observations,
+            reports: w.reports,
+            retract_mismatch: w.mismatch,
+        }
+    }
 }
 
 proptest! {
@@ -58,59 +121,54 @@ proptest! {
         prop_assert_eq!(full, filtered, "k={} dropped {}", k, kept.dropped);
     }
 
-    /// The plane is an exact aggregator: folds minus retracts, across
-    /// colliding lanes and tiny over-full shards, seal to precisely the
-    /// naive per-window totals.
+    /// The plane against the naive model, ledger for ledger: any
+    /// interleaving of folds, retracts — of an earlier fold (exact, or a
+    /// duplicate, or after its window sealed) and of arbitrary entries
+    /// (oversized, zero, against windows never opened) — and seals, over
+    /// up to six windows open at once, from a table of 2–8 slots that has
+    /// to grow. Counters, report counts, mismatches and orphans all match.
     #[test]
     fn plane_seal_matches_naive_aggregation(
-        reports in proptest::collection::vec(
-            (0u64..6, 0u8..2,
-             proptest::collection::vec((0u32..50, 1u64..100, 0u64..100), 1..8)),
-            0..40),
-        shards in 1usize..4,
-        slots in 1usize..8,
-        lanes in 1usize..4,
+        ops in proptest::collection::vec(
+            (0u64..6, 0u8..6, 0usize..40,
+             proptest::collection::vec((0u32..50, 0u64..100, 0u64..100), 0..8)),
+            0..60),
+        hint in 0usize..4,
     ) {
-        let plane = IngestPlane::new(IngestConfig {
-            shards,
-            slots_per_shard: slots,
-            lanes,
-            topk: 8,
-        });
-        type WindowTotals = (u64, HashMap<u32, (u64, u64)>);
-        let mut naive: HashMap<u64, WindowTotals> = HashMap::new();
-        for (window, keep, entries) in &reports {
-            let entries: Vec<(PathId, u64, u64)> = entries
-                .iter()
-                .map(|&(p, s, l)| (PathId(p), s, l.min(s)))
-                .collect();
-            plane.fold(*window, entries.iter().copied());
-            if *keep == 1 {
-                let w = naive.entry(*window).or_default();
-                w.0 += 1;
-                for (p, s, l) in &entries {
-                    let e = w.1.entry(p.0).or_default();
-                    e.0 += s;
-                    e.1 += l;
+        let mut plane = IngestPlane::for_paths(hint);
+        let mut naive = Naive::default();
+        let mut folded: Vec<(u64, Entries)> = Vec::new();
+        for (window, kind, pick, entries) in &ops {
+            let entries: Entries =
+                entries.iter().map(|&(p, s, l)| (PathId(p), s, l)).collect();
+            match kind {
+                0..=2 => {
+                    // Reports never carry lost > sent.
+                    let entries: Entries =
+                        entries.iter().map(|&(p, s, l)| (p, s, l.min(s))).collect();
+                    plane.fold(*window, entries.iter().copied());
+                    naive.fold(*window, &entries);
+                    folded.push((*window, entries));
                 }
-            } else {
-                // A dead agent's report: fold then retract, like the
-                // distributed controller forfeiting a partial window.
-                plane.retract(*window, entries.iter().copied());
+                3 if !folded.is_empty() => {
+                    let (window, entries) = &folded[pick % folded.len()];
+                    plane.retract(*window, entries.iter().copied());
+                    naive.retract(*window, entries);
+                }
+                3 | 4 => {
+                    plane.retract(*window, entries.iter().copied());
+                    naive.retract(*window, &entries);
+                }
+                _ => {
+                    let (sealed, expect) = (plane.seal(*window), naive.seal(*window));
+                    prop_assert_eq!(sealed, expect, "window {} sealed mid-run", window);
+                }
             }
         }
         for window in 0..6u64 {
-            let sealed = plane.seal(window);
-            let (reports, paths) = naive.remove(&window).unwrap_or_default();
-            prop_assert_eq!(sealed.reports, reports, "window {} report count", window);
-            let mut expect: Vec<PathObservation> = paths
-                .into_iter()
-                .filter(|&(_, (s, l))| s > 0 || l > 0)
-                .map(|(p, (s, l))| PathObservation::new(PathId(p), s, l))
-                .collect();
-            expect.sort_unstable_by_key(|o| o.path);
-            prop_assert_eq!(sealed.observations, expect, "window {}", window);
+            prop_assert_eq!(plane.seal(window), naive.seal(window), "window {}", window);
         }
+        prop_assert_eq!(plane.take_orphaned_retracts(), naive.orphans);
     }
 
     /// Window isolation of the top-K pre-filter: with folds for windows
@@ -129,35 +187,19 @@ proptest! {
         k in 1usize..8,
     ) {
         let matrix = matrix_from(&link_sets);
-        let plane = IngestPlane::new(IngestConfig {
-            shards: 2,
-            slots_per_shard: 8,
-            lanes: 2,
-            topk: k,
-        });
-        let mut naive: HashMap<u64, HashMap<u32, (u64, u64)>> = HashMap::new();
+        let mut plane = IngestPlane::for_paths(4);
+        let mut naive = Naive::default();
         for (window, entries) in &folds {
-            let entries: Vec<(PathId, u64, u64)> = entries
+            let entries: Entries = entries
                 .iter()
                 .map(|&(p, s, l)| (PathId(p), s, l.min(s)))
                 .collect();
             plane.fold(*window, entries.iter().copied());
-            let w = naive.entry(*window).or_default();
-            for (p, s, l) in &entries {
-                let e = w.entry(p.0).or_default();
-                e.0 += s;
-                e.1 += l;
-            }
+            naive.fold(*window, &entries);
         }
         for window in 0..2u64 {
             let sealed = plane.seal(window);
-            let mut expect: Vec<PathObservation> = naive
-                .remove(&window)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(p, (s, l))| PathObservation::new(PathId(p), s, l))
-                .collect();
-            expect.sort_unstable_by_key(|o| o.path);
+            let expect = naive.seal(window).observations;
             let from_plane = prefilter(&matrix, &sealed.observations, k);
             let from_naive = prefilter(&matrix, &expect, k);
             prop_assert_eq!(

@@ -37,10 +37,10 @@ impl Shared {
     }
 }
 
-// The disciplined ingest shard swap: the seal drains the overflow map
-// under its mutex, the guard dies with the block, and only the frozen
-// snapshot crosses the channel — folding collectors never wait on
-// diagnosis shipping its result.
+// The disciplined drain-and-ship (same shape as in `locks_bad.rs`): the
+// seal drains the map under its mutex, the guard dies with the block,
+// and only the frozen snapshot crosses the channel — folders never wait
+// on the sealer shipping its result.
 struct IngestPlane {
     overflow: Mutex<Vec<(u64, u64)>>,
 }

@@ -35,10 +35,10 @@ impl Shared {
     }
 }
 
-// The ingest shard-swap hazard: sealing a window drains the overflow
-// map under its mutex (rank above `ReportStore`'s 100), and the sealed
-// snapshot must only be shipped *after* the guard is gone. Holding it
-// across the send couples diagnosis against every folding collector.
+// The drain-and-ship hazard, in the shape the ingest plane had while it
+// kept a mutex-guarded overflow map (it is single-owner now and holds no
+// lock): the drained snapshot must only be shipped *after* the guard is
+// gone. Holding it across the send couples the sealer to every folder.
 struct IngestPlane {
     overflow: Mutex<Vec<(u64, u64)>>,
 }

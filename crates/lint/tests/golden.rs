@@ -64,8 +64,8 @@ fn locks_fixture_fires_each_hazard_and_discipline_is_clean() {
         msgs.iter().any(|m| m.contains("temporary guard")),
         "{msgs:#?}"
     );
-    // The ingest shard swap: sealing must not ship the snapshot while
-    // the overflow guard is live.
+    // Drain-and-ship: the snapshot must not cross the channel while the
+    // guard it was drained under is live.
     assert!(
         msgs.iter()
             .any(|m| m.contains("`self.overflow`") && m.contains("held across .send()")),

@@ -3,10 +3,11 @@
 //!
 //! Reports feed two stores as they arrive:
 //!
-//! * the sharded [`IngestPlane`] aggregates per-path `(sent, lost)`
-//!   counters lock-free — at diagnosis time the window is *sealed* into
-//!   a frozen, sorted snapshot, so PLL's input exists without any
-//!   per-window `Vec<PingerReport>` re-aggregation;
+//! * the [`IngestPlane`] aggregates per-path `(sent, lost)` counters in
+//!   the open window's table — one collector folds, so folding takes
+//!   `&mut self` — and at diagnosis time the window is *sealed* into a
+//!   sorted snapshot, so PLL's input exists without any per-window
+//!   `Vec<PingerReport>` re-aggregation;
 //! * the [`ReportStore`] keeps the raw reports for the consumers that
 //!   need per-pinger or per-flow attribution (loss classification,
 //!   watchdog exclusions applied after ingestion). Reports hold a flow
@@ -78,9 +79,11 @@ pub struct DiagnosisEvent {
     /// (zero beyond it) — see
     /// [`RuntimeEvent::IngestStats`](crate::RuntimeEvent::IngestStats).
     pub topk_hits: u64,
-    /// Shard key-claim CAS retries while the window accumulated.
+    /// Always 0: nothing contends for the plane. Kept because
+    /// `benchmark/src/traced.rs` reads it; goes with ROADMAP item 1.
     pub shard_contention: u64,
-    /// Retractions the ingest plane could not absorb (see
+    /// Retractions the ingest plane could not absorb, those against
+    /// windows already sealed included (see
     /// [`RuntimeEvent::IngestStats`](crate::RuntimeEvent::IngestStats)).
     pub retract_mismatch: u64,
     /// Observed paths with losses above the noise filters — computed on
@@ -126,22 +129,16 @@ impl Diagnoser {
 
     /// Replaces the probe matrix (new controller cycle or plan epoch).
     /// Invalidates the localizer's cached skeleton — path ids may be
-    /// reused with different link sets — and re-sizes the ingest plane
-    /// when the plan outgrew it. Callers install matrices between
-    /// windows, after the previous window was sealed, so no folded
-    /// counters are in flight here.
+    /// reused with different link sets. The ingest plane needs no
+    /// telling: a window's table grows to the paths it sees.
     pub fn set_matrix(&mut self, matrix: ProbeMatrix) {
-        let cfg = self.plane.config();
-        if 2 * matrix.num_paths() > cfg.shards * cfg.slots_per_shard {
-            self.plane = IngestPlane::for_paths(matrix.num_paths());
-        }
         self.localizer.invalidate();
         self.matrix = matrix;
     }
 
     /// Ingests a pinger report (the HTTP POST of §6.1): folds its path
     /// counters into the ingest plane and files the raw report.
-    pub fn ingest(&self, report: PingerReport) {
+    pub fn ingest(&mut self, report: PingerReport) {
         self.fold(&report);
         self.ingest_stored(report);
     }
@@ -150,7 +147,7 @@ impl Diagnoser {
     /// every driver does as a report is collected (the distributed
     /// controller the moment a `Report` frame arrives); the raw report
     /// is filed when its window closes.
-    pub fn fold(&self, report: &PingerReport) {
+    pub fn fold(&mut self, report: &PingerReport) {
         self.plane.fold(
             report.window,
             report.paths.iter().map(|(p, c)| (*p, c.sent, c.lost)),
@@ -159,7 +156,7 @@ impl Diagnoser {
 
     /// Undoes a previous [`fold`](Diagnoser::fold): a crashed agent
     /// forfeits everything it sent in the unfinished window.
-    pub fn retract(&self, report: &PingerReport) {
+    pub fn retract(&mut self, report: &PingerReport) {
         self.plane.retract(
             report.window,
             report.paths.iter().map(|(p, c)| (*p, c.sent, c.lost)),
@@ -232,17 +229,19 @@ impl Diagnoser {
             diagnosis,
             reports,
             topk_hits: kept.topk_hits,
-            shard_contention: sealed.shard_contention,
-            retract_mismatch: sealed.retract_mismatch,
+            shard_contention: 0,
+            // A retract that found its window already sealed has no
+            // window of its own left to be reported in.
+            retract_mismatch: sealed.retract_mismatch + self.plane.take_orphaned_retracts(),
             lossy_paths,
             components,
         }
     }
 
     /// Drops everything folded for a window that will never be
-    /// diagnosed, releasing its lane in the ingest plane. Returns the
-    /// number of folded reports dropped.
-    pub fn discard(&self, window: u64) -> u64 {
+    /// diagnosed, closing it in the ingest plane. Returns the number of
+    /// folded reports dropped.
+    pub fn discard(&mut self, window: u64) -> u64 {
         self.plane.seal(window).reports
     }
 
@@ -361,11 +360,10 @@ mod tests {
 
     #[test]
     fn retract_forfeits_a_folded_report() {
-        let d = Diagnoser::new(matrix(), PllConfig::default());
+        let mut d = Diagnoser::new(matrix(), PllConfig::default());
         let r = report(1, 0, &[(0, 50, 50), (1, 50, 50)]);
         d.fold(&r);
         d.retract(&r);
-        let mut d = d;
         let ev = d.diagnose(0, &Watchdog::new());
         assert_eq!(ev.num_observations, 0);
         assert_eq!(ev.reports, 0);

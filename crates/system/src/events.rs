@@ -101,8 +101,8 @@ pub enum RuntimeEvent {
         num_paths: usize,
     },
     /// The ingest plane sealed the window: per-path counters were
-    /// aggregated in the sharded plane as the reports arrived, and
-    /// diagnosis read the frozen snapshot. Emitted after the last
+    /// aggregated in the window's table as the reports arrived, and
+    /// diagnosis read the sorted snapshot. Emitted after the last
     /// report/health event of the window, before
     /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
     IngestStats {
@@ -118,15 +118,12 @@ pub enum RuntimeEvent {
         /// plane's top-K budget (`IngestConfig::topk`); zero when the
         /// window holds more lossy paths than that.
         topk_hits: u64,
-        /// Key-claim CAS retries in the shards while the window
-        /// accumulated. Depends on the execution schedule (always zero
-        /// under single-threaded folding), so
-        /// [`normalized`](RuntimeEvent::normalized) zeroes it.
-        shard_contention: u64,
-        /// Retractions the ingest plane could not absorb this window —
-        /// `detector_ingest::SealedWindow::retract_mismatch`. Non-zero
-        /// means a duplicate crash notification or a retract racing a
-        /// seal; always zero in a healthy run.
+        /// Retractions the ingest plane could not absorb:
+        /// `detector_ingest::SealedWindow::retract_mismatch` of this
+        /// window — a duplicate crash notification — plus every retract
+        /// since the previous window closed that found its own window
+        /// already sealed (one per report and one per non-zero entry).
+        /// Always zero in a healthy run.
         retract_mismatch: u64,
     },
     /// Shape of the diagnosis work for the window: how many lossy paths
@@ -220,7 +217,6 @@ impl ToJson for RuntimeEvent {
                 reports,
                 paths_active,
                 topk_hits,
-                shard_contention,
                 retract_mismatch,
             } => Json::obj(vec![
                 ("event", Json::Str("ingest_stats".into())),
@@ -228,7 +224,6 @@ impl ToJson for RuntimeEvent {
                 ("reports", Json::uint(*reports)),
                 ("paths_active", Json::uint(*paths_active)),
                 ("topk_hits", Json::uint(*topk_hits)),
-                ("shard_contention", Json::uint(*shard_contention)),
                 ("retract_mismatch", Json::uint(*retract_mismatch)),
             ]),
             RuntimeEvent::DiagStats {
@@ -273,34 +268,14 @@ impl ToJson for RuntimeEvent {
 }
 
 impl RuntimeEvent {
-    /// This event with its execution-dependent fields zeroed
-    /// (`PlanUpdated::replan_micros` and
-    /// `IngestStats::shard_contention`) — the canonical form for
+    /// This event with its execution-dependent field zeroed
+    /// (`PlanUpdated::replan_micros`) — the canonical form for
     /// comparing event streams across executions, as the
     /// sequential-vs-pipelined equivalence harnesses do. If a future
     /// variant grows another timing field, zero it here and every
     /// harness stays correct.
     pub fn normalized(&self) -> RuntimeEvent {
         match self {
-            RuntimeEvent::IngestStats {
-                window,
-                reports,
-                paths_active,
-                topk_hits,
-                retract_mismatch,
-                ..
-            } => RuntimeEvent::IngestStats {
-                window: *window,
-                reports: *reports,
-                paths_active: *paths_active,
-                topk_hits: *topk_hits,
-                // CAS retries depend on thread interleaving, never on
-                // what was ingested.
-                shard_contention: 0,
-                // Retract accounting is deterministic — the harnesses
-                // compare it un-normalized.
-                retract_mismatch: *retract_mismatch,
-            },
             RuntimeEvent::PlanUpdated {
                 epoch,
                 links_changed,
@@ -354,7 +329,6 @@ impl RuntimeEvent {
                 reports: v.get("reports")?.as_u64()?,
                 paths_active: v.get("paths_active")?.as_u64()?,
                 topk_hits: v.get("topk_hits")?.as_u64()?,
-                shard_contention: v.get("shard_contention")?.as_u64()?,
                 retract_mismatch: v.get("retract_mismatch")?.as_u64()?,
             }),
             "diag_stats" => Some(RuntimeEvent::DiagStats {
@@ -542,7 +516,6 @@ mod tests {
                 reports: 48,
                 paths_active: 230,
                 topk_hits: 3,
-                shard_contention: 9,
                 retract_mismatch: 1,
             },
             RuntimeEvent::DiagStats {

@@ -78,7 +78,7 @@ proptest! {
         }
         let excluded = |p: NodeId| !watchdog.is_healthy(p);
 
-        let lossy = Diagnoser::new(dep.matrix.clone(), cfg.pll);
+        let mut lossy = Diagnoser::new(dep.matrix.clone(), cfg.pll);
         let full = ReportStore::new();
         for w in 0..windows {
             for list in &dep.pinglists {

@@ -318,7 +318,7 @@ impl Detector {
                     // Folded only once the window is complete, so a
                     // stage failure above leaves nothing in the plane.
                     have.values()
-                        .for_each(|report| close.diagnoser().fold(report));
+                        .for_each(|report| close.diagnoser_mut().fold(report));
                     let result = close
                         .close(ticket, |pinger| have.remove(&pinger), &watchdog, dataplane)
                         .map_err(|_| {

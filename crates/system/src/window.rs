@@ -350,11 +350,16 @@ impl CloseHalf {
         }
     }
 
-    /// The diagnoser. Collection goes through it: a driver `fold`s each
-    /// report as it arrives, `retract`s a dead agent's, and `discard`s a
-    /// window it gives up on.
+    /// The diagnoser: past windows' observations and loss classification.
     pub fn diagnoser(&self) -> &Diagnoser {
         &self.diagnoser
+    }
+
+    /// The diagnoser, lent to collection: a driver `fold`s each report
+    /// as it arrives, `retract`s a dead agent's, and `discard`s a window
+    /// it gives up on.
+    pub fn diagnoser_mut(&mut self) -> &mut Diagnoser {
+        &mut self.diagnoser
     }
 
     /// Closes a window whose reports are all folded: walks the roster —
@@ -400,7 +405,6 @@ impl CloseHalf {
             reports: event.reports,
             paths_active: event.num_observations as u64,
             topk_hits: event.topk_hits,
-            shard_contention: event.shard_contention,
             retract_mismatch: event.retract_mismatch,
         });
         self.emit(RuntimeEvent::DiagStats {

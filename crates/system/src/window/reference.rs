@@ -191,7 +191,6 @@ impl Reference {
                 reports: event.reports,
                 paths_active: event.num_observations as u64,
                 topk_hits: event.topk_hits,
-                shard_contention: event.shard_contention,
                 retract_mismatch: event.retract_mismatch,
             },
             &mut self.sinks,

@@ -10,7 +10,6 @@
 //! ```text
 //! CRITERION_JSON=$PWD/BENCH_replan.json cargo bench -p detector-bench --bench replan_latency
 //! CRITERION_JSON=$PWD/BENCH_sched.json  cargo bench -p detector-bench --bench scheduler_throughput
-//! CRITERION_JSON=$PWD/BENCH_ingest.json cargo bench -p detector-bench --bench ingest_throughput
 //! CRITERION_JSON=$PWD/BENCH_udp.json    cargo bench -p detector-bench --bench probe_rtt
 //! ```
 //!
@@ -94,74 +93,6 @@ fn scheduler_snapshot_parses_and_covers_both_drivers() {
     assert!(
         benches.contains(&"sequential") && benches.contains(&"pipelined"),
         "snapshot must compare sequential and pipelined drivers: {benches:?}"
-    );
-}
-
-/// The streaming-ingest snapshot carries two claims, both checked
-/// against the *committed* records (so the test is deterministic — it
-/// guards the snapshot pair, and regenerating either file on a machine
-/// that can't hold the claims fails loudly instead of rotting):
-///
-/// * the fold benches clear the ingest plane's throughput floor of
-///   1M path-report entries/s (entry counts are encoded in the bench
-///   names as `..._{N}entries`);
-/// * wiring ingest into the window loop kept scheduler throughput —
-///   `fattree16_windows/pipelined_4w` here vs `fattree16_cpu/pipelined`
-///   in `BENCH_sched.json` — within 10% of the pre-ingest windows/s.
-#[test]
-fn ingest_snapshot_holds_throughput_floor_and_scheduler_guard() {
-    let recs = records("BENCH_ingest.json");
-    check_schema("BENCH_ingest.json", &recs);
-
-    let fold_records: Vec<&Json> = recs
-        .iter()
-        .filter(|r| {
-            r.get("bench")
-                .and_then(Json::as_str)
-                .is_some_and(|b| b.starts_with("fold_seal_"))
-        })
-        .collect();
-    assert!(
-        fold_records.len() >= 2,
-        "snapshot must keep the single- and multi-thread fold arms"
-    );
-    for r in &fold_records {
-        let bench = r.get("bench").and_then(Json::as_str).unwrap();
-        let entries: u64 = bench
-            .rsplit('_')
-            .next()
-            .and_then(|tail| tail.strip_suffix("entries"))
-            .and_then(|n| n.parse().ok())
-            .unwrap_or_else(|| panic!("fold bench name must end in _{{N}}entries: {bench:?}"));
-        let median_ns = r.get("median_ns").and_then(Json::as_u64).unwrap();
-        let entries_per_s = entries as f64 * 1e9 / median_ns as f64;
-        assert!(
-            entries_per_s >= 1_000_000.0,
-            "{bench}: {entries_per_s:.0} path-report entries/s is below the 1M/s floor"
-        );
-    }
-
-    let median_of = |recs: &[Json], group: &str, bench: &str| -> u64 {
-        recs.iter()
-            .find(|r| {
-                r.get("group").and_then(Json::as_str) == Some(group)
-                    && r.get("bench").and_then(Json::as_str) == Some(bench)
-            })
-            .unwrap_or_else(|| panic!("missing record {group}/{bench}"))
-            .get("median_ns")
-            .and_then(Json::as_u64)
-            .unwrap()
-    };
-    // Both arms run 4-window campaigns, so windows/s compare as inverse
-    // medians: ingest-era throughput must stay within 10% of the
-    // committed pre-ingest scheduler number.
-    let ingest_ns = median_of(&recs, "ingest_throughput/fattree16_windows", "pipelined_4w");
-    let sched = records("BENCH_sched.json");
-    let sched_ns = median_of(&sched, "scheduler_throughput/fattree16_cpu", "pipelined");
-    assert!(
-        ingest_ns as f64 <= sched_ns as f64 * 1.1,
-        "ingest-era pipelined window campaign ({ingest_ns} ns) is more than 10% slower \
-         than the committed scheduler baseline ({sched_ns} ns)"
     );
 }
 

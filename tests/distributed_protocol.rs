@@ -114,7 +114,7 @@ fn a_report_the_controller_cannot_vouch_for_fails_the_run_before_it_is_folded() 
         // failed run took them back out, and the bad report never
         // reached any window's lane — the poisoned one or the one it
         // named.
-        let plane = dist.diagnoser();
+        let plane = dist.diagnoser_mut();
         assert_eq!(plane.discard(0), 0, "{what}: window 0 still holds folds");
         assert_eq!(plane.discard(1), 0, "{what}: window 1 was folded into");
     }
