@@ -508,8 +508,8 @@ fn decode_counters(buf: &mut &[u8]) -> Result<PathCounters, FrameError> {
     })
 }
 
-/// The diagnoser subtracts excluded reports from sealed sums, which is
-/// exact only while no record claims more losses than probes.
+/// The diagnoser sums a window's rows as they are, and those sums are
+/// its observations only while no record claims more losses than probes.
 #[inline(always)]
 fn take_sent_lost(buf: &mut &[u8]) -> Result<(u64, u64), FrameError> {
     let sent = take_varint(buf)?;

@@ -9,8 +9,9 @@
 //! deployment's wire diff to the agents as frames (which they apply with
 //! [`apply_list_update`](detector_system::dispatch::apply_list_update),
 //! the `ListSeal` stamp as an end-to-end checksum); the *report source*
-//! is the agents' transports — `Report` frames are checked and folded
-//! the moment they arrive, a dead agent's retracted again.
+//! is the agents' transports — `Report` frames are checked the moment
+//! they arrive and held until the window closes; a dead agent's are
+//! dropped unfiled.
 //!
 //! # Equivalence contract
 //!
@@ -44,8 +45,9 @@
 //!
 //! An agent that *talks* but breaks the protocol fails the run with
 //! [`DistError::Protocol`]: a report is outside input, checked before it
-//! is folded — it must name the open window and a pinger of the sender's
-//! host group that the roster expects, once.
+//! is held — it must name the open window and a pinger of the sender's
+//! host group that the roster expects, once. A failed window files
+//! nothing.
 
 use std::collections::HashMap;
 
@@ -303,13 +305,12 @@ impl Fleet<'_> {
     }
 
     /// The distributed report source: drains each dispatched agent to
-    /// its `WindowDone`, checking every `Report` and folding it at once —
-    /// aggregation is done before collection ends. An agent dying
-    /// mid-window forfeits its reports (retracted, which lands exactly
-    /// where the fold did) and its racks; it never stalls the window.
+    /// its `WindowDone`, checking every `Report` as it arrives and
+    /// holding it for `close` to file. An agent dying mid-window forfeits
+    /// its reports (dropped before anything saw them) and its racks; it
+    /// never stalls the window.
     fn collect(
         &mut self,
-        diagnoser: &mut Diagnoser,
         ticket: &mut Ticket,
         watchdog: &mut Watchdog,
         dispatched: &[usize],
@@ -319,7 +320,6 @@ impl Fleet<'_> {
             let Some(t) = self.transport(g) else {
                 continue;
             };
-            let mut from_agent: Vec<NodeId> = Vec::new();
             let died = loop {
                 match t.recv() {
                     Ok(Frame::Report(r)) => {
@@ -337,8 +337,6 @@ impl Fleet<'_> {
                         if let Some(why) = violation {
                             return Err(DistError::Protocol(why));
                         }
-                        diagnoser.fold(&r);
-                        from_agent.push(r.pinger);
                         got.insert(r.pinger, r);
                     }
                     Ok(Frame::WindowDone { window, .. }) if window == ticket.window => break false,
@@ -351,9 +349,7 @@ impl Fleet<'_> {
                 }
             };
             if died {
-                for r in from_agent.iter().filter_map(|p| got.remove(p)) {
-                    diagnoser.retract(&r);
-                }
+                got.retain(|pinger, _| self.groups.owner_of(*pinger) != Some(g));
                 self.kill(watchdog, g);
                 ticket.forfeit(self.groups.group(g));
             }
@@ -399,9 +395,9 @@ impl DistributedDetector {
     }
 
     /// The diagnoser: past windows' observations and loss
-    /// classification, and (`discard`) what a failed run left folded.
-    pub fn diagnoser_mut(&mut self) -> &mut Diagnoser {
-        self.close.diagnoser_mut()
+    /// classification.
+    pub fn diagnoser(&self) -> &Diagnoser {
+        self.close.diagnoser()
     }
 
     /// The host-group partition (one group per agent).
@@ -615,23 +611,11 @@ impl DistributedDetector {
                 }
             }
 
-            let window = ticket.window;
-            let closed = fleet
-                .collect(close.diagnoser_mut(), &mut ticket, watchdog, &dispatched)
-                .and_then(|mut got| {
-                    close
-                        .close(ticket, |pinger| got.remove(&pinger), watchdog, dataplane)
-                        .map_err(|_| DistError::Protocol("no report for a healthy pinger's list"))
-                });
-            match closed {
-                Ok(result) => results.push(result),
-                Err(e) => {
-                    // Nothing of a window that will never close may
-                    // linger in the ingest plane.
-                    close.diagnoser_mut().discard(window);
-                    return Err(e);
-                }
-            }
+            let mut got = fleet.collect(&mut ticket, watchdog, &dispatched)?;
+            let result = close
+                .close(ticket, |pinger| got.remove(&pinger), watchdog, dataplane)
+                .map_err(|_| DistError::Protocol("no report for a healthy pinger's list"))?;
+            results.push(result);
         }
 
         // Orderly teardown, then the wire accounting.

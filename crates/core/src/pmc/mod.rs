@@ -317,6 +317,18 @@ impl RowTable {
         let row = *self.rows.get(run.start + slot as usize)?;
         (row != NO_ROW).then_some(row as usize)
     }
+
+    /// Every resolved id with its row, ascending by id: the runs in order,
+    /// each run's slots in order, gaps skipped.
+    fn by_id(&self) -> impl Iterator<Item = (PathId, usize)> + '_ {
+        self.runs.iter().flat_map(move |run| {
+            let slots = self.rows.get(run.start..run.start + run.len as usize);
+            (0..run.len)
+                .zip(slots.unwrap_or_default())
+                .filter(|&(_, &row)| row != NO_ROW)
+                .map(move |(slot, &row)| (PathId(run.first + slot), row as usize))
+        })
+    }
 }
 
 /// A constructed probe matrix: the selected probe paths plus metadata.
@@ -404,6 +416,19 @@ impl ProbeMatrix {
     /// stale id can be dropped but can never alias another path.
     pub fn path(&self, id: PathId) -> Option<&ProbePath> {
         self.row_of(id).map(|row| &self.paths[row])
+    }
+
+    /// Every path's id and row, in ascending id order — not row order: a
+    /// segmented matrix keeps its cells' order, and a re-based cell's
+    /// range sorts after later cells'. Walks the row table, so it neither
+    /// sorts nor allocates.
+    pub fn rows_by_id(&self) -> impl Iterator<Item = (PathId, usize)> + '_ {
+        let (dense, table) = match &self.index {
+            PathIndex::Dense => (self.paths.len(), None),
+            PathIndex::Segmented(table) => (0, Some(table)),
+        };
+        let dense = (0..dense).map(|row| (PathId(row as u32), row));
+        dense.chain(table.into_iter().flat_map(RowTable::by_id))
     }
 
     /// Overrides the achieved targets (used by external constructors, e.g.

@@ -1,31 +1,17 @@
 //! # detector-ingest
 //!
-//! The streaming ingest plane: per-path `(sent, lost)` counters
-//! aggregate into the open window's table as pinger reports arrive, so a
-//! window's observation set exists the moment its last report lands — no
-//! per-window `Vec<PingerReport>` assembly between collection and
-//! diagnosis.
+//! Two pieces, one of them on its way out:
 //!
-//! Two pieces:
-//!
-//! * [`IngestPlane`] — the per-window counter store. It has one owner:
-//!   [`fold`](IngestPlane::fold), [`retract`](IngestPlane::retract) and
-//!   [`seal`](IngestPlane::seal) take `&mut self`, and nothing in the
-//!   crate synchronises, because every driver collects a window and
-//!   seals it from one place. `seal` hands diagnosis a sorted snapshot
-//!   of window `w` (bit-identical to what
-//!   `ReportStore::window_observations` would aggregate from the same
-//!   reports) and recycles the window's table; `retract` forfeits a
-//!   crashed agent's partial window exactly, and counts what it cannot
-//!   take back.
-//! * [`prefilter`] — reduces a sealed window to the observations that
+//! * [`prefilter`] — reduces a window's observations to the ones that
 //!   can influence PLL's verdict (lossy paths plus all paths sharing a
 //!   link with one), provably without changing the diagnosis.
-//!
-//! The runtime seam is `detector-system`'s `Diagnoser`, which owns a
-//! plane and feeds every driver — sequential `step()`, `run_pipelined`
-//! and `run_distributed` — through it, emitting per-window
-//! `RuntimeEvent::IngestStats`.
+//!   `detector-system`'s `Diagnoser` runs it on every window.
+//! * [`IngestPlane`] — the benchmark's twin plane. The system aggregates
+//!   a window in one walk of the diagnoser's report log and no longer
+//!   folds reports anywhere; `benchmark/src/traced.rs` still folds and
+//!   seals a twin through this plane to time the diagnosis stages apart.
+//!   It goes, with this crate, after ROADMAP item 1(a), and `prefilter`
+//!   moves beside the diagnoser.
 
 mod plane;
 mod prefilter;

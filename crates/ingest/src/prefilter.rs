@@ -1,4 +1,4 @@
-//! Top-K pre-filtering of a sealed window before localization.
+//! Pre-filtering of a window's observations before localization.
 //!
 //! PLL only ever blames links that lie on at least one lossy observed
 //! path, and only ever needs, for each such link, *every* observed path
@@ -9,16 +9,15 @@
 //! changes nothing, and on a healthy fabric it is almost the whole
 //! window.
 //!
-//! The filter is always the same two passes over the sealed snapshot:
+//! The filter is always the same two passes over the window:
 //! mark the links of every lossy path, then keep what touches them. The
 //! marks are one flag per link of the matrix's universe and ids resolve
 //! through the matrix's flat row table, so a window's ~30 k path look-ups
 //! and ~90 k link probes hash nothing.
-//! `k`, the plane's top-K budget
-//! ([`IngestConfig::topk`](crate::IngestConfig::topk)), only shapes the
-//! `topk_hits` statistic — the number of lossy paths while they fit the
-//! budget, zero once the window holds more than `k` of them — never the
-//! kept set.
+//! `k`, a top-K budget, only shapes the `topk_hits` statistic — the
+//! number of lossy paths while they fit the budget, zero once the window
+//! holds more than `k` of them — never the kept set. Only the
+//! benchmark's traced run reads it (ROADMAP item 1(d)).
 //!
 //! Lossiness here is the raw `lost > 0`, deliberately *wider* than
 //! PLL's noise filter (`preprocess` may normalize small losses away):
@@ -53,7 +52,7 @@ impl SuspectLinks {
     }
 }
 
-/// Outcome of pre-filtering one sealed window.
+/// Outcome of pre-filtering one window.
 #[derive(Clone, Debug)]
 pub struct Prefiltered {
     /// The kept observations, in the input (sorted-by-path) order.
@@ -65,8 +64,8 @@ pub struct Prefiltered {
     pub dropped: usize,
 }
 
-/// Filters `observations` (sorted by path id, one per path, as
-/// [`crate::SealedWindow`] produces them) down to the paths that can
+/// Filters `observations` (sorted by path id, one per path, as the
+/// diagnoser's window walk produces them) down to the paths that can
 /// influence PLL's verdict against `matrix`. `k` is the top-K budget
 /// `topk_hits` is reported against; the kept set does not depend on it.
 pub fn prefilter(matrix: &ProbeMatrix, observations: &[PathObservation], k: usize) -> Prefiltered {

@@ -1,32 +1,24 @@
-//! The diagnoser: streaming report aggregation and PLL every window
-//! (§3.1, §6.1).
+//! The diagnoser: the report store and PLL every window (§3.1, §6.1).
 //!
-//! Reports feed two stores as they arrive:
+//! Reports are filed as their window closes, in roster order, into the
+//! [`ReportStore`]: per retained window, each report's pinger, its
+//! `(path, flows_probed, sent, lost)` rows and its lossy flow records,
+//! as columns of a log that a pruned window hands to the next. The RTT
+//! pair and the in-rack counters are read before a report is filed and
+//! are not kept, and a report holds a flow record only where a probe was
+//! lost, so what the retained windows cost follows the paths and the
+//! loss, not the probing. The store's lock serves the benchmark's replay
+//! generator, which files reports through a shared reference (ROADMAP
+//! item 1(a)); the diagnoser itself owns the store.
 //!
-//! * the [`IngestPlane`] aggregates per-path `(sent, lost)` counters in
-//!   the open window's table — one collector folds, so folding takes
-//!   `&mut self` — and at diagnosis time the window is *sealed* into a
-//!   sorted snapshot, so PLL's input exists without any per-window
-//!   `Vec<PingerReport>` re-aggregation;
-//! * the [`ReportStore`] keeps, per retained window, what the consumers
-//!   that need per-pinger or per-flow attribution read (loss
-//!   classification, watchdog exclusions applied after ingestion): each
-//!   report's pinger, its `(path, flows_probed, sent, lost)` rows and
-//!   its lossy flow records, as columns of a log that a pruned window
-//!   hands to the next. The RTT pair and the in-rack counters are read
-//!   before a report is filed and are not kept, and a report holds a
-//!   flow record only where a probe was lost, so what the retained
-//!   windows cost follows the paths and the loss, not the probing. The
-//!   store's lock serves the benchmark's replay generator, which files
-//!   reports through a shared reference (ROADMAP item 1(b)); the
-//!   diagnoser itself owns the store.
-//!
-//! Diagnosis is one path: seal the snapshot, subtract watchdog
-//! exclusions, pre-filter to the paths that can influence the verdict,
-//! and localize through the cached-skeleton [`ComponentPll`] — one job
-//! per connected component of the lossy path/link incidence, run inline
-//! or on a scoped pool. It is exactly equivalent to plain `localize`
-//! over the unfiltered window.
+//! Diagnosis is one path. One walk of the window's rows skips the
+//! pingers the watchdog excludes and sums the rest per matrix row
+//! ([`ReportStore::window_sums`]) — the window is aggregated once, where
+//! it is kept, with nothing to subtract afterwards. Then pre-filter to
+//! the paths that can influence the verdict, and localize through the
+//! cached-skeleton [`ComponentPll`] — one job per connected component of
+//! the lossy path/link incidence, run inline or on a scoped pool. It is
+//! exactly equivalent to plain `localize` over the unfiltered window.
 
 use detector_core::pll::{
     classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, Diagnosis,
@@ -34,10 +26,10 @@ use detector_core::pll::{
 };
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
-use detector_ingest::{prefilter, IngestPlane};
+use detector_ingest::prefilter;
 use serde::{Deserialize, Serialize};
 
-use crate::report::{PingerReport, ReportStore};
+use crate::report::{PingerReport, ReportStore, RowSums};
 use crate::watchdog::Watchdog;
 
 /// Configuration of the diagnosis stage itself (as opposed to the PLL
@@ -80,19 +72,11 @@ pub struct DiagnosisEvent {
     pub num_observations: usize,
     /// The PLL output.
     pub diagnosis: Diagnosis,
-    /// Reports folded into the window (exclusions subtracted).
+    /// Reports filed for the window, excluded pingers' not counted.
     pub reports: u64,
-    /// Lossy paths of the sealed window while they fit the top-K budget
-    /// (zero beyond it) — see
-    /// [`RuntimeEvent::IngestStats`](crate::RuntimeEvent::IngestStats).
-    pub topk_hits: u64,
-    /// Always 0: nothing contends for the plane. Kept because
+    /// Always 0: nothing contends for the store. Kept because
     /// `benchmark/src/traced.rs` reads it; goes with ROADMAP item 1.
     pub shard_contention: u64,
-    /// Retractions the ingest plane could not absorb, those against
-    /// windows already sealed included (see
-    /// [`RuntimeEvent::IngestStats`](crate::RuntimeEvent::IngestStats)).
-    pub retract_mismatch: u64,
     /// Observed paths with losses above the noise filters — computed on
     /// the post-exclusion window, so identical across drivers.
     pub lossy_paths: u64,
@@ -106,19 +90,19 @@ pub struct Diagnoser {
     matrix: ProbeMatrix,
     diag: DiagConfig,
     store: ReportStore,
-    plane: IngestPlane,
+    /// The window walk's accumulator, recycled across windows.
+    sums: RowSums,
     localizer: ComponentPll,
 }
 
 impl Diagnoser {
     /// A diagnoser for the given probe matrix.
     pub fn new(matrix: ProbeMatrix, pll: PllConfig) -> Self {
-        let plane = IngestPlane::for_paths(matrix.num_paths());
         Self {
             matrix,
             diag: DiagConfig::default(),
             store: ReportStore::new(),
-            plane,
+            sums: RowSums::default(),
             localizer: ComponentPll::new(pll),
         }
     }
@@ -136,87 +120,41 @@ impl Diagnoser {
 
     /// Replaces the probe matrix (new controller cycle or plan epoch).
     /// Invalidates the localizer's cached skeleton — path ids may be
-    /// reused with different link sets. The ingest plane needs no
-    /// telling: a window's table grows to the paths it sees.
+    /// reused with different link sets. The window walk's accumulator
+    /// refits itself to the new matrix's rows.
     pub fn set_matrix(&mut self, matrix: ProbeMatrix) {
         self.localizer.invalidate();
         self.matrix = matrix;
     }
 
-    /// Ingests a pinger report (the HTTP POST of §6.1): folds its path
-    /// counters into the ingest plane and files the report.
+    /// Ingests a pinger report (the HTTP POST of §6.1): files it in its
+    /// window's log. Nothing is aggregated until the window is diagnosed.
     pub fn ingest(&mut self, report: PingerReport) {
-        self.fold(&report);
-        self.ingest_stored(report);
-    }
-
-    /// Folds a report's path counters into the ingest plane only — what
-    /// every driver does as a report is collected (the distributed
-    /// controller the moment a `Report` frame arrives); the report is
-    /// filed when its window closes.
-    pub fn fold(&mut self, report: &PingerReport) {
-        self.plane.fold(
-            report.window,
-            report.paths.iter().map(|(p, c)| (*p, c.sent, c.lost)),
-        );
-    }
-
-    /// Undoes a previous [`fold`](Diagnoser::fold): a crashed agent
-    /// forfeits everything it sent in the unfinished window.
-    pub fn retract(&mut self, report: &PingerReport) {
-        self.plane.retract(
-            report.window,
-            report.paths.iter().map(|(p, c)| (*p, c.sent, c.lost)),
-        );
-    }
-
-    /// Files a report in the store without folding it (the counterpart
-    /// of [`fold`](Diagnoser::fold) for reports already in the plane).
-    pub fn ingest_stored(&self, report: PingerReport) {
         self.store.ingest(report);
     }
 
     /// Aggregated observations of a window from the report store,
-    /// excluding watchdog-flagged pingers. The diagnosis path reads the
-    /// sealed ingest plane instead; this remains the attribution-aware
-    /// view (and the oracle the plane is tested against).
+    /// excluding watchdog-flagged pingers — the hash-and-sort oracle
+    /// [`diagnose`](Diagnoser::diagnose)'s one-walk aggregation is tested
+    /// against.
     pub fn observations(&self, window: u64, watchdog: &Watchdog) -> Vec<PathObservation> {
         self.store
             .window_observations(window, &|p| !watchdog.is_healthy(p))
     }
 
-    /// Seals the window's ingest-plane snapshot and runs PLL over it.
-    ///
-    /// Watchdog exclusions are applied by subtracting the excluded
-    /// pingers' stored contributions from the snapshot (the plane folds
-    /// reports as they arrive, before health verdicts settle). The
-    /// result is exactly `localize` over
-    /// [`observations`](Diagnoser::observations), for any
-    /// `DiagConfig::parallel_components`: the window's per-component
-    /// jobs run through [`ComponentJob::run_all`] — inline at `1`, on a
-    /// scoped pool above — and the merge is order-insensitive.
+    /// Aggregates the window in one walk of its filed rows — pingers the
+    /// watchdog excludes skipped — and runs PLL over it. The result is
+    /// exactly `localize` over [`observations`](Diagnoser::observations),
+    /// for any `DiagConfig::parallel_components`: the window's
+    /// per-component jobs run through [`ComponentJob::run_all`] — inline
+    /// at `1`, on a scoped pool above — and the merge is
+    /// order-insensitive.
     pub fn diagnose(&mut self, window: u64, watchdog: &Watchdog) -> DiagnosisEvent {
-        let sealed = self.plane.seal(window);
-        let mut obs = sealed.observations;
-        let mut reports = sealed.reports;
-        let (excluded, excluded_reports) = self
-            .store
-            .excluded_path_totals(window, &|p| !watchdog.is_healthy(p));
-        if excluded_reports > 0 {
-            reports = reports.saturating_sub(excluded_reports);
-            obs.retain_mut(|o| {
-                let Some(&(sent, lost)) = excluded.get(&o.path) else {
-                    return true;
-                };
-                // Real reports never carry lost > sent, so the sealed
-                // counters are un-clamped sums and subtract exactly.
-                o.sent -= sent.min(o.sent);
-                o.lost -= lost.min(o.lost);
-                o.sent > 0 || o.lost > 0
-            });
-        }
-
-        let kept = prefilter(&self.matrix, &obs, self.plane.config().topk);
+        let excluded = |p| !watchdog.is_healthy(p);
+        let (obs, reports) =
+            (self.store).window_sums(window, &self.matrix, &excluded, &mut self.sums);
+        // `k` only shapes `topk_hits`, which nothing reads (ROADMAP item 1(d)).
+        let kept = prefilter(&self.matrix, &obs, 0);
         let plan = self.localizer.prepare(&self.matrix, &kept.observations);
         // The shape of the window's diagnosis work, for `DiagStats`: the
         // partition the localizer just prepared — a pure function of the
@@ -235,21 +173,10 @@ impl Diagnoser {
             num_observations: obs.len(),
             diagnosis,
             reports,
-            topk_hits: kept.topk_hits,
             shard_contention: 0,
-            // A retract that found its window already sealed has no
-            // window of its own left to be reported in.
-            retract_mismatch: sealed.retract_mismatch + self.plane.take_orphaned_retracts(),
             lossy_paths,
             components,
         }
-    }
-
-    /// Drops everything folded for a window that will never be
-    /// diagnosed, closing it in the ingest plane. Returns the number of
-    /// folded reports dropped.
-    pub fn discard(&mut self, window: u64) -> u64 {
-        self.plane.seal(window).reports
     }
 
     /// Prunes stored reports older than `keep_from`.
@@ -322,7 +249,6 @@ mod tests {
         let ev = d.diagnose(0, &Watchdog::new());
         assert_eq!(ev.num_observations, 3);
         assert_eq!(ev.reports, 2);
-        assert_eq!(ev.topk_hits, 2);
         assert_eq!(ev.diagnosis.suspect_links(), vec![LinkId(0)]);
     }
 
@@ -363,17 +289,5 @@ mod tests {
             ev.diagnosis,
             localize(d.matrix(), &oracle, &PllConfig::default())
         );
-    }
-
-    #[test]
-    fn retract_forfeits_a_folded_report() {
-        let mut d = Diagnoser::new(matrix(), PllConfig::default());
-        let r = report(1, 0, &[(0, 50, 50), (1, 50, 50)]);
-        d.fold(&r);
-        d.retract(&r);
-        let ev = d.diagnose(0, &Watchdog::new());
-        assert_eq!(ev.num_observations, 0);
-        assert_eq!(ev.reports, 0);
-        assert!(ev.diagnosis.is_clean());
     }
 }

@@ -100,38 +100,26 @@ pub enum RuntimeEvent {
         /// Matrix paths the report carries counters for.
         num_paths: usize,
     },
-    /// The ingest plane sealed the window: per-path counters were
-    /// aggregated in the window's table as the reports arrived, and
-    /// diagnosis read the sorted snapshot. Emitted after the last
-    /// report/health event of the window, before
+    /// The diagnoser aggregated the window: one walk of its filed
+    /// reports, excluded pingers skipped, summed per path. Emitted after
+    /// the last report/health event of the window, before
     /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
     IngestStats {
         /// Window index.
         window: u64,
-        /// Pinger reports folded into the window (a crashed agent's
-        /// retracted reports excluded).
+        /// Pinger reports aggregated (excluded pingers' not counted; a
+        /// crashed agent's are never filed).
         reports: u64,
         /// Distinct paths with observations after health exclusions —
         /// equals the window's `num_observations`.
         paths_active: u64,
-        /// Lossy paths of the sealed window while they fit the ingest
-        /// plane's top-K budget (`IngestConfig::topk`); zero when the
-        /// window holds more lossy paths than that.
-        topk_hits: u64,
-        /// Retractions the ingest plane could not absorb:
-        /// `detector_ingest::SealedWindow::retract_mismatch` of this
-        /// window — a duplicate crash notification — plus every retract
-        /// since the previous window closed that found its own window
-        /// already sealed (one per report and one per non-zero entry).
-        /// Always zero in a healthy run.
-        retract_mismatch: u64,
     },
     /// Shape of the diagnosis work for the window: how many lossy paths
     /// survived ingestion and how many connected components of the
     /// lossy-path/link incidence they split into — the number of
     /// per-component PLL jobs the window was localized as (inline, or
     /// fanned out over `DiagConfig::parallel_components` workers).
-    /// Deterministic (a pure function of the sealed window and the probe
+    /// Deterministic (a pure function of the aggregated window and the probe
     /// plan), so equivalence harnesses compare it un-normalized. Emitted
     /// after [`IngestStats`](RuntimeEvent::IngestStats), before
     /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
@@ -216,15 +204,11 @@ impl ToJson for RuntimeEvent {
                 window,
                 reports,
                 paths_active,
-                topk_hits,
-                retract_mismatch,
             } => Json::obj(vec![
                 ("event", Json::Str("ingest_stats".into())),
                 ("window", Json::uint(*window)),
                 ("reports", Json::uint(*reports)),
                 ("paths_active", Json::uint(*paths_active)),
-                ("topk_hits", Json::uint(*topk_hits)),
-                ("retract_mismatch", Json::uint(*retract_mismatch)),
             ]),
             RuntimeEvent::DiagStats {
                 window,
@@ -328,8 +312,6 @@ impl RuntimeEvent {
                 window: window()?,
                 reports: v.get("reports")?.as_u64()?,
                 paths_active: v.get("paths_active")?.as_u64()?,
-                topk_hits: v.get("topk_hits")?.as_u64()?,
-                retract_mismatch: v.get("retract_mismatch")?.as_u64()?,
             }),
             "diag_stats" => Some(RuntimeEvent::DiagStats {
                 window: window()?,
@@ -515,8 +497,6 @@ mod tests {
                 window: 5,
                 reports: 48,
                 paths_active: 230,
-                topk_hits: 3,
-                retract_mismatch: 1,
             },
             RuntimeEvent::DiagStats {
                 window: 5,

@@ -92,7 +92,7 @@ pub use events::{CollectingSink, EventSink, JsonLinesSink, RuntimeEvent, WindowR
 pub use pinger::{batch_seed, Pinger, PingerBatch, PingerCostModel};
 pub use pinglist::{PingEntry, Pinglist};
 pub use planner::{IdHeadroom, ProbePlan, ReplanStats, EXHAUSTIVE_LIMIT};
-pub use report::{FlowRecord, PathCounters, PingerReport, ReportStore};
+pub use report::{FlowRecord, PathCounters, PingerReport, ReportStore, RowSums};
 pub use responder::Responder;
 pub use runtime::{BuildError, Detector, DetectorBuilder};
 pub use scheduler::{PipelineConfig, PipelineError};

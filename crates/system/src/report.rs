@@ -5,7 +5,7 @@
 //! and later queries. A report is three sorted runs — paths, in-rack
 //! responders, per-flow records — built once by the pinger, shipped
 //! delta-coded in that order, and iterated (never re-keyed) by the
-//! ingest plane, the watchdog and the store.
+//! watchdog and the store.
 //!
 //! A report costs what was lost, not what was probed: it carries a flow
 //! record only for a flow that lost a probe, and for every path the
@@ -27,11 +27,16 @@
 //! window, so once the retained windows have sized their logs, filing
 //! allocates nothing and nothing is freed a retention period late.
 //!
+//! The log is also where a window is aggregated, once:
+//! [`ReportStore::window_sums`] walks its rows, skips excluded pingers,
+//! and sums the rest into a dense per-matrix-row [`RowSums`] that is
+//! read out in ascending path id and recycled for the next window.
+//!
 //! Every driver owns its diagnoser, so the store needs no lock for them.
 //! The `RwLock` is there because [`ReportStore::ingest`] takes `&self`:
 //! the benchmark's replay input generator files reports through a shared
 //! binding. Both go when that generator stops building a store (ROADMAP
-//! item 1(b)).
+//! item 1(a)).
 
 #[cfg(test)]
 mod reference;
@@ -39,6 +44,7 @@ mod reference;
 use std::collections::HashMap;
 
 use detector_core::pll::FlowSample;
+use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{NodeId, PathId, PathObservation};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -289,6 +295,76 @@ impl Logs {
     }
 }
 
+/// The recycled accumulator of [`ReportStore::window_sums`]: one
+/// `(sent, lost)` slot per row of the matrix walked, all zero between
+/// walks, and the side list of ids the matrix cannot resolve. It fits
+/// itself to the matrix at the start of a walk — a no-op unless the
+/// matrix changed — and keeps its memory from one window to the next.
+#[derive(Default)]
+pub struct RowSums {
+    rows: Vec<(u64, u64)>,
+    /// Ascending by path, one entry per id.
+    strays: Vec<(PathId, (u64, u64))>,
+    /// Slots the walk made non-zero: the read-out's capacity.
+    live: usize,
+}
+
+impl RowSums {
+    fn fit(&mut self, matrix: &ProbeMatrix) {
+        self.rows.resize(matrix.num_paths(), (0, 0));
+    }
+
+    /// Adds one row of a report to the slot of `row`, or of `path` on the
+    /// side list when the matrix has no row for it.
+    fn add(&mut self, row: Option<usize>, path: PathId, sent: u64, lost: u64) {
+        let slot = match row.and_then(|row| self.rows.get_mut(row)) {
+            Some(slot) => Some(slot),
+            None => {
+                let at = match self.strays.binary_search_by_key(&path, |&(p, _)| p) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        self.strays.insert(at, (path, (0, 0)));
+                        at
+                    }
+                };
+                self.strays.get_mut(at).map(|(_, slot)| slot)
+            }
+        };
+        let Some(slot) = slot else {
+            return;
+        };
+        if *slot == (0, 0) && (sent, lost) != (0, 0) {
+            self.live += 1;
+        }
+        // Wrapping: a hostile wire counter must not panic a debug build.
+        *slot = (slot.0.wrapping_add(sent), slot.1.wrapping_add(lost));
+    }
+
+    /// Reads every non-zero slot out in ascending path id — the matrix's
+    /// rows by id with the side list merged in — and zeroes it.
+    fn drain(&mut self, matrix: &ProbeMatrix) -> Vec<PathObservation> {
+        let mut out = Vec::with_capacity(std::mem::take(&mut self.live));
+        let observed = |(path, (sent, lost)): (PathId, (u64, u64))| {
+            ((sent, lost) != (0, 0)).then(|| PathObservation::new(path, sent, lost))
+        };
+        let mut strays = self.strays.drain(..).peekable();
+        for (path, row) in matrix.rows_by_id() {
+            let Some(slot) = self.rows.get_mut(row) else {
+                continue;
+            };
+            let Some(o) = observed((path, std::mem::take(slot))) else {
+                continue;
+            };
+            while let Some(stray) = strays.next_if(|&(p, _)| p < path) {
+                out.extend(observed(stray));
+            }
+            out.push(o);
+        }
+        out.extend(strays.filter_map(observed));
+        out
+    }
+}
+
 /// Diagnoser-side store of reports, per window (see the module doc for
 /// what it keeps of a report).
 pub struct ReportStore {
@@ -320,35 +396,24 @@ impl ReportStore {
         self.inner.write().file(&report);
     }
 
-    /// Per-path `(sent, lost)` totals of the window's reports from the
-    /// pingers `select` picks, and how many reports it picked.
-    fn path_totals(
+    /// Aggregates one window's reports into per-path observations,
+    /// skipping reports from `excluded` pingers (watchdog outliers) —
+    /// the hash-and-sort aggregation [`window_sums`](Self::window_sums)
+    /// is tested against.
+    pub fn window_observations(
         &self,
         window: u64,
-        select: impl Fn(NodeId) -> bool,
-    ) -> (HashMap<PathId, (u64, u64)>, u64) {
+        excluded: &dyn Fn(NodeId) -> bool,
+    ) -> Vec<PathObservation> {
         let inner = self.inner.read();
         let mut agg: HashMap<PathId, (u64, u64)> = HashMap::new();
-        let mut reports = 0u64;
-        for (_, rows, _) in inner.reports(window).filter(|(p, ..)| select(*p)) {
-            reports += 1;
+        for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
             for r in rows {
                 let e = agg.entry(r.path).or_insert((0, 0));
                 e.0 += r.sent;
                 e.1 += r.lost;
             }
         }
-        (agg, reports)
-    }
-
-    /// Aggregates one window's reports into per-path observations,
-    /// skipping reports from `excluded` pingers (watchdog outliers).
-    pub fn window_observations(
-        &self,
-        window: u64,
-        excluded: &dyn Fn(NodeId) -> bool,
-    ) -> Vec<PathObservation> {
-        let (agg, _) = self.path_totals(window, |p| !excluded(p));
         let mut out: Vec<PathObservation> = agg
             .into_iter()
             .map(|(pid, (sent, lost))| PathObservation::new(pid, sent, lost))
@@ -357,16 +422,31 @@ impl ReportStore {
         out
     }
 
-    /// Per-path `(sent, lost)` totals of the window's *excluded* reports
-    /// plus how many reports were excluded — what the diagnoser
-    /// subtracts from an ingest-plane snapshot (which aggregated every
-    /// folded report) to apply watchdog exclusions at diagnosis time.
-    pub fn excluded_path_totals(
+    /// The diagnosis input of a window in one walk of its rows: the
+    /// reports of pingers not `excluded`, summed per path into `sums`'
+    /// slot for the path's `matrix` row — ids the matrix cannot resolve
+    /// (stale pre-re-base ids, strays) on a short side list — then read
+    /// out in ascending path id, paths summing to `(0, 0)` left out, and
+    /// with them how many reports were summed. Nothing hashes and nothing
+    /// sorts; once `sums` has seen the matrix, the returned `Vec` is the
+    /// walk's only allocation.
+    pub fn window_sums(
         &self,
         window: u64,
+        matrix: &ProbeMatrix,
         excluded: &dyn Fn(NodeId) -> bool,
-    ) -> (HashMap<PathId, (u64, u64)>, u64) {
-        self.path_totals(window, excluded)
+        sums: &mut RowSums,
+    ) -> (Vec<PathObservation>, u64) {
+        sums.fit(matrix);
+        let inner = self.inner.read();
+        let mut reports = 0u64;
+        for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
+            reports += 1;
+            for r in rows {
+                sums.add(matrix.row_of(r.path), r.path, r.sent, r.lost);
+            }
+        }
+        (sums.drain(matrix), reports)
     }
 
     /// The per-flow samples of a window over the paths selected by

@@ -1,13 +1,13 @@
 //! Test-only oracles for the report store.
 //!
 //! **The store as it was.** [`MapStore`] keeps every report whole in a
-//! `HashMap<u64, Vec<PingerReport>>` and answers the four queries the
+//! `HashMap<u64, Vec<PingerReport>>` and answers the three queries the
 //! way `ReportStore` did before a window became a log of columns.
 //! [`store_answers_as_the_map_of_reports_did`] drives both with the same
 //! arbitrary sequence of ingests and prunes — windows interleaved and out
 //! of order, prunes at arbitrary points with re-ingest after them, empty
 //! reports, `flows_probed` shorter than `paths` — and after every step
-//! compares all four queries on every window under random exclusion and
+//! compares all three queries on every window under random exclusion and
 //! path predicates. Each mutation below was applied to `report.rs` by
 //! hand and the property failed on it:
 //!
@@ -33,19 +33,43 @@
 //! report must be the full one with its clean records counted and
 //! removed, and `classify_suspect` must not be able to tell which store
 //! it reads.
+//!
+//! **The window as a hash-and-sort aggregation.**
+//! [`one_walk_sums_as_the_store_aggregation_does`] holds
+//! [`ReportStore::window_sums`] — one walk of the log's rows into a dense
+//! per-matrix-row accumulator, read out in ascending path id — against
+//! `window_observations` with its `(0, 0)` paths removed, whole `Vec`s
+//! compared, and its report count against the map of reports', over
+//! segmented matrices whose rows are not in id order and whose ids split
+//! the row table into several runs, reports naming ids neither matrix
+//! resolves, empty reports, random exclusion masks, prunes and re-files,
+//! and matrix swaps between windows — one accumulator throughout. Each
+//! mutation below was applied to `report.rs` by hand and the property
+//! failed on it:
+//!
+//! a. excluded pingers not skipped (the walk's `filter` dropped) — a
+//!    masked pinger's rows are summed;
+//! b. emission in row order (`0..rows.len()` with each row's path id
+//!    instead of `rows_by_id`) — a re-based cell's paths come out ahead
+//!    of lower ids;
+//! c. side-list ids dropped (`add` returning where the matrix has no row)
+//!    — stray and other-matrix ids vanish;
+//! d. the accumulator not reset between windows (`*slot` read instead of
+//!    `std::mem::take(slot)`) — a window reports an earlier walk's sums.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use detector_core::pll::{classify_loss, ClassifyConfig, FlowSample};
-use detector_core::types::{LinkId, NodeId, PathId, PathObservation};
+use detector_core::pmc::ProbeMatrix;
+use detector_core::types::{LinkId, NodeId, PathId, PathObservation, ProbePath};
 use detector_simnet::{Fabric, LossDiscipline};
 use detector_topology::{DcnTopology, Fattree};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{FlowRecord, PathCounters, PingerReport, ReportStore};
+use super::{FlowRecord, PathCounters, PingerReport, ReportStore, RowSums};
 use crate::controller::Controller;
 use crate::diagnoser::Diagnoser;
 use crate::pinger::{batch_seed, lossy_only, run_window_full_records, Pinger};
@@ -191,29 +215,6 @@ impl MapStore {
         out
     }
 
-    fn excluded_path_totals(
-        &self,
-        window: u64,
-        excluded: &dyn Fn(NodeId) -> bool,
-    ) -> (HashMap<PathId, (u64, u64)>, u64) {
-        let mut agg: HashMap<PathId, (u64, u64)> = HashMap::new();
-        let mut reports = 0u64;
-        if let Some(rs) = self.0.get(&window) {
-            for r in rs {
-                if !excluded(r.pinger) {
-                    continue;
-                }
-                reports += 1;
-                for (pid, c) in &r.paths {
-                    let e = agg.entry(*pid).or_insert((0, 0));
-                    e.0 += c.sent;
-                    e.1 += c.lost;
-                }
-            }
-        }
-        (agg, reports)
-    }
-
     fn flow_samples(
         &self,
         window: u64,
@@ -317,7 +318,7 @@ fn arbitrary_report(pinger: u32, window: u64, seed: u64) -> PingerReport {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The window log ≡ the map of reports: all four queries, on every
+    /// The window log ≡ the map of reports: all three queries, on every
     /// window, after every ingest and every prune (see the module doc
     /// for the mutations this kills).
     #[test]
@@ -350,14 +351,116 @@ proptest! {
                         "{}", at
                     );
                     prop_assert_eq!(
-                        store.excluded_path_totals(w, &excluded),
-                        reference.excluded_path_totals(w, &excluded),
-                        "{}", at
-                    );
-                    prop_assert_eq!(
                         store.flow_samples(w, &excluded, &keep),
                         reference.flow_samples(w, &excluded, &keep),
                         "{}", at
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A segmented matrix of `cells`, rows in the order given. A cell is a
+/// cluster (bases 1 000 ids apart, so the row table splits into one run
+/// per cluster), an offset, and which of the next 8 ids it holds — so
+/// a cell listed first may sort after a later one, as a re-based cell's
+/// range does.
+fn cells_matrix(cells: &[(u32, u32, u16)]) -> ProbeMatrix {
+    let mut seen = HashSet::new();
+    let ids = cells.iter().flat_map(|&(cluster, offset, held)| {
+        let base = cluster * 1_000 + offset;
+        (0..8u32)
+            .filter(move |i| (held >> i) & 1 == 1)
+            .map(move |i| base + i)
+    });
+    let paths = ids
+        .filter(|id| seen.insert(*id))
+        .map(|id| ProbePath::from_links(id, vec![LinkId(id % 7)]))
+        .collect();
+    ProbeMatrix::from_segmented(7, paths)
+}
+
+/// A report of `pinger` for `window` over a random subset of `pool`
+/// (none: an empty report), counters drawn from `seed`, `(0, 0)` rows
+/// included.
+fn report_over(pinger: u32, window: u64, pool: &[u32], seed: u64) -> PingerReport {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut paths = Vec::new();
+    for &id in pool {
+        if rng.gen_range(0..3u8) == 0 {
+            let sent = rng.gen_range(0..20u64);
+            let lost = rng.gen_range(0..sent + 1);
+            let counters = PathCounters {
+                sent,
+                lost,
+                ..Default::default()
+            };
+            paths.push((PathId(id), counters));
+        }
+    }
+    PingerReport {
+        pinger: NodeId(pinger),
+        window,
+        paths,
+        ..Default::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one walk ≡ the hash-and-sort aggregation without its `(0, 0)`
+    /// paths, order included, and its report count ≡ the reports not
+    /// excluded — after every step, on every window, under every mask,
+    /// with one accumulator throughout (see the module doc for the
+    /// mutations this kills).
+    #[test]
+    fn one_walk_sums_as_the_store_aggregation_does(
+        cells_a in proptest::collection::vec((0u32..4, 0u32..40, 1u16..256), 1..5),
+        cells_b in proptest::collection::vec((0u32..4, 0u32..40, 1u16..256), 1..5),
+        steps in proptest::collection::vec((0u8..8, 0u32..5, 0u64..WINDOWS, 0u64..u64::MAX), 1..30),
+        masks in proptest::collection::vec(0u8..32, 1..4),
+    ) {
+        let matrices = [cells_matrix(&cells_a), cells_matrix(&cells_b)];
+        // Both matrices' ids, and ids neither resolves: in a gap between
+        // clusters and past all of them.
+        let mut pool: Vec<u32> = (matrices.iter())
+            .flat_map(|m| m.paths.iter().map(|p| p.id.0))
+            .chain([500, 1_500, 4_999, 5_000])
+            .collect();
+        pool.sort_unstable();
+        pool.dedup();
+
+        let store = ReportStore::new();
+        let mut reference = MapStore::default();
+        let mut sums = RowSums::default();
+        let mut installed = 0;
+        for (step, &(kind, pinger, window, seed)) in steps.iter().enumerate() {
+            match kind {
+                0 => {
+                    store.prune_before(window);
+                    reference.prune_before(window);
+                }
+                1 => installed ^= 1,
+                _ => {
+                    let report = report_over(pinger, window, &pool, seed);
+                    store.ingest(report.clone());
+                    reference.ingest(report);
+                }
+            }
+            let matrix = &matrices[installed];
+            for w in 0..=WINDOWS {
+                for &mask in &masks {
+                    let excluded = |p: NodeId| (mask >> p.0) & 1 == 1;
+                    let mut want = store.window_observations(w, &excluded);
+                    want.retain(|o| (o.sent, o.lost) != (0, 0));
+                    let filed = reference.0.get(&w).into_iter().flatten();
+                    let reports = filed.filter(|r| !excluded(r.pinger)).count() as u64;
+                    prop_assert_eq!(
+                        store.window_sums(w, matrix, &excluded, &mut sums),
+                        (want, reports),
+                        "step {}, window {}, mask {:#x}, matrix {}", step, w, mask, installed
                     );
                 }
             }

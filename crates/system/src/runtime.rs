@@ -273,11 +273,7 @@ impl Detector {
         let mut ticket = plan.open(watchdog, dataplane, rng, &mut prune_bindings(bound));
         close.header(&mut ticket);
         let reports: Vec<_> = batches(plan, &ticket, bound)
-            .map(|batch| {
-                let report = batch.run_window(dataplane, plan.cfg(), ticket.window, ticket.seed);
-                close.diagnoser_mut().fold(&report);
-                report
-            })
+            .map(|batch| batch.run_window(dataplane, plan.cfg(), ticket.window, ticket.seed))
             .collect();
         let mut reports = reports.into_iter();
         close
@@ -385,54 +381,6 @@ mod tests {
             assert!(w.diagnosis.suspects.is_empty(), "window {}", w.window);
             assert!(w.probes_sent > 0);
         }
-    }
-
-    #[test]
-    fn a_retract_after_the_seal_shows_in_the_next_windows_ingest_stats() {
-        use crate::report::{PathCounters, PingerReport};
-        use crate::{CollectingSink, RuntimeEvent};
-        use detector_core::types::PathId;
-
-        let ft = Fattree::new(4).unwrap();
-        let mut run = detector(SystemConfig::default());
-        let sink = CollectingSink::new();
-        run.add_sink(Box::new(sink.clone()));
-        let fabric = Fabric::quiet(&ft);
-        let mut rng = SmallRng::seed_from_u64(3);
-        run.step(&fabric, &mut rng);
-        // A crash notification that lost the race with window 0's close.
-        let counters = |sent, lost| PathCounters {
-            sent,
-            lost,
-            ..Default::default()
-        };
-        let late = PingerReport {
-            window: 0,
-            paths: vec![
-                (PathId(0), counters(50, 25)),
-                (PathId(1), counters(50, 0)),
-                (PathId(2), counters(0, 0)),
-            ],
-            ..Default::default()
-        };
-        run.close.diagnoser_mut().retract(&late);
-        let clean = run.step(&fabric, &mut rng);
-        run.step(&fabric, &mut rng);
-
-        let mismatches: Vec<(u64, u64)> = (sink.events().iter())
-            .filter_map(|e| match e {
-                RuntimeEvent::IngestStats {
-                    window,
-                    retract_mismatch,
-                    ..
-                } => Some((*window, *retract_mismatch)),
-                _ => None,
-            })
-            .collect();
-        // The report itself and its two non-zero entries, once, and
-        // nothing of window 1's own counters was touched.
-        assert_eq!(mismatches, [(0, 0), (1, 3), (2, 0)]);
-        assert!(clean.diagnosis.suspects.is_empty());
     }
 
     #[test]

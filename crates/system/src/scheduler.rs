@@ -22,7 +22,7 @@
 //!                                         │ probe stage  │  │ stage        │
 //!                                         │ (N workers,  │  │ (1 thread)   │
 //!                                         │ PingerBatch) │─▶│ close half:  │
-//!                                         └──────────────┘  │ header, fold,│
+//!                                         └──────────────┘  │ header,      │
 //!                                           report          │ close        │
 //!                                                           └──────────────┘
 //! ```
@@ -315,10 +315,6 @@ impl Detector {
                         };
                         of_window.insert(report.pinger, report);
                     }
-                    // Folded only once the window is complete, so a
-                    // stage failure above leaves nothing in the plane.
-                    have.values()
-                        .for_each(|report| close.diagnoser_mut().fold(report));
                     let result = close
                         .close(ticket, |pinger| have.remove(&pinger), &watchdog, dataplane)
                         .map_err(|_| {

@@ -25,8 +25,9 @@
 //! | [`Detector::run_pipelined`](crate::Detector::run_pipelined) | prune the binding cache | batches, on probe workers | caller plans, a collector closes |
 //! | `DistributedDetector::run_distributed` | ship the diff as frames | agent transports | one thread |
 //!
-//! Folding belongs to collection and filing to `close` in every driver,
-//! so nothing here asks which driver is calling.
+//! Collection only holds reports; `close` files them and the diagnoser
+//! aggregates the filed window in one walk, so nothing here asks which
+//! driver is calling.
 
 use std::time::Instant;
 
@@ -331,7 +332,7 @@ impl CloseHalf {
 
     /// Announces an open window — `WindowStarted`, then `CycleRefreshed`
     /// on a boundary — and installs the refreshed matrix. Call it before
-    /// the window's first report is folded.
+    /// the window's first report is collected.
     pub fn header(&mut self, ticket: &mut Ticket) {
         let window = ticket.window;
         self.emit(RuntimeEvent::WindowStarted {
@@ -355,18 +356,13 @@ impl CloseHalf {
         &self.diagnoser
     }
 
-    /// The diagnoser, lent to collection: a driver `fold`s each report
-    /// as it arrives, `retract`s a dead agent's, and `discard`s a window
-    /// it gives up on.
-    pub fn diagnoser_mut(&mut self) -> &mut Diagnoser {
-        &mut self.diagnoser
-    }
-
-    /// Closes a window whose reports are all folded: walks the roster —
-    /// `PingerUnhealthy`, or `ReportIngested` and the report `take`n and
-    /// filed — runs the diagnosis under `watchdog`, prunes history, and
-    /// emits `IngestStats`, `DiagStats` and `DiagnosisReady`. `Err` names
-    /// a healthy roster pinger `take` had no report for.
+    /// Closes a window whose reports are all collected: `take`s every
+    /// healthy roster pinger's report, then walks the roster —
+    /// `PingerUnhealthy`, or `ReportIngested` and the report filed — runs
+    /// the diagnosis under `watchdog`, prunes history, and emits
+    /// `IngestStats`, `DiagStats` and `DiagnosisReady`. `Err` names a
+    /// healthy roster pinger `take` had no report for; the window then
+    /// has emitted and filed nothing.
     pub fn close(
         &mut self,
         ticket: Ticket,
@@ -375,13 +371,21 @@ impl CloseHalf {
         dataplane: &dyn DataPlane,
     ) -> Result<WindowResult, NodeId> {
         let window = ticket.window;
-        let mut probes_sent = 0u64;
+        let mut taken = Vec::with_capacity(ticket.roster.len());
         for &(pinger, healthy) in &ticket.roster {
-            if !healthy {
+            let report = if healthy {
+                Some(take(pinger).ok_or(pinger)?)
+            } else {
+                None
+            };
+            taken.push((pinger, report));
+        }
+        let mut probes_sent = 0u64;
+        for (pinger, report) in taken {
+            let Some(report) = report else {
                 self.emit(RuntimeEvent::PingerUnhealthy { window, pinger });
                 continue;
-            }
-            let report = take(pinger).ok_or(pinger)?;
+            };
             let sent = report.total_sent();
             probes_sent += sent;
             self.emit(RuntimeEvent::ReportIngested {
@@ -394,7 +398,7 @@ impl CloseHalf {
             // not from dataplane loss: an all-lost report usually means
             // the pinger's rack uplink or ToR failed — precisely what the
             // diagnoser must see, not a reason to silence the pinger.
-            self.diagnoser.ingest_stored(report);
+            self.diagnoser.ingest(report);
         }
 
         let event = self.diagnoser.diagnose(window, watchdog);
@@ -404,8 +408,6 @@ impl CloseHalf {
             window,
             reports: event.reports,
             paths_active: event.num_observations as u64,
-            topk_hits: event.topk_hits,
-            retract_mismatch: event.retract_mismatch,
         });
         self.emit(RuntimeEvent::DiagStats {
             window,

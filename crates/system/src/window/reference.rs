@@ -190,8 +190,6 @@ impl Reference {
                 window,
                 reports: event.reports,
                 paths_active: event.num_observations as u64,
-                topk_hits: event.topk_hits,
-                retract_mismatch: event.retract_mismatch,
             },
             &mut self.sinks,
         );

@@ -1,9 +1,11 @@
 //! The report store's memory is bounded, pinned as a property a clock
-//! cannot gate: over ten thousand windows of ingest + `prune_before(w −
-//! 20)` — what every driver's close half does — once the retained
-//! windows have sized their logs, filing a window allocates nothing and
-//! nothing the store holds grows. A pruned window's log is reused, not
-//! freed: the reports' own blocks are the only memory released.
+//! cannot gate: over ten thousand windows of ingest, the diagnoser's one
+//! walk of the window and `prune_before(w − 20)` — what every driver's
+//! close half does — once the retained windows have sized their logs,
+//! filing a window allocates nothing, the walk allocates only the
+//! observations it returns, and nothing the store or the walk's
+//! accumulator holds grows. A pruned window's log is reused, not freed:
+//! the reports' own blocks are the only memory released.
 //!
 //! One `#[test]` in its own binary: the counts are process-wide, so no
 //! sibling test may allocate while they are read.
@@ -11,8 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
-use detector_core::types::{NodeId, PathId};
-use detector_system::{FlowRecord, PathCounters, PingerReport, ReportStore};
+use detector_core::pmc::ProbeMatrix;
+use detector_core::types::{LinkId, NodeId, PathId, ProbePath};
+use detector_system::{FlowRecord, PathCounters, PingerReport, ReportStore, RowSums};
 
 /// Allocations (and growths) made so far.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
@@ -102,7 +105,14 @@ fn report(p: u32) -> PingerReport {
 #[test]
 fn ten_thousand_windows_hold_what_twenty_one_do() {
     let templates: Vec<PingerReport> = (0..4).map(report).collect();
+    // The first 60 of each pinger's paths: the last 4 are ids the matrix
+    // cannot resolve, summed on the walk's side list.
+    let paths = (0..4u32)
+        .flat_map(|p| (0..60).map(move |i| p * 100 + i))
+        .map(|id| ProbePath::from_links(id, vec![LinkId(id % 9)]));
+    let matrix = ProbeMatrix::from_segmented(9, paths.collect());
     let store = ReportStore::new();
+    let mut sums = RowSums::default();
     let mut live_after_warm_up = 0;
     for w in 0..WINDOWS {
         // Decoding a frame is what allocates a report; not the store.
@@ -119,6 +129,14 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
             store.prune_before(w.saturating_sub(HISTORY));
         });
         assert_eq!(store.reports_in_window(w), templates.len(), "window {w}");
+        // Odd windows exclude pinger 3 and its 64 paths.
+        let excluded = |p: NodeId| w % 2 == 1 && p == NodeId(3);
+        let (walking, (observations, reports)) =
+            allocations_of(|| store.window_sums(w, &matrix, &excluded, &mut sums));
+        let kept = 4 - w % 2;
+        assert_eq!(reports, kept, "window {w}");
+        assert_eq!(observations.len() as u64, 64 * kept, "window {w}");
+        drop(observations);
         if w > HISTORY {
             assert_eq!(store.reports_in_window(w - HISTORY - 1), 0, "window {w}");
         }
@@ -129,8 +147,12 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
             _ => {
                 assert_eq!(filing, 0, "window {w}: ingest + prune allocated");
                 assert_eq!(
+                    walking, 1,
+                    "window {w}: the walk allocated beside its result"
+                );
+                assert_eq!(
                     live, live_after_warm_up,
-                    "window {w}: a pruned log was kept beside its reuse, or a log grew"
+                    "window {w}: a pruned log was kept beside its reuse, or a log or the sums grew"
                 );
             }
         }

@@ -4,16 +4,17 @@
 //! `Report` frames are outside input. Each test runs two real
 //! `PingerAgent`s through `run_distributed_over`, with agent 1's
 //! agent → controller frames passed through an editing transport, and
-//! checks that a bad report fails the run with `DistError::Protocol`
-//! *before* it is folded — nothing of the poisoned window, and nothing
-//! in any other window's lane, is left in the ingest plane — and that a
-//! mis-answered heartbeat degrades the agent like a missed one.
+//! checks that a bad or missing report fails the run with
+//! `DistError::Protocol` *before* anything is filed — the diagnoser holds
+//! nothing of the poisoned window or of the one a report named, and no
+//! `ReportIngested` was emitted for it — and that a mis-answered
+//! heartbeat degrades the agent like a missed one.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use detector::prelude::*;
-use detector::system::PingerReport;
+use detector::system::{PingerReport, Watchdog};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -86,7 +87,7 @@ fn a_report_the_controller_cannot_vouch_for_fails_the_run_before_it_is_folded() 
     // Each case rewrites agent 1's first report of window 0; the error
     // must name the check that caught it.
     type Rewrite = fn(PingerReport, NodeId) -> Vec<PingerReport>;
-    let cases: [(&str, Rewrite); 3] = [
+    let cases: [(&str, Rewrite); 4] = [
         ("not open", |r, _| vec![PingerReport { window: 1, ..r }]),
         ("twice", |r, _| vec![r.clone(), r]),
         ("not asked", |r, foreign| {
@@ -95,6 +96,7 @@ fn a_report_the_controller_cannot_vouch_for_fails_the_run_before_it_is_folded() 
                 ..r
             }]
         }),
+        ("no report for a healthy pinger's list", |_, _| vec![]),
     ];
     for (what, rewrite) in cases {
         let mut first = true;
@@ -105,18 +107,25 @@ fn a_report_the_controller_cannot_vouch_for_fails_the_run_before_it_is_folded() 
             }
             other => vec![other],
         };
+        let sink = CollectingSink::new();
         let mut dist = detector(&ft);
+        dist.add_sink(Box::new(sink.clone()));
         match run_tampered(&mut dist, &ft, edit) {
             Err(DistError::Protocol(why)) if why.contains(what) => {}
             other => panic!("expected a protocol error saying {what:?}, got {other:?}"),
         }
-        // Agent 0's honest reports were folded before agent 1 spoke; the
-        // failed run took them back out, and the bad report never
-        // reached any window's lane — the poisoned one or the one it
-        // named.
-        let plane = dist.diagnoser_mut();
-        assert_eq!(plane.discard(0), 0, "{what}: window 0 still holds folds");
-        assert_eq!(plane.discard(1), 0, "{what}: window 1 was folded into");
+        // Agent 0's honest reports arrived before agent 1 spoke; the
+        // failed window filed none of them, and the bad report reached
+        // neither the poisoned window nor the one it named.
+        let filed = |w| dist.diagnoser().observations(w, &Watchdog::new());
+        assert!(filed(0).is_empty(), "{what}: window 0 holds reports");
+        assert!(filed(1).is_empty(), "{what}: window 1 was filed into");
+        let ingested =
+            |e: &RuntimeEvent| matches!(e, RuntimeEvent::ReportIngested { window: 0, .. });
+        assert!(
+            !sink.events().iter().any(ingested),
+            "{what}: a report of the failed window was announced"
+        );
     }
 }
 
