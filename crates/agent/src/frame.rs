@@ -14,11 +14,11 @@
 //! formula.
 //!
 //! Reports travel delta/varint-coded (layout at [`encode_report`]'s
-//! definition and in the crate README): a report's three runs are
-//! already ascending, so keys ship as deltas, counters as LEB128
-//! varints and `f64`s as IEEE-754 bit patterns. The encoding is
-//! canonical — one byte string per report, and the decoder rejects every
-//! other spelling — so frame bytes are safe to compare, hash and count.
+//! definition and in the crate README): a report's two runs are already
+//! ascending, so keys ship as deltas and counters as LEB128 varints, and
+//! its in-rack total closes it. The encoding is canonical — one byte
+//! string per report, and the decoder rejects every other spelling — so
+//! frame bytes are safe to compare, hash and count.
 //!
 //! Frames arrive off real sockets: decoding never panics, never reserves
 //! more than a constant times the input length, and fails with a typed
@@ -370,9 +370,9 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 // `inline(always)` on this and the other field readers `decode_report`
-// calls: they run once per field (~1 700 calls a Fattree(32) report) and
-// the inliner leaves them out of line otherwise — measured 5.4 → 2.5 µs
-// a report, cache-hot.
+// calls: they run once per field (~220 calls a quiet Fattree(32)
+// report) and the inliner leaves them out of line otherwise — measured
+// 5.4 → 2.5 µs a report, cache-hot.
 #[inline(always)]
 fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FrameError> {
     let (head, rest) = buf.split_first_chunk().ok_or(FrameError::Truncated)?;
@@ -388,7 +388,6 @@ fn take_u32(buf: &mut &[u8]) -> Result<u32, FrameError> {
     take_array(buf).map(u32::from_be_bytes)
 }
 
-#[inline(always)]
 fn take_u64(buf: &mut &[u8]) -> Result<u64, FrameError> {
     take_array(buf).map(u64::from_be_bytes)
 }
@@ -482,42 +481,28 @@ fn decode_list(buf: &mut &[u8]) -> Result<Pinglist, FrameError> {
     })
 }
 
-/// Smallest encodings of the counters and of one path, flow and in-rack
-/// record (every varint one byte): what [`take_count`] divides the
-/// remaining bytes by.
-const MIN_COUNTERS: usize = 1 + 1 + 8 + 8;
+/// Smallest encodings of the counters and of one path and flow record
+/// (every varint one byte): what [`take_count`] divides the remaining
+/// bytes by.
+const MIN_COUNTERS: usize = 1 + 1;
 const MIN_PATH_RECORD: usize = 1 + MIN_COUNTERS + 1 + 1;
 const MIN_FLOW_RECORD: usize = 1 + 1 + 1 + 1;
-const MIN_IN_RACK_RECORD: usize = 1 + MIN_COUNTERS;
 
 fn encode_counters(c: &PathCounters, out: &mut Vec<u8>) {
     put_varint(out, c.sent);
     put_varint(out, c.lost);
-    put_u64(out, c.rtt_sum_us.to_bits());
-    put_u64(out, c.rtt_max_us.to_bits());
-}
-
-#[inline(always)]
-fn decode_counters(buf: &mut &[u8]) -> Result<PathCounters, FrameError> {
-    let (sent, lost) = take_sent_lost(buf)?;
-    Ok(PathCounters {
-        sent,
-        lost,
-        rtt_sum_us: f64::from_bits(take_u64(buf)?),
-        rtt_max_us: f64::from_bits(take_u64(buf)?),
-    })
 }
 
 /// The diagnoser sums a window's rows as they are, and those sums are
 /// its observations only while no record claims more losses than probes.
 #[inline(always)]
-fn take_sent_lost(buf: &mut &[u8]) -> Result<(u64, u64), FrameError> {
+fn decode_counters(buf: &mut &[u8]) -> Result<PathCounters, FrameError> {
     let sent = take_varint(buf)?;
     let lost = take_varint(buf)?;
     if lost > sent {
         return Err(FrameError::BadPayload("lost exceeds sent"));
     }
-    Ok((sent, lost))
+    Ok(PathCounters { sent, lost })
 }
 
 /// Writes the next key of an ascending run as its distance from the
@@ -570,16 +555,16 @@ fn take_count(buf: &mut &[u8], min_record: usize) -> Result<usize, FrameError> {
 /// u32 pinger | varint window | varint #paths | varint #records
 /// #paths × ( varint path-id delta | counters
 ///            varint flows probed | varint #records of the path
-///            #… × ( varint sport delta | u8 dscp | varint sent | varint lost ) )
-/// varint #in-rack
-/// #in-rack × ( varint responder delta | counters )
-/// counters = varint sent | varint lost | u64 rtt_sum bits | u64 rtt_max bits
+///            #… × ( varint sport delta | u8 dscp | counters ) )
+/// in-rack total = counters
+/// counters = varint sent | varint lost
 /// ```
 ///
 /// The first key of a run is absolute; sport deltas restart with every
 /// path. A record is a flow that lost a probe; the flows probed without
 /// one are that count and nothing else. `#records` is the total over
-/// all paths, so the decoder sizes the flat flow run once.
+/// all paths, so the decoder sizes the flat flow run once. The in-rack
+/// total sums the probes of every in-rack responder.
 fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
     put_u32(out, r.pinger.0);
     put_varint(out, r.window);
@@ -603,12 +588,7 @@ fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
             put_varint(out, f.lost);
         }
     }
-    put_varint(out, r.in_rack.len() as u64);
-    let mut prev = 0;
-    for (responder, c) in &r.in_rack {
-        put_delta(out, &mut prev, responder.0);
-        encode_counters(c, out);
-    }
+    encode_counters(&r.in_rack, out);
 }
 
 const FLOW_PROBES_DISAGREE: FrameError =
@@ -647,7 +627,7 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
                 return Err(FrameError::BadPayload("keys not strictly ascending"));
             }
             prev_flow = Some((sport, dscp));
-            let (sent, lost) = take_sent_lost(buf)?;
+            let PathCounters { sent, lost } = decode_counters(buf)?;
             if lost == 0 {
                 return Err(FrameError::BadPayload("flow record without a loss"));
             }
@@ -689,19 +669,12 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
     if flows.len() != num_flows {
         return Err(FrameError::BadPayload("flow counts disagree"));
     }
-    let num_in_rack = take_count(buf, MIN_IN_RACK_RECORD)?;
-    let mut in_rack = Vec::with_capacity(num_in_rack);
-    let mut prev = None;
-    for _ in 0..num_in_rack {
-        let responder = NodeId(take_key(buf, &mut prev)?);
-        in_rack.push((responder, decode_counters(buf)?));
-    }
     Ok(PingerReport {
         pinger,
         window,
         paths,
         flows_probed,
-        in_rack,
+        in_rack: decode_counters(buf)?,
         flows,
     })
 }
@@ -752,35 +725,12 @@ mod tests {
             pinger: NodeId(100),
             window: 4,
             paths: vec![
-                (
-                    PathId(3),
-                    PathCounters {
-                        sent: 300,
-                        lost: 3,
-                        rtt_sum_us: 123_456.75,
-                        rtt_max_us: 900.5,
-                    },
-                ),
-                (
-                    PathId(9),
-                    PathCounters {
-                        sent: 1,
-                        lost: 1,
-                        ..Default::default()
-                    },
-                ),
+                (PathId(3), PathCounters { sent: 300, lost: 3 }),
+                (PathId(9), PathCounters { sent: 1, lost: 1 }),
             ],
             // Path 3 probed a fourth flow, 25 times, and lost nothing on it.
             flows_probed: vec![4, 1],
-            in_rack: vec![(
-                NodeId(101),
-                PathCounters {
-                    sent: 10,
-                    lost: 0,
-                    rtt_sum_us: 80.0,
-                    rtt_max_us: 12.0,
-                },
-            )],
+            in_rack: PathCounters { sent: 10, lost: 0 },
             flows: vec![
                 flow(3, 33000, 0, 150, 1),
                 flow(3, 33000, 46, 75, 1),
@@ -947,8 +897,8 @@ mod tests {
 
     /// Pinger 100, window 4.
     const HEAD: &[u8] = &[0, 0, 0, 100, 4];
-    /// Two zero RTT accumulators.
-    const RTT: &[u8] = &[0; 16];
+    /// An in-rack total of no probes: what ends a report.
+    const NO_RACK: &[u8] = &[0, 0];
 
     #[test]
     fn report_body_is_the_documented_layout() {
@@ -960,17 +910,13 @@ mod tests {
         };
         let want = report_frame(&[
             HEAD,
-            &[1, 3],             // One path, three flow records in all.
-            &[3, 0xAC, 0x02, 3], // Path 3: sent 300, lost 3 ...
-            &123_456.75f64.to_bits().to_be_bytes(),
-            &900.5f64.to_bits().to_be_bytes(),
+            &[1, 3],                               // One path, three flow records in all.
+            &[3, 0xAC, 0x02, 3],                   // Path 3: sent 300, lost 3 ...
             &[4, 3], // ... over four flows, three of which lost a probe:
             &[0xE8, 0x81, 0x02, 0, 0x96, 0x01, 1], // sport 33000, dscp 0, 150/1
             &[0, 46, 75, 1], // same port, dscp 46
             &[1, 18, 50, 1], // next port, dscp 18
-            &[1, 101, 10, 0], // One in-rack responder: 101, 10/0.
-            &80.0f64.to_bits().to_be_bytes(),
-            &12.0f64.to_bits().to_be_bytes(),
+            &[10, 0], // In-rack total: 10 sent, 0 lost.
         ]);
         assert_eq!(Frame::Report(r.clone()).encode(), want);
         assert_eq!(Frame::decode(&want), Ok(Frame::Report(r)));
@@ -993,10 +939,10 @@ mod tests {
         assert_eq!(got, Ok(Frame::Report(want)));
     }
 
-    /// Path 3 with `sent`/`lost` probes and zero RTT accumulators, up to
-    /// (not including) its flow counts.
+    /// Path 3 with `sent`/`lost` probes, up to (not including) its flow
+    /// counts.
     fn path3(sent: u8, lost: u8) -> Vec<u8> {
-        [&[3, sent, lost][..], RTT].concat()
+        vec![3, sent, lost]
     }
 
     #[test]
@@ -1004,16 +950,13 @@ mod tests {
         let why = "keys not strictly ascending";
         // Path 3 twice (the second key is a zero delta).
         let path = [&path3(9, 0)[..], &[0, 0]].concat();
-        bad_report(&[HEAD, &[2, 0], &path, &[0, 9, 0], RTT, &[0, 0], &[0]], why);
-        // In-rack responder 7 twice.
-        let peer = [&[7, 1, 0][..], RTT].concat();
-        bad_report(&[HEAD, &[0, 0], &[2], &peer, &[0, 1, 0], RTT], why);
+        bad_report(&[HEAD, &[2, 0], &path, &[0, 9, 0], &[0, 0], NO_RACK], why);
         // The same (port, class) flow twice, then a class going backwards.
         let two_flows = [&[1, 2][..], &path3(2, 2), &[2, 2], &[80, 46, 1, 1]].concat();
-        bad_report(&[HEAD, &two_flows, &[0, 46, 1, 1], &[0]], why);
-        bad_report(&[HEAD, &two_flows, &[0, 18, 1, 1], &[0]], why);
+        bad_report(&[HEAD, &two_flows, &[0, 46, 1, 1], NO_RACK], why);
+        bad_report(&[HEAD, &two_flows, &[0, 18, 1, 1], NO_RACK], why);
         // A later port with a lower class is in order.
-        let ok = report_frame(&[HEAD, &two_flows, &[1, 18, 1, 1], &[0]]);
+        let ok = report_frame(&[HEAD, &two_flows, &[1, 18, 1, 1], NO_RACK]);
         assert!(Frame::decode(&ok).is_ok());
     }
 
@@ -1021,26 +964,37 @@ mod tests {
     fn out_of_range_report_keys_are_rejected() {
         let why = "key out of range";
         // Path u32::MAX followed by a delta of one.
-        let last = [&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0][..], RTT, &[0, 0]].concat();
-        bad_report(&[HEAD, &[2, 0], &last, &[1, 1, 0], RTT, &[0, 0], &[0]], why);
+        let last = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0, 0, 0];
+        bad_report(&[HEAD, &[2, 0], &last, &[1, 1, 0], &[0, 0], NO_RACK], why);
         // Source port 65535 + 1.
         let flows = [0xFF, 0xFF, 0x03, 0, 1, 1, 1, 0, 1, 1];
-        bad_report(&[HEAD, &[1, 2], &path3(2, 2), &[2, 2], &flows, &[0]], why);
+        bad_report(
+            &[HEAD, &[1, 2], &path3(2, 2), &[2, 2], &flows, NO_RACK],
+            why,
+        );
         // 2^32 flows probed on one path.
         let many = [0x80, 0x80, 0x80, 0x80, 0x10, 0];
         let why = "flow count out of range";
-        bad_report(&[HEAD, &[1, 0], &path3(9, 0), &many, &[0]], why);
+        bad_report(&[HEAD, &[1, 0], &path3(9, 0), &many, NO_RACK], why);
     }
 
     #[test]
     fn more_lost_than_sent_is_rejected() {
         let why = "lost exceeds sent";
-        bad_report(&[HEAD, &[1, 0], &path3(9, 10), &[0, 0], &[0]], why);
-        bad_report(&[HEAD, &[0, 0], &[1], &[7, 0, 1], RTT], why);
+        // A path, a flow record, the in-rack total.
+        bad_report(&[HEAD, &[1, 0], &path3(9, 10), &[0, 0], NO_RACK], why);
         bad_report(
-            &[HEAD, &[1, 1], &path3(9, 0), &[1, 1], &[80, 0, 2, 3], &[0]],
+            &[
+                HEAD,
+                &[1, 1],
+                &path3(9, 0),
+                &[1, 1],
+                &[80, 0, 2, 3],
+                NO_RACK,
+            ],
             why,
         );
+        bad_report(&[HEAD, &[0, 0], &[0, 1]], why);
     }
 
     #[test]
@@ -1049,7 +1003,7 @@ mod tests {
         // path sent 9 probes; its one record is port 80, class 0.
         let one = |sent, lost, probed, record: [u8; 2]| {
             let path = [&path3(sent, lost)[..], &[probed, 1], &[80, 0], &record].concat();
-            report_frame(&[HEAD, &[1, 1], &path, &[0]])
+            report_frame(&[HEAD, &[1, 1], &path, NO_RACK])
         };
         let bad = |frame: Vec<u8>, why| {
             assert_eq!(Frame::decode(&frame), Err(FrameError::BadPayload(why)));
@@ -1065,9 +1019,12 @@ mod tests {
         bad(one(9, 1, 1, [8, 1]), why);
         // Two records of u64::MAX probes each: the sum leaves u64.
         let max = [&[0xFF; 9][..], &[1]].concat();
-        let path = [&[3][..], &max, &[2], RTT, &[2, 2]].concat();
+        let path = [&[3][..], &max, &[2], &[2, 2]].concat();
         let records = [&[80, 0][..], &max, &[1], &[0, 1], &max, &[1]].concat();
-        bad(report_frame(&[HEAD, &[1, 2], &path, &records, &[0]]), why);
+        bad(
+            report_frame(&[HEAD, &[1, 2], &path, &records, NO_RACK]),
+            why,
+        );
         // One clean flow took the ninth probe: this is a report.
         assert!(Frame::decode(&one(9, 1, 2, [8, 1])).is_ok());
         // The path lost 2, its records 1.
@@ -1075,10 +1032,10 @@ mod tests {
         bad(one(9, 2, 2, [8, 1]), why);
         // Flows were probed, one probe was lost, and no flow lost it.
         let lossless = [&path3(9, 1)[..], &[2, 0]].concat();
-        bad(report_frame(&[HEAD, &[1, 0], &lossless, &[0]]), why);
+        bad(report_frame(&[HEAD, &[1, 0], &lossless, NO_RACK]), why);
         // Zero flows probed is a path without per-flow information.
         let bare = [&path3(9, 1)[..], &[0, 0]].concat();
-        assert!(Frame::decode(&report_frame(&[HEAD, &[1, 0], &bare, &[0]])).is_ok());
+        assert!(Frame::decode(&report_frame(&[HEAD, &[1, 0], &bare, NO_RACK])).is_ok());
     }
 
     #[test]
@@ -1088,33 +1045,37 @@ mod tests {
         let long = [&[0x80; 10][..], &[1], &[0; 8]].concat();
         bad_report(&[&HEAD[..4], &long], "varint longer than 10 bytes");
         // Ten bytes whose last group carries bits 64 and up.
-        let wide = [&[0xFF; 9][..], &[2, 0, 0, 0]].concat();
+        let wide = [&[0xFF; 9][..], &[2, 0, 0], NO_RACK].concat();
         bad_report(&[&HEAD[..4], &wide], "varint overflows 64 bits");
         // u64::MAX itself is fine.
-        let max = [&[0xFF; 9][..], &[1, 0, 0, 0]].concat();
+        let max = [&[0xFF; 9][..], &[1, 0, 0], NO_RACK].concat();
         let got = Frame::decode(&report_frame(&[&HEAD[..4], &max]));
         assert!(matches!(got, Ok(Frame::Report(r)) if r.window == u64::MAX));
         // Window 4 spelled in two bytes: not what the encoder writes.
-        bad_report(&[&HEAD[..4], &[0x84, 0, 0, 0, 0]], "varint is zero-padded");
+        let padded = [&[0x84, 0, 0, 0][..], NO_RACK].concat();
+        bad_report(&[&HEAD[..4], &padded], "varint is zero-padded");
     }
 
     #[test]
     fn counts_the_frame_cannot_hold_are_rejected_before_allocating() {
         let why = "record count exceeds the frame";
-        // u64::MAX paths; a billion flows; 2 in-rack records in 19 bytes.
+        // u64::MAX paths; a billion flows; 2 paths in 9 bytes.
         let max = [&[0xFF; 9][..], &[1]].concat();
-        bad_report(&[HEAD, &max, &[0, 0]], why);
-        bad_report(&[HEAD, &[0], &[0x80, 0x94, 0xEB, 0xDC, 0x03], &[0]], why);
-        bad_report(&[HEAD, &[0, 0], &[2], &[7, 1, 0], RTT], why);
+        bad_report(&[HEAD, &max, &[0], NO_RACK], why);
+        bad_report(&[HEAD, &[0], &[0x80, 0x94, 0xEB, 0xDC, 0x03], NO_RACK], why);
+        bad_report(&[HEAD, &[2], &[0; 9]], why);
         // A path announcing more records than bytes are left.
         let path = path3(9, 1);
-        bad_report(&[HEAD, &[1, 1], &path, &[2, 2], &[80, 0, 9, 1], &[0]], why);
+        bad_report(
+            &[HEAD, &[1, 1], &path, &[2, 2], &[80, 0, 9, 1], NO_RACK],
+            why,
+        );
         // Per-path record counts above or below the announced total.
         let why = "flow counts disagree";
         let records = [80, 0, 8, 1, 1, 0, 1, 1];
-        bad_report(&[HEAD, &[1, 1], &path, &[2, 2], &records, &[0]], why);
+        bad_report(&[HEAD, &[1, 1], &path, &[2, 2], &records, NO_RACK], why);
         bad_report(
-            &[HEAD, &[1, 2], &path, &[1, 1], &[80, 0, 9, 1], &[0, 0, 0, 0]],
+            &[HEAD, &[1, 2], &path, &[1, 1], &[80, 0, 9, 1], NO_RACK],
             why,
         );
     }
@@ -1135,7 +1096,17 @@ mod tests {
         clean_record.flows[1].lost = 0;
         let mut short_count = report();
         short_count.flows_probed[0] = 2;
-        for bad in [unsorted, orphan, unsorted_flows, clean_record, short_count] {
+        let mut rack_overlost = report();
+        rack_overlost.in_rack.lost = 11;
+        let all = [
+            unsorted,
+            orphan,
+            unsorted_flows,
+            clean_record,
+            short_count,
+            rack_overlost,
+        ];
+        for bad in all {
             let got = Frame::decode(&Frame::Report(bad.clone()).encode());
             assert!(matches!(got, Err(FrameError::BadPayload(_))), "{bad:?}");
         }
@@ -1152,6 +1123,12 @@ mod tests {
                 );
             }
         }
+        // A report cut inside its in-rack total, the length prefix
+        // matching what is left: the report decoder runs out mid-field.
+        let cut = report_frame(&[HEAD, &[0, 0], &[10]]);
+        assert_eq!(Frame::decode(&cut), Err(FrameError::Truncated));
+        let whole = report_frame(&[HEAD, &[0, 0], &[10, 0]]);
+        assert!(Frame::decode(&whole).is_ok());
     }
 
     #[test]

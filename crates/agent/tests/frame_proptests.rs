@@ -65,7 +65,8 @@ static ALLOCATOR: Tally = Tally;
 /// What decoding may reserve per input byte. The dearest honest input is
 /// a pinglist of minimal 8-byte entries growing a `Vec` of 48-byte
 /// `PingEntry`s by doubling (≤ 4 × 48 / 8 = 24); a report's 4-byte flow
-/// records cost 24 / 4 = 6, its 21-byte path records (40 + 4) / 21 < 3.
+/// records cost 24 / 4 = 6, its 5-byte path records — a 24-byte
+/// `(PathId, PathCounters)` and a 4-byte flow count — (24 + 4) / 5 < 6.
 const RESERVE_PER_BYTE: usize = 32;
 
 /// Decodes arbitrary bytes under the three guarantees of the codec: no
@@ -182,8 +183,6 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
                 PathCounters {
                     sent: sent + if bare(h) { a % 1000 } else { clean },
                     lost: if bare(h) { a % 1000 / 3 } else { lost },
-                    rtt_sum_us: f64::from(h) * 1.5,
-                    rtt_max_us: (b % 1_000_000) as f64 / 7.0,
                 }
             };
             Frame::Report(PingerReport {
@@ -193,9 +192,7 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
                 flows_probed: (keys.iter())
                     .map(|&h| records(h).count() as u32 + clean_flows(h))
                     .collect(),
-                in_rack: (keys.iter().skip(1))
-                    .map(|&h| (NodeId(h + 7), counters(h)))
-                    .collect(),
+                in_rack: keys.last().map(|&h| counters(h)).unwrap_or_default(),
                 flows: keys.iter().flat_map(|&h| records(h)).collect(),
             })
         }

@@ -3,9 +3,9 @@
 //! Reports are filed as their window closes, in roster order, into the
 //! [`ReportStore`]: per retained window, each report's pinger, its
 //! `(path, flows_probed, sent, lost)` rows and its lossy flow records,
-//! as columns of a log that a pruned window hands to the next. The RTT
-//! pair and the in-rack counters are read before a report is filed and
-//! are not kept, and a report holds a flow record only where a probe was
+//! as columns of a log that a pruned window hands to the next. The
+//! in-rack total is read before a report is filed and is not kept, and
+//! a report holds a flow record only where a probe was
 //! lost, so what the retained windows cost follows the paths and the
 //! loss, not the probing. The store's lock serves the benchmark's replay
 //! generator, which files reports through a shared reference (ROADMAP
@@ -225,16 +225,11 @@ mod tests {
 
     fn report(pinger: u32, window: u64, rows: &[(u32, u64, u64)]) -> PingerReport {
         // Rows are given in ascending path order, as reports carry them.
-        let counters = |sent, lost| PathCounters {
-            sent,
-            lost,
-            ..Default::default()
-        };
         PingerReport {
             pinger: NodeId(pinger),
             window,
             paths: (rows.iter())
-                .map(|&(p, sent, lost)| (PathId(p), counters(sent, lost)))
+                .map(|&(p, sent, lost)| (PathId(p), PathCounters { sent, lost }))
                 .collect(),
             ..Default::default()
         }

@@ -2,10 +2,14 @@
 //!
 //! Every 30 seconds each pinger aggregates per-path counters into a report
 //! and POSTs it to the diagnoser, which stores them for real-time analysis
-//! and later queries. A report is three sorted runs — paths, in-rack
-//! responders, per-flow records — built once by the pinger, shipped
+//! and later queries. A report is two sorted runs — paths and per-flow
+//! records — and an in-rack total, built once by the pinger, shipped
 //! delta-coded in that order, and iterated (never re-keyed) by the
-//! watchdog and the store.
+//! watchdog and the store. It carries only what the controller reads:
+//! `(sent, lost)` counters and no RTTs, and its in-rack probes as one
+//! total — server–ToR links are outside every probe universe, so the
+//! close half's probe count and the watchdog's "all lost" are all that
+//! reads them.
 //!
 //! A report costs what was lost, not what was probed: it carries a flow
 //! record only for a flow that lost a probe, and for every path the
@@ -20,12 +24,12 @@
 //! one log of three columns in ingest order — per report its pinger and
 //! where its rows and records end, per path `(path, flows_probed, sent,
 //! lost)` in 24 bytes, and the lossy flow records — so filing a report
-//! copies its columns and drops it while its four heap blocks are still
-//! hot for the next decode. The RTT pair and the in-rack counters are
-//! read before a report is filed (the close half's probe count) and are
-//! not kept. A pruned window's log is cleared and handed to the next
-//! window, so once the retained windows have sized their logs, filing
-//! allocates nothing and nothing is freed a retention period late.
+//! copies its columns and drops it while its three heap blocks are still
+//! hot for the next decode. The in-rack total is read before a report is
+//! filed (the close half's probe count) and is not kept. A pruned
+//! window's log is cleared and handed to the next window, so once the
+//! retained windows have sized their logs, filing allocates nothing and
+//! nothing is freed a retention period late.
 //!
 //! The log is also where a window is aggregated, once:
 //! [`ReportStore::window_sums`] walks its rows, skips excluded pingers,
@@ -56,30 +60,6 @@ pub struct PathCounters {
     pub sent: u64,
     /// Probes lost (timeout or drop).
     pub lost: u64,
-    /// Sum of measured RTTs (µs) over delivered probes.
-    pub rtt_sum_us: f64,
-    /// Max measured RTT (µs).
-    pub rtt_max_us: f64,
-}
-
-impl PathCounters {
-    /// Mean RTT of delivered probes, µs.
-    pub fn mean_rtt_us(&self) -> f64 {
-        let delivered = self.sent.saturating_sub(self.lost);
-        if delivered == 0 {
-            0.0
-        } else {
-            self.rtt_sum_us / delivered as f64
-        }
-    }
-
-    /// Merges another window's counters.
-    pub fn merge(&mut self, other: &PathCounters) {
-        self.sent += other.sent;
-        self.lost += other.lost;
-        self.rtt_sum_us += other.rtt_sum_us;
-        self.rtt_max_us = self.rtt_max_us.max(other.rtt_max_us);
-    }
 }
 
 /// The counters of one flow that lost at least one probe on one path over
@@ -109,7 +89,7 @@ impl FlowRecord {
 
 /// One pinger's report for one window.
 ///
-/// The three runs are strictly ascending by key, every flow record's
+/// The two runs are strictly ascending by key, every flow record's
 /// path has an entry in `paths`, and a path's records add up to its
 /// counters: at most `flows_probed` of them, their losses summing to the
 /// path's, their probes leaving at least one for every flow without a
@@ -130,9 +110,9 @@ pub struct PingerReport {
     /// `paths`. An entry missing at the tail reads as zero: a path
     /// reported without per-flow information, which classification skips.
     pub flows_probed: Vec<u32>,
-    /// Counters for in-rack probes (server–ToR links), ascending by
-    /// responder.
-    pub in_rack: Vec<(NodeId, PathCounters)>,
+    /// Counters of the in-rack probes (server–ToR links), summed over
+    /// responders.
+    pub in_rack: PathCounters,
     /// The flows that lost a probe, ascending by [`FlowRecord::key`].
     pub flows: Vec<FlowRecord>,
 }
@@ -162,7 +142,7 @@ impl PingerReport {
 
     fn counters(&self) -> impl Iterator<Item = &PathCounters> {
         let paths = self.paths.iter().map(|(_, c)| c);
-        paths.chain(self.in_rack.iter().map(|(_, c)| c))
+        paths.chain(std::iter::once(&self.in_rack))
     }
 
     /// Total probes sent in this report (paths + in-rack).
@@ -509,16 +489,10 @@ mod tests {
     use super::*;
 
     fn report(pinger: u32, window: u64, path: u32, sent: u64, lost: u64) -> PingerReport {
-        let counters = PathCounters {
-            sent,
-            lost,
-            rtt_sum_us: 100.0 * (sent - lost) as f64,
-            rtt_max_us: 120.0,
-        };
         PingerReport {
             pinger: NodeId(pinger),
             window,
-            paths: vec![(PathId(path), counters)],
+            paths: vec![(PathId(path), PathCounters { sent, lost })],
             ..Default::default()
         }
     }
@@ -595,21 +569,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_mean_rtt() {
-        let c = PathCounters {
-            sent: 10,
-            lost: 2,
-            rtt_sum_us: 800.0,
-            rtt_max_us: 150.0,
-        };
-        assert!((c.mean_rtt_us() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn all_lost_detects_sick_pinger() {
         let r = report(1, 0, 7, 10, 10);
         assert!(r.all_lost());
         let r = report(1, 0, 7, 10, 9);
         assert!(!r.all_lost());
+        // The in-rack total counts: a pinger whose in-rack probes got
+        // through is not sick, and an empty report is not all lost.
+        let mut r = report(1, 0, 7, 10, 10);
+        r.in_rack = PathCounters { sent: 4, lost: 3 };
+        assert_eq!((r.total_sent(), r.all_lost()), (14, false));
+        r.in_rack.lost = 4;
+        assert!(r.all_lost());
+        assert!(!PingerReport::default().all_lost());
     }
 }

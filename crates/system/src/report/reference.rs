@@ -203,7 +203,9 @@ impl MapStore {
                     continue;
                 }
                 for (pid, c) in &r.paths {
-                    agg.entry(*pid).or_default().merge(c);
+                    let e = agg.entry(*pid).or_default();
+                    e.sent += c.sent;
+                    e.lost += c.lost;
                 }
             }
         }
@@ -263,7 +265,7 @@ const PATHS: u32 = 12;
 
 /// A report of `pinger` for `window`, its shape drawn from `seed`: zero
 /// to five ascending paths (none: an empty report), a `flows_probed` run
-/// of any length up to the paths', in-rack counters, and up to three
+/// of any length up to the paths', an in-rack total, and up to three
 /// lossy flow records a path, ascending by key.
 fn arbitrary_report(pinger: u32, window: u64, seed: u64) -> PingerReport {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -277,8 +279,6 @@ fn arbitrary_report(pinger: u32, window: u64, seed: u64) -> PingerReport {
         PathCounters {
             sent,
             lost: rng.gen_range(0..sent + 1),
-            rtt_sum_us: rng.gen_range(0.0..1e4),
-            rtt_max_us: rng.gen_range(0.0..500.0),
         }
     };
     let paths: Vec<(PathId, PathCounters)> = ids
@@ -287,9 +287,7 @@ fn arbitrary_report(pinger: u32, window: u64, seed: u64) -> PingerReport {
         .collect();
     let probed_len = rng.gen_range(0..paths.len() + 1);
     let flows_probed = (0..probed_len).map(|_| rng.gen_range(0..5u32)).collect();
-    let in_rack = (0..rng.gen_range(0..3u32))
-        .map(|r| (NodeId(100 + r), counters(&mut rng)))
-        .collect();
+    let in_rack = counters(&mut rng);
     let mut flows = Vec::new();
     for &(path, _) in &paths {
         for sport in 33000..33000 + rng.gen_range(0..4u16) {
@@ -391,12 +389,7 @@ fn report_over(pinger: u32, window: u64, pool: &[u32], seed: u64) -> PingerRepor
         if rng.gen_range(0..3u8) == 0 {
             let sent = rng.gen_range(0..20u64);
             let lost = rng.gen_range(0..sent + 1);
-            let counters = PathCounters {
-                sent,
-                lost,
-                ..Default::default()
-            };
-            paths.push((PathId(id), counters));
+            paths.push((PathId(id), PathCounters { sent, lost }));
         }
     }
     PingerReport {

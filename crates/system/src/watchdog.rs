@@ -77,7 +77,6 @@ mod tests {
         let counters = PathCounters {
             sent: 10,
             lost: if lost_all { 10 } else { 1 },
-            ..Default::default()
         };
         PingerReport {
             pinger: NodeId(pinger),

@@ -69,15 +69,10 @@ const HISTORY: u64 = 20;
 const WARM_UP: u64 = 30;
 
 /// Pinger `p`'s fixed-shape report: 64 paths (the last 16 without a
-/// `flows_probed` entry), 4 in-rack responders, 2 lossy flows on every
+/// `flows_probed` entry), 16 in-rack probes, 2 lossy flows on every
 /// fourth path.
 fn report(p: u32) -> PingerReport {
-    let counters = |sent, lost| PathCounters {
-        sent,
-        lost,
-        rtt_sum_us: 90.0 * (sent - lost) as f64,
-        rtt_max_us: 120.0,
-    };
+    let counters = |sent, lost| PathCounters { sent, lost };
     let paths: Vec<(PathId, PathCounters)> = (0..64)
         .map(|i| (PathId(p * 100 + i), counters(12, u64::from(i % 4 == 0) * 4)))
         .collect();
@@ -97,7 +92,7 @@ fn report(p: u32) -> PingerReport {
         window: 0,
         paths,
         flows_probed: vec![6; 48],
-        in_rack: (0..4).map(|r| (NodeId(1000 + r), counters(4, 0))).collect(),
+        in_rack: counters(16, 0),
         flows,
     }
 }

@@ -52,7 +52,6 @@ fn report(pinger: u32, window: u64, rows: &[u8], stray: u8, jitter: bool) -> Pin
             } else {
                 lost
             },
-            ..Default::default()
         }
     };
     let mut paths: Vec<(PathId, PathCounters)> = rows

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use detector::prelude::*;
-use detector::system::{Controller, Deployment, Pinger, PingerReport};
+use detector::system::{Controller, Deployment, PathCounters, Pinger, PingerReport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -29,6 +29,11 @@ fn window(ft: &Fattree, dep: &Deployment, plane: &dyn DataPlane, seed: u64) -> V
         .collect()
 }
 
+/// Bytes a path record may take: five when each of its varints is one
+/// byte (path-id delta, sent, lost, flows probed, record count), a sixth
+/// where a delta or a counter passes 127, and a seventh to spare.
+const PER_RECORD: usize = 7;
+
 #[test]
 fn a_quiet_window_ships_no_flow_record_and_a_kilobyte_a_pinger() {
     let ft = Arc::new(Fattree::new(32).unwrap());
@@ -40,28 +45,40 @@ fn a_quiet_window_ships_no_flow_record_and_a_kilobyte_a_pinger() {
         assert!(report.flows.is_empty(), "{:?}", report.flows.first());
         assert_eq!(report.flows_probed.len(), report.paths.len());
         assert!(report.flows_probed.iter().all(|&n| n > 0));
-        let records = report.paths.len() + report.in_rack.len();
+        let records = report.paths.len();
         let frame = Frame::Report(report.clone()).encode();
         assert!(
-            frame.len() <= 24 * records + 16,
+            frame.len() <= PER_RECORD * records + 16,
             "{} bytes for {records} records",
             frame.len()
         );
         bytes += frame.len();
     }
-    // 698 pingers reporting 43 paths and 15 in-rack peers on average:
-    // 1 245 bytes a report, where a record for every flow made it 2 177.
+    // 698 pingers reporting 43 paths on average: 271 bytes a report, at
+    // most 6 a path record.
     let mean = bytes / reports.len();
-    assert!((1100..1300).contains(&mean), "{mean} bytes a report");
+    assert!((250..300).contains(&mean), "{mean} bytes a report");
 }
 
 /// A fabric that remembers, per flow of each pinger and path, whether a
-/// probe of it was lost — the pinger's bookkeeping, done from outside.
+/// probe of it was lost, and counts each pinger's in-rack probes and all
+/// its probes — the pinger's bookkeeping, done from outside.
 struct Recording<'a> {
     fabric: Fabric<'a>,
     timeout_us: f64,
     /// `(pinger, path, sport, dscp)` → lost a probe.
     flows: RefCell<BTreeMap<(u32, u32, u16, u8), bool>>,
+    /// Pinger → its in-rack probes.
+    in_rack: RefCell<BTreeMap<u32, PathCounters>>,
+    /// Pinger → every `probe_tagged` call it made.
+    calls: RefCell<BTreeMap<u32, PathCounters>>,
+}
+
+fn count(counters: &RefCell<BTreeMap<u32, PathCounters>>, pinger: u32, lost: bool) {
+    let mut counters = counters.borrow_mut();
+    let c = counters.entry(pinger).or_default();
+    c.sent += 1;
+    c.lost += u64::from(lost);
 }
 
 impl DataPlane for Recording<'_> {
@@ -77,8 +94,11 @@ impl DataPlane for Recording<'_> {
         rng: &mut SmallRng,
     ) -> ProbeOutcome {
         let out = self.probe(route, flow, rng);
-        if tag.path_id != ProbeTag::IN_RACK {
-            let lost = !out.delivered || out.rtt_us > self.timeout_us;
+        let lost = !out.delivered || out.rtt_us > self.timeout_us;
+        count(&self.calls, flow.src, lost);
+        if tag.path_id == ProbeTag::IN_RACK {
+            count(&self.in_rack, flow.src, lost);
+        } else {
             let key = (flow.src, tag.path_id, flow.sport, flow.dscp);
             *self.flows.borrow_mut().entry(key).or_default() |= lost;
         }
@@ -91,25 +111,61 @@ fn under_every_discipline_the_records_are_the_flows_that_lost_a_probe() {
     let ft = Arc::new(Fattree::new(4).unwrap());
     let cfg = SystemConfig::default();
     let dep = deploy(&ft, &cfg);
-    let disciplines = [
-        LossDiscipline::Full,
-        LossDiscipline::DeterministicPartial {
-            fraction: 0.5,
-            salt: 3,
-        },
-        LossDiscipline::RandomPartial { rate: 0.05 },
-        LossDiscipline::RandomPartial { rate: 0.3 },
-        LossDiscipline::DscpBlackhole { dscp: 46 },
+    // The uplink of an edge switch under every discipline, then a dead
+    // server link: its pinger loses every probe, in-rack ones included.
+    let sick = dep.pinglists[0].pinger;
+    let half = ft.half();
+    let mut servers = (0..ft.k()).flat_map(|pod| {
+        (0..half).flat_map(move |edge| (0..half).map(move |host| (pod, edge, host)))
+    });
+    let (pod, edge, host) = servers
+        .find(|&(pod, edge, host)| ft.server(pod, edge, host) == sick)
+        .expect("pingers are servers");
+    let uplink = ft.ea_link(1, 0, 1);
+    let cases = [
+        (uplink, LossDiscipline::Full),
+        (
+            uplink,
+            LossDiscipline::DeterministicPartial {
+                fraction: 0.5,
+                salt: 3,
+            },
+        ),
+        (uplink, LossDiscipline::RandomPartial { rate: 0.05 }),
+        (uplink, LossDiscipline::RandomPartial { rate: 0.3 }),
+        (uplink, LossDiscipline::DscpBlackhole { dscp: 46 }),
+        (ft.server_link(pod, edge, host), LossDiscipline::Full),
     ];
-    for (seed, discipline) in disciplines.into_iter().enumerate() {
+    let mut all_lost = 0;
+    for (seed, (link, discipline)) in cases.into_iter().enumerate() {
         let mut fabric = Fabric::quiet(ft.as_ref());
-        fabric.set_discipline_both(ft.ea_link(1, 0, 1), discipline);
+        fabric.set_discipline_both(link, discipline);
         let plane = Recording {
             fabric,
             timeout_us: cfg.timeout_us,
             flows: RefCell::default(),
+            in_rack: RefCell::default(),
+            calls: RefCell::default(),
         };
         let reports = window(&ft, &dep, &plane, seed as u64);
+        let in_rack = plane.in_rack.into_inner();
+        let calls = plane.calls.into_inner();
+        for r in &reports {
+            // One total of the pinger's in-rack probes, and every probe
+            // it sent counted once.
+            let pinger = r.pinger.0;
+            let want = in_rack.get(&pinger).copied().unwrap_or_default();
+            assert_eq!(r.in_rack, want, "{discipline:?}, pinger {pinger}");
+            let made = calls.get(&pinger).copied().unwrap_or_default();
+            assert_eq!(r.total_sent(), made.sent, "{discipline:?}, pinger {pinger}");
+            let every_call_lost = made.sent > 0 && made.lost == made.sent;
+            assert_eq!(
+                r.all_lost(),
+                every_call_lost,
+                "{discipline:?}, pinger {pinger}"
+            );
+            all_lost += usize::from(r.all_lost());
+        }
         let seen = plane.flows.into_inner();
         let lossy: Vec<_> = (seen.iter().filter(|(_, &lost)| lost))
             .map(|(&key, _)| key)
@@ -130,4 +186,5 @@ fn under_every_discipline_the_records_are_the_flows_that_lost_a_probe() {
             }
         }
     }
+    assert_eq!(all_lost, 1, "only the pinger behind the dead server link");
 }
