@@ -1,13 +1,12 @@
 //! Cell-granular PMC job pool.
 //!
-//! The distributed controller shards subproblem re-solves across a
-//! bounded worker pool: each touched plan cell becomes one [`CellJob`],
-//! the pool runs them on up to [`JobPool::workers`] scoped threads, and
-//! the solutions come back in job order. [`JobPool::run_indexed`] is the
-//! workspace's one indexed work-queue driver — one atomic cursor, scoped
-//! threads, slot-per-job results — with the worker count explicit, so
-//! callers (the agent tier's controller, benches pinning a core count)
-//! can bound the solve fan-out instead of inheriting host parallelism.
+//! Subproblem re-solves shard across a bounded worker pool: each touched
+//! plan cell becomes one [`CellJob`], the pool runs them on up to
+//! [`JobPool::workers`] scoped threads, and the solutions come back in
+//! job order. [`JobPool::run_indexed`] is the workspace's one indexed
+//! work-queue driver — one atomic cursor, scoped threads, slot-per-job
+//! results — with the worker count explicit, so callers can bound the
+//! fan-out instead of inheriting host parallelism.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,12 +80,6 @@ impl JobPool {
             return Self::new(1);
         }
         Self::new(workers.min(Self::host().workers()))
-    }
-
-    /// The pool implied by a [`PmcConfig`]: its explicit
-    /// [`workers`](PmcConfig::workers) bound, or host parallelism.
-    pub fn from_config(cfg: &PmcConfig) -> Self {
-        cfg.workers.map_or_else(Self::host, Self::new)
     }
 
     /// The worker bound.
@@ -223,12 +216,6 @@ mod tests {
             JobPool::clamped(usize::MAX).workers(),
             JobPool::host().workers()
         );
-        let bounded = PmcConfig {
-            workers: Some(3),
-            ..PmcConfig::default()
-        };
-        assert_eq!(JobPool::from_config(&bounded).workers(), 3);
-        assert_eq!(JobPool::from_config(&PmcConfig::default()), JobPool::host());
     }
 
     #[test]

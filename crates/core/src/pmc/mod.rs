@@ -79,10 +79,6 @@ pub struct PmcConfig {
     pub decompose: bool,
     /// Solve decomposed subproblems on multiple threads.
     pub parallel: bool,
-    /// Worker bound for parallel solves (`None` = host parallelism).
-    /// The distributed controller sets this to shard cell re-solves over
-    /// a fixed-size [`JobPool`] instead of whatever the host reports.
-    pub workers: Option<usize>,
     /// Abort with [`PmcError::Timeout`] if construction exceeds this budget.
     pub timeout: Option<Duration>,
     /// Upper bound on the extended-universe size (#physical + #virtual
@@ -132,12 +128,6 @@ impl PmcConfig {
         self
     }
 
-    /// Bounds parallel solves to `workers` threads.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
     /// The instant a solve starting now must finish by.
     pub(crate) fn deadline(&self) -> Option<Instant> {
         // detlint::allow(determinism, reason = "PMC solver timeout deadline; deadlines only abort, never alter a completed plan")
@@ -153,7 +143,6 @@ impl Default for PmcConfig {
             strategy: Strategy::Lazy,
             decompose: true,
             parallel: true,
-            workers: None,
             timeout: None,
             max_extended_elements: 64_000_000,
         }

@@ -12,14 +12,13 @@ use std::time::Instant;
 use super::decompose::Subproblem;
 use super::{JobPool, PmcConfig, PmcError, SubSolution};
 
-/// Solves `subproblems` on the pool [`PmcConfig::workers`] implies
-/// (host parallelism unless bounded).
+/// Solves `subproblems` on a pool sized to the host's parallelism.
 pub fn construct_decomposed_parallel(
     subproblems: Vec<Subproblem>,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
 ) -> Result<Vec<SubSolution>, PmcError> {
-    JobPool::from_config(cfg)
+    JobPool::host()
         .run_indexed(subproblems.len(), |i| subproblems[i].solve(cfg, deadline))
         .into_iter()
         .collect()

@@ -18,8 +18,8 @@
 use crate::{Check, Diagnostic, FileCtx};
 
 /// The deterministic core: everything the equivalence proofs cover.
-/// Bench binaries, baselines and the shims (criterion's stopwatch is
-/// its whole point) are out of scope.
+/// Bench binaries, baselines and the shims (offline stand-ins for
+/// external crates, such as `proptest`) are out of scope.
 const SCOPE: &[&str] = &[
     "crates/core/src/",
     "crates/ingest/src/",
@@ -115,7 +115,7 @@ mod tests {
         assert!(in_scope("crates/system/src/dataplane/udp.rs"));
         assert!(in_scope("crates/system/src/dataplane/udp/timestamp.rs"));
         assert!(!in_scope("crates/bench/src/bin/fig4.rs"));
-        assert!(!in_scope("shims/criterion/src/lib.rs"));
+        assert!(!in_scope("shims/proptest/src/lib.rs"));
     }
 
     #[test]

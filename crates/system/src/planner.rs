@@ -623,12 +623,10 @@ impl core::fmt::Debug for ProbePlan {
 }
 
 /// Runs `solve` over `jobs`, solutions in job order. Several cells (a pod
-/// drain touching every group, or the first build) fan out over the
-/// [`JobPool`] the PMC config implies (host parallelism unless
-/// [`PmcConfig::workers`] bounds it — the distributed controller's
-/// sharding knob), inline when `cfg.parallel` is off. Each cell's solve is
-/// deterministic and derives its own deadline from `cfg.timeout`, so only
-/// the schedule differs, never the result.
+/// drain touching every group, or the first build) fan out over a
+/// host-sized [`JobPool`], inline when `cfg.parallel` is off. Each cell's
+/// solve is deterministic and derives its own deadline from
+/// `cfg.timeout`, so only the schedule differs, never the result.
 fn solve_batch<J: Sync>(
     cfg: &PmcConfig,
     jobs: &[J],
@@ -637,7 +635,7 @@ fn solve_batch<J: Sync>(
     // A lone solve runs inline without asking the host for its
     // parallelism (a syscall plus cgroup reads on every link flap).
     let pool = if cfg.parallel && jobs.len() > 1 {
-        JobPool::from_config(cfg)
+        JobPool::host()
     } else {
         JobPool::new(1)
     };

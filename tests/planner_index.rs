@@ -71,8 +71,11 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 fn link_down_allocates_less_than_once_per_candidate_and_link_up_per_selected_path() {
     let ft = Arc::new(Fattree::new(8).unwrap());
     let dead = ft.ea_link(1, 1, 0);
-    // One worker: the patch runs on this thread, where it is counted.
-    let cfg = PmcConfig::identifiable(1).with_workers(1);
+    // Sequential: the patch runs on this thread, where it is counted.
+    let cfg = PmcConfig {
+        parallel: false,
+        ..PmcConfig::identifiable(1)
+    };
     let mut plan = ProbePlan::new(ft.clone() as SharedTopology, &cfg, &HashSet::new()).unwrap();
     assert!(plan.num_cells() > 1, "Fattree(8) must decompose");
 
@@ -115,7 +118,10 @@ fn link_down_with_sufficient_survivors_allocates_no_alive_list() {
     // its death still cover and identify every other link, so the repair
     // returns straight from the seed.
     let ft = Arc::new(Fattree::new(8).unwrap());
-    let cfg = PmcConfig::identifiable(1).with_workers(1);
+    let cfg = PmcConfig {
+        parallel: false,
+        ..PmcConfig::identifiable(1)
+    };
     let mut plan = ProbePlan::new(ft.clone() as SharedTopology, &cfg, &HashSet::new()).unwrap();
     let before = plan.matrix();
     let dead = LinkId(0);
