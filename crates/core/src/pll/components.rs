@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use super::pll_impl::{greedy_scoped, index_links, Diagnosis, GreedyOutcome, SuspectLink};
 use super::{preprocess, PllConfig};
-use crate::pmc::{JobPool, ProbeMatrix};
+use crate::pmc::{JobPool, LinkIndex, ProbeMatrix};
 use crate::types::{LinkId, PathObservation};
 
 /// One connected component of the lossy path/link incidence.
@@ -67,9 +67,11 @@ struct Component {
 #[derive(Debug)]
 struct Skeleton {
     cfg: PllConfig,
+    /// The `num_links` of the matrix the skeleton was built against.
+    universe: usize,
     /// Link → indices into the observation vector (lossy and clean: the
     /// lengths are the hit-ratio denominators).
-    link_paths: Vec<Vec<u32>>,
+    link_paths: LinkIndex,
     /// The partition, ascending by smallest candidate link.
     comps: Vec<Component>,
     /// Lossy observations outside every component (path id does not
@@ -90,8 +92,9 @@ impl Skeleton {
         // which every lossy path is one clique. The smaller index becomes
         // the root, so a component's root is its smallest link
         // (deterministic partition order, matching `pmc::decompose`).
-        let mut lossy_count: Vec<u32> = vec![0; link_paths.len()];
-        let mut parent: Vec<u32> = (0..link_paths.len() as u32).collect();
+        let num_links = link_paths.num_links();
+        let mut lossy_count: Vec<u32> = vec![0; num_links];
+        let mut parent: Vec<u32> = (0..num_links as u32).collect();
         let mut anchored: Vec<(u32, u32)> = Vec::new();
         let mut stray: Vec<u32> = Vec::new();
         for (oi, o) in obs.iter().enumerate().filter(|(_, o)| o.is_lossy()) {
@@ -113,9 +116,9 @@ impl Skeleton {
 
         // Candidate links in ascending order open their components in
         // ascending order of smallest link and fill each hit list sorted.
-        let mut comp_of_root: Vec<u32> = vec![NO_COMP; link_paths.len()];
+        let mut comp_of_root: Vec<u32> = vec![NO_COMP; num_links];
         let mut comps: Vec<Component> = Vec::new();
-        for (li, (&lossy, paths)) in lossy_count.iter().zip(&link_paths).enumerate() {
+        for (li, (&lossy, paths)) in lossy_count.iter().zip(link_paths.runs()).enumerate() {
             if lossy == 0 {
                 continue;
             }
@@ -144,6 +147,7 @@ impl Skeleton {
 
         Self {
             cfg,
+            universe: matrix.num_links,
             link_paths,
             comps,
             stray,
@@ -327,7 +331,7 @@ impl ComponentPll {
                     .all(|(p, o)| p.path == o.path && p.is_lossy() == o.is_lossy())
         };
         let skeleton = match &self.skeleton {
-            Some(s) if s.link_paths.len() == matrix.num_links && same_key(&self.obs) => {
+            Some(s) if s.universe == matrix.num_links && same_key(&self.obs) => {
                 if *self.obs == obs {
                     self.reused_verdicts += 1;
                     return ComponentPlan::Ready(self.verdict.clone());

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use super::rate::estimate_rate;
 use super::{preprocess, PllConfig};
 use crate::json::{Json, ToJson};
-use crate::pmc::ProbeMatrix;
+use crate::pmc::{LinkIndex, ProbeMatrix};
 use crate::types::{LinkId, PathId, PathObservation};
 
 /// A link blamed by a localization algorithm.
@@ -123,7 +123,7 @@ pub(super) struct ObservedMatrix {
     pub obs: Vec<PathObservation>,
     /// For every physical link: indices into `obs` of observed paths
     /// through the link.
-    pub link_paths: Vec<Vec<u32>>,
+    pub link_paths: LinkIndex,
     /// Links that lie on at least one lossy observed path.
     pub candidate_links: Vec<LinkId>,
 }
@@ -136,12 +136,11 @@ impl ObservedMatrix {
     ) -> Self {
         let obs = preprocess(observations, cfg, &HashSet::new());
         let link_paths = index_links(matrix, &obs);
-        let mut candidate_links: Vec<LinkId> = Vec::new();
-        for (li, paths) in link_paths.iter().enumerate() {
-            if paths.iter().any(|&oi| obs[oi as usize].is_lossy()) {
-                candidate_links.push(LinkId(li as u32));
-            }
-        }
+        let lossy = |&oi: &u32| obs.get(oi as usize).is_some_and(PathObservation::is_lossy);
+        let candidate_links = (link_paths.runs().enumerate())
+            .filter(|(_, paths)| paths.iter().any(lossy))
+            .map(|(li, _)| LinkId(li as u32))
+            .collect();
         Self {
             obs,
             link_paths,
@@ -151,34 +150,36 @@ impl ObservedMatrix {
 
     /// Hit ratio of a link: lossy observed paths / all observed paths.
     pub(super) fn hit_ratio(&self, link: LinkId) -> f64 {
-        let paths = &self.link_paths[link.index()];
+        let paths = self.link_paths.items(link);
         if paths.is_empty() {
             return 0.0;
         }
         let lossy = paths
             .iter()
-            .filter(|&&oi| self.obs[oi as usize].is_lossy())
+            .filter(|&&oi| {
+                self.obs
+                    .get(oi as usize)
+                    .is_some_and(PathObservation::is_lossy)
+            })
             .count();
         lossy as f64 / paths.len() as f64
     }
 }
 
 /// The link → observed-paths index of one pre-processed window: for every
-/// physical link, the indices into `obs` of the observed paths through it.
-pub(super) fn index_links(matrix: &ProbeMatrix, obs: &[PathObservation]) -> Vec<Vec<u32>> {
-    let mut link_paths: Vec<Vec<u32>> = vec![Vec::new(); matrix.num_links];
-    for (oi, o) in obs.iter().enumerate() {
-        // Resolve through the matrix's id index: ids may be segmented
-        // (sparse within per-cell ranges), and observations against a
-        // retired pre-re-base id simply drop out here.
-        let Some(path) = matrix.path(o.path) else {
-            continue;
-        };
-        for l in path.links() {
-            link_paths[l.index()].push(oi as u32);
-        }
-    }
-    link_paths
+/// link, the indices into `obs` of the observed paths through it,
+/// ascending. It spans the matrix's `num_links` or one past the largest
+/// link an observed path names, whichever is larger, so a path naming a
+/// link beyond the declared universe is indexed, not a panic.
+pub(super) fn index_links(matrix: &ProbeMatrix, obs: &[PathObservation]) -> LinkIndex {
+    // Resolve through the matrix's id index: ids may be segmented (sparse
+    // within per-cell ranges), and observations against a retired
+    // pre-re-base id simply drop out here.
+    let observed = || {
+        (obs.iter().enumerate())
+            .filter_map(|(oi, o)| Some((oi as u32, matrix.path(o.path)?.links())))
+    };
+    LinkIndex::build(matrix.num_links, observed)
 }
 
 /// Localizes packet losses with the PLL algorithm.
@@ -212,10 +213,8 @@ pub fn localize(
         .collect();
     let everything: Vec<u32> = (0..om.obs.len() as u32).collect();
     let outcome = greedy_scoped(&om.obs, &om.link_paths, &hit, cfg, &everything);
-    let unexplained_paths = outcome
-        .unexplained
-        .iter()
-        .map(|&oi| om.obs[oi as usize].path)
+    let unexplained_paths = (outcome.unexplained.iter())
+        .filter_map(|&oi| om.obs.get(oi as usize).map(|o| o.path))
         .collect();
     Diagnosis {
         suspects: outcome.suspects,
@@ -244,7 +243,7 @@ pub(super) struct GreedyOutcome {
 /// subproblem the component induces (see [`components`](super::components)).
 pub(super) fn greedy_scoped(
     obs: &[PathObservation],
-    link_paths: &[Vec<u32>],
+    link_paths: &LinkIndex,
     hit: &[(LinkId, f64)],
     cfg: &PllConfig,
     scope: &[u32],
@@ -252,10 +251,12 @@ pub(super) fn greedy_scoped(
     let mut unexplained: Vec<bool> = vec![false; obs.len()];
     let mut remaining: u64 = 0;
     for &oi in scope {
-        let o = &obs[oi as usize];
-        unexplained[oi as usize] = o.is_lossy();
-        remaining += o.lost;
+        if let (Some(o), Some(u)) = (obs.get(oi as usize), unexplained.get_mut(oi as usize)) {
+            *u = o.is_lossy();
+            remaining += o.lost;
+        }
     }
+    let is_unexplained = |u: &[bool], oi: u32| u.get(oi as usize).copied().unwrap_or(false);
     let mut suspects = Vec::new();
 
     while remaining > 0 {
@@ -266,10 +267,9 @@ pub(super) fn greedy_scoped(
             if h < cfg.hit_ratio_threshold {
                 continue;
             }
-            let score: u64 = link_paths[l.index()]
-                .iter()
-                .filter(|&&oi| unexplained[oi as usize])
-                .map(|&oi| obs[oi as usize].lost)
+            let score: u64 = (link_paths.items(l).iter())
+                .filter(|&&oi| is_unexplained(&unexplained, oi))
+                .filter_map(|&oi| obs.get(oi as usize).map(|o| o.lost))
                 .sum();
             if score == 0 {
                 continue;
@@ -291,13 +291,16 @@ pub(super) fn greedy_scoped(
         // Step 4: blame the link and explain its lossy paths.
         let mut explained_paths = 0u32;
         let mut samples: Vec<(u64, u64)> = Vec::new();
-        for &oi in &link_paths[link.index()] {
-            let oi = oi as usize;
-            if unexplained[oi] {
-                unexplained[oi] = false;
+        for &oi in link_paths.items(link) {
+            let (Some(u), Some(o)) = (unexplained.get_mut(oi as usize), obs.get(oi as usize))
+            else {
+                continue;
+            };
+            if *u {
+                *u = false;
                 explained_paths += 1;
-                remaining -= obs[oi].lost;
-                samples.push((obs[oi].sent, obs[oi].lost));
+                remaining -= o.lost;
+                samples.push((o.sent, o.lost));
             }
         }
         suspects.push(SuspectLink {
@@ -314,7 +317,7 @@ pub(super) fn greedy_scoped(
         unexplained: scope
             .iter()
             .copied()
-            .filter(|&oi| unexplained[oi as usize])
+            .filter(|&oi| is_unexplained(&unexplained, oi))
             .collect(),
     }
 }

@@ -35,7 +35,9 @@ pub fn localize_score(
             if h < cfg.hit_ratio_threshold {
                 continue;
             }
-            let covered = om.link_paths[l.index()]
+            let covered = om
+                .link_paths
+                .items(l)
                 .iter()
                 .filter(|&&oi| unexplained[oi as usize])
                 .count();
@@ -58,7 +60,7 @@ pub fn localize_score(
 
         let mut samples = Vec::new();
         let mut losses = 0u64;
-        for &oi in &om.link_paths[link.index()] {
+        for &oi in om.link_paths.items(link) {
             let oi = oi as usize;
             if unexplained[oi] {
                 unexplained[oi] = false;

@@ -28,7 +28,9 @@ pub fn localize_tomo(
     while remaining > 0 {
         let mut best: Option<(usize, LinkId)> = None;
         for &l in &om.candidate_links {
-            let covered = om.link_paths[l.index()]
+            let covered = om
+                .link_paths
+                .items(l)
                 .iter()
                 .filter(|&&oi| unexplained[oi as usize])
                 .count();
@@ -47,7 +49,7 @@ pub fn localize_tomo(
 
         let mut samples = Vec::new();
         let mut losses = 0u64;
-        for &oi in &om.link_paths[link.index()] {
+        for &oi in om.link_paths.items(link) {
             let oi = oi as usize;
             if unexplained[oi] {
                 unexplained[oi] = false;

@@ -30,6 +30,7 @@ mod greedy;
 mod index;
 mod jobs;
 mod lazy;
+mod link_index;
 mod parallel;
 mod provider;
 #[cfg(test)]
@@ -40,6 +41,7 @@ mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
 pub use jobs::{CellJob, CellSolution, JobPool};
+pub use link_index::LinkIndex;
 pub use parallel::construct_decomposed_parallel;
 pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
 pub use state::{Eval, SelectionState};
@@ -438,15 +440,12 @@ impl ProbeMatrix {
         self.paths.iter().filter(move |p| p.covers(link))
     }
 
-    /// Builds the link → path-ids index used by the localization algorithms.
-    pub fn link_index(&self) -> Vec<Vec<PathId>> {
-        let mut idx = vec![Vec::new(); self.num_links];
-        for p in &self.paths {
-            for l in p.links() {
-                idx[l.index()].push(p.id);
-            }
-        }
-        idx
+    /// The link → row incidence: for every link, the rows of the paths
+    /// through it, ascending. It spans `num_links` or one past the
+    /// largest link a path names, whichever is larger.
+    pub fn link_rows(&self) -> LinkIndex {
+        let rows = || (self.paths.iter().enumerate()).map(|(row, p)| (row as u32, p.links()));
+        LinkIndex::build(self.num_links, rows)
     }
 }
 
@@ -870,9 +869,8 @@ mod tests {
         assert_eq!(m.row_of(PathId(2)), None);
         assert_eq!(m.path(PathId(4)), None);
         assert!(m.uncoverable.is_empty());
-        // The link index speaks segmented ids too.
-        let idx = m.link_index();
-        assert_eq!(idx[2], vec![PathId(8), PathId(9)]);
+        // The incidence speaks rows, whatever the ids.
+        assert_eq!(m.link_rows().items(LinkId(2)), &[2, 3]);
     }
 
     fn segmented(ids: &[u32]) -> ProbeMatrix {
@@ -967,11 +965,13 @@ mod tests {
     #[test]
     fn link_index_matches_paths() {
         let m = construct(3, fig3_candidates(), &PmcConfig::identifiable(1)).unwrap();
-        let idx = m.link_index();
-        for (l, paths) in idx.iter().enumerate() {
-            for pid in paths {
-                assert!(m.paths[pid.index()].covers(LinkId(l as u32)));
-            }
+        let idx = m.link_rows();
+        assert_eq!(idx.num_links(), 3);
+        for (l, rows) in idx.runs().enumerate() {
+            let through: Vec<u32> = (0..m.num_paths() as u32)
+                .filter(|&row| m.paths[row as usize].covers(LinkId(l as u32)))
+                .collect();
+            assert_eq!(rows, through.as_slice());
         }
     }
 

@@ -64,8 +64,8 @@ pub struct Prefiltered {
     pub dropped: usize,
 }
 
-/// Filters `observations` (sorted by path id, one per path, as the
-/// diagnoser's window walk produces them) down to the paths that can
+/// Filters `observations` (sorted by path id, one per path, as a sealed
+/// window holds them) down to the paths that can
 /// influence PLL's verdict against `matrix`. `k` is the top-K budget
 /// `topk_hits` is reported against; the kept set does not depend on it.
 pub fn prefilter(matrix: &ProbeMatrix, observations: &[PathObservation], k: usize) -> Prefiltered {

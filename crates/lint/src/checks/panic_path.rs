@@ -24,7 +24,9 @@ use crate::{Check, Diagnostic, FileCtx};
 /// agent-tier frame codec and the probe packet codec, which parse bytes
 /// off real sockets, plus the incremental planner: the controller calls
 /// it on every link flap, and a panic there takes the control plane
-/// down with the topology already changed under it.
+/// down with the topology already changed under it. The localizer's
+/// files are here too: every window's diagnosis runs the PLL greedy and
+/// its CSR link index, on the diagnosing thread or a pool under it.
 /// The rest of the control plane (controller, dispatch) re-plans between
 /// windows and reports typed `PmcError`s already.
 const SCOPE: &[&str] = &[
@@ -33,6 +35,8 @@ const SCOPE: &[&str] = &[
     "crates/agent/src/runtime.rs",
     "crates/agent/src/transport.rs",
     "crates/core/src/pll/components.rs",
+    "crates/core/src/pll/pll_impl.rs",
+    "crates/core/src/pmc/link_index.rs",
     "crates/ingest/src/plane.rs",
     "crates/ingest/src/prefilter.rs",
     "crates/simnet/src/packet.rs",
@@ -189,10 +193,19 @@ mod tests {
 
     #[test]
     fn prefilter_is_in_scope() {
-        // Every window's close runs it, and its flag vector is indexed by
-        // link ids a matrix path names — which need not be below
-        // `num_links`.
+        // The benchmark twin runs it every window, and its flag vector is
+        // indexed by link ids a matrix path names — which need not be
+        // below `num_links`.
         assert!(in_scope("crates/ingest/src/prefilter.rs"));
+    }
+
+    #[test]
+    fn pll_greedy_and_link_index_are_in_scope() {
+        // Every diagnosis indexes the window's links and runs the greedy;
+        // matrix paths may name links past `num_links`, which once
+        // indexed a per-link vector out of bounds.
+        assert!(in_scope("crates/core/src/pll/pll_impl.rs"));
+        assert!(in_scope("crates/core/src/pmc/link_index.rs"));
     }
 
     #[test]

@@ -12,13 +12,16 @@
 //! item 1(a)); the diagnoser itself owns the store.
 //!
 //! Diagnosis is one path. One walk of the window's rows skips the
-//! pingers the watchdog excludes and sums the rest per matrix row
-//! ([`ReportStore::window_sums`]) — the window is aggregated once, where
-//! it is kept, with nothing to subtract afterwards. Then pre-filter to
-//! the paths that can influence the verdict, and localize through the
-//! cached-skeleton [`ComponentPll`] — one job per connected component of
-//! the lossy path/link incidence, run inline or on a scoped pool. It is
-//! exactly equivalent to plain `localize` over the unfiltered window.
+//! pingers the watchdog excludes, sums the rest per matrix row, and
+//! emits only the paths that can influence the verdict: the lossy ones
+//! and every one sharing a link with them, found through the matrix's
+//! link → row incidence, which the diagnoser indexes once per matrix
+//! ([`ReportStore::window_kept`]). The window is aggregated once, where
+//! it is kept, with nothing to subtract or filter afterwards. Then it is
+//! localized through the cached-skeleton [`ComponentPll`] — one job per
+//! connected component of the lossy path/link incidence, run inline or
+//! on a scoped pool. It is exactly equivalent to plain `localize` over
+//! the unfiltered window.
 
 use detector_core::pll::{
     classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, Diagnosis,
@@ -26,7 +29,6 @@ use detector_core::pll::{
 };
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
-use detector_ingest::prefilter;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{PingerReport, ReportStore, RowSums};
@@ -90,7 +92,8 @@ pub struct Diagnoser {
     matrix: ProbeMatrix,
     diag: DiagConfig,
     store: ReportStore,
-    /// The window walk's accumulator, recycled across windows.
+    /// The window walk's accumulator and the matrix's link → row
+    /// incidence, recycled across windows.
     sums: RowSums,
     localizer: ComponentPll,
 }
@@ -99,10 +102,10 @@ impl Diagnoser {
     /// A diagnoser for the given probe matrix.
     pub fn new(matrix: ProbeMatrix, pll: PllConfig) -> Self {
         Self {
+            sums: RowSums::new(&matrix),
             matrix,
             diag: DiagConfig::default(),
             store: ReportStore::new(),
-            sums: RowSums::default(),
             localizer: ComponentPll::new(pll),
         }
     }
@@ -120,10 +123,11 @@ impl Diagnoser {
 
     /// Replaces the probe matrix (new controller cycle or plan epoch).
     /// Invalidates the localizer's cached skeleton — path ids may be
-    /// reused with different link sets. The window walk's accumulator
-    /// refits itself to the new matrix's rows.
+    /// reused with different link sets — and refits the window walk to
+    /// the new matrix's rows and links.
     pub fn set_matrix(&mut self, matrix: ProbeMatrix) {
         self.localizer.invalidate();
+        self.sums.fit(&matrix);
         self.matrix = matrix;
     }
 
@@ -143,7 +147,8 @@ impl Diagnoser {
     }
 
     /// Aggregates the window in one walk of its filed rows — pingers the
-    /// watchdog excludes skipped — and runs PLL over it. The result is
+    /// watchdog excludes skipped, only the paths that can influence the
+    /// verdict kept — and runs PLL over it. The result is
     /// exactly `localize` over [`observations`](Diagnoser::observations),
     /// for any `DiagConfig::parallel_components`: the window's
     /// per-component jobs run through [`ComponentJob::run_all`] — inline
@@ -151,11 +156,9 @@ impl Diagnoser {
     /// order-insensitive.
     pub fn diagnose(&mut self, window: u64, watchdog: &Watchdog) -> DiagnosisEvent {
         let excluded = |p| !watchdog.is_healthy(p);
-        let (obs, reports) =
-            (self.store).window_sums(window, &self.matrix, &excluded, &mut self.sums);
-        // `k` only shapes `topk_hits`, which nothing reads (ROADMAP item 1(d)).
-        let kept = prefilter(&self.matrix, &obs, 0);
-        let plan = self.localizer.prepare(&self.matrix, &kept.observations);
+        let (kept, num_observations, reports) =
+            (self.store).window_kept(window, &self.matrix, &excluded, &mut self.sums);
+        let plan = self.localizer.prepare(&self.matrix, &kept);
         // The shape of the window's diagnosis work, for `DiagStats`: the
         // partition the localizer just prepared — a pure function of the
         // post-exclusion observations, so every driver reports the same
@@ -170,7 +173,7 @@ impl Diagnoser {
         };
         DiagnosisEvent {
             window,
-            num_observations: obs.len(),
+            num_observations,
             diagnosis,
             reports,
             shard_contention: 0,
@@ -267,6 +270,35 @@ mod tests {
         assert_eq!(ev.num_observations, 0);
         assert_eq!(ev.reports, 0);
         assert!(ev.diagnosis.is_clean());
+    }
+
+    #[test]
+    fn links_beyond_the_universe_diagnose_like_any_other() {
+        // The matrix declares 2 links, but its paths name links 7 and 9:
+        // they are indexed as links, not a panic, by every localizer.
+        let m = ProbeMatrix::from_paths(
+            2,
+            vec![
+                ProbePath::from_links(0, vec![LinkId(0), LinkId(7)]),
+                ProbePath::from_links(1, vec![LinkId(7)]),
+                ProbePath::from_links(2, vec![LinkId(9)]),
+                ProbePath::from_links(3, vec![LinkId(1)]),
+            ],
+        );
+        let cfg = PllConfig::default();
+        let rows = [(0, 100, 40), (1, 100, 40), (2, 100, 90), (3, 100, 0)];
+        let obs: Vec<PathObservation> = (rows.iter())
+            .map(|&(p, sent, lost)| PathObservation::new(PathId(p), sent, lost))
+            .collect();
+        let want = localize(&m, &obs, &cfg);
+        assert_eq!(want.suspect_links(), vec![LinkId(7), LinkId(9)]);
+        for workers in [1, 4] {
+            assert_eq!(ComponentPll::new(cfg).localize(&m, &obs, workers), want);
+            let mut d = Diagnoser::new(m.clone(), cfg)
+                .with_diag(DiagConfig::default().with_parallel_components(workers));
+            d.ingest(report(1, 0, &rows));
+            assert_eq!(d.diagnose(0, &Watchdog::new()).diagnosis, want);
+        }
     }
 
     #[test]

@@ -32,9 +32,13 @@
 //! nothing is freed a retention period late.
 //!
 //! The log is also where a window is aggregated, once:
-//! [`ReportStore::window_sums`] walks its rows, skips excluded pingers,
-//! and sums the rest into a dense per-matrix-row [`RowSums`] that is
-//! read out in ascending path id and recycled for the next window.
+//! [`ReportStore::window_kept`] walks its rows, skips excluded pingers,
+//! and sums the rest into a dense per-matrix-row [`RowSums`]. The links
+//! of the rows that ended lossy are marked, the rows through them flagged
+//! through the matrix's link → row incidence, and the read-out in
+//! ascending path id emits only the lossy and flagged rows — the paths
+//! that can move PLL's verdict. The accumulator, its flags and the
+//! incidence are recycled from one window to the next.
 //!
 //! Every driver owns its diagnoser, so the store needs no lock for them.
 //! The `RwLock` is there because [`ReportStore::ingest`] takes `&self`:
@@ -48,7 +52,7 @@ mod reference;
 use std::collections::HashMap;
 
 use detector_core::pll::FlowSample;
-use detector_core::pmc::ProbeMatrix;
+use detector_core::pmc::{LinkIndex, ProbeMatrix};
 use detector_core::types::{NodeId, PathId, PathObservation};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -275,30 +279,62 @@ impl Logs {
     }
 }
 
-/// The recycled accumulator of [`ReportStore::window_sums`]: one
-/// `(sent, lost)` slot per row of the matrix walked, all zero between
-/// walks, and the side list of ids the matrix cannot resolve. It fits
-/// itself to the matrix at the start of a walk — a no-op unless the
-/// matrix changed — and keeps its memory from one window to the next.
-#[derive(Default)]
+/// The recycled state of [`ReportStore::window_kept`], fitted to one
+/// probe matrix: one `(sent, lost)` slot and one flag per row, the side
+/// list of ids the matrix cannot resolve, and the matrix's link → row
+/// incidence with a mark per link. [`new`](Self::new) and
+/// [`fit`](Self::fit) build the incidence — once per matrix, never per
+/// window — and between walks every slot, flag and mark is clear, so a
+/// walk allocates nothing but the `Vec` it returns.
 pub struct RowSums {
+    links: LinkIndex,
     rows: Vec<(u64, u64)>,
+    /// Rows through a link of a lossy row.
+    flagged: Vec<bool>,
+    /// Links of the incidence lying on a lossy row.
+    marked: Vec<bool>,
+    /// Rows whose `lost` became non-zero during the walk.
+    lossy: Vec<u32>,
     /// Ascending by path, one entry per id.
     strays: Vec<(PathId, (u64, u64))>,
-    /// Slots the walk made non-zero: the read-out's capacity.
-    live: usize,
+    /// At least the rows the current walk will keep: the `Vec`'s size.
+    kept: usize,
 }
 
 impl RowSums {
-    fn fit(&mut self, matrix: &ProbeMatrix) {
+    /// State fitted to `matrix`.
+    pub fn new(matrix: &ProbeMatrix) -> Self {
+        let links = matrix.link_rows();
+        Self {
+            rows: vec![(0, 0); matrix.num_paths()],
+            flagged: vec![false; matrix.num_paths()],
+            marked: vec![false; links.num_links()],
+            links,
+            lossy: Vec::new(),
+            strays: Vec::new(),
+            kept: 0,
+        }
+    }
+
+    /// Refits to a new matrix: re-indexes its links and resizes the
+    /// slots, keeping their memory.
+    pub fn fit(&mut self, matrix: &ProbeMatrix) {
+        self.links = matrix.link_rows();
         self.rows.resize(matrix.num_paths(), (0, 0));
+        self.flagged.resize(matrix.num_paths(), false);
+        self.marked.resize(self.links.num_links(), false);
     }
 
     /// Adds one row of a report to the slot of `row`, or of `path` on the
     /// side list when the matrix has no row for it.
     fn add(&mut self, row: Option<usize>, path: PathId, sent: u64, lost: u64) {
-        let slot = match row.and_then(|row| self.rows.get_mut(row)) {
-            Some(slot) => Some(slot),
+        let slot = match row.and_then(|row| self.rows.get_mut(row).map(|slot| (row, slot))) {
+            Some((row, slot)) => {
+                if slot.1 == 0 && lost != 0 {
+                    self.lossy.push(row as u32);
+                }
+                slot
+            }
             None => {
                 let at = match self.strays.binary_search_by_key(&path, |&(p, _)| p) {
                     Ok(at) => at,
@@ -307,41 +343,89 @@ impl RowSums {
                         at
                     }
                 };
-                self.strays.get_mut(at).map(|(_, slot)| slot)
+                let Some((_, slot)) = self.strays.get_mut(at) else {
+                    return;
+                };
+                slot
             }
         };
-        let Some(slot) = slot else {
-            return;
-        };
-        if *slot == (0, 0) && (sent, lost) != (0, 0) {
-            self.live += 1;
-        }
         // Wrapping: a hostile wire counter must not panic a debug build.
         *slot = (slot.0.wrapping_add(sent), slot.1.wrapping_add(lost));
     }
 
-    /// Reads every non-zero slot out in ascending path id — the matrix's
-    /// rows by id with the side list merged in — and zeroes it.
-    fn drain(&mut self, matrix: &ProbeMatrix) -> Vec<PathObservation> {
-        let mut out = Vec::with_capacity(std::mem::take(&mut self.live));
-        let observed = |(path, (sent, lost)): (PathId, (u64, u64))| {
-            ((sent, lost) != (0, 0)).then(|| PathObservation::new(path, sent, lost))
+    /// Flags every row through a link of a row that ended lossy: marks
+    /// each such link once and flags the rows the incidence lists for it,
+    /// then clears the marks and the lossy list.
+    fn flag_neighbours(&mut self, matrix: &ProbeMatrix) {
+        for &row in &self.lossy {
+            let Some(&(sent, lost)) = self.rows.get(row as usize) else {
+                continue;
+            };
+            // Lossy as the observation reads it: `lost` clamped to `sent`,
+            // and not wrapped back to zero.
+            if lost.min(sent) == 0 {
+                continue;
+            }
+            let links = matrix.paths.get(row as usize).map(|p| p.links());
+            let links = links.unwrap_or_default();
+            // Kept for its loss alone: no link flags it.
+            self.kept += usize::from(links.is_empty());
+            for l in links {
+                match self.marked.get_mut(l.index()) {
+                    Some(mark) if !*mark => *mark = true,
+                    _ => continue,
+                }
+                for &through in self.links.items(*l) {
+                    if let Some(flag) = self.flagged.get_mut(through as usize) {
+                        self.kept += usize::from(!*flag);
+                        *flag = true;
+                    }
+                }
+            }
+        }
+        for row in self.lossy.drain(..) {
+            let links = matrix.paths.get(row as usize).map(|p| p.links());
+            for l in links.unwrap_or_default() {
+                if let Some(mark) = self.marked.get_mut(l.index()) {
+                    *mark = false;
+                }
+            }
+        }
+    }
+
+    /// Reads the walk out in ascending path id — the matrix's rows by id
+    /// with the side list merged in — zeroing every slot and flag: each
+    /// path summing to anything but `(0, 0)` is counted, and kept when
+    /// lossy or flagged. Side-list ids have no links, so only the lossy
+    /// ones are kept.
+    fn drain_kept(&mut self, matrix: &ProbeMatrix) -> (Vec<PathObservation>, usize) {
+        let mut kept = Vec::with_capacity(std::mem::take(&mut self.kept) + self.strays.len());
+        let mut observed = 0;
+        let mut read = |path, (sent, lost): (u64, u64), flagged: bool| {
+            if (sent, lost) == (0, 0) {
+                return;
+            }
+            observed += 1;
+            let o = PathObservation::new(path, sent, lost);
+            if flagged || o.is_lossy() {
+                kept.push(o);
+            }
         };
         let mut strays = self.strays.drain(..).peekable();
         for (path, row) in matrix.rows_by_id() {
-            let Some(slot) = self.rows.get_mut(row) else {
+            let (Some(slot), Some(flag)) = (self.rows.get_mut(row), self.flagged.get_mut(row))
+            else {
                 continue;
             };
-            let Some(o) = observed((path, std::mem::take(slot))) else {
-                continue;
-            };
-            while let Some(stray) = strays.next_if(|&(p, _)| p < path) {
-                out.extend(observed(stray));
+            while let Some((stray, sums)) = strays.next_if(|&(p, _)| p < path) {
+                read(stray, sums, false);
             }
-            out.push(o);
+            read(path, std::mem::take(slot), std::mem::take(flag));
         }
-        out.extend(strays.filter_map(observed));
-        out
+        for (stray, sums) in strays {
+            read(stray, sums, false);
+        }
+        (kept, observed)
     }
 }
 
@@ -378,8 +462,8 @@ impl ReportStore {
 
     /// Aggregates one window's reports into per-path observations,
     /// skipping reports from `excluded` pingers (watchdog outliers) —
-    /// the hash-and-sort aggregation [`window_sums`](Self::window_sums)
-    /// is tested against.
+    /// the hash-and-sort aggregation the one walk
+    /// ([`window_kept`](Self::window_kept)) is tested against.
     pub fn window_observations(
         &self,
         window: u64,
@@ -405,19 +489,26 @@ impl ReportStore {
     /// The diagnosis input of a window in one walk of its rows: the
     /// reports of pingers not `excluded`, summed per path into `sums`'
     /// slot for the path's `matrix` row — ids the matrix cannot resolve
-    /// (stale pre-re-base ids, strays) on a short side list — then read
-    /// out in ascending path id, paths summing to `(0, 0)` left out, and
-    /// with them how many reports were summed. Nothing hashes and nothing
-    /// sorts; once `sums` has seen the matrix, the returned `Vec` is the
-    /// walk's only allocation.
-    pub fn window_sums(
+    /// (stale pre-re-base ids, strays) on a short side list. Then the
+    /// links of every row that ended lossy are marked, and every row
+    /// through a marked link is flagged through the incidence. The
+    /// read-out by ascending path id keeps what can influence PLL's
+    /// verdict — the lossy paths and every flagged one — and counts every
+    /// path summing to anything but `(0, 0)`.
+    ///
+    /// Returns the kept observations, the observed-path count and how
+    /// many reports were summed: exactly `detector_ingest::prefilter`
+    /// over the whole window's sums, without building that window.
+    /// `sums` must be fitted to `matrix` ([`RowSums::new`],
+    /// [`RowSums::fit`]); nothing hashes and nothing sorts, and the
+    /// returned `Vec` is the walk's only allocation.
+    pub fn window_kept(
         &self,
         window: u64,
         matrix: &ProbeMatrix,
         excluded: &dyn Fn(NodeId) -> bool,
         sums: &mut RowSums,
-    ) -> (Vec<PathObservation>, u64) {
-        sums.fit(matrix);
+    ) -> (Vec<PathObservation>, usize, u64) {
         let inner = self.inner.read();
         let mut reports = 0u64;
         for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
@@ -426,7 +517,9 @@ impl ReportStore {
                 sums.add(matrix.row_of(r.path), r.path, r.sent, r.lost);
             }
         }
-        (sums.drain(matrix), reports)
+        sums.flag_neighbours(matrix);
+        let (kept, observed) = sums.drain_kept(matrix);
+        (kept, observed, reports)
     }
 
     /// The per-flow samples of a window over the paths selected by

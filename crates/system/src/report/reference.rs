@@ -36,16 +36,17 @@
 //!
 //! **The window as a hash-and-sort aggregation.**
 //! [`one_walk_sums_as_the_store_aggregation_does`] holds
-//! [`ReportStore::window_sums`] — one walk of the log's rows into a dense
-//! per-matrix-row accumulator, read out in ascending path id — against
-//! `window_observations` with its `(0, 0)` paths removed, whole `Vec`s
-//! compared, and its report count against the map of reports', over
-//! segmented matrices whose rows are not in id order and whose ids split
-//! the row table into several runs, reports naming ids neither matrix
-//! resolves, empty reports, random exclusion masks, prunes and re-files,
-//! and matrix swaps between windows — one accumulator throughout. Each
-//! mutation below was applied to `report.rs` by hand and the property
-//! failed on it:
+//! [`ReportStore::window_sums`] — the walk before it kept only what can
+//! move the verdict: one walk of the log's rows into a dense
+//! per-matrix-row accumulator, every observed path read out in ascending
+//! path id — against `window_observations` with its `(0, 0)` paths
+//! removed, whole `Vec`s compared, and its report count against the map
+//! of reports', over segmented matrices whose rows are not in id order
+//! and whose ids split the row table into several runs, reports naming
+//! ids neither matrix resolves, empty reports, random exclusion masks,
+//! prunes and re-files, and matrix swaps between windows — one
+//! accumulator throughout. Each mutation below was applied by hand to
+//! the walk, when it lived in `report.rs`, and the property failed on it:
 //!
 //! a. excluded pingers not skipped (the walk's `filter` dropped) — a
 //!    masked pinger's rows are summed;
@@ -56,6 +57,30 @@
 //!    — stray and other-matrix ids vanish;
 //! d. the accumulator not reset between windows (`*slot` read instead of
 //!    `std::mem::take(slot)`) — a window reports an earlier walk's sums.
+//!
+//! **The kept window as the whole window, pre-filtered.**
+//! [`fused_walk_keeps_what_prefilter_keeps`] holds
+//! [`ReportStore::window_kept`] — the walk that flags the lossy rows'
+//! link neighbours through the matrix's incidence and emits only them —
+//! against `window_sums` piped through `detector_ingest::prefilter`:
+//! kept observations, observed-path count and report count, over the
+//! same segmented matrices with paths of one to three links, some beyond
+//! `num_links`, counters that wrap (a path's losses summing to exactly
+//! 2⁶⁴, or more losses than probes), exclusions, prunes and matrix swaps
+//! with one accumulator refitted at each swap. Each mutation below was
+//! applied to `report.rs` by hand and the property failed on it:
+//!
+//! e. a row's flag not cleared by the read-out (`*flag` read instead of
+//!    `std::mem::take(flag)`) — a later window keeps a clean path;
+//! f. the marks not cleared after flagging (the second loop of
+//!    `flag_neighbours` dropped) — a later window flags the neighbours
+//!    of an earlier window's lossy rows;
+//! g. lossiness read from the raw `lost` (`lost == 0` instead of
+//!    `lost.min(sent) == 0`) — a path losing more than it sent, which the
+//!    observation clamps to clean, flags its neighbours;
+//! h. a row recorded as lossy only on its first add (`slot == (0, 0)`
+//!    instead of `slot.1 == 0`) — a path whose first report was clean
+//!    never flags its neighbours.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -75,6 +100,7 @@ use crate::diagnoser::Diagnoser;
 use crate::pinger::{batch_seed, lossy_only, run_window_full_records, Pinger};
 use crate::watchdog::Watchdog;
 use crate::SystemConfig;
+use detector_ingest::prefilter;
 
 fn discipline(kind: u8, level: u8) -> LossDiscipline {
     match kind % 4 {
@@ -179,6 +205,84 @@ impl ReportStore {
                 FlowSample::new(id, sent, lost)
             })
             .collect()
+    }
+
+    /// The one walk before it kept only what can move the verdict: the
+    /// reports of pingers not `excluded`, summed per path into `sums`'
+    /// slot for the path's `matrix` row — ids the matrix cannot resolve
+    /// on a short side list — then every path read out in ascending path
+    /// id, paths summing to `(0, 0)` left out, and with them how many
+    /// reports were summed. Piped through `prefilter`, it is the oracle
+    /// of [`window_kept`](Self::window_kept).
+    pub(crate) fn window_sums(
+        &self,
+        window: u64,
+        matrix: &ProbeMatrix,
+        excluded: &dyn Fn(NodeId) -> bool,
+        sums: &mut DenseSums,
+    ) -> (Vec<PathObservation>, u64) {
+        sums.fit(matrix);
+        let inner = self.inner.read();
+        let mut reports = 0u64;
+        for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
+            reports += 1;
+            for r in rows {
+                sums.add(matrix.row_of(r.path), r.path, r.sent, r.lost);
+            }
+        }
+        (sums.drain(matrix), reports)
+    }
+}
+
+/// The recycled accumulator of [`ReportStore::window_sums`]: one
+/// `(sent, lost)` slot per row of the matrix walked, all zero between
+/// walks, and the side list of ids the matrix cannot resolve.
+#[derive(Default)]
+pub(crate) struct DenseSums {
+    rows: Vec<(u64, u64)>,
+    /// Ascending by path, one entry per id.
+    strays: Vec<(PathId, (u64, u64))>,
+}
+
+impl DenseSums {
+    fn fit(&mut self, matrix: &ProbeMatrix) {
+        self.rows.resize(matrix.num_paths(), (0, 0));
+    }
+
+    fn add(&mut self, row: Option<usize>, path: PathId, sent: u64, lost: u64) {
+        let slot = match row.and_then(|row| self.rows.get_mut(row)) {
+            Some(slot) => slot,
+            None => {
+                let at = match self.strays.binary_search_by_key(&path, |&(p, _)| p) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        self.strays.insert(at, (path, (0, 0)));
+                        at
+                    }
+                };
+                &mut self.strays[at].1
+            }
+        };
+        *slot = (slot.0.wrapping_add(sent), slot.1.wrapping_add(lost));
+    }
+
+    fn drain(&mut self, matrix: &ProbeMatrix) -> Vec<PathObservation> {
+        let mut out = Vec::new();
+        let observed = |(path, (sent, lost)): (PathId, (u64, u64))| {
+            ((sent, lost) != (0, 0)).then(|| PathObservation::new(path, sent, lost))
+        };
+        let mut strays = self.strays.drain(..).peekable();
+        for (path, row) in matrix.rows_by_id() {
+            let Some(o) = observed((path, std::mem::take(&mut self.rows[row]))) else {
+                continue;
+            };
+            while let Some(stray) = strays.next_if(|&(p, _)| p < path) {
+                out.extend(observed(stray));
+            }
+            out.push(o);
+        }
+        out.extend(strays.filter_map(observed));
+        out
     }
 }
 
@@ -363,7 +467,8 @@ proptest! {
 /// cluster (bases 1 000 ids apart, so the row table splits into one run
 /// per cluster), an offset, and which of the next 8 ids it holds — so
 /// a cell listed first may sort after a later one, as a re-based cell's
-/// range does.
+/// range does. A path crosses one to three of 13 links, of which the
+/// matrix declares 7: the rest lie beyond its universe.
 fn cells_matrix(cells: &[(u32, u32, u16)]) -> ProbeMatrix {
     let mut seen = HashSet::new();
     let ids = cells.iter().flat_map(|&(cluster, offset, held)| {
@@ -374,9 +479,25 @@ fn cells_matrix(cells: &[(u32, u32, u16)]) -> ProbeMatrix {
     });
     let paths = ids
         .filter(|id| seen.insert(*id))
-        .map(|id| ProbePath::from_links(id, vec![LinkId(id % 7)]))
+        .map(|id| {
+            let links = [id % 7, 3 + id % 10, id % 13];
+            let links = links.iter().take(1 + id as usize % 3).map(|&l| LinkId(l));
+            ProbePath::from_links(id, links.collect())
+        })
         .collect();
     ProbeMatrix::from_segmented(7, paths)
+}
+
+/// Both matrices' ids, and ids neither resolves: in a gap between
+/// clusters and past all of them.
+fn id_pool(matrices: &[ProbeMatrix]) -> Vec<u32> {
+    let mut pool: Vec<u32> = (matrices.iter())
+        .flat_map(|m| m.paths.iter().map(|p| p.id.0))
+        .chain([500, 1_500, 4_999, 5_000])
+        .collect();
+    pool.sort_unstable();
+    pool.dedup();
+    pool
 }
 
 /// A report of `pinger` for `window` over a random subset of `pool`
@@ -416,18 +537,11 @@ proptest! {
         masks in proptest::collection::vec(0u8..32, 1..4),
     ) {
         let matrices = [cells_matrix(&cells_a), cells_matrix(&cells_b)];
-        // Both matrices' ids, and ids neither resolves: in a gap between
-        // clusters and past all of them.
-        let mut pool: Vec<u32> = (matrices.iter())
-            .flat_map(|m| m.paths.iter().map(|p| p.id.0))
-            .chain([500, 1_500, 4_999, 5_000])
-            .collect();
-        pool.sort_unstable();
-        pool.dedup();
+        let pool = id_pool(&matrices);
 
         let store = ReportStore::new();
         let mut reference = MapStore::default();
-        let mut sums = RowSums::default();
+        let mut sums = DenseSums::default();
         let mut installed = 0;
         for (step, &(kind, pinger, window, seed)) in steps.iter().enumerate() {
             match kind {
@@ -453,6 +567,79 @@ proptest! {
                     prop_assert_eq!(
                         store.window_sums(w, matrix, &excluded, &mut sums),
                         (want, reports),
+                        "step {}, window {}, mask {:#x}, matrix {}", step, w, mask, installed
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// [`report_over`] with counters a hostile wire could carry: 0, small,
+/// 2⁶³ (two of which wrap a sum to exactly 0) or `u64::MAX`, drawn apart
+/// for `sent` and `lost`, so a path may lose more than it sent.
+fn wrapping_report_over(pinger: u32, window: u64, pool: &[u32], seed: u64) -> PingerReport {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let counter = |rng: &mut SmallRng| match rng.gen_range(0..6u8) {
+        0 => 0,
+        1 => 1 << 63,
+        2 => u64::MAX,
+        _ => rng.gen_range(1..20u64),
+    };
+    let mut paths = Vec::new();
+    for &id in pool {
+        if rng.gen_range(0..3u8) == 0 {
+            let (sent, lost) = (counter(&mut rng), counter(&mut rng));
+            paths.push((PathId(id), PathCounters { sent, lost }));
+        }
+    }
+    PingerReport {
+        pinger: NodeId(pinger),
+        window,
+        paths,
+        ..Default::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused walk ≡ the whole window's sums through `prefilter`: the
+    /// kept observations in order, the observed-path count and the report
+    /// count — after every step, on every window, under every mask, with
+    /// one accumulator refitted at each matrix swap (see the module doc
+    /// for the mutations this kills).
+    #[test]
+    fn fused_walk_keeps_what_prefilter_keeps(
+        cells_a in proptest::collection::vec((0u32..4, 0u32..40, 1u16..256), 1..5),
+        cells_b in proptest::collection::vec((0u32..4, 0u32..40, 1u16..256), 1..5),
+        steps in proptest::collection::vec((0u8..8, 0u32..5, 0u64..WINDOWS, 0u64..u64::MAX), 1..30),
+        masks in proptest::collection::vec(0u8..32, 1..4),
+    ) {
+        let matrices = [cells_matrix(&cells_a), cells_matrix(&cells_b)];
+        let pool = id_pool(&matrices);
+        let store = ReportStore::new();
+        let mut whole = DenseSums::default();
+        let mut sums = RowSums::new(&matrices[0]);
+        let mut installed = 0;
+        for (step, &(kind, pinger, window, seed)) in steps.iter().enumerate() {
+            match kind {
+                0 => store.prune_before(window),
+                1 => {
+                    installed ^= 1;
+                    sums.fit(&matrices[installed]);
+                }
+                _ => store.ingest(wrapping_report_over(pinger, window, &pool, seed)),
+            }
+            let matrix = &matrices[installed];
+            for w in 0..=WINDOWS {
+                for &mask in &masks {
+                    let excluded = |p: NodeId| (mask >> p.0) & 1 == 1;
+                    let (observed, reports) = store.window_sums(w, matrix, &excluded, &mut whole);
+                    let kept = prefilter(matrix, &observed, 0).observations;
+                    prop_assert_eq!(
+                        store.window_kept(w, matrix, &excluded, &mut sums),
+                        (kept, observed.len(), reports),
                         "step {}, window {}, mask {:#x}, matrix {}", step, w, mask, installed
                     );
                 }

@@ -2,10 +2,12 @@
 //! cannot gate: over ten thousand windows of ingest, the diagnoser's one
 //! walk of the window and `prune_before(w − 20)` — what every driver's
 //! close half does — once the retained windows have sized their logs,
-//! filing a window allocates nothing, the walk allocates only the
+//! filing a window allocates nothing, the walk allocates only the kept
 //! observations it returns, and nothing the store or the walk's
-//! accumulator holds grows. A pruned window's log is reused, not freed:
-//! the reports' own blocks are the only memory released.
+//! accumulator holds grows. The matrix's link → row incidence is built
+//! once, with the accumulator, never by the walk. A pruned window's log
+//! is reused, not freed: the reports' own blocks are the only memory
+//! released.
 //!
 //! One `#[test]` in its own binary: the counts are process-wide, so no
 //! sibling test may allocate while they are read.
@@ -101,13 +103,15 @@ fn report(p: u32) -> PingerReport {
 fn ten_thousand_windows_hold_what_twenty_one_do() {
     let templates: Vec<PingerReport> = (0..4).map(report).collect();
     // The first 60 of each pinger's paths: the last 4 are ids the matrix
-    // cannot resolve, summed on the walk's side list.
+    // cannot resolve, summed on the walk's side list. Path `i` of pinger
+    // `p` crosses link `(4p + i) % 6`, so the lossy paths (every fourth)
+    // mark the even links, and the even paths are kept.
     let paths = (0..4u32)
         .flat_map(|p| (0..60).map(move |i| p * 100 + i))
-        .map(|id| ProbePath::from_links(id, vec![LinkId(id % 9)]));
-    let matrix = ProbeMatrix::from_segmented(9, paths.collect());
+        .map(|id| ProbePath::from_links(id, vec![LinkId(id % 6)]));
+    let matrix = ProbeMatrix::from_segmented(6, paths.collect());
     let store = ReportStore::new();
-    let mut sums = RowSums::default();
+    let mut sums = RowSums::new(&matrix);
     let mut live_after_warm_up = 0;
     for w in 0..WINDOWS {
         // Decoding a frame is what allocates a report; not the store.
@@ -126,12 +130,14 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
         assert_eq!(store.reports_in_window(w), templates.len(), "window {w}");
         // Odd windows exclude pinger 3 and its 64 paths.
         let excluded = |p: NodeId| w % 2 == 1 && p == NodeId(3);
-        let (walking, (observations, reports)) =
-            allocations_of(|| store.window_sums(w, &matrix, &excluded, &mut sums));
-        let kept = 4 - w % 2;
-        assert_eq!(reports, kept, "window {w}");
-        assert_eq!(observations.len() as u64, 64 * kept, "window {w}");
-        drop(observations);
+        let (walking, (kept, observed, reports)) =
+            allocations_of(|| store.window_kept(w, &matrix, &excluded, &mut sums));
+        let pingers = 4 - w % 2;
+        assert_eq!(reports, pingers, "window {w}");
+        assert_eq!(observed as u64, 64 * pingers, "window {w}");
+        // A pinger's 30 even paths and its lossy stray.
+        assert_eq!(kept.len() as u64, 31 * pingers, "window {w}");
+        drop(kept);
         if w > HISTORY {
             assert_eq!(store.reports_in_window(w - HISTORY - 1), 0, "window {w}");
         }

@@ -1,14 +1,16 @@
 //! The independent oracle of the single diagnosis path.
 //!
-//! Every driver's diagnosis goes through `Diagnoser::diagnose` —
-//! seal → exclusions → pre-filter → component-decomposed PLL with its
-//! cached skeleton — so the driver equivalence suites compare that path
-//! with itself. This property holds it against code it shares nothing
-//! but the greedy with: plain whole-window `localize` over the raw report
-//! store's aggregation, and a naive reference count of the lossy
-//! incidence's shape, across multi-window runs that exercise every
+//! Every driver's diagnosis goes through `Diagnoser::diagnose` — one
+//! walk that sums the window without its excluded pingers and keeps only
+//! the paths that can move the verdict → component-decomposed PLL with
+//! its cached skeleton — so the driver equivalence suites compare that
+//! path with itself. This property holds it against code it shares
+//! nothing but the greedy with: plain whole-window `localize` over the
+//! raw report store's aggregation, and a naive reference count of the
+//! lossy incidence's shape, across multi-window runs that exercise every
 //! cache state (rebuild, skeleton reuse, verdict reuse, invalidation by
-//! `set_matrix`).
+//! `set_matrix`), over dense and segmented matrices (row order ≠ id
+//! order), some declaring fewer links than their paths name.
 
 use std::collections::HashSet;
 
@@ -18,9 +20,33 @@ use detector_core::types::{LinkId, NodeId, PathId, PathObservation, ProbePath};
 use detector_system::{DiagConfig, Diagnoser, PathCounters, PingerReport, Watchdog};
 use proptest::prelude::*;
 
-/// A 12-link matrix from raw link-id lists (the generator of
-/// `components.rs`'s proptest).
-fn matrix_from(paths: &[Vec<u32>]) -> ProbeMatrix {
+/// How a case numbers and declares its matrices.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    /// Segmented ids (`from_segmented`) instead of dense ones.
+    segmented: bool,
+    /// The matrices declare 9 links, so paths over links 9..12 name links
+    /// beyond the universe.
+    short: bool,
+}
+
+impl Layout {
+    /// The id of path `i`. Segmented, paths come in cells of four with a
+    /// free id after each path, and the first cell's range sorts after
+    /// the next two's, as a re-based cell's does: row order is not id
+    /// order.
+    fn id(self, i: usize) -> u32 {
+        if !self.segmented {
+            return i as u32;
+        }
+        let base = [24, 0, 12][i / 4 % 3];
+        base + 2 * (i % 4) as u32
+    }
+}
+
+/// A matrix from raw link-id lists over 12 links (the generator of
+/// `components.rs`'s proptest), numbered and declared as `layout` says.
+fn matrix_from(paths: &[Vec<u32>], layout: Layout) -> ProbeMatrix {
     let probe_paths: Vec<ProbePath> = paths
         .iter()
         .enumerate()
@@ -28,10 +54,15 @@ fn matrix_from(paths: &[Vec<u32>]) -> ProbeMatrix {
             let mut ls: Vec<LinkId> = ls.iter().map(|&l| LinkId(l)).collect();
             ls.sort_unstable();
             ls.dedup();
-            ProbePath::from_links(i as u32, ls)
+            ProbePath::from_links(layout.id(i), ls)
         })
         .collect();
-    ProbeMatrix::from_paths(12, probe_paths)
+    let num_links = if layout.short { 9 } else { 12 };
+    if layout.segmented {
+        ProbeMatrix::from_segmented(num_links, probe_paths)
+    } else {
+        ProbeMatrix::from_paths(num_links, probe_paths)
+    }
 }
 
 /// Lost packets of 100 sent per severity: clean, below the noise filter
@@ -41,7 +72,14 @@ const LOST: [u64; 4] = [0, 2, 40, 80];
 
 /// One pinger's report: path `i` at `rows[i]`'s severity, plus an id no
 /// matrix resolves (40) at `stray`'s.
-fn report(pinger: u32, window: u64, rows: &[u8], stray: u8, jitter: bool) -> PingerReport {
+fn report(
+    pinger: u32,
+    window: u64,
+    rows: &[u8],
+    stray: u8,
+    jitter: bool,
+    layout: Layout,
+) -> PingerReport {
     let counters = |sev: u8| {
         let lost = LOST[sev as usize];
         PathCounters {
@@ -58,11 +96,12 @@ fn report(pinger: u32, window: u64, rows: &[u8], stray: u8, jitter: bool) -> Pin
         .iter()
         .enumerate()
         .filter(|(_, &sev)| sev < 4)
-        .map(|(i, &sev)| (PathId(i as u32), counters(sev)))
+        .map(|(i, &sev)| (PathId(layout.id(i)), counters(sev)))
         .collect();
     if stray < 4 {
         paths.push((PathId(40), counters(stray)));
     }
+    paths.sort_unstable_by_key(|&(p, _)| p);
     PingerReport {
         pinger: NodeId(pinger),
         window,
@@ -133,9 +172,12 @@ proptest! {
             1..7,
         ),
         fanout in 0u8..2,
+        segmented in 0u8..2,
+        short in 0u8..2,
     ) {
         let windows: Vec<WindowSpec> = windows;
-        let matrices = [matrix_from(&paths_a), matrix_from(&paths_b)];
+        let layout = Layout { segmented: segmented == 1, short: short == 1 };
+        let matrices = [matrix_from(&paths_a, layout), matrix_from(&paths_b, layout)];
         let cfg = PllConfig { min_loss_count: 3, ..PllConfig::default() };
         let workers = if fanout == 1 { 4 } else { 1 };
         let mut d = Diagnoser::new(matrices[0].clone(), cfg)
@@ -156,7 +198,7 @@ proptest! {
             };
             previous = Some((reports, jitter));
             for (p, (rows, stray)) in reports.iter().enumerate() {
-                d.ingest(report(p as u32, w, rows, *stray, jitter));
+                d.ingest(report(p as u32, w, rows, *stray, jitter, layout));
             }
             let mut watchdog = Watchdog::new();
             for p in (0..3u32).filter(|p| excluded & (1 << p) != 0) {
