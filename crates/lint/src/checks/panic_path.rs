@@ -210,8 +210,8 @@ mod tests {
 
     #[test]
     fn probe_codec_is_in_scope() {
-        // Prober recv loops and responders both hand it datagrams
-        // straight off a socket.
+        // Probers reading their own echoes and responders both hand it
+        // datagrams straight off a socket.
         assert!(in_scope("crates/simnet/src/packet.rs"));
     }
 

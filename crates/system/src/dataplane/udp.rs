@@ -5,20 +5,25 @@
 //! [`encode_probe`](detector_simnet::encode_probe) — the same IP-in-IP
 //! wire layout the simulator models — wrapped in a UDP datagram to a
 //! [`Responder`](crate::responder::Responder)-backed echo socket, and
-//! matched back to its sender by sequence number when the echo returns.
+//! matched by sequence number when the echo returns.
 //!
 //! The pieces:
 //!
-//! * [`UdpDataPlane`] — the [`DataPlane`] implementation. A small pool of
-//!   sockets, each with a dedicated recv loop; `probe_tagged` blocks the
-//!   *calling* worker on a condvar until the echo lands or the attempt
-//!   times out, so the pipelined scheduler's probe workers hide wire wait
-//!   exactly as they hide the simulator's modeled RTTs.
+//! * [`UdpDataPlane`] — the [`DataPlane`] implementation. An in-flight
+//!   probe owns a socket taken from an idle pool: `probe_tagged` sends on
+//!   it and then reads its own echo off it on the *calling* worker, until
+//!   the datagram carrying the attempt's sequence number lands or the
+//!   attempt's deadline passes. No echo crosses a thread, and the
+//!   pipelined scheduler's probe workers hide wire wait exactly as they
+//!   hide the simulator's modeled RTTs. The pool binds a socket only when
+//!   every pooled one is in flight, so it grows to the peak number of
+//!   concurrent probers and no further.
 //! * [`RetryPolicy`] — per-probe timeout with bounded exponential
 //!   backoff. Every attempt gets a **fresh** sequence number, so an echo
-//!   that arrives after its attempt was abandoned can never complete a
-//!   later attempt (no double-counting; see `late_echoes` in
-//!   [`UdpStats`]).
+//!   that arrives after its attempt was abandoned — read by the same
+//!   probe's next attempt, or by the next probe to take the socket — can
+//!   never complete a later attempt (no double-counting; see
+//!   `late_echoes` in [`UdpStats`]).
 //! * RTT measurement — kernel `SO_TIMESTAMP` receive stamps
 //!   ([`timestamp`]) when the platform grants them, monotonic clock
 //!   fallback otherwise. Both flow through the [`ProbeClock`] seam, which
@@ -38,12 +43,10 @@ mod timestamp;
 
 pub use harness::{HarnessStats, UdpHarness};
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use detector_simnet::{decode_probe, encode_probe, FlowKey, ProbePacket, PROBE_WIRE_SIZE};
@@ -99,14 +102,18 @@ impl RetryPolicy {
 /// Configuration for [`UdpDataPlane`].
 #[derive(Clone, Debug)]
 pub struct UdpConfig {
-    /// Number of probe sockets (each with its own recv loop).
+    /// Number of probe sockets bound at [`UdpDataPlane::connect`] (at
+    /// least one). The pool binds more only while every pooled socket
+    /// is in flight, and keeps them.
     pub sockets: usize,
-    /// Local address the probe sockets bind (port 0 = ephemeral).
+    /// Local address the probe sockets bind. Its port must be 0
+    /// (ephemeral): every in-flight probe binds a socket of its own, so
+    /// a fixed port could serve one probe at a time, and
+    /// [`UdpDataPlane::connect`] rejects it with
+    /// [`InvalidInput`](io::ErrorKind::InvalidInput).
     pub bind: SocketAddr,
     /// Timeout/retry schedule per probe.
     pub retry: RetryPolicy,
-    /// Read timeout of the recv loops; bounds shutdown latency.
-    pub recv_poll: Duration,
 }
 
 impl Default for UdpConfig {
@@ -115,7 +122,6 @@ impl Default for UdpConfig {
             sockets: 2,
             bind: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
             retry: RetryPolicy::default(),
-            recv_poll: Duration::from_millis(20),
         }
     }
 }
@@ -181,7 +187,8 @@ pub struct UdpStats {
     pub mono_stamped: u64,
     /// Datagrams that failed probe decoding.
     pub decode_errors: u64,
-    /// Socket send failures (each consumes one attempt).
+    /// Socket send failures (each consumes one attempt), plus probes
+    /// that got no responder address or no socket to send from.
     pub send_errors: u64,
 }
 
@@ -220,210 +227,123 @@ impl Counters {
     }
 }
 
-/// One in-flight probe attempt, keyed by its sequence number.
+/// One attempt of a probe: its sequence number, send stamps and timeout.
 #[derive(Clone, Copy, Debug)]
-struct PendingProbe {
+struct Attempt {
+    seq: u32,
     sent_mono_us: u64,
     sent_wall_us: u64,
-    /// Filled by the recv loop when the echo lands.
-    echo: Option<Echo>,
+    timeout_us: u64,
 }
 
-/// A completed echo as consumed by the waiting prober. Carrying `kernel`
-/// here lets the prober bump `delivered` and the stamp counter together,
-/// so a stats snapshot can never observe one ahead of the other.
+impl Attempt {
+    /// The monotonic instant the attempt is abandoned at.
+    fn deadline_us(&self) -> u64 {
+        self.sent_mono_us.saturating_add(self.timeout_us)
+    }
+}
+
+/// A received echo: its RTT and which clock measured it. Carrying
+/// `kernel` lets the prober bump `delivered` and the stamp counter
+/// together, so a stats snapshot can never observe one ahead of the
+/// other.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Echo {
     rtt_us: f64,
     kernel: bool,
 }
 
-/// How the recv loop's completion attempt resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EchoOutcome {
-    /// First echo for a live attempt; `kernel` says which clock stamped
-    /// the RTT.
-    Matched { kernel: bool },
-    /// The attempt already has an RTT (duplicate echo).
-    Duplicate,
-    /// No such attempt — it timed out and was cancelled, or never was.
-    Unknown,
-}
-
-/// Sequence-number → in-flight-attempt table shared between probe
-/// callers and recv loops.
-struct PendingTable {
-    slots: Mutex<HashMap<u32, PendingProbe>>,
-    echoed: Condvar,
-}
-
-impl PendingTable {
-    fn new() -> Self {
-        Self {
-            slots: Mutex::new(HashMap::new()),
-            echoed: Condvar::new(),
-        }
-    }
-
-    /// Poison-tolerant lock: a panicking prober must not wedge the recv
-    /// loops (the table holds plain data, always consistent between
-    /// statements).
-    fn lock(&self) -> MutexGuard<'_, HashMap<u32, PendingProbe>> {
-        self.slots.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn register(&self, seq: u32, sent_mono_us: u64, sent_wall_us: u64) {
-        self.lock().insert(
-            seq,
-            PendingProbe {
-                sent_mono_us,
-                sent_wall_us,
-                echo: None,
-            },
-        );
-    }
-
-    /// Called by a recv loop for each decoded echo. Uses the kernel wall
-    /// stamp when it is present *and* not behind the send stamp (a wall
-    /// clock stepped backwards mid-flight would otherwise produce a
-    /// bogus RTT); falls back to the monotonic clock.
-    fn complete(&self, seq: u32, kernel_wall_us: Option<u64>, now_mono_us: u64) -> EchoOutcome {
-        let mut slots = self.lock();
-        let Some(slot) = slots.get_mut(&seq) else {
-            return EchoOutcome::Unknown;
-        };
-        if slot.echo.is_some() {
-            return EchoOutcome::Duplicate;
-        }
-        let echo = match kernel_wall_us {
-            Some(w) if w >= slot.sent_wall_us => Echo {
-                rtt_us: (w - slot.sent_wall_us) as f64,
-                kernel: true,
-            },
-            _ => Echo {
-                rtt_us: now_mono_us.saturating_sub(slot.sent_mono_us) as f64,
-                kernel: false,
-            },
-        };
-        slot.echo = Some(echo);
-        drop(slots);
-        self.echoed.notify_all();
-        EchoOutcome::Matched {
-            kernel: echo.kernel,
-        }
-    }
-
-    /// Blocks the caller until the attempt completes or `timeout_us`
-    /// elapses. On success the slot is consumed; on timeout it is left
-    /// for [`cancel`](Self::cancel) so a racing completion is still
-    /// honored.
-    fn await_echo(&self, seq: u32, timeout_us: u64, clock: &dyn ProbeClock) -> Option<Echo> {
-        let deadline = clock.mono_us().saturating_add(timeout_us);
-        let mut slots = self.lock();
-        loop {
-            if let Some(slot) = slots.get(&seq) {
-                if slot.echo.is_some() {
-                    return slots.remove(&seq).and_then(|s| s.echo);
-                }
-            } else {
-                // Cancelled from elsewhere; nothing to wait for.
-                return None;
-            }
-            let now = clock.mono_us();
-            if now >= deadline {
-                return None;
-            }
-            let wait = Duration::from_micros(deadline - now);
-            let (guard, _timed_out) = self
-                .echoed
-                .wait_timeout(slots, wait)
-                .unwrap_or_else(|p| p.into_inner());
-            slots = guard;
-        }
-    }
-
-    /// Removes the attempt, returning its echo if one raced the timeout
-    /// and completed it first.
-    fn cancel(&self, seq: u32) -> Option<Echo> {
-        self.lock().remove(&seq).and_then(|s| s.echo)
-    }
-
-    #[cfg(test)]
-    fn in_flight(&self) -> usize {
-        self.lock().len()
+/// The RTT of an echo received at `now_mono_us` for a probe sent at
+/// `(sent_mono_us, sent_wall_us)`. Uses the kernel wall stamp when it is
+/// present *and* not behind the send stamp (a wall clock stepped
+/// backwards mid-flight would otherwise produce a bogus RTT); falls back
+/// to the monotonic clock.
+fn stamp_echo(
+    sent_mono_us: u64,
+    sent_wall_us: u64,
+    kernel_wall_us: Option<u64>,
+    now_mono_us: u64,
+) -> Echo {
+    match kernel_wall_us {
+        Some(w) if w >= sent_wall_us => Echo {
+            rtt_us: (w - sent_wall_us) as f64,
+            kernel: true,
+        },
+        _ => Echo {
+            rtt_us: now_mono_us.saturating_sub(sent_mono_us) as f64,
+            kernel: false,
+        },
     }
 }
 
-struct Shared {
-    sockets: Vec<UdpSocket>,
-    /// Responder addresses; a flow's `dst` node maps onto
-    /// `addrs[dst % len]`.
-    addrs: Vec<SocketAddr>,
-    pending: PendingTable,
-    clock: Arc<dyn ProbeClock>,
-    retry: RetryPolicy,
-    loss: Option<LossShim>,
-    kernel_ts: bool,
-    seq: AtomicU32,
-    stats: Counters,
-    shutdown: AtomicBool,
+/// A pooled probe socket and the read timeout armed on it.
+struct ProbeSocket {
+    socket: UdpSocket,
+    /// The read timeout in force, microseconds (0: none armed yet).
+    armed_us: u64,
 }
 
-impl Shared {
-    fn addr_of(&self, dst: u32) -> Option<SocketAddr> {
-        if self.addrs.is_empty() {
-            None
-        } else {
-            self.addrs.get(dst as usize % self.addrs.len()).copied()
+impl ProbeSocket {
+    /// Sets the read timeout to `wait_us` (> 0) unless that is what is
+    /// already armed: a socket whose attempts keep one timeout pays no
+    /// `setsockopt` per probe.
+    fn arm(&mut self, wait_us: u64) -> io::Result<()> {
+        if self.armed_us != wait_us {
+            self.socket
+                .set_read_timeout(Some(Duration::from_micros(wait_us)))?;
+            self.armed_us = wait_us;
         }
+        Ok(())
     }
-}
 
-/// Echo-receive loop: one per socket. Decodes every datagram, stamps it
-/// (kernel stamp when available, monotonic otherwise) and completes the
-/// matching pending attempt.
-fn recv_loop(shared: &Shared, index: usize) {
-    let Some(socket) = shared.sockets.get(index) else {
-        return;
-    };
-    let mut buf = [0u8; 2048];
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let (len, stamp) = match timestamp::recv_with_stamp(socket, &mut buf) {
-            Ok(x) => x,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
+    /// Reads datagrams until the echo of `attempt` arrives, or the probe
+    /// clock passes the attempt's deadline (`None`). A datagram carrying
+    /// another sequence number is an echo of an earlier, abandoned
+    /// attempt: it is counted in `late_echoes`, dropped, and the read
+    /// resumes on the time that remains.
+    fn await_echo(
+        &mut self,
+        attempt: &Attempt,
+        clock: &dyn ProbeClock,
+        stats: &Counters,
+    ) -> Option<Echo> {
+        let mut buf = [0u8; 2048];
+        // The first read waits the whole timeout — what remained at the
+        // send stamp — so the common path re-arms nothing.
+        let mut wait_us = attempt.timeout_us;
+        while wait_us > 0 {
+            self.arm(wait_us).ok()?;
+            let received = timestamp::recv_with_stamp(&self.socket, &mut buf);
+            let now_mono = clock.mono_us();
+            match received {
+                Ok((len, kernel_wall)) => match buf.get(..len).map(decode_probe) {
+                    Some(Ok(pkt)) if pkt.seq == attempt.seq => {
+                        return Some(stamp_echo(
+                            attempt.sent_mono_us,
+                            attempt.sent_wall_us,
+                            kernel_wall,
+                            now_mono,
+                        ));
+                    }
+                    Some(Ok(_)) => Counters::bump(&stats.late_echoes),
+                    _ => Counters::bump(&stats.decode_errors),
+                },
+                // The read timed out (the kernel's timer may fire a tick
+                // early) or was interrupted: the clock decides below.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                // Any other socket error abandons the attempt, as its
+                // timeout would.
+                Err(_) => return None,
             }
-            Err(_) => {
-                // Transient socket error: back off briefly instead of
-                // spinning on a hot error loop.
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        let Some(frame) = buf.get(..len) else {
-            continue;
-        };
-        let pkt = match decode_probe(frame) {
-            Ok(p) => p,
-            Err(_) => {
-                Counters::bump(&shared.stats.decode_errors);
-                continue;
-            }
-        };
-        let now_mono = shared.clock.mono_us();
-        match shared.pending.complete(pkt.seq, stamp, now_mono) {
-            // The waiting prober does the delivered + stamp accounting
-            // when it consumes the echo, keeping the counters coherent.
-            EchoOutcome::Matched { .. } => {}
-            EchoOutcome::Duplicate | EchoOutcome::Unknown => {
-                Counters::bump(&shared.stats.late_echoes);
-            }
+            wait_us = attempt.deadline_us().saturating_sub(now_mono);
         }
+        None
     }
 }
 
@@ -432,18 +352,29 @@ fn recv_loop(shared: &Shared, index: usize) {
 ///
 /// Construct with [`UdpDataPlane::connect`] (or
 /// [`UdpHarness::dataplane`] for the loopback harness). Dropping the
-/// plane shuts the recv loops down and joins them.
+/// plane closes its sockets.
 pub struct UdpDataPlane {
-    shared: Arc<Shared>,
-    recv_threads: Vec<JoinHandle<()>>,
+    /// Sockets no probe is using; a probe takes one for its duration.
+    idle: Mutex<Vec<ProbeSocket>>,
+    bind: SocketAddr,
+    /// Responder addresses; a flow's `dst` node maps onto
+    /// `addrs[dst % len]`.
+    addrs: Vec<SocketAddr>,
+    clock: Arc<dyn ProbeClock>,
+    retry: RetryPolicy,
+    loss: Option<LossShim>,
+    kernel_ts: AtomicBool,
+    seq: AtomicU32,
+    stats: Counters,
 }
 
 impl UdpDataPlane {
-    /// Binds the probe socket pool and spawns one recv loop per socket.
+    /// Binds the initial probe socket pool (`cfg.sockets`, at least one).
     ///
     /// `responders` are the echo socket addresses (a flow's destination
     /// node selects `responders[dst % len]`); `loss` optionally installs
-    /// the deterministic injected-loss shim.
+    /// the deterministic injected-loss shim. Fails with `InvalidInput`
+    /// on an empty responder list or a `cfg.bind` with a non-zero port.
     pub fn connect(
         responders: &[SocketAddr],
         cfg: &UdpConfig,
@@ -456,66 +387,144 @@ impl UdpDataPlane {
                 "UdpDataPlane needs at least one responder address",
             ));
         }
-        let count = cfg.sockets.max(1);
-        let mut sockets = Vec::with_capacity(count);
-        let mut kernel_ts = true;
-        for _ in 0..count {
-            let socket = UdpSocket::bind(cfg.bind)?;
-            socket.set_read_timeout(Some(cfg.recv_poll.max(Duration::from_millis(1))))?;
-            kernel_ts &= timestamp::enable(&socket);
-            sockets.push(socket);
+        if cfg.bind.port() != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "UdpConfig::bind must leave the port 0: every in-flight probe binds a socket",
+            ));
         }
-        let shared = Arc::new(Shared {
-            sockets,
+        let count = cfg.sockets.max(1);
+        let plane = Self {
+            idle: Mutex::new(Vec::with_capacity(count)),
+            bind: cfg.bind,
             addrs: responders.to_vec(),
-            pending: PendingTable::new(),
             clock,
             retry: cfg.retry,
             loss,
-            kernel_ts,
+            kernel_ts: AtomicBool::new(true),
             seq: AtomicU32::new(0),
             stats: Counters::default(),
-            shutdown: AtomicBool::new(false),
-        });
-        let mut recv_threads = Vec::with_capacity(count);
-        for i in 0..count {
-            let sh = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("udp-recv-{i}"))
-                .spawn(move || recv_loop(&sh, i))?;
-            recv_threads.push(handle);
+        };
+        for _ in 0..count {
+            let socket = plane.bind_socket()?;
+            plane.idle().push(socket);
         }
-        Ok(Self {
-            shared,
-            recv_threads,
-        })
+        Ok(plane)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> UdpStats {
-        self.shared.stats.snapshot()
+        self.stats.snapshot()
     }
 
-    /// True when every socket accepted `SO_TIMESTAMP` (RTTs use kernel
-    /// receive stamps; otherwise all fall back to the monotonic clock).
+    /// True when every socket bound so far accepted `SO_TIMESTAMP` (RTTs
+    /// use kernel receive stamps; otherwise they fall back to the
+    /// monotonic clock).
     pub fn kernel_timestamps(&self) -> bool {
-        self.shared.kernel_ts
+        self.kernel_ts.load(Ordering::Relaxed)
     }
 
     /// The retry schedule in force.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.shared.retry
+        self.retry
+    }
+
+    /// Poison-tolerant lock: every pool update is a single push or pop,
+    /// so the pool is consistent even after a prober panicked.
+    fn idle(&self) -> MutexGuard<'_, Vec<ProbeSocket>> {
+        self.idle.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn bind_socket(&self) -> io::Result<ProbeSocket> {
+        let socket = UdpSocket::bind(self.bind)?;
+        if !timestamp::enable(&socket) {
+            self.kernel_ts.store(false, Ordering::Relaxed);
+        }
+        Ok(ProbeSocket {
+            socket,
+            armed_us: 0,
+        })
+    }
+
+    /// An idle socket, or a freshly bound one when every pooled socket
+    /// is in flight.
+    fn take_socket(&self) -> io::Result<ProbeSocket> {
+        let pooled = self.idle().pop();
+        match pooled {
+            Some(socket) => Ok(socket),
+            None => self.bind_socket(),
+        }
+    }
+
+    fn addr_of(&self, dst: u32) -> Option<SocketAddr> {
+        if self.addrs.is_empty() {
+            None
+        } else {
+            self.addrs.get(dst as usize % self.addrs.len()).copied()
+        }
+    }
+
+    /// The retry loop of one probe on the socket it owns.
+    fn probe_on(
+        &self,
+        socket: &mut ProbeSocket,
+        tag: ProbeTag,
+        flow: FlowKey,
+        addr: SocketAddr,
+    ) -> ProbeOutcome {
+        // Every attempt is encoded into this one stack buffer: nothing on
+        // the send path allocates.
+        let mut wire = [0u8; PROBE_WIRE_SIZE];
+        for attempt in 0..self.retry.attempts() {
+            if attempt > 0 {
+                Counters::bump(&self.stats.retries);
+            }
+            // A fresh sequence number per attempt: an echo of an
+            // abandoned attempt can never complete this one.
+            let sent = Attempt {
+                seq: self.seq.fetch_add(1, Ordering::Relaxed),
+                sent_mono_us: self.clock.mono_us(),
+                sent_wall_us: self.clock.wall_us(),
+                timeout_us: self.retry.timeout_us(attempt),
+            };
+            encode_probe(
+                &ProbePacket {
+                    waypoint: tag.waypoint,
+                    flow,
+                    seq: sent.seq,
+                    path_id: tag.path_id,
+                    timestamp_us: sent.sent_wall_us,
+                },
+                &mut wire,
+            );
+            if socket.socket.send_to(&wire, addr).is_err() {
+                Counters::bump(&self.stats.send_errors);
+                continue;
+            }
+            Counters::bump(&self.stats.sent);
+            if let Some(echo) = socket.await_echo(&sent, self.clock.as_ref(), &self.stats) {
+                Counters::bump(&self.stats.delivered);
+                Counters::bump(if echo.kernel {
+                    &self.stats.kernel_stamped
+                } else {
+                    &self.stats.mono_stamped
+                });
+                return ProbeOutcome {
+                    delivered: true,
+                    rtt_us: echo.rtt_us,
+                };
+            }
+            Counters::bump(&self.stats.timeouts);
+        }
+        LOST
     }
 }
 
-impl Drop for UdpDataPlane {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for handle in self.recv_threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
+/// The outcome of a probe that never saw its echo.
+const LOST: ProbeOutcome = ProbeOutcome {
+    delivered: false,
+    rtt_us: 0.0,
+};
 
 impl DataPlane for UdpDataPlane {
     fn probe(&self, route: &Route, flow: FlowKey, rng: &mut SmallRng) -> ProbeOutcome {
@@ -529,92 +538,39 @@ impl DataPlane for UdpDataPlane {
         flow: FlowKey,
         _rng: &mut SmallRng,
     ) -> ProbeOutcome {
-        let sh = &*self.shared;
-        if let Some(loss) = &sh.loss {
+        if let Some(loss) = &self.loss {
             if loss.drops(tag.window, tag.path_id) {
                 // Decided before the socket: deterministic, and no
                 // timeout wait is served for an injected drop.
-                Counters::bump(&sh.stats.shim_dropped);
-                return ProbeOutcome {
-                    delivered: false,
-                    rtt_us: 0.0,
-                };
+                Counters::bump(&self.stats.shim_dropped);
+                return LOST;
             }
         }
-        let Some(addr) = sh.addr_of(flow.dst) else {
-            Counters::bump(&sh.stats.send_errors);
-            return ProbeOutcome {
-                delivered: false,
-                rtt_us: 0.0,
-            };
+        let Some(addr) = self.addr_of(flow.dst) else {
+            Counters::bump(&self.stats.send_errors);
+            return LOST;
         };
-        // Every attempt is encoded into this one stack buffer: nothing on
-        // the send path allocates.
-        let mut wire = [0u8; PROBE_WIRE_SIZE];
-        for attempt in 0..sh.retry.attempts() {
-            if attempt > 0 {
-                Counters::bump(&sh.stats.retries);
-            }
-            // A fresh sequence number per attempt: an echo of an
-            // abandoned attempt can never complete this one.
-            let seq = sh.seq.fetch_add(1, Ordering::Relaxed);
-            let sent_mono = sh.clock.mono_us();
-            let sent_wall = sh.clock.wall_us();
-            encode_probe(
-                &ProbePacket {
-                    waypoint: tag.waypoint,
-                    flow,
-                    seq,
-                    path_id: tag.path_id,
-                    timestamp_us: sent_wall,
-                },
-                &mut wire,
-            );
-            sh.pending.register(seq, sent_mono, sent_wall);
-            let Some(socket) = sh.sockets.get(seq as usize % sh.sockets.len()) else {
-                sh.pending.cancel(seq);
-                break;
-            };
-            if socket.send_to(&wire, addr).is_err() {
-                sh.pending.cancel(seq);
-                Counters::bump(&sh.stats.send_errors);
-                continue;
-            }
-            Counters::bump(&sh.stats.sent);
-            let timeout = sh.retry.timeout_us(attempt);
-            let echo = sh
-                .pending
-                .await_echo(seq, timeout, sh.clock.as_ref())
-                // No echo inside the timeout: cancel, honoring one that
-                // raced the deadline and completed first.
-                .or_else(|| sh.pending.cancel(seq));
-            if let Some(echo) = echo {
-                Counters::bump(&sh.stats.delivered);
-                Counters::bump(if echo.kernel {
-                    &sh.stats.kernel_stamped
-                } else {
-                    &sh.stats.mono_stamped
-                });
-                return ProbeOutcome {
-                    delivered: true,
-                    rtt_us: echo.rtt_us,
-                };
-            }
-            Counters::bump(&sh.stats.timeouts);
-        }
-        ProbeOutcome {
-            delivered: false,
-            rtt_us: 0.0,
-        }
+        let Ok(mut socket) = self.take_socket() else {
+            Counters::bump(&self.stats.send_errors);
+            return LOST;
+        };
+        let outcome = self.probe_on(&mut socket, tag, flow, addr);
+        self.idle().push(socket);
+        outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Barrier;
+
+    use rand::SeedableRng;
+
     use super::*;
-    use crate::clock::ManualProbeClock;
+    use crate::clock::{HostClock, ManualProbeClock};
 
     const WALL0: u64 = 1_700_000_000_000_000;
+    const DPORT: u16 = 53_533;
 
     #[test]
     fn retry_policy_backs_off_and_caps() {
@@ -639,118 +595,234 @@ mod tests {
 
     #[test]
     fn pending_prefers_kernel_stamp() {
-        let t = PendingTable::new();
-        t.register(7, 1_000, WALL0);
-        let out = t.complete(7, Some(WALL0 + 450), 999_999);
-        assert_eq!(out, EchoOutcome::Matched { kernel: true });
-        let clock = ManualProbeClock::starting_at(WALL0);
         assert_eq!(
-            t.await_echo(7, 0, &clock),
-            Some(Echo {
+            stamp_echo(1_000, WALL0, Some(WALL0 + 450), 999_999),
+            Echo {
                 rtt_us: 450.0,
                 kernel: true
-            })
+            }
         );
-        assert_eq!(t.in_flight(), 0, "successful await consumes the slot");
     }
 
     #[test]
     fn pending_falls_back_to_mono_when_wall_steps_back() {
         // An NTP step put the kernel stamp *behind* the send stamp; the
         // monotonic difference must be used instead.
-        let t = PendingTable::new();
-        t.register(8, 2_000, WALL0);
-        let out = t.complete(8, Some(WALL0 - 1), 2_700);
-        assert_eq!(out, EchoOutcome::Matched { kernel: false });
-        let clock = ManualProbeClock::default();
         assert_eq!(
-            t.await_echo(8, 0, &clock),
-            Some(Echo {
+            stamp_echo(2_000, WALL0, Some(WALL0 - 1), 2_700),
+            Echo {
                 rtt_us: 700.0,
                 kernel: false
-            })
+            }
         );
     }
 
     #[test]
     fn pending_falls_back_to_mono_without_kernel_stamp() {
-        let t = PendingTable::new();
-        t.register(9, 5_000, WALL0);
         assert_eq!(
-            t.complete(9, None, 6_250),
-            EchoOutcome::Matched { kernel: false }
-        );
-        let clock = ManualProbeClock::default();
-        assert_eq!(
-            t.await_echo(9, 0, &clock),
-            Some(Echo {
+            stamp_echo(5_000, WALL0, None, 6_250),
+            Echo {
                 rtt_us: 1_250.0,
                 kernel: false
-            })
+            }
         );
     }
 
-    #[test]
-    fn late_echo_after_cancel_is_unknown_and_cannot_double_count() {
-        let t = PendingTable::new();
-        t.register(10, 0, WALL0);
-        // The prober times out and cancels before any echo.
-        assert_eq!(t.cancel(10), None);
-        // The echo then straggles in: it must match nothing.
-        assert_eq!(t.complete(10, Some(WALL0 + 5), 100), EchoOutcome::Unknown);
-        assert_eq!(t.in_flight(), 0);
+    fn loopback_socket() -> ProbeSocket {
+        ProbeSocket {
+            socket: UdpSocket::bind("127.0.0.1:0").unwrap(),
+            armed_us: 0,
+        }
     }
 
-    #[test]
-    fn duplicate_echo_is_flagged() {
-        let t = PendingTable::new();
-        t.register(11, 0, WALL0);
-        assert_eq!(
-            t.complete(11, Some(WALL0 + 10), 10),
-            EchoOutcome::Matched { kernel: true }
+    /// A well-formed echo datagram carrying `seq`.
+    fn echo_datagram(seq: u32) -> [u8; PROBE_WIRE_SIZE] {
+        let mut wire = [0u8; PROBE_WIRE_SIZE];
+        encode_probe(
+            &ProbePacket {
+                waypoint: 0,
+                flow: FlowKey::udp(2, 1, DPORT, 33_000),
+                seq,
+                path_id: 0,
+                timestamp_us: 0,
+            },
+            &mut wire,
         );
-        assert_eq!(t.complete(11, Some(WALL0 + 12), 12), EchoOutcome::Duplicate);
-        let clock = ManualProbeClock::default();
-        assert_eq!(
-            t.await_echo(11, 0, &clock),
-            Some(Echo {
-                rtt_us: 10.0,
-                kernel: true
-            }),
-            "first RTT kept"
-        );
-    }
-
-    #[test]
-    fn cancel_honors_racing_completion() {
-        let t = PendingTable::new();
-        t.register(12, 100, WALL0);
-        assert_eq!(
-            t.complete(12, None, 350),
-            EchoOutcome::Matched { kernel: false }
-        );
-        // Timeout path: await gave up, but cancel finds the RTT.
-        assert_eq!(
-            t.cancel(12),
-            Some(Echo {
-                rtt_us: 250.0,
-                kernel: false
-            })
-        );
-        assert_eq!(t.complete(12, None, 400), EchoOutcome::Unknown);
+        wire
     }
 
     #[test]
     fn await_echo_times_out_on_a_manual_clock() {
-        let t = PendingTable::new();
+        let mut sock = loopback_socket();
         let clock = ManualProbeClock::default();
+        let stats = Counters::default();
         clock.advance_us(50);
-        t.register(13, 50, WALL0);
-        // Deadline = 50 + 0 → immediate timeout; the slot stays for
-        // cancel().
-        assert_eq!(t.await_echo(13, 0, &clock), None);
-        assert_eq!(t.in_flight(), 1);
-        assert_eq!(t.cancel(13), None);
+        let mut attempt = Attempt {
+            seq: 13,
+            sent_mono_us: 50,
+            sent_wall_us: WALL0,
+            timeout_us: 0,
+        };
+        // Deadline = 50 + 0: no read is made at all.
+        assert_eq!(sock.await_echo(&attempt, &clock, &stats), None);
+        assert_eq!(sock.armed_us, 0, "a spent deadline arms nothing");
+        // The clock, not the socket, ends the wait: one 1 ms read times
+        // out, and the manual clock already stands past the deadline.
+        attempt.timeout_us = 1_000;
+        clock.advance_us(5_000);
+        assert_eq!(sock.await_echo(&attempt, &clock, &stats), None);
+        assert_eq!(sock.armed_us, 1_000);
+        assert_eq!(stats.snapshot(), UdpStats::default());
+    }
+
+    /// A probe clock whose monotonic reading advances by `step` per read.
+    struct Ticking {
+        mono: AtomicU64,
+        step: u64,
+    }
+
+    impl ProbeClock for Ticking {
+        fn mono_us(&self) -> u64 {
+            self.mono.fetch_add(self.step, Ordering::SeqCst) + self.step
+        }
+
+        fn wall_us(&self) -> u64 {
+            WALL0
+        }
+    }
+
+    #[test]
+    fn a_late_echo_resumes_the_read_on_the_remaining_time() {
+        let mut sock = loopback_socket();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.send_to(&echo_datagram(3), sock.socket.local_addr().unwrap())
+            .unwrap();
+        let clock = Ticking {
+            mono: AtomicU64::new(0),
+            step: 1_200,
+        };
+        let stats = Counters::default();
+        let attempt = Attempt {
+            seq: 4,
+            sent_mono_us: 0,
+            sent_wall_us: WALL0,
+            timeout_us: 2_000,
+        };
+        // Read 1 takes the stale echo at t = 1 200; read 2 waits exactly
+        // the 800 µs left, after which the clock reads 2 400 ≥ 2 000.
+        assert_eq!(sock.await_echo(&attempt, &clock, &stats), None);
+        assert_eq!(sock.armed_us, 800);
+        assert_eq!(stats.snapshot().late_echoes, 1);
+        assert_eq!(clock.mono.load(Ordering::SeqCst), 2_400, "two reads");
+    }
+
+    fn empty_route() -> Route {
+        Route {
+            nodes: vec![],
+            links: vec![],
+        }
+    }
+
+    /// Patient enough that a descheduled responder on a busy host is a
+    /// slow echo, not a retry: the counters the tests read stay exact.
+    fn patient(sockets: usize) -> UdpConfig {
+        UdpConfig {
+            sockets,
+            retry: RetryPolicy {
+                attempt_timeout_us: 2_000_000,
+                max_timeout_us: 2_000_000,
+                ..RetryPolicy::default()
+            },
+            ..UdpConfig::default()
+        }
+    }
+
+    /// The idle socket the next probe takes.
+    fn idle_addr(plane: &UdpDataPlane) -> SocketAddr {
+        plane.idle().last().unwrap().socket.local_addr().unwrap()
+    }
+
+    fn pooled(plane: &UdpDataPlane) -> usize {
+        plane.idle().len()
+    }
+
+    fn probe(plane: &UdpDataPlane, rng: &mut SmallRng) -> ProbeOutcome {
+        plane.probe(&empty_route(), FlowKey::udp(1, 2, 33_000, DPORT), rng)
+    }
+
+    #[test]
+    fn stale_echo_is_counted_late_and_cannot_double_count() {
+        let harness = UdpHarness::spawn(1, DPORT, Arc::new(HostClock::new())).unwrap();
+        let plane = harness.dataplane(&patient(1), None).unwrap();
+        // An echo of an attempt abandoned long ago waits in the socket.
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.send_to(&echo_datagram(u32::MAX), idle_addr(&plane))
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(1);
+        assert!(probe(&plane, &mut rng).delivered);
+        let stats = plane.stats();
+        assert_eq!(stats.late_echoes, 1);
+        assert_eq!((stats.sent, stats.delivered), (1, 1));
+        assert_eq!((stats.timeouts, stats.decode_errors), (0, 0));
+    }
+
+    #[test]
+    fn duplicate_echo_is_flagged() {
+        let harness = UdpHarness::spawn(1, DPORT, Arc::new(HostClock::new())).unwrap();
+        let plane = harness.dataplane(&patient(1), None).unwrap();
+        let mut rng = SmallRng::seed_from_u64(2);
+        assert!(probe(&plane, &mut rng).delivered);
+        // Attempt 0 is echoed a second time, after its probe completed.
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.send_to(&echo_datagram(0), idle_addr(&plane)).unwrap();
+        assert!(probe(&plane, &mut rng).delivered);
+        let stats = plane.stats();
+        assert_eq!(stats.late_echoes, 1);
+        assert_eq!((stats.sent, stats.delivered), (2, 2), "first RTT kept");
+        assert_eq!(stats.kernel_stamped + stats.mono_stamped, 2);
+    }
+
+    #[test]
+    fn the_pool_is_bounded_by_concurrency_not_by_traffic() {
+        const K: usize = 4;
+        let harness = UdpHarness::spawn(2, DPORT, Arc::new(HostClock::new())).unwrap();
+        let plane = harness.dataplane(&patient(1), None).unwrap();
+        let start = Barrier::new(K);
+        std::thread::scope(|s| {
+            for t in 0..K {
+                let (plane, start) = (&plane, &start);
+                s.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(t as u64);
+                    start.wait();
+                    for _ in 0..25 {
+                        assert!(probe(plane, &mut rng).delivered);
+                    }
+                });
+            }
+        });
+        let peak = pooled(&plane);
+        assert!((1..=K).contains(&peak), "{peak} sockets for {K} probers");
+        let mut rng = SmallRng::seed_from_u64(9);
+        for _ in 0..1_000 {
+            assert!(probe(&plane, &mut rng).delivered);
+        }
+        assert_eq!(pooled(&plane), peak, "sequential probes bind nothing");
+        assert_eq!(plane.stats().delivered, (K * 25 + 1_000) as u64);
+    }
+
+    #[test]
+    fn connect_rejects_a_fixed_port() {
+        let cfg = UdpConfig {
+            sockets: 1,
+            bind: SocketAddr::from((Ipv4Addr::LOCALHOST, 40_000)),
+            ..UdpConfig::default()
+        };
+        let responder = [SocketAddr::from((Ipv4Addr::LOCALHOST, 9))];
+        let clock = Arc::new(ManualProbeClock::default());
+        let err = UdpDataPlane::connect(&responder, &cfg, None, clock)
+            .err()
+            .expect("a fixed port is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

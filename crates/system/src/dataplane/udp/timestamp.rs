@@ -1,10 +1,10 @@
 //! Kernel receive timestamps: `SO_TIMESTAMP` + `recvmsg` cmsg parsing.
 //!
 //! A userspace `recv` stamps an echo *after* the scheduler got around to
-//! waking the recv loop; the kernel's `SO_TIMESTAMP` ancillary data
-//! records when the datagram actually hit the socket, cutting scheduling
-//! jitter out of the RTT. The stamp lives in the CLOCK_REALTIME domain,
-//! so the sender's wall-clock send stamp
+//! waking the prober blocked on its socket; the kernel's `SO_TIMESTAMP`
+//! ancillary data records when the datagram actually hit the socket,
+//! cutting scheduling jitter out of the RTT. The stamp lives in the
+//! CLOCK_REALTIME domain, so the sender's wall-clock send stamp
 //! ([`ProbeClock::wall_us`](crate::clock::ProbeClock::wall_us))
 //! subtracts cleanly from it.
 //!
@@ -124,9 +124,14 @@ mod imp {
             msg_controllen: control.len(),
             msg_flags: 0,
         };
-        // SAFETY: every pointer in `hdr` refers to a live local (`buf`,
-        // `iov`, `control`) for the whole call; lengths match the
-        // buffers they describe.
+        // SAFETY: the fd is live for the call (borrowed from `socket`).
+        // Every pointer in `hdr` refers to memory that outlives the call
+        // and that nothing else touches during it: `iov` and `control`
+        // are locals, and `buf` is the caller's exclusive borrow. Each
+        // length is exactly that of the buffer it describes, so the
+        // kernel writes at most `buf.len()` data and `control.len()`
+        // control bytes. No name buffer is passed (`msg_name` null,
+        // length 0).
         let n = unsafe { recvmsg(socket.as_raw_fd(), &mut hdr, 0) };
         if n < 0 {
             return Err(io::Error::last_os_error());
@@ -138,16 +143,20 @@ mod imp {
         ))
     }
 
+    const HDR: usize = core::mem::size_of::<CmsgHdr>();
+    const TV: usize = core::mem::size_of::<Timeval>();
+
     /// Extracts the `SCM_TIMESTAMP` timeval from the first control
-    /// message, if that is what the kernel attached.
+    /// message, if that is what the kernel attached. Takes any byte
+    /// slice — any length, any alignment — and never panics.
     fn parse_stamp(control: &[u8]) -> Option<u64> {
-        const HDR: usize = core::mem::size_of::<CmsgHdr>();
-        const TV: usize = core::mem::size_of::<Timeval>();
         if control.len() < HDR + TV {
             return None;
         }
-        // SAFETY: length checked above; read_unaligned tolerates the
-        // byte buffer's alignment.
+        // SAFETY: `control.len() >= HDR + TV` puts `HDR` readable bytes
+        // at its start. `read_unaligned` needs no alignment, so a slice
+        // starting at any address is fine, and every bit pattern is a
+        // valid `CmsgHdr` (plain integers).
         let cmsg: CmsgHdr = unsafe { core::ptr::read_unaligned(control.as_ptr().cast()) };
         if cmsg.cmsg_level != SOL_SOCKET
             || cmsg.cmsg_type != SO_TIMESTAMP
@@ -155,8 +164,9 @@ mod imp {
         {
             return None;
         }
-        // SAFETY: `control.len() >= HDR + TV` puts the whole timeval in
-        // bounds after the header.
+        // SAFETY: `control.len() >= HDR + TV` keeps `add(HDR)` inside the
+        // slice and the `TV` bytes after it readable; as above, no
+        // alignment is needed and any bit pattern is a valid `Timeval`.
         let tv: Timeval = unsafe { core::ptr::read_unaligned(control.as_ptr().add(HDR).cast()) };
         let sec = u64::try_from(tv.tv_sec).ok()?;
         let usec = u64::try_from(tv.tv_usec).ok()?;
@@ -165,7 +175,84 @@ mod imp {
 
     #[cfg(test)]
     mod tests {
+        use proptest::collection;
+        use proptest::prelude::*;
+
         use super::*;
+
+        /// Slack past a whole header + timeval: oversized buffers.
+        const SLACK: usize = 32;
+
+        /// `(level, type, cmsg_len)`: a matching header, or one that misses
+        /// on a field; `cmsg_len` below, at and far above `HDR + TV`.
+        fn header() -> impl Strategy<Value = (i32, i32, usize)> {
+            (
+                0u8..4,
+                0u8..4,
+                0u8..8,
+                0usize..2 * (HDR + TV),
+                i32::MIN..i32::MAX,
+            )
+                .prop_map(|(level, kind, len, short, noise)| {
+                    (
+                        if level == 0 { noise } else { SOL_SOCKET },
+                        if kind == 0 { noise ^ 1 } else { SO_TIMESTAMP },
+                        if len == 0 { usize::MAX } else { short },
+                    )
+                })
+        }
+
+        /// A kernel-shaped timeval, or one with a negative or saturating
+        /// field.
+        fn timeval() -> impl Strategy<Value = (i64, i64)> {
+            (0u8..8, 0i64..4_000_000_000, 0i64..1_000_000).prop_map(
+                |(pick, sec, usec)| match pick {
+                    0 => (-sec - 1, usec),
+                    1 => (sec, -usec - 1),
+                    2 => (i64::MAX, usec),
+                    _ => (sec, usec),
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// Truncated, oversized and misaligned control buffers over
+            /// random bytes: the walk never panics, and yields a stamp
+            /// exactly when a whole `SOL_SOCKET`/`SO_TIMESTAMP` header with
+            /// `cmsg_len >= HDR + TV` and its timeval are in bounds — then
+            /// the microseconds the timeval encodes (none before the epoch).
+            #[test]
+            fn parse_stamp_reads_any_control_buffer(
+                (level, kind, cmsg_len) in header(),
+                (tv_sec, tv_usec) in timeval(),
+                noise in collection::vec(0u16..256, (8 + HDR + TV + SLACK)..(9 + HDR + TV + SLACK)),
+                offset in 0usize..8,
+                len in 0usize..(HDR + TV + SLACK + 1),
+            ) {
+                let mut buf: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+                let cmsg = CmsgHdr { cmsg_len, cmsg_level: level, cmsg_type: kind };
+                let tv = Timeval { tv_sec, tv_usec };
+                // SAFETY (test): `buf` holds `8 + HDR + TV + SLACK` bytes and
+                // `offset < 8`, so both writes are in bounds.
+                unsafe {
+                    let at = buf.as_mut_ptr().add(offset);
+                    core::ptr::write_unaligned(at.cast(), cmsg);
+                    core::ptr::write_unaligned(at.add(HDR).cast(), tv);
+                }
+                let control = &buf[offset..offset + len];
+                let stamped = len >= HDR + TV
+                    && level == SOL_SOCKET
+                    && kind == SO_TIMESTAMP
+                    && cmsg_len >= HDR + TV;
+                let encoded = u64::try_from(tv_sec)
+                    .ok()
+                    .zip(u64::try_from(tv_usec).ok())
+                    .map(|(s, us)| s.saturating_mul(1_000_000).saturating_add(us));
+                prop_assert_eq!(parse_stamp(control), encoded.filter(|_| stamped));
+            }
+        }
 
         #[test]
         fn kernel_accepts_so_timestamp() {

@@ -1,14 +1,14 @@
 //! The probe wire path allocates nothing, pinned as a property a timing
-//! cannot gate: once the sockets, threads and pending table are warm, a
-//! delivered probe — encode on the caller's stack, `send`, the
-//! responder's validate + echo through its two loop-owned buffers, the
-//! recv loop's in-place decode, the condvar hand-off back — performs zero
-//! heap allocations in the whole process, and so does the codec on
-//! datagrams it rejects.
+//! cannot gate: once the socket pool and the responder threads are warm,
+//! a delivered probe — a socket taken from the pool, encode on the
+//! caller's stack, `send`, the responder's validate + echo through its
+//! two loop-owned buffers, the caller's own `recvmsg` and in-place
+//! decode, the socket handed back — performs zero heap allocations in
+//! the whole process, and so does the codec on datagrams it rejects.
 //!
 //! One `#[test]` in its own binary: the count is process-wide (the work
-//! spans the caller, the recv loop and the responder threads), so no
-//! sibling test may allocate while it is read.
+//! spans the caller and the responder threads), so no sibling test may
+//! allocate while it is read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
