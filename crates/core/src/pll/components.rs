@@ -11,14 +11,23 @@
 //! per window — so the components are exactly the window's independent
 //! localization subproblems, one job each.
 //!
-//! [`ComponentPll`] caches the skeleton (link→paths index, component
-//! partition, per-component candidate links with their hit ratios) under
-//! the reuse key **(observed path ids, lossy flags)**: a window with the
-//! same key as its predecessor only swaps the loss counters in — and
-//! returns the cached verdict outright when the counters are identical
-//! too. Any other window, and the first one after
-//! [`invalidate`](ComponentPll::invalidate) (new probe matrix: plan epoch
-//! change, cycle refresh), rebuilds the skeleton from scratch.
+//! So the localizer reads only the lossy observations. A candidate
+//! link's hit ratio is its lossy paths over its observed paths, and the
+//! caller hands over that denominator rather than the clean paths behind
+//! it: the diagnoser's walk has it as the plan's rows through the link
+//! minus the rows the window left unobserved. What a window costs here
+//! follows what was lost, not the fabric.
+//!
+//! [`ComponentPll`] caches the skeleton (link → lossy-paths index,
+//! component partition, per-component candidate links with their hit
+//! ratios) under the reuse key **(lossy path ids, candidate links'
+//! denominators)**: a window with the same key as its predecessor only
+//! swaps the loss counters in — and returns the cached verdict outright
+//! when the lossy observations are identical too. Clean paths' counters
+//! never move the verdict and are not part of the key. Any other window,
+//! and the first one after [`invalidate`](ComponentPll::invalidate) (new
+//! probe matrix: plan epoch change, cycle refresh), rebuilds the
+//! skeleton from scratch.
 //!
 //! # Why the merged cover equals the global greedy
 //!
@@ -48,6 +57,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use super::pll_impl::{greedy_scoped, index_links, Diagnosis, GreedyOutcome, SuspectLink};
+use super::preprocess::stays_lossy;
 use super::{preprocess, PllConfig};
 use crate::pmc::{JobPool, LinkIndex, ProbeMatrix};
 use crate::types::{LinkId, PathObservation};
@@ -69,9 +79,12 @@ struct Skeleton {
     cfg: PllConfig,
     /// The `num_links` of the matrix the skeleton was built against.
     universe: usize,
-    /// Link → indices into the observation vector (lossy and clean: the
-    /// lengths are the hit-ratio denominators).
+    /// Link → indices into the lossy observations (the lengths are the
+    /// hit-ratio numerators).
     link_paths: LinkIndex,
+    /// Every candidate link with its hit-ratio denominator, ascending by
+    /// link: the half of the reuse key the lossy path ids do not fix.
+    denominators: Vec<(LinkId, usize)>,
     /// The partition, ascending by smallest candidate link.
     comps: Vec<Component>,
     /// Lossy observations outside every component (path id does not
@@ -84,31 +97,31 @@ struct Skeleton {
 const NO_COMP: u32 = u32::MAX;
 
 impl Skeleton {
-    fn build(matrix: &ProbeMatrix, obs: &[PathObservation], cfg: PllConfig) -> Self {
-        let link_paths = index_links(matrix, obs);
+    /// The skeleton of a window's `lossy` observations, with
+    /// `observed_through(l)` observed paths through each candidate link.
+    fn build(
+        matrix: &ProbeMatrix,
+        lossy: &[PathObservation],
+        observed_through: &dyn Fn(LinkId) -> usize,
+        cfg: PllConfig,
+    ) -> Self {
+        let link_paths = index_links(matrix, lossy);
 
-        // One pass over the lossy observations: per-link lossy counts
-        // (hit-ratio numerators) and a union-find over link indices in
-        // which every lossy path is one clique. The smaller index becomes
-        // the root, so a component's root is its smallest link
-        // (deterministic partition order, matching `pmc::decompose`).
+        // A union-find over link indices in which every lossy path is one
+        // clique. The smaller index becomes the root, so a component's
+        // root is its smallest link (deterministic partition order,
+        // matching `pmc::decompose`).
         let num_links = link_paths.num_links();
-        let mut lossy_count: Vec<u32> = vec![0; num_links];
         let mut parent: Vec<u32> = (0..num_links as u32).collect();
         let mut anchored: Vec<(u32, u32)> = Vec::new();
         let mut stray: Vec<u32> = Vec::new();
-        for (oi, o) in obs.iter().enumerate().filter(|(_, o)| o.is_lossy()) {
+        for (oi, o) in lossy.iter().enumerate() {
             let links = matrix.path(o.path).map(|p| p.links()).unwrap_or_default();
             let Some((first, rest)) = links.split_first() else {
                 stray.push(oi as u32);
                 continue;
             };
             anchored.push((oi as u32, first.0));
-            for l in links {
-                if let Some(c) = lossy_count.get_mut(l.index()) {
-                    *c += 1;
-                }
-            }
             for l in rest {
                 union(&mut parent, first.0, l.0);
             }
@@ -118,10 +131,14 @@ impl Skeleton {
         // ascending order of smallest link and fill each hit list sorted.
         let mut comp_of_root: Vec<u32> = vec![NO_COMP; num_links];
         let mut comps: Vec<Component> = Vec::new();
-        for (li, (&lossy, paths)) in lossy_count.iter().zip(link_paths.runs()).enumerate() {
-            if lossy == 0 {
+        let mut denominators: Vec<(LinkId, usize)> = Vec::new();
+        for (li, paths) in link_paths.runs().enumerate() {
+            if paths.is_empty() {
                 continue;
             }
+            let link = LinkId(li as u32);
+            let observed = observed_through(link);
+            denominators.push((link, observed));
             let root = find(&mut parent, li as u32);
             let Some(slot) = comp_of_root.get_mut(root as usize) else {
                 continue;
@@ -131,8 +148,7 @@ impl Skeleton {
                 comps.push(Component::default());
             }
             if let Some(c) = comps.get_mut(*slot as usize) {
-                c.hit
-                    .push((LinkId(li as u32), lossy as f64 / paths.len() as f64));
+                c.hit.push((link, paths.len() as f64 / observed as f64));
             }
         }
         for (oi, first) in anchored {
@@ -149,6 +165,7 @@ impl Skeleton {
             cfg,
             universe: matrix.num_links,
             link_paths,
+            denominators,
             comps,
             stray,
         }
@@ -159,7 +176,7 @@ impl Skeleton {
 /// run it on any thread (a [`JobPool`] worker, a scheduler's probe
 /// worker, inline) and hand the [`ComponentVerdict`] back to
 /// [`ComponentPll::complete`]. Jobs of one window share the skeleton and
-/// the window's observations; a job itself is a component index.
+/// the window's lossy observations; a job itself is a component index.
 #[derive(Clone, Debug)]
 pub struct ComponentJob {
     skeleton: Arc<Skeleton>,
@@ -232,7 +249,7 @@ pub struct ComponentPll {
     /// The cached skeleton; `None` before the first window and after
     /// [`invalidate`](ComponentPll::invalidate).
     skeleton: Option<Arc<Skeleton>>,
-    /// The latest window's pre-processed observations.
+    /// The latest window's lossy observations, noise filtered.
     obs: Arc<Vec<PathObservation>>,
     /// The latest window's verdict (for the unchanged-window shortcut).
     verdict: Diagnosis,
@@ -294,45 +311,58 @@ impl ComponentPll {
         (lossy as u64, s.comps.len() as u64)
     }
 
-    /// Localizes one window: [`prepare`](ComponentPll::prepare), every
-    /// job on up to `workers` threads ([`ComponentJob::run_all`]),
-    /// [`complete`](ComponentPll::complete). Produces exactly what
-    /// [`localize`](super::localize) would for the same inputs, for any
-    /// worker count.
+    /// Localizes one whole window: counts each link's observed paths
+    /// from `observations` themselves — what [`localize`](super::localize)
+    /// indexes — then [`prepare`](ComponentPll::prepare) over the lossy
+    /// ones, every job on up to `workers` threads
+    /// ([`ComponentJob::run_all`]), [`complete`](ComponentPll::complete).
+    /// Produces exactly what `localize` would for the same inputs, for
+    /// any worker count.
     pub fn localize(
         &mut self,
         matrix: &ProbeMatrix,
         observations: &[PathObservation],
         workers: usize,
     ) -> Diagnosis {
-        match self.prepare(matrix, observations) {
+        let observed = preprocess(observations, &self.cfg, &HashSet::new());
+        let through = index_links(matrix, &observed);
+        let lossy = observed.into_iter().filter(PathObservation::is_lossy);
+        match self.prepare(matrix, lossy.collect(), &|l| through.items(l).len()) {
             ComponentPlan::Ready(d) => d,
             ComponentPlan::Fanout(jobs) => self.complete(ComponentJob::run_all(&jobs, workers)),
         }
     }
 
-    /// Phase 1 of a window: preprocesses, reuses or rebuilds the cached
-    /// skeleton, and either finishes outright ([`ComponentPlan::Ready`])
-    /// or hands back the window's per-component jobs. Executing every job
-    /// (any threads, any order) and passing the verdicts to
+    /// Phase 1 of a window: noise-filters the window's `lossy`
+    /// observations in place, reuses or rebuilds the cached skeleton, and
+    /// either finishes outright ([`ComponentPlan::Ready`]) or hands back
+    /// the window's per-component jobs. Executing every job (any threads,
+    /// any order) and passing the verdicts to
     /// [`complete`](ComponentPll::complete) finishes the window. Do not
     /// interleave another `prepare` before the matching `complete`.
+    ///
+    /// `lossy` lists the window's observations with a probe lost, in the
+    /// window's order (ascending path id); clean ones may be left out, and
+    /// whatever the noise filter zeroes is dropped. `observed_through(l)`
+    /// is the hit ratio's denominator: the window's observations with a
+    /// probe sent whose path crosses link `l`, counted once per naming —
+    /// clean, noisy and lossy alike.
     pub fn prepare(
         &mut self,
         matrix: &ProbeMatrix,
-        observations: &[PathObservation],
+        mut lossy: Vec<PathObservation>,
+        observed_through: &dyn Fn(LinkId) -> usize,
     ) -> ComponentPlan {
-        let obs = preprocess(observations, &self.cfg, &HashSet::new());
-        let same_key = |prev: &[PathObservation]| {
-            prev.len() == obs.len()
-                && prev
-                    .iter()
-                    .zip(&obs)
-                    .all(|(p, o)| p.path == o.path && p.is_lossy() == o.is_lossy())
+        lossy.retain(|o| stays_lossy(o, &self.cfg));
+        let same_key = |s: &Skeleton| {
+            s.universe == matrix.num_links
+                && self.obs.len() == lossy.len()
+                && self.obs.iter().zip(&lossy).all(|(p, o)| p.path == o.path)
+                && (s.denominators.iter()).all(|&(l, n)| observed_through(l) == n)
         };
         let skeleton = match &self.skeleton {
-            Some(s) if s.universe == matrix.num_links && same_key(&self.obs) => {
-                if *self.obs == obs {
+            Some(s) if same_key(s) => {
+                if *self.obs == lossy {
                     self.reused_verdicts += 1;
                     return ComponentPlan::Ready(self.verdict.clone());
                 }
@@ -341,12 +371,12 @@ impl ComponentPll {
             }
             _ => {
                 self.full_rebuilds += 1;
-                let s = Arc::new(Skeleton::build(matrix, &obs, self.cfg));
+                let s = Arc::new(Skeleton::build(matrix, &lossy, observed_through, self.cfg));
                 self.skeleton = Some(Arc::clone(&s));
                 s
             }
         };
-        self.obs = Arc::new(obs);
+        self.obs = Arc::new(lossy);
 
         // No lossy observation that resolves to links (an all-healthy
         // window, typically): nothing to solve.
@@ -544,22 +574,23 @@ mod tests {
         let lossy = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
         let clean = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
         c.localize(&m, &lossy, 4);
-        let ComponentPlan::Ready(d) = c.prepare(&m, &clean) else {
+        // No candidate link, so no denominator is read.
+        let ComponentPlan::Ready(d) = c.prepare(&m, clean.clone(), &|_| 0) else {
             panic!("an all-healthy window has no jobs to run");
         };
         assert!(d.is_clean());
         assert_eq!(d, localize(&m, &clean, &cfg));
         assert_eq!(c.window_shape(), (0, 0));
-        // The lossy flags changed, so the clean window rebuilt (to an
-        // empty partition); a second clean window with other counters
-        // reuses that skeleton, a third identical one the verdict.
+        // The lossy set changed, so the clean window rebuilt (to an empty
+        // partition); every later clean window has the same empty lossy
+        // set, whatever its clean counters, and reuses the verdict.
         assert_eq!(c.full_rebuilds(), 2);
         let clean2 = obs(&[(0, 90, 0), (1, 100, 0), (2, 100, 0)]);
         assert!(c.localize(&m, &clean2, 4).is_clean());
         assert!(c.localize(&m, &clean2, 4).is_clean());
         assert_eq!(
             (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
-            (2, 1, 1)
+            (2, 0, 2)
         );
     }
 
@@ -633,15 +664,82 @@ mod tests {
         let mut c = pll();
         let base = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
         c.localize(&m, &base, 1);
-        // A path drops out of the window (e.g. its pinger went down); a
-        // lossy flag flips; the set comes back.
+        // A clean path off every candidate link drops out of the window
+        // (e.g. its pinger went down) and comes back: the key holds. A
+        // lossy path turns clean, and back: two rebuilds.
         let fewer = obs(&[(0, 100, 100), (1, 100, 100)]);
         let flipped = obs(&[(0, 100, 100), (1, 100, 0), (2, 100, 0)]);
         for w in [&fewer, &base, &flipped, &base] {
             assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
         }
-        assert_eq!(c.full_rebuilds(), 5);
-        assert_eq!(c.reused_skeletons() + c.reused_verdicts(), 0);
+        assert_eq!(
+            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
+            (3, 0, 2)
+        );
+    }
+
+    /// Links 0 and 1; link 0 carries three paths, link 1 one.
+    fn fan() -> ProbeMatrix {
+        let paths = vec![
+            ProbePath::from_links(0, vec![LinkId(0)]),
+            ProbePath::from_links(1, vec![LinkId(0)]),
+            ProbePath::from_links(2, vec![LinkId(0)]),
+            ProbePath::from_links(3, vec![LinkId(1)]),
+        ];
+        ProbeMatrix::from_paths(2, paths)
+    }
+
+    #[test]
+    fn an_unobserved_clean_path_through_a_candidate_link_rebuilds() {
+        // The lossy set stays {0, 1}, but clean path 2 through candidate
+        // link 0 goes unobserved: link 0's hit ratio goes 2/3 → 1.
+        let m = fan();
+        let cfg = PllConfig::default();
+        let mut c = pll();
+        let seen = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
+        let unseen = obs(&[(0, 100, 40), (1, 100, 40), (3, 100, 0)]);
+        let before = c.localize(&m, &seen, 1);
+        let after = c.localize(&m, &unseen, 1);
+        assert_eq!(before, localize(&m, &seen, &cfg));
+        assert_eq!(after, localize(&m, &unseen, &cfg));
+        assert_eq!(c.full_rebuilds(), 2);
+        let hit = |d: &Diagnosis| d.suspects.iter().map(|s| s.hit_ratio).collect::<Vec<_>>();
+        assert_eq!((hit(&before), hit(&after)), (vec![2.0 / 3.0], vec![1.0]));
+    }
+
+    #[test]
+    fn a_clean_paths_counters_leave_the_verdict_as_it_was() {
+        // Clean path 2 crosses candidate link 0; its counters, and clean
+        // path 3's, change between the windows.
+        let m = fan();
+        let cfg = PllConfig::default();
+        let mut c = pll();
+        let w1 = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
+        let w2 = obs(&[(0, 100, 40), (1, 100, 40), (2, 70, 0), (3, 90, 0)]);
+        for w in [&w1, &w2] {
+            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+        }
+        assert_eq!(
+            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
+            (1, 0, 1)
+        );
+    }
+
+    #[test]
+    fn a_clean_path_off_every_candidate_link_comes_and_goes_unnoticed() {
+        // Path 3 crosses only link 1, which no lossy path crosses.
+        let m = fan();
+        let cfg = PllConfig::default();
+        let mut c = pll();
+        let with = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
+        let without = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0)]);
+        for w in [&with, &without, &with] {
+            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+        }
+        assert_eq!(
+            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
+            (1, 0, 2)
+        );
     }
 
     #[test]

@@ -233,14 +233,15 @@ pub(super) struct GreedyOutcome {
 
 /// The greedy cover (Steps 3–5) over a pre-indexed window, restricted to
 /// a `scope` of observation indices: `obs` are the pre-processed
-/// observations, `link_paths` maps every link to its observed path
-/// indices, `hit` lists the candidate links with their hit ratios in
-/// ascending link order. Only the scope's observations seed the
-/// unexplained set and the remaining-loss budget. With every index in
-/// scope this is the classic global run ([`localize`]); with one
-/// connected component's lossy observations — and `hit` listing only that
-/// component's candidate links — it is exactly the greedy of the
-/// subproblem the component induces (see [`components`](super::components)).
+/// observations, `link_paths` maps every link to the indices of its
+/// observations (at least the lossy ones: clean ones never score), `hit`
+/// lists the candidate links with their hit ratios in ascending link
+/// order. Only the scope's observations seed the unexplained set and the
+/// remaining-loss budget. With every index in scope this is the classic
+/// global run ([`localize`]); with one connected component's lossy
+/// observations — and `hit` listing only that component's candidate
+/// links — it is exactly the greedy of the subproblem the component
+/// induces (see [`components`](super::components)).
 pub(super) fn greedy_scoped(
     obs: &[PathObservation],
     link_paths: &LinkIndex,

@@ -24,14 +24,25 @@ pub fn preprocess(
         if o.sent == 0 || excluded.contains(&o.path) {
             continue;
         }
-        let noisy_only = o.lost < cfg.min_loss_count || o.loss_ratio() < cfg.loss_ratio_filter;
         out.push(PathObservation {
             path: o.path,
             sent: o.sent,
-            lost: if noisy_only { 0 } else { o.lost },
+            lost: if is_noise(o, cfg) { 0 } else { o.lost },
         });
     }
     out
+}
+
+/// Whether `o`'s loss is below the noise thresholds, which [`preprocess`]
+/// normalizes to zero.
+fn is_noise(o: &PathObservation, cfg: &PllConfig) -> bool {
+    o.lost < cfg.min_loss_count || o.loss_ratio() < cfg.loss_ratio_filter
+}
+
+/// Whether `o` comes out of [`preprocess`] (without exclusions) lossy:
+/// something was sent, something was lost, and the loss is not noise.
+pub(super) fn stays_lossy(o: &PathObservation, cfg: &PllConfig) -> bool {
+    o.sent != 0 && o.lost != 0 && !is_noise(o, cfg)
 }
 
 #[cfg(test)]

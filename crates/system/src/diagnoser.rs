@@ -13,15 +13,16 @@
 //!
 //! Diagnosis is one path. One walk of the window's rows skips the
 //! pingers the watchdog excludes, sums the rest per matrix row, and
-//! emits only the paths that can influence the verdict: the lossy ones
-//! and every one sharing a link with them, found through the matrix's
-//! link → row incidence, which the diagnoser indexes once per matrix
-//! ([`ReportStore::window_kept`]). The window is aggregated once, where
-//! it is kept, with nothing to subtract or filter afterwards. Then it is
-//! localized through the cached-skeleton [`ComponentPll`] — one job per
-//! connected component of the lossy path/link incidence, run inline or
-//! on a scoped pool. It is exactly equivalent to plain `localize` over
-//! the unfiltered window.
+//! emits only the lossy paths ([`ReportStore::window_lossy`]). The clean
+//! paths reach PLL as one number a link, the hit ratio's denominator:
+//! the rows through the link in the matrix's link → row incidence, which
+//! the diagnoser indexes once per matrix, minus the rows the window left
+//! unobserved ([`RowSums::observed_through`]). The window is aggregated
+//! once, with nothing to subtract or filter afterwards. Then its lossy
+//! paths are localized through the cached-skeleton [`ComponentPll`] —
+//! one job per connected component of the lossy path/link incidence, run
+//! inline or on a scoped pool. It is exactly equivalent to plain
+//! `localize` over the whole window.
 
 use detector_core::pll::{
     classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, Diagnosis,
@@ -92,8 +93,9 @@ pub struct Diagnoser {
     matrix: ProbeMatrix,
     diag: DiagConfig,
     store: ReportStore,
-    /// The window walk's accumulator and the matrix's link → row
-    /// incidence, recycled across windows.
+    /// The window walk's accumulator, the matrix's link → row incidence
+    /// and the latest window's hit-ratio denominators, recycled across
+    /// windows.
     sums: RowSums,
     localizer: ComponentPll,
 }
@@ -147,18 +149,19 @@ impl Diagnoser {
     }
 
     /// Aggregates the window in one walk of its filed rows — pingers the
-    /// watchdog excludes skipped, only the paths that can influence the
-    /// verdict kept — and runs PLL over it. The result is
-    /// exactly `localize` over [`observations`](Diagnoser::observations),
+    /// watchdog excludes skipped, only the lossy paths emitted, each
+    /// link's observed-path count kept — and runs PLL over it. The result
+    /// is exactly `localize` over [`observations`](Diagnoser::observations),
     /// for any `DiagConfig::parallel_components`: the window's
     /// per-component jobs run through [`ComponentJob::run_all`] — inline
     /// at `1`, on a scoped pool above — and the merge is
     /// order-insensitive.
     pub fn diagnose(&mut self, window: u64, watchdog: &Watchdog) -> DiagnosisEvent {
         let excluded = |p| !watchdog.is_healthy(p);
-        let (kept, num_observations, reports) =
-            (self.store).window_kept(window, &self.matrix, &excluded, &mut self.sums);
-        let plan = self.localizer.prepare(&self.matrix, &kept);
+        let (lossy, num_observations, reports) =
+            (self.store).window_lossy(window, &self.matrix, &excluded, &mut self.sums);
+        let sums = &self.sums;
+        let plan = (self.localizer).prepare(&self.matrix, lossy, &|l| sums.observed_through(l));
         // The shape of the window's diagnosis work, for `DiagStats`: the
         // partition the localizer just prepared — a pure function of the
         // post-exclusion observations, so every driver reports the same

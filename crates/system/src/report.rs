@@ -32,13 +32,15 @@
 //! nothing is freed a retention period late.
 //!
 //! The log is also where a window is aggregated, once:
-//! [`ReportStore::window_kept`] walks its rows, skips excluded pingers,
-//! and sums the rest into a dense per-matrix-row [`RowSums`]. The links
-//! of the rows that ended lossy are marked, the rows through them flagged
-//! through the matrix's link → row incidence, and the read-out in
-//! ascending path id emits only the lossy and flagged rows — the paths
-//! that can move PLL's verdict. The accumulator, its flags and the
-//! incidence are recycled from one window to the next.
+//! [`ReportStore::window_lossy`] walks its rows, skips excluded pingers,
+//! and sums the rest into a dense per-matrix-row [`RowSums`]. The
+//! read-out in ascending path id emits only the lossy paths — PLL blames
+//! only links on them. Of the clean paths PLL reads one number a link,
+//! the hit ratio's denominator, and the walk keeps it without emitting
+//! them: the rows through the link in the matrix's link → row incidence,
+//! minus the rows the window left without a probe sent. Diagnosis costs
+//! what was lost, as a report does. The accumulator, the id table and
+//! the incidence are recycled from one window to the next.
 //!
 //! Every driver owns its diagnoser, so the store needs no lock for them.
 //! The `RwLock` is there because [`ReportStore::ingest`] takes `&self`:
@@ -53,7 +55,7 @@ use std::collections::HashMap;
 
 use detector_core::pll::FlowSample;
 use detector_core::pmc::{LinkIndex, ProbeMatrix};
-use detector_core::types::{NodeId, PathId, PathObservation};
+use detector_core::types::{LinkId, NodeId, PathId, PathObservation};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
@@ -279,62 +281,65 @@ impl Logs {
     }
 }
 
-/// The recycled state of [`ReportStore::window_kept`], fitted to one
-/// probe matrix: one `(sent, lost)` slot and one flag per row, the side
-/// list of ids the matrix cannot resolve, and the matrix's link → row
-/// incidence with a mark per link. [`new`](Self::new) and
-/// [`fit`](Self::fit) build the incidence — once per matrix, never per
-/// window — and between walks every slot, flag and mark is clear, so a
-/// walk allocates nothing but the `Vec` it returns.
+/// The recycled state of [`ReportStore::window_lossy`], fitted to one
+/// probe matrix: one `(sent, lost)` slot per row, the side list of ids
+/// the matrix cannot resolve, the matrix's `(path, row)` pairs ascending
+/// by id and its link → row incidence, and per link the rows the latest
+/// walk left unobserved. [`new`](Self::new) and [`fit`](Self::fit) build
+/// the id table and the incidence — once per matrix, never per window —
+/// and between walks every slot is clear.
 pub struct RowSums {
     links: LinkIndex,
+    by_id: Vec<(PathId, u32)>,
     rows: Vec<(u64, u64)>,
-    /// Rows through a link of a lossy row.
-    flagged: Vec<bool>,
-    /// Links of the incidence lying on a lossy row.
-    marked: Vec<bool>,
-    /// Rows whose `lost` became non-zero during the walk.
-    lossy: Vec<u32>,
     /// Ascending by path, one entry per id.
     strays: Vec<(PathId, (u64, u64))>,
-    /// At least the rows the current walk will keep: the `Vec`'s size.
-    kept: usize,
+    /// Per link of the incidence: rows through it that summed to no
+    /// probe sent in the latest walk, once per naming.
+    missing: Vec<u32>,
+    /// The latest walk's lossy observations, copied out at its end.
+    lossy: Vec<PathObservation>,
 }
 
 impl RowSums {
     /// State fitted to `matrix`.
     pub fn new(matrix: &ProbeMatrix) -> Self {
-        let links = matrix.link_rows();
-        Self {
-            rows: vec![(0, 0); matrix.num_paths()],
-            flagged: vec![false; matrix.num_paths()],
-            marked: vec![false; links.num_links()],
-            links,
-            lossy: Vec::new(),
+        let mut sums = Self {
+            links: LinkIndex::default(),
+            by_id: Vec::new(),
+            rows: Vec::new(),
             strays: Vec::new(),
-            kept: 0,
-        }
+            missing: Vec::new(),
+            lossy: Vec::new(),
+        };
+        sums.fit(matrix);
+        sums
     }
 
-    /// Refits to a new matrix: re-indexes its links and resizes the
-    /// slots, keeping their memory.
+    /// Refits to a new matrix: re-indexes its ids and links and resizes
+    /// the slots, keeping their memory.
     pub fn fit(&mut self, matrix: &ProbeMatrix) {
         self.links = matrix.link_rows();
+        self.by_id.clear();
+        (self.by_id).extend(matrix.rows_by_id().map(|(path, row)| (path, row as u32)));
         self.rows.resize(matrix.num_paths(), (0, 0));
-        self.flagged.resize(matrix.num_paths(), false);
-        self.marked.resize(self.links.num_links(), false);
+        self.missing.clear();
+        self.missing.resize(self.links.num_links(), 0);
+    }
+
+    /// The hit-ratio denominator of `link` for the latest walk: the rows
+    /// through it (once per naming) whose paths had a probe sent — what
+    /// `localize` indexes through the link over the whole window.
+    pub fn observed_through(&self, link: LinkId) -> usize {
+        let missing = self.missing.get(link.index()).copied().unwrap_or(0) as usize;
+        self.links.items(link).len().saturating_sub(missing)
     }
 
     /// Adds one row of a report to the slot of `row`, or of `path` on the
     /// side list when the matrix has no row for it.
     fn add(&mut self, row: Option<usize>, path: PathId, sent: u64, lost: u64) {
-        let slot = match row.and_then(|row| self.rows.get_mut(row).map(|slot| (row, slot))) {
-            Some((row, slot)) => {
-                if slot.1 == 0 && lost != 0 {
-                    self.lossy.push(row as u32);
-                }
-                slot
-            }
+        let slot = match row.and_then(|row| self.rows.get_mut(row)) {
+            Some(slot) => slot,
             None => {
                 let at = match self.strays.binary_search_by_key(&path, |&(p, _)| p) {
                     Ok(at) => at,
@@ -353,79 +358,52 @@ impl RowSums {
         *slot = (slot.0.wrapping_add(sent), slot.1.wrapping_add(lost));
     }
 
-    /// Flags every row through a link of a row that ended lossy: marks
-    /// each such link once and flags the rows the incidence lists for it,
-    /// then clears the marks and the lossy list.
-    fn flag_neighbours(&mut self, matrix: &ProbeMatrix) {
-        for &row in &self.lossy {
-            let Some(&(sent, lost)) = self.rows.get(row as usize) else {
-                continue;
-            };
-            // Lossy as the observation reads it: `lost` clamped to `sent`,
-            // and not wrapped back to zero.
-            if lost.min(sent) == 0 {
-                continue;
-            }
-            let links = matrix.paths.get(row as usize).map(|p| p.links());
-            let links = links.unwrap_or_default();
-            // Kept for its loss alone: no link flags it.
-            self.kept += usize::from(links.is_empty());
-            for l in links {
-                match self.marked.get_mut(l.index()) {
-                    Some(mark) if !*mark => *mark = true,
-                    _ => continue,
-                }
-                for &through in self.links.items(*l) {
-                    if let Some(flag) = self.flagged.get_mut(through as usize) {
-                        self.kept += usize::from(!*flag);
-                        *flag = true;
-                    }
-                }
-            }
-        }
-        for row in self.lossy.drain(..) {
-            let links = matrix.paths.get(row as usize).map(|p| p.links());
-            for l in links.unwrap_or_default() {
-                if let Some(mark) = self.marked.get_mut(l.index()) {
-                    *mark = false;
-                }
-            }
-        }
-    }
-
-    /// Reads the walk out in ascending path id — the matrix's rows by id
-    /// with the side list merged in — zeroing every slot and flag: each
-    /// path summing to anything but `(0, 0)` is counted, and kept when
-    /// lossy or flagged. Side-list ids have no links, so only the lossy
-    /// ones are kept.
-    fn drain_kept(&mut self, matrix: &ProbeMatrix) -> (Vec<PathObservation>, usize) {
-        let mut kept = Vec::with_capacity(std::mem::take(&mut self.kept) + self.strays.len());
+    /// Reads the walk out in ascending path id — the id table with the
+    /// side list merged in — zeroing every slot: each path summing to
+    /// anything but `(0, 0)` is counted, and emitted when lossy as its
+    /// observation reads it (`lost` clamped to `sent`, and not wrapped
+    /// back to zero). Every row summing to no probe sent adds one to the
+    /// missing count of each link it names.
+    fn drain_lossy(&mut self, matrix: &ProbeMatrix) -> (Vec<PathObservation>, usize) {
+        self.missing.fill(0);
         let mut observed = 0;
-        let mut read = |path, (sent, lost): (u64, u64), flagged: bool| {
+        let lossy = &mut self.lossy;
+        let mut read = |path, (sent, lost): (u64, u64)| {
             if (sent, lost) == (0, 0) {
                 return;
             }
             observed += 1;
-            let o = PathObservation::new(path, sent, lost);
-            if flagged || o.is_lossy() {
-                kept.push(o);
+            if lost.min(sent) > 0 {
+                lossy.push(PathObservation::new(path, sent, lost));
             }
         };
         let mut strays = self.strays.drain(..).peekable();
-        for (path, row) in matrix.rows_by_id() {
-            let (Some(slot), Some(flag)) = (self.rows.get_mut(row), self.flagged.get_mut(row))
-            else {
+        for &(path, row) in &self.by_id {
+            let Some(slot) = self.rows.get_mut(row as usize) else {
                 continue;
             };
             while let Some((stray, sums)) = strays.next_if(|&(p, _)| p < path) {
-                read(stray, sums, false);
+                read(stray, sums);
             }
-            read(path, std::mem::take(slot), std::mem::take(flag));
+            let sums = std::mem::take(slot);
+            read(path, sums);
+            if sums.0 == 0 {
+                let links = matrix.paths.get(row as usize).map(|p| p.links());
+                for l in links.unwrap_or_default() {
+                    if let Some(missing) = self.missing.get_mut(l.index()) {
+                        *missing += 1;
+                    }
+                }
+            }
         }
         for (stray, sums) in strays {
-            read(stray, sums, false);
+            read(stray, sums);
         }
-        (kept, observed)
+        // One allocation, of the exact size; the buffer stays for the
+        // next walk.
+        let out = self.lossy.clone();
+        self.lossy.clear();
+        (out, observed)
     }
 }
 
@@ -463,7 +441,7 @@ impl ReportStore {
     /// Aggregates one window's reports into per-path observations,
     /// skipping reports from `excluded` pingers (watchdog outliers) —
     /// the hash-and-sort aggregation the one walk
-    /// ([`window_kept`](Self::window_kept)) is tested against.
+    /// ([`window_lossy`](Self::window_lossy)) is tested against.
     pub fn window_observations(
         &self,
         window: u64,
@@ -489,20 +467,20 @@ impl ReportStore {
     /// The diagnosis input of a window in one walk of its rows: the
     /// reports of pingers not `excluded`, summed per path into `sums`'
     /// slot for the path's `matrix` row — ids the matrix cannot resolve
-    /// (stale pre-re-base ids, strays) on a short side list. Then the
-    /// links of every row that ended lossy are marked, and every row
-    /// through a marked link is flagged through the incidence. The
-    /// read-out by ascending path id keeps what can influence PLL's
-    /// verdict — the lossy paths and every flagged one — and counts every
-    /// path summing to anything but `(0, 0)`.
+    /// (stale pre-re-base ids, strays) on a short side list. The
+    /// read-out by ascending path id emits only the lossy paths, strays
+    /// included, and counts every path summing to anything but `(0, 0)`;
+    /// for the clean paths PLL reads one number a link, which `sums`
+    /// keeps ([`RowSums::observed_through`]): the plan's rows through the
+    /// link minus those the window saw no probe sent on.
     ///
-    /// Returns the kept observations, the observed-path count and how
-    /// many reports were summed: exactly `detector_ingest::prefilter`
-    /// over the whole window's sums, without building that window.
-    /// `sums` must be fitted to `matrix` ([`RowSums::new`],
-    /// [`RowSums::fit`]); nothing hashes and nothing sorts, and the
-    /// returned `Vec` is the walk's only allocation.
-    pub fn window_kept(
+    /// Returns the lossy observations, the observed-path count and how
+    /// many reports were summed: the whole window's sums filtered to
+    /// `lost.min(sent) > 0`, without building that window. `sums` must be
+    /// fitted to `matrix` ([`RowSums::new`], [`RowSums::fit`]); nothing
+    /// hashes and nothing sorts, and the returned `Vec` is the walk's
+    /// only allocation.
+    pub fn window_lossy(
         &self,
         window: u64,
         matrix: &ProbeMatrix,
@@ -517,9 +495,8 @@ impl ReportStore {
                 sums.add(matrix.row_of(r.path), r.path, r.sent, r.lost);
             }
         }
-        sums.flag_neighbours(matrix);
-        let (kept, observed) = sums.drain_kept(matrix);
-        (kept, observed, reports)
+        let (lossy, observed) = sums.drain_lossy(matrix);
+        (lossy, observed, reports)
     }
 
     /// The per-flow samples of a window over the paths selected by

@@ -36,8 +36,8 @@
 //!
 //! **The window as a hash-and-sort aggregation.**
 //! [`one_walk_sums_as_the_store_aggregation_does`] holds
-//! [`ReportStore::window_sums`] — the walk before it kept only what can
-//! move the verdict: one walk of the log's rows into a dense
+//! [`ReportStore::window_sums`] — the walk before it emitted only the
+//! lossy paths: one walk of the log's rows into a dense
 //! per-matrix-row accumulator, every observed path read out in ascending
 //! path id — against `window_observations` with its `(0, 0)` paths
 //! removed, whole `Vec`s compared, and its report count against the map
@@ -58,29 +58,33 @@
 //! d. the accumulator not reset between windows (`*slot` read instead of
 //!    `std::mem::take(slot)`) — a window reports an earlier walk's sums.
 //!
-//! **The kept window as the whole window, pre-filtered.**
-//! [`fused_walk_keeps_what_prefilter_keeps`] holds
-//! [`ReportStore::window_kept`] — the walk that flags the lossy rows'
-//! link neighbours through the matrix's incidence and emits only them —
-//! against `window_sums` piped through `detector_ingest::prefilter`:
-//! kept observations, observed-path count and report count, over the
-//! same segmented matrices with paths of one to three links, some beyond
-//! `num_links`, counters that wrap (a path's losses summing to exactly
-//! 2⁶⁴, or more losses than probes), exclusions, prunes and matrix swaps
-//! with one accumulator refitted at each swap. Each mutation below was
-//! applied to `report.rs` by hand and the property failed on it:
+//! **The lossy walk as the whole window, filtered and counted.**
+//! [`lossy_walk_emits_the_lossy_sums_and_counts_what_each_link_observed`]
+//! holds [`ReportStore::window_lossy`] — the walk that emits only the
+//! lossy paths and keeps, per link, the rows it left without a probe
+//! sent — against `window_sums`: the emitted observations against its
+//! paths with `lost.min(sent) > 0`, the observed-path and report counts
+//! against its own, and every link's `RowSums::observed_through` against
+//! a naive count of its rows with `sent != 0` through the link. It runs
+//! over the same segmented matrices with paths of one to three links,
+//! some beyond `num_links`, counters that wrap (a path's losses summing
+//! to exactly 2⁶⁴, or more losses than probes), strays, exclusions,
+//! prunes and matrix swaps with one accumulator refitted at each swap.
+//! Each mutation below was applied to `report.rs` by hand and the
+//! property failed on it:
 //!
-//! e. a row's flag not cleared by the read-out (`*flag` read instead of
-//!    `std::mem::take(flag)`) — a later window keeps a clean path;
-//! f. the marks not cleared after flagging (the second loop of
-//!    `flag_neighbours` dropped) — a later window flags the neighbours
-//!    of an earlier window's lossy rows;
-//! g. lossiness read from the raw `lost` (`lost == 0` instead of
-//!    `lost.min(sent) == 0`) — a path losing more than it sent, which the
-//!    observation clamps to clean, flags its neighbours;
-//! h. a row recorded as lossy only on its first add (`slot == (0, 0)`
-//!    instead of `slot.1 == 0`) — a path whose first report was clean
-//!    never flags its neighbours.
+//! e. the missing counts not cleared between windows (the read-out's
+//!    `missing.fill(0)` dropped) — a link's denominator shrinks by an
+//!    earlier window's unobserved rows;
+//! f. a row that sent nothing but lost something counted as observed
+//!    (`sums == (0, 0)` instead of `sums.0 == 0` before counting it
+//!    missing) — a link's denominator counts a path `localize` drops;
+//! g. the read-out in row order (the matrix's rows, each with its path
+//!    id, instead of the id table) — a re-based cell's lossy paths come
+//!    out ahead of lower ids;
+//! h. a clean stray emitted (`read` also emitting every path the matrix
+//!    has no row for, `|| matrix.row_of(path).is_none()`) — an
+//!    unresolvable clean id reaches PLL.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -100,7 +104,6 @@ use crate::diagnoser::Diagnoser;
 use crate::pinger::{batch_seed, lossy_only, run_window_full_records, Pinger};
 use crate::watchdog::Watchdog;
 use crate::SystemConfig;
-use detector_ingest::prefilter;
 
 fn discipline(kind: u8, level: u8) -> LossDiscipline {
     match kind % 4 {
@@ -207,13 +210,13 @@ impl ReportStore {
             .collect()
     }
 
-    /// The one walk before it kept only what can move the verdict: the
-    /// reports of pingers not `excluded`, summed per path into `sums`'
-    /// slot for the path's `matrix` row — ids the matrix cannot resolve
-    /// on a short side list — then every path read out in ascending path
-    /// id, paths summing to `(0, 0)` left out, and with them how many
-    /// reports were summed. Piped through `prefilter`, it is the oracle
-    /// of [`window_kept`](Self::window_kept).
+    /// The one walk before it emitted only the lossy paths: the reports
+    /// of pingers not `excluded`, summed per path into `sums`' slot for
+    /// the path's `matrix` row — ids the matrix cannot resolve on a short
+    /// side list — then every path read out in ascending path id, paths
+    /// summing to `(0, 0)` left out, and with them how many reports were
+    /// summed. Filtered to its lossy paths, and counted per link, it is
+    /// the oracle of [`window_lossy`](Self::window_lossy).
     pub(crate) fn window_sums(
         &self,
         window: u64,
@@ -601,16 +604,20 @@ fn wrapping_report_over(pinger: u32, window: u64, pool: &[u32], seed: u64) -> Pi
     }
 }
 
+/// Links a [`cells_matrix`] path may name, and two past them.
+const LINKS: u32 = 15;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fused walk ≡ the whole window's sums through `prefilter`: the
-    /// kept observations in order, the observed-path count and the report
-    /// count — after every step, on every window, under every mask, with
-    /// one accumulator refitted at each matrix swap (see the module doc
-    /// for the mutations this kills).
+    /// The lossy walk ≡ the whole window's sums filtered to the lossy
+    /// paths, in order, with the observed-path and report counts — and
+    /// every link's denominator ≡ the summed rows through it that had a
+    /// probe sent, counted naively — after every step, on every window,
+    /// under every mask, with one accumulator refitted at each matrix
+    /// swap (see the module doc for the mutations this kills).
     #[test]
-    fn fused_walk_keeps_what_prefilter_keeps(
+    fn lossy_walk_emits_the_lossy_sums_and_counts_what_each_link_observed(
         cells_a in proptest::collection::vec((0u32..4, 0u32..40, 1u16..256), 1..5),
         cells_b in proptest::collection::vec((0u32..4, 0u32..40, 1u16..256), 1..5),
         steps in proptest::collection::vec((0u8..8, 0u32..5, 0u64..WINDOWS, 0u64..u64::MAX), 1..30),
@@ -635,13 +642,25 @@ proptest! {
             for w in 0..=WINDOWS {
                 for &mask in &masks {
                     let excluded = |p: NodeId| (mask >> p.0) & 1 == 1;
+                    let at = format!("step {step}, window {w}, mask {mask:#x}, matrix {installed}");
                     let (observed, reports) = store.window_sums(w, matrix, &excluded, &mut whole);
-                    let kept = prefilter(matrix, &observed, 0).observations;
+                    let lossy: Vec<PathObservation> = (observed.iter())
+                        .filter(|o| o.lost.min(o.sent) > 0)
+                        .copied()
+                        .collect();
                     prop_assert_eq!(
-                        store.window_kept(w, matrix, &excluded, &mut sums),
-                        (kept, observed.len(), reports),
-                        "step {}, window {}, mask {:#x}, matrix {}", step, w, mask, installed
+                        store.window_lossy(w, matrix, &excluded, &mut sums),
+                        (lossy, observed.len(), reports),
+                        "{}", &at
                     );
+                    for l in (0..LINKS).map(LinkId) {
+                        let through = (observed.iter())
+                            .filter(|o| o.sent != 0)
+                            .filter_map(|o| matrix.path(o.path))
+                            .map(|p| p.links().iter().filter(|&&x| x == l).count())
+                            .sum::<usize>();
+                        prop_assert_eq!(sums.observed_through(l), through, "{}, {}", &at, l);
+                    }
                 }
             }
         }
