@@ -406,11 +406,18 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// at most ten bytes, no bits beyond the 64th, no padding zero groups.
 #[inline(always)]
 fn take_varint(buf: &mut &[u8]) -> Result<u64, FrameError> {
-    // Most report fields (key deltas, per-flow counters) fit one byte.
-    match buf.split_first() {
-        Some((&b, rest)) if b < 0x80 => {
+    // Most report fields (key deltas, per-flow counters) fit one byte,
+    // and most of the rest (path counters) two: both decode inline. A
+    // zero second byte is padding, left to the long form to reject.
+    let bytes: &[u8] = buf;
+    match *bytes {
+        [b, ref rest @ ..] if b < 0x80 => {
             *buf = rest;
             Ok(u64::from(b))
+        }
+        [low, high, ref rest @ ..] if high < 0x80 && high != 0 => {
+            *buf = rest;
+            Ok(u64::from(low & 0x7F) | u64::from(high) << 7)
         }
         _ => take_long_varint(buf),
     }
@@ -561,8 +568,9 @@ fn take_count(buf: &mut &[u8], min_record: usize) -> Result<usize, FrameError> {
 /// ```
 ///
 /// The first key of a run is absolute; sport deltas restart with every
-/// path. A record is a flow that lost a probe; the flows probed without
-/// one are that count and nothing else. `#records` is the total over
+/// path. A record is a flow that lost a probe on a path that kept one; a
+/// path that lost every probe has none. The flows probed without a
+/// record are that count and nothing else. `#records` is the total over
 /// all paths, so the decoder sizes the flat flow run once. The in-rack
 /// total sums the probes of every in-rack responder.
 fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
@@ -617,6 +625,14 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
             .ok_or(FrameError::BadPayload(
                 "more flow records than flows probed",
             ))?;
+        // Every flow of such a path lost all it sent: the counters say
+        // it, and a record would only repeat them.
+        let all_lost = counters.sent > 0 && counters.lost == counters.sent;
+        if all_lost && own > 0 {
+            return Err(FrameError::BadPayload(
+                "records on a path that lost every probe",
+            ));
+        }
         let mut prev_flow: Option<(u16, u8)> = None;
         let (mut flow_sent, mut flow_lost) = (0u64, 0u64);
         for _ in 0..own {
@@ -644,10 +660,11 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
             });
         }
         // What lets the diagnoser rebuild the flows without a record by
-        // subtraction: the records' losses are the path's, and their
-        // probes leave at least one for each clean flow — none over when
-        // every flow has a record. Zero flows probed is a path reported
-        // without per-flow information: nothing to check.
+        // subtraction: the records' probes leave at least one for each
+        // flow without a record — none over when every flow has a
+        // record — and the records' losses are the path's, or the path
+        // lost every probe and has no record. Zero flows probed is a path
+        // reported without per-flow information: nothing to check.
         if probed > 0 {
             let fits = match flow_sent.checked_add(clean) {
                 Some(least) if clean == 0 => least == counters.sent,
@@ -657,7 +674,7 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
             if !fits {
                 return Err(FLOW_PROBES_DISAGREE);
             }
-            if flow_lost != counters.lost {
+            if !all_lost && flow_lost != counters.lost {
                 return Err(FrameError::BadPayload(
                     "flow losses disagree with the path's",
                 ));
@@ -728,14 +745,15 @@ mod tests {
                 (PathId(3), PathCounters { sent: 300, lost: 3 }),
                 (PathId(9), PathCounters { sent: 1, lost: 1 }),
             ],
-            // Path 3 probed a fourth flow, 25 times, and lost nothing on it.
+            // Path 3 probed a fourth flow, 25 times, and lost nothing on
+            // it. Path 9's one flow lost its one probe: the path's
+            // counters say so, and it has no record.
             flows_probed: vec![4, 1],
             in_rack: PathCounters { sent: 10, lost: 0 },
             flows: vec![
                 flow(3, 33000, 0, 150, 1),
                 flow(3, 33000, 46, 75, 1),
                 flow(3, 33001, 18, 50, 1),
-                flow(9, 40000, 0, 1, 1),
             ],
         }
     }
@@ -951,8 +969,9 @@ mod tests {
         // Path 3 twice (the second key is a zero delta).
         let path = [&path3(9, 0)[..], &[0, 0]].concat();
         bad_report(&[HEAD, &[2, 0], &path, &[0, 9, 0], &[0, 0], NO_RACK], why);
-        // The same (port, class) flow twice, then a class going backwards.
-        let two_flows = [&[1, 2][..], &path3(2, 2), &[2, 2], &[80, 46, 1, 1]].concat();
+        // The same (port, class) flow twice, then a class going backwards;
+        // a third flow kept the path's third probe.
+        let two_flows = [&[1, 2][..], &path3(3, 2), &[3, 2], &[80, 46, 1, 1]].concat();
         bad_report(&[HEAD, &two_flows, &[0, 46, 1, 1], NO_RACK], why);
         bad_report(&[HEAD, &two_flows, &[0, 18, 1, 1], NO_RACK], why);
         // A later port with a lower class is in order.
@@ -966,10 +985,10 @@ mod tests {
         // Path u32::MAX followed by a delta of one.
         let last = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0, 0, 0];
         bad_report(&[HEAD, &[2, 0], &last, &[1, 1, 0], &[0, 0], NO_RACK], why);
-        // Source port 65535 + 1.
+        // Source port 65535 + 1, beside a flow that lost nothing.
         let flows = [0xFF, 0xFF, 0x03, 0, 1, 1, 1, 0, 1, 1];
         bad_report(
-            &[HEAD, &[1, 2], &path3(2, 2), &[2, 2], &flows, NO_RACK],
+            &[HEAD, &[1, 2], &path3(3, 2), &[3, 2], &flows, NO_RACK],
             why,
         );
         // 2^32 flows probed on one path.
@@ -1036,6 +1055,17 @@ mod tests {
         // Zero flows probed is a path without per-flow information.
         let bare = [&path3(9, 1)[..], &[0, 0]].concat();
         assert!(Frame::decode(&report_frame(&[HEAD, &[1, 0], &bare, NO_RACK])).is_ok());
+        // A path that lost every probe is its count of flows and no
+        // record, each flow with a probe of its own ...
+        let dead = [&path3(9, 9)[..], &[3, 0]].concat();
+        assert!(Frame::decode(&report_frame(&[HEAD, &[1, 0], &dead, NO_RACK])).is_ok());
+        let crowded = [&path3(2, 2)[..], &[3, 0]].concat();
+        let why = "flow probes disagree with the path's";
+        bad(report_frame(&[HEAD, &[1, 0], &crowded, NO_RACK]), why);
+        // ... and a record on it is refused, even one that adds up.
+        let why = "records on a path that lost every probe";
+        bad(one(9, 9, 1, [9, 9]), why);
+        bad(one(9, 9, 2, [8, 8]), why);
     }
 
     #[test]
@@ -1054,6 +1084,17 @@ mod tests {
         // Window 4 spelled in two bytes: not what the encoder writes.
         let padded = [&[0x84, 0, 0, 0][..], NO_RACK].concat();
         bad_report(&[&HEAD[..4], &padded], "varint is zero-padded");
+        // Two-byte varints, the inline form: 0 padded, the smallest and
+        // the largest, and one cut at the end of the frame.
+        let zero = [&[0x80, 0, 0, 0][..], NO_RACK].concat();
+        bad_report(&[&HEAD[..4], &zero], "varint is zero-padded");
+        for (spelled, window) in [([0x80, 0x01], 128), ([0xFF, 0x7F], 16_383)] {
+            let body = [&spelled[..], &[0, 0], NO_RACK].concat();
+            let got = Frame::decode(&report_frame(&[&HEAD[..4], &body]));
+            assert!(matches!(got, Ok(Frame::Report(r)) if r.window == window));
+        }
+        let cut = report_frame(&[HEAD, &[0, 0], &[10, 0x80]]);
+        assert_eq!(Frame::decode(&cut), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -1084,8 +1125,9 @@ mod tests {
     fn a_report_breaking_its_invariants_does_not_decode() {
         // The fields are public, so nothing stops a caller from building
         // an unsorted report, a flow record without its path, a record of
-        // a flow that lost nothing or a count that forgets a flow; such a
-        // report must fail at the receiver instead of arriving altered.
+        // a flow that lost nothing, a count that forgets a flow or a
+        // record on a path that lost every probe; such a report must fail
+        // at the receiver instead of arriving altered.
         let mut unsorted = report();
         unsorted.paths.reverse();
         let mut orphan = report();
@@ -1098,6 +1140,14 @@ mod tests {
         short_count.flows_probed[0] = 2;
         let mut rack_overlost = report();
         rack_overlost.in_rack.lost = 11;
+        let mut dead_path_record = report();
+        dead_path_record.flows.push(FlowRecord {
+            path: PathId(9),
+            sport: 40000,
+            dscp: 0,
+            sent: 1,
+            lost: 1,
+        });
         let all = [
             unsorted,
             orphan,
@@ -1105,6 +1155,7 @@ mod tests {
             clean_record,
             short_count,
             rack_overlost,
+            dead_path_record,
         ];
         for bad in all {
             let got = Frame::decode(&Frame::Report(bad.clone()).encode());

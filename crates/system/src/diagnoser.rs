@@ -2,12 +2,12 @@
 //!
 //! Reports are filed as their window closes, in roster order, into the
 //! [`ReportStore`]: per retained window, each report's pinger, its
-//! `(path, flows_probed, sent, lost)` rows and its lossy flow records,
-//! as columns of a log that a pruned window hands to the next. The
-//! in-rack total is read before a report is filed and is not kept, and
-//! a report holds a flow record only where a probe was
-//! lost, so what the retained windows cost follows the paths and the
-//! loss, not the probing. The store's lock serves the benchmark's replay
+//! `(path, flows_probed, sent, lost)` rows and its flow records, as
+//! columns of a log that a pruned window hands to the next. The in-rack
+//! total is read before a report is filed and is not kept, and a report
+//! holds a flow record only where flows can differ — a flow that lost a
+//! probe on a path that kept one — so what the retained windows cost
+//! follows the paths and the partial loss, not the probing. The store's lock serves the benchmark's replay
 //! generator, which files reports through a shared reference (ROADMAP
 //! item 1(a)); the diagnoser itself owns the store.
 //!
@@ -195,9 +195,11 @@ impl Diagnoser {
     /// through the link. Each (pinger, path, flow) triple is one sample —
     /// a blackhole drops a flow on one path deterministically, so
     /// bimodality shows at that granularity. Reports record only the
-    /// flows that lost a probe; the store rebuilds the clean ones from
-    /// each path's flow count ([`ReportStore::flow_samples`]), and the
-    /// verdict is the one a record per flow would give.
+    /// flows that lost a probe on a path that kept one; the store
+    /// rebuilds the others from each path's flow count and counters
+    /// ([`ReportStore::flow_samples`]) — at rate 0, or at rate 1 where
+    /// the path lost every probe — and the verdict is the one a record
+    /// per flow would give.
     pub fn classify_suspect(
         &self,
         window: u64,

@@ -104,8 +104,8 @@ impl Pinger {
     /// rate, advancing the source port and QoS class every sweep,
     /// confirms each loss with [`SystemConfig::confirm_probes`]
     /// same-content re-probes, and aggregates counters. The report
-    /// keeps a flow record for each flow that lost a probe and, per path,
-    /// the number of flows probed.
+    /// keeps a flow record for each flow that lost a probe on a path
+    /// that kept one and, per path, the number of flows probed.
     pub fn run_window(
         &self,
         dataplane: &dyn DataPlane,
@@ -199,13 +199,19 @@ impl Pinger {
         });
         // Every probed path has a record per flow here, so the runs of
         // equal path ids line up with the probed keys reported below.
-        // The count is taken before the clean flows go: they travel as
-        // that number and nothing else.
-        let per_path = flows.chunk_by(|a, b| a.path == b.path);
-        report.flows_probed = per_path.map(|own| own.len() as u32).collect();
-        flows.retain(|f| f.lost > 0);
-        flows.shrink_to_fit();
-        report.flows = flows;
+        // The count is taken before any record goes: the flows without
+        // one travel as that number and nothing else. A path whose every
+        // flow lost all it sent keeps no record at all — its counters
+        // already give each flow's rate — and the others keep the flows
+        // that lost a probe.
+        let mut lossy = Vec::new();
+        for own in flows.chunk_by(|a, b| a.path == b.path) {
+            report.flows_probed.push(own.len() as u32);
+            if own.iter().any(|f| f.lost < f.sent) {
+                lossy.extend(own.iter().filter(|f| f.lost > 0));
+            }
+        }
+        report.flows = lossy;
         // A short window may not reach every entry: only probed paths report.
         report.in_rack = counters.pop().unwrap_or_default();
         report.paths = (self.path_keys.iter().copied())
@@ -391,12 +397,17 @@ pub(crate) fn run_window_full_records(
 }
 
 /// What a full-record report becomes on the lossy-only wire: each path's
-/// records counted, then the clean ones dropped.
+/// records counted, then the clean ones dropped, and with them every
+/// record of a path whose counters say it lost every probe.
 #[cfg(test)]
 pub(crate) fn lossy_only(mut full: PingerReport) -> PingerReport {
     let count = |pid| full.flows.iter().filter(|f| f.path == pid).count() as u32;
     full.flows_probed = full.paths.iter().map(|(pid, _)| count(*pid)).collect();
-    full.flows.retain(|f| f.lost > 0);
+    let dead: std::collections::HashSet<PathId> = (full.paths.iter())
+        .filter(|(_, c)| c.sent > 0 && c.lost == c.sent)
+        .map(|(pid, _)| *pid)
+        .collect();
+    full.flows.retain(|f| f.lost > 0 && !dead.contains(&f.path));
     full
 }
 

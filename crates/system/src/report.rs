@@ -11,19 +11,22 @@
 //! close half's probe count and the watchdog's "all lost" are all that
 //! reads them.
 //!
-//! A report costs what was lost, not what was probed: it carries a flow
-//! record only for a flow that lost a probe, and for every path the
-//! number of distinct flows probed on it. The flows without a record
-//! are clean by construction — `flows_probed − records` of them sharing
-//! the path's remaining probes at loss rate 0 — which is all loss
-//! classification reads of a clean flow, so [`ReportStore::flow_samples`]
-//! rebuilds them exactly and 21 retained windows hold no record of a
-//! quiet fabric's flows at all.
+//! A report costs what was lost, not what was probed: for every path it
+//! carries the number of distinct flows probed on it, and a flow record
+//! only where flows can differ — for a flow that lost a probe, on a path
+//! that kept one. The flows without a record are fixed by the path's
+//! counters: `flows_probed − records` of them share the path's remaining
+//! probes, at loss rate 0 on a path that kept a probe (they are clean by
+//! construction) and at rate 1 on a path that lost every probe (every
+//! flow lost everything). That is all loss classification reads of them,
+//! so [`ReportStore::flow_samples`] rebuilds them exactly, and 21
+//! retained windows hold no record of a quiet fabric's flows, nor of a
+//! dead link's.
 //!
 //! The store keeps what its queries read and nothing else. A window is
 //! one log of three columns in ingest order — per report its pinger and
 //! where its rows and records end, per path `(path, flows_probed, sent,
-//! lost)` in 24 bytes, and the lossy flow records — so filing a report
+//! lost)` in 24 bytes, and the flow records — so filing a report
 //! copies its columns and drops it while its three heap blocks are still
 //! hot for the next decode. The in-rack total is read before a report is
 //! filed (the close half's probe count) and is not kept. A pruned
@@ -99,9 +102,9 @@ impl FlowRecord {
 /// path has an entry in `paths`, and a path's records add up to its
 /// counters: at most `flows_probed` of them, their losses summing to the
 /// path's, their probes leaving at least one for every flow without a
-/// record. [`Pinger::run_window`] builds reports that way, the frame
-/// decoder rejects anything else, and a record breaking it is not
-/// representable on the wire.
+/// record; a path that lost every probe has none. [`Pinger::run_window`]
+/// builds reports that way, the frame decoder rejects anything else, and
+/// a record breaking it is not representable on the wire.
 ///
 /// [`Pinger::run_window`]: crate::Pinger::run_window
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -119,7 +122,8 @@ pub struct PingerReport {
     /// Counters of the in-rack probes (server–ToR links), summed over
     /// responders.
     pub in_rack: PathCounters,
-    /// The flows that lost a probe, ascending by [`FlowRecord::key`].
+    /// The flows that lost a probe on a path that kept one, ascending by
+    /// [`FlowRecord::key`].
     pub flows: Vec<FlowRecord>,
 }
 
@@ -141,7 +145,8 @@ impl PingerReport {
         padded.take(self.paths.len())
     }
 
-    /// The flow records of `path`: its flows that lost a probe.
+    /// The flow records of `path`: its flows that lost a probe, none if
+    /// it lost every probe.
     pub fn flows_of(&self, path: PathId) -> &[FlowRecord] {
         flows_of(&self.flows, path)
     }
@@ -502,10 +507,11 @@ impl ReportStore {
     /// The per-flow samples of a window over the paths selected by
     /// `keep_path`, excluding flagged pingers (classification input): one
     /// sample per flow record, and for each `(pinger, path)` the flows
-    /// probed without a record as clean samples sharing the path's
-    /// remaining probes. How those probes split among the clean flows is
-    /// not recorded and does not matter — `classify_loss` reads a flow's
-    /// rate, the flow count and the two sums — so every clean flow gets
+    /// probed without a record as samples sharing the path's remaining
+    /// probes — at loss rate 1 when the path lost every probe, at rate 0
+    /// otherwise. How those probes split among the rebuilt flows is not
+    /// recorded and does not matter — `classify_loss` reads a flow's
+    /// rate, the flow count and the two sums — so every rebuilt flow gets
     /// one and the first takes the rest.
     ///
     /// Samples stay apart per pinger: two pingers probing the same path
@@ -528,13 +534,18 @@ impl ReportStore {
                     let flow = u64::from(f.sport) | (u64::from(f.dscp) << 16);
                     samples.push(FlowSample::new(id(flow), f.sent, f.lost));
                 }
-                let clean_flows = u64::from(row.flows_probed).saturating_sub(lossy.len() as u64);
-                let clean_sent = row.sent.saturating_sub(lossy.iter().map(|f| f.sent).sum());
-                for i in 0..clean_flows {
-                    let rest = clean_sent.saturating_sub(clean_flows - 1);
-                    let sent = if i == 0 { rest } else { 1 };
+                let rebuilt = u64::from(row.flows_probed).saturating_sub(lossy.len() as u64);
+                let rest = row.sent.saturating_sub(lossy.iter().map(|f| f.sent).sum());
+                let all_lost = row.sent > 0 && row.lost == row.sent;
+                for i in 0..rebuilt {
+                    let sent = if i == 0 {
+                        rest.saturating_sub(rebuilt - 1)
+                    } else {
+                        1
+                    };
+                    let lost = if all_lost { sent } else { 0 };
                     // Past the 24 bits a record's port and class take.
-                    samples.push(FlowSample::new(id((i + 1) << 24), sent, 0));
+                    samples.push(FlowSample::new(id((i + 1) << 24), sent, lost));
                 }
             }
         }
@@ -626,6 +637,20 @@ mod tests {
         // flows included.
         assert!(store.flow_samples(0, &|_| true, &|_| true).is_empty());
         assert!(store.flow_samples(0, &|_| false, &|_| false).is_empty());
+    }
+
+    #[test]
+    fn a_path_that_lost_every_probe_rebuilds_its_flows_at_rate_one() {
+        // 30 probes over 4 flows, every one lost, and no record: the
+        // flows share the probes, each losing all it sent.
+        let mut r = report(1, 0, 7, 30, 30);
+        r.flows_probed = vec![4];
+        let store = ReportStore::new();
+        store.ingest(r);
+        let samples = store.flow_samples(0, &|_| false, &|_| true);
+        let mut counters: Vec<(u64, u64)> = samples.iter().map(|s| (s.sent, s.lost)).collect();
+        counters.sort_unstable();
+        assert_eq!(counters, vec![(1, 1), (1, 1), (1, 1), (27, 27)]);
     }
 
     #[test]

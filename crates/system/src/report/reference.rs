@@ -30,9 +30,9 @@
 //! the store's aggregation over such reports.
 //! [`lossy_only_reports_classify_as_full_records_do`] runs both
 //! generations side by side on the same fabric: the lossy-only
-//! report must be the full one with its clean records counted and
-//! removed, and `classify_suspect` must not be able to tell which store
-//! it reads.
+//! report must be the full one with its records counted and its clean
+//! records, and every record of a path that lost every probe, removed;
+//! and `classify_suspect` must not be able to tell which store it reads.
 //!
 //! **The window as a hash-and-sort aggregation.**
 //! [`one_walk_sums_as_the_store_aggregation_does`] holds
@@ -85,6 +85,26 @@
 //! h. a clean stray emitted (`read` also emitting every path the matrix
 //!    has no row for, `|| matrix.row_of(path).is_none()`) — an
 //!    unresolvable clean id reaches PLL.
+//!
+//! **A path that lost every probe as its flow count.** Such a path ships
+//! no flow record: the pinger keeps none, the decoder refuses any, and
+//! the store rebuilds its flows at loss rate 1. Each mutation below was
+//! applied by hand, on the layer named, and the tests named failed on it:
+//!
+//! i. an all-lost row's rebuilt flows sampled at `lost = 0`
+//!    (`ReportStore::flow_samples`' `all_lost` branch dropped) —
+//!    `lossy_only_reports_classify_as_full_records_do` classifies a full
+//!    loss differently, and `store_answers_as_the_map_of_reports_did`
+//!    disagrees with the map of reports;
+//! j. the pinger keeping records on an all-lost path (`run_window`'s
+//!    `any(|f| f.lost < f.sent)` test replaced by `true`) — the decoder
+//!    refuses its reports, so `pinger_reports_round_trip`
+//!    (`crates/agent/tests/frame_proptests.rs`) fails;
+//! k. the decoder accepting such records (`decode_report`'s "records on
+//!    a path that lost every probe" check dropped) — a record on a dead
+//!    path decodes, and the canonicality test
+//!    `a_report_breaking_its_invariants_does_not_decode`
+//!    (`crates/agent/src/frame.rs`) fails.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -345,10 +365,13 @@ impl MapStore {
                 }
                 let clean_flows = u64::from(probed).saturating_sub(lossy.len() as u64);
                 let clean_sent = c.sent.saturating_sub(lossy.iter().map(|f| f.sent).sum());
+                // A path that lost every probe lost all of each flow's.
+                let dead = c.sent > 0 && c.lost == c.sent;
                 for i in 0..clean_flows {
                     let rest = clean_sent.saturating_sub(clean_flows - 1);
                     let sent = if i == 0 { rest } else { 1 };
-                    samples.push(FlowSample::new(id((i + 1) << 24), sent, 0));
+                    let lost = if dead { sent } else { 0 };
+                    samples.push(FlowSample::new(id((i + 1) << 24), sent, lost));
                 }
             }
         }

@@ -4,7 +4,7 @@
 //! windows.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use detector::prelude::*;
@@ -34,14 +34,12 @@ fn window(ft: &Fattree, dep: &Deployment, plane: &dyn DataPlane, seed: u64) -> V
 /// where a delta or a counter passes 127, and a seventh to spare.
 const PER_RECORD: usize = 7;
 
-#[test]
-fn a_quiet_window_ships_no_flow_record_and_a_kilobyte_a_pinger() {
-    let ft = Arc::new(Fattree::new(32).unwrap());
-    let dep = deploy(&ft, &SystemConfig::default());
-    let fabric = Fabric::quiet(ft.as_ref());
-    let reports = window(&ft, &dep, &fabric, 7);
+/// The mean `Report` frame of a window of reports that carry no flow
+/// record, each frame held to `PER_RECORD` bytes a path record and 16
+/// for the rest.
+fn mean_frame(reports: &[PingerReport]) -> usize {
     let mut bytes = 0;
-    for report in &reports {
+    for report in reports {
         assert!(report.flows.is_empty(), "{:?}", report.flows.first());
         assert_eq!(report.flows_probed.len(), report.paths.len());
         assert!(report.flows_probed.iter().all(|&n| n > 0));
@@ -54,29 +52,63 @@ fn a_quiet_window_ships_no_flow_record_and_a_kilobyte_a_pinger() {
         );
         bytes += frame.len();
     }
+    bytes / reports.len()
+}
+
+#[test]
+fn a_quiet_window_ships_no_flow_record_and_a_kilobyte_a_pinger() {
+    let ft = Arc::new(Fattree::new(32).unwrap());
+    let dep = deploy(&ft, &SystemConfig::default());
+    let fabric = Fabric::quiet(ft.as_ref());
     // 698 pingers reporting 43 paths on average: 271 bytes a report, at
     // most 6 a path record.
-    let mean = bytes / reports.len();
+    let mean = mean_frame(&window(&ft, &dep, &fabric, 7));
     assert!((250..300).contains(&mean), "{mean} bytes a report");
 }
 
-/// A fabric that remembers, per flow of each pinger and path, whether a
-/// probe of it was lost, and counts each pinger's in-rack probes and all
-/// its probes — the pinger's bookkeeping, done from outside.
+#[test]
+fn a_storm_ships_no_flow_record_and_costs_what_a_quiet_window_does() {
+    let ft = Arc::new(Fattree::new(32).unwrap());
+    let dep = deploy(&ft, &SystemConfig::default());
+    // One dead uplink of every edge switch: 512 links losing every
+    // probe, so every path through one loses all its flows' probes and
+    // ships their count alone.
+    let mut fabric = Fabric::quiet(ft.as_ref());
+    let half = ft.half();
+    for pod in 0..ft.k() {
+        for edge in 0..half {
+            let uplink = ft.ea_link(pod, edge, (pod + edge) % half);
+            fabric.set_discipline_both(uplink, LossDiscipline::Full);
+        }
+    }
+    let reports = window(&ft, &dep, &fabric, 7);
+    let dead = (reports.iter())
+        .flat_map(|r| &r.paths)
+        .filter(|(_, c)| c.sent > 0 && c.lost == c.sent)
+        .count();
+    let paths: usize = reports.iter().map(|r| r.paths.len()).sum();
+    assert!(dead * 20 > paths, "{dead} of {paths} paths dead");
+    let mean = mean_frame(&reports);
+    assert!((250..300).contains(&mean), "{mean} bytes a report");
+}
+
+/// A fabric that counts, per flow of each pinger and path, the probes it
+/// sent and lost, and each pinger's in-rack probes and all its probes —
+/// the pinger's bookkeeping, done from outside.
 struct Recording<'a> {
     fabric: Fabric<'a>,
     timeout_us: f64,
-    /// `(pinger, path, sport, dscp)` → lost a probe.
-    flows: RefCell<BTreeMap<(u32, u32, u16, u8), bool>>,
+    /// `(pinger, path, sport, dscp)` → the flow's probes.
+    flows: RefCell<BTreeMap<(u32, u32, u16, u8), PathCounters>>,
     /// Pinger → its in-rack probes.
     in_rack: RefCell<BTreeMap<u32, PathCounters>>,
     /// Pinger → every `probe_tagged` call it made.
     calls: RefCell<BTreeMap<u32, PathCounters>>,
 }
 
-fn count(counters: &RefCell<BTreeMap<u32, PathCounters>>, pinger: u32, lost: bool) {
+fn count<K: Ord>(counters: &RefCell<BTreeMap<K, PathCounters>>, key: K, lost: bool) {
     let mut counters = counters.borrow_mut();
-    let c = counters.entry(pinger).or_default();
+    let c = counters.entry(key).or_default();
     c.sent += 1;
     c.lost += u64::from(lost);
 }
@@ -100,14 +132,14 @@ impl DataPlane for Recording<'_> {
             count(&self.in_rack, flow.src, lost);
         } else {
             let key = (flow.src, tag.path_id, flow.sport, flow.dscp);
-            *self.flows.borrow_mut().entry(key).or_default() |= lost;
+            count(&self.flows, key, lost);
         }
         out
     }
 }
 
 #[test]
-fn under_every_discipline_the_records_are_the_flows_that_lost_a_probe() {
+fn under_every_discipline_the_records_are_the_lossy_flows_of_paths_that_kept_a_probe() {
     let ft = Arc::new(Fattree::new(4).unwrap());
     let cfg = SystemConfig::default();
     let dep = deploy(&ft, &cfg);
@@ -167,10 +199,19 @@ fn under_every_discipline_the_records_are_the_flows_that_lost_a_probe() {
             all_lost += usize::from(r.all_lost());
         }
         let seen = plane.flows.into_inner();
-        let lossy: Vec<_> = (seen.iter().filter(|(_, &lost)| lost))
+        assert!(
+            seen.values().any(|c| c.lost > 0),
+            "{discipline:?} lost nothing"
+        );
+        // A `(pinger, path)` kept a probe when one of its flows did.
+        let kept: BTreeSet<(u32, u32)> = (seen.iter())
+            .filter(|(_, c)| c.lost < c.sent)
+            .map(|(k, _)| (k.0, k.1))
+            .collect();
+        let lossy: Vec<_> = (seen.iter())
+            .filter(|(k, c)| c.lost > 0 && kept.contains(&(k.0, k.1)))
             .map(|(&key, _)| key)
             .collect();
-        assert!(!lossy.is_empty(), "{discipline:?} lost nothing");
         let recorded: Vec<_> = (reports.iter())
             .flat_map(|r| {
                 r.flows
@@ -179,11 +220,21 @@ fn under_every_discipline_the_records_are_the_flows_that_lost_a_probe() {
             })
             .collect();
         assert_eq!(recorded, lossy, "{discipline:?}");
+        let mut dead_paths = 0;
         for r in &reports {
-            for ((pid, _), &probed) in r.paths.iter().zip(&r.flows_probed) {
+            for ((pid, c), &probed) in r.paths.iter().zip(&r.flows_probed) {
                 let on_path = |k: &&(u32, u32, u16, u8)| (k.0, k.1) == (r.pinger.0, pid.0);
                 assert_eq!(probed as usize, seen.keys().filter(on_path).count());
+                if c.lost == c.sent {
+                    // Its count of flows, and nothing else.
+                    assert!(probed > 0 && r.flows_of(*pid).is_empty(), "{discipline:?}");
+                    dead_paths += 1;
+                }
             }
+        }
+        // Under full loss every lossy path is a dead one.
+        if matches!(discipline, LossDiscipline::Full) {
+            assert!(recorded.is_empty() && dead_paths > 0, "{discipline:?}");
         }
     }
     assert_eq!(all_lost, 1, "only the pinger behind the dead server link");
