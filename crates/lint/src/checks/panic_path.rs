@@ -3,8 +3,8 @@
 //!
 //! The pipelined scheduler runs pingers on worker threads; a panic
 //! there is caught and surfaced as `PipelineError::Stage`, but a panic
-//! in the dispatch or diagnosis stage aborts the whole run — and with a
-//! bounded meta channel, a stage that dies while a peer blocks on
+//! in the dispatch or diagnosis stage aborts the whole run — and with
+//! bounded window slots, a stage that dies while a peer blocks on
 //! `send` turns a bug into a hang. Hot-path code therefore degrades
 //! gracefully (typed errors, `unwrap_or_else`, `let ... else`) and the
 //! provably-infallible remainder carries

@@ -126,20 +126,25 @@ impl Pinger {
         let full_sweeps = budget / entries.len() as u64;
         let partial = (budget % entries.len() as u64) as usize;
         let mut counters = vec![PathCounters::default(); self.path_keys.len() + 1];
-        // One record per scheduled path probe, merged per flow below.
-        let path_probes = |n| entries.iter().take(n).filter(|e| e.path.is_some()).count();
-        let mut flows = Vec::with_capacity(
-            full_sweeps as usize * path_probes(entries.len()) + path_probes(partial),
-        );
-        for sweep in 0..=full_sweeps {
+        // A flow's `(sport, dscp)` depends only on the sweep.
+        let key = |sweep: u64| {
             let sport = self
                 .list
                 .base_sport
                 .wrapping_add((sweep % u64::from(self.list.port_range.max(1))) as u16);
             // Cycle QoS classes so class-specific failures (e.g. a
-            // misconfigured priority queue) are exposed (§6.1).
+            // misconfigured priority queue) are exposed (§6.1); with none
+            // configured, probes keep `FlowKey::udp`'s class 0.
             let class = sweep as usize % cfg.dscp_classes.len().max(1);
-            let dscp = cfg.dscp_classes.get(class).copied();
+            (
+                sport,
+                cfg.dscp_classes.get(class).copied().unwrap_or_default(),
+            )
+        };
+        // `(slot, key, lost)` of each scheduled path probe that was lost.
+        let mut losses = Vec::new();
+        for sweep in 0..=full_sweeps {
+            let (sport, dscp) = key(sweep);
             let len = if sweep < full_sweeps {
                 entries.len()
             } else {
@@ -153,9 +158,7 @@ impl Pinger {
                     sport,
                     self.list.dport,
                 );
-                if let Some(dscp) = dscp {
-                    flow.dscp = dscp;
-                }
+                flow.dscp = dscp;
                 let tag = ProbeTag {
                     window,
                     path_id: entry.path.map_or(ProbeTag::IN_RACK, |p| p.0),
@@ -163,61 +166,78 @@ impl Pinger {
                 };
                 // detlint::allow(panic_path, reason = "bind() draws every slot from 0..=path_keys.len(), which sizes counters")
                 let counters = &mut counters[slot];
-                let lost = probe_once(dataplane, tag, route, flow, cfg, counters, rng);
-                let mut flow_sent = 1u64;
-                let mut flow_lost = u64::from(lost);
-                if lost {
+                if probe_once(dataplane, tag, route, flow, cfg, counters, rng) {
                     // Confirm the loss pattern with same-content re-probes
                     // (§3.1): deterministic drops stay lost, random drops may
                     // get through — exactly the signal the diagnoser wants.
+                    let mut lost = 1u64;
                     for _ in 0..cfg.confirm_probes {
-                        flow_sent += 1;
-                        flow_lost +=
+                        lost +=
                             u64::from(probe_once(dataplane, tag, route, flow, cfg, counters, rng));
                     }
-                }
-                // Per-flow counters feed the loss-type classifier (§7).
-                if let Some(path) = entry.path {
-                    flows.push(FlowRecord {
-                        path,
-                        sport: flow.sport,
-                        dscp: flow.dscp,
-                        sent: flow_sent,
-                        lost: flow_lost,
-                    });
+                    // Per-flow counters feed the loss-type classifier (§7).
+                    if entry.path.is_some() {
+                        losses.push((slot, (sport, dscp), lost));
+                    }
                 }
             }
         }
-        flows.sort_unstable_by_key(FlowRecord::key);
-        flows.dedup_by(|next, kept| {
-            let same = next.key() == kept.key();
-            if same {
-                kept.sent += next.sent;
-                kept.lost += next.lost;
-            }
-            same
-        });
-        // Every probed path has a record per flow here, so the runs of
-        // equal path ids line up with the probed keys reported below.
-        // The count is taken before any record goes: the flows without
-        // one travel as that number and nothing else. A path whose every
-        // flow lost all it sent keeps no record at all — its counters
-        // already give each flow's rate — and the others keep the flows
-        // that lost a probe.
-        let mut lossy = Vec::new();
-        for own in flows.chunk_by(|a, b| a.path == b.path) {
-            report.flows_probed.push(own.len() as u32);
-            if own.iter().any(|f| f.lost < f.sent) {
-                lossy.extend(own.iter().filter(|f| f.lost > 0));
+        // The flows a slot probed are the distinct keys among the sweeps
+        // that reached it: every full one, plus the partial one if one of
+        // the slot's entries lies before `partial`.
+        let mut keys: Vec<_> = (0..full_sweeps).map(key).collect();
+        keys.sort_unstable();
+        let times = |k| keys.partition_point(|x| *x <= k) - keys.partition_point(|x| *x < k);
+        let tail = key(full_sweeps);
+        let full_flows = keys.chunk_by(|a, b| a == b).count() as u32;
+        let tail_flows = full_flows + u32::from(times(tail) == 0);
+        let mut in_tail = vec![0u64; counters.len()];
+        for &slot in self.slots.iter().take(partial) {
+            if let Some(n) = in_tail.get_mut(slot) {
+                *n += 1;
             }
         }
-        report.flows = lossy;
-        // A short window may not reach every entry: only probed paths report.
-        report.in_rack = counters.pop().unwrap_or_default();
-        report.paths = (self.path_keys.iter().copied())
-            .zip(counters)
-            .filter(|(_, c)| c.sent > 0)
-            .collect();
+        // The flows without a record travel as that count and nothing
+        // else. A path whose every flow lost all it sent keeps no record
+        // at all — its counters already give each flow's rate — and the
+        // others keep the flows that lost a probe: each sent its scheduled
+        // probes plus `confirm_probes` for every one of them it lost.
+        losses.sort_unstable();
+        let mut rest = losses.as_slice();
+        report.paths.reserve(self.path_keys.len());
+        report.flows_probed.reserve(self.path_keys.len());
+        let bound = self.path_keys.iter().zip(&counters).zip(&in_tail);
+        for (slot, ((&path, &c), &in_tail)) in bound.enumerate() {
+            let (own, after) = rest.split_at(rest.partition_point(|l| l.0 == slot));
+            rest = after;
+            // A short window may not reach every entry: only probed paths
+            // report.
+            if c.sent == 0 {
+                continue;
+            }
+            report.paths.push((path, c));
+            let flows = if in_tail > 0 { tail_flows } else { full_flows };
+            report.flows_probed.push(flows);
+            if own.is_empty() || c.lost == c.sent {
+                continue;
+            }
+            let fan = self.slots.iter().filter(|&&s| s == slot).count() as u64;
+            for flow in own.chunk_by(|a, b| a.1 == b.1) {
+                let Some(&(_, (sport, dscp), _)) = flow.first() else {
+                    continue;
+                };
+                let scheduled =
+                    fan * times((sport, dscp)) as u64 + in_tail * u64::from((sport, dscp) == tail);
+                report.flows.push(FlowRecord {
+                    path,
+                    sport,
+                    dscp,
+                    sent: scheduled + u64::from(cfg.confirm_probes) * flow.len() as u64,
+                    lost: flow.iter().map(|l| l.2).sum(),
+                });
+            }
+        }
+        report.in_rack = counters.last().copied().unwrap_or_default();
         report
     }
 }
@@ -666,6 +686,13 @@ mod tests {
         assert!(!partial.bound_to(&list));
     }
 
+    /// `run_window` counts flows and rebuilds lossy flows' probe counts
+    /// from the sweeps instead of keeping a record per probe; this pins
+    /// it to the per-probe `HashMap` reference. Mutations it kills, each
+    /// applied on a scratch copy: "flows counted by sweep, not key"
+    /// (`flows_probed` = the number of sweeps that reached the path,
+    /// wrong once a key repeats) and "`sent` missing the confirmations"
+    /// (a lossy flow's `sent` = its scheduled probes only).
     #[test]
     fn slot_indexed_window_is_bit_identical_to_the_hashmap_reference() {
         let ft = Fattree::new(6).unwrap();
@@ -736,19 +763,22 @@ mod tests {
                 entries,
                 interval_us: 100_000,
                 base_sport: if case % 7 == 0 { u16::MAX - 1 } else { 33000 },
-                port_range: [0, 1, 2, 5, 16][draw.gen_range(0..5usize)],
+                // The last one is larger than any sweep count below.
+                port_range: [0, 1, 2, 5, 16, 1000][draw.gen_range(0..6usize)],
                 dport: 53533,
                 stamp: 0,
             };
             list.seal();
             let mut cfg = SystemConfig {
-                // Shorter than, equal to and longer than the port ranges.
+                // Shorter than, equal to and longer than the port ranges,
+                // and one that repeats a class.
                 dscp_classes: [
                     vec![],
                     vec![46],
                     vec![0, 18, 46],
                     vec![0, 8, 18, 26, 34, 46, 48],
-                ][draw.gen_range(0..4usize)]
+                    vec![0, 46, 0],
+                ][draw.gen_range(0..5usize)]
                 .clone(),
                 confirm_probes: draw.gen_range(0..4u32),
                 ..SystemConfig::default()

@@ -9,22 +9,23 @@
 //! the **pipelined schedule** of the one window protocol (the
 //! [`window`](crate::window) module): the plan half runs on the calling
 //! thread, the close half on a collector thread, and a window's
-//! [`Ticket`] crosses between them on a bounded channel while its
-//! batches cross a pool of probe workers:
+//! [`Ticket`] crosses between them on a channel while its batches cross
+//! a pool of probe workers:
 //!
 //! ```text
-//!             ┌────────────────────┐   WindowMeta (bounded, depth)
+//!             ┌────────────────────┐   WindowMeta
 //!  script ──▶ │  dispatch stage    │ ───────────────────────────────┐
-//!  (churn,    │  (caller thread)   │   BatchJob                     │
+//!  (churn,    │  (caller thread)   │   BatchJob (last one flagged)  │
 //!   health)   │  plan half: apply, │ ──────────────┐                ▼
-//!             │  open              │               ▼        ┌──────────────┐
+//!             │  take slot, open   │               ▼        ┌──────────────┐
 //!             └────────────────────┘      ┌──────────────┐  │ diagnosis    │
-//!                                         │ probe stage  │  │ stage        │
-//!                                         │ (N workers,  │  │ (1 thread)   │
-//!                                         │ PingerBatch) │─▶│ close half:  │
-//!                                         └──────────────┘  │ header,      │
-//!                                           report          │ close        │
-//!                                                           └──────────────┘
+//!                ▲          ▲             │ probe stage  │  │ stage        │
+//!                │          └── ready ─── │ (N workers,  │  │ (1 thread)   │
+//!                │     (last batch taken) │ PingerBatch) │─▶│ close half:  │
+//!                │                        └──────────────┘  │ header,      │
+//!                │                          report          │ close        │
+//!                │                                          └──────┬───────┘
+//!                └──────────── slot back (depth slots) ────────────┘
 //! ```
 //!
 //! * The **dispatch stage** (the calling thread) walks windows in order:
@@ -40,16 +41,34 @@
 //!   reports (stashing early arrivals from younger windows), and closes
 //!   it through the close half.
 //!
-//! Windows in flight are bounded by [`PipelineConfig::depth`] via the
-//! bounded meta channel, so a slow diagnosis stage back-pressures the
-//! dispatcher instead of letting probes run unboundedly ahead.
+//! **Admission.** A window opens only when the probe stage can start on
+//! it, and two things decide when that is:
+//!
+//! * *Slots.* [`PipelineConfig::depth`] bounds the windows opened and
+//!   not yet closed: the dispatcher takes one of `depth` slots right
+//!   before it opens a window and the diagnosis stage gives it back after
+//!   closing it, so a slow diagnosis stage back-pressures the dispatcher
+//!   instead of letting probes run unboundedly ahead. The meta channel
+//!   itself is unbounded; the slots bound it.
+//! * *The gate.* A window's last batch job is flagged, and the worker
+//!   that takes it signals the dispatcher before running it. The
+//!   dispatcher applies window N+1's actions and opens it only after
+//!   that signal, so N+1's batches queue behind N's tail rather than
+//!   behind all of N: the workers never starve, and a window is not
+//!   opened (and its clock started) long before any worker can probe it.
+//!   A window with no batches does not wait.
+//!
+//! Every failure keeps one exit: a dead diagnosis stage fails the slot
+//! (or meta) `send`, a probe stage with no worker left fails the gate's
+//! `recv`, and a panicking batch surfaces as [`PipelineError::Stage`].
 //!
 //! **Thread orchestration** comes in three shapes across `crates/`, and
 //! this is the first: the probe-worker channel above, which carries
 //! batches only. A window's per-component PLL jobs run where every
 //! driver runs them — inside `Diagnoser::diagnose`, on
 //! `JobPool::run_indexed` (the second shape, shared with the planner) —
-//! and the UDP plane's receive threads are the third.
+//! and the agent tier's in-process agents, one thread each serving a
+//! loopback transport, are the third.
 //!
 //! **Equivalence.** The pipelined run produces *exactly* the event
 //! stream and [`WindowResult`]s of driving [`Detector::step`] over the
@@ -99,9 +118,9 @@ pub struct PipelineConfig {
     /// Worker threads in the probe stage (each runs whole
     /// [`PingerBatch`]es). Clamped to ≥ 1.
     pub probe_workers: usize,
-    /// Maximum windows in flight across the stages (the bounded meta
-    /// channel's capacity). 1 degenerates to lock-step; ≥ 2 overlaps
-    /// window N's diagnosis with window N+1's probing. Clamped to ≥ 1.
+    /// Maximum windows in flight: windows opened and not yet closed.
+    /// 1 degenerates to lock-step; ≥ 2 overlaps window N's diagnosis
+    /// with window N+1's probing. Clamped to ≥ 1.
     pub depth: usize,
 }
 
@@ -162,6 +181,9 @@ struct BatchJob {
     /// it ([`batch_seed`](crate::batch_seed)), exactly as sequential `step` does.
     window_seed: u64,
     batch: Arc<PingerBatch>,
+    /// The window's last batch: the worker that takes it lets the
+    /// dispatcher open the next window.
+    last: bool,
 }
 
 /// What the dispatcher hands the diagnosis stage, in window order.
@@ -238,9 +260,13 @@ impl Detector {
 
         let (job_tx, job_rx) = channel::unbounded::<BatchJob>();
         let (done_tx, done_rx) = channel::unbounded::<Option<PingerReport>>();
-        // The bounded meta channel is the pipeline-depth regulator: the
-        // dispatcher blocks here once `depth` windows are in flight.
-        let (meta_tx, meta_rx) = channel::bounded::<WindowMeta>(depth);
+        // The slots are the pipeline-depth regulator: the dispatcher
+        // takes one before each open and blocks once `depth` windows are
+        // open; the diagnosis stage gives it back after the close.
+        let (slot_tx, slot_rx) = channel::bounded::<()>(depth);
+        let (meta_tx, meta_rx) = channel::unbounded::<WindowMeta>();
+        // The gate: a worker taking a window's last batch says so here.
+        let (ready_tx, ready_rx) = channel::unbounded::<()>();
 
         // The probe workers read the configuration while the dispatcher
         // mutates the plan half that owns it.
@@ -252,8 +278,14 @@ impl Detector {
             for _ in 0..workers {
                 let job_rx = job_rx.clone();
                 let done_tx = done_tx.clone();
+                let ready_tx = ready_tx.clone();
                 scope.spawn(move |_| {
                     while let Ok(job) = job_rx.recv() {
+                        if job.last {
+                            // Before the batch runs: the next window's
+                            // batches land while this one's tail probes.
+                            let _ = ready_tx.send(());
+                        }
                         // A panicking DataPlane must not strand the
                         // diagnosis stage waiting for a completion that
                         // will never come (the other workers would keep
@@ -275,6 +307,7 @@ impl Detector {
             // Keep disconnect tracking on the worker clones only.
             drop(job_rx);
             drop(done_tx);
+            drop(ready_tx);
 
             // Diagnosis stage.
             let collector = scope.spawn(move |_| -> Result<Vec<WindowResult>, PipelineError> {
@@ -320,6 +353,9 @@ impl Detector {
                         .map_err(|_| {
                             PipelineError::Stage("probe stage omitted a healthy pinger's report")
                         })?;
+                    // The window's slot, taken before its open; never
+                    // blocks.
+                    let _ = slot_rx.try_recv();
                     results.push(result);
                 }
                 Ok(results)
@@ -347,25 +383,38 @@ impl Detector {
                     break;
                 }
 
+                if slot_tx.send(()).is_err() {
+                    break; // Diagnosis stage is gone; surface its error below.
+                }
                 let ticket = plan.open(watchdog, dataplane, rng, &mut prune_bindings(bound));
-                let jobs: Vec<BatchJob> = batches(plan, &ticket, bound)
+                let mut jobs: Vec<BatchJob> = batches(plan, &ticket, bound)
                     .map(|batch| BatchJob {
                         window: ticket.window,
                         window_seed: ticket.seed,
                         batch,
+                        last: false,
                     })
                     .collect();
+                if let Some(job) = jobs.last_mut() {
+                    job.last = true;
+                }
+                let gated = !jobs.is_empty();
                 let meta = WindowMeta {
                     replanned,
                     window: Some((ticket, watchdog.clone())),
                 };
                 if meta_tx.send(meta).is_err() {
-                    break; // Diagnosis stage is gone; surface its error below.
+                    break;
                 }
                 for job in jobs {
                     if job_tx.send(job).is_err() {
                         break;
                     }
+                }
+                // The next window opens once a worker has taken this one's
+                // last batch; no worker left fails the wait.
+                if gated && ready_rx.recv().is_err() {
+                    break;
                 }
             }
 
@@ -575,6 +624,74 @@ mod tests {
         match res {
             Err(PipelineError::Stage(_)) => {}
             other => panic!("expected a stage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_windows_last_batch_errors_instead_of_hanging() {
+        // The worker taking a window's last batch signals the dispatcher
+        // before running it, so the dispatcher goes on to open the next
+        // window while that batch panics. The run must still end as a
+        // stage error, at every pool width and depth.
+        struct PanicsInLastBatch {
+            pinger: NodeId,
+        }
+        impl crate::DataPlane for PanicsInLastBatch {
+            fn probe(
+                &self,
+                _route: &detector_topology::Route,
+                _flow: detector_simnet::FlowKey,
+                _rng: &mut SmallRng,
+            ) -> crate::ProbeOutcome {
+                crate::ProbeOutcome {
+                    delivered: true,
+                    rtt_us: 50.0,
+                }
+            }
+
+            fn probe_tagged(
+                &self,
+                tag: crate::ProbeTag,
+                route: &detector_topology::Route,
+                flow: detector_simnet::FlowKey,
+                rng: &mut SmallRng,
+            ) -> crate::ProbeOutcome {
+                // Window 0 completes; window 1 dies in its last batch.
+                if tag.window == 1 && flow.src == self.pinger.0 {
+                    panic!("probe backend blew up");
+                }
+                self.probe(route, flow, rng)
+            }
+        }
+
+        let ft = Arc::new(Fattree::new(4).unwrap());
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // Silence expected worker panics.
+        let mut outcomes = Vec::new();
+        for (probe_workers, depth) in [(1, 1), (2, 2), (4, 3)] {
+            let mut run = detector(&ft, None);
+            // Batches ship in pinglist order: the last list is the last batch.
+            let pinger = run.pinglists().last().expect("a planned fabric").pinger;
+            let mut rng = SmallRng::seed_from_u64(3);
+            let pipeline = PipelineConfig {
+                probe_workers,
+                depth,
+            };
+            let res = run.run_pipelined(
+                &PanicsInLastBatch { pinger },
+                4,
+                &Script::new(),
+                &pipeline,
+                &mut rng,
+            );
+            outcomes.push((pipeline, res));
+        }
+        std::panic::set_hook(prev_hook);
+        for (pipeline, res) in outcomes {
+            assert!(
+                matches!(res, Err(PipelineError::Stage(_))),
+                "{pipeline:?}: expected a stage error, got {res:?}"
+            );
         }
     }
 }

@@ -9,8 +9,13 @@
 //! mid-run, a pinger dying and recovering, and controller cycle
 //! refreshes landing inside the run.
 //!
+//! It also counts the windows the pipelined run held open at once
+//! (opened and not yet closed, read off the data plane's window hooks)
+//! and asserts the peak never exceeds the configured depth.
+//!
 //! Run with: `cargo run --release --example pipelined_run`
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -18,6 +23,29 @@ use detector::prelude::*;
 use detector::system::{PipelineConfig, Script};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// The fabric, plus a count of the windows opened and not yet closed
+/// and the most of them seen at an open.
+struct InFlight<'a> {
+    fabric: &'a Fabric<'a>,
+    open: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl DataPlane for InFlight<'_> {
+    fn probe(&self, route: &Route, flow: FlowKey, rng: &mut SmallRng) -> ProbeOutcome {
+        self.fabric.probe(route, flow, rng)
+    }
+
+    fn window_started(&self, _window: u64, _start_s: u64) {
+        let open = self.open.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(open, Ordering::SeqCst);
+    }
+
+    fn window_finished(&self, _window: u64, _end_s: u64) {
+        self.open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 fn main() {
     let ft = Arc::new(Fattree::new(8).expect("valid radix"));
@@ -74,12 +102,23 @@ fn main() {
         .sink(Box::new(pipe_sink.clone()))
         .build()
         .expect("boot pipelined");
+    let plane = InFlight {
+        fabric: &fabric,
+        open: AtomicU64::new(0),
+        peak: AtomicU64::new(0),
+    };
     let mut rng = SmallRng::seed_from_u64(0xF00D);
     let t0 = Instant::now();
     let pipe_results = pipe
-        .run_pipelined(&fabric, windows, &script, &pipeline, &mut rng)
+        .run_pipelined(&plane, windows, &script, &pipeline, &mut rng)
         .expect("pipelined run");
     let pipe_elapsed = t0.elapsed();
+    let peak = plane.peak.load(Ordering::SeqCst);
+    assert!(
+        peak <= pipeline.depth as u64,
+        "{peak} windows in flight at depth {}",
+        pipeline.depth
+    );
 
     // The pipelined run is bit-equivalent to the oracle.
     assert_eq!(seq_results, pipe_results, "window results diverged");
@@ -126,5 +165,6 @@ fn main() {
         pipeline.depth,
         seq_elapsed.as_secs_f64() / pipe_elapsed.as_secs_f64(),
     );
+    println!("peak windows in flight: {peak} (depth {})", pipeline.depth);
     println!("\nOK: pipelined run identical to the sequential oracle.");
 }

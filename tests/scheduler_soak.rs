@@ -11,9 +11,15 @@
 //! same machinery at CI scale — Fattree(4), 48 windows — in the normal
 //! test job.
 //!
+//! `depth_bounds_windows_in_flight` and its loopback-UDP twin
+//! `depth_bounds_windows_in_flight_udp` pin the admission contract:
+//! across depths and pool widths, no window opens while `depth` others
+//! are open and not yet closed. Neither asserts any timing.
+//!
 //! Run the full soak with:
 //! `cargo test --release --test scheduler_soak -- --ignored`
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use detector::prelude::*;
@@ -262,6 +268,108 @@ fn udp_soak_fast_mode() {
         },
         150,
     );
+}
+
+/// A data plane that counts the windows opened and not yet closed
+/// (`window_started` − `window_finished`) and keeps the most it saw at
+/// an open.
+struct InFlight<P> {
+    inner: P,
+    open: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl<P> InFlight<P> {
+    fn new(inner: P) -> Self {
+        Self {
+            inner,
+            open: AtomicU64::new(0),
+            peak: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<P: DataPlane> DataPlane for InFlight<P> {
+    fn probe(&self, route: &Route, flow: FlowKey, rng: &mut SmallRng) -> ProbeOutcome {
+        self.inner.probe(route, flow, rng)
+    }
+
+    fn probe_tagged(
+        &self,
+        tag: ProbeTag,
+        route: &Route,
+        flow: FlowKey,
+        rng: &mut SmallRng,
+    ) -> ProbeOutcome {
+        self.inner.probe_tagged(tag, route, flow, rng)
+    }
+
+    fn window_started(&self, window: u64, start_s: u64) {
+        let open = self.open.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(open, Ordering::SeqCst);
+        self.inner.window_started(window, start_s);
+    }
+
+    fn window_finished(&self, window: u64, end_s: u64) {
+        self.inner.window_finished(window, end_s);
+        self.open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Runs `windows` pipelined windows over `plane` for every depth in
+/// {1, 2, 3} × probe workers in {1, 2, 4}, and checks that no window
+/// opened while `depth` others were open and not yet closed.
+fn assert_depth_bounds_windows_in_flight<P: DataPlane + Sync>(
+    plane: &InFlight<P>,
+    cfg: &SystemConfig,
+    windows: u64,
+) {
+    let ft = Arc::new(Fattree::new(4).unwrap());
+    for depth in 1..=3 {
+        for probe_workers in [1, 2, 4] {
+            let pipeline = PipelineConfig {
+                probe_workers,
+                depth,
+            };
+            plane.peak.store(0, Ordering::SeqCst);
+            let mut run = Detector::builder(ft.clone() as SharedTopology)
+                .config(cfg.clone())
+                .build()
+                .expect("boot");
+            let mut rng = SmallRng::seed_from_u64(0xDE97);
+            let results = run
+                .run_pipelined(plane, windows, &Script::new(), &pipeline, &mut rng)
+                .expect("pipelined run");
+            assert_eq!(results.len() as u64, windows, "{pipeline:?}");
+            assert_eq!(plane.open.load(Ordering::SeqCst), 0, "{pipeline:?}");
+            let peak = plane.peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=depth as u64).contains(&peak),
+                "{pipeline:?}: {peak} windows in flight at an open"
+            );
+        }
+    }
+}
+
+#[test]
+fn depth_bounds_windows_in_flight() {
+    let ft = Fattree::new(4).unwrap();
+    let plane = InFlight::new(Fabric::new(&ft, 0xDE97));
+    assert_depth_bounds_windows_in_flight(&plane, &SystemConfig::default(), 8);
+}
+
+/// The same bound over real sockets, where probes wait on the wire.
+#[test]
+fn depth_bounds_windows_in_flight_udp() {
+    let cfg = SystemConfig {
+        probe_rate_pps: 0.2, // 6 probes per pinger-window keeps CI fast.
+        ..SystemConfig::default()
+    };
+    let harness = UdpHarness::spawn(2, cfg.dport, Arc::new(HostClock::new())).expect("harness");
+    let udp = harness
+        .dataplane(&UdpConfig::default(), None)
+        .expect("udp plane");
+    assert_depth_bounds_windows_in_flight(&InFlight::new(udp), &cfg, 6);
 }
 
 /// The full 200-window soak on Fattree(8).
