@@ -20,7 +20,6 @@ fn variant_cfg(strategy: Strategy, decompose: bool, timeout: Duration) -> PmcCon
     let mut cfg = PmcConfig::new(2, 1);
     cfg.strategy = strategy;
     cfg.decompose = decompose;
-    cfg.parallel = decompose;
     cfg.timeout = Some(timeout);
     cfg
 }

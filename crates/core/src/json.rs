@@ -5,10 +5,11 @@
 //! serialization code. Machine-readable output — the JSON-lines event
 //! sink, bench tables — therefore goes through this small self-contained
 //! module instead: a [`Json`] value tree, a `Display`-based writer and a
-//! strict parser, enough for line-oriented result records and their
-//! round-trip tests. When the registry returns and real serde replaces
-//! the shim, [`ToJson`] impls can be swapped for `#[derive(Serialize)]`
-//! without touching call sites that only consume the rendered text.
+//! strict parser. JSON goes one way: the system renders records through
+//! [`ToJson`] and never reads them back, so no record type has a
+//! parser. [`Json::parse`] serves readers of foreign text (the
+//! benchmark's result lines) and the golden tests, which pin each
+//! record's text and check that it parses back to the same tree.
 
 use std::fmt;
 
@@ -73,25 +74,6 @@ impl Json {
         }
     }
 
-    /// The value as a signed integer (used by delta counters that can go
-    /// negative, e.g. `probes_delta` in plan-update records).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The value as a `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
-    /// The value as an `u32`.
-    pub fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|v| u32::try_from(v).ok())
-    }
-
     /// The value as a float (accepts integer literals too).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -128,13 +110,14 @@ impl Json {
     /// Parses a JSON document (strict: one value, no trailing garbage).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            src: input,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(JsonError {
                 pos: p.pos,
                 what: "trailing characters after value",
@@ -218,14 +201,22 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Records nest
+/// about four deep; the cap keeps hostile input from recursing the
+/// parser off the end of its stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`, always on a `char` boundary.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -242,7 +233,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8, what: &'static str) -> Result<(), JsonError> {
@@ -255,7 +246,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -269,11 +260,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -353,9 +358,8 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or(self.err("invalid \\u escape"))?;
                             self.pos += 4;
@@ -369,11 +373,12 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode the UTF-8 sequence starting here.
+                    // Read the whole character that starts here.
                     self.pos -= 1;
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or(self.err("unterminated string"))?;
+                    let c = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .ok_or(self.err("unterminated string"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -400,8 +405,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -494,6 +498,33 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "\"\\q\"", "\"x"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        // Runs on a libtest thread (2 MB stack by default).
+        let deep = "[".repeat(1_000_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err.what, "nesting too deep");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{{\"a\":{at_cap}}}");
+        assert_eq!(Json::parse(&past_cap).unwrap_err().what, "nesting too deep");
+    }
+
+    #[test]
+    fn strings_decode_multi_byte_characters_and_every_escape() {
+        let text = r#""αβ → \"q\" \\ \/ \n\r\t\b\f \u00e9\u0001 😀 end""#;
+        assert_eq!(
+            Json::parse(text).unwrap(),
+            Json::Str("αβ → \"q\" \\ / \n\r\t\u{8}\u{c} é\u{1} 😀 end".into())
+        );
+        // Each character is read once, so a long string stays cheap.
+        let long = format!("\"{}\"", "é".repeat(200_000));
+        assert_eq!(
+            Json::parse(&long).unwrap().as_str().map(str::len),
+            Some(400_000)
+        );
     }
 
     #[test]

@@ -102,18 +102,6 @@ impl LocalizationMetrics {
             false_negative_ratio: 0.0,
         }
     }
-
-    /// Rebuilds metrics from their [`ToJson`] representation.
-    pub fn from_json(v: &Json) -> Option<LocalizationMetrics> {
-        Some(LocalizationMetrics {
-            true_positives: v.get("true_positives")?.as_usize()?,
-            false_positives: v.get("false_positives")?.as_usize()?,
-            false_negatives: v.get("false_negatives")?.as_usize()?,
-            accuracy: v.get("accuracy")?.as_f64()?,
-            false_positive_ratio: v.get("false_positive_ratio")?.as_f64()?,
-            false_negative_ratio: v.get("false_negative_ratio")?.as_f64()?,
-        })
-    }
 }
 
 impl ToJson for LocalizationMetrics {

@@ -49,26 +49,6 @@ impl Diagnosis {
     pub fn is_clean(&self) -> bool {
         self.suspects.is_empty() && self.unexplained_paths.is_empty()
     }
-
-    /// Rebuilds a diagnosis from its [`ToJson`] representation.
-    pub fn from_json(v: &Json) -> Option<Diagnosis> {
-        let suspects = v
-            .get("suspects")?
-            .as_array()?
-            .iter()
-            .map(SuspectLink::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let unexplained_paths = v
-            .get("unexplained_paths")?
-            .as_array()?
-            .iter()
-            .map(|p| p.as_u32().map(PathId))
-            .collect::<Option<Vec<_>>>()?;
-        Some(Diagnosis {
-            suspects,
-            unexplained_paths,
-        })
-    }
 }
 
 impl ToJson for Diagnosis {
@@ -88,19 +68,6 @@ impl ToJson for Diagnosis {
                 ),
             ),
         ])
-    }
-}
-
-impl SuspectLink {
-    /// Rebuilds a suspect from its [`ToJson`] representation.
-    pub fn from_json(v: &Json) -> Option<SuspectLink> {
-        Some(SuspectLink {
-            link: LinkId(v.get("link")?.as_u32()?),
-            estimated_loss_rate: v.get("estimated_loss_rate")?.as_f64()?,
-            hit_ratio: v.get("hit_ratio")?.as_f64()?,
-            explained_paths: v.get("explained_paths")?.as_u32()?,
-            explained_losses: v.get("explained_losses")?.as_u64()?,
-        })
     }
 }
 

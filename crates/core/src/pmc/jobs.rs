@@ -1,45 +1,19 @@
-//! Cell-granular PMC job pool.
+//! The PMC fan-out driver.
 //!
-//! Subproblem re-solves shard across a bounded worker pool: each touched
-//! plan cell becomes one [`CellJob`], the pool runs them on up to
-//! [`JobPool::workers`] scoped threads, and the solutions come back in
-//! job order. [`JobPool::run_indexed`] is the workspace's one indexed
-//! work-queue driver — one atomic cursor, scoped threads, slot-per-job
-//! results — with the worker count explicit, so callers can bound the
-//! fan-out instead of inheriting host parallelism.
+//! The paper solves decomposed subproblems "in parallel" on a 10-core
+//! server (Observation 1). [`JobPool::run_indexed`] is the workspace's
+//! one indexed work-queue driver — one atomic cursor, scoped threads,
+//! slot-per-job results — with the worker count explicit, so callers
+//! bound the fan-out instead of inheriting host parallelism. It serves
+//! [`construct`](super::construct)'s subproblems, the incremental
+//! planner's cell re-solves in `detector-system` and the diagnoser's
+//! per-component PLL. Results come back in index order, so every pool
+//! width is observably identical.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use super::{resolve_subproblem, PmcConfig, PmcError, SubSolution};
-use crate::types::{LinkId, ProbePath};
-
-/// One cell-granular re-solve: a subproblem's universe and candidates
-/// plus the exclusion set the delta imposed on it.
-#[derive(Clone, Debug)]
-pub struct CellJob {
-    /// The plan-cell ordinal this job re-solves (carried through to the
-    /// [`CellSolution`] so sharded results splice back positionally).
-    pub cell: usize,
-    /// The cell's link universe.
-    pub universe: Vec<LinkId>,
-    /// The cell's candidate paths.
-    pub candidates: Vec<ProbePath>,
-    /// Links the delta removed from this cell.
-    pub excluded: HashSet<LinkId>,
-}
-
-/// A solved [`CellJob`].
-#[derive(Clone, Debug)]
-pub struct CellSolution {
-    /// The originating job's cell ordinal.
-    pub cell: usize,
-    /// The re-solved selection for that cell.
-    pub solution: SubSolution,
-}
-
-/// A bounded pool of re-solve workers.
+/// A bounded pool of workers.
 ///
 /// Purely a *capacity*: the pool owns no threads between calls (workers
 /// are scoped per batch), so it is `Copy`-cheap to embed in configs and
@@ -125,85 +99,49 @@ impl JobPool {
             })
             .collect()
     }
-
-    /// Re-solves a batch of cell jobs, solutions in job order. Each job
-    /// runs the exact [`resolve_subproblem`] procedure with a per-cell
-    /// deadline budget, so any pool size (including 1) produces
-    /// bit-identical selections — only wall-clock differs.
-    pub fn solve_cells(
-        &self,
-        jobs: &[CellJob],
-        cfg: &PmcConfig,
-    ) -> Result<Vec<CellSolution>, PmcError> {
-        self.run_indexed(jobs.len(), |i| {
-            let j = &jobs[i];
-            resolve_subproblem(&j.universe, &j.candidates, &j.excluded, cfg).map(|solution| {
-                CellSolution {
-                    cell: j.cell,
-                    solution,
-                }
-            })
-        })
-        .into_iter()
-        .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmc::{decompose, PmcConfig, SubSolution};
+    use crate::types::{LinkId, ProbePath};
 
     fn path(id: u32, ls: &[u32]) -> ProbePath {
         ProbePath::from_links(id, ls.iter().map(|&l| LinkId(l)).collect())
     }
 
-    fn jobs() -> Vec<CellJob> {
-        (0..6u32)
-            .map(|c| {
-                let base = c * 2;
-                CellJob {
-                    cell: c as usize,
-                    universe: vec![LinkId(base), LinkId(base + 1)],
-                    candidates: vec![
-                        path(c * 3, &[base, base + 1]),
-                        path(c * 3 + 1, &[base]),
-                        path(c * 3 + 2, &[base + 1]),
-                    ],
-                    excluded: if c % 2 == 0 {
-                        [LinkId(base)].into_iter().collect()
-                    } else {
-                        HashSet::new()
-                    },
-                }
-            })
-            .collect()
-    }
-
     #[test]
     fn every_pool_size_solves_identically() {
+        // 8 disjoint two-link components.
+        let candidates: Vec<ProbePath> = (0..8u32)
+            .flat_map(|c| {
+                let base = c * 2;
+                [
+                    path(c * 3, &[base, base + 1]),
+                    path(c * 3 + 1, &[base]),
+                    path(c * 3 + 2, &[base + 1]),
+                ]
+            })
+            .collect();
+        let subs = decompose(candidates);
+        assert_eq!(subs.len(), 8);
         let cfg = PmcConfig::identifiable(1);
-        let jobs = jobs();
-        let one = JobPool::new(1).solve_cells(&jobs, &cfg).unwrap();
+        let solve = |workers| {
+            JobPool::new(workers).run_indexed(subs.len(), |i| subs[i].solve(&cfg, None).unwrap())
+        };
+        let selections = |sols: &[SubSolution]| {
+            sols.iter()
+                .map(|s| (s.targets_met, s.paths.clone()))
+                .collect::<Vec<_>>()
+        };
+        let one = solve(1);
         for workers in [2, 4, 64] {
-            let many = JobPool::new(workers).solve_cells(&jobs, &cfg).unwrap();
-            assert_eq!(one.len(), many.len());
-            for (a, b) in one.iter().zip(&many) {
-                assert_eq!(a.cell, b.cell);
-                assert_eq!(a.solution.targets_met, b.solution.targets_met);
-                let la: Vec<_> = a
-                    .solution
-                    .paths
-                    .iter()
-                    .map(|p| p.links().to_vec())
-                    .collect();
-                let lb: Vec<_> = b
-                    .solution
-                    .paths
-                    .iter()
-                    .map(|p| p.links().to_vec())
-                    .collect();
-                assert_eq!(la, lb);
-            }
+            assert_eq!(
+                selections(&solve(workers)),
+                selections(&one),
+                "{workers} workers"
+            );
         }
     }
 

@@ -31,6 +31,7 @@ mod index;
 mod jobs;
 mod lazy;
 mod link_index;
+#[cfg(test)]
 mod parallel;
 mod provider;
 #[cfg(test)]
@@ -40,9 +41,8 @@ mod verify;
 mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
-pub use jobs::{CellJob, CellSolution, JobPool};
+pub use jobs::JobPool;
 pub use link_index::LinkIndex;
-pub use parallel::construct_decomposed_parallel;
 pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
 pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};
@@ -78,9 +78,9 @@ pub struct PmcConfig {
     /// Greedy variant.
     pub strategy: Strategy,
     /// Split the problem into independent subproblems first (Observation 1).
+    /// Subproblems are solved on up to one thread each
+    /// ([`JobPool::clamped`]); a single one runs inline.
     pub decompose: bool,
-    /// Solve decomposed subproblems on multiple threads.
-    pub parallel: bool,
     /// Abort with [`PmcError::Timeout`] if construction exceeds this budget.
     pub timeout: Option<Duration>,
     /// Upper bound on the extended-universe size (#physical + #virtual
@@ -120,7 +120,6 @@ impl PmcConfig {
     pub fn strawman(mut self) -> Self {
         self.strategy = Strategy::Strawman;
         self.decompose = false;
-        self.parallel = false;
         self
     }
 
@@ -144,7 +143,6 @@ impl Default for PmcConfig {
             beta: 1,
             strategy: Strategy::Lazy,
             decompose: true,
-            parallel: true,
             timeout: None,
             max_extended_elements: 64_000_000,
         }
@@ -513,15 +511,12 @@ pub fn construct(
         vec![Subproblem::whole(candidates)]
     };
 
-    let solutions: Vec<SubSolution> = if cfg.parallel && subproblems.len() > 1 {
-        construct_decomposed_parallel(subproblems, cfg, deadline)?
-    } else {
-        let mut out = Vec::with_capacity(subproblems.len());
-        for sp in &subproblems {
-            out.push(sp.solve(cfg, deadline)?);
-        }
-        out
-    };
+    // Results come back in subproblem order at any pool width, so the
+    // fan-out never changes the matrix.
+    let solutions = JobPool::clamped(subproblems.len())
+        .run_indexed(subproblems.len(), |i| subproblems[i].solve(cfg, deadline))
+        .into_iter()
+        .collect::<Result<Vec<SubSolution>, PmcError>>()?;
 
     Ok(merge_solutions(num_links, uncoverable, solutions, cfg))
 }

@@ -1,34 +1,16 @@
-//! Parallel subproblem driver.
+//! Tests of the subproblem fan-out.
 //!
 //! The paper solves decomposed subproblems "in parallel" on a 10-core
-//! server; we do the same with scoped threads pulling indexed jobs from
-//! a shared work queue ([`JobPool::run_indexed`]). Results are returned
-//! in job order, so the parallel path is observably identical to the
-//! sequential one. The same driver powers the incremental planner's
-//! multi-cell patch re-solves in `detector-system`.
+//! server; [`construct`] does the same through [`JobPool::run_indexed`],
+//! which returns results in job order, so the parallel path must be
+//! observably identical to solving each subproblem in turn.
 
-use std::time::Instant;
+use super::{construct, decompose, merge_solutions, JobPool, PmcConfig};
+use crate::types::{LinkId, ProbePath};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use super::decompose::Subproblem;
-use super::{JobPool, PmcConfig, PmcError, SubSolution};
-
-/// Solves `subproblems` on a pool sized to the host's parallelism.
-pub fn construct_decomposed_parallel(
-    subproblems: Vec<Subproblem>,
-    cfg: &PmcConfig,
-    deadline: Option<Instant>,
-) -> Result<Vec<SubSolution>, PmcError> {
-    JobPool::host()
-        .run_indexed(subproblems.len(), |i| subproblems[i].solve(cfg, deadline))
-        .into_iter()
-        .collect()
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{LinkId, ProbePath};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn path(id: u32, ls: &[u32]) -> ProbePath {
         ProbePath::from_links(id, ls.iter().map(|&l| LinkId(l)).collect())
@@ -44,29 +26,25 @@ mod tests {
             candidates.push(path(c * 3 + 1, &[base]));
             candidates.push(path(c * 3 + 2, &[base + 1]));
         }
-        let subs = super::super::decompose(candidates);
+        let subs = decompose(candidates.clone());
         assert_eq!(subs.len(), 8);
         let cfg = PmcConfig::identifiable(1);
-        let par = construct_decomposed_parallel(subs.clone(), &cfg, None).unwrap();
         let mut seq = Vec::new();
         for sp in &subs {
             seq.push(sp.solve(&cfg, None).unwrap());
         }
-        assert_eq!(par.len(), seq.len());
-        for (a, b) in par.iter().zip(seq.iter()) {
-            assert_eq!(a.targets_met, b.targets_met);
-            assert_eq!(a.paths.len(), b.paths.len());
-            let la: Vec<_> = a.paths.iter().map(|p| p.links().to_vec()).collect();
-            let lb: Vec<_> = b.paths.iter().map(|p| p.links().to_vec()).collect();
-            assert_eq!(la, lb);
-        }
+        let seq = merge_solutions(16, Vec::new(), seq, &cfg);
+        let par = construct(16, candidates, &cfg).unwrap();
+        assert_eq!(par.paths, seq.paths);
+        assert_eq!(par.achieved, seq.achieved);
     }
 
     #[test]
     fn empty_input_is_fine() {
         let cfg = PmcConfig::identifiable(1);
-        let out = construct_decomposed_parallel(Vec::new(), &cfg, None).unwrap();
-        assert!(out.is_empty());
+        assert!(decompose(Vec::new()).is_empty());
+        let out = construct(0, Vec::new(), &cfg).unwrap();
+        assert!(out.paths.is_empty());
     }
 
     #[test]

@@ -1,25 +1,18 @@
-//! Event-protocol check: round-trip completeness for protocol enums.
+//! Event-protocol check: round-trip completeness for wire enums.
 //!
-//! `RuntimeEvent` and `TopologyEvent` cross the process boundary as
-//! JSON (event logs, replay, the live-topology delta feed), and the
-//! agent tier's `Frame` crosses it as length-prefixed wire bytes.
-//! Rust's exhaustiveness checking keeps the serialize side honest only
-//! if the match has no wildcard arm — and the parse side is
-//! string/tag-keyed, so the compiler cannot help at all: adding a
-//! variant and forgetting its parse arm silently turns that message
-//! into an error on replay (or a rejected frame on the wire).
+//! The agent tier's `Frame` crosses the process boundary as
+//! length-prefixed wire bytes. Rust's exhaustiveness checking keeps the
+//! encode side honest only if its match has no wildcard arm — and the
+//! decode side is tag-keyed, so the compiler cannot help at all: adding
+//! a variant and forgetting its decode arm silently turns that message
+//! into a rejected frame on the wire.
 //!
-//! The check is self-scoping, over two protocol shapes:
-//!
-//! * **JSON**: an enum with both an `impl ToJson for E` (with
-//!   `fn to_json`) and an inherent `fn from_json` constructor;
-//! * **wire**: an enum with inherent `fn encode` and `fn decode`
-//!   (the `detector-agent` frame codec).
-//!
-//! Every variant of a protocol enum must be mentioned (as `E::Variant`
-//! or `Self::Variant`) in both function bodies. The diagnostic anchors
-//! at the variant's declaration line — that is where the new variant
-//! was added.
+//! The check is self-scoping: a protocol enum is one with inherent
+//! `fn encode` and `fn decode` (the `detector-agent` frame codec). Every
+//! variant of a protocol enum must be mentioned (as `E::Variant` or
+//! `Self::Variant`) in both function bodies. The diagnostic anchors at
+//! the variant's declaration line — that is where the new variant was
+//! added.
 
 use std::ops::Range;
 
@@ -31,68 +24,37 @@ struct EnumDef {
     variants: Vec<(String, u32)>,
 }
 
-/// One self-scoping protocol shape: the serialize/parse function pair
-/// that makes an enum a protocol enum, plus the consequence named in
-/// the diagnostic.
-struct Protocol {
-    ser_trait: Option<&'static str>,
-    ser_fn: &'static str,
-    de_trait: Option<&'static str>,
-    de_fn: &'static str,
-    consequence: &'static str,
-}
-
-const PROTOCOLS: [Protocol; 2] = [
-    Protocol {
-        ser_trait: Some("ToJson"),
-        ser_fn: "to_json",
-        de_trait: None,
-        de_fn: "from_json",
-        consequence: "the JSON round-trip drops this event on serialize/replay",
-    },
-    Protocol {
-        ser_trait: None,
-        ser_fn: "encode",
-        de_trait: None,
-        de_fn: "decode",
-        consequence: "the wire round-trip drops this frame on encode/decode",
-    },
-];
-
 /// Flags protocol-enum variants missing from either direction.
 pub fn run(ctx: &FileCtx) -> Vec<Diagnostic> {
     let t = &ctx.toks;
     let mut out = Vec::new();
     for e in collect_enums(t) {
-        for p in &PROTOCOLS {
-            let Some(ser) = impl_fn_body(t, p.ser_trait, &e.name, p.ser_fn) else {
-                continue;
+        let Some(enc) = inherent_fn_body(t, &e.name, "encode") else {
+            continue;
+        };
+        let Some(dec) = inherent_fn_body(t, &e.name, "decode") else {
+            continue;
+        };
+        for (v, line) in &e.variants {
+            let missing = match (
+                mentions_variant(t, &enc, &e.name, v),
+                mentions_variant(t, &dec, &e.name, v),
+            ) {
+                (true, true) => continue,
+                (false, false) => "encode and decode",
+                (false, true) => "encode",
+                (true, false) => "decode",
             };
-            let Some(de) = impl_fn_body(t, p.de_trait, &e.name, p.de_fn) else {
-                continue;
-            };
-            for (v, line) in &e.variants {
-                let in_ser = mentions_variant(t, &ser, &e.name, v);
-                let in_de = mentions_variant(t, &de, &e.name, v);
-                if in_ser && in_de {
-                    continue;
-                }
-                let missing = match (in_ser, in_de) {
-                    (false, false) => format!("{} and {}", p.ser_fn, p.de_fn),
-                    (false, true) => p.ser_fn.to_string(),
-                    (true, false) => p.de_fn.to_string(),
-                    (true, true) => unreachable!(),
-                };
-                out.push(Diagnostic {
-                    file: ctx.rel.clone(),
-                    line: *line,
-                    check: Check::EventProtocol,
-                    message: format!(
-                        "variant `{}::{v}` is missing from {missing}; {}",
-                        e.name, p.consequence
-                    ),
-                });
-            }
+            out.push(Diagnostic {
+                file: ctx.rel.clone(),
+                line: *line,
+                check: Check::EventProtocol,
+                message: format!(
+                    "variant `{}::{v}` is missing from {missing}; \
+                     the wire round-trip drops this frame on encode/decode",
+                    e.name
+                ),
+            });
         }
     }
     out
@@ -175,18 +137,12 @@ fn skip_attr(t: &[Tok], i: usize) -> usize {
     t.len()
 }
 
-/// Body token range of `fn fn_name` inside `impl ToJson for Name` (when
-/// `trait_name` is given) or an inherent `impl Name` (when `None`).
-fn impl_fn_body(
-    t: &[Tok],
-    trait_name: Option<&str>,
-    type_name: &str,
-    fn_name: &str,
-) -> Option<Range<usize>> {
+/// Body token range of `fn fn_name` inside an inherent `impl Name`.
+fn inherent_fn_body(t: &[Tok], type_name: &str, fn_name: &str) -> Option<Range<usize>> {
     let mut i = 0usize;
     while i < t.len() {
         if t[i].is_ident("impl") {
-            if let Some(body) = impl_body_if_matches(t, i, trait_name, type_name) {
+            if let Some(body) = inherent_impl_body(t, i, type_name) {
                 let mut j = body.start;
                 while j < body.end {
                     if t[j].is_ident("fn") && t.get(j + 1).is_some_and(|x| x.is_ident(fn_name)) {
@@ -208,14 +164,9 @@ fn impl_fn_body(
     None
 }
 
-/// If the `impl` at `i` targets (`trait_name` for) `type_name`, returns
-/// its brace-body range.
-fn impl_body_if_matches(
-    t: &[Tok],
-    i: usize,
-    trait_name: Option<&str>,
-    type_name: &str,
-) -> Option<Range<usize>> {
+/// If the `impl` at `i` is an inherent impl of `type_name` (not a trait
+/// impl), returns its brace-body range.
+fn inherent_impl_body(t: &[Tok], i: usize, type_name: &str) -> Option<Range<usize>> {
     let mut j = i + 1;
     // Skip `impl<...>` generics.
     if t.get(j).is_some_and(|x| x.is_punct('<')) {
@@ -233,42 +184,23 @@ fn impl_body_if_matches(
             j += 1;
         }
     }
-    // Path segments up to `for` / `{` / `<` / `where`.
-    let mut head: Vec<&str> = Vec::new();
+    // The first path segment names the target; a `for` makes it a trait
+    // impl.
     let mut target: Option<&str> = None;
-    let mut saw_for = false;
     while j < t.len() {
         match &t[j].kind {
-            TokKind::Ident(id) if id == "for" => saw_for = true,
+            TokKind::Ident(id) if id == "for" => return None,
             TokKind::Ident(id) if id == "where" => break,
             TokKind::Ident(id) => {
-                if saw_for {
-                    target = Some(id.as_str());
-                    break;
-                }
-                head.push(id.as_str());
+                target.get_or_insert(id.as_str());
             }
             TokKind::Punct('{') => break,
             _ => {}
         }
         j += 1;
     }
-    let (trait_last, tgt) = if saw_for {
-        (head.last().copied(), target?)
-    } else {
-        (None, *head.first()?)
-    };
-    match trait_name {
-        Some(want) => {
-            if trait_last != Some(want) || tgt != type_name {
-                return None;
-            }
-        }
-        None => {
-            if trait_last.is_some() || tgt != type_name {
-                return None;
-            }
-        }
+    if target? != type_name {
+        return None;
     }
     // Find the impl's opening brace (past any where clause).
     while j < t.len() && !t[j].is_punct('{') {
@@ -305,50 +237,12 @@ mod tests {
         lint_source(Path::new("crates/demo/src/x.rs"), src, ScopeMode::Workspace)
     }
 
-    const COMPLETE: &str = "
-        pub enum Ev { A, B(u32) }
-        impl ToJson for Ev {
-            fn to_json(&self) -> Json {
-                match self { Ev::A => x(), Ev::B(v) => y(v) }
-            }
-        }
-        impl Ev {
-            pub fn from_json(j: &Json) -> Option<Ev> {
-                match tag { \"a\" => Some(Self::A), \"b\" => Some(Self::B(0)), _ => None }
-            }
-        }
-    ";
-
-    #[test]
-    fn complete_protocol_is_clean() {
-        assert!(lint(COMPLETE).is_empty());
-    }
-
-    #[test]
-    fn variant_missing_from_from_json_fires() {
-        let src = COMPLETE.replace("\"b\" => Some(Self::B(0)), ", "");
-        let d = lint(&src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].check, Check::EventProtocol);
-        assert!(d[0].message.contains("`Ev::B`"), "{d:?}");
-        assert!(d[0].message.contains("from_json"), "{d:?}");
-        // Anchored at the enum declaration line of the variant.
-        assert_eq!(d[0].line, 2, "{d:?}");
-    }
-
-    #[test]
-    fn variant_missing_from_to_json_fires() {
-        let src = COMPLETE.replace("Ev::B(v) => y(v)", "_ => z()");
-        let d = lint(&src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("to_json"), "{d:?}");
-    }
-
     #[test]
     fn enums_without_both_impls_are_ignored() {
         let d = lint("pub enum Plain { A, B }\nimpl Plain { fn other(&self) {} }");
         assert!(d.is_empty(), "{d:?}");
 
+        // A one-way JSON record is not a protocol.
         let d = lint(
             "pub enum OneWay { A }
              impl ToJson for OneWay { fn to_json(&self) -> Json { match self { OneWay::A => x() } } }",
@@ -374,6 +268,26 @@ mod tests {
     }
 
     #[test]
+    fn complete_protocol_is_clean() {
+        // `Self::` mentions and a generic inherent impl with a where
+        // clause still pair the two directions.
+        let src = "
+            pub enum Msg<T> { Ping(T), Stop }
+            impl<T: Copy> Msg<T> where T: Default {
+                fn encode(&self) -> Vec<u8> { match self { Self::Ping(t) => p(t), Self::Stop => s() } }
+                fn decode(b: &[u8]) -> Option<Self> {
+                    match b[0] { 0 => Some(Msg::Ping(T::default())), _ => Some(Self::Stop) }
+                }
+            }
+        ";
+        assert!(lint(src).is_empty(), "{:?}", lint(src));
+        // Dropping a variant from either direction makes the same source fire.
+        let d = lint(&src.replace("_ => Some(Self::Stop)", "_ => None"));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Stop`"), "{d:?}");
+    }
+
+    #[test]
     fn frame_variant_missing_from_decode_fires() {
         let src = WIRE_COMPLETE.replace("1 => Ok(Frame::Shutdown), ", "");
         let d = lint(&src);
@@ -382,6 +296,8 @@ mod tests {
         assert!(d[0].message.contains("`Frame::Shutdown`"), "{d:?}");
         assert!(d[0].message.contains("decode"), "{d:?}");
         assert!(d[0].message.contains("wire round-trip"), "{d:?}");
+        // Anchored at the enum declaration line of the variant.
+        assert_eq!(d[0].line, 2, "{d:?}");
     }
 
     #[test]
@@ -405,16 +321,14 @@ mod tests {
     fn variant_attrs_and_struct_payloads_parse() {
         let src = "
             pub enum Ev { #[doc = \"x\"] A { cycle: u64, extra: Vec<u32> }, B }
-            impl ToJson for Ev {
-                fn to_json(&self) -> Json { match self { Self::A { .. } => x(), Self::B => y() } }
-            }
             impl Ev {
-                fn from_json(j: &Json) -> Option<Ev> { Some(Ev::A { cycle: 0, extra: v() }) }
+                fn encode(&self) -> Vec<u8> { match self { Self::A { .. } => x(), Self::B => y() } }
+                fn decode(b: &[u8]) -> Option<Ev> { Some(Ev::A { cycle: 0, extra: v() }) }
             }
         ";
         let d = lint(src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("`Ev::B`"));
-        assert!(d[0].message.contains("from_json"));
+        assert!(d[0].message.contains("decode"));
     }
 }

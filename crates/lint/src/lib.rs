@@ -20,10 +20,10 @@
 //! * **panic_path** — `unwrap`/`expect`/`panic!`-family macros and
 //!   direct indexing are forbidden in the per-window hot-path files;
 //!   provably-infallible sites carry an allow annotation with a reason.
-//! * **event_protocol** — every variant of an enum that has both a
-//!   `ToJson` impl and a `from_json` constructor must appear in both
-//!   match bodies, so the JSON round-trip can never silently lose a
-//!   variant.
+//! * **event_protocol** — every variant of an enum that has both an
+//!   inherent `encode` and `decode` (the agent tier's `Frame` codec)
+//!   must appear in both bodies, so the wire round-trip can never
+//!   silently lose a variant.
 //!
 //! Suppression syntax (reason is mandatory and non-empty):
 //!
@@ -51,7 +51,7 @@ pub enum Check {
     LockDiscipline,
     /// `unwrap`/`expect`/`panic!`/indexing in hot paths.
     PanicPath,
-    /// JSON round-trip completeness for event enums.
+    /// Wire round-trip completeness for `encode`/`decode` enums.
     EventProtocol,
     /// A malformed `detlint::allow(...)` annotation.
     Annotation,

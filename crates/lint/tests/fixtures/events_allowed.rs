@@ -1,27 +1,25 @@
 // Golden fixture: the complete protocol — every variant appears in
-// both directions of the JSON round-trip.
+// both directions of the wire round-trip.
 pub enum WireEvent {
     Started { window: u64 },
     Finished(u64),
     Aborted,
 }
 
-impl ToJson for WireEvent {
-    fn to_json(&self) -> Json {
+impl WireEvent {
+    pub fn encode(&self) -> Vec<u8> {
         match self {
-            WireEvent::Started { window } => obj("started", *window),
-            WireEvent::Finished(w) => obj("finished", *w),
-            WireEvent::Aborted => obj("aborted", 0),
+            WireEvent::Started { window } => frame(0, *window),
+            WireEvent::Finished(w) => frame(1, *w),
+            WireEvent::Aborted => frame(2, 0),
         }
     }
-}
 
-impl WireEvent {
-    pub fn from_json(j: &Json) -> Option<WireEvent> {
-        match j.get("event")?.as_str()? {
-            "started" => Some(Self::Started { window: 0 }),
-            "finished" => Some(Self::Finished(0)),
-            "aborted" => Some(Self::Aborted),
+    pub fn decode(bytes: &[u8]) -> Option<WireEvent> {
+        match *bytes.first()? {
+            0 => Some(Self::Started { window: body(bytes) }),
+            1 => Some(Self::Finished(body(bytes))),
+            2 => Some(Self::Aborted),
             _ => None,
         }
     }

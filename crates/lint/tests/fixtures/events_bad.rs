@@ -1,26 +1,24 @@
 // Golden fixture: a protocol enum whose newest variant never made it
-// into from_json — the round-trip silently drops it on replay.
+// into decode — the frame is rejected on the wire.
 pub enum WireEvent {
     Started { window: u64 },
     Finished(u64),
     Aborted,
 }
 
-impl ToJson for WireEvent {
-    fn to_json(&self) -> Json {
+impl WireEvent {
+    pub fn encode(&self) -> Vec<u8> {
         match self {
-            WireEvent::Started { window } => obj("started", *window),
-            WireEvent::Finished(w) => obj("finished", *w),
-            WireEvent::Aborted => obj("aborted", 0),
+            WireEvent::Started { window } => frame(0, *window),
+            WireEvent::Finished(w) => frame(1, *w),
+            WireEvent::Aborted => frame(2, 0),
         }
     }
-}
 
-impl WireEvent {
-    pub fn from_json(j: &Json) -> Option<WireEvent> {
-        match j.get("event")?.as_str()? {
-            "started" => Some(Self::Started { window: 0 }),
-            "finished" => Some(Self::Finished(0)),
+    pub fn decode(bytes: &[u8]) -> Option<WireEvent> {
+        match *bytes.first()? {
+            0 => Some(Self::Started { window: body(bytes) }),
+            1 => Some(Self::Finished(body(bytes))),
             _ => None,
         }
     }

@@ -83,7 +83,7 @@ fn events_fixture_fires_on_missing_variant_and_complete_is_clean() {
     assert_eq!(d.len(), 1, "{d:#?}");
     assert_eq!(d[0].check, Check::EventProtocol);
     assert!(d[0].message.contains("`WireEvent::Aborted`"), "{d:#?}");
-    assert!(d[0].message.contains("from_json"), "{d:#?}");
+    assert!(d[0].message.contains("decode"), "{d:#?}");
 
     let d = lint_fixture("events_allowed.rs");
     assert!(d.is_empty(), "{d:#?}");

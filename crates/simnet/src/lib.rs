@@ -36,7 +36,6 @@ mod failures;
 mod flow;
 mod packet;
 mod partition;
-mod reports;
 mod rtt;
 mod workload;
 
@@ -48,7 +47,6 @@ pub use failures::{
 pub use flow::FlowKey;
 pub use packet::{decode_probe, encode_probe, PacketError, ProbePacket, PROBE_WIRE_SIZE};
 pub use partition::{partition_hosts, HostGroups};
-pub use reports::BurstLossReports;
 pub use rtt::RttModel;
 pub use workload::{measure_workload_rtt, Flow, WorkloadGenerator, WorkloadStats};
 

@@ -36,19 +36,6 @@ pub struct WindowResult {
     pub diagnosis: Diagnosis,
 }
 
-impl WindowResult {
-    /// Rebuilds a window result from its [`ToJson`] representation.
-    pub fn from_json(v: &Json) -> Option<WindowResult> {
-        Some(WindowResult {
-            window: v.get("window")?.as_u64()?,
-            start_s: v.get("start_s")?.as_u64()?,
-            probes_sent: v.get("probes_sent")?.as_u64()?,
-            num_observations: v.get("num_observations")?.as_usize()?,
-            diagnosis: Diagnosis::from_json(v.get("diagnosis")?)?,
-        })
-    }
-}
-
 impl ToJson for WindowResult {
     fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -283,55 +270,6 @@ impl RuntimeEvent {
             other => other.clone(),
         }
     }
-
-    /// Rebuilds an event from its [`ToJson`] representation (the inverse
-    /// of [`ToJson::to_json`]; every variant round-trips).
-    pub fn from_json(v: &Json) -> Option<RuntimeEvent> {
-        let window = || v.get("window").and_then(Json::as_u64);
-        match v.get("event")?.as_str()? {
-            "window_started" => Some(RuntimeEvent::WindowStarted {
-                window: window()?,
-                start_s: v.get("start_s")?.as_u64()?,
-            }),
-            "cycle_refreshed" => Some(RuntimeEvent::CycleRefreshed {
-                window: window()?,
-                version: v.get("version")?.as_u64()?,
-                num_paths: v.get("num_paths")?.as_usize()?,
-            }),
-            "pinger_unhealthy" => Some(RuntimeEvent::PingerUnhealthy {
-                window: window()?,
-                pinger: NodeId(v.get("pinger")?.as_u32()?),
-            }),
-            "report_ingested" => Some(RuntimeEvent::ReportIngested {
-                window: window()?,
-                pinger: NodeId(v.get("pinger")?.as_u32()?),
-                probes_sent: v.get("probes_sent")?.as_u64()?,
-                num_paths: v.get("num_paths")?.as_usize()?,
-            }),
-            "ingest_stats" => Some(RuntimeEvent::IngestStats {
-                window: window()?,
-                reports: v.get("reports")?.as_u64()?,
-                paths_active: v.get("paths_active")?.as_u64()?,
-            }),
-            "diag_stats" => Some(RuntimeEvent::DiagStats {
-                window: window()?,
-                lossy_paths: v.get("lossy_paths")?.as_u64()?,
-                components: v.get("components")?.as_u64()?,
-                suspects: v.get("suspects")?.as_u64()?,
-            }),
-            "diagnosis_ready" => Some(RuntimeEvent::DiagnosisReady(WindowResult::from_json(v)?)),
-            "plan_updated" => Some(RuntimeEvent::PlanUpdated {
-                epoch: v.get("epoch")?.as_u64()?,
-                links_changed: v.get("links_changed")?.as_usize()?,
-                probes_delta: v.get("probes_delta")?.as_i64()?,
-                lists_redispatched: v.get("lists_redispatched")?.as_usize()?,
-                entries_diffed: v.get("entries_diffed")?.as_usize()?,
-                bytes_dispatched: v.get("bytes_dispatched")?.as_u64()?,
-                replan_micros: v.get("replan_micros")?.as_u64()?,
-            }),
-            _ => None,
-        }
-    }
 }
 
 /// A consumer of the runtime's event stream.
@@ -440,6 +378,8 @@ impl<W: std::io::Write + Send> EventSink for JsonLinesSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use detector_core::pll::SuspectLink;
+    use detector_core::types::{LinkId, PathId};
 
     fn sample_result() -> WindowResult {
         WindowResult {
@@ -447,16 +387,31 @@ mod tests {
             start_s: 120,
             probes_sent: 960,
             num_observations: 28,
-            diagnosis: Diagnosis::default(),
+            diagnosis: Diagnosis {
+                suspects: vec![SuspectLink {
+                    link: LinkId(7),
+                    estimated_loss_rate: 0.1,
+                    hit_ratio: 0.75,
+                    explained_paths: 3,
+                    explained_losses: 12,
+                }],
+                unexplained_paths: vec![PathId(5)],
+            },
         }
     }
+
+    const SAMPLE_RESULT: &str = concat!(
+        r#"{"window":4,"start_s":120,"probes_sent":960,"num_observations":28,"#,
+        r#""diagnosis":{"suspects":[{"link":7,"estimated_loss_rate":0.1,"hit_ratio":0.75,"#,
+        r#""explained_paths":3,"explained_losses":12}],"unexplained_paths":[5]}}"#
+    );
 
     #[test]
     fn window_result_round_trips_through_json() {
         let w = sample_result();
         let text = w.to_json().to_string();
-        let parsed = WindowResult::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, w);
+        assert_eq!(text, SAMPLE_RESULT);
+        assert_eq!(Json::parse(&text), Ok(w.to_json()));
     }
 
     #[test]
@@ -471,55 +426,84 @@ mod tests {
         assert!(!collector.is_empty());
     }
 
+    /// One golden record per variant: the text a sink writes, which
+    /// also parses back to the tree it was rendered from.
     #[test]
     fn runtime_events_round_trip_through_json() {
-        let cases = vec![
-            RuntimeEvent::WindowStarted {
-                window: 3,
-                start_s: 90,
-            },
-            RuntimeEvent::CycleRefreshed {
-                window: 20,
-                version: 2,
-                num_paths: 64,
-            },
-            RuntimeEvent::PingerUnhealthy {
-                window: 5,
-                pinger: detector_core::types::NodeId(17),
-            },
-            RuntimeEvent::ReportIngested {
-                window: 5,
-                pinger: detector_core::types::NodeId(17),
-                probes_sent: 960,
-                num_paths: 12,
-            },
-            RuntimeEvent::IngestStats {
-                window: 5,
-                reports: 48,
-                paths_active: 230,
-            },
-            RuntimeEvent::DiagStats {
-                window: 5,
-                lossy_paths: 12,
-                components: 3,
-                suspects: 4,
-            },
-            RuntimeEvent::DiagnosisReady(sample_result()),
-            RuntimeEvent::PlanUpdated {
-                epoch: 7,
-                links_changed: 4,
-                probes_delta: -3,
-                lists_redispatched: 5,
-                entries_diffed: 11,
-                bytes_dispatched: 742,
-                replan_micros: 1250,
-            },
+        let diagnosis_ready = format!(r#"{{"event":"diagnosis_ready",{}"#, &SAMPLE_RESULT[1..]);
+        let cases = [
+            (
+                RuntimeEvent::WindowStarted {
+                    window: 3,
+                    start_s: 90,
+                },
+                r#"{"event":"window_started","window":3,"start_s":90}"#,
+            ),
+            (
+                RuntimeEvent::CycleRefreshed {
+                    window: 20,
+                    version: 2,
+                    num_paths: 64,
+                },
+                r#"{"event":"cycle_refreshed","window":20,"version":2,"num_paths":64}"#,
+            ),
+            (
+                RuntimeEvent::PingerUnhealthy {
+                    window: 5,
+                    pinger: NodeId(17),
+                },
+                r#"{"event":"pinger_unhealthy","window":5,"pinger":17}"#,
+            ),
+            (
+                RuntimeEvent::ReportIngested {
+                    window: 5,
+                    pinger: NodeId(17),
+                    probes_sent: 960,
+                    num_paths: 12,
+                },
+                r#"{"event":"report_ingested","window":5,"pinger":17,"probes_sent":960,"num_paths":12}"#,
+            ),
+            (
+                RuntimeEvent::IngestStats {
+                    window: 5,
+                    reports: 48,
+                    paths_active: 230,
+                },
+                r#"{"event":"ingest_stats","window":5,"reports":48,"paths_active":230}"#,
+            ),
+            (
+                RuntimeEvent::DiagStats {
+                    window: 5,
+                    lossy_paths: 12,
+                    components: 3,
+                    suspects: 4,
+                },
+                r#"{"event":"diag_stats","window":5,"lossy_paths":12,"components":3,"suspects":4}"#,
+            ),
+            (
+                RuntimeEvent::DiagnosisReady(sample_result()),
+                diagnosis_ready.as_str(),
+            ),
+            (
+                RuntimeEvent::PlanUpdated {
+                    epoch: 7,
+                    links_changed: 4,
+                    probes_delta: -3,
+                    lists_redispatched: 5,
+                    entries_diffed: 11,
+                    bytes_dispatched: 742,
+                    replan_micros: 1250,
+                },
+                concat!(
+                    r#"{"event":"plan_updated","epoch":7,"links_changed":4,"probes_delta":-3,"#,
+                    r#""lists_redispatched":5,"entries_diffed":11,"bytes_dispatched":742,"replan_micros":1250}"#
+                ),
+            ),
         ];
-        for ev in cases {
+        for (ev, golden) in cases {
             let text = ev.to_json().to_string();
-            let parsed = RuntimeEvent::from_json(&Json::parse(&text).unwrap())
-                .unwrap_or_else(|| panic!("unparsed: {text}"));
-            assert_eq!(parsed, ev);
+            assert_eq!(text, golden);
+            assert_eq!(Json::parse(&text), Ok(ev.to_json()));
         }
     }
 
@@ -530,15 +514,9 @@ mod tests {
             window: 0,
             start_s: 0,
         });
-        sink.on_event(&RuntimeEvent::DiagnosisReady(sample_result()));
+        let ready = RuntimeEvent::DiagnosisReady(sample_result());
+        sink.on_event(&ready);
         let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1);
-        let v = Json::parse(lines[0]).unwrap();
-        assert_eq!(
-            v.get("event").and_then(Json::as_str),
-            Some("diagnosis_ready")
-        );
-        assert_eq!(v.get("window").and_then(Json::as_u64), Some(4));
+        assert_eq!(text, format!("{}\n", ready.to_json()));
     }
 }

@@ -309,9 +309,7 @@ impl ProbePlan {
                 }
             })
             .collect();
-        let solutions = solve_batch(cfg, &cells, |cell| {
-            solve_cell(topo, cfg, cell, &cell.excluded)
-        })?;
+        let solutions = solve_batch(&cells, |cell| solve_cell(topo, cfg, cell, &cell.excluded))?;
         for (cell, solution) in cells.iter_mut().zip(solutions) {
             cell.pristine = cell.excluded.is_empty().then(|| solution.clone());
             cell.solution = solution;
@@ -496,7 +494,7 @@ impl ProbePlan {
         // born-degraded cell that just healed canonically, so the
         // solution cached as pristine below never depends on history.
         let (topo, cfg) = (&self.topo, &self.cfg);
-        let solutions = solve_batch(cfg, &solves, |(_, cell, excluded)| {
+        let solutions = solve_batch(&solves, |(_, cell, excluded)| {
             if excluded.is_empty() {
                 solve_cell(topo, cfg, cell, excluded)
             } else {
@@ -624,27 +622,21 @@ impl core::fmt::Debug for ProbePlan {
 
 /// Runs `solve` over `jobs`, solutions in job order. Several cells (a pod
 /// drain touching every group, or the first build) fan out over a
-/// host-sized [`JobPool`], inline when `cfg.parallel` is off. Each cell's
-/// solve is deterministic and derives its own deadline from
-/// `cfg.timeout`, so only the schedule differs, never the result.
+/// [`JobPool::clamped`] pool, one worker per cell up to the host's
+/// parallelism; a lone cell runs inline. Each cell's solve is
+/// deterministic and derives its own deadline from `cfg.timeout`, so only
+/// the schedule differs, never the result.
 fn solve_batch<J: Sync>(
-    cfg: &PmcConfig,
     jobs: &[J],
     solve: impl Fn(&J) -> Result<SubSolution, PmcError> + Sync,
 ) -> Result<Vec<SubSolution>, PmcError> {
-    // A lone solve runs inline without asking the host for its
-    // parallelism (a syscall plus cgroup reads on every link flap).
-    let pool = if cfg.parallel && jobs.len() > 1 {
-        JobPool::host()
-    } else {
-        JobPool::new(1)
-    };
-    pool.run_indexed(jobs.len(), |i| {
-        // detlint::allow(panic_path, reason = "run_indexed calls the job with i < jobs.len()")
-        solve(&jobs[i])
-    })
-    .into_iter()
-    .collect()
+    JobPool::clamped(jobs.len())
+        .run_indexed(jobs.len(), |i| {
+            // detlint::allow(panic_path, reason = "run_indexed calls the job with i < jobs.len()")
+            solve(&jobs[i])
+        })
+        .into_iter()
+        .collect()
 }
 
 /// The canonical solve of one cell: from scratch over its candidate
@@ -1215,10 +1207,6 @@ mod tests {
         let ft = Arc::new(Fattree::new(4).unwrap());
         let mut view = TopologyView::new(ft.clone() as SharedTopology);
         let cfg = PmcConfig::identifiable(1);
-        assert!(
-            cfg.parallel,
-            "default config must exercise the parallel patch"
-        );
         let mut plan = ProbePlan::new(view.shared(), &cfg, view.offline_links()).unwrap();
         let before = plan.matrix();
 

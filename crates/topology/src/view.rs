@@ -99,34 +99,6 @@ pub enum TopologyEvent {
     },
 }
 
-impl TopologyEvent {
-    /// Rebuilds an event from its [`ToJson`] representation.
-    pub fn from_json(v: &Json) -> Option<TopologyEvent> {
-        let get_u32 = |key: &str| v.get(key).and_then(Json::as_u32);
-        match v.get("event")?.as_str()? {
-            "link_down" => Some(TopologyEvent::LinkDown {
-                link: LinkId(get_u32("link")?),
-            }),
-            "link_up" => Some(TopologyEvent::LinkUp {
-                link: LinkId(get_u32("link")?),
-            }),
-            "switch_drain" => Some(TopologyEvent::SwitchDrain {
-                switch: NodeId(get_u32("switch")?),
-            }),
-            "switch_undrain" => Some(TopologyEvent::SwitchUndrain {
-                switch: NodeId(get_u32("switch")?),
-            }),
-            "pod_drained" => Some(TopologyEvent::PodDrained {
-                pod: get_u32("pod")?,
-            }),
-            "pod_added" => Some(TopologyEvent::PodAdded {
-                pod: get_u32("pod")?,
-            }),
-            _ => None,
-        }
-    }
-}
-
 impl ToJson for TopologyEvent {
     fn to_json(&self) -> Json {
         match self {
@@ -174,22 +146,6 @@ pub struct TopologyDelta {
 }
 
 impl TopologyDelta {
-    /// Rebuilds a delta from its [`ToJson`] representation.
-    pub fn from_json(v: &Json) -> Option<TopologyDelta> {
-        let links = |key: &str| -> Option<Vec<LinkId>> {
-            v.get(key)?
-                .as_array()?
-                .iter()
-                .map(|l| l.as_u32().map(LinkId))
-                .collect()
-        };
-        Some(TopologyDelta {
-            epoch: v.get("epoch")?.as_u64()?,
-            went_down: links("went_down")?,
-            came_up: links("came_up")?,
-        })
-    }
-
     /// True when no link changed state (the event was redundant).
     pub fn is_empty(&self) -> bool {
         self.went_down.is_empty() && self.came_up.is_empty()
@@ -455,34 +411,58 @@ mod tests {
     #[test]
     fn events_round_trip_through_json() {
         let cases = [
-            TopologyEvent::LinkDown { link: LinkId(7) },
-            TopologyEvent::LinkUp { link: LinkId(7) },
-            TopologyEvent::SwitchDrain { switch: NodeId(3) },
-            TopologyEvent::SwitchUndrain { switch: NodeId(3) },
-            TopologyEvent::PodDrained { pod: 2 },
-            TopologyEvent::PodAdded { pod: 2 },
+            (
+                TopologyEvent::LinkDown { link: LinkId(7) },
+                r#"{"event":"link_down","link":7}"#,
+            ),
+            (
+                TopologyEvent::LinkUp { link: LinkId(7) },
+                r#"{"event":"link_up","link":7}"#,
+            ),
+            (
+                TopologyEvent::SwitchDrain { switch: NodeId(3) },
+                r#"{"event":"switch_drain","switch":3}"#,
+            ),
+            (
+                TopologyEvent::SwitchUndrain { switch: NodeId(3) },
+                r#"{"event":"switch_undrain","switch":3}"#,
+            ),
+            (
+                TopologyEvent::PodDrained { pod: 2 },
+                r#"{"event":"pod_drained","pod":2}"#,
+            ),
+            (
+                TopologyEvent::PodAdded { pod: 2 },
+                r#"{"event":"pod_added","pod":2}"#,
+            ),
         ];
-        for ev in cases {
+        for (ev, golden) in cases {
             let text = ev.to_json().to_string();
-            let parsed = TopologyEvent::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(parsed, ev);
+            assert_eq!(text, golden);
+            assert_eq!(Json::parse(&text), Ok(ev.to_json()));
         }
     }
 
     #[test]
     fn deltas_round_trip_through_json() {
         let cases = [
-            TopologyDelta::default(),
-            TopologyDelta {
-                epoch: 9,
-                went_down: vec![LinkId(3), LinkId(17)],
-                came_up: vec![LinkId(4)],
-            },
+            (
+                TopologyDelta::default(),
+                r#"{"epoch":0,"went_down":[],"came_up":[]}"#,
+            ),
+            (
+                TopologyDelta {
+                    epoch: 9,
+                    went_down: vec![LinkId(3), LinkId(17)],
+                    came_up: vec![LinkId(4)],
+                },
+                r#"{"epoch":9,"went_down":[3,17],"came_up":[4]}"#,
+            ),
         ];
-        for d in cases {
+        for (d, golden) in cases {
             let text = d.to_json().to_string();
-            let parsed = TopologyDelta::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(parsed, d);
+            assert_eq!(text, golden);
+            assert_eq!(Json::parse(&text), Ok(d.to_json()));
         }
     }
 
