@@ -5,8 +5,18 @@
 //! links (with their paths) become independent subproblems that can be
 //! solved in parallel. In a k-ary Fattree the inter-switch links split into
 //! k/2 components, one per aggregation-switch column.
+//!
+//! The union–find is a dense array spanning the largest named link + 1
+//! (as [`LinkIndex`](super::LinkIndex) spans it), with an iterative,
+//! path-halving find, so a long chain of links costs no stack. Its
+//! smaller root always wins, which keeps a root the smallest link of its
+//! component and orders the components by it. One ascending pass then
+//! numbers the components and gives every link its local index — its
+//! rank in its component's sorted universe — so each component's
+//! candidate index is built straight from those locals, never by
+//! searching the universe.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 use super::index::{CandidateIndex, IndexedCell};
@@ -92,93 +102,100 @@ impl Subproblem {
     }
 }
 
-struct UnionFind {
-    parent: HashMap<u32, u32>,
-}
-
-impl UnionFind {
-    fn new() -> Self {
-        Self {
-            parent: HashMap::new(),
-        }
-    }
-
-    fn find(&mut self, x: u32) -> u32 {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let root = self.find(p);
-        self.parent.insert(x, root);
-        root
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            // Deterministic: smaller id becomes the root.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent.insert(hi, lo);
-        }
-    }
-}
+/// Marks a link no candidate names in [`decompose`]'s union–find.
+const UNNAMED: u32 = u32::MAX;
 
 /// Splits a candidate set into independent subproblems.
 ///
 /// Paths covering no links are dropped. Components are returned in
-/// ascending order of their smallest link id, so decomposition is fully
-/// deterministic.
+/// ascending order of their smallest link id, each with its candidates in
+/// input order, so decomposition is fully deterministic.
 pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
-    let mut uf = UnionFind::new();
+    let span = candidates
+        .iter()
+        .filter_map(|p| p.links().last())
+        .map(|l| l.index() + 1)
+        .max()
+        .unwrap_or(0);
+    // Union–find over the named link ids. The smaller root always wins,
+    // so every parent is at most its child and a root is the smallest
+    // link of its set.
+    let mut parent = vec![UNNAMED; span];
     for p in &candidates {
-        let ls = p.links();
-        if ls.is_empty() {
+        let mut root: Option<u32> = None;
+        for l in p.links() {
+            if parent[l.index()] == UNNAMED {
+                parent[l.index()] = l.0;
+            }
+            let other = find(&mut parent, l.0);
+            root = Some(match root {
+                Some(root) if root != other => {
+                    let (lo, hi) = (root.min(other), root.max(other));
+                    parent[hi as usize] = lo;
+                    lo
+                }
+                _ => other,
+            });
+        }
+    }
+
+    // One ascending pass turns every parent into its component, numbered
+    // in order of the smallest link: a root opens the next component, and
+    // any other link takes its parent's, already renumbered since the
+    // parent is smaller. Each link's local index is its rank in its
+    // component's (ascending) universe.
+    let mut universes: Vec<Vec<LinkId>> = Vec::new();
+    let mut local = vec![0u32; span];
+    for l in 0..span {
+        let p = parent[l];
+        if p == UNNAMED {
             continue;
         }
-        let first = ls[0].0;
-        uf.find(first);
-        for l in &ls[1..] {
-            uf.union(first, l.0);
-        }
+        let component = if p as usize == l {
+            universes.push(Vec::new());
+            universes.len() - 1
+        } else {
+            parent[p as usize] as usize
+        };
+        parent[l] = component as u32;
+        local[l] = universes[component].len() as u32;
+        universes[component].push(LinkId(l as u32));
     }
+    let component = parent;
 
-    // Map component roots to dense indices ordered by root id (the root is
-    // always the smallest link id in the component).
-    let mut roots: Vec<u32> = {
-        let keys: Vec<u32> = uf.parent.keys().copied().collect();
-        let mut rs: Vec<u32> = keys.into_iter().map(|k| uf.find(k)).collect();
-        rs.sort_unstable();
-        rs.dedup();
-        rs
-    };
-    roots.sort_unstable();
-    let root_index: HashMap<u32, usize> = roots.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-
-    let mut subs: Vec<(Vec<LinkId>, Vec<ProbePath>)> =
-        roots.iter().map(|_| (Vec::new(), Vec::new())).collect();
-
-    // Assign links to component universes.
-    let link_ids: Vec<u32> = uf.parent.keys().copied().collect();
-    let mut sorted_links = link_ids;
-    sorted_links.sort_unstable();
-    for l in sorted_links {
-        let r = uf.find(l);
-        subs[root_index[&r]].0.push(LinkId(l));
-    }
-
+    let mut members: Vec<Vec<ProbePath>> = universes.iter().map(|_| Vec::new()).collect();
     for p in candidates {
-        if p.links().is_empty() {
-            continue;
+        if let Some(first) = p.links().first() {
+            members[component[first.index()] as usize].push(p);
         }
-        let r = uf.find(p.links()[0].0);
-        subs[root_index[&r]].1.push(p);
     }
-    subs.into_iter()
+    universes
+        .into_iter()
+        .zip(members)
         .map(|(universe, candidates)| {
-            Subproblem::new(universe, candidates).expect("a component holds its paths' links")
+            let index = CandidateIndex::build_with(&candidates, |l| Some(local[l.index()]))
+                .expect("a component holds its paths' links");
+            Subproblem {
+                universe,
+                candidates,
+                index,
+            }
         })
         .collect()
+}
+
+/// The root of `x`'s set, halving the path on the way: iterative, so a
+/// long chain of links cannot overflow the stack.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    loop {
+        let p = parent[x as usize];
+        if p == x {
+            return x;
+        }
+        let grand = parent[p as usize];
+        parent[x as usize] = grand;
+        x = grand;
+    }
 }
 
 #[cfg(test)]
@@ -218,6 +235,99 @@ mod tests {
     fn whole_infers_universe() {
         let sp = Subproblem::whole(vec![path(0, &[3, 1]), path(1, &[2])]);
         assert_eq!(sp.universe, vec![LinkId(1), LinkId(2), LinkId(3)]);
+    }
+
+    #[test]
+    fn a_long_link_chain_decomposes_on_a_small_stack() {
+        // Paths [i, i + 1] in descending i: every union hangs the chain
+        // one link lower, so the set's tree is a million links deep and a
+        // recursive find overflows a 2 MiB stack.
+        const LINKS: u32 = 1_000_000;
+        let shape = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let chain = (0..LINKS - 1).rev().map(|i| path(i, &[i, i + 1]));
+                let subs = decompose(chain.collect());
+                let shape: Vec<_> = subs
+                    .iter()
+                    .map(|s| (s.universe.len(), s.candidates.len()))
+                    .collect();
+                shape
+            })
+            .unwrap()
+            .join()
+            .expect("decompose returns");
+        assert_eq!(shape, vec![(LINKS as usize, LINKS as usize - 1)]);
+    }
+
+    /// The components of the path–link graph by breadth-first search:
+    /// per component (ascending smallest link) its sorted links and the
+    /// positions of its paths in the input.
+    fn bfs_components(paths: &[ProbePath]) -> Vec<(Vec<LinkId>, Vec<usize>)> {
+        let mut links: Vec<LinkId> = paths.iter().flat_map(|p| p.links().to_vec()).collect();
+        links.sort_unstable();
+        links.dedup();
+        let mut seen = HashSet::new();
+        let mut components = Vec::new();
+        for &start in &links {
+            if !seen.insert(start) {
+                continue;
+            }
+            let (mut universe, mut frontier) = (vec![start], vec![start]);
+            while let Some(l) = frontier.pop() {
+                for p in paths.iter().filter(|p| p.covers(l)) {
+                    for &m in p.links() {
+                        if seen.insert(m) {
+                            universe.push(m);
+                            frontier.push(m);
+                        }
+                    }
+                }
+            }
+            universe.sort_unstable();
+            let members = (0..paths.len())
+                .filter(|&i| {
+                    paths[i]
+                        .links()
+                        .first()
+                        .is_some_and(|l| universe.contains(l))
+                })
+                .collect();
+            components.push((universe, members));
+        }
+        components
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// `decompose` finds the components a breadth-first search does,
+        /// in the same order, each with its paths in input order and
+        /// indexed over its own universe — on sparse ids up to 10⁶, with
+        /// empty and duplicate paths.
+        #[test]
+        fn decompose_matches_a_breadth_first_search(
+            ids in proptest::collection::vec(0u32..1_000_000, 1..16),
+            raw in proptest::collection::vec(proptest::collection::vec(0usize..16, 0..4), 0..24),
+        ) {
+            let paths: Vec<ProbePath> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, ls)| path(i as u32, &ls.iter().map(|&k| ids[k % ids.len()]).collect::<Vec<_>>()))
+                .collect();
+            let want = bfs_components(&paths);
+            let got = decompose(paths.clone());
+            assert_eq!(got.len(), want.len());
+            for (sub, (universe, members)) in got.iter().zip(&want) {
+                assert_eq!(&sub.universe, universe);
+                let candidates: Vec<&ProbePath> = members.iter().map(|&i| &paths[i]).collect();
+                assert_eq!(sub.candidates.iter().collect::<Vec<_>>(), candidates);
+                let rebuilt = CandidateIndex::build(universe, &sub.candidates).unwrap();
+                for i in 0..sub.candidates.len() {
+                    assert_eq!(sub.index.locals(i), rebuilt.locals(i));
+                }
+            }
+        }
     }
 
     #[test]

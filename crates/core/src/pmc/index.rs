@@ -67,22 +67,39 @@ impl CandidateIndex {
     /// universe is an error.
     pub(crate) fn build(universe: &[LinkId], candidates: &[ProbePath]) -> Result<Self, PmcError> {
         let lookup = LinkLookup::new(universe);
+        Self::build_with(candidates, |link| lookup.local(link))
+    }
+
+    /// Indexes `candidates`, `local` naming each link's local index
+    /// (`None` for a link outside the universe, an error).
+    pub(crate) fn build_with(
+        candidates: &[ProbePath],
+        local: impl Fn(LinkId) -> Option<u32>,
+    ) -> Result<Self, PmcError> {
         let mut index = Self::new();
         index.offsets.reserve(candidates.len());
         index
             .locals
             .reserve(candidates.iter().map(ProbePath::len).sum());
         for p in candidates {
-            index.push(&lookup, p)?;
+            index.push_with(&local, p)?;
         }
         Ok(index)
     }
 
     /// Appends one candidate.
     pub(crate) fn push(&mut self, lookup: &LinkLookup, path: &ProbePath) -> Result<(), PmcError> {
+        self.push_with(|link| lookup.local(link), path)
+    }
+
+    fn push_with(
+        &mut self,
+        local: impl Fn(LinkId) -> Option<u32>,
+        path: &ProbePath,
+    ) -> Result<(), PmcError> {
         let start = self.locals.len();
         for &link in path.links() {
-            match lookup.local(link) {
+            match local(link) {
                 Some(i) => self.locals.push(i),
                 None => {
                     self.locals.truncate(start);

@@ -1,5 +1,11 @@
 //! Greedy selection state: link-set partition refinement plus coverage
 //! weights and the path score of eq. (1).
+//!
+//! Scoring a path counts the distinct cells it touches with per-cell
+//! stamps instead of clearing a scratch set per evaluation: every probe
+//! and refinement starts a fresh stamp round. A solve can run billions of
+//! evaluations (the Table 2 strawman under its cutoff), so the round
+//! counter clears the stamps rather than wrap onto values they still hold.
 
 use super::virtual_links::ExtendedUniverse;
 use super::{PmcConfig, PmcError, SubSolution};
@@ -21,7 +27,7 @@ struct Partition {
     /// Scratch: per-cell incident-element count for split prediction;
     /// during a refinement, a split cell's buddy and a buddy's origin.
     inc_count: Vec<u64>,
-    /// Current stamp round.
+    /// Current stamp round; no stamp exceeds it.
     round: u32,
 }
 
@@ -36,6 +42,19 @@ impl Partition {
             inc_count: vec![0],
             round: 0,
         }
+    }
+
+    /// Starts a stamp round no stamp holds: every stamp is at most the
+    /// current round, so the next one is fresh. Before the counter would
+    /// wrap to a value untouched stamps hold, every stamp is cleared.
+    #[inline]
+    fn next_round(&mut self) -> u32 {
+        if self.round == u32::MAX {
+            self.stamp.fill(0);
+            self.round = 0;
+        }
+        self.round += 1;
+        self.round
     }
 
     #[inline]
@@ -58,8 +77,7 @@ impl Partition {
     /// incident elements touch and how many of those cells would actually
     /// split (contain both incident and non-incident elements).
     fn probe(&mut self, incident: impl Iterator<Item = u64> + Clone) -> (u64, u64) {
-        self.round += 1;
-        let round = self.round;
+        let round = self.next_round();
         let mut touched = 0u64;
         for e in incident.clone() {
             let c = self.cell_of[e as usize] as usize;
@@ -79,18 +97,16 @@ impl Partition {
                     splits += 1;
                 }
                 // Consume the stamp so each cell is judged once.
-                self.stamp[c] = round.wrapping_sub(1);
+                self.stamp[c] = round - 1;
             }
         }
-        self.round += 1; // Invalidate any stale consumed stamps.
         (touched, splits)
     }
 
     /// Refines the partition by the incident-element set of a selected
     /// path, returning the number of cells that split.
     fn refine(&mut self, incident: impl Iterator<Item = u64>) -> u64 {
-        self.round += 1;
-        let round = self.round;
+        let round = self.next_round();
         // Every touched cell gets a fresh buddy cell, in first-touch
         // order; its incident elements move there.
         let first_buddy = self.cell_size.len();
@@ -421,6 +437,38 @@ mod tests {
         let _ = st.evaluate(&path(0, &[0, 2])).unwrap();
         let _ = st.evaluate(&path(1, &[1, 3])).unwrap();
         assert_eq!(st.cells(), before);
+    }
+
+    #[test]
+    fn stamp_rounds_survive_the_counter_wrapping() {
+        // Enough probes and refinements to carry the counter past
+        // `u32::MAX`, with fresh cells (stamped 0) probed after the wrap.
+        let paths: [&[u64]; 6] = [
+            &[0, 1, 2, 3],
+            &[2, 3, 4],
+            &[0, 4, 5],
+            &[1, 5, 6, 7],
+            &[6],
+            &[3, 7],
+        ];
+        let mut fresh = Partition::new(8);
+        let mut worn = Partition::new(8);
+        worn.round = u32::MAX - 3;
+        for step in 0..24 {
+            let path = paths[step % paths.len()].iter().copied();
+            assert_eq!(
+                fresh.probe(path.clone()),
+                worn.probe(path.clone()),
+                "step {step}"
+            );
+            if step % 3 == 0 {
+                assert_eq!(fresh.refine(path.clone()), worn.refine(path), "step {step}");
+            }
+            assert_eq!(fresh.cell_of, worn.cell_of, "step {step}");
+            assert_eq!(fresh.cell_size, worn.cell_size, "step {step}");
+            assert_eq!(fresh.num_cells(), worn.num_cells(), "step {step}");
+        }
+        assert!(worn.round < 64, "the counter wrapped");
     }
 
     /// Brute-force model of the selection state: every extended element

@@ -1,0 +1,104 @@
+//! The boot plans, pinned bit for bit: every path's id, nodes and links,
+//! in plan order, folded into one FNV-1a digest per case. The PMC solver's
+//! data structures (the decomposition's union-find, the lazy greedy's
+//! queue) may change; the plans they produce may not. A digest here moves
+//! only when a plan does — then the change must explain why.
+
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use detector_core::pmc::{PmcConfig, ProbeMatrix};
+use detector_system::{ProbePlan, SharedTopology, EXHAUSTIVE_LIMIT};
+use detector_topology::{BCube, Fattree, Vl2};
+
+/// 64-bit FNV-1a over little-endian words: stable across platforms,
+/// toolchains and runs, unlike `DefaultHasher`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u32) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The digest of a matrix's paths: per path its id, then its node and
+/// link sequences, each preceded by its length.
+fn digest(m: &ProbeMatrix) -> u64 {
+    let mut h = Fnv::new();
+    h.word(m.paths.len() as u32);
+    for p in &m.paths {
+        h.word(p.id.0);
+        h.word(p.nodes().len() as u32);
+        for n in p.nodes() {
+            h.word(n.0);
+        }
+        h.word(p.links().len() as u32);
+        for l in p.links() {
+            h.word(l.0);
+        }
+    }
+    h.0
+}
+
+/// Boots a plan for `topo` with nothing offline and returns its matrix
+/// and the number of cells it was solved in.
+fn boot(topo: SharedTopology, cfg: &PmcConfig) -> (ProbeMatrix, usize) {
+    let plan = ProbePlan::new(topo, cfg, &HashSet::new()).expect("the boot solve succeeds");
+    (plan.matrix(), plan.num_cells())
+}
+
+fn assert_plan(topo: SharedTopology, cfg: &PmcConfig, cells: usize, paths: usize, want: u64) {
+    let (m, got_cells) = boot(topo, cfg);
+    assert_eq!(got_cells, cells, "cells");
+    assert_eq!(m.num_paths(), paths, "paths");
+    assert!(m.achieved.targets_met, "targets");
+    assert_eq!(digest(&m), want, "digest {:#018x}", digest(&m));
+}
+
+fn vl2() -> SharedTopology {
+    let vl: SharedTopology = Arc::new(Vl2::new(20, 12, 2).unwrap());
+    assert!(vl.original_path_count() <= EXHAUSTIVE_LIMIT, "materialized");
+    vl
+}
+
+#[test]
+fn vl2_20_12_2_at_3_1() {
+    assert_plan(vl2(), &PmcConfig::new(3, 1), 1, 241, 0x1415_bf9c_1dee_9a7c);
+}
+
+#[test]
+fn vl2_20_12_2_at_1_1() {
+    assert_plan(vl2(), &PmcConfig::new(1, 1), 1, 119, 0xa815_7b8d_e333_e547);
+}
+
+#[test]
+fn vl2_20_12_2_at_2_2() {
+    assert_plan(vl2(), &PmcConfig::new(2, 2), 1, 619, 0xfc94_1833_db6b_f5ee);
+}
+
+#[test]
+fn fattree_8_materialized_in_four_cells() {
+    let ft: SharedTopology = Arc::new(Fattree::new(8).unwrap());
+    assert!(ft.original_path_count() <= EXHAUSTIVE_LIMIT, "materialized");
+    assert_plan(ft, &PmcConfig::new(3, 1), 4, 320, 0x00a0_f93c_7259_1306);
+}
+
+#[test]
+fn fattree_16_symmetric() {
+    let ft: SharedTopology = Arc::new(Fattree::new(16).unwrap());
+    assert!(ft.original_path_count() > EXHAUSTIVE_LIMIT, "provider-fed");
+    assert_plan(ft, &PmcConfig::new(3, 1), 8, 1896, 0xee56_5130_bfcc_9cf2);
+}
+
+#[test]
+fn bcube_4_1() {
+    let bc: SharedTopology = Arc::new(BCube::new(4, 1).unwrap());
+    assert_plan(bc, &PmcConfig::new(1, 2), 1, 54, 0x0b98_f907_4f19_bdaf);
+}
