@@ -78,11 +78,6 @@ impl PingerAgent {
         self.id
     }
 
-    /// Number of lists currently dispatched to this agent.
-    pub fn num_lists(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Serves the controller until shutdown or failure: sends `Hello`,
     /// then answers every frame in arrival order. Probing runs inline on
     /// this thread (one agent = one host group = one probe worker).

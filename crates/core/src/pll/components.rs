@@ -5,11 +5,11 @@
 //! observations and the links they cross — splits into connected
 //! components; losses in one component can only be explained by that
 //! component's links, so the greedy cover decomposes into independent
-//! per-component covers: [`ComponentJob`]s that run inline or in parallel
-//! on a [`JobPool`]. Clean observations take no part in the partition —
-//! they only enter through the hit-ratio denominators, which are static
-//! per window — so the components are exactly the window's independent
-//! localization subproblems, one job each.
+//! per-component covers, solved one after another on the diagnosing
+//! thread. Clean observations take no part in the partition — they only
+//! enter through the hit-ratio denominators, which are static per
+//! window — so the components are exactly the window's independent
+//! localization subproblems, one greedy each.
 //!
 //! So the localizer reads only the lossy observations. A candidate
 //! link's hit ratio is its lossy paths over its observed paths, and the
@@ -54,12 +54,11 @@
 //! `tests/scheduler_equivalence.rs` and `tests/distributed_equivalence.rs`.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
-use super::pll_impl::{greedy_scoped, index_links, Diagnosis, GreedyOutcome, SuspectLink};
+use super::pll_impl::{greedy_scoped, index_links, Diagnosis, SuspectLink};
 use super::preprocess::stays_lossy;
 use super::{preprocess, PllConfig};
-use crate::pmc::{JobPool, LinkIndex, ProbeMatrix};
+use crate::pmc::{LinkIndex, ProbeMatrix};
 use crate::types::{LinkId, PathObservation};
 
 /// One connected component of the lossy path/link incidence.
@@ -73,10 +72,9 @@ struct Component {
 }
 
 /// Everything windows with the same reuse key share, built once per
-/// rebuild and handed to every [`ComponentJob`] behind one `Arc`.
+/// rebuild.
 #[derive(Debug)]
 struct Skeleton {
-    cfg: PllConfig,
     /// The `num_links` of the matrix the skeleton was built against.
     universe: usize,
     /// Link → indices into the lossy observations (the lengths are the
@@ -103,7 +101,6 @@ impl Skeleton {
         matrix: &ProbeMatrix,
         lossy: &[PathObservation],
         observed_through: &dyn Fn(LinkId) -> usize,
-        cfg: PllConfig,
     ) -> Self {
         let link_paths = index_links(matrix, lossy);
 
@@ -162,7 +159,6 @@ impl Skeleton {
         }
 
         Self {
-            cfg,
             universe: matrix.num_links,
             link_paths,
             denominators,
@@ -170,74 +166,6 @@ impl Skeleton {
             stray,
         }
     }
-}
-
-/// One component's greedy cover as a self-contained, sendable work item:
-/// run it on any thread (a [`JobPool`] worker, a scheduler's probe
-/// worker, inline) and hand the [`ComponentVerdict`] back to
-/// [`ComponentPll::complete`]. Jobs of one window share the skeleton and
-/// the window's lossy observations; a job itself is a component index.
-#[derive(Clone, Debug)]
-pub struct ComponentJob {
-    skeleton: Arc<Skeleton>,
-    obs: Arc<Vec<PathObservation>>,
-    comp: usize,
-}
-
-impl ComponentJob {
-    /// Runs the component's greedy cover. Pure: no shared mutable state,
-    /// any order and thread.
-    pub fn run(&self) -> ComponentVerdict {
-        let s = &self.skeleton;
-        match s.comps.get(self.comp) {
-            Some(c) => ComponentVerdict(greedy_scoped(
-                &self.obs,
-                &s.link_paths,
-                &c.hit,
-                &s.cfg,
-                &c.scope,
-            )),
-            None => ComponentVerdict::empty(),
-        }
-    }
-
-    /// Runs every job on up to `workers` scoped threads — clamped to the
-    /// host's cores, since the jobs are CPU-bound; `1` runs inline on the
-    /// caller's thread — verdicts in job order.
-    pub fn run_all(jobs: &[ComponentJob], workers: usize) -> Vec<ComponentVerdict> {
-        JobPool::clamped(workers).run_indexed(jobs.len(), |i| {
-            jobs.get(i)
-                .map_or_else(ComponentVerdict::empty, ComponentJob::run)
-        })
-    }
-}
-
-/// The opaque result of one [`ComponentJob`]; collect every job's verdict
-/// and feed them (any order) to [`ComponentPll::complete`].
-#[derive(Debug)]
-pub struct ComponentVerdict(GreedyOutcome);
-
-impl ComponentVerdict {
-    /// No suspects, nothing unexplained — the identity of the merge, for
-    /// the structurally unreachable "no such job" slots.
-    fn empty() -> Self {
-        ComponentVerdict(GreedyOutcome {
-            suspects: Vec::new(),
-            unexplained: Vec::new(),
-        })
-    }
-}
-
-/// What [`ComponentPll::prepare`] decided about the window.
-#[derive(Debug)]
-pub enum ComponentPlan {
-    /// The diagnosis is already final (cached verdict, or a window with
-    /// no component to solve) — no jobs to run and no
-    /// [`complete`](ComponentPll::complete) call due.
-    Ready(Diagnosis),
-    /// Per-component jobs to execute — concurrently or not — before
-    /// handing every verdict to [`complete`](ComponentPll::complete).
-    Fanout(Vec<ComponentJob>),
 }
 
 /// Cached cross-window component-decomposed PLL state. One instance per
@@ -248,9 +176,9 @@ pub struct ComponentPll {
     cfg: PllConfig,
     /// The cached skeleton; `None` before the first window and after
     /// [`invalidate`](ComponentPll::invalidate).
-    skeleton: Option<Arc<Skeleton>>,
+    skeleton: Option<Skeleton>,
     /// The latest window's lossy observations, noise filtered.
-    obs: Arc<Vec<PathObservation>>,
+    obs: Vec<PathObservation>,
     /// The latest window's verdict (for the unchanged-window shortcut).
     verdict: Diagnosis,
     full_rebuilds: u64,
@@ -264,7 +192,7 @@ impl ComponentPll {
         Self {
             cfg,
             skeleton: None,
-            obs: Arc::default(),
+            obs: Vec::new(),
             verdict: Diagnosis::default(),
             full_rebuilds: 0,
             reused_skeletons: 0,
@@ -296,11 +224,11 @@ impl ComponentPll {
         self.reused_verdicts
     }
 
-    /// `(lossy_paths, components)` of the latest prepared window:
+    /// `(lossy_paths, components)` of the latest diagnosed window:
     /// observations that stay lossy after noise filtering (those whose
     /// path id does not resolve in the matrix included), and the
     /// connected components their links induce — the number of
-    /// independent localization subproblems, one [`ComponentJob`] each.
+    /// independent localization subproblems, one greedy each.
     /// `(0, 0)` before the first window and after
     /// [`invalidate`](ComponentPll::invalidate).
     pub fn window_shape(&self) -> (u64, u64) {
@@ -313,33 +241,24 @@ impl ComponentPll {
 
     /// Localizes one whole window: counts each link's observed paths
     /// from `observations` themselves — what [`localize`](super::localize)
-    /// indexes — then [`prepare`](ComponentPll::prepare) over the lossy
-    /// ones, every job on up to `workers` threads
-    /// ([`ComponentJob::run_all`]), [`complete`](ComponentPll::complete).
-    /// Produces exactly what `localize` would for the same inputs, for
-    /// any worker count.
+    /// indexes — then [`diagnose`](ComponentPll::diagnose)s the lossy
+    /// ones. Produces exactly what `localize` would for the same inputs.
     pub fn localize(
         &mut self,
         matrix: &ProbeMatrix,
         observations: &[PathObservation],
-        workers: usize,
     ) -> Diagnosis {
         let observed = preprocess(observations, &self.cfg, &HashSet::new());
         let through = index_links(matrix, &observed);
         let lossy = observed.into_iter().filter(PathObservation::is_lossy);
-        match self.prepare(matrix, lossy.collect(), &|l| through.items(l).len()) {
-            ComponentPlan::Ready(d) => d,
-            ComponentPlan::Fanout(jobs) => self.complete(ComponentJob::run_all(&jobs, workers)),
-        }
+        self.diagnose(matrix, lossy.collect(), &|l| through.items(l).len())
     }
 
-    /// Phase 1 of a window: noise-filters the window's `lossy`
-    /// observations in place, reuses or rebuilds the cached skeleton, and
-    /// either finishes outright ([`ComponentPlan::Ready`]) or hands back
-    /// the window's per-component jobs. Executing every job (any threads,
-    /// any order) and passing the verdicts to
-    /// [`complete`](ComponentPll::complete) finishes the window. Do not
-    /// interleave another `prepare` before the matching `complete`.
+    /// Diagnoses one window: noise-filters its `lossy` observations in
+    /// place, reuses or rebuilds the cached skeleton, runs each
+    /// component's greedy in turn and merges their suspects into the
+    /// global pick order — or returns the cached verdict outright when
+    /// the window repeats its predecessor.
     ///
     /// `lossy` lists the window's observations with a probe lost, in the
     /// window's order (ascending path id); clean ones may be left out, and
@@ -347,12 +266,12 @@ impl ComponentPll {
     /// is the hit ratio's denominator: the window's observations with a
     /// probe sent whose path crosses link `l`, counted once per naming —
     /// clean, noisy and lossy alike.
-    pub fn prepare(
+    pub fn diagnose(
         &mut self,
         matrix: &ProbeMatrix,
         mut lossy: Vec<PathObservation>,
         observed_through: &dyn Fn(LinkId) -> usize,
-    ) -> ComponentPlan {
+    ) -> Diagnosis {
         lossy.retain(|o| stays_lossy(o, &self.cfg));
         let same_key = |s: &Skeleton| {
             s.universe == matrix.num_links
@@ -360,51 +279,31 @@ impl ComponentPll {
                 && self.obs.iter().zip(&lossy).all(|(p, o)| p.path == o.path)
                 && (s.denominators.iter()).all(|&(l, n)| observed_through(l) == n)
         };
-        let skeleton = match &self.skeleton {
-            Some(s) if same_key(s) => {
-                if *self.obs == lossy {
+        let skeleton = match self.skeleton.take() {
+            Some(s) if same_key(&s) => {
+                if self.obs == lossy {
                     self.reused_verdicts += 1;
-                    return ComponentPlan::Ready(self.verdict.clone());
+                    self.skeleton = Some(s);
+                    return self.verdict.clone();
                 }
                 self.reused_skeletons += 1;
-                Arc::clone(s)
+                s
             }
             _ => {
                 self.full_rebuilds += 1;
-                let s = Arc::new(Skeleton::build(matrix, &lossy, observed_through, self.cfg));
-                self.skeleton = Some(Arc::clone(&s));
-                s
+                Skeleton::build(matrix, &lossy, observed_through)
             }
         };
-        self.obs = Arc::new(lossy);
+        self.obs = lossy;
+        let s = self.skeleton.insert(skeleton);
 
-        // No lossy observation that resolves to links (an all-healthy
-        // window, typically): nothing to solve.
-        if skeleton.comps.is_empty() {
-            return ComponentPlan::Ready(self.complete(Vec::new()));
-        }
-        ComponentPlan::Fanout(
-            (0..skeleton.comps.len())
-                .map(|comp| ComponentJob {
-                    skeleton: Arc::clone(&skeleton),
-                    obs: Arc::clone(&self.obs),
-                    comp,
-                })
-                .collect(),
-        )
-    }
-
-    /// Phase 2: merges every [`ComponentJob`]'s verdict of the preceding
-    /// [`prepare`](ComponentPll::prepare) into the window's global
-    /// diagnosis (order-insensitive — the merge sorts by the greedy's
-    /// selection key) and caches it for the identical-window shortcut.
-    pub fn complete(&mut self, outcomes: Vec<ComponentVerdict>) -> Diagnosis {
+        // A window with no lossy observation that resolves to links (an
+        // all-healthy one, typically) has no component: only the strays
+        // are left unexplained.
         let mut suspects: Vec<SuspectLink> = Vec::new();
-        let mut unexplained: Vec<u32> = match &self.skeleton {
-            Some(s) => s.stray.clone(),
-            None => Vec::new(),
-        };
-        for ComponentVerdict(out) in outcomes {
+        let mut unexplained: Vec<u32> = s.stray.clone();
+        for c in &s.comps {
+            let out = greedy_scoped(&self.obs, &s.link_paths, &c.hit, &self.cfg, &c.scope);
             suspects.extend(out.suspects);
             unexplained.extend(out.unexplained);
         }
@@ -509,16 +408,13 @@ mod tests {
             (3, 100, 0),
             (4, 100, 0),
         ]);
-        let d = c.localize(&m, &w, 4);
+        let d = c.localize(&m, &w);
         assert_eq!(c.window_shape(), (2, 1));
         assert_eq!(d, localize(&m, &w, &PllConfig::default()));
         assert_eq!(d.suspect_links(), vec![LinkId(0)]);
         // All three islands lossy: three components.
         let w = obs(&[(0, 100, 40), (2, 100, 40), (4, 100, 40)]);
-        assert_eq!(
-            c.localize(&m, &w, 4),
-            localize(&m, &w, &PllConfig::default())
-        );
+        assert_eq!(c.localize(&m, &w), localize(&m, &w, &PllConfig::default()));
         assert_eq!(c.window_shape(), (3, 3));
     }
 
@@ -541,9 +437,7 @@ mod tests {
             seq.suspects.iter().map(|s| s.link).collect::<Vec<_>>(),
             vec![LinkId(3), LinkId(0)]
         );
-        for workers in [1, 2, 8] {
-            assert_eq!(pll().localize(&m, &w, workers), seq);
-        }
+        assert_eq!(pll().localize(&m, &w), seq);
 
         // A tie on explained losses across components falls to the hit
         // ratio before the link id: link 5 (80 lost, hit ratio 1) goes
@@ -563,7 +457,7 @@ mod tests {
             seq.suspects.iter().map(|s| s.link).collect::<Vec<_>>(),
             vec![LinkId(5), LinkId(0)]
         );
-        assert_eq!(pll().localize(&m, &w, 1), seq);
+        assert_eq!(pll().localize(&m, &w), seq);
     }
 
     #[test]
@@ -573,11 +467,9 @@ mod tests {
         let mut c = pll();
         let lossy = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
         let clean = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
-        c.localize(&m, &lossy, 4);
+        c.localize(&m, &lossy);
         // No candidate link, so no denominator is read.
-        let ComponentPlan::Ready(d) = c.prepare(&m, clean.clone(), &|_| 0) else {
-            panic!("an all-healthy window has no jobs to run");
-        };
+        let d = c.diagnose(&m, clean.clone(), &|_| 0);
         assert!(d.is_clean());
         assert_eq!(d, localize(&m, &clean, &cfg));
         assert_eq!(c.window_shape(), (0, 0));
@@ -586,8 +478,8 @@ mod tests {
         // set, whatever its clean counters, and reuses the verdict.
         assert_eq!(c.full_rebuilds(), 2);
         let clean2 = obs(&[(0, 90, 0), (1, 100, 0), (2, 100, 0)]);
-        assert!(c.localize(&m, &clean2, 4).is_clean());
-        assert!(c.localize(&m, &clean2, 4).is_clean());
+        assert!(c.localize(&m, &clean2).is_clean());
+        assert!(c.localize(&m, &clean2).is_clean());
         assert_eq!(
             (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
             (2, 0, 2)
@@ -600,13 +492,13 @@ mod tests {
         let cfg = PllConfig::default();
         let mut c = pll();
         let w = obs(&[(0, 100, 100), (1, 100, 100), (99, 100, 100)]);
-        let d = c.localize(&m, &w, 4);
+        let d = c.localize(&m, &w);
         assert_eq!(d, localize(&m, &w, &cfg));
         assert_eq!(d.unexplained_paths, vec![PathId(99)]);
         // Lossy, but outside every component.
         assert_eq!(c.window_shape(), (3, 1));
         let stray = obs(&[(99, 100, 40)]);
-        assert_eq!(c.localize(&m, &stray, 4), localize(&m, &stray, &cfg));
+        assert_eq!(c.localize(&m, &stray), localize(&m, &stray, &cfg));
         assert_eq!(c.window_shape(), (1, 0));
     }
 
@@ -618,7 +510,7 @@ mod tests {
         let cfg = PllConfig::default();
         let mut c = pll();
         let w = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 40), (3, 100, 40)]);
-        c.localize(&matrix(), &w, 4);
+        c.localize(&matrix(), &w);
         assert_eq!(c.window_shape(), (4, 2));
 
         let bridged = ProbeMatrix::from_paths(
@@ -632,7 +524,7 @@ mod tests {
         );
         c.invalidate();
         assert_eq!(c.window_shape(), (0, 0));
-        let d = c.localize(&bridged, &w, 4);
+        let d = c.localize(&bridged, &w);
         assert_eq!(c.window_shape(), (4, 1));
         assert_eq!(c.full_rebuilds(), 2);
         assert_eq!(c.reused_verdicts(), 0);
@@ -649,7 +541,7 @@ mod tests {
         // the two islands flips with them.
         let w2 = obs(&[(0, 100, 90), (1, 100, 90), (2, 100, 40), (3, 100, 40)]);
         for w in [&w1, &w2, &w2, &w1] {
-            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
         }
         assert_eq!(
             (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
@@ -663,14 +555,14 @@ mod tests {
         let cfg = PllConfig::default();
         let mut c = pll();
         let base = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
-        c.localize(&m, &base, 1);
+        c.localize(&m, &base);
         // A clean path off every candidate link drops out of the window
         // (e.g. its pinger went down) and comes back: the key holds. A
         // lossy path turns clean, and back: two rebuilds.
         let fewer = obs(&[(0, 100, 100), (1, 100, 100)]);
         let flipped = obs(&[(0, 100, 100), (1, 100, 0), (2, 100, 0)]);
         for w in [&fewer, &base, &flipped, &base] {
-            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
         }
         assert_eq!(
             (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
@@ -698,8 +590,8 @@ mod tests {
         let mut c = pll();
         let seen = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
         let unseen = obs(&[(0, 100, 40), (1, 100, 40), (3, 100, 0)]);
-        let before = c.localize(&m, &seen, 1);
-        let after = c.localize(&m, &unseen, 1);
+        let before = c.localize(&m, &seen);
+        let after = c.localize(&m, &unseen);
         assert_eq!(before, localize(&m, &seen, &cfg));
         assert_eq!(after, localize(&m, &unseen, &cfg));
         assert_eq!(c.full_rebuilds(), 2);
@@ -717,7 +609,7 @@ mod tests {
         let w1 = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
         let w2 = obs(&[(0, 100, 40), (1, 100, 40), (2, 70, 0), (3, 90, 0)]);
         for w in [&w1, &w2] {
-            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
         }
         assert_eq!(
             (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
@@ -734,7 +626,7 @@ mod tests {
         let with = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
         let without = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0)]);
         for w in [&with, &without, &with] {
-            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
         }
         assert_eq!(
             (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
@@ -757,7 +649,7 @@ mod tests {
         let w2 = obs(&[(0, 100, 90), (1, 100, 80), (2, 100, 0), (3, 100, 1)]);
         let w3 = obs(&[(0, 100, 2), (1, 100, 1), (2, 100, 0), (3, 100, 0)]);
         for w in [&w1, &w2, &w3] {
-            assert_eq!(c.localize(&m, w, 1), localize(&m, w, &cfg));
+            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
         }
         assert_eq!((c.full_rebuilds(), c.reused_skeletons()), (2, 1));
         assert_eq!(c.window_shape(), (0, 0));
@@ -768,14 +660,12 @@ mod tests {
 
         /// Random 12-link topologies under multi-window biased-random
         /// loss: component-decomposed localization matches the plain
-        /// whole-window oracle for every worker count, with skeleton
-        /// reuse across the windows of one run, and reports the lossy
-        /// incidence's shape.
+        /// whole-window oracle, with skeleton reuse across the windows of
+        /// one run, and reports the lossy incidence's shape.
         #[test]
-        fn matches_localize_across_windows_and_workers(
+        fn matches_localize_across_windows(
             paths in proptest::collection::vec(proptest::collection::vec(0u32..12, 1..4), 4..12),
             windows in proptest::collection::vec(proptest::collection::vec(0u64..3, 4..12), 1..5),
-            workers in 1usize..5,
         ) {
             let probe_paths: Vec<ProbePath> = paths
                 .iter()
@@ -797,9 +687,9 @@ mod tests {
                     .enumerate()
                     .map(|(i, &sev)| PathObservation::new(PathId(i as u32), 100, sev * 40))
                     .collect();
-                let par = c.localize(&m, &window, workers);
+                let got = c.localize(&m, &window);
                 let seq = localize(&m, &window, &cfg);
-                prop_assert_eq!(par, seq);
+                prop_assert_eq!(got, seq);
                 let lossy = window.iter().filter(|o| o.is_lossy()).count() as u64;
                 prop_assert_eq!(c.window_shape().0, lossy);
             }

@@ -5,10 +5,9 @@
 //! one indexed work-queue driver — one atomic cursor, scoped threads,
 //! slot-per-job results — with the worker count explicit, so callers
 //! bound the fan-out instead of inheriting host parallelism. It serves
-//! [`construct`](super::construct)'s subproblems, the incremental
-//! planner's cell re-solves in `detector-system` and the diagnoser's
-//! per-component PLL. Results come back in index order, so every pool
-//! width is observably identical.
+//! [`construct`](super::construct)'s subproblems and the incremental
+//! planner's cell re-solves in `detector-system`. Results come back in
+//! index order, so every pool width is observably identical.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -49,7 +48,8 @@ impl JobPool {
     pub fn clamped(workers: usize) -> Self {
         // One worker is one worker on any host: skip the parallelism
         // query (a syscall plus cgroup file reads, ~13 µs measured) on
-        // the inline path — diagnosis takes it once a window.
+        // the inline path — a plan with a single subproblem or cell
+        // takes it on every solve.
         if workers <= 1 {
             return Self::new(1);
         }

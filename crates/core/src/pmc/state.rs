@@ -251,11 +251,6 @@ impl SelectionState {
         &self.selected
     }
 
-    /// Consumes the state, returning the selected paths.
-    pub fn into_selected(self) -> Vec<ProbePath> {
-        self.selected
-    }
-
     /// Consumes the state, returning the selection and what it achieved.
     pub(crate) fn into_solution(self) -> SubSolution {
         SubSolution {

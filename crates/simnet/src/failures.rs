@@ -105,19 +105,6 @@ impl FailureScenario {
         out.dedup();
         out
     }
-
-    /// The expected end-to-end drop rate of the worst failure (used by
-    /// tests to reason about detectability).
-    pub fn max_expected_rate(&self) -> f64 {
-        self.failures
-            .iter()
-            .map(|f| match f.kind {
-                FailureKind::Full => 1.0,
-                FailureKind::DeterministicPartial { fraction } => fraction,
-                FailureKind::RandomPartial { rate } => rate,
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A scheduled mid-run topology change: at the start of `window`, apply

@@ -33,12 +33,6 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Total probe paths across pinglists (each matrix path appears in at
-    /// least two pinglists for fault tolerance).
-    pub fn total_assignments(&self) -> usize {
-        self.pinglists.iter().map(|p| p.num_paths()).sum()
-    }
-
     /// Carries version numbers over from a previous deployment for every
     /// pinglist whose assignment did not change, so pingers (which cache
     /// their bound routes by version) re-bind only the lists a re-plan
@@ -276,8 +270,7 @@ impl Controller {
 
     /// Recomputes the probe matrix from scratch for the *current* view
     /// state, ignoring the incremental plan — the canonical plan for the
-    /// current offline set (and the "full recompute" arm of the
-    /// `replan_latency` bench). It is the *targets* oracle for the
+    /// current offline set. It is the *targets* oracle for the
     /// incremental path, not a row oracle: while a link is offline the
     /// standing plan is a repair of what it had, so after any event
     /// sequence [`Controller::compute_matrix`] must achieve what this
@@ -323,24 +316,6 @@ impl Controller {
         let graph = self.view.topology().graph();
         let offline = self.view.offline_links();
         let interval_us = (1_000_000.0 / self.cfg.probe_rate_pps) as u64;
-
-        // Cell-affinity spread (opt-in, `SystemConfig::cell_affinity`):
-        // paths of one plan cell share a spread key, so from a given ToR
-        // they all land on the same pinger pair and a single-cell delta
-        // touches at most two of that ToR's `pingers_per_tor` lists.
-        // Ranges can leave base order after a re-base, so membership is a
-        // positional scan (cell counts are small: h = k/2 for Fattree).
-        let cell_ranges = if self.cfg.cell_affinity {
-            self.plan.as_ref().map(ProbePlan::cell_ranges)
-        } else {
-            None
-        };
-        let spread_key = |pid: detector_core::types::PathId| -> usize {
-            cell_ranges
-                .as_deref()
-                .and_then(|ranges| ranges.iter().position(|r| r.contains(pid)))
-                .unwrap_or_else(|| pid.index())
-        };
 
         // Pingers per ToR (probe endpoints are ToRs for Fattree/VL2). For
         // server-centric topologies (BCube) the endpoint *is* the pinger.
@@ -417,7 +392,7 @@ impl Controller {
                 // At least two pingers per path.
                 let take = pingers.len().clamp(1, 2);
                 for j in 0..take {
-                    let pinger = pingers[(spread_key(path.id) + j) % pingers.len()];
+                    let pinger = pingers[(path.id.index() + j) % pingers.len()];
                     let mut r = route.clone();
                     r[0] = pinger;
                     let li = list_for(pinger, &mut lists);
@@ -722,72 +697,20 @@ mod tests {
         assert_eq!(rebase_both_ways(&mut next, &full), 0);
         assert!(next.pinglists.iter().all(|l| l.version == full.version));
 
-        // A link-down re-plan on the cell-affinity fixtures: some lists
+        // A link-down re-plan with four pingers a ToR: some lists
         // change, some keep their version.
         let ft = Arc::new(Fattree::new(8).unwrap());
-        for affinity in [false, true] {
-            let cfg = SystemConfig {
-                pingers_per_tor: 4,
-                cell_affinity: affinity,
-                ..SystemConfig::default()
-            };
-            let mut ctl = Controller::new(ft.clone(), cfg);
-            let prev = ctl.build_deployment(&HashSet::new()).unwrap();
-            let link = ft.ea_link(1, 1, 0);
-            ctl.apply_event(&TopologyEvent::LinkDown { link }).unwrap();
-            let mut next = ctl.build_deployment(&HashSet::new()).unwrap();
-            let redispatched = rebase_both_ways(&mut next, &prev);
-            assert!(0 < redispatched && redispatched < next.pinglists.len());
-        }
-    }
-
-    #[test]
-    fn cell_affinity_reduces_redispatch_with_wide_pinger_pools() {
-        // The Fattree cell-partition smell: with `pingers_per_tor > 2`
-        // the default spread (`path.id` keyed) scatters every cell over
-        // the whole pinger pool, so a single-cell delta re-dispatches all
-        // of a ToR's lists. The ToR-locality heuristic keys the spread on
-        // the plan cell instead, pinning each cell to one pinger pair —
-        // strictly fewer lists travel for the same delta.
-        let ft = Arc::new(Fattree::new(8).unwrap());
-        let dead = ft.ea_link(1, 1, 0);
-        let redispatched = |affinity: bool| -> usize {
-            let cfg = SystemConfig {
-                pingers_per_tor: 4,
-                cell_affinity: affinity,
-                ..SystemConfig::default()
-            };
-            let mut ctl = Controller::new(ft.clone(), cfg);
-            let d1 = ctl.build_deployment(&HashSet::new()).unwrap();
-            ctl.apply_event(&TopologyEvent::LinkDown { link: dead })
-                .unwrap();
-            let mut d2 = ctl.build_deployment(&HashSet::new()).unwrap();
-            d2.rebase_versions(&d1)
+        let cfg = SystemConfig {
+            pingers_per_tor: 4,
+            ..SystemConfig::default()
         };
-        let baseline = redispatched(false);
-        let affine = redispatched(true);
-        assert!(
-            affine < baseline,
-            "cell affinity must shrink the re-dispatch ({affine} !< {baseline})"
-        );
-    }
-
-    #[test]
-    fn cell_affinity_is_a_noop_at_two_pingers_per_tor() {
-        // The documented negative result for the default configuration:
-        // with 2 pingers per ToR and 2 copies per path, both pingers get
-        // every path regardless of the spread key — `(key + j) % 2` over
-        // j ∈ {0, 1} hits both — so no heuristic keyed on the spread can
-        // reduce `lists_redispatched`. The deployments are bit-identical.
-        let ft = Arc::new(Fattree::new(4).unwrap());
-        let build = |affinity: bool| {
-            let cfg = SystemConfig::default().with_cell_affinity(affinity);
-            let mut ctl = Controller::new(ft.clone(), cfg);
-            ctl.build_deployment(&HashSet::new()).unwrap()
-        };
-        let plain = build(false);
-        let affine = build(true);
-        assert_eq!(plain.pinglists, affine.pinglists);
+        let mut ctl = Controller::new(ft.clone(), cfg);
+        let prev = ctl.build_deployment(&HashSet::new()).unwrap();
+        let link = ft.ea_link(1, 1, 0);
+        ctl.apply_event(&TopologyEvent::LinkDown { link }).unwrap();
+        let mut next = ctl.build_deployment(&HashSet::new()).unwrap();
+        let redispatched = rebase_both_ways(&mut next, &prev);
+        assert!(0 < redispatched && redispatched < next.pinglists.len());
     }
 
     #[test]

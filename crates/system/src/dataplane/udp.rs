@@ -424,11 +424,6 @@ impl UdpDataPlane {
         self.kernel_ts.load(Ordering::Relaxed)
     }
 
-    /// The retry schedule in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Poison-tolerant lock: every pool update is a single push or pop,
     /// so the pool is consistent even after a prober panicked.
     fn idle(&self) -> MutexGuard<'_, Vec<ProbeSocket>> {

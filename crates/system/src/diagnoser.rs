@@ -20,51 +20,26 @@
 //! unobserved ([`RowSums::observed_through`]). The window is aggregated
 //! once, with nothing to subtract or filter afterwards. Then its lossy
 //! paths are localized through the cached-skeleton [`ComponentPll`] —
-//! one job per connected component of the lossy path/link incidence, run
-//! inline or on a scoped pool. It is exactly equivalent to plain
-//! `localize` over the whole window.
+//! one greedy per connected component of the lossy path/link incidence,
+//! run in turn on the diagnosing thread. It is exactly equivalent to
+//! plain `localize` over the whole window.
 
 use detector_core::pll::{
-    classify_loss, ClassifyConfig, ComponentJob, ComponentPlan, ComponentPll, Diagnosis,
-    LossClassification, PllConfig,
+    classify_loss, ClassifyConfig, ComponentPll, Diagnosis, LossClassification, PllConfig,
 };
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{PingerReport, ReportStore, RowSums};
 use crate::watchdog::Watchdog;
 
-/// Configuration of the diagnosis stage itself (as opposed to the PLL
-/// algorithm it runs, [`PllConfig`]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct DiagConfig {
-    /// Worker threads for the per-component PLL jobs. Every window is
-    /// localized as one [`ComponentJob`] per connected component of its
-    /// lossy path/link incidence ([`ComponentPll`]); `1` (the default)
-    /// runs the jobs inline on the diagnosing thread, `> 1` solves them
-    /// concurrently on a scoped pool. The merge restores the exact global
-    /// greedy order, so results and the event stream are bit-identical
-    /// either way — the knob trades threads for multi-failure diagnosis
-    /// latency.
-    pub parallel_components: usize,
-}
-
-impl Default for DiagConfig {
-    fn default() -> Self {
-        Self {
-            parallel_components: 1,
-        }
-    }
-}
-
-impl DiagConfig {
-    /// Overrides the component-parallel worker count.
-    pub fn with_parallel_components(mut self, workers: usize) -> Self {
-        self.parallel_components = workers.max(1);
-        self
-    }
-}
+/// Configuration of the diagnosis stage: nothing left to configure. The
+/// stage solves a window's components inline, one after another, so
+/// there is no worker count to set. The type and
+/// [`Diagnoser::with_diag`] remain only because `benchmark/` passes
+/// `SystemConfig::diag` through them; both go with ROADMAP item 1.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DiagConfig;
 
 /// One diagnosis produced at the end of a window.
 #[derive(Clone, Debug)]
@@ -84,14 +59,14 @@ pub struct DiagnosisEvent {
     /// the post-exclusion window, so identical across drivers.
     pub lossy_paths: u64,
     /// Connected components of the lossy path/link incidence: the
-    /// number of [`ComponentJob`]s the window's localization consists of.
+    /// number of independent greedy covers the window's localization
+    /// consists of.
     pub components: u64,
 }
 
 /// The diagnoser service.
 pub struct Diagnoser {
     matrix: ProbeMatrix,
-    diag: DiagConfig,
     store: ReportStore,
     /// The window walk's accumulator, the matrix's link → row incidence
     /// and the latest window's hit-ratio denominators, recycled across
@@ -106,15 +81,14 @@ impl Diagnoser {
         Self {
             sums: RowSums::new(&matrix),
             matrix,
-            diag: DiagConfig::default(),
             store: ReportStore::new(),
             localizer: ComponentPll::new(pll),
         }
     }
 
-    /// Sets the diagnosis-stage configuration (builder style).
-    pub fn with_diag(mut self, diag: DiagConfig) -> Self {
-        self.diag = diag;
+    /// A no-op: [`DiagConfig`] has nothing to set. Kept because
+    /// `benchmark/` calls it; goes with ROADMAP item 1.
+    pub fn with_diag(self, _diag: DiagConfig) -> Self {
         self
     }
 
@@ -151,29 +125,19 @@ impl Diagnoser {
     /// Aggregates the window in one walk of its filed rows — pingers the
     /// watchdog excludes skipped, only the lossy paths emitted, each
     /// link's observed-path count kept — and runs PLL over it. The result
-    /// is exactly `localize` over [`observations`](Diagnoser::observations),
-    /// for any `DiagConfig::parallel_components`: the window's
-    /// per-component jobs run through [`ComponentJob::run_all`] — inline
-    /// at `1`, on a scoped pool above — and the merge is
-    /// order-insensitive.
+    /// is exactly `localize` over [`observations`](Diagnoser::observations).
     pub fn diagnose(&mut self, window: u64, watchdog: &Watchdog) -> DiagnosisEvent {
         let excluded = |p| !watchdog.is_healthy(p);
         let (lossy, num_observations, reports) =
             (self.store).window_lossy(window, &self.matrix, &excluded, &mut self.sums);
         let sums = &self.sums;
-        let plan = (self.localizer).prepare(&self.matrix, lossy, &|l| sums.observed_through(l));
+        let diagnosis =
+            (self.localizer).diagnose(&self.matrix, lossy, &|l| sums.observed_through(l));
         // The shape of the window's diagnosis work, for `DiagStats`: the
-        // partition the localizer just prepared — a pure function of the
+        // partition the localizer just solved — a pure function of the
         // post-exclusion observations, so every driver reports the same
         // numbers.
         let (lossy_paths, components) = self.localizer.window_shape();
-        let diagnosis = match plan {
-            ComponentPlan::Ready(diagnosis) => diagnosis,
-            ComponentPlan::Fanout(jobs) => {
-                let verdicts = ComponentJob::run_all(&jobs, self.diag.parallel_components);
-                self.localizer.complete(verdicts)
-            }
-        };
         DiagnosisEvent {
             window,
             num_observations,
@@ -297,13 +261,10 @@ mod tests {
             .collect();
         let want = localize(&m, &obs, &cfg);
         assert_eq!(want.suspect_links(), vec![LinkId(7), LinkId(9)]);
-        for workers in [1, 4] {
-            assert_eq!(ComponentPll::new(cfg).localize(&m, &obs, workers), want);
-            let mut d = Diagnoser::new(m.clone(), cfg)
-                .with_diag(DiagConfig::default().with_parallel_components(workers));
-            d.ingest(report(1, 0, &rows));
-            assert_eq!(d.diagnose(0, &Watchdog::new()).diagnosis, want);
-        }
+        assert_eq!(ComponentPll::new(cfg).localize(&m, &obs), want);
+        let mut d = Diagnoser::new(m, cfg);
+        d.ingest(report(1, 0, &rows));
+        assert_eq!(d.diagnose(0, &Watchdog::new()).diagnosis, want);
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub enum RuntimeEvent {
     /// Shape of the diagnosis work for the window: how many lossy paths
     /// survived ingestion and how many connected components of the
     /// lossy-path/link incidence they split into — the number of
-    /// per-component PLL jobs the window was localized as (inline, or
-    /// fanned out over `DiagConfig::parallel_components` workers).
+    /// per-component greedy covers the diagnoser solved in turn to
+    /// localize the window.
     /// Deterministic (a pure function of the aggregated window and the probe
     /// plan), so equivalence harnesses compare it un-normalized. Emitted
     /// after [`IngestStats`](RuntimeEvent::IngestStats), before
@@ -116,7 +116,7 @@ pub enum RuntimeEvent {
         /// Observed paths with losses above the noise filters.
         lossy_paths: u64,
         /// Connected components of the lossy incidence — the window's
-        /// independent PLL subproblems, one job each. Zero for an
+        /// independent PLL subproblems, one greedy each. Zero for an
         /// all-healthy window.
         components: u64,
         /// Suspect links in the window's diagnosis.

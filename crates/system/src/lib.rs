@@ -136,10 +136,8 @@ pub struct SystemConfig {
     pub pmc: PmcConfig,
     /// Loss-localization settings.
     pub pll: PllConfig,
-    /// Diagnosis-stage settings (worker count of the per-component PLL
-    /// jobs); see
-    /// [`DiagConfig`]. Orthogonal to `pll`: the algorithm is configured
-    /// there, how the stage executes it here.
+    /// Diagnosis-stage settings: none ([`DiagConfig`] is field-less and
+    /// stays only for `benchmark/`).
     pub diag: DiagConfig,
     /// Headroom policy for the probe plan's per-cell `PathId` ranges:
     /// how much id slack each plan cell reserves so churn re-solves stay
@@ -147,18 +145,6 @@ pub struct SystemConfig {
     /// [`IdHeadroom::NONE`] makes every growth a re-base, which is how
     /// the re-base path is exercised in tests.
     pub id_headroom: IdHeadroom,
-    /// Opt-in ToR-locality pinger spread: key the pinger choice on the
-    /// plan *cell* a path belongs to instead of the path id, so every
-    /// path of one cell sourced at a given ToR lands on the same pinger
-    /// pair and a single-cell delta re-dispatches fewer pinglists.
-    ///
-    /// Off by default because it only helps when `pingers_per_tor > 2`:
-    /// with the default 2 pingers per ToR and 2 copies per path, both
-    /// pingers necessarily carry every cell that crosses their ToR, so
-    /// the spread key cannot reduce `lists_redispatched`. Raising
-    /// `pingers_per_tor` trades per-cell affinity (fewer lists touched
-    /// per delta) against per-pinger load spread.
-    pub cell_affinity: bool,
 }
 
 impl Default for SystemConfig {
@@ -183,9 +169,8 @@ impl Default for SystemConfig {
                 min_loss_count: 2,
                 ..PllConfig::default()
             },
-            diag: DiagConfig::default(),
+            diag: DiagConfig,
             id_headroom: IdHeadroom::default(),
-            cell_affinity: false,
         }
     }
 }
@@ -200,21 +185,6 @@ impl SystemConfig {
     /// Overrides the PMC (α, β) targets.
     pub fn with_pmc(mut self, pmc: PmcConfig) -> Self {
         self.pmc = pmc;
-        self
-    }
-
-    /// Enables the cell-affinity pinger spread (see
-    /// [`SystemConfig::cell_affinity`]); only useful together with
-    /// `pingers_per_tor > 2`.
-    pub fn with_cell_affinity(mut self, on: bool) -> Self {
-        self.cell_affinity = on;
-        self
-    }
-
-    /// Sets the worker count of the per-component PLL jobs (see
-    /// [`DiagConfig::parallel_components`]).
-    pub fn with_parallel_diagnosis(mut self, workers: usize) -> Self {
-        self.diag = self.diag.with_parallel_components(workers);
         self
     }
 

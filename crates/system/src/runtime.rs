@@ -166,11 +166,6 @@ impl Detector {
         self.plan.topo().as_ref()
     }
 
-    /// A shared handle to the monitored topology.
-    pub fn topology_arc(&self) -> SharedTopology {
-        Arc::clone(self.plan.topo())
-    }
-
     /// The live topology view (epoch, offline links, drained switches).
     pub fn view(&self) -> &TopologyView {
         self.plan.controller().view()

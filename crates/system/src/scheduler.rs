@@ -64,11 +64,11 @@
 //!
 //! **Thread orchestration** comes in three shapes across `crates/`, and
 //! this is the first: the probe-worker channel above, which carries
-//! batches only. A window's per-component PLL jobs run where every
-//! driver runs them — inside `Diagnoser::diagnose`, on
-//! `JobPool::run_indexed` (the second shape, shared with the planner) —
-//! and the agent tier's in-process agents, one thread each serving a
-//! loopback transport, are the third.
+//! batches only. The planner's subproblem and cell solves fan out on
+//! `JobPool::run_indexed`, the second; the agent tier's in-process
+//! agents, one thread each serving a loopback transport, are the third.
+//! Diagnosis takes none of them: `Diagnoser::diagnose` solves a window's
+//! components one after another on the thread that closes it.
 //!
 //! **Equivalence.** The pipelined run produces *exactly* the event
 //! stream and [`WindowResult`]s of driving [`Detector::step`] over the
@@ -132,16 +132,6 @@ impl Default for PipelineConfig {
         Self {
             probe_workers: cores.clamp(1, 8),
             depth: 2,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// A pipeline with `probe_workers` workers and the default depth.
-    pub fn with_workers(probe_workers: usize) -> Self {
-        Self {
-            probe_workers,
-            ..Self::default()
         }
     }
 }

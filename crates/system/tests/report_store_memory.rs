@@ -9,41 +9,47 @@
 //! is reused, not freed: the reports' own blocks are the only memory
 //! released.
 //!
-//! One `#[test]` in its own binary, and only the allocations of the
-//! thread it runs on are counted: the harness's main thread allocates
-//! for its own bookkeeping right after spawning the test, and on a busy
-//! host that can land past the warm-up, inside a counted window.
+//! Beside it, the diagnoser's steady-state window is pinned at its exact
+//! allocation count, once for a window that reuses the cached skeleton
+//! and once for one that rebuilds it.
+//!
+//! Only the allocations of the thread a test runs on are counted, into
+//! that thread's own counters: the harness's main thread allocates for
+//! its own bookkeeping right after spawning a test, and on a busy host
+//! that can land past the warm-up, inside a counted window; the two
+//! tests may run at once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
+use detector_core::pll::PllConfig;
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, NodeId, PathId, ProbePath};
-use detector_system::{FlowRecord, PathCounters, PingerReport, ReportStore, RowSums};
-
-/// Allocations (and growths) made so far.
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes allocated and not yet freed.
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+use detector_system::{
+    Diagnoser, FlowRecord, PathCounters, PingerReport, ReportStore, RowSums, Watchdog,
+};
 
 thread_local! {
     /// Whether this thread's allocations are counted: set by the test.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations (and growths) this thread made while counted.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated while counted and not yet freed.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 /// The system allocator plus counts of the test thread's allocations.
 struct Count;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s contract is this allocator's contract; bumping an atomic or
-// reading a `const` thread-local of a type without `Drop` never
-// allocates, so the allocator does not re-enter itself.
+// `System`'s contract is this allocator's contract; reading or writing a
+// `const` thread-local of a type without `Drop` never allocates, so the
+// allocator does not re-enter itself.
 unsafe impl GlobalAlloc for Count {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTED.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+            LIVE_BYTES.set(LIVE_BYTES.get() + layout.size() as isize);
         }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
@@ -51,7 +57,7 @@ unsafe impl GlobalAlloc for Count {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         if COUNTED.get() {
-            LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+            LIVE_BYTES.set(LIVE_BYTES.get() - layout.size() as isize);
         }
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
@@ -59,11 +65,8 @@ unsafe impl GlobalAlloc for Count {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTED.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            LIVE_BYTES.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
+            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+            LIVE_BYTES.set(LIVE_BYTES.get() + new_size as isize - layout.size() as isize);
         }
         // SAFETY: as for `dealloc`, plus the caller's `realloc` contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -74,9 +77,9 @@ unsafe impl GlobalAlloc for Count {
 static ALLOCATOR: Count = Count;
 
 fn allocations_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.get();
     let out = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
+    (ALLOCATIONS.get() - before, out)
 }
 
 const WINDOWS: u64 = 10_000;
@@ -157,7 +160,7 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
         if w > HISTORY {
             assert_eq!(store.reports_in_window(w - HISTORY - 1), 0, "window {w}");
         }
-        let live = LIVE_BYTES.load(Ordering::SeqCst);
+        let live = LIVE_BYTES.get();
         match w {
             0..WARM_UP => {}
             WARM_UP => live_after_warm_up = live,
@@ -172,6 +175,80 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
                     "window {w}: a pruned log was kept beside its reuse, or a log or the sums grew"
                 );
             }
+        }
+    }
+}
+
+/// Three islands of two links each, every path from both pingers:
+/// island `k` has paths `3k` over links `{2k, 2k + 1}`, `3k + 1` over
+/// link `2k` and `3k + 2` over link `2k + 1`.
+fn islands() -> ProbeMatrix {
+    let paths = (0..3u32).flat_map(|k| {
+        let (a, b) = (LinkId(2 * k), LinkId(2 * k + 1));
+        [
+            ProbePath::from_links(3 * k, vec![a, b]),
+            ProbePath::from_links(3 * k + 1, vec![a]),
+            ProbePath::from_links(3 * k + 2, vec![b]),
+        ]
+    });
+    ProbeMatrix::from_paths(6, paths.collect())
+}
+
+/// Pinger `p`'s window-`w` report over the nine paths of [`islands`]:
+/// the first two paths of each island in `lossy` lose `lost` of 100.
+fn island_report(p: u32, w: u64, lossy: &[u32], lost: u64) -> PingerReport {
+    let paths = (0..9u32)
+        .map(|i| {
+            let lost = if lossy.contains(&(i / 3)) && i % 3 < 2 {
+                lost
+            } else {
+                0
+            };
+            (PathId(i), PathCounters { sent: 100, lost })
+        })
+        .collect();
+    PingerReport {
+        pinger: NodeId(p),
+        window: w,
+        paths,
+        ..Default::default()
+    }
+}
+
+/// Allocations of one `Diagnoser::diagnose` of a two-component window
+/// whose lossy paths are the same as its predecessor's and whose loss
+/// counters are not: the skeleton is reused and both greedies run.
+const REUSED_SKELETON: usize = 9;
+/// Allocations of one `Diagnoser::diagnose` of a two-component window
+/// whose lossy paths differ from its predecessor's: the skeleton is
+/// rebuilt and both greedies run.
+const REBUILT_SKELETON: usize = 20;
+
+#[test]
+fn a_diagnosed_window_allocates_a_pinned_count() {
+    COUNTED.set(true);
+    let mut d = Diagnoser::new(islands(), PllConfig::default());
+    let watchdog = Watchdog::new();
+    for w in 0..200u64 {
+        // The first half keeps islands 0 and 1 lossy and alternates the
+        // loss counters; the second half alternates island 1 with 2.
+        let (lossy, lost) = match (w < 100, w % 2) {
+            (true, 0) => ([0, 1], 40),
+            (true, _) => ([0, 1], 60),
+            (false, 0) => ([0, 1], 40),
+            (false, _) => ([0, 2], 40),
+        };
+        for p in 0..2 {
+            d.ingest(island_report(p, w, &lossy, lost));
+        }
+        let (allocations, ev) = allocations_of(|| d.diagnose(w, &watchdog));
+        assert_eq!((ev.lossy_paths, ev.components), (4, 2), "window {w}");
+        assert_eq!(ev.diagnosis.suspects.len(), 2, "window {w}");
+        d.prune_before(w.saturating_sub(HISTORY));
+        match w {
+            WARM_UP..100 => assert_eq!(allocations, REUSED_SKELETON, "window {w}"),
+            130.. => assert_eq!(allocations, REBUILT_SKELETON, "window {w}"),
+            _ => {}
         }
     }
 }

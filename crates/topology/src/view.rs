@@ -240,11 +240,6 @@ impl TopologyView {
         !self.offline.contains(&link)
     }
 
-    /// True when the switch is drained.
-    pub fn is_drained(&self, switch: NodeId) -> bool {
-        self.drained.contains(&switch)
-    }
-
     /// The aggregation/edge switches of a Fattree pod (empty on
     /// topologies without pods).
     pub fn pod_switches(&self, pod: u32) -> Vec<NodeId> {

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use detector_core::pll::{localize, preprocess, PllConfig};
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, NodeId, PathId, PathObservation, ProbePath};
-use detector_system::{DiagConfig, Diagnoser, PathCounters, PingerReport, Watchdog};
+use detector_system::{Diagnoser, PathCounters, PingerReport, Watchdog};
 use proptest::prelude::*;
 
 /// How a case numbers and declares its matrices.
@@ -171,7 +171,6 @@ proptest! {
             ),
             1..7,
         ),
-        fanout in 0u8..2,
         segmented in 0u8..2,
         short in 0u8..2,
     ) {
@@ -179,9 +178,7 @@ proptest! {
         let layout = Layout { segmented: segmented == 1, short: short == 1 };
         let matrices = [matrix_from(&paths_a, layout), matrix_from(&paths_b, layout)];
         let cfg = PllConfig { min_loss_count: 3, ..PllConfig::default() };
-        let workers = if fanout == 1 { 4 } else { 1 };
-        let mut d = Diagnoser::new(matrices[0].clone(), cfg)
-            .with_diag(DiagConfig::default().with_parallel_components(workers));
+        let mut d = Diagnoser::new(matrices[0].clone(), cfg);
         let mut installed = 0usize;
         let mut previous: Option<(&Reports, bool)> = None;
 
@@ -211,7 +208,7 @@ proptest! {
             prop_assert_eq!(
                 &ev.diagnosis,
                 &localize(d.matrix(), &oracle, &cfg),
-                "window {} (workers {})", w, workers
+                "window {}", w
             );
             prop_assert_eq!(
                 (ev.lossy_paths, ev.components),

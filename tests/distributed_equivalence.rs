@@ -251,90 +251,11 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Component-parallel ≡ sequential across the control-plane
-    /// expansion: a distributed fleet running `parallel_components > 1`
-    /// (per-component PLL fanned out on the controller tier's internal
-    /// pool) produces exactly the window results and event stream of
-    /// the single-threaded sequential oracle, under loss ×
-    /// churn/agent-failure scripts × cycle refreshes.
-    #[test]
-    fn parallel_distributed_equals_sequential_oracle(
-        failures in proptest::collection::vec((0u16..64, 0u8..3, 0u8..8), 0..4),
-        raw_script in proptest::collection::vec((0u8..6, 0u8..8, 0u16..64), 0..6),
-        seed in 0u64..1_000,
-        workers in 2usize..5,
-    ) {
-        let ft = Arc::new(Fattree::new(4).unwrap());
-        let windows = 5u64;
-        let mut fabric = Fabric::new(ft.as_ref(), seed ^ 0xFAB);
-        for &(link, kind, level) in &failures {
-            let (l, d) = decode_failure(&ft, link, kind, level);
-            fabric.set_discipline_both(l, d);
-        }
-        let agents = 4usize;
-        let script = raw_script
-            .iter()
-            .fold(DistScript::new(), |s, &(window, kind, target)| {
-                s.at(
-                    u64::from(window) % windows,
-                    decode_action(&ft, agents, kind, target),
-                )
-            });
-
-        let dist_sink = CollectingSink::new();
-        let mut dist = DistributedDetector::new(
-            ft.clone() as SharedTopology,
-            config().with_parallel_diagnosis(workers),
-            agents,
-        )
-        .expect("boot distributed");
-        dist.add_sink(Box::new(dist_sink.clone()));
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let outcome = dist
-            .run_distributed(&fabric, windows, &script, &mut rng)
-            .expect("parallel distributed run");
-
-        let seq_sink = CollectingSink::new();
-        let mut seq = Detector::builder(ft.clone() as SharedTopology)
-            .config(config())
-            .sink(Box::new(seq_sink.clone()))
-            .build()
-            .expect("boot oracle");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let oracle = script.oracle(dist.groups());
-        let seq_results = seq
-            .run_scripted(&fabric, windows, &oracle, &mut rng)
-            .expect("sequential oracle");
-
-        prop_assert_eq!(
-            seq_results,
-            outcome.results,
-            "parallel distributed diverges from the sequential oracle \
-             (script {:?}, failures {:?}, workers {})",
-            raw_script,
-            failures,
-            workers
-        );
-        prop_assert_eq!(
-            normalize(seq_sink.events()),
-            normalize(dist_sink.events()),
-            "event streams diverge (script {:?}, failures {:?}, workers {})",
-            raw_script,
-            failures,
-            workers
-        );
-    }
-}
-
 /// The distributed copy of the component merge/split regression: the
 /// drain removes one island's bridge from the plan mid-epoch (2 → 1
 /// components) and the undrain's LinkUps split it back (1 → 2), each on
 /// a plan-epoch change that must rebuild the cached skeleton. The fleet
-/// runs component-parallel and must match the single-threaded
-/// sequential oracle event for event.
+/// must match the sequential oracle event for event.
 #[test]
 fn component_merge_and_split_stays_equivalent_distributed() {
     let ft = Arc::new(Fattree::new(4).unwrap());
@@ -357,17 +278,13 @@ fn component_merge_and_split_stays_equivalent_distributed() {
         );
 
     let dist_sink = CollectingSink::new();
-    let mut dist = DistributedDetector::new(
-        ft.clone() as SharedTopology,
-        config().with_parallel_diagnosis(4),
-        4,
-    )
-    .expect("boot distributed");
+    let mut dist = DistributedDetector::new(ft.clone() as SharedTopology, config(), 4)
+        .expect("boot distributed");
     dist.add_sink(Box::new(dist_sink.clone()));
     let mut rng = SmallRng::seed_from_u64(7);
     let outcome = dist
         .run_distributed(&fabric, 5, &script, &mut rng)
-        .expect("parallel distributed run");
+        .expect("distributed run");
 
     let seq_sink = CollectingSink::new();
     let mut seq = Detector::builder(ft.clone() as SharedTopology)

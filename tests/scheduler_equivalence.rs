@@ -32,11 +32,6 @@ fn config() -> SystemConfig {
     }
 }
 
-/// The short-cycle config with component-parallel diagnosis.
-fn parallel_config(workers: usize) -> SystemConfig {
-    config().with_parallel_diagnosis(workers)
-}
-
 fn detector_with(ft: &Arc<Fattree>, sink: CollectingSink, cfg: SystemConfig) -> Detector {
     Detector::builder(ft.clone() as SharedTopology)
         .config(cfg)
@@ -155,76 +150,6 @@ fn check_equivalence(
     assert_eq!(seq.matrix().uncoverable, pipe.matrix().uncoverable);
 }
 
-/// Runs the same scenario with the sequential single-threaded oracle and
-/// with component-parallel diagnosis in both drivers, asserting
-/// bit-identical window results and (normalized) event streams
-/// throughout.
-fn check_parallel_equivalence(
-    ft: Arc<Fattree>,
-    failures: &[(u16, u8, u8)],
-    raw_script: &[(u8, u8, u16)],
-    windows: u64,
-    seed: u64,
-    pipeline: &PipelineConfig,
-    workers: usize,
-) {
-    let mut fabric = Fabric::new(ft.as_ref(), seed ^ 0xFAB);
-    for &(link, kind, level) in failures {
-        let (l, d) = decode_failure(&ft, link, kind, level);
-        fabric.set_discipline_both(l, d);
-    }
-    let script = raw_script
-        .iter()
-        .fold(Script::new(), |s, &(window, kind, target)| {
-            s.at(
-                u64::from(window) % windows,
-                decode_action(&ft, kind, target),
-            )
-        });
-
-    let seq_sink = CollectingSink::new();
-    let mut seq = detector(&ft, seq_sink.clone());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let seq_results = seq
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("sequential oracle");
-    let oracle_events = normalize(seq_sink.events());
-
-    let par_sink = CollectingSink::new();
-    let mut par = detector_with(&ft, par_sink.clone(), parallel_config(workers));
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let par_results = par
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("parallel sequential run");
-    assert_eq!(
-        seq_results, par_results,
-        "parallel step() diverges from the sequential oracle \
-         (script {raw_script:?}, failures {failures:?}, workers {workers})"
-    );
-    assert_eq!(
-        oracle_events,
-        normalize(par_sink.events()),
-        "parallel step() event stream diverges (workers {workers})"
-    );
-
-    let pipe_sink = CollectingSink::new();
-    let mut pipe = detector_with(&ft, pipe_sink.clone(), parallel_config(workers));
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let pipe_results = pipe
-        .run_pipelined(&fabric, windows, &script, pipeline, &mut rng)
-        .expect("parallel pipelined run");
-    assert_eq!(
-        seq_results, pipe_results,
-        "parallel pipelined diverges from the sequential oracle \
-         (script {raw_script:?}, failures {failures:?}, workers {workers})"
-    );
-    assert_eq!(
-        oracle_events,
-        normalize(pipe_sink.events()),
-        "parallel pipelined event stream diverges (workers {workers})"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -247,30 +172,6 @@ proptest! {
         // 5 windows at cycle_s = 60 ⇒ refreshes inside the run at
         // windows 2 and 4.
         check_equivalence(ft, &failures, &raw_script, 5, seed, &pipeline);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Component-parallel ≡ sequential: with `parallel_components > 1`
-    /// the fanned-out per-component PLL produces exactly the
-    /// single-threaded diagnosis — results and event streams — in both
-    /// drivers, under loss × churn × cycle refresh. Random churn splits and merges the
-    /// lossy component structure mid-run (drains and link flaps move
-    /// paths between islands); the targeted
-    /// `component_merge_and_split_stays_equivalent` below pins a
-    /// deterministic 2 → 1 → 2 transition.
-    #[test]
-    fn parallel_diagnosis_equals_sequential(
-        failures in proptest::collection::vec((0u16..64, 0u8..3, 0u8..8), 0..4),
-        raw_script in proptest::collection::vec((0u8..6, 0u8..6, 0u16..64), 0..6),
-        seed in 0u64..1_000,
-        workers in 2usize..5,
-    ) {
-        let ft = Arc::new(Fattree::new(4).unwrap());
-        let pipeline = PipelineConfig { probe_workers: 2, depth: 2 };
-        check_parallel_equivalence(ft, &failures, &raw_script, 5, seed, &pipeline, workers);
     }
 }
 
@@ -542,7 +443,7 @@ fn component_merge_and_split_stays_equivalent() {
     // brings the bridge links back up, splitting the structure into two
     // components again. Both transitions land mid-run on plan-epoch
     // changes, so the cached per-component skeleton must rebuild (a
-    // stale partition would fan out the wrong islands and diverge from
+    // stale partition would solve the wrong islands and diverge from
     // the oracle).
     let ft = Arc::new(Fattree::new(4).unwrap());
     let failures: Vec<LinkId> = vec![ft.ea_link(0, 0, 0), ft.ea_link(0, 1, 1)];
@@ -568,16 +469,9 @@ fn component_merge_and_split_stays_equivalent() {
     let mut seq = detector(&ft, seq_sink.clone());
     let mut rng = SmallRng::seed_from_u64(7);
     let seq_results = seq.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
-
-    let par_sink = CollectingSink::new();
-    let mut par = detector_with(&ft, par_sink.clone(), parallel_config(4));
-    let mut rng = SmallRng::seed_from_u64(7);
-    let par_results = par.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
-    assert_eq!(seq_results, par_results);
-    assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
     // The component structure really merged and split mid-run.
     assert_eq!(
-        diag_stats(par_sink.events())
+        diag_stats(seq_sink.events())
             .iter()
             .map(|&(_, _, c, _)| c)
             .collect::<Vec<_>>(),
@@ -585,10 +479,10 @@ fn component_merge_and_split_stays_equivalent() {
         "the drain/undrain must merge then split the lossy components"
     );
 
-    // And the pipelined driver rides the fan-out through its worker
-    // channel across the same transitions.
+    // And the pipelined driver diagnoses the same windows across the
+    // same transitions.
     let pipe_sink = CollectingSink::new();
-    let mut pipe = detector_with(&ft, pipe_sink.clone(), parallel_config(4));
+    let mut pipe = detector(&ft, pipe_sink.clone());
     let mut rng = SmallRng::seed_from_u64(7);
     let pipe_results = pipe
         .run_pipelined(&fabric, 5, &script, &PipelineConfig::default(), &mut rng)
@@ -680,22 +574,28 @@ fn all_healthy_windows_short_circuit_identically() {
         .run_scripted(&fabric, 4, &Script::new(), &mut rng)
         .unwrap();
 
-    let par_sink = CollectingSink::new();
-    let mut par = detector_with(&ft, par_sink.clone(), parallel_config(4));
+    let pipe_sink = CollectingSink::new();
+    let mut pipe = detector(&ft, pipe_sink.clone());
     let mut rng = SmallRng::seed_from_u64(3);
-    let par_results = par
-        .run_scripted(&fabric, 4, &Script::new(), &mut rng)
+    let pipe_results = pipe
+        .run_pipelined(
+            &fabric,
+            4,
+            &Script::new(),
+            &PipelineConfig::default(),
+            &mut rng,
+        )
         .unwrap();
-    assert_eq!(seq_results, par_results);
-    assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
+    assert_eq!(seq_results, pipe_results);
+    assert_eq!(normalize(seq_sink.events()), normalize(pipe_sink.events()));
     assert_eq!(
-        diag_stats(par_sink.events()),
+        diag_stats(pipe_sink.events()),
         vec![(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)],
         "all-healthy windows must report zero lossy paths and components"
     );
     // Each window still reaches an (empty) diagnosis, directly
     // after its stats events.
-    let events = par_sink.events();
+    let events = pipe_sink.events();
     for w in 0..4u64 {
         let stats_at = events
             .iter()
