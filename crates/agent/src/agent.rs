@@ -266,8 +266,8 @@ mod tests {
         };
 
         let agent = PingerAgent::new(0, topo.clone(), SystemConfig::default());
-        let exit = crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| agent.serve(&agent_end, &fabric));
+        let exit = std::thread::scope(|scope| {
+            let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
             assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 0 });
             for l in &own {
                 ctrl.send(&Frame::ListReplace(l.clone())).unwrap();
@@ -296,8 +296,7 @@ mod tests {
             assert_eq!(reporters, expected);
             ctrl.send(&Frame::Shutdown).unwrap();
             handle.join().unwrap()
-        })
-        .unwrap();
+        });
         assert_eq!(exit, AgentExit::Shutdown);
     }
 
@@ -310,8 +309,8 @@ mod tests {
         let skipped = own.pinger;
 
         let agent = PingerAgent::new(3, topo.clone(), SystemConfig::default());
-        crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| agent.serve(&agent_end, &fabric));
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
             assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 3 });
             ctrl.send(&Frame::ListReplace(own.clone())).unwrap();
             ctrl.send(&Frame::HeartbeatReq { nonce: 5 }).unwrap();
@@ -336,8 +335,7 @@ mod tests {
             );
             ctrl.send(&Frame::Shutdown).unwrap();
             assert_eq!(handle.join().unwrap(), AgentExit::Shutdown);
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -346,8 +344,8 @@ mod tests {
         let fabric = Fabric::quiet(topo.as_ref());
         let (ctrl, agent_end) = loopback();
         let agent = PingerAgent::new(1, topo.clone(), SystemConfig::default());
-        crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| agent.serve(&agent_end, &fabric));
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
             assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 1 });
             ctrl.send(&Frame::ListReplace(lists[0].clone())).unwrap();
             ctrl.send(&Frame::Reset).unwrap();
@@ -367,8 +365,7 @@ mod tests {
             );
             ctrl.send(&Frame::Shutdown).unwrap();
             assert_eq!(handle.join().unwrap(), AgentExit::Shutdown);
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -377,8 +374,8 @@ mod tests {
         let fabric = Fabric::quiet(topo.as_ref());
         let (ctrl, agent_end) = loopback();
         let agent = PingerAgent::new(0, topo.clone(), SystemConfig::default());
-        crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| agent.serve(&agent_end, &fabric));
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
             assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 0 });
             ctrl.send(&Frame::WindowDone {
                 window: 0,
@@ -389,7 +386,6 @@ mod tests {
                 AgentExit::Protocol(_) => {}
                 other => panic!("expected protocol error, got {other:?}"),
             }
-        })
-        .unwrap();
+        });
     }
 }

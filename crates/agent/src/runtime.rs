@@ -50,6 +50,7 @@
 //! nothing.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 
 use detector_core::pmc::PmcError;
 use detector_core::types::NodeId;
@@ -456,25 +457,38 @@ impl DistributedDetector {
         let topo = self.plan.topo().clone();
         let cfg = self.plan.cfg().clone();
 
-        crossbeam::thread::scope(|scope| -> Result<DistOutcome, DistError> {
-            let spawn_agent = |g: usize, budget: Option<usize>| {
-                let (ctrl_end, agent_end) = match budget {
-                    Some(n) => flaky_loopback(n),
-                    None => loopback(),
+        // The scope re-raises a panicked agent thread's panic when it
+        // ends; the run reports it as a `DistError` instead.
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| -> Result<DistOutcome, DistError> {
+                let spawn_agent = |g: usize, budget: Option<usize>| {
+                    let (ctrl_end, agent_end) = match budget {
+                        Some(n) => flaky_loopback(n),
+                        None => loopback(),
+                    };
+                    let t = topo.clone();
+                    let c = cfg.clone();
+                    scope.spawn(move || {
+                        PingerAgent::new(g as u32, t, c).serve(&agent_end, dataplane)
+                    });
+                    Some(Box::new(ctrl_end) as Box<dyn ControlTransport>)
                 };
-                let t = topo.clone();
-                let c = cfg.clone();
-                scope.spawn(move |_| PingerAgent::new(g as u32, t, c).serve(&agent_end, dataplane));
-                Some(Box::new(ctrl_end) as Box<dyn ControlTransport>)
-            };
 
-            let mut connect = |g: usize| {
-                let budget = faults.iter().find(|(fg, _)| *fg == g).map(|(_, n)| *n);
-                spawn_agent(g, budget)
-            };
-            let mut respawn = |g: usize| spawn_agent(g, None);
-            self.run_distributed_over(dataplane, windows, script, rng, &mut connect, &mut respawn)
-        })
+                let mut connect = |g: usize| {
+                    let budget = faults.iter().find(|(fg, _)| *fg == g).map(|(_, n)| *n);
+                    spawn_agent(g, budget)
+                };
+                let mut respawn = |g: usize| spawn_agent(g, None);
+                self.run_distributed_over(
+                    dataplane,
+                    windows,
+                    script,
+                    rng,
+                    &mut connect,
+                    &mut respawn,
+                )
+            })
+        }))
         .map_err(|_| DistError::Protocol("agent thread panicked"))?
     }
 

@@ -11,9 +11,8 @@
 //! process looks to the controller.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
-
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 
 use crate::frame::{Frame, FrameError, MAX_FRAME};
 
@@ -95,8 +94,8 @@ pub fn flaky_loopback(agent_sends: usize) -> (LoopbackEnd, LoopbackEnd) {
 }
 
 fn loopback_with_budgets(a_budget: usize, b_budget: usize) -> (LoopbackEnd, LoopbackEnd) {
-    let (a_tx, a_rx) = channel::unbounded();
-    let (b_tx, b_rx) = channel::unbounded();
+    let (a_tx, a_rx) = mpsc::channel();
+    let (b_tx, b_rx) = mpsc::channel();
     let a_sent = Arc::new(AtomicU64::new(0));
     let b_sent = Arc::new(AtomicU64::new(0));
     let a = LoopbackEnd {

@@ -1,9 +1,9 @@
 //! # detector-bench
 //!
 //! The evaluation harness: one binary per table/figure of the paper
-//! (§4.4, §6.3, §6.4) plus Criterion micro-benchmarks. This library holds
-//! the shared experiment machinery: matrix-level probing simulation,
-//! accuracy campaigns, and plain-text table rendering.
+//! (§4.4, §6.3, §6.4). This library holds the shared experiment
+//! machinery: matrix-level probing simulation, accuracy campaigns, and
+//! plain-text table rendering.
 //!
 //! Binaries (run with `cargo run -p detector-bench --release --bin <name>`):
 //!

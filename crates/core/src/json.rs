@@ -1,11 +1,9 @@
 //! Minimal JSON tree, writer and parser.
 //!
-//! The build environment vendors `serde` as a no-op shim (see
-//! `shims/README.md`), so deriving `Serialize` produces no actual
-//! serialization code. Machine-readable output — the JSON-lines event
-//! sink, bench tables — therefore goes through this small self-contained
-//! module instead: a [`Json`] value tree, a `Display`-based writer and a
-//! strict parser. JSON goes one way: the system renders records through
+//! The workspace builds offline with no serialization framework, so
+//! machine-readable output — the JSON-lines event sink, bench tables —
+//! goes through this small self-contained module: a [`Json`] value
+//! tree, a `Display`-based writer and a strict parser. JSON goes one way: the system renders records through
 //! [`ToJson`] and never reads them back, so no record type has a
 //! parser. [`Json::parse`] serves readers of foreign text (the
 //! benchmark's result lines) and the golden tests, which pin each

@@ -13,10 +13,8 @@
 //! * random partial — every flow loses at a similar intermediate rate;
 //! * congestion/noise — a uniformly low rate.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-flow probing counters on paths attributed to one suspect link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowSample {
     /// Flow discriminator (e.g. the probe source port).
     pub flow: u64,
@@ -46,7 +44,7 @@ impl FlowSample {
 }
 
 /// The inferred loss pattern.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LossType {
     /// All flows lose (nearly) everything: link down, dead port.
     Full,
@@ -61,7 +59,7 @@ pub enum LossType {
 }
 
 /// A classification with its supporting statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LossClassification {
     /// The inferred pattern.
     pub loss_type: LossType,

@@ -3,13 +3,11 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::{Json, ToJson};
 use crate::types::LinkId;
 
 /// Outcome of comparing a diagnosis against ground truth.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LocalizationMetrics {
     /// Truly bad links correctly blamed.
     pub true_positives: usize,

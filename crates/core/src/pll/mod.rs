@@ -31,10 +31,8 @@ pub use preprocess::preprocess;
 pub use score_alg::localize_score;
 pub use tomo::localize_tomo;
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the PLL algorithm and its pre-processing stage.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PllConfig {
     /// Minimum fraction of lossy paths through a link for the link to be a
     /// suspect (the paper's default is 0.6).

@@ -2,8 +2,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use super::rate::estimate_rate;
 use super::{preprocess, PllConfig};
 use crate::json::{Json, ToJson};
@@ -11,7 +9,7 @@ use crate::pmc::{LinkIndex, ProbeMatrix};
 use crate::types::{LinkId, PathId, PathObservation};
 
 /// A link blamed by a localization algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuspectLink {
     /// The blamed physical link.
     pub link: LinkId,
@@ -28,7 +26,7 @@ pub struct SuspectLink {
 }
 
 /// Result of a localization run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Diagnosis {
     /// Blamed links in selection order (first = strongest explanation).
     pub suspects: Vec<SuspectLink>,

@@ -77,9 +77,9 @@ impl JobPool {
 
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
@@ -87,8 +87,7 @@ impl JobPool {
                     *results[i].lock().expect("result slot poisoned") = Some(job(i));
                 });
             }
-        })
-        .expect("worker thread panicked");
+        });
 
         results
             .into_iter()

@@ -5,12 +5,8 @@
 //! the three id spaces from being mixed up while staying `Copy` and free of
 //! runtime overhead.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node (switch or server) in a data center network.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 /// Identifier of an undirected physical link.
@@ -20,15 +16,11 @@ pub struct NodeId(pub u32);
 /// reverse direction, so a single identifier per undirected link suffices
 /// for the probe matrix (§4.1). When deTector blames a link, the fault may
 /// lie in either direction or in one of the two adjacent switches.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub u32);
 
 /// Identifier of a probe path within one probe matrix.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PathId(pub u32);
 
 impl NodeId {
@@ -65,7 +57,7 @@ impl PathId {
 /// absorbs growth, so a re-solve that changes one cell's path count
 /// never shifts the ids of any other cell. A cell is re-based — handed a
 /// fresh range — only when its path count overflows the capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct PathIdRange {
     /// First id of the range.
     pub base: u32,

@@ -1,7 +1,5 @@
 //! End-to-end probing observations consumed by the localization algorithms.
 
-use serde::{Deserialize, Serialize};
-
 use super::PathId;
 
 /// Aggregated probing result for one probe path over one collection window.
@@ -9,7 +7,7 @@ use super::PathId;
 /// Pingers aggregate per-path counters every 30 seconds (§6.1 of the paper)
 /// and ship them to the diagnoser; this is the wire format of one row of
 /// such a report after it has been keyed to a probe-matrix path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathObservation {
     /// The probe path the counters refer to.
     pub path: PathId,

@@ -1,7 +1,5 @@
 //! Probe path representation.
 
-use serde::{Deserialize, Serialize};
-
 use super::{LinkId, NodeId, PathId};
 
 /// A candidate (or selected) probe path.
@@ -15,7 +13,7 @@ use super::{LinkId, NodeId, PathId};
 /// same undirected link twice (e.g. a Fattree intra-pod path that goes up to
 /// a core switch and back down through the same aggregation switch) covers
 /// that link once, exactly as a binary routing-matrix row would record it.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ProbePath {
     /// Dense identifier of this path within its candidate set or matrix.
     pub id: PathId,

@@ -9,9 +9,10 @@
 //! * **lock-order inversion** — two receivers acquired in both orders
 //!   within one file (the classic AB/BA deadlock between threads);
 //! * **guard across a channel op** — a guard live at a `.send()` /
-//!   `.recv()` call. The crossbeam shim's channels are bounded-capable
-//!   and block; blocking while holding a lock couples the pipeline
-//!   stages into a deadlockable cycle.
+//!   `.recv()` call. `std::sync::mpsc` receivers block on `recv`, and a
+//!   `sync_channel`'s `send` blocks once it is full (the scheduler's
+//!   depth slots are one); blocking while holding a lock couples the
+//!   pipeline stages into a deadlockable cycle.
 //!
 //! The analysis is intentionally first-order: a "lock receiver" is the
 //! normalized token chain before `.lock()` / `.read()` / `.write()`
@@ -34,7 +35,8 @@ use crate::{Check, Diagnostic, FileCtx, FnSpan};
 /// acquisitions take no arguments.
 const ACQUIRE: &[&str] = &["lock", "read", "write"];
 
-/// Blocking channel endpoints (crossbeam shim and std mpsc).
+/// Channel endpoints of `std::sync::mpsc`: `recv` blocks, and so does a
+/// full `sync_channel`'s `send`.
 const CHANNEL_OPS: &[&str] = &["send", "recv", "try_send", "try_recv", "recv_timeout"];
 
 /// A live named guard.

@@ -18,13 +18,12 @@ use detector_core::types::{LinkId, NodeId};
 use detector_topology::{pod_switches, DcnTopology, TopologyEvent};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::fabric::Fabric;
 use crate::LossDiscipline;
 
 /// What fails.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureTarget {
     /// A single (probe) link, both directions.
     Link(LinkId),
@@ -33,7 +32,7 @@ pub enum FailureTarget {
 }
 
 /// How it fails.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FailureKind {
     /// All packets dropped.
     Full,
@@ -50,7 +49,7 @@ pub enum FailureKind {
 }
 
 /// One injected failure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InjectedFailure {
     /// What fails.
     pub target: FailureTarget,
@@ -61,7 +60,7 @@ pub struct InjectedFailure {
 }
 
 /// A set of simultaneous failures plus the derived ground truth.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FailureScenario {
     /// The injected failures.
     pub failures: Vec<InjectedFailure>,

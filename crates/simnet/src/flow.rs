@@ -1,13 +1,11 @@
 //! Flow identity: the 5-tuple every ECMP hash and header-match rule sees.
 
-use serde::{Deserialize, Serialize};
-
 /// A transport 5-tuple (addresses abstracted to server indices).
 ///
 /// deTector probes vary source/destination ports and DSCP to raise packet
 /// entropy (§7); ECMP in the fabric hashes this key to pick among parallel
 /// paths, and deterministic-partial failures (blackholes) match on it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     /// Source server index.
     pub src: u32,

@@ -248,14 +248,74 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The `bytes`-cursor codec this module shipped before the slice
-    /// codec, kept verbatim as the oracle for the wire image and for the
-    /// order in which the decoder's checks fire.
+    /// The cursor codec this module shipped before the slice codec,
+    /// kept statement for statement as the oracle for the wire image and
+    /// for the order in which the decoder's checks fire. It writes and
+    /// reads through its own big-endian cursor below, never through the
+    /// module's `put`/`take`, so it stays independent of the codec it
+    /// checks.
     mod reference {
         use super::super::*;
-        use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-        fn put_ipv4(buf: &mut BytesMut, src: u32, dst: u32, proto: u8, dscp: u8, total_len: u16) {
+        /// Big-endian appends to a growable buffer.
+        trait PutBe {
+            fn put_u8(&mut self, v: u8);
+            fn put_u16(&mut self, v: u16);
+            fn put_u32(&mut self, v: u32);
+            fn put_u64(&mut self, v: u64);
+        }
+
+        impl PutBe for Vec<u8> {
+            fn put_u8(&mut self, v: u8) {
+                self.push(v);
+            }
+            fn put_u16(&mut self, v: u16) {
+                self.extend_from_slice(&v.to_be_bytes());
+            }
+            fn put_u32(&mut self, v: u32) {
+                self.extend_from_slice(&v.to_be_bytes());
+            }
+            fn put_u64(&mut self, v: u64) {
+                self.extend_from_slice(&v.to_be_bytes());
+            }
+        }
+
+        /// Big-endian reads that consume the front of a slice. Like the
+        /// cursor they replace, they panic past the end: the decoder
+        /// checks lengths before it reads.
+        trait GetBe<'a> {
+            fn split_to(&mut self, n: usize) -> &'a [u8];
+            fn advance(&mut self, n: usize) {
+                self.split_to(n);
+            }
+            fn get_array<const N: usize>(&mut self) -> [u8; N] {
+                self.split_to(N)
+                    .try_into()
+                    .expect("split_to yields N bytes")
+            }
+            fn get_u8(&mut self) -> u8 {
+                self.get_array::<1>()[0]
+            }
+            fn get_u16(&mut self) -> u16 {
+                u16::from_be_bytes(self.get_array())
+            }
+            fn get_u32(&mut self) -> u32 {
+                u32::from_be_bytes(self.get_array())
+            }
+            fn get_u64(&mut self) -> u64 {
+                u64::from_be_bytes(self.get_array())
+            }
+        }
+
+        impl<'a> GetBe<'a> for &'a [u8] {
+            fn split_to(&mut self, n: usize) -> &'a [u8] {
+                let (head, tail) = self.split_at(n);
+                *self = tail;
+                head
+            }
+        }
+
+        fn put_ipv4(buf: &mut Vec<u8>, src: u32, dst: u32, proto: u8, dscp: u8, total_len: u16) {
             buf.put_u8(0x45); // Version 4, IHL 5.
             buf.put_u8(dscp << 2);
             buf.put_u16(total_len);
@@ -268,8 +328,8 @@ mod tests {
             buf.put_u32(dst);
         }
 
-        pub fn encode_probe(packet: &ProbePacket) -> Bytes {
-            let mut buf = BytesMut::with_capacity(PROBE_WIRE_SIZE);
+        pub fn encode_probe(packet: &ProbePacket) -> Vec<u8> {
+            let mut buf = Vec::with_capacity(PROBE_WIRE_SIZE);
             let inner_len = (IPV4_HDR + UDP_HDR + PAYLOAD) as u16;
             if packet.waypoint != 0 {
                 put_ipv4(
@@ -301,10 +361,10 @@ mod tests {
             while buf.len() < PROBE_WIRE_SIZE {
                 buf.put_u8(0xa5);
             }
-            buf.freeze()
+            buf
         }
 
-        pub fn decode_probe(mut buf: Bytes) -> Result<ProbePacket, PacketError> {
+        pub fn decode_probe(mut buf: &[u8]) -> Result<ProbePacket, PacketError> {
             if buf.len() < IPV4_HDR {
                 return Err(PacketError::Truncated);
             }
@@ -395,10 +455,7 @@ mod tests {
     /// accepted packet survives a re-encode.
     fn decode_checked(wire: &[u8]) {
         let got = decode_probe(wire);
-        assert_eq!(
-            got,
-            reference::decode_probe(bytes::Bytes::copy_from_slice(wire))
-        );
+        assert_eq!(got, reference::decode_probe(wire));
         if let Ok(p) = got {
             // A bare header carrying protocol 4 reads back as an
             // encapsulation — the one packet the format cannot express.

@@ -16,12 +16,11 @@ use std::sync::{Arc, Mutex};
 use detector_core::json::{Json, ToJson};
 use detector_core::pll::Diagnosis;
 use detector_core::types::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one 30-second window — the payload of
 /// [`RuntimeEvent::DiagnosisReady`] and the return value of
 /// [`Detector::step`](crate::Detector::step).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WindowResult {
     /// Window index.
     pub window: u64,
@@ -49,7 +48,7 @@ impl ToJson for WindowResult {
 }
 
 /// One typed event in a window's lifecycle, in emission order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RuntimeEvent {
     /// A reporting window opened.
     WindowStarted {

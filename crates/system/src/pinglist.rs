@@ -4,15 +4,15 @@
 //! probe path assigned to the pinger (the source-routed node sequence, the
 //! responder, the waypoint for IP-in-IP encapsulation and the port/DSCP
 //! configuration), and the sending interval. The paper serializes these as
-//! XML files fetched over HTTP; we serialize with serde.
+//! XML files fetched over HTTP; here the agent tier's binary frames carry
+//! them (`detector_agent::Frame::ListReplace`).
 
 use std::hash::{Hash, Hasher};
 
 use detector_core::types::{NodeId, PathId};
-use serde::{Deserialize, Serialize};
 
 /// One probe assignment within a pinglist.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PingEntry {
     /// Probe-matrix path this entry exercises; `None` for in-rack probes
     /// (server ↔ ToR links are monitored separately, §3.1).
@@ -27,7 +27,7 @@ pub struct PingEntry {
 }
 
 /// A pinger's probing assignment for one cycle.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Pinglist {
     /// Version (controller cycle number) for idempotent refreshes.
     pub version: u64,

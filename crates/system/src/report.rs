@@ -60,10 +60,9 @@ use detector_core::pll::FlowSample;
 use detector_core::pmc::{LinkIndex, ProbeMatrix};
 use detector_core::types::{LinkId, NodeId, PathId, PathObservation};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 /// Per-path counters over one window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PathCounters {
     /// Probes sent.
     pub sent: u64,
@@ -74,7 +73,7 @@ pub struct PathCounters {
 /// The counters of one flow that lost at least one probe on one path over
 /// one window: the raw material for loss-type classification (§7). A flow
 /// is the probe header the fabric hashes on — source port and DSCP class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowRecord {
     /// The probed path.
     pub path: PathId,
@@ -107,7 +106,7 @@ impl FlowRecord {
 /// a record breaking it is not representable on the wire.
 ///
 /// [`Pinger::run_window`]: crate::Pinger::run_window
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PingerReport {
     /// Reporting pinger.
     pub pinger: NodeId,

@@ -9,13 +9,13 @@
 //! the **pipelined schedule** of the one window protocol (the
 //! [`window`](crate::window) module): the plan half runs on the calling
 //! thread, the close half on a collector thread, and a window's
-//! [`Ticket`] crosses between them on a channel while its batches cross
-//! a pool of probe workers:
+//! [`Ticket`] crosses between them on a channel while a pool of probe
+//! workers takes its batches off one shared cursor:
 //!
 //! ```text
 //!             ┌────────────────────┐   WindowMeta
 //!  script ──▶ │  dispatch stage    │ ───────────────────────────────┐
-//!  (churn,    │  (caller thread)   │   BatchJob (last one flagged)  │
+//!  (churn,    │  (caller thread)   │   WindowWork (batch cursor)    │
 //!   health)   │  plan half: apply, │ ──────────────┐                ▼
 //!             │  take slot, open   │               ▼        ┌──────────────┐
 //!             └────────────────────┘      ┌──────────────┐  │ diagnosis    │
@@ -32,11 +32,15 @@
 //!   it applies the window's scripted [`ScriptAction`](crate::ScriptAction)s
 //!   and opens the window through the plan half — so re-plans, cycle
 //!   refreshes and the seed draw land exactly where sequential
-//!   [`Detector::step`] puts them — and ships one [`PingerBatch`] job per
-//!   roster pinger expected to report.
-//! * The **probe stage** is a pool of workers pulling batch jobs from a
-//!   shared channel; each runs a server's whole pinglist for the window
-//!   with its own RNG stream ([`batch_seed`](crate::batch_seed)) and posts the report.
+//!   [`Detector::step`] puts them — and hands every probe worker the
+//!   window's work: one [`PingerBatch`] per roster pinger expected to
+//!   report, behind one shared cursor.
+//! * The **probe stage** is a pool of workers, each fed the windows in
+//!   order on its own channel. A worker takes the window's batches with
+//!   `fetch_add` on the cursor until it passes the end, then waits for
+//!   the next window. A batch runs a server's whole pinglist for the
+//!   window with its own RNG stream ([`batch_seed`](crate::batch_seed))
+//!   and posts the report.
 //! * The **diagnosis stage** announces each window, assembles its
 //!   reports (stashing early arrivals from younger windows), and closes
 //!   it through the close half.
@@ -50,23 +54,24 @@
 //!   closing it, so a slow diagnosis stage back-pressures the dispatcher
 //!   instead of letting probes run unboundedly ahead. The meta channel
 //!   itself is unbounded; the slots bound it.
-//! * *The gate.* A window's last batch job is flagged, and the worker
-//!   that takes it signals the dispatcher before running it. The
-//!   dispatcher applies window N+1's actions and opens it only after
-//!   that signal, so N+1's batches queue behind N's tail rather than
-//!   behind all of N: the workers never starve, and a window is not
-//!   opened (and its clock started) long before any worker can probe it.
-//!   A window with no batches does not wait.
+//! * *The gate.* The worker that takes a window's last batch off the
+//!   cursor signals the dispatcher before running it. The dispatcher
+//!   applies window N+1's actions and opens it only after that signal,
+//!   so N+1's batches wait behind N's tail rather than behind all of N:
+//!   the workers never starve, and a window is not opened (and its clock
+//!   started) long before any worker can probe it. A window with no
+//!   batches does not wait.
 //!
 //! Every failure keeps one exit: a dead diagnosis stage fails the slot
 //! (or meta) `send`, a probe stage with no worker left fails the gate's
 //! `recv`, and a panicking batch surfaces as [`PipelineError::Stage`].
 //!
-//! **Thread orchestration** comes in three shapes across `crates/`, and
-//! this is the first: the probe-worker channel above, which carries
-//! batches only. The planner's subproblem and cell solves fan out on
-//! `JobPool::run_indexed`, the second; the agent tier's in-process
-//! agents, one thread each serving a loopback transport, are the third.
+//! **Thread orchestration** comes in three shapes across `crates/`, all
+//! on `std::thread::scope` and `std::sync::mpsc`. This pipeline is the
+//! first; its probe stage takes batches off a shared cursor, the idiom
+//! of `JobPool::run_indexed`, on which the planner's subproblem and cell
+//! solves fan out, the second. The agent tier's in-process agents, one
+//! thread each serving a loopback transport, are the third.
 //! Diagnosis takes none of them: `Diagnoser::diagnose` solves a window's
 //! components one after another on the thread that closes it.
 //!
@@ -95,9 +100,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
-use crossbeam::channel;
 use detector_core::pmc::PmcError;
 use detector_core::types::NodeId;
 use rand::rngs::SmallRng;
@@ -110,6 +116,7 @@ use crate::runtime::{batches, prune_bindings, Detector};
 use crate::script::Script;
 use crate::watchdog::Watchdog;
 use crate::window::{Replanned, Ticket};
+use crate::SystemConfig;
 
 /// Shape of the pipeline: how wide the probe stage fans out and how many
 /// windows may be in flight at once.
@@ -164,16 +171,17 @@ impl From<PmcError> for PipelineError {
     }
 }
 
-/// One probe-stage work item: a server's batch for one window.
-struct BatchJob {
+/// One window's probe-stage work: every worker receives it and takes
+/// batches off its cursor until the cursor passes the end.
+struct WindowWork {
     window: u64,
-    /// The window's master seed; the batch derives its own stream from
+    /// The window's master seed; each batch derives its own stream from
     /// it ([`batch_seed`](crate::batch_seed)), exactly as sequential `step` does.
-    window_seed: u64,
-    batch: Arc<PingerBatch>,
-    /// The window's last batch: the worker that takes it lets the
-    /// dispatcher open the next window.
-    last: bool,
+    seed: u64,
+    batches: Vec<Arc<PingerBatch>>,
+    /// The next batch to take. The worker that takes the last one lets
+    /// the dispatcher open the next window.
+    next: AtomicUsize,
 }
 
 /// What the dispatcher hands the diagnosis stage, in window order.
@@ -187,6 +195,45 @@ struct WindowMeta {
     /// actions before the failing one did apply, and sequential `apply`
     /// would have announced each before erroring.
     window: Option<(Ticket, Watchdog)>,
+}
+
+/// One probe-stage worker: takes each window's batches off its cursor
+/// and posts their reports, until the dispatcher hangs up, the diagnosis
+/// stage is gone or a batch panics.
+fn probe_worker(
+    windows: mpsc::Receiver<Arc<WindowWork>>,
+    done: mpsc::Sender<Option<PingerReport>>,
+    ready: mpsc::Sender<()>,
+    dataplane: &(dyn DataPlane + Sync),
+    cfg: &SystemConfig,
+) {
+    for work in windows {
+        loop {
+            // Relaxed: the cursor only hands out indices; the batches
+            // were published by the channel send that delivered `work`.
+            let i = work.next.fetch_add(1, Ordering::Relaxed);
+            let Some(batch) = work.batches.get(i) else {
+                break;
+            };
+            if i + 1 == work.batches.len() {
+                // Before the batch runs: the next window's batches land
+                // while this one's tail probes.
+                let _ = ready.send(());
+            }
+            // A panicking DataPlane must not strand the diagnosis stage
+            // waiting for a completion that will never come (the other
+            // workers would keep done_rx connected): catch it and let
+            // the collector surface a PipelineError::Stage instead.
+            let report = panic::catch_unwind(AssertUnwindSafe(|| {
+                batch.run_window(dataplane, cfg, work.window, work.seed)
+            }))
+            .ok();
+            let panicked = report.is_none();
+            if done.send(report).is_err() || panicked {
+                return; // Diagnosis stage gone, or this worker is compromised.
+            }
+        }
+    }
 }
 
 impl Detector {
@@ -248,174 +295,156 @@ impl Detector {
             bound,
         } = self;
 
-        let (job_tx, job_rx) = channel::unbounded::<BatchJob>();
-        let (done_tx, done_rx) = channel::unbounded::<Option<PingerReport>>();
+        let (done_tx, done_rx) = mpsc::channel::<Option<PingerReport>>();
         // The slots are the pipeline-depth regulator: the dispatcher
         // takes one before each open and blocks once `depth` windows are
         // open; the diagnosis stage gives it back after the close.
-        let (slot_tx, slot_rx) = channel::bounded::<()>(depth);
-        let (meta_tx, meta_rx) = channel::unbounded::<WindowMeta>();
+        let (slot_tx, slot_rx) = mpsc::sync_channel::<()>(depth);
+        let (meta_tx, meta_rx) = mpsc::channel::<WindowMeta>();
         // The gate: a worker taking a window's last batch says so here.
-        let (ready_tx, ready_rx) = channel::unbounded::<()>();
+        let (ready_tx, ready_rx) = mpsc::channel::<()>();
 
         // The probe workers read the configuration while the dispatcher
         // mutates the plan half that owns it.
         let cfg = &plan.cfg().clone();
         let mut dispatch_err: Option<PmcError> = None;
 
-        let run = crossbeam::thread::scope(|scope| {
-            // Probe stage.
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let done_tx = done_tx.clone();
-                let ready_tx = ready_tx.clone();
-                scope.spawn(move |_| {
-                    while let Ok(job) = job_rx.recv() {
-                        if job.last {
-                            // Before the batch runs: the next window's
-                            // batches land while this one's tail probes.
-                            let _ = ready_tx.send(());
+        // The scope re-raises a panicked thread's panic when it ends; the
+        // run reports it as a `PipelineError` instead.
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                // Probe stage: every worker gets every window and takes
+                // its batches off the window's shared cursor.
+                let mut work_txs = Vec::with_capacity(workers);
+                for _ in 0..workers {
+                    let (work_tx, work_rx) = mpsc::channel::<Arc<WindowWork>>();
+                    work_txs.push(work_tx);
+                    let done_tx = done_tx.clone();
+                    let ready_tx = ready_tx.clone();
+                    scope.spawn(move || probe_worker(work_rx, done_tx, ready_tx, dataplane, cfg));
+                }
+                // Keep disconnect tracking on the worker clones only.
+                drop(done_tx);
+                drop(ready_tx);
+
+                // Diagnosis stage.
+                let collector = scope.spawn(move || -> Result<Vec<WindowResult>, PipelineError> {
+                    let mut results = Vec::new();
+                    // Reports that arrived before their window's meta.
+                    let mut stash: HashMap<u64, HashMap<NodeId, PingerReport>> = HashMap::new();
+                    for meta in meta_rx.iter() {
+                        for replanned in meta.replanned {
+                            close.replanned(replanned);
                         }
-                        // A panicking DataPlane must not strand the
-                        // diagnosis stage waiting for a completion that
-                        // will never come (the other workers would keep
-                        // done_rx connected): catch it and let the
-                        // collector surface a PipelineError::Stage
-                        // instead.
-                        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            job.batch
-                                .run_window(dataplane, cfg, job.window, job.window_seed)
-                        }))
-                        .ok();
-                        let panicked = report.is_none();
-                        if done_tx.send(report).is_err() || panicked {
-                            break; // Diagnosis stage gone, or this worker is compromised.
+                        let Some((mut ticket, watchdog)) = meta.window else {
+                            continue;
+                        };
+                        close.header(&mut ticket);
+
+                        let expected = ticket.roster().iter().filter(|(_, h)| *h).count();
+                        let mut have = stash.remove(&ticket.window).unwrap_or_default();
+                        while have.len() < expected {
+                            let Ok(done) = done_rx.recv() else {
+                                return Err(PipelineError::Stage(
+                                    "probe stage disconnected mid-window",
+                                ));
+                            };
+                            // `None`: the batch panicked (e.g. a
+                            // `DataPlane::probe` blew up); its report will
+                            // never come.
+                            let Some(report) = done else {
+                                return Err(PipelineError::Stage(
+                                    "probe worker panicked while probing",
+                                ));
+                            };
+                            // A younger window's report may outrun this
+                            // window's stragglers.
+                            let of_window = if report.window == ticket.window {
+                                &mut have
+                            } else {
+                                stash.entry(report.window).or_default()
+                            };
+                            of_window.insert(report.pinger, report);
                         }
+                        let result = close
+                            .close(ticket, |pinger| have.remove(&pinger), &watchdog, dataplane)
+                            .map_err(|_| {
+                                PipelineError::Stage(
+                                    "probe stage omitted a healthy pinger's report",
+                                )
+                            })?;
+                        // The window's slot, taken before its open; never
+                        // blocks.
+                        let _ = slot_rx.try_recv();
+                        results.push(result);
                     }
+                    Ok(results)
                 });
-            }
-            // Keep disconnect tracking on the worker clones only.
-            drop(job_rx);
-            drop(done_tx);
-            drop(ready_tx);
 
-            // Diagnosis stage.
-            let collector = scope.spawn(move |_| -> Result<Vec<WindowResult>, PipelineError> {
-                let mut results = Vec::new();
-                // Reports that arrived before their window's meta.
-                let mut stash: HashMap<u64, HashMap<NodeId, PingerReport>> = HashMap::new();
-                for meta in meta_rx.iter() {
-                    for replanned in meta.replanned {
-                        close.replanned(replanned);
-                    }
-                    let Some((mut ticket, watchdog)) = meta.window else {
-                        continue;
-                    };
-                    close.header(&mut ticket);
-
-                    let expected = ticket.roster().iter().filter(|(_, h)| *h).count();
-                    let mut have = stash.remove(&ticket.window).unwrap_or_default();
-                    while have.len() < expected {
-                        let Ok(done) = done_rx.recv() else {
-                            return Err(PipelineError::Stage(
-                                "probe stage disconnected mid-window",
-                            ));
-                        };
-                        // `None`: the batch panicked (e.g. a
-                        // `DataPlane::probe` blew up); its report will
-                        // never come.
-                        let Some(report) = done else {
-                            return Err(PipelineError::Stage(
-                                "probe worker panicked while probing",
-                            ));
-                        };
-                        // A younger window's report may outrun this
-                        // window's stragglers.
-                        let of_window = if report.window == ticket.window {
-                            &mut have
-                        } else {
-                            stash.entry(report.window).or_default()
-                        };
-                        of_window.insert(report.pinger, report);
-                    }
-                    let result = close
-                        .close(ticket, |pinger| have.remove(&pinger), &watchdog, dataplane)
-                        .map_err(|_| {
-                            PipelineError::Stage("probe stage omitted a healthy pinger's report")
-                        })?;
-                    // The window's slot, taken before its open; never
-                    // blocks.
-                    let _ = slot_rx.try_recv();
-                    results.push(result);
-                }
-                Ok(results)
-            });
-
-            // Dispatch stage (this thread).
-            for i in 0..windows {
-                let mut replanned = Vec::new();
-                for action in script.due(i) {
-                    match plan.apply(watchdog, action, &mut prune_bindings(bound)) {
-                        Ok(r) => replanned.extend(r),
-                        Err(e) => {
-                            dispatch_err = Some(e);
-                            break;
+                // Dispatch stage (this thread).
+                for i in 0..windows {
+                    let mut replanned = Vec::new();
+                    for action in script.due(i) {
+                        match plan.apply(watchdog, action, &mut prune_bindings(bound)) {
+                            Ok(r) => replanned.extend(r),
+                            Err(e) => {
+                                dispatch_err = Some(e);
+                                break;
+                            }
                         }
                     }
-                }
-                if dispatch_err.is_some() {
-                    if !replanned.is_empty() {
-                        let _ = meta_tx.send(WindowMeta {
-                            replanned,
-                            window: None,
-                        });
+                    if dispatch_err.is_some() {
+                        if !replanned.is_empty() {
+                            let _ = meta_tx.send(WindowMeta {
+                                replanned,
+                                window: None,
+                            });
+                        }
+                        break;
                     }
-                    break;
-                }
 
-                if slot_tx.send(()).is_err() {
-                    break; // Diagnosis stage is gone; surface its error below.
-                }
-                let ticket = plan.open(watchdog, dataplane, rng, &mut prune_bindings(bound));
-                let mut jobs: Vec<BatchJob> = batches(plan, &ticket, bound)
-                    .map(|batch| BatchJob {
+                    if slot_tx.send(()).is_err() {
+                        break; // Diagnosis stage is gone; surface its error below.
+                    }
+                    let ticket = plan.open(watchdog, dataplane, rng, &mut prune_bindings(bound));
+                    let work = Arc::new(WindowWork {
                         window: ticket.window,
-                        window_seed: ticket.seed,
-                        batch,
-                        last: false,
-                    })
-                    .collect();
-                if let Some(job) = jobs.last_mut() {
-                    job.last = true;
-                }
-                let gated = !jobs.is_empty();
-                let meta = WindowMeta {
-                    replanned,
-                    window: Some((ticket, watchdog.clone())),
-                };
-                if meta_tx.send(meta).is_err() {
-                    break;
-                }
-                for job in jobs {
-                    if job_tx.send(job).is_err() {
+                        seed: ticket.seed,
+                        batches: batches(plan, &ticket, bound).collect(),
+                        next: AtomicUsize::new(0),
+                    });
+                    let meta = WindowMeta {
+                        replanned,
+                        window: Some((ticket, watchdog.clone())),
+                    };
+                    if meta_tx.send(meta).is_err() {
+                        break;
+                    }
+                    // A window with no batches does not wait.
+                    if work.batches.is_empty() {
+                        continue;
+                    }
+                    for work_tx in &work_txs {
+                        // A worker that left (its batch panicked) is
+                        // already reported to the collector.
+                        let _ = work_tx.send(Arc::clone(&work));
+                    }
+                    // The next window opens once a worker has taken this
+                    // one's last batch; no worker left fails the wait.
+                    if ready_rx.recv().is_err() {
                         break;
                     }
                 }
-                // The next window opens once a worker has taken this one's
-                // last batch; no worker left fails the wait.
-                if gated && ready_rx.recv().is_err() {
-                    break;
-                }
-            }
 
-            // End of input: disconnect the stages and drain.
-            drop(meta_tx);
-            drop(job_tx);
-            match collector.join() {
-                Ok(r) => r,
-                Err(_) => Err(PipelineError::Stage("diagnosis stage panicked")),
-            }
-        })
+                // End of input: disconnect the stages and drain.
+                drop(meta_tx);
+                drop(work_txs);
+                match collector.join() {
+                    Ok(r) => r,
+                    Err(_) => Err(PipelineError::Stage("diagnosis stage panicked")),
+                }
+            })
+        }))
         .map_err(|_| PipelineError::Stage("probe worker panicked"))?;
 
         match dispatch_err {

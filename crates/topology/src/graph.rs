@@ -1,10 +1,9 @@
 //! The concrete DCN graph: typed nodes, undirected links, adjacency.
 
 use detector_core::types::{LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// What a node is and where it sits in its topology.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Fattree core switch, in column `group`, position `index`.
     CoreSwitch {
@@ -65,7 +64,7 @@ impl NodeKind {
 }
 
 /// A node of the DCN graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Node {
     /// Dense node id.
     pub id: NodeId,
@@ -74,7 +73,7 @@ pub struct Node {
 }
 
 /// Which tier of the fabric a link belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LinkTier {
     /// Fattree edge ↔ aggregation.
     EdgeAgg,
@@ -94,7 +93,7 @@ pub enum LinkTier {
 }
 
 /// An undirected link of the DCN graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Link {
     /// Dense link id. Probe links (inter-switch, or all links for BCube)
     /// come first; server access links follow.

@@ -1,341 +1,3 @@
-//! Offline shim for the `bytes` crate.
-//!
-//! Implements the subset this workspace uses for probe-packet
-//! encode/decode: `BytesMut` (growable, big-endian `put_*`), `Bytes`
-//! (cheaply cloneable immutable view over shared storage), and the
-//! `Buf`/`BufMut` traits with big-endian `get_*`/`put_*` accessors.
-//! Semantics match the real crate for these operations; zero-copy
-//! `split_to`/`slice` are preserved via `Arc` sharing.
-
-use std::ops::{Deref, RangeBounds};
-use std::sync::Arc;
-
-/// Read-side cursor operations.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-
-    /// A view of the unconsumed bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// Consumes `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// Reads one `u8` and advances.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Reads a big-endian `u16` and advances.
-    fn get_u16(&mut self) -> u16 {
-        let v = u16::from_be_bytes(self.chunk()[..2].try_into().unwrap());
-        self.advance(2);
-        v
-    }
-
-    /// Reads a big-endian `u32` and advances.
-    fn get_u32(&mut self) -> u32 {
-        let v = u32::from_be_bytes(self.chunk()[..4].try_into().unwrap());
-        self.advance(4);
-        v
-    }
-
-    /// Reads a big-endian `u64` and advances.
-    fn get_u64(&mut self) -> u64 {
-        let v = u64::from_be_bytes(self.chunk()[..8].try_into().unwrap());
-        self.advance(8);
-        v
-    }
-}
-
-/// Write-side operations (big-endian, as in the real crate).
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one `u8`.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a big-endian `u16`.
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-/// Immutable, cheaply cloneable byte buffer (a range view over shared
-/// storage).
-#[derive(Clone)]
-pub struct Bytes {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
-}
-
-impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::from(Vec::new())
-    }
-
-    /// Copies `data` into a new buffer.
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self::from(data.to_vec())
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Splits off and returns the first `at` bytes; `self` keeps the rest.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let head = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + at,
-        };
-        self.start += at;
-        head
-    }
-
-    /// A sub-view of this buffer (zero-copy).
-    pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
-        use std::ops::Bound;
-        let lo = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
-        };
-        let hi = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len(),
-        };
-        assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + lo,
-            end: self.start + hi,
-        }
-    }
-
-    /// Copies the contents into a fresh `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_ref().to_vec()
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Self {
-            data: Arc::new(v),
-            start: 0,
-            end,
-        }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Self::from(v.to_vec())
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_ref() == other.as_ref()
-    }
-}
-
-impl Eq for Bytes {}
-
-impl std::fmt::Debug for Bytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Bytes({} bytes)", self.len())
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance out of bounds");
-        self.start += cnt;
-    }
-}
-
-/// Growable byte buffer.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-    read: usize,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty buffer with `cap` bytes preallocated.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(cap),
-            read: 0,
-        }
-    }
-
-    /// Length of the unconsumed contents.
-    pub fn len(&self) -> usize {
-        self.buf.len() - self.read
-    }
-
-    /// Whether the unconsumed contents are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Splits off and returns the first `at` bytes.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let head = BytesMut {
-            buf: self.buf[self.read..self.read + at].to_vec(),
-            read: 0,
-        };
-        self.read += at;
-        head
-    }
-
-    /// Freezes into an immutable [`Bytes`].
-    pub fn freeze(mut self) -> Bytes {
-        if self.read > 0 {
-            self.buf.drain(..self.read);
-        }
-        Bytes::from(self.buf)
-    }
-
-    /// Copies the unconsumed contents into a fresh `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_ref().to_vec()
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf[self.read..]
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl std::fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BytesMut({} bytes)", self.len())
-    }
-}
-
-impl Buf for BytesMut {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance out of bounds");
-        self.read += cnt;
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{Buf, BufMut, Bytes, BytesMut};
-
-    #[test]
-    fn round_trip_big_endian() {
-        let mut b = BytesMut::with_capacity(32);
-        b.put_u8(1);
-        b.put_u16(0x0203);
-        b.put_u32(0x0405_0607);
-        b.put_u64(0x1112_1314_1516_1718);
-        let mut frozen = b.freeze();
-        assert_eq!(frozen.len(), 15);
-        assert_eq!(frozen.get_u8(), 1);
-        assert_eq!(frozen.get_u16(), 0x0203);
-        assert_eq!(frozen.get_u32(), 0x0405_0607);
-        assert_eq!(frozen.get_u64(), 0x1112_1314_1516_1718);
-        assert!(frozen.is_empty());
-    }
-
-    #[test]
-    fn split_and_slice_share_storage() {
-        let mut b = Bytes::from(vec![0, 1, 2, 3, 4, 5]);
-        let head = b.split_to(2);
-        assert_eq!(head.as_ref(), &[0, 1]);
-        assert_eq!(b.as_ref(), &[2, 3, 4, 5]);
-        let s = b.slice(1..3);
-        assert_eq!(s.as_ref(), &[3, 4]);
-        assert_eq!(b[0], 2);
-    }
-}
+//! Empty stub for `bytes`: the probe codec and its test oracle work on
+//! plain slices. It stays only while the manifests that
+//! `benchmark/Cargo.lock` records still list it.

@@ -1,35 +1,3 @@
-//! Offline shim for the `serde` crate.
-//!
-//! The build environment has no network access, so the workspace vendors
-//! a minimal replacement. Serialization is not on any tested code path —
-//! the repository only *derives* `Serialize`/`Deserialize` so downstream
-//! consumers can wire in real serde later. The shim therefore provides
-//! the two traits as blanket-implemented markers and no-op derive macros,
-//! keeping every `#[derive(Serialize, Deserialize)]` and trait bound
-//! compiling unchanged. Swapping back to real serde is a one-line
-//! manifest change once a registry is reachable.
-
-/// Marker stand-in for `serde::Serialize`; blanket-implemented so trait
-/// bounds written against real serde keep compiling.
-pub trait Serialize {}
-impl<T: ?Sized> Serialize for T {}
-
-/// Marker stand-in for `serde::Deserialize`; blanket-implemented.
-pub trait Deserialize<'de> {}
-impl<'de, T: ?Sized> Deserialize<'de> for T {}
-
-/// Marker stand-in for `serde::de::DeserializeOwned`.
-pub trait DeserializeOwned {}
-impl<T: ?Sized> DeserializeOwned for T {}
-
-/// Stand-in for the `serde::de` module.
-pub mod de {
-    pub use super::{Deserialize, DeserializeOwned};
-}
-
-/// Stand-in for the `serde::ser` module.
-pub mod ser {
-    pub use super::Serialize;
-}
-
-pub use serde_derive::{Deserialize, Serialize};
+//! Empty stub for `serde`: no type derives its traits, and JSON goes
+//! through `detector_core::json`. It stays only while the manifests that
+//! `benchmark/Cargo.lock` records still list it.

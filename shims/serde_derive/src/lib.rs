@@ -1,19 +1,3 @@
-//! Offline shim for `serde_derive`: the derives expand to nothing.
-//!
-//! The sibling `serde` shim blanket-implements its marker traits for all
-//! types, so an empty expansion is sufficient for every
-//! `#[derive(Serialize, Deserialize)]` in the workspace.
-
-use proc_macro::TokenStream;
-
-/// No-op stand-in for `#[derive(Serialize)]`.
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-/// No-op stand-in for `#[derive(Deserialize)]`.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! Empty stub for `serde_derive`: it defines no derive. It stays only
+//! while the `serde` stub, which `benchmark/Cargo.lock` records, lists
+//! it.

@@ -8,7 +8,8 @@
 //! `DistError::Protocol` *before* anything is filed — the diagnoser holds
 //! nothing of the poisoned window or of the one a report named, and no
 //! `ReportIngested` was emitted for it — and that a mis-answered
-//! heartbeat degrades the agent like a missed one.
+//! heartbeat degrades the agent like a missed one. An agent thread that
+//! panics fails the run with a `DistError`, not a panic in the caller.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -154,4 +155,29 @@ fn a_heartbeat_answered_with_the_wrong_nonce_degrades_the_agent() {
         .collect();
     assert!(!unhealthy.is_empty() && unhealthy.iter().all(|p| group.contains(p)));
     assert!(group.iter().all(|&s| !dist.watchdog.is_healthy(s)));
+}
+
+/// A data plane whose every probe panics, so every agent thread that
+/// runs a window dies.
+struct PanickingPlane;
+
+impl DataPlane for PanickingPlane {
+    fn probe(&self, _route: &Route, _flow: FlowKey, _rng: &mut SmallRng) -> ProbeOutcome {
+        panic!("probe backend blew up");
+    }
+}
+
+#[test]
+fn an_agent_thread_panic_is_a_protocol_error() {
+    let ft = Arc::new(Fattree::new(4).unwrap());
+    let mut dist = detector(&ft);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // Silence the agents' expected panics.
+    let res = dist.run_distributed(&PanickingPlane, 2, &DistScript::new(), &mut rng);
+    std::panic::set_hook(prev_hook);
+    match res {
+        Err(DistError::Protocol("agent thread panicked")) => {}
+        other => panic!("expected the agent panic as a protocol error, got {other:?}"),
+    }
 }
