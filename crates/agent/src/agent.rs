@@ -7,17 +7,17 @@
 //! ([`apply_list_update`]) — so a list rebuilt from diffs is
 //! bit-identical to the controller's copy, enforced end-to-end by the
 //! [`ListSeal`](crate::Frame::ListSeal) stamp — and caches bound
-//! [`PingerBatch`]es keyed on `(version, stamp)` exactly like the
-//! single-process runtime's binding cache. Probe outcomes are a pure
-//! function of `(list, window seed)` via
-//! [`batch_seed`](detector_system::batch_seed), which is what makes the
-//! distributed run provably equivalent to sequential stepping.
+//! [`PingerBatch`]es through [`bound_batch`], the binding rule every
+//! driver shares. Probe outcomes are a pure function of `(list, window
+//! seed)` via [`batch_seed`](detector_system::batch_seed), which is what
+//! makes the distributed run provably equivalent to sequential stepping.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use detector_core::types::NodeId;
 use detector_system::dispatch::{apply_list_update, ListUpdate};
-use detector_system::{DataPlane, PingerBatch, Pinglist, SystemConfig};
+use detector_system::{bound_batch, DataPlane, PingerBatch, Pinglist, SystemConfig};
 use detector_topology::SharedTopology;
 
 use crate::frame::Frame;
@@ -52,10 +52,9 @@ pub struct PingerAgent {
     cfg: SystemConfig,
     /// Authoritative dispatched lists, keyed by pinger.
     lists: HashMap<NodeId, Pinglist>,
-    /// Bound batches cached across windows; re-bound iff the list's
-    /// `(version, stamp)` changed — the same rule as the single-process
-    /// runtime's binding cache.
-    batches: HashMap<NodeId, PingerBatch>,
+    /// Bound batches cached across windows; [`bound_batch`] re-binds one
+    /// iff its list's `(version, stamp)` changed.
+    batches: HashMap<NodeId, Arc<PingerBatch>>,
     /// Diffs being accumulated toward their `ListSeal`.
     pending: HashMap<NodeId, PendingDiff>,
 }
@@ -182,19 +181,19 @@ impl PingerAgent {
         Ok(true)
     }
 
-    /// Applies one list update through the shared dispatch procedure and
-    /// invalidates the affected binding.
+    /// Applies one list update through the shared dispatch procedure. A
+    /// removed list takes its binding with it; any other update leaves
+    /// the binding for the next window's [`bound_batch`] to check.
     fn apply(&mut self, update: &ListUpdate) -> Result<(), AgentExit> {
-        let pinger = update.pinger();
         if !apply_list_update(&mut self.lists, update) {
             // The seal stamp is an end-to-end checksum over the rebuilt
             // list; the controller only diffs when the diff provably
             // reproduces its copy, so a miss means the streams diverged.
             return Err(AgentExit::Protocol("diff failed its seal stamp"));
         }
-        // Cheap and safe: drop the binding, let the next window's
-        // bound_to check rebuild it only if (version, stamp) changed.
-        self.batches.remove(&pinger);
+        if let ListUpdate::Remove(pinger) = update {
+            self.batches.remove(pinger);
+        }
         Ok(())
     }
 
@@ -217,11 +216,7 @@ impl PingerAgent {
             if skip.contains(&pinger) {
                 continue;
             }
-            let bind = || PingerBatch::bind(list.clone(), self.topo.graph());
-            let batch = self.batches.entry(pinger).or_insert_with(bind);
-            if !batch.bound_to(list) {
-                *batch = bind();
-            }
+            let batch = bound_batch(&mut self.batches, list, self.topo.graph());
             let report = batch.run_window(dataplane, &self.cfg, window, window_seed);
             transport
                 .send(&Frame::Report(report))
@@ -386,6 +381,23 @@ mod tests {
                 AgentExit::Protocol(_) => {}
                 other => panic!("expected protocol error, got {other:?}"),
             }
+        });
+    }
+
+    #[test]
+    fn a_vanished_controller_ends_the_agent_with_a_closed_transport() {
+        let (topo, _) = fattree_lists();
+        let fabric = Fabric::quiet(topo.as_ref());
+        let (ctrl, agent_end) = loopback();
+        let agent = PingerAgent::new(2, topo.clone(), SystemConfig::default());
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
+            assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 2 });
+            drop(ctrl);
+            assert_eq!(
+                handle.join().unwrap(),
+                AgentExit::Transport(TransportError::Closed)
+            );
         });
     }
 }

@@ -336,4 +336,35 @@ mod tests {
         drop(client);
         assert_eq!(server.join().unwrap(), Err(TransportError::Closed));
     }
+
+    /// A TCP transport accepted from a loopback listener, and the raw
+    /// stream of the peer that connected to it.
+    fn tcp_pair() -> (TcpTransport, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (TcpTransport::new(stream).unwrap(), peer)
+    }
+
+    #[test]
+    fn tcp_refuses_an_oversize_length_prefix() {
+        use std::io::Write;
+        let (t, mut peer) = tcp_pair();
+        peer.write_all(&u32::MAX.to_be_bytes()).unwrap();
+        assert_eq!(
+            t.recv(),
+            Err(TransportError::Codec(FrameError::Oversize(u32::MAX)))
+        );
+    }
+
+    #[test]
+    fn tcp_peer_closing_mid_frame_is_closed() {
+        use std::io::Write;
+        let (t, mut peer) = tcp_pair();
+        // A 10-byte frame announced, three of its bytes sent.
+        peer.write_all(&10u32.to_be_bytes()).unwrap();
+        peer.write_all(&[1, 2, 3]).unwrap();
+        drop(peer);
+        assert_eq!(t.recv(), Err(TransportError::Closed));
+    }
 }

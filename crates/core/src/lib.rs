@@ -51,3 +51,13 @@ pub mod types;
 pub use pll::{localize, Diagnosis, Localizer, PllConfig, PllLocalizer};
 pub use pmc::{construct, PmcConfig, ProbeMatrix};
 pub use types::{LinkId, NodeId, PathId, PathObservation, ProbePath};
+
+/// One SplitMix64 step from state `x`, as a pure hash: seeds derived
+/// through it depend only on their inputs, never on a generator's
+/// position.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -80,8 +80,38 @@ impl Subproblem {
         solve_restricted(self.indexed(), &HashSet::new(), cfg, deadline)
     }
 
-    /// [`resolve_subproblem`](super::resolve_subproblem) on the stored
-    /// index: no per-call indexing, no copy of the candidates.
+    /// Solves the subproblem from scratch with part of its universe
+    /// excluded — the *canonical* restricted solve: a failed or drained
+    /// link leaves the coverage universe, every candidate crossing it is
+    /// dropped, and the configured greedy runs over the survivors, on the
+    /// index built once at construction. The planner uses it where a plan
+    /// must not depend on history — the boot solve, and a cell whose
+    /// exclusions return to empty — and repairs with
+    /// [`resolve_seeded`](Self::resolve_seeded) everywhere else.
+    ///
+    /// Deterministic: the result depends only on the subproblem and
+    /// `excluded`, not on any previous solution.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::collections::HashSet;
+    /// use detector_core::pmc::{PmcConfig, Subproblem};
+    /// use detector_core::types::{LinkId, ProbePath};
+    ///
+    /// let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
+    /// let candidates = vec![
+    ///     ProbePath::from_links(0, vec![LinkId(0), LinkId(1)]),
+    ///     ProbePath::from_links(1, vec![LinkId(1)]),
+    ///     ProbePath::from_links(2, vec![LinkId(2)]),
+    /// ];
+    /// let cell = Subproblem::new(universe, candidates).unwrap();
+    /// let dead: HashSet<LinkId> = [LinkId(0)].into_iter().collect();
+    /// let sol = cell.resolve(&dead, &PmcConfig::identifiable(1)).unwrap();
+    /// // Links 1 and 2 stay covered and identifiable without crossing link 0.
+    /// assert!(sol.targets_met);
+    /// assert!(sol.paths.iter().all(|p| !p.covers(LinkId(0))));
+    /// ```
     pub fn resolve(
         &self,
         excluded: &HashSet<LinkId>,

@@ -536,52 +536,6 @@ pub fn construct_with_provider<P: CandidateProvider>(
     lazy::run(ProviderPool::new(provider), state, cfg, deadline)
 }
 
-/// Solves one subproblem from scratch with part of its universe excluded —
-/// the *canonical* restricted solve: a failed or drained link leaves the
-/// coverage universe, every candidate crossing it is dropped, and the
-/// configured greedy runs over the survivors. The planner uses it where a
-/// plan must not depend on history — the boot solve, and a cell whose
-/// exclusions return to empty — and repairs with
-/// [`resolve_subproblem_seeded`] everywhere else.
-///
-/// Deterministic: the result depends only on `(universe, candidates,
-/// excluded)`, not on any previous solution.
-///
-/// Every candidate link must be in `universe`. The candidates are indexed
-/// on every call; a caller that re-solves the same subproblem repeatedly
-/// keeps a [`Subproblem`] and calls [`Subproblem::resolve`], which indexes
-/// once.
-///
-/// # Examples
-///
-/// ```
-/// use std::collections::HashSet;
-/// use detector_core::pmc::{resolve_subproblem, PmcConfig};
-/// use detector_core::types::{LinkId, ProbePath};
-///
-/// let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
-/// let candidates = vec![
-///     ProbePath::from_links(0, vec![LinkId(0), LinkId(1)]),
-///     ProbePath::from_links(1, vec![LinkId(1)]),
-///     ProbePath::from_links(2, vec![LinkId(2)]),
-/// ];
-/// let dead: HashSet<LinkId> = [LinkId(0)].into_iter().collect();
-/// let sol = resolve_subproblem(&universe, &candidates, &dead, &PmcConfig::identifiable(1)).unwrap();
-/// // Links 1 and 2 stay covered and identifiable without crossing link 0.
-/// assert!(sol.targets_met);
-/// assert!(sol.paths.iter().all(|p| !p.covers(LinkId(0))));
-/// ```
-pub fn resolve_subproblem(
-    universe: &[LinkId],
-    candidates: &[ProbePath],
-    excluded: &HashSet<LinkId>,
-    cfg: &PmcConfig,
-) -> Result<SubSolution, PmcError> {
-    let deadline = cfg.deadline();
-    let index = CandidateIndex::build(universe, candidates)?;
-    solve_restricted(index.cell(universe, candidates), excluded, cfg, deadline)
-}
-
 /// Repairs a previous solution of one subproblem after part of its
 /// universe was excluded — the incremental re-plan (§4's "recompute quickly
 /// when the network changes"), *seeded* with the paths of `seed`.
@@ -595,7 +549,7 @@ pub fn resolve_subproblem(
 /// so the work is sized by what the delta broke, not by the pool. A
 /// pre-selected path stands for its candidate, which is not offered again.
 /// The result covers and identifies exactly what an unseeded
-/// [`resolve_subproblem`] would (same `targets_met` attainability — every
+/// [`Subproblem::resolve`] would (same `targets_met` attainability — every
 /// candidate that can help is still on the table), but its path set stays
 /// as close to `seed` as the targets allow, so the dispatched pinglist
 /// diff is proportional to the topology delta instead of the cell size.
@@ -610,7 +564,7 @@ pub fn resolve_subproblem(
 /// at most 11 larger, at (3, 1). Nothing heals the difference periodically
 /// (the planner's cycle refresh re-assembles, it never re-solves); it ends
 /// when the exclusions do: the planner solves a cell with no excluded link
-/// canonically, with [`resolve_subproblem`].
+/// canonically, with [`Subproblem::resolve`].
 ///
 /// Deterministic: depends only on `(universe, candidates, excluded, seed)`
 /// and their orders.
@@ -1021,12 +975,12 @@ mod tests {
         let candidates = fig3_candidates();
         let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
         let cfg = PmcConfig::identifiable(1);
+        let cell = Subproblem::new(universe.clone(), candidates.clone()).unwrap();
         for dead_link in 0..3u32 {
             let dead: std::collections::HashSet<LinkId> = [LinkId(dead_link)].into_iter().collect();
-            let unseeded = resolve_subproblem(&universe, &candidates, &dead, &cfg).unwrap();
+            let unseeded = cell.resolve(&dead, &cfg).unwrap();
             // Seed with the pristine full solve of the same cell.
-            let pristine =
-                resolve_subproblem(&universe, &candidates, &HashSet::new(), &cfg).unwrap();
+            let pristine = cell.resolve(&HashSet::new(), &cfg).unwrap();
             let seeded =
                 resolve_subproblem_seeded(&universe, &candidates, &dead, &pristine.paths, &cfg)
                     .unwrap();

@@ -160,7 +160,7 @@ fn strawman(
     Ok(state.into_solution())
 }
 
-/// `resolve_subproblem` / `resolve_subproblem_seeded` by filter-and-clone.
+/// `Subproblem::resolve` / `resolve_subproblem_seeded` by filter-and-clone.
 fn resolve(
     universe: &[LinkId],
     candidates: &[ProbePath],

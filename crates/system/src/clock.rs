@@ -50,8 +50,7 @@ impl SimClock {
         self.now_us += s * 1_000_000;
     }
 
-    /// True when `period_s` divides the current second (used for cycle
-    /// boundaries).
+    /// True when `period_s` divides the current second.
     pub fn on_boundary(&self, period_s: u64) -> bool {
         period_s != 0 && self.now_us.is_multiple_of(period_s * 1_000_000)
     }

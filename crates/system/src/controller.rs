@@ -1,14 +1,12 @@
 //! The controller: incremental probe planning and pinglist dispatch
 //! (§3.1), driven by the live [`TopologyView`].
 //!
-//! Earlier revisions froze the topology at construction and forced a
-//! full PMC recompute on every change (`exclude_links` stripped paths
-//! from a pristine matrix). The controller is now an *incremental
-//! planner*: it owns a [`TopologyView`] whose [`TopologyEvent`]s produce
-//! link-state deltas, and a partitioned [`ProbePlan`] that re-solves only
-//! the subproblems the delta touches. Exclusion is just
-//! [`TopologyEvent::LinkDown`] on the delta path — the bespoke
-//! full-recompute branch is gone.
+//! The controller is an *incremental planner*: it owns a
+//! [`TopologyView`] whose [`TopologyEvent`]s produce link-state deltas,
+//! and a partitioned [`ProbePlan`] that re-solves only the subproblems
+//! the delta touches. A link leaves the plan as a
+//! [`TopologyEvent::LinkDown`] on that delta path, and returns as a
+//! [`TopologyEvent::LinkUp`].
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -202,34 +200,6 @@ impl Controller {
             replan_micros: t0.elapsed().as_micros() as u64,
             stats,
         })
-    }
-
-    /// Reports links as failed — sugar for a batch of
-    /// [`TopologyEvent::LinkDown`]s on the delta path. The next
-    /// deployment avoids scheduling any probe path across them while the
-    /// rest of the fabric stays fully planned (§6.1, footnote 4).
-    pub fn exclude_links(
-        &mut self,
-        links: impl IntoIterator<Item = LinkId>,
-    ) -> Result<PlanUpdate, PmcError> {
-        self.apply_events(
-            links
-                .into_iter()
-                .map(|link| TopologyEvent::LinkDown { link }),
-        )
-    }
-
-    /// Clears the failed-link set (links repaired): a batch of
-    /// [`TopologyEvent::LinkUp`]s, which restores cached pristine
-    /// subproblem solutions without re-solving.
-    pub fn clear_excluded_links(&mut self) -> Result<PlanUpdate, PmcError> {
-        let up: Vec<LinkId> = self.view.down_links().iter().copied().collect();
-        self.apply_events(up.into_iter().map(|link| TopologyEvent::LinkUp { link }))
-    }
-
-    /// The currently excluded (explicitly downed) links.
-    pub fn excluded_links(&self) -> &HashSet<LinkId> {
-        self.view.down_links()
     }
 
     fn ensure_plan(&mut self) -> Result<&ProbePlan, PmcError> {
@@ -529,11 +499,12 @@ mod tests {
     }
 
     #[test]
-    fn excluded_links_are_never_probed() {
+    fn downed_links_are_never_probed() {
         let ft = Arc::new(Fattree::new(4).unwrap());
         let mut ctl = Controller::new(ft.clone(), SystemConfig::default());
         let dead = ft.ac_link(0, 0, 0);
-        ctl.exclude_links([dead]).unwrap();
+        ctl.apply_events([TopologyEvent::LinkDown { link: dead }])
+            .unwrap();
         let d = ctl.build_deployment(&HashSet::new()).unwrap();
         for p in &d.matrix.paths {
             assert!(!p.covers(dead), "path {} crosses the dead link", p.id);
@@ -553,18 +524,22 @@ mod tests {
         // Build first so exclusion exercises the incremental patch.
         ctl.build_deployment(&HashSet::new()).unwrap();
         let dead = ft.ea_link(2, 1, 0);
-        let up = ctl.exclude_links([dead]).unwrap();
+        let up = ctl
+            .apply_events([TopologyEvent::LinkDown { link: dead }])
+            .unwrap();
         assert_eq!(up.epoch, 1);
         assert_eq!(up.links_changed, 1);
         assert_eq!(up.stats.cells_resolved, 1);
         assert_eq!(up.stats.cells_total, 2);
 
         // Clearing restores the pristine plan without re-solving.
-        let up = ctl.clear_excluded_links().unwrap();
+        let up = ctl
+            .apply_events([TopologyEvent::LinkUp { link: dead }])
+            .unwrap();
         assert_eq!(up.epoch, 2);
         assert_eq!(up.stats.cells_restored, 1);
         assert_eq!(up.stats.cells_resolved, 0);
-        assert!(ctl.excluded_links().is_empty());
+        assert!(ctl.view().down_links().is_empty());
     }
 
     #[test]

@@ -49,13 +49,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use detector_core::splitmix64;
 use detector_simnet::{decode_probe, encode_probe, FlowKey, ProbePacket, PROBE_WIRE_SIZE};
 use detector_topology::Route;
 use rand::rngs::SmallRng;
 
 use crate::clock::ProbeClock;
 use crate::dataplane::{DataPlane, ProbeOutcome, ProbeTag};
-use crate::pinger::splitmix64;
 
 /// Per-probe timeout/retry schedule: `retries + 1` attempts, the n-th
 /// waiting `attempt_timeout_us * backoff_mult^n` capped at

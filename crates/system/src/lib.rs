@@ -89,7 +89,7 @@ pub use dataplane::{DataPlane, ProbeOutcome, ProbeTag};
 pub use diagnoser::{DiagConfig, Diagnoser, DiagnosisEvent};
 pub use dispatch::{DeploymentDiff, DispatchStats, ListUpdate};
 pub use events::{CollectingSink, EventSink, JsonLinesSink, RuntimeEvent, WindowResult};
-pub use pinger::{batch_seed, Pinger, PingerBatch, PingerCostModel};
+pub use pinger::{batch_seed, bound_batch, PingerBatch, PingerCostModel};
 pub use pinglist::{PingEntry, Pinglist};
 pub use planner::{IdHeadroom, ProbePlan, ReplanStats, EXHAUSTIVE_LIMIT};
 pub use report::{FlowRecord, PathCounters, PingerReport, ReportStore, RowSums};

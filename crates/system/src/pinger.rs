@@ -1,6 +1,14 @@
-//! The pinger: sends source-routed probes and aggregates window reports
-//! (§3.1, §6.1), plus the batched per-server form the schedulers drive.
+//! The pinger: a server's bound pinglist, probed once per reporting
+//! window (§3.1, §6.1). Every driver probes through a [`PingerBatch`]:
+//! [`Detector::step`](crate::Detector::step) runs them inline,
+//! `run_pipelined`'s probe workers take them off a per-window cursor, and
+//! each distributed agent runs its host group's batches.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use detector_core::splitmix64;
 use detector_core::types::{NodeId, PathId};
 use detector_simnet::FlowKey;
 use detector_topology::{Dcn, Route};
@@ -12,8 +20,15 @@ use crate::pinglist::Pinglist;
 use crate::report::{FlowRecord, PathCounters, PingerReport};
 use crate::SystemConfig;
 
-/// A pinger bound to its current pinglist.
-pub struct Pinger {
+/// A server's probing work, bound once and run every window: the
+/// pinglist with its routes resolved at bind time (not per probe), and
+/// one probe-RNG stream per window seeded via [`batch_seed`] (not one
+/// draw negotiated per probe dispatch). [`Detector::step`], the
+/// pipelined probe workers and the distributed agents all run batches,
+/// so the per-probe behaviour is one shared code path.
+///
+/// [`Detector::step`]: crate::Detector::step
+pub struct PingerBatch {
     list: Pinglist,
     /// Resolved routes, one per pinglist entry.
     routes: Vec<Route>,
@@ -26,11 +41,11 @@ pub struct Pinger {
     path_keys: Vec<PathId>,
     /// [`Pinglist::stamp`] of the *dispatched* list (before any
     /// unresolvable entries were dropped) — half of the binding-cache
-    /// key, see [`Pinger::bound_to`].
+    /// key, see [`PingerBatch::bound_to`].
     stamp: u64,
 }
 
-impl Pinger {
+impl PingerBatch {
     /// Binds a pinglist, resolving each entry's node route against the
     /// monitored topology's graph and its report key to a counter slot.
     /// Entries whose route cannot be resolved (e.g. stale after a
@@ -77,9 +92,9 @@ impl Pinger {
         self.list.pinger
     }
 
-    /// The version of the bound pinglist. The runtime re-binds a pinger
-    /// only when the dispatched list carries a newer version (an
-    /// incremental re-plan leaves untouched lists at their old version).
+    /// The version of the bound pinglist: half of the binding-cache key
+    /// (an incremental re-plan leaves untouched lists at their old
+    /// version, so their bindings survive it).
     pub fn version(&self) -> u64 {
         self.list.version
     }
@@ -87,8 +102,8 @@ impl Pinger {
     /// True when this binding was made for exactly `list` — same version
     /// *and* same sealed content stamp (two `u64` compares; the stamp is
     /// frozen by [`Pinglist::seal`] at dispatch, not re-hashed here).
-    /// The runtime keys its binding cache on this pair rather than the
-    /// version alone, so a cycle refresh can never serve routes or
+    /// [`bound_batch`] keys the binding cache on this pair rather than
+    /// the version alone, so a cycle refresh can never serve routes or
     /// `PathId`s from a pre-re-base binding even if a dispatch path
     /// ever re-minted a version number.
     pub fn bound_to(&self, list: &Pinglist) -> bool {
@@ -105,14 +120,17 @@ impl Pinger {
     /// confirms each loss with [`SystemConfig::confirm_probes`]
     /// same-content re-probes, and aggregates counters. The report
     /// keeps a flow record for each flow that lost a probe on a path
-    /// that kept one and, per path, the number of flows probed.
+    /// that kept one and, per path, the number of flows probed. The
+    /// probe RNG is this server's stream of the window, derived from the
+    /// window's master seed by [`batch_seed`].
     pub fn run_window(
         &self,
         dataplane: &dyn DataPlane,
         cfg: &SystemConfig,
         window: u64,
-        rng: &mut SmallRng,
+        window_seed: u64,
     ) -> PingerReport {
+        let rng = &mut SmallRng::seed_from_u64(batch_seed(window_seed, self.server()));
         let mut report = PingerReport {
             pinger: self.list.pinger,
             window,
@@ -242,13 +260,6 @@ impl Pinger {
     }
 }
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Derives the probe-RNG seed of one server's batch in one window from
 /// the window's master seed. The derivation is a pure function of
 /// `(window_seed, server)`, so a server's probe outcomes do not depend
@@ -259,62 +270,23 @@ pub fn batch_seed(window_seed: u64, server: NodeId) -> u64 {
     splitmix64(window_seed ^ splitmix64(u64::from(server.0)))
 }
 
-/// A server's probing work for a window, batched: the bound pinglist
-/// (routes resolved once at bind time, not per probe) plus per-window
-/// RNG setup (one stream seeded per server-window via [`batch_seed`],
-/// not one draw negotiated per probe dispatch).
-///
-/// Both runtime paths drive batches — [`Detector::step`] runs them
-/// inline in pinglist order, `run_pipelined` ships them to probe-stage
-/// workers — so the per-probe behaviour is one shared code path.
-///
-/// [`Detector::step`]: crate::Detector::step
-pub struct PingerBatch {
-    inner: Pinger,
-}
-
-impl PingerBatch {
-    /// Binds a pinglist into a batch, resolving each entry's route once
-    /// (see [`Pinger::bind`] for the dispatch-error semantics).
-    pub fn bind(list: Pinglist, graph: &Dcn) -> Self {
-        Self {
-            inner: Pinger::bind(list, graph),
+/// The batch serving `list`, re-binding first iff the dispatched list's
+/// `(version, stamp)` changed (§3.2's idempotent pinglist refresh): the
+/// binding cache of every driver. The stamp keeps a refresh from serving
+/// a pre-re-base binding.
+pub fn bound_batch(
+    bound: &mut HashMap<NodeId, Arc<PingerBatch>>,
+    list: &Pinglist,
+    graph: &Dcn,
+) -> Arc<PingerBatch> {
+    match bound.entry(list.pinger) {
+        Entry::Occupied(mut e) => {
+            if !e.get().bound_to(list) {
+                e.insert(Arc::new(PingerBatch::bind(list.clone(), graph)));
+            }
+            Arc::clone(e.get())
         }
-    }
-
-    /// The batch's pinger server.
-    pub fn server(&self) -> NodeId {
-        self.inner.server()
-    }
-
-    /// The version of the bound pinglist (half of the re-binding cache
-    /// key; see [`PingerBatch::bound_to`]).
-    pub fn version(&self) -> u64 {
-        self.inner.version()
-    }
-
-    /// True when this binding was made for exactly `list` (version and
-    /// content stamp both match) — the binding-cache validity check.
-    pub fn bound_to(&self, list: &Pinglist) -> bool {
-        self.inner.bound_to(list)
-    }
-
-    /// Number of bound entries.
-    pub fn num_entries(&self) -> usize {
-        self.inner.num_entries()
-    }
-
-    /// Runs one reporting window with the batch's own RNG stream derived
-    /// from the window's master seed.
-    pub fn run_window(
-        &self,
-        dataplane: &dyn DataPlane,
-        cfg: &SystemConfig,
-        window: u64,
-        window_seed: u64,
-    ) -> PingerReport {
-        let mut rng = SmallRng::seed_from_u64(batch_seed(window_seed, self.server()));
-        self.inner.run_window(dataplane, cfg, window, &mut rng)
+        Entry::Vacant(e) => Arc::clone(e.insert(Arc::new(PingerBatch::bind(list.clone(), graph)))),
     }
 }
 
@@ -346,7 +318,7 @@ fn probe_once(
 /// slot-indexed, lossy-only window.
 #[cfg(test)]
 pub(crate) fn run_window_full_records(
-    p: &Pinger,
+    p: &PingerBatch,
     dataplane: &dyn DataPlane,
     cfg: &SystemConfig,
     window: u64,
@@ -521,10 +493,9 @@ mod tests {
     fn clean_window_counts_all_sent() {
         let ft = Fattree::new(4).unwrap();
         let (list, fabric) = setup(&ft);
-        let pinger = Pinger::bind(list, ft.graph());
+        let pinger = PingerBatch::bind(list, ft.graph());
         let cfg = SystemConfig::default();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
+        let rep = pinger.run_window(&fabric, &cfg, 0, 1);
         let c = *rep.path(PathId(0)).unwrap();
         assert_eq!(c.sent, 300); // 10 pps × 30 s.
         assert_eq!(c.lost, 0);
@@ -535,10 +506,9 @@ mod tests {
         let ft = Fattree::new(4).unwrap();
         let (list, mut fabric) = setup(&ft);
         fabric.set_discipline_both(ft.ea_link(0, 0, 0), LossDiscipline::Full);
-        let pinger = Pinger::bind(list, ft.graph());
+        let pinger = PingerBatch::bind(list, ft.graph());
         let cfg = SystemConfig::default();
-        let mut rng = SmallRng::seed_from_u64(2);
-        let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
+        let rep = pinger.run_window(&fabric, &cfg, 0, 2);
         let c = *rep.path(PathId(0)).unwrap();
         // Each of the 300 scheduled probes is lost and confirmed twice.
         assert_eq!(c.sent, 300 * 3);
@@ -556,10 +526,9 @@ mod tests {
                 salt: 99,
             },
         );
-        let pinger = Pinger::bind(list, ft.graph());
+        let pinger = PingerBatch::bind(list, ft.graph());
         let cfg = SystemConfig::default();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
+        let rep = pinger.run_window(&fabric, &cfg, 0, 3);
         let c = *rep.path(PathId(0)).unwrap();
         // Some ports blackholed, some clean: strictly partial.
         assert!(c.lost > 0);
@@ -576,7 +545,7 @@ mod tests {
             responder: ft.server(3, 1, 1),
             waypoint: None,
         });
-        let pinger = Pinger::bind(list, ft.graph());
+        let pinger = PingerBatch::bind(list, ft.graph());
         assert_eq!(pinger.num_entries(), 1);
     }
 
@@ -590,10 +559,9 @@ mod tests {
             ft.ea_link(0, 0, 0),
             LossDiscipline::DscpBlackhole { dscp: 46 },
         );
-        let pinger = Pinger::bind(list, ft.graph());
+        let pinger = PingerBatch::bind(list, ft.graph());
         let cfg = SystemConfig::default();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let rep = pinger.run_window(&fabric, &cfg, 0, &mut rng);
+        let rep = pinger.run_window(&fabric, &cfg, 0, 5);
         let c = *rep.path(PathId(0)).unwrap();
         assert!(c.lost > 0, "EF probes must be lost");
         assert!(c.lost < c.sent, "other classes must get through");
@@ -794,15 +762,15 @@ mod tests {
             ];
             fabric.set_discipline_both(links[draw.gen_range(0..links.len())], disc);
 
-            let bound = Pinger::bind(list, ft.graph());
+            let bound = PingerBatch::bind(list, ft.graph());
             let seed = draw.gen_range(0..u64::MAX);
-            let got = bound.run_window(&fabric, &cfg, case, &mut SmallRng::seed_from_u64(seed));
+            let got = bound.run_window(&fabric, &cfg, case, seed);
             let want = lossy_only(run_window_full_records(
                 &bound,
                 &fabric,
                 &cfg,
                 case,
-                &mut SmallRng::seed_from_u64(seed),
+                &mut SmallRng::seed_from_u64(batch_seed(seed, pinger)),
             ));
             assert_eq!(got, want, "case {case}");
             assert!(got.paths.windows(2).all(|w| w[0].0 < w[1].0), "case {case}");

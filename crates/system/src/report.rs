@@ -101,11 +101,12 @@ impl FlowRecord {
 /// path has an entry in `paths`, and a path's records add up to its
 /// counters: at most `flows_probed` of them, their losses summing to the
 /// path's, their probes leaving at least one for every flow without a
-/// record; a path that lost every probe has none. [`Pinger::run_window`]
-/// builds reports that way, the frame decoder rejects anything else, and
-/// a record breaking it is not representable on the wire.
+/// record; a path that lost every probe has none.
+/// [`PingerBatch::run_window`] builds reports that way, the frame decoder
+/// rejects anything else, and a record breaking it is not representable
+/// on the wire.
 ///
-/// [`Pinger::run_window`]: crate::Pinger::run_window
+/// [`PingerBatch::run_window`]: crate::PingerBatch::run_window
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PingerReport {
     /// Reporting pinger.
@@ -160,8 +161,7 @@ impl PingerReport {
         self.counters().map(|c| c.sent).sum()
     }
 
-    /// True when every probe of the report was lost (a strong hint the
-    /// *pinger* is sick, not the network — §5.1 outliers).
+    /// True when every probe of the report was lost.
     pub fn all_lost(&self) -> bool {
         let sent = self.total_sent();
         sent > 0 && self.counters().map(|c| c.lost).sum::<u64>() == sent

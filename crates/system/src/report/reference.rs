@@ -121,7 +121,7 @@ use rand::{Rng, SeedableRng};
 use super::{FlowRecord, PathCounters, PingerReport, ReportStore, RowSums};
 use crate::controller::Controller;
 use crate::diagnoser::Diagnoser;
-use crate::pinger::{batch_seed, lossy_only, run_window_full_records, Pinger};
+use crate::pinger::{batch_seed, lossy_only, run_window_full_records, PingerBatch};
 use crate::watchdog::Watchdog;
 use crate::SystemConfig;
 
@@ -181,10 +181,10 @@ proptest! {
         let full = ReportStore::new();
         for w in 0..windows {
             for list in &dep.pinglists {
-                let pinger = Pinger::bind(list.clone(), ft.graph());
-                let rng = || SmallRng::seed_from_u64(batch_seed(seed ^ w, list.pinger));
-                let got = pinger.run_window(&fabric, &cfg, w, &mut rng());
-                let want = run_window_full_records(&pinger, &fabric, &cfg, w, &mut rng());
+                let pinger = PingerBatch::bind(list.clone(), ft.graph());
+                let got = pinger.run_window(&fabric, &cfg, w, seed ^ w);
+                let mut rng = SmallRng::seed_from_u64(batch_seed(seed ^ w, list.pinger));
+                let want = run_window_full_records(&pinger, &fabric, &cfg, w, &mut rng);
                 prop_assert_eq!(&got, &lossy_only(want.clone()));
                 prop_assert!(got.flows.iter().all(|f| f.lost > 0));
                 lossy.ingest(got);

@@ -14,7 +14,6 @@
 //! its batches on the calling thread, and closes it. The `scheduler`
 //! module and `detector-agent` hold the other two schedules.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -22,14 +21,14 @@ use std::sync::Arc;
 use detector_core::pll::LossClassification;
 use detector_core::pmc::{PmcError, ProbeMatrix};
 use detector_core::types::{LinkId, NodeId};
-use detector_topology::{Dcn, DcnTopology, TopologyEvent, TopologyView};
+use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
 use rand::rngs::SmallRng;
 
 use crate::controller::{Deployment, PlanUpdate};
 use crate::dataplane::DataPlane;
 use crate::dispatch::DeploymentDiff;
 use crate::events::{EventSink, WindowResult};
-use crate::pinger::PingerBatch;
+use crate::pinger::{bound_batch, PingerBatch};
 use crate::pinglist::Pinglist;
 use crate::script::Script;
 use crate::watchdog::Watchdog;
@@ -126,11 +125,11 @@ pub struct Detector {
     /// pinger server mid-run).
     pub watchdog: Watchdog,
     /// Bound pinger batches cached across windows, keyed by server;
-    /// re-bound only when the dispatched pinglist's version changes
-    /// (incremental re-plans keep untouched lists at their old version,
-    /// see [`Deployment::rebase_versions`]). Batches are `Arc`-shared so
-    /// the pipelined scheduler can ship them to probe workers without
-    /// re-binding.
+    /// re-bound by [`bound_batch`] only when the dispatched pinglist's
+    /// `(version, stamp)` changes (incremental re-plans keep untouched
+    /// lists at their old version, see [`Deployment::rebase_versions`]).
+    /// Batches are `Arc`-shared so the pipelined scheduler can ship them
+    /// to probe workers without re-binding.
     pub(crate) bound: HashMap<NodeId, Arc<PingerBatch>>,
 }
 
@@ -332,27 +331,6 @@ pub(crate) fn batches<'a>(
         .map(move |list| bound_batch(bound, list, graph))
 }
 
-/// The batch serving `list`, re-binding first iff the dispatched list
-/// changed (§3.2's idempotent pinglist refresh). The binding cache is
-/// keyed on (version, content stamp) so a refresh can never serve a
-/// pre-re-base binding; going through the entry keeps insert-then-get a
-/// single infallible operation.
-pub(crate) fn bound_batch(
-    bound: &mut HashMap<NodeId, Arc<PingerBatch>>,
-    list: &Pinglist,
-    graph: &Dcn,
-) -> Arc<PingerBatch> {
-    match bound.entry(list.pinger) {
-        Entry::Occupied(mut e) => {
-            if !e.get().bound_to(list) {
-                e.insert(Arc::new(PingerBatch::bind(list.clone(), graph)));
-            }
-            Arc::clone(e.get())
-        }
-        Entry::Vacant(e) => Arc::clone(e.insert(Arc::new(PingerBatch::bind(list.clone(), graph)))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +414,26 @@ mod tests {
             Some(BuildError::Config(ConfigError::ZeroCycle)) => {}
             other => panic!("expected ConfigError::ZeroCycle, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_boot_solve_past_the_universe_cap_is_a_build_error() {
+        // Fattree(4)'s agg-column cells have 16 links each; with nothing
+        // offline the boot plan solves one over all of them.
+        let topo: SharedTopology = Arc::new(Fattree::new(4).unwrap());
+        let mut cfg = SystemConfig::default();
+        cfg.pmc.max_extended_elements = 15;
+        let err = Detector::builder(topo).config(cfg).build().err();
+        assert!(
+            matches!(
+                err,
+                Some(BuildError::Pmc(PmcError::UniverseTooLarge {
+                    required: 16,
+                    limit: 15
+                }))
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -236,11 +236,11 @@ impl PlanHalf {
         Ok(Replanned { update, matrix })
     }
 
-    /// Opens the next window: refreshes the deployment on a cycle
-    /// boundary (§6.1's 10-minute recompute — topology or health may
-    /// have changed), fires the data plane's `window_started` hook,
-    /// draws the window's seed — exactly one `u64` per window — and
-    /// snapshots the roster.
+    /// Opens the next window: refreshes the deployment in the first
+    /// window that opens at or after each multiple of `cycle_s` (§6.1's
+    /// 10-minute recompute — topology or health may have changed), fires
+    /// the data plane's `window_started` hook, draws the window's seed —
+    /// exactly one `u64` per window — and snapshots the roster.
     pub fn open(
         &mut self,
         watchdog: &mut Watchdog,
@@ -251,7 +251,7 @@ impl PlanHalf {
         let window = self.window;
         let start_s = self.clock.now_s();
         let (mut cycle, mut matrix) = (None, None);
-        if window > 0 && self.clock.on_boundary(self.cfg.cycle_s) {
+        if window > 0 && start_s % self.cfg.cycle_s < self.cfg.window_s {
             if let Ok(dep) = self.controller.build_deployment(watchdog.unhealthy_set()) {
                 cycle = Some((dep.version, dep.matrix.num_paths()));
                 self.install(dep, &[], watchdog, install);

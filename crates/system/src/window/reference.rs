@@ -29,8 +29,7 @@ use crate::dataplane::DataPlane;
 use crate::diagnoser::Diagnoser;
 use crate::dispatch::{rebase_and_diff, rebase_pairs, DispatchStats};
 use crate::events::{CollectingSink, EventSink, RuntimeEvent, WindowResult};
-use crate::pinger::PingerBatch;
-use crate::runtime::bound_batch;
+use crate::pinger::{bound_batch, PingerBatch};
 use crate::script::{Script, ScriptAction};
 use crate::watchdog::Watchdog;
 use crate::{Detector, SharedTopology, SystemConfig};
@@ -132,7 +131,10 @@ impl Reference {
         );
         dataplane.window_started(window, start_s);
 
-        if window > 0 && start_s.is_multiple_of(self.cfg.cycle_s) {
+        // A multiple of `cycle_s` lies in (the last window's start, this one's].
+        if window > 0
+            && start_s / self.cfg.cycle_s > (start_s - self.cfg.window_s) / self.cfg.cycle_s
+        {
             if let Ok(dep) = self
                 .controller
                 .build_deployment(self.watchdog.unhealthy_set())

@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use detector::prelude::*;
 use detector::simnet::ChurnSchedule;
-use detector::system::{Controller, Pinger, TopologyEvent};
+use detector::system::{Controller, PingerBatch, TopologyEvent};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Row-for-row content equality (ids aside) — what a patched plan owes a
 /// from-scratch one whenever no link is offline.
@@ -468,9 +468,10 @@ fn rebound_pingers_never_report_lost_above_sent() {
         ctl.apply_event(ev).unwrap();
         let dep = ctl.build_deployment(&HashSet::new()).unwrap();
         assert!(!dep.pinglists.is_empty());
+        let window_seed = rng.gen();
         for list in &dep.pinglists {
-            let pinger = Pinger::bind(list.clone(), ft.graph());
-            let report = pinger.run_window(&fabric, &cfg, w as u64, &mut rng);
+            let pinger = PingerBatch::bind(list.clone(), ft.graph());
+            let report = pinger.run_window(&fabric, &cfg, w as u64, window_seed);
             for (pid, c) in &report.paths {
                 assert!(
                     c.lost <= c.sent,

@@ -207,13 +207,12 @@ fn vl2_patches_equal_from_scratch_plans_and_heal_bit_for_bit() {
     }
 }
 
-/// SplitMix64: the churn below must not depend on a `rand` shim detail.
+/// SplitMix64 as a generator: the churn below must not depend on a
+/// `rand` shim detail.
 fn splitmix64(x: &mut u64) -> u64 {
+    let z = detector_core::splitmix64(*x);
     *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 #[test]

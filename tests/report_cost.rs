@@ -8,9 +8,8 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use detector::prelude::*;
-use detector::system::{Controller, Deployment, PathCounters, Pinger, PingerReport};
+use detector::system::{Controller, Deployment, PathCounters, PingerBatch, PingerReport};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn deploy(ft: &Arc<Fattree>, cfg: &SystemConfig) -> Deployment {
     Controller::new(ft.clone(), cfg.clone())
@@ -22,10 +21,7 @@ fn deploy(ft: &Arc<Fattree>, cfg: &SystemConfig) -> Deployment {
 fn window(ft: &Fattree, dep: &Deployment, plane: &dyn DataPlane, seed: u64) -> Vec<PingerReport> {
     let cfg = SystemConfig::default();
     (dep.pinglists.iter())
-        .map(|list| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ u64::from(list.pinger.0));
-            Pinger::bind(list.clone(), ft.graph()).run_window(plane, &cfg, 0, &mut rng)
-        })
+        .map(|list| PingerBatch::bind(list.clone(), ft.graph()).run_window(plane, &cfg, 0, seed))
         .collect()
 }
 

@@ -243,6 +243,35 @@ fn cycle_refreshed_fires_exactly_on_cycle_boundaries() {
 }
 
 #[test]
+fn a_cycle_that_is_not_a_multiple_of_the_window_still_refreshes_every_cycle() {
+    // window 30 s, cycle 45 s: windows open at 0, 30, 60, 90, 120, 150 and
+    // 180 s, and the first at or after each of 45, 90, 135 and 180 s is
+    // window 2, 3, 5 and 6 — a refresh every cycle, not every
+    // lcm(30, 45) = 90 s.
+    let ft = fattree();
+    let collector = CollectingSink::new();
+    let cfg = SystemConfig {
+        cycle_s: 45,
+        ..SystemConfig::default()
+    };
+    let mut run = Detector::builder(ft.clone())
+        .config(cfg)
+        .sink(Box::new(collector.clone()))
+        .build()
+        .unwrap();
+    let fabric = Fabric::quiet(ft.as_ref());
+    let mut rng = SmallRng::seed_from_u64(2);
+    for _ in 0..7 {
+        run.step(&fabric, &mut rng);
+    }
+    let refreshed: Vec<u64> = (collector.events().iter())
+        .filter(|e| matches!(e, RuntimeEvent::CycleRefreshed { .. }))
+        .map(window_of)
+        .collect();
+    assert_eq!(refreshed, vec![2, 3, 5, 6]);
+}
+
+#[test]
 fn unhealthy_pingers_surface_as_events_not_reports() {
     let ft = fattree();
     let collector = CollectingSink::new();
