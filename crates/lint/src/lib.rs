@@ -1,38 +1,4 @@
-//! `detlint` — workspace-native static analysis for the deTector
-//! reproduction.
-//!
-//! The pipelined scheduler's headline guarantee (`run_pipelined ≡
-//! run_scripted`) and the runtime's liveness rest on invariants no
-//! compiler checks. `detlint` is a hand-rolled, registry-free analyzer
-//! (lightweight lexer + per-function token analysis — same no-deps
-//! philosophy as `shims/`) that walks the workspace and enforces them
-//! with `file:line` diagnostics and a clippy-style nonzero exit:
-//!
-//! * **determinism** — wall-clock reads (`Instant::now`, `SystemTime`)
-//!   and unseeded entropy (`thread_rng`, `from_entropy`, `OsRng`,
-//!   `rand::random`) are forbidden in the runtime crates' window paths;
-//!   genuine timing measurement (`replan_micros`, PMC timeout deadlines)
-//!   carries an explicit allow annotation.
-//! * **lock_discipline** — a per-function lock-acquisition summary over
-//!   the known `Mutex`/`RwLock` sites flags double-acquisition,
-//!   lock-order inversion and guards held across a channel
-//!   `send`/`recv` (deadlock risk with bounded channels).
-//! * **panic_path** — `unwrap`/`expect`/`panic!`-family macros and
-//!   direct indexing are forbidden in the per-window hot-path files;
-//!   provably-infallible sites carry an allow annotation with a reason.
-//! * **event_protocol** — every variant of an enum that has both an
-//!   inherent `encode` and `decode` (the agent tier's `Frame` codec)
-//!   must appear in both bodies, so the wire round-trip can never
-//!   silently lose a variant.
-//!
-//! Suppression syntax (reason is mandatory and non-empty):
-//!
-//! ```text
-//! // detlint::allow(<check>, reason = "...")
-//! ```
-//!
-//! placed on the offending line (trailing) or on its own line directly
-//! above it. See `crates/lint/README.md` for the full catalogue.
+#![doc = include_str!("../README.md")]
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -53,6 +19,8 @@ pub enum Check {
     PanicPath,
     /// Wire round-trip completeness for `encode`/`decode` enums.
     EventProtocol,
+    /// A row of the ratchet table; never suppressible in place.
+    Ratchet,
     /// A malformed `detlint::allow(...)` annotation.
     Annotation,
 }
@@ -65,6 +33,7 @@ impl Check {
             Check::LockDiscipline => "lock_discipline",
             Check::PanicPath => "panic_path",
             Check::EventProtocol => "event_protocol",
+            Check::Ratchet => "ratchet",
             Check::Annotation => "annotation",
         }
     }
@@ -85,7 +54,7 @@ impl Check {
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
     /// Workspace-relative path.
-    pub file: PathBuf,
+    pub file: String,
     /// 1-based line.
     pub line: u32,
     /// The check family that fired.
@@ -99,7 +68,7 @@ impl fmt::Display for Diagnostic {
         write!(
             f,
             "{}:{}: [{}] {}",
-            self.file.display(),
+            self.file,
             self.line,
             self.check.name(),
             self.message
@@ -129,25 +98,42 @@ pub struct FnSpan {
     pub body: std::ops::Range<usize>,
 }
 
-/// Everything the checks need for one file: relative path, the
-/// test-stripped token stream, and the function map.
+/// One file as every check reads it: its path and text, and for Rust
+/// its tokens and function map.
 pub struct FileCtx {
-    /// Workspace-relative path (`/`-separated components).
-    pub rel: PathBuf,
-    /// Code tokens with `#[cfg(test)]` / `#[test]` items removed.
+    /// Workspace-relative path.
+    pub rel: String,
+    /// Lives under a `tests`, `benches` or `examples` directory.
+    pub test_dir: bool,
+    /// The raw text.
+    pub text: String,
+    /// Every code token, test items included.
+    pub all: Vec<Tok>,
+    /// Code tokens with test items removed.
     pub toks: Vec<Tok>,
+    /// The comments, where `detlint::allow` annotations live.
+    pub comments: Vec<Comment>,
     /// Functions in `toks` (body ranges may nest).
     pub fns: Vec<FnSpan>,
 }
 
 impl FileCtx {
-    /// The relative path as a `/`-joined string for scope matching.
-    pub fn rel_str(&self) -> String {
-        self.rel
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy().into_owned())
-            .collect::<Vec<_>>()
-            .join("/")
+    /// Lexes `text` as the file at `rel`.
+    pub fn new(rel: &Path, text: String) -> FileCtx {
+        let test_dir = rel.iter().any(|c| TEST_DIRS.iter().any(|d| c == *d));
+        let rel = rel.to_string_lossy().into_owned();
+        let (all, comments) = lex(&text);
+        let toks = strip_test_items(all.clone());
+        let fns = functions(&toks);
+        FileCtx {
+            rel,
+            test_dir,
+            text,
+            all,
+            toks,
+            comments,
+            fns,
+        }
     }
 }
 
@@ -157,33 +143,28 @@ pub enum ScopeMode {
     /// Path-based scoping: each check only runs where its invariant
     /// lives (the workspace walk).
     Workspace,
-    /// Every check runs regardless of path (explicit-file mode, used by
-    /// the golden-fixture tests and `detlint <file>`).
+    /// Every per-file check runs regardless of path (explicit-file mode,
+    /// used by the golden-fixture tests and `detlint <file>`).
     AllChecks,
 }
 
 /// Lints one file's source under `rel_path`. The path decides which
 /// checks apply in [`ScopeMode::Workspace`].
 pub fn lint_source(rel_path: &Path, source: &str, mode: ScopeMode) -> Vec<Diagnostic> {
-    let (toks, comments) = lex(source);
-    let toks = strip_test_items(toks);
-    let fns = functions(&toks);
-    let ctx = FileCtx {
-        rel: rel_path.to_path_buf(),
-        toks,
-        fns,
-    };
-    let (allows, mut diags) = parse_allows(&ctx, &comments);
+    lint_file(&FileCtx::new(rel_path, source.into()), mode)
+}
 
-    let rel = ctx.rel_str();
-    if mode == ScopeMode::AllChecks || checks::determinism::in_scope(&rel) {
-        diags.extend(checks::determinism::run(&ctx));
+/// The per-file checks.
+fn lint_file(ctx: &FileCtx, mode: ScopeMode) -> Vec<Diagnostic> {
+    let (allows, mut diags) = parse_allows(ctx);
+    if mode == ScopeMode::AllChecks || checks::determinism::in_scope(&ctx.rel) {
+        diags.extend(checks::determinism::run(ctx));
     }
-    if mode == ScopeMode::AllChecks || checks::panic_path::in_scope(&rel) {
-        diags.extend(checks::panic_path::run(&ctx));
+    if mode == ScopeMode::AllChecks || checks::panic_path::in_scope(&ctx.rel) {
+        diags.extend(checks::panic_path::run(ctx));
     }
-    diags.extend(checks::locks::run(&ctx));
-    diags.extend(checks::events::run(&ctx));
+    diags.extend(checks::locks::run(ctx));
+    diags.extend(checks::events::run(ctx));
 
     diags.retain(|d| {
         !allows
@@ -194,18 +175,20 @@ pub fn lint_source(rel_path: &Path, source: &str, mode: ScopeMode) -> Vec<Diagno
     diags
 }
 
-/// Walks the workspace under `root` and lints every in-scope `.rs` file.
-/// Tests, benches, examples, fixtures and build artifacts are exempt.
+/// Walks the workspace under `root`: the per-file checks read its `.rs`
+/// files outside test directories, and the ratchets also read the test
+/// directories, the `Cargo.toml`s and the root's files. Fixtures and
+/// build artifacts are never read.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
-    walk(root, &mut files)?;
-    files.sort();
-    let mut diags = Vec::new();
-    for f in files {
-        let source = std::fs::read_to_string(&f)?;
-        let rel = f.strip_prefix(root).unwrap_or(&f).to_path_buf();
-        diags.extend(lint_source(&rel, &source, ScopeMode::Workspace));
-    }
+    walk(root, root, &mut files)?;
+    files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    let live = |f: &&FileCtx| f.rel.ends_with(".rs") && !f.test_dir;
+    let per_file = files.iter().filter(live);
+    let mut diags: Vec<_> = per_file
+        .flat_map(|f| lint_file(f, ScopeMode::Workspace))
+        .collect();
+    diags.extend(checks::ratchets::check(checks::ratchets::ROWS, &files));
     Ok(diags)
 }
 
@@ -226,23 +209,25 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-const SKIP_DIRS: &[&str] = &[
-    "target", ".git", ".github", "tests", "benches", "examples", "fixtures",
-];
+const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "fixtures"];
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Directories of test code: only a row that forbids a pattern in all
+/// code reads them.
+const TEST_DIRS: &[&str] = &["tests", "benches", "examples"];
+
+fn walk(root: &Path, dir: &Path, out: &mut Vec<FileCtx>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) {
-                continue;
+            if !SKIP_DIRS.contains(&name.as_ref()) {
+                walk(root, &path, out)?;
             }
-            walk(&path, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(path);
+        } else if dir == root || name.ends_with(".rs") || name == "Cargo.toml" {
+            let text = String::from_utf8_lossy(&std::fs::read(&path)?).into_owned();
+            out.push(FileCtx::new(path.strip_prefix(root).unwrap_or(&path), text));
         }
     }
     Ok(())
@@ -251,10 +236,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// Parses `detlint::allow` annotations out of the comments, resolving
 /// each one's target lines against the code tokens. Malformed
 /// annotations become diagnostics.
-fn parse_allows(ctx: &FileCtx, comments: &[Comment]) -> (Vec<Allow>, Vec<Diagnostic>) {
+fn parse_allows(ctx: &FileCtx) -> (Vec<Allow>, Vec<Diagnostic>) {
     let mut allows = Vec::new();
     let mut diags = Vec::new();
-    for c in comments {
+    for c in &ctx.comments {
         // Doc comments describe the syntax; only plain comments carry
         // live annotations.
         let doc = c.text.starts_with("///")
@@ -311,9 +296,9 @@ fn parse_allow_args(rest: &str) -> Option<Check> {
     Some(check)
 }
 
-/// Removes tokens of items under `#[cfg(test)]` or `#[test]` (test code
-/// is exempt from every check).
-fn strip_test_items(toks: Vec<Tok>) -> Vec<Tok> {
+/// Removes tokens of test items: those under `#[test]`, `#[cfg(test)]`
+/// or `#[cfg(all(.., test, ..))]` (test code is exempt from every check).
+pub(crate) fn strip_test_items(toks: Vec<Tok>) -> Vec<Tok> {
     let mut keep = vec![true; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
@@ -327,9 +312,19 @@ fn strip_test_items(toks: Vec<Tok>) -> Vec<Tok> {
                     break;
                 }
             }
-            // The item ends at its first top-level `{...}` or at `;`.
+            // The item ends at its first `{...}` or `;` outside brackets
+            // (`fn f(b: [u8; 4]) {..}` ends at the brace).
             let mut k = j;
-            while k < toks.len() && !toks[k].is_punct('{') && !toks[k].is_punct(';') {
+            let mut depth = 0i32;
+            while k < toks.len() {
+                let t = &toks[k];
+                if t.is_punct('(') || t.is_punct('[') {
+                    depth += 1;
+                } else if t.is_punct(')') || t.is_punct(']') {
+                    depth -= 1;
+                } else if depth == 0 && (t.is_punct('{') || t.is_punct(';')) {
+                    break;
+                }
                 k += 1;
             }
             let item_end = if k < toks.len() && toks[k].is_punct('{') {
@@ -351,20 +346,30 @@ fn strip_test_items(toks: Vec<Tok>) -> Vec<Tok> {
         .collect()
 }
 
-/// If an attribute group starting at `i` is `#[cfg(test)]` or `#[test]`,
-/// returns the index of its closing `]`.
+/// If an attribute group starting at `i` marks a test item, returns the
+/// index of its closing `]`. `cfg(not(test))` and `cfg(any(test, ..))`
+/// items are live code.
 fn test_attr_end(toks: &[Tok], i: usize) -> Option<usize> {
     if !toks[i].is_punct('#') || !toks.get(i + 1)?.is_punct('[') {
         return None;
     }
     let end = attr_end(toks, i)?;
-    let body: Vec<&Tok> = toks[i + 2..end].iter().collect();
-    let is_test = match body.first() {
-        Some(t) if t.is_ident("test") => body.len() == 1,
-        Some(t) if t.is_ident("cfg") => body.iter().any(|t| t.is_ident("test")),
-        _ => false,
+    let is_test = |t: &[Tok]| matches!(t, [t] if t.is_ident("test"));
+    let test = match &toks[i + 2..end] {
+        [cfg, _, args @ .., _] if cfg.is_ident("cfg") => match args {
+            [all, _, args @ .., _] if all.is_ident("all") => {
+                let mut depth = 0i32;
+                args.split(|t| {
+                    depth += t.is_punct('(') as i32 - t.is_punct(')') as i32;
+                    depth == 0 && t.is_punct(',')
+                })
+                .any(is_test)
+            }
+            args => is_test(args),
+        },
+        body => is_test(body),
     };
-    is_test.then_some(end)
+    test.then_some(end)
 }
 
 /// Index of the `]` closing the attribute whose `#` is at `i`.
@@ -418,18 +423,8 @@ pub fn functions(toks: &[Tok]) -> Vec<FnSpan> {
 mod tests {
     use super::*;
 
-    fn ctx(src: &str) -> (FileCtx, Vec<Comment>) {
-        let (toks, comments) = lex(src);
-        let toks = strip_test_items(toks);
-        let fns = functions(&toks);
-        (
-            FileCtx {
-                rel: PathBuf::from("crates/demo/src/x.rs"),
-                toks,
-                fns,
-            },
-            comments,
-        )
+    fn ctx(src: &str) -> FileCtx {
+        FileCtx::new(Path::new("crates/demo/src/x.rs"), src.into())
     }
 
     #[test]
@@ -438,21 +433,37 @@ mod tests {
             fn live() { a.unwrap(); }
             #[cfg(test)]
             mod tests {
-                fn dead() { b.unwrap(); }
+                fn dead() { gone.unwrap(); }
             }
             #[test]
-            fn also_dead() { c.unwrap(); }
+            fn also_dead() { gone.unwrap(); }
             fn live2() {}
+            #[cfg(test)]
+            mod reference;
+            fn live3() {}
+            #[cfg(not(test))]
+            fn live4() {}
+            #[cfg(any(test, feature = \"x\"))]
+            fn live5() {}
+            #[cfg(all(unix, test))]
+            fn dead2() { gone(); }
+            #[cfg(test)]
+            fn dead3(b: [u8; 4]) { gone(b); }
+            fn live6() {}
         ";
-        let (c, _) = ctx(src);
+        let c = ctx(src);
         let names: Vec<&str> = c.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["live", "live2"]);
+        assert_eq!(names, ["live", "live2", "live3", "live4", "live5", "live6"]);
+        assert!(!c
+            .toks
+            .iter()
+            .any(|t| t.is_ident("gone") || t.is_ident("reference")));
     }
 
     #[test]
     fn functions_capture_bodies() {
         let src = "impl Foo { fn a(&self) -> u32 { self.x } } fn b<T: Fn() -> u8>(t: T) { t(); }";
-        let (c, _) = ctx(src);
+        let c = ctx(src);
         assert_eq!(c.fns.len(), 2);
         assert_eq!(c.fns[0].name, "a");
         assert_eq!(c.fns[1].name, "b");
@@ -462,8 +473,8 @@ mod tests {
     fn allow_parses_and_targets_next_code_line() {
         let src =
             "\n// detlint::allow(panic_path, reason = \"bounded by modulo\")\nlet x = v[i];\n";
-        let (c, comments) = ctx(src);
-        let (allows, diags) = parse_allows(&c, &comments);
+        let c = ctx(src);
+        let (allows, diags) = parse_allows(&c);
         assert!(diags.is_empty());
         assert_eq!(allows.len(), 1);
         assert_eq!(allows[0].check, Check::PanicPath);
@@ -478,10 +489,11 @@ mod tests {
             "// detlint::allow(panic_path, reason = \"\")",
             "// detlint::allow(nonsense, reason = \"x\")",
             "// detlint::allow(panic_path, because = \"x\")",
+            "// detlint::allow(ratchet, reason = \"x\")",
         ] {
             let src = format!("{bad}\nlet x = 1;\n");
-            let (c, comments) = ctx(&src);
-            let (allows, diags) = parse_allows(&c, &comments);
+            let c = ctx(&src);
+            let (allows, diags) = parse_allows(&c);
             assert!(allows.is_empty(), "{bad}");
             assert_eq!(diags.len(), 1, "{bad}");
             assert_eq!(diags[0].check, Check::Annotation);

@@ -1,10 +1,10 @@
 //! `detlint` — run the deTector workspace lints.
 //!
 //! * `detlint` (no args): find the workspace root from the current
-//!   directory and lint every in-scope `.rs` file with path-based
-//!   scoping (what CI runs).
-//! * `detlint <file>...`: lint the given files with every check enabled
-//!   regardless of path (what the golden-fixture tests use).
+//!   directory, lint every in-scope `.rs` file with path-based scoping
+//!   and evaluate the ratchet table (what tier-1's workspace test runs).
+//! * `detlint <file>...`: lint the given files with every per-file check
+//!   enabled regardless of path (what the golden-fixture tests use).
 //!
 //! Exit status is 0 when clean, 1 when any diagnostic fires, 2 on usage
 //! or I/O errors — the same contract as clippy, so it slots into CI as

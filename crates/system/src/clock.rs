@@ -49,11 +49,6 @@ impl SimClock {
     pub fn advance_s(&mut self, s: u64) {
         self.now_us += s * 1_000_000;
     }
-
-    /// True when `period_s` divides the current second.
-    pub fn on_boundary(&self, period_s: u64) -> bool {
-        period_s != 0 && self.now_us.is_multiple_of(period_s * 1_000_000)
-    }
 }
 
 /// Measurement time for socket-backed probes.
@@ -170,18 +165,6 @@ mod tests {
         assert_eq!(c.now_s(), 30);
         c.advance_us(500);
         assert_eq!(c.now_us(), 30_000_500);
-    }
-
-    #[test]
-    fn boundary_detection() {
-        let mut c = SimClock::new();
-        assert!(c.on_boundary(30));
-        c.advance_s(30);
-        assert!(c.on_boundary(30));
-        assert!(!c.on_boundary(600));
-        c.advance_s(570);
-        assert!(c.on_boundary(600));
-        assert!(!c.on_boundary(0));
     }
 
     #[test]
