@@ -8,11 +8,12 @@
 //! negatives); the sweet spot sits in the 0.4–0.7 plateau containing the
 //! paper's default.
 
-use detector_bench::{accuracy_campaign, bench_pll, pct, Scale, Table};
-use detector_core::pll::PllLocalizer;
+use detector_bench::{pct, Episodes, Scale, Table};
 use detector_core::pmc::PmcConfig;
 use detector_simnet::FailureGenerator;
-use detector_topology::{construct_symmetric, Fattree};
+use detector_system::SystemConfig;
+use detector_topology::Fattree;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_env();
@@ -23,8 +24,7 @@ fn main() {
     let taus = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
     let n_failures = 10usize;
 
-    let ft = Fattree::new(radix).unwrap();
-    let matrix = construct_symmetric(&ft, &PmcConfig::identifiable(1)).expect("matrix");
+    let ft = Arc::new(Fattree::new(radix).unwrap());
     // Plenty of partial losses: that is where the threshold matters.
     let gen = FailureGenerator {
         full_fraction: 0.1,
@@ -37,17 +37,11 @@ fn main() {
     );
     let mut table = Table::new(vec!["tau", "accuracy %", "false pos %", "false neg %"]);
     for &tau in &taus {
-        let pll = PllLocalizer::new(bench_pll().with_hit_ratio(tau));
-        let m = accuracy_campaign(
-            &ft,
-            &matrix,
-            &gen,
-            n_failures,
-            episodes,
-            30,
-            &pll,
-            0xAB1A + (tau * 10.0) as u64,
-        );
+        let mut cfg = SystemConfig::default().with_pmc(PmcConfig::identifiable(1));
+        cfg.pll = cfg.pll.with_hit_ratio(tau);
+        let mut ep = Episodes::per_path(ft.clone(), cfg, 30);
+        let seed = 0xAB1A + (tau * 10.0) as u64;
+        let m = ep.campaign(&gen, n_failures, episodes, seed, true);
         table.row(vec![
             format!("{tau:.1}"),
             pct(m.accuracy),

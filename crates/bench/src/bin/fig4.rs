@@ -10,11 +10,10 @@
 //! at ~100 Kbps, 0.4 % CPU and 13 MB per pinger, with no visible impact
 //! on workload RTT/jitter.
 
-use detector_bench::{pct, Scale, Table};
-use detector_core::pll::{evaluate_diagnosis, LocalizationMetrics};
+use detector_bench::{pct, Episodes, Scale, Table};
 use detector_core::pmc::PmcConfig;
 use detector_simnet::{measure_workload_rtt, Fabric, FailureGenerator, WorkloadGenerator};
-use detector_system::{Detector, PingerCostModel, SystemConfig};
+use detector_system::{PingerCostModel, SystemConfig};
 use detector_topology::{DcnTopology, Fattree};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -63,29 +62,20 @@ fn main() {
         let cfg = SystemConfig::default()
             .with_rate(freq)
             .with_pmc(PmcConfig::new(3, 1));
-        let mut run = Detector::new(ft.clone(), cfg).expect("system must boot");
+        let mut ep = Episodes::boot(ft.clone(), cfg);
         let mut rng = SmallRng::seed_from_u64(0x000F_1640 + freq as u64);
-        let mut metrics = LocalizationMetrics::zero();
-
         for minute in 0..minutes {
-            let mut fabric = Fabric::new(ft.as_ref(), 100 + minute as u64);
             let scenario = gen.sample(ft.as_ref(), 1, &mut rng);
-            fabric.apply_scenario(&scenario);
             // Two 30-second windows per minute; score the last diagnosis.
-            let _ = run.step(&fabric, &mut rng);
-            let w = run.step(&fabric, &mut rng);
-            let m = evaluate_diagnosis(
-                &w.diagnosis.suspect_links(),
-                &scenario.ground_truth(ft.as_ref()),
-            );
-            metrics.accumulate(&m);
+            ep.episode(&scenario, Some(100 + minute as u64), 2, &mut rng);
         }
+        let metrics = ep.tally.metrics;
 
         // Workload RTT/jitter with probe traffic folded into utilization:
         // #pingers × freq × 850 B spread over the fabric.
         let mut fabric = Fabric::new(ft.as_ref(), 7);
         let mut util = base_util.clone();
-        let probe_bps = 16.0 * freq * 850.0 * 8.0;
+        let probe_bps = ep.run.pinglists().len() as f64 * freq * 850.0 * 8.0;
         let per_link = probe_bps / ft.graph().num_links() as f64 / 1e9;
         for u in &mut util {
             *u = (*u + per_link).min(1.0);

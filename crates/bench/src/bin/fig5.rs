@@ -4,29 +4,24 @@
 //!
 //! Probe counts include ping and reply, and — for the baselines — the
 //! *extra localization round* (Netbouncer for Pingmesh, fbtracert for
-//! NetNORAD) that deTector does not need. Half of the injected failures
-//! are *transient* (§2, Table 1): they clear after the detection window,
-//! so the baselines' post-alarm round probes a healed fabric — deTector
-//! localizes from the same observations that detected the loss and is
-//! unaffected. The paper's headline: for 98 % accuracy deTector needs
+//! NetNORAD) that deTector does not need. A fifth of the injected
+//! failures are *transient* (§2, Table 1): they clear after the detection
+//! window, so the baselines' post-alarm round probes a healed fabric —
+//! deTector localizes from the same observations that detected the loss
+//! and is unaffected. The paper's headline: for 98 % accuracy deTector needs
 //! ~3.9× fewer probes than Pingmesh and ~1.9× fewer than NetNORAD, and
 //! localizes ~30 s earlier.
 
-use detector_baselines::{fbtracert_localize, netbouncer_localize, BaselineConfig, BaselineSystem};
-use detector_bench::{pct, Scale, Table};
-use detector_core::pll::{evaluate_diagnosis, LocalizationMetrics};
+use detector_baselines::{BaselineConfig, BaselineSystem};
+use detector_bench::{pct, BaselineEpisodes, Episodes, Scale, Table, Tally};
+use detector_core::pll::LocalizationMetrics;
 use detector_core::pmc::PmcConfig;
-use detector_simnet::{Fabric, FailureGenerator};
-use detector_system::{Detector, SystemConfig};
+use detector_simnet::FailureGenerator;
+use detector_system::SystemConfig;
 use detector_topology::Fattree;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
-
-/// Fraction of failures that clear before a post-alarm localization round
-/// can probe them (transient failures: bit errors, non-atomic rule
-/// updates, in-progress upgrades — §2).
-const TRANSIENT_FRACTION: f64 = 0.2;
 
 struct Point {
     probes_per_min: f64,
@@ -45,23 +40,16 @@ fn detector_points(
         let cfg = SystemConfig::default()
             .with_rate(rate)
             .with_pmc(PmcConfig::new(3, 1));
-        let mut run = Detector::new(Arc::new(ft.clone()), cfg).expect("system must boot");
+        let mut ep = Episodes::boot(Arc::new(ft.clone()), cfg);
         let mut rng = SmallRng::seed_from_u64(0x000F_1500 + (rate * 10.0) as u64);
-        let mut metrics = LocalizationMetrics::zero();
-        let mut probes = 0u64;
         for minute in 0..minutes {
-            let mut fabric = Fabric::new(ft, 500 + minute as u64);
             let scenario = gen.sample(ft, 1, &mut rng);
-            fabric.apply_scenario(&scenario);
-            let w1 = run.step(&fabric, &mut rng);
-            let w2 = run.step(&fabric, &mut rng);
-            probes += (w1.probes_sent + w2.probes_sent) * 2;
-            let m = evaluate_diagnosis(&w2.diagnosis.suspect_links(), &scenario.ground_truth(ft));
-            metrics.accumulate(&m);
+            ep.episode(&scenario, Some(500 + minute as u64), 2, &mut rng);
         }
         out.push(Point {
-            probes_per_min: probes as f64 / minutes as f64,
-            metrics,
+            // Ping and reply.
+            probes_per_min: (ep.tally.probes_sent * 2) as f64 / minutes as f64,
+            metrics: ep.tally.metrics,
             // Failures are diagnosed at the end of the 30 s window in
             // which they occur: no extra localization round.
             latency_s: 30.0,
@@ -70,66 +58,28 @@ fn detector_points(
     out
 }
 
-enum Baseline {
-    Pingmesh,
-    NetNorad,
-}
-
 fn baseline_points(
     ft: &Fattree,
     gen: &FailureGenerator,
-    which: Baseline,
+    system: BaselineSystem<'_>,
     budgets: &[u64],
     minutes: usize,
 ) -> Vec<Point> {
-    let bcfg = BaselineConfig::default();
-    let system = match which {
-        Baseline::Pingmesh => BaselineSystem::pingmesh(ft, bcfg),
-        Baseline::NetNorad => BaselineSystem::netnorad(ft, bcfg, 4),
-    };
+    let mut ep = BaselineEpisodes::new(ft, system);
     let mut out = Vec::new();
     for &budget in budgets {
+        ep.tally = Tally::default();
         let mut rng = SmallRng::seed_from_u64(0x000F_1510 + budget);
-        let mut metrics = LocalizationMetrics::zero();
-        let mut probes = 0u64;
         for minute in 0..minutes {
-            let mut fabric = Fabric::new(ft, 900 + minute as u64);
             let scenario = gen.sample(ft, 1, &mut rng);
-            fabric.apply_scenario(&scenario);
-            // Two detection windows per minute.
-            let d1 = system.detect_window(&fabric, budget / 2, &mut rng);
-            let d2 = system.detect_window(&fabric, budget / 2, &mut rng);
-            probes += d1.probes_used + d2.probes_used;
-            // Localization round on the suspects: an additional window in
-            // wall-clock terms (the 30 s penalty the paper measures) — by
-            // which time a transient failure is gone.
-            let transient = rng.gen::<f64>() < TRANSIENT_FRACTION;
-            if transient {
-                fabric.clear_failures();
-            }
-            let suspects = if d2.suspects.is_empty() {
-                &d1.suspects
-            } else {
-                &d2.suspects
-            };
-            // The sweep is budgeted like everything else: at most half the
-            // per-minute probe budget in round trips.
-            let loc_budget = budget / 4;
-            let diag = match which {
-                Baseline::Pingmesh => {
-                    netbouncer_localize(ft, &fabric, suspects, &bcfg, loc_budget, &mut rng)
-                }
-                Baseline::NetNorad => {
-                    fbtracert_localize(ft, &fabric, suspects, &bcfg, loc_budget, &mut rng)
-                }
-            };
-            probes += diag.probes_used;
-            let m = evaluate_diagnosis(&diag.links, &scenario.ground_truth(ft));
-            metrics.accumulate(&m);
+            // Two detection windows per minute, then the localization
+            // round: another window of wall-clock time (the 30 s penalty
+            // the paper measures).
+            ep.episode(&scenario, 900 + minute as u64, 2, budget / 2, &mut rng);
         }
         out.push(Point {
-            probes_per_min: probes as f64 / minutes as f64,
-            metrics,
+            probes_per_min: ep.tally.probes_sent as f64 / minutes as f64,
+            metrics: ep.tally.metrics,
             latency_s: 60.0,
         });
     }
@@ -172,21 +122,13 @@ fn main() {
     println!("Fig. 5: accuracy & false positives vs probes/minute, one failure per minute\n");
     let det = detector_points(&ft, &gen, &[0.5, 1.0, 2.0, 4.0, 8.0], minutes);
     print_points("deTector (3-coverage, 1-identifiability)", &det);
-    let pm = baseline_points(
-        &ft,
-        &gen,
-        Baseline::Pingmesh,
-        &[2000, 5000, 12000, 30000],
-        minutes,
-    );
+    let budgets = [2000, 5000, 12000, 30000];
+    let bcfg = BaselineConfig::default();
+    let pm = BaselineSystem::pingmesh(&ft, bcfg);
+    let pm = baseline_points(&ft, &gen, pm, &budgets, minutes);
     print_points("Pingmesh (+ Netbouncer localization)", &pm);
-    let nn = baseline_points(
-        &ft,
-        &gen,
-        Baseline::NetNorad,
-        &[2000, 5000, 12000, 30000],
-        minutes,
-    );
+    let nn = BaselineSystem::netnorad(&ft, bcfg, 4);
+    let nn = baseline_points(&ft, &gen, nn, &budgets, minutes);
     print_points("NetNORAD (+ fbtracert localization)", &nn);
 
     // Headline factor: probes needed for >= 95% accuracy.

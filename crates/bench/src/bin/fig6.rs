@@ -7,22 +7,17 @@
 //! baselines degrade — their suspect-pair sweeps overlap and the fixed
 //! budget is split across more localization work.
 
-use detector_baselines::{fbtracert_localize, netbouncer_localize, BaselineConfig, BaselineSystem};
-use detector_bench::{pct, Scale, Table};
-use detector_core::pll::{evaluate_diagnosis, LocalizationMetrics};
+use detector_baselines::{BaselineConfig, BaselineSystem};
+use detector_bench::{pct, BaselineEpisodes, Episodes, Scale, Table};
 use detector_core::pmc::PmcConfig;
-use detector_simnet::{Fabric, FailureGenerator};
-use detector_system::{Detector, SystemConfig};
+use detector_simnet::FailureGenerator;
+use detector_system::SystemConfig;
 use detector_topology::Fattree;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 const BUDGET_PER_MIN: u64 = 5850;
-
-/// Fraction of failures that clear before the baselines' post-alarm
-/// localization round (transient failures, §2).
-const TRANSIENT_FRACTION: f64 = 0.2;
 
 fn main() {
     let scale = Scale::from_env();
@@ -65,60 +60,25 @@ fn main() {
     ]);
 
     for &n in &failures {
-        // deTector.
-        let mut run = Detector::new(Arc::new(ft.clone()), det_cfg.clone()).expect("boot");
+        let mut det = Episodes::boot(Arc::new(ft.clone()), det_cfg.clone());
         let mut rng = SmallRng::seed_from_u64(0x000F_1660 + n as u64);
-        let mut det = LocalizationMetrics::zero();
         for minute in 0..minutes {
-            let mut fabric = Fabric::new(&ft, 1300 + minute as u64);
             let scenario = gen.sample(&ft, n, &mut rng);
-            fabric.apply_scenario(&scenario);
-            let _ = run.step(&fabric, &mut rng);
-            let w = run.step(&fabric, &mut rng);
-            det.accumulate(&evaluate_diagnosis(
-                &w.diagnosis.suspect_links(),
-                &scenario.ground_truth(&ft),
-            ));
+            det.episode(&scenario, Some(1300 + minute as u64), 2, &mut rng);
         }
 
-        // Baselines at the same budget (detection + localization).
-        let pm_sys = BaselineSystem::pingmesh(&ft, bcfg);
-        let nn_sys = BaselineSystem::netnorad(&ft, bcfg, 4);
-        let mut pm = LocalizationMetrics::zero();
-        let mut nn = LocalizationMetrics::zero();
+        // Baselines at the same budget: half detects, the localization
+        // round gets the rest in round trips.
+        let mut pm = BaselineEpisodes::new(&ft, BaselineSystem::pingmesh(&ft, bcfg));
+        let mut nn = BaselineEpisodes::new(&ft, BaselineSystem::netnorad(&ft, bcfg, 4));
         for minute in 0..minutes {
-            let mut fabric = Fabric::new(&ft, 1700 + minute as u64);
             let scenario = gen.sample(&ft, n, &mut rng);
-            fabric.apply_scenario(&scenario);
-            let transient = rng.gen::<f64>() < TRANSIENT_FRACTION;
-
-            let d = pm_sys.detect_window(&fabric, BUDGET_PER_MIN / 2, &mut rng);
-            if transient {
-                fabric.clear_failures();
-            }
-            // Detection took half the budget; localization gets the rest
-            // (in round trips).
-            let loc_budget = BUDGET_PER_MIN / 4;
-            let diag = netbouncer_localize(&ft, &fabric, &d.suspects, &bcfg, loc_budget, &mut rng);
-            pm.accumulate(&evaluate_diagnosis(
-                &diag.links,
-                &scenario.ground_truth(&ft),
-            ));
-
-            if transient {
-                fabric.apply_scenario(&scenario);
-            }
-            let d = nn_sys.detect_window(&fabric, BUDGET_PER_MIN / 2, &mut rng);
-            if transient {
-                fabric.clear_failures();
-            }
-            let diag = fbtracert_localize(&ft, &fabric, &d.suspects, &bcfg, loc_budget, &mut rng);
-            nn.accumulate(&evaluate_diagnosis(
-                &diag.links,
-                &scenario.ground_truth(&ft),
-            ));
+            let noise = 1700 + minute as u64;
+            pm.episode(&scenario, noise, 1, BUDGET_PER_MIN / 2, &mut rng);
+            nn.episode(&scenario, noise, 1, BUDGET_PER_MIN / 2, &mut rng);
         }
 
+        let (det, pm, nn) = (det.tally.metrics, pm.tally.metrics, nn.tally.metrics);
         table.row(vec![
             n.to_string(),
             pct(det.accuracy),

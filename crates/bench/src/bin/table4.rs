@@ -5,57 +5,53 @@
 //! The paper's shape: coverage alone plateaus low (≈30 % at (1,0), ≈70 %
 //! at (3,0)); a single level of identifiability jumps accuracy above
 //! 90 %; (1,2) reaches ≈99 %; β ≥ 2 adds little. The failure mix is
-//! links-only with loss rates ≥ 0.1 (full/deterministic/random per
+//! links-only with loss rates ≥ 0.05 (full/deterministic/random per
 //! §6.2), so the table isolates the effect of the matrix rather than of
 //! undetectably low loss rates — those are exercised in Fig. 5 and the
-//! false-negative discussion of Table 5.
+//! false-negative discussion of Table 5. Each row steps a detector
+//! deployed at its (α, β); `paper` adds the (1,3) row.
 
-use detector_bench::{accuracy_campaign, pct, Scale, Table};
+use detector_bench::{pct, Episodes, Scale, Table};
 use detector_core::pmc::PmcConfig;
 use detector_simnet::FailureGenerator;
-use detector_topology::{construct_symmetric, Fattree};
+use detector_system::SystemConfig;
+use detector_topology::Fattree;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_env();
-    let (radix, episodes, include_beta3) = match scale {
-        Scale::Quick => (18u32, 5usize, std::env::var("DETECTOR_BENCH_BETA3").is_ok()),
-        Scale::Paper => (18, 20, true),
+    let (radix, episodes) = match scale {
+        Scale::Quick => (18u32, 5usize),
+        Scale::Paper => (18, 20),
     };
     let failures = [1usize, 5, 10, 20, 50];
     let mut configs = vec![(1u32, 0u32), (2, 0), (3, 0), (1, 1), (1, 2)];
-    if include_beta3 {
+    if scale == Scale::Paper {
         configs.push((1, 3));
     }
 
-    let ft = Fattree::new(radix).unwrap();
+    let ft = Arc::new(Fattree::new(radix).unwrap());
     let gen = FailureGenerator::links_only().with_min_rate(0.05);
-    let pll = detector_bench::bench_localizer();
 
     println!(
         "Table 4: localization accuracy (%) in Fattree({radix}), {} episodes per cell",
         episodes
     );
-    println!("(probe matrices from the symmetry-reduced PMC; 30 probes per path per window)\n");
+    println!("(the deployed probe plan at each (a,b); 30 probes per path per window)\n");
 
     let mut table = Table::new(vec![
         "(a,b)", "paths", "acc@1", "acc@5", "acc@10", "acc@20", "acc@50",
     ]);
     for (a, b) in configs {
-        let matrix = construct_symmetric(&ft, &PmcConfig::new(a, b))
-            .expect("matrix construction must succeed");
-        let mut cells = vec![format!("({a},{b})"), matrix.num_paths().to_string()];
+        let cfg = SystemConfig::default().with_pmc(PmcConfig::new(a, b));
+        let mut ep = Episodes::per_path(ft.clone(), cfg, 30);
+        let mut cells = vec![
+            format!("({a},{b})"),
+            ep.run.matrix().num_paths().to_string(),
+        ];
         for (fi, &n) in failures.iter().enumerate() {
-            let m = accuracy_campaign(
-                &ft,
-                &matrix,
-                &gen,
-                n,
-                episodes,
-                30,
-                &pll,
-                ((0xDEC0 + (a as u64)) << 8) | ((b as u64) << 4) | fi as u64,
-            );
-            cells.push(pct(m.accuracy));
+            let seed = ((0xDEC0 + (a as u64)) << 8) | ((b as u64) << 4) | fi as u64;
+            cells.push(pct(ep.campaign(&gen, n, episodes, seed, true).accuracy));
         }
         table.row(cells);
     }

@@ -6,10 +6,12 @@
 //! false negatives are dominated by failures whose loss rate is too low
 //! to manifest within one 30-second window.
 
-use detector_bench::{accuracy_campaign, pct, Scale, Table};
+use detector_bench::{pct, Episodes, Scale, Table};
 use detector_core::pmc::PmcConfig;
 use detector_simnet::FailureGenerator;
-use detector_topology::{construct_symmetric, DcnTopology, Fattree};
+use detector_system::SystemConfig;
+use detector_topology::{DcnTopology, Fattree};
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_env();
@@ -19,13 +21,13 @@ fn main() {
     };
     let failures = [1usize, 5, 10, 20, 50];
 
-    let ft = Fattree::new(radix).unwrap();
+    let ft = Arc::new(Fattree::new(radix).unwrap());
     let t0 = std::time::Instant::now();
-    let matrix =
-        construct_symmetric(&ft, &PmcConfig::new(1, 2)).expect("matrix construction must succeed");
+    let cfg = SystemConfig::default().with_pmc(PmcConfig::new(1, 2));
+    let mut ep = Episodes::per_path(ft.clone(), cfg, 30);
     println!(
-        "Table 5: Fattree({radix}) with a (1,2) probe matrix ({} paths over {} links, built in {:.1}s)",
-        matrix.num_paths(),
+        "Table 5: Fattree({radix}) with a (1,2) probe matrix ({} paths over {} links, booted in {:.1}s)",
+        ep.run.matrix().num_paths(),
         ft.probe_links(),
         t0.elapsed().as_secs_f64()
     );
@@ -35,8 +37,6 @@ fn main() {
     );
 
     let gen = FailureGenerator::links_only().with_min_rate(0.05);
-    let pll = detector_bench::bench_localizer();
-
     let mut table = Table::new(vec![
         "# failed links",
         "accuracy %",
@@ -44,16 +44,7 @@ fn main() {
         "false negative %",
     ]);
     for (fi, &n) in failures.iter().enumerate() {
-        let m = accuracy_campaign(
-            &ft,
-            &matrix,
-            &gen,
-            n,
-            episodes,
-            30,
-            &pll,
-            0x7AB5 + fi as u64,
-        );
+        let m = ep.campaign(&gen, n, episodes, 0x7AB5 + fi as u64, true);
         table.row(vec![
             n.to_string(),
             pct(m.accuracy),

@@ -123,6 +123,9 @@ pub const ROWS: &[Row] = &[
         reason: "probe through PingerBatch, take health from the management plane, drop links with LinkDown" },
     Row { name: "Every path has a driver (restricted solve)", scope: &["crates/core/src/pmc/"], except: &[],
         rule: Forbid(&[Sub("fn resolve_subproblem(")]), reason: "a cell is solved from scratch by Subproblem::resolve" },
+    Row { name: "The figures run the system", scope: &["crates/bench/", "tests/accuracy_table4.rs"], except: &[],
+        rule: ForbidAll(&[Sub("probe_matrix_window"), Sub("round_trip")]),
+        reason: "every accuracy number comes from Detector::step through the episode driver, not a second prober" },
     Row { name: "Dense decomposition", scope: &["crates/core/src/pmc/decompose.rs"], except: &[],
         rule: Forbid(&[Sub("HashMap")]), reason: "the union-find indexes links densely instead of hashing them" },
     Row { name: "One perf estate (snapshots)", scope: &[], except: &[], rule: NoRootFile("BENCH_", ".json"),
@@ -324,6 +327,11 @@ mod tests {
                 "crates/core/src/pmc/mod.rs",
                 "pub fn resolve_subproblem(s: &S) {}",
                 1,
+            ),
+            (
+                "crates/bench/src/lib.rs",
+                "fn f() {\n fabric.round_trip(&route, flow, rng); }",
+                2,
             ),
             (
                 "crates/core/src/pmc/decompose.rs",

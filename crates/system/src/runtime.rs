@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use detector_core::pll::LossClassification;
 use detector_core::pmc::{PmcError, ProbeMatrix};
-use detector_core::types::{LinkId, NodeId};
+use detector_core::types::{LinkId, NodeId, PathObservation};
 use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
 use rand::rngs::SmallRng;
 
@@ -233,6 +233,12 @@ impl Detector {
     /// Current simulated time, seconds.
     pub fn now_s(&self) -> u64 {
         self.plan.now_s()
+    }
+
+    /// A past window's path observations as its diagnosis read them:
+    /// pingers the watchdog excludes are left out.
+    pub fn observations(&self, window: u64) -> Vec<PathObservation> {
+        (self.close.diagnoser()).observations(window, &self.watchdog)
     }
 
     /// Classifies the loss pattern behind a suspect link from a past
