@@ -2,11 +2,11 @@
 //! pinglists and serves the controller's frame stream.
 //!
 //! An agent is a pure protocol machine. It holds the authoritative copy
-//! of every pinglist dispatched to its group, applies per-entry diffs
-//! with the *identical* procedure the dispatch module defines
-//! ([`apply_list_update`]) — so a list rebuilt from diffs is
+//! of every pinglist dispatched to its group, applies each
+//! [`Frame::ListUpdate`] with the procedure the dispatch module defines
+//! ([`apply_list_update`]) — so a list rebuilt from an edit script is
 //! bit-identical to the controller's copy, enforced end-to-end by the
-//! [`ListSeal`](crate::Frame::ListSeal) stamp — and caches bound
+//! script's seal stamp — and caches bound
 //! [`PingerBatch`]es through [`bound_batch`], the binding rule every
 //! driver shares. Probe outcomes are a pure function of `(list, window
 //! seed)` via [`batch_seed`](detector_system::batch_seed), which is what
@@ -17,10 +17,10 @@ use std::sync::Arc;
 
 use detector_core::types::NodeId;
 use detector_system::dispatch::{apply_list_update, ListUpdate};
+use detector_system::wire::Frame;
 use detector_system::{bound_batch, DataPlane, PingerBatch, Pinglist, SystemConfig};
 use detector_topology::SharedTopology;
 
-use crate::frame::Frame;
 use crate::transport::{Transport, TransportError};
 
 /// Why an agent's serve loop stopped.
@@ -36,14 +36,6 @@ pub enum AgentExit {
     Protocol(&'static str),
 }
 
-/// In-flight per-entry edits for one list, accumulated between the first
-/// `EntryAdd`/`EntryRemove` and the closing `ListSeal`.
-#[derive(Default)]
-struct PendingDiff {
-    removed: Vec<u64>,
-    added: Vec<(u32, detector_system::PingEntry)>,
-}
-
 /// One probe-tier daemon: owns a host group's pinglists and runs their
 /// probe windows on command.
 pub struct PingerAgent {
@@ -55,8 +47,6 @@ pub struct PingerAgent {
     /// Bound batches cached across windows; [`bound_batch`] re-binds one
     /// iff its list's `(version, stamp)` changed.
     batches: HashMap<NodeId, Arc<PingerBatch>>,
-    /// Diffs being accumulated toward their `ListSeal`.
-    pending: HashMap<NodeId, PendingDiff>,
 }
 
 impl PingerAgent {
@@ -68,7 +58,6 @@ impl PingerAgent {
             cfg,
             lists: HashMap::new(),
             batches: HashMap::new(),
-            pending: HashMap::new(),
         }
     }
 
@@ -105,45 +94,10 @@ impl PingerAgent {
         dataplane: &dyn DataPlane,
     ) -> Result<bool, AgentExit> {
         match frame {
-            Frame::ListReplace(list) => {
-                self.pending.remove(&list.pinger);
-                self.apply(&ListUpdate::Replace(list))?;
-            }
-            Frame::ListRemove { pinger } => {
-                self.pending.remove(&pinger);
-                self.apply(&ListUpdate::Remove(pinger))?;
-            }
-            Frame::EntryRemove { pinger, key } => {
-                self.pending.entry(pinger).or_default().removed.push(key);
-            }
-            Frame::EntryAdd {
-                pinger,
-                index,
-                entry,
-            } => {
-                self.pending
-                    .entry(pinger)
-                    .or_default()
-                    .added
-                    .push((index, entry));
-            }
-            Frame::ListSeal {
-                pinger,
-                version,
-                stamp,
-            } => {
-                let diff = self.pending.remove(&pinger).unwrap_or_default();
-                self.apply(&ListUpdate::Diff {
-                    pinger,
-                    version,
-                    stamp,
-                    removed: diff.removed,
-                    added: diff.added,
-                })?;
-            }
+            Frame::ListUpdate(update) => self.apply(&update)?,
             Frame::RangeRebase { .. } => {
                 // Range metadata only: the rebased entries themselves
-                // travel as remove + add pairs, so there is nothing to
+                // travel in list updates, so there is nothing to
                 // edit here. A real deployment would retire stale
                 // counters of the old id range; the simulated pinger
                 // keeps no cross-window counters.
@@ -151,7 +105,6 @@ impl PingerAgent {
             Frame::Reset => {
                 self.lists.clear();
                 self.batches.clear();
-                self.pending.clear();
             }
             Frame::WindowStart {
                 window,
@@ -265,7 +218,8 @@ mod tests {
             let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
             assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 0 });
             for l in &own {
-                ctrl.send(&Frame::ListReplace(l.clone())).unwrap();
+                ctrl.send(&Frame::ListUpdate(ListUpdate::Replace(l.clone())))
+                    .unwrap();
             }
             ctrl.send(&Frame::WindowStart {
                 window: 0,
@@ -307,7 +261,8 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
             assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 3 });
-            ctrl.send(&Frame::ListReplace(own.clone())).unwrap();
+            ctrl.send(&Frame::ListUpdate(ListUpdate::Replace(own.clone())))
+                .unwrap();
             ctrl.send(&Frame::HeartbeatReq { nonce: 5 }).unwrap();
             assert_eq!(
                 ctrl.recv().unwrap(),
@@ -342,7 +297,8 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(move || agent.serve(&agent_end, &fabric));
             assert_eq!(ctrl.recv().unwrap(), Frame::Hello { agent: 1 });
-            ctrl.send(&Frame::ListReplace(lists[0].clone())).unwrap();
+            ctrl.send(&Frame::ListUpdate(ListUpdate::Replace(lists[0].clone())))
+                .unwrap();
             ctrl.send(&Frame::Reset).unwrap();
             ctrl.send(&Frame::WindowStart {
                 window: 0,

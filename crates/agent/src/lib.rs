@@ -9,14 +9,15 @@
 //! `PingerBatch`es and streams reports back.
 //!
 //! The two tiers speak a hand-rolled, registry-free protocol of
-//! length-prefixed [`Frame`]s over a [`Transport`]: an in-process
-//! [`loopback`] pair for CI (with [`flaky_loopback`] fault injection)
-//! or a [`TcpTransport`] for real two-process deployments. Pinglists
-//! are dispatched *incrementally*: after the initial sync, a changed
-//! list travels as per-entry `EntryAdd`/`EntryRemove` frames sealed by
-//! a checksum (`ListSeal`), so dispatch bytes scale with the plan
-//! *delta* rather than the fleet — the frame sizes are pinned test-by-
-//! test to the [`dispatch`](detector_system::dispatch) cost model.
+//! length-prefixed [`Frame`]s ([`detector_system::wire`], re-exported
+//! here) over a [`Transport`]: an in-process [`loopback`] pair for CI
+//! (with [`flaky_loopback`] fault injection) or a [`TcpTransport`] for
+//! real two-process deployments. Pinglists are dispatched
+//! *incrementally*: after the initial sync, a changed list travels as
+//! one frame carrying its [`ListUpdate`](detector_system::ListUpdate) —
+//! usually an edit script of removed keys and added entries, sealed by
+//! the rebuilt list's stamp — so dispatch bytes scale with the plan
+//! *delta* rather than the fleet.
 //!
 //! Failure handling is degrade-not-stall: a dead agent (missed
 //! heartbeat, closed transport, scripted crash) turns into
@@ -25,12 +26,11 @@
 //! equivalent to the sequential oracle via [`FleetScript::oracle`].
 
 mod agent;
-mod frame;
 mod runtime;
 mod transport;
 
 pub use agent::{AgentExit, PingerAgent};
-pub use frame::{Frame, FrameError, MAX_FRAME};
+pub use detector_system::wire::{Frame, FrameError, MAX_FRAME};
 pub use runtime::{
     DistAction, DistError, DistOutcome, DistScript, DistributedDetector, FleetScript,
 };

@@ -3,8 +3,8 @@
 //!
 //! A [`Transport`] moves whole [`Frame`]s; framing (the `u32` length
 //! prefix) is part of the frame encoding itself, so both impls ship the
-//! exact bytes [`Frame::encode`] produces and their byte counters agree
-//! with the dispatch cost model. The loopback pair also supports *fault
+//! exact bytes [`Frame::encode`] produces, the bytes dispatch counts.
+//! The loopback pair also supports *fault
 //! injection*: an end built with a send budget dies after that many
 //! sends — the peer drains whatever was already in flight and then sees
 //! [`TransportError::Closed`], which is exactly how a crashed agent
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::frame::{Frame, FrameError, MAX_FRAME};
+use detector_system::wire::{Frame, FrameError, MAX_FRAME};
 
 /// Why a transport operation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]

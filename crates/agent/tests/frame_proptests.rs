@@ -14,8 +14,8 @@ use detector_agent::{Frame, FrameError, MAX_FRAME};
 use detector_core::types::{LinkId, NodeId, PathId, PathIdRange};
 use detector_simnet::{Fabric, LossDiscipline};
 use detector_system::{
-    Controller, FlowRecord, PathCounters, PingEntry, PingerBatch, PingerReport, Pinglist,
-    SystemConfig,
+    Controller, FlowRecord, ListUpdate, PathCounters, PingEntry, PingerBatch, PingerReport,
+    Pinglist, SystemConfig,
 };
 use detector_topology::{DcnTopology, Fattree};
 use proptest::prelude::*;
@@ -101,7 +101,8 @@ fn entry(path: u32, hops: &[u32], responder: u32, waypoint: u32) -> PingEntry {
 /// variant, the remaining draws fill its fields.
 fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
     let pinger = NodeId(a as u32 % 4096);
-    match kind % 14 {
+    let kind = kind % 14;
+    match kind {
         0 => Frame::Hello { agent: a as u32 },
         1 => {
             let mut list = Pinglist {
@@ -117,15 +118,30 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
                 stamp: 0,
             };
             list.seal();
-            Frame::ListReplace(list)
+            Frame::ListUpdate(ListUpdate::Replace(list))
         }
-        2 => Frame::ListRemove { pinger },
-        3 => Frame::EntryAdd {
-            pinger,
-            index: b as u32,
-            entry: entry(a as u32, &hops, b as u32, a as u32),
-        },
-        4 => Frame::EntryRemove { pinger, key: b },
+        2 => Frame::ListUpdate(ListUpdate::Remove(pinger)),
+        // Edit scripts: removals and additions, additions alone, and a
+        // bare seal.
+        3 | 4 | 6 => {
+            let removed = match kind {
+                3 => hops.iter().map(|&h| u64::from(h) << 32 | b >> 32).collect(),
+                _ => Vec::new(),
+            };
+            let added = if kind == 6 { 0 } else { entries % 8 };
+            Frame::ListUpdate(ListUpdate::Diff {
+                pinger,
+                version: a,
+                stamp: b,
+                removed,
+                added: (0..added)
+                    .map(|i| {
+                        let e = entry(b as u32 + u32::from(i), &hops, a as u32, u32::from(i));
+                        (u32::from(i) * 3, e)
+                    })
+                    .collect(),
+            })
+        }
         5 => Frame::RangeRebase {
             old: PathIdRange {
                 base: a as u32,
@@ -135,11 +151,6 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
                 base: b as u32,
                 capacity: a as u32 % 1000,
             },
-        },
-        6 => Frame::ListSeal {
-            pinger,
-            version: a,
-            stamp: b,
         },
         7 => Frame::Reset,
         8 => Frame::WindowStart {

@@ -20,8 +20,8 @@ use crate::{Check, Diagnostic, FileCtx};
 /// The per-window hot paths: everything executed per probe, per report
 /// or per window — the window protocol's two halves and their three
 /// schedules (inline, pipelined, and the distributed controller, whose
-/// collect loop reads frames a remote agent wrote) — plus the
-/// agent-tier frame codec and the probe packet codec, which parse bytes
+/// collect loop reads frames a remote agent wrote) — plus the wire
+/// codec and the probe packet codec, which parse bytes
 /// off real sockets, plus the incremental planner: the controller calls
 /// it on every link flap, and a panic there takes the control plane
 /// down with the topology already changed under it. The localizer's
@@ -31,7 +31,6 @@ use crate::{Check, Diagnostic, FileCtx};
 /// windows and reports typed `PmcError`s already.
 const SCOPE: &[&str] = &[
     "crates/agent/src/agent.rs",
-    "crates/agent/src/frame.rs",
     "crates/agent/src/runtime.rs",
     "crates/agent/src/transport.rs",
     "crates/core/src/pll/components.rs",
@@ -49,6 +48,7 @@ const SCOPE: &[&str] = &[
     "crates/system/src/diagnoser.rs",
     "crates/system/src/watchdog.rs",
     "crates/system/src/window.rs",
+    "crates/system/src/wire.rs",
     "crates/system/src/clock.rs",
     "crates/system/src/responder.rs",
     "crates/system/src/dataplane.rs",
@@ -164,7 +164,7 @@ mod tests {
     fn frame_codec_is_in_scope() {
         // Every byte a peer sends goes through this file; a panic there
         // is a remote crash.
-        assert!(in_scope("crates/agent/src/frame.rs"));
+        assert!(in_scope("crates/system/src/wire.rs"));
     }
 
     #[test]

@@ -128,6 +128,10 @@ pub const ROWS: &[Row] = &[
         reason: "every accuracy number comes from Detector::step through the episode driver, not a second prober" },
     Row { name: "Dense decomposition", scope: &["crates/core/src/pmc/decompose.rs"], except: &[],
         rule: Forbid(&[Sub("HashMap")]), reason: "the union-find indexes links densely instead of hashing them" },
+    Row { name: "One list-update vocabulary", scope: &["crates/"], except: &[],
+        rule: ForbidAll(&[Word("EntryAdd"), Word("EntryRemove"), Word("ListSeal"), Word("PendingDiff"), Word("FRAME_OVERHEAD"),
+            Word("LIST_HEADER_BYTES"), Word("encoded_list_len"), Word("wire_bytes")]),
+        reason: "a list update travels as one wire frame and its bytes are the encoded length, not a model of it" },
     Row { name: "One perf estate (snapshots)", scope: &[], except: &[], rule: NoRootFile("BENCH_", ".json"),
         reason: "perf records come from benchmark/run.sh, not root snapshots" },
     Row { name: "One perf estate (bench targets)", scope: &["crates/"], except: &[], rule: ForbidLine("[[bench]]"),
@@ -337,6 +341,11 @@ mod tests {
                 "crates/core/src/pmc/decompose.rs",
                 "use std::collections::HashMap;",
                 1,
+            ),
+            (
+                "crates/agent/tests/x.rs",
+                "#[test]\nfn t() {\n let n = update.wire_bytes(); }",
+                3,
             ),
             ("BENCH_pll.json", "{}", 1),
             (

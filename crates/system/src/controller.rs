@@ -77,8 +77,7 @@ pub struct PlanUpdate {
     /// diffed lists, plus every entry of whole-list replacements. Filled
     /// by the dispatch step alongside `lists_redispatched`.
     pub entries_diffed: usize,
-    /// Exact wire bytes of the dispatch under the per-entry diff
-    /// protocol ([`crate::dispatch::DeploymentDiff::wire_bytes`]) —
+    /// Bytes of the dispatch's frames as [`crate::wire`] encodes them —
     /// minimal re-dispatch measured on the wire, not in list counts.
     pub bytes_dispatched: u64,
     /// Wall-clock time of the whole update (replan + matrix assembly),

@@ -1,131 +1,47 @@
-//! Wire-level pinglist dispatch: canonical entry encoding, per-entry
-//! deployment diffs, and the byte accounting behind
+//! Pinglist dispatch: per-entry deployment diffs and their cost,
 //! `PlanUpdated::bytes_dispatched`.
 //!
-//! The single-process runtime hands `Pinglist`s to pingers by reference,
-//! so "dispatch cost" used to be countable only in lists
-//! (`lists_redispatched`). The distributed control plane
-//! (`detector-agent`) ships lists to pinger agents over a wire, where
-//! cost is *bytes* — and the PR 5 segmented `PathId` ranges make a
-//! per-entry diff well-defined: a single-cell delta leaves every other
-//! cell's entries bit-identical, so only the touched entries need to
-//! travel.
+//! The single-process runtime hands `Pinglist`s to pingers by reference;
+//! the distributed control plane (`detector-agent`) ships them to pinger
+//! agents over a wire, where cost is *bytes*. Segmented `PathId` ranges
+//! make a per-entry diff well-defined: a single-cell delta leaves every
+//! other cell's entries bit-identical, so only the touched entries need
+//! to travel.
 //!
-//! This module is the shared vocabulary between the two tiers:
-//!
-//! * [`encode_entry`] / [`decode_entry`] — the canonical byte form of a
-//!   [`PingEntry`]. The agent crate's frame codec reuses these, so the
-//!   `bytes_dispatched` the controller reports is the length of the
-//!   bytes that actually travel (asserted in `detector-agent` tests).
-//! * [`entry_key`] — a stable 64-bit key over the canonical encoding
+//! * [`entry_key`] — a stable 64-bit key over an entry's byte form
 //!   (FNV-1a, *not* `DefaultHasher`: removals are addressed by key
 //!   across process boundaries, so the hash must not depend on the
 //!   process or std version).
 //! * [`diff_deployment`] — turns two deployments into a
-//!   [`DeploymentDiff`]: per-entry add/remove scripts where the edit is
-//!   small, whole-list replacement where it is not (or where a diff
-//!   cannot reproduce the new list exactly), removals for pingers that
-//!   left duty, and the plan's `PathIdRange` re-bases.
+//!   [`DeploymentDiff`]: per-entry edit scripts where the edit is small,
+//!   whole-list replacement where it is not (or where a diff cannot
+//!   reproduce the new list exactly), removals for pingers that left
+//!   duty, and the plan's `PathIdRange` re-bases.
+//! * [`apply_list_update`] — what a receiver does with one
+//!   [`ListUpdate`].
 //!
-//! Both drivers (`Detector::apply`, the pipelined dispatch stage) and
-//! the distributed controller compute their dispatch stats through
-//! [`diff_deployment`], so `entries_diffed`/`bytes_dispatched` are
-//! deterministic and identical across all three — the equivalence
-//! harnesses compare them un-normalized.
+//! Each update travels as one frame of the [`wire`](crate::wire) codec,
+//! and `bytes_dispatched` is the length of those frames. Every driver
+//! (`Detector::apply`, the pipelined dispatch stage, the distributed
+//! controller) computes its dispatch stats through [`rebase_and_diff`],
+//! so they are deterministic and identical across all three — the
+//! equivalence harnesses compare them un-normalized.
 
 use std::collections::HashMap;
 
-use detector_core::types::{NodeId, PathId, PathIdRange};
+use detector_core::types::{NodeId, PathIdRange};
 
 use crate::controller::Deployment;
 use crate::pinglist::{PingEntry, Pinglist};
+use crate::wire::{encode_entry, encode_update, Frame};
 
-/// Per-frame wire overhead: a `u32` length prefix plus the one-byte
-/// frame tag. Every dispatch-byte figure in this module includes it, so
-/// the model matches what the agent transport actually writes.
-pub const FRAME_OVERHEAD: usize = 5;
-
-/// Canonical byte encoding of one [`PingEntry`] (big-endian,
-/// length-prefixed route). This is *the* wire form: the agent frame
-/// codec delegates here, and [`entry_key`] hashes exactly these bytes.
-pub fn encode_entry(e: &PingEntry, out: &mut Vec<u8>) {
-    match e.path {
-        Some(p) => {
-            out.push(1);
-            out.extend_from_slice(&p.0.to_be_bytes());
-        }
-        None => out.push(0),
-    }
-    out.extend_from_slice(&(e.route.len() as u16).to_be_bytes());
-    for n in &e.route {
-        out.extend_from_slice(&n.0.to_be_bytes());
-    }
-    out.extend_from_slice(&e.responder.0.to_be_bytes());
-    match e.waypoint {
-        Some(w) => {
-            out.push(1);
-            out.extend_from_slice(&w.0.to_be_bytes());
-        }
-        None => out.push(0),
-    }
-}
-
-/// Length of [`encode_entry`]'s output without materializing it.
-pub fn encoded_entry_len(e: &PingEntry) -> usize {
-    let path = if e.path.is_some() { 5 } else { 1 };
-    let waypoint = if e.waypoint.is_some() { 5 } else { 1 };
-    path + 2 + 4 * e.route.len() + 4 + waypoint
-}
-
-/// Decodes one entry from the front of `buf`, advancing it. `None` on
-/// truncated or malformed input (the caller maps that to its own error).
-pub fn decode_entry(buf: &mut &[u8]) -> Option<PingEntry> {
-    fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        if buf.len() < n {
-            return None;
-        }
-        let (head, rest) = buf.split_at(n);
-        *buf = rest;
-        Some(head)
-    }
-    fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-        take(buf, 4).map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))
-    }
-    let path = match take(buf, 1)?[0] {
-        0 => None,
-        1 => Some(PathId(take_u32(buf)?)),
-        _ => return None,
-    };
-    let route_len = u16::from_be_bytes(take(buf, 2)?.try_into().expect("2 bytes")) as usize;
-    // Two bytes off the wire must not reserve 256 KB: the hops have to
-    // be there before room is made for them.
-    if buf.len() < route_len * 4 {
-        return None;
-    }
-    let mut route = Vec::with_capacity(route_len);
-    for _ in 0..route_len {
-        route.push(NodeId(take_u32(buf)?));
-    }
-    let responder = NodeId(take_u32(buf)?);
-    let waypoint = match take(buf, 1)?[0] {
-        0 => None,
-        1 => Some(NodeId(take_u32(buf)?)),
-        _ => return None,
-    };
-    Some(PingEntry {
-        path,
-        route,
-        responder,
-        waypoint,
-    })
-}
-
-/// Stable 64-bit identity of an entry: FNV-1a over its canonical
-/// encoding. `EntryRemove` frames address entries by this key, so it
-/// must be identical across processes, architectures and std versions —
-/// which rules out `DefaultHasher`.
+/// Stable 64-bit identity of an entry: FNV-1a over its byte form. Edit
+/// scripts address removals by this key, so it must be identical across
+/// processes, architectures and std versions — which rules out
+/// `DefaultHasher`.
 pub fn entry_key(e: &PingEntry) -> u64 {
-    let mut bytes = Vec::with_capacity(encoded_entry_len(e));
+    // Room for a route of a dozen hops, so most entries never regrow.
+    let mut bytes = Vec::with_capacity(64);
     encode_entry(e, &mut bytes);
     fnv1a64(&bytes)
 }
@@ -140,26 +56,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Bytes of a pinglist's non-entry fields on the wire (version, pinger,
-/// interval, ports, stamp).
-pub const LIST_HEADER_BYTES: usize = 8 + 4 + 8 + 2 + 2 + 2 + 8;
-
-/// Wire bytes of a whole list shipped as one `ListReplace` frame.
-pub fn encoded_list_len(list: &Pinglist) -> usize {
-    FRAME_OVERHEAD
-        + LIST_HEADER_BYTES
-        + 4 // entry count
-        + list.entries.iter().map(encoded_entry_len).sum::<usize>()
-}
-
 /// How one pinger's list changes on the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ListUpdate {
     /// Ship the whole list (new pinger, header change, or a diff that
     /// could not reproduce the target exactly / would not be smaller).
     Replace(Pinglist),
-    /// Per-entry edit script: apply removals (by [`entry_key`]), then
-    /// insert `added` entries at their target indices in ascending
+    /// Per-entry edit script: for each removed key drop the first entry
+    /// with that [`entry_key`], then insert `added` entries at their target indices in ascending
     /// order, then adopt `(version, stamp)` — after which the rebuilt
     /// list is byte-identical to the dispatched one (the differ verifies
     /// this before choosing a diff over a replace).
@@ -199,26 +103,6 @@ impl ListUpdate {
             ListUpdate::Remove(_) => 0,
         }
     }
-
-    /// Exact wire bytes of the frames realizing this update (size model;
-    /// `detector-agent` asserts its codec matches).
-    pub fn wire_bytes(&self) -> usize {
-        match self {
-            ListUpdate::Replace(list) => encoded_list_len(list),
-            ListUpdate::Diff { removed, added, .. } => {
-                // EntryRemove{pinger, key} per removal…
-                removed.len() * (FRAME_OVERHEAD + 4 + 8)
-                    // …EntryAdd{pinger, index, entry} per insertion…
-                    + added
-                        .iter()
-                        .map(|(_, e)| FRAME_OVERHEAD + 4 + 4 + encoded_entry_len(e))
-                        .sum::<usize>()
-                    // …and the closing ListSeal{pinger, version, stamp}.
-                    + (FRAME_OVERHEAD + 4 + 8 + 8)
-            }
-            ListUpdate::Remove(_) => FRAME_OVERHEAD + 4,
-        }
-    }
 }
 
 /// Everything a deployment change puts on the wire.
@@ -236,17 +120,6 @@ impl DeploymentDiff {
     /// Total entries added/removed/replaced across all updates.
     pub fn entries_diffed(&self) -> usize {
         self.updates.iter().map(ListUpdate::entries_diffed).sum()
-    }
-
-    /// Exact wire bytes of the whole diff, including `RangeRebase`
-    /// frames (old + new range: 2 × (base `u32` + capacity `u32`)).
-    pub fn wire_bytes(&self) -> usize {
-        self.rebases.len() * (FRAME_OVERHEAD + 16)
-            + self
-                .updates
-                .iter()
-                .map(ListUpdate::wire_bytes)
-                .sum::<usize>()
     }
 
     /// True when nothing needs to travel.
@@ -267,7 +140,8 @@ pub struct DispatchStats {
     /// Entries that traveled: added + removed across diffs, plus every
     /// entry of whole-list replacements.
     pub entries_diffed: usize,
-    /// Exact wire bytes of the dispatch ([`DeploymentDiff::wire_bytes`]).
+    /// Bytes of the dispatch's frames: one per list update and one per
+    /// moved range, as [`wire`](crate::wire) encodes them.
     pub bytes_dispatched: u64,
 }
 
@@ -336,12 +210,6 @@ pub fn diff_deployment(
     }
 }
 
-/// Whole-deployment dispatch as if every list traveled in full — the
-/// pre-diff baseline the `dispatch_bytes` bench compares against.
-pub fn full_dispatch_bytes(dep: &Deployment) -> usize {
-    dep.pinglists.iter().map(encoded_list_len).sum()
-}
-
 fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
     // Header changes re-key every probe stream; ship the whole list.
     if old.interval_us != new.interval_us
@@ -363,18 +231,25 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
         *new_count.entry(entry_key(e)).or_default() += 1;
     }
 
-    // Removals: old entries beyond the count the new list retains.
-    let mut keep_budget = new_count.clone();
+    // Removals: old entries beyond the count the new list keeps, taken
+    // from the front of each key's run — the ones `apply_list_update`,
+    // which drops the first match, takes out.
+    let mut surplus = old_count.clone();
+    for (k, n) in &new_count {
+        if let Some(s) = surplus.get_mut(k) {
+            *s = s.saturating_sub(*n);
+        }
+    }
     let mut removed = Vec::new();
     let mut kept: Vec<u64> = Vec::new();
     for e in &old.entries {
         let k = entry_key(e);
-        match keep_budget.get_mut(&k) {
+        match surplus.get_mut(&k) {
             Some(n) if *n > 0 => {
                 *n -= 1;
-                kept.push(k);
+                removed.push(k);
             }
-            _ => removed.push(k),
+            _ => kept.push(k),
         }
     }
     // Insertions: new entries beyond what the old list supplies, at
@@ -408,16 +283,18 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
         removed,
         added,
     };
-    if reproduces && diff.wire_bytes() < encoded_list_len(new) {
+    let whole = ListUpdate::Replace(new.clone());
+    if reproduces && encode_update(&diff).len() < encode_update(&whole).len() {
         diff
     } else {
-        ListUpdate::Replace(new.clone())
+        whole
     }
 }
 
 /// Applies one [`ListUpdate`] to a receiver-side list map — the exact
-/// procedure a pinger agent runs on its frames; factored here so the
-/// differ's tests and the agent crate share one implementation.
+/// procedure a pinger agent runs on each `ListUpdate` frame; factored
+/// here so the differ's tests and the agent crate share one
+/// implementation.
 ///
 /// Returns `false` when a `Diff` addressed an unknown pinger or its
 /// rebuilt list fails the stamp check — a protocol violation the caller
@@ -471,10 +348,13 @@ pub fn rebase_and_diff(
 ) -> (DeploymentDiff, DispatchStats) {
     let lists_redispatched = next.rebase_versions(prev);
     let diff = diff_deployment(prev, next, rebases);
+    let rebase_frames =
+        (diff.rebases.iter()).map(|&(old, new)| Frame::RangeRebase { old, new }.encode());
+    let frames = rebase_frames.chain(diff.updates.iter().map(encode_update));
     let stats = DispatchStats {
         lists_redispatched,
         entries_diffed: diff.entries_diffed(),
-        bytes_dispatched: diff.wire_bytes() as u64,
+        bytes_dispatched: frames.map(|f| f.len() as u64).sum(),
     };
     (diff, stats)
 }
@@ -483,6 +363,8 @@ pub fn rebase_and_diff(
 mod tests {
     use super::*;
     use detector_core::pmc::ProbeMatrix;
+    use detector_core::types::PathId;
+    use proptest::prelude::{prop_assert, prop_assert_eq};
 
     fn entry(path: Option<u32>, route: &[u32], responder: u32, waypoint: Option<u32>) -> PingEntry {
         PingEntry {
@@ -513,23 +395,6 @@ mod tests {
             matrix: ProbeMatrix::from_paths(0, Vec::new()),
             pinglists: lists,
             version,
-        }
-    }
-
-    #[test]
-    fn entry_encoding_round_trips_and_len_matches() {
-        let cases = vec![
-            entry(Some(7), &[1, 2, 3, 4], 4, Some(2)),
-            entry(None, &[9, 8], 8, None),
-            entry(Some(u32::MAX), &[], 0, None),
-        ];
-        for e in cases {
-            let mut bytes = Vec::new();
-            encode_entry(&e, &mut bytes);
-            assert_eq!(bytes.len(), encoded_entry_len(&e));
-            let mut buf = &bytes[..];
-            assert_eq!(decode_entry(&mut buf).as_ref(), Some(&e));
-            assert!(buf.is_empty(), "decode must consume exactly the encoding");
         }
     }
 
@@ -582,8 +447,9 @@ mod tests {
         }
         assert_eq!(stats.lists_redispatched, 1);
         assert_eq!(stats.entries_diffed, 2);
+        let whole = encode_update(&ListUpdate::Replace(next.pinglists[0].clone()));
         assert!(
-            (stats.bytes_dispatched as usize) < encoded_list_len(&next.pinglists[0]),
+            (stats.bytes_dispatched as usize) < whole.len(),
             "diff must beat the full list"
         );
     }
@@ -619,6 +485,28 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_entry_leaves_from_the_front_as_the_receiver_drops_it() {
+        // The receiver drops the first entry of a removed key, so the
+        // differ must mean that one: [a, b, a] loses its first `a` on the
+        // way to [b, a], and cannot reach [a, b] by removals alone.
+        let a = entry(Some(1), &[5, 1, 6], 6, None);
+        let b = entry(Some(2), &[5, 1, 7], 7, None);
+        let old = list(5, 1, vec![a.clone(), b.clone(), a.clone()]);
+        for (want, diffs) in [
+            (vec![b.clone(), a.clone()], true),
+            (vec![a.clone(), b.clone()], false),
+        ] {
+            let prev = deployment(1, vec![old.clone()]);
+            let mut next = deployment(2, vec![list(5, 2, want)]);
+            let (diff, _) = rebase_and_diff(&prev, &mut next, &[]);
+            assert_eq!(matches!(diff.updates[0], ListUpdate::Diff { .. }), diffs);
+            let mut lists = HashMap::from([(NodeId(5), old.clone())]);
+            assert!(apply_list_update(&mut lists, &diff.updates[0]));
+            assert_eq!(lists[&NodeId(5)], next.pinglists[0]);
+        }
+    }
+
+    #[test]
     fn header_change_forces_replace() {
         let e = vec![entry(Some(1), &[5, 1, 6], 6, None)];
         let old = list(5, 1, e.clone());
@@ -640,7 +528,11 @@ mod tests {
         assert!(matches!(&diff.updates[0], ListUpdate::Replace(l) if l.pinger == NodeId(7)));
         assert_eq!(diff.updates[1], ListUpdate::Remove(NodeId(5)));
         assert_eq!(stats.lists_redispatched, 1);
-        let expect = encoded_list_len(&next.pinglists[0]) + FRAME_OVERHEAD + 4;
+        let shipped = [
+            Frame::ListUpdate(ListUpdate::Replace(next.pinglists[0].clone())),
+            Frame::ListUpdate(ListUpdate::Remove(NodeId(5))),
+        ];
+        let expect: usize = shipped.iter().map(|f| f.encode().len()).sum();
         assert_eq!(stats.bytes_dispatched as usize, expect);
     }
 
@@ -655,11 +547,68 @@ mod tests {
 
     #[test]
     fn wire_bytes_cover_rebases() {
-        let diff = DeploymentDiff {
-            rebases: vec![(PathIdRange::new(0, 4), PathIdRange::new(8, 6))],
-            updates: Vec::new(),
-        };
-        assert_eq!(diff.wire_bytes(), FRAME_OVERHEAD + 16);
+        // Each moved range is one broadcast frame, counted once.
+        let l = list(5, 1, vec![entry(Some(1), &[5, 1, 6], 6, None)]);
+        let prev = deployment(1, vec![l.clone()]);
+        let mut next = deployment(2, vec![l]);
+        let (old, new) = (PathIdRange::new(0, 4), PathIdRange::new(8, 6));
+        let (diff, stats) = rebase_and_diff(&prev, &mut next, &[(old, new)]);
+        assert!(diff.updates.is_empty());
+        let frame = Frame::RangeRebase { old, new }.encode();
+        assert_eq!(stats.bytes_dispatched as usize, frame.len());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Whatever the differ emits — an edit script, a whole list or a
+        /// retirement — comes off the wire as itself, and applying what
+        /// arrived rebuilds the new deployment's lists with their stamps.
+        #[test]
+        fn every_list_update_survives_the_wire(
+            old_paths in proptest::collection::vec(0u32..64, 0..24),
+            dropped in proptest::collection::vec(0usize..24, 0..6),
+            inserted in proptest::collection::vec((0usize..30, 64u32..96), 0..6),
+            retime in 0u8..4,
+        ) {
+            let fixture = |p: u32| entry(Some(p), &[9, 1, p + 100], p + 100, p.is_multiple_of(2).then_some(1));
+            let old_entries: Vec<PingEntry> = old_paths.iter().map(|&p| fixture(p)).collect();
+            let mut new_entries = old_entries.clone();
+            for i in dropped {
+                if i < new_entries.len() {
+                    new_entries.remove(i);
+                }
+            }
+            for (i, p) in inserted {
+                new_entries.insert(i.min(new_entries.len()), fixture(p));
+            }
+            let mut new = list(9, 2, new_entries);
+            if retime == 0 {
+                new.interval_us /= 2;
+                new.seal();
+            }
+            let departed = list(5, 1, vec![fixture(1)]);
+            let arrived = list(7, 2, vec![fixture(2)]);
+            let prev = deployment(1, vec![departed, list(9, 1, old_entries)]);
+            let mut next = deployment(2, vec![arrived, new]);
+            let (diff, _) = rebase_and_diff(&prev, &mut next, &[]);
+
+            let mut lists: HashMap<NodeId, Pinglist> =
+                prev.pinglists.iter().map(|l| (l.pinger, l.clone())).collect();
+            for update in &diff.updates {
+                let Ok(Frame::ListUpdate(arrived)) = Frame::decode(&encode_update(update)) else {
+                    panic!("{update:?} did not come off the wire as a list update");
+                };
+                prop_assert_eq!(&arrived, update);
+                prop_assert!(apply_list_update(&mut lists, &arrived));
+            }
+            prop_assert_eq!(lists.len(), next.pinglists.len());
+            for want in &next.pinglists {
+                let got = &lists[&want.pinger];
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(got.content_stamp(), want.content_stamp());
+            }
+        }
     }
 
     /// The wire-cost claim of per-entry dispatch: one Fattree(16) link
@@ -684,40 +633,36 @@ mod tests {
         let mut new = ctl.build_deployment(&healthy).unwrap();
         let ranges_after = ctl.probe_plan().map(|p| p.cell_ranges());
         let rebases = rebase_pairs(ranges_before.as_deref(), ranges_after.as_deref());
-        let (diff, _) = rebase_and_diff(&old, &mut new, &rebases);
+        let (diff, stats) = rebase_and_diff(&old, &mut new, &rebases);
 
-        // Pre-diff protocol: every update travels as a whole list
-        // (`ListReplace`), removals as `ListRemove`.
-        let whole: usize = diff
-            .updates
-            .iter()
+        // Pre-diff protocol: every update travels as a whole list,
+        // removals as they are.
+        let whole: usize = (diff.updates.iter())
             .map(|u| match u {
-                ListUpdate::Remove(_) => FRAME_OVERHEAD + 4,
-                ListUpdate::Replace(list) => encoded_list_len(list),
-                ListUpdate::Diff { pinger, .. } => new
-                    .pinglists
-                    .iter()
-                    .find(|l| l.pinger == *pinger)
-                    .map(encoded_list_len)
-                    .unwrap(),
+                ListUpdate::Diff { pinger, .. } => {
+                    let list = new.pinglists.iter().find(|l| l.pinger == *pinger);
+                    ListUpdate::Replace(list.unwrap().clone())
+                }
+                other => other.clone(),
             })
+            .map(|u| encode_update(&u).len())
             .sum();
+        let shipped = stats.bytes_dispatched as usize;
 
         assert!(
-            diff.wire_bytes() * 10 <= whole,
-            "diff {} B vs whole-list {whole} B",
-            diff.wire_bytes()
+            shipped * 10 <= whole,
+            "diff {shipped} B vs whole-list {whole} B"
         );
         // The counts README quotes.
         assert_eq!(
             (
-                diff.wire_bytes(),
+                shipped,
                 whole,
                 diff.entries_diffed(),
                 diff.updates.len(),
                 old.pinglists.len()
             ),
-            (792, 8504, 16, 8, 180)
+            (664, 8504, 16, 8, 180)
         );
     }
 }

@@ -143,8 +143,9 @@ pub enum RuntimeEvent {
         /// (adds + removes across diffed lists, plus every entry of
         /// whole-list replacements).
         entries_diffed: usize,
-        /// Exact wire bytes of the dispatch — minimal re-dispatch
-        /// measured on the wire, not in list counts.
+        /// Bytes of the dispatch's frames as [`crate::wire`] encodes
+        /// them — minimal re-dispatch measured on the wire, not in list
+        /// counts.
         bytes_dispatched: u64,
         /// Wall-clock cost of the incremental re-plan, microseconds.
         replan_micros: u64,

@@ -77,6 +77,7 @@ mod scheduler;
 mod script;
 mod watchdog;
 pub mod window;
+pub mod wire;
 
 use std::fmt;
 

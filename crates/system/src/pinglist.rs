@@ -5,7 +5,7 @@
 //! responder, the waypoint for IP-in-IP encapsulation and the port/DSCP
 //! configuration), and the sending interval. The paper serializes these as
 //! XML files fetched over HTTP; here the agent tier's binary frames carry
-//! them (`detector_agent::Frame::ListReplace`).
+//! them ([`Frame::ListUpdate`](crate::wire::Frame::ListUpdate)).
 
 use std::hash::{Hash, Hasher};
 

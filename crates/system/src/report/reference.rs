@@ -104,7 +104,7 @@
 //!    a path that lost every probe" check dropped) — a record on a dead
 //!    path decodes, and the canonicality test
 //!    `a_report_breaking_its_invariants_does_not_decode`
-//!    (`crates/agent/src/frame.rs`) fails.
+//!    (`crates/system/src/wire.rs`) fails.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

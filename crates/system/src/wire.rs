@@ -1,37 +1,34 @@
-//! The control-plane wire protocol: length-prefixed frames, no registry.
+//! The wire codec: every byte format that crosses the controller ↔
+//! agent boundary.
 //!
-//! Every byte that crosses the controller ↔ agent boundary is one
-//! [`Frame`]: a `u32` big-endian length prefix (counting everything after
-//! itself), a one-byte tag, and a tag-specific payload. The payload
-//! encodings for pinglist material delegate to the canonical forms in
-//! [`detector_system::dispatch`] — [`encode_entry`]/[`decode_entry`] for
-//! entries, the 34-byte list header for whole lists — so a frame's size
-//! is *exactly* what the dispatch cost model
-//! ([`ListUpdate::wire_bytes`](detector_system::dispatch::ListUpdate::wire_bytes))
-//! charges for it. That identity is load-bearing: `PlanUpdated`'s
-//! `bytes_dispatched` is computed from the model, and the tests in this
-//! module pin every diff-protocol frame's encoded length to the model's
-//! formula.
+//! Every message is one [`Frame`]: a `u32` big-endian length prefix
+//! (counting everything after itself), a one-byte tag, and a
+//! tag-specific payload. A pinglist change travels as itself — one
+//! [`Frame::ListUpdate`] per [`ListUpdate`] that
+//! [`diff_deployment`](crate::dispatch::diff_deployment) built — so
+//! `PlanUpdated`'s `bytes_dispatched` is the length [`encode_update`]
+//! gives those frames, not a model of it.
 //!
-//! Reports travel delta/varint-coded (layout at [`encode_report`]'s
-//! definition and in the crate README): a report's two runs are already
-//! ascending, so keys ship as deltas and counters as LEB128 varints, and
-//! its in-rack total closes it. The encoding is canonical — one byte
-//! string per report, and the decoder rejects every other spelling — so
-//! frame bytes are safe to compare, hash and count.
+//! A [`PingEntry`] has one byte form ([`encode_entry`]): whole lists and
+//! edit scripts carry it, and [`entry_key`](crate::dispatch::entry_key)
+//! hashes it. Reports travel delta/varint-coded (layout at
+//! `encode_report`'s definition and in the agent crate's README): a
+//! report's two runs are already ascending, so keys ship as deltas and
+//! counters as LEB128 varints, and its in-rack total closes it. Every
+//! encoding is canonical — one byte string per value, and the decoder
+//! rejects every other spelling — so frame bytes are safe to compare,
+//! hash and count.
 //!
 //! Frames arrive off real sockets: decoding never panics, never reserves
 //! more than a constant times the input length, and fails with a typed
 //! [`FrameError`].
-//!
-//! [`encode_entry`]: detector_system::dispatch::encode_entry
-//! [`decode_entry`]: detector_system::dispatch::decode_entry
 
 use std::fmt;
 
 use detector_core::types::{NodeId, PathId, PathIdRange};
-use detector_system::dispatch::{decode_entry, encode_entry};
-use detector_system::{FlowRecord, PathCounters, PingEntry, PingerReport, Pinglist};
+
+use crate::dispatch::ListUpdate;
+use crate::{FlowRecord, PathCounters, PingEntry, PingerReport, Pinglist};
 
 /// Hard cap on a frame's post-prefix length (tag + payload): 16 MiB.
 /// A whole-fabric pinglist for the largest supported topologies is well
@@ -39,9 +36,9 @@ use detector_system::{FlowRecord, PathCounters, PingEntry, PingerReport, Pinglis
 /// rejected before any allocation.
 pub const MAX_FRAME: u32 = 1 << 24;
 
-/// One protocol message. The first seven variants are the dispatch
-/// vocabulary (full lists and the per-entry diff protocol); the rest are
-/// window orchestration, health probing and report return.
+/// One protocol message: dispatch (list updates, range re-bases, the
+/// resync preamble), then window orchestration, health probing and
+/// report return.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Agent introduction, sent once per connection.
@@ -51,62 +48,27 @@ pub enum Frame {
         /// [`HostGroups`]: detector_simnet::HostGroups
         agent: u32,
     },
-    /// Ship a whole pinglist (new pinger, header change, or a diff that
-    /// would not be smaller).
-    ListReplace(Pinglist),
-    /// Retire a pinger's list entirely (it left pinger duty).
-    ListRemove {
-        /// The pinger whose list is retired.
-        pinger: NodeId,
-    },
-    /// Per-entry diff: insert `entry` at `index` in `pinger`'s list.
-    /// Adds within one diff arrive in ascending index order, after all
-    /// removals.
-    EntryAdd {
-        /// The list being edited.
-        pinger: NodeId,
-        /// Target position in the post-removal list.
-        index: u32,
-        /// The entry to insert.
-        entry: PingEntry,
-    },
-    /// Per-entry diff: remove the first entry of `pinger`'s list whose
-    /// [`entry_key`](detector_system::dispatch::entry_key) equals `key`.
-    EntryRemove {
-        /// The list being edited.
-        pinger: NodeId,
-        /// Canonical-encoding FNV-1a key of the entry to drop.
-        key: u64,
-    },
+    /// One pinger's list changes: a whole list, a retired list, or an
+    /// edit script sealed by the rebuilt list's stamp.
+    ListUpdate(ListUpdate),
     /// A plan cell's `PathId` range moved (overflow re-base). Broadcast
     /// so agents can retire counters and bindings of the old ids; the
-    /// rebased entries themselves travel as remove + add pairs.
+    /// rebased entries themselves travel in list updates.
     RangeRebase {
         /// The cell's previous id range.
         old: PathIdRange,
         /// The cell's new id range.
         new: PathIdRange,
     },
-    /// Closes a per-entry diff: the edited list adopts `(version,
-    /// stamp)`. The stamp doubles as an end-to-end checksum — the agent
-    /// re-hashes the rebuilt list and must land on the same value.
-    ListSeal {
-        /// The list being sealed.
-        pinger: NodeId,
-        /// Version to adopt.
-        version: u64,
-        /// Expected [`Pinglist::content_stamp`] of the rebuilt list.
-        stamp: u64,
-    },
-    /// Drop all agent state (lists, bindings, pending diffs) — the
-    /// preamble of a full resync.
+    /// Drop all agent state (lists and bindings) — the preamble of a
+    /// full resync.
     Reset,
     /// Run one window over every owned list not in `skip`.
     WindowStart {
         /// Window index.
         window: u64,
         /// The window's master seed; each batch derives its own stream
-        /// via [`batch_seed`](detector_system::batch_seed).
+        /// via [`batch_seed`](crate::batch_seed).
         window_seed: u64,
         /// Pingers excluded by the watchdog this window (sorted).
         skip: Vec<NodeId>,
@@ -168,10 +130,8 @@ impl std::error::Error for FrameError {}
 const TAG_HELLO: u8 = 0;
 const TAG_LIST_REPLACE: u8 = 1;
 const TAG_LIST_REMOVE: u8 = 2;
-const TAG_ENTRY_ADD: u8 = 3;
-const TAG_ENTRY_REMOVE: u8 = 4;
+const TAG_LIST_DIFF: u8 = 3;
 const TAG_RANGE_REBASE: u8 = 5;
-const TAG_LIST_SEAL: u8 = 6;
 const TAG_RESET: u8 = 7;
 const TAG_WINDOW_START: u8 = 8;
 const TAG_HEARTBEAT_REQ: u8 = 9;
@@ -184,51 +144,18 @@ impl Frame {
     /// Encodes the frame as wire bytes: `u32` BE length prefix (covering
     /// tag + payload), tag byte, payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0u8; 4]; // Length prefix backfilled below.
-        match self {
+        framed(|out| match self {
             Frame::Hello { agent } => {
                 out.push(TAG_HELLO);
-                put_u32(&mut out, *agent);
+                put_u32(out, *agent);
             }
-            Frame::ListReplace(list) => {
-                out.push(TAG_LIST_REPLACE);
-                encode_list(list, &mut out);
-            }
-            Frame::ListRemove { pinger } => {
-                out.push(TAG_LIST_REMOVE);
-                put_u32(&mut out, pinger.0);
-            }
-            Frame::EntryAdd {
-                pinger,
-                index,
-                entry,
-            } => {
-                out.push(TAG_ENTRY_ADD);
-                put_u32(&mut out, pinger.0);
-                put_u32(&mut out, *index);
-                encode_entry(entry, &mut out);
-            }
-            Frame::EntryRemove { pinger, key } => {
-                out.push(TAG_ENTRY_REMOVE);
-                put_u32(&mut out, pinger.0);
-                put_u64(&mut out, *key);
-            }
+            Frame::ListUpdate(update) => put_update(update, out),
             Frame::RangeRebase { old, new } => {
                 out.push(TAG_RANGE_REBASE);
-                put_u32(&mut out, old.base);
-                put_u32(&mut out, old.capacity);
-                put_u32(&mut out, new.base);
-                put_u32(&mut out, new.capacity);
-            }
-            Frame::ListSeal {
-                pinger,
-                version,
-                stamp,
-            } => {
-                out.push(TAG_LIST_SEAL);
-                put_u32(&mut out, pinger.0);
-                put_u64(&mut out, *version);
-                put_u64(&mut out, *stamp);
+                put_u32(out, old.base);
+                put_u32(out, old.capacity);
+                put_u32(out, new.base);
+                put_u32(out, new.capacity);
             }
             Frame::Reset => out.push(TAG_RESET),
             Frame::WindowStart {
@@ -237,38 +164,33 @@ impl Frame {
                 skip,
             } => {
                 out.push(TAG_WINDOW_START);
-                put_u64(&mut out, *window);
-                put_u64(&mut out, *window_seed);
-                put_u32(&mut out, skip.len() as u32);
+                put_u64(out, *window);
+                put_u64(out, *window_seed);
+                put_u32(out, skip.len() as u32);
                 for s in skip {
-                    put_u32(&mut out, s.0);
+                    put_u32(out, s.0);
                 }
             }
             Frame::HeartbeatReq { nonce } => {
                 out.push(TAG_HEARTBEAT_REQ);
-                put_u64(&mut out, *nonce);
+                put_u64(out, *nonce);
             }
             Frame::HeartbeatAck { nonce, agent } => {
                 out.push(TAG_HEARTBEAT_ACK);
-                put_u64(&mut out, *nonce);
-                put_u32(&mut out, *agent);
+                put_u64(out, *nonce);
+                put_u32(out, *agent);
             }
             Frame::Report(report) => {
                 out.push(TAG_REPORT);
-                encode_report(report, &mut out);
+                encode_report(report, out);
             }
             Frame::WindowDone { window, agent } => {
                 out.push(TAG_WINDOW_DONE);
-                put_u64(&mut out, *window);
-                put_u32(&mut out, *agent);
+                put_u64(out, *window);
+                put_u32(out, *agent);
             }
             Frame::Shutdown => out.push(TAG_SHUTDOWN),
-        }
-        let len = (out.len() - 4) as u32;
-        if let Some(prefix) = out.first_chunk_mut() {
-            *prefix = len.to_be_bytes();
-        }
-        out
+        })
     }
 
     /// Decodes one whole frame (length prefix included). The buffer must
@@ -295,27 +217,12 @@ impl Frame {
             TAG_HELLO => Frame::Hello {
                 agent: take_u32(&mut buf)?,
             },
-            TAG_LIST_REPLACE => Frame::ListReplace(decode_list(&mut buf)?),
-            TAG_LIST_REMOVE => Frame::ListRemove {
-                pinger: NodeId(take_u32(&mut buf)?),
-            },
-            TAG_ENTRY_ADD => Frame::EntryAdd {
-                pinger: NodeId(take_u32(&mut buf)?),
-                index: take_u32(&mut buf)?,
-                entry: decode_entry(&mut buf).ok_or(FrameError::BadPayload("ping entry"))?,
-            },
-            TAG_ENTRY_REMOVE => Frame::EntryRemove {
-                pinger: NodeId(take_u32(&mut buf)?),
-                key: take_u64(&mut buf)?,
-            },
+            TAG_LIST_REPLACE => Frame::ListUpdate(ListUpdate::Replace(decode_list(&mut buf)?)),
+            TAG_LIST_REMOVE => Frame::ListUpdate(ListUpdate::Remove(NodeId(take_u32(&mut buf)?))),
+            TAG_LIST_DIFF => Frame::ListUpdate(decode_diff(&mut buf)?),
             TAG_RANGE_REBASE => Frame::RangeRebase {
                 old: PathIdRange::new(take_u32(&mut buf)?, take_u32(&mut buf)?),
                 new: PathIdRange::new(take_u32(&mut buf)?, take_u32(&mut buf)?),
-            },
-            TAG_LIST_SEAL => Frame::ListSeal {
-                pinger: NodeId(take_u32(&mut buf)?),
-                version: take_u64(&mut buf)?,
-                stamp: take_u64(&mut buf)?,
             },
             TAG_RESET => Frame::Reset,
             TAG_WINDOW_START => {
@@ -355,6 +262,87 @@ impl Frame {
         }
         Ok(frame)
     }
+}
+
+/// The frame `body` writes (tag and payload) behind its length prefix.
+fn framed(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = vec![0u8; 4]; // Length prefix backfilled below.
+    body(&mut out);
+    let len = (out.len() - 4) as u32;
+    if let Some(prefix) = out.first_chunk_mut() {
+        *prefix = len.to_be_bytes();
+    }
+    out
+}
+
+/// The bytes of `update`'s [`Frame::ListUpdate`], without cloning the
+/// update into a frame: what dispatch ships and counts.
+pub fn encode_update(update: &ListUpdate) -> Vec<u8> {
+    framed(|out| put_update(update, out))
+}
+
+/// A whole list and a retired one keep their own tags; an edit script is
+///
+/// ```text
+/// u32 pinger | u64 version | u64 stamp
+/// varint #removed | #removed × u64 entry key
+/// varint #added   | #added × ( u32 index | entry )
+/// ```
+fn put_update(update: &ListUpdate, out: &mut Vec<u8>) {
+    match update {
+        ListUpdate::Replace(list) => {
+            out.push(TAG_LIST_REPLACE);
+            encode_list(list, out);
+        }
+        ListUpdate::Remove(pinger) => {
+            out.push(TAG_LIST_REMOVE);
+            put_u32(out, pinger.0);
+        }
+        ListUpdate::Diff {
+            pinger,
+            version,
+            stamp,
+            removed,
+            added,
+        } => {
+            out.push(TAG_LIST_DIFF);
+            put_u32(out, pinger.0);
+            put_u64(out, *version);
+            put_u64(out, *stamp);
+            put_varint(out, removed.len() as u64);
+            for &key in removed {
+                put_u64(out, key);
+            }
+            put_varint(out, added.len() as u64);
+            for (index, entry) in added {
+                put_u32(out, *index);
+                encode_entry(entry, out);
+            }
+        }
+    }
+}
+
+fn decode_diff(buf: &mut &[u8]) -> Result<ListUpdate, FrameError> {
+    let pinger = NodeId(take_u32(buf)?);
+    let version = take_u64(buf)?;
+    let stamp = take_u64(buf)?;
+    let n = take_count(buf, 8)?;
+    let mut removed = Vec::with_capacity(n);
+    for _ in 0..n {
+        removed.push(take_u64(buf)?);
+    }
+    let n = take_count(buf, 4 + MIN_ENTRY)?;
+    let mut added = Vec::with_capacity(n);
+    for _ in 0..n {
+        added.push((take_u32(buf)?, decode_entry(buf)?));
+    }
+    Ok(ListUpdate::Diff {
+        pinger,
+        version,
+        stamp,
+        removed,
+        added,
+    })
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -446,9 +434,64 @@ fn take_long_varint(buf: &mut &[u8]) -> Result<u64, FrameError> {
     })
 }
 
-/// The 34-byte list header of the dispatch cost model
-/// ([`LIST_HEADER_BYTES`](detector_system::dispatch::LIST_HEADER_BYTES)),
-/// then an entry count and the canonical entry encodings.
+/// The smallest entry: two absent-field flags, an empty route, a
+/// responder.
+const MIN_ENTRY: usize = 1 + 2 + 4 + 1;
+
+/// The one byte form of a [`PingEntry`]: an optional path id, the
+/// `u16`-counted route, the responder and an optional waypoint, each
+/// optional field behind a 0/1 flag byte.
+pub fn encode_entry(e: &PingEntry, out: &mut Vec<u8>) {
+    put_flagged(out, e.path.map(|p| p.0));
+    put_u16(out, e.route.len() as u16);
+    for n in &e.route {
+        put_u32(out, n.0);
+    }
+    put_u32(out, e.responder.0);
+    put_flagged(out, e.waypoint.map(|w| w.0));
+}
+
+fn put_flagged(out: &mut Vec<u8>, v: Option<u32>) {
+    match v {
+        Some(v) => {
+            out.push(1);
+            put_u32(out, v);
+        }
+        None => out.push(0),
+    }
+}
+
+fn take_flagged(buf: &mut &[u8]) -> Result<Option<u32>, FrameError> {
+    match take_array(buf)? {
+        [0] => Ok(None),
+        [1] => take_u32(buf).map(Some),
+        _ => Err(FrameError::BadPayload("ping entry flag")),
+    }
+}
+
+/// Decodes one entry from the front of `buf`, advancing it.
+fn decode_entry(buf: &mut &[u8]) -> Result<PingEntry, FrameError> {
+    let path = take_flagged(buf)?.map(PathId);
+    let hops = usize::from(take_u16(buf)?);
+    // Two bytes off the wire must not reserve 256 KB: the hops have to
+    // be there before room is made for them.
+    if buf.len() < hops * 4 {
+        return Err(FrameError::Truncated);
+    }
+    let mut route = Vec::with_capacity(hops);
+    for _ in 0..hops {
+        route.push(NodeId(take_u32(buf)?));
+    }
+    Ok(PingEntry {
+        path,
+        route,
+        responder: NodeId(take_u32(buf)?),
+        waypoint: take_flagged(buf)?.map(NodeId),
+    })
+}
+
+/// The list header (version, pinger, interval, ports, stamp), then an
+/// entry count and the entries.
 fn encode_list(list: &Pinglist, out: &mut Vec<u8>) {
     put_u64(out, list.version);
     put_u32(out, list.pinger.0);
@@ -474,7 +517,7 @@ fn decode_list(buf: &mut &[u8]) -> Result<Pinglist, FrameError> {
     let n = take_u32(buf)? as usize;
     let mut entries = Vec::new();
     for _ in 0..n {
-        entries.push(decode_entry(buf).ok_or(FrameError::BadPayload("ping entry"))?);
+        entries.push(decode_entry(buf)?);
     }
     Ok(Pinglist {
         version,
@@ -699,9 +742,6 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detector_system::dispatch::{
-        encoded_entry_len, encoded_list_len, entry_key, ListUpdate, FRAME_OVERHEAD,
-    };
 
     fn entry(path: Option<u32>, route: &[u32], responder: u32, waypoint: Option<u32>) -> PingEntry {
         PingEntry {
@@ -761,25 +801,18 @@ mod tests {
     fn all_frames() -> Vec<Frame> {
         vec![
             Frame::Hello { agent: 3 },
-            Frame::ListReplace(list()),
-            Frame::ListRemove { pinger: NodeId(9) },
-            Frame::EntryAdd {
-                pinger: NodeId(100),
-                index: 2,
-                entry: entry(Some(8), &[100, 4, 101], 101, None),
-            },
-            Frame::EntryRemove {
-                pinger: NodeId(100),
-                key: 0xDEAD_BEEF_CAFE_F00D,
-            },
-            Frame::RangeRebase {
-                old: PathIdRange::new(64, 32),
-                new: PathIdRange::new(128, 48),
-            },
-            Frame::ListSeal {
+            Frame::ListUpdate(ListUpdate::Replace(list())),
+            Frame::ListUpdate(ListUpdate::Remove(NodeId(9))),
+            Frame::ListUpdate(ListUpdate::Diff {
                 pinger: NodeId(100),
                 version: 9,
                 stamp: 0x1234_5678_9ABC_DEF0,
+                removed: vec![0xDEAD_BEEF_CAFE_F00D, 7],
+                added: vec![(2, entry(Some(8), &[100, 4, 101], 101, None))],
+            }),
+            Frame::RangeRebase {
+                old: PathIdRange::new(64, 32),
+                new: PathIdRange::new(128, 48),
             },
             Frame::Reset,
             Frame::WindowStart {
@@ -811,92 +844,74 @@ mod tests {
     }
 
     #[test]
-    fn frame_sizes_match_the_dispatch_cost_model() {
-        // The diff-protocol frames must cost exactly what ListUpdate::
-        // wire_bytes charges — PlanUpdated's bytes_dispatched is computed
-        // from the model, and the loopback byte counters measure these
-        // encodings.
-        let e = entry(Some(8), &[100, 4, 101], 101, None);
-        assert_eq!(
-            Frame::EntryAdd {
-                pinger: NodeId(100),
-                index: 2,
-                entry: e.clone(),
-            }
-            .encode()
-            .len(),
-            FRAME_OVERHEAD + 4 + 4 + encoded_entry_len(&e)
-        );
-        assert_eq!(
-            Frame::EntryRemove {
-                pinger: NodeId(100),
-                key: 1,
-            }
-            .encode()
-            .len(),
-            FRAME_OVERHEAD + 4 + 8
-        );
-        assert_eq!(
-            Frame::ListSeal {
-                pinger: NodeId(100),
-                version: 1,
-                stamp: 2,
-            }
-            .encode()
-            .len(),
-            FRAME_OVERHEAD + 4 + 8 + 8
-        );
-        assert_eq!(
-            Frame::ListRemove { pinger: NodeId(9) }.encode().len(),
-            FRAME_OVERHEAD + 4
-        );
-        assert_eq!(
-            Frame::RangeRebase {
-                old: PathIdRange::new(0, 1),
-                new: PathIdRange::new(1, 2),
-            }
-            .encode()
-            .len(),
-            FRAME_OVERHEAD + 16
-        );
-        let l = list();
-        assert_eq!(
-            Frame::ListReplace(l.clone()).encode().len(),
-            encoded_list_len(&l)
-        );
+    fn entries_round_trip_through_their_one_byte_form() {
+        let cases = vec![
+            entry(Some(7), &[1, 2, 3, 4], 4, Some(2)),
+            entry(None, &[9, 8], 8, None),
+            entry(Some(u32::MAX), &[], 0, None),
+        ];
+        for e in cases {
+            let mut bytes = Vec::new();
+            encode_entry(&e, &mut bytes);
+            let mut buf = &bytes[..];
+            assert_eq!(decode_entry(&mut buf), Ok(e));
+            assert!(buf.is_empty(), "decode must consume exactly the encoding");
+        }
+        // A flag byte is 0 or 1; a route's hops must all be there.
+        let mut flag = &[2, 0, 0][..];
+        let why = FrameError::BadPayload("ping entry flag");
+        assert_eq!(decode_entry(&mut flag), Err(why));
+        let mut short = &[0, 0, 9, 0, 0, 0, 1][..];
+        assert_eq!(decode_entry(&mut short), Err(FrameError::Truncated));
     }
 
     #[test]
-    fn a_diff_update_frames_to_exactly_its_wire_bytes() {
-        let added = entry(Some(8), &[100, 4, 101], 101, None);
-        let removed_key = entry_key(&list().entries[0]);
+    fn an_edit_script_is_one_frame_of_the_documented_layout() {
+        let e = entry(None, &[100], 101, None);
         let update = ListUpdate::Diff {
             pinger: NodeId(100),
             version: 9,
             stamp: 77,
-            removed: vec![removed_key],
-            added: vec![(1, added.clone())],
+            removed: vec![5],
+            added: vec![(1, e)],
         };
-        let framed: usize = [
-            Frame::EntryRemove {
-                pinger: NodeId(100),
-                key: removed_key,
-            },
-            Frame::EntryAdd {
-                pinger: NodeId(100),
-                index: 1,
-                entry: added,
-            },
-            Frame::ListSeal {
-                pinger: NodeId(100),
-                version: 9,
-                stamp: 77,
-            },
+        let want = [
+            &[0, 0, 0, 47, TAG_LIST_DIFF][..],
+            &[0, 0, 0, 100],
+            &9u64.to_be_bytes(),
+            &77u64.to_be_bytes(),
+            &[1],
+            &5u64.to_be_bytes(),
+            &[1, 0, 0, 0, 1],
+            &[0, 0, 1, 0, 0, 0, 100, 0, 0, 0, 101, 0],
         ]
-        .iter()
-        .map(|f| f.encode().len())
-        .sum();
-        assert_eq!(framed, update.wire_bytes());
+        .concat();
+        assert_eq!(encode_update(&update), want);
+        assert_eq!(Frame::ListUpdate(update.clone()).encode(), want);
+        assert_eq!(Frame::decode(&want), Ok(Frame::ListUpdate(update)));
+    }
+
+    #[test]
+    fn edit_script_counts_the_frame_cannot_hold_are_rejected_before_allocating() {
+        let why = Err(FrameError::BadPayload("record count exceeds the frame"));
+        let head = [&[0, 0, 0, 1][..], &[0; 16]].concat();
+        let frame = |body: &[u8]| {
+            let mut bytes = ((head.len() + body.len()) as u32 + 1)
+                .to_be_bytes()
+                .to_vec();
+            bytes.push(TAG_LIST_DIFF);
+            bytes.extend([&head[..], body].concat());
+            bytes
+        };
+        // A billion removals; two in 15 bytes; two additions in 23.
+        assert_eq!(Frame::decode(&frame(&[0x80, 0x94, 0xEB, 0xDC, 0x03])), why);
+        assert_eq!(Frame::decode(&frame(&[&[2][..], &[0; 15]].concat())), why);
+        assert_eq!(
+            Frame::decode(&frame(&[&[0, 2][..], &[0; 23]].concat())),
+            why
+        );
+        let ok = frame(&[&[0, 2][..], &[0; 24]].concat());
+        assert!(matches!(Frame::decode(&ok), Ok(Frame::ListUpdate(_))));
     }
 
     /// Wraps hand-assembled report body bytes into a `Report` frame.

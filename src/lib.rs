@@ -40,11 +40,6 @@
 //! assert!(window.diagnosis.suspect_links().contains(&ft.ac_link(1, 0, 1)));
 //! ```
 //!
-//! (Migrating from the old borrow-bound `MonitorRun<'a>`? See the
-//! [`detector_system`] crate docs — `run_window` became
-//! [`Detector::step`](detector_system::Detector::step) and topologies are
-//! now shared via `Arc` instead of leaked references.)
-//!
 //! # Reacting to topology churn
 //!
 //! The topology is *live*: drains, repairs and expansions arrive as

@@ -399,7 +399,7 @@ fn fattree32_end_to_end_with_delta_proportional_dispatch() {
 
     // …and ≥10× below what the pre-diff protocol would ship: the same
     // changed lists, redispatched whole.
-    let (diff_bytes, whole_bytes) = single_link_diff_vs_whole(&ft, 32);
+    let (diff_bytes, whole_bytes) = single_link_diff_vs_whole(&ft);
     assert!(
         diff_bytes * 10 <= whole_bytes,
         "per-entry diffs must be ≥10× below whole-list redispatch: \
@@ -407,14 +407,12 @@ fn fattree32_end_to_end_with_delta_proportional_dispatch() {
     );
 }
 
-/// The dispatch cost model's view of one `ea_link(0,0,0)` failure:
-/// wire bytes of the per-entry diff protocol vs redispatching every
-/// changed list whole (the pre-diff protocol). This is the same
-/// comparison the `dispatch_bytes` bench persists for Fattree(16).
-fn single_link_diff_vs_whole(ft: &Arc<Fattree>, _k: u32) -> (u64, u64) {
-    use detector_system::dispatch::{
-        encoded_list_len, rebase_and_diff, rebase_pairs, ListUpdate, FRAME_OVERHEAD,
-    };
+/// Wire bytes of one `ea_link(0,0,0)` failure's dispatch vs
+/// redispatching every changed list whole (the pre-diff protocol), both
+/// as `detector_system::wire` encodes them.
+fn single_link_diff_vs_whole(ft: &Arc<Fattree>) -> (u64, u64) {
+    use detector_system::dispatch::{rebase_and_diff, rebase_pairs, ListUpdate};
+    use detector_system::wire::encode_update;
     use detector_system::Controller;
 
     let mut ctl = Controller::new(ft.clone() as SharedTopology, config());
@@ -430,19 +428,17 @@ fn single_link_diff_vs_whole(ft: &Arc<Fattree>, _k: u32) -> (u64, u64) {
     let rebases = rebase_pairs(ranges_before.as_deref(), ranges_after.as_deref());
     let (diff, stats) = rebase_and_diff(&dep0, &mut dep1, &rebases);
 
-    let whole: usize = diff
-        .updates
-        .iter()
+    let whole: usize = (diff.updates.iter())
         .map(|u| match u {
-            ListUpdate::Remove(_) => FRAME_OVERHEAD + 4,
-            ListUpdate::Replace(list) => encoded_list_len(list),
             ListUpdate::Diff { pinger, .. } => dep1
                 .pinglists
                 .iter()
                 .find(|l| l.pinger == *pinger)
-                .map(encoded_list_len)
+                .map(|l| ListUpdate::Replace(l.clone()))
                 .expect("diffed list exists in the new deployment"),
+            other => other.clone(),
         })
+        .map(|u| encode_update(&u).len())
         .sum();
     (stats.bytes_dispatched, whole as u64)
 }
