@@ -15,8 +15,7 @@
 //! link's hit ratio is its lossy paths over its observed paths, and the
 //! caller hands over that denominator rather than the clean paths behind
 //! it: the diagnoser's walk has it as the plan's rows through the link
-//! minus the rows the window left unobserved. What a window costs here
-//! follows what was lost, not the fabric.
+//! minus the rows the window left unobserved.
 //!
 //! [`ComponentPll`] caches the skeleton (link → lossy-paths index,
 //! component partition, per-component candidate links with their hit
@@ -27,7 +26,36 @@
 //! never move the verdict and are not part of the key. Any other window,
 //! and the first one after [`invalidate`](ComponentPll::invalidate) (new
 //! probe matrix: plan epoch change, cycle refresh), rebuilds the
-//! skeleton from scratch.
+//! skeleton.
+//!
+//! # What a rebuild costs
+//!
+//! A rebuild costs the lossy incidence — lossy observations times the
+//! links they name — not the fabric. Each lossy path is resolved in the
+//! matrix once, and its links are numbered locally, in order of first
+//! naming, through a link → local-id map that spans the fabric but is
+//! kept across windows and reset only where the rebuild wrote. Everything
+//! after that (the link → lossy-paths index, the union-find, the
+//! partition) is sized to the candidate links. Each component's hit list
+//! and scope are runs in two flat arrays, and every array of the
+//! skeleton and of the greedies' scratch keeps its memory across
+//! rebuilds and across `invalidate`, so a window with more components
+//! does not allocate more.
+//!
+//! # Why the lazy pick is exact
+//!
+//! Each component's greedy picks through a max-queue keyed by the
+//! greedy's selection key `(explained_losses, hit_ratio,
+//! smaller-link-wins)`, seeded with every eligible link's score before
+//! the first pick — the laziness of §4.3 Observation 2 that
+//! [`pmc`](crate::pmc)'s lazy greedy applies to PMC. A link's score
+//! counts the losses of its still-unexplained paths, so it only falls as
+//! picks explain paths, and a queued key is an upper bound on the link's
+//! current key. The popped top is rescored: if its score still equals its
+//! key, its current key is at least every other queued key and so at
+//! least every other link's current key — the pick the full rescan of
+//! [`localize`](super::localize) makes. Otherwise it goes back with its
+//! current score, or out once nothing is left for it to explain.
 //!
 //! # Why the merged cover equals the global greedy
 //!
@@ -37,136 +65,403 @@
 //! the link's own component — and a pick in one component cannot change
 //! scores in another (they share no lossy paths). Within one component
 //! the global greedy's picks form a strictly decreasing sequence of
-//! selection keys `(explained_losses, hit_ratio, smaller-link-wins)` —
-//! each pick only lowers the remaining candidates' scores — and the key
-//! is recorded verbatim on every [`SuspectLink`]. The global greedy is
-//! therefore exactly the descending merge of the per-component pick
-//! sequences, and since keys are globally unique (the link id
-//! participates), merging reduces to sorting the concatenated suspects by
-//! key. The same holds for unexplained paths: each lossy observation
-//! belongs to exactly one component (or to none, when its path id does
-//! not resolve in the matrix — then nothing can ever explain it), so the
-//! global unexplained list is the index-ordered union of the
-//! per-component leftovers and those stray observations. The result is
-//! bit-identical to [`localize`](super::localize) — property-tested in
-//! this module, over the `Diagnoser` API in `tests/diagnoser_oracle.rs`,
-//! and end-to-end (results + full ordered event streams) in
-//! `tests/scheduler_equivalence.rs` and `tests/distributed_equivalence.rs`.
+//! selection keys — each pick only lowers the remaining candidates'
+//! scores — and the key is recorded verbatim on every [`SuspectLink`].
+//! The global greedy is therefore exactly the descending merge of the
+//! per-component pick sequences, and since keys are globally unique (the
+//! link id participates), merging reduces to sorting the concatenated
+//! suspects by key. The same holds for unexplained paths: each lossy
+//! observation belongs to exactly one component (or to none, when its
+//! path id does not resolve in the matrix — then nothing can ever
+//! explain it), so the global unexplained list is the index-ordered union
+//! of the per-component leftovers and those stray observations.
+//!
+//! The plain whole-window greedy behind [`localize`](super::localize)
+//! stays as the oracle: the result is bit-identical to it —
+//! property-tested in this module, over the `Diagnoser` API in
+//! `tests/diagnoser_oracle.rs`, and end-to-end (results + full ordered
+//! event streams) in `tests/scheduler_equivalence.rs` and
+//! `tests/distributed_equivalence.rs`.
 
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
-use super::pll_impl::{greedy_scoped, index_links, Diagnosis, SuspectLink};
+use super::pll_impl::{index_links, Diagnosis, SuspectLink};
 use super::preprocess::stays_lossy;
+use super::rate::pooled_rate;
 use super::{preprocess, PllConfig};
-use crate::pmc::{LinkIndex, ProbeMatrix};
+use crate::pmc::ProbeMatrix;
 use crate::types::{LinkId, PathObservation};
 
-/// One connected component of the lossy path/link incidence.
+/// Sentinel for a missing local link id or component.
+const NONE: u32 = u32::MAX;
+
+/// Runs of `u32` items, one per key, back to back in one array: run `k`
+/// is `items[offsets[k]..offsets[k + 1]]`. Refilled in place, so a
+/// rebuild reuses the memory of the last one.
 #[derive(Debug, Default)]
-struct Component {
-    /// The component's candidate links with their hit ratios, ascending
-    /// link order — the restriction of what `localize` computes globally.
-    hit: Vec<(LinkId, f64)>,
-    /// The component's lossy observation indices, ascending.
-    scope: Vec<u32>,
+struct Runs {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
 }
 
-/// Everything windows with the same reuse key share, built once per
-/// rebuild.
-#[derive(Debug)]
+impl Runs {
+    /// Empties to no runs.
+    fn clear(&mut self) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.items.clear();
+    }
+
+    /// Appends one run.
+    fn push_run(&mut self, items: impl Iterator<Item = u32>) {
+        self.items.extend(items);
+        self.offsets.push(self.items.len() as u32);
+    }
+
+    /// Refills with `keys` runs from the `(key, item)` pairs `entries`
+    /// yields: a key's run lists its items in `entries`' order.
+    /// `entries` is called twice — once to count, once to fill — and
+    /// must yield the same pairs both times, every key below `keys`.
+    fn refill<I>(&mut self, keys: usize, entries: impl Fn() -> I)
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        // As `LinkIndex::build`: shifted by two, `offsets[k + 2]` counts
+        // key `k`'s items, and after the running sum `offsets[k + 1]` is
+        // the cursor that fills its run.
+        self.offsets.clear();
+        self.offsets.resize(keys + 2, 0);
+        for (k, _) in entries() {
+            if let Some(count) = self.offsets.get_mut(k as usize + 2) {
+                *count += 1;
+            }
+        }
+        let mut total = 0;
+        for o in &mut self.offsets {
+            total += *o;
+            *o = total;
+        }
+        self.items.clear();
+        self.items.resize(total as usize, 0);
+        for (k, item) in entries() {
+            let Some(cursor) = self.offsets.get_mut(k as usize + 1) else {
+                continue;
+            };
+            if let Some(slot) = self.items.get_mut(*cursor as usize) {
+                *slot = item;
+            }
+            *cursor += 1;
+        }
+        self.offsets.pop();
+    }
+
+    /// Number of runs.
+    fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Run `k`; empty past the last.
+    fn run(&self, k: usize) -> &[u32] {
+        match self.offsets.get(k..k + 2) {
+            Some(&[from, to]) => (self.items.get(from as usize..to as usize)).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Every run, in key order.
+    fn runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len()).map(|k| self.run(k))
+    }
+}
+
+/// Everything windows with the same reuse key share. Links are numbered
+/// locally: local link `i` is `links[i]`.
+#[derive(Debug, Default)]
 struct Skeleton {
+    /// Whether the fields below describe the latest window: false before
+    /// the first window and after [`invalidate`](ComponentPll::invalidate).
+    valid: bool,
     /// The `num_links` of the matrix the skeleton was built against.
     universe: usize,
-    /// Link → indices into the lossy observations (the lengths are the
-    /// hit-ratio numerators).
-    link_paths: LinkIndex,
-    /// Every candidate link with its hit-ratio denominator, ascending by
-    /// link: the half of the reuse key the lossy path ids do not fix.
-    denominators: Vec<(LinkId, usize)>,
-    /// The partition, ascending by smallest candidate link.
-    comps: Vec<Component>,
+    /// Local link → link: the candidate links, in order of first naming
+    /// by the lossy observations.
+    links: Vec<LinkId>,
+    /// Local link → hit-ratio denominator: the half of the reuse key the
+    /// lossy path ids do not fix.
+    denominators: Vec<usize>,
+    /// Local link → hit ratio.
+    hit: Vec<f64>,
+    /// Local link → indices into the lossy observations, ascending, once
+    /// per naming (the lengths are the hit-ratio numerators).
+    link_paths: Runs,
+    /// Component → its local links (its hit list), ascending. Components
+    /// are in order of their smallest local link.
+    comp_links: Runs,
+    /// Component → its lossy observation indices (its scope), ascending.
+    comp_scope: Runs,
     /// Lossy observations outside every component (path id does not
     /// resolve in the matrix, or the path covers no links), ascending:
     /// unexplainable.
     stray: Vec<u32>,
 }
 
-/// Sentinel for a union-find root no component was opened for yet.
-const NO_COMP: u32 = u32::MAX;
+/// What a rebuild and the greedies work in, kept between windows.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Link → local id; [`NONE`] everywhere between rebuilds. Spans the
+    /// largest link a lossy path has named.
+    local_of: Vec<u32>,
+    /// Lossy observation → its local links: each path resolved once.
+    path_links: Runs,
+    /// Union-find parents over local links, then each link's component.
+    parent: Vec<u32>,
+    /// Lossy observation → not yet explained; all false between greedies.
+    unexplained: Vec<bool>,
+    /// The greedy's lazy queue.
+    queue: BinaryHeap<Pick>,
+    /// The window's unexplained observation indices.
+    left: Vec<u32>,
+}
 
 impl Skeleton {
-    /// The skeleton of a window's `lossy` observations, with
+    /// Rebuilds from a window's `lossy` observations, with
     /// `observed_through(l)` observed paths through each candidate link.
-    fn build(
+    fn rebuild(
+        &mut self,
+        scratch: &mut Scratch,
         matrix: &ProbeMatrix,
         lossy: &[PathObservation],
         observed_through: &dyn Fn(LinkId) -> usize,
-    ) -> Self {
-        let link_paths = index_links(matrix, lossy);
-
-        // A union-find over link indices in which every lossy path is one
-        // clique. The smaller index becomes the root, so a component's
-        // root is its smallest link (deterministic partition order,
-        // matching `pmc::decompose`).
-        let num_links = link_paths.num_links();
-        let mut parent: Vec<u32> = (0..num_links as u32).collect();
-        let mut anchored: Vec<(u32, u32)> = Vec::new();
-        let mut stray: Vec<u32> = Vec::new();
+    ) {
+        let Scratch {
+            local_of,
+            path_links,
+            parent,
+            ..
+        } = scratch;
+        self.valid = true;
+        self.universe = matrix.num_links;
+        self.links.clear();
+        self.stray.clear();
+        path_links.clear();
+        parent.clear();
         for (oi, o) in lossy.iter().enumerate() {
             let links = matrix.path(o.path).map(|p| p.links()).unwrap_or_default();
-            let Some((first, rest)) = links.split_first() else {
-                stray.push(oi as u32);
+            if links.is_empty() {
+                self.stray.push(oi as u32);
+            }
+            let local = links.iter().map(|&l| {
+                if l.index() >= local_of.len() {
+                    local_of.resize(l.index() + 1, NONE);
+                }
+                let Some(slot) = local_of.get_mut(l.index()) else {
+                    return NONE;
+                };
+                if *slot == NONE {
+                    *slot = self.links.len() as u32;
+                    self.links.push(l);
+                    parent.push(*slot);
+                }
+                *slot
+            });
+            path_links.push_run(local);
+            // A union-find over local links in which every lossy path is
+            // one clique. The smaller index becomes the root, so a
+            // component's root is its smallest local link.
+            let Some((&first, rest)) = path_links.run(oi).split_first() else {
                 continue;
             };
-            anchored.push((oi as u32, first.0));
-            for l in rest {
-                union(&mut parent, first.0, l.0);
+            let mut root = find(parent, first);
+            for &li in rest {
+                let other = find(parent, li);
+                let (lo, hi) = (root.min(other), root.max(other));
+                if let Some(slot) = parent.get_mut(hi as usize) {
+                    *slot = lo;
+                }
+                root = lo;
+            }
+        }
+        for l in &self.links {
+            if let Some(slot) = local_of.get_mut(l.index()) {
+                *slot = NONE;
             }
         }
 
-        // Candidate links in ascending order open their components in
-        // ascending order of smallest link and fill each hit list sorted.
-        let mut comp_of_root: Vec<u32> = vec![NO_COMP; num_links];
-        let mut comps: Vec<Component> = Vec::new();
-        let mut denominators: Vec<(LinkId, usize)> = Vec::new();
-        for (li, paths) in link_paths.runs().enumerate() {
-            if paths.is_empty() {
-                continue;
-            }
-            let link = LinkId(li as u32);
-            let observed = observed_through(link);
-            denominators.push((link, observed));
-            let root = find(&mut parent, li as u32);
-            let Some(slot) = comp_of_root.get_mut(root as usize) else {
-                continue;
+        let n = self.links.len();
+        let namings = || {
+            (path_links.runs().enumerate())
+                .flat_map(|(oi, run)| run.iter().map(move |&li| (li, oi as u32)))
+        };
+        self.link_paths.refill(n, namings);
+        self.denominators.clear();
+        self.hit.clear();
+        for (&l, paths) in self.links.iter().zip(self.link_paths.runs()) {
+            let observed = observed_through(l);
+            self.denominators.push(observed);
+            self.hit.push(paths.len() as f64 / observed as f64);
+        }
+
+        // Parents only ever point down, so one ascending pass turns every
+        // link's parent into its component: a root opens the next one (in
+        // order of smallest local link), and any other link's parent has
+        // already been turned into theirs.
+        let mut comps: u32 = 0;
+        for li in 0..n {
+            let comp = match parent.get(li).copied() {
+                Some(p) if p as usize == li => {
+                    comps += 1;
+                    comps - 1
+                }
+                Some(p) => parent.get(p as usize).copied().unwrap_or(NONE),
+                None => NONE,
             };
-            if *slot == NO_COMP {
-                *slot = comps.len() as u32;
-                comps.push(Component::default());
-            }
-            if let Some(c) = comps.get_mut(*slot as usize) {
-                c.hit.push((link, paths.len() as f64 / observed as f64));
+            if let Some(slot) = parent.get_mut(li) {
+                *slot = comp;
             }
         }
-        for (oi, first) in anchored {
-            let root = find(&mut parent, first);
-            let comp = comp_of_root
-                .get(root as usize)
-                .and_then(|&ci| comps.get_mut(ci as usize));
-            if let Some(c) = comp {
-                c.scope.push(oi);
+        let comp = |li: u32| parent.get(li as usize).copied().unwrap_or(NONE);
+        (self.comp_links).refill(comps as usize, || (0..n as u32).map(|li| (comp(li), li)));
+        let anchored = || {
+            (path_links.runs().enumerate())
+                .filter_map(|(oi, run)| Some((comp(*run.first()?), oi as u32)))
+        };
+        self.comp_scope.refill(comps as usize, anchored);
+    }
+
+    /// Runs component `comp`'s greedy over the lossy `obs`: appends its
+    /// suspects in pick order to `suspects` and the indices of its scope's
+    /// observations it left unexplained to `scratch.left`.
+    fn greedy(
+        &self,
+        comp: usize,
+        obs: &[PathObservation],
+        cfg: &PllConfig,
+        scratch: &mut Scratch,
+        suspects: &mut Vec<SuspectLink>,
+    ) {
+        let Scratch {
+            unexplained,
+            queue,
+            left,
+            ..
+        } = scratch;
+        let scope = self.comp_scope.run(comp);
+        let mut remaining: u64 = 0;
+        for &oi in scope {
+            if let (Some(o), Some(u)) = (obs.get(oi as usize), unexplained.get_mut(oi as usize)) {
+                *u = o.is_lossy();
+                remaining += o.lost;
+            }
+        }
+        // Step 3's score: lost packets link `li` could still explain.
+        let score = |unexplained: &[bool], li: u32| -> u64 {
+            (self.link_paths.run(li as usize).iter())
+                .filter(|&&oi| unexplained.get(oi as usize).copied().unwrap_or(false))
+                .filter_map(|&oi| obs.get(oi as usize).map(|o| o.lost))
+                .sum()
+        };
+        queue.clear();
+        for &li in self.comp_links.run(comp) {
+            let (Some(&hit), Some(&link)) =
+                (self.hit.get(li as usize), self.links.get(li as usize))
+            else {
+                continue;
+            };
+            // The hit ratio is an eligibility filter and tie-breaker.
+            if hit < cfg.hit_ratio_threshold {
+                continue;
+            }
+            let score = score(unexplained, li);
+            if score > 0 {
+                queue.push(Pick {
+                    score,
+                    hit,
+                    link,
+                    local: li,
+                });
             }
         }
 
-        Self {
-            universe: matrix.num_links,
-            link_paths,
-            denominators,
-            comps,
-            stray,
+        while remaining > 0 {
+            let Some(top) = queue.pop() else {
+                break;
+            };
+            let score = score(unexplained, top.local);
+            if score != top.score {
+                if score > 0 {
+                    queue.push(Pick { score, ..top });
+                }
+                continue;
+            }
+
+            // Step 4: blame the link and explain its lossy paths.
+            let (mut explained_paths, mut sent, mut lost) = (0u32, 0u64, 0u64);
+            for &oi in self.link_paths.run(top.local as usize) {
+                let (Some(u), Some(o)) = (unexplained.get_mut(oi as usize), obs.get(oi as usize))
+                else {
+                    continue;
+                };
+                if *u {
+                    *u = false;
+                    explained_paths += 1;
+                    remaining -= o.lost;
+                    sent += o.sent;
+                    lost += o.lost;
+                }
+            }
+            suspects.push(SuspectLink {
+                link: top.link,
+                estimated_loss_rate: pooled_rate(sent, lost),
+                hit_ratio: top.hit,
+                explained_paths,
+                explained_losses: score,
+            });
+        }
+
+        for &oi in scope {
+            if let Some(u) = unexplained.get_mut(oi as usize) {
+                if *u {
+                    *u = false;
+                    left.push(oi);
+                }
+            }
         }
     }
 }
+
+/// A queued candidate link of one component's greedy, ordered by the
+/// selection key `(score, hit ratio, smaller link wins)` — `score` as of
+/// when it was queued.
+#[derive(Clone, Copy, Debug)]
+struct Pick {
+    score: u64,
+    hit: f64,
+    link: LinkId,
+    local: u32,
+}
+
+impl Ord for Pick {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.score.cmp(&other.score))
+            .then_with(|| self.hit.total_cmp(&other.hit))
+            .then_with(|| other.link.cmp(&self.link))
+    }
+}
+
+impl PartialOrd for Pick {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pick {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pick {}
 
 /// Cached cross-window component-decomposed PLL state. One instance per
 /// diagnoser; feed it every window in order and
@@ -174,9 +469,9 @@ impl Skeleton {
 #[derive(Debug)]
 pub struct ComponentPll {
     cfg: PllConfig,
-    /// The cached skeleton; `None` before the first window and after
-    /// [`invalidate`](ComponentPll::invalidate).
-    skeleton: Option<Skeleton>,
+    /// The cached skeleton.
+    skeleton: Skeleton,
+    scratch: Scratch,
     /// The latest window's lossy observations, noise filtered.
     obs: Vec<PathObservation>,
     /// The latest window's verdict (for the unchanged-window shortcut).
@@ -191,7 +486,8 @@ impl ComponentPll {
     pub fn new(cfg: PllConfig) -> Self {
         Self {
             cfg,
-            skeleton: None,
+            skeleton: Skeleton::default(),
+            scratch: Scratch::default(),
             obs: Vec::new(),
             verdict: Diagnosis::default(),
             full_rebuilds: 0,
@@ -206,7 +502,7 @@ impl ComponentPll {
     /// the reuse key alone cannot detect, and a stale partition would
     /// silently split or fuse the greedy.
     pub fn invalidate(&mut self) {
-        self.skeleton = None;
+        self.skeleton.valid = false;
     }
 
     /// Windows that rebuilt the skeleton and partition from scratch.
@@ -232,11 +528,12 @@ impl ComponentPll {
     /// `(0, 0)` before the first window and after
     /// [`invalidate`](ComponentPll::invalidate).
     pub fn window_shape(&self) -> (u64, u64) {
-        let Some(s) = &self.skeleton else {
+        let s = &self.skeleton;
+        if !s.valid {
             return (0, 0);
-        };
-        let lossy = s.stray.len() + s.comps.iter().map(|c| c.scope.len()).sum::<usize>();
-        (lossy as u64, s.comps.len() as u64)
+        }
+        let lossy = s.stray.len() + s.comp_scope.items.len();
+        (lossy as u64, s.comp_scope.len() as u64)
     }
 
     /// Localizes one whole window: counts each link's observed paths
@@ -273,60 +570,59 @@ impl ComponentPll {
         observed_through: &dyn Fn(LinkId) -> usize,
     ) -> Diagnosis {
         lossy.retain(|o| stays_lossy(o, &self.cfg));
-        let same_key = |s: &Skeleton| {
-            s.universe == matrix.num_links
-                && self.obs.len() == lossy.len()
-                && self.obs.iter().zip(&lossy).all(|(p, o)| p.path == o.path)
-                && (s.denominators.iter()).all(|&(l, n)| observed_through(l) == n)
-        };
-        let skeleton = match self.skeleton.take() {
-            Some(s) if same_key(&s) => {
-                if self.obs == lossy {
-                    self.reused_verdicts += 1;
-                    self.skeleton = Some(s);
-                    return self.verdict.clone();
-                }
-                self.reused_skeletons += 1;
-                s
-            }
-            _ => {
-                self.full_rebuilds += 1;
-                Skeleton::build(matrix, &lossy, observed_through)
-            }
-        };
+        let s = &self.skeleton;
+        let same_key = s.valid
+            && s.universe == matrix.num_links
+            && self.obs.len() == lossy.len()
+            && self.obs.iter().zip(&lossy).all(|(p, o)| p.path == o.path)
+            && (s.links.iter().zip(&s.denominators)).all(|(&l, &n)| observed_through(l) == n);
+        if !same_key {
+            self.full_rebuilds += 1;
+            (self.skeleton).rebuild(&mut self.scratch, matrix, &lossy, observed_through);
+        } else if self.obs == lossy {
+            self.reused_verdicts += 1;
+            return self.verdict.clone();
+        } else {
+            self.reused_skeletons += 1;
+        }
         self.obs = lossy;
-        let s = self.skeleton.insert(skeleton);
 
         // A window with no lossy observation that resolves to links (an
         // all-healthy one, typically) has no component: only the strays
         // are left unexplained.
-        let mut suspects: Vec<SuspectLink> = Vec::new();
-        let mut unexplained: Vec<u32> = s.stray.clone();
-        for c in &s.comps {
-            let out = greedy_scoped(&self.obs, &s.link_paths, &c.hit, &self.cfg, &c.scope);
-            suspects.extend(out.suspects);
-            unexplained.extend(out.unexplained);
+        let Self {
+            cfg,
+            skeleton: s,
+            scratch,
+            obs,
+            verdict,
+            ..
+        } = self;
+        if scratch.unexplained.len() < obs.len() {
+            scratch.unexplained.resize(obs.len(), false);
+        }
+        scratch.left.clear();
+        scratch.left.extend_from_slice(&s.stray);
+        let suspects = &mut verdict.suspects;
+        suspects.clear();
+        for comp in 0..s.comp_scope.len() {
+            s.greedy(comp, obs, cfg, scratch, suspects);
         }
         // Merge = sort by the greedy's selection key, descending. Keys
         // strictly decrease within a component and are globally unique
         // (the link id participates), so this reproduces the exact pick
         // order of the global greedy (see the module docs).
-        suspects.sort_by(|a, b| {
+        suspects.sort_unstable_by(|a, b| {
             b.explained_losses
                 .cmp(&a.explained_losses)
                 .then_with(|| b.hit_ratio.total_cmp(&a.hit_ratio))
                 .then_with(|| a.link.cmp(&b.link))
         });
-        unexplained.sort_unstable();
-        let unexplained_paths = unexplained
-            .iter()
-            .filter_map(|&oi| self.obs.get(oi as usize).map(|o| o.path))
-            .collect();
-        self.verdict = Diagnosis {
-            suspects,
-            unexplained_paths,
-        };
-        self.verdict.clone()
+        scratch.left.sort_unstable();
+        verdict.unexplained_paths.clear();
+        (verdict.unexplained_paths)
+            .extend((scratch.left.iter()).filter_map(|&oi| obs.get(oi as usize).map(|o| o.path)));
+        verdict.clone()
     }
 }
 
@@ -349,19 +645,6 @@ fn find(parent: &mut [u32], x: u32) -> u32 {
         cur = next;
     }
     root
-}
-
-fn union(parent: &mut [u32], a: u32, b: u32) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra == rb {
-        return;
-    }
-    // Deterministic: the smaller index becomes the root.
-    let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-    if let Some(slot) = parent.get_mut(hi as usize) {
-        *slot = lo;
-    }
 }
 
 #[cfg(test)]
@@ -693,6 +976,56 @@ mod tests {
                 let lossy = window.iter().filter(|o| o.is_lossy()).count() as u64;
                 prop_assert_eq!(c.window_shape().0, lossy);
             }
+        }
+
+        /// Ties and long pick sequences for the lazy queue: every lossy
+        /// path loses 40 probes, so explained losses tie everywhere and
+        /// the hit ratio and the link id decide; paths also name links
+        /// past `num_links`, and observations name ids the matrix cannot
+        /// resolve. Each window is diagnosed three times — as generated
+        /// (a rebuild when its lossy set moved), again (verdict reuse),
+        /// and with its lossy paths' sent counters doubled (skeleton
+        /// reuse) — and every verdict equals `localize` bit for bit.
+        #[test]
+        fn lazy_picks_match_localize_under_ties(
+            paths in proptest::collection::vec(proptest::collection::vec(0u32..56, 1..6), 8..49),
+            windows in proptest::collection::vec(
+                proptest::collection::vec((0u64..2).prop_map(|lossy| lossy * 40), 8..53),
+                1..6,
+            ),
+        ) {
+            let probe_paths: Vec<ProbePath> = (paths.iter().enumerate())
+                .map(|(i, ls)| ProbePath::from_links(i as u32, ls.iter().map(|&l| LinkId(l)).collect()))
+                .collect();
+            let m = ProbeMatrix::from_paths(48, probe_paths);
+            let cfg = PllConfig::default();
+            let mut c = ComponentPll::new(cfg);
+            let mut calls = 0;
+            for w in &windows {
+                // Observation `i` is of path `i`: past the matrix's last
+                // path, an id it cannot resolve.
+                let window = |sent_lossy: u64| -> Vec<PathObservation> {
+                    (w.iter().enumerate())
+                        .map(|(i, &lost)| {
+                            let sent = if lost > 0 { sent_lossy } else { 100 };
+                            PathObservation::new(PathId(i as u32), sent, lost)
+                        })
+                        .collect()
+                };
+                for window in [window(100), window(100), window(200)] {
+                    let got = c.localize(&m, &window);
+                    prop_assert_eq!(got, localize(&m, &window, &cfg));
+                    let lossy = window.iter().filter(|o| o.is_lossy()).count() as u64;
+                    prop_assert_eq!(c.window_shape().0, lossy);
+                    calls += 1;
+                }
+            }
+            let (rebuilt, skeletons, verdicts) =
+                (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts());
+            prop_assert_eq!(rebuilt + skeletons + verdicts, calls);
+            prop_assert!(rebuilt >= 1 && verdicts >= windows.len() as u64);
+            let any_lossy = windows.iter().any(|w| w.iter().any(|&l| l > 0));
+            prop_assert_eq!(skeletons >= 1, any_lossy);
         }
     }
 }

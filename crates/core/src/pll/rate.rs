@@ -8,10 +8,15 @@
 /// drop probability is total lost over total sent.
 pub(crate) fn estimate_rate(samples: &[(u64, u64)]) -> f64 {
     let sent: u64 = samples.iter().map(|&(s, _)| s).sum();
+    let lost: u64 = samples.iter().map(|&(_, l)| l).sum();
+    pooled_rate(sent, lost)
+}
+
+/// [`estimate_rate`] from the samples' summed counters.
+pub(crate) fn pooled_rate(sent: u64, lost: u64) -> f64 {
     if sent == 0 {
         return 0.0;
     }
-    let lost: u64 = samples.iter().map(|&(_, l)| l).sum();
     (lost as f64 / sent as f64).clamp(0.0, 1.0)
 }
 

@@ -11,7 +11,8 @@
 //!
 //! Beside it, the diagnoser's steady-state window is pinned at its exact
 //! allocation count, once for a window that reuses the cached skeleton
-//! and once for one that rebuilds it.
+//! and once for one that rebuilds it — the same count for a rebuild of
+//! six components as of two.
 //!
 //! Only the allocations of the thread a test runs on are counted, into
 //! that thread's own counters: the harness's main thread allocates for
@@ -179,11 +180,11 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
     }
 }
 
-/// Three islands of two links each, every path from both pingers:
+/// `count` islands of two links each, every path from both pingers:
 /// island `k` has paths `3k` over links `{2k, 2k + 1}`, `3k + 1` over
 /// link `2k` and `3k + 2` over link `2k + 1`.
-fn islands() -> ProbeMatrix {
-    let paths = (0..3u32).flat_map(|k| {
+fn islands(count: u32) -> ProbeMatrix {
+    let paths = (0..count).flat_map(|k| {
         let (a, b) = (LinkId(2 * k), LinkId(2 * k + 1));
         [
             ProbePath::from_links(3 * k, vec![a, b]),
@@ -191,13 +192,14 @@ fn islands() -> ProbeMatrix {
             ProbePath::from_links(3 * k + 2, vec![b]),
         ]
     });
-    ProbeMatrix::from_paths(6, paths.collect())
+    ProbeMatrix::from_paths(2 * count as usize, paths.collect())
 }
 
-/// Pinger `p`'s window-`w` report over the nine paths of [`islands`]:
-/// the first two paths of each island in `lossy` lose `lost` of 100.
-fn island_report(p: u32, w: u64, lossy: &[u32], lost: u64) -> PingerReport {
-    let paths = (0..9u32)
+/// Pinger `p`'s window-`w` report over the paths of `count`
+/// [`islands`]: the first two paths of each island in `lossy` lose
+/// `lost` of 100.
+fn island_report(p: u32, w: u64, count: u32, lossy: &[u32], lost: u64) -> PingerReport {
+    let paths = (0..3 * count)
         .map(|i| {
             let lost = if lossy.contains(&(i / 3)) && i % 3 < 2 {
                 lost
@@ -218,16 +220,18 @@ fn island_report(p: u32, w: u64, lossy: &[u32], lost: u64) -> PingerReport {
 /// Allocations of one `Diagnoser::diagnose` of a two-component window
 /// whose lossy paths are the same as its predecessor's and whose loss
 /// counters are not: the skeleton is reused and both greedies run.
-const REUSED_SKELETON: usize = 9;
-/// Allocations of one `Diagnoser::diagnose` of a two-component window
-/// whose lossy paths differ from its predecessor's: the skeleton is
-/// rebuilt and both greedies run.
-const REBUILT_SKELETON: usize = 20;
+/// The walk's result and the returned verdict's suspects.
+const REUSED_SKELETON: usize = 2;
+/// Allocations of one `Diagnoser::diagnose` of a window whose lossy
+/// paths differ from its predecessor's: the skeleton is rebuilt and
+/// every component's greedy runs, in memory the earlier windows left —
+/// as many for six components as for two.
+const REBUILT_SKELETON: usize = 2;
 
 #[test]
 fn a_diagnosed_window_allocates_a_pinned_count() {
     COUNTED.set(true);
-    let mut d = Diagnoser::new(islands(), PllConfig::default());
+    let mut d = Diagnoser::new(islands(3), PllConfig::default());
     let watchdog = Watchdog::new();
     for w in 0..200u64 {
         // The first half keeps islands 0 and 1 lossy and alternates the
@@ -239,7 +243,7 @@ fn a_diagnosed_window_allocates_a_pinned_count() {
             (false, _) => ([0, 2], 40),
         };
         for p in 0..2 {
-            d.ingest(island_report(p, w, &lossy, lost));
+            d.ingest(island_report(p, w, 3, &lossy, lost));
         }
         let (allocations, ev) = allocations_of(|| d.diagnose(w, &watchdog));
         assert_eq!((ev.lossy_paths, ev.components), (4, 2), "window {w}");
@@ -249,6 +253,28 @@ fn a_diagnosed_window_allocates_a_pinned_count() {
             WARM_UP..100 => assert_eq!(allocations, REUSED_SKELETON, "window {w}"),
             130.. => assert_eq!(allocations, REBUILT_SKELETON, "window {w}"),
             _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_rebuild_allocates_alike_for_six_components() {
+    COUNTED.set(true);
+    let mut d = Diagnoser::new(islands(8), PllConfig::default());
+    let watchdog = Watchdog::new();
+    for w in 0..100u64 {
+        // Six of the eight islands lossy, the set shifting by one island
+        // every window: each window rebuilds.
+        let lossy: Vec<u32> = (0..6).map(|k| k + w as u32 % 2).collect();
+        for p in 0..2 {
+            d.ingest(island_report(p, w, 8, &lossy, 40));
+        }
+        let (allocations, ev) = allocations_of(|| d.diagnose(w, &watchdog));
+        assert_eq!((ev.lossy_paths, ev.components), (12, 6), "window {w}");
+        assert_eq!(ev.diagnosis.suspects.len(), 6, "window {w}");
+        d.prune_before(w.saturating_sub(HISTORY));
+        if w >= WARM_UP {
+            assert_eq!(allocations, REBUILT_SKELETON, "window {w}");
         }
     }
 }
