@@ -3,13 +3,21 @@
 //! data structures (the decomposition's union-find, the lazy greedy's
 //! queue) may change; the plans they produce may not. A digest here moves
 //! only when a plan does — then the change must explain why.
+//!
+//! The deployments built from those plans are pinned the same way: every
+//! pinglist's header and every entry's path, route, responder and
+//! waypoint, in list and entry order. `Controller::assign`'s lookups may
+//! change; the pinglists it hands out may not.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use detector_core::pmc::{PmcConfig, ProbeMatrix};
-use detector_system::{ProbePlan, SharedTopology, EXHAUSTIVE_LIMIT};
-use detector_topology::{BCube, Fattree, Vl2};
+use detector_core::types::NodeId;
+use detector_system::{
+    Controller, Pinglist, ProbePlan, SharedTopology, SystemConfig, TopologyEvent, EXHAUSTIVE_LIMIT,
+};
+use detector_topology::{BCube, DcnTopology, Fattree, Vl2};
 
 /// 64-bit FNV-1a over little-endian words: stable across platforms,
 /// toolchains and runs, unlike `DefaultHasher`.
@@ -101,4 +109,104 @@ fn fattree_16_symmetric() {
 fn bcube_4_1() {
     let bc: SharedTopology = Arc::new(BCube::new(4, 1).unwrap());
     assert_plan(bc, &PmcConfig::new(1, 2), 1, 54, 0x0b98_f907_4f19_bdaf);
+}
+
+/// The digest of a deployment's pinglists: per list its pinger, interval
+/// and ports, then per entry its path (flag, id), route (length, nodes),
+/// responder and waypoint (flag, id). Versions and stamps are left out:
+/// the one counts cycles, the other is a hash of the rest.
+fn deployment_digest(lists: &[Pinglist]) -> u64 {
+    let mut h = Fnv::new();
+    let opt = |h: &mut Fnv, w: Option<u32>| {
+        h.word(u32::from(w.is_some()));
+        h.word(w.unwrap_or(0));
+    };
+    h.word(lists.len() as u32);
+    for l in lists {
+        h.word(l.pinger.0);
+        h.word(l.interval_us as u32);
+        h.word((l.interval_us >> 32) as u32);
+        h.word(u32::from(l.base_sport));
+        h.word(u32::from(l.port_range));
+        h.word(u32::from(l.dport));
+        h.word(l.entries.len() as u32);
+        for e in &l.entries {
+            opt(&mut h, e.path.map(|p| p.0));
+            h.word(e.route.len() as u32);
+            for n in &e.route {
+                h.word(n.0);
+            }
+            h.word(e.responder.0);
+            opt(&mut h, e.waypoint.map(|w| w.0));
+        }
+    }
+    h.0
+}
+
+fn assert_deployment(
+    ctl: &mut Controller,
+    unhealthy: &HashSet<NodeId>,
+    lists: usize,
+    entries: usize,
+    want: u64,
+) {
+    let d = ctl
+        .build_deployment(unhealthy)
+        .expect("the deployment builds");
+    let got = deployment_digest(&d.pinglists);
+    assert_eq!(d.pinglists.len(), lists, "lists");
+    let n: usize = d.pinglists.iter().map(|l| l.entries.len()).sum();
+    assert_eq!(n, entries, "entries");
+    assert_eq!(got, want, "deployment digest {got:#018x}");
+}
+
+#[test]
+fn fattree_16_deployment() {
+    let ft: SharedTopology = Arc::new(Fattree::new(16).unwrap());
+    let mut ctl = Controller::new(ft, SystemConfig::default());
+    assert_deployment(&mut ctl, &HashSet::new(), 180, 5052, 0x7aa7_642f_148d_c9b1);
+}
+
+/// Every seventh server unhealthy and one server's access link down, in a
+/// rack that also holds an unhealthy server: racks with four, three and
+/// two usable servers, pinger rotations over three and over two,
+/// responders picked among fewer servers, and in-rack loops that skip the
+/// unusable peers.
+#[test]
+fn fattree_8_degraded_deployment() {
+    let ft = Arc::new(Fattree::new(8).unwrap());
+    let unhealthy: HashSet<NodeId> = ft
+        .graph()
+        .nodes()
+        .iter()
+        .filter(|n| !n.kind.is_switch())
+        .step_by(7)
+        .map(|n| n.id)
+        .collect();
+    let cfg = SystemConfig {
+        pingers_per_tor: 3,
+        ..SystemConfig::default()
+    };
+    let mut ctl = Controller::new(ft.clone(), cfg);
+    ctl.apply_event(&TopologyEvent::LinkDown {
+        link: ft.server_link(2, 0, 1),
+    })
+    .unwrap();
+    assert_deployment(&mut ctl, &unhealthy, 81, 832, 0x39b3_0955_7e2f_e386);
+}
+
+#[test]
+fn vl2_20_12_2_deployment() {
+    let mut ctl = Controller::new(vl2(), SystemConfig::default());
+    assert_deployment(&mut ctl, &HashSet::new(), 94, 576, 0xef6d_282c_a546_d4ae);
+}
+
+/// Server-centric: the path's first server pings, and its in-rack peers
+/// hang off its level-0 switch.
+#[test]
+fn bcube_4_1_deployment() {
+    let bc: SharedTopology = Arc::new(BCube::new(4, 1).unwrap());
+    let cfg = SystemConfig::default().with_pmc(PmcConfig::new(1, 2));
+    let mut ctl = Controller::new(bc, cfg);
+    assert_deployment(&mut ctl, &HashSet::new(), 5, 69, 0xefc3_63ec_8322_9a37);
 }
