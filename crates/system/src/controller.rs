@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use detector_core::pmc::{PmcError, ProbeMatrix};
 use detector_core::types::{LinkId, NodeId};
-use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
+use detector_topology::{Dcn, DcnTopology, TopologyEvent, TopologyView};
 
 use crate::pinglist::{PingEntry, Pinglist};
 use crate::planner::{ProbePlan, ReplanStats, EXHAUSTIVE_LIMIT};
@@ -281,19 +281,39 @@ impl Controller {
     /// Distributes matrix paths to pingers: ≥ 2 pingers per source ToR
     /// per path (fault tolerance), plus in-rack probes covering
     /// server–ToR links.
+    ///
+    /// Every switch's usable servers are looked up once per call, into a
+    /// [`UsableServers`] table, and every path and in-rack loop reads
+    /// them from there. A ToR-based
+    /// path (Fattree, VL2) goes to the first `pingers_per_tor` usable
+    /// servers under its source ToR, two of them rotated by the path
+    /// id, and its responder is usable server `id % len` under the
+    /// destination ToR; a server-based path (BCube) goes to its first
+    /// server. Each pinger then probes every other usable server under
+    /// its own switch. Lists come out ascending by pinger and sealed.
     fn assign(&self, matrix: &ProbeMatrix, unhealthy: &HashSet<NodeId>) -> Vec<Pinglist> {
         let graph = self.view.topology().graph();
         let offline = self.view.offline_links();
         let interval_us = (1_000_000.0 / self.cfg.probe_rate_pps) as u64;
 
-        // Pingers per ToR (probe endpoints are ToRs for Fattree/VL2). For
-        // server-centric topologies (BCube) the endpoint *is* the pinger.
-        let mut lists: Vec<Pinglist> = Vec::new();
-        let mut list_index: std::collections::HashMap<NodeId, usize> =
-            std::collections::HashMap::new();
+        // A server can serve as pinger or responder only when it is
+        // healthy and its access link is up (its ToR may be drained).
+        let usable = |server: NodeId| -> bool {
+            if unhealthy.contains(&server) {
+                return false;
+            }
+            graph
+                .switch_of(server)
+                .and_then(|tor| graph.link_between(server, tor))
+                .is_none_or(|l| !offline.contains(&l))
+        };
+        let servers = UsableServers::new(graph, usable);
 
+        // One list per active pinger, found through its node id.
+        let mut lists: Vec<Pinglist> = Vec::new();
+        let mut list_of: Vec<Option<usize>> = vec![None; graph.num_nodes()];
         let mut list_for = |pinger: NodeId, lists: &mut Vec<Pinglist>| -> usize {
-            *list_index.entry(pinger).or_insert_with(|| {
+            *list_of[pinger.index()].get_or_insert_with(|| {
                 lists.push(Pinglist {
                     version: self.version,
                     pinger,
@@ -308,25 +328,11 @@ impl Controller {
             })
         };
 
-        // A server can serve as pinger or responder only when it is
-        // healthy and its access link is up (its ToR may be drained).
-        let usable = |server: NodeId| -> bool {
-            if unhealthy.contains(&server) {
-                return false;
-            }
-            graph
-                .switch_of(server)
-                .and_then(|tor| graph.link_between(server, tor))
-                .is_none_or(|l| !offline.contains(&l))
-        };
-
         for path in &matrix.paths {
             let nodes = path.nodes();
-            if nodes.is_empty() {
+            let (Some(&first), Some(&last)) = (nodes.first(), nodes.last()) else {
                 continue;
-            }
-            let first = nodes[0];
-            let last = *nodes.last().expect("non-empty path");
+            };
             let waypoint = {
                 let mid = nodes[nodes.len() / 2];
                 graph.node(mid).kind.is_switch().then_some(mid)
@@ -335,39 +341,28 @@ impl Controller {
             if graph.node(first).kind.is_switch() {
                 // ToR-based endpoints: pick pingers under the source ToR
                 // and a responder under the destination ToR.
-                let pingers: Vec<NodeId> = graph
-                    .servers_under(first)
-                    .into_iter()
-                    .filter(|&s| usable(s))
-                    .take(self.cfg.pingers_per_tor)
-                    .collect();
+                let under = servers.under(first);
+                let pingers = &under[..under.len().min(self.cfg.pingers_per_tor)];
                 if pingers.is_empty() {
                     continue;
                 }
-                let responders: Vec<NodeId> = graph
-                    .servers_under(last)
-                    .into_iter()
-                    .filter(|&s| usable(s))
-                    .collect();
+                let responders = servers.under(last);
                 let Some(&responder) = responders.get(path.id.index() % responders.len().max(1))
                 else {
                     continue;
                 };
-                let mut route = Vec::with_capacity(nodes.len() + 2);
-                route.push(NodeId(0)); // Placeholder, replaced per pinger.
-                route.extend_from_slice(nodes);
-                route.push(responder);
-
                 // At least two pingers per path.
                 let take = pingers.len().clamp(1, 2);
                 for j in 0..take {
                     let pinger = pingers[(path.id.index() + j) % pingers.len()];
-                    let mut r = route.clone();
-                    r[0] = pinger;
+                    let mut route = Vec::with_capacity(nodes.len() + 2);
+                    route.push(pinger);
+                    route.extend_from_slice(nodes);
+                    route.push(responder);
                     let li = list_for(pinger, &mut lists);
                     lists[li].entries.push(PingEntry {
                         path: Some(path.id),
-                        route: r,
+                        route,
                         responder,
                         waypoint,
                     });
@@ -394,8 +389,8 @@ impl Controller {
             let Some(tor) = graph.switch_of(pinger) else {
                 continue;
             };
-            for peer in graph.servers_under(tor) {
-                if peer == pinger || !usable(peer) {
+            for &peer in servers.under(tor) {
+                if peer == pinger {
                     continue;
                 }
                 list.entries.push(PingEntry {
@@ -413,6 +408,42 @@ impl Controller {
             list.seal();
         }
         lists
+    }
+}
+
+/// Every switch's usable servers, looked up once per
+/// [`Controller::assign`]: a flat table indexed by `NodeId` whose entry
+/// for a switch is `servers_under(switch)` filtered by usability, in
+/// adjacency order (empty for a server).
+struct UsableServers {
+    /// `servers[start[n]..start[n + 1]]` are node `n`'s usable servers.
+    start: Vec<usize>,
+    servers: Vec<NodeId>,
+}
+
+impl UsableServers {
+    fn new(graph: &Dcn, usable: impl Fn(NodeId) -> bool) -> Self {
+        let mut start = Vec::with_capacity(graph.num_nodes() + 1);
+        let mut servers = Vec::with_capacity(graph.num_servers());
+        start.push(0);
+        for node in graph.nodes() {
+            if node.kind.is_switch() {
+                servers.extend(
+                    graph
+                        .neighbors(node.id)
+                        .iter()
+                        .map(|&(n, _)| n)
+                        .filter(|&n| !graph.node(n).kind.is_switch() && usable(n)),
+                );
+            }
+            start.push(servers.len());
+        }
+        Self { start, servers }
+    }
+
+    /// The usable servers under `switch`.
+    fn under(&self, switch: NodeId) -> &[NodeId] {
+        &self.servers[self.start[switch.index()]..self.start[switch.index() + 1]]
     }
 }
 

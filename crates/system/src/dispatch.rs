@@ -11,7 +11,10 @@
 //! * [`entry_key`] — a stable 64-bit key over an entry's byte form
 //!   (FNV-1a, *not* `DefaultHasher`: removals are addressed by key
 //!   across process boundaries, so the hash must not depend on the
-//!   process or std version).
+//!   process or std version). A list's seal,
+//!   [`Pinglist::content_stamp`], crosses the same boundary and uses the
+//!   same FNV parameters, one step per 32/64-bit word instead of per
+//!   byte.
 //! * [`diff_deployment`] — turns two deployments into a
 //!   [`DeploymentDiff`]: per-entry edit scripts where the edit is small,
 //!   whole-list replacement where it is not (or where a diff cannot
@@ -46,12 +49,18 @@ pub fn entry_key(e: &PingEntry) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// FNV-1a, the classic parameters.
+/// FNV-1a's 64-bit offset basis, shared by [`fnv1a64`] and
+/// [`Pinglist::content_stamp`].
+pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit prime, shared as [`FNV_OFFSET_BASIS`] is.
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a, the classic parameters, one step per byte.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET_BASIS;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }

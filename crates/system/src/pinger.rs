@@ -51,14 +51,15 @@ impl PingerBatch {
     /// Entries whose route cannot be resolved (e.g. stale after a
     /// topology change) are dropped, as a production pinger would on a
     /// dispatch error.
-    pub fn bind(list: Pinglist, graph: &Dcn) -> Self {
+    pub fn bind(mut list: Pinglist, graph: &Dcn) -> Self {
         let stamp = list.stamp;
-        let mut kept = Pinglist {
-            entries: Vec::new(),
-            ..list.clone()
-        };
-        let mut routes = Vec::new();
-        for e in list.entries {
+        // The header stays in `list`; the entries come out of it and go
+        // back one by one as their routes resolve.
+        let entries = std::mem::take(&mut list.entries);
+        let mut kept = list;
+        kept.entries.reserve_exact(entries.len());
+        let mut routes = Vec::with_capacity(entries.len());
+        for e in entries {
             if let Some(r) = graph.route_from_nodes(e.route.clone()) {
                 routes.push(r);
                 kept.entries.push(e);

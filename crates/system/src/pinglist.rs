@@ -7,9 +7,9 @@
 //! XML files fetched over HTTP; here the agent tier's binary frames carry
 //! them ([`Frame::ListUpdate`](crate::wire::Frame::ListUpdate)).
 
-use std::hash::{Hash, Hasher};
-
 use detector_core::types::{NodeId, PathId};
+
+use crate::dispatch::{FNV_OFFSET_BASIS, FNV_PRIME};
 
 /// One probe assignment within a pinglist.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -77,15 +77,40 @@ impl Pinglist {
     /// whose `(version, stamp)` both match, so a cycle refresh (or any
     /// dispatch path that ever re-minted a version) cannot serve routes
     /// and `PathId`s from a pre-re-base binding.
+    ///
+    /// The stamp crosses process boundaries (an agent checks the list it
+    /// rebuilt from a diff against the seal the controller shipped), so
+    /// it is defined here word by word rather than by `DefaultHasher`,
+    /// whose algorithm std leaves unspecified, or by `#[derive(Hash)]`,
+    /// whose length and discriminant writes are `usize`-shaped. It is
+    /// FNV-1a with [`dispatch`](crate::dispatch)'s 64-bit parameters, one
+    /// xor-multiply step per word, over:
+    ///
+    /// 1. `pinger` (u32), then the number of entries (u32);
+    /// 2. per entry: the path flag (u32: 1 if `Some`, else 0) and path id
+    ///    (u32, 0 for `None`), the route length (u32) and its nodes (u32
+    ///    each), the responder (u32), the waypoint flag and id (as the
+    ///    path's);
+    /// 3. `interval_us` (u64, one step), then `base_sport`, `port_range`
+    ///    and `dport` (u32 each).
     pub fn content_stamp(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.pinger.hash(&mut h);
-        self.entries.hash(&mut h);
-        self.interval_us.hash(&mut h);
-        self.base_sport.hash(&mut h);
-        self.port_range.hash(&mut h);
-        self.dport.hash(&mut h);
-        h.finish()
+        let mut h = StampHasher(FNV_OFFSET_BASIS);
+        h.word(u64::from(self.pinger.0));
+        h.word(self.entries.len() as u64);
+        for e in &self.entries {
+            h.option(e.path.map(|p| p.0));
+            h.word(e.route.len() as u64);
+            for n in &e.route {
+                h.word(u64::from(n.0));
+            }
+            h.word(u64::from(e.responder.0));
+            h.option(e.waypoint.map(|w| w.0));
+        }
+        h.word(self.interval_us);
+        h.word(u64::from(self.base_sport));
+        h.word(u64::from(self.port_range));
+        h.word(u64::from(self.dport));
+        h.0
     }
 
     /// Freezes [`Pinglist::content_stamp`] into [`Pinglist::stamp`].
@@ -95,6 +120,20 @@ impl Pinglist {
     /// must re-seal.
     pub fn seal(&mut self) {
         self.stamp = self.content_stamp();
+    }
+}
+
+/// Word-wise FNV-1a: the state of [`Pinglist::content_stamp`].
+struct StampHasher(u64);
+
+impl StampHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(FNV_PRIME);
+    }
+
+    fn option(&mut self, w: Option<u32>) {
+        self.word(u64::from(w.is_some()));
+        self.word(u64::from(w.unwrap_or(0)));
     }
 }
 
@@ -131,6 +170,43 @@ mod tests {
     #[test]
     fn num_paths_excludes_in_rack() {
         assert_eq!(sample().num_paths(), 1);
+    }
+
+    /// The stamp is a fixed function of the content, the same on every
+    /// platform and toolchain: a moved value here changes what agents
+    /// accept as a seal. The literal is FNV-1a over `sample()`'s words as
+    /// `content_stamp` documents them: 100, 2; 1, 7, 4, 100, 1, 2, 101,
+    /// 101, 1, 2; 0, 0, 3, 100, 1, 102, 102, 0, 0; 100 000, 33 000, 16,
+    /// 53 533.
+    #[test]
+    fn content_stamp_is_pinned() {
+        assert_eq!(sample().content_stamp(), 0xe3b2_34d1_48db_5026);
+    }
+
+    #[test]
+    fn content_stamp_ignores_the_version_and_sees_every_field() {
+        let p = sample();
+        let mut q = p.clone();
+        q.version += 1;
+        q.stamp = 7;
+        assert_eq!(p.content_stamp(), q.content_stamp());
+        let edits: [fn(&mut Pinglist); 10] = [
+            |l| l.pinger = NodeId(99),
+            |l| l.entries[0].path = None,
+            |l| l.entries[1].route.push(NodeId(3)),
+            |l| l.entries[0].responder = NodeId(102),
+            |l| l.entries[1].waypoint = Some(NodeId(0)),
+            |l| l.entries.swap(0, 1),
+            |l| l.interval_us += 1 << 32,
+            |l| l.base_sport += 1,
+            |l| l.port_range += 1,
+            |l| l.dport += 1,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut q = p.clone();
+            edit(&mut q);
+            assert_ne!(p.content_stamp(), q.content_stamp(), "edit {i}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! instance — VL2(20,12,2), one 70 800-candidate cell — a patched plan
 //! achieves what a from-scratch plan does, stays within two paths of its
 //! size through overlapping link churn, and is the clean-boot plan bit for
-//! bit whenever nothing is offline.
+//! bit whenever nothing is offline. A deployment built from a plan
+//! allocates per entry and per list, not per path lookup.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 
 use detector_core::pmc::{decompose, PmcConfig, ProbeMatrix};
 use detector_core::types::LinkId;
-use detector_system::{ProbePlan, SharedTopology};
+use detector_system::{Controller, ProbePlan, SharedTopology, SystemConfig};
 use detector_topology::{DcnTopology, Fattree, Vl2};
 
 thread_local! {
@@ -268,5 +269,30 @@ fn overlapping_churn_never_drifts_from_the_from_scratch_plan() {
     assert!(
         repaired >= 80,
         "the walk must mostly sit in degraded states"
+    );
+}
+
+/// `Controller::assign` looks each switch's usable servers up once, not
+/// per path: a deployment allocates each entry's route, each list's
+/// entry growth, and the copy of the matrix the `Deployment` owns (two
+/// `Vec`s a path), and nothing per path beyond those. Looking a path's
+/// servers up per path (two filtered `servers_under` `Vec`s each) makes
+/// about 17 000 allocations here, over the bound of about 10 600; the
+/// table makes about 9 600.
+#[test]
+fn a_deployment_allocates_per_entry_and_list_not_per_path_lookup() {
+    let ft = Arc::new(Fattree::new(16).unwrap());
+    let switches = ft.graph().num_switches();
+    let mut ctl = Controller::new(ft as SharedTopology, SystemConfig::default());
+    // The plan and its cached matrix are built here, outside the count.
+    ctl.compute_matrix().unwrap();
+    let (d, allocations) = allocations_of(|| ctl.build_deployment(&HashSet::new()).unwrap());
+    let paths = d.matrix.num_paths();
+    let lists = d.pinglists.len();
+    let entries: usize = d.pinglists.iter().map(|l| l.entries.len()).sum();
+    assert!(
+        allocations <= entries + 2 * paths + 8 * lists + switches,
+        "a deployment of {entries} entries in {lists} lists over {paths} paths \
+         made {allocations} allocations"
     );
 }
