@@ -95,13 +95,6 @@ impl PingerAgent {
     ) -> Result<bool, AgentExit> {
         match frame {
             Frame::ListUpdate(update) => self.apply(&update)?,
-            Frame::RangeRebase { .. } => {
-                // Range metadata only: the rebased entries themselves
-                // travel in list updates, so there is nothing to
-                // edit here. A real deployment would retire stale
-                // counters of the old id range; the simulated pinger
-                // keeps no cross-window counters.
-            }
             Frame::Reset => {
                 self.lists.clear();
                 self.batches.clear();

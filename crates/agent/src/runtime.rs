@@ -56,7 +56,7 @@ use std::panic::{self, AssertUnwindSafe};
 use detector_core::pmc::PmcError;
 use detector_core::types::NodeId;
 use detector_simnet::{partition_hosts, HostGroups};
-use detector_system::dispatch::{DeploymentDiff, ListUpdate};
+use detector_system::dispatch::ListUpdate;
 use detector_system::window::{self, CloseHalf, PlanHalf, Ticket};
 use detector_system::wire::Frame;
 use detector_system::{
@@ -261,16 +261,10 @@ impl Fleet<'_> {
         }
     }
 
-    /// The distributed installer: ships a deployment's wire diff as
-    /// frames — re-bases broadcast to every live agent (`PlanUpdated`
-    /// counts them once), each list update as one frame to its owner.
-    fn install(&mut self, diff: &DeploymentDiff, watchdog: &mut Watchdog) {
-        for &(old, new) in &diff.rebases {
-            for g in 0..self.links.len() {
-                self.dispatch(watchdog, g, Frame::RangeRebase { old, new });
-            }
-        }
-        for update in &diff.updates {
+    /// The distributed installer: ships each list update of a
+    /// deployment as one frame to its owner.
+    fn install(&mut self, updates: &[ListUpdate], watchdog: &mut Watchdog) {
+        for update in updates {
             if let Some(g) = self.groups.owner_of(update.pinger()) {
                 self.dispatch(watchdog, g, Frame::ListUpdate(update.clone()));
             }
@@ -546,8 +540,8 @@ impl DistributedDetector {
                         continue;
                     }
                 };
-                let replanned = plan.apply(watchdog, &scripted, &mut |diff, _, wd| {
-                    fleet.install(diff, wd)
+                let replanned = plan.apply(watchdog, &scripted, &mut |updates, _, wd| {
+                    fleet.install(updates, wd)
                 })?;
                 if let Some(replanned) = replanned {
                     close.replanned(replanned);
@@ -570,8 +564,8 @@ impl DistributedDetector {
                 }
             }
 
-            let mut ticket = plan.open(watchdog, dataplane, rng, &mut |diff, _, wd| {
-                fleet.install(diff, wd)
+            let mut ticket = plan.open(watchdog, dataplane, rng, &mut |updates, _, wd| {
+                fleet.install(updates, wd)
             });
             close.header(&mut ticket);
 
@@ -624,9 +618,10 @@ impl DistributedDetector {
 mod tests {
     use std::sync::Arc;
 
+    use detector_core::types::LinkId;
     use detector_simnet::{Fabric, LossDiscipline};
     use detector_system::wire::encode_update;
-    use detector_system::{CollectingSink, Detector, RuntimeEvent};
+    use detector_system::{CollectingSink, Controller, Detector, IdHeadroom, RuntimeEvent};
     use detector_topology::{DcnTopology, Fattree};
     use rand::SeedableRng;
 
@@ -896,5 +891,38 @@ mod tests {
             delta < full_sync,
             "per-entry diffs must beat re-shipping the fleet: delta {delta}, full {full_sync}"
         );
+
+        // With no id headroom this link's repair re-bases a cell. The
+        // re-base ships nothing of its own, so past the initial sync the
+        // agents still receive exactly the bytes the event reports.
+        let cfg = SystemConfig {
+            id_headroom: IdHeadroom::NONE,
+            ..config()
+        };
+        let down = TopologyEvent::LinkDown { link: LinkId(8) };
+        let mut ctl = Controller::new(ft.clone() as SharedTopology, cfg.clone());
+        ctl.compute_matrix().expect("plan");
+        let replan = ctl.apply_event(&down).expect("re-plan");
+        assert!(replan.stats.cells_rebased > 0, "the case must re-base");
+        let sink = CollectingSink::new();
+        let mut rebased =
+            DistributedDetector::new(ft.clone() as SharedTopology, cfg, 2).expect("boot");
+        rebased.add_sink(Box::new(sink.clone()));
+        let sync: u64 = (rebased.pinglists().iter())
+            .map(|l| encode_update(&ListUpdate::Replace(l.clone())).len() as u64)
+            .sum();
+        let mut rng = SmallRng::seed_from_u64(1);
+        let outcome = rebased
+            .run_distributed(&fabric, 1, &DistScript::new().topology(0, down), &mut rng)
+            .expect("re-base run");
+        let reported: u64 = (sink.events().iter())
+            .filter_map(|e| match e {
+                RuntimeEvent::PlanUpdated {
+                    bytes_dispatched, ..
+                } => Some(*bytes_dispatched),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(outcome.dispatch_bytes - sync, reported);
     }
 }

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use detector_agent::{Frame, FrameError, MAX_FRAME};
-use detector_core::types::{LinkId, NodeId, PathId, PathIdRange};
+use detector_core::types::{LinkId, NodeId, PathId};
 use detector_simnet::{Fabric, LossDiscipline};
 use detector_system::{
     Controller, FlowRecord, ListUpdate, PathCounters, PingEntry, PingerBatch, PingerReport,
@@ -142,16 +142,6 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
                     .collect(),
             })
         }
-        5 => Frame::RangeRebase {
-            old: PathIdRange {
-                base: a as u32,
-                capacity: b as u32 % 1000,
-            },
-            new: PathIdRange {
-                base: b as u32,
-                capacity: a as u32 % 1000,
-            },
-        },
         7 => Frame::Reset,
         8 => Frame::WindowStart {
             window: a,

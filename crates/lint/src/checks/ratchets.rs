@@ -98,7 +98,7 @@ pub const ROWS: &[Row] = &[
     Row { name: "Single-owner ingest plane", scope: &["crates/ingest/"], except: &[],
         rule: Forbid(&[Sub("Atomic"), Sub("Mutex"), Sub("RwLock"), Sub("Cell"), Sub("unsafe")]),
         reason: "exclusive access is `&mut self`: nothing to synchronise, nowhere to hide a second writer" },
-    Row { name: "One aggregation per window", scope: &["crates/system/", "crates/agent/"], except: &[],
+    Row { name: "One aggregation per window", scope: &["crates/system/", "crates/agent/", "src/"], except: &[],
         rule: Forbid(&[Sub("IngestPlane"), Sub("prefilter("), Sub("detector_ingest")]),
         reason: "the diagnoser's walk aggregates and filters a window once; the ingest crate is the benchmark's" },
     Row { name: "The prober owns its echo", scope: &["crates/system/src/dataplane/udp.rs"], except: &[],
@@ -130,7 +130,8 @@ pub const ROWS: &[Row] = &[
         rule: Forbid(&[Sub("HashMap")]), reason: "the union-find indexes links densely instead of hashing them" },
     Row { name: "One list-update vocabulary", scope: &["crates/"], except: &[],
         rule: ForbidAll(&[Word("EntryAdd"), Word("EntryRemove"), Word("ListSeal"), Word("PendingDiff"), Word("FRAME_OVERHEAD"),
-            Word("LIST_HEADER_BYTES"), Word("encoded_list_len"), Word("wire_bytes")]),
+            Word("LIST_HEADER_BYTES"), Word("encoded_list_len"), Word("wire_bytes"), Word("RangeRebase"),
+            Word("TAG_RANGE_REBASE")]),
         reason: "a list update travels as one wire frame and its bytes are the encoded length, not a model of it" },
     Row { name: "One perf estate (snapshots)", scope: &[], except: &[], rule: NoRootFile("BENCH_", ".json"),
         reason: "perf records come from benchmark/run.sh, not root snapshots" },
@@ -368,6 +369,33 @@ mod tests {
         for (row, &(rel, text, line)) in ROWS.iter().zip(cases) {
             let hits = fired(row, &[src(rel, text)]);
             assert!(hits.contains(&(rel.into(), line)), "{}: {hits:?}", row.name);
+        }
+    }
+
+    #[test]
+    fn widened_rows_fire_on_the_facade_and_the_rebase_frame() {
+        for (name, rel, text) in [
+            (
+                "One aggregation per window",
+                "src/lib.rs",
+                "pub use detector_ingest as ingest;",
+            ),
+            (
+                "One list-update vocabulary",
+                "crates/system/src/wire.rs",
+                "const TAG_RANGE_REBASE: u8 = 5;",
+            ),
+            (
+                "One list-update vocabulary",
+                "crates/agent/tests/x.rs",
+                "#[test]\nfn t(f: Frame::RangeRebase) {}",
+            ),
+        ] {
+            let row = ROWS.iter().find(|r| r.name == name).unwrap();
+            assert!(
+                fired(row, &[src(rel, text)]).contains(&(rel.into(), text.lines().count() as u32)),
+                "{name}"
+            );
         }
     }
 

@@ -9,7 +9,6 @@
 //! [`TopologyEvent::LinkUp`].
 
 use std::collections::HashSet;
-use std::time::Instant;
 
 use detector_core::pmc::{PmcError, ProbeMatrix};
 use detector_core::types::{LinkId, NodeId};
@@ -80,8 +79,10 @@ pub struct PlanUpdate {
     /// Bytes of the dispatch's frames as [`crate::wire`] encodes them —
     /// minimal re-dispatch measured on the wire, not in list counts.
     pub bytes_dispatched: u64,
-    /// Wall-clock time of the whole update (replan + matrix assembly),
-    /// microseconds.
+    /// Wall-clock time of the whole re-plan (view update, plan patch,
+    /// deployment and dispatch), microseconds. Filled by the runtime's
+    /// re-plan, as the dispatch fields are; 0 from
+    /// [`Controller::apply_events`].
     pub replan_micros: u64,
     /// Per-cell re-plan accounting.
     pub stats: ReplanStats,
@@ -97,8 +98,6 @@ pub struct Controller {
     exhaustive_limit: u128,
     /// The partitioned plan, built lazily on first use.
     plan: Option<ProbePlan>,
-    /// Cached assembly of the plan's current solutions.
-    matrix: Option<ProbeMatrix>,
 }
 
 impl Controller {
@@ -110,7 +109,6 @@ impl Controller {
             version: 0,
             exhaustive_limit: EXHAUSTIVE_LIMIT,
             plan: None,
-            matrix: None,
         }
     }
 
@@ -148,8 +146,6 @@ impl Controller {
         &mut self,
         events: impl IntoIterator<Item = TopologyEvent>,
     ) -> Result<PlanUpdate, PmcError> {
-        // detlint::allow(determinism, reason = "replan_micros stopwatch; measurement only, never branches")
-        let t0 = Instant::now();
         let mut changed: HashSet<LinkId> = HashSet::new();
         for ev in events {
             let delta = self.view.apply(&ev);
@@ -161,33 +157,17 @@ impl Controller {
         let mut changed: Vec<LinkId> = changed.into_iter().collect();
         changed.sort_unstable();
 
-        let old_paths = self.matrix.as_ref().map(|m| m.num_paths());
         let mut stats = ReplanStats::default();
-        if !changed.is_empty() {
-            if let Some(plan) = self.plan.as_mut() {
-                match plan.apply(&changed, self.view.offline_links()) {
-                    Ok(s) => {
-                        stats = s;
-                        self.matrix = Some(plan.matrix());
-                    }
-                    Err(e) => {
-                        // The plan kept its previous consistent state
-                        // (the patch is atomic) but the view has already
-                        // advanced: drop the cached matrix so the next
-                        // compute_matrix() re-syncs instead of serving
-                        // paths over links the view knows are down.
-                        self.matrix = None;
-                        return Err(e);
-                    }
-                }
-            }
-            // With no plan yet, the first ensure_plan() builds against the
-            // already-updated view; nothing to patch.
+        let mut probes_delta = 0;
+        // With no plan yet, the first compute_matrix() builds against
+        // the already-updated view; nothing to patch. A failed patch leaves
+        // the plan as it was (the patch is atomic) and behind the view,
+        // which the next compute_matrix() re-syncs.
+        if let Some(plan) = self.plan.as_mut().filter(|_| !changed.is_empty()) {
+            let old_paths = plan.num_paths();
+            stats = plan.apply(&changed, self.view.offline_links())?;
+            probes_delta = plan.num_paths() as i64 - old_paths as i64;
         }
-        let probes_delta = match (old_paths, self.matrix.as_ref()) {
-            (Some(old), Some(new)) => new.num_paths() as i64 - old as i64,
-            _ => 0,
-        };
         Ok(PlanUpdate {
             epoch: self.view.epoch(),
             links_changed: changed.len(),
@@ -196,24 +176,9 @@ impl Controller {
             lists_redispatched: 0,
             entries_diffed: 0,
             bytes_dispatched: 0,
-            replan_micros: t0.elapsed().as_micros() as u64,
+            replan_micros: 0,
             stats,
         })
-    }
-
-    fn ensure_plan(&mut self) -> Result<&ProbePlan, PmcError> {
-        if self.plan.is_none() {
-            let plan = ProbePlan::with_options(
-                self.view.shared(),
-                &self.cfg.pmc,
-                self.view.offline_links(),
-                self.exhaustive_limit,
-                self.cfg.id_headroom,
-            )?;
-            self.matrix = Some(plan.matrix());
-            self.plan = Some(plan);
-        }
-        Ok(self.plan.as_ref().expect("plan built above"))
     }
 
     /// The partitioned probe plan, if one has been built — exposes the
@@ -223,18 +188,24 @@ impl Controller {
         self.plan.as_ref()
     }
 
-    /// The probe matrix for the current topology state (incrementally
-    /// maintained; cached between changes). If a previous
+    /// The probe matrix for the current topology state, assembled from
+    /// the incrementally maintained plan. If a previous
     /// [`Controller::apply_events`] failed mid-patch, this re-syncs the
-    /// plan to the view first (the plan diffs the offline sets itself).
+    /// plan to the view first (the plan diffs the offline sets itself,
+    /// so an in-sync plan solves nothing).
     pub fn compute_matrix(&mut self) -> Result<ProbeMatrix, PmcError> {
-        self.ensure_plan()?;
-        if self.matrix.is_none() {
-            let plan = self.plan.as_mut().expect("plan ensured above");
-            plan.apply(&[], self.view.offline_links())?;
-            self.matrix = Some(plan.matrix());
+        if self.plan.is_none() {
+            self.plan = Some(ProbePlan::with_options(
+                self.view.shared(),
+                &self.cfg.pmc,
+                self.view.offline_links(),
+                self.exhaustive_limit,
+                self.cfg.id_headroom,
+            )?);
         }
-        Ok(self.matrix.clone().expect("matrix assembled above"))
+        let plan = self.plan.as_mut().expect("plan built above");
+        plan.apply(&[], self.view.offline_links())?;
+        Ok(plan.matrix())
     }
 
     /// Recomputes the probe matrix from scratch for the *current* view

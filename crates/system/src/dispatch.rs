@@ -15,16 +15,18 @@
 //!   [`Pinglist::content_stamp`], crosses the same boundary and uses the
 //!   same FNV parameters, one step per 32/64-bit word instead of per
 //!   byte.
-//! * [`diff_deployment`] — turns two deployments into a
-//!   [`DeploymentDiff`]: per-entry edit scripts where the edit is small,
-//!   whole-list replacement where it is not (or where a diff cannot
-//!   reproduce the new list exactly), removals for pingers that left
-//!   duty, and the plan's `PathIdRange` re-bases.
+//! * [`diff_deployment`] — turns two deployments into one
+//!   [`ListUpdate`] per changed list: per-entry edit scripts where the
+//!   edit is small, whole-list replacement where it is not (or where a
+//!   diff cannot reproduce the new list exactly), removals for pingers
+//!   that left duty.
 //! * [`apply_list_update`] — what a receiver does with one
 //!   [`ListUpdate`].
 //!
 //! Each update travels as one frame of the [`wire`](crate::wire) codec,
-//! and `bytes_dispatched` is the length of those frames. Every driver
+//! and `bytes_dispatched` is the length of those frames. A plan cell
+//! whose `PathIdRange` moved ships nothing beyond the list updates that
+//! carry its re-numbered entries. Every driver
 //! (`Detector::apply`, the pipelined dispatch stage, the distributed
 //! controller) computes its dispatch stats through [`rebase_and_diff`],
 //! so they are deterministic and identical across all three — the
@@ -36,7 +38,7 @@ use detector_core::types::{NodeId, PathIdRange};
 
 use crate::controller::Deployment;
 use crate::pinglist::{PingEntry, Pinglist};
-use crate::wire::{encode_entry, encode_update, Frame};
+use crate::wire::{encode_entry, encode_update};
 
 /// Stable 64-bit identity of an entry: FNV-1a over its byte form. Edit
 /// scripts address removals by this key, so it must be identical across
@@ -114,29 +116,6 @@ impl ListUpdate {
     }
 }
 
-/// Everything a deployment change puts on the wire.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DeploymentDiff {
-    /// Plan cells whose `PathIdRange` moved (old, new) — broadcast so
-    /// agents can retire ids of the old range.
-    pub rebases: Vec<(PathIdRange, PathIdRange)>,
-    /// Per-pinger updates, ordered by the new deployment's list order
-    /// (removals of departed pingers last, ascending).
-    pub updates: Vec<ListUpdate>,
-}
-
-impl DeploymentDiff {
-    /// Total entries added/removed/replaced across all updates.
-    pub fn entries_diffed(&self) -> usize {
-        self.updates.iter().map(ListUpdate::entries_diffed).sum()
-    }
-
-    /// True when nothing needs to travel.
-    pub fn is_empty(&self) -> bool {
-        self.rebases.is_empty() && self.updates.is_empty()
-    }
-}
-
 /// Dispatch cost of installing one deployment, as reported by
 /// `PlanUpdated`. All three fields are deterministic functions of the
 /// old and new deployments, so the sequential, pipelined and distributed
@@ -149,15 +128,17 @@ pub struct DispatchStats {
     /// Entries that traveled: added + removed across diffs, plus every
     /// entry of whole-list replacements.
     pub entries_diffed: usize,
-    /// Bytes of the dispatch's frames: one per list update and one per
-    /// moved range, as [`wire`](crate::wire) encodes them.
+    /// Bytes of the dispatch's frames, one per list update, as
+    /// [`wire`](crate::wire) encodes them.
     pub bytes_dispatched: u64,
 }
 
 /// Pairs up per-cell `PathIdRange`s captured before and after a re-plan,
 /// keeping the cells whose range actually moved. Cells are positional
 /// (a re-plan never reorders them); a first build has no "before", which
-/// yields no re-bases.
+/// yields no re-bases. No driver ships the pairs; this stays for the
+/// benchmark's traced loop (`benchmark/src/traced.rs`), which still
+/// computes them for [`rebase_and_diff`].
 pub fn rebase_pairs(
     before: Option<&[PathIdRange]>,
     after: Option<&[PathIdRange]>,
@@ -173,11 +154,12 @@ pub fn rebase_pairs(
     }
 }
 
-/// Computes the wire-level diff that turns `prev`'s pinglists into
-/// `next`'s. Call *after* [`Deployment::rebase_versions`], so lists
-/// whose assignment did not change already share a version and are
-/// skipped entirely (zero bytes — the whole point of minimal
-/// re-dispatch).
+/// Computes the list updates that turn `prev`'s pinglists into
+/// `next`'s, ordered by the new deployment's list order (removals of
+/// departed pingers last, ascending). Call *after*
+/// [`Deployment::rebase_versions`], so lists whose assignment did not
+/// change already share a version and are skipped entirely (zero bytes —
+/// the whole point of minimal re-dispatch).
 ///
 /// For each changed list the differ builds an order-preserving edit
 /// script keyed by [`entry_key`]: entries whose key left the list are
@@ -187,11 +169,7 @@ pub fn rebase_pairs(
 /// that), or the script would not be smaller than the list, it falls
 /// back to a whole-list `Replace`. Either way the receiver ends up
 /// byte-identical to `next` — verified here, not trusted.
-pub fn diff_deployment(
-    prev: &Deployment,
-    next: &Deployment,
-    rebases: &[(PathIdRange, PathIdRange)],
-) -> DeploymentDiff {
+pub fn diff_deployment(prev: &Deployment, next: &Deployment) -> Vec<ListUpdate> {
     let mut updates = Vec::new();
     let prev_by_pinger: HashMap<NodeId, &Pinglist> =
         prev.pinglists.iter().map(|l| (l.pinger, l)).collect();
@@ -212,11 +190,7 @@ pub fn diff_deployment(
         .collect();
     removed.sort_unstable();
     updates.extend(removed.into_iter().map(ListUpdate::Remove));
-
-    DeploymentDiff {
-        rebases: rebases.to_vec(),
-        updates,
-    }
+    updates
 }
 
 fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
@@ -346,31 +320,32 @@ pub fn apply_list_update(lists: &mut HashMap<NodeId, Pinglist>, update: &ListUpd
     }
 }
 
-/// [`diff_deployment`] + [`Deployment::rebase_versions`] in install
-/// order, returning the diff alongside the stats — the one procedure
-/// every driver's install path goes through (the plan half of
+/// [`Deployment::rebase_versions`] + [`diff_deployment`] in install
+/// order, returning the list updates alongside the stats — the one
+/// procedure every driver's install path goes through (the plan half of
 /// [`window`](crate::window)).
+///
+/// `_rebases` is not read: it stays for the benchmark's traced loop
+/// (`benchmark/src/traced.rs`), which passes [`rebase_pairs`]' output.
 pub fn rebase_and_diff(
     prev: &Deployment,
     next: &mut Deployment,
-    rebases: &[(PathIdRange, PathIdRange)],
-) -> (DeploymentDiff, DispatchStats) {
+    _rebases: &[(PathIdRange, PathIdRange)],
+) -> (Vec<ListUpdate>, DispatchStats) {
     let lists_redispatched = next.rebase_versions(prev);
-    let diff = diff_deployment(prev, next, rebases);
-    let rebase_frames =
-        (diff.rebases.iter()).map(|&(old, new)| Frame::RangeRebase { old, new }.encode());
-    let frames = rebase_frames.chain(diff.updates.iter().map(encode_update));
+    let updates = diff_deployment(prev, next);
     let stats = DispatchStats {
         lists_redispatched,
-        entries_diffed: diff.entries_diffed(),
-        bytes_dispatched: frames.map(|f| f.len() as u64).sum(),
+        entries_diffed: updates.iter().map(ListUpdate::entries_diffed).sum(),
+        bytes_dispatched: updates.iter().map(|u| encode_update(u).len() as u64).sum(),
     };
-    (diff, stats)
+    (updates, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Frame;
     use detector_core::pmc::ProbeMatrix;
     use detector_core::types::PathId;
     use proptest::prelude::{prop_assert, prop_assert_eq};
@@ -424,8 +399,8 @@ mod tests {
         let l = list(5, 1, vec![entry(Some(1), &[5, 1, 6], 6, None)]);
         let prev = deployment(1, vec![l.clone()]);
         let mut next = deployment(2, vec![list(5, 2, l.entries.clone())]);
-        let (diff, stats) = rebase_and_diff(&prev, &mut next, &[]);
-        assert!(diff.is_empty());
+        let (updates, stats) = rebase_and_diff(&prev, &mut next, &[]);
+        assert!(updates.is_empty());
         assert_eq!(stats, DispatchStats::default());
         // rebase_versions rolled the untouched list back to its old
         // version, exactly as the single-process install does.
@@ -444,9 +419,9 @@ mod tests {
 
         let prev = deployment(1, vec![list(5, 1, old_entries)]);
         let mut next = deployment(2, vec![list(5, 2, new_entries)]);
-        let (diff, stats) = rebase_and_diff(&prev, &mut next, &[]);
-        assert_eq!(diff.updates.len(), 1);
-        match &diff.updates[0] {
+        let (updates, stats) = rebase_and_diff(&prev, &mut next, &[]);
+        assert_eq!(updates.len(), 1);
+        match &updates[0] {
             ListUpdate::Diff { removed, added, .. } => {
                 assert_eq!(removed.len(), 1);
                 assert_eq!(added.len(), 1);
@@ -480,14 +455,14 @@ mod tests {
 
         let prev = deployment(3, vec![list(9, 3, old_entries)]);
         let mut next = deployment(4, vec![list(9, 4, new_entries)]);
-        let (diff, _) = rebase_and_diff(&prev, &mut next, &[]);
+        let (updates, _) = rebase_and_diff(&prev, &mut next, &[]);
 
         let mut lists: HashMap<NodeId, Pinglist> = prev
             .pinglists
             .iter()
             .map(|l| (l.pinger, l.clone()))
             .collect();
-        for u in &diff.updates {
+        for u in &updates {
             assert!(apply_list_update(&mut lists, u));
         }
         assert_eq!(lists[&NodeId(9)], next.pinglists[0]);
@@ -507,10 +482,10 @@ mod tests {
         ] {
             let prev = deployment(1, vec![old.clone()]);
             let mut next = deployment(2, vec![list(5, 2, want)]);
-            let (diff, _) = rebase_and_diff(&prev, &mut next, &[]);
-            assert_eq!(matches!(diff.updates[0], ListUpdate::Diff { .. }), diffs);
+            let (updates, _) = rebase_and_diff(&prev, &mut next, &[]);
+            assert_eq!(matches!(updates[0], ListUpdate::Diff { .. }), diffs);
             let mut lists = HashMap::from([(NodeId(5), old.clone())]);
-            assert!(apply_list_update(&mut lists, &diff.updates[0]));
+            assert!(apply_list_update(&mut lists, &updates[0]));
             assert_eq!(lists[&NodeId(5)], next.pinglists[0]);
         }
     }
@@ -524,18 +499,18 @@ mod tests {
         new.seal();
         let prev = deployment(1, vec![old]);
         let mut next = deployment(2, vec![new]);
-        let (diff, _) = rebase_and_diff(&prev, &mut next, &[]);
-        assert!(matches!(diff.updates[0], ListUpdate::Replace(_)));
+        let (updates, _) = rebase_and_diff(&prev, &mut next, &[]);
+        assert!(matches!(updates[0], ListUpdate::Replace(_)));
     }
 
     #[test]
     fn departed_and_new_pingers_are_remove_and_replace() {
         let prev = deployment(1, vec![list(5, 1, vec![entry(None, &[5, 1, 6], 6, None)])]);
         let mut next = deployment(2, vec![list(7, 2, vec![entry(None, &[7, 1, 8], 8, None)])]);
-        let (diff, stats) = rebase_and_diff(&prev, &mut next, &[]);
-        assert_eq!(diff.updates.len(), 2);
-        assert!(matches!(&diff.updates[0], ListUpdate::Replace(l) if l.pinger == NodeId(7)));
-        assert_eq!(diff.updates[1], ListUpdate::Remove(NodeId(5)));
+        let (updates, stats) = rebase_and_diff(&prev, &mut next, &[]);
+        assert_eq!(updates.len(), 2);
+        assert!(matches!(&updates[0], ListUpdate::Replace(l) if l.pinger == NodeId(7)));
+        assert_eq!(updates[1], ListUpdate::Remove(NodeId(5)));
         assert_eq!(stats.lists_redispatched, 1);
         let shipped = [
             Frame::ListUpdate(ListUpdate::Replace(next.pinglists[0].clone())),
@@ -555,16 +530,15 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_cover_rebases() {
-        // Each moved range is one broadcast frame, counted once.
+    fn a_rebase_alone_ships_nothing() {
+        // A moved range with every list unchanged: no frame travels.
         let l = list(5, 1, vec![entry(Some(1), &[5, 1, 6], 6, None)]);
         let prev = deployment(1, vec![l.clone()]);
         let mut next = deployment(2, vec![l]);
         let (old, new) = (PathIdRange::new(0, 4), PathIdRange::new(8, 6));
-        let (diff, stats) = rebase_and_diff(&prev, &mut next, &[(old, new)]);
-        assert!(diff.updates.is_empty());
-        let frame = Frame::RangeRebase { old, new }.encode();
-        assert_eq!(stats.bytes_dispatched as usize, frame.len());
+        let (updates, stats) = rebase_and_diff(&prev, &mut next, &[(old, new)]);
+        assert!(updates.is_empty());
+        assert_eq!(stats, DispatchStats::default());
     }
 
     proptest::proptest! {
@@ -600,11 +574,11 @@ mod tests {
             let arrived = list(7, 2, vec![fixture(2)]);
             let prev = deployment(1, vec![departed, list(9, 1, old_entries)]);
             let mut next = deployment(2, vec![arrived, new]);
-            let (diff, _) = rebase_and_diff(&prev, &mut next, &[]);
+            let (updates, _) = rebase_and_diff(&prev, &mut next, &[]);
 
             let mut lists: HashMap<NodeId, Pinglist> =
                 prev.pinglists.iter().map(|l| (l.pinger, l.clone())).collect();
-            for update in &diff.updates {
+            for update in &updates {
                 let Ok(Frame::ListUpdate(arrived)) = Frame::decode(&encode_update(update)) else {
                     panic!("{update:?} did not come off the wire as a list update");
                 };
@@ -634,19 +608,16 @@ mod tests {
         let mut ctl = Controller::new(ft.clone() as SharedTopology, SystemConfig::default());
         let healthy = HashSet::new();
         let old = ctl.build_deployment(&healthy).unwrap();
-        let ranges_before = ctl.probe_plan().map(|p| p.cell_ranges());
         ctl.apply_event(&TopologyEvent::LinkDown {
             link: ft.ea_link(0, 0, 0),
         })
         .unwrap();
         let mut new = ctl.build_deployment(&healthy).unwrap();
-        let ranges_after = ctl.probe_plan().map(|p| p.cell_ranges());
-        let rebases = rebase_pairs(ranges_before.as_deref(), ranges_after.as_deref());
-        let (diff, stats) = rebase_and_diff(&old, &mut new, &rebases);
+        let (updates, stats) = rebase_and_diff(&old, &mut new, &[]);
 
         // Pre-diff protocol: every update travels as a whole list,
         // removals as they are.
-        let whole: usize = (diff.updates.iter())
+        let whole: usize = (updates.iter())
             .map(|u| match u {
                 ListUpdate::Diff { pinger, .. } => {
                     let list = new.pinglists.iter().find(|l| l.pinger == *pinger);
@@ -667,8 +638,8 @@ mod tests {
             (
                 shipped,
                 whole,
-                diff.entries_diffed(),
-                diff.updates.len(),
+                stats.entries_diffed,
+                updates.len(),
                 old.pinglists.len()
             ),
             (664, 8504, 16, 8, 180)

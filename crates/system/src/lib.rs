@@ -88,7 +88,7 @@ pub use dataplane::udp::{
 };
 pub use dataplane::{DataPlane, ProbeOutcome, ProbeTag};
 pub use diagnoser::{DiagConfig, Diagnoser, DiagnosisEvent};
-pub use dispatch::{DeploymentDiff, DispatchStats, ListUpdate};
+pub use dispatch::{DispatchStats, ListUpdate};
 pub use events::{CollectingSink, EventSink, JsonLinesSink, RuntimeEvent, WindowResult};
 pub use pinger::{batch_seed, bound_batch, PingerBatch, PingerCostModel};
 pub use pinglist::{PingEntry, Pinglist};

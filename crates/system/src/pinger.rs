@@ -29,6 +29,9 @@ use crate::SystemConfig;
 ///
 /// [`Detector::step`]: crate::Detector::step
 pub struct PingerBatch {
+    /// The header and the bound entries. Each entry's node list moved
+    /// into its `Route` at bind time, so `route` is empty here: read the
+    /// route from `routes`.
     list: Pinglist,
     /// Resolved routes, one per pinglist entry.
     routes: Vec<Route>,
@@ -59,8 +62,8 @@ impl PingerBatch {
         let mut kept = list;
         kept.entries.reserve_exact(entries.len());
         let mut routes = Vec::with_capacity(entries.len());
-        for e in entries {
-            if let Some(r) = graph.route_from_nodes(e.route.clone()) {
+        for mut e in entries {
+            if let Some(r) = graph.route_from_nodes(std::mem::take(&mut e.route)) {
                 routes.push(r);
                 kept.entries.push(e);
             }

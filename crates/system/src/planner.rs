@@ -87,7 +87,6 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use detector_core::pmc::{
     construct_with_provider, decompose, resolve_subproblem_seeded, Achieved, ExcludingProvider,
@@ -188,8 +187,6 @@ pub struct ReplanStats {
     /// Cells whose new solution overflowed their id range and were moved
     /// to a fresh range (their paths — and only theirs — change ids).
     pub cells_rebased: usize,
-    /// Wall-clock time of the patch, microseconds.
-    pub replan_micros: u64,
 }
 
 /// A partitioned, incrementally patchable probe plan.
@@ -391,6 +388,12 @@ impl ProbePlan {
         self.num_links
     }
 
+    /// Paths the plan deploys: the rows [`matrix`](Self::matrix)
+    /// assembles.
+    pub fn num_paths(&self) -> usize {
+        self.cells.iter().map(|c| c.solution.paths.len()).sum()
+    }
+
     /// Number of independent cells (subproblems) in the plan.
     pub fn num_cells(&self) -> usize {
         self.cells.len()
@@ -444,8 +447,6 @@ impl ProbePlan {
         changed: &[LinkId],
         offline: &HashSet<LinkId>,
     ) -> Result<ReplanStats, PmcError> {
-        // detlint::allow(determinism, reason = "replan_micros stopwatch; measurement only, never branches")
-        let t0 = Instant::now();
         let mut stats = ReplanStats {
             cells_total: self.cells.len(),
             ..Default::default()
@@ -543,7 +544,6 @@ impl ProbePlan {
                 }
             }
         }
-        stats.replan_micros = t0.elapsed().as_micros() as u64;
         Ok(stats)
     }
 
@@ -578,8 +578,7 @@ impl ProbePlan {
     /// [`ProbeMatrix::uncoverable`] (no selected path crosses them), and
     /// the achieved targets are the conjunction over cells.
     pub fn matrix(&self) -> ProbeMatrix {
-        let total: usize = self.cells.iter().map(|c| c.solution.paths.len()).sum();
-        let mut paths = Vec::with_capacity(total);
+        let mut paths = Vec::with_capacity(self.num_paths());
         let mut targets_met = true;
         let mut coverage = u32::MAX;
         for cell in &self.cells {

@@ -26,7 +26,7 @@ use rand::rngs::SmallRng;
 
 use crate::controller::{Deployment, PlanUpdate};
 use crate::dataplane::DataPlane;
-use crate::dispatch::DeploymentDiff;
+use crate::dispatch::ListUpdate;
 use crate::events::{EventSink, WindowResult};
 use crate::pinger::{bound_batch, PingerBatch};
 use crate::pinglist::Pinglist;
@@ -317,7 +317,7 @@ impl Detector {
 /// left pinger duty.
 pub(crate) fn prune_bindings(
     bound: &mut HashMap<NodeId, Arc<PingerBatch>>,
-) -> impl FnMut(&DeploymentDiff, &Deployment, &mut Watchdog) + '_ {
+) -> impl FnMut(&[ListUpdate], &Deployment, &mut Watchdog) + '_ {
     |_, deployment, _| {
         let lists = &deployment.pinglists;
         bound.retain(|server, _| lists.binary_search_by_key(server, |l| l.pinger).is_ok());

@@ -23,7 +23,7 @@
 //! |---|---|---|---|
 //! | [`Detector::step`](crate::Detector::step) | prune the binding cache | batches, inline | one thread |
 //! | [`Detector::run_pipelined`](crate::Detector::run_pipelined) | prune the binding cache | batches, on probe workers | caller plans, a collector closes |
-//! | `DistributedDetector::run_distributed` | ship the diff as frames | agent transports | one thread |
+//! | `DistributedDetector::run_distributed` | ship the list updates as frames | agent transports | one thread |
 //!
 //! Collection only holds reports; `close` files them and the diagnoser
 //! aggregates the filed window in one walk, so nothing here asks which
@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use detector_core::pmc::{PmcError, ProbeMatrix};
-use detector_core::types::{LinkId, NodeId, PathIdRange};
+use detector_core::types::{LinkId, NodeId};
 use detector_topology::TopologyEvent;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -41,22 +41,22 @@ use crate::clock::SimClock;
 use crate::controller::{Controller, Deployment, PlanUpdate};
 use crate::dataplane::DataPlane;
 use crate::diagnoser::Diagnoser;
-use crate::dispatch::{rebase_and_diff, rebase_pairs, DeploymentDiff, DispatchStats};
+use crate::dispatch::{rebase_and_diff, DispatchStats, ListUpdate};
 use crate::events::{EventSink, RuntimeEvent, WindowResult};
 use crate::report::PingerReport;
 use crate::runtime::BuildError;
 use crate::script::ScriptAction;
 use crate::watchdog::Watchdog;
-use crate::{ProbePlan, SharedTopology, SystemConfig};
+use crate::{SharedTopology, SystemConfig};
 
 /// Windows of raw reports the diagnoser keeps behind the one it closes,
 /// as the paper's database would.
 const HISTORY_WINDOWS: u64 = 20;
 
-/// A driver's installer: handed the wire diff against the previous
+/// A driver's installer: handed the list updates against the previous
 /// deployment, the one now in force, and the watchdog (a failed send
 /// marks the dead agent's racks).
-pub type Install<'a> = dyn FnMut(&DeploymentDiff, &Deployment, &mut Watchdog) + 'a;
+pub type Install<'a> = dyn FnMut(&[ListUpdate], &Deployment, &mut Watchdog) + 'a;
 
 /// Boots both halves for `topo`: validated configuration, the view
 /// seeded with `offline` links (one batch, so the first plan is born
@@ -207,8 +207,8 @@ impl PlanHalf {
     /// The view absorbs `event`, the plan is incrementally repaired, and
     /// — when a link actually flipped — the new deployment is installed.
     /// Lists whose assignment is unchanged keep their version (their
-    /// pingers are not re-bound); cells whose id range moved travel in
-    /// the diff so agents can retire the old ids.
+    /// pingers are not re-bound). This is the re-plan's one stopwatch:
+    /// it fills `replan_micros`.
     pub fn replan(
         &mut self,
         watchdog: &mut Watchdog,
@@ -217,14 +217,11 @@ impl PlanHalf {
     ) -> Result<Replanned, PmcError> {
         // detlint::allow(determinism, reason = "replan_micros stopwatch; measurement only, never branches")
         let t0 = Instant::now();
-        let before = self.controller.probe_plan().map(ProbePlan::cell_ranges);
         let mut update = self.controller.apply_event(event)?;
         let mut matrix = None;
         if update.links_changed > 0 {
             let dep = self.controller.build_deployment(watchdog.unhealthy_set())?;
-            let after = self.controller.probe_plan().map(ProbePlan::cell_ranges);
-            let rebases = rebase_pairs(before.as_deref(), after.as_deref());
-            let stats = self.install(dep, &rebases, watchdog, install);
+            let stats = self.install(dep, watchdog, install);
             update.lists_redispatched = stats.lists_redispatched;
             update.entries_diffed = stats.entries_diffed;
             update.bytes_dispatched = stats.bytes_dispatched;
@@ -254,7 +251,7 @@ impl PlanHalf {
         if window > 0 && start_s % self.cfg.cycle_s < self.cfg.window_s {
             if let Ok(dep) = self.controller.build_deployment(watchdog.unhealthy_set()) {
                 cycle = Some((dep.version, dep.matrix.num_paths()));
-                self.install(dep, &[], watchdog, install);
+                self.install(dep, watchdog, install);
                 matrix = Some(self.deployment.matrix.clone());
             }
         }
@@ -277,18 +274,18 @@ impl PlanHalf {
     }
 
     /// The one install procedure: rebase pinglist versions so unchanged
-    /// lists keep their bindings, compute the wire diff and its cost,
-    /// put the deployment in force, and hand the diff to the driver.
+    /// lists keep their bindings, compute the list updates and their
+    /// cost, put the deployment in force, and hand the updates to the
+    /// driver.
     fn install(
         &mut self,
         mut dep: Deployment,
-        rebases: &[(PathIdRange, PathIdRange)],
         watchdog: &mut Watchdog,
         install: &mut Install<'_>,
     ) -> DispatchStats {
-        let (diff, stats) = rebase_and_diff(&self.deployment, &mut dep, rebases);
+        let (updates, stats) = rebase_and_diff(&self.deployment, &mut dep, &[]);
         self.deployment = dep;
-        install(&diff, &self.deployment, watchdog);
+        install(&updates, &self.deployment, watchdog);
         stats
     }
 }

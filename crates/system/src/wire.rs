@@ -7,7 +7,10 @@
 //! [`Frame::ListUpdate`] per [`ListUpdate`] that
 //! [`diff_deployment`](crate::dispatch::diff_deployment) built — so
 //! `PlanUpdated`'s `bytes_dispatched` is the length [`encode_update`]
-//! gives those frames, not a model of it.
+//! gives those frames, not a model of it. A plan cell whose id range
+//! moves sends nothing of its own: its re-numbered entries are list
+//! updates, and a pinger keeps no counters across windows for the old
+//! ids to name.
 //!
 //! A [`PingEntry`] has one byte form ([`encode_entry`]): whole lists and
 //! edit scripts carry it, and [`entry_key`](crate::dispatch::entry_key)
@@ -25,7 +28,7 @@
 
 use std::fmt;
 
-use detector_core::types::{NodeId, PathId, PathIdRange};
+use detector_core::types::{NodeId, PathId};
 
 use crate::dispatch::ListUpdate;
 use crate::{FlowRecord, PathCounters, PingEntry, PingerReport, Pinglist};
@@ -36,8 +39,8 @@ use crate::{FlowRecord, PathCounters, PingEntry, PingerReport, Pinglist};
 /// rejected before any allocation.
 pub const MAX_FRAME: u32 = 1 << 24;
 
-/// One protocol message: dispatch (list updates, range re-bases, the
-/// resync preamble), then window orchestration, health probing and
+/// One protocol message: dispatch (list updates and the resync
+/// preamble), then window orchestration, health probing and
 /// report return.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
@@ -51,15 +54,6 @@ pub enum Frame {
     /// One pinger's list changes: a whole list, a retired list, or an
     /// edit script sealed by the rebuilt list's stamp.
     ListUpdate(ListUpdate),
-    /// A plan cell's `PathId` range moved (overflow re-base). Broadcast
-    /// so agents can retire counters and bindings of the old ids; the
-    /// rebased entries themselves travel in list updates.
-    RangeRebase {
-        /// The cell's previous id range.
-        old: PathIdRange,
-        /// The cell's new id range.
-        new: PathIdRange,
-    },
     /// Drop all agent state (lists and bindings) — the preamble of a
     /// full resync.
     Reset,
@@ -131,7 +125,6 @@ const TAG_HELLO: u8 = 0;
 const TAG_LIST_REPLACE: u8 = 1;
 const TAG_LIST_REMOVE: u8 = 2;
 const TAG_LIST_DIFF: u8 = 3;
-const TAG_RANGE_REBASE: u8 = 5;
 const TAG_RESET: u8 = 7;
 const TAG_WINDOW_START: u8 = 8;
 const TAG_HEARTBEAT_REQ: u8 = 9;
@@ -150,13 +143,6 @@ impl Frame {
                 put_u32(out, *agent);
             }
             Frame::ListUpdate(update) => put_update(update, out),
-            Frame::RangeRebase { old, new } => {
-                out.push(TAG_RANGE_REBASE);
-                put_u32(out, old.base);
-                put_u32(out, old.capacity);
-                put_u32(out, new.base);
-                put_u32(out, new.capacity);
-            }
             Frame::Reset => out.push(TAG_RESET),
             Frame::WindowStart {
                 window,
@@ -220,10 +206,6 @@ impl Frame {
             TAG_LIST_REPLACE => Frame::ListUpdate(ListUpdate::Replace(decode_list(&mut buf)?)),
             TAG_LIST_REMOVE => Frame::ListUpdate(ListUpdate::Remove(NodeId(take_u32(&mut buf)?))),
             TAG_LIST_DIFF => Frame::ListUpdate(decode_diff(&mut buf)?),
-            TAG_RANGE_REBASE => Frame::RangeRebase {
-                old: PathIdRange::new(take_u32(&mut buf)?, take_u32(&mut buf)?),
-                new: PathIdRange::new(take_u32(&mut buf)?, take_u32(&mut buf)?),
-            },
             TAG_RESET => Frame::Reset,
             TAG_WINDOW_START => {
                 let window = take_u64(&mut buf)?;
@@ -810,10 +792,6 @@ mod tests {
                 removed: vec![0xDEAD_BEEF_CAFE_F00D, 7],
                 added: vec![(2, entry(Some(8), &[100, 4, 101], 101, None))],
             }),
-            Frame::RangeRebase {
-                old: PathIdRange::new(64, 32),
-                new: PathIdRange::new(128, 48),
-            },
             Frame::Reset,
             Frame::WindowStart {
                 window: 21,
@@ -1203,6 +1181,9 @@ mod tests {
         let mut bytes = Frame::Shutdown.encode();
         bytes[4] = 200;
         assert_eq!(Frame::decode(&bytes), Err(FrameError::UnknownTag(200)));
+        // Tag 5, between the list and the control tags, is unassigned.
+        bytes[4] = 5;
+        assert_eq!(Frame::decode(&bytes), Err(FrameError::UnknownTag(5)));
         // Trailing bytes after a valid frame.
         let mut bytes = Frame::HeartbeatReq { nonce: 1 }.encode();
         bytes.push(0);

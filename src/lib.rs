@@ -98,7 +98,6 @@
 
 pub use detector_baselines as baselines;
 pub use detector_core as core;
-pub use detector_ingest as ingest;
 pub use detector_simnet as simnet;
 pub use detector_system as system;
 pub use detector_topology as topology;
@@ -126,7 +125,6 @@ pub mod prelude {
     pub use detector_core::types::{
         LinkId, NodeId, PathId, PathIdRange, PathObservation, ProbePath,
     };
-    pub use detector_ingest::{prefilter, IngestConfig, IngestPlane, SealedWindow};
     pub use detector_simnet::{
         partition_hosts, ChurnSchedule, Fabric, FailureGenerator, FailureScenario, FlowKey,
         HostGroups, LossDiscipline,

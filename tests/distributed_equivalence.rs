@@ -426,9 +426,9 @@ fn single_link_diff_vs_whole(ft: &Arc<Fattree>) -> (u64, u64) {
     let mut dep1 = ctl.build_deployment(&healthy).expect("patched deployment");
     let ranges_after = ctl.probe_plan().map(|p| p.cell_ranges());
     let rebases = rebase_pairs(ranges_before.as_deref(), ranges_after.as_deref());
-    let (diff, stats) = rebase_and_diff(&dep0, &mut dep1, &rebases);
+    let (updates, stats) = rebase_and_diff(&dep0, &mut dep1, &rebases);
 
-    let whole: usize = (diff.updates.iter())
+    let whole: usize = (updates.iter())
         .map(|u| match u {
             ListUpdate::Diff { pinger, .. } => dep1
                 .pinglists

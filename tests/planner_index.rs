@@ -284,7 +284,7 @@ fn a_deployment_allocates_per_entry_and_list_not_per_path_lookup() {
     let ft = Arc::new(Fattree::new(16).unwrap());
     let switches = ft.graph().num_switches();
     let mut ctl = Controller::new(ft as SharedTopology, SystemConfig::default());
-    // The plan and its cached matrix are built here, outside the count.
+    // The plan is built here, outside the count.
     ctl.compute_matrix().unwrap();
     let (d, allocations) = allocations_of(|| ctl.build_deployment(&HashSet::new()).unwrap());
     let paths = d.matrix.num_paths();
