@@ -11,36 +11,39 @@
 //! window — so the components are exactly the window's independent
 //! localization subproblems, one greedy each.
 //!
-//! So the localizer reads only the lossy observations. A candidate
-//! link's hit ratio is its lossy paths over its observed paths, and the
-//! caller hands over that denominator rather than the clean paths behind
-//! it: the diagnoser's walk has it as the plan's rows through the link
-//! minus the rows the window left unobserved.
+//! So the localizer reads only the lossy observations, and beside them a
+//! [`LossyIncidence`] that the diagnoser's window walk hands over: each
+//! lossy path's matrix row, the matrix's row → links incidence as one
+//! flat array, and every link's hit-ratio denominator — the plan's rows
+//! through the link minus the rows the window left unobserved — under a
+//! generation that moves only when that set of unobserved rows does. The
+//! localizer never resolves a path id in the matrix.
 //!
 //! [`ComponentPll`] caches the skeleton (link → lossy-paths index,
 //! component partition, per-component candidate links with their hit
-//! ratios) under the reuse key **(lossy path ids, candidate links'
-//! denominators)**: a window with the same key as its predecessor only
-//! swaps the loss counters in — and returns the cached verdict outright
-//! when the lossy observations are identical too. Clean paths' counters
-//! never move the verdict and are not part of the key. Any other window,
-//! and the first one after [`invalidate`](ComponentPll::invalidate) (new
-//! probe matrix: plan epoch change, cycle refresh), rebuilds the
-//! skeleton.
+//! ratios) under the reuse key **(lossy path ids, generation)**: a window
+//! with the same key as its predecessor only swaps the loss counters in —
+//! and returns the cached verdict outright when the lossy observations
+//! are identical too — so it costs the lossy paths, not a denominator per
+//! candidate link. Clean paths' counters never move the verdict and are
+//! not part of the key. Any other window, and the first one after
+//! [`invalidate`](ComponentPll::invalidate) (new probe matrix: plan epoch
+//! change, cycle refresh), rebuilds the skeleton.
 //!
 //! # What a rebuild costs
 //!
 //! A rebuild costs the lossy incidence — lossy observations times the
-//! links they name — not the fabric. Each lossy path is resolved in the
-//! matrix once, and its links are numbered locally, in order of first
-//! naming, through a link → local-id map that spans the fabric but is
-//! kept across windows and reset only where the rebuild wrote. Everything
-//! after that (the link → lossy-paths index, the union-find, the
-//! partition) is sized to the candidate links. Each component's hit list
-//! and scope are runs in two flat arrays, and every array of the
-//! skeleton and of the greedies' scratch keeps its memory across
-//! rebuilds and across `invalidate`, so a window with more components
-//! does not allocate more.
+//! links they name — not the fabric. Each lossy path's links are read at
+//! its row's offset into the flat row → links array, with no pointer
+//! chased into the path's own list, and numbered locally, in order of
+//! first naming, through a link → local-id map that spans the fabric but
+//! is kept across windows and reset only where the rebuild wrote.
+//! Everything after that (the link → lossy-paths index, the union-find,
+//! the partition, the denominators read off the view) is sized to the
+//! candidate links. Each component's hit list and scope are runs in two
+//! flat arrays, and every array of the skeleton and of the greedies'
+//! scratch keeps its memory across rebuilds and across `invalidate`, so a
+//! window with more components does not allocate more.
 //!
 //! # Why the lazy pick is exact
 //!
@@ -86,11 +89,11 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-use super::pll_impl::{index_links, Diagnosis, SuspectLink};
+use super::pll_impl::{index_links, rows_of, Diagnosis, SuspectLink};
 use super::preprocess::stays_lossy;
 use super::rate::pooled_rate;
 use super::{preprocess, PllConfig};
-use crate::pmc::ProbeMatrix;
+use crate::pmc::{ProbeMatrix, RowLinks};
 use crate::types::{LinkId, PathObservation};
 
 /// Sentinel for a missing local link id or component.
@@ -175,6 +178,31 @@ impl Runs {
     }
 }
 
+/// What the diagnoser's window walk hands [`ComponentPll::diagnose`]
+/// beside a window's lossy observations: where each one's links are, and
+/// every link's hit-ratio denominator, under a generation.
+#[derive(Clone, Copy, Debug)]
+pub struct LossyIncidence<'a> {
+    /// Per lossy observation, in order: its path's row of `row_links`,
+    /// or [`STRAY`](Self::STRAY) where the matrix cannot resolve its id.
+    pub rows: &'a [u32],
+    /// The probe matrix's row → links incidence.
+    pub row_links: &'a RowLinks,
+    /// Link → the window's observations with a probe sent whose path
+    /// crosses it, once per naming — clean, noisy and lossy alike: the
+    /// hit ratio's denominator. Links past the end count none.
+    pub observed: &'a [u32],
+    /// Moves whenever `observed` may have: two windows of one matrix with
+    /// the same generation have the same denominators.
+    pub generation: u64,
+}
+
+impl LossyIncidence<'_> {
+    /// The row of an observation the matrix cannot resolve: past every
+    /// row, so it names no link.
+    pub const STRAY: u32 = u32::MAX;
+}
+
 /// Everything windows with the same reuse key share. Links are numbered
 /// locally: local link `i` is `links[i]`.
 #[derive(Debug, Default)]
@@ -182,14 +210,14 @@ struct Skeleton {
     /// Whether the fields below describe the latest window: false before
     /// the first window and after [`invalidate`](ComponentPll::invalidate).
     valid: bool,
-    /// The `num_links` of the matrix the skeleton was built against.
-    universe: usize,
+    /// The generation of the denominators the skeleton was built with:
+    /// the half of the reuse key the lossy path ids do not fix.
+    generation: u64,
     /// Local link → link: the candidate links, in order of first naming
     /// by the lossy observations.
     links: Vec<LinkId>,
-    /// Local link → hit-ratio denominator: the half of the reuse key the
-    /// lossy path ids do not fix.
-    denominators: Vec<usize>,
+    /// Local link → hit-ratio denominator.
+    denominators: Vec<u32>,
     /// Local link → hit ratio.
     hit: Vec<f64>,
     /// Local link → indices into the lossy observations, ascending, once
@@ -209,10 +237,12 @@ struct Skeleton {
 /// What a rebuild and the greedies work in, kept between windows.
 #[derive(Debug, Default)]
 struct Scratch {
+    /// Lossy observation → its matrix row, as the noise filter left them.
+    rows: Vec<u32>,
     /// Link → local id; [`NONE`] everywhere between rebuilds. Spans the
     /// largest link a lossy path has named.
     local_of: Vec<u32>,
-    /// Lossy observation → its local links: each path resolved once.
+    /// Lossy observation → its local links.
     path_links: Runs,
     /// Union-find parents over local links, then each link's component.
     parent: Vec<u32>,
@@ -225,29 +255,24 @@ struct Scratch {
 }
 
 impl Skeleton {
-    /// Rebuilds from a window's `lossy` observations, with
-    /// `observed_through(l)` observed paths through each candidate link.
-    fn rebuild(
-        &mut self,
-        scratch: &mut Scratch,
-        matrix: &ProbeMatrix,
-        lossy: &[PathObservation],
-        observed_through: &dyn Fn(LinkId) -> usize,
-    ) {
+    /// Rebuilds from the rows of a window's lossy observations
+    /// (`scratch.rows`) and the `view` they index.
+    fn rebuild(&mut self, scratch: &mut Scratch, view: &LossyIncidence<'_>) {
         let Scratch {
+            rows,
             local_of,
             path_links,
             parent,
             ..
         } = scratch;
         self.valid = true;
-        self.universe = matrix.num_links;
+        self.generation = view.generation;
         self.links.clear();
         self.stray.clear();
         path_links.clear();
         parent.clear();
-        for (oi, o) in lossy.iter().enumerate() {
-            let links = matrix.path(o.path).map(|p| p.links()).unwrap_or_default();
+        for (oi, &row) in rows.iter().enumerate() {
+            let links = view.row_links.links(row);
             if links.is_empty() {
                 self.stray.push(oi as u32);
             }
@@ -297,9 +322,9 @@ impl Skeleton {
         self.denominators.clear();
         self.hit.clear();
         for (&l, paths) in self.links.iter().zip(self.link_paths.runs()) {
-            let observed = observed_through(l);
+            let observed = view.observed.get(l.index()).copied().unwrap_or(0);
             self.denominators.push(observed);
-            self.hit.push(paths.len() as f64 / observed as f64);
+            self.hit.push(paths.len() as f64 / f64::from(observed));
         }
 
         // Parents only ever point down, so one ascending pass turns every
@@ -536,19 +561,41 @@ impl ComponentPll {
         (lossy as u64, s.comp_scope.len() as u64)
     }
 
-    /// Localizes one whole window: counts each link's observed paths
-    /// from `observations` themselves — what [`localize`](super::localize)
-    /// indexes — then [`diagnose`](ComponentPll::diagnose)s the lossy
-    /// ones. Produces exactly what `localize` would for the same inputs.
+    /// Localizes one whole window: builds the [`LossyIncidence`] the
+    /// diagnoser's walk would hand over — each link's observed paths
+    /// counted from `observations` themselves, what
+    /// [`localize`](super::localize) indexes — then
+    /// [`diagnose`](ComponentPll::diagnose)s the lossy ones. Produces
+    /// exactly what `localize` would for the same inputs.
+    ///
+    /// With no walk to keep a generation, a candidate link whose
+    /// denominator moved invalidates the skeleton, and the skeleton's own
+    /// generation is handed back. Feed one instance through this or
+    /// through `diagnose`, not both.
     pub fn localize(
         &mut self,
         matrix: &ProbeMatrix,
         observations: &[PathObservation],
     ) -> Diagnosis {
         let observed = preprocess(observations, &self.cfg, &HashSet::new());
-        let through = index_links(matrix, &observed);
-        let lossy = observed.into_iter().filter(PathObservation::is_lossy);
-        self.diagnose(matrix, lossy.collect(), &|l| through.items(l).len())
+        let index = index_links(matrix, &observed);
+        let through: Vec<u32> = index.runs().map(|run| run.len() as u32).collect();
+        let lossy: Vec<PathObservation> = observed
+            .into_iter()
+            .filter(PathObservation::is_lossy)
+            .collect();
+        let s = &self.skeleton;
+        let moved = |(l, &n): (&LinkId, &u32)| through.get(l.index()).copied() != Some(n);
+        if s.links.iter().zip(&s.denominators).any(moved) {
+            self.invalidate();
+        }
+        let view = LossyIncidence {
+            rows: &rows_of(matrix, &lossy),
+            row_links: &matrix.row_links(),
+            observed: &through,
+            generation: self.skeleton.generation,
+        };
+        self.diagnose(lossy, view)
     }
 
     /// Diagnoses one window: noise-filters its `lossy` observations in
@@ -559,26 +606,35 @@ impl ComponentPll {
     ///
     /// `lossy` lists the window's observations with a probe lost, in the
     /// window's order (ascending path id); clean ones may be left out, and
-    /// whatever the noise filter zeroes is dropped. `observed_through(l)`
-    /// is the hit ratio's denominator: the window's observations with a
-    /// probe sent whose path crosses link `l`, counted once per naming —
-    /// clean, noisy and lossy alike.
+    /// whatever the noise filter zeroes is dropped. `view.rows` runs
+    /// parallel to `lossy`. The reuse key is the lossy path ids and
+    /// `view.generation`: nothing is resolved in the matrix and no
+    /// denominator is read unless the skeleton is rebuilt.
     pub fn diagnose(
         &mut self,
-        matrix: &ProbeMatrix,
         mut lossy: Vec<PathObservation>,
-        observed_through: &dyn Fn(LinkId) -> usize,
+        view: LossyIncidence<'_>,
     ) -> Diagnosis {
-        lossy.retain(|o| stays_lossy(o, &self.cfg));
+        // The rows go through the noise filter with their observations.
+        let (cfg, rows) = (&self.cfg, &mut self.scratch.rows);
+        let mut given = view.rows.iter();
+        rows.clear();
+        lossy.retain(|o| {
+            let row = given.next().copied().unwrap_or(LossyIncidence::STRAY);
+            let keep = stays_lossy(o, cfg);
+            if keep {
+                rows.push(row);
+            }
+            keep
+        });
         let s = &self.skeleton;
         let same_key = s.valid
-            && s.universe == matrix.num_links
+            && s.generation == view.generation
             && self.obs.len() == lossy.len()
-            && self.obs.iter().zip(&lossy).all(|(p, o)| p.path == o.path)
-            && (s.links.iter().zip(&s.denominators)).all(|(&l, &n)| observed_through(l) == n);
+            && self.obs.iter().zip(&lossy).all(|(p, o)| p.path == o.path);
         if !same_key {
             self.full_rebuilds += 1;
-            (self.skeleton).rebuild(&mut self.scratch, matrix, &lossy, observed_through);
+            (self.skeleton).rebuild(&mut self.scratch, &view);
         } else if self.obs == lossy {
             self.reused_verdicts += 1;
             return self.verdict.clone();
@@ -752,7 +808,14 @@ mod tests {
         let clean = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
         c.localize(&m, &lossy);
         // No candidate link, so no denominator is read.
-        let d = c.diagnose(&m, clean.clone(), &|_| 0);
+        let none = RowLinks::default();
+        let view = LossyIncidence {
+            rows: &[],
+            row_links: &none,
+            observed: &[],
+            generation: 0,
+        };
+        let d = c.diagnose(clean.clone(), view);
         assert!(d.is_clean());
         assert_eq!(d, localize(&m, &clean, &cfg));
         assert_eq!(c.window_shape(), (0, 0));

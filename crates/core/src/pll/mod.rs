@@ -22,7 +22,7 @@ mod score_alg;
 mod tomo;
 
 pub use classify::{classify_loss, ClassifyConfig, FlowSample, LossClassification, LossType};
-pub use components::ComponentPll;
+pub use components::{ComponentPll, LossyIncidence};
 pub use localizer::{Localizer, OmpLocalizer, PllLocalizer, ScoreLocalizer, TomoLocalizer};
 pub use metrics::{evaluate_diagnosis, LocalizationMetrics};
 pub use omp::{localize_omp, OmpConfig};

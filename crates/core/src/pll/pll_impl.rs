@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use super::rate::estimate_rate;
-use super::{preprocess, PllConfig};
+use super::{preprocess, LossyIncidence, PllConfig};
 use crate::json::{Json, ToJson};
 use crate::pmc::{LinkIndex, ProbeMatrix};
 use crate::types::{LinkId, PathId, PathObservation};
@@ -145,6 +145,17 @@ pub(super) fn index_links(matrix: &ProbeMatrix, obs: &[PathObservation]) -> Link
             .filter_map(|(oi, o)| Some((oi as u32, matrix.path(o.path)?.links())))
     };
     LinkIndex::build(matrix.num_links, observed)
+}
+
+/// The matrix row of each of `obs`' paths, or [`LossyIncidence::STRAY`]
+/// where the matrix cannot resolve its id: what the diagnoser's walk
+/// hands [`ComponentPll::diagnose`](super::ComponentPll::diagnose) with a
+/// window's lossy observations.
+pub(super) fn rows_of(matrix: &ProbeMatrix, obs: &[PathObservation]) -> Vec<u32> {
+    let row = |o: &PathObservation| matrix.row_of(o.path).map(|row| row as u32);
+    obs.iter()
+        .map(|o| row(o).unwrap_or(LossyIncidence::STRAY))
+        .collect()
 }
 
 /// Localizes packet losses with the PLL algorithm.

@@ -1,17 +1,16 @@
-//! The link → items index in compressed sparse row (CSR) form.
+//! The link → items index and a matrix's row → links incidence, both in
+//! compressed sparse row (CSR) form.
 //!
 //! One flat array holds every link's items back to back and one offset
 //! array says where each link's run starts, so indexing a window of ~15 k
 //! paths over ~16 k links is two passes over the paths (count, then
 //! fill) and two allocations — not one growing `Vec` per link.
 
-use crate::types::LinkId;
+use crate::types::{LinkId, ProbePath};
 
 /// For every link, the items through it: link `l`'s run is
 /// `items[offsets[l]..offsets[l + 1]]`, in the order the items were
-/// given. Two indexes use it: PLL's per-window link → observation index
-/// and a probe matrix's link → row incidence
-/// ([`ProbeMatrix::link_rows`](super::ProbeMatrix::link_rows)).
+/// given. PLL's per-window link → observation index uses it.
 ///
 /// The index spans `max(min_links, largest link named + 1)` links: a
 /// link an item names beyond the declared universe is indexed like any
@@ -87,6 +86,58 @@ impl LinkIndex {
     pub fn runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
         self.offsets.windows(2).map(|run| match *run {
             [from, to] => self.items.get(from..to).unwrap_or_default(),
+            _ => &[],
+        })
+    }
+}
+
+/// A probe matrix's row → links incidence: row `r`'s links are
+/// `links[offsets[r]..offsets[r + 1]]`, in its path's order
+/// ([`ProbeMatrix::row_links`](super::ProbeMatrix::row_links)). Reading
+/// a row's links from it is an offset into one array, not a chase into
+/// the path's own `Vec`.
+#[derive(Clone, Debug, Default)]
+pub struct RowLinks {
+    /// One more than the rows; ascending, starting at 0.
+    offsets: Vec<u32>,
+    links: Vec<LinkId>,
+}
+
+impl RowLinks {
+    /// Refills with the link lists of `paths`, one row each and in order,
+    /// in one pass over them, keeping the memory.
+    pub fn refill(&mut self, paths: &[ProbePath]) {
+        self.offsets.clear();
+        self.offsets.reserve(paths.len() + 1);
+        self.offsets.push(0);
+        self.links.clear();
+        self.links
+            .reserve(paths.iter().map(|p| p.links().len()).sum());
+        for p in paths {
+            self.links.extend_from_slice(p.links());
+            self.offsets.push(self.links.len() as u32);
+        }
+    }
+
+    /// The links of `row`; none past the last row.
+    pub fn links(&self, row: u32) -> &[LinkId] {
+        let run = (self.offsets.get(row as usize..)).and_then(|o| o.get(..2));
+        match run {
+            Some(&[from, to]) => self
+                .links
+                .get(from as usize..to as usize)
+                .unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Every row's links, in row order.
+    pub fn rows(&self) -> impl Iterator<Item = &[LinkId]> + '_ {
+        self.offsets.windows(2).map(|run| match *run {
+            [from, to] => self
+                .links
+                .get(from as usize..to as usize)
+                .unwrap_or_default(),
             _ => &[],
         })
     }

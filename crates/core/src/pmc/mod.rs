@@ -42,7 +42,7 @@ mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
 pub use jobs::JobPool;
-pub use link_index::LinkIndex;
+pub use link_index::{LinkIndex, RowLinks};
 pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
 pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};
@@ -438,12 +438,11 @@ impl ProbeMatrix {
         self.paths.iter().filter(move |p| p.covers(link))
     }
 
-    /// The link → row incidence: for every link, the rows of the paths
-    /// through it, ascending. It spans `num_links` or one past the
-    /// largest link a path names, whichever is larger.
-    pub fn link_rows(&self) -> LinkIndex {
-        let rows = || (self.paths.iter().enumerate()).map(|(row, p)| (row as u32, p.links()));
-        LinkIndex::build(self.num_links, rows)
+    /// The row → links incidence: every row's links, in one flat array.
+    pub fn row_links(&self) -> RowLinks {
+        let mut rows = RowLinks::default();
+        rows.refill(&self.paths);
+        rows
     }
 }
 
@@ -819,7 +818,7 @@ mod tests {
         assert_eq!(m.path(PathId(4)), None);
         assert!(m.uncoverable.is_empty());
         // The incidence speaks rows, whatever the ids.
-        assert_eq!(m.link_rows().items(LinkId(2)), &[2, 3]);
+        assert_eq!(m.row_links().links(3), &[LinkId(0), LinkId(2)]);
     }
 
     fn segmented(ids: &[u32]) -> ProbeMatrix {
@@ -912,16 +911,15 @@ mod tests {
     }
 
     #[test]
-    fn link_index_matches_paths() {
+    fn row_links_match_paths() {
         let m = construct(3, fig3_candidates(), &PmcConfig::identifiable(1)).unwrap();
-        let idx = m.link_rows();
-        assert_eq!(idx.num_links(), 3);
-        for (l, rows) in idx.runs().enumerate() {
-            let through: Vec<u32> = (0..m.num_paths() as u32)
-                .filter(|&row| m.paths[row as usize].covers(LinkId(l as u32)))
-                .collect();
-            assert_eq!(rows, through.as_slice());
+        let rows = m.row_links();
+        assert_eq!(rows.rows().count(), m.num_paths());
+        for (row, p) in m.paths.iter().enumerate() {
+            assert_eq!(rows.links(row as u32), p.links());
         }
+        // Past the last row, a stray's included, there are no links.
+        assert!(rows.links(m.num_paths() as u32).is_empty() && rows.links(u32::MAX).is_empty());
     }
 
     #[test]

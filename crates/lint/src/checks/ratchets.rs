@@ -112,6 +112,9 @@ pub const ROWS: &[Row] = &[
     Row { name: "Diagnosis runs inline", scope: &["crates/core/src/pll/", "crates/system/src/diagnoser.rs"],
         except: &[], rule: Forbid(&[Sub("JobPool"), Sub("thread::")]),
         reason: "a window's components are solved one after another on the thread that closes it" },
+    Row { name: "PLL reads the walk's incidence", scope: &["crates/core/src/pll/components.rs"], except: &[],
+        rule: Forbid(&[Sub(".path("), Sub(".row_of("), Sub(".paths")]),
+        reason: "a rebuild reads rows, links and denominators from the walk's LossyIncidence, never a path from the matrix" },
     Row { name: "Shims carry what the source calls (stubs)", except: &[], rule: NoCode,
         scope: &["shims/crossbeam/src/lib.rs", "shims/bytes/src/lib.rs", "shims/serde/src/lib.rs", "shims/serde_derive/src/lib.rs"],
         reason: "the source uses std or its own code; the stubs stay only because benchmark/Cargo.lock lists them" },
@@ -312,6 +315,11 @@ mod tests {
                 "crates/core/src/pll/components.rs",
                 "fn f(p: &JobPool) {}",
                 1,
+            ),
+            (
+                "crates/core/src/pll/components.rs",
+                "fn f(m: &ProbeMatrix) {\n m.row_of(id); }",
+                2,
             ),
             (
                 "shims/bytes/src/lib.rs",

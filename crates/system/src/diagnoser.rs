@@ -7,22 +7,26 @@
 //! total is read before a report is filed and is not kept, and a report
 //! holds a flow record only where flows can differ — a flow that lost a
 //! probe on a path that kept one — so what the retained windows cost
-//! follows the paths and the partial loss, not the probing. The store's lock serves the benchmark's replay
-//! generator, which files reports through a shared reference (ROADMAP
-//! item 1(a)); the diagnoser itself owns the store.
+//! follows the paths and the partial loss, not the probing. The store's
+//! lock serves the benchmark's replay generator, which files reports
+//! through a shared reference (ROADMAP item 1(a)); the diagnoser itself
+//! owns the store.
 //!
 //! Diagnosis is one path. One walk of the window's rows skips the
 //! pingers the watchdog excludes, sums the rest per matrix row, and
-//! emits only the lossy paths ([`ReportStore::window_lossy`]). The clean
-//! paths reach PLL as one number a link, the hit ratio's denominator:
-//! the rows through the link in the matrix's link → row incidence, which
-//! the diagnoser indexes once per matrix, minus the rows the window left
-//! unobserved ([`RowSums::observed_through`]). The window is aggregated
-//! once, with nothing to subtract or filter afterwards. Then its lossy
-//! paths are localized through the cached-skeleton [`ComponentPll`] —
-//! one greedy per connected component of the lossy path/link incidence,
-//! run in turn on the diagnosing thread. It is exactly equivalent to
-//! plain `localize` over the whole window.
+//! emits only the lossy paths, each with its row
+//! ([`ReportStore::window_lossy`]). The clean paths reach PLL as one
+//! number a link, the hit ratio's denominator: the rows through the link
+//! minus the rows the window left unobserved
+//! ([`RowSums::observed_through`]), under a generation that moves only
+//! when that set of rows does. The window is aggregated once, with
+//! nothing to subtract or filter afterwards. Then its lossy paths are
+//! localized through the cached-skeleton [`ComponentPll`], which reads
+//! their links from the matrix's row → links incidence that the
+//! diagnoser flattens once per matrix ([`RowSums::incidence`]) — one
+//! greedy per connected component of the lossy path/link incidence, run
+//! in turn on the diagnosing thread. It is exactly equivalent to plain
+//! `localize` over the whole window.
 
 use detector_core::pll::{
     classify_loss, ClassifyConfig, ComponentPll, Diagnosis, LossClassification, PllConfig,
@@ -68,9 +72,9 @@ pub struct DiagnosisEvent {
 pub struct Diagnoser {
     matrix: ProbeMatrix,
     store: ReportStore,
-    /// The window walk's accumulator, the matrix's link → row incidence
-    /// and the latest window's hit-ratio denominators, recycled across
-    /// windows.
+    /// The window walk's accumulator, the matrix's row → links incidence
+    /// and the latest window's lossy rows and hit-ratio denominators,
+    /// recycled across windows.
     sums: RowSums,
     localizer: ComponentPll,
 }
@@ -130,9 +134,7 @@ impl Diagnoser {
         let excluded = |p| !watchdog.is_healthy(p);
         let (lossy, num_observations, reports) =
             (self.store).window_lossy(window, &self.matrix, &excluded, &mut self.sums);
-        let sums = &self.sums;
-        let diagnosis =
-            (self.localizer).diagnose(&self.matrix, lossy, &|l| sums.observed_through(l));
+        let diagnosis = self.localizer.diagnose(lossy, self.sums.incidence());
         // The shape of the window's diagnosis work, for `DiagStats`: the
         // partition the localizer just solved — a pure function of the
         // post-exclusion observations, so every driver reports the same
@@ -265,6 +267,34 @@ mod tests {
         let mut d = Diagnoser::new(m, cfg);
         d.ingest(report(1, 0, &rows));
         assert_eq!(d.diagnose(0, &Watchdog::new()).diagnosis, want);
+    }
+
+    #[test]
+    fn an_unobserved_clean_path_through_a_candidate_link_rebuilds() {
+        // Paths 0–2 cross link 0, path 3 link 1. Both windows lose the
+        // same probes on paths 0 and 1, but window 1 leaves clean path 2
+        // unobserved: link 0's denominator goes 3 → 2, its hit ratio
+        // 2/3 → 1, while the lossy observations repeat exactly.
+        let links = [0, 0, 0, 1].map(|l| vec![LinkId(l)]);
+        let paths = (0..)
+            .zip(links)
+            .map(|(id, ls)| ProbePath::from_links(id, ls));
+        let cfg = PllConfig::default();
+        let mut d = Diagnoser::new(ProbeMatrix::from_paths(2, paths.collect()), cfg);
+        let w = Watchdog::new();
+        d.ingest(report(
+            1,
+            0,
+            &[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)],
+        ));
+        d.ingest(report(1, 1, &[(0, 100, 40), (1, 100, 40), (3, 100, 0)]));
+        for (window, hit) in [(0, 2.0 / 3.0), (1, 1.0)] {
+            let want = localize(d.matrix(), &d.observations(window, &w), &cfg);
+            let got = d.diagnose(window, &w).diagnosis;
+            assert_eq!(got, want, "window {window}");
+            let hits: Vec<f64> = got.suspects.iter().map(|s| s.hit_ratio).collect();
+            assert_eq!(hits, vec![hit], "window {window}");
+        }
     }
 
     #[test]

@@ -38,12 +38,19 @@
 //! [`ReportStore::window_lossy`] walks its rows, skips excluded pingers,
 //! and sums the rest into a dense per-matrix-row [`RowSums`]. The
 //! read-out in ascending path id emits only the lossy paths — PLL blames
-//! only links on them. Of the clean paths PLL reads one number a link,
-//! the hit ratio's denominator, and the walk keeps it without emitting
-//! them: the rows through the link in the matrix's link → row incidence,
-//! minus the rows the window left without a probe sent. Diagnosis costs
-//! what was lost, as a report does. The accumulator, the id table and
-//! the incidence are recycled from one window to the next.
+//! only links on them — and keeps each one's matrix row beside it. Of
+//! the clean paths PLL reads one number a link, the hit ratio's
+//! denominator, and the walk keeps it without emitting them: the rows
+//! through the link, minus the rows the window left without a probe
+//! sent. It redoes those counts, and moves a generation, only when the
+//! rows left unobserved differ from the last walk's.
+//! [`RowSums::incidence`] hands PLL those rows, the matrix's row → links
+//! incidence (one flat array) and the denominators under that generation,
+//! so PLL resolves nothing in the matrix and a window whose lossy paths
+//! and generation repeat reuses its skeleton. Diagnosis costs what was
+//! lost, as a report does. The accumulator, the id table and the
+//! incidence are built once per matrix and recycled from one window to
+//! the next.
 //!
 //! Every driver owns its diagnoser, so the store needs no lock for them.
 //! The `RwLock` is there because [`ReportStore::ingest`] takes `&self`:
@@ -56,8 +63,8 @@ mod reference;
 
 use std::collections::HashMap;
 
-use detector_core::pll::FlowSample;
-use detector_core::pmc::{LinkIndex, ProbeMatrix};
+use detector_core::pll::{FlowSample, LossyIncidence};
+use detector_core::pmc::{ProbeMatrix, RowLinks};
 use detector_core::types::{LinkId, NodeId, PathId, PathObservation};
 use parking_lot::RwLock;
 
@@ -288,55 +295,93 @@ impl Logs {
 /// The recycled state of [`ReportStore::window_lossy`], fitted to one
 /// probe matrix: one `(sent, lost)` slot per row, the side list of ids
 /// the matrix cannot resolve, the matrix's `(path, row)` pairs ascending
-/// by id and its link → row incidence, and per link the rows the latest
-/// walk left unobserved. [`new`](Self::new) and [`fit`](Self::fit) build
-/// the id table and the incidence — once per matrix, never per window —
-/// and between walks every slot is clear.
+/// by id and its row → links incidence, and what the latest walk leaves
+/// for PLL ([`incidence`](Self::incidence)): its lossy paths' rows, each
+/// link's observed rows and their generation. [`new`](Self::new) and
+/// [`fit`](Self::fit) build the id table and the incidence — once per
+/// matrix, never per window — and between walks every slot is clear.
 pub struct RowSums {
-    links: LinkIndex,
+    row_links: RowLinks,
     by_id: Vec<(PathId, u32)>,
     rows: Vec<(u64, u64)>,
     /// Ascending by path, one entry per id.
     strays: Vec<(PathId, (u64, u64))>,
-    /// Per link of the incidence: rows through it that summed to no
-    /// probe sent in the latest walk, once per naming.
-    missing: Vec<u32>,
+    /// Per link: the rows through it, once per naming.
+    through: Vec<u32>,
+    /// The rows that summed to no probe sent in the latest walk, in the
+    /// id table's order.
+    unobserved: Vec<u32>,
+    /// Per link: `through` less the unobserved rows through it — the hit
+    /// ratio's denominator.
+    observed: Vec<u32>,
+    /// Moves whenever the unobserved rows do, and at a refit.
+    generation: u64,
     /// The latest walk's lossy observations, copied out at its end.
     lossy: Vec<PathObservation>,
+    /// Their rows, parallel; [`LossyIncidence::STRAY`] for a stray.
+    lossy_rows: Vec<u32>,
 }
 
 impl RowSums {
     /// State fitted to `matrix`.
     pub fn new(matrix: &ProbeMatrix) -> Self {
         let mut sums = Self {
-            links: LinkIndex::default(),
+            row_links: RowLinks::default(),
             by_id: Vec::new(),
             rows: Vec::new(),
             strays: Vec::new(),
-            missing: Vec::new(),
+            through: Vec::new(),
+            unobserved: Vec::new(),
+            observed: Vec::new(),
+            generation: 0,
             lossy: Vec::new(),
+            lossy_rows: Vec::new(),
         };
         sums.fit(matrix);
         sums
     }
 
     /// Refits to a new matrix: re-indexes its ids and links and resizes
-    /// the slots, keeping their memory.
+    /// the slots, keeping their memory. Every row starts out observed.
     pub fn fit(&mut self, matrix: &ProbeMatrix) {
-        self.links = matrix.link_rows();
+        self.row_links.refill(&matrix.paths);
         self.by_id.clear();
         (self.by_id).extend(matrix.rows_by_id().map(|(path, row)| (path, row as u32)));
         self.rows.resize(matrix.num_paths(), (0, 0));
-        self.missing.clear();
-        self.missing.resize(self.links.num_links(), 0);
+        self.through.clear();
+        self.through.resize(matrix.num_links, 0);
+        for &l in self.row_links.rows().flatten() {
+            if l.index() >= self.through.len() {
+                self.through.resize(l.index() + 1, 0);
+            }
+            if let Some(n) = self.through.get_mut(l.index()) {
+                *n += 1;
+            }
+        }
+        self.unobserved.clear();
+        self.observed.clone_from(&self.through);
+        self.generation += 1;
+        self.lossy_rows.clear();
     }
 
     /// The hit-ratio denominator of `link` for the latest walk: the rows
     /// through it (once per naming) whose paths had a probe sent — what
     /// `localize` indexes through the link over the whole window.
     pub fn observed_through(&self, link: LinkId) -> usize {
-        let missing = self.missing.get(link.index()).copied().unwrap_or(0) as usize;
-        self.links.items(link).len().saturating_sub(missing)
+        self.observed.get(link.index()).copied().unwrap_or(0) as usize
+    }
+
+    /// What the latest walk hands PLL beside its lossy observations: their
+    /// rows, the matrix's row → links incidence and every link's
+    /// denominator, whose generation moves only when the set of rows the
+    /// walk left unobserved does.
+    pub fn incidence(&self) -> LossyIncidence<'_> {
+        LossyIncidence {
+            rows: &self.lossy_rows,
+            row_links: &self.row_links,
+            observed: &self.observed,
+            generation: self.generation,
+        }
     }
 
     /// Adds one row of a report to the slot of `row`, or of `path` on the
@@ -366,42 +411,64 @@ impl RowSums {
     /// side list merged in — zeroing every slot: each path summing to
     /// anything but `(0, 0)` is counted, and emitted when lossy as its
     /// observation reads it (`lost` clamped to `sent`, and not wrapped
-    /// back to zero). Every row summing to no probe sent adds one to the
-    /// missing count of each link it names.
-    fn drain_lossy(&mut self, matrix: &ProbeMatrix) -> (Vec<PathObservation>, usize) {
-        self.missing.fill(0);
+    /// back to zero), its row beside it. The rows summing to no probe sent
+    /// are listed; only when that list differs from the last walk's are
+    /// the per-link counts redone and the generation moved.
+    fn drain_lossy(&mut self) -> (Vec<PathObservation>, usize) {
         let mut observed = 0;
-        let lossy = &mut self.lossy;
-        let mut read = |path, (sent, lost): (u64, u64)| {
+        let (lossy, lossy_rows) = (&mut self.lossy, &mut self.lossy_rows);
+        lossy_rows.clear();
+        let mut read = |path, row, (sent, lost): (u64, u64)| {
             if (sent, lost) == (0, 0) {
                 return;
             }
             observed += 1;
             if lost.min(sent) > 0 {
                 lossy.push(PathObservation::new(path, sent, lost));
+                lossy_rows.push(row);
             }
         };
         let mut strays = self.strays.drain(..).peekable();
+        let (mut unobserved, mut moved) = (0, false);
         for &(path, row) in &self.by_id {
             let Some(slot) = self.rows.get_mut(row as usize) else {
                 continue;
             };
             while let Some((stray, sums)) = strays.next_if(|&(p, _)| p < path) {
-                read(stray, sums);
+                read(stray, LossyIncidence::STRAY, sums);
             }
             let sums = std::mem::take(slot);
-            read(path, sums);
+            read(path, row, sums);
             if sums.0 == 0 {
-                let links = matrix.paths.get(row as usize).map(|p| p.links());
-                for l in links.unwrap_or_default() {
-                    if let Some(missing) = self.missing.get_mut(l.index()) {
-                        *missing += 1;
+                // Overwrites the last walk's list from its first change on.
+                match self.unobserved.get_mut(unobserved) {
+                    Some(last) if *last == row => {}
+                    Some(last) => {
+                        *last = row;
+                        moved = true;
+                    }
+                    None => {
+                        self.unobserved.push(row);
+                        moved = true;
                     }
                 }
+                unobserved += 1;
             }
         }
         for (stray, sums) in strays {
-            read(stray, sums);
+            read(stray, LossyIncidence::STRAY, sums);
+        }
+        if moved || unobserved < self.unobserved.len() {
+            self.unobserved.truncate(unobserved);
+            self.generation += 1;
+            self.observed.clone_from(&self.through);
+            for &row in &self.unobserved {
+                for l in self.row_links.links(row) {
+                    if let Some(n) = self.observed.get_mut(l.index()) {
+                        *n = n.saturating_sub(1);
+                    }
+                }
+            }
         }
         // One allocation, of the exact size; the buffer stays for the
         // next walk.
@@ -474,9 +541,10 @@ impl ReportStore {
     /// (stale pre-re-base ids, strays) on a short side list. The
     /// read-out by ascending path id emits only the lossy paths, strays
     /// included, and counts every path summing to anything but `(0, 0)`;
-    /// for the clean paths PLL reads one number a link, which `sums`
-    /// keeps ([`RowSums::observed_through`]): the plan's rows through the
-    /// link minus those the window saw no probe sent on.
+    /// `sums` keeps the lossy paths' rows and, for the clean paths, the
+    /// one number a link PLL reads ([`RowSums::observed_through`]): the
+    /// plan's rows through the link minus those the window saw no probe
+    /// sent on ([`RowSums::incidence`] hands both over).
     ///
     /// Returns the lossy observations, the observed-path count and how
     /// many reports were summed: the whole window's sums filtered to
@@ -499,7 +567,7 @@ impl ReportStore {
                 sums.add(matrix.row_of(r.path), r.path, r.sent, r.lost);
             }
         }
-        let (lossy, observed) = sums.drain_lossy(matrix);
+        let (lossy, observed) = sums.drain_lossy();
         (lossy, observed, reports)
     }
 
@@ -567,6 +635,7 @@ impl ReportStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use detector_core::types::ProbePath;
 
     fn report(pinger: u32, window: u64, path: u32, sent: u64, lost: u64) -> PingerReport {
         PingerReport {
@@ -650,6 +719,43 @@ mod tests {
         let mut counters: Vec<(u64, u64)> = samples.iter().map(|s| (s.sent, s.lost)).collect();
         counters.sort_unstable();
         assert_eq!(counters, vec![(1, 1), (1, 1), (1, 1), (27, 27)]);
+    }
+
+    #[test]
+    fn the_generation_moves_only_with_the_unobserved_rows() {
+        // Paths 0 and 1 cross link 0; path 1 goes unreported in window 1
+        // and back in window 3, and its counters change in between.
+        let paths = (0..2).map(|id| ProbePath::from_links(id, vec![LinkId(0)]));
+        let matrix = ProbeMatrix::from_paths(1, paths.collect());
+        let mut sums = RowSums::new(&matrix);
+        let store = ReportStore::new();
+        let rows = [
+            &[(0, 10), (1, 10)][..],
+            &[(0, 10)],
+            &[(0, 20)],
+            &[(0, 10), (1, 5)],
+        ];
+        for (w, rows) in (0..).zip(rows) {
+            for &(path, lost) in rows {
+                store.ingest(report(1, w, path, 20, lost));
+            }
+        }
+        let mut walk = |w| {
+            let (lossy, ..) = store.window_lossy(w, &matrix, &|_| false, &mut sums);
+            let view = sums.incidence();
+            assert_eq!(view.rows.len(), lossy.len());
+            (view.generation, sums.observed_through(LinkId(0)))
+        };
+        let seen = [walk(0), walk(1), walk(2), walk(3)];
+        let (g, through): (Vec<u64>, Vec<usize>) = seen.into_iter().unzip();
+        assert_eq!(through, [2, 1, 1, 2]);
+        assert!(
+            g[0] == g[1] - 1 && g[1] == g[2] && g[2] == g[3] - 1,
+            "{g:?}"
+        );
+        // A refit moves it too: rows are renumbered.
+        sums.fit(&matrix);
+        assert!(sums.incidence().generation > g[3]);
     }
 
     #[test]

@@ -73,12 +73,14 @@
 //! Each mutation below was applied to `report.rs` by hand and the
 //! property failed on it:
 //!
-//! e. the missing counts not cleared between windows (the read-out's
-//!    `missing.fill(0)` dropped) — a link's denominator shrinks by an
-//!    earlier window's unobserved rows;
+//! e. the per-link counts not reset before the unobserved rows are
+//!    taken off them (the read-out's `observed.clone_from(&through)`
+//!    dropped) — a link's denominator shrinks again each time the
+//!    unobserved rows move;
 //! f. a row that sent nothing but lost something counted as observed
-//!    (`sums == (0, 0)` instead of `sums.0 == 0` before counting it
-//!    missing) — a link's denominator counts a path `localize` drops;
+//!    (`sums == (0, 0)` instead of `sums.0 == 0` where the read-out
+//!    lists it unobserved) — a link's denominator counts a path
+//!    `localize` drops;
 //! g. the read-out in row order (the matrix's rows, each with its path
 //!    id, instead of the id table) — a re-based cell's lossy paths come
 //!    out ahead of lower ids;

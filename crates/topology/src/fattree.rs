@@ -470,9 +470,12 @@ impl DcnTopology for Fattree {
 /// pairwise link-disjoint paths (an orbit tiling under the pod/ToR/core
 /// permutation symmetry); intra-pod rounds yield one up-and-back core path
 /// per pod. Over its full enumeration the provider produces every
-/// candidate path of the component exactly once, so PMC with this provider
-/// explores the same search space as the exhaustive enumeration — just
-/// lazily.
+/// candidate path of the component, so PMC with this provider explores
+/// the same search space as the exhaustive enumeration — just lazily. Some
+/// it produces twice: the tiling rounds' paths come again in the product
+/// enumeration, and an intra-pod round emits each ToR pair in both orders
+/// (on Fattree(8), 256 of group 0's 2 240 candidates repeat an earlier
+/// one's links: 64 as the same route, 192 as its reverse).
 #[derive(Clone, Debug)]
 pub struct FattreeGroupProvider {
     dims: Dims,
@@ -832,6 +835,46 @@ mod tests {
                 .collect();
             assert_eq!(provided, exhaustive, "k={k}");
         }
+    }
+
+    #[test]
+    fn group_provider_emits_some_candidates_twice() {
+        // Fattree(8), group 0: the 16 tiling rounds' 64 paths come again
+        // in the product enumeration, and every intra-pod ToR pair comes
+        // in both orders (8 pods × 6 pairs × 4 cores = 192 link sets,
+        // twice each): 256 of 2 240 emitted candidates repeat.
+        let ft = Fattree::new(8).unwrap();
+        let mut provider = ft.group_provider(0);
+        let mut tiling = std::collections::HashSet::new();
+        let mut seen: std::collections::HashMap<Vec<LinkId>, u32> =
+            std::collections::HashMap::new();
+        loop {
+            let in_tiling = provider.tiling_next < provider.tiling_total;
+            let batch = provider.next_batch();
+            if batch.is_empty() {
+                break;
+            }
+            for p in batch {
+                if in_tiling {
+                    tiling.insert(p.links().to_vec());
+                }
+                *seen.entry(p.links().to_vec()).or_default() += 1;
+            }
+        }
+        let emitted: u32 = seen.values().sum();
+        assert_eq!((emitted, seen.len()), (2240, 1984));
+        let twice: Vec<&Vec<LinkId>> = (seen.iter())
+            .filter(|(_, &n)| n > 1)
+            .map(|(ls, _)| ls)
+            .collect();
+        assert!(seen.values().all(|&n| n <= 2));
+        assert_eq!((twice.len(), tiling.len()), (256, 64));
+        assert!(tiling.iter().all(|ls| seen[ls] == 2));
+        // The other repeats are intra-pod: ToR up to a core and back down
+        // to another ToR of the same pod, three links.
+        let intra = twice.iter().filter(|ls| !tiling.contains(**ls));
+        assert!(intra.clone().all(|ls| ls.len() == 3));
+        assert_eq!(intra.count(), 192);
     }
 
     #[test]
