@@ -215,24 +215,8 @@ pub struct Achieved {
     pub targets_met: bool,
 }
 
-/// How a [`ProbeMatrix`] resolves a [`PathId`] to its row.
-///
-/// Constructed matrices re-number their rows densely, so the id *is* the
-/// row index. Incrementally maintained plans instead allocate each
-/// subproblem a stable [`PathIdRange`](crate::types::PathIdRange) and
-/// leave gaps between cells (headroom), so a row lookup goes through an
-/// explicit id → row table. Consumers never see the difference: both
-/// forms answer [`ProbeMatrix::path`] / [`ProbeMatrix::row_of`].
-#[derive(Clone, Debug)]
-enum PathIndex {
-    /// `paths[i].id == PathId(i)`: the id is the row index.
-    Dense,
-    /// Segmented (sparse-within-range) ids: explicit id → row table.
-    Segmented(RowTable),
-}
-
 /// Slot of a [`RowTable`] no path owns (an id in a headroom gap).
-const NO_ROW: u32 = u32::MAX;
+pub const NO_ROW: u32 = u32::MAX;
 
 /// A [`RowTable`] run may hold this many slots per id it resolves.
 /// The planner's ranges carry at most 8 ids of headroom per path
@@ -241,22 +225,48 @@ const NO_ROW: u32 = u32::MAX;
 const SLOTS_PER_ROW: u64 = 16;
 
 /// One run of consecutive table slots: ids `first..first + len` resolve
-/// through `rows[start..start + len]`.
-#[derive(Clone, Copy, Debug)]
-struct IdRun {
+/// through slots `start..start + len`. The default run holds no id.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdRun {
     first: u32,
     len: u32,
     start: usize,
 }
 
-/// The id → row table of a segmented matrix: a lookup is one subtraction
-/// and one load — the close path resolves ~30 k ids a window and used to
-/// hash each. The id space is cut into runs wherever keeping it whole
-/// would leave more than [`SLOTS_PER_ROW`] slots per resolved id, so the
-/// table stays O(rows) whatever ids the caller hands in; ids between
-/// runs resolve to nothing without a slot of their own.
+impl IdRun {
+    /// The run's first id.
+    pub fn first(&self) -> u32 {
+        self.first
+    }
+
+    /// The run's slots in its table, gaps included: slot `start + i`
+    /// is id `first + i`'s.
+    pub fn slots(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len as usize
+    }
+
+    /// The slot of `id`, if the run holds it: one subtraction and one
+    /// compare (an id below `first` wraps past `len`).
+    #[inline(always)]
+    pub fn slot_of(&self, id: PathId) -> Option<usize> {
+        let offset = id.0.wrapping_sub(self.first);
+        (offset < self.len).then(|| self.start + offset as usize)
+    }
+}
+
+/// How a [`ProbeMatrix`] resolves a [`PathId`] to its row: a lookup is
+/// one subtraction and one load — the close path resolves ~30 k ids a
+/// window and used to hash each. Constructed matrices number their rows
+/// densely, so their table is one run whose slot `i` is row `i`.
+/// Incrementally maintained plans allocate each subproblem a stable
+/// [`PathIdRange`](crate::types::PathIdRange) and leave gaps between
+/// cells (headroom), which hold [`NO_ROW`]. The id space is cut into
+/// runs wherever keeping it whole would leave more than 16 slots
+/// (`SLOTS_PER_ROW`) per resolved id, so the table stays O(rows)
+/// whatever ids the caller hands in; ids between runs resolve to nothing
+/// without a slot of their own.
 #[derive(Clone, Debug)]
-struct RowTable {
+pub struct RowTable {
     /// Ascending by `first`, disjoint.
     runs: Vec<IdRun>,
     /// The runs' slots back to back; [`NO_ROW`] in a gap.
@@ -296,14 +306,26 @@ impl RowTable {
         Self { runs, rows }
     }
 
-    fn row_of(&self, id: PathId) -> Option<usize> {
+    /// The runs, ascending by id.
+    pub fn runs(&self) -> &[IdRun] {
+        &self.runs
+    }
+
+    /// Every slot's row, the runs back to back: [`NO_ROW`] in a gap.
+    pub fn slots(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// The run that holds `id`, if any.
+    pub fn run_of(&self, id: PathId) -> Option<IdRun> {
         let at = self.runs.partition_point(|run| run.first <= id.0);
-        let run = self.runs.get(at.checked_sub(1)?)?;
-        let slot = id.0 - run.first;
-        if slot >= run.len {
-            return None;
-        }
-        let row = *self.rows.get(run.start + slot as usize)?;
+        let run = *self.runs.get(at.checked_sub(1)?)?;
+        run.slot_of(id).map(|_| run)
+    }
+
+    fn row_of(&self, id: PathId) -> Option<usize> {
+        let slot = self.run_of(id)?.slot_of(id)?;
+        let row = *self.rows.get(slot)?;
         (row != NO_ROW).then_some(row as usize)
     }
 
@@ -336,8 +358,8 @@ pub struct ProbeMatrix {
     /// Links of the universe that no candidate path covered (these can
     /// never be monitored by this candidate set).
     pub uncoverable: Vec<LinkId>,
-    /// Resolves path ids to rows (dense or segmented).
-    index: PathIndex,
+    /// Resolves path ids to rows.
+    index: RowTable,
 }
 
 impl ProbeMatrix {
@@ -350,7 +372,7 @@ impl ProbeMatrix {
             .enumerate()
             .map(|(i, p)| p.with_id(PathId(i as u32)))
             .collect();
-        Self::assemble(num_links, paths, PathIndex::Dense)
+        Self::assemble(num_links, paths)
     }
 
     /// Builds a probe matrix from paths that keep their own (segmented)
@@ -361,11 +383,10 @@ impl ProbeMatrix {
     /// caller's path order (cell order, not id order — a re-based cell's
     /// range may sort after a later cell's).
     pub fn from_segmented(num_links: usize, paths: Vec<ProbePath>) -> Self {
-        let index = PathIndex::Segmented(RowTable::build(&paths));
-        Self::assemble(num_links, paths, index)
+        Self::assemble(num_links, paths)
     }
 
-    fn assemble(num_links: usize, paths: Vec<ProbePath>, index: PathIndex) -> Self {
+    fn assemble(num_links: usize, paths: Vec<ProbePath>) -> Self {
         let mut covered = vec![false; num_links];
         for p in &paths {
             for l in p.links() {
@@ -380,6 +401,7 @@ impl ProbeMatrix {
             .collect();
         Self {
             num_links,
+            index: RowTable::build(&paths),
             paths,
             achieved: Achieved {
                 coverage: 0,
@@ -387,16 +409,12 @@ impl ProbeMatrix {
                 targets_met: false,
             },
             uncoverable,
-            index,
         }
     }
 
     /// The row index of the path with id `id`, if deployed.
     pub fn row_of(&self, id: PathId) -> Option<usize> {
-        match &self.index {
-            PathIndex::Dense => (id.index() < self.paths.len()).then(|| id.index()),
-            PathIndex::Segmented(table) => table.row_of(id),
-        }
+        self.index.row_of(id)
     }
 
     /// The path with id `id`, if deployed. Unknown ids (e.g. counters
@@ -412,12 +430,12 @@ impl ProbeMatrix {
     /// range sorts after later cells'. Walks the row table, so it neither
     /// sorts nor allocates.
     pub fn rows_by_id(&self) -> impl Iterator<Item = (PathId, usize)> + '_ {
-        let (dense, table) = match &self.index {
-            PathIndex::Dense => (self.paths.len(), None),
-            PathIndex::Segmented(table) => (0, Some(table)),
-        };
-        let dense = (0..dense).map(|row| (PathId(row as u32), row));
-        dense.chain(table.into_iter().flat_map(RowTable::by_id))
+        self.index.by_id()
+    }
+
+    /// The id → row table, for a caller that keeps something per id slot.
+    pub fn row_table(&self) -> &RowTable {
+        &self.index
     }
 
     /// Overrides the achieved targets (used by external constructors, e.g.
@@ -686,6 +704,7 @@ pub(crate) fn merge_solutions(
     let identifiability = if targets_met { cfg.beta } else { 0 };
     ProbeMatrix {
         num_links,
+        index: RowTable::build(&paths),
         paths,
         achieved: Achieved {
             coverage,
@@ -693,7 +712,6 @@ pub(crate) fn merge_solutions(
             targets_met,
         },
         uncoverable,
-        index: PathIndex::Dense,
     }
 }
 
@@ -828,15 +846,8 @@ mod tests {
         ProbeMatrix::from_segmented(1, paths.collect())
     }
 
-    fn table(m: &ProbeMatrix) -> &RowTable {
-        match &m.index {
-            PathIndex::Segmented(table) => table,
-            PathIndex::Dense => panic!("from_segmented builds a row table"),
-        }
-    }
-
     fn table_bytes(m: &ProbeMatrix) -> usize {
-        let RowTable { runs, rows } = table(m);
+        let RowTable { runs, rows } = m.row_table();
         rows.capacity() * size_of::<u32>() + runs.capacity() * size_of::<IdRun>()
     }
 
@@ -871,8 +882,8 @@ mod tests {
         ids.extend(9..49);
         ids.extend(69..72);
         let m = segmented(&ids);
-        assert_eq!(table(&m).runs.len(), 1);
-        assert_eq!(table(&m).rows.len(), 72);
+        assert_eq!(m.row_table().runs.len(), 1);
+        assert_eq!(m.row_table().rows.len(), 72);
     }
 
     proptest::proptest! {
@@ -908,6 +919,10 @@ mod tests {
             assert_eq!(m.path(p.id), Some(p));
         }
         assert_eq!(m.path(PathId(m.num_paths() as u32)), None);
+        // One run, and slot `i` is row `i`.
+        let table = m.row_table();
+        assert_eq!(table.runs().len(), 1);
+        assert!((0..).zip(table.slots()).all(|(row, &slot)| slot == row));
     }
 
     #[test]

@@ -115,6 +115,9 @@ pub const ROWS: &[Row] = &[
     Row { name: "PLL reads the walk's incidence", scope: &["crates/core/src/pll/components.rs"], except: &[],
         rule: Forbid(&[Sub(".path("), Sub(".row_of("), Sub(".paths")]),
         reason: "a rebuild reads rows, links and denominators from the walk's LossyIncidence, never a path from the matrix" },
+    Row { name: "The walk sums by id slot", scope: &["crates/system/src/report.rs"], except: &[],
+        rule: Forbid(&[Sub(".row_of(")]),
+        reason: "a filed row is summed at its id's slot of the matrix's RowTable, found from the report's run cursor, never looked up row by row" },
     Row { name: "Shims carry what the source calls (stubs)", except: &[], rule: NoCode,
         scope: &["shims/crossbeam/src/lib.rs", "shims/bytes/src/lib.rs", "shims/serde/src/lib.rs", "shims/serde_derive/src/lib.rs"],
         reason: "the source uses std or its own code; the stubs stay only because benchmark/Cargo.lock lists them" },
@@ -320,6 +323,11 @@ mod tests {
                 "crates/core/src/pll/components.rs",
                 "fn f(m: &ProbeMatrix) {\n m.row_of(id); }",
                 2,
+            ),
+            (
+                "crates/system/src/report.rs",
+                "fn f(m: &ProbeMatrix) {\n\n m.row_of(id); }",
+                3,
             ),
             (
                 "shims/bytes/src/lib.rs",

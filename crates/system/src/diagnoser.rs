@@ -13,9 +13,11 @@
 //! owns the store.
 //!
 //! Diagnosis is one path. One walk of the window's rows skips the
-//! pingers the watchdog excludes, sums the rest per matrix row, and
-//! emits only the lossy paths, each with its row
-//! ([`ReportStore::window_lossy`]). The clean paths reach PLL as one
+//! pingers the watchdog excludes, sums the rest per slot of the matrix's
+//! id table — a row's slot is its id less its run's first id, the run
+//! kept as a cursor across a report's ascending ids — and reads the
+//! slots out in id order, emitting only the lossy paths, each with its
+//! row ([`ReportStore::window_lossy`]). The clean paths reach PLL as one
 //! number a link, the hit ratio's denominator: the rows through the link
 //! minus the rows the window left unobserved
 //! ([`RowSums::observed_through`]), under a generation that moves only

@@ -36,9 +36,13 @@
 //!
 //! The log is also where a window is aggregated, once:
 //! [`ReportStore::window_lossy`] walks its rows, skips excluded pingers,
-//! and sums the rest into a dense per-matrix-row [`RowSums`]. The
-//! read-out in ascending path id emits only the lossy paths — PLL blames
-//! only links on them — and keeps each one's matrix row beside it. Of
+//! and sums the rest into [`RowSums`], one slot per slot of the matrix's
+//! id table ([`RowTable`]): a row is added at its id less its run's
+//! first id, the run found once per report and kept as a cursor while
+//! the report's ascending ids stay in it. A gap id sums in its own slot.
+//! The read-out scans the slots in ascending path id, emits only the
+//! lossy paths — PLL blames only links on them — and keeps each one's
+//! matrix row beside it ([`LossyIncidence::STRAY`] for a gap id). Of
 //! the clean paths PLL reads one number a link, the hit ratio's
 //! denominator, and the walk keeps it without emitting them: the rows
 //! through the link, minus the rows the window left without a probe
@@ -48,9 +52,8 @@
 //! incidence (one flat array) and the denominators under that generation,
 //! so PLL resolves nothing in the matrix and a window whose lossy paths
 //! and generation repeat reuses its skeleton. Diagnosis costs what was
-//! lost, as a report does. The accumulator, the id table and the
-//! incidence are built once per matrix and recycled from one window to
-//! the next.
+//! lost, as a report does. The slots and the incidence are built once
+//! per matrix and recycled from one window to the next.
 //!
 //! Every driver owns its diagnoser, so the store needs no lock for them.
 //! The `RwLock` is there because [`ReportStore::ingest`] takes `&self`:
@@ -64,7 +67,7 @@ mod reference;
 use std::collections::HashMap;
 
 use detector_core::pll::{FlowSample, LossyIncidence};
-use detector_core::pmc::{ProbeMatrix, RowLinks};
+use detector_core::pmc::{IdRun, ProbeMatrix, RowLinks, RowTable, NO_ROW};
 use detector_core::types::{LinkId, NodeId, PathId, PathObservation};
 use parking_lot::RwLock;
 
@@ -293,17 +296,18 @@ impl Logs {
 }
 
 /// The recycled state of [`ReportStore::window_lossy`], fitted to one
-/// probe matrix: one `(sent, lost)` slot per row, the side list of ids
-/// the matrix cannot resolve, the matrix's `(path, row)` pairs ascending
-/// by id and its row → links incidence, and what the latest walk leaves
-/// for PLL ([`incidence`](Self::incidence)): its lossy paths' rows, each
-/// link's observed rows and their generation. [`new`](Self::new) and
-/// [`fit`](Self::fit) build the id table and the incidence — once per
-/// matrix, never per window — and between walks every slot is clear.
+/// probe matrix: one `(sent, lost)` slot per slot of the matrix's id
+/// table ([`RowTable`]), gaps included, the side list of ids outside
+/// every run of the table, the matrix's row → links incidence, and what
+/// the latest walk leaves for PLL ([`incidence`](Self::incidence)): its
+/// lossy paths' rows, each link's observed rows and their generation.
+/// [`new`](Self::new) and [`fit`](Self::fit) size the slots and build
+/// the incidence — once per matrix, never per window — and between
+/// walks every slot is clear.
 pub struct RowSums {
     row_links: RowLinks,
-    by_id: Vec<(PathId, u32)>,
-    rows: Vec<(u64, u64)>,
+    /// Per id-table slot: the walk's sums, `(0, 0)` between walks.
+    slots: Vec<(u64, u64)>,
     /// Ascending by path, one entry per id.
     strays: Vec<(PathId, (u64, u64))>,
     /// Per link: the rows through it, once per naming.
@@ -327,8 +331,7 @@ impl RowSums {
     pub fn new(matrix: &ProbeMatrix) -> Self {
         let mut sums = Self {
             row_links: RowLinks::default(),
-            by_id: Vec::new(),
-            rows: Vec::new(),
+            slots: Vec::new(),
             strays: Vec::new(),
             through: Vec::new(),
             unobserved: Vec::new(),
@@ -341,13 +344,12 @@ impl RowSums {
         sums
     }
 
-    /// Refits to a new matrix: re-indexes its ids and links and resizes
-    /// the slots, keeping their memory. Every row starts out observed.
+    /// Refits to a new matrix: re-indexes its links and resizes the
+    /// slots to its id table, keeping their memory. Every row starts out
+    /// observed.
     pub fn fit(&mut self, matrix: &ProbeMatrix) {
         self.row_links.refill(&matrix.paths);
-        self.by_id.clear();
-        (self.by_id).extend(matrix.rows_by_id().map(|(path, row)| (path, row as u32)));
-        self.rows.resize(matrix.num_paths(), (0, 0));
+        self.slots.resize(matrix.row_table().slots().len(), (0, 0));
         self.through.clear();
         self.through.resize(matrix.num_links, 0);
         for &l in self.row_links.rows().flatten() {
@@ -384,45 +386,54 @@ impl RowSums {
         }
     }
 
-    /// Adds one row of a report to the slot of `row`, or of `path` on the
-    /// side list when the matrix has no row for it.
-    fn add(&mut self, row: Option<usize>, path: PathId, sent: u64, lost: u64) {
-        let slot = match row.and_then(|row| self.rows.get_mut(row)) {
-            Some(slot) => slot,
-            None => {
-                let at = match self.strays.binary_search_by_key(&path, |&(p, _)| p) {
-                    Ok(at) => at,
-                    Err(at) => {
-                        self.strays.insert(at, (path, (0, 0)));
-                        at
-                    }
-                };
-                let Some((_, slot)) = self.strays.get_mut(at) else {
-                    return;
-                };
-                slot
+    /// Adds one report's rows, each at its id's slot: the id less the
+    /// first id of the run that holds it. A report's ids ascend, so the
+    /// run of its last row is checked first, and only an id off that run
+    /// looks its own run up; an id outside every run goes on the side
+    /// list.
+    fn add_report(&mut self, table: &RowTable, rows: &[Row]) {
+        let mut run = IdRun::default();
+        for r in rows {
+            let slot = run.slot_of(r.path).or_else(|| {
+                run = table.run_of(r.path)?;
+                run.slot_of(r.path)
+            });
+            match slot.and_then(|slot| self.slots.get_mut(slot)) {
+                // Wrapping: a hostile wire counter must not panic a debug
+                // build.
+                Some(s) => *s = (s.0.wrapping_add(r.sent), s.1.wrapping_add(r.lost)),
+                None => self.add_stray(r.path, r.sent, r.lost),
             }
-        };
-        // Wrapping: a hostile wire counter must not panic a debug build.
-        *slot = (slot.0.wrapping_add(sent), slot.1.wrapping_add(lost));
+        }
     }
 
-    /// Reads the walk out in ascending path id — the id table with the
-    /// side list merged in — zeroing every slot: each path summing to
-    /// anything but `(0, 0)` is counted, and emitted when lossy as its
-    /// observation reads it (`lost` clamped to `sent`, and not wrapped
-    /// back to zero), its row beside it. The rows summing to no probe sent
-    /// are listed; only when that list differs from the last walk's are
-    /// the per-link counts redone and the generation moved.
-    fn drain_lossy(&mut self) -> (Vec<PathObservation>, usize) {
+    fn add_stray(&mut self, path: PathId, sent: u64, lost: u64) {
+        let at = match self.strays.binary_search_by_key(&path, |&(p, _)| p) {
+            Ok(at) => at,
+            Err(at) => {
+                self.strays.insert(at, (path, (0, 0)));
+                at
+            }
+        };
+        if let Some((_, s)) = self.strays.get_mut(at) {
+            *s = (s.0.wrapping_add(sent), s.1.wrapping_add(lost));
+        }
+    }
+
+    /// Reads the walk out in ascending path id — the table's slots run by
+    /// run, the side list merged in — zeroing every slot: each path
+    /// summing to anything but `(0, 0)` is counted, and emitted when
+    /// lossy as its observation reads it (`lost` clamped to `sent`, and
+    /// not wrapped back to zero), its row beside it, or
+    /// [`LossyIncidence::STRAY`] for a gap slot or a side-list id. The
+    /// rows summing to no probe sent are listed; only when that list
+    /// differs from the last walk's are the per-link counts redone and
+    /// the generation moved.
+    fn drain_lossy(&mut self, table: &RowTable) -> (Vec<PathObservation>, usize) {
         let mut observed = 0;
         let (lossy, lossy_rows) = (&mut self.lossy, &mut self.lossy_rows);
         lossy_rows.clear();
-        let mut read = |path, row, (sent, lost): (u64, u64)| {
-            if (sent, lost) == (0, 0) {
-                return;
-            }
-            observed += 1;
+        let mut emit = |path, row, (sent, lost): (u64, u64)| {
             if lost.min(sent) > 0 {
                 lossy.push(PathObservation::new(path, sent, lost));
                 lossy_rows.push(row);
@@ -430,33 +441,50 @@ impl RowSums {
         };
         let mut strays = self.strays.drain(..).peekable();
         let (mut unobserved, mut moved) = (0, false);
-        for &(path, row) in &self.by_id {
-            let Some(slot) = self.rows.get_mut(row as usize) else {
+        for run in table.runs() {
+            while let Some((stray, sums)) = strays.next_if(|&(p, _)| p.0 < run.first()) {
+                observed += usize::from(sums != (0, 0));
+                emit(stray, LossyIncidence::STRAY, sums);
+            }
+            let (Some(slots), Some(rows)) = (
+                self.slots.get_mut(run.slots()),
+                table.slots().get(run.slots()),
+            ) else {
                 continue;
             };
-            while let Some((stray, sums)) = strays.next_if(|&(p, _)| p < path) {
-                read(stray, LossyIncidence::STRAY, sums);
-            }
-            let sums = std::mem::take(slot);
-            read(path, row, sums);
-            if sums.0 == 0 {
-                // Overwrites the last walk's list from its first change on.
-                match self.unobserved.get_mut(unobserved) {
-                    Some(last) if *last == row => {}
-                    Some(last) => {
-                        *last = row;
-                        moved = true;
-                    }
-                    None => {
-                        self.unobserved.push(row);
-                        moved = true;
-                    }
+            for (offset, (slot, &row)) in slots.iter_mut().zip(rows).enumerate() {
+                let sums = std::mem::take(slot);
+                observed += usize::from(sums != (0, 0));
+                if sums.0 != 0 && sums.1 == 0 {
+                    // Most slots: a clean path that had a probe sent.
+                    continue;
                 }
-                unobserved += 1;
+                let path = PathId(run.first() + offset as u32);
+                if row == NO_ROW {
+                    emit(path, LossyIncidence::STRAY, sums);
+                    continue;
+                }
+                emit(path, row, sums);
+                if sums.0 == 0 {
+                    // Overwrites the last walk's list from its first change on.
+                    match self.unobserved.get_mut(unobserved) {
+                        Some(last) if *last == row => {}
+                        Some(last) => {
+                            *last = row;
+                            moved = true;
+                        }
+                        None => {
+                            self.unobserved.push(row);
+                            moved = true;
+                        }
+                    }
+                    unobserved += 1;
+                }
             }
         }
         for (stray, sums) in strays {
-            read(stray, LossyIncidence::STRAY, sums);
+            observed += usize::from(sums != (0, 0));
+            emit(stray, LossyIncidence::STRAY, sums);
         }
         if moved || unobserved < self.unobserved.len() {
             self.unobserved.truncate(unobserved);
@@ -537,14 +565,15 @@ impl ReportStore {
 
     /// The diagnosis input of a window in one walk of its rows: the
     /// reports of pingers not `excluded`, summed per path into `sums`'
-    /// slot for the path's `matrix` row — ids the matrix cannot resolve
-    /// (stale pre-re-base ids, strays) on a short side list. The
-    /// read-out by ascending path id emits only the lossy paths, strays
-    /// included, and counts every path summing to anything but `(0, 0)`;
-    /// `sums` keeps the lossy paths' rows and, for the clean paths, the
-    /// one number a link PLL reads ([`RowSums::observed_through`]): the
-    /// plan's rows through the link minus those the window saw no probe
-    /// sent on ([`RowSums::incidence`] hands both over).
+    /// slot for the path's id in `matrix`'s id table — ids outside every
+    /// run of it (stale pre-re-base ids, strays) on a short side list.
+    /// The read-out by ascending path id emits only the lossy paths,
+    /// strays and gap ids included, and counts every path summing to
+    /// anything but `(0, 0)`; `sums` keeps the lossy paths' rows and, for
+    /// the clean paths, the one number a link PLL reads
+    /// ([`RowSums::observed_through`]): the plan's rows through the link
+    /// minus those the window saw no probe sent on
+    /// ([`RowSums::incidence`] hands both over).
     ///
     /// Returns the lossy observations, the observed-path count and how
     /// many reports were summed: the whole window's sums filtered to
@@ -560,14 +589,13 @@ impl ReportStore {
         sums: &mut RowSums,
     ) -> (Vec<PathObservation>, usize, u64) {
         let inner = self.inner.read();
+        let table = matrix.row_table();
         let mut reports = 0u64;
         for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
             reports += 1;
-            for r in rows {
-                sums.add(matrix.row_of(r.path), r.path, r.sent, r.lost);
-            }
+            sums.add_report(table, rows);
         }
-        let (lossy, observed) = sums.drain_lossy();
+        let (lossy, observed) = sums.drain_lossy(table);
         (lossy, observed, reports)
     }
 
@@ -756,6 +784,59 @@ mod tests {
         // A refit moves it too: rows are renumbered.
         sums.fit(&matrix);
         assert!(sums.incidence().generation > g[3]);
+    }
+
+    #[test]
+    fn gap_and_outlying_ids_read_out_as_strays_in_id_order_whatever_the_report_order() {
+        // Rows in cell order, ids in two runs: 10..=14 (12 a gap) and
+        // 1000..=1001. Ids 5 and 5000 lie outside both.
+        let cells = [(1000, 2), (1001, 2), (10, 0), (11, 1), (13, 0), (14, 1)];
+        let paths = cells.map(|(id, link)| ProbePath::from_links(id, vec![LinkId(link)]));
+        let matrix = ProbeMatrix::from_segmented(3, paths.into());
+        assert_eq!(matrix.row_table().runs().len(), 2);
+        // Everything lossy but 11; 14 and 1001 unreported.
+        let ascending = [
+            (5, 2),
+            (10, 1),
+            (11, 0),
+            (12, 3),
+            (13, 1),
+            (1000, 2),
+            (5000, 4),
+        ];
+        let store = ReportStore::new();
+        for (window, ids) in [
+            (0, ascending.to_vec()),
+            (1, ascending.into_iter().rev().collect()),
+        ] {
+            store.ingest(PingerReport {
+                pinger: NodeId(1),
+                window,
+                paths: (ids.iter())
+                    .map(|&(id, lost)| (PathId(id), PathCounters { sent: 10, lost }))
+                    .collect(),
+                ..Default::default()
+            });
+        }
+        let mut sums = RowSums::new(&matrix);
+        let mut walk = |window| {
+            let (lossy, observed, _) = store.window_lossy(window, &matrix, &|_| false, &mut sums);
+            let ids: Vec<u32> = lossy.iter().map(|o| o.path.0).collect();
+            let denominators = (0..3).map(|l| sums.observed_through(LinkId(l)));
+            let denominators: Vec<usize> = denominators.collect();
+            (ids, sums.incidence().rows.to_vec(), observed, denominators)
+        };
+        let stray = LossyIncidence::STRAY;
+        let want = (
+            vec![5, 10, 12, 13, 1000, 5000],
+            vec![stray, 2, stray, 4, 0, stray],
+            7,
+            vec![2, 1, 1],
+        );
+        assert_eq!(walk(0), want, "ascending");
+        // Descending ids leave the run cursor at every run change, and
+        // the cursor looks the id's run up again.
+        assert_eq!(walk(1), want, "descending");
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //! more than a constant times the input length, and fails with a typed
 //! [`FrameError`].
 
+#[cfg(test)]
+mod reference;
+
 use std::fmt;
 
 use detector_core::types::{NodeId, PathId};
@@ -340,9 +343,11 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 // `inline(always)` on this and the other field readers `decode_report`
-// calls: they run once per field (~220 calls a quiet Fattree(32)
-// report) and the inliner leaves them out of line otherwise — measured
-// 5.4 → 2.5 µs a report, cache-hot.
+// calls: the inliner leaves them out of line otherwise — measured 5.4 →
+// 2.5 µs a quiet Fattree(32) report, cache-hot, when every record went
+// through them. `take_plain_path` now reads the common record itself,
+// so they read the header, the in-rack total and the records it hands
+// back.
 #[inline(always)]
 fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FrameError> {
     let (head, rest) = buf.split_first_chunk().ok_or(FrameError::Truncated)?;
@@ -624,6 +629,49 @@ fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
     encode_counters(&r.in_rack, out);
 }
 
+/// A decoded path record: its id, counters and flows probed.
+type PathRecord = (PathId, PathCounters, u32);
+
+/// The common path record, read with one 8-byte load: a one- or
+/// two-byte key delta, one-byte `sent`, `lost` and flows probed, and no
+/// flow record — all but a few of a storm report's records. It makes the
+/// general arm's checks for such a record: a canonical delta (a second
+/// byte of zero is padding), keys strictly ascending and in range, `lost
+/// ≤ sent`, and, with flows probed, that they fit in `sent` and that
+/// the path lost nothing or everything (no record carries the rest).
+/// Anything else — a longer field, a record count, a check that fails,
+/// fewer than 8 bytes left — returns `None` with `buf` untouched, and
+/// the general arm reads the record from its first byte, so both arms
+/// accept the same records with the same values and the general arm
+/// alone names every error. `prev` is the previous key of the run.
+#[inline(always)]
+fn take_plain_path(buf: &mut &[u8], prev: Option<u32>) -> Option<PathRecord> {
+    let bytes = *buf.first_chunk::<8>()?;
+    // The delta as `take_varint` reads its one- and two-byte forms.
+    let (delta, len) = match bytes {
+        [low, ..] if low < 0x80 => (u64::from(low), 1),
+        [low, high, ..] if high < 0x80 && high != 0 => {
+            (u64::from(low & 0x7F) | u64::from(high) << 7, 2)
+        }
+        _ => return None,
+    };
+    // Then `sent`, `lost` and flows probed below 0x80, and a zero count.
+    let fields = u64::from_le_bytes(bytes) >> (8 * len);
+    if fields & 0xFF80_8080 != 0 {
+        return None;
+    }
+    let (sent, lost, probed) = (fields & 0xFF, (fields >> 8) & 0xFF, (fields >> 16) & 0xFF);
+    if prev.is_some() && delta == 0 || lost > sent {
+        return None;
+    }
+    if probed > 0 && (probed > sent || lost != 0 && lost != sent) {
+        return None;
+    }
+    let key = advance(prev, delta).ok()?;
+    *buf = buf.get(len + 4..)?;
+    Some((PathId(key), PathCounters { sent, lost }, probed as u32))
+}
+
 const FLOW_PROBES_DISAGREE: FrameError =
     FrameError::BadPayload("flow probes disagree with the path's");
 
@@ -635,79 +683,24 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
     let mut paths = Vec::with_capacity(num_paths);
     let mut flows_probed = Vec::with_capacity(num_paths);
     let mut flows = Vec::with_capacity(num_flows);
-    let mut prev = None;
+    // The record loop's cursor and previous key stay local, and go to
+    // the out-of-line arm by value: held behind a reference it passes
+    // on, each record would store them and the next load them back.
+    let (mut rest, mut prev) = (*buf, None);
     for _ in 0..num_paths {
-        let path = PathId(take_key(buf, &mut prev)?);
-        let counters = decode_counters(buf)?;
-        let probed = u32::try_from(take_varint(buf)?)
-            .map_err(|_| FrameError::BadPayload("flow count out of range"))?;
-        let own = take_count(buf, MIN_FLOW_RECORD)?;
-        if own > num_flows - flows.len() {
-            return Err(FrameError::BadPayload("flow counts disagree"));
-        }
-        let clean = u64::from(probed)
-            .checked_sub(own as u64)
-            .ok_or(FrameError::BadPayload(
-                "more flow records than flows probed",
-            ))?;
-        // Every flow of such a path lost all it sent: the counters say
-        // it, and a record would only repeat them.
-        let all_lost = counters.sent > 0 && counters.lost == counters.sent;
-        if all_lost && own > 0 {
-            return Err(FrameError::BadPayload(
-                "records on a path that lost every probe",
-            ));
-        }
-        let mut prev_flow: Option<(u16, u8)> = None;
-        let (mut flow_sent, mut flow_lost) = (0u64, 0u64);
-        for _ in 0..own {
-            let delta = take_varint(buf)?;
-            let [dscp] = take_array(buf)?;
-            let sport = advance(prev_flow.map(|(sport, _)| sport), delta)?;
-            if prev_flow.is_some_and(|prev| (sport, dscp) <= prev) {
-                return Err(FrameError::BadPayload("keys not strictly ascending"));
+        let (path, counters, probed) = match take_plain_path(&mut rest, prev) {
+            Some(record) => record,
+            None => {
+                let (record, after) = take_path(rest, prev, &mut flows, num_flows)?;
+                rest = after;
+                record
             }
-            prev_flow = Some((sport, dscp));
-            let PathCounters { sent, lost } = decode_counters(buf)?;
-            if lost == 0 {
-                return Err(FrameError::BadPayload("flow record without a loss"));
-            }
-            // A sum past u64 is past any path's counters; `lost` cannot
-            // overflow before `sent` does.
-            flow_sent = flow_sent.checked_add(sent).ok_or(FLOW_PROBES_DISAGREE)?;
-            flow_lost += lost;
-            flows.push(FlowRecord {
-                path,
-                sport,
-                dscp,
-                sent,
-                lost,
-            });
-        }
-        // What lets the diagnoser rebuild the flows without a record by
-        // subtraction: the records' probes leave at least one for each
-        // flow without a record — none over when every flow has a
-        // record — and the records' losses are the path's, or the path
-        // lost every probe and has no record. Zero flows probed is a path
-        // reported without per-flow information: nothing to check.
-        if probed > 0 {
-            let fits = match flow_sent.checked_add(clean) {
-                Some(least) if clean == 0 => least == counters.sent,
-                Some(least) => least <= counters.sent,
-                None => false,
-            };
-            if !fits {
-                return Err(FLOW_PROBES_DISAGREE);
-            }
-            if !all_lost && flow_lost != counters.lost {
-                return Err(FrameError::BadPayload(
-                    "flow losses disagree with the path's",
-                ));
-            }
-        }
+        };
+        prev = Some(path.0);
         paths.push((path, counters));
         flows_probed.push(probed);
     }
+    *buf = rest;
     if flows.len() != num_flows {
         return Err(FrameError::BadPayload("flow counts disagree"));
     }
@@ -719,6 +712,89 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
         in_rack: decode_counters(buf)?,
         flows,
     })
+}
+
+/// Reads any path record from the front of `buf`, field by field, its
+/// flow records onto `flows` (`num_flows` of them in the whole report),
+/// and returns it with the bytes after it. Out of line, so that the
+/// record loop keeps its registers for [`take_plain_path`].
+#[inline(never)]
+fn take_path<'a>(
+    mut buf: &'a [u8],
+    mut prev: Option<u32>,
+    flows: &mut Vec<FlowRecord>,
+    num_flows: usize,
+) -> Result<(PathRecord, &'a [u8]), FrameError> {
+    let buf = &mut buf;
+    let path = PathId(take_key(buf, &mut prev)?);
+    let counters = decode_counters(buf)?;
+    let probed = u32::try_from(take_varint(buf)?)
+        .map_err(|_| FrameError::BadPayload("flow count out of range"))?;
+    let own = take_count(buf, MIN_FLOW_RECORD)?;
+    if own > num_flows - flows.len() {
+        return Err(FrameError::BadPayload("flow counts disagree"));
+    }
+    let clean = u64::from(probed)
+        .checked_sub(own as u64)
+        .ok_or(FrameError::BadPayload(
+            "more flow records than flows probed",
+        ))?;
+    // Every flow of such a path lost all it sent: the counters say it,
+    // and a record would only repeat them.
+    let all_lost = counters.sent > 0 && counters.lost == counters.sent;
+    if all_lost && own > 0 {
+        return Err(FrameError::BadPayload(
+            "records on a path that lost every probe",
+        ));
+    }
+    let mut prev_flow: Option<(u16, u8)> = None;
+    let (mut flow_sent, mut flow_lost) = (0u64, 0u64);
+    for _ in 0..own {
+        let delta = take_varint(buf)?;
+        let [dscp] = take_array(buf)?;
+        let sport = advance(prev_flow.map(|(sport, _)| sport), delta)?;
+        if prev_flow.is_some_and(|prev| (sport, dscp) <= prev) {
+            return Err(FrameError::BadPayload("keys not strictly ascending"));
+        }
+        prev_flow = Some((sport, dscp));
+        let PathCounters { sent, lost } = decode_counters(buf)?;
+        if lost == 0 {
+            return Err(FrameError::BadPayload("flow record without a loss"));
+        }
+        // A sum past u64 is past any path's counters; `lost` cannot
+        // overflow before `sent` does.
+        flow_sent = flow_sent.checked_add(sent).ok_or(FLOW_PROBES_DISAGREE)?;
+        flow_lost += lost;
+        flows.push(FlowRecord {
+            path,
+            sport,
+            dscp,
+            sent,
+            lost,
+        });
+    }
+    // What lets the diagnoser rebuild the flows without a record by
+    // subtraction: the records' probes leave at least one for each flow
+    // without a record — none over when every flow has a record — and
+    // the records' losses are the path's, or the path lost every probe
+    // and has no record. Zero flows probed is a path reported without
+    // per-flow information: nothing to check.
+    if probed > 0 {
+        let fits = match flow_sent.checked_add(clean) {
+            Some(least) if clean == 0 => least == counters.sent,
+            Some(least) => least <= counters.sent,
+            None => false,
+        };
+        if !fits {
+            return Err(FLOW_PROBES_DISAGREE);
+        }
+        if !all_lost && flow_lost != counters.lost {
+            return Err(FrameError::BadPayload(
+                "flow losses disagree with the path's",
+            ));
+        }
+    }
+    Ok(((path, counters, probed), *buf))
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! close half does — once the retained windows have sized their logs,
 //! filing a window allocates nothing, the walk allocates only the kept
 //! observations it returns, and nothing the store or the walk's
-//! accumulator holds grows. The matrix's link → row incidence is built
-//! once, with the accumulator, never by the walk. A pruned window's log
-//! is reused, not freed: the reports' own blocks are the only memory
+//! accumulator holds grows. The walk's accumulator, one slot per slot of
+//! the matrix's id table, and the matrix's row → links incidence are
+//! built once per matrix, never by the walk. A pruned window's log is
+//! reused, not freed: the reports' own blocks are the only memory
 //! released.
 //!
 //! Beside it, the diagnoser's steady-state window is pinned at its exact
@@ -123,9 +124,10 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
     COUNTED.set(true);
     let templates: Vec<PingerReport> = (0..4).map(report).collect();
     // The first 60 of each pinger's paths: the last 4 are ids the matrix
-    // cannot resolve, summed on the walk's side list. Path `i` of pinger
-    // `p` crosses link `(4p + i) % 6`; the odd windows leave pinger 3's
-    // rows unobserved, which the walk counts per link.
+    // cannot resolve, summed in gap slots of its one id run (pingers
+    // 0–2) or, past the run, on the walk's side list (pinger 3). Path `i`
+    // of pinger `p` crosses link `(4p + i) % 6`; the odd windows leave
+    // pinger 3's rows unobserved, which the walk counts per link.
     let paths = (0..4u32)
         .flat_map(|p| (0..60).map(move |i| p * 100 + i))
         .map(|id| ProbePath::from_links(id, vec![LinkId(id % 6)]));
