@@ -43,6 +43,7 @@
 //! assert_eq!(diagnosis.suspect_links(), vec![LinkId(0)]);
 //! ```
 
+pub mod dense;
 pub mod json;
 pub mod pll;
 pub mod pmc;

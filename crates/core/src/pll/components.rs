@@ -40,10 +40,13 @@
 //! is kept across windows and reset only where the rebuild wrote.
 //! Everything after that (the link → lossy-paths index, the union-find,
 //! the partition, the denominators read off the view) is sized to the
-//! candidate links. Each component's hit list and scope are runs in two
-//! flat arrays, and every array of the skeleton and of the greedies'
-//! scratch keeps its memory across rebuilds and across `invalidate`, so a
-//! window with more components does not allocate more.
+//! candidate links. The indexes are the crate's run array and the
+//! partition its union-find ([`dense`](crate::dense)), the one
+//! [`decompose`](crate::pmc::decompose) splits PMC with. Each component's
+//! hit list and scope are runs in two flat arrays, and every array of the
+//! skeleton and of the greedies' scratch keeps its memory across rebuilds
+//! and across `invalidate`, so a window with more components does not
+//! allocate more.
 //!
 //! # Why the lazy pick is exact
 //!
@@ -93,90 +96,12 @@ use super::pll_impl::{index_links, rows_of, Diagnosis, SuspectLink};
 use super::preprocess::stays_lossy;
 use super::rate::pooled_rate;
 use super::{preprocess, PllConfig};
-use crate::pmc::{ProbeMatrix, RowLinks};
+use crate::dense::{Runs, UnionFind};
+use crate::pmc::ProbeMatrix;
 use crate::types::{LinkId, PathObservation};
 
 /// Sentinel for a missing local link id or component.
 const NONE: u32 = u32::MAX;
-
-/// Runs of `u32` items, one per key, back to back in one array: run `k`
-/// is `items[offsets[k]..offsets[k + 1]]`. Refilled in place, so a
-/// rebuild reuses the memory of the last one.
-#[derive(Debug, Default)]
-struct Runs {
-    offsets: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Runs {
-    /// Empties to no runs.
-    fn clear(&mut self) {
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.items.clear();
-    }
-
-    /// Appends one run.
-    fn push_run(&mut self, items: impl Iterator<Item = u32>) {
-        self.items.extend(items);
-        self.offsets.push(self.items.len() as u32);
-    }
-
-    /// Refills with `keys` runs from the `(key, item)` pairs `entries`
-    /// yields: a key's run lists its items in `entries`' order.
-    /// `entries` is called twice — once to count, once to fill — and
-    /// must yield the same pairs both times, every key below `keys`.
-    fn refill<I>(&mut self, keys: usize, entries: impl Fn() -> I)
-    where
-        I: Iterator<Item = (u32, u32)>,
-    {
-        // As `LinkIndex::build`: shifted by two, `offsets[k + 2]` counts
-        // key `k`'s items, and after the running sum `offsets[k + 1]` is
-        // the cursor that fills its run.
-        self.offsets.clear();
-        self.offsets.resize(keys + 2, 0);
-        for (k, _) in entries() {
-            if let Some(count) = self.offsets.get_mut(k as usize + 2) {
-                *count += 1;
-            }
-        }
-        let mut total = 0;
-        for o in &mut self.offsets {
-            total += *o;
-            *o = total;
-        }
-        self.items.clear();
-        self.items.resize(total as usize, 0);
-        for (k, item) in entries() {
-            let Some(cursor) = self.offsets.get_mut(k as usize + 1) else {
-                continue;
-            };
-            if let Some(slot) = self.items.get_mut(*cursor as usize) {
-                *slot = item;
-            }
-            *cursor += 1;
-        }
-        self.offsets.pop();
-    }
-
-    /// Number of runs.
-    fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Run `k`; empty past the last.
-    fn run(&self, k: usize) -> &[u32] {
-        match self.offsets.get(k..k + 2) {
-            Some(&[from, to]) => (self.items.get(from as usize..to as usize)).unwrap_or_default(),
-            _ => &[],
-        }
-    }
-
-    /// Every run, in key order.
-    fn runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len()).map(|k| self.run(k))
-    }
-}
 
 /// What the diagnoser's window walk hands [`ComponentPll::diagnose`]
 /// beside a window's lossy observations: where each one's links are, and
@@ -187,7 +112,7 @@ pub struct LossyIncidence<'a> {
     /// or [`STRAY`](Self::STRAY) where the matrix cannot resolve its id.
     pub rows: &'a [u32],
     /// The probe matrix's row → links incidence.
-    pub row_links: &'a RowLinks,
+    pub row_links: &'a Runs<LinkId>,
     /// Link → the window's observations with a probe sent whose path
     /// crosses it, once per naming — clean, noisy and lossy alike: the
     /// hit ratio's denominator. Links past the end count none.
@@ -222,12 +147,12 @@ struct Skeleton {
     hit: Vec<f64>,
     /// Local link → indices into the lossy observations, ascending, once
     /// per naming (the lengths are the hit-ratio numerators).
-    link_paths: Runs,
+    link_paths: Runs<u32>,
     /// Component → its local links (its hit list), ascending. Components
     /// are in order of their smallest local link.
-    comp_links: Runs,
+    comp_links: Runs<u32>,
     /// Component → its lossy observation indices (its scope), ascending.
-    comp_scope: Runs,
+    comp_scope: Runs<u32>,
     /// Lossy observations outside every component (path id does not
     /// resolve in the matrix, or the path covers no links), ascending:
     /// unexplainable.
@@ -243,9 +168,9 @@ struct Scratch {
     /// largest link a lossy path has named.
     local_of: Vec<u32>,
     /// Lossy observation → its local links.
-    path_links: Runs,
-    /// Union-find parents over local links, then each link's component.
-    parent: Vec<u32>,
+    path_links: Runs<u32>,
+    /// The components over local links, each lossy path one clique.
+    sets: UnionFind,
     /// Lossy observation → not yet explained; all false between greedies.
     unexplained: Vec<bool>,
     /// The greedy's lazy queue.
@@ -262,7 +187,7 @@ impl Skeleton {
             rows,
             local_of,
             path_links,
-            parent,
+            sets,
             ..
         } = scratch;
         self.valid = true;
@@ -270,9 +195,9 @@ impl Skeleton {
         self.links.clear();
         self.stray.clear();
         path_links.clear();
-        parent.clear();
+        sets.clear();
         for (oi, &row) in rows.iter().enumerate() {
-            let links = view.row_links.links(row);
+            let links = view.row_links.run(row as usize);
             if links.is_empty() {
                 self.stray.push(oi as u32);
             }
@@ -286,26 +211,10 @@ impl Skeleton {
                 if *slot == NONE {
                     *slot = self.links.len() as u32;
                     self.links.push(l);
-                    parent.push(*slot);
                 }
                 *slot
             });
-            path_links.push_run(local);
-            // A union-find over local links in which every lossy path is
-            // one clique. The smaller index becomes the root, so a
-            // component's root is its smallest local link.
-            let Some((&first, rest)) = path_links.run(oi).split_first() else {
-                continue;
-            };
-            let mut root = find(parent, first);
-            for &li in rest {
-                let other = find(parent, li);
-                let (lo, hi) = (root.min(other), root.max(other));
-                if let Some(slot) = parent.get_mut(hi as usize) {
-                    *slot = lo;
-                }
-                root = lo;
-            }
+            sets.join(path_links.push_run(local).iter().copied());
         }
         for l in &self.links {
             if let Some(slot) = local_of.get_mut(l.index()) {
@@ -327,31 +236,14 @@ impl Skeleton {
             self.hit.push(paths.len() as f64 / f64::from(observed));
         }
 
-        // Parents only ever point down, so one ascending pass turns every
-        // link's parent into its component: a root opens the next one (in
-        // order of smallest local link), and any other link's parent has
-        // already been turned into theirs.
-        let mut comps: u32 = 0;
-        for li in 0..n {
-            let comp = match parent.get(li).copied() {
-                Some(p) if p as usize == li => {
-                    comps += 1;
-                    comps - 1
-                }
-                Some(p) => parent.get(p as usize).copied().unwrap_or(NONE),
-                None => NONE,
-            };
-            if let Some(slot) = parent.get_mut(li) {
-                *slot = comp;
-            }
-        }
-        let comp = |li: u32| parent.get(li as usize).copied().unwrap_or(NONE);
-        (self.comp_links).refill(comps as usize, || (0..n as u32).map(|li| (comp(li), li)));
+        let (comps, comp) = sets.number();
+        let comp = |li: u32| comp.get(li as usize).copied().unwrap_or(NONE);
+        (self.comp_links).refill(comps, || (0..n as u32).map(|li| (comp(li), li)));
         let anchored = || {
             (path_links.runs().enumerate())
                 .filter_map(|(oi, run)| Some((comp(*run.first()?), oi as u32)))
         };
-        self.comp_scope.refill(comps as usize, anchored);
+        self.comp_scope.refill(comps, anchored);
     }
 
     /// Runs component `comp`'s greedy over the lossy `obs`: appends its
@@ -557,7 +449,7 @@ impl ComponentPll {
         if !s.valid {
             return (0, 0);
         }
-        let lossy = s.stray.len() + s.comp_scope.items.len();
+        let lossy = s.stray.len() + s.comp_scope.items().len();
         (lossy as u64, s.comp_scope.len() as u64)
     }
 
@@ -589,9 +481,11 @@ impl ComponentPll {
         if s.links.iter().zip(&s.denominators).any(moved) {
             self.invalidate();
         }
+        let mut row_links = Runs::default();
+        matrix.fill_row_links(&mut row_links);
         let view = LossyIncidence {
             rows: &rows_of(matrix, &lossy),
-            row_links: &matrix.row_links(),
+            row_links: &row_links,
             observed: &through,
             generation: self.skeleton.generation,
         };
@@ -680,27 +574,6 @@ impl ComponentPll {
             .extend((scratch.left.iter()).filter_map(|&oi| obs.get(oi as usize).map(|o| o.path)));
         verdict.clone()
     }
-}
-
-fn find(parent: &mut [u32], x: u32) -> u32 {
-    let mut root = x;
-    while let Some(&p) = parent.get(root as usize) {
-        if p == root {
-            break;
-        }
-        root = p;
-    }
-    // Path compression.
-    let mut cur = x;
-    while cur != root {
-        let Some(slot) = parent.get_mut(cur as usize) else {
-            break;
-        };
-        let next = *slot;
-        *slot = root;
-        cur = next;
-    }
-    root
 }
 
 #[cfg(test)]
@@ -808,7 +681,7 @@ mod tests {
         let clean = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
         c.localize(&m, &lossy);
         // No candidate link, so no denominator is read.
-        let none = RowLinks::default();
+        let none = Runs::default();
         let view = LossyIncidence {
             rows: &[],
             row_links: &none,

@@ -67,7 +67,7 @@ pub fn localize_omp(
             if support.contains(&l) {
                 continue;
             }
-            let paths = om.link_paths.items(l);
+            let paths = om.link_paths.run(l.index());
             if paths.is_empty() {
                 continue;
             }
@@ -90,7 +90,7 @@ pub fn localize_omp(
         // Refresh the residual.
         residual.copy_from_slice(&y);
         for (si, &l) in support.iter().enumerate() {
-            for &oi in om.link_paths.items(l) {
+            for &oi in om.link_paths.run(l.index()) {
                 residual[oi as usize] -= x[si];
             }
         }
@@ -108,7 +108,7 @@ pub fn localize_omp(
                 link: l,
                 estimated_loss_rate: rate.clamp(0.0, 1.0),
                 hit_ratio: om.hit_ratio(l),
-                explained_paths: om.link_paths.items(l).len() as u32,
+                explained_paths: om.link_paths.run(l.index()).len() as u32,
                 explained_losses: 0,
             });
         }
@@ -130,7 +130,7 @@ fn solve_least_squares(om: &ObservedMatrix, support: &[LinkId], y: &[f64]) -> Ve
     let m = y.len();
     let mut member = vec![vec![false; m]; k];
     for (si, &l) in support.iter().enumerate() {
-        for &oi in om.link_paths.items(l) {
+        for &oi in om.link_paths.run(l.index()) {
             member[si][oi as usize] = true;
         }
     }

@@ -4,8 +4,9 @@ use std::collections::HashSet;
 
 use super::rate::estimate_rate;
 use super::{preprocess, LossyIncidence, PllConfig};
+use crate::dense::Runs;
 use crate::json::{Json, ToJson};
-use crate::pmc::{LinkIndex, ProbeMatrix};
+use crate::pmc::ProbeMatrix;
 use crate::types::{LinkId, PathId, PathObservation};
 
 /// A link blamed by a localization algorithm.
@@ -88,7 +89,7 @@ pub(super) struct ObservedMatrix {
     pub obs: Vec<PathObservation>,
     /// For every physical link: indices into `obs` of observed paths
     /// through the link.
-    pub link_paths: LinkIndex,
+    pub link_paths: Runs<u32>,
     /// Links that lie on at least one lossy observed path.
     pub candidate_links: Vec<LinkId>,
 }
@@ -115,7 +116,7 @@ impl ObservedMatrix {
 
     /// Hit ratio of a link: lossy observed paths / all observed paths.
     pub(super) fn hit_ratio(&self, link: LinkId) -> f64 {
-        let paths = self.link_paths.items(link);
+        let paths = self.link_paths.run(link.index());
         if paths.is_empty() {
             return 0.0;
         }
@@ -136,15 +137,18 @@ impl ObservedMatrix {
 /// ascending. It spans the matrix's `num_links` or one past the largest
 /// link an observed path names, whichever is larger, so a path naming a
 /// link beyond the declared universe is indexed, not a panic.
-pub(super) fn index_links(matrix: &ProbeMatrix, obs: &[PathObservation]) -> LinkIndex {
+pub(super) fn index_links(matrix: &ProbeMatrix, obs: &[PathObservation]) -> Runs<u32> {
     // Resolve through the matrix's id index: ids may be segmented (sparse
     // within per-cell ranges), and observations against a retired
     // pre-re-base id simply drop out here.
     let observed = || {
         (obs.iter().enumerate())
             .filter_map(|(oi, o)| Some((oi as u32, matrix.path(o.path)?.links())))
+            .flat_map(|(oi, links)| links.iter().map(move |l| (l.0, oi)))
     };
-    LinkIndex::build(matrix.num_links, observed)
+    let mut index = Runs::default();
+    index.refill(matrix.num_links, observed);
+    index
 }
 
 /// The matrix row of each of `obs`' paths, or [`LossyIncidence::STRAY`]
@@ -220,7 +224,7 @@ pub(super) struct GreedyOutcome {
 /// induces (see [`components`](super::components)).
 pub(super) fn greedy_scoped(
     obs: &[PathObservation],
-    link_paths: &LinkIndex,
+    link_paths: &Runs<u32>,
     hit: &[(LinkId, f64)],
     cfg: &PllConfig,
     scope: &[u32],
@@ -244,7 +248,7 @@ pub(super) fn greedy_scoped(
             if h < cfg.hit_ratio_threshold {
                 continue;
             }
-            let score: u64 = (link_paths.items(l).iter())
+            let score: u64 = (link_paths.run(l.index()).iter())
                 .filter(|&&oi| is_unexplained(&unexplained, oi))
                 .filter_map(|&oi| obs.get(oi as usize).map(|o| o.lost))
                 .sum();
@@ -268,7 +272,7 @@ pub(super) fn greedy_scoped(
         // Step 4: blame the link and explain its lossy paths.
         let mut explained_paths = 0u32;
         let mut samples: Vec<(u64, u64)> = Vec::new();
-        for &oi in link_paths.items(link) {
+        for &oi in link_paths.run(link.index()) {
             let (Some(u), Some(o)) = (unexplained.get_mut(oi as usize), obs.get(oi as usize))
             else {
                 continue;

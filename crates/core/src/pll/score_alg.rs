@@ -37,7 +37,7 @@ pub fn localize_score(
             }
             let covered = om
                 .link_paths
-                .items(l)
+                .run(l.index())
                 .iter()
                 .filter(|&&oi| unexplained[oi as usize])
                 .count();
@@ -60,7 +60,7 @@ pub fn localize_score(
 
         let mut samples = Vec::new();
         let mut losses = 0u64;
-        for &oi in om.link_paths.items(link) {
+        for &oi in om.link_paths.run(link.index()) {
             let oi = oi as usize;
             if unexplained[oi] {
                 unexplained[oi] = false;

@@ -6,21 +6,19 @@
 //! solved in parallel. In a k-ary Fattree the inter-switch links split into
 //! k/2 components, one per aggregation-switch column.
 //!
-//! The union–find is a dense array spanning the largest named link + 1
-//! (as [`LinkIndex`](super::LinkIndex) spans it), with an iterative,
-//! path-halving find, so a long chain of links costs no stack. Its
-//! smaller root always wins, which keeps a root the smallest link of its
-//! component and orders the components by it. One ascending pass then
-//! numbers the components and gives every link its local index — its
-//! rank in its component's sorted universe — so each component's
-//! candidate index is built straight from those locals, never by
-//! searching the universe.
+//! The union–find is the crate's dense one
+//! ([`UnionFind`](crate::dense::UnionFind)), spanning the largest named
+//! link + 1: its sets number in order of their smallest link, and one
+//! ascending pass gives every link its local index — its rank in its
+//! component's sorted universe — so each component's candidate index is
+//! built straight from those locals, never by searching the universe.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
-use super::index::{CandidateIndex, IndexedCell};
+use super::index::{candidate_index, candidate_index_with, CandidateIndex, IndexedCell};
 use super::{repair_restricted, solve_restricted, PmcConfig, PmcError, SubSolution};
+use crate::dense::UnionFind;
 use crate::types::{LinkId, ProbePath};
 
 /// One independent PMC subproblem: a link universe, the candidate paths
@@ -37,7 +35,7 @@ impl Subproblem {
     /// A subproblem over an explicit universe; every candidate link must
     /// be in it.
     pub fn new(universe: Vec<LinkId>, candidates: Vec<ProbePath>) -> Result<Self, PmcError> {
-        let index = CandidateIndex::build(&universe, &candidates)?;
+        let index = candidate_index(&universe, &candidates)?;
         Ok(Self {
             universe,
             candidates,
@@ -68,7 +66,11 @@ impl Subproblem {
     }
 
     fn indexed(&self) -> IndexedCell<'_> {
-        self.index.cell(&self.universe, &self.candidates)
+        IndexedCell {
+            universe: &self.universe,
+            candidates: &self.candidates,
+            index: &self.index,
+        }
     }
 
     /// Solves the whole subproblem with the configured strategy.
@@ -132,68 +134,29 @@ impl Subproblem {
     }
 }
 
-/// Marks a link no candidate names in [`decompose`]'s union–find.
-const UNNAMED: u32 = u32::MAX;
-
 /// Splits a candidate set into independent subproblems.
 ///
 /// Paths covering no links are dropped. Components are returned in
 /// ascending order of their smallest link id, each with its candidates in
 /// input order, so decomposition is fully deterministic.
 pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
-    let span = candidates
-        .iter()
-        .filter_map(|p| p.links().last())
-        .map(|l| l.index() + 1)
-        .max()
-        .unwrap_or(0);
-    // Union–find over the named link ids. The smaller root always wins,
-    // so every parent is at most its child and a root is the smallest
-    // link of its set.
-    let mut parent = vec![UNNAMED; span];
+    let mut sets = UnionFind::default();
     for p in &candidates {
-        let mut root: Option<u32> = None;
-        for l in p.links() {
-            if parent[l.index()] == UNNAMED {
-                parent[l.index()] = l.0;
-            }
-            let other = find(&mut parent, l.0);
-            root = Some(match root {
-                Some(root) if root != other => {
-                    let (lo, hi) = (root.min(other), root.max(other));
-                    parent[hi as usize] = lo;
-                    lo
-                }
-                _ => other,
-            });
+        sets.join(p.links().iter().map(|l| l.0));
+    }
+    let (count, component) = sets.number();
+    // Each link's local index is its rank in its component's (ascending)
+    // universe.
+    let mut universes: Vec<Vec<LinkId>> = vec![Vec::new(); count];
+    let mut local = vec![0u32; component.len()];
+    for (l, &c) in component.iter().enumerate() {
+        if let Some(universe) = universes.get_mut(c as usize) {
+            local[l] = universe.len() as u32;
+            universe.push(LinkId(l as u32));
         }
     }
 
-    // One ascending pass turns every parent into its component, numbered
-    // in order of the smallest link: a root opens the next component, and
-    // any other link takes its parent's, already renumbered since the
-    // parent is smaller. Each link's local index is its rank in its
-    // component's (ascending) universe.
-    let mut universes: Vec<Vec<LinkId>> = Vec::new();
-    let mut local = vec![0u32; span];
-    for l in 0..span {
-        let p = parent[l];
-        if p == UNNAMED {
-            continue;
-        }
-        let component = if p as usize == l {
-            universes.push(Vec::new());
-            universes.len() - 1
-        } else {
-            parent[p as usize] as usize
-        };
-        parent[l] = component as u32;
-        local[l] = universes[component].len() as u32;
-        universes[component].push(LinkId(l as u32));
-    }
-    let component = parent;
-
-    let mut members: Vec<Vec<ProbePath>> = universes.iter().map(|_| Vec::new()).collect();
+    let mut members: Vec<Vec<ProbePath>> = vec![Vec::new(); count];
     for p in candidates {
         if let Some(first) = p.links().first() {
             members[component[first.index()] as usize].push(p);
@@ -203,7 +166,7 @@ pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
         .into_iter()
         .zip(members)
         .map(|(universe, candidates)| {
-            let index = CandidateIndex::build_with(&candidates, |l| Some(local[l.index()]))
+            let index = candidate_index_with(&candidates, |l| local.get(l.index()).copied())
                 .expect("a component holds its paths' links");
             Subproblem {
                 universe,
@@ -212,20 +175,6 @@ pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
             }
         })
         .collect()
-}
-
-/// The root of `x`'s set, halving the path on the way: iterative, so a
-/// long chain of links cannot overflow the stack.
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    loop {
-        let p = parent[x as usize];
-        if p == x {
-            return x;
-        }
-        let grand = parent[p as usize];
-        parent[x as usize] = grand;
-        x = grand;
-    }
 }
 
 #[cfg(test)]
@@ -352,9 +301,9 @@ mod tests {
                 assert_eq!(&sub.universe, universe);
                 let candidates: Vec<&ProbePath> = members.iter().map(|&i| &paths[i]).collect();
                 assert_eq!(sub.candidates.iter().collect::<Vec<_>>(), candidates);
-                let rebuilt = CandidateIndex::build(universe, &sub.candidates).unwrap();
+                let rebuilt = candidate_index(universe, &sub.candidates).unwrap();
                 for i in 0..sub.candidates.len() {
-                    assert_eq!(sub.index.locals(i), rebuilt.locals(i));
+                    assert_eq!(sub.index.run(i), rebuilt.run(i));
                 }
             }
         }

@@ -1,19 +1,20 @@
 //! Candidate index: every candidate's links as sorted local indices.
 //!
 //! The greedy loops never look at a [`ProbePath`] until they select it.
-//! A subproblem's candidates are indexed once — CSR offsets plus each
-//! candidate's links as dense local indices into the subproblem's
-//! universe — and a solve addresses candidates by position: heap and
-//! alive entries hold a `u32`, scoring reads a `&[u32]`. Excluding links
-//! (the incremental re-plan) does not copy or filter the candidates: the
-//! pristine locals are renumbered through a monotone remap onto the
-//! restricted universe, and a candidate crossing an excluded link fails
-//! the alive test instead.
+//! A subproblem's candidates are indexed once — one run per candidate
+//! in the crate's run array ([`Runs`]), its links as dense local indices
+//! into the subproblem's universe — and a solve addresses candidates by
+//! position: heap and alive entries hold a `u32`, scoring reads a
+//! `&[u32]`. Excluding links (the incremental re-plan) does not copy or
+//! filter the candidates: the pristine locals are renumbered through a
+//! monotone remap onto the restricted universe, and a candidate crossing
+//! an excluded link fails the alive test instead.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 
 use super::PmcError;
+use crate::dense::Runs;
 use crate::types::{LinkId, ProbePath};
 
 /// Remap entry of a link excluded from the restricted universe.
@@ -47,104 +48,56 @@ impl LinkLookup {
     }
 }
 
-/// CSR of candidate → sorted local link indices.
-#[derive(Clone, Debug)]
-pub(crate) struct CandidateIndex {
-    /// Candidate `i` owns `locals[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
-    locals: Vec<u32>,
+/// Candidate `i`'s links as sorted local indices: run `i`.
+pub(crate) type CandidateIndex = Runs<u32>;
+
+/// Indexes `candidates` over `universe`; a candidate link outside the
+/// universe is an error.
+pub(crate) fn candidate_index(
+    universe: &[LinkId],
+    candidates: &[ProbePath],
+) -> Result<CandidateIndex, PmcError> {
+    let lookup = LinkLookup::new(universe);
+    candidate_index_with(candidates, |link| lookup.local(link))
 }
 
-impl CandidateIndex {
-    pub(crate) fn new() -> Self {
-        Self {
-            offsets: vec![0],
-            locals: Vec::new(),
+/// Indexes `candidates`, `local` naming each link's local index (`None`
+/// for a link outside the universe, an error).
+pub(crate) fn candidate_index_with(
+    candidates: &[ProbePath],
+    local: impl Fn(LinkId) -> Option<u32>,
+) -> Result<CandidateIndex, PmcError> {
+    let mut index = Runs::default();
+    index.reserve(
+        candidates.len(),
+        candidates.iter().map(ProbePath::len).sum(),
+    );
+    for p in candidates {
+        push_candidate(&mut index, &local, p)?;
+    }
+    Ok(index)
+}
+
+/// Appends one candidate; on a link `local` cannot name, appends nothing
+/// and names the link in the error.
+pub(crate) fn push_candidate(
+    index: &mut CandidateIndex,
+    local: impl Fn(LinkId) -> Option<u32>,
+    path: &ProbePath,
+) -> Result<(), PmcError> {
+    let mut unknown = None;
+    let locals = path.links().iter().map_while(|&link| {
+        let found = local(link);
+        unknown = found.is_none().then_some(link);
+        found
+    });
+    index.push_run(locals).sort_unstable();
+    match unknown {
+        Some(link) => {
+            index.pop_run();
+            Err(PmcError::UnknownLink { link })
         }
-    }
-
-    /// Indexes `candidates` over `universe`; a candidate link outside the
-    /// universe is an error.
-    pub(crate) fn build(universe: &[LinkId], candidates: &[ProbePath]) -> Result<Self, PmcError> {
-        let lookup = LinkLookup::new(universe);
-        Self::build_with(candidates, |link| lookup.local(link))
-    }
-
-    /// Indexes `candidates`, `local` naming each link's local index
-    /// (`None` for a link outside the universe, an error).
-    pub(crate) fn build_with(
-        candidates: &[ProbePath],
-        local: impl Fn(LinkId) -> Option<u32>,
-    ) -> Result<Self, PmcError> {
-        let mut index = Self::new();
-        index.offsets.reserve(candidates.len());
-        index
-            .locals
-            .reserve(candidates.iter().map(ProbePath::len).sum());
-        for p in candidates {
-            index.push_with(&local, p)?;
-        }
-        Ok(index)
-    }
-
-    /// Appends one candidate.
-    pub(crate) fn push(&mut self, lookup: &LinkLookup, path: &ProbePath) -> Result<(), PmcError> {
-        self.push_with(|link| lookup.local(link), path)
-    }
-
-    fn push_with(
-        &mut self,
-        local: impl Fn(LinkId) -> Option<u32>,
-        path: &ProbePath,
-    ) -> Result<(), PmcError> {
-        let start = self.locals.len();
-        for &link in path.links() {
-            match local(link) {
-                Some(i) => self.locals.push(i),
-                None => {
-                    self.locals.truncate(start);
-                    return Err(PmcError::UnknownLink { link });
-                }
-            }
-        }
-        self.locals[start..].sort_unstable();
-        let end = u32::try_from(self.locals.len()).expect("candidate index exceeds u32 offsets");
-        self.offsets.push(end);
-        Ok(())
-    }
-
-    /// Removes the most recently appended candidate.
-    pub(crate) fn pop(&mut self) {
-        if self.offsets.len() > 1 {
-            self.offsets.pop();
-            let end = *self.offsets.last().expect("offsets keep their leading 0");
-            self.locals.truncate(end as usize);
-        }
-    }
-
-    /// This index together with the `universe` and `candidates` it was
-    /// built over.
-    pub(crate) fn cell<'a>(
-        &'a self,
-        universe: &'a [LinkId],
-        candidates: &'a [ProbePath],
-    ) -> IndexedCell<'a> {
-        IndexedCell {
-            universe,
-            candidates,
-            index: self,
-        }
-    }
-
-    /// Number of indexed candidates.
-    pub(crate) fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Candidate `i`'s links as sorted local indices.
-    #[inline]
-    pub(crate) fn locals(&self, i: usize) -> &[u32] {
-        &self.locals[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        None => Ok(()),
     }
 }
 
@@ -245,7 +198,7 @@ impl<'a> CellPool<'a> {
         let index = self.cell.index;
         (0..index.len() as u32)
             .filter(|&i| {
-                let classes = index.locals(i as usize).iter().map(|&l| class[l as usize]);
+                let classes = index.run(i as usize).iter().map(|&l| class[l as usize]);
                 classes.fold(0, |seen, c| seen | c) == FLAGGED
             })
             .collect()
@@ -260,7 +213,7 @@ fn restricted<'s>(
     scratch: &'s mut Vec<u32>,
     i: usize,
 ) -> Option<&'s [u32]> {
-    let locals = index.locals(i);
+    let locals = index.run(i);
     if locals.is_empty() {
         return None;
     }
@@ -318,30 +271,31 @@ mod tests {
         // Local numbering follows the universe's (unsorted) order, so a
         // path's link order and its local order may disagree.
         let universe = [LinkId(30), LinkId(10), LinkId(20)];
-        let index = CandidateIndex::build(
+        let index = candidate_index(
             &universe,
             &[path(0, &[10, 30]), path(1, &[]), path(2, &[20])],
         )
         .unwrap();
         assert_eq!(index.len(), 3);
-        assert_eq!(index.locals(0), &[0, 1]);
-        assert!(index.locals(1).is_empty());
-        assert_eq!(index.locals(2), &[2]);
+        assert_eq!(index.run(0), &[0, 1]);
+        assert!(index.run(1).is_empty());
+        assert_eq!(index.run(2), &[2]);
     }
 
     #[test]
     fn unknown_link_is_reported_and_leaves_the_index_intact() {
         let lookup = LinkLookup::new(&[LinkId(0), LinkId(1)]);
-        let mut index = CandidateIndex::new();
-        index.push(&lookup, &path(0, &[1])).unwrap();
-        let err = index.push(&lookup, &path(1, &[0, 7])).unwrap_err();
+        let local = |link| lookup.local(link);
+        let mut index = CandidateIndex::default();
+        push_candidate(&mut index, local, &path(0, &[1])).unwrap();
+        let err = push_candidate(&mut index, local, &path(1, &[0, 7])).unwrap_err();
         assert_eq!(err, PmcError::UnknownLink { link: LinkId(7) });
         assert_eq!(index.len(), 1);
-        index.push(&lookup, &path(2, &[0])).unwrap();
-        assert_eq!(index.locals(1), &[0]);
-        index.pop();
+        push_candidate(&mut index, local, &path(2, &[0])).unwrap();
+        assert_eq!(index.run(1), &[0]);
+        index.pop_run();
         assert_eq!(index.len(), 1);
-        assert_eq!(index.locals(0), &[1]);
+        assert_eq!(index.run(0), &[1]);
     }
 
     #[test]
@@ -353,7 +307,7 @@ mod tests {
             path(2, &[]),
             path(3, &[3]),
         ];
-        let index = CandidateIndex::build(&universe, &candidates).unwrap();
+        let index = candidate_index(&universe, &candidates).unwrap();
         let cell = IndexedCell {
             universe: &universe,
             candidates: &candidates,

@@ -30,7 +30,6 @@ mod greedy;
 mod index;
 mod jobs;
 mod lazy;
-mod link_index;
 #[cfg(test)]
 mod parallel;
 mod provider;
@@ -42,7 +41,6 @@ mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
 pub use jobs::JobPool;
-pub use link_index::{LinkIndex, RowLinks};
 pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
 pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};
@@ -52,8 +50,9 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
+use crate::dense::Runs;
 use crate::types::{LinkId, PathId, ProbePath};
-use index::{CandidateIndex, CellPool, IndexedCell};
+use index::{candidate_index, CellPool, IndexedCell};
 use provider::ProviderPool;
 
 /// Selection strategy for the greedy loop.
@@ -328,18 +327,6 @@ impl RowTable {
         let row = *self.rows.get(slot)?;
         (row != NO_ROW).then_some(row as usize)
     }
-
-    /// Every resolved id with its row, ascending by id: the runs in order,
-    /// each run's slots in order, gaps skipped.
-    fn by_id(&self) -> impl Iterator<Item = (PathId, usize)> + '_ {
-        self.runs.iter().flat_map(move |run| {
-            let slots = self.rows.get(run.start..run.start + run.len as usize);
-            (0..run.len)
-                .zip(slots.unwrap_or_default())
-                .filter(|&(_, &row)| row != NO_ROW)
-                .map(move |(slot, &row)| (PathId(run.first + slot), row as usize))
-        })
-    }
 }
 
 /// A constructed probe matrix: the selected probe paths plus metadata.
@@ -425,14 +412,6 @@ impl ProbeMatrix {
         self.row_of(id).map(|row| &self.paths[row])
     }
 
-    /// Every path's id and row, in ascending id order — not row order: a
-    /// segmented matrix keeps its cells' order, and a re-based cell's
-    /// range sorts after later cells'. Walks the row table, so it neither
-    /// sorts nor allocates.
-    pub fn rows_by_id(&self) -> impl Iterator<Item = (PathId, usize)> + '_ {
-        self.index.by_id()
-    }
-
     /// The id → row table, for a caller that keeps something per id slot.
     pub fn row_table(&self) -> &RowTable {
         &self.index
@@ -456,11 +435,17 @@ impl ProbeMatrix {
         self.paths.iter().filter(move |p| p.covers(link))
     }
 
-    /// The row → links incidence: every row's links, in one flat array.
-    pub fn row_links(&self) -> RowLinks {
-        let mut rows = RowLinks::default();
-        rows.refill(&self.paths);
-        rows
+    /// Refills `rows`, keeping its memory, with the row → links
+    /// incidence: run `r` is row `r`'s links, in its path's order.
+    pub fn fill_row_links(&self, rows: &mut Runs<LinkId>) {
+        rows.clear();
+        rows.reserve(
+            self.paths.len(),
+            self.paths.iter().map(ProbePath::len).sum(),
+        );
+        for p in &self.paths {
+            rows.push_run(p.links().iter().copied());
+        }
     }
 }
 
@@ -615,8 +600,12 @@ pub fn resolve_subproblem_seeded<'a>(
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
     let deadline = cfg.deadline();
-    let index = CandidateIndex::build(universe, candidates)?;
-    let cell = index.cell(universe, candidates);
+    let index = candidate_index(universe, candidates)?;
+    let cell = IndexedCell {
+        universe,
+        candidates,
+        index: &index,
+    };
     repair_restricted(cell, excluded, seed, cfg, deadline)
 }
 
@@ -836,7 +825,9 @@ mod tests {
         assert_eq!(m.path(PathId(4)), None);
         assert!(m.uncoverable.is_empty());
         // The incidence speaks rows, whatever the ids.
-        assert_eq!(m.row_links().links(3), &[LinkId(0), LinkId(2)]);
+        let mut rows = Runs::default();
+        m.fill_row_links(&mut rows);
+        assert_eq!(rows.run(3), &[LinkId(0), LinkId(2)]);
     }
 
     fn segmented(ids: &[u32]) -> ProbeMatrix {
@@ -928,13 +919,16 @@ mod tests {
     #[test]
     fn row_links_match_paths() {
         let m = construct(3, fig3_candidates(), &PmcConfig::identifiable(1)).unwrap();
-        let rows = m.row_links();
-        assert_eq!(rows.rows().count(), m.num_paths());
+        // A refill leaves nothing of what the array held.
+        let mut rows = Runs::default();
+        rows.push_run([LinkId(9)]);
+        m.fill_row_links(&mut rows);
+        assert_eq!(rows.runs().count(), m.num_paths());
         for (row, p) in m.paths.iter().enumerate() {
-            assert_eq!(rows.links(row as u32), p.links());
+            assert_eq!(rows.run(row), p.links());
         }
         // Past the last row, a stray's included, there are no links.
-        assert!(rows.links(m.num_paths() as u32).is_empty() && rows.links(u32::MAX).is_empty());
+        assert!(rows.run(m.num_paths()).is_empty() && rows.run(u32::MAX as usize).is_empty());
     }
 
     #[test]

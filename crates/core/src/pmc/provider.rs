@@ -8,7 +8,7 @@
 //! group — and the lazy greedy pulls further rounds only while its (α, β)
 //! targets are unmet.
 
-use super::index::{CandidateIndex, LinkLookup, Pool};
+use super::index::{push_candidate, CandidateIndex, LinkLookup, Pool};
 use super::PmcError;
 use crate::types::{LinkId, ProbePath};
 
@@ -172,7 +172,7 @@ impl<P: CandidateProvider> ProviderPool<P> {
             lookup: LinkLookup::new(provider.universe()),
             provider,
             paths: Vec::new(),
-            index: CandidateIndex::new(),
+            index: CandidateIndex::default(),
         }
     }
 }
@@ -191,18 +191,18 @@ impl<P: CandidateProvider> Pool for ProviderPool<P> {
                 continue;
             }
             let i = self.paths.len();
-            self.index.push(&self.lookup, &p)?;
-            if admit(i as u32, self.index.locals(i))? {
+            push_candidate(&mut self.index, |link| self.lookup.local(link), &p)?;
+            if admit(i as u32, self.index.run(i))? {
                 self.paths.push(p);
             } else {
-                self.index.pop();
+                self.index.pop_run();
             }
         }
         Ok(true)
     }
 
     fn get(&mut self, i: u32) -> (&[u32], &ProbePath) {
-        (self.index.locals(i as usize), &self.paths[i as usize])
+        (self.index.run(i as usize), &self.paths[i as usize])
     }
 }
 

@@ -26,16 +26,17 @@ use crate::{Check, Diagnostic, FileCtx};
 /// it on every link flap, and a panic there takes the control plane
 /// down with the topology already changed under it. The localizer's
 /// files are here too: every window's diagnosis runs the PLL greedy and
-/// its CSR link index, on the diagnosing thread or a pool under it.
+/// the crate's run array and union-find (`dense.rs`), on the diagnosing
+/// thread or a pool under it.
 /// The rest of the control plane (controller, dispatch) re-plans between
 /// windows and reports typed `PmcError`s already.
 const SCOPE: &[&str] = &[
     "crates/agent/src/agent.rs",
     "crates/agent/src/runtime.rs",
     "crates/agent/src/transport.rs",
+    "crates/core/src/dense.rs",
     "crates/core/src/pll/components.rs",
     "crates/core/src/pll/pll_impl.rs",
-    "crates/core/src/pmc/link_index.rs",
     "crates/ingest/src/plane.rs",
     "crates/ingest/src/prefilter.rs",
     "crates/simnet/src/packet.rs",
@@ -201,11 +202,12 @@ mod tests {
 
     #[test]
     fn pll_greedy_and_link_index_are_in_scope() {
-        // Every diagnosis indexes the window's links and runs the greedy;
-        // matrix paths may name links past `num_links`, which once
-        // indexed a per-link vector out of bounds.
+        // Every diagnosis indexes the window's links (in the run array of
+        // `dense.rs`) and runs the greedy; matrix paths may name links
+        // past `num_links`, which once indexed a per-link vector out of
+        // bounds.
         assert!(in_scope("crates/core/src/pll/pll_impl.rs"));
-        assert!(in_scope("crates/core/src/pmc/link_index.rs"));
+        assert!(in_scope("crates/core/src/dense.rs"));
     }
 
     #[test]

@@ -132,8 +132,11 @@ pub const ROWS: &[Row] = &[
     Row { name: "The figures run the system", scope: &["crates/bench/", "tests/accuracy_table4.rs"], except: &[],
         rule: ForbidAll(&[Sub("probe_matrix_window"), Sub("round_trip")]),
         reason: "every accuracy number comes from Detector::step through the episode driver, not a second prober" },
-    Row { name: "Dense decomposition", scope: &["crates/core/src/pmc/decompose.rs"], except: &[],
+    Row { name: "Dense decomposition", scope: &["crates/core/src/pmc/decompose.rs", "crates/core/src/dense.rs"], except: &[],
         rule: Forbid(&[Sub("HashMap")]), reason: "the union-find indexes links densely instead of hashing them" },
+    Row { name: "One run array, one union-find", scope: &["crates/core/src/", "crates/system/src/"], except: &[],
+        rule: OnlyIn("crates/core/src/dense.rs", &[Sub("offsets: Vec<"), Sub("fn find(")]),
+        reason: "runs of items per key live in dense::Runs and dense sets in dense::UnionFind; a second copy drifts from the one the oracles check" },
     Row { name: "One list-update vocabulary", scope: &["crates/"], except: &[],
         rule: ForbidAll(&[Word("EntryAdd"), Word("EntryRemove"), Word("ListSeal"), Word("PendingDiff"), Word("FRAME_OVERHEAD"),
             Word("LIST_HEADER_BYTES"), Word("encoded_list_len"), Word("wire_bytes"), Word("RangeRebase"),
@@ -358,6 +361,11 @@ mod tests {
                 "crates/core/src/pmc/decompose.rs",
                 "use std::collections::HashMap;",
                 1,
+            ),
+            (
+                "crates/system/src/controller.rs",
+                "struct Table {\n    start: Vec<usize>,\n    offsets: Vec<u32>,\n}",
+                3,
             ),
             (
                 "crates/agent/tests/x.rs",

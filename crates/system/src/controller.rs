@@ -10,9 +10,10 @@
 
 use std::collections::HashSet;
 
+use detector_core::dense::Runs;
 use detector_core::pmc::{PmcError, ProbeMatrix};
 use detector_core::types::{LinkId, NodeId};
-use detector_topology::{Dcn, DcnTopology, TopologyEvent, TopologyView};
+use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
 
 use crate::pinglist::{PingEntry, Pinglist};
 use crate::planner::{ProbePlan, ReplanStats, EXHAUSTIVE_LIMIT};
@@ -253,15 +254,15 @@ impl Controller {
     /// per path (fault tolerance), plus in-rack probes covering
     /// server–ToR links.
     ///
-    /// Every switch's usable servers are looked up once per call, into a
-    /// [`UsableServers`] table, and every path and in-rack loop reads
-    /// them from there. A ToR-based
-    /// path (Fattree, VL2) goes to the first `pingers_per_tor` usable
-    /// servers under its source ToR, two of them rotated by the path
-    /// id, and its responder is usable server `id % len` under the
-    /// destination ToR; a server-based path (BCube) goes to its first
-    /// server. Each pinger then probes every other usable server under
-    /// its own switch. Lists come out ascending by pinger and sealed.
+    /// Every switch's usable servers are looked up once per call, into
+    /// one run per node, and every path and in-rack loop reads them from
+    /// there. A ToR-based path (Fattree, VL2) goes to the first
+    /// `pingers_per_tor` usable servers under its source ToR, two of them
+    /// rotated by the path id, and its responder is usable server
+    /// `id % len` under the destination ToR; a server-based path (BCube)
+    /// goes to its first server. Each pinger then probes every other
+    /// usable server under its own switch. Lists come out ascending by
+    /// pinger and sealed.
     fn assign(&self, matrix: &ProbeMatrix, unhealthy: &HashSet<NodeId>) -> Vec<Pinglist> {
         let graph = self.view.topology().graph();
         let offline = self.view.offline_links();
@@ -278,7 +279,17 @@ impl Controller {
                 .and_then(|tor| graph.link_between(server, tor))
                 .is_none_or(|l| !offline.contains(&l))
         };
-        let servers = UsableServers::new(graph, usable);
+        // Every switch's usable servers, in adjacency order: run `n` is
+        // node `n`'s (empty for a server).
+        let mut servers = Runs::default();
+        servers.reserve(graph.num_nodes(), graph.num_servers());
+        for node in graph.nodes() {
+            let switch = node.kind.is_switch();
+            let under = graph.neighbors(node.id).iter().map(|&(n, _)| n);
+            servers.push_run(
+                under.filter(|&n| switch && !graph.node(n).kind.is_switch() && usable(n)),
+            );
+        }
 
         // One list per active pinger, found through its node id.
         let mut lists: Vec<Pinglist> = Vec::new();
@@ -312,12 +323,12 @@ impl Controller {
             if graph.node(first).kind.is_switch() {
                 // ToR-based endpoints: pick pingers under the source ToR
                 // and a responder under the destination ToR.
-                let under = servers.under(first);
+                let under = servers.run(first.index());
                 let pingers = &under[..under.len().min(self.cfg.pingers_per_tor)];
                 if pingers.is_empty() {
                     continue;
                 }
-                let responders = servers.under(last);
+                let responders = servers.run(last.index());
                 let Some(&responder) = responders.get(path.id.index() % responders.len().max(1))
                 else {
                     continue;
@@ -360,7 +371,7 @@ impl Controller {
             let Some(tor) = graph.switch_of(pinger) else {
                 continue;
             };
-            for &peer in servers.under(tor) {
+            for &peer in servers.run(tor.index()) {
                 if peer == pinger {
                     continue;
                 }
@@ -379,42 +390,6 @@ impl Controller {
             list.seal();
         }
         lists
-    }
-}
-
-/// Every switch's usable servers, looked up once per
-/// [`Controller::assign`]: a flat table indexed by `NodeId` whose entry
-/// for a switch is `servers_under(switch)` filtered by usability, in
-/// adjacency order (empty for a server).
-struct UsableServers {
-    /// `servers[start[n]..start[n + 1]]` are node `n`'s usable servers.
-    start: Vec<usize>,
-    servers: Vec<NodeId>,
-}
-
-impl UsableServers {
-    fn new(graph: &Dcn, usable: impl Fn(NodeId) -> bool) -> Self {
-        let mut start = Vec::with_capacity(graph.num_nodes() + 1);
-        let mut servers = Vec::with_capacity(graph.num_servers());
-        start.push(0);
-        for node in graph.nodes() {
-            if node.kind.is_switch() {
-                servers.extend(
-                    graph
-                        .neighbors(node.id)
-                        .iter()
-                        .map(|&(n, _)| n)
-                        .filter(|&n| !graph.node(n).kind.is_switch() && usable(n)),
-                );
-            }
-            start.push(servers.len());
-        }
-        Self { start, servers }
-    }
-
-    /// The usable servers under `switch`.
-    fn under(&self, switch: NodeId) -> &[NodeId] {
-        &self.servers[self.start[switch.index()]..self.start[switch.index() + 1]]
     }
 }
 

@@ -49,10 +49,10 @@
 //! sent. It redoes those counts, and moves a generation, only when the
 //! rows left unobserved differ from the last walk's.
 //! [`RowSums::incidence`] hands PLL those rows, the matrix's row → links
-//! incidence (one flat array) and the denominators under that generation,
-//! so PLL resolves nothing in the matrix and a window whose lossy paths
-//! and generation repeat reuses its skeleton. Diagnosis costs what was
-//! lost, as a report does. The slots and the incidence are built once
+//! incidence (a [`Runs`], one flat array) and the denominators under that
+//! generation, so PLL resolves nothing in the matrix and a window whose
+//! lossy paths and generation repeat reuses its skeleton. Diagnosis costs
+//! what was lost, as a report does. The slots and the incidence are built once
 //! per matrix and recycled from one window to the next.
 //!
 //! Every driver owns its diagnoser, so the store needs no lock for them.
@@ -66,8 +66,9 @@ mod reference;
 
 use std::collections::HashMap;
 
+use detector_core::dense::Runs;
 use detector_core::pll::{FlowSample, LossyIncidence};
-use detector_core::pmc::{IdRun, ProbeMatrix, RowLinks, RowTable, NO_ROW};
+use detector_core::pmc::{IdRun, ProbeMatrix, RowTable, NO_ROW};
 use detector_core::types::{LinkId, NodeId, PathId, PathObservation};
 use parking_lot::RwLock;
 
@@ -305,7 +306,7 @@ impl Logs {
 /// the incidence — once per matrix, never per window — and between
 /// walks every slot is clear.
 pub struct RowSums {
-    row_links: RowLinks,
+    row_links: Runs<LinkId>,
     /// Per id-table slot: the walk's sums, `(0, 0)` between walks.
     slots: Vec<(u64, u64)>,
     /// Ascending by path, one entry per id.
@@ -330,7 +331,7 @@ impl RowSums {
     /// State fitted to `matrix`.
     pub fn new(matrix: &ProbeMatrix) -> Self {
         let mut sums = Self {
-            row_links: RowLinks::default(),
+            row_links: Runs::default(),
             slots: Vec::new(),
             strays: Vec::new(),
             through: Vec::new(),
@@ -348,11 +349,11 @@ impl RowSums {
     /// slots to its id table, keeping their memory. Every row starts out
     /// observed.
     pub fn fit(&mut self, matrix: &ProbeMatrix) {
-        self.row_links.refill(&matrix.paths);
+        matrix.fill_row_links(&mut self.row_links);
         self.slots.resize(matrix.row_table().slots().len(), (0, 0));
         self.through.clear();
         self.through.resize(matrix.num_links, 0);
-        for &l in self.row_links.rows().flatten() {
+        for &l in self.row_links.items() {
             if l.index() >= self.through.len() {
                 self.through.resize(l.index() + 1, 0);
             }
@@ -491,7 +492,7 @@ impl RowSums {
             self.generation += 1;
             self.observed.clone_from(&self.through);
             for &row in &self.unobserved {
-                for l in self.row_links.links(row) {
+                for l in self.row_links.run(row as usize) {
                     if let Some(n) = self.observed.get_mut(l.index()) {
                         *n = n.saturating_sub(1);
                     }

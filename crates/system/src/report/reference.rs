@@ -51,8 +51,8 @@
 //! a. excluded pingers not skipped (the walk's `filter` dropped) — a
 //!    masked pinger's rows are summed;
 //! b. emission in row order (`0..rows.len()` with each row's path id
-//!    instead of `rows_by_id`) — a re-based cell's paths come out ahead
-//!    of lower ids;
+//!    instead of the `(id, row)` pairs sorted by id) — a re-based cell's
+//!    paths come out ahead of lower ids;
 //! c. side-list ids dropped (`add` returning where the matrix has no row)
 //!    — stray and other-matrix ids vanish;
 //! d. the accumulator not reset between windows (`*slot` read instead of
@@ -296,8 +296,12 @@ impl DenseSums {
         let observed = |(path, (sent, lost)): (PathId, (u64, u64))| {
             ((sent, lost) != (0, 0)).then(|| PathObservation::new(path, sent, lost))
         };
+        let mut by_id: Vec<(PathId, usize)> = (matrix.paths.iter().enumerate())
+            .map(|(row, p)| (p.id, row))
+            .collect();
+        by_id.sort_unstable();
         let mut strays = self.strays.drain(..).peekable();
-        for (path, row) in matrix.rows_by_id() {
+        for (path, row) in by_id {
             let Some(o) = observed((path, std::mem::take(&mut self.rows[row]))) else {
                 continue;
             };
