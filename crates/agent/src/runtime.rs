@@ -876,9 +876,7 @@ mod tests {
         // broadcast (which would be shipped once per agent, counted once).
         let reported: Vec<u64> = (sink.events().iter())
             .filter_map(|e| match e {
-                RuntimeEvent::PlanUpdated {
-                    bytes_dispatched, ..
-                } => Some(*bytes_dispatched),
+                RuntimeEvent::PlanUpdated(update) => Some(update.dispatch.bytes_dispatched),
                 _ => None,
             })
             .collect();
@@ -917,9 +915,7 @@ mod tests {
             .expect("re-base run");
         let reported: u64 = (sink.events().iter())
             .filter_map(|e| match e {
-                RuntimeEvent::PlanUpdated {
-                    bytes_dispatched, ..
-                } => Some(*bytes_dispatched),
+                RuntimeEvent::PlanUpdated(update) => Some(update.dispatch.bytes_dispatched),
                 _ => None,
             })
             .sum();

@@ -90,15 +90,21 @@
 //! `tests/distributed_equivalence.rs`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-use super::pll_impl::{index_links, rows_of, Diagnosis, SuspectLink};
+use super::pll_impl::{Diagnosis, SuspectLink};
 use super::preprocess::stays_lossy;
 use super::rate::pooled_rate;
-use super::{preprocess, PllConfig};
+use super::PllConfig;
 use crate::dense::{Runs, UnionFind};
-use crate::pmc::ProbeMatrix;
 use crate::types::{LinkId, PathObservation};
+#[cfg(test)]
+use {
+    super::pll_impl::{index_links, rows_of},
+    super::preprocess,
+    crate::pmc::ProbeMatrix,
+    std::collections::HashSet,
+};
 
 /// Sentinel for a missing local link id or component.
 const NONE: u32 = u32::MAX;
@@ -453,10 +459,12 @@ impl ComponentPll {
         (lossy as u64, s.comp_scope.len() as u64)
     }
 
-    /// Localizes one whole window: builds the [`LossyIncidence`] the
-    /// diagnoser's walk would hand over — each link's observed paths
-    /// counted from `observations` themselves, what
-    /// [`localize`](super::localize) indexes — then
+    #[cfg(test)]
+    /// Localizes one whole window, for the tests that hold this
+    /// localizer against [`localize`](super::localize) without a window
+    /// walk: builds the [`LossyIncidence`] the diagnoser's walk would
+    /// hand over — each link's observed paths counted from
+    /// `observations` themselves, what `localize` indexes — then
     /// [`diagnose`](ComponentPll::diagnose)s the lossy ones. Produces
     /// exactly what `localize` would for the same inputs.
     ///

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use super::rate::estimate_rate;
-use super::{preprocess, LossyIncidence, PllConfig};
+use super::{preprocess, PllConfig};
 use crate::dense::Runs;
 use crate::json::{Json, ToJson};
 use crate::pmc::ProbeMatrix;
@@ -151,14 +151,16 @@ pub(super) fn index_links(matrix: &ProbeMatrix, obs: &[PathObservation]) -> Runs
     index
 }
 
-/// The matrix row of each of `obs`' paths, or [`LossyIncidence::STRAY`]
-/// where the matrix cannot resolve its id: what the diagnoser's walk
-/// hands [`ComponentPll::diagnose`](super::ComponentPll::diagnose) with a
+#[cfg(test)]
+/// The matrix row of each of `obs`' paths, or
+/// [`STRAY`](super::LossyIncidence::STRAY) where the matrix cannot
+/// resolve its id: what the diagnoser's walk hands
+/// [`ComponentPll::diagnose`](super::ComponentPll::diagnose) with a
 /// window's lossy observations.
 pub(super) fn rows_of(matrix: &ProbeMatrix, obs: &[PathObservation]) -> Vec<u32> {
     let row = |o: &PathObservation| matrix.row_of(o.path).map(|row| row as u32);
     obs.iter()
-        .map(|o| row(o).unwrap_or(LossyIncidence::STRAY))
+        .map(|o| row(o).unwrap_or(super::LossyIncidence::STRAY))
         .collect()
 }
 

@@ -93,8 +93,12 @@ impl Row {
 #[rustfmt::skip]
 pub const ROWS: &[Row] = &[
     Row { name: "One window protocol", scope: &["crates/"], except: &["crates/system/src/events.rs", "crates/system/src/window/reference.rs"],
-        rule: OnlyIn("crates/system/src/window.rs", &[Sub("RuntimeEvent::DiagnosisReady("), Sub("RuntimeEvent::PlanUpdated {")]),
+        rule: OnlyIn("crates/system/src/window.rs", &[Sub("RuntimeEvent::DiagnosisReady("), Sub("RuntimeEvent::PlanUpdated("),
+            Sub("RuntimeEvent::WindowCounters {")]),
         reason: "window.rs alone emits a window's events; a second author voids seq ≡ pipelined ≡ distributed" },
+    Row { name: "One record per outcome", scope: &["crates/", "tests/", "examples/"], except: &[],
+        rule: ForbidAll(&[Word("IngestStats"), Word("DiagStats"), Word("paths_active")]),
+        reason: "a window's counters are its one WindowCounters event and a re-plan's its PlanUpdate; a second record repeats DiagnosisReady" },
     Row { name: "Single-owner ingest plane", scope: &["crates/ingest/"], except: &[],
         rule: Forbid(&[Sub("Atomic"), Sub("Mutex"), Sub("RwLock"), Sub("Cell"), Sub("unsafe")]),
         reason: "exclusive access is `&mut self`: nothing to synchronise, nowhere to hide a second writer" },
@@ -289,8 +293,13 @@ mod tests {
         let cases: &[(&str, &str, u32)] = &[
             (
                 "crates/agent/src/x.rs",
-                "// RuntimeEvent::DiagnosisReady(r)\nfn f() { RuntimeEvent::DiagnosisReady(r) }",
+                "// RuntimeEvent::DiagnosisReady(r)\nfn f() { emit(RuntimeEvent::WindowCounters { window }) }",
                 2,
+            ),
+            (
+                "tests/x.rs",
+                "#[test]\nfn t(e: &RuntimeEvent) {\n matches!(e, RuntimeEvent::IngestStats { .. }); }",
+                3,
             ),
             (
                 "crates/ingest/src/plane.rs",
@@ -427,16 +436,17 @@ mod tests {
     fn only_in_passes_with_its_owner_as_sole_author() {
         let owner = "crates/system/src/window.rs";
         let code = "fn close() {\n emit(RuntimeEvent::DiagnosisReady(r));\n \
-                    emit(RuntimeEvent::PlanUpdated { epoch });\n}";
+                    emit(RuntimeEvent::PlanUpdated(update));\n \
+                    emit(RuntimeEvent::WindowCounters { window });\n}";
         let window = &ROWS[0];
         assert!(fired(window, &[src(owner, code)]).is_empty());
         // A second author fires; so does an owner that lost the protocol.
         let second = src("crates/system/src/runtime.rs", code);
         let hits = fired(window, &[src(owner, code), second]);
         let at = |line| ("crates/system/src/runtime.rs".to_string(), line);
-        assert_eq!(hits, vec![at(2), at(3)]);
+        assert_eq!(hits, vec![at(2), at(3), at(4)]);
         let hits = fired(window, &[src(owner, "fn close() {}")]);
-        assert_eq!(hits, vec![(owner.into(), 1), (owner.into(), 1)]);
+        assert_eq!(hits, vec![(owner.into(), 1); 3]);
     }
 
     #[test]

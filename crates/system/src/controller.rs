@@ -11,10 +11,12 @@
 use std::collections::HashSet;
 
 use detector_core::dense::Runs;
+use detector_core::json::{Json, ToJson};
 use detector_core::pmc::{PmcError, ProbeMatrix};
 use detector_core::types::{LinkId, NodeId};
 use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
 
+use crate::dispatch::DispatchStats;
 use crate::pinglist::{PingEntry, Pinglist};
 use crate::planner::{ProbePlan, ReplanStats, EXHAUSTIVE_LIMIT};
 use crate::{SharedTopology, SystemConfig};
@@ -30,32 +32,6 @@ pub struct Deployment {
     pub version: u64,
 }
 
-impl Deployment {
-    /// Carries version numbers over from a previous deployment for every
-    /// pinglist whose assignment did not change, so pingers (which cache
-    /// their bound routes by version) re-bind only the lists a re-plan
-    /// actually touched. Returns the number of lists that *are*
-    /// re-dispatched — lists whose assignment changed or whose pinger is
-    /// new. With segmented path ids a single-cell delta leaves every
-    /// other cell's entries bit-identical, so this count covers exactly
-    /// the pinglists carrying paths of the touched cells.
-    pub fn rebase_versions(&mut self, prev: &Deployment) -> usize {
-        debug_assert!(prev.pinglists.is_sorted_by_key(|l| l.pinger));
-        let mut redispatched = 0;
-        for list in &mut self.pinglists {
-            let old = prev
-                .pinglists
-                .binary_search_by_key(&list.pinger, |l| l.pinger)
-                .map(|at| &prev.pinglists[at]);
-            match old {
-                Ok(old) if old.same_assignment(list) => list.version = old.version,
-                _ => redispatched += 1,
-            }
-        }
-        redispatched
-    }
-}
-
 /// The outcome of applying one or more [`TopologyEvent`]s: what changed
 /// and what the incremental re-plan cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,27 +42,40 @@ pub struct PlanUpdate {
     pub links_changed: usize,
     /// Change in the number of deployed probe paths (new − old).
     pub probes_delta: i64,
-    /// Pinglists actually re-dispatched by the update (fresh versions; a
-    /// single-cell delta re-dispatches only the lists carrying paths of
-    /// the touched cell). Filled by the runtime's dispatch step —
-    /// [`Detector::apply`](crate::Detector::apply) — since the
-    /// controller itself does not own the deployed lists; 0 when no
-    /// re-dispatch happened.
-    pub lists_redispatched: usize,
-    /// Entries that actually traveled: per-entry adds + removes across
-    /// diffed lists, plus every entry of whole-list replacements. Filled
-    /// by the dispatch step alongside `lists_redispatched`.
-    pub entries_diffed: usize,
-    /// Bytes of the dispatch's frames as [`crate::wire`] encodes them —
-    /// minimal re-dispatch measured on the wire, not in list counts.
-    pub bytes_dispatched: u64,
+    /// What installing the re-planned deployment cost: lists
+    /// re-dispatched (a single-cell delta re-dispatches only the lists
+    /// carrying paths of the touched cell), entries and wire bytes that
+    /// traveled. Filled by the runtime's re-plan
+    /// ([`Detector::apply`](crate::Detector::apply)), since the controller
+    /// itself does not own the deployed lists; all zero when nothing was
+    /// re-dispatched.
+    pub dispatch: DispatchStats,
     /// Wall-clock time of the whole re-plan (view update, plan patch,
     /// deployment and dispatch), microseconds. Filled by the runtime's
-    /// re-plan, as the dispatch fields are; 0 from
-    /// [`Controller::apply_events`].
+    /// re-plan, as `dispatch` is; 0 from [`Controller::apply_events`].
     pub replan_micros: u64,
     /// Per-cell re-plan accounting.
     pub stats: ReplanStats,
+}
+
+impl ToJson for PlanUpdate {
+    fn to_json(&self) -> Json {
+        let (d, s) = (&self.dispatch, &self.stats);
+        let count = |n: usize| Json::uint(n as u64);
+        Json::obj(vec![
+            ("epoch", Json::uint(self.epoch)),
+            ("links_changed", count(self.links_changed)),
+            ("probes_delta", Json::Int(self.probes_delta)),
+            ("lists_redispatched", count(d.lists_redispatched)),
+            ("entries_diffed", count(d.entries_diffed)),
+            ("bytes_dispatched", Json::uint(d.bytes_dispatched)),
+            ("replan_micros", Json::uint(self.replan_micros)),
+            ("cells_resolved", count(s.cells_resolved)),
+            ("cells_restored", count(s.cells_restored)),
+            ("cells_total", count(s.cells_total)),
+            ("cells_rebased", count(s.cells_rebased)),
+        ])
+    }
 }
 
 /// The logical controller.
@@ -173,12 +162,9 @@ impl Controller {
             epoch: self.view.epoch(),
             links_changed: changed.len(),
             probes_delta,
-            // Dispatch accounting is known only after pinglist dispatch.
-            lists_redispatched: 0,
-            entries_diffed: 0,
-            bytes_dispatched: 0,
-            replan_micros: 0,
             stats,
+            // Dispatch accounting and timing are the runtime's re-plan's.
+            ..PlanUpdate::default()
         })
     }
 
@@ -584,6 +570,14 @@ mod tests {
         }
     }
 
+    /// The install's version rebase: `rebase_and_diff`'s count of
+    /// re-dispatched lists.
+    fn rebase(next: &mut Deployment, prev: &Deployment) -> usize {
+        crate::dispatch::rebase_and_diff(prev, next, &[])
+            .1
+            .lists_redispatched
+    }
+
     #[test]
     fn rebase_keeps_versions_of_unchanged_lists() {
         let ft = Arc::new(Fattree::new(4).unwrap());
@@ -591,15 +585,15 @@ mod tests {
         let d1 = ctl.build_deployment(&HashSet::new()).unwrap();
         let mut d2 = ctl.build_deployment(&HashSet::new()).unwrap();
         assert!(d2.pinglists.iter().all(|l| l.version == d2.version));
-        let redispatched = d2.rebase_versions(&d1);
+        let redispatched = rebase(&mut d2, &d1);
         // Nothing changed between the cycles, so every list keeps its
         // original version and nothing is re-dispatched.
         assert_eq!(redispatched, 0);
         assert!(d2.pinglists.iter().all(|l| l.version == d1.version));
     }
 
-    /// `rebase_versions` by a linear pinger scan per list — the quadratic
-    /// form the binary search replaced.
+    /// [`rebase`] by a linear pinger scan per list — the quadratic form
+    /// the binary search replaced.
     fn rebase_by_scan(next: &mut Deployment, prev: &Deployment) -> usize {
         let mut redispatched = 0;
         for list in &mut next.pinglists {
@@ -615,7 +609,7 @@ mod tests {
     fn rebase_both_ways(next: &mut Deployment, prev: &Deployment) -> usize {
         let mut scanned = next.clone();
         let want = rebase_by_scan(&mut scanned, prev);
-        assert_eq!(next.rebase_versions(prev), want);
+        assert_eq!(rebase(next, prev), want);
         let versions = |d: &Deployment| d.pinglists.iter().map(|l| l.version).collect::<Vec<_>>();
         assert_eq!(versions(next), versions(&scanned));
         want

@@ -137,7 +137,7 @@ impl Diagnoser {
         let (lossy, num_observations, reports) =
             (self.store).window_lossy(window, &self.matrix, &excluded, &mut self.sums);
         let diagnosis = self.localizer.diagnose(lossy, self.sums.incidence());
-        // The shape of the window's diagnosis work, for `DiagStats`: the
+        // The shape of the window's diagnosis work, for `WindowCounters`: the
         // partition the localizer just solved — a pure function of the
         // post-exclusion observations, so every driver reports the same
         // numbers.
@@ -265,7 +265,6 @@ mod tests {
             .collect();
         let want = localize(&m, &obs, &cfg);
         assert_eq!(want.suspect_links(), vec![LinkId(7), LinkId(9)]);
-        assert_eq!(ComponentPll::new(cfg).localize(&m, &obs), want);
         let mut d = Diagnoser::new(m, cfg);
         d.ingest(report(1, 0, &rows));
         assert_eq!(d.diagnose(0, &Watchdog::new()).diagnosis, want);

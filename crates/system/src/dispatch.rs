@@ -1,5 +1,5 @@
 //! Pinglist dispatch: per-entry deployment diffs and their cost,
-//! `PlanUpdated::bytes_dispatched`.
+//! [`DispatchStats`], which a re-plan's `PlanUpdate` carries.
 //!
 //! The single-process runtime hands `Pinglist`s to pingers by reference;
 //! the distributed control plane (`detector-agent`) ships them to pinger
@@ -15,11 +15,11 @@
 //!   [`Pinglist::content_stamp`], crosses the same boundary and uses the
 //!   same FNV parameters, one step per 32/64-bit word instead of per
 //!   byte.
-//! * [`diff_deployment`] — turns two deployments into one
+//! * [`rebase_and_diff`] — turns two deployments into one
 //!   [`ListUpdate`] per changed list: per-entry edit scripts where the
 //!   edit is small, whole-list replacement where it is not (or where a
 //!   diff cannot reproduce the new list exactly), removals for pingers
-//!   that left duty.
+//!   that left duty — and carries unchanged lists' versions over.
 //! * [`apply_list_update`] — what a receiver does with one
 //!   [`ListUpdate`].
 //!
@@ -116,14 +116,13 @@ impl ListUpdate {
     }
 }
 
-/// Dispatch cost of installing one deployment, as reported by
-/// `PlanUpdated`. All three fields are deterministic functions of the
-/// old and new deployments, so the sequential, pipelined and distributed
-/// drivers must agree on them exactly.
+/// Dispatch cost of installing one deployment, as a re-plan's
+/// `PlanUpdate::dispatch` reports it. All three fields are deterministic
+/// functions of the old and new deployments, so the sequential,
+/// pipelined and distributed drivers must agree on them exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// Lists re-dispatched (fresh versions; see
-    /// [`Deployment::rebase_versions`]).
+    /// Lists re-dispatched (fresh versions; see [`rebase_and_diff`]).
     pub lists_redispatched: usize,
     /// Entries that traveled: added + removed across diffs, plus every
     /// entry of whole-list replacements.
@@ -154,64 +153,38 @@ pub fn rebase_pairs(
     }
 }
 
-/// Computes the list updates that turn `prev`'s pinglists into
-/// `next`'s, ordered by the new deployment's list order (removals of
-/// departed pingers last, ascending). Call *after*
-/// [`Deployment::rebase_versions`], so lists whose assignment did not
-/// change already share a version and are skipped entirely (zero bytes —
-/// the whole point of minimal re-dispatch).
+/// The update that turns `old` into `new`, with its encoded length.
 ///
-/// For each changed list the differ builds an order-preserving edit
-/// script keyed by [`entry_key`]: entries whose key left the list are
-/// removed, new keys are inserted at their target index. If the
-/// surviving entries changed relative order (they cannot, under the
-/// controller's matrix-order assembly, but the differ does not assume
-/// that), or the script would not be smaller than the list, it falls
-/// back to a whole-list `Replace`. Either way the receiver ends up
-/// byte-identical to `next` — verified here, not trusted.
-pub fn diff_deployment(prev: &Deployment, next: &Deployment) -> Vec<ListUpdate> {
-    let mut updates = Vec::new();
-    let prev_by_pinger: HashMap<NodeId, &Pinglist> =
-        prev.pinglists.iter().map(|l| (l.pinger, l)).collect();
-
-    for list in &next.pinglists {
-        match prev_by_pinger.get(&list.pinger) {
-            None => updates.push(ListUpdate::Replace(list.clone())),
-            Some(old) if old.same_assignment(list) => {} // Nothing travels.
-            Some(old) => updates.push(diff_list(old, list)),
-        }
-    }
-    let next_pingers: HashMap<NodeId, ()> = next.pinglists.iter().map(|l| (l.pinger, ())).collect();
-    let mut removed: Vec<NodeId> = prev
-        .pinglists
-        .iter()
-        .map(|l| l.pinger)
-        .filter(|p| !next_pingers.contains_key(p))
-        .collect();
-    removed.sort_unstable();
-    updates.extend(removed.into_iter().map(ListUpdate::Remove));
-    updates
-}
-
-fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
+/// The differ builds an order-preserving edit script keyed by
+/// [`entry_key`]: entries whose key left the list are removed, new keys
+/// are inserted at their target index. If the surviving entries changed
+/// relative order (they cannot, under the controller's matrix-order
+/// assembly, but the differ does not assume that), or the script would
+/// not be smaller than the list, it falls back to a whole-list
+/// `Replace`. Either way the receiver ends up byte-identical to `new` —
+/// verified here, not trusted.
+fn diff_list(old: &Pinglist, new: &Pinglist) -> (ListUpdate, usize) {
+    let whole = ListUpdate::Replace(new.clone());
     // Header changes re-key every probe stream; ship the whole list.
     if old.interval_us != new.interval_us
         || old.base_sport != new.base_sport
         || old.port_range != new.port_range
         || old.dport != new.dport
     {
-        return ListUpdate::Replace(new.clone());
+        return sized(whole);
     }
 
     // Multiset of keys on each side (duplicate entries would be a
     // controller bug, but the differ stays correct if they appear).
+    let old_keys: Vec<u64> = old.entries.iter().map(entry_key).collect();
+    let new_keys: Vec<u64> = new.entries.iter().map(entry_key).collect();
     let mut old_count: HashMap<u64, usize> = HashMap::new();
-    for e in &old.entries {
-        *old_count.entry(entry_key(e)).or_default() += 1;
+    for &k in &old_keys {
+        *old_count.entry(k).or_default() += 1;
     }
     let mut new_count: HashMap<u64, usize> = HashMap::new();
-    for e in &new.entries {
-        *new_count.entry(entry_key(e)).or_default() += 1;
+    for &k in &new_keys {
+        *new_count.entry(k).or_default() += 1;
     }
 
     // Removals: old entries beyond the count the new list keeps, taken
@@ -225,8 +198,7 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
     }
     let mut removed = Vec::new();
     let mut kept: Vec<u64> = Vec::new();
-    for e in &old.entries {
-        let k = entry_key(e);
+    for &k in &old_keys {
         match surplus.get_mut(&k) {
             Some(n) if *n > 0 => {
                 *n -= 1;
@@ -245,8 +217,7 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
     }
     let mut added: Vec<(u32, PingEntry)> = Vec::new();
     let mut survivors: Vec<u64> = Vec::new();
-    for (i, e) in new.entries.iter().enumerate() {
-        let k = entry_key(e);
+    for (i, (&k, e)) in new_keys.iter().zip(&new.entries).enumerate() {
         match supply.get_mut(&k) {
             Some(n) if *n > 0 => {
                 *n -= 1;
@@ -258,20 +229,28 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
 
     // The edit script reproduces `new` exactly only if the surviving
     // entries appear in the same relative order on both sides.
-    let reproduces = kept == survivors;
-    let diff = ListUpdate::Diff {
+    if kept != survivors {
+        return sized(whole);
+    }
+    let diff = sized(ListUpdate::Diff {
         pinger: new.pinger,
         version: new.version,
         stamp: new.stamp,
         removed,
         added,
-    };
-    let whole = ListUpdate::Replace(new.clone());
-    if reproduces && encode_update(&diff).len() < encode_update(&whole).len() {
+    });
+    let whole = sized(whole);
+    if diff.1 < whole.1 {
         diff
     } else {
         whole
     }
+}
+
+/// `update` with the length of its frame.
+fn sized(update: ListUpdate) -> (ListUpdate, usize) {
+    let bytes = encode_update(&update).len();
+    (update, bytes)
 }
 
 /// Applies one [`ListUpdate`] to a receiver-side list map — the exact
@@ -281,7 +260,7 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> ListUpdate {
 ///
 /// Returns `false` when a `Diff` addressed an unknown pinger or its
 /// rebuilt list fails the stamp check — a protocol violation the caller
-/// surfaces (it cannot happen for diffs produced by [`diff_deployment`],
+/// surfaces (it cannot happen for diffs produced by [`rebase_and_diff`],
 /// which verifies reproduction before choosing a diff).
 #[must_use]
 pub fn apply_list_update(lists: &mut HashMap<NodeId, Pinglist>, update: &ListUpdate) -> bool {
@@ -320,10 +299,21 @@ pub fn apply_list_update(lists: &mut HashMap<NodeId, Pinglist>, update: &ListUpd
     }
 }
 
-/// [`Deployment::rebase_versions`] + [`diff_deployment`] in install
-/// order, returning the list updates alongside the stats — the one
-/// procedure every driver's install path goes through (the plan half of
-/// [`window`](crate::window)).
+/// The install step every driver goes through (the plan half of
+/// [`window`](crate::window)): the list updates that turn `prev`'s
+/// pinglists into `next`'s, and what they cost.
+///
+/// Each of `next`'s lists is paired with `prev`'s list for the same
+/// pinger once. A list whose assignment did not change takes its old
+/// version — so its pinger, which caches bound routes by version, is
+/// not re-bound — and ships nothing (zero bytes: the whole point of
+/// minimal re-dispatch). With segmented path ids a single-cell delta
+/// leaves every other cell's entries bit-identical, so only the lists
+/// carrying paths of the touched cells re-dispatch. Every other list
+/// becomes a [`ListUpdate`] in `next`'s list order: a whole `Replace`
+/// for a new pinger, else what the differ chooses; removals of
+/// departed pingers come last, ascending. Both deployments list their
+/// pinglists ascending by pinger, as the controller builds them.
 ///
 /// `_rebases` is not read: it stays for the benchmark's traced loop
 /// (`benchmark/src/traced.rs`), which passes [`rebase_pairs`]' output.
@@ -332,14 +322,31 @@ pub fn rebase_and_diff(
     next: &mut Deployment,
     _rebases: &[(PathIdRange, PathIdRange)],
 ) -> (Vec<ListUpdate>, DispatchStats) {
-    let lists_redispatched = next.rebase_versions(prev);
-    let updates = diff_deployment(prev, next);
+    debug_assert!(prev.pinglists.is_sorted_by_key(|l| l.pinger));
+    debug_assert!(next.pinglists.is_sorted_by_key(|l| l.pinger));
+    let mut shipped: Vec<(ListUpdate, usize)> = Vec::new();
+    for list in &mut next.pinglists {
+        match list_of(&prev.pinglists, list.pinger) {
+            Some(old) if old.same_assignment(list) => list.version = old.version,
+            Some(old) => shipped.push(diff_list(old, list)),
+            None => shipped.push(sized(ListUpdate::Replace(list.clone()))),
+        }
+    }
+    let lists_redispatched = shipped.len();
+    let departed = (prev.pinglists.iter()).filter(|l| list_of(&next.pinglists, l.pinger).is_none());
+    shipped.extend(departed.map(|l| sized(ListUpdate::Remove(l.pinger))));
     let stats = DispatchStats {
         lists_redispatched,
-        entries_diffed: updates.iter().map(ListUpdate::entries_diffed).sum(),
-        bytes_dispatched: updates.iter().map(|u| encode_update(u).len() as u64).sum(),
+        entries_diffed: shipped.iter().map(|(u, _)| u.entries_diffed()).sum(),
+        bytes_dispatched: shipped.iter().map(|&(_, n)| n as u64).sum(),
     };
-    (updates, stats)
+    (shipped.into_iter().map(|(u, _)| u).collect(), stats)
+}
+
+/// `pinger`'s list among `lists`, which ascend by pinger.
+fn list_of(lists: &[Pinglist], pinger: NodeId) -> Option<&Pinglist> {
+    let at = lists.binary_search_by_key(&pinger, |l| l.pinger).ok()?;
+    Some(&lists[at])
 }
 
 #[cfg(test)]
@@ -402,7 +409,7 @@ mod tests {
         let (updates, stats) = rebase_and_diff(&prev, &mut next, &[]);
         assert!(updates.is_empty());
         assert_eq!(stats, DispatchStats::default());
-        // rebase_versions rolled the untouched list back to its old
+        // rebase_and_diff rolled the untouched list back to its old
         // version, exactly as the single-process install does.
         assert_eq!(next.pinglists[0].version, 1);
     }

@@ -4,10 +4,10 @@
 //! Every [`Detector::step`](crate::Detector::step) emits a totally
 //! ordered sequence of [`RuntimeEvent`]s — `WindowStarted` first,
 //! `DiagnosisReady` last, with cycle refreshes, per-pinger report
-//! ingestions and health exclusions in between. Sinks registered on the
-//! builder observe every event; the pipelined scheduler
-//! ([`Detector::run_pipelined`](crate::Detector::run_pipelined)) emits
-//! the same totally ordered stream from its diagnosis stage, and
+//! ingestions, health exclusions and the window's counters in between.
+//! Sinks registered on the builder observe every event; the pipelined
+//! scheduler ([`Detector::run_pipelined`](crate::Detector::run_pipelined))
+//! emits the same totally ordered stream from its diagnosis stage, and
 //! external report consumers (like the paper's HTTP POST receivers in
 //! §6.1) plug in here too.
 
@@ -16,6 +16,8 @@ use std::sync::{Arc, Mutex};
 use detector_core::json::{Json, ToJson};
 use detector_core::pll::Diagnosis;
 use detector_core::types::NodeId;
+
+use crate::controller::PlanUpdate;
 
 /// Outcome of one 30-second window — the payload of
 /// [`RuntimeEvent::DiagnosisReady`] and the return value of
@@ -86,40 +88,26 @@ pub enum RuntimeEvent {
         /// Matrix paths the report carries counters for.
         num_paths: usize,
     },
-    /// The diagnoser aggregated the window: one walk of its filed
-    /// reports, excluded pingers skipped, summed per path. Emitted after
-    /// the last report/health event of the window, before
+    /// The window's counters, read off the diagnoser once it has
+    /// aggregated and localized the window: one walk of its filed
+    /// reports, excluded pingers skipped, summed per path, then one
+    /// greedy per component. Deterministic (a pure function of the
+    /// aggregated window and the probe plan), so equivalence harnesses
+    /// compare it un-normalized. Emitted after the last report/health
+    /// event of the window, directly before
     /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
-    IngestStats {
+    WindowCounters {
         /// Window index.
         window: u64,
         /// Pinger reports aggregated (excluded pingers' not counted; a
         /// crashed agent's are never filed).
         reports: u64,
-        /// Distinct paths with observations after health exclusions —
-        /// equals the window's `num_observations`.
-        paths_active: u64,
-    },
-    /// Shape of the diagnosis work for the window: how many lossy paths
-    /// survived ingestion and how many connected components of the
-    /// lossy-path/link incidence they split into — the number of
-    /// per-component greedy covers the diagnoser solved in turn to
-    /// localize the window.
-    /// Deterministic (a pure function of the aggregated window and the probe
-    /// plan), so equivalence harnesses compare it un-normalized. Emitted
-    /// after [`IngestStats`](RuntimeEvent::IngestStats), before
-    /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
-    DiagStats {
-        /// Window index.
-        window: u64,
         /// Observed paths with losses above the noise filters.
         lossy_paths: u64,
         /// Connected components of the lossy incidence — the window's
         /// independent PLL subproblems, one greedy each. Zero for an
         /// all-healthy window.
         components: u64,
-        /// Suspect links in the window's diagnosis.
-        suspects: u64,
     },
     /// The diagnoser ran PLL over the window's aggregated observations.
     /// Always the last event of a window.
@@ -127,29 +115,16 @@ pub enum RuntimeEvent {
     /// A [`TopologyEvent`](detector_topology::TopologyEvent) was applied
     /// between windows and the probe plan was incrementally patched
     /// ([`Detector::apply`](crate::Detector::apply)).
-    PlanUpdated {
-        /// Topology-view epoch after the event.
-        epoch: u64,
-        /// Links whose up/down state actually flipped.
-        links_changed: usize,
-        /// Change in the number of deployed probe paths (new − old).
-        probes_delta: i64,
-        /// Pinglists re-dispatched (fresh versions). With segmented path
-        /// ids a single-cell delta re-dispatches only the lists carrying
-        /// the touched cell's paths; every other pinger keeps its
-        /// version and its cached binding.
-        lists_redispatched: usize,
-        /// Entries that traveled under the per-entry diff protocol
-        /// (adds + removes across diffed lists, plus every entry of
-        /// whole-list replacements).
-        entries_diffed: usize,
-        /// Bytes of the dispatch's frames as [`crate::wire`] encodes
-        /// them — minimal re-dispatch measured on the wire, not in list
-        /// counts.
-        bytes_dispatched: u64,
-        /// Wall-clock cost of the incremental re-plan, microseconds.
-        replan_micros: u64,
-    },
+    PlanUpdated(PlanUpdate),
+}
+
+/// `record`'s fields behind an `"event"` tag.
+fn tagged(event: &str, record: Json) -> Json {
+    let mut fields = vec![("event".to_string(), Json::Str(event.into()))];
+    if let Json::Object(inner) = record {
+        fields.extend(inner);
+    }
+    Json::Object(fields)
 }
 
 impl ToJson for RuntimeEvent {
@@ -187,86 +162,37 @@ impl ToJson for RuntimeEvent {
                 ("probes_sent", Json::uint(*probes_sent)),
                 ("num_paths", Json::uint(*num_paths as u64)),
             ]),
-            RuntimeEvent::IngestStats {
+            RuntimeEvent::WindowCounters {
                 window,
                 reports,
-                paths_active,
-            } => Json::obj(vec![
-                ("event", Json::Str("ingest_stats".into())),
-                ("window", Json::uint(*window)),
-                ("reports", Json::uint(*reports)),
-                ("paths_active", Json::uint(*paths_active)),
-            ]),
-            RuntimeEvent::DiagStats {
-                window,
                 lossy_paths,
                 components,
-                suspects,
             } => Json::obj(vec![
-                ("event", Json::Str("diag_stats".into())),
+                ("event", Json::Str("window_counters".into())),
                 ("window", Json::uint(*window)),
+                ("reports", Json::uint(*reports)),
                 ("lossy_paths", Json::uint(*lossy_paths)),
                 ("components", Json::uint(*components)),
-                ("suspects", Json::uint(*suspects)),
             ]),
-            RuntimeEvent::DiagnosisReady(result) => {
-                let mut fields = vec![("event".to_string(), Json::Str("diagnosis_ready".into()))];
-                if let Json::Object(inner) = result.to_json() {
-                    fields.extend(inner);
-                }
-                Json::Object(fields)
-            }
-            RuntimeEvent::PlanUpdated {
-                epoch,
-                links_changed,
-                probes_delta,
-                lists_redispatched,
-                entries_diffed,
-                bytes_dispatched,
-                replan_micros,
-            } => Json::obj(vec![
-                ("event", Json::Str("plan_updated".into())),
-                ("epoch", Json::uint(*epoch)),
-                ("links_changed", Json::uint(*links_changed as u64)),
-                ("probes_delta", Json::Int(*probes_delta)),
-                ("lists_redispatched", Json::uint(*lists_redispatched as u64)),
-                ("entries_diffed", Json::uint(*entries_diffed as u64)),
-                ("bytes_dispatched", Json::uint(*bytes_dispatched)),
-                ("replan_micros", Json::uint(*replan_micros)),
-            ]),
+            RuntimeEvent::DiagnosisReady(result) => tagged("diagnosis_ready", result.to_json()),
+            RuntimeEvent::PlanUpdated(update) => tagged("plan_updated", update.to_json()),
         }
     }
 }
 
 impl RuntimeEvent {
     /// This event with its execution-dependent field zeroed
-    /// (`PlanUpdated::replan_micros`) — the canonical form for
+    /// (`PlanUpdate::replan_micros`) — the canonical form for
     /// comparing event streams across executions, as the
     /// sequential-vs-pipelined equivalence harnesses do. If a future
     /// variant grows another timing field, zero it here and every
     /// harness stays correct.
     pub fn normalized(&self) -> RuntimeEvent {
         match self {
-            RuntimeEvent::PlanUpdated {
-                epoch,
-                links_changed,
-                probes_delta,
-                lists_redispatched,
-                entries_diffed,
-                bytes_dispatched,
-                ..
-            } => RuntimeEvent::PlanUpdated {
-                epoch: *epoch,
-                links_changed: *links_changed,
-                probes_delta: *probes_delta,
-                lists_redispatched: *lists_redispatched,
-                // Dispatch accounting is deterministic (a pure function
-                // of the old and new deployments), so equivalence
-                // harnesses compare it un-normalized.
-                entries_diffed: *entries_diffed,
-                bytes_dispatched: *bytes_dispatched,
+            RuntimeEvent::PlanUpdated(update) => RuntimeEvent::PlanUpdated(PlanUpdate {
                 replan_micros: 0,
-            },
+                ..*update
+            }),
             other => other.clone(),
         }
     }
@@ -378,6 +304,8 @@ impl<W: std::io::Write + Send> EventSink for JsonLinesSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::DispatchStats;
+    use crate::planner::ReplanStats;
     use detector_core::pll::SuspectLink;
     use detector_core::types::{LinkId, PathId};
 
@@ -464,39 +392,40 @@ mod tests {
                 r#"{"event":"report_ingested","window":5,"pinger":17,"probes_sent":960,"num_paths":12}"#,
             ),
             (
-                RuntimeEvent::IngestStats {
+                RuntimeEvent::WindowCounters {
                     window: 5,
                     reports: 48,
-                    paths_active: 230,
-                },
-                r#"{"event":"ingest_stats","window":5,"reports":48,"paths_active":230}"#,
-            ),
-            (
-                RuntimeEvent::DiagStats {
-                    window: 5,
                     lossy_paths: 12,
                     components: 3,
-                    suspects: 4,
                 },
-                r#"{"event":"diag_stats","window":5,"lossy_paths":12,"components":3,"suspects":4}"#,
+                r#"{"event":"window_counters","window":5,"reports":48,"lossy_paths":12,"components":3}"#,
             ),
             (
                 RuntimeEvent::DiagnosisReady(sample_result()),
                 diagnosis_ready.as_str(),
             ),
             (
-                RuntimeEvent::PlanUpdated {
+                RuntimeEvent::PlanUpdated(PlanUpdate {
                     epoch: 7,
                     links_changed: 4,
                     probes_delta: -3,
-                    lists_redispatched: 5,
-                    entries_diffed: 11,
-                    bytes_dispatched: 742,
+                    dispatch: DispatchStats {
+                        lists_redispatched: 5,
+                        entries_diffed: 11,
+                        bytes_dispatched: 742,
+                    },
                     replan_micros: 1250,
-                },
+                    stats: ReplanStats {
+                        cells_resolved: 1,
+                        cells_restored: 2,
+                        cells_total: 16,
+                        cells_rebased: 0,
+                    },
+                }),
                 concat!(
                     r#"{"event":"plan_updated","epoch":7,"links_changed":4,"probes_delta":-3,"#,
-                    r#""lists_redispatched":5,"entries_diffed":11,"bytes_dispatched":742,"replan_micros":1250}"#
+                    r#""lists_redispatched":5,"entries_diffed":11,"bytes_dispatched":742,"replan_micros":1250,"#,
+                    r#""cells_resolved":1,"cells_restored":2,"cells_total":16,"cells_rebased":0}"#
                 ),
             ),
         ];
@@ -505,6 +434,30 @@ mod tests {
             assert_eq!(text, golden);
             assert_eq!(Json::parse(&text), Ok(ev.to_json()));
         }
+    }
+
+    #[test]
+    fn normalized_zeroes_only_the_replan_stopwatch() {
+        let update = PlanUpdate {
+            epoch: 3,
+            links_changed: 1,
+            probes_delta: 2,
+            dispatch: DispatchStats {
+                lists_redispatched: 4,
+                entries_diffed: 9,
+                bytes_dispatched: 310,
+            },
+            replan_micros: 77,
+            ..PlanUpdate::default()
+        };
+        let want = PlanUpdate {
+            replan_micros: 0,
+            ..update
+        };
+        let normalized = RuntimeEvent::PlanUpdated(update).normalized();
+        assert_eq!(normalized, RuntimeEvent::PlanUpdated(want));
+        let ready = RuntimeEvent::DiagnosisReady(sample_result());
+        assert_eq!(ready.normalized(), ready);
     }
 
     #[test]

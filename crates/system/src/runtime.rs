@@ -127,7 +127,8 @@ pub struct Detector {
     /// Bound pinger batches cached across windows, keyed by server;
     /// re-bound by [`bound_batch`] only when the dispatched pinglist's
     /// `(version, stamp)` changes (incremental re-plans keep untouched
-    /// lists at their old version, see [`Deployment::rebase_versions`]).
+    /// lists at their old version, see
+    /// [`rebase_and_diff`](crate::dispatch::rebase_and_diff)).
     /// Batches are `Arc`-shared so the pipelined scheduler can ship them
     /// to probe workers without re-binding.
     pub(crate) bound: HashMap<NodeId, Arc<PingerBatch>>,
@@ -196,7 +197,7 @@ impl Detector {
     /// cell's path count leaves every other cell's ids — and therefore
     /// the pinglists that carry only those cells' paths — bit-identical.
     /// A [`RuntimeEvent::PlanUpdated`](crate::RuntimeEvent::PlanUpdated)
-    /// (carrying the re-dispatch count) is emitted to every sink.
+    /// carrying the returned [`PlanUpdate`] is emitted to every sink.
     ///
     /// # Examples
     ///

@@ -11,11 +11,11 @@
 //!   sinks. It announces re-plans and windows, and
 //!   [`close`](CloseHalf::close)s a window given its [`Ticket`] and its
 //!   reports: filed in roster order, PLL, the history prune, the
-//!   statistics, `DiagnosisReady`.
+//!   window's counters, `DiagnosisReady`.
 //!
 //! Every `RuntimeEvent` is built here, so a window's event grammar —
 //! `PlanUpdated* WindowStarted CycleRefreshed? (PingerUnhealthy |
-//! ReportIngested)+ IngestStats DiagStats DiagnosisReady` — has one
+//! ReportIngested)+ WindowCounters DiagnosisReady` — has one
 //! author. The drivers are schedules of the two halves; they differ in
 //! the installer, the report source, and where the halves run:
 //!
@@ -221,10 +221,7 @@ impl PlanHalf {
         let mut matrix = None;
         if update.links_changed > 0 {
             let dep = self.controller.build_deployment(watchdog.unhealthy_set())?;
-            let stats = self.install(dep, watchdog, install);
-            update.lists_redispatched = stats.lists_redispatched;
-            update.entries_diffed = stats.entries_diffed;
-            update.bytes_dispatched = stats.bytes_dispatched;
+            update.dispatch = self.install(dep, watchdog, install);
             matrix = Some(self.deployment.matrix.clone());
         }
         // The full replan latency: view update + plan patch + matrix
@@ -312,16 +309,7 @@ impl CloseHalf {
     /// Announces one applied topology event (`PlanUpdated`) and points
     /// the diagnoser at the matrix it deployed.
     pub fn replanned(&mut self, replanned: Replanned) {
-        let u = replanned.update;
-        self.emit(RuntimeEvent::PlanUpdated {
-            epoch: u.epoch,
-            links_changed: u.links_changed,
-            probes_delta: u.probes_delta,
-            lists_redispatched: u.lists_redispatched,
-            entries_diffed: u.entries_diffed,
-            bytes_dispatched: u.bytes_dispatched,
-            replan_micros: u.replan_micros,
-        });
+        self.emit(RuntimeEvent::PlanUpdated(replanned.update));
         if let Some(matrix) = replanned.matrix {
             self.diagnoser.set_matrix(matrix);
         }
@@ -356,8 +344,8 @@ impl CloseHalf {
     /// Closes a window whose reports are all collected: `take`s every
     /// healthy roster pinger's report, then walks the roster —
     /// `PingerUnhealthy`, or `ReportIngested` and the report filed — runs
-    /// the diagnosis under `watchdog`, prunes history, and emits
-    /// `IngestStats`, `DiagStats` and `DiagnosisReady`. `Err` names a
+    /// the diagnosis under `watchdog`, prunes history, and emits the
+    /// window's `WindowCounters`, then `DiagnosisReady`. `Err` names a
     /// healthy roster pinger `take` had no report for; the window then
     /// has emitted and filed nothing.
     pub fn close(
@@ -401,16 +389,11 @@ impl CloseHalf {
         let event = self.diagnoser.diagnose(window, watchdog);
         self.diagnoser
             .prune_before(window.saturating_sub(HISTORY_WINDOWS));
-        self.emit(RuntimeEvent::IngestStats {
+        self.emit(RuntimeEvent::WindowCounters {
             window,
             reports: event.reports,
-            paths_active: event.num_observations as u64,
-        });
-        self.emit(RuntimeEvent::DiagStats {
-            window,
             lossy_paths: event.lossy_paths,
             components: event.components,
-            suspects: event.diagnosis.suspects.len() as u64,
         });
         let result = WindowResult {
             window,

@@ -79,21 +79,10 @@ impl Reference {
                 .build_deployment(self.watchdog.unhealthy_set())?;
             let ranges_after = self.controller.probe_plan().map(|p| p.cell_ranges());
             let rebases = rebase_pairs(ranges_before.as_deref(), ranges_after.as_deref());
-            let stats = self.install_deployment(dep, &rebases);
-            update.lists_redispatched = stats.lists_redispatched;
-            update.entries_diffed = stats.entries_diffed;
-            update.bytes_dispatched = stats.bytes_dispatched;
+            update.dispatch = self.install_deployment(dep, &rebases);
         }
         update.replan_micros = 0;
-        let ev = RuntimeEvent::PlanUpdated {
-            epoch: update.epoch,
-            links_changed: update.links_changed,
-            probes_delta: update.probes_delta,
-            lists_redispatched: update.lists_redispatched,
-            entries_diffed: update.entries_diffed,
-            bytes_dispatched: update.bytes_dispatched,
-            replan_micros: update.replan_micros,
-        };
+        let ev = RuntimeEvent::PlanUpdated(update);
         for s in self.sinks.iter_mut() {
             s.on_event(&ev);
         }
@@ -188,19 +177,11 @@ impl Reference {
         self.diagnoser.prune_before(window.saturating_sub(20));
 
         emit(
-            RuntimeEvent::IngestStats {
+            RuntimeEvent::WindowCounters {
                 window,
                 reports: event.reports,
-                paths_active: event.num_observations as u64,
-            },
-            &mut self.sinks,
-        );
-        emit(
-            RuntimeEvent::DiagStats {
-                window,
                 lossy_paths: event.lossy_paths,
                 components: event.components,
-                suspects: event.diagnosis.suspects.len() as u64,
             },
             &mut self.sinks,
         );

@@ -5,8 +5,8 @@
 //! (counting everything after itself), a one-byte tag, and a
 //! tag-specific payload. A pinglist change travels as itself — one
 //! [`Frame::ListUpdate`] per [`ListUpdate`] that
-//! [`diff_deployment`](crate::dispatch::diff_deployment) built — so
-//! `PlanUpdated`'s `bytes_dispatched` is the length [`encode_update`]
+//! [`rebase_and_diff`](crate::dispatch::rebase_and_diff) built — so
+//! a re-plan's `bytes_dispatched` is the length [`encode_update`]
 //! gives those frames, not a model of it. A plan cell whose id range
 //! moves sends nothing of its own: its re-numbered entries are list
 //! updates, and a pinger keeps no counters across windows for the old

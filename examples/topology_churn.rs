@@ -105,7 +105,7 @@ fn main() {
     let plan_updates: Vec<_> = collector
         .events()
         .into_iter()
-        .filter(|e| matches!(e, RuntimeEvent::PlanUpdated { .. }))
+        .filter(|e| matches!(e, RuntimeEvent::PlanUpdated(_)))
         .collect();
     assert_eq!(plan_updates.len(), 2);
     println!("\nPlanUpdated records (JSON-lines):");

@@ -302,7 +302,7 @@ fn component_merge_and_split_stays_equivalent_distributed() {
         .events()
         .into_iter()
         .filter_map(|e| match e {
-            RuntimeEvent::DiagStats { components, .. } => Some(components),
+            RuntimeEvent::WindowCounters { components, .. } => Some(components),
             _ => None,
         })
         .collect();

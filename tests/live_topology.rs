@@ -213,7 +213,7 @@ proptest! {
     /// the pinglist versions and `PathId`s of untouched cells are
     /// bit-identical before and after `Detector::apply`, every
     /// re-dispatched list actually carries a touched cell's paths, and
-    /// `PlanUpdate::lists_redispatched` accounts for exactly the lists
+    /// `PlanUpdate::dispatch` accounts for exactly the lists
     /// that re-dispatched.
     #[test]
     fn single_cell_deltas_leave_untouched_cells_bit_identical(
@@ -283,7 +283,7 @@ proptest! {
                 }
             }
             assert_eq!(
-                update.lists_redispatched, redispatched,
+                update.dispatch.lists_redispatched, redispatched,
                 "lists_redispatched miscounts ({ev:?})"
             );
 
@@ -383,7 +383,7 @@ fn fattree16_single_cell_delta_redispatches_only_the_touched_cell() {
             }
         }
     }
-    assert_eq!(update.lists_redispatched, redispatched);
+    assert_eq!(update.dispatch.lists_redispatched, redispatched);
     assert!(
         stable > 0,
         "some pinglists must survive a single-cell delta untouched"
@@ -537,23 +537,17 @@ fn detector_apply_replans_and_emits_plan_updated() {
     let plan_events: Vec<RuntimeEvent> = collector
         .events()
         .into_iter()
-        .filter(|e| matches!(e, RuntimeEvent::PlanUpdated { .. }))
+        .filter(|e| matches!(e, RuntimeEvent::PlanUpdated(_)))
         .collect();
     assert_eq!(plan_events.len(), 2);
     let mut deltas = Vec::new();
     for (i, e) in plan_events.iter().enumerate() {
-        let RuntimeEvent::PlanUpdated {
-            epoch,
-            links_changed,
-            probes_delta,
-            ..
-        } = e
-        else {
+        let RuntimeEvent::PlanUpdated(update) = e else {
             unreachable!()
         };
-        assert_eq!(*epoch, (i + 1) as u64);
-        assert_eq!(*links_changed, 1);
-        deltas.push(*probes_delta);
+        assert_eq!(update.epoch, (i + 1) as u64);
+        assert_eq!(update.links_changed, 1);
+        deltas.push(update.probes_delta);
         let text = e.to_json().to_string();
         assert_eq!(Json::parse(&text), Ok(e.to_json()));
     }

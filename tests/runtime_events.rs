@@ -22,10 +22,9 @@ fn kind(e: &RuntimeEvent) -> &'static str {
         RuntimeEvent::CycleRefreshed { .. } => "cycle",
         RuntimeEvent::PingerUnhealthy { .. } => "unhealthy",
         RuntimeEvent::ReportIngested { .. } => "report",
-        RuntimeEvent::IngestStats { .. } => "ingest",
-        RuntimeEvent::DiagStats { .. } => "diag",
+        RuntimeEvent::WindowCounters { .. } => "counters",
         RuntimeEvent::DiagnosisReady(_) => "ready",
-        RuntimeEvent::PlanUpdated { .. } => "plan",
+        RuntimeEvent::PlanUpdated(_) => "plan",
     }
 }
 
@@ -35,18 +34,19 @@ fn window_of(e: &RuntimeEvent) -> u64 {
         | RuntimeEvent::CycleRefreshed { window, .. }
         | RuntimeEvent::PingerUnhealthy { window, .. }
         | RuntimeEvent::ReportIngested { window, .. }
-        | RuntimeEvent::IngestStats { window, .. }
-        | RuntimeEvent::DiagStats { window, .. } => *window,
+        | RuntimeEvent::WindowCounters { window, .. } => *window,
         RuntimeEvent::DiagnosisReady(w) => w.window,
         // Plan updates happen between windows, never inside a step().
-        RuntimeEvent::PlanUpdated { .. } => u64::MAX,
+        RuntimeEvent::PlanUpdated(_) => u64::MAX,
     }
 }
 
 /// Asserts the per-window event grammar over a whole run's stream:
 /// `PlanUpdated* WindowStarted CycleRefreshed? (PingerUnhealthy |
-/// ReportIngested)+ IngestStats DiagStats DiagnosisReady`, for windows
-/// `0..windows` in order, and nothing else.
+/// ReportIngested)+ WindowCounters DiagnosisReady`, for windows
+/// `0..windows` in order, and nothing else. The tail is consumed one
+/// event at a time, so each window's counters sit directly before its
+/// `DiagnosisReady`.
 fn assert_window_grammar(driver: &str, events: &[RuntimeEvent], windows: u64) {
     let mut rest = events.iter().peekable();
     for w in 0..windows {
@@ -63,7 +63,7 @@ fn assert_window_grammar(driver: &str, events: &[RuntimeEvent], windows: u64) {
         assert!(run_of(&["cycle"]) <= 1, "{driver}, window {w}");
         let pingers = run_of(&["unhealthy", "report"]);
         assert!(pingers > 0, "{driver}, window {w}: no pinger accounted for");
-        for tail in ["ingest", "diag", "ready"] {
+        for tail in ["counters", "ready"] {
             assert_eq!(run_of(&[tail]), 1, "{driver}, window {w}: expected {tail}");
         }
     }

@@ -269,7 +269,7 @@ fn cell_overflow_rebase_redispatches_only_the_touched_cell() {
             }
         }
     }
-    assert_eq!(update.lists_redispatched, redispatched);
+    assert_eq!(update.dispatch.lists_redispatched, redispatched);
     assert!(redispatched > 0, "a re-base must re-dispatch the moved ids");
     // (At k = 4 both cells' paths blanket every pinger, so a strict
     // subset is impossible here; `fattree16_single_cell_delta_...` in
@@ -319,9 +319,7 @@ fn cell_overflow_rebase_redispatches_only_the_touched_cell() {
         .events()
         .into_iter()
         .filter_map(|e| match e {
-            RuntimeEvent::PlanUpdated {
-                lists_redispatched, ..
-            } => Some(lists_redispatched),
+            RuntimeEvent::PlanUpdated(update) => Some(update.dispatch.lists_redispatched),
             _ => None,
         })
         .collect();
@@ -417,18 +415,18 @@ fn unhealthy_pinger_is_skipped_identically() {
     assert_eq!(seq_unhealthy, vec![(1, victim)]);
 }
 
-/// Extracts each window's `DiagStats` as `(window, lossy_paths,
-/// components, suspects)`.
-fn diag_stats(events: Vec<RuntimeEvent>) -> Vec<(u64, u64, u64, u64)> {
+/// Extracts each window's `WindowCounters` as `(window, lossy_paths,
+/// components)`.
+fn window_counters(events: Vec<RuntimeEvent>) -> Vec<(u64, u64, u64)> {
     events
         .into_iter()
         .filter_map(|e| match e {
-            RuntimeEvent::DiagStats {
+            RuntimeEvent::WindowCounters {
                 window,
                 lossy_paths,
                 components,
-                suspects,
-            } => Some((window, lossy_paths, components, suspects)),
+                ..
+            } => Some((window, lossy_paths, components)),
             _ => None,
         })
         .collect()
@@ -471,9 +469,9 @@ fn component_merge_and_split_stays_equivalent() {
     let seq_results = seq.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
     // The component structure really merged and split mid-run.
     assert_eq!(
-        diag_stats(seq_sink.events())
+        window_counters(seq_sink.events())
             .iter()
-            .map(|&(_, _, c, _)| c)
+            .map(|&(_, _, c)| c)
             .collect::<Vec<_>>(),
         vec![2, 1, 1, 2, 2],
         "the drain/undrain must merge then split the lossy components"
@@ -561,7 +559,7 @@ fn udp_pipelined_equals_sequential() {
 #[test]
 fn all_healthy_windows_short_circuit_identically() {
     // Zero lossy paths: every window of a quiet fabric must
-    // short-circuit to an empty component set — DiagStats reports zero
+    // short-circuit to an empty component set — WindowCounters reports zero
     // components — while still emitting DiagnosisReady with empty
     // suspects in the exact oracle position.
     let ft = Arc::new(Fattree::new(4).unwrap());
@@ -589,24 +587,26 @@ fn all_healthy_windows_short_circuit_identically() {
     assert_eq!(seq_results, pipe_results);
     assert_eq!(normalize(seq_sink.events()), normalize(pipe_sink.events()));
     assert_eq!(
-        diag_stats(pipe_sink.events()),
-        vec![(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)],
+        window_counters(pipe_sink.events()),
+        vec![(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],
         "all-healthy windows must report zero lossy paths and components"
     );
     // Each window still reaches an (empty) diagnosis, directly
-    // after its stats events.
+    // after its counters.
     let events = pipe_sink.events();
     for w in 0..4u64 {
-        let stats_at = events
+        let counters_at = events
             .iter()
-            .position(|e| matches!(e, RuntimeEvent::DiagStats { window, .. } if *window == w))
-            .expect("DiagStats present");
-        match events.get(stats_at + 1) {
+            .position(|e| matches!(e, RuntimeEvent::WindowCounters { window, .. } if *window == w))
+            .expect("WindowCounters present");
+        match events.get(counters_at + 1) {
             Some(RuntimeEvent::DiagnosisReady(res)) => {
                 assert_eq!(res.window, w);
                 assert!(res.diagnosis.is_clean(), "quiet window must diagnose clean");
             }
-            other => panic!("DiagStats must immediately precede DiagnosisReady, got {other:?}"),
+            other => {
+                panic!("WindowCounters must immediately precede DiagnosisReady, got {other:?}")
+            }
         }
     }
 }

@@ -148,12 +148,11 @@ fn assert_soak_integrity(
             }
             RuntimeEvent::CycleRefreshed { window, .. }
             | RuntimeEvent::ReportIngested { window, .. }
-            | RuntimeEvent::IngestStats { window, .. }
-            | RuntimeEvent::DiagStats { window, .. }
+            | RuntimeEvent::WindowCounters { window, .. }
             | RuntimeEvent::PingerUnhealthy { window, .. } => {
                 assert_eq!(open, Some(*window), "intermediate event outside its window");
             }
-            RuntimeEvent::PlanUpdated { .. } => {
+            RuntimeEvent::PlanUpdated(_) => {
                 assert_eq!(open, None, "plan updates land between windows");
             }
         }
@@ -164,7 +163,7 @@ fn assert_soak_integrity(
     // Every scripted plan change surfaced in the stream.
     let plan_updates = events
         .iter()
-        .filter(|e| matches!(e, RuntimeEvent::PlanUpdated { .. }))
+        .filter(|e| matches!(e, RuntimeEvent::PlanUpdated(_)))
         .count();
     assert_eq!(
         plan_updates, scripted_changes,
