@@ -172,7 +172,7 @@ pub struct DistOutcome {
     /// One result per completed window — identical to the oracle's.
     pub results: Vec<WindowResult>,
     /// Controller → agent bytes carrying pinglist material (initial
-    /// sync, per-entry diffs, whole-list replacements, range re-bases,
+    /// sync, per-entry diffs, whole-list replacements, removals,
     /// resyncs). This is the quantity the per-entry diff protocol
     /// minimizes: after the initial sync it grows with the *delta*, not
     /// the fleet.
@@ -248,15 +248,10 @@ impl Fleet<'_> {
     /// group `only`'s when that agent is resynced.
     fn sync(&mut self, watchdog: &mut Watchdog, lists: &[Pinglist], only: Option<usize>) {
         for list in lists {
-            match self.groups.owner_of(list.pinger) {
-                Some(g) if only.is_none_or(|o| o == g) => {
-                    self.dispatch(
-                        watchdog,
-                        g,
-                        Frame::ListUpdate(ListUpdate::Replace(list.clone())),
-                    );
-                }
-                _ => {}
+            let owner = self.groups.owner_of(list.pinger);
+            if let Some(g) = owner.filter(|&g| only.is_none_or(|o| o == g)) {
+                let whole = ListUpdate::Replace(list.clone());
+                self.dispatch(watchdog, g, Frame::ListUpdate(whole));
             }
         }
     }
@@ -382,14 +377,14 @@ impl DistributedDetector {
         self.plan.now_s()
     }
 
-    /// The probe matrix currently deployed.
+    /// The probe matrix currently deployed: the diagnoser's, moved to it.
     pub fn matrix(&self) -> &detector_core::pmc::ProbeMatrix {
-        &self.plan.deployment().matrix
+        self.close.diagnoser().matrix()
     }
 
     /// The pinglists of the current deployment.
     pub fn pinglists(&self) -> &[Pinglist] {
-        &self.plan.deployment().pinglists
+        self.plan.pinglists()
     }
 
     /// Runs `windows` windows over a fleet of loopback agents spawned on
@@ -503,7 +498,7 @@ impl DistributedDetector {
             }
         }
         // Initial full sync: every list travels whole, to its owner.
-        fleet.sync(watchdog, &plan.deployment().pinglists, None);
+        fleet.sync(watchdog, plan.pinglists(), None);
 
         let mut results = Vec::with_capacity(windows as usize);
         for i in 0..windows {
@@ -536,7 +531,7 @@ impl DistributedDetector {
                         }
                         // Full resync of the group's lists.
                         fleet.dispatch(watchdog, *g, Frame::Reset);
-                        fleet.sync(watchdog, &plan.deployment().pinglists, Some(*g));
+                        fleet.sync(watchdog, plan.pinglists(), Some(*g));
                         continue;
                     }
                 };

@@ -146,6 +146,9 @@ pub const ROWS: &[Row] = &[
             Word("LIST_HEADER_BYTES"), Word("encoded_list_len"), Word("wire_bytes"), Word("RangeRebase"),
             Word("TAG_RANGE_REBASE")]),
         reason: "a list update travels as one wire frame and its bytes are the encoded length, not a model of it" },
+    Row { name: "A deployed matrix has one owner", scope: &["crates/system/src/", "crates/agent/src/"],
+        except: &["crates/system/src/window/reference.rs", "crates/system/src/report/reference.rs"], rule: Forbid(&[Sub("matrix.clone()")]),
+        reason: "a deployment's matrix is moved into the diagnoser, which owns it; the plan half keeps only the pinglists" },
     Row { name: "One perf estate (snapshots)", scope: &[], except: &[], rule: NoRootFile("BENCH_", ".json"),
         reason: "perf records come from benchmark/run.sh, not root snapshots" },
     Row { name: "One perf estate (bench targets)", scope: &["crates/"], except: &[], rule: ForbidLine("[[bench]]"),
@@ -380,6 +383,11 @@ mod tests {
                 "crates/agent/tests/x.rs",
                 "#[test]\nfn t() {\n let n = update.wire_bytes(); }",
                 3,
+            ),
+            (
+                "crates/system/src/window.rs",
+                "fn f(d: &Deployment) {\n let m = d.matrix.clone(); }",
+                2,
             ),
             ("BENCH_pll.json", "{}", 1),
             (

@@ -8,18 +8,15 @@
 //! other cell's entries bit-identical, so only the touched entries need
 //! to travel.
 //!
-//! * [`entry_key`] — a stable 64-bit key over an entry's byte form
-//!   (FNV-1a, *not* `DefaultHasher`: removals are addressed by key
-//!   across process boundaries, so the hash must not depend on the
-//!   process or std version). A list's seal,
-//!   [`Pinglist::content_stamp`], crosses the same boundary and uses the
-//!   same FNV parameters, one step per 32/64-bit word instead of per
-//!   byte.
-//! * [`rebase_and_diff`] — turns two deployments into one
+//! * [`entry_key`] — a stable 64-bit key over an entry's byte form:
+//!   FNV-1a, as a list's seal [`Pinglist::content_stamp`] is (which
+//!   steps per 32/64-bit word instead of per byte).
+//! * [`diff_lists`] — turns two deployments' pinglists into one
 //!   [`ListUpdate`] per changed list: per-entry edit scripts where the
 //!   edit is small, whole-list replacement where it is not (or where a
 //!   diff cannot reproduce the new list exactly), removals for pingers
-//!   that left duty — and carries unchanged lists' versions over.
+//!   that left duty — and carries unchanged lists' versions over. A
+//!   list is cloned only into a `Replace` that ships.
 //! * [`apply_list_update`] — what a receiver does with one
 //!   [`ListUpdate`].
 //!
@@ -28,7 +25,7 @@
 //! whose `PathIdRange` moved ships nothing beyond the list updates that
 //! carry its re-numbered entries. Every driver
 //! (`Detector::apply`, the pipelined dispatch stage, the distributed
-//! controller) computes its dispatch stats through [`rebase_and_diff`],
+//! controller) computes its dispatch stats through [`diff_lists`],
 //! so they are deterministic and identical across all three — the
 //! equivalence harnesses compare them un-normalized.
 
@@ -38,7 +35,7 @@ use detector_core::types::{NodeId, PathIdRange};
 
 use crate::controller::Deployment;
 use crate::pinglist::{PingEntry, Pinglist};
-use crate::wire::{encode_entry, encode_update};
+use crate::wire::{encode_entry, encode_update, replace_len};
 
 /// Stable 64-bit identity of an entry: FNV-1a over its byte form. Edit
 /// scripts address removals by this key, so it must be identical across
@@ -46,9 +43,14 @@ use crate::wire::{encode_entry, encode_update};
 /// `DefaultHasher`.
 pub fn entry_key(e: &PingEntry) -> u64 {
     // Room for a route of a dozen hops, so most entries never regrow.
-    let mut bytes = Vec::with_capacity(64);
-    encode_entry(e, &mut bytes);
-    fnv1a64(&bytes)
+    key_with(e, &mut Vec::with_capacity(64))
+}
+
+/// [`entry_key`], encoding the entry over `bytes`.
+fn key_with(e: &PingEntry, bytes: &mut Vec<u8>) -> u64 {
+    bytes.clear();
+    encode_entry(e, bytes);
+    fnv1a64(bytes)
 }
 
 /// FNV-1a's 64-bit offset basis, shared by [`fnv1a64`] and
@@ -122,7 +124,7 @@ impl ListUpdate {
 /// pipelined and distributed drivers must agree on them exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// Lists re-dispatched (fresh versions; see [`rebase_and_diff`]).
+    /// Lists re-dispatched (fresh versions; see [`diff_lists`]).
     pub lists_redispatched: usize,
     /// Entries that traveled: added + removed across diffs, plus every
     /// entry of whole-list replacements.
@@ -132,20 +134,16 @@ pub struct DispatchStats {
     pub bytes_dispatched: u64,
 }
 
-/// Pairs up per-cell `PathIdRange`s captured before and after a re-plan,
-/// keeping the cells whose range actually moved. Cells are positional
-/// (a re-plan never reorders them); a first build has no "before", which
-/// yields no re-bases. No driver ships the pairs; this stays for the
-/// benchmark's traced loop (`benchmark/src/traced.rs`), which still
-/// computes them for [`rebase_and_diff`].
+/// Pairs up the positional per-cell `PathIdRange`s captured before and
+/// after a re-plan, keeping the cells whose range moved (none on a first
+/// build). No driver ships them; the benchmark's traced loop computes
+/// them for [`rebase_and_diff`].
 pub fn rebase_pairs(
     before: Option<&[PathIdRange]>,
     after: Option<&[PathIdRange]>,
 ) -> Vec<(PathIdRange, PathIdRange)> {
     match (before, after) {
-        (Some(b), Some(a)) => b
-            .iter()
-            .zip(a.iter())
+        (Some(b), Some(a)) => (b.iter().zip(a))
             .filter(|(old, new)| old.base != new.base)
             .map(|(old, new)| (*old, *new))
             .collect(),
@@ -161,47 +159,47 @@ pub fn rebase_pairs(
 /// relative order (they cannot, under the controller's matrix-order
 /// assembly, but the differ does not assume that), or the script would
 /// not be smaller than the list, it falls back to a whole-list
-/// `Replace`. Either way the receiver ends up byte-identical to `new` —
-/// verified here, not trusted.
-fn diff_list(old: &Pinglist, new: &Pinglist) -> (ListUpdate, usize) {
-    let whole = ListUpdate::Replace(new.clone());
+/// `Replace`, measured without it. Either way the receiver ends up
+/// byte-identical to `new` — verified here, not trusted. `bytes` and
+/// `keys` are buffers reused across one install's lists.
+fn diff_list(
+    old: &Pinglist,
+    new: &Pinglist,
+    bytes: &mut Vec<u8>,
+    keys: &mut Vec<u64>,
+) -> (ListUpdate, usize) {
+    let whole = |bytes: &mut Vec<u8>| (ListUpdate::Replace(new.clone()), replace_len(new, bytes));
     // Header changes re-key every probe stream; ship the whole list.
     if old.interval_us != new.interval_us
         || old.base_sport != new.base_sport
         || old.port_range != new.port_range
         || old.dport != new.dport
     {
-        return sized(whole);
+        return whole(bytes);
     }
 
     // Multiset of keys on each side (duplicate entries would be a
     // controller bug, but the differ stays correct if they appear).
-    let old_keys: Vec<u64> = old.entries.iter().map(entry_key).collect();
-    let new_keys: Vec<u64> = new.entries.iter().map(entry_key).collect();
-    let mut old_count: HashMap<u64, usize> = HashMap::new();
-    for &k in &old_keys {
-        *old_count.entry(k).or_default() += 1;
+    keys.clear();
+    keys.extend((old.entries.iter().chain(&new.entries)).map(|e| key_with(e, bytes)));
+    let (old_keys, new_keys) = keys.split_at(old.entries.len());
+    let mut counts: HashMap<u64, (usize, usize)> = HashMap::new();
+    for &k in old_keys {
+        counts.entry(k).or_default().0 += 1;
     }
-    let mut new_count: HashMap<u64, usize> = HashMap::new();
-    for &k in &new_keys {
-        *new_count.entry(k).or_default() += 1;
+    for &k in new_keys {
+        counts.entry(k).or_default().1 += 1;
     }
 
     // Removals: old entries beyond the count the new list keeps, taken
     // from the front of each key's run — the ones `apply_list_update`,
-    // which drops the first match, takes out.
-    let mut surplus = old_count.clone();
-    for (k, n) in &new_count {
-        if let Some(s) = surplus.get_mut(k) {
-            *s = s.saturating_sub(*n);
-        }
-    }
-    let mut removed = Vec::new();
-    let mut kept: Vec<u64> = Vec::new();
-    for &k in &old_keys {
-        match surplus.get_mut(&k) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
+    // which drops the first match, takes out. Each key's old count ends
+    // at what the two lists share.
+    let (mut removed, mut kept) = (Vec::new(), Vec::new());
+    for &k in old_keys {
+        match counts.get_mut(&k) {
+            Some((in_old, in_new)) if *in_old > *in_new => {
+                *in_old -= 1;
                 removed.push(k);
             }
             _ => kept.push(k),
@@ -209,18 +207,11 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> (ListUpdate, usize) {
     }
     // Insertions: new entries beyond what the old list supplies, at
     // their index in the new list.
-    let mut supply = old_count;
-    for k in &removed {
-        if let Some(n) = supply.get_mut(k) {
-            *n -= 1;
-        }
-    }
-    let mut added: Vec<(u32, PingEntry)> = Vec::new();
-    let mut survivors: Vec<u64> = Vec::new();
+    let (mut added, mut survivors) = (Vec::new(), Vec::new());
     for (i, (&k, e)) in new_keys.iter().zip(&new.entries).enumerate() {
-        match supply.get_mut(&k) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
+        match counts.get_mut(&k) {
+            Some((shared, _)) if *shared > 0 => {
+                *shared -= 1;
                 survivors.push(k);
             }
             _ => added.push((i as u32, e.clone())),
@@ -230,7 +221,7 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> (ListUpdate, usize) {
     // The edit script reproduces `new` exactly only if the surviving
     // entries appear in the same relative order on both sides.
     if kept != survivors {
-        return sized(whole);
+        return whole(bytes);
     }
     let diff = sized(ListUpdate::Diff {
         pinger: new.pinger,
@@ -239,11 +230,10 @@ fn diff_list(old: &Pinglist, new: &Pinglist) -> (ListUpdate, usize) {
         removed,
         added,
     });
-    let whole = sized(whole);
-    if diff.1 < whole.1 {
+    if diff.1 < replace_len(new, bytes) {
         diff
     } else {
-        whole
+        whole(bytes)
     }
 }
 
@@ -283,8 +273,14 @@ pub fn apply_list_update(lists: &mut HashMap<NodeId, Pinglist>, update: &ListUpd
             let Some(list) = lists.get_mut(pinger) else {
                 return false;
             };
+            // The list keyed once; a key leaves with its entry.
+            let (mut bytes, mut keys) = (Vec::new(), Vec::new());
+            if !removed.is_empty() {
+                keys.extend(list.entries.iter().map(|e| key_with(e, &mut bytes)));
+            }
             for k in removed {
-                if let Some(pos) = list.entries.iter().position(|e| entry_key(e) == *k) {
+                if let Some(pos) = keys.iter().position(|key| key == k) {
+                    keys.remove(pos);
                     list.entries.remove(pos);
                 }
             }
@@ -300,40 +296,28 @@ pub fn apply_list_update(lists: &mut HashMap<NodeId, Pinglist>, update: &ListUpd
 }
 
 /// The install step every driver goes through (the plan half of
-/// [`window`](crate::window)): the list updates that turn `prev`'s
-/// pinglists into `next`'s, and what they cost.
+/// [`window`](crate::window)): the list updates that turn the `prev`
+/// pinglists into `next` (both ascending by pinger), and their cost.
 ///
-/// Each of `next`'s lists is paired with `prev`'s list for the same
-/// pinger once. A list whose assignment did not change takes its old
-/// version — so its pinger, which caches bound routes by version, is
-/// not re-bound — and ships nothing (zero bytes: the whole point of
-/// minimal re-dispatch). With segmented path ids a single-cell delta
-/// leaves every other cell's entries bit-identical, so only the lists
-/// carrying paths of the touched cells re-dispatch. Every other list
-/// becomes a [`ListUpdate`] in `next`'s list order: a whole `Replace`
-/// for a new pinger, else what the differ chooses; removals of
-/// departed pingers come last, ascending. Both deployments list their
-/// pinglists ascending by pinger, as the controller builds them.
-///
-/// `_rebases` is not read: it stays for the benchmark's traced loop
-/// (`benchmark/src/traced.rs`), which passes [`rebase_pairs`]' output.
-pub fn rebase_and_diff(
-    prev: &Deployment,
-    next: &mut Deployment,
-    _rebases: &[(PathIdRange, PathIdRange)],
-) -> (Vec<ListUpdate>, DispatchStats) {
-    debug_assert!(prev.pinglists.is_sorted_by_key(|l| l.pinger));
-    debug_assert!(next.pinglists.is_sorted_by_key(|l| l.pinger));
+/// A list whose assignment did not change takes its old version — so
+/// its pinger, which caches bound routes by version, is not re-bound —
+/// and ships nothing. Every other list becomes a [`ListUpdate`] in
+/// `next`'s order: a whole `Replace` for a new pinger, else what the
+/// differ chooses; removals of departed pingers come last, ascending.
+pub fn diff_lists(prev: &[Pinglist], next: &mut [Pinglist]) -> (Vec<ListUpdate>, DispatchStats) {
+    debug_assert!(prev.is_sorted_by_key(|l| l.pinger));
+    debug_assert!(next.is_sorted_by_key(|l| l.pinger));
+    let (mut bytes, mut keys) = (Vec::new(), Vec::new());
     let mut shipped: Vec<(ListUpdate, usize)> = Vec::new();
-    for list in &mut next.pinglists {
-        match list_of(&prev.pinglists, list.pinger) {
+    for list in next.iter_mut() {
+        match list_of(prev, list.pinger) {
             Some(old) if old.same_assignment(list) => list.version = old.version,
-            Some(old) => shipped.push(diff_list(old, list)),
+            Some(old) => shipped.push(diff_list(old, list, &mut bytes, &mut keys)),
             None => shipped.push(sized(ListUpdate::Replace(list.clone()))),
         }
     }
     let lists_redispatched = shipped.len();
-    let departed = (prev.pinglists.iter()).filter(|l| list_of(&next.pinglists, l.pinger).is_none());
+    let departed = prev.iter().filter(|l| list_of(next, l.pinger).is_none());
     shipped.extend(departed.map(|l| sized(ListUpdate::Remove(l.pinger))));
     let stats = DispatchStats {
         lists_redispatched,
@@ -341,6 +325,18 @@ pub fn rebase_and_diff(
         bytes_dispatched: shipped.iter().map(|&(_, n)| n as u64).sum(),
     };
     (shipped.into_iter().map(|(u, _)| u).collect(), stats)
+}
+
+/// [`diff_lists`] over two deployments. It and its unread `_rebases`
+/// stay for `window/reference.rs` and the benchmark's traced loop
+/// (`benchmark/src/traced.rs`, which passes [`rebase_pairs`]' output),
+/// and go with ROADMAP item 1(c).
+pub fn rebase_and_diff(
+    prev: &Deployment,
+    next: &mut Deployment,
+    _rebases: &[(PathIdRange, PathIdRange)],
+) -> (Vec<ListUpdate>, DispatchStats) {
+    diff_lists(&prev.pinglists, &mut next.pinglists)
 }
 
 /// `pinger`'s list among `lists`, which ascend by pinger.
@@ -495,6 +491,16 @@ mod tests {
             assert!(apply_list_update(&mut lists, &updates[0]));
             assert_eq!(lists[&NodeId(5)], next.pinglists[0]);
         }
+    }
+
+    #[test]
+    fn a_replace_is_measured_as_the_frame_that_ships_it() {
+        let entries = (0..9)
+            .map(|i| entry(Some(i), &[5, 1, i + 6], i + 6, None))
+            .collect();
+        let l = list(5, 1, entries);
+        let whole = encode_update(&ListUpdate::Replace(l.clone()));
+        assert_eq!(replace_len(&l, &mut vec![7; 3]), whole.len());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use detector_core::types::{LinkId, NodeId, PathObservation};
 use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
 use rand::rngs::SmallRng;
 
-use crate::controller::{Deployment, PlanUpdate};
+use crate::controller::PlanUpdate;
 use crate::dataplane::DataPlane;
 use crate::dispatch::ListUpdate;
 use crate::events::{EventSink, WindowResult};
@@ -128,7 +128,7 @@ pub struct Detector {
     /// re-bound by [`bound_batch`] only when the dispatched pinglist's
     /// `(version, stamp)` changes (incremental re-plans keep untouched
     /// lists at their old version, see
-    /// [`rebase_and_diff`](crate::dispatch::rebase_and_diff)).
+    /// [`diff_lists`](crate::dispatch::diff_lists)).
     /// Batches are `Arc`-shared so the pipelined scheduler can ship them
     /// to probe workers without re-binding.
     pub(crate) bound: HashMap<NodeId, Arc<PingerBatch>>,
@@ -156,9 +156,9 @@ impl Detector {
         self.close.add_sink(sink);
     }
 
-    /// The probe matrix currently deployed.
+    /// The probe matrix currently deployed: the diagnoser's, moved to it.
     pub fn matrix(&self) -> &ProbeMatrix {
-        &self.plan.deployment().matrix
+        self.close.diagnoser().matrix()
     }
 
     /// The monitored topology.
@@ -185,7 +185,7 @@ impl Detector {
 
     /// The pinglists of the current deployment.
     pub fn pinglists(&self) -> &[Pinglist] {
-        &self.plan.deployment().pinglists
+        self.plan.pinglists()
     }
 
     /// Applies a topology event between windows: the view absorbs it, the
@@ -318,9 +318,8 @@ impl Detector {
 /// left pinger duty.
 pub(crate) fn prune_bindings(
     bound: &mut HashMap<NodeId, Arc<PingerBatch>>,
-) -> impl FnMut(&[ListUpdate], &Deployment, &mut Watchdog) + '_ {
-    |_, deployment, _| {
-        let lists = &deployment.pinglists;
+) -> impl FnMut(&[ListUpdate], &[Pinglist], &mut Watchdog) + '_ {
+    |_, lists, _| {
         bound.retain(|server, _| lists.binary_search_by_key(server, |l| l.pinger).is_ok());
     }
 }
@@ -333,7 +332,7 @@ pub(crate) fn batches<'a>(
     bound: &'a mut HashMap<NodeId, Arc<PingerBatch>>,
 ) -> impl Iterator<Item = Arc<PingerBatch>> + 'a {
     let graph = plan.topo().graph();
-    (plan.deployment().pinglists.iter())
+    (plan.pinglists().iter())
         .filter(|list| ticket.expects(list.pinger))
         .map(move |list| bound_batch(bound, list, graph))
 }

@@ -62,9 +62,10 @@
 //!   started) long before any worker can probe it. A window with no
 //!   batches does not wait.
 //!
-//! Every failure keeps one exit: a dead diagnosis stage fails the slot
-//! (or meta) `send`, a probe stage with no worker left fails the gate's
-//! `recv`, and a panicking batch surfaces as [`PipelineError::Stage`].
+//! Every failure keeps one exit: a failed diagnosis stage gives up its
+//! slots, failing the dispatcher's next slot `send`, and keeps the
+//! matrices it will never announce; a probe stage with no worker left
+//! fails the gate's `recv`; a panicking batch is [`PipelineError::Stage`].
 //!
 //! **Thread orchestration** comes in three shapes across `crates/`, all
 //! on `std::thread::scope` and `std::sync::mpsc`. This pipeline is the
@@ -165,12 +166,6 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-impl From<PmcError> for PipelineError {
-    fn from(e: PmcError) -> Self {
-        PipelineError::Replan(e)
-    }
-}
-
 /// One window's probe-stage work: every worker receives it and takes
 /// batches off its cursor until the cursor passes the end.
 struct WindowWork {
@@ -191,9 +186,9 @@ struct WindowMeta {
     replanned: Vec<Replanned>,
     /// The open window and the watchdog as of its dispatch — what the
     /// window is diagnosed under, exactly like sequential `step`. `None`
-    /// in the trailing record sent when a scripted re-plan fails: the
-    /// actions before the failing one did apply, and sequential `apply`
-    /// would have announced each before erroring.
+    /// in the trailing record sent when the run ends before the window
+    /// opens: the actions before a failing one did apply, and sequential
+    /// `apply` would have announced each before erroring.
     window: Option<(Ticket, Watchdog)>,
 }
 
@@ -332,7 +327,11 @@ impl Detector {
                     let mut results = Vec::new();
                     // Reports that arrived before their window's meta.
                     let mut stash: HashMap<u64, HashMap<NodeId, PingerReport>> = HashMap::new();
-                    for meta in meta_rx.iter() {
+                    let mut metas = meta_rx.iter();
+                    let failure = 'run: loop {
+                        let Some(meta) = metas.next() else {
+                            return Ok(results);
+                        };
                         for replanned in meta.replanned {
                             close.replanned(replanned);
                         }
@@ -345,17 +344,13 @@ impl Detector {
                         let mut have = stash.remove(&ticket.window).unwrap_or_default();
                         while have.len() < expected {
                             let Ok(done) = done_rx.recv() else {
-                                return Err(PipelineError::Stage(
-                                    "probe stage disconnected mid-window",
-                                ));
+                                break 'run "probe stage disconnected mid-window";
                             };
                             // `None`: the batch panicked (e.g. a
                             // `DataPlane::probe` blew up); its report will
                             // never come.
                             let Some(report) = done else {
-                                return Err(PipelineError::Stage(
-                                    "probe worker panicked while probing",
-                                ));
+                                break 'run "probe worker panicked while probing";
                             };
                             // A younger window's report may outrun this
                             // window's stragglers.
@@ -366,19 +361,22 @@ impl Detector {
                             };
                             of_window.insert(report.pinger, report);
                         }
-                        let result = close
-                            .close(ticket, |pinger| have.remove(&pinger), &watchdog, dataplane)
-                            .map_err(|_| {
-                                PipelineError::Stage(
-                                    "probe stage omitted a healthy pinger's report",
-                                )
-                            })?;
+                        let take = |pinger| have.remove(&pinger);
+                        let Ok(result) = close.close(ticket, take, &watchdog, dataplane) else {
+                            break 'run "probe stage omitted a healthy pinger's report";
+                        };
                         // The window's slot, taken before its open; never
                         // blocks.
                         let _ = slot_rx.try_recv();
                         results.push(result);
+                    };
+                    // Free the dispatcher and the workers, and keep the
+                    // matrices of what this stage will never announce.
+                    drop((slot_rx, done_rx));
+                    for meta in metas {
+                        close.forgo(meta.replanned, meta.window.map(|(ticket, _)| ticket));
                     }
-                    Ok(results)
+                    Err(PipelineError::Stage(failure))
                 });
 
                 // Dispatch stage (this thread).
@@ -393,18 +391,14 @@ impl Detector {
                             }
                         }
                     }
-                    if dispatch_err.is_some() {
-                        if !replanned.is_empty() {
-                            let _ = meta_tx.send(WindowMeta {
-                                replanned,
-                                window: None,
-                            });
-                        }
+                    // A refused re-plan or a failed diagnosis stage ends the
+                    // run; the re-plans applied still go to the stage.
+                    if dispatch_err.is_some() || slot_tx.send(()).is_err() {
+                        let _ = meta_tx.send(WindowMeta {
+                            replanned,
+                            window: None,
+                        });
                         break;
-                    }
-
-                    if slot_tx.send(()).is_err() {
-                        break; // Diagnosis stage is gone; surface its error below.
                     }
                     let ticket = plan.open(watchdog, dataplane, rng, &mut prune_bindings(bound));
                     let work = Arc::new(WindowWork {
@@ -475,6 +469,38 @@ mod tests {
     /// Normalizes a stream for cross-execution comparison.
     fn normalize(events: Vec<RuntimeEvent>) -> Vec<RuntimeEvent> {
         events.iter().map(RuntimeEvent::normalized).collect()
+    }
+
+    /// Probes deliver, except that `pinger`'s batch of `window` panics.
+    struct PanicsInLastBatch {
+        window: u64,
+        pinger: NodeId,
+    }
+    impl crate::DataPlane for PanicsInLastBatch {
+        fn probe(
+            &self,
+            _route: &detector_topology::Route,
+            _flow: detector_simnet::FlowKey,
+            _rng: &mut SmallRng,
+        ) -> crate::ProbeOutcome {
+            crate::ProbeOutcome {
+                delivered: true,
+                rtt_us: 50.0,
+            }
+        }
+
+        fn probe_tagged(
+            &self,
+            tag: crate::ProbeTag,
+            route: &detector_topology::Route,
+            flow: detector_simnet::FlowKey,
+            rng: &mut SmallRng,
+        ) -> crate::ProbeOutcome {
+            if tag.window == self.window && flow.src == self.pinger.0 {
+                panic!("probe backend blew up");
+            }
+            self.probe(route, flow, rng)
+        }
     }
 
     #[test]
@@ -647,42 +673,62 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_run_leaves_the_diagnoser_on_the_deployed_matrix() {
+        // Window 0's last batch panics after the gate let the dispatcher
+        // on: window 1's re-plan is applied and its window opened, but
+        // the diagnosis stage has failed on window 0 and never announces
+        // either. The re-plan's matrix must reach the diagnoser anyway.
+        // (A plane that panics on every probe never gets that far: the
+        // workers all die before one takes window 0's last batch.)
+        let ft = Arc::new(Fattree::new(4).unwrap());
+        let down = TopologyEvent::LinkDown {
+            link: ft.ea_link(0, 0, 0),
+        };
+        let mut run = detector(&ft, None);
+        let plane = PanicsInLastBatch {
+            window: 0,
+            pinger: run.pinglists().last().expect("a planned fabric").pinger,
+        };
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // Silence expected worker panics.
+        let res = run.run_pipelined(
+            &plane,
+            3,
+            &Script::new().topology(1, down),
+            &PipelineConfig {
+                probe_workers: 3,
+                depth: 2,
+            },
+            &mut SmallRng::seed_from_u64(2),
+        );
+        std::panic::set_hook(prev_hook);
+        assert!(matches!(res, Err(PipelineError::Stage(_))), "{res:?}");
+
+        // The sequential twin applied the same re-plan and nothing else.
+        let mut twin = detector(&ft, None);
+        twin.apply(&down).unwrap();
+        assert_eq!(run.epoch(), twin.epoch(), "the re-plan was applied");
+        assert_eq!(run.pinglists(), twin.pinglists());
+        assert_eq!(run.matrix().paths, twin.matrix().paths);
+        assert_eq!(run.matrix().uncoverable, twin.matrix().uncoverable);
+
+        // And the next window files the new ids against the new matrix.
+        let mut fabric = Fabric::quiet(ft.as_ref());
+        let bad = ft.ac_link(1, 0, 0);
+        fabric.set_discipline_both(bad, LossDiscipline::Full);
+        let got = run.step(&fabric, &mut SmallRng::seed_from_u64(7));
+        let want = twin.step(&fabric, &mut SmallRng::seed_from_u64(7));
+        assert!(want.diagnosis.suspect_links().contains(&bad));
+        assert_eq!(got.diagnosis, want.diagnosis);
+        assert_eq!(got.num_observations, want.num_observations);
+    }
+
+    #[test]
     fn a_panic_in_a_windows_last_batch_errors_instead_of_hanging() {
         // The worker taking a window's last batch signals the dispatcher
         // before running it, so the dispatcher goes on to open the next
         // window while that batch panics. The run must still end as a
         // stage error, at every pool width and depth.
-        struct PanicsInLastBatch {
-            pinger: NodeId,
-        }
-        impl crate::DataPlane for PanicsInLastBatch {
-            fn probe(
-                &self,
-                _route: &detector_topology::Route,
-                _flow: detector_simnet::FlowKey,
-                _rng: &mut SmallRng,
-            ) -> crate::ProbeOutcome {
-                crate::ProbeOutcome {
-                    delivered: true,
-                    rtt_us: 50.0,
-                }
-            }
-
-            fn probe_tagged(
-                &self,
-                tag: crate::ProbeTag,
-                route: &detector_topology::Route,
-                flow: detector_simnet::FlowKey,
-                rng: &mut SmallRng,
-            ) -> crate::ProbeOutcome {
-                // Window 0 completes; window 1 dies in its last batch.
-                if tag.window == 1 && flow.src == self.pinger.0 {
-                    panic!("probe backend blew up");
-                }
-                self.probe(route, flow, rng)
-            }
-        }
-
         let ft = Arc::new(Fattree::new(4).unwrap());
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // Silence expected worker panics.
@@ -691,18 +737,14 @@ mod tests {
             let mut run = detector(&ft, None);
             // Batches ship in pinglist order: the last list is the last batch.
             let pinger = run.pinglists().last().expect("a planned fabric").pinger;
+            // Window 0 completes; window 1 dies in its last batch.
+            let plane = PanicsInLastBatch { window: 1, pinger };
             let mut rng = SmallRng::seed_from_u64(3);
             let pipeline = PipelineConfig {
                 probe_workers,
                 depth,
             };
-            let res = run.run_pipelined(
-                &PanicsInLastBatch { pinger },
-                4,
-                &Script::new(),
-                &pipeline,
-                &mut rng,
-            );
+            let res = run.run_pipelined(&plane, 4, &Script::new(), &pipeline, &mut rng);
             outcomes.push((pipeline, res));
         }
         std::panic::set_hook(prev_hook);

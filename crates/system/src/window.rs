@@ -7,6 +7,8 @@
 //!   action, and [`open`](PlanHalf::open)s a window: cycle refresh, the
 //!   data plane's `window_started` hook, the window's one seed draw, and
 //!   the roster — every pinger of the deployment with its health *now*.
+//!   It keeps only the pinglists: a deployment's matrix is moved, not
+//!   cloned, into the [`Replanned`] or [`Ticket`] and on to the diagnoser.
 //! * The **close half** ([`CloseHalf`]) owns the diagnoser and the event
 //!   sinks. It announces re-plans and windows, and
 //!   [`close`](CloseHalf::close)s a window given its [`Ticket`] and its
@@ -41,8 +43,9 @@ use crate::clock::SimClock;
 use crate::controller::{Controller, Deployment, PlanUpdate};
 use crate::dataplane::DataPlane;
 use crate::diagnoser::Diagnoser;
-use crate::dispatch::{rebase_and_diff, DispatchStats, ListUpdate};
+use crate::dispatch::{diff_lists, DispatchStats, ListUpdate};
 use crate::events::{EventSink, RuntimeEvent, WindowResult};
+use crate::pinglist::Pinglist;
 use crate::report::PingerReport;
 use crate::runtime::BuildError;
 use crate::script::ScriptAction;
@@ -54,14 +57,14 @@ use crate::{SharedTopology, SystemConfig};
 const HISTORY_WINDOWS: u64 = 20;
 
 /// A driver's installer: handed the list updates against the previous
-/// deployment, the one now in force, and the watchdog (a failed send
-/// marks the dead agent's racks).
-pub type Install<'a> = dyn FnMut(&[ListUpdate], &Deployment, &mut Watchdog) + 'a;
+/// deployment, the pinglists now in force (ascending by pinger), and the
+/// watchdog (a failed send marks the dead agent's racks).
+pub type Install<'a> = dyn FnMut(&[ListUpdate], &[Pinglist], &mut Watchdog) + 'a;
 
 /// Boots both halves for `topo`: validated configuration, the view
 /// seeded with `offline` links (one batch, so the first plan is born
 /// degraded rather than built pristine and patched), the first
-/// deployment, and a diagnoser pointed at its matrix.
+/// deployment's pinglists, and a diagnoser its matrix is moved into.
 pub fn boot(
     topo: SharedTopology,
     cfg: SystemConfig,
@@ -73,12 +76,12 @@ pub fn boot(
         controller.apply_events(offline.iter().map(|&link| TopologyEvent::LinkDown { link }))?;
     }
     let deployment = controller.build_deployment(Watchdog::new().unhealthy_set())?;
-    let diagnoser = Diagnoser::new(deployment.matrix.clone(), cfg.pll).with_diag(cfg.diag);
+    let diagnoser = Diagnoser::new(deployment.matrix, cfg.pll).with_diag(cfg.diag);
     let plan = PlanHalf {
         topo,
         cfg,
         controller,
-        deployment,
+        pinglists: deployment.pinglists,
         clock: SimClock::new(),
         window: 0,
     };
@@ -94,7 +97,7 @@ pub struct PlanHalf {
     topo: SharedTopology,
     cfg: SystemConfig,
     controller: Controller,
-    deployment: Deployment,
+    pinglists: Vec<Pinglist>,
     clock: SimClock,
     window: u64,
 }
@@ -104,7 +107,7 @@ pub struct PlanHalf {
 pub struct Replanned {
     /// What changed and what it cost — the payload of `PlanUpdated`.
     pub update: PlanUpdate,
-    /// The matrix now deployed, when the event changed it.
+    /// The matrix now deployed, when the event changed it (moved here).
     matrix: Option<ProbeMatrix>,
 }
 
@@ -120,10 +123,9 @@ pub struct Ticket {
     /// The window's master seed — the run's only RNG draw for it; each
     /// batch derives its stream via [`batch_seed`](crate::batch_seed).
     pub seed: u64,
-    /// `(version, num_paths)` when the window sits on a cycle boundary.
-    cycle: Option<(u64, usize)>,
-    /// The matrix the cycle refresh deployed.
-    matrix: Option<ProbeMatrix>,
+    /// On a cycle boundary, the refreshed deployment's version and its
+    /// matrix, moved here as `Replanned`'s is.
+    refresh: Option<(u64, ProbeMatrix)>,
     /// Every pinger of the deployment, ascending, with its health at
     /// open time (unhealthy ⇒ no report expected).
     roster: Vec<(NodeId, bool)>,
@@ -169,10 +171,10 @@ impl PlanHalf {
         &self.controller
     }
 
-    /// The deployment in force: probe matrix and pinglists (ascending
-    /// by pinger).
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
+    /// The pinglists in force, ascending by pinger. The matrix they
+    /// probe is the diagnoser's ([`CloseHalf::diagnoser`]).
+    pub fn pinglists(&self) -> &[Pinglist] {
+        &self.pinglists
     }
 
     /// Current simulated time, seconds.
@@ -221,8 +223,8 @@ impl PlanHalf {
         let mut matrix = None;
         if update.links_changed > 0 {
             let dep = self.controller.build_deployment(watchdog.unhealthy_set())?;
-            update.dispatch = self.install(dep, watchdog, install);
-            matrix = Some(self.deployment.matrix.clone());
+            let (deployed, dispatch) = self.install(dep, watchdog, install);
+            (matrix, update.dispatch) = (Some(deployed), dispatch);
         }
         // The full replan latency: view update + plan patch + matrix
         // assembly + pinglist re-dispatch.
@@ -244,17 +246,15 @@ impl PlanHalf {
     ) -> Ticket {
         let window = self.window;
         let start_s = self.clock.now_s();
-        let (mut cycle, mut matrix) = (None, None);
+        let mut refresh = None;
         if window > 0 && start_s % self.cfg.cycle_s < self.cfg.window_s {
             if let Ok(dep) = self.controller.build_deployment(watchdog.unhealthy_set()) {
-                cycle = Some((dep.version, dep.matrix.num_paths()));
-                self.install(dep, watchdog, install);
-                matrix = Some(self.deployment.matrix.clone());
+                refresh = Some((dep.version, self.install(dep, watchdog, install).0));
             }
         }
         dataplane.window_started(window, start_s);
         let seed = rng.gen();
-        let roster = (self.deployment.pinglists.iter())
+        let roster = (self.pinglists.iter())
             .map(|list| (list.pinger, watchdog.is_healthy(list.pinger)))
             .collect();
         self.clock.advance_s(self.cfg.window_s);
@@ -264,26 +264,25 @@ impl PlanHalf {
             start_s,
             end_s: self.clock.now_s(),
             seed,
-            cycle,
-            matrix,
+            refresh,
             roster,
         }
     }
 
     /// The one install procedure: rebase pinglist versions so unchanged
     /// lists keep their bindings, compute the list updates and their
-    /// cost, put the deployment in force, and hand the updates to the
-    /// driver.
+    /// cost, put the lists in force, hand the updates to the driver, and
+    /// return the matrix, moved, for the diagnoser.
     fn install(
         &mut self,
         mut dep: Deployment,
         watchdog: &mut Watchdog,
         install: &mut Install<'_>,
-    ) -> DispatchStats {
-        let (updates, stats) = rebase_and_diff(&self.deployment, &mut dep, &[]);
-        self.deployment = dep;
-        install(&updates, &self.deployment, watchdog);
-        stats
+    ) -> (ProbeMatrix, DispatchStats) {
+        let (updates, stats) = diff_lists(&self.pinglists, &mut dep.pinglists);
+        self.pinglists = dep.pinglists;
+        install(&updates, &self.pinglists, watchdog);
+        (dep.matrix, stats)
     }
 }
 
@@ -324,14 +323,22 @@ impl CloseHalf {
             window,
             start_s: ticket.start_s,
         });
-        if let Some((version, num_paths)) = ticket.cycle {
+        if let Some((version, matrix)) = ticket.refresh.take() {
             self.emit(RuntimeEvent::CycleRefreshed {
                 window,
                 version,
-                num_paths,
+                num_paths: matrix.num_paths(),
             });
+            self.diagnoser.set_matrix(matrix);
         }
-        if let Some(matrix) = ticket.matrix.take() {
+    }
+
+    /// Moves the diagnoser to the newest matrix of re-plans and a window
+    /// that a failed run dispatched but will never announce; emits nothing.
+    pub(crate) fn forgo(&mut self, replanned: Vec<Replanned>, ticket: Option<Ticket>) {
+        let refreshed = ticket.and_then(|t| t.refresh).map(|(_, m)| m);
+        let matrices = (replanned.into_iter().filter_map(|r| r.matrix)).chain(refreshed);
+        if let Some(matrix) = matrices.last() {
             self.diagnoser.set_matrix(matrix);
         }
     }
@@ -358,11 +365,7 @@ impl CloseHalf {
         let window = ticket.window;
         let mut taken = Vec::with_capacity(ticket.roster.len());
         for &(pinger, healthy) in &ticket.roster {
-            let report = if healthy {
-                Some(take(pinger).ok_or(pinger)?)
-            } else {
-                None
-            };
+            let report = healthy.then(|| take(pinger).ok_or(pinger)).transpose()?;
             taken.push((pinger, report));
         }
         let mut probes_sent = 0u64;

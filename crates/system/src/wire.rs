@@ -5,7 +5,7 @@
 //! (counting everything after itself), a one-byte tag, and a
 //! tag-specific payload. A pinglist change travels as itself — one
 //! [`Frame::ListUpdate`] per [`ListUpdate`] that
-//! [`rebase_and_diff`](crate::dispatch::rebase_and_diff) built — so
+//! [`diff_lists`](crate::dispatch::diff_lists) built — so
 //! a re-plan's `bytes_dispatched` is the length [`encode_update`]
 //! gives those frames, not a model of it. A plan cell whose id range
 //! moves sends nothing of its own: its re-numbered entries are list
@@ -258,6 +258,13 @@ fn framed(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         *prefix = len.to_be_bytes();
     }
     out
+}
+
+/// The frame length of `list` shipped whole, encoded over `buf`.
+pub(crate) fn replace_len(list: &Pinglist, buf: &mut Vec<u8>) -> usize {
+    buf.clear();
+    encode_list(list, buf);
+    4 + 1 + buf.len() // The length prefix and the tag.
 }
 
 /// The bytes of `update`'s [`Frame::ListUpdate`], without cloning the

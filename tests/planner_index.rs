@@ -8,7 +8,8 @@
 //! achieves what a from-scratch plan does, stays within two paths of its
 //! size through overlapping link churn, and is the clean-boot plan bit for
 //! bit whenever nothing is offline. A deployment built from a plan
-//! allocates per entry and per list, not per path lookup.
+//! allocates per entry and per list, not per path lookup, and a re-plan
+//! copies no matrix and clones no list it does not ship.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,8 +18,9 @@ use std::sync::Arc;
 
 use detector_core::pmc::{decompose, PmcConfig, ProbeMatrix};
 use detector_core::types::LinkId;
-use detector_system::{Controller, ProbePlan, SharedTopology, SystemConfig};
-use detector_topology::{DcnTopology, Fattree, Vl2};
+use detector_system::dispatch::rebase_and_diff;
+use detector_system::{Controller, Detector, ListUpdate, ProbePlan, SharedTopology, SystemConfig};
+use detector_topology::{DcnTopology, Fattree, TopologyEvent, Vl2};
 
 thread_local! {
     /// Allocations (and growths) this thread has made so far.
@@ -294,5 +296,37 @@ fn a_deployment_allocates_per_entry_and_list_not_per_path_lookup() {
         allocations <= entries + 2 * paths + 8 * lists + switches,
         "a deployment of {entries} entries in {lists} lists over {paths} paths \
          made {allocations} allocations"
+    );
+}
+
+/// A re-plan moves its deployment's matrix into the diagnoser and clones
+/// only the lists it ships whole. On Fattree(16) a link-up re-plan ships
+/// 8 edit scripts in about 10 200 allocations, 180 of them the diff's.
+/// Cloning the deployed matrix for the diagnoser (about 3 800 more) or
+/// every changed list into a `Replace` only to measure it (about 300
+/// more, in the diff) crosses a bound.
+#[test]
+fn a_link_up_replan_copies_no_matrix_and_no_list_it_does_not_ship() {
+    let ft = Arc::new(Fattree::new(16).unwrap());
+    let link = ft.ea_link(0, 0, 0);
+    let mut run = Detector::new(ft.clone() as SharedTopology, SystemConfig::default()).unwrap();
+    run.apply(&TopologyEvent::LinkDown { link }).unwrap();
+    let (update, replan) = allocations_of(|| run.apply(&TopologyEvent::LinkUp { link }).unwrap());
+
+    // The same install, counted alone: boot pristine, then patch.
+    let mut ctl = Controller::new(ft as SharedTopology, SystemConfig::default());
+    ctl.compute_matrix().unwrap();
+    ctl.apply_event(&TopologyEvent::LinkDown { link }).unwrap();
+    let old = ctl.build_deployment(&HashSet::new()).unwrap();
+    ctl.apply_event(&TopologyEvent::LinkUp { link }).unwrap();
+    let mut new = ctl.build_deployment(&HashSet::new()).unwrap();
+    let ((updates, stats), diff) = allocations_of(|| rebase_and_diff(&old, &mut new, &[]));
+    assert_eq!(stats, update.dispatch);
+    assert_eq!((updates.len(), stats.entries_diffed), (8, 16));
+    assert!(updates.iter().all(|u| matches!(u, ListUpdate::Diff { .. })));
+    assert!(diff <= 300, "the install's diff made {diff} allocations");
+    assert!(
+        replan <= 12_000,
+        "the link-up re-plan made {replan} allocations"
     );
 }
