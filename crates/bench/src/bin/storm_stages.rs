@@ -1,0 +1,134 @@
+//! The storm's stage split, timed from outside the diagnoser: a
+//! Fattree(`--k`, default 32) loses one uplink of every edge switch, and
+//! 7 more variants each move one. Each variant's reports, produced once
+//! by `PingerBatch::run_window` and encoded once, are offered for 4
+//! windows (an onset, then 3 reuses), 20 times over. It
+//! prints one JSON line: the quartiles in µs of `Frame::decode`,
+//! `Diagnoser::ingest` and `Diagnoser::diagnose` over onset and over
+//! reuse windows, the first round's `components_solved` per onset, the
+//! CPU model and the codegen units; and exits non-zero if a window's
+//! suspects differ from `localize`'s. `crates/bench/README.md` has the
+//! protocol for comparing two builds.
+
+use std::collections::HashSet;
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Instant;
+
+use detector_core::pll::localize;
+use detector_simnet::{Fabric, LossDiscipline};
+use detector_system::wire::Frame;
+use detector_system::{Controller, Diagnoser, PingerBatch, ReportStore, SystemConfig, Watchdog};
+use detector_topology::{DcnTopology, Fattree};
+
+const VARIANTS: u64 = 8;
+const WINDOWS: u64 = 4;
+const ROUNDS: u64 = 20;
+
+/// `{"p25":…,"p50":…,"p75":…}` of `samples`.
+fn quartiles(mut samples: Vec<f64>) -> String {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let i = (samples.len().saturating_sub(1) as f64 * q).round() as usize;
+        samples.get(i).copied().unwrap_or(0.0)
+    };
+    let [p25, p50, p75] = [0.25, 0.5, 0.75].map(at);
+    format!(r#"{{"p25":{p25:.1},"p50":{p50:.1},"p75":{p75:.1}}}"#)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let k = match args.as_slice() {
+        [] => 32,
+        [flag, k] if flag == "--k" => k.parse().unwrap_or(0),
+        _ => 0,
+    };
+    let Ok(ft) = Fattree::new(k) else {
+        eprintln!("usage: storm_stages [--k <even radix, default 32>]");
+        return ExitCode::FAILURE;
+    };
+    let ft = Arc::new(ft);
+    let cfg = SystemConfig::default();
+    let dep = (Controller::new(ft.clone(), cfg.clone()))
+        .build_deployment(&HashSet::new())
+        .expect("deployment builds");
+    let batches: Vec<PingerBatch> = (dep.pinglists.iter())
+        .map(|l| PingerBatch::bind(l.clone(), ft.graph()))
+        .collect();
+    // Per variant: its encoded reports and the oracle's suspects.
+    let variants: Vec<_> = (0..VARIANTS as u32)
+        .map(|v| {
+            let mut fabric = Fabric::quiet(ft.as_ref());
+            let half = ft.half();
+            for pod in 0..ft.k() {
+                for edge in 0..half {
+                    let moved = u32::from(pod * half + edge + 1 == v);
+                    let uplink = ft.ea_link(pod, edge, (pod + edge + moved) % half);
+                    fabric.set_discipline_both(uplink, LossDiscipline::Full);
+                }
+            }
+            let store = ReportStore::new();
+            let frames: Vec<Vec<u8>> = (batches.iter())
+                .map(|b| {
+                    let report = b.run_window(&fabric, &cfg, 0, u64::from(v));
+                    store.ingest(report.clone());
+                    Frame::Report(report).encode()
+                })
+                .collect();
+            let obs = store.window_observations(0, &|_| false);
+            let expected = localize(&dep.matrix, &obs, &cfg.pll).suspect_links();
+            (frames, expected)
+        })
+        .collect();
+
+    let mut diagnoser = Diagnoser::new(dep.matrix, cfg.pll);
+    let watchdog = Watchdog::new();
+    // Onset and reuse windows' µs per stage.
+    let mut stages: [[Vec<f64>; 3]; 2] = Default::default();
+    let (mut solved, mut wrong) = (Vec::new(), 0);
+    for w in 0..ROUNDS * VARIANTS * WINDOWS {
+        let (frames, expected) = &variants[(w / WINDOWS % VARIANTS) as usize];
+        let start = Instant::now();
+        let reports: Vec<_> = frames.iter().map(|f| Frame::decode(f)).collect();
+        let decoded = Instant::now();
+        for report in reports {
+            let Ok(Frame::Report(mut r)) = report else {
+                wrong += 1;
+                continue;
+            };
+            r.window = w;
+            diagnoser.ingest(r);
+        }
+        let ingested = Instant::now();
+        let event = diagnoser.diagnose(w, &watchdog);
+        let times = [start, decoded, ingested, Instant::now()];
+        diagnoser.prune_before(w.saturating_sub(20));
+        let onset = w % WINDOWS == 0;
+        for (stage, pair) in stages[usize::from(!onset)].iter_mut().zip(times.windows(2)) {
+            stage.push((pair[1] - pair[0]).as_secs_f64() * 1e6);
+        }
+        if onset && w < VARIANTS * WINDOWS {
+            solved.push(event.components_solved);
+        }
+        wrong += u64::from(event.diagnosis.suspect_links() != *expected);
+    }
+
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = (cpu.lines())
+        .find_map(|l| Some(l.strip_prefix("model name")?.split_once(':')?.1.trim()))
+        .unwrap_or("unknown")
+        .replace('"', "'");
+    let units = option_env!("CARGO_PROFILE_RELEASE_CODEGEN_UNITS").unwrap_or("default");
+    let [onset, reuse] = stages.map(|s| {
+        let [d, i, g] = s.map(quartiles);
+        format!(r#"{{"decode_us":{d},"ingest_us":{i},"diagnose_us":{g}}}"#)
+    });
+    println!(
+        r#"{{"k":{k},"windows_wrong":{wrong},"onset":{onset},"reuse":{reuse},"onset_components_solved":{solved:?},"cpu":"{cpu}","codegen_units":"{units}"}}"#
+    );
+    if wrong > 0 {
+        eprintln!("storm_stages: {wrong} windows differ from the localize oracle");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}

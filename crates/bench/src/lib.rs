@@ -19,6 +19,7 @@
 //! | `pll_compare`        | PLL vs Tomo/SCORE/OMP (§5.3 / technical report)    |
 //! | `latency`            | failure to named link, deTector vs Pingmesh (§6.3) |
 //! | `ablation_hit_ratio` | PLL's hit-ratio threshold τ (§5.3 / technical report) |
+//! | `storm_stages`       | a storm window's decode / ingest / diagnose split (see `README.md`) |
 //!
 //! Every binary honours `DETECTOR_BENCH_SCALE` (`quick` | `paper`,
 //! default `quick`): `quick` shrinks topology sizes and episode counts to

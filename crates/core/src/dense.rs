@@ -13,6 +13,8 @@
 //! refilled, so a caller that keeps one across windows or rebuilds
 //! allocates only while it grows.
 
+use std::ops::Range;
+
 /// Runs of items, one per key, back to back in one array: run `k` is
 /// `items[offsets[k]..offsets[k + 1]]`. Indexing a window of ~15 k paths
 /// over ~16 k links is two passes over the pairs (count, then fill) into
@@ -71,12 +73,15 @@ impl<T> Runs<T> {
     /// Run `k`; empty past the last.
     #[inline]
     pub fn run(&self, k: usize) -> &[T] {
+        self.items.get(self.span(k)).unwrap_or_default()
+    }
+
+    /// Where run `k` sits in [`items`](Self::items); empty past the last.
+    #[inline]
+    pub fn span(&self, k: usize) -> Range<usize> {
         match self.offsets.get(k..k.saturating_add(2)) {
-            Some(&[from, to]) => self
-                .items
-                .get(from as usize..to as usize)
-                .unwrap_or_default(),
-            _ => &[],
+            Some(&[from, to]) => from as usize..to as usize,
+            _ => 0..0,
         }
     }
 
@@ -98,6 +103,24 @@ impl<T> Runs<T> {
 }
 
 impl<T: Copy + Default> Runs<T> {
+    /// Appends `other`'s runs `keys`, in order, each item through `f`, in
+    /// one pass over their items; a range past `other`'s last run appends
+    /// nothing.
+    pub fn extend_runs(&mut self, other: &Self, keys: Range<usize>, f: impl FnMut(T) -> T) {
+        let range = keys.start..keys.end.saturating_add(1);
+        let Some(ends @ &[from, .., to]) = other.offsets.get(range) else {
+            return;
+        };
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
+        let base = self.items.len() as u32;
+        (self.offsets).extend(ends.iter().skip(1).map(|&end| end - from + base));
+        let items = other.items.get(from as usize..to as usize);
+        self.items
+            .extend(items.unwrap_or_default().iter().copied().map(f));
+    }
+
     /// Refills, keeping the memory, with the `(key, item)` pairs
     /// `entries` yields: a key's run lists its items in `entries`' order.
     /// There are `keys` runs, or one past the largest key named if that
@@ -330,6 +353,35 @@ mod tests {
             }
             runs.clear();
             prop_assert!(runs.is_empty() && runs.items().is_empty());
+        }
+
+        /// Appending a range of another array's runs, each item mapped,
+        /// equals pushing each of those runs mapped, for empty runs and
+        /// ranges too; a range past the other's end appends nothing.
+        #[test]
+        fn extending_by_runs_equals_pushing_each(
+            base in proptest::collection::vec(proptest::collection::vec(0u8..255, 0..3), 0..3),
+            other in proptest::collection::vec(proptest::collection::vec(0u8..255, 0..4), 0..8),
+            keys in (0usize..10, 0usize..10),
+        ) {
+            let fill = |lists: &[Vec<u8>]| {
+                let mut runs = Runs::default();
+                for list in lists {
+                    runs.push_run(list.iter().copied());
+                }
+                runs
+            };
+            let (mut runs, from) = (fill(&base), fill(&other));
+            runs.extend_runs(&from, keys.0..keys.1, |b| b ^ 1);
+            let mut want = base.clone();
+            if keys.1 <= other.len() && keys.0 <= keys.1 {
+                want.extend(other[keys.0..keys.1].iter().map(|r| r.iter().map(|b| b ^ 1).collect()));
+            }
+            prop_assert_eq!(runs.runs().map(<[u8]>::to_vec).collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(runs.items(), want.concat().as_slice());
+            for (k, run) in want.iter().enumerate() {
+                prop_assert_eq!(runs.span(k).len(), run.len());
+            }
         }
 
         /// The union-find's sets are the connected components a

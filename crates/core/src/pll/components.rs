@@ -19,34 +19,37 @@
 //! generation that moves only when that set of unobserved rows does. The
 //! localizer never resolves a path id in the matrix.
 //!
-//! [`ComponentPll`] caches the skeleton (link → lossy-paths index,
-//! component partition, per-component candidate links with their hit
-//! ratios) under the reuse key **(lossy path ids, generation)**: a window
-//! with the same key as its predecessor only swaps the loss counters in —
-//! and returns the cached verdict outright when the lossy observations
-//! are identical too — so it costs the lossy paths, not a denominator per
-//! candidate link. Clean paths' counters never move the verdict and are
-//! not part of the key. Any other window, and the first one after
-//! [`invalidate`](ComponentPll::invalidate) (new probe matrix: plan epoch
-//! change, cycle refresh), rebuilds the skeleton.
+//! # What carries over from the last window
 //!
-//! # What a rebuild costs
+//! [`ComponentPll`] keeps the last window's components: their lossy
+//! observations, candidate links with hit ratios, and picks standing in
+//! the verdict. Under an unchanged generation a window is diffed against
+//! the last by lossy path id. A component is *changed* when it lost a
+//! path, when an added path names one of its links, or when one of its
+//! paths' counters moved. One whose paths are the same keeps its hit
+//! ratios and only runs its greedy again; the other changed ones'
+//! surviving paths and the added ones are partitioned afresh. Any other
+//! component keeps its paths and shares no link with an added one, so it
+//! is still a whole component, and its picks stand. A window that
+//! repeats the last returns the last verdict (clean paths' counters never
+//! move it). The first window, the first after
+//! [`invalidate`](ComponentPll::invalidate) (a new probe matrix) and one
+//! whose generation moved are this same step with every component
+//! changed.
 //!
-//! A rebuild costs the lossy incidence — lossy observations times the
-//! links they name — not the fabric. Each lossy path's links are read at
-//! its row's offset into the flat row → links array, with no pointer
-//! chased into the path's own list, and numbered locally, in order of
-//! first naming, through a link → local-id map that spans the fabric but
-//! is kept across windows and reset only where the rebuild wrote.
-//! Everything after that (the link → lossy-paths index, the union-find,
-//! the partition, the denominators read off the view) is sized to the
-//! candidate links. The indexes are the crate's run array and the
-//! partition its union-find ([`dense`](crate::dense)), the one
-//! [`decompose`](crate::pmc::decompose) splits PMC with. Each component's
-//! hit list and scope are runs in two flat arrays, and every array of the
-//! skeleton and of the greedies' scratch keeps its memory across rebuilds
-//! and across `invalidate`, so a window with more components does not
-//! allocate more.
+//! # What an onset costs
+//!
+//! The diff, linear in the lossy paths, plus the changed components'
+//! incidence — their observations times the links they name — not the
+//! fabric. Those links are read at each row's offset into the flat row →
+//! links array and numbered locally through a link → local-id map kept
+//! across windows; the index and the union-find over them are sized to
+//! them. A kept component is carried into the new window's arrays whole,
+//! in one copy of each of its runs with its observation indices moved to
+//! the new window's. The arrays are the crate's run array and union-find
+//! ([`dense`](crate::dense)), which PMC's
+//! [`decompose`](crate::pmc::decompose) uses too, and all keep their
+//! memory across windows and `invalidate`.
 //!
 //! # Why the lazy pick is exact
 //!
@@ -74,13 +77,14 @@
 //! selection keys — each pick only lowers the remaining candidates'
 //! scores — and the key is recorded verbatim on every [`SuspectLink`].
 //! The global greedy is therefore exactly the descending merge of the
-//! per-component pick sequences, and since keys are globally unique (the
-//! link id participates), merging reduces to sorting the concatenated
-//! suspects by key. The same holds for unexplained paths: each lossy
-//! observation belongs to exactly one component (or to none, when its
-//! path id does not resolve in the matrix — then nothing can ever
-//! explain it), so the global unexplained list is the index-ordered union
-//! of the per-component leftovers and those stray observations.
+//! per-component pick sequences, whichever window solved each: a kept
+//! component's picks are what its greedy would pick again from the same
+//! observations and hit ratios. Keys are globally unique (the link id
+//! participates), so the standing picks, already in key order, merge
+//! with the sorted fresh ones in one pass. Each lossy observation belongs
+//! to exactly one component, or to none when its path id does not
+//! resolve in the matrix (nothing can explain it), so the unexplained
+//! list is the per-component leftovers and those strays, in window order.
 //!
 //! The plain whole-window greedy behind [`localize`](super::localize)
 //! stays as the oracle: the result is bit-identical to it —
@@ -91,6 +95,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem::swap;
 
 use super::pll_impl::{Diagnosis, SuspectLink};
 use super::preprocess::stays_lossy;
@@ -106,7 +111,7 @@ use {
     std::collections::HashSet,
 };
 
-/// Sentinel for a missing local link id or component.
+/// Sentinel for a missing local link, component or index.
 const NONE: u32 = u32::MAX;
 
 /// What the diagnoser's window walk hands [`ComponentPll::diagnose`]
@@ -132,197 +137,143 @@ impl LossyIncidence<'_> {
     /// The row of an observation the matrix cannot resolve: past every
     /// row, so it names no link.
     pub const STRAY: u32 = u32::MAX;
+
+    /// The links of `row`; none for no row.
+    fn links(&self, row: Option<&u32>) -> &[LinkId] {
+        row.map_or(&[], |&row| self.row_links.run(row as usize))
+    }
 }
 
-/// Everything windows with the same reuse key share. Links are numbered
-/// locally: local link `i` is `links[i]`.
+/// A candidate link of a component, with its hit ratio.
+#[derive(Clone, Copy, Debug, Default)]
+struct Candidate {
+    link: LinkId,
+    hit: f64,
+}
+
+/// A window's components. A kept component is carried into the next
+/// window by copying its runs, its indices into the lossy list moved.
 #[derive(Debug, Default)]
-struct Skeleton {
-    /// Whether the fields below describe the latest window: false before
-    /// the first window and after [`invalidate`](ComponentPll::invalidate).
-    valid: bool,
-    /// The generation of the denominators the skeleton was built with:
-    /// the half of the reuse key the lossy path ids do not fix.
-    generation: u64,
-    /// Local link → link: the candidate links, in order of first naming
-    /// by the lossy observations.
-    links: Vec<LinkId>,
-    /// Local link → hit-ratio denominator.
-    denominators: Vec<u32>,
-    /// Local link → hit ratio.
-    hit: Vec<f64>,
-    /// Local link → indices into the lossy observations, ascending, once
-    /// per naming (the lengths are the hit-ratio numerators).
+struct Parts {
+    /// Component → its observations' indices in the window's lossy list,
+    /// ascending.
+    scope: Runs<u32>,
+    /// Component → its candidate links (its hit list).
+    cands: Runs<Candidate>,
+    /// Candidate, numbered across components → the indices of the lossy
+    /// observations through it, ascending, once per naming (the lengths
+    /// are the hit-ratio numerators).
     link_paths: Runs<u32>,
-    /// Component → its local links (its hit list), ascending. Components
-    /// are in order of their smallest local link.
-    comp_links: Runs<u32>,
-    /// Component → its lossy observation indices (its scope), ascending.
-    comp_scope: Runs<u32>,
-    /// Lossy observations outside every component (path id does not
-    /// resolve in the matrix, or the path covers no links), ascending:
-    /// unexplainable.
-    stray: Vec<u32>,
 }
 
-/// What a rebuild and the greedies work in, kept between windows.
+/// What a window changed in one of the last window's components.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Change {
+    /// Nothing: its picks stand.
+    None,
+    /// Its paths' counters: its greedy runs again.
+    Counters,
+    /// Its paths: the survivors are partitioned afresh.
+    Paths,
+}
+
+/// What the diff, the partition and the greedies work in, kept between
+/// windows.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Lossy observation → its matrix row, as the noise filter left them.
     rows: Vec<u32>,
-    /// Link → local id; [`NONE`] everywhere between rebuilds. Spans the
-    /// largest link a lossy path has named.
+    /// The last window's component → what this window changed in it.
+    changes: Vec<Change>,
+    /// The last window's observation → its index in this one, or
+    /// [`NONE`].
+    moved: Vec<u32>,
+    /// This window's observations to partition afresh, then its
+    /// components whose greedy runs.
+    pool: Vec<u32>,
+    solve: Vec<u32>,
+    /// This window's components and unexplained flags, built beside the
+    /// last window's and swapped in.
+    parts: Parts,
+    left: Vec<bool>,
+    /// The partition's link → local id ([`NONE`] between partitions, and
+    /// spanning the largest link named), local link → link, pool position
+    /// → local links, and the union-find over local links.
     local_of: Vec<u32>,
-    /// Lossy observation → its local links.
+    links: Vec<LinkId>,
     path_links: Runs<u32>,
-    /// The components over local links, each lossy path one clique.
     sets: UnionFind,
-    /// Lossy observation → not yet explained; all false between greedies.
-    unexplained: Vec<bool>,
-    /// The greedy's lazy queue.
+    /// Local link → pool positions, and component → local links and →
+    /// pool positions.
+    link_pool: Runs<u32>,
+    comp_links: Runs<u32>,
+    comp_pool: Runs<u32>,
+    /// A greedy's lazy queue, the window's fresh picks, and the merged
+    /// suspects.
     queue: BinaryHeap<Pick>,
-    /// The window's unexplained observation indices.
-    left: Vec<u32>,
+    picks: Vec<SuspectLink>,
+    merged: Vec<SuspectLink>,
 }
 
-impl Skeleton {
-    /// Rebuilds from the rows of a window's lossy observations
-    /// (`scratch.rows`) and the `view` they index.
-    fn rebuild(&mut self, scratch: &mut Scratch, view: &LossyIncidence<'_>) {
-        let Scratch {
-            rows,
-            local_of,
-            path_links,
-            sets,
-            ..
-        } = scratch;
-        self.valid = true;
-        self.generation = view.generation;
-        self.links.clear();
-        self.stray.clear();
-        path_links.clear();
-        sets.clear();
-        for (oi, &row) in rows.iter().enumerate() {
-            let links = view.row_links.run(row as usize);
-            if links.is_empty() {
-                self.stray.push(oi as u32);
-            }
-            let local = links.iter().map(|&l| {
-                if l.index() >= local_of.len() {
-                    local_of.resize(l.index() + 1, NONE);
-                }
-                let Some(slot) = local_of.get_mut(l.index()) else {
-                    return NONE;
-                };
-                if *slot == NONE {
-                    *slot = self.links.len() as u32;
-                    self.links.push(l);
-                }
-                *slot
-            });
-            sets.join(path_links.push_run(local).iter().copied());
-        }
-        for l in &self.links {
-            if let Some(slot) = local_of.get_mut(l.index()) {
-                *slot = NONE;
-            }
-        }
-
-        let n = self.links.len();
-        let namings = || {
-            (path_links.runs().enumerate())
-                .flat_map(|(oi, run)| run.iter().map(move |&li| (li, oi as u32)))
-        };
-        self.link_paths.refill(n, namings);
-        self.denominators.clear();
-        self.hit.clear();
-        for (&l, paths) in self.links.iter().zip(self.link_paths.runs()) {
-            let observed = view.observed.get(l.index()).copied().unwrap_or(0);
-            self.denominators.push(observed);
-            self.hit.push(paths.len() as f64 / f64::from(observed));
-        }
-
-        let (comps, comp) = sets.number();
-        let comp = |li: u32| comp.get(li as usize).copied().unwrap_or(NONE);
-        (self.comp_links).refill(comps, || (0..n as u32).map(|li| (comp(li), li)));
-        let anchored = || {
-            (path_links.runs().enumerate())
-                .filter_map(|(oi, run)| Some((comp(*run.first()?), oi as u32)))
-        };
-        self.comp_scope.refill(comps, anchored);
-    }
-
-    /// Runs component `comp`'s greedy over the lossy `obs`: appends its
-    /// suspects in pick order to `suspects` and the indices of its scope's
-    /// observations it left unexplained to `scratch.left`.
+impl Parts {
+    /// Runs component `comp`'s greedy over the window's lossy `obs`:
+    /// appends its picks to `s.picks` and leaves `left` flagging which of
+    /// its observations it left unexplained.
     fn greedy(
         &self,
         comp: usize,
         obs: &[PathObservation],
         cfg: &PllConfig,
-        scratch: &mut Scratch,
-        suspects: &mut Vec<SuspectLink>,
+        s: &mut Scratch,
+        left: &mut [bool],
     ) {
-        let Scratch {
-            unexplained,
-            queue,
-            left,
-            ..
-        } = scratch;
-        let scope = self.comp_scope.run(comp);
         let mut remaining: u64 = 0;
-        for &oi in scope {
-            if let (Some(o), Some(u)) = (obs.get(oi as usize), unexplained.get_mut(oi as usize)) {
+        for &i in self.scope.run(comp) {
+            if let (Some(u), Some(o)) = (left.get_mut(i as usize), obs.get(i as usize)) {
                 *u = o.is_lossy();
                 remaining += o.lost;
             }
         }
-        // Step 3's score: lost packets link `li` could still explain.
-        let score = |unexplained: &[bool], li: u32| -> u64 {
-            (self.link_paths.run(li as usize).iter())
-                .filter(|&&oi| unexplained.get(oi as usize).copied().unwrap_or(false))
-                .filter_map(|&oi| obs.get(oi as usize).map(|o| o.lost))
+        // Step 3's score: lost packets candidate `k` could still explain.
+        let score = |left: &[bool], k: usize| -> u64 {
+            (self.link_paths.run(k).iter())
+                .filter(|&&i| left.get(i as usize).copied().unwrap_or(false))
+                .filter_map(|&i| obs.get(i as usize).map(|o| o.lost))
                 .sum()
         };
-        queue.clear();
-        for &li in self.comp_links.run(comp) {
-            let (Some(&hit), Some(&link)) =
-                (self.hit.get(li as usize), self.links.get(li as usize))
-            else {
-                continue;
-            };
+        s.queue.clear();
+        for (k, c) in self.cands.span(comp).zip(self.cands.run(comp)) {
             // The hit ratio is an eligibility filter and tie-breaker.
-            if hit < cfg.hit_ratio_threshold {
+            if c.hit < cfg.hit_ratio_threshold {
                 continue;
             }
-            let score = score(unexplained, li);
+            let score = score(left, k);
             if score > 0 {
-                queue.push(Pick {
+                s.queue.push(Pick {
                     score,
-                    hit,
-                    link,
-                    local: li,
+                    hit: c.hit,
+                    link: c.link,
+                    cand: k as u32,
                 });
             }
         }
 
         while remaining > 0 {
-            let Some(top) = queue.pop() else {
+            let Some(top) = s.queue.pop() else {
                 break;
             };
-            let score = score(unexplained, top.local);
+            let score = score(left, top.cand as usize);
             if score != top.score {
                 if score > 0 {
-                    queue.push(Pick { score, ..top });
+                    s.queue.push(Pick { score, ..top });
                 }
                 continue;
             }
 
             // Step 4: blame the link and explain its lossy paths.
             let (mut explained_paths, mut sent, mut lost) = (0u32, 0u64, 0u64);
-            for &oi in self.link_paths.run(top.local as usize) {
-                let (Some(u), Some(o)) = (unexplained.get_mut(oi as usize), obs.get(oi as usize))
-                else {
+            for &i in self.link_paths.run(top.cand as usize) {
+                let (Some(u), Some(o)) = (left.get_mut(i as usize), obs.get(i as usize)) else {
                     continue;
                 };
                 if *u {
@@ -333,7 +284,7 @@ impl Skeleton {
                     lost += o.lost;
                 }
             }
-            suspects.push(SuspectLink {
+            s.picks.push(SuspectLink {
                 link: top.link,
                 estimated_loss_rate: pooled_rate(sent, lost),
                 hit_ratio: top.hit,
@@ -341,13 +292,68 @@ impl Skeleton {
                 explained_losses: score,
             });
         }
+    }
+}
 
-        for &oi in scope {
-            if let Some(u) = unexplained.get_mut(oi as usize) {
-                if *u {
-                    *u = false;
-                    left.push(oi);
+impl Scratch {
+    /// Partitions the window's observations in `pool` by shared links and
+    /// appends each component to `parts`. An observation that names no
+    /// link joins none: a stray.
+    fn partition(&mut self, view: &LossyIncidence<'_>) {
+        self.links.clear();
+        self.path_links.clear();
+        self.sets.clear();
+        for &j in &self.pool {
+            let local = view.links(self.rows.get(j as usize)).iter().map(|&l| {
+                if l.index() >= self.local_of.len() {
+                    self.local_of.resize(l.index() + 1, NONE);
                 }
+                let Some(slot) = self.local_of.get_mut(l.index()) else {
+                    return NONE;
+                };
+                if *slot == NONE {
+                    *slot = self.links.len() as u32;
+                    self.links.push(l);
+                }
+                *slot
+            });
+            self.sets
+                .join(self.path_links.push_run(local).iter().copied());
+        }
+        for l in &self.links {
+            if let Some(slot) = self.local_of.get_mut(l.index()) {
+                *slot = NONE;
+            }
+        }
+
+        let (n, path_links) = (self.links.len(), &self.path_links);
+        let namings = || {
+            (path_links.runs().enumerate())
+                .flat_map(|(pp, run)| run.iter().map(move |&li| (li, pp as u32)))
+        };
+        self.link_pool.refill(n, namings);
+        let (comps, comp) = self.sets.number();
+        let comp = |li: u32| comp.get(li as usize).copied().unwrap_or(NONE);
+        (self.comp_links).refill(comps, || (0..n as u32).map(|li| (comp(li), li)));
+        let anchored = || {
+            (path_links.runs().enumerate())
+                .filter_map(|(pp, run)| Some((comp(*run.first()?), pp as u32)))
+        };
+        self.comp_pool.refill(comps, anchored);
+
+        for (scope, local) in self.comp_pool.runs().zip(self.comp_links.runs()) {
+            let (pool, parts) = (&self.pool, &mut self.parts);
+            let index = |&pp: &u32| pool.get(pp as usize).copied().unwrap_or(NONE);
+            parts.scope.push_run(scope.iter().map(index));
+            parts.cands.push_run(local.iter().map(|&li| {
+                let link = self.links.get(li as usize).copied().unwrap_or_default();
+                let observed = view.observed.get(link.index()).copied().unwrap_or(0);
+                let lossy = self.link_pool.run(li as usize).len() as f64;
+                let hit = lossy / f64::from(observed);
+                Candidate { link, hit }
+            }));
+            for &li in local {
+                (parts.link_paths).push_run(self.link_pool.run(li as usize).iter().map(index));
             }
         }
     }
@@ -361,7 +367,7 @@ struct Pick {
     score: u64,
     hit: f64,
     link: LinkId,
-    local: u32,
+    cand: u32,
 }
 
 impl Ord for Pick {
@@ -386,61 +392,74 @@ impl PartialEq for Pick {
 
 impl Eq for Pick {}
 
-/// Cached cross-window component-decomposed PLL state. One instance per
+/// The global greedy's pick order: its selection key, descending.
+fn pick_order(a: &SuspectLink, b: &SuspectLink) -> Ordering {
+    (b.explained_losses.cmp(&a.explained_losses))
+        .then_with(|| b.hit_ratio.total_cmp(&a.hit_ratio))
+        .then_with(|| a.link.cmp(&b.link))
+}
+
+/// Points each of `cands`' links at `comp` in `link_comp`.
+fn label(link_comp: &mut [u32], cands: &[Candidate], comp: u32) {
+    for c in cands {
+        if let Some(slot) = link_comp.get_mut(c.link.index()) {
+            *slot = comp;
+        }
+    }
+}
+
+/// Cross-window component-decomposed PLL state. One instance per
 /// diagnoser; feed it every window in order and
 /// [`invalidate`](ComponentPll::invalidate) it on matrix changes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ComponentPll {
     cfg: PllConfig,
-    /// The cached skeleton.
-    skeleton: Skeleton,
-    scratch: Scratch,
-    /// The latest window's lossy observations, noise filtered.
+    /// Whether the fields below describe the latest window: false before
+    /// the first window and after [`invalidate`](ComponentPll::invalidate).
+    valid: bool,
+    /// The generation of the denominators the hit ratios were read under.
+    generation: u64,
+    /// The latest window's lossy observations, noise filtered; per
+    /// observation, its component ([`NONE`] for a stray) and whether the
+    /// verdict leaves it unexplained.
     obs: Vec<PathObservation>,
-    /// The latest window's verdict (for the unchanged-window shortcut).
+    comp_of: Vec<u32>,
+    left: Vec<bool>,
+    /// The latest window's components.
+    parts: Parts,
+    /// Link → its component in `parts`, or [`NONE`]. Spans the largest
+    /// link a component has named.
+    link_comp: Vec<u32>,
+    /// Components whose greedy ran for the latest window.
+    solved: u64,
+    scratch: Scratch,
+    /// The latest window's verdict.
     verdict: Diagnosis,
-    full_rebuilds: u64,
-    reused_skeletons: u64,
-    reused_verdicts: u64,
 }
 
 impl ComponentPll {
-    /// Fresh, empty state: the first window always rebuilds.
+    /// Fresh, empty state: the first window partitions every path.
     pub fn new(cfg: PllConfig) -> Self {
         Self {
             cfg,
-            skeleton: Skeleton::default(),
-            scratch: Scratch::default(),
-            obs: Vec::new(),
-            verdict: Diagnosis::default(),
-            full_rebuilds: 0,
-            reused_skeletons: 0,
-            reused_verdicts: 0,
+            ..Self::default()
         }
     }
 
-    /// Drops the cached skeleton. Call whenever the probe matrix changes
+    /// Drops every component. Call whenever the probe matrix changes
     /// (plan epoch change, cycle refresh, any topology-event driven
     /// re-plan): path ids may be reused with different link sets, which
-    /// the reuse key alone cannot detect, and a stale partition would
+    /// the diff of path ids cannot detect, and a stale component would
     /// silently split or fuse the greedy.
     pub fn invalidate(&mut self) {
-        self.skeleton.valid = false;
+        self.valid = false;
     }
 
-    /// Windows that rebuilt the skeleton and partition from scratch.
-    pub fn full_rebuilds(&self) -> u64 {
-        self.full_rebuilds
-    }
-
-    /// Windows that swapped new loss counters into the cached skeleton.
-    pub fn reused_skeletons(&self) -> u64 {
-        self.reused_skeletons
-    }
-
-    /// Windows that returned the cached verdict unchanged.
-    pub fn reused_verdicts(&self) -> u64 {
-        self.reused_verdicts
+    /// Components whose greedy ran for the latest window: those it
+    /// partitioned afresh or moved the counters of. 0 when it repeated
+    /// its predecessor's lossy observations.
+    pub fn components_solved(&self) -> u64 {
+        self.solved
     }
 
     /// `(lossy_paths, components)` of the latest diagnosed window:
@@ -451,12 +470,10 @@ impl ComponentPll {
     /// `(0, 0)` before the first window and after
     /// [`invalidate`](ComponentPll::invalidate).
     pub fn window_shape(&self) -> (u64, u64) {
-        let s = &self.skeleton;
-        if !s.valid {
+        if !self.valid {
             return (0, 0);
         }
-        let lossy = s.stray.len() + s.comp_scope.items().len();
-        (lossy as u64, s.comp_scope.len() as u64)
+        (self.obs.len() as u64, self.parts.scope.len() as u64)
     }
 
     #[cfg(test)]
@@ -468,10 +485,10 @@ impl ComponentPll {
     /// [`diagnose`](ComponentPll::diagnose)s the lossy ones. Produces
     /// exactly what `localize` would for the same inputs.
     ///
-    /// With no walk to keep a generation, a candidate link whose
-    /// denominator moved invalidates the skeleton, and the skeleton's own
-    /// generation is handed back. Feed one instance through this or
-    /// through `diagnose`, not both.
+    /// With no walk to keep a generation, a candidate link whose hit
+    /// ratio the new denominators would move invalidates every
+    /// component, and the last generation is handed back. Feed one
+    /// instance through this or through `diagnose`, not both.
     pub fn localize(
         &mut self,
         matrix: &ProbeMatrix,
@@ -484,9 +501,12 @@ impl ComponentPll {
             .into_iter()
             .filter(PathObservation::is_lossy)
             .collect();
-        let s = &self.skeleton;
-        let moved = |(l, &n): (&LinkId, &u32)| through.get(l.index()).copied() != Some(n);
-        if s.links.iter().zip(&s.denominators).any(moved) {
+        let moved = |(c, paths): (&Candidate, &[u32])| {
+            let observed = through.get(c.link.index()).copied().unwrap_or(0);
+            (paths.len() as f64 / f64::from(observed)).to_bits() != c.hit.to_bits()
+        };
+        let p = &self.parts;
+        if p.cands.items().iter().zip(p.link_paths.runs()).any(moved) {
             self.invalidate();
         }
         let mut row_links = Runs::default();
@@ -495,23 +515,23 @@ impl ComponentPll {
             rows: &rows_of(matrix, &lossy),
             row_links: &row_links,
             observed: &through,
-            generation: self.skeleton.generation,
+            generation: self.generation,
         };
         self.diagnose(lossy, view)
     }
 
     /// Diagnoses one window: noise-filters its `lossy` observations in
-    /// place, reuses or rebuilds the cached skeleton, runs each
-    /// component's greedy in turn and merges their suspects into the
-    /// global pick order — or returns the cached verdict outright when
-    /// the window repeats its predecessor.
+    /// place, diffs them against the last window's, partitions and solves
+    /// afresh only what the window changed, and merges the fresh picks
+    /// into the standing ones in the global pick order — or returns the
+    /// last verdict outright when the window repeats its predecessor.
     ///
     /// `lossy` lists the window's observations with a probe lost, in the
     /// window's order (ascending path id); clean ones may be left out, and
     /// whatever the noise filter zeroes is dropped. `view.rows` runs
-    /// parallel to `lossy`. The reuse key is the lossy path ids and
-    /// `view.generation`: nothing is resolved in the matrix and no
-    /// denominator is read unless the skeleton is rebuilt.
+    /// parallel to `lossy`. Under an unchanged `view.generation`, only
+    /// the links of the added paths and of the changed components' are
+    /// read.
     pub fn diagnose(
         &mut self,
         mut lossy: Vec<PathObservation>,
@@ -529,58 +549,173 @@ impl ComponentPll {
             }
             keep
         });
-        let s = &self.skeleton;
-        let same_key = s.valid
-            && s.generation == view.generation
-            && self.obs.len() == lossy.len()
-            && self.obs.iter().zip(&lossy).all(|(p, o)| p.path == o.path);
-        if !same_key {
-            self.full_rebuilds += 1;
-            (self.skeleton).rebuild(&mut self.scratch, &view);
-        } else if self.obs == lossy {
-            self.reused_verdicts += 1;
-            return self.verdict.clone();
-        } else {
-            self.reused_skeletons += 1;
+        let paths_changed = self.diff(&lossy, &view);
+        let s = &mut self.scratch;
+        s.solve.clear();
+        if !paths_changed {
+            let counters = |(c, &change)| (change == Change::Counters).then_some(c as u32);
+            s.solve
+                .extend(s.changes.iter().enumerate().filter_map(counters));
+            if s.solve.is_empty() {
+                self.solved = 0;
+                return self.verdict.clone();
+            }
+        }
+        // Only the picks of the components the window left as they were
+        // stand.
+        let (link_comp, changes) = (&self.link_comp, &s.changes);
+        let stands =
+            |c: Option<&u32>| c.and_then(|&c| changes.get(c as usize)) == Some(&Change::None);
+        (self.verdict.suspects).retain(|p| stands(link_comp.get(p.link.index())));
+        if paths_changed {
+            self.rebuild(lossy.len(), &view);
         }
         self.obs = lossy;
 
-        // A window with no lossy observation that resolves to links (an
-        // all-healthy one, typically) has no component: only the strays
-        // are left unexplained.
-        let Self {
-            cfg,
-            skeleton: s,
-            scratch,
-            obs,
-            verdict,
-            ..
-        } = self;
-        if scratch.unexplained.len() < obs.len() {
-            scratch.unexplained.resize(obs.len(), false);
+        let (s, verdict) = (&mut self.scratch, &mut self.verdict);
+        s.picks.clear();
+        let solve = std::mem::take(&mut s.solve);
+        for &comp in &solve {
+            (self.parts).greedy(comp as usize, &self.obs, &self.cfg, s, &mut self.left);
         }
-        scratch.left.clear();
-        scratch.left.extend_from_slice(&s.stray);
-        let suspects = &mut verdict.suspects;
-        suspects.clear();
-        for comp in 0..s.comp_scope.len() {
-            s.greedy(comp, obs, cfg, scratch, suspects);
+        self.solved = solve.len() as u64;
+        s.solve = solve;
+        // The standing picks are in pick order already: only the fresh
+        // ones are sorted, then the two merge in one pass.
+        s.picks.sort_unstable_by(pick_order);
+        s.merged.clear();
+        let mut a = verdict.suspects.iter().peekable();
+        let mut b = s.picks.iter().peekable();
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            let take_a = pick_order(x, y).is_le();
+            s.merged.extend(if take_a { a.next() } else { b.next() });
         }
-        // Merge = sort by the greedy's selection key, descending. Keys
-        // strictly decrease within a component and are globally unique
-        // (the link id participates), so this reproduces the exact pick
-        // order of the global greedy (see the module docs).
-        suspects.sort_unstable_by(|a, b| {
-            b.explained_losses
-                .cmp(&a.explained_losses)
-                .then_with(|| b.hit_ratio.total_cmp(&a.hit_ratio))
-                .then_with(|| a.link.cmp(&b.link))
-        });
-        scratch.left.sort_unstable();
+        s.merged.extend(a.chain(b));
+        swap(&mut verdict.suspects, &mut s.merged);
         verdict.unexplained_paths.clear();
-        (verdict.unexplained_paths)
-            .extend((scratch.left.iter()).filter_map(|&oi| obs.get(oi as usize).map(|o| o.path)));
+        let unexplained = |(o, &u): (&PathObservation, &bool)| u.then_some(o.path);
+        let left = self.obs.iter().zip(&self.left).filter_map(unexplained);
+        verdict.unexplained_paths.extend(left);
         verdict.clone()
+    }
+
+    /// Diffs the window's `lossy` observations against the last window's:
+    /// marks what it changed in each last-window component, maps each
+    /// last-window observation to its new index (`moved`), and pools the
+    /// added and the stray observations. Returns whether the lossy path
+    /// ids changed. With no last window to diff against (see the module
+    /// docs), every component is changed and every observation added.
+    fn diff(&mut self, lossy: &[PathObservation], view: &LossyIncidence<'_>) -> bool {
+        let s = &mut self.scratch;
+        let comps = self.parts.scope.len();
+        s.changes.clear();
+        s.moved.clear();
+        s.pool.clear();
+        if !self.valid || self.generation != view.generation {
+            (self.valid, self.generation) = (true, view.generation);
+            s.changes.resize(comps, Change::Paths);
+            s.pool.extend(0..lossy.len() as u32);
+            return true;
+        }
+        s.changes.resize(comps, Change::None);
+        if self.obs == lossy {
+            return false;
+        }
+        let mark = |changes: &mut [Change], comp: u32, change| {
+            if let Some(c) = changes.get_mut(comp as usize) {
+                *c = (*c).max(change);
+            }
+        };
+        let (mut changed, mut new) = (false, lossy.iter().zip(0u32..).peekable());
+        for (was, &comp) in self.obs.iter().zip(&self.comp_of) {
+            while let Some((_, j)) = new.next_if(|(o, _)| o.path < was.path) {
+                changed = true;
+                s.pool.push(j);
+            }
+            let Some((now, j)) = new.next_if(|(o, _)| o.path == was.path) else {
+                changed = true;
+                s.moved.push(NONE);
+                mark(&mut s.changes, comp, Change::Paths);
+                continue;
+            };
+            s.moved.push(j);
+            if comp == NONE {
+                s.pool.push(j);
+            } else if now != was {
+                mark(&mut s.changes, comp, Change::Counters);
+            }
+        }
+        for (_, j) in new {
+            changed = true;
+            s.pool.push(j);
+        }
+        // An added path joins every component whose links it names.
+        for &j in &s.pool {
+            for l in view.links(s.rows.get(j as usize)) {
+                let comp = self.link_comp.get(l.index()).copied().unwrap_or(NONE);
+                mark(&mut s.changes, comp, Change::Paths);
+            }
+        }
+        changed
+    }
+
+    /// Builds the window's components beside the last window's and swaps
+    /// them in: carries every component whose paths the window kept,
+    /// partitions the rest afresh, and lists in `solve` the components
+    /// whose greedy runs.
+    fn rebuild(&mut self, n: usize, view: &LossyIncidence<'_>) {
+        let (s, old, link_comp) = (&mut self.scratch, &self.parts, &mut self.link_comp);
+        let (next, comp_of) = (&mut s.parts, &mut self.comp_of);
+        next.scope.clear();
+        next.cands.clear();
+        next.link_paths.clear();
+        comp_of.clear();
+        comp_of.resize(n, NONE);
+        s.left.clear();
+        s.left.resize(n, true);
+        for (comp, &change) in s.changes.iter().enumerate() {
+            let (scope, cands) = (old.scope.run(comp), old.cands.run(comp));
+            let moved = |&i: &u32| s.moved.get(i as usize).copied().unwrap_or(NONE);
+            if change == Change::Paths {
+                label(link_comp, cands, NONE);
+                s.pool
+                    .extend(scope.iter().map(moved).filter(|&j| j != NONE));
+                continue;
+            }
+            let at = next.scope.len() as u32;
+            if change == Change::Counters {
+                s.solve.push(at);
+            }
+            if at != comp as u32 {
+                label(link_comp, cands, at);
+            }
+            for &i in scope {
+                let j = moved(&i) as usize;
+                if let (Some(c), Some(l)) = (comp_of.get_mut(j), s.left.get_mut(j)) {
+                    (*c, *l) = (at, self.left.get(i as usize).copied().unwrap_or(true));
+                }
+            }
+            next.scope.push_run(scope.iter().map(moved));
+            next.cands.extend_runs(&old.cands, comp..comp + 1, |c| c);
+            let links = old.cands.span(comp);
+            (next.link_paths).extend_runs(&old.link_paths, links, |i| moved(&i));
+        }
+        s.pool.sort_unstable();
+        let fresh = s.parts.scope.len();
+        s.partition(view);
+        // Every link a component names was numbered in a partition.
+        link_comp.resize(s.local_of.len().max(link_comp.len()), NONE);
+        for comp in fresh..s.parts.scope.len() {
+            s.solve.push(comp as u32);
+            label(link_comp, s.parts.cands.run(comp), comp as u32);
+            for &j in s.parts.scope.run(comp) {
+                if let Some(c) = comp_of.get_mut(j as usize) {
+                    *c = comp as u32;
+                }
+            }
+        }
+        swap(&mut self.parts, &mut s.parts);
+        swap(&mut self.left, &mut s.left);
     }
 }
 
@@ -700,17 +835,15 @@ mod tests {
         assert!(d.is_clean());
         assert_eq!(d, localize(&m, &clean, &cfg));
         assert_eq!(c.window_shape(), (0, 0));
-        // The lossy set changed, so the clean window rebuilt (to an empty
-        // partition); every later clean window has the same empty lossy
-        // set, whatever its clean counters, and reuses the verdict.
-        assert_eq!(c.full_rebuilds(), 2);
+        // Both lossy paths left, so the clean window dropped their
+        // component and solved none; every later clean window has the
+        // same empty lossy set, whatever its clean counters.
+        assert_eq!(c.components_solved(), 0);
         let clean2 = obs(&[(0, 90, 0), (1, 100, 0), (2, 100, 0)]);
-        assert!(c.localize(&m, &clean2).is_clean());
-        assert!(c.localize(&m, &clean2).is_clean());
-        assert_eq!(
-            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
-            (2, 0, 2)
-        );
+        for _ in 0..2 {
+            assert!(c.localize(&m, &clean2).is_clean());
+            assert_eq!(c.components_solved(), 0);
+        }
     }
 
     #[test]
@@ -753,48 +886,73 @@ mod tests {
         assert_eq!(c.window_shape(), (0, 0));
         let d = c.localize(&bridged, &w);
         assert_eq!(c.window_shape(), (4, 1));
-        assert_eq!(c.full_rebuilds(), 2);
-        assert_eq!(c.reused_verdicts(), 0);
+        assert_eq!(c.components_solved(), 1);
         assert_eq!(d, localize(&bridged, &w, &cfg));
+    }
+
+    /// Feeds `windows` through one localizer, holds every verdict to
+    /// `localize`'s and returns each window's components solved.
+    fn solved(m: &ProbeMatrix, windows: &[&[PathObservation]]) -> Vec<u64> {
+        let cfg = PllConfig::default();
+        let mut c = ComponentPll::new(cfg);
+        (windows.iter())
+            .map(|w| {
+                assert_eq!(c.localize(m, w), localize(m, w, &cfg));
+                c.components_solved()
+            })
+            .collect()
     }
 
     #[test]
     fn same_key_swaps_counters_and_identical_window_reuses_the_verdict() {
-        let m = matrix();
-        let cfg = PllConfig::default();
-        let mut c = pll();
         let w1 = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 90), (3, 100, 90)]);
         // Same ids and lossy flags, other counters — the merge order of
         // the two islands flips with them.
         let w2 = obs(&[(0, 100, 90), (1, 100, 90), (2, 100, 40), (3, 100, 40)]);
-        for w in [&w1, &w2, &w2, &w1] {
-            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
-        }
-        assert_eq!(
-            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
-            (1, 2, 1)
-        );
+        // Only island {2,3}'s counters move back.
+        let w3 = obs(&[(0, 100, 90), (1, 100, 90), (2, 100, 90), (3, 100, 90)]);
+        let windows: [&[_]; 5] = [&w1, &w2, &w2, &w3, &w1];
+        assert_eq!(solved(&matrix(), &windows), [2, 2, 0, 1, 1]);
     }
 
     #[test]
     fn changed_key_triggers_a_rebuild() {
-        let m = matrix();
-        let cfg = PllConfig::default();
-        let mut c = pll();
         let base = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
-        c.localize(&m, &base);
         // A clean path off every candidate link drops out of the window
-        // (e.g. its pinger went down) and comes back: the key holds. A
-        // lossy path turns clean, and back: two rebuilds.
+        // (e.g. its pinger went down) and comes back: nothing to solve. A
+        // lossy path turns clean, and back: its component each time.
         let fewer = obs(&[(0, 100, 100), (1, 100, 100)]);
         let flipped = obs(&[(0, 100, 100), (1, 100, 0), (2, 100, 0)]);
-        for w in [&fewer, &base, &flipped, &base] {
-            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
-        }
-        assert_eq!(
-            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
-            (3, 0, 2)
-        );
+        let windows: [&[_]; 5] = [&base, &fewer, &base, &flipped, &base];
+        assert_eq!(solved(&matrix(), &windows), [1, 0, 0, 1, 1]);
+    }
+
+    /// A chain: path `i` crosses links `i` and `i + 1`, for `i < 6`.
+    fn chain() -> ProbeMatrix {
+        let paths = (0..6).map(|i| ProbePath::from_links(i, vec![LinkId(i), LinkId(i + 1)]));
+        ProbeMatrix::from_paths(7, paths.collect())
+    }
+
+    #[test]
+    fn an_onset_re_solves_only_the_components_it_touches() {
+        // Every path is observed in every window, so the denominators
+        // hold; only which paths are lossy, and their counters, change.
+        let window = |lost: [u64; 6]| -> Vec<PathObservation> {
+            (0..6)
+                .map(|i| PathObservation::new(PathId(i), 100, lost[i as usize]))
+                .collect()
+        };
+        let windows = [
+            window([40, 0, 40, 0, 40, 0]),  // {0}, {2}, {4}: three
+            window([40, 40, 40, 0, 40, 0]), // path 1 merges {0} and {2}
+            window([40, 40, 40, 0, 90, 0]), // {4}'s counters move
+            window([40, 0, 40, 0, 90, 0]),  // path 1 leaves: {0}, {2} split
+            window([0, 0, 40, 0, 90, 40]),  // {0} leaves, path 5 joins {4}
+            window([0, 0, 40, 0, 90, 40]),  // a repeat
+            window([0, 0, 0, 0, 0, 0]),     // all healthy
+        ];
+        let windows: Vec<&[_]> = windows.iter().map(Vec::as_slice).collect();
+        assert_eq!(solved(&chain(), &windows), [3, 1, 1, 2, 1, 0, 0]);
     }
 
     /// Links 0 and 1; link 0 carries three paths, link 1 one.
@@ -821,7 +979,7 @@ mod tests {
         let after = c.localize(&m, &unseen);
         assert_eq!(before, localize(&m, &seen, &cfg));
         assert_eq!(after, localize(&m, &unseen, &cfg));
-        assert_eq!(c.full_rebuilds(), 2);
+        assert_eq!(c.components_solved(), 1);
         let hit = |d: &Diagnosis| d.suspects.iter().map(|s| s.hit_ratio).collect::<Vec<_>>();
         assert_eq!((hit(&before), hit(&after)), (vec![2.0 / 3.0], vec![1.0]));
     }
@@ -830,42 +988,24 @@ mod tests {
     fn a_clean_paths_counters_leave_the_verdict_as_it_was() {
         // Clean path 2 crosses candidate link 0; its counters, and clean
         // path 3's, change between the windows.
-        let m = fan();
-        let cfg = PllConfig::default();
-        let mut c = pll();
         let w1 = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
         let w2 = obs(&[(0, 100, 40), (1, 100, 40), (2, 70, 0), (3, 90, 0)]);
-        for w in [&w1, &w2] {
-            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
-        }
-        assert_eq!(
-            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
-            (1, 0, 1)
-        );
+        assert_eq!(solved(&fan(), &[&w1, &w2]), [1, 0]);
     }
 
     #[test]
     fn a_clean_path_off_every_candidate_link_comes_and_goes_unnoticed() {
         // Path 3 crosses only link 1, which no lossy path crosses.
-        let m = fan();
-        let cfg = PllConfig::default();
-        let mut c = pll();
         let with = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0), (3, 100, 0)]);
         let without = obs(&[(0, 100, 40), (1, 100, 40), (2, 100, 0)]);
-        for w in [&with, &without, &with] {
-            assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
-        }
-        assert_eq!(
-            (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts()),
-            (1, 0, 2)
-        );
+        assert_eq!(solved(&fan(), &[&with, &without, &with]), [1, 0, 0]);
     }
 
     #[test]
     fn noise_normalized_windows_stay_equivalent() {
-        // The reuse key is taken after pre-processing: losses below the
-        // noise thresholds are clean for the key, the partition and the
-        // hit ratios alike.
+        // The diff is taken after pre-processing: losses below the noise
+        // thresholds are clean for the diff, the partition and the hit
+        // ratios alike.
         let m = matrix();
         let cfg = PllConfig {
             min_loss_count: 3,
@@ -875,11 +1015,44 @@ mod tests {
         let w1 = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 2), (3, 100, 0)]);
         let w2 = obs(&[(0, 100, 90), (1, 100, 80), (2, 100, 0), (3, 100, 1)]);
         let w3 = obs(&[(0, 100, 2), (1, 100, 1), (2, 100, 0), (3, 100, 0)]);
+        let mut solved = Vec::new();
         for w in [&w1, &w2, &w3] {
             assert_eq!(c.localize(&m, w), localize(&m, w, &cfg));
+            solved.push(c.components_solved());
         }
-        assert_eq!((c.full_rebuilds(), c.reused_skeletons()), (2, 1));
+        // w2 moves the counters of w1's component; w3 is all noise.
+        assert_eq!(solved, [1, 1, 0]);
         assert_eq!(c.window_shape(), (0, 0));
+    }
+
+    /// The lossy observations of `window` that name a link of `m`, grouped
+    /// into the components their shared links induce, each in window
+    /// order — by breadth-first search, not by the localizer's partition.
+    fn components_of(m: &ProbeMatrix, window: &[PathObservation]) -> Vec<Vec<PathObservation>> {
+        let links = |o: &PathObservation| m.path(o.path).map_or(&[][..], |p| p.links());
+        let lossy: Vec<&PathObservation> = (window.iter())
+            .filter(|o| o.is_lossy() && !links(o).is_empty())
+            .collect();
+        let mut seen = vec![false; lossy.len()];
+        let mut comps = Vec::new();
+        for start in 0..lossy.len() {
+            if std::mem::replace(&mut seen[start], true) {
+                continue;
+            }
+            let (mut members, mut frontier) = (vec![start], vec![start]);
+            while let Some(i) = frontier.pop() {
+                for k in 0..lossy.len() {
+                    if !seen[k] && links(lossy[k]).iter().any(|l| links(lossy[i]).contains(l)) {
+                        seen[k] = true;
+                        members.push(k);
+                        frontier.push(k);
+                    }
+                }
+            }
+            members.sort_unstable();
+            comps.push(members.iter().map(|&i| *lossy[i]).collect());
+        }
+        comps
     }
 
     proptest! {
@@ -887,8 +1060,8 @@ mod tests {
 
         /// Random 12-link topologies under multi-window biased-random
         /// loss: component-decomposed localization matches the plain
-        /// whole-window oracle, with skeleton reuse across the windows of
-        /// one run, and reports the lossy incidence's shape.
+        /// whole-window oracle, with components kept across the windows
+        /// of one run, and reports the lossy incidence's shape.
         #[test]
         fn matches_localize_across_windows(
             paths in proptest::collection::vec(proptest::collection::vec(0u32..12, 1..4), 4..12),
@@ -927,9 +1100,10 @@ mod tests {
         /// the hit ratio and the link id decide; paths also name links
         /// past `num_links`, and observations name ids the matrix cannot
         /// resolve. Each window is diagnosed three times — as generated
-        /// (a rebuild when its lossy set moved), again (verdict reuse),
-        /// and with its lossy paths' sent counters doubled (skeleton
-        /// reuse) — and every verdict equals `localize` bit for bit.
+        /// (partitioned afresh where its lossy set moved), again (nothing
+        /// solved), and with its lossy paths' sent counters doubled
+        /// (every component solved again) — and every verdict equals
+        /// `localize` bit for bit.
         #[test]
         fn lazy_picks_match_localize_under_ties(
             paths in proptest::collection::vec(proptest::collection::vec(0u32..56, 1..6), 8..49),
@@ -944,7 +1118,6 @@ mod tests {
             let m = ProbeMatrix::from_paths(48, probe_paths);
             let cfg = PllConfig::default();
             let mut c = ComponentPll::new(cfg);
-            let mut calls = 0;
             for w in &windows {
                 // Observation `i` is of path `i`: past the matrix's last
                 // path, an id it cannot resolve.
@@ -956,20 +1129,65 @@ mod tests {
                         })
                         .collect()
                 };
-                for window in [window(100), window(100), window(200)] {
-                    let got = c.localize(&m, &window);
-                    prop_assert_eq!(got, localize(&m, &window, &cfg));
+                for (call, window) in [window(100), window(100), window(200)].iter().enumerate() {
+                    let got = c.localize(&m, window);
+                    prop_assert_eq!(got, localize(&m, window, &cfg));
                     let lossy = window.iter().filter(|o| o.is_lossy()).count() as u64;
-                    prop_assert_eq!(c.window_shape().0, lossy);
-                    calls += 1;
+                    let (shape, solved) = (c.window_shape(), c.components_solved());
+                    prop_assert_eq!(shape.0, lossy);
+                    match call {
+                        0 => prop_assert!(solved <= shape.1),
+                        1 => prop_assert_eq!(solved, 0),
+                        _ => prop_assert_eq!(solved, shape.1),
+                    }
                 }
             }
-            let (rebuilt, skeletons, verdicts) =
-                (c.full_rebuilds(), c.reused_skeletons(), c.reused_verdicts());
-            prop_assert_eq!(rebuilt + skeletons + verdicts, calls);
-            prop_assert!(rebuilt >= 1 && verdicts >= windows.len() as u64);
-            let any_lossy = windows.iter().any(|w| w.iter().any(|&l| l > 0));
-            prop_assert_eq!(skeletons >= 1, any_lossy);
+        }
+
+        /// Window sequences that change one thing at a time on a sparse
+        /// matrix where one path often bridges two components: one path's
+        /// counters, or whether one path is lossy — which adds a path to a
+        /// component, drops one, merges two or splits one. Every path is
+        /// observed in every window, so the denominators hold. Every
+        /// verdict equals `localize` bit for bit, and every window solves
+        /// exactly its components that are not, ids and counters alike,
+        /// a component of the window before.
+        #[test]
+        fn one_change_at_a_time_re_solves_exactly_what_changed(
+            paths in proptest::collection::vec(proptest::collection::vec(0u32..24, 1..4), 8..40),
+            first in proptest::collection::vec(0u64..3, 40..41),
+            edits in proptest::collection::vec((0usize..40, (0u8..2).prop_map(|t| t == 1)), 1..24),
+        ) {
+            let n = paths.len();
+            let probe_paths: Vec<ProbePath> = (paths.iter().enumerate())
+                .map(|(i, ls)| ProbePath::from_links(i as u32, ls.iter().map(|&l| LinkId(l)).collect()))
+                .collect();
+            let m = ProbeMatrix::from_paths(24, probe_paths);
+            let cfg = PllConfig::default();
+            let mut c = ComponentPll::new(cfg);
+            let mut lost: Vec<u64> = first.iter().take(n).map(|&sev| sev * 20).collect();
+            let window = |lost: &[u64]| -> Vec<PathObservation> {
+                (lost.iter().enumerate())
+                    .map(|(i, &lost)| PathObservation::new(PathId(i as u32), 100, lost))
+                    .collect()
+            };
+            let mut before = Vec::new();
+            for (at, toggle) in std::iter::once((0, false)).chain(edits) {
+                let at = at % n;
+                match (toggle, lost[at]) {
+                    (true, 0) => lost[at] = 40,
+                    (true, _) => lost[at] = 0,
+                    (false, 0) => {}
+                    (false, l) => lost[at] = l % 60 + 20,
+                }
+                let w = window(&lost);
+                prop_assert_eq!(c.localize(&m, &w), localize(&m, &w, &cfg));
+                let now = components_of(&m, &w);
+                let changed = now.iter().filter(|comp| !before.contains(*comp)).count();
+                prop_assert_eq!(c.components_solved(), changed as u64);
+                prop_assert_eq!(c.window_shape().1, now.len() as u64);
+                before = now;
+            }
         }
     }
 }

@@ -23,12 +23,14 @@
 //! ([`RowSums::observed_through`]), under a generation that moves only
 //! when that set of rows does. The window is aggregated once, with
 //! nothing to subtract or filter afterwards. Then its lossy paths are
-//! localized through the cached-skeleton [`ComponentPll`], which reads
-//! their links from the matrix's row → links incidence that the
-//! diagnoser flattens once per matrix ([`RowSums::incidence`]) — one
-//! greedy per connected component of the lossy path/link incidence, run
-//! in turn on the diagnosing thread. It is exactly equivalent to plain
-//! `localize` over the whole window.
+//! localized through [`ComponentPll`], which reads their links from the
+//! matrix's row → links incidence that the diagnoser flattens once per
+//! matrix ([`RowSums::incidence`]) — one greedy per connected component
+//! of the lossy path/link incidence, run in turn on the diagnosing
+//! thread. It keeps the last window's components and solves again only
+//! those the window changed (an onset of a storm re-solves a handful of
+//! its ~200), so a window costs what changed in it. It is exactly
+//! equivalent to plain `localize` over the whole window.
 
 use detector_core::pll::{
     classify_loss, ClassifyConfig, ComponentPll, Diagnosis, LossClassification, PllConfig,
@@ -68,6 +70,9 @@ pub struct DiagnosisEvent {
     /// number of independent greedy covers the window's localization
     /// consists of.
     pub components: u64,
+    /// Components whose greedy ran: the ones the window changed (all of
+    /// them after a new matrix), 0 when it repeats its predecessor.
+    pub components_solved: u64,
 }
 
 /// The diagnoser service.
@@ -104,9 +109,9 @@ impl Diagnoser {
     }
 
     /// Replaces the probe matrix (new controller cycle or plan epoch).
-    /// Invalidates the localizer's cached skeleton — path ids may be
-    /// reused with different link sets — and refits the window walk to
-    /// the new matrix's rows and links.
+    /// Drops the localizer's components — path ids may be reused with
+    /// different link sets — and refits the window walk to the new
+    /// matrix's rows and links.
     pub fn set_matrix(&mut self, matrix: ProbeMatrix) {
         self.localizer.invalidate();
         self.sums.fit(&matrix);
@@ -150,6 +155,7 @@ impl Diagnoser {
             shard_contention: 0,
             lossy_paths,
             components,
+            components_solved: self.localizer.components_solved(),
         }
     }
 

@@ -35,7 +35,7 @@ use detector_core::types::{NodeId, PathIdRange};
 
 use crate::controller::Deployment;
 use crate::pinglist::{PingEntry, Pinglist};
-use crate::wire::{encode_entry, encode_update, replace_len};
+use crate::wire::{encode_entry, replace_len, update_len};
 
 /// Stable 64-bit identity of an entry: FNV-1a over its byte form. Edit
 /// scripts address removals by this key, so it must be identical across
@@ -223,13 +223,14 @@ fn diff_list(
     if kept != survivors {
         return whole(bytes);
     }
-    let diff = sized(ListUpdate::Diff {
+    let diff = ListUpdate::Diff {
         pinger: new.pinger,
         version: new.version,
         stamp: new.stamp,
         removed,
         added,
-    });
+    };
+    let diff = sized(diff, bytes);
     if diff.1 < replace_len(new, bytes) {
         diff
     } else {
@@ -237,10 +238,10 @@ fn diff_list(
     }
 }
 
-/// `update` with the length of its frame.
-fn sized(update: ListUpdate) -> (ListUpdate, usize) {
-    let bytes = encode_update(&update).len();
-    (update, bytes)
+/// `update` with the length of its frame, encoded over `bytes`.
+fn sized(update: ListUpdate, bytes: &mut Vec<u8>) -> (ListUpdate, usize) {
+    let len = update_len(&update, bytes);
+    (update, len)
 }
 
 /// Applies one [`ListUpdate`] to a receiver-side list map — the exact
@@ -313,12 +314,12 @@ pub fn diff_lists(prev: &[Pinglist], next: &mut [Pinglist]) -> (Vec<ListUpdate>,
         match list_of(prev, list.pinger) {
             Some(old) if old.same_assignment(list) => list.version = old.version,
             Some(old) => shipped.push(diff_list(old, list, &mut bytes, &mut keys)),
-            None => shipped.push(sized(ListUpdate::Replace(list.clone()))),
+            None => shipped.push(sized(ListUpdate::Replace(list.clone()), &mut bytes)),
         }
     }
     let lists_redispatched = shipped.len();
     let departed = prev.iter().filter(|l| list_of(next, l.pinger).is_none());
-    shipped.extend(departed.map(|l| sized(ListUpdate::Remove(l.pinger))));
+    shipped.extend(departed.map(|l| sized(ListUpdate::Remove(l.pinger), &mut bytes)));
     let stats = DispatchStats {
         lists_redispatched,
         entries_diffed: shipped.iter().map(|(u, _)| u.entries_diffed()).sum(),
@@ -348,7 +349,7 @@ fn list_of(lists: &[Pinglist], pinger: NodeId) -> Option<&Pinglist> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Frame;
+    use crate::wire::{encode_update, Frame};
     use detector_core::pmc::ProbeMatrix;
     use detector_core::types::PathId;
     use proptest::prelude::{prop_assert, prop_assert_eq};
@@ -501,6 +502,29 @@ mod tests {
         let l = list(5, 1, entries);
         let whole = encode_update(&ListUpdate::Replace(l.clone()));
         assert_eq!(replace_len(&l, &mut vec![7; 3]), whole.len());
+    }
+
+    #[test]
+    fn every_update_is_measured_as_the_frame_that_ships_it() {
+        let e = entry(Some(3), &[5, 1, 9], 9, None);
+        let l = list(5, 1, vec![e.clone()]);
+        let diff = ListUpdate::Diff {
+            pinger: l.pinger,
+            version: 2,
+            stamp: l.stamp,
+            removed: vec![17, 1 << 40],
+            added: vec![(0, e), (300, entry(None, &[5, 2], 2, None))],
+        };
+        for update in [
+            ListUpdate::Replace(l.clone()),
+            ListUpdate::Remove(l.pinger),
+            diff,
+        ] {
+            assert_eq!(
+                update_len(&update, &mut vec![7; 3]),
+                encode_update(&update).len()
+            );
+        }
     }
 
     #[test]

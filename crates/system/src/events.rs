@@ -92,9 +92,9 @@ pub enum RuntimeEvent {
     /// aggregated and localized the window: one walk of its filed
     /// reports, excluded pingers skipped, summed per path, then one
     /// greedy per component. Deterministic (a pure function of the
-    /// aggregated window and the probe plan), so equivalence harnesses
-    /// compare it un-normalized. Emitted after the last report/health
-    /// event of the window, directly before
+    /// aggregated windows and the probe plans so far), so equivalence
+    /// harnesses compare it un-normalized. Emitted after the last
+    /// report/health event of the window, directly before
     /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
     WindowCounters {
         /// Window index.
@@ -108,6 +108,9 @@ pub enum RuntimeEvent {
         /// independent PLL subproblems, one greedy each. Zero for an
         /// all-healthy window.
         components: u64,
+        /// Components whose greedy ran: the ones the window changed (all
+        /// of them after a new matrix), zero on a repeated window.
+        components_solved: u64,
     },
     /// The diagnoser ran PLL over the window's aggregated observations.
     /// Always the last event of a window.
@@ -167,12 +170,14 @@ impl ToJson for RuntimeEvent {
                 reports,
                 lossy_paths,
                 components,
+                components_solved,
             } => Json::obj(vec![
                 ("event", Json::Str("window_counters".into())),
                 ("window", Json::uint(*window)),
                 ("reports", Json::uint(*reports)),
                 ("lossy_paths", Json::uint(*lossy_paths)),
                 ("components", Json::uint(*components)),
+                ("components_solved", Json::uint(*components_solved)),
             ]),
             RuntimeEvent::DiagnosisReady(result) => tagged("diagnosis_ready", result.to_json()),
             RuntimeEvent::PlanUpdated(update) => tagged("plan_updated", update.to_json()),
@@ -397,8 +402,9 @@ mod tests {
                     reports: 48,
                     lossy_paths: 12,
                     components: 3,
+                    components_solved: 1,
                 },
-                r#"{"event":"window_counters","window":5,"reports":48,"lossy_paths":12,"components":3}"#,
+                r#"{"event":"window_counters","window":5,"reports":48,"lossy_paths":12,"components":3,"components_solved":1}"#,
             ),
             (
                 RuntimeEvent::DiagnosisReady(sample_result()),

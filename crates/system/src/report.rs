@@ -50,9 +50,9 @@
 //! rows left unobserved differ from the last walk's.
 //! [`RowSums::incidence`] hands PLL those rows, the matrix's row → links
 //! incidence (a [`Runs`], one flat array) and the denominators under that
-//! generation, so PLL resolves nothing in the matrix and a window whose
-//! lossy paths and generation repeat reuses its skeleton. Diagnosis costs
-//! what was lost, as a report does. The slots and the incidence are built once
+//! generation, so PLL resolves nothing in the matrix and, under a
+//! repeated generation, solves again only the components whose lossy
+//! paths changed. Diagnosis costs what was lost, as a report does. The slots and the incidence are built once
 //! per matrix and recycled from one window to the next.
 //!
 //! Every driver owns its diagnoser, so the store needs no lock for them.

@@ -397,6 +397,7 @@ impl CloseHalf {
             reports: event.reports,
             lossy_paths: event.lossy_paths,
             components: event.components,
+            components_solved: event.components_solved,
         });
         let result = WindowResult {
             window,

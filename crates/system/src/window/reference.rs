@@ -182,6 +182,7 @@ impl Reference {
                 reports: event.reports,
                 lossy_paths: event.lossy_paths,
                 components: event.components,
+                components_solved: event.components_solved,
             },
             &mut self.sinks,
         );

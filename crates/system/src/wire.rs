@@ -267,6 +267,13 @@ pub(crate) fn replace_len(list: &Pinglist, buf: &mut Vec<u8>) -> usize {
     4 + 1 + buf.len() // The length prefix and the tag.
 }
 
+/// The frame length of `update`, encoded over `buf`.
+pub(crate) fn update_len(update: &ListUpdate, buf: &mut Vec<u8>) -> usize {
+    buf.clear();
+    put_update(update, buf);
+    4 + buf.len() // The length prefix.
+}
+
 /// The bytes of `update`'s [`Frame::ListUpdate`], without cloning the
 /// update into a frame: what dispatch ships and counts.
 pub fn encode_update(update: &ListUpdate) -> Vec<u8> {
