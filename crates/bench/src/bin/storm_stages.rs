@@ -6,9 +6,12 @@
 //! prints one JSON line: the quartiles in µs of `Frame::decode`,
 //! `Diagnoser::ingest` and `Diagnoser::diagnose` over onset and over
 //! reuse windows, the first round's `components_solved` per onset, the
-//! CPU model and the codegen units; and exits non-zero if a window's
-//! suspects differ from `localize`'s. `crates/bench/README.md` has the
-//! protocol for comparing two builds.
+//! quartiles over 10 cold starts of each step of the storm workload's
+//! cold start (the topology, the plan, and `build_deployment`'s matrix
+//! and `assign`, then `Diagnoser::new`), the CPU model and the codegen
+//! units; and exits non-zero if a window's suspects differ from
+//! `localize`'s. `crates/bench/README.md` has the protocol for comparing
+//! two builds.
 
 use std::collections::HashSet;
 use std::process::ExitCode;
@@ -18,12 +21,16 @@ use std::time::Instant;
 use detector_core::pll::localize;
 use detector_simnet::{Fabric, LossDiscipline};
 use detector_system::wire::Frame;
-use detector_system::{Controller, Diagnoser, PingerBatch, ReportStore, SystemConfig, Watchdog};
+use detector_system::{
+    Controller, Diagnoser, PingerBatch, Pinglist, ProbePlan, ReportStore, SystemConfig, Watchdog,
+};
 use detector_topology::{DcnTopology, Fattree};
 
 const VARIANTS: u64 = 8;
 const WINDOWS: u64 = 4;
 const ROUNDS: u64 = 20;
+const COLD_STARTS: usize = 10;
+const COLD_STEPS: [&str; 5] = ["topology", "plan", "matrix", "assign", "diagnoser"];
 
 /// `{"p25":…,"p50":…,"p75":…}` of `samples`.
 fn quartiles(mut samples: Vec<f64>) -> String {
@@ -36,6 +43,25 @@ fn quartiles(mut samples: Vec<f64>) -> String {
     format!(r#"{{"p25":{p25:.1},"p50":{p50:.1},"p75":{p75:.1}}}"#)
 }
 
+/// One cold start as the storm workload makes it (`build_deployment`'s
+/// plan, matrix and `assign`, then `Diagnoser::new`): the topology, its
+/// pinglists and its diagnoser, and the µs of each of [`COLD_STEPS`].
+fn cold_start(k: u32, cfg: &SystemConfig) -> (Arc<Fattree>, Vec<Pinglist>, Diagnoser, [f64; 5]) {
+    let mut at = vec![Instant::now()];
+    let ft = Arc::new(Fattree::new(k).expect("a valid radix"));
+    at.push(Instant::now());
+    let plan = ProbePlan::new(ft.clone(), &cfg.pmc, &HashSet::new()).expect("the plan builds");
+    at.push(Instant::now());
+    let matrix = plan.matrix();
+    at.push(Instant::now());
+    let pinglists = Controller::new(ft.clone(), cfg.clone()).assign(&matrix, &HashSet::new());
+    at.push(Instant::now());
+    let diagnoser = Diagnoser::new(matrix, cfg.pll);
+    at.push(Instant::now());
+    let split = std::array::from_fn(|i| (at[i + 1] - at[i]).as_secs_f64() * 1e6);
+    (ft, pinglists, diagnoser, split)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let k = match args.as_slice() {
@@ -43,16 +69,22 @@ fn main() -> ExitCode {
         [flag, k] if flag == "--k" => k.parse().unwrap_or(0),
         _ => 0,
     };
-    let Ok(ft) = Fattree::new(k) else {
+    if Fattree::new(k).is_err() {
         eprintln!("usage: storm_stages [--k <even radix, default 32>]");
         return ExitCode::FAILURE;
-    };
-    let ft = Arc::new(ft);
+    }
     let cfg = SystemConfig::default();
-    let dep = (Controller::new(ft.clone(), cfg.clone()))
-        .build_deployment(&HashSet::new())
-        .expect("deployment builds");
-    let batches: Vec<PingerBatch> = (dep.pinglists.iter())
+    let mut cold: [Vec<f64>; 5] = Default::default();
+    let mut boot = || {
+        let (ft, pinglists, diagnoser, split) = cold_start(k, &cfg);
+        cold.iter_mut()
+            .zip(split)
+            .for_each(|(samples, us)| samples.push(us));
+        (ft, pinglists, diagnoser)
+    };
+    (1..COLD_STARTS).for_each(|_| drop(boot()));
+    let (ft, pinglists, mut diagnoser) = boot();
+    let batches: Vec<PingerBatch> = (pinglists.iter())
         .map(|l| PingerBatch::bind(l.clone(), ft.graph()))
         .collect();
     // Per variant: its encoded reports and the oracle's suspects.
@@ -76,12 +108,11 @@ fn main() -> ExitCode {
                 })
                 .collect();
             let obs = store.window_observations(0, &|_| false);
-            let expected = localize(&dep.matrix, &obs, &cfg.pll).suspect_links();
+            let expected = localize(diagnoser.matrix(), &obs, &cfg.pll).suspect_links();
             (frames, expected)
         })
         .collect();
 
-    let mut diagnoser = Diagnoser::new(dep.matrix, cfg.pll);
     let watchdog = Watchdog::new();
     // Onset and reuse windows' µs per stage.
     let mut stages: [[Vec<f64>; 3]; 2] = Default::default();
@@ -123,8 +154,12 @@ fn main() -> ExitCode {
         let [d, i, g] = s.map(quartiles);
         format!(r#"{{"decode_us":{d},"ingest_us":{i},"diagnose_us":{g}}}"#)
     });
+    let cold = (COLD_STEPS.iter().zip(cold))
+        .map(|(step, samples)| format!(r#""{step}_us":{}"#, quartiles(samples)))
+        .collect::<Vec<_>>()
+        .join(",");
     println!(
-        r#"{{"k":{k},"windows_wrong":{wrong},"onset":{onset},"reuse":{reuse},"onset_components_solved":{solved:?},"cpu":"{cpu}","codegen_units":"{units}"}}"#
+        r#"{{"k":{k},"windows_wrong":{wrong},"onset":{onset},"reuse":{reuse},"onset_components_solved":{solved:?},"cold_start":{{{cold}}},"cpu":"{cpu}","codegen_units":"{units}"}}"#
     );
     if wrong > 0 {
         eprintln!("storm_stages: {wrong} windows differ from the localize oracle");

@@ -13,6 +13,7 @@
 use std::borrow::Cow;
 use std::collections::HashSet;
 
+use super::provider::Candidate;
 use super::PmcError;
 use crate::dense::Runs;
 use crate::types::{LinkId, ProbePath};
@@ -21,30 +22,34 @@ use crate::types::{LinkId, ProbePath};
 const EXCLUDED: u32 = u32::MAX;
 
 /// Global link id → dense local index of a universe (local `i` is
-/// `universe[i]`, whatever order the universe is in).
+/// `universe[i]`, whatever order the universe is in): a lookup is a
+/// subtraction and a load in a table over the universe's id span, which
+/// link ids, dense per topology, keep within its link count. A link named
+/// twice resolves to its last local, as a binary search over sorted
+/// `(link, local)` pairs does.
 #[derive(Clone, Debug)]
 pub(crate) struct LinkLookup {
-    /// `(link, local)` sorted by link.
-    by_link: Vec<(LinkId, u32)>,
+    /// The smallest link id of the universe.
+    first: u32,
+    /// Per id from `first` on: its local, or `u32::MAX` if unnamed.
+    local: Vec<u32>,
 }
 
 impl LinkLookup {
     pub(crate) fn new(universe: &[LinkId]) -> Self {
-        let mut by_link: Vec<(LinkId, u32)> = universe
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i as u32))
-            .collect();
-        by_link.sort_unstable();
-        Self { by_link }
+        let first = universe.iter().map(|l| l.0).min().unwrap_or(0);
+        let span = universe.iter().map(|l| (l.0 - first) as usize + 1).max();
+        let mut local = vec![u32::MAX; span.unwrap_or(0)];
+        for (i, l) in universe.iter().enumerate() {
+            local[(l.0 - first) as usize] = i as u32;
+        }
+        Self { first, local }
     }
 
     #[inline]
     pub(crate) fn local(&self, link: LinkId) -> Option<u32> {
-        self.by_link
-            .binary_search_by_key(&link, |&(l, _)| l)
-            .ok()
-            .map(|at| self.by_link[at].1)
+        let slot = link.0.wrapping_sub(self.first) as usize;
+        self.local.get(slot).copied().filter(|&l| l != u32::MAX)
     }
 }
 
@@ -73,20 +78,20 @@ pub(crate) fn candidate_index_with(
         candidates.iter().map(ProbePath::len).sum(),
     );
     for p in candidates {
-        push_candidate(&mut index, &local, p)?;
+        push_candidate(&mut index, &local, p.links())?;
     }
     Ok(index)
 }
 
-/// Appends one candidate; on a link `local` cannot name, appends nothing
-/// and names the link in the error.
+/// Appends one candidate's `links`; on a link `local` cannot name,
+/// appends nothing and names the link in the error.
 pub(crate) fn push_candidate(
     index: &mut CandidateIndex,
     local: impl Fn(LinkId) -> Option<u32>,
-    path: &ProbePath,
+    links: &[LinkId],
 ) -> Result<(), PmcError> {
     let mut unknown = None;
-    let locals = path.links().iter().map_while(|&link| {
+    let locals = links.iter().map_while(|&link| {
         let found = local(link);
         unknown = found.is_none().then_some(link);
         found
@@ -113,9 +118,9 @@ pub(crate) trait Pool {
         admit: impl FnMut(u32, &[u32]) -> Result<bool, PmcError>,
     ) -> Result<bool, PmcError>;
 
-    /// The locals and the path of a candidate `pull` offered and `admit`
+    /// The locals and the candidate `pull` offered as `i` and `admit`
     /// kept.
-    fn get(&mut self, i: u32) -> (&[u32], &ProbePath);
+    fn get(&mut self, i: u32) -> (&[u32], Candidate<'_>);
 }
 
 /// A materialized subproblem seen through its candidate index.
@@ -250,11 +255,11 @@ impl Pool for CellPool<'_> {
         Ok(true)
     }
 
-    fn get(&mut self, i: u32) -> (&[u32], &ProbePath) {
+    fn get(&mut self, i: u32) -> (&[u32], Candidate<'_>) {
         let i = i as usize;
         let locals = restricted(self.cell.index, self.remap.as_deref(), &mut self.scratch, i)
             .expect("only offered candidates are asked for");
-        (locals, &self.cell.candidates[i])
+        (locals, Candidate::from(&self.cell.candidates[i]))
     }
 }
 
@@ -287,15 +292,62 @@ mod tests {
         let lookup = LinkLookup::new(&[LinkId(0), LinkId(1)]);
         let local = |link| lookup.local(link);
         let mut index = CandidateIndex::default();
-        push_candidate(&mut index, local, &path(0, &[1])).unwrap();
-        let err = push_candidate(&mut index, local, &path(1, &[0, 7])).unwrap_err();
+        push_candidate(&mut index, local, path(0, &[1]).links()).unwrap();
+        let err = push_candidate(&mut index, local, path(1, &[0, 7]).links()).unwrap_err();
         assert_eq!(err, PmcError::UnknownLink { link: LinkId(7) });
         assert_eq!(index.len(), 1);
-        push_candidate(&mut index, local, &path(2, &[0])).unwrap();
+        push_candidate(&mut index, local, path(2, &[0]).links()).unwrap();
         assert_eq!(index.run(1), &[0]);
         index.pop_run();
         assert_eq!(index.len(), 1);
         assert_eq!(index.run(0), &[1]);
+    }
+
+    fn locals(lookup: &LinkLookup, links: std::ops::Range<u32>) -> Vec<Option<u32>> {
+        links.map(|l| lookup.local(LinkId(l))).collect()
+    }
+
+    #[test]
+    fn lookup_follows_an_unsorted_universe_with_a_gap() {
+        // Ids 10..=15 with 12 and 13 missing, in no order: the span is
+        // 10..=15, and ids below, inside the gap and above name nothing.
+        let lookup = LinkLookup::new(&[LinkId(14), LinkId(10), LinkId(15), LinkId(11)]);
+        let want = [
+            None,
+            None,
+            Some(1),
+            Some(3),
+            None,
+            None,
+            Some(0),
+            Some(2),
+            None,
+        ];
+        assert_eq!(locals(&lookup, 8..17), want);
+        assert_eq!(lookup.local(LinkId(u32::MAX)), None);
+        assert_eq!(lookup.local(LinkId(0)), None);
+    }
+
+    #[test]
+    fn lookup_of_an_empty_or_single_link_universe() {
+        let empty = LinkLookup::new(&[]);
+        assert_eq!(locals(&empty, 0..3), [None; 3]);
+        let high = LinkLookup::new(&[LinkId(u32::MAX - 1)]);
+        assert_eq!(high.local(LinkId(u32::MAX - 1)), Some(0));
+        assert_eq!(high.local(LinkId(u32::MAX)), None);
+        assert_eq!(high.local(LinkId(0)), None);
+    }
+
+    #[test]
+    fn a_link_named_twice_resolves_to_its_last_local() {
+        // The binary search over sorted `(link, local)` pairs that the
+        // table replaced landed on the last of equal keys; the table
+        // keeps that answer, wherever the repeats sit.
+        for universe in [&[5, 5][..], &[5, 1, 5], &[1, 5, 7, 5, 9], &[5, 5, 5, 2]] {
+            let universe: Vec<LinkId> = universe.iter().copied().map(LinkId).collect();
+            let last = universe.iter().rposition(|&l| l == LinkId(5)).unwrap() as u32;
+            assert_eq!(LinkLookup::new(&universe).local(LinkId(5)), Some(last));
+        }
     }
 
     #[test]
@@ -326,7 +378,7 @@ mod tests {
         assert_eq!(offered, vec![(1, vec![1, 2]), (3, vec![2])]);
         assert!(!pool.pull(|_, _| Ok(true)).unwrap());
         let (locals, p) = pool.get(3);
-        assert_eq!((locals, p.id.0), (&[2u32][..], 3));
+        assert_eq!((locals, p), (&[2u32][..], Candidate::from(&candidates[3])));
         // Flags are in restricted locals: link 2 is local 1, link 3 local 2.
         assert_eq!(pool.crossing(&[true, false, false]), Vec::<u32>::new());
         assert_eq!(pool.crossing(&[false, true, false]), vec![1]);

@@ -268,7 +268,7 @@ fn pull_batch<P: Pool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pmc::{construct_with_provider, CandidateProvider, Subproblem};
+    use crate::pmc::{construct_with_provider, CandidateBatch, CandidateProvider, Subproblem};
     use crate::types::{LinkId, ProbePath};
 
     /// Solves a materialized subproblem with `cfg`'s strategy.
@@ -331,12 +331,12 @@ mod tests {
             fn universe(&self) -> &[LinkId] {
                 &self.universe
             }
-            fn next_batch(&mut self) -> Vec<ProbePath> {
+            fn next_batch(&mut self, batch: &mut CandidateBatch) {
                 self.stage += 1;
                 match self.stage {
-                    1 => vec![ProbePath::from_links(0, vec![LinkId(0), LinkId(1)])],
-                    2 => vec![ProbePath::from_links(1, vec![LinkId(0)])],
-                    _ => Vec::new(),
+                    1 => batch.push(0, &[], &[LinkId(0), LinkId(1)]),
+                    2 => batch.push(1, &[], &[LinkId(0)]),
+                    _ => {}
                 }
             }
         }

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 
 use super::state::SelectionState;
 use super::{
-    construct_with_provider, CandidateProvider, ExcludingProvider, ExhaustiveProvider, PmcConfig,
-    PmcError, Strategy as Greedy, SubSolution, Subproblem,
+    construct_with_provider, CandidateBatch, CandidateProvider, ExcludingProvider,
+    ExhaustiveProvider, PmcConfig, PmcError, Strategy as Greedy, SubSolution, Subproblem,
 };
 use crate::types::{LinkId, NodeId, ProbePath};
 
@@ -66,13 +66,14 @@ fn lazy<P: CandidateProvider>(mut provider: P, cfg: &PmcConfig) -> Result<SubSol
                     pulled: &mut u64,
                     batch_min: &mut i64|
      -> Result<bool, PmcError> {
-        let batch = provider.next_batch();
+        let mut batch = CandidateBatch::default();
+        provider.next_batch(&mut batch);
         if batch.is_empty() {
             *batch_min = i64::MAX;
             return Ok(false);
         }
         let mut min_score = i64::MAX;
-        for p in batch {
+        for p in batch.iter().map(|c| c.to_path()) {
             if p.is_empty() {
                 continue;
             }

@@ -7,6 +7,7 @@
 //! evaluations (the Table 2 strawman under its cutoff), so the round
 //! counter clears the stamps rather than wrap onto values they still hold.
 
+use super::provider::Candidate;
 use super::virtual_links::ExtendedUniverse;
 use super::{PmcConfig, PmcError, SubSolution};
 use crate::types::{LinkId, ProbePath};
@@ -317,12 +318,15 @@ impl SelectionState {
 
     /// Selects a path: refines the partition and updates link weights.
     pub fn select(&mut self, path: &ProbePath) -> Result<(), PmcError> {
-        self.with_locals(path, |state, locals| state.select_locals(locals, path))
+        self.with_locals(path, |state, locals| {
+            state.select_locals(locals, path.into())
+        })
     }
 
-    /// [`SelectionState::select`] for a path whose sorted, de-duplicated
-    /// local link indices are `locals`.
-    pub(crate) fn select_locals(&mut self, locals: &[u32], path: &ProbePath) {
+    /// [`SelectionState::select`] for a candidate whose sorted,
+    /// de-duplicated local link indices are `locals`: the one place a
+    /// solve builds a [`ProbePath`].
+    pub(crate) fn select_locals(&mut self, locals: &[u32], path: Candidate<'_>) {
         if self.beta <= 1 {
             self.partition.refine(locals.iter().map(|&l| u64::from(l)));
         } else {
@@ -336,7 +340,7 @@ impl SelectionState {
                 self.under_covered -= 1;
             }
         }
-        self.selected.push(path.clone());
+        self.selected.push(path.to_path());
     }
 }
 

@@ -249,7 +249,7 @@ impl Controller {
     /// goes to its first server. Each pinger then probes every other
     /// usable server under its own switch. Lists come out ascending by
     /// pinger and sealed.
-    fn assign(&self, matrix: &ProbeMatrix, unhealthy: &HashSet<NodeId>) -> Vec<Pinglist> {
+    pub fn assign(&self, matrix: &ProbeMatrix, unhealthy: &HashSet<NodeId>) -> Vec<Pinglist> {
         let graph = self.view.topology().graph();
         let offline = self.view.offline_links();
         let interval_us = (1_000_000.0 / self.cfg.probe_rate_pps) as u64;

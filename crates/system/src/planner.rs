@@ -143,12 +143,7 @@ enum CellSource {
     Materialized(Arc<Subproblem>),
     /// Replica `replica` of symmetry base `base`: candidates are pulled
     /// from a fresh base provider and re-homed on demand.
-    Replica {
-        base: usize,
-        replica: u32,
-        /// Replica-universe link → base-universe link.
-        to_base: HashMap<LinkId, LinkId>,
-    },
+    Replica { base: usize, replica: u32 },
 }
 
 /// One independent subproblem of the partitioned plan.
@@ -161,8 +156,9 @@ struct PlanCell {
     source: CellSource,
     /// Current solution, paths in final coordinates.
     solution: SubSolution,
-    /// Cached pristine (no-exclusion) solution for O(1) restore; filled
-    /// lazily for cells that were born with exclusions.
+    /// While a link is excluded, the pristine (no-exclusion) solution to
+    /// restore in O(1) on healing (`None` if the cell was born degraded);
+    /// with nothing excluded, it is `solution` and is not copied.
     pristine: Option<SubSolution>,
     /// The stable id range this cell numbers its paths from. Re-assigned
     /// only when the solution outgrows the range (a re-base).
@@ -172,6 +168,11 @@ struct PlanCell {
 impl PlanCell {
     fn intersects(&self, links: &[LinkId]) -> bool {
         links.iter().any(|l| self.universe.binary_search(l).is_ok())
+    }
+
+    /// The pristine solution, if the cell knows it.
+    fn pristine(&self) -> Option<&SubSolution> {
+        (self.excluded.is_empty().then_some(&self.solution)).or(self.pristine.as_ref())
     }
 }
 
@@ -294,7 +295,7 @@ impl ProbePlan {
                     excluded: cell_exclusions(&universe, offline),
                     universe,
                     source: CellSource::Materialized(Arc::new(sp)),
-                    // Both filled in below.
+                    // Filled in below.
                     solution: SubSolution {
                         paths: Vec::new(),
                         targets_met: false,
@@ -308,7 +309,6 @@ impl ProbePlan {
             .collect();
         let solutions = solve_batch(&cells, |cell| solve_cell(topo, cfg, cell, &cell.excluded))?;
         for (cell, solution) in cells.iter_mut().zip(solutions) {
-            cell.pristine = cell.excluded.is_empty().then(|| solution.clone());
             cell.solution = solution;
         }
         Ok(cells)
@@ -338,15 +338,10 @@ impl ProbePlan {
                     .iter()
                     .map(|&l| replicate_link(l, r))
                     .collect();
-                let to_base: HashMap<LinkId, LinkId> = universe
-                    .iter()
-                    .copied()
-                    .zip(base_universe.iter().copied())
-                    .collect();
                 universe.sort_unstable();
                 let excluded = cell_exclusions(&universe, offline);
                 any_pristine |= excluded.is_empty();
-                metas.push((universe, to_base, excluded));
+                metas.push((universe, excluded));
             }
 
             // One pristine base solve, shared by every unaffected replica
@@ -357,25 +352,23 @@ impl ProbePlan {
                 None
             };
 
-            for (r, (universe, to_base, excluded)) in metas.into_iter().enumerate() {
+            for (r, (universe, excluded)) in metas.into_iter().enumerate() {
                 let r = r as u32;
                 let solution = match &pristine_base {
                     Some(base_sol) if excluded.is_empty() => {
                         replicate_solution(base_sol, r, &replicate)
                     }
-                    _ => resolve_replica(topo, cfg, bi, r, &to_base, &excluded)?,
+                    _ => resolve_replica(topo, cfg, bi, r, &excluded)?,
                 };
-                let pristine = excluded.is_empty().then(|| solution.clone());
                 cells.push(PlanCell {
                     universe,
                     excluded,
                     source: CellSource::Replica {
                         base: bi,
                         replica: r,
-                        to_base,
                     },
                     solution,
-                    pristine,
+                    pristine: None,
                     range: PathIdRange::default(), // Assigned by the constructor.
                 });
             }
@@ -467,9 +460,9 @@ impl ProbePlan {
         all_changed.dedup();
 
         // Phase 1: classify every affected cell, touching nothing.
-        // Restores splice the cached pristine solution; the rest must be
-        // solved from their candidate sources.
-        let mut patches: Vec<(usize, Vec<LinkId>, SubSolution)> = Vec::new();
+        // Restores (`None`: the cached pristine solution moves back in)
+        // cost nothing; the rest are solved from their candidate sources.
+        let mut patches: Vec<(usize, Vec<LinkId>, Option<SubSolution>)> = Vec::new();
         let mut solves: Vec<(usize, &PlanCell, Vec<LinkId>)> = Vec::new();
         for (ci, cell) in self.cells.iter().enumerate() {
             if !cell.intersects(&all_changed) {
@@ -480,8 +473,8 @@ impl ProbePlan {
                 continue;
             }
             match &cell.pristine {
-                Some(pristine) if new_excluded.is_empty() => {
-                    patches.push((ci, new_excluded, pristine.clone()));
+                Some(_) if new_excluded.is_empty() => {
+                    patches.push((ci, new_excluded, None));
                     stats.cells_restored += 1;
                 }
                 _ => {
@@ -506,7 +499,7 @@ impl ProbePlan {
             solves
                 .into_iter()
                 .zip(solutions)
-                .map(|((ci, _, ex), sol)| (ci, ex, sol)),
+                .map(|((ci, _, ex), sol)| (ci, ex, Some(sol))),
         );
 
         // Phase 2: commit. A cell whose new solution fits its range keeps
@@ -519,11 +512,19 @@ impl ProbePlan {
             let Some(cell) = self.cells.get_mut(ci) else {
                 continue;
             };
-            if new_excluded.is_empty() && cell.pristine.is_none() {
-                cell.pristine = Some(solution.clone());
+            // A restore takes the pristine solution back; a cell that was
+            // whole and is now degraded keeps the one it had as pristine.
+            let Some(solution) = solution.or_else(|| cell.pristine.take()) else {
+                continue;
+            };
+            let was_whole = cell.excluded.is_empty();
+            let old = std::mem::replace(&mut cell.solution, solution);
+            if new_excluded.is_empty() {
+                cell.pristine = None;
+            } else if was_whole {
+                cell.pristine = Some(old);
             }
             cell.excluded = new_excluded;
-            cell.solution = solution;
             if !cell.range.fits(cell.solution.paths.len()) {
                 let capacity = self.headroom.capacity(cell.solution.paths.len());
                 match self.next_base.checked_add(capacity) {
@@ -649,11 +650,9 @@ fn solve_cell(
 ) -> Result<SubSolution, PmcError> {
     match &cell.source {
         CellSource::Materialized(sp) => sp.resolve(&excluded.iter().copied().collect(), cfg),
-        CellSource::Replica {
-            base,
-            replica,
-            to_base,
-        } => resolve_replica(topo, cfg, *base, *replica, to_base, excluded),
+        CellSource::Replica { base, replica } => {
+            resolve_replica(topo, cfg, *base, *replica, excluded)
+        }
     }
 }
 
@@ -689,7 +688,7 @@ fn repair_cell(
 ) -> Result<SubSolution, PmcError> {
     let excluded_set: HashSet<LinkId> = excluded.iter().copied().collect();
     let current = &cell.solution.paths;
-    let pristine: &[ProbePath] = cell.pristine.as_ref().map_or(&[], |p| &p.paths);
+    let pristine: &[ProbePath] = cell.pristine().map_or(&[], |p| &p.paths);
     let pristine_routes: HashSet<_> = pristine.iter().map(ProbePath::route).collect();
     let repairs = current
         .iter()
@@ -839,13 +838,12 @@ fn replicate_solution(
 /// Re-solves replica `replica` of symmetry base `base_idx` with
 /// exclusions: pull the excluded links back into base coordinates, solve
 /// a fresh excluded base provider, and replicate the restricted solution
-/// out to the replica.
+/// out to the replica. `excluded` is sorted.
 fn resolve_replica(
     topo: &SharedTopology,
     cfg: &PmcConfig,
     base_idx: usize,
     replica: u32,
-    to_base: &HashMap<LinkId, LinkId>,
     excluded: &[LinkId],
 ) -> Result<SubSolution, PmcError> {
     let base = topo
@@ -856,10 +854,13 @@ fn resolve_replica(
         // detlint::allow(panic_path, reason = "base_idx indexed this topology's symmetry().bases when the cell was built, and symmetry() is a pure function of the immutable topology")
         .expect("symmetry plan must be stable across calls");
     // Exclusions are drawn from the cell universe (`cell_exclusions`),
-    // and `to_base` is keyed by exactly that universe.
-    let excluded_base: HashSet<LinkId> = excluded
-        .iter()
-        .filter_map(|l| to_base.get(l).copied())
+    // which is the base universe's image in the replica.
+    let excluded_base: HashSet<LinkId> = (base.provider.universe().iter().copied())
+        .filter(|&l| {
+            excluded
+                .binary_search(&(base.replicate_link)(l, replica))
+                .is_ok()
+        })
         .collect();
     let sol = construct_with_provider(ExcludingProvider::new(base.provider, excluded_base), cfg)?;
     Ok(replicate_solution(&sol, replica, &base.replicate))

@@ -8,7 +8,7 @@
 //! two servers BCube's BuildPathSet yields k+1 parallel paths, one per
 //! starting correction level.
 
-use detector_core::pmc::CandidateProvider;
+use detector_core::pmc::{CandidateBatch, CandidateProvider};
 use detector_core::types::{LinkId, NodeId, ProbePath};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
@@ -81,31 +81,25 @@ impl Dims {
         (self.levels * self.servers) as usize
     }
 
-    /// BuildPathSet path from `src` to `dst` starting digit-correction at
-    /// `start` (0 ≤ start ≤ k). Returns (nodes, hop links).
-    fn path_nodes(&self, src: u32, dst: u32, start: u32) -> (Vec<NodeId>, Vec<LinkId>) {
+    /// Writes the BuildPathSet route from `src` to `dst` starting
+    /// digit-correction at `start` (0 ≤ start ≤ k) into `route`.
+    fn route_into(&self, src: u32, dst: u32, start: u32, route: &mut Route) {
         debug_assert_ne!(src, dst);
-        let mut nodes = vec![self.server_node(src)];
-        let mut links = Vec::new();
+        route.nodes.clear();
+        route.links.clear();
+        route.nodes.push(self.server_node(src));
         let mut cur = src;
-
-        let hop = |cur: &mut u32,
-                   level: u32,
-                   to: u32,
-                   nodes: &mut Vec<NodeId>,
-                   links: &mut Vec<LinkId>| {
+        let mut hop = |cur: &mut u32, level: u32, to: u32| {
             let sw = self.switch(level, self.strip(*cur, level));
-            nodes.push(sw);
-            links.push(self.link(level, *cur));
-            nodes.push(self.server_node(to));
-            links.push(self.link(level, to));
+            route.nodes.push(sw);
+            route.links.push(self.link(level, *cur));
+            route.nodes.push(self.server_node(to));
+            route.links.push(self.link(level, to));
             *cur = to;
         };
 
         // Correction order: start, start-1, ..., 0, k, ..., start+1.
-        let order: Vec<u32> = (0..self.levels)
-            .map(|i| (start + self.levels - i) % self.levels)
-            .collect();
+        let order = (0..self.levels).map(|i| (start + self.levels - i) % self.levels);
 
         let detour = self.digit(src, start) == self.digit(dst, start);
         if detour {
@@ -113,30 +107,30 @@ impl Dims {
             // other digits, then come back to the true digit at the end.
             let nd = (self.digit(src, start) + 1) % self.n;
             let c0 = self.set_digit(src, start, nd);
-            hop(&mut cur, start, c0, &mut nodes, &mut links);
+            hop(&mut cur, start, c0);
         }
-        for &l in order.iter().skip(if detour { 1 } else { 0 }) {
+        for l in order.skip(if detour { 1 } else { 0 }) {
             if l == start && detour {
                 continue;
             }
             if self.digit(cur, l) != self.digit(dst, l) {
                 let next = self.set_digit(cur, l, self.digit(dst, l));
-                hop(&mut cur, l, next, &mut nodes, &mut links);
+                hop(&mut cur, l, next);
             }
         }
         if detour {
             // Final correction of the detoured digit.
             let next = self.set_digit(cur, start, self.digit(dst, start));
             debug_assert_eq!(next, dst);
-            hop(&mut cur, start, next, &mut nodes, &mut links);
+            hop(&mut cur, start, next);
         }
         debug_assert_eq!(cur, dst);
-        (nodes, links)
     }
 
     fn server_path(&self, id: u32, src: u32, dst: u32, start: u32) -> ProbePath {
-        let (nodes, links) = self.path_nodes(src, dst, start);
-        ProbePath::from_route(id, nodes, links)
+        let mut route = Route::default();
+        self.route_into(src, dst, start, &mut route);
+        ProbePath::from_route(id, route.nodes, route.links)
     }
 }
 
@@ -262,8 +256,9 @@ impl DcnTopology for BCube {
         let s1 = self.server_addr(src);
         let s2 = self.server_addr(dst);
         let start = (flow_hash % self.dims.levels as u64) as u32;
-        let (nodes, links) = self.dims.path_nodes(s1, s2, start);
-        Route { nodes, links }
+        let mut route = Route::default();
+        self.dims.route_into(s1, s2, start, &mut route);
+        route
     }
 
     fn ecmp_fanout(&self, _src: NodeId, _dst: NodeId) -> u64 {
@@ -293,6 +288,8 @@ pub struct BcubeProvider {
     next_round: u64,
     total_rounds: u64,
     next_id: u32,
+    /// Scratch: the route being written.
+    route: Route,
 }
 
 impl BcubeProvider {
@@ -304,6 +301,7 @@ impl BcubeProvider {
             next_round: 0,
             total_rounds: (dims.servers as u64 - 1) * dims.levels as u64,
             next_id: 0,
+            route: Route::default(),
         }
     }
 }
@@ -313,9 +311,9 @@ impl CandidateProvider for BcubeProvider {
         &self.universe
     }
 
-    fn next_batch(&mut self) -> Vec<ProbePath> {
+    fn next_batch(&mut self, out: &mut CandidateBatch) {
         if self.next_round >= self.total_rounds {
-            return Vec::new();
+            return;
         }
         let r = self.next_round;
         self.next_round += 1;
@@ -323,14 +321,11 @@ impl CandidateProvider for BcubeProvider {
         let levels = d.levels as u64;
         let start = (r % levels) as u32;
         let dist = 1 + (r / levels) as u32;
-        let mut out = Vec::with_capacity(d.servers as usize);
         for s in 0..d.servers {
-            let dst = (s + dist) % d.servers;
-            let id = self.next_id;
+            d.route_into(s, (s + dist) % d.servers, start, &mut self.route);
+            out.push(self.next_id, &self.route.nodes, &self.route.links);
             self.next_id += 1;
-            out.push(d.server_path(id, s, dst, start));
         }
-        out
     }
 }
 
@@ -429,7 +424,7 @@ mod tests {
         };
         let mut provided: std::collections::HashSet<Vec<LinkId>> = std::collections::HashSet::new();
         loop {
-            let batch = provider.next_batch();
+            let batch = crate::symmetric::next_paths(&mut provider);
             if batch.is_empty() {
                 break;
             }

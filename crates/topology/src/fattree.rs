@@ -11,7 +11,7 @@
 //! group index — which is exactly what the symmetry plan exploits: PMC
 //! solves group 0 and the solution is replicated to the other h groups.
 
-use detector_core::pmc::CandidateProvider;
+use detector_core::pmc::{CandidateBatch, CandidateProvider};
 use detector_core::types::{LinkId, NodeId, ProbePath};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
@@ -129,47 +129,37 @@ impl Dims {
         }
     }
 
-    /// ToR-pair probe path through (group g, core c). For intra-pod pairs
-    /// the path goes up to the core and back through the same aggregation
-    /// switch.
-    fn tor_path(
+    /// ToR-pair probe route through (group g, core c): its nodes and its
+    /// links in hop order. An intra-pod pair goes up to the core and back
+    /// down through the same aggregation switch, so its two agg–core hops
+    /// are one link.
+    fn tor_route(
         &self,
-        id: u32,
         (p1, e1): (u32, u32),
         (p2, e2): (u32, u32),
         g: u32,
         c: u32,
-    ) -> ProbePath {
-        if p1 == p2 {
-            let nodes = vec![
-                self.edge(p1, e1),
-                self.agg(p1, g),
-                self.core(g, c),
-                self.agg(p1, g),
-                self.edge(p1, e2),
-            ];
-            let links = vec![
-                self.ea_link(p1, e1, g),
-                self.ac_link(p1, g, c),
-                self.ea_link(p1, e2, g),
-            ];
-            ProbePath::from_route(id, nodes, links)
-        } else {
-            let nodes = vec![
-                self.edge(p1, e1),
-                self.agg(p1, g),
-                self.core(g, c),
-                self.agg(p2, g),
-                self.edge(p2, e2),
-            ];
-            let links = vec![
-                self.ea_link(p1, e1, g),
-                self.ac_link(p1, g, c),
-                self.ac_link(p2, g, c),
-                self.ea_link(p2, e2, g),
-            ];
-            ProbePath::from_route(id, nodes, links)
-        }
+    ) -> ([NodeId; 5], [LinkId; 4]) {
+        let nodes = [
+            self.edge(p1, e1),
+            self.agg(p1, g),
+            self.core(g, c),
+            self.agg(p2, g),
+            self.edge(p2, e2),
+        ];
+        let links = [
+            self.ea_link(p1, e1, g),
+            self.ac_link(p1, g, c),
+            self.ac_link(p2, g, c),
+            self.ea_link(p2, e2, g),
+        ];
+        (nodes, links)
+    }
+
+    /// [`Self::tor_route`] as a path.
+    fn tor_path(&self, id: u32, a: (u32, u32), b: (u32, u32), g: u32, c: u32) -> ProbePath {
+        let (nodes, links) = self.tor_route(a, b, g, c);
+        ProbePath::from_route(id, nodes.to_vec(), links.to_vec())
     }
 }
 
@@ -536,7 +526,7 @@ impl FattreeGroupProvider {
     /// diversity a coverage-only (β = 0) greedy needs. Identifiability
     /// pressure (β ≥ 1) draws further, structurally different candidates
     /// from the product enumeration that follows the tiling phases.
-    fn tiling_round(&mut self, r: u64, out: &mut Vec<ProbePath>) {
+    fn tiling_round(&mut self, r: u64, out: &mut CandidateBatch) {
         let k = self.dims.k as u64;
         let h = self.dims.h as u64;
         let t = r / h;
@@ -548,17 +538,17 @@ impl FattreeGroupProvider {
 
         let p_a = k - 1;
         let p_b = pr;
-        self.push_inter(p_a as u32, e_of(p_a), p_b as u32, e_of(p_b), c, out);
+        self.push_path((p_a as u32, e_of(p_a)), (p_b as u32, e_of(p_b)), c, out);
         for i in 1..(k / 2) {
             let a = (pr + i) % m;
             let b = (pr + m - i) % m;
-            self.push_inter(a as u32, e_of(a), b as u32, e_of(b), c, out);
+            self.push_path((a as u32, e_of(a)), (b as u32, e_of(b)), c, out);
         }
     }
 
     /// Emits the inter-pod round `r`: pods paired by the circle method,
     /// (e1, e2, c) decoded from the round index.
-    fn inter_round(&mut self, r: u64, out: &mut Vec<ProbePath>) {
+    fn inter_round(&mut self, r: u64, out: &mut CandidateBatch) {
         let k = self.dims.k as u64;
         let h = self.dims.h as u64;
         let c = (r % h) as u32;
@@ -573,31 +563,29 @@ impl FattreeGroupProvider {
         // Pair 0: (k-1, pr); pair i: ((pr + i) mod m, (pr + m - i) mod m).
         let p_a = (self.dims.k - 1) as u64;
         let p_b = pr;
-        self.push_inter(p_a as u32, e1, p_b as u32, e2, c, out);
+        self.push_path((p_a as u32, e1), (p_b as u32, e2), c, out);
         for i in 1..(k / 2) {
             let a = (pr + i) % m;
             let b = pair(i);
-            self.push_inter(a as u32, e1, b as u32, e2, c, out);
+            self.push_path((a as u32, e1), (b as u32, e2), c, out);
         }
     }
 
-    fn push_inter(&mut self, p1: u32, e1: u32, p2: u32, e2: u32, c: u32, out: &mut Vec<ProbePath>) {
-        let id = self.next_id;
+    fn push_path(&mut self, a: (u32, u32), b: (u32, u32), c: u32, out: &mut CandidateBatch) {
+        let (nodes, links) = self.dims.tor_route(a, b, self.group, c);
+        out.push(self.next_id, &nodes, &links);
         self.next_id += 1;
-        out.push(self.dims.tor_path(id, (p1, e1), (p2, e2), self.group, c));
     }
 
     /// Emits the intra-pod round `r`: one up-and-back path per pod.
-    fn intra_round(&mut self, r: u64, out: &mut Vec<ProbePath>) {
+    fn intra_round(&mut self, r: u64, out: &mut CandidateBatch) {
         let h = self.dims.h as u64;
         let c = (r % h) as u32;
         let e1 = ((r / h) % h) as u32;
         let off = 1 + ((r / (h * h)) % (h - 1)) as u32;
         let e2 = (e1 + off) % self.dims.h;
         for pod in 0..self.dims.k {
-            let id = self.next_id;
-            self.next_id += 1;
-            out.push(self.dims.tor_path(id, (pod, e1), (pod, e2), self.group, c));
+            self.push_path((pod, e1), (pod, e2), c, out);
         }
     }
 }
@@ -607,8 +595,7 @@ impl CandidateProvider for FattreeGroupProvider {
         &self.universe
     }
 
-    fn next_batch(&mut self) -> Vec<ProbePath> {
-        let mut out = Vec::new();
+    fn next_batch(&mut self, out: &mut CandidateBatch) {
         // Tiling phases first: disjoint, perfectly covering rounds.
         if self.tiling_next < self.tiling_total {
             let h = self.dims.h as u64;
@@ -618,9 +605,9 @@ impl CandidateProvider for FattreeGroupProvider {
                 }
                 let r = self.tiling_next;
                 self.tiling_next += 1;
-                self.tiling_round(r, &mut out);
+                self.tiling_round(r, out);
             }
-            return out;
+            return;
         }
         // Then the generic full enumeration, interleaving 3 inter-pod
         // rounds per intra-pod round.
@@ -629,24 +616,15 @@ impl CandidateProvider for FattreeGroupProvider {
                 if self.inter_next < self.inter_total {
                     let r = self.inter_next;
                     self.inter_next += 1;
-                    self.inter_round(r, &mut out);
+                    self.inter_round(r, out);
                 }
             }
             if self.intra_next < self.intra_total {
                 let r = self.intra_next;
                 self.intra_next += 1;
-                self.intra_round(r, &mut out);
+                self.intra_round(r, out);
             }
         }
-        out
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        let k = self.dims.k as u64;
-        let tiling = (self.tiling_total - self.tiling_next) * (k / 2);
-        let inter = (self.inter_total - self.inter_next) * (k / 2);
-        let intra = (self.intra_total - self.intra_next) * k;
-        Some(tiling + inter + intra)
     }
 }
 
@@ -763,7 +741,7 @@ mod tests {
         let uni: std::collections::HashSet<LinkId> = p.universe().iter().copied().collect();
         let mut total = 0;
         loop {
-            let batch = p.next_batch();
+            let batch = crate::symmetric::next_paths(&mut p);
             if batch.is_empty() {
                 break;
             }
@@ -784,7 +762,7 @@ mod tests {
     fn replication_maps_are_isomorphisms() {
         let ft = Fattree::new(6).unwrap();
         let mut p = ft.group_provider(0);
-        let batch = p.next_batch();
+        let batch = crate::symmetric::next_paths(&mut p);
         for path in batch.iter().take(40) {
             for g in 0..ft.half() {
                 let mapped = ft.map_path_to_group(path, g);
@@ -817,7 +795,7 @@ mod tests {
             let mut provided: std::collections::HashSet<Vec<LinkId>> =
                 std::collections::HashSet::new();
             loop {
-                let batch = provider.next_batch();
+                let batch = crate::symmetric::next_paths(&mut provider);
                 if batch.is_empty() {
                     break;
                 }
@@ -850,7 +828,7 @@ mod tests {
             std::collections::HashMap::new();
         loop {
             let in_tiling = provider.tiling_next < provider.tiling_total;
-            let batch = provider.next_batch();
+            let batch = crate::symmetric::next_paths(&mut provider);
             if batch.is_empty() {
                 break;
             }

@@ -108,7 +108,7 @@ pub struct Link {
 
 /// A concrete hop-by-hop route (nodes in visit order plus the traversed
 /// links, one per hop, *not* de-duplicated).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Route {
     /// Visited nodes, source first.
     pub nodes: Vec<NodeId>,

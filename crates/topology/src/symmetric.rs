@@ -100,6 +100,14 @@ pub fn construct_symmetric(
 }
 
 #[cfg(test)]
+/// The provider's next batch as paths (empty once it is exhausted).
+pub(crate) fn next_paths(provider: &mut (impl CandidateProvider + ?Sized)) -> Vec<ProbePath> {
+    let mut batch = detector_core::pmc::CandidateBatch::default();
+    provider.next_batch(&mut batch);
+    batch.iter().map(|c| c.to_path()).collect()
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Fattree;
@@ -139,7 +147,7 @@ mod tests {
             let plan = topo.symmetry();
             for base in plan.bases {
                 let mut provider = base.provider;
-                let batch = provider.next_batch();
+                let batch = crate::symmetric::next_paths(&mut provider);
                 for p in batch.iter().take(20) {
                     for r in 0..base.replicas {
                         let mapped = (base.replicate)(p, r);

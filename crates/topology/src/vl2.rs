@@ -8,7 +8,7 @@
 //! Table 2), so the symmetry plan has a single base component whose
 //! provider enumerates ToR pairings round-robin.
 
-use detector_core::pmc::CandidateProvider;
+use detector_core::pmc::{CandidateBatch, CandidateProvider};
 use detector_core::types::{LinkId, NodeId, ProbePath};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
@@ -86,23 +86,32 @@ impl Dims {
         (2 * self.tors + self.aggs * self.ints) as usize
     }
 
-    /// Probe path between two ToRs via (up side, intermediate, down side).
-    fn tor_path(&self, id: u32, t1: u32, t2: u32, u: u32, i: u32, d: u32) -> ProbePath {
+    /// Probe route between two ToRs via (up side, intermediate, down
+    /// side): its nodes and its links in hop order. When both sides home
+    /// on one aggregation switch, its two agg–int hops are one link.
+    fn tor_route(&self, t1: u32, t2: u32, u: u32, i: u32, d: u32) -> ([NodeId; 5], [LinkId; 4]) {
         let a1 = self.tor_agg(t1, u);
         let a2 = self.tor_agg(t2, d);
-        let nodes = vec![
+        let nodes = [
             self.tor(t1),
             self.agg(a1),
             self.int(i),
             self.agg(a2),
             self.tor(t2),
         ];
-        let mut links = vec![self.ta_link(t1, u), self.ai_link(a1, i)];
-        if a2 != a1 {
-            links.push(self.ai_link(a2, i));
-        }
-        links.push(self.ta_link(t2, d));
-        ProbePath::from_route(id, nodes, links)
+        let links = [
+            self.ta_link(t1, u),
+            self.ai_link(a1, i),
+            self.ai_link(a2, i),
+            self.ta_link(t2, d),
+        ];
+        (nodes, links)
+    }
+
+    /// [`Self::tor_route`] as a path.
+    fn tor_path(&self, id: u32, t1: u32, t2: u32, u: u32, i: u32, d: u32) -> ProbePath {
+        let (nodes, links) = self.tor_route(t1, t2, u, i, d);
+        ProbePath::from_route(id, nodes.to_vec(), links.to_vec())
     }
 }
 
@@ -356,7 +365,7 @@ impl Vl2Provider {
         }
     }
 
-    fn emit_round(&mut self, r: u64, out: &mut Vec<ProbePath>) {
+    fn emit_round(&mut self, r: u64, out: &mut CandidateBatch) {
         let d = self.dims;
         let ints = d.ints as u64;
         let i = (r % ints) as u32;
@@ -370,17 +379,11 @@ impl Vl2Provider {
         };
         let pr = (r / (4 * ints)) % m;
 
-        if let Some(f) = fixed {
-            let id = self.next_id;
+        let pairs = (1..=(m - 1) / 2).map(|x| ((pr + x) % m, (pr + m - x) % m));
+        for (a, b) in fixed.map(|f| (f, pr)).into_iter().chain(pairs) {
+            let (nodes, links) = d.tor_route(a as u32, b as u32, u, i, dn);
+            out.push(self.next_id, &nodes, &links);
             self.next_id += 1;
-            out.push(d.tor_path(id, f as u32, pr as u32, u, i, dn));
-        }
-        for x in 1..=(m - 1) / 2 {
-            let a = (pr + x) % m;
-            let b = (pr + m - x) % m;
-            let id = self.next_id;
-            self.next_id += 1;
-            out.push(d.tor_path(id, a as u32, b as u32, u, i, dn));
         }
     }
 }
@@ -390,17 +393,15 @@ impl CandidateProvider for Vl2Provider {
         &self.universe
     }
 
-    fn next_batch(&mut self) -> Vec<ProbePath> {
-        let mut out = Vec::new();
+    fn next_batch(&mut self, out: &mut CandidateBatch) {
         for _ in 0..self.rounds_per_batch {
             if self.next_round >= self.total_rounds {
                 break;
             }
             let r = self.next_round;
             self.next_round += 1;
-            self.emit_round(r, &mut out);
+            self.emit_round(r, out);
         }
-        out
     }
 }
 
@@ -480,7 +481,7 @@ mod tests {
         };
         let mut provided: std::collections::HashSet<Vec<LinkId>> = std::collections::HashSet::new();
         loop {
-            let batch = provider.next_batch();
+            let batch = crate::symmetric::next_paths(&mut provider);
             if batch.is_empty() {
                 break;
             }

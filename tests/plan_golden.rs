@@ -111,6 +111,62 @@ fn bcube_4_1() {
     assert_plan(bc, &PmcConfig::new(1, 2), 1, 54, 0x0b98_f907_4f19_bdaf);
 }
 
+/// The storm's plan: Fattree(32) at the default configuration, one base
+/// solve replicated to 16 groups.
+#[test]
+fn fattree_32_symmetric_at_the_default_config() {
+    let ft: SharedTopology = Arc::new(Fattree::new(32).unwrap());
+    let cfg = SystemConfig::default().pmc;
+    assert_plan(ft, &cfg, 16, 15024, 0xce87_0505_f91e_32e7);
+}
+
+/// The provider-fed path on the two families that never take it at the
+/// default threshold.
+fn assert_symmetric_plan(topo: SharedTopology, cfg: &PmcConfig, paths: usize, want: u64) {
+    let plan = ProbePlan::with_exhaustive_limit(topo, cfg, &HashSet::new(), 0).unwrap();
+    let m = plan.matrix();
+    assert_eq!(
+        (plan.num_cells(), m.num_paths()),
+        (1, paths),
+        "cells, paths"
+    );
+    assert_eq!(digest(&m), want, "digest {:#018x}", digest(&m));
+}
+
+#[test]
+fn vl2_20_12_2_symmetric() {
+    assert_symmetric_plan(vl2(), &PmcConfig::new(3, 1), 240, 0xc73d_bfad_97ff_ec75);
+}
+
+#[test]
+fn bcube_4_1_symmetric() {
+    let bc: SharedTopology = Arc::new(BCube::new(4, 1).unwrap());
+    assert_symmetric_plan(bc, &PmcConfig::new(1, 2), 36, 0xb2e1_9d15_f90b_fd5c);
+}
+
+/// A replica cell repaired after one of its links went down: the
+/// excluded link is pulled back into the base group and the base
+/// provider is re-solved around it.
+#[test]
+fn fattree_16_after_a_link_down() {
+    let ft = Arc::new(Fattree::new(16).unwrap());
+    let cfg = PmcConfig::new(3, 1);
+    let mut plan = ProbePlan::new(ft.clone() as SharedTopology, &cfg, &HashSet::new()).unwrap();
+    let dead = ft.ac_link(3, 5, 2);
+    let offline: HashSet<_> = [dead].into_iter().collect();
+    let stats = plan.apply(&[dead], &offline).unwrap();
+    assert_eq!(stats.cells_resolved, 1);
+    let m = plan.matrix();
+    assert!(m.paths.iter().all(|p| !p.covers(dead)));
+    assert_eq!(m.num_paths(), 1894, "paths");
+    assert_eq!(
+        digest(&m),
+        0x444d_a601_f030_6462,
+        "digest {:#018x}",
+        digest(&m)
+    );
+}
+
 /// The digest of a deployment's pinglists: per list its pinger, interval
 /// and ports, then per entry its path (flag, id), route (length, nodes),
 /// responder and waypoint (flag, id). Versions and stamps are left out:

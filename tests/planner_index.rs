@@ -8,8 +8,9 @@
 //! achieves what a from-scratch plan does, stays within two paths of its
 //! size through overlapping link churn, and is the clean-boot plan bit for
 //! bit whenever nothing is offline. A deployment built from a plan
-//! allocates per entry and per list, not per path lookup, and a re-plan
-//! copies no matrix and clones no list it does not ship.
+//! allocates per entry and per list, not per path lookup, a re-plan
+//! copies no matrix and clones no list it does not ship, and a symmetric
+//! boot allocates per selected path and per batch, not per candidate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -329,5 +330,27 @@ fn a_link_up_replan_copies_no_matrix_and_no_list_it_does_not_ship() {
     assert!(
         replan <= 12_000,
         "the link-up re-plan made {replan} allocations"
+    );
+}
+
+/// A symmetric boot keeps the candidates it pulls flat and builds a
+/// `ProbePath` only for a selected one. Fattree(16) at (3, 1) pulls
+/// 19 200 candidates in its one base solve to select 237 paths, which it
+/// replicates to 1 896: about 4 600 allocations, two per deployed path
+/// (its nodes and links) and the rest per batch and per cell. Building a
+/// `ProbePath` per pulled candidate, as providers did when they returned
+/// `Vec<ProbePath>`, made 46 836; caching a copy of each cell's pristine
+/// solution at boot adds about 3 700.
+#[test]
+fn a_symmetric_boot_allocates_per_selected_path_and_batch_not_per_candidate() {
+    let ft: SharedTopology = Arc::new(Fattree::new(16).unwrap());
+    assert!(ft.original_path_count() > detector_system::EXHAUSTIVE_LIMIT);
+    let cfg = PmcConfig::new(3, 1);
+    let (plan, allocations) = allocations_of(|| ProbePlan::new(ft, &cfg, &HashSet::new()).unwrap());
+    let paths = plan.num_paths();
+    assert_eq!((plan.num_cells(), paths), (8, 1896));
+    assert!(
+        allocations <= 3 * paths + 1_024,
+        "a symmetric boot of {paths} paths made {allocations} allocations"
     );
 }
