@@ -63,10 +63,11 @@ unsafe impl GlobalAlloc for Tally {
 static ALLOCATOR: Tally = Tally;
 
 /// What decoding may reserve per input byte. The dearest honest input is
-/// a pinglist of minimal 8-byte entries growing a `Vec` of 48-byte
-/// `PingEntry`s by doubling (≤ 4 × 48 / 8 = 24); a report's 4-byte flow
-/// records cost 24 / 4 = 6, its 5-byte path records — a 24-byte
-/// `(PathId, PathCounters)` and a 4-byte flow count — (24 + 4) / 5 < 6.
+/// a pinglist of minimal 8-byte entries growing a `Vec` of 20-byte
+/// `PingEntry`s and their `u32` route offsets by doubling
+/// (≤ 4 × 24 / 8 = 12); a report's 4-byte flow records cost 24 / 4 = 6,
+/// its 5-byte path records — a 24-byte `(PathId, PathCounters)` and a
+/// 4-byte flow count — (24 + 4) / 5 < 6.
 const RESERVE_PER_BYTE: usize = 32;
 
 /// Decodes arbitrary bytes under the three guarantees of the codec: no
@@ -87,14 +88,14 @@ fn decode_checked(bytes: &[u8]) -> Result<Frame, FrameError> {
     got
 }
 
-/// Builds one arbitrary entry from raw draws.
-fn entry(path: u32, hops: &[u32], responder: u32, waypoint: u32) -> PingEntry {
-    PingEntry {
+/// Builds one arbitrary entry and its route from raw draws.
+fn entry(path: u32, hops: &[u32], responder: u32, waypoint: u32) -> (PingEntry, Vec<NodeId>) {
+    let e = PingEntry {
         path: (!path.is_multiple_of(3)).then_some(PathId(path)),
-        route: hops.iter().map(|&h| NodeId(h)).collect(),
         responder: NodeId(responder),
         waypoint: (waypoint.is_multiple_of(2)).then_some(NodeId(waypoint)),
-    }
+    };
+    (e, hops.iter().map(|&h| NodeId(h)).collect())
 }
 
 /// Decodes one raw tuple into an arbitrary frame: `kind` selects the
@@ -108,15 +109,18 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
             let mut list = Pinglist {
                 version: a,
                 pinger,
-                entries: (0..entries % 8)
-                    .map(|i| entry(b as u32 + u32::from(i), &hops, a as u32, u32::from(i)))
-                    .collect(),
+                entries: Vec::new(),
+                routes: Default::default(),
                 interval_us: b,
                 base_sport: a as u16,
                 port_range: b as u16,
                 dport: (a >> 16) as u16,
                 stamp: 0,
             };
+            for i in 0..entries % 8 {
+                let (e, route) = entry(b as u32 + u32::from(i), &hops, a as u32, u32::from(i));
+                list.push(e, route);
+            }
             list.seal();
             Frame::ListUpdate(ListUpdate::Replace(list))
         }
@@ -129,17 +133,24 @@ fn frame(kind: u8, a: u64, b: u64, hops: Vec<u32>, entries: u8) -> Frame {
                 _ => Vec::new(),
             };
             let added = if kind == 6 { 0 } else { entries % 8 };
+            let (added, routes): (Vec<_>, Vec<_>) = (0..added)
+                .map(|i| {
+                    let (e, route) = entry(b as u32 + u32::from(i), &hops, a as u32, u32::from(i));
+                    ((u32::from(i) * 3, e), route)
+                })
+                .unzip();
             Frame::ListUpdate(ListUpdate::Diff {
                 pinger,
                 version: a,
                 stamp: b,
                 removed,
-                added: (0..added)
-                    .map(|i| {
-                        let e = entry(b as u32 + u32::from(i), &hops, a as u32, u32::from(i));
-                        (u32::from(i) * 3, e)
-                    })
-                    .collect(),
+                added,
+                routes: routes
+                    .into_iter()
+                    .fold(Default::default(), |mut runs, route| {
+                        runs.push_run(route);
+                        runs
+                    }),
             })
         }
         7 => Frame::Reset,

@@ -8,7 +8,8 @@
 //! reuse windows, the first round's `components_solved` per onset, the
 //! quartiles over 10 cold starts of each step of the storm workload's
 //! cold start (the topology, the plan, and `build_deployment`'s matrix
-//! and `assign`, then `Diagnoser::new`), the CPU model and the codegen
+//! and `assign`, then `Diagnoser::new`, and dropping all of it, which
+//! the workload's `setup_s` also bills), the CPU model and the codegen
 //! units; and exits non-zero if a window's suspects differ from
 //! `localize`'s. `crates/bench/README.md` has the protocol for comparing
 //! two builds.
@@ -30,7 +31,18 @@ const VARIANTS: u64 = 8;
 const WINDOWS: u64 = 4;
 const ROUNDS: u64 = 20;
 const COLD_STARTS: usize = 10;
-const COLD_STEPS: [&str; 5] = ["topology", "plan", "matrix", "assign", "diagnoser"];
+const COLD_STEPS: [&str; 6] = [
+    "topology",
+    "plan",
+    "matrix",
+    "assign",
+    "diagnoser",
+    "teardown",
+];
+
+/// What a cold start builds: the topology, its plan, its pinglists and
+/// its diagnoser (which owns the matrix).
+type Session = (Arc<Fattree>, ProbePlan, Vec<Pinglist>, Diagnoser);
 
 /// `{"p25":…,"p50":…,"p75":…}` of `samples`.
 fn quartiles(mut samples: Vec<f64>) -> String {
@@ -44,9 +56,9 @@ fn quartiles(mut samples: Vec<f64>) -> String {
 }
 
 /// One cold start as the storm workload makes it (`build_deployment`'s
-/// plan, matrix and `assign`, then `Diagnoser::new`): the topology, its
-/// pinglists and its diagnoser, and the µs of each of [`COLD_STEPS`].
-fn cold_start(k: u32, cfg: &SystemConfig) -> (Arc<Fattree>, Vec<Pinglist>, Diagnoser, [f64; 5]) {
+/// plan, matrix and `assign`, then `Diagnoser::new`), and the µs of each
+/// of [`COLD_STEPS`] but the teardown.
+fn cold_start(k: u32, cfg: &SystemConfig) -> (Session, [f64; 5]) {
     let mut at = vec![Instant::now()];
     let ft = Arc::new(Fattree::new(k).expect("a valid radix"));
     at.push(Instant::now());
@@ -59,7 +71,7 @@ fn cold_start(k: u32, cfg: &SystemConfig) -> (Arc<Fattree>, Vec<Pinglist>, Diagn
     let diagnoser = Diagnoser::new(matrix, cfg.pll);
     at.push(Instant::now());
     let split = std::array::from_fn(|i| (at[i + 1] - at[i]).as_secs_f64() * 1e6);
-    (ft, pinglists, diagnoser, split)
+    ((ft, plan, pinglists, diagnoser), split)
 }
 
 fn main() -> ExitCode {
@@ -74,16 +86,16 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let cfg = SystemConfig::default();
-    let mut cold: [Vec<f64>; 5] = Default::default();
-    let mut boot = || {
-        let (ft, pinglists, diagnoser, split) = cold_start(k, &cfg);
-        cold.iter_mut()
-            .zip(split)
+    let mut cold: [Vec<f64>; 6] = Default::default();
+    for _ in 0..COLD_STARTS {
+        let (session, split) = cold_start(k, &cfg);
+        let start = Instant::now();
+        drop(session);
+        let teardown = start.elapsed().as_secs_f64() * 1e6;
+        (cold.iter_mut().zip(split.into_iter().chain([teardown])))
             .for_each(|(samples, us)| samples.push(us));
-        (ft, pinglists, diagnoser)
-    };
-    (1..COLD_STARTS).for_each(|_| drop(boot()));
-    let (ft, pinglists, mut diagnoser) = boot();
+    }
+    let ((ft, _plan, pinglists, mut diagnoser), _) = cold_start(k, &cfg);
     let batches: Vec<PingerBatch> = (pinglists.iter())
         .map(|l| PingerBatch::bind(l.clone(), ft.graph()))
         .collect();

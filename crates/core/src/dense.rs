@@ -102,6 +102,16 @@ impl<T> Runs<T> {
     }
 }
 
+/// Two run arrays are equal when they hold the same runs: an empty one
+/// equals a cleared one whatever its memory or offsets sentinel.
+impl<T: PartialEq> PartialEq for Runs<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs().eq(other.runs())
+    }
+}
+
+impl<T: Eq> Eq for Runs<T> {}
+
 impl<T: Copy + Default> Runs<T> {
     /// Appends `other`'s runs `keys`, in order, each item through `f`, in
     /// one pass over their items; a range past `other`'s last run appends
@@ -278,6 +288,26 @@ mod tests {
         assert_eq!(runs.runs().count(), 4);
         assert!(runs.items().is_empty());
         assert!(Runs::<u32>::default().is_empty() && Runs::<u32>::default().run(0).is_empty());
+    }
+
+    #[test]
+    fn runs_are_equal_by_their_runs_not_their_layout() {
+        let mut a = Runs::default();
+        a.push_run([1, 2]);
+        a.push_run([]);
+        let mut b = Runs::default();
+        b.push_run([1]);
+        assert_ne!(a, b);
+        b.pop_run();
+        b.push_run([1, 2]);
+        assert_ne!(a, b, "one run fewer");
+        b.push_run([]);
+        assert_eq!(a, b);
+        b.clear();
+        assert_eq!(b, Runs::<u32>::default(), "cleared equals never filled");
+        b.push_run([1]);
+        b.push_run([2]);
+        assert_ne!(a, b, "the same items split differently");
     }
 
     #[test]

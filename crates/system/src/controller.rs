@@ -13,11 +13,11 @@ use std::collections::HashSet;
 use detector_core::dense::Runs;
 use detector_core::json::{Json, ToJson};
 use detector_core::pmc::{PmcError, ProbeMatrix};
-use detector_core::types::{LinkId, NodeId};
+use detector_core::types::{LinkId, NodeId, ProbePath};
 use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
 
 use crate::dispatch::DispatchStats;
-use crate::pinglist::{PingEntry, Pinglist};
+use crate::pinglist::{seal_all, PingEntry, Pinglist};
 use crate::planner::{ProbePlan, ReplanStats, EXHAUSTIVE_LIMIT};
 use crate::{SharedTopology, SystemConfig};
 
@@ -247,16 +247,24 @@ impl Controller {
     /// rotated by the path id, and its responder is usable server
     /// `id % len` under the destination ToR; a server-based path (BCube)
     /// goes to its first server. Each pinger then probes every other
-    /// usable server under its own switch. Lists come out ascending by
-    /// pinger and sealed.
+    /// usable server under its own switch. Every list is counted before it
+    /// is filled, so its entries and its one run array of routes are
+    /// allocated once, at their size. Lists come out ascending by pinger
+    /// and sealed.
     pub fn assign(&self, matrix: &ProbeMatrix, unhealthy: &HashSet<NodeId>) -> Vec<Pinglist> {
         let graph = self.view.topology().graph();
         let offline = self.view.offline_links();
         let interval_us = (1_000_000.0 / self.cfg.probe_rate_pps) as u64;
 
         // A server can serve as pinger or responder only when it is
-        // healthy and its access link is up (its ToR may be drained).
+        // healthy and its access link is up (its ToR may be drained). With
+        // no server sick and no link off, each is, and its access link is
+        // not looked up.
+        let everyone = unhealthy.is_empty() && offline.is_empty();
         let usable = |server: NodeId| -> bool {
+            if everyone {
+                return true;
+            }
             if unhealthy.contains(&server) {
                 return false;
             }
@@ -277,76 +285,92 @@ impl Controller {
             );
         }
 
-        // One list per active pinger, found through its node id.
-        let mut lists: Vec<Pinglist> = Vec::new();
-        let mut list_of: Vec<Option<usize>> = vec![None; graph.num_nodes()];
-        let mut list_for = |pinger: NodeId, lists: &mut Vec<Pinglist>| -> usize {
-            *list_of[pinger.index()].get_or_insert_with(|| {
-                lists.push(Pinglist {
-                    version: self.version,
-                    pinger,
-                    entries: Vec::new(),
-                    interval_us,
-                    base_sport: self.cfg.base_sport,
-                    port_range: self.cfg.port_range,
-                    dport: self.cfg.dport,
-                    stamp: 0, // Sealed below, once assembly is complete.
-                });
-                lists.len() - 1
-            })
+        // A path's pingers (the first one or two of the array) and its
+        // responder: under the source and the destination ToR for ToR
+        // endpoints, the path's own ends for server endpoints.
+        let place = |path: &ProbePath| -> Option<([NodeId; 2], usize, NodeId)> {
+            let nodes = path.nodes();
+            let (&first, &last) = (nodes.first()?, nodes.last()?);
+            if !graph.node(first).kind.is_switch() {
+                return usable(first).then_some(([first; 2], 1, last));
+            }
+            let under = servers.run(first.index());
+            let pingers = under.get(..under.len().min(self.cfg.pingers_per_tor))?;
+            let responders = servers.run(last.index());
+            let responder = *responders.get(path.id.index() % responders.len().max(1))?;
+            let pinger = |j: usize| pingers.get((path.id.index() + j) % pingers.len().max(1));
+            Some(([*pinger(0)?, *pinger(1)?], pingers.len().min(2), responder))
+        };
+        // A pinger's switch and the other usable servers under it.
+        let rack = |pinger: NodeId| {
+            let tor = graph.switch_of(pinger);
+            let peers = tor.map(|tor| servers.run(tor.index())).unwrap_or_default();
+            (
+                tor,
+                peers.iter().copied().filter(move |&peer| peer != pinger),
+            )
         };
 
+        // Each pinger's entries and route nodes, counted first so that
+        // every list is reserved exactly and filled in place.
+        let mut sizes = vec![(0u32, 0u32); graph.num_nodes()];
         for path in &matrix.paths {
-            let nodes = path.nodes();
-            let (Some(&first), Some(&last)) = (nodes.first(), nodes.last()) else {
+            let Some((pingers, take, responder)) = place(path) else {
                 continue;
             };
+            for &pinger in &pingers[..take] {
+                let hops = route_of(pinger, path.nodes(), responder).count() as u32;
+                let size = &mut sizes[pinger.index()];
+                *size = (size.0 + 1, size.1 + hops);
+            }
+        }
+        // One list per active pinger, ascending by pinger, found through
+        // its node id.
+        let mut lists = Vec::with_capacity(sizes.iter().filter(|s| s.0 > 0).count());
+        let mut list_of: Vec<Option<u32>> = vec![None; graph.num_nodes()];
+        for (node, &(entries, hops)) in graph.nodes().iter().zip(&sizes) {
+            if entries == 0 {
+                continue;
+            }
+            let (entries, hops) = (entries as usize, hops as usize);
+            let pinger = node.id;
+            let peers = rack(pinger).1.count();
+            let mut routes = Runs::default();
+            routes.reserve(entries + peers, hops + 3 * peers);
+            list_of[pinger.index()] = Some(lists.len() as u32);
+            lists.push(Pinglist {
+                version: self.version,
+                pinger,
+                entries: Vec::with_capacity(entries + peers),
+                routes,
+                interval_us,
+                base_sport: self.cfg.base_sport,
+                port_range: self.cfg.port_range,
+                dport: self.cfg.dport,
+                stamp: 0, // Sealed below, once assembly is complete.
+            });
+        }
+
+        for path in &matrix.paths {
+            let Some((pingers, take, responder)) = place(path) else {
+                continue;
+            };
+            let nodes = path.nodes();
             let waypoint = {
                 let mid = nodes[nodes.len() / 2];
                 graph.node(mid).kind.is_switch().then_some(mid)
             };
-
-            if graph.node(first).kind.is_switch() {
-                // ToR-based endpoints: pick pingers under the source ToR
-                // and a responder under the destination ToR.
-                let under = servers.run(first.index());
-                let pingers = &under[..under.len().min(self.cfg.pingers_per_tor)];
-                if pingers.is_empty() {
-                    continue;
-                }
-                let responders = servers.run(last.index());
-                let Some(&responder) = responders.get(path.id.index() % responders.len().max(1))
+            let entry = PingEntry {
+                path: Some(path.id),
+                responder,
+                waypoint,
+            };
+            for &pinger in &pingers[..take] {
+                let Some(list) = list_of[pinger.index()].and_then(|li| lists.get_mut(li as usize))
                 else {
                     continue;
                 };
-                // At least two pingers per path.
-                let take = pingers.len().clamp(1, 2);
-                for j in 0..take {
-                    let pinger = pingers[(path.id.index() + j) % pingers.len()];
-                    let mut route = Vec::with_capacity(nodes.len() + 2);
-                    route.push(pinger);
-                    route.extend_from_slice(nodes);
-                    route.push(responder);
-                    let li = list_for(pinger, &mut lists);
-                    lists[li].entries.push(PingEntry {
-                        path: Some(path.id),
-                        route,
-                        responder,
-                        waypoint,
-                    });
-                }
-            } else {
-                // Server-based endpoints (BCube): the first server pings.
-                if !usable(first) {
-                    continue;
-                }
-                let li = list_for(first, &mut lists);
-                lists[li].entries.push(PingEntry {
-                    path: Some(path.id),
-                    route: nodes.to_vec(),
-                    responder: last,
-                    waypoint,
-                });
+                list.push(entry, route_of(pinger, nodes, responder));
             }
         }
 
@@ -354,29 +378,36 @@ impl Controller {
         // ToR to cover server–ToR links (§3.1).
         for list in &mut lists {
             let pinger = list.pinger;
-            let Some(tor) = graph.switch_of(pinger) else {
+            let (Some(tor), peers) = rack(pinger) else {
                 continue;
             };
-            for &peer in servers.run(tor.index()) {
-                if peer == pinger {
-                    continue;
-                }
-                list.entries.push(PingEntry {
+            for peer in peers {
+                let entry = PingEntry {
                     path: None,
-                    route: vec![pinger, tor, peer],
                     responder: peer,
                     waypoint: None,
-                });
+                };
+                list.push(entry, [pinger, tor, peer]);
             }
         }
-        lists.sort_by_key(|l| l.pinger);
         // Freeze each list's content stamp once, so per-window binding
         // checks compare two u64s instead of re-hashing every entry.
-        for list in &mut lists {
-            list.seal();
-        }
+        seal_all(&mut lists);
         lists
     }
+}
+
+/// The route of `pinger`'s entry for a path through `nodes`: a pinger
+/// under a ToR wraps the path between itself and the responder; a server
+/// endpoint's path is its route already.
+fn route_of(
+    pinger: NodeId,
+    nodes: &[NodeId],
+    responder: NodeId,
+) -> impl Iterator<Item = NodeId> + '_ {
+    let ends = (nodes.first() != Some(&pinger)).then_some((pinger, responder));
+    let head = ends.map(|(pinger, _)| pinger);
+    (head.into_iter().chain(nodes.iter().copied())).chain(ends.map(|(_, responder)| responder))
 }
 
 #[cfg(test)]
@@ -414,12 +445,13 @@ mod tests {
     fn routes_start_at_pinger_and_end_at_responder() {
         let (ft, d) = deployment(4);
         for l in &d.pinglists {
-            for e in &l.entries {
-                assert_eq!(e.route[0], l.pinger);
-                assert_eq!(*e.route.last().unwrap(), e.responder);
+            assert_eq!(l.routes.len(), l.entries.len());
+            for (e, route) in l.iter() {
+                assert_eq!(route[0], l.pinger);
+                assert_eq!(*route.last().unwrap(), e.responder);
                 // And the route must be walkable in the graph.
                 ft.graph()
-                    .route_from_nodes(e.route.clone())
+                    .route_from_nodes(route.to_vec())
                     .expect("pinglist route must be connected");
             }
         }
@@ -564,8 +596,8 @@ mod tests {
         let d = ctl.build_deployment(&HashSet::new()).unwrap();
         for l in &d.pinglists {
             assert_ne!(ft.graph().switch_of(l.pinger), Some(tor));
-            for e in &l.entries {
-                assert!(!e.route.contains(&tor), "route crosses drained ToR");
+            for (_, route) in l.iter() {
+                assert!(!route.contains(&tor), "route crosses drained ToR");
             }
         }
     }

@@ -31,25 +31,26 @@
 
 use std::collections::HashMap;
 
+use detector_core::dense::Runs;
 use detector_core::types::{NodeId, PathIdRange};
 
 use crate::controller::Deployment;
 use crate::pinglist::{PingEntry, Pinglist};
 use crate::wire::{encode_entry, replace_len, update_len};
 
-/// Stable 64-bit identity of an entry: FNV-1a over its byte form. Edit
-/// scripts address removals by this key, so it must be identical across
-/// processes, architectures and std versions — which rules out
-/// `DefaultHasher`.
-pub fn entry_key(e: &PingEntry) -> u64 {
+/// Stable 64-bit identity of an entry with its route: FNV-1a over their
+/// byte form. Edit scripts address removals by this key, so it must be
+/// identical across processes, architectures and std versions — which
+/// rules out `DefaultHasher`.
+pub fn entry_key(e: &PingEntry, route: &[NodeId]) -> u64 {
     // Room for a route of a dozen hops, so most entries never regrow.
-    key_with(e, &mut Vec::with_capacity(64))
+    key_with(e, route, &mut Vec::with_capacity(64))
 }
 
 /// [`entry_key`], encoding the entry over `bytes`.
-fn key_with(e: &PingEntry, bytes: &mut Vec<u8>) -> u64 {
+fn key_with(e: &PingEntry, route: &[NodeId], bytes: &mut Vec<u8>) -> u64 {
     bytes.clear();
-    encode_entry(e, bytes);
+    encode_entry(e, route, bytes);
     fnv1a64(bytes)
 }
 
@@ -92,6 +93,8 @@ pub enum ListUpdate {
         removed: Vec<u64>,
         /// `(index in new list, entry)` insertions, ascending by index.
         added: Vec<(u32, PingEntry)>,
+        /// The inserted entries' routes: run *i* is `added[i]`'s.
+        routes: Runs<NodeId>,
     },
     /// The pinger left duty; drop its list and binding.
     Remove(NodeId),
@@ -181,7 +184,7 @@ fn diff_list(
     // Multiset of keys on each side (duplicate entries would be a
     // controller bug, but the differ stays correct if they appear).
     keys.clear();
-    keys.extend((old.entries.iter().chain(&new.entries)).map(|e| key_with(e, bytes)));
+    keys.extend((old.iter().chain(new.iter())).map(|(e, route)| key_with(e, route, bytes)));
     let (old_keys, new_keys) = keys.split_at(old.entries.len());
     let mut counts: HashMap<u64, (usize, usize)> = HashMap::new();
     for &k in old_keys {
@@ -207,14 +210,17 @@ fn diff_list(
     }
     // Insertions: new entries beyond what the old list supplies, at
     // their index in the new list.
-    let (mut added, mut survivors) = (Vec::new(), Vec::new());
-    for (i, (&k, e)) in new_keys.iter().zip(&new.entries).enumerate() {
+    let (mut added, mut routes, mut survivors) = (Vec::new(), Runs::default(), Vec::new());
+    for (i, (&k, (e, route))) in new_keys.iter().zip(new.iter()).enumerate() {
         match counts.get_mut(&k) {
             Some((shared, _)) if *shared > 0 => {
                 *shared -= 1;
                 survivors.push(k);
             }
-            _ => added.push((i as u32, e.clone())),
+            _ => {
+                added.push((i as u32, *e));
+                routes.push_run(route.iter().copied());
+            }
         }
     }
 
@@ -229,6 +235,7 @@ fn diff_list(
         stamp: new.stamp,
         removed,
         added,
+        routes,
     };
     let diff = sized(diff, bytes);
     if diff.1 < replace_len(new, bytes) {
@@ -247,7 +254,9 @@ fn sized(update: ListUpdate, bytes: &mut Vec<u8>) -> (ListUpdate, usize) {
 /// Applies one [`ListUpdate`] to a receiver-side list map — the exact
 /// procedure a pinger agent runs on each `ListUpdate` frame; factored
 /// here so the differ's tests and the agent crate share one
-/// implementation.
+/// implementation. A `Diff` rebuilds the list in one merge pass: the old
+/// entries it keeps and the ones it adds, each added entry once the
+/// rebuilt list has reached its index (or at the end, past it).
 ///
 /// Returns `false` when a `Diff` addressed an unknown pinger or its
 /// rebuilt list fails the stamp check — a protocol violation the caller
@@ -270,24 +279,43 @@ pub fn apply_list_update(lists: &mut HashMap<NodeId, Pinglist>, update: &ListUpd
             stamp,
             removed,
             added,
+            routes,
         } => {
             let Some(list) = lists.get_mut(pinger) else {
                 return false;
             };
-            // The list keyed once; a key leaves with its entry.
-            let (mut bytes, mut keys) = (Vec::new(), Vec::new());
-            if !removed.is_empty() {
-                keys.extend(list.entries.iter().map(|e| key_with(e, &mut bytes)));
+            // Each removed key takes the first of its entries that is
+            // still there, whatever the order the keys come in.
+            let mut gone: HashMap<u64, usize> = HashMap::new();
+            for &k in removed {
+                *gone.entry(k).or_default() += 1;
             }
-            for k in removed {
-                if let Some(pos) = keys.iter().position(|key| key == k) {
-                    keys.remove(pos);
-                    list.entries.remove(pos);
+            let fresh = Pinglist {
+                entries: Vec::with_capacity(list.entries.len() + added.len()),
+                routes: Runs::default(),
+                ..*list
+            };
+            let old = std::mem::replace(list, fresh);
+            let mut bytes = Vec::new();
+            let mut kept = old.iter().filter(|(e, route)| {
+                gone.is_empty()
+                    || match gone.get_mut(&key_with(e, route, &mut bytes)) {
+                        Some(left @ 1..) => {
+                            *left -= 1;
+                            false
+                        }
+                        _ => true,
+                    }
+            });
+            for (i, &(at, e)) in added.iter().enumerate() {
+                while list.entries.len() < at as usize {
+                    let Some((e, route)) = kept.next() else { break };
+                    list.push(*e, route.iter().copied());
                 }
+                list.push(e, routes.run(i).iter().copied());
             }
-            for (i, e) in added {
-                let i = (*i as usize).min(list.entries.len());
-                list.entries.insert(i, e.clone());
+            for (e, route) in kept {
+                list.push(*e, route.iter().copied());
             }
             list.version = *version;
             list.seal();
@@ -354,28 +382,48 @@ mod tests {
     use detector_core::types::PathId;
     use proptest::prelude::{prop_assert, prop_assert_eq};
 
-    fn entry(path: Option<u32>, route: &[u32], responder: u32, waypoint: Option<u32>) -> PingEntry {
-        PingEntry {
+    /// An entry with its route.
+    type Entry = (PingEntry, Vec<NodeId>);
+
+    fn entry(path: Option<u32>, route: &[u32], responder: u32, waypoint: Option<u32>) -> Entry {
+        let e = PingEntry {
             path: path.map(PathId),
-            route: route.iter().map(|&n| NodeId(n)).collect(),
             responder: NodeId(responder),
             waypoint: waypoint.map(NodeId),
-        }
+        };
+        (e, route.iter().map(|&n| NodeId(n)).collect())
     }
 
-    fn list(pinger: u32, version: u64, entries: Vec<PingEntry>) -> Pinglist {
+    fn list(pinger: u32, version: u64, entries: Vec<Entry>) -> Pinglist {
         let mut l = Pinglist {
             version,
             pinger: NodeId(pinger),
-            entries,
+            entries: Vec::new(),
+            routes: Runs::default(),
             interval_us: 100_000,
             base_sport: 33000,
             port_range: 16,
             dport: 53533,
             stamp: 0,
         };
+        for (e, route) in entries {
+            l.push(e, route);
+        }
         l.seal();
         l
+    }
+
+    fn runs<const N: usize>(routes: [Vec<NodeId>; N]) -> Runs<NodeId> {
+        let mut runs = Runs::default();
+        for route in routes {
+            runs.push_run(route);
+        }
+        runs
+    }
+
+    /// `l`'s entries with their routes.
+    fn pairs(l: &Pinglist) -> Vec<Entry> {
+        l.iter().map(|(e, route)| (*e, route.to_vec())).collect()
     }
 
     fn deployment(version: u64, lists: Vec<Pinglist>) -> Deployment {
@@ -388,21 +436,21 @@ mod tests {
 
     #[test]
     fn entry_key_is_stable_and_content_sensitive() {
-        let a = entry(Some(7), &[1, 2, 3], 3, None);
+        let (a, route) = entry(Some(7), &[1, 2, 3], 3, None);
         // Keys must be reproducible across processes: pin the value.
-        assert_eq!(entry_key(&a), entry_key(&a.clone()));
+        assert_eq!(entry_key(&a, &route), entry_key(&a.clone(), &route.clone()));
         let mut bytes = Vec::new();
-        encode_entry(&a, &mut bytes);
-        assert_eq!(entry_key(&a), fnv1a64(&bytes));
-        let b = entry(Some(8), &[1, 2, 3], 3, None);
-        assert_ne!(entry_key(&a), entry_key(&b));
+        encode_entry(&a, &route, &mut bytes);
+        assert_eq!(entry_key(&a, &route), fnv1a64(&bytes));
+        let (b, _) = entry(Some(8), &[1, 2, 3], 3, None);
+        assert_ne!(entry_key(&a, &route), entry_key(&b, &route));
     }
 
     #[test]
     fn unchanged_lists_ship_nothing() {
         let l = list(5, 1, vec![entry(Some(1), &[5, 1, 6], 6, None)]);
         let prev = deployment(1, vec![l.clone()]);
-        let mut next = deployment(2, vec![list(5, 2, l.entries.clone())]);
+        let mut next = deployment(2, vec![list(5, 2, pairs(&l))]);
         let (updates, stats) = rebase_and_diff(&prev, &mut next, &[]);
         assert!(updates.is_empty());
         assert_eq!(stats, DispatchStats::default());
@@ -413,7 +461,7 @@ mod tests {
 
     #[test]
     fn single_entry_change_diffs_not_replaces() {
-        let shared: Vec<PingEntry> = (0..20)
+        let shared: Vec<Entry> = (0..20)
             .map(|i| entry(Some(i), &[5, 1, i + 100], i + 100, Some(1)))
             .collect();
         let mut old_entries = shared.clone();
@@ -445,12 +493,12 @@ mod tests {
     #[test]
     fn applying_the_diff_reproduces_the_new_list_exactly() {
         // Shuffle-ish change: drop two entries, add three, keep order.
-        let old_entries: Vec<PingEntry> = (0..12)
+        let old_entries: Vec<Entry> = (0..12)
             .map(|i| entry(Some(i), &[9, 1, i + 50], i + 50, None))
             .collect();
-        let mut new_entries: Vec<PingEntry> = old_entries
+        let mut new_entries: Vec<Entry> = old_entries
             .iter()
-            .filter(|e| e.path != Some(PathId(4)) && e.path != Some(PathId(9)))
+            .filter(|(e, _)| e.path != Some(PathId(4)) && e.path != Some(PathId(9)))
             .cloned()
             .collect();
         new_entries.insert(0, entry(Some(40), &[9, 2, 41], 41, Some(2)));
@@ -508,12 +556,14 @@ mod tests {
     fn every_update_is_measured_as_the_frame_that_ships_it() {
         let e = entry(Some(3), &[5, 1, 9], 9, None);
         let l = list(5, 1, vec![e.clone()]);
+        let f = entry(None, &[5, 2], 2, None);
         let diff = ListUpdate::Diff {
             pinger: l.pinger,
             version: 2,
             stamp: l.stamp,
             removed: vec![17, 1 << 40],
-            added: vec![(0, e), (300, entry(None, &[5, 2], 2, None))],
+            added: vec![(0, e.0), (300, f.0)],
+            routes: runs([e.1, f.1]),
         };
         for update in [
             ListUpdate::Replace(l.clone()),
@@ -591,8 +641,13 @@ mod tests {
             inserted in proptest::collection::vec((0usize..30, 64u32..96), 0..6),
             retime in 0u8..4,
         ) {
-            let fixture = |p: u32| entry(Some(p), &[9, 1, p + 100], p + 100, p.is_multiple_of(2).then_some(1));
-            let old_entries: Vec<PingEntry> = old_paths.iter().map(|&p| fixture(p)).collect();
+            // In-rack entries (3 nodes) between path entries (7 nodes),
+            // so a route read at a neighbour's offset changes a byte.
+            let fixture = |p: u32| match p % 3 {
+                0 => entry(None, &[9, 1, p + 100], p + 100, None),
+                _ => entry(Some(p), &[9, 1, 2, p % 4, 3, 1, p + 100], p + 100, p.is_multiple_of(2).then_some(1)),
+            };
+            let old_entries: Vec<Entry> = old_paths.iter().map(|&p| fixture(p)).collect();
             let mut new_entries = old_entries.clone();
             for i in dropped {
                 if i < new_entries.len() {

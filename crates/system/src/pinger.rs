@@ -29,9 +29,9 @@ use crate::SystemConfig;
 ///
 /// [`Detector::step`]: crate::Detector::step
 pub struct PingerBatch {
-    /// The header and the bound entries. Each entry's node list moved
-    /// into its `Route` at bind time, so `route` is empty here: read the
-    /// route from `routes`.
+    /// The header and the bound entries. Each entry's route was resolved
+    /// into `routes` at bind time, so the list's own route runs are empty
+    /// here.
     list: Pinglist,
     /// Resolved routes, one per pinglist entry.
     routes: Vec<Route>,
@@ -56,22 +56,19 @@ impl PingerBatch {
     /// dispatch error.
     pub fn bind(mut list: Pinglist, graph: &Dcn) -> Self {
         let stamp = list.stamp;
-        // The header stays in `list`; the entries come out of it and go
-        // back one by one as their routes resolve.
-        let entries = std::mem::take(&mut list.entries);
-        let mut kept = list;
-        kept.entries.reserve_exact(entries.len());
-        let mut routes = Vec::with_capacity(entries.len());
-        for mut e in entries {
-            if let Some(r) = graph.route_from_nodes(std::mem::take(&mut e.route)) {
-                routes.push(r);
-                kept.entries.push(e);
-            }
-        }
-        let mut path_keys: Vec<PathId> = kept.entries.iter().filter_map(|e| e.path).collect();
+        // The node runs come out of the list; an entry stays only if its
+        // run resolves.
+        let nodes = std::mem::take(&mut list.routes);
+        let mut routes = Vec::with_capacity(list.entries.len());
+        let mut run = nodes.runs();
+        list.entries.retain(|_| {
+            let route = run.next().and_then(|n| graph.route_from_nodes(n.to_vec()));
+            route.map(|r| routes.push(r)).is_some()
+        });
+        let mut path_keys: Vec<PathId> = list.entries.iter().filter_map(|e| e.path).collect();
         path_keys.sort_unstable();
         path_keys.dedup();
-        let slots = kept
+        let slots = list
             .entries
             .iter()
             .map(|e| match e.path {
@@ -83,7 +80,7 @@ impl PingerBatch {
             })
             .collect();
         Self {
-            list: kept,
+            list,
             routes,
             slots,
             path_keys,
@@ -458,6 +455,7 @@ impl PingerCostModel {
 mod tests {
     use super::*;
     use crate::pinglist::PingEntry;
+    use detector_core::dense::Runs;
     use detector_simnet::{Fabric, LossDiscipline};
     use detector_topology::{DcnTopology, Fattree};
     use rand::Rng;
@@ -477,18 +475,20 @@ mod tests {
         let mut list = Pinglist {
             version: 1,
             pinger,
-            entries: vec![PingEntry {
-                path: Some(PathId(0)),
-                route,
-                responder,
-                waypoint: Some(ft.core(0, 0)),
-            }],
+            entries: Vec::new(),
+            routes: Runs::default(),
             interval_us: 100_000,
             base_sport: 33000,
             port_range: 16,
             dport: 53533,
             stamp: 0,
         };
+        let entry = PingEntry {
+            path: Some(PathId(0)),
+            responder,
+            waypoint: Some(ft.core(0, 0)),
+        };
+        list.push(entry, route);
         list.seal();
         (list, Fabric::quiet(ft))
     }
@@ -543,12 +543,12 @@ mod tests {
     fn unresolvable_entries_are_dropped_at_bind() {
         let ft = Fattree::new(4).unwrap();
         let (mut list, _fabric) = setup(&ft);
-        list.entries.push(PingEntry {
+        let bad = PingEntry {
             path: Some(PathId(1)),
-            route: vec![ft.server(0, 0, 0), ft.server(3, 1, 1)], // Not adjacent.
             responder: ft.server(3, 1, 1),
             waypoint: None,
-        });
+        };
+        list.push(bad, [ft.server(0, 0, 0), ft.server(3, 1, 1)]); // Not adjacent.
         let pinger = PingerBatch::bind(list, ft.graph());
         assert_eq!(pinger.num_entries(), 1);
     }
@@ -645,12 +645,12 @@ mod tests {
         // with unresolvable (dropped-at-bind) entries still validates
         // against what was dispatched, not against the filtered copy.
         let mut with_bad_entry = list.clone();
-        with_bad_entry.entries.push(PingEntry {
+        let bad = PingEntry {
             path: Some(PathId(1)),
-            route: vec![ft.server(0, 0, 0), ft.server(3, 1, 1)], // Not adjacent.
             responder: ft.server(3, 1, 1),
             waypoint: None,
-        });
+        };
+        with_bad_entry.push(bad, [ft.server(0, 0, 0), ft.server(3, 1, 1)]); // Not adjacent.
         with_bad_entry.seal();
         let partial = PingerBatch::bind(with_bad_entry.clone(), ft.graph());
         assert_eq!(partial.num_entries(), 1, "bad entry dropped at bind");
@@ -722,17 +722,18 @@ mod tests {
                     shapes[draw.gen_range(0..shapes.len())].clone()
                 };
                 let in_rack = route.len() == 3;
-                entries.push(PingEntry {
+                let entry = PingEntry {
                     path: (!in_rack).then(|| PathId(draw.gen_range(0..4u32) * 5)),
-                    route,
                     responder,
                     waypoint,
-                });
+                };
+                entries.push((entry, route));
             }
             let mut list = Pinglist {
                 version: case,
                 pinger,
-                entries,
+                entries: Vec::new(),
+                routes: Runs::default(),
                 interval_us: 100_000,
                 base_sport: if case % 7 == 0 { u16::MAX - 1 } else { 33000 },
                 // The last one is larger than any sweep count below.
@@ -740,6 +741,9 @@ mod tests {
                 dport: 53533,
                 stamp: 0,
             };
+            for (entry, route) in entries {
+                list.push(entry, route);
+            }
             list.seal();
             let mut cfg = SystemConfig {
                 // Shorter than, equal to and longer than the port ranges,

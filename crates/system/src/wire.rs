@@ -12,7 +12,7 @@
 //! updates, and a pinger keeps no counters across windows for the old
 //! ids to name.
 //!
-//! A [`PingEntry`] has one byte form ([`encode_entry`]): whole lists and
+//! A [`PingEntry`] and its route have one byte form ([`encode_entry`]): whole lists and
 //! edit scripts carry it, and [`entry_key`](crate::dispatch::entry_key)
 //! hashes it. Reports travel delta/varint-coded (layout at
 //! `encode_report`'s definition and in the agent crate's README): a
@@ -31,6 +31,7 @@ mod reference;
 
 use std::fmt;
 
+use detector_core::dense::Runs;
 use detector_core::types::{NodeId, PathId};
 
 use crate::dispatch::ListUpdate;
@@ -303,6 +304,7 @@ fn put_update(update: &ListUpdate, out: &mut Vec<u8>) {
             stamp,
             removed,
             added,
+            routes,
         } => {
             out.push(TAG_LIST_DIFF);
             put_u32(out, pinger.0);
@@ -313,9 +315,9 @@ fn put_update(update: &ListUpdate, out: &mut Vec<u8>) {
                 put_u64(out, key);
             }
             put_varint(out, added.len() as u64);
-            for (index, entry) in added {
+            for (i, (index, entry)) in added.iter().enumerate() {
                 put_u32(out, *index);
-                encode_entry(entry, out);
+                encode_entry(entry, routes.run(i), out);
             }
         }
     }
@@ -331,9 +333,9 @@ fn decode_diff(buf: &mut &[u8]) -> Result<ListUpdate, FrameError> {
         removed.push(take_u64(buf)?);
     }
     let n = take_count(buf, 4 + MIN_ENTRY)?;
-    let mut added = Vec::with_capacity(n);
+    let (mut added, mut routes) = (Vec::with_capacity(n), Runs::default());
     for _ in 0..n {
-        added.push((take_u32(buf)?, decode_entry(buf)?));
+        added.push((take_u32(buf)?, decode_entry(buf, &mut routes)?));
     }
     Ok(ListUpdate::Diff {
         pinger,
@@ -341,6 +343,7 @@ fn decode_diff(buf: &mut &[u8]) -> Result<ListUpdate, FrameError> {
         stamp,
         removed,
         added,
+        routes,
     })
 }
 
@@ -439,13 +442,14 @@ fn take_long_varint(buf: &mut &[u8]) -> Result<u64, FrameError> {
 /// responder.
 const MIN_ENTRY: usize = 1 + 2 + 4 + 1;
 
-/// The one byte form of a [`PingEntry`]: an optional path id, the
-/// `u16`-counted route, the responder and an optional waypoint, each
-/// optional field behind a 0/1 flag byte.
-pub fn encode_entry(e: &PingEntry, out: &mut Vec<u8>) {
+/// The one byte form of a [`PingEntry`] with its route (which the list
+/// keeps beside the entry, in [`Pinglist::routes`]): an optional path
+/// id, the `u16`-counted route, the responder and an optional waypoint,
+/// each optional field behind a 0/1 flag byte.
+pub fn encode_entry(e: &PingEntry, route: &[NodeId], out: &mut Vec<u8>) {
     put_flagged(out, e.path.map(|p| p.0));
-    put_u16(out, e.route.len() as u16);
-    for n in &e.route {
+    put_u16(out, route.len() as u16);
+    for n in route {
         put_u32(out, n.0);
     }
     put_u32(out, e.responder.0);
@@ -470,22 +474,21 @@ fn take_flagged(buf: &mut &[u8]) -> Result<Option<u32>, FrameError> {
     }
 }
 
-/// Decodes one entry from the front of `buf`, advancing it.
-fn decode_entry(buf: &mut &[u8]) -> Result<PingEntry, FrameError> {
+/// Decodes one entry from the front of `buf`, advancing it, and appends
+/// its route to `routes`.
+fn decode_entry(buf: &mut &[u8], routes: &mut Runs<NodeId>) -> Result<PingEntry, FrameError> {
     let path = take_flagged(buf)?.map(PathId);
     let hops = usize::from(take_u16(buf)?);
     // Two bytes off the wire must not reserve 256 KB: the hops have to
     // be there before room is made for them.
-    if buf.len() < hops * 4 {
-        return Err(FrameError::Truncated);
-    }
-    let mut route = Vec::with_capacity(hops);
-    for _ in 0..hops {
-        route.push(NodeId(take_u32(buf)?));
-    }
+    let (route, rest) = buf
+        .split_at_checked(hops * 4)
+        .ok_or(FrameError::Truncated)?;
+    let (nodes, _) = route.as_chunks();
+    routes.push_run(nodes.iter().map(|&n| NodeId(u32::from_be_bytes(n))));
+    *buf = rest;
     Ok(PingEntry {
         path,
-        route,
         responder: NodeId(take_u32(buf)?),
         waypoint: take_flagged(buf)?.map(NodeId),
     })
@@ -502,8 +505,8 @@ fn encode_list(list: &Pinglist, out: &mut Vec<u8>) {
     put_u16(out, list.dport);
     put_u64(out, list.stamp);
     put_u32(out, list.entries.len() as u32);
-    for e in &list.entries {
-        encode_entry(e, out);
+    for (e, route) in list.iter() {
+        encode_entry(e, route, out);
     }
 }
 
@@ -516,14 +519,15 @@ fn decode_list(buf: &mut &[u8]) -> Result<Pinglist, FrameError> {
     let dport = take_u16(buf)?;
     let stamp = take_u64(buf)?;
     let n = take_u32(buf)? as usize;
-    let mut entries = Vec::new();
+    let (mut entries, mut routes) = (Vec::new(), Runs::default());
     for _ in 0..n {
-        entries.push(decode_entry(buf)?);
+        entries.push(decode_entry(buf, &mut routes)?);
     }
     Ok(Pinglist {
         version,
         pinger,
         entries,
+        routes,
         interval_us,
         base_sport,
         port_range,
@@ -815,29 +819,44 @@ fn take_path<'a>(
 mod tests {
     use super::*;
 
-    fn entry(path: Option<u32>, route: &[u32], responder: u32, waypoint: Option<u32>) -> PingEntry {
-        PingEntry {
+    fn entry(
+        path: Option<u32>,
+        route: &[u32],
+        responder: u32,
+        waypoint: Option<u32>,
+    ) -> (PingEntry, Vec<NodeId>) {
+        let e = PingEntry {
             path: path.map(PathId),
-            route: route.iter().map(|&n| NodeId(n)).collect(),
             responder: NodeId(responder),
             waypoint: waypoint.map(NodeId),
-        }
+        };
+        (e, route.iter().map(|&n| NodeId(n)).collect())
+    }
+
+    fn runs(route: Vec<NodeId>) -> Runs<NodeId> {
+        let mut runs = Runs::default();
+        runs.push_run(route);
+        runs
     }
 
     fn list() -> Pinglist {
         let mut l = Pinglist {
             version: 7,
             pinger: NodeId(100),
-            entries: vec![
-                entry(Some(3), &[100, 1, 2, 101], 101, Some(2)),
-                entry(None, &[100, 1, 102], 102, None),
-            ],
+            entries: Vec::new(),
+            routes: Runs::default(),
             interval_us: 100_000,
             base_sport: 33000,
             port_range: 16,
             dport: 53533,
             stamp: 0,
         };
+        for (e, route) in [
+            entry(Some(3), &[100, 1, 2, 101], 101, Some(2)),
+            entry(None, &[100, 1, 102], 102, None),
+        ] {
+            l.push(e, route);
+        }
         l.seal();
         l
     }
@@ -880,7 +899,8 @@ mod tests {
                 version: 9,
                 stamp: 0x1234_5678_9ABC_DEF0,
                 removed: vec![0xDEAD_BEEF_CAFE_F00D, 7],
-                added: vec![(2, entry(Some(8), &[100, 4, 101], 101, None))],
+                added: vec![(2, entry(Some(8), &[100, 4, 101], 101, None).0)],
+                routes: runs(vec![NodeId(100), NodeId(4), NodeId(101)]),
             }),
             Frame::Reset,
             Frame::WindowStart {
@@ -918,30 +938,36 @@ mod tests {
             entry(None, &[9, 8], 8, None),
             entry(Some(u32::MAX), &[], 0, None),
         ];
-        for e in cases {
+        let mut routes = Runs::default();
+        for (i, (e, route)) in cases.into_iter().enumerate() {
             let mut bytes = Vec::new();
-            encode_entry(&e, &mut bytes);
+            encode_entry(&e, &route, &mut bytes);
             let mut buf = &bytes[..];
-            assert_eq!(decode_entry(&mut buf), Ok(e));
+            assert_eq!(decode_entry(&mut buf, &mut routes), Ok(e));
             assert!(buf.is_empty(), "decode must consume exactly the encoding");
+            assert_eq!(routes.run(i), route, "the route is appended as its own run");
         }
         // A flag byte is 0 or 1; a route's hops must all be there.
         let mut flag = &[2, 0, 0][..];
         let why = FrameError::BadPayload("ping entry flag");
-        assert_eq!(decode_entry(&mut flag), Err(why));
+        assert_eq!(decode_entry(&mut flag, &mut routes), Err(why));
         let mut short = &[0, 0, 9, 0, 0, 0, 1][..];
-        assert_eq!(decode_entry(&mut short), Err(FrameError::Truncated));
+        assert_eq!(
+            decode_entry(&mut short, &mut routes),
+            Err(FrameError::Truncated)
+        );
     }
 
     #[test]
     fn an_edit_script_is_one_frame_of_the_documented_layout() {
-        let e = entry(None, &[100], 101, None);
+        let (e, route) = entry(None, &[100], 101, None);
         let update = ListUpdate::Diff {
             pinger: NodeId(100),
             version: 9,
             stamp: 77,
             removed: vec![5],
             added: vec![(1, e)],
+            routes: runs(route),
         };
         let want = [
             &[0, 0, 0, 47, TAG_LIST_DIFF][..],

@@ -186,10 +186,10 @@ fn deployment_digest(lists: &[Pinglist]) -> u64 {
         h.word(u32::from(l.port_range));
         h.word(u32::from(l.dport));
         h.word(l.entries.len() as u32);
-        for e in &l.entries {
+        for (e, route) in l.iter() {
             opt(&mut h, e.path.map(|p| p.0));
-            h.word(e.route.len() as u32);
-            for n in &e.route {
+            h.word(route.len() as u32);
+            for n in route {
                 h.word(n.0);
             }
             h.word(e.responder.0);
