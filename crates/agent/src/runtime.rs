@@ -58,7 +58,7 @@ use detector_core::types::NodeId;
 use detector_simnet::{partition_hosts, HostGroups};
 use detector_system::dispatch::ListUpdate;
 use detector_system::window::{self, CloseHalf, PlanHalf, Ticket};
-use detector_system::wire::Frame;
+use detector_system::wire::{self, Frame};
 use detector_system::{
     BuildError, DataPlane, Diagnoser, EventSink, PingerReport, Pinglist, Script, ScriptAction,
     SystemConfig, TopologyEvent, Watchdog, WindowResult, Windowed,
@@ -223,15 +223,15 @@ impl Fleet<'_> {
         }
     }
 
-    /// Sends one frame to agent `g`, returning its wire size; a failed
-    /// send means the agent just died — it is killed (group marked
-    /// unhealthy) and 0 is returned, as for an agent already dead.
-    fn ship(&mut self, watchdog: &mut Watchdog, g: usize, frame: &Frame) -> u64 {
+    /// Sends one encoded frame to agent `g`, returning its wire size; a
+    /// failed send means the agent just died — it is killed (group
+    /// marked unhealthy) and 0 is returned, as for an agent already dead.
+    fn ship(&mut self, watchdog: &mut Watchdog, g: usize, frame: Vec<u8>) -> u64 {
         let Some(t) = self.transport(g) else {
             return 0;
         };
         let before = t.bytes_sent();
-        if t.send(frame).is_ok() {
+        if t.send_bytes(frame).is_ok() {
             t.bytes_sent() - before
         } else {
             self.kill(watchdog, g);
@@ -240,28 +240,29 @@ impl Fleet<'_> {
     }
 
     /// [`ship`](Self::ship) for pinglist material: counted as dispatch.
-    fn dispatch(&mut self, watchdog: &mut Watchdog, g: usize, frame: Frame) {
-        self.dispatch_bytes += self.ship(watchdog, g, &frame);
+    fn dispatch(&mut self, watchdog: &mut Watchdog, g: usize, frame: Vec<u8>) {
+        self.dispatch_bytes += self.ship(watchdog, g, frame);
     }
 
     /// Ships every list whole to its owner — all of them at boot, only
-    /// group `only`'s when that agent is resynced.
+    /// group `only`'s when that agent is resynced — encoded from the
+    /// list itself.
     fn sync(&mut self, watchdog: &mut Watchdog, lists: &[Pinglist], only: Option<usize>) {
         for list in lists {
             let owner = self.groups.owner_of(list.pinger);
             if let Some(g) = owner.filter(|&g| only.is_none_or(|o| o == g)) {
-                let whole = ListUpdate::Replace(list.clone());
-                self.dispatch(watchdog, g, Frame::ListUpdate(whole));
+                self.dispatch(watchdog, g, wire::encode_replace(list));
             }
         }
     }
 
     /// The distributed installer: ships each list update of a
-    /// deployment as one frame to its owner.
+    /// deployment as one frame to its owner, encoded from the update
+    /// itself.
     fn install(&mut self, updates: &[ListUpdate], watchdog: &mut Watchdog) {
         for update in updates {
             if let Some(g) = self.groups.owner_of(update.pinger()) {
-                self.dispatch(watchdog, g, Frame::ListUpdate(update.clone()));
+                self.dispatch(watchdog, g, wire::encode_update(update));
             }
         }
     }
@@ -530,7 +531,7 @@ impl DistributedDetector {
                             watchdog.mark_healthy(s);
                         }
                         // Full resync of the group's lists.
-                        fleet.dispatch(watchdog, *g, Frame::Reset);
+                        fleet.dispatch(watchdog, *g, Frame::Reset.encode());
                         fleet.sync(watchdog, plan.pinglists(), Some(*g));
                         continue;
                     }
@@ -579,7 +580,7 @@ impl DistributedDetector {
                 if fleet.transport(g).is_none() {
                     continue;
                 }
-                if fleet.ship(watchdog, g, &start) > 0 {
+                if fleet.ship(watchdog, g, start.encode()) > 0 {
                     dispatched.push(g);
                 } else {
                     ticket.forfeit(groups.group(g));

@@ -51,6 +51,15 @@ impl From<FrameError> for TransportError {
 pub trait Transport: Send {
     /// Ships one frame to the peer.
     fn send(&self, frame: &Frame) -> Result<(), TransportError>;
+    /// Ships one frame already encoded — the bytes [`Frame::encode`]
+    /// makes, or `wire::encode_update` makes of a list update without
+    /// cloning it into a frame. Both built-in transports ship the bytes
+    /// as given, and their [`send`](Self::send) is this over
+    /// `frame.encode()`; the default decodes the bytes and sends the
+    /// frame, for a transport that only speaks frames.
+    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError> {
+        self.send(&Frame::decode(&bytes)?)
+    }
     /// Receives the next frame, blocking until one arrives or the peer
     /// is gone.
     fn recv(&self) -> Result<Frame, TransportError>;
@@ -117,6 +126,10 @@ fn loopback_with_budgets(a_budget: usize, b_budget: usize) -> (LoopbackEnd, Loop
 
 impl Transport for LoopbackEnd {
     fn send(&self, frame: &Frame) -> Result<(), TransportError> {
+        self.send_bytes(frame.encode())
+    }
+
+    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError> {
         // A spent budget means this end "crashed": it can never send
         // again. The peer still drains what was already in flight.
         loop {
@@ -133,7 +146,6 @@ impl Transport for LoopbackEnd {
                 break;
             }
         }
-        let bytes = frame.encode();
         self.sent.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.tx.send(bytes).map_err(|_| TransportError::Closed)
     }
@@ -218,8 +230,11 @@ fn io_err(e: &std::io::Error) -> TransportError {
 
 impl Transport for TcpTransport {
     fn send(&self, frame: &Frame) -> Result<(), TransportError> {
+        self.send_bytes(frame.encode())
+    }
+
+    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError> {
         use std::io::Write;
-        let bytes = frame.encode();
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         w.write_all(&bytes).map_err(|e| io_err(&e))?;
         self.sent.fetch_add(bytes.len() as u64, Ordering::Relaxed);

@@ -12,29 +12,41 @@
 //! ascending pass gives every link its local index — its rank in its
 //! component's sorted universe — so each component's candidate index is
 //! built straight from those locals, never by searching the universe.
+//!
+//! The candidates come as one flat [`CandidateBatch`], the way both
+//! sources write them: `DcnTopology::enumerate_candidates` for a small
+//! topology, a provider round for a symmetric one. Decomposing counts
+//! each component's candidates, nodes and links, then copies every
+//! candidate's runs into its component's batch, reserved at that size; a
+//! set that is one component already keeps its batch whole.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
 use super::index::{candidate_index, candidate_index_with, CandidateIndex, IndexedCell};
+use super::provider::{Candidate, CandidateBatch};
 use super::{repair_restricted, solve_restricted, PmcConfig, PmcError, SubSolution};
 use crate::dense::UnionFind;
 use crate::types::{LinkId, ProbePath};
 
-/// One independent PMC subproblem: a link universe, the candidate paths
-/// within it and their candidate index, built once so every solve and
-/// re-solve of the subproblem runs on it.
+/// One independent PMC subproblem: a link universe, the candidates
+/// within it, flat, and their candidate index, built once so every solve
+/// and re-solve of the subproblem runs on it.
 #[derive(Clone, Debug)]
 pub struct Subproblem {
     universe: Vec<LinkId>,
-    candidates: Vec<ProbePath>,
+    candidates: CandidateBatch,
     index: CandidateIndex,
 }
 
 impl Subproblem {
     /// A subproblem over an explicit universe; every candidate link must
     /// be in it.
-    pub fn new(universe: Vec<LinkId>, candidates: Vec<ProbePath>) -> Result<Self, PmcError> {
+    pub fn new(
+        universe: Vec<LinkId>,
+        candidates: impl Into<CandidateBatch>,
+    ) -> Result<Self, PmcError> {
+        let candidates = candidates.into();
         let index = candidate_index(&universe, &candidates)?;
         Ok(Self {
             universe,
@@ -45,11 +57,9 @@ impl Subproblem {
 
     /// Wraps a candidate set as a single subproblem (no decomposition);
     /// the universe is inferred from the links the candidates cover.
-    pub fn whole(candidates: Vec<ProbePath>) -> Self {
-        let mut universe: Vec<LinkId> = candidates
-            .iter()
-            .flat_map(|p| p.links().iter().copied())
-            .collect();
+    pub fn whole(candidates: impl Into<CandidateBatch>) -> Self {
+        let candidates = candidates.into();
+        let mut universe = candidates.all_links().to_vec();
         universe.sort_unstable();
         universe.dedup();
         Self::new(universe, candidates).expect("the universe is the candidates' links")
@@ -60,8 +70,8 @@ impl Subproblem {
         &self.universe
     }
 
-    /// Candidate paths entirely within the universe.
-    pub fn candidates(&self) -> &[ProbePath] {
+    /// The candidates, entirely within the universe.
+    pub fn candidates(&self) -> &CandidateBatch {
         &self.candidates
     }
 
@@ -139,10 +149,11 @@ impl Subproblem {
 /// Paths covering no links are dropped. Components are returned in
 /// ascending order of their smallest link id, each with its candidates in
 /// input order, so decomposition is fully deterministic.
-pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
+pub fn decompose(candidates: impl Into<CandidateBatch>) -> Vec<Subproblem> {
+    let candidates = candidates.into();
     let mut sets = UnionFind::default();
-    for p in &candidates {
-        sets.join(p.links().iter().map(|l| l.0));
+    for c in candidates.iter() {
+        sets.join(c.links.iter().map(|l| l.0));
     }
     let (count, component) = sets.number();
     // Each link's local index is its rank in its component's (ascending)
@@ -156,12 +167,31 @@ pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
         }
     }
 
-    let mut members: Vec<Vec<ProbePath>> = vec![Vec::new(); count];
-    for p in candidates {
-        if let Some(first) = p.links().first() {
-            members[component[first.index()] as usize].push(p);
+    // A candidate's component is its first link's; an empty one has none.
+    let of = |c: &Candidate<'_>| Some(component[c.links.first()?.index()] as usize);
+    let members = if count == 1 && candidates.iter().all(|c| !c.links.is_empty()) {
+        vec![candidates]
+    } else {
+        let mut sizes = vec![(0, 0, 0); count];
+        for c in candidates.iter() {
+            if let Some(size) = of(&c).and_then(|k| sizes.get_mut(k)) {
+                *size = (size.0 + 1, size.1 + c.nodes.len(), size.2 + c.links.len());
+            }
         }
-    }
+        let mut members: Vec<CandidateBatch> = (sizes.into_iter())
+            .map(|(n, nodes, links)| {
+                let mut batch = CandidateBatch::default();
+                batch.reserve(n, nodes, links);
+                batch
+            })
+            .collect();
+        for c in candidates.iter() {
+            if let Some(batch) = of(&c).and_then(|k| members.get_mut(k)) {
+                batch.push_candidate(c);
+            }
+        }
+        members
+    };
     universes
         .into_iter()
         .zip(members)
@@ -180,6 +210,7 @@ pub fn decompose(candidates: Vec<ProbePath>) -> Vec<Subproblem> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::NodeId;
 
     fn path(id: u32, ls: &[u32]) -> ProbePath {
         ProbePath::from_links(id, ls.iter().map(|&l| LinkId(l)).collect())
@@ -226,7 +257,7 @@ mod tests {
             .stack_size(2 << 20)
             .spawn(|| {
                 let chain = (0..LINKS - 1).rev().map(|i| path(i, &[i, i + 1]));
-                let subs = decompose(chain.collect());
+                let subs = decompose(chain.collect::<Vec<_>>());
                 let shape: Vec<_> = subs
                     .iter()
                     .map(|s| (s.universe.len(), s.candidates.len()))
@@ -277,36 +308,120 @@ mod tests {
         components
     }
 
+    /// Each component's candidates, run by run: id, nodes and links.
+    fn runs(sub: &Subproblem) -> Vec<(u32, Vec<NodeId>, Vec<LinkId>)> {
+        (sub.candidates.iter())
+            .map(|c| (c.id.0, c.nodes.to_vec(), c.links.to_vec()))
+            .collect()
+    }
+
+    fn nodes(ns: &[u32]) -> Vec<NodeId> {
+        ns.iter().copied().map(NodeId).collect()
+    }
+
+    fn links(ls: &[u32]) -> Vec<LinkId> {
+        ls.iter().copied().map(LinkId).collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         /// `decompose` finds the components a breadth-first search does,
-        /// in the same order, each with its paths in input order and
-        /// indexed over its own universe — on sparse ids up to 10⁶, with
-        /// empty and duplicate paths.
+        /// in the same order, each with its candidates in input order —
+        /// id, nodes and links, run by run — and indexed over its own
+        /// universe: on a batch written as the enumerators write one
+        /// (links in hop order, sorted and de-duplicated on the way in),
+        /// over sparse link ids up to 10⁶, with empty, duplicate and
+        /// node-less candidates.
         #[test]
         fn decompose_matches_a_breadth_first_search(
             ids in proptest::collection::vec(0u32..1_000_000, 1..16),
-            raw in proptest::collection::vec(proptest::collection::vec(0usize..16, 0..4), 0..24),
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(0usize..16, 0..4), 0u32..6, 0u32..1_000),
+                0..24,
+            ),
         ) {
-            let paths: Vec<ProbePath> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, ls)| path(i as u32, &ls.iter().map(|&k| ids[k % ids.len()]).collect::<Vec<_>>()))
-                .collect();
+            let mut batch = CandidateBatch::default();
+            let mut paths = Vec::new();
+            for (i, (ls, hops, id)) in raw.iter().enumerate() {
+                let route = nodes(&(0..*hops).map(|h| 10 * i as u32 + h).collect::<Vec<_>>());
+                let ls = links(&ls.iter().map(|&k| ids[k % ids.len()]).collect::<Vec<_>>());
+                batch.push(*id, &route, &ls);
+                paths.push(ProbePath::from_route(*id, route, ls));
+            }
             let want = bfs_components(&paths);
-            let got = decompose(paths.clone());
+            let got = decompose(batch);
             assert_eq!(got.len(), want.len());
             for (sub, (universe, members)) in got.iter().zip(&want) {
                 assert_eq!(&sub.universe, universe);
-                let candidates: Vec<&ProbePath> = members.iter().map(|&i| &paths[i]).collect();
-                assert_eq!(sub.candidates.iter().collect::<Vec<_>>(), candidates);
+                let candidates: Vec<_> = (members.iter())
+                    .map(|&i| (paths[i].id.0, paths[i].nodes().to_vec(), paths[i].links().to_vec()))
+                    .collect();
+                assert_eq!(runs(sub), candidates);
                 let rebuilt = candidate_index(universe, &sub.candidates).unwrap();
                 for i in 0..sub.candidates.len() {
                     assert_eq!(sub.index.run(i), rebuilt.run(i));
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_batch_drops_its_empty_candidates() {
+        // One component, which keeps its batch whole unless a candidate
+        // covers nothing, and two.
+        for split in [false, true] {
+            let mut batch = CandidateBatch::default();
+            batch.push(7, &nodes(&[1, 2]), &links(&[3, 2]));
+            batch.push(8, &nodes(&[5]), &[]);
+            batch.push(9, &nodes(&[3, 4]), &links(if split { &[6] } else { &[2] }));
+            let subs = decompose(batch);
+            let first = (7, nodes(&[1, 2]), links(&[2, 3]));
+            let last = (9, nodes(&[3, 4]), links(if split { &[6] } else { &[2] }));
+            let want = if split {
+                vec![vec![first], vec![last]]
+            } else {
+                vec![vec![first, last]]
+            };
+            assert_eq!(subs.iter().map(runs).collect::<Vec<_>>(), want);
+            assert!(subs.iter().all(|s| s.index.len() == s.candidates.len()));
+        }
+    }
+
+    #[test]
+    fn components_whose_links_come_out_of_order() {
+        // First seen: links 9 and 8, then 0, then 4; components number
+        // by their smallest link, so {5, 8, 9} comes last.
+        let mut batch = CandidateBatch::default();
+        batch.push(10, &nodes(&[90, 80]), &links(&[9, 8]));
+        batch.push(11, &nodes(&[0]), &links(&[1, 0]));
+        batch.push(12, &nodes(&[4]), &links(&[4]));
+        batch.push(13, &nodes(&[8, 5]), &links(&[8, 5, 8]));
+        batch.push(14, &nodes(&[2, 1]), &links(&[2, 1]));
+        let subs = decompose(batch);
+        let universes: Vec<_> = subs.iter().map(|s| s.universe.clone()).collect();
+        assert_eq!(
+            universes,
+            [links(&[0, 1, 2]), links(&[4]), links(&[5, 8, 9])]
+        );
+        assert_eq!(
+            subs.iter().map(runs).collect::<Vec<_>>(),
+            [
+                vec![
+                    (11, nodes(&[0]), links(&[0, 1])),
+                    (14, nodes(&[2, 1]), links(&[1, 2])),
+                ],
+                vec![(12, nodes(&[4]), links(&[4]))],
+                vec![
+                    (10, nodes(&[90, 80]), links(&[8, 9])),
+                    (13, nodes(&[8, 5]), links(&[5, 8])),
+                ],
+            ]
+        );
+        // Locals are ranks in each component's own universe.
+        let third = &subs[2].index;
+        assert_eq!((third.run(0), third.run(1)), (&[1, 2][..], &[0, 1][..]));
+        assert_eq!(subs[0].index.run(1), &[1, 2]);
     }
 
     #[test]

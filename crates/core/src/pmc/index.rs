@@ -1,22 +1,25 @@
 //! Candidate index: every candidate's links as sorted local indices.
 //!
-//! The greedy loops never look at a [`ProbePath`] until they select it.
-//! A subproblem's candidates are indexed once — one run per candidate
-//! in the crate's run array ([`Runs`]), its links as dense local indices
-//! into the subproblem's universe — and a solve addresses candidates by
-//! position: heap and alive entries hold a `u32`, scoring reads a
-//! `&[u32]`. Excluding links (the incremental re-plan) does not copy or
-//! filter the candidates: the pristine locals are renumbered through a
-//! monotone remap onto the restricted universe, and a candidate crossing
-//! an excluded link fails the alive test instead.
+//! The greedy loops never look at a
+//! [`ProbePath`](crate::types::ProbePath) until they select it: they
+//! read [`Candidate`]s out of a [`CandidateBatch`] and build a path only
+//! for a selected one. A subproblem's candidates are indexed once — one
+//! run per candidate in the crate's run array ([`Runs`]), its links as
+//! dense local indices into the subproblem's universe — and a solve
+//! addresses candidates by position: heap and alive entries hold a
+//! `u32`, scoring reads a `&[u32]`. Excluding links (the incremental
+//! re-plan) does not copy or filter the candidates: the pristine locals
+//! are renumbered through a monotone remap onto the restricted universe,
+//! and a candidate crossing an excluded link fails the alive test
+//! instead.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-use super::provider::Candidate;
+use super::provider::{Candidate, CandidateBatch};
 use super::PmcError;
 use crate::dense::Runs;
-use crate::types::{LinkId, ProbePath};
+use crate::types::LinkId;
 
 /// Remap entry of a link excluded from the restricted universe.
 const EXCLUDED: u32 = u32::MAX;
@@ -60,7 +63,7 @@ pub(crate) type CandidateIndex = Runs<u32>;
 /// universe is an error.
 pub(crate) fn candidate_index(
     universe: &[LinkId],
-    candidates: &[ProbePath],
+    candidates: &CandidateBatch,
 ) -> Result<CandidateIndex, PmcError> {
     let lookup = LinkLookup::new(universe);
     candidate_index_with(candidates, |link| lookup.local(link))
@@ -69,16 +72,13 @@ pub(crate) fn candidate_index(
 /// Indexes `candidates`, `local` naming each link's local index (`None`
 /// for a link outside the universe, an error).
 pub(crate) fn candidate_index_with(
-    candidates: &[ProbePath],
+    candidates: &CandidateBatch,
     local: impl Fn(LinkId) -> Option<u32>,
 ) -> Result<CandidateIndex, PmcError> {
     let mut index = Runs::default();
-    index.reserve(
-        candidates.len(),
-        candidates.iter().map(ProbePath::len).sum(),
-    );
-    for p in candidates {
-        push_candidate(&mut index, &local, p.links())?;
+    index.reserve(candidates.len(), candidates.all_links().len());
+    for c in candidates.iter() {
+        push_candidate(&mut index, &local, c.links)?;
     }
     Ok(index)
 }
@@ -128,7 +128,7 @@ pub(crate) trait Pool {
 pub(crate) struct IndexedCell<'a> {
     /// Link universe the index numbers its locals in.
     pub(crate) universe: &'a [LinkId],
-    pub(crate) candidates: &'a [ProbePath],
+    pub(crate) candidates: &'a CandidateBatch,
     pub(crate) index: &'a CandidateIndex,
 }
 
@@ -259,13 +259,14 @@ impl Pool for CellPool<'_> {
         let i = i as usize;
         let locals = restricted(self.cell.index, self.remap.as_deref(), &mut self.scratch, i)
             .expect("only offered candidates are asked for");
-        (locals, Candidate::from(&self.cell.candidates[i]))
+        (locals, self.cell.candidates.get(i))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{NodeId, PathId, ProbePath};
 
     fn path(id: u32, ls: &[u32]) -> ProbePath {
         ProbePath::from_links(id, ls.iter().map(|&l| LinkId(l)).collect())
@@ -276,11 +277,8 @@ mod tests {
         // Local numbering follows the universe's (unsorted) order, so a
         // path's link order and its local order may disagree.
         let universe = [LinkId(30), LinkId(10), LinkId(20)];
-        let index = candidate_index(
-            &universe,
-            &[path(0, &[10, 30]), path(1, &[]), path(2, &[20])],
-        )
-        .unwrap();
+        let candidates = vec![path(0, &[10, 30]), path(1, &[]), path(2, &[20])];
+        let index = candidate_index(&universe, &candidates.into()).unwrap();
         assert_eq!(index.len(), 3);
         assert_eq!(index.run(0), &[0, 1]);
         assert!(index.run(1).is_empty());
@@ -352,13 +350,16 @@ mod tests {
 
     #[test]
     fn exclusion_renumbers_survivors_and_kills_crossing_candidates() {
+        // A cell backed by a batch, as the enumerators write one: links in
+        // hop order, nodes kept as given.
         let universe: Vec<LinkId> = (0..4).map(LinkId).collect();
-        let candidates = vec![
-            path(0, &[0, 1]),
-            path(1, &[2, 3]),
-            path(2, &[]),
-            path(3, &[3]),
-        ];
+        let mut candidates = CandidateBatch::default();
+        let route = |ns: &[u32]| ns.iter().copied().map(NodeId).collect::<Vec<_>>();
+        let links = |ls: &[u32]| ls.iter().copied().map(LinkId).collect::<Vec<_>>();
+        candidates.push(10, &route(&[0, 1, 2]), &links(&[1, 0]));
+        candidates.push(11, &route(&[2, 3]), &links(&[3, 2, 3]));
+        candidates.push(12, &route(&[4]), &[]);
+        candidates.push(13, &route(&[3, 5]), &links(&[3]));
         let index = candidate_index(&universe, &candidates).unwrap();
         let cell = IndexedCell {
             universe: &universe,
@@ -377,8 +378,19 @@ mod tests {
             .unwrap());
         assert_eq!(offered, vec![(1, vec![1, 2]), (3, vec![2])]);
         assert!(!pool.pull(|_, _| Ok(true)).unwrap());
-        let (locals, p) = pool.get(3);
-        assert_eq!((locals, p), (&[2u32][..], Candidate::from(&candidates[3])));
+        let (locals, c) = pool.get(3);
+        assert_eq!(locals, &[2u32][..]);
+        assert_eq!(c, candidates.get(3));
+        assert_eq!(
+            (c.id, c.nodes, c.links),
+            (PathId(13), &route(&[3, 5])[..], &links(&[3])[..])
+        );
+        // The one candidate a path is built for reads back whole.
+        let (_, c) = pool.get(1);
+        assert_eq!(
+            c.to_path(),
+            ProbePath::from_route(11, route(&[2, 3]), links(&[2, 3]))
+        );
         // Flags are in restricted locals: link 2 is local 1, link 3 local 2.
         assert_eq!(pool.crossing(&[true, false, false]), Vec::<u32>::new());
         assert_eq!(pool.crossing(&[false, true, false]), vec![1]);
@@ -389,5 +401,6 @@ mod tests {
         let mut pool = CellPool::new(cell, &none);
         assert_eq!(pool.universe(), &universe[..]);
         assert_eq!(pool.get(1).0, &[2, 3]);
+        assert_eq!(pool.get(0), (&[0, 1][..], candidates.get(0)));
     }
 }

@@ -23,9 +23,11 @@
 //! links as sorted local indices, built once per [`Subproblem`] or grown
 //! batch by batch from a provider — so heap and alive entries hold an
 //! index, an exclusion is a renumbering, and a [`ProbePath`] is built
-//! only for a selected path — for providers too, which write into a
-//! flat [`CandidateBatch`]: a Fattree(32) base solve pulls 75 776
-//! candidates and builds 939 paths.
+//! only for a selected path. Both candidate sources write one flat
+//! [`CandidateBatch`] — a small topology's enumeration, which a
+//! [`Subproblem`] keeps, and a provider's rounds: a Fattree(32) base
+//! solve pulls 75 776 candidates and builds 939 paths, and the one
+//! 70 800-candidate cell of a VL2(20,12,2) plan holds no path at all.
 
 mod decompose;
 mod greedy;
@@ -466,7 +468,9 @@ pub struct SubSolution {
     pub cells: (u64, u64),
 }
 
-/// Constructs a probe matrix from a materialized candidate set.
+/// Constructs a probe matrix from a materialized candidate set: a
+/// [`CandidateBatch`] (what `DcnTopology::enumerate_candidates` writes)
+/// or hand-built paths.
 ///
 /// `num_links` is the size of the physical-link universe; every link id in
 /// `candidates` must be `< num_links`. Links that appear in no candidate are
@@ -490,21 +494,19 @@ pub struct SubSolution {
 /// ```
 pub fn construct(
     num_links: usize,
-    candidates: Vec<ProbePath>,
+    candidates: impl Into<CandidateBatch>,
     cfg: &PmcConfig,
 ) -> Result<ProbeMatrix, PmcError> {
     let deadline = cfg.deadline();
-    for p in &candidates {
-        if let Some(l) = p.links().iter().find(|l| l.index() >= num_links) {
-            return Err(PmcError::UnknownLink { link: *l });
-        }
+    let candidates = candidates.into();
+    let links = candidates.all_links();
+    if let Some(l) = links.iter().find(|l| l.index() >= num_links) {
+        return Err(PmcError::UnknownLink { link: *l });
     }
 
     let mut covered = vec![false; num_links];
-    for p in &candidates {
-        for l in p.links() {
-            covered[l.index()] = true;
-        }
+    for l in links {
+        covered[l.index()] = true;
     }
     let uncoverable: Vec<LinkId> = (0..num_links)
         .filter(|&i| !covered[i])
@@ -604,10 +606,11 @@ pub fn resolve_subproblem_seeded<'a>(
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
     let deadline = cfg.deadline();
-    let index = candidate_index(universe, candidates)?;
+    let candidates = CandidateBatch::from(candidates);
+    let index = candidate_index(universe, &candidates)?;
     let cell = IndexedCell {
         universe,
-        candidates,
+        candidates: &candidates,
         index: &index,
     };
     repair_restricted(cell, excluded, seed, cfg, deadline)

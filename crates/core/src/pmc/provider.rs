@@ -8,10 +8,12 @@
 //! group — and the lazy greedy pulls further rounds only while its (α, β)
 //! targets are unmet.
 //!
-//! A provider writes its rounds into a flat [`CandidateBatch`] that the
-//! pool reuses for every pull; the pool keeps the candidates the greedy
-//! admits flat as well, and builds a [`ProbePath`] only for a selected
-//! one.
+//! Both candidate sources write a flat [`CandidateBatch`]: a provider
+//! writes its rounds into one that the pool reuses for every pull, and
+//! `DcnTopology::enumerate_candidates` writes a small topology's whole
+//! candidate set into one that its [`Subproblem`](super::Subproblem)s
+//! keep. The pool keeps the candidates the greedy admits flat as well,
+//! and either source builds a [`ProbePath`] only for a selected one.
 
 use super::index::{push_candidate, CandidateIndex, LinkLookup, Pool};
 use super::PmcError;
@@ -60,6 +62,14 @@ pub struct CandidateBatch {
 }
 
 impl CandidateBatch {
+    /// Reserves room for `candidates` more candidates of `nodes` more
+    /// nodes and `links` more links in all.
+    pub fn reserve(&mut self, candidates: usize, nodes: usize, links: usize) {
+        self.ids.reserve(candidates);
+        self.nodes.reserve(candidates, nodes);
+        self.links.reserve(candidates, links);
+    }
+
     /// Empties the batch, keeping the memory.
     pub fn clear(&mut self) {
         self.ids.clear();
@@ -111,6 +121,34 @@ impl CandidateBatch {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Candidate<'_>> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
+
+    /// Every candidate's links, back to back.
+    pub(crate) fn all_links(&self) -> &[LinkId] {
+        self.links.items()
+    }
+}
+
+impl From<&[ProbePath]> for CandidateBatch {
+    fn from(paths: &[ProbePath]) -> Self {
+        let mut batch = Self::default();
+        batch.reserve(
+            paths.len(),
+            paths.iter().map(|p| p.nodes().len()).sum(),
+            paths.iter().map(ProbePath::len).sum(),
+        );
+        for p in paths {
+            batch.push_candidate(Candidate::from(p));
+        }
+        batch
+    }
+}
+
+/// Hand-built paths as a batch, so the entry points that take a
+/// candidate set take a `Vec<ProbePath>` as they always did.
+impl From<Vec<ProbePath>> for CandidateBatch {
+    fn from(paths: Vec<ProbePath>) -> Self {
+        Self::from(&paths[..])
+    }
 }
 
 /// A source of candidate probe paths for one PMC subproblem.
@@ -140,29 +178,30 @@ impl<T: CandidateProvider + ?Sized> CandidateProvider for Box<T> {
 #[derive(Clone, Debug)]
 pub struct ExhaustiveProvider {
     universe: Vec<LinkId>,
-    pending: std::vec::IntoIter<ProbePath>,
+    candidates: CandidateBatch,
+    /// The first candidate not handed out yet.
+    next: usize,
     batch_size: usize,
 }
 
 impl ExhaustiveProvider {
     /// Builds a provider whose universe is inferred from the candidates.
-    pub fn new(candidates: Vec<ProbePath>) -> Self {
-        let mut universe: Vec<LinkId> = candidates
-            .iter()
-            .flat_map(|p| p.links().iter().copied())
-            .collect();
+    pub fn new(candidates: impl Into<CandidateBatch>) -> Self {
+        let candidates = candidates.into();
+        let mut universe = candidates.all_links().to_vec();
         universe.sort_unstable();
         universe.dedup();
         Self::with_universe(universe, candidates)
     }
 
     /// Builds a provider over an explicit universe.
-    pub fn with_universe(universe: Vec<LinkId>, candidates: Vec<ProbePath>) -> Self {
-        let n = candidates.len();
+    pub fn with_universe(universe: Vec<LinkId>, candidates: impl Into<CandidateBatch>) -> Self {
+        let candidates = candidates.into();
         Self {
             universe,
-            pending: candidates.into_iter(),
-            batch_size: n.max(1),
+            batch_size: candidates.len().max(1),
+            candidates,
+            next: 0,
         }
     }
 
@@ -180,9 +219,11 @@ impl CandidateProvider for ExhaustiveProvider {
     }
 
     fn next_batch(&mut self, batch: &mut CandidateBatch) {
-        for p in self.pending.by_ref().take(self.batch_size) {
-            batch.push_candidate(Candidate::from(&p));
+        let end = self.candidates.len().min(self.next + self.batch_size);
+        for i in self.next..end {
+            batch.push_candidate(self.candidates.get(i));
         }
+        self.next = end;
     }
 }
 

@@ -10,9 +10,10 @@
 //!
 //! Two candidate-source modes mirror the controller's former split:
 //!
-//! * **materialized** — small topologies enumerate every candidate once;
-//!   cells own their slice of the pristine candidate set as an indexed
-//!   [`Subproblem`] and solve on that candidate index with the offline
+//! * **materialized** — small topologies enumerate every candidate once,
+//!   into one flat [`CandidateBatch`]; cells own their slice of the
+//!   pristine candidate set as an indexed [`Subproblem`] — its runs of
+//!   that batch — and solve on that candidate index with the offline
 //!   links excluded, never on a filtered copy of the candidates;
 //! * **symmetric** — large topologies never materialize candidates. One
 //!   pristine base solution per isomorphism class is replicated to every
@@ -20,6 +21,9 @@
 //!   base coordinates through [`BaseComponent::replicate_link`], wraps a
 //!   fresh base provider in an [`ExcludingProvider`], solves, and
 //!   replicates the restricted solution to its own coordinates only.
+//!   Its provider writes each round into a [`CandidateBatch`] as well.
+//!
+//! Either way a cell holds no [`ProbePath`] but the ones it selected.
 //!
 //! In both modes a cell whose exclusions return to empty restores its
 //! cached pristine solution without solving anything, so drain/undrain
@@ -83,6 +87,8 @@
 //! the cell *re-based* onto a fresh range allocated past every existing
 //! one ([`ReplanStats::cells_rebased`]); retired ranges are never reused
 //! within a plan's lifetime, so a stale id can never alias a live path.
+//!
+//! [`CandidateBatch`]: detector_core::pmc::CandidateBatch
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -138,8 +144,9 @@ impl IdHeadroom {
 /// Where a cell's candidates come from when it must be re-solved.
 #[derive(Clone, Debug)]
 enum CellSource {
-    /// The cell's pristine candidate slice, fully materialized and
-    /// indexed once; shared, so cloning a plan copies no candidate.
+    /// The cell's pristine candidate slice, fully materialized as one
+    /// flat batch and indexed once; shared, so cloning a plan copies no
+    /// candidate.
     Materialized(Arc<Subproblem>),
     /// Replica `replica` of symmetry base `base`: candidates are pulled
     /// from a fresh base provider and re-homed on demand.

@@ -281,6 +281,17 @@ pub fn encode_update(update: &ListUpdate) -> Vec<u8> {
     framed(|out| put_update(update, out))
 }
 
+/// The bytes of `list` shipped whole — [`encode_update`] of a
+/// [`ListUpdate::Replace`] — without cloning the list into an update.
+pub fn encode_replace(list: &Pinglist) -> Vec<u8> {
+    framed(|out| put_replace(list, out))
+}
+
+fn put_replace(list: &Pinglist, out: &mut Vec<u8>) {
+    out.push(TAG_LIST_REPLACE);
+    encode_list(list, out);
+}
+
 /// A whole list and a retired one keep their own tags; an edit script is
 ///
 /// ```text
@@ -290,10 +301,7 @@ pub fn encode_update(update: &ListUpdate) -> Vec<u8> {
 /// ```
 fn put_update(update: &ListUpdate, out: &mut Vec<u8>) {
     match update {
-        ListUpdate::Replace(list) => {
-            out.push(TAG_LIST_REPLACE);
-            encode_list(list, out);
-        }
+        ListUpdate::Replace(list) => put_replace(list, out),
         ListUpdate::Remove(pinger) => {
             out.push(TAG_LIST_REMOVE);
             put_u32(out, pinger.0);

@@ -9,7 +9,7 @@
 //! starting correction level.
 
 use detector_core::pmc::{CandidateBatch, CandidateProvider};
-use detector_core::types::{LinkId, NodeId, ProbePath};
+use detector_core::types::{LinkId, NodeId};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
 use crate::symmetric::{BaseComponent, SymmetryPlan};
@@ -126,12 +126,6 @@ impl Dims {
         }
         debug_assert_eq!(cur, dst);
     }
-
-    fn server_path(&self, id: u32, src: u32, dst: u32, start: u32) -> ProbePath {
-        let mut route = Route::default();
-        self.route_into(src, dst, start, &mut route);
-        ProbePath::from_route(id, route.nodes, route.links)
-    }
 }
 
 /// A BCube(n, k) network.
@@ -237,14 +231,22 @@ impl DcnTopology for BCube {
             .collect()
     }
 
-    fn enumerate_candidates(&self) -> Vec<ProbePath> {
+    fn enumerate_candidates(&self) -> CandidateBatch {
         let d = &self.dims;
-        let mut out = Vec::new();
+        let servers = d.servers as usize;
+        let paths = servers * servers.saturating_sub(1) / 2 * d.levels as usize;
+        // A route corrects each digit once, plus one detour hop: two
+        // links and two nodes a hop, after the source.
+        let hops = d.levels as usize + 1;
+        let mut out = CandidateBatch::default();
+        out.reserve(paths, (2 * hops + 1) * paths, 2 * hops * paths);
+        let mut route = Route::default();
         let mut id = 0;
         for s1 in 0..d.servers {
             for s2 in (s1 + 1)..d.servers {
                 for start in 0..d.levels {
-                    out.push(d.server_path(id, s1, s2, start));
+                    d.route_into(s1, s2, start, &mut route);
+                    out.push(id, &route.nodes, &route.links);
                     id += 1;
                 }
             }
@@ -333,6 +335,14 @@ impl CandidateProvider for BcubeProvider {
 mod tests {
     use super::*;
     use detector_core::pmc::{max_identifiability, min_coverage, PmcConfig};
+    use detector_core::types::ProbePath;
+
+    /// The BuildPathSet route from `src` to `dst` as a path.
+    fn server_path(b: &BCube, src: u32, dst: u32, start: u32) -> ProbePath {
+        let mut route = Route::default();
+        b.dims.route_into(src, dst, start, &mut route);
+        ProbePath::from_route(0, route.nodes, route.links)
+    }
 
     #[test]
     fn counts_match_paper_formulas() {
@@ -377,7 +387,7 @@ mod tests {
         let b = BCube::new(3, 2).unwrap();
         for (s1, s2) in [(0u32, 26u32), (1, 2), (4, 22), (0, 9)] {
             for start in 0..b.levels() {
-                let p = b.dims.server_path(0, s1, s2, start);
+                let p = server_path(&b, s1, s2, start);
                 let r = b
                     .graph()
                     .route_from_nodes(p.nodes().to_vec())
@@ -397,7 +407,7 @@ mod tests {
         let s2 = 21u32; // digits (1,1,1): 1 + 4 + 16.
         let mut all_links = std::collections::HashSet::new();
         for start in 0..b.levels() {
-            let p = b.dims.server_path(0, s1, s2, start);
+            let p = server_path(&b, s1, s2, start);
             for l in p.links() {
                 assert!(all_links.insert(*l), "paths share link {l}");
             }
@@ -432,11 +442,11 @@ mod tests {
                 provided.insert(p.links().to_vec());
             }
         }
-        for p in b.enumerate_candidates() {
+        for p in b.enumerate_candidates().iter() {
             assert!(
-                provided.contains(p.links()),
+                provided.contains(p.links),
                 "missing candidate {:?}",
-                p.links()
+                p.links
             );
         }
     }

@@ -155,12 +155,6 @@ impl Dims {
         ];
         (nodes, links)
     }
-
-    /// [`Self::tor_route`] as a path.
-    fn tor_path(&self, id: u32, a: (u32, u32), b: (u32, u32), g: u32, c: u32) -> ProbePath {
-        let (nodes, links) = self.tor_route(a, b, g, c);
-        ProbePath::from_route(id, nodes.to_vec(), links.to_vec())
-    }
 }
 
 /// A k-ary Fattree network.
@@ -374,17 +368,20 @@ impl DcnTopology for Fattree {
         v
     }
 
-    fn enumerate_candidates(&self) -> Vec<ProbePath> {
+    fn enumerate_candidates(&self) -> CandidateBatch {
         let k = self.dims.k;
         let h = self.dims.h;
         let tors: Vec<(u32, u32)> = (0..k).flat_map(|p| (0..h).map(move |e| (p, e))).collect();
-        let mut out = Vec::new();
+        let paths = tors.len() * (tors.len() - 1) / 2 * (h * h) as usize;
+        let mut out = CandidateBatch::default();
+        out.reserve(paths, 5 * paths, 4 * paths);
         let mut id = 0;
-        for (i, &(p1, e1)) in tors.iter().enumerate() {
-            for &(p2, e2) in &tors[i + 1..] {
+        for (i, &a) in tors.iter().enumerate() {
+            for &b in &tors[i + 1..] {
                 for g in 0..h {
                     for c in 0..h {
-                        out.push(self.dims.tor_path(id, (p1, e1), (p2, e2), g, c));
+                        let (nodes, links) = self.dims.tor_route(a, b, g, c);
+                        out.push(id, &nodes, &links);
                         id += 1;
                     }
                 }
@@ -693,15 +690,15 @@ mod tests {
         let paths = ft.enumerate_candidates();
         // Unordered ToR pairs × (k/2)²: C(8,2) × 4 = 112.
         assert_eq!(paths.len(), 112);
-        for p in &paths {
+        for p in paths.iter() {
             let r = ft
                 .graph()
-                .route_from_nodes(p.nodes().to_vec())
+                .route_from_nodes(p.nodes.to_vec())
                 .expect("candidate path must be routable");
             let mut links: Vec<LinkId> = r.links.clone();
             links.sort_unstable();
             links.dedup();
-            assert_eq!(links.as_slice(), p.links());
+            assert_eq!(links.as_slice(), p.links);
         }
     }
 
@@ -807,9 +804,9 @@ mod tests {
                 ft.group_provider(0).universe().iter().copied().collect();
             let exhaustive: std::collections::HashSet<Vec<LinkId>> = ft
                 .enumerate_candidates()
-                .into_iter()
-                .filter(|p| p.links().iter().all(|l| uni.contains(l)))
-                .map(|p| p.links().to_vec())
+                .iter()
+                .filter(|p| p.links.iter().all(|l| uni.contains(l)))
+                .map(|p| p.links.to_vec())
                 .collect();
             assert_eq!(provided, exhaustive, "k={k}");
         }

@@ -35,7 +35,8 @@ pub use symmetric::{construct_symmetric, BaseComponent, SymmetryPlan};
 pub use view::{pod_switches, SharedTopology, TopologyDelta, TopologyEvent, TopologyView};
 pub use vl2::Vl2;
 
-use detector_core::types::{NodeId, ProbePath};
+use detector_core::pmc::CandidateBatch;
+use detector_core::types::NodeId;
 
 /// Errors from topology construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,9 +82,15 @@ pub trait DcnTopology {
     fn probe_endpoints(&self) -> Vec<NodeId>;
 
     /// Materializes every candidate path (unordered endpoint pairs — the
-    /// reverse path covers the same undirected links). Only feasible for
-    /// small instances; large instances must use [`Self::symmetry`].
-    fn enumerate_candidates(&self) -> Vec<ProbePath>;
+    /// reverse path covers the same undirected links) into one flat
+    /// [`CandidateBatch`], reserved up front: candidate `i` is path id
+    /// `i`, its node run and its sorted, de-duplicated link run — the
+    /// batch a symmetry provider writes its rounds into, so both
+    /// candidate sources hand PMC the same representation and neither
+    /// builds a [`ProbePath`](detector_core::types::ProbePath) per
+    /// candidate. Only feasible for small
+    /// instances; large instances must use [`Self::symmetry`].
+    fn enumerate_candidates(&self) -> CandidateBatch;
 
     /// ECMP route between two *servers* for a given flow hash, as the
     /// production network (and thus Pingmesh/NetNORAD probes) would route

@@ -9,7 +9,7 @@
 //! provider enumerates ToR pairings round-robin.
 
 use detector_core::pmc::{CandidateBatch, CandidateProvider};
-use detector_core::types::{LinkId, NodeId, ProbePath};
+use detector_core::types::{LinkId, NodeId};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
 use crate::symmetric::{BaseComponent, SymmetryPlan};
@@ -106,12 +106,6 @@ impl Dims {
             self.ta_link(t2, d),
         ];
         (nodes, links)
-    }
-
-    /// [`Self::tor_route`] as a path.
-    fn tor_path(&self, id: u32, t1: u32, t2: u32, u: u32, i: u32, d: u32) -> ProbePath {
-        let (nodes, links) = self.tor_route(t1, t2, u, i, d);
-        ProbePath::from_route(id, nodes.to_vec(), links.to_vec())
     }
 }
 
@@ -260,16 +254,20 @@ impl DcnTopology for Vl2 {
         (0..self.dims.tors).map(|t| self.dims.tor(t)).collect()
     }
 
-    fn enumerate_candidates(&self) -> Vec<ProbePath> {
+    fn enumerate_candidates(&self) -> CandidateBatch {
         let d = &self.dims;
-        let mut out = Vec::new();
+        let tors = d.tors as usize;
+        let paths = tors * tors.saturating_sub(1) / 2 * 4 * d.ints as usize;
+        let mut out = CandidateBatch::default();
+        out.reserve(paths, 5 * paths, 4 * paths);
         let mut id = 0;
         for t1 in 0..d.tors {
             for t2 in (t1 + 1)..d.tors {
                 for u in 0..2 {
                     for i in 0..d.ints {
                         for dn in 0..2 {
-                            out.push(d.tor_path(id, t1, t2, u, i, dn));
+                            let (nodes, links) = d.tor_route(t1, t2, u, i, dn);
+                            out.push(id, &nodes, &links);
                             id += 1;
                         }
                     }
@@ -450,9 +448,9 @@ mod tests {
         let paths = v.enumerate_candidates();
         // C(4,2) unordered pairs × 2·2·2 = 6 × 8 = 48.
         assert_eq!(paths.len(), 48);
-        for p in &paths {
+        for p in paths.iter() {
             v.graph()
-                .route_from_nodes(p.nodes().to_vec())
+                .route_from_nodes(p.nodes.to_vec())
                 .expect("candidate must be routable");
         }
     }
@@ -491,8 +489,8 @@ mod tests {
         }
         let exhaustive: std::collections::HashSet<Vec<LinkId>> = v
             .enumerate_candidates()
-            .into_iter()
-            .map(|p| p.links().to_vec())
+            .iter()
+            .map(|p| p.links.to_vec())
             .collect();
         assert_eq!(provided, exhaustive);
     }

@@ -9,8 +9,10 @@
 //! size through overlapping link churn, and is the clean-boot plan bit for
 //! bit whenever nothing is offline. A deployment built from a plan
 //! allocates per entry and per list, not per path lookup, a re-plan
-//! copies no matrix and clones no list it does not ship, and a symmetric
-//! boot allocates per selected path and per batch, not per candidate.
+//! copies no matrix and clones no list it does not ship, a symmetric
+//! boot allocates per selected path and per batch, not per candidate, and
+//! a materialized boot — its candidates enumerated into one flat batch —
+//! allocates per selected path and per cell, not per candidate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -357,4 +359,38 @@ fn a_symmetric_boot_allocates_per_selected_path_and_batch_not_per_candidate() {
         allocations <= 3 * paths + 1_024,
         "a symmetric boot of {paths} paths made {allocations} allocations"
     );
+}
+
+/// A materialized boot keeps its candidates in one flat batch — the
+/// enumeration writes it, `decompose` copies each component's runs into
+/// a batch of its own (a single component keeps it whole) and the
+/// solve reads candidates out of it — and builds a `ProbePath` only for
+/// a selected one. VL2(20,12,2) at (3, 1), one 70 800-candidate cell,
+/// boots to 241 paths in about 700 allocations; Fattree(8), whose four
+/// cells solve on the job pool's threads (uncounted) once this thread
+/// has enumerated and decomposed, in about 90. Enumerating into a
+/// `ProbePath` per candidate made 142 313 and 15 986.
+#[test]
+fn a_materialized_boot_allocates_per_selected_path_and_cell_not_per_candidate() {
+    let cfg = PmcConfig::new(3, 1);
+    let topos: [(SharedTopology, usize, usize); 2] = [
+        (Arc::new(Vl2::new(20, 12, 2).unwrap()), 1, 241),
+        (Arc::new(Fattree::new(8).unwrap()), 4, 320),
+    ];
+    for (topo, cells, paths) in topos {
+        assert!(topo.original_path_count() <= detector_system::EXHAUSTIVE_LIMIT);
+        let name = topo.name();
+        let (plan, allocations) =
+            allocations_of(|| ProbePlan::new(topo, &cfg, &HashSet::new()).unwrap());
+        assert_eq!(
+            (plan.num_cells(), plan.num_paths()),
+            (cells, paths),
+            "{name}"
+        );
+        assert!(
+            allocations <= 3 * paths + 1_024,
+            "a materialized boot of {name}, {paths} paths in {cells} cells, \
+             made {allocations} allocations"
+        );
+    }
 }
