@@ -24,11 +24,15 @@
 //! dead link's.
 //!
 //! The store keeps what its queries read and nothing else. A window is
-//! one log of three columns in ingest order — per report its pinger and
-//! where its rows and records end, per path `(path, flows_probed, sent,
-//! lost)` in 24 bytes, and the flow records — so filing a report
-//! copies its columns and drops it while its three heap blocks are still
-//! hot for the next decode. The in-rack total is read before a report is
+//! one log of columns in ingest order — per report its pinger and where
+//! its rows and records end, per path `(path, flows_probed, sent, lost)`
+//! in 16 bytes, and the flow records — so filing a report copies its
+//! columns and drops it while its three heap blocks are still hot for the
+//! next decode. A row's counters are `u32`, which every report a pinger
+//! builds fits; whether a report does is decided once, when it is filed,
+//! and one with a counter past `u32::MAX` also files each path's exact
+//! `(sent, lost)` on a side column, which the store's readers take for
+//! that report only. The in-rack total is read before a report is
 //! filed (the close half's probe count) and is not kept. A pruned
 //! window's log is cleared and handed to the next window, so once the
 //! retained windows have sized their logs, filing allocates nothing and
@@ -191,25 +195,58 @@ fn flows_of(flows: &[FlowRecord], path: PathId) -> &[FlowRecord] {
 struct Head {
     pinger: NodeId,
     rows_end: usize,
+    wide_end: usize,
     flows_end: usize,
 }
 
-/// What the store keeps of one path of one report.
+/// What the store keeps of one path of one report, in 16 bytes: its
+/// counters as `u32`, which fit every report a pinger builds. A report
+/// with a counter past `u32::MAX` also keeps every path's exact counters
+/// beside its rows ([`Rows::wide`]), decided once when it is filed.
 struct Row {
     path: PathId,
     /// Zero where the report's `flows_probed` fell short of its paths.
     flows_probed: u32,
-    sent: u64,
-    lost: u64,
+    /// Truncated in a wide report.
+    sent: u32,
+    lost: u32,
+}
+
+impl Row {
+    /// The row's own `(sent, lost)`: exact in a narrow report.
+    fn counters(&self) -> (u64, u64) {
+        (u64::from(self.sent), u64::from(self.lost))
+    }
+}
+
+/// One filed report's rows.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    narrow: &'a [Row],
+    /// Every row's exact `(sent, lost)`, parallel to `narrow`, for a
+    /// report with a counter past `u32::MAX`; empty for any other.
+    wide: &'a [(u64, u64)],
+}
+
+impl<'a> Rows<'a> {
+    /// Each row with its exact `(sent, lost)`.
+    fn iter(self) -> impl Iterator<Item = (&'a Row, (u64, u64))> {
+        self.narrow.iter().enumerate().map(move |(i, r)| {
+            let exact = self.wide.get(i).copied();
+            (r, exact.unwrap_or_else(|| r.counters()))
+        })
+    }
 }
 
 /// One window's reports as columns, in ingest order: report `i` owns the
-/// rows and flow records between the ends of heads `i − 1` and `i`.
+/// rows, wide counters and flow records between the ends of heads
+/// `i − 1` and `i`.
 #[derive(Default)]
 struct WindowLog {
     window: u64,
     heads: Vec<Head>,
     rows: Vec<Row>,
+    wide: Vec<(u64, u64)>,
     flows: Vec<FlowRecord>,
 }
 
@@ -220,25 +257,34 @@ impl WindowLog {
             .extend(paths.map(|(&(path, c), flows_probed)| Row {
                 path,
                 flows_probed,
-                sent: c.sent,
-                lost: c.lost,
+                sent: c.sent as u32,
+                lost: c.lost as u32,
             }));
+        let widest = (report.paths.iter()).fold(0, |m, (_, c)| m | c.sent | c.lost);
+        if widest > u64::from(u32::MAX) {
+            let exact = report.paths.iter().map(|(_, c)| (c.sent, c.lost));
+            self.wide.extend(exact);
+        }
         self.flows.extend_from_slice(&report.flows);
         self.heads.push(Head {
             pinger: report.pinger,
             rows_end: self.rows.len(),
+            wide_end: self.wide.len(),
             flows_end: self.flows.len(),
         });
     }
 
     /// Every filed report as `(pinger, rows, flow records)`, in ingest
     /// order.
-    fn reports(&self) -> impl Iterator<Item = (NodeId, &[Row], &[FlowRecord])> {
-        let mut from = (0, 0);
+    fn reports(&self) -> impl Iterator<Item = (NodeId, Rows<'_>, &[FlowRecord])> {
+        let mut from = (0, 0, 0);
         self.heads.iter().map(move |h| {
-            let rows = self.rows.get(from.0..h.rows_end).unwrap_or_default();
-            let flows = self.flows.get(from.1..h.flows_end).unwrap_or_default();
-            from = (h.rows_end, h.flows_end);
+            let rows = Rows {
+                narrow: self.rows.get(from.0..h.rows_end).unwrap_or_default(),
+                wide: self.wide.get(from.1..h.wide_end).unwrap_or_default(),
+            };
+            let flows = self.flows.get(from.2..h.flows_end).unwrap_or_default();
+            from = (h.rows_end, h.wide_end, h.flows_end);
             (h.pinger, rows, flows)
         })
     }
@@ -246,6 +292,7 @@ impl WindowLog {
     fn clear(&mut self) {
         self.heads.clear();
         self.rows.clear();
+        self.wide.clear();
         self.flows.clear();
     }
 }
@@ -264,7 +311,7 @@ impl Logs {
     /// a driver that files the next window before pruning.
     const SPARE: usize = 2;
 
-    fn reports(&self, window: u64) -> impl Iterator<Item = (NodeId, &[Row], &[FlowRecord])> {
+    fn reports(&self, window: u64) -> impl Iterator<Item = (NodeId, Rows<'_>, &[FlowRecord])> {
         let at = self.live.binary_search_by_key(&window, |l| l.window);
         let log = at.ok().and_then(|at| self.live.get(at));
         log.into_iter().flat_map(WindowLog::reports)
@@ -391,19 +438,32 @@ impl RowSums {
     /// first id of the run that holds it. A report's ids ascend, so the
     /// run of its last row is checked first, and only an id off that run
     /// looks its own run up; an id outside every run goes on the side
-    /// list.
-    fn add_report(&mut self, table: &RowTable, rows: &[Row]) {
+    /// list. `counters` gives row `i`'s exact `(sent, lost)`.
+    ///
+    /// Out of line, once for narrow reports and once for wide ones, so
+    /// that its loop is compiled the same whatever its caller inlines.
+    /// The counters are read once the slot is found: read before, they
+    /// stay live across the run lookup, and the loop spills them (a
+    /// Fattree(32) storm's reuse `diagnose` read +38 %).
+    #[inline(never)]
+    fn add_report(
+        &mut self,
+        table: &RowTable,
+        rows: &[Row],
+        counters: impl Fn(usize, &Row) -> (u64, u64),
+    ) {
         let mut run = IdRun::default();
-        for r in rows {
+        for (i, r) in rows.iter().enumerate() {
             let slot = run.slot_of(r.path).or_else(|| {
                 run = table.run_of(r.path)?;
                 run.slot_of(r.path)
             });
+            let (sent, lost) = counters(i, r);
             match slot.and_then(|slot| self.slots.get_mut(slot)) {
                 // Wrapping: a hostile wire counter must not panic a debug
                 // build.
-                Some(s) => *s = (s.0.wrapping_add(r.sent), s.1.wrapping_add(r.lost)),
-                None => self.add_stray(r.path, r.sent, r.lost),
+                Some(s) => *s = (s.0.wrapping_add(sent), s.1.wrapping_add(lost)),
+                None => self.add_stray(r.path, sent, lost),
             }
         }
     }
@@ -429,7 +489,8 @@ impl RowSums {
     /// [`LossyIncidence::STRAY`] for a gap slot or a side-list id. The
     /// rows summing to no probe sent are listed; only when that list
     /// differs from the last walk's are the per-link counts redone and
-    /// the generation moved.
+    /// the generation moved. Out of line, as [`add_report`](Self::add_report) is.
+    #[inline(never)]
     fn drain_lossy(&mut self, table: &RowTable) -> (Vec<PathObservation>, usize) {
         let mut observed = 0;
         let (lossy, lossy_rows) = (&mut self.lossy, &mut self.lossy_rows);
@@ -550,10 +611,10 @@ impl ReportStore {
         let inner = self.inner.read();
         let mut agg: HashMap<PathId, (u64, u64)> = HashMap::new();
         for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
-            for r in rows {
+            for (r, (sent, lost)) in rows.iter() {
                 let e = agg.entry(r.path).or_insert((0, 0));
-                e.0 += r.sent;
-                e.1 += r.lost;
+                e.0 += sent;
+                e.1 += lost;
             }
         }
         let mut out: Vec<PathObservation> = agg
@@ -594,7 +655,12 @@ impl ReportStore {
         let mut reports = 0u64;
         for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
             reports += 1;
-            sums.add_report(table, rows);
+            match rows.wide {
+                [] => sums.add_report(table, rows.narrow, |_, r| r.counters()),
+                wide => sums.add_report(table, rows.narrow, |i, _| {
+                    wide.get(i).copied().unwrap_or_default()
+                }),
+            }
         }
         let (lossy, observed) = sums.drain_lossy(table);
         (lossy, observed, reports)
@@ -623,7 +689,7 @@ impl ReportStore {
         let inner = self.inner.read();
         let mut samples = Vec::new();
         for (pinger, rows, flows) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
-            for row in rows.iter().filter(|r| keep_path(r.path)) {
+            for (row, (sent, lost)) in rows.iter().filter(|(r, _)| keep_path(r.path)) {
                 let id = |flow| (u64::from(pinger.0) << 48) ^ (u64::from(row.path.0) << 24) ^ flow;
                 let lossy = flows_of(flows, row.path);
                 for f in lossy {
@@ -631,8 +697,8 @@ impl ReportStore {
                     samples.push(FlowSample::new(id(flow), f.sent, f.lost));
                 }
                 let rebuilt = u64::from(row.flows_probed).saturating_sub(lossy.len() as u64);
-                let rest = row.sent.saturating_sub(lossy.iter().map(|f| f.sent).sum());
-                let all_lost = row.sent > 0 && row.lost == row.sent;
+                let rest = sent.saturating_sub(lossy.iter().map(|f| f.sent).sum());
+                let all_lost = sent > 0 && lost == sent;
                 for i in 0..rebuilt {
                     let sent = if i == 0 {
                         rest.saturating_sub(rebuilt - 1)
@@ -838,6 +904,66 @@ mod tests {
         // Descending ids leave the run cursor at every run change, and
         // the cursor looks the id's run up again.
         assert_eq!(walk(1), want, "descending");
+    }
+
+    #[test]
+    fn wide_counters_are_filed_exact_beside_narrow_rows() {
+        use reference::{DenseSums, MapStore};
+        let max = u64::from(u32::MAX);
+        let flow = |path, sent, lost| FlowRecord {
+            path: PathId(path),
+            sport: 33000,
+            dscp: 0,
+            sent,
+            lost,
+        };
+        // Pingers 0 and 3 fit `u32`, to its last value; 1, 2 and the
+        // excluded 4 do not. No two pingers' sums on a path overflow.
+        let (flows_1, flows_2) = (vec![flow(2, max, 2)], vec![flow(4, 5, 1)]);
+        let reports = [
+            (0, vec![(0, max - 1, 1), (1, max, max), (2, 9, 0)], vec![]),
+            (1, vec![(0, 4, 0), (2, max + 1, 2), (3, 8, 8)], flows_1),
+            (2, vec![(4, u64::MAX - 1, max + 1), (5, 7, 1)], flows_2),
+            (3, vec![(3, 2, 1), (5, max, 0)], vec![]),
+            (4, vec![(0, max + 2, max + 2), (1, 1, 1)], vec![]),
+        ];
+        let (store, mut map) = (ReportStore::new(), MapStore::default());
+        for (pinger, paths, flows) in reports {
+            let report = PingerReport {
+                pinger: NodeId(pinger),
+                window: 0,
+                flows_probed: vec![3; paths.len()],
+                paths: (paths.iter())
+                    .map(|&(id, sent, lost)| (PathId(id), PathCounters { sent, lost }))
+                    .collect(),
+                flows,
+                ..Default::default()
+            };
+            store.ingest(report.clone());
+            map.ingest(report);
+        }
+        // Only the three wide reports' paths are on the side column.
+        assert_eq!(store.inner.read().live[0].wide.len(), 7);
+        let excluded = |p: NodeId| p == NodeId(4);
+        let want = map.window_observations(0, &excluded);
+        assert_eq!(store.window_observations(0, &excluded), want);
+        // No path sums to (0, 0), so the walks read out every one.
+        let paths = (0..6).map(|id| ProbePath::from_links(id, vec![LinkId(id % 3)]));
+        let matrix = ProbeMatrix::from_paths(3, paths.collect());
+        let mut whole = DenseSums::default();
+        assert_eq!(
+            store.window_sums(0, &matrix, &excluded, &mut whole),
+            (want.clone(), 4)
+        );
+        let lossy = want.iter().filter(|o| o.lost.min(o.sent) > 0);
+        assert_eq!(
+            store.window_lossy(0, &matrix, &excluded, &mut RowSums::new(&matrix)),
+            (lossy.copied().collect(), want.len(), 4)
+        );
+        assert_eq!(
+            store.flow_samples(0, &excluded, &|_| true),
+            map.flow_samples(0, &excluded, &|_| true)
+        );
     }
 
     #[test]

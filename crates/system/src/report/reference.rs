@@ -251,8 +251,8 @@ impl ReportStore {
         let mut reports = 0u64;
         for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
             reports += 1;
-            for r in rows {
-                sums.add(matrix.row_of(r.path), r.path, r.sent, r.lost);
+            for (r, (sent, lost)) in rows.iter() {
+                sums.add(matrix.row_of(r.path), r.path, sent, lost);
             }
         }
         (sums.drain(matrix), reports)
@@ -317,14 +317,14 @@ impl DenseSums {
 
 /// The report store before the window log: every report kept whole.
 #[derive(Default)]
-struct MapStore(HashMap<u64, Vec<PingerReport>>);
+pub(super) struct MapStore(HashMap<u64, Vec<PingerReport>>);
 
 impl MapStore {
-    fn ingest(&mut self, report: PingerReport) {
+    pub(super) fn ingest(&mut self, report: PingerReport) {
         self.0.entry(report.window).or_default().push(report);
     }
 
-    fn window_observations(
+    pub(super) fn window_observations(
         &self,
         window: u64,
         excluded: &dyn Fn(NodeId) -> bool,
@@ -350,7 +350,7 @@ impl MapStore {
         out
     }
 
-    fn flow_samples(
+    pub(super) fn flow_samples(
         &self,
         window: u64,
         excluded: &dyn Fn(NodeId) -> bool,

@@ -706,14 +706,16 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
     let window = take_varint(buf)?;
     let num_paths = take_count(buf, MIN_PATH_RECORD)?;
     let num_flows = take_count(buf, MIN_FLOW_RECORD)?;
-    let mut paths = Vec::with_capacity(num_paths);
-    let mut flows_probed = Vec::with_capacity(num_paths);
+    // Presized, and written in place: pushed, each record would load and
+    // store both lengths, as `push` may grow a vector.
+    let mut paths = vec![(PathId(0), PathCounters::default()); num_paths];
+    let mut flows_probed = vec![0; num_paths];
     let mut flows = Vec::with_capacity(num_flows);
     // The record loop's cursor and previous key stay local, and go to
     // the out-of-line arm by value: held behind a reference it passes
     // on, each record would store them and the next load them back.
     let (mut rest, mut prev) = (*buf, None);
-    for _ in 0..num_paths {
+    for (path_entry, probed_entry) in paths.iter_mut().zip(&mut flows_probed) {
         let (path, counters, probed) = match take_plain_path(&mut rest, prev) {
             Some(record) => record,
             None => {
@@ -723,8 +725,8 @@ fn decode_report(buf: &mut &[u8]) -> Result<PingerReport, FrameError> {
             }
         };
         prev = Some(path.0);
-        paths.push((path, counters));
-        flows_probed.push(probed);
+        *path_entry = (path, counters);
+        *probed_entry = probed;
     }
     *buf = rest;
     if flows.len() != num_flows {
