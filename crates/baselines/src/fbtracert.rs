@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use detector_core::pll::{Diagnosis, Localizer, SuspectLink};
 use detector_core::pmc::ProbeMatrix;
-use detector_core::types::{LinkId, NodeId, PathObservation, ProbePath};
+use detector_core::types::{LinkId, NodeId, PathObservation, PathRef, ProbePath};
 use detector_simnet::{Fabric, FlowKey};
 use detector_topology::{DcnTopology, Route};
 use rand::rngs::SmallRng;
@@ -63,15 +63,15 @@ impl FbtracertLocalizer {
 
 /// True when `next` extends `prev` by exactly one hop (same trace).
 ///
-/// Judged on the node sequence: a `ProbePath` normalizes its link set
-/// (sorted, de-duplicated) but keeps nodes in hop order.
-fn extends(next: &ProbePath, prev: &ProbePath) -> bool {
+/// Judged on the node sequence: a path's link set is normalized (sorted,
+/// de-duplicated) but its nodes stay in hop order.
+fn extends(next: PathRef<'_>, prev: PathRef<'_>) -> bool {
     let (n, p) = (next.nodes(), prev.nodes());
     n.len() == p.len() + 1 && n[..p.len()] == *p
 }
 
 /// The link `next` covers that `prev` does not: the newly traversed hop.
-fn new_link(next: &ProbePath, prev: Option<&ProbePath>) -> Option<LinkId> {
+fn new_link(next: PathRef<'_>, prev: Option<PathRef<'_>>) -> Option<LinkId> {
     next.links()
         .iter()
         .copied()
@@ -96,15 +96,15 @@ impl Localizer for FbtracertLocalizer {
             // One trace: a maximal run of consecutive prefix paths.
             let start = i;
             i += 1;
-            while i < paths.len() && extends(&paths[i], &paths[i - 1]) {
+            while i < paths.len() && extends(paths.get(i), paths.get(i - 1)) {
                 i += 1;
             }
-            let chain = &paths[start..i];
+            let chain: Vec<PathRef<'_>> = (start..i).map(|k| paths.get(k)).collect();
             traces += 1;
 
             let mut prev_loss = 0.0f64;
             let mut blamed = false;
-            for (ci, p) in chain.iter().enumerate() {
+            for (ci, &p) in chain.iter().enumerate() {
                 let Some(o) = obs_by_path.get(&p.id) else {
                     continue;
                 };
@@ -121,7 +121,7 @@ impl Localizer for FbtracertLocalizer {
                 // hop's link (the one this prefix adds over the previous
                 // one).
                 if loss - prev_loss >= self.cfg.hop_blame_threshold {
-                    let prev = ci.checked_sub(1).map(|i| &chain[i]);
+                    let prev = ci.checked_sub(1).map(|i| chain[i]);
                     if let Some(link) = new_link(p, prev) {
                         let e = votes.entry(link).or_insert((0, 0.0, 0));
                         e.0 += 1;
@@ -362,9 +362,10 @@ mod tests {
         assert!(!sweep.matrix.paths.is_empty());
         // Consecutive prefixes extend each other or start a new trace at
         // a single hop.
-        for w in sweep.matrix.paths.windows(2) {
+        let paths: Vec<_> = sweep.matrix.paths.iter().collect();
+        for w in paths.windows(2) {
             assert!(
-                extends(&w[1], &w[0]) || w[1].nodes().len() == 2,
+                extends(w[1], w[0]) || w[1].nodes().len() == 2,
                 "paths must form prefix chains"
             );
         }

@@ -8,11 +8,11 @@
 //! reuse windows, the first round's `components_solved` per onset, the
 //! quartiles over 10 cold starts of each step of the storm workload's
 //! cold start (the topology, the plan, and `build_deployment`'s matrix
-//! and `assign`, then `Diagnoser::new`, and dropping all of it, which
-//! the workload's `setup_s` also bills), the CPU model and the codegen
-//! units; and exits non-zero if a window's suspects differ from
-//! `localize`'s. `crates/bench/README.md` has the protocol for comparing
-//! two builds.
+//! and `assign`, then `Diagnoser::new`, the fresh diagnoser's first
+//! window, and dropping all of it: the steps the workload's `setup_s`
+//! bills), the CPU model and the codegen units; and exits non-zero if a
+//! window's suspects differ from `localize`'s. `crates/bench/README.md`
+//! has the protocol for comparing two builds.
 
 use std::collections::HashSet;
 use std::process::ExitCode;
@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use detector_core::pll::localize;
+use detector_core::types::LinkId;
 use detector_simnet::{Fabric, LossDiscipline};
 use detector_system::wire::Frame;
 use detector_system::{
@@ -31,12 +32,13 @@ const VARIANTS: u64 = 8;
 const WINDOWS: u64 = 4;
 const ROUNDS: u64 = 20;
 const COLD_STARTS: usize = 10;
-const COLD_STEPS: [&str; 6] = [
+const COLD_STEPS: [&str; 7] = [
     "topology",
     "plan",
     "matrix",
     "assign",
     "diagnoser",
+    "first_window",
     "teardown",
 ];
 
@@ -74,6 +76,29 @@ fn cold_start(k: u32, cfg: &SystemConfig) -> (Session, [f64; 5]) {
     ((ft, plan, pinglists, diagnoser), split)
 }
 
+/// Replays window `w` of `frames` on `diagnoser` as the storm workload
+/// does — decode, ingest, `diagnose`, prune — and returns its suspects.
+fn window(
+    diagnoser: &mut Diagnoser,
+    watchdog: &Watchdog,
+    frames: &[Vec<u8>],
+    w: u64,
+) -> Option<Vec<LinkId>> {
+    let mut decoded = true;
+    for f in frames {
+        match Frame::decode(f) {
+            Ok(Frame::Report(mut r)) => {
+                r.window = w;
+                diagnoser.ingest(r);
+            }
+            _ => decoded = false,
+        }
+    }
+    let suspects = diagnoser.diagnose(w, watchdog).diagnosis.suspect_links();
+    diagnoser.prune_before(w.saturating_sub(20));
+    decoded.then_some(suspects)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let k = match args.as_slice() {
@@ -86,16 +111,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let cfg = SystemConfig::default();
-    let mut cold: [Vec<f64>; 6] = Default::default();
-    for _ in 0..COLD_STARTS {
-        let (session, split) = cold_start(k, &cfg);
-        let start = Instant::now();
-        drop(session);
-        let teardown = start.elapsed().as_secs_f64() * 1e6;
-        (cold.iter_mut().zip(split.into_iter().chain([teardown])))
-            .for_each(|(samples, us)| samples.push(us));
-    }
-    let ((ft, _plan, pinglists, mut diagnoser), _) = cold_start(k, &cfg);
+    let ((ft, plan, pinglists, diagnoser), _) = cold_start(k, &cfg);
     let batches: Vec<PingerBatch> = (pinglists.iter())
         .map(|l| PingerBatch::bind(l.clone(), ft.graph()))
         .collect();
@@ -124,11 +140,33 @@ fn main() -> ExitCode {
             (frames, expected)
         })
         .collect();
+    drop((ft, plan, pinglists, diagnoser, batches));
 
+    // Cold starts the way the storm workload makes them, its first
+    // window included, then the session the storm replays on.
     let watchdog = Watchdog::new();
+    let (mut cold, mut wrong): ([Vec<f64>; 7], u64) = Default::default();
+    for _ in 0..COLD_STARTS {
+        let (mut session, split) = cold_start(k, &cfg);
+        let start = Instant::now();
+        let (frames, expected) = &variants[0];
+        let first = window(&mut session.3, &watchdog, frames, 0);
+        wrong += u64::from(first.as_ref() != Some(expected));
+        let first = start.elapsed().as_secs_f64() * 1e6;
+        let start = Instant::now();
+        drop(session);
+        let teardown = start.elapsed().as_secs_f64() * 1e6;
+        for (samples, us) in cold
+            .iter_mut()
+            .zip(split.into_iter().chain([first, teardown]))
+        {
+            samples.push(us);
+        }
+    }
+    let ((_, _, _, mut diagnoser), _) = cold_start(k, &cfg);
     // Onset and reuse windows' µs per stage.
     let mut stages: [[Vec<f64>; 3]; 2] = Default::default();
-    let (mut solved, mut wrong) = (Vec::new(), 0);
+    let mut solved = Vec::new();
     for w in 0..ROUNDS * VARIANTS * WINDOWS {
         let (frames, expected) = &variants[(w / WINDOWS % VARIANTS) as usize];
         let start = Instant::now();

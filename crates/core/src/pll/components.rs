@@ -509,11 +509,9 @@ impl ComponentPll {
         if p.cands.items().iter().zip(p.link_paths.runs()).any(moved) {
             self.invalidate();
         }
-        let mut row_links = Runs::default();
-        matrix.fill_row_links(&mut row_links);
         let view = LossyIncidence {
             rows: &rows_of(matrix, &lossy),
-            row_links: &row_links,
+            row_links: matrix.paths.link_runs(),
             observed: &through,
             generation: self.generation,
         };
@@ -930,7 +928,7 @@ mod tests {
     /// A chain: path `i` crosses links `i` and `i + 1`, for `i < 6`.
     fn chain() -> ProbeMatrix {
         let paths = (0..6).map(|i| ProbePath::from_links(i, vec![LinkId(i), LinkId(i + 1)]));
-        ProbeMatrix::from_paths(7, paths.collect())
+        ProbeMatrix::from_paths(7, paths.collect::<Vec<_>>())
     }
 
     #[test]

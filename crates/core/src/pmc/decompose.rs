@@ -13,7 +13,7 @@
 //! component's sorted universe — so each component's candidate index is
 //! built straight from those locals, never by searching the universe.
 //!
-//! The candidates come as one flat [`CandidateBatch`], the way both
+//! The candidates come as one flat [`PathStore`], the way both
 //! sources write them: `DcnTopology::enumerate_candidates` for a small
 //! topology, a provider round for a symmetric one. Decomposing counts
 //! each component's candidates, nodes and links, then copies every
@@ -24,10 +24,9 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use super::index::{candidate_index, candidate_index_with, CandidateIndex, IndexedCell};
-use super::provider::{Candidate, CandidateBatch};
 use super::{repair_restricted, solve_restricted, PmcConfig, PmcError, SubSolution};
 use crate::dense::UnionFind;
-use crate::types::{LinkId, ProbePath};
+use crate::types::{LinkId, PathRef, PathStore};
 
 /// One independent PMC subproblem: a link universe, the candidates
 /// within it, flat, and their candidate index, built once so every solve
@@ -35,17 +34,14 @@ use crate::types::{LinkId, ProbePath};
 #[derive(Clone, Debug)]
 pub struct Subproblem {
     universe: Vec<LinkId>,
-    candidates: CandidateBatch,
+    candidates: PathStore,
     index: CandidateIndex,
 }
 
 impl Subproblem {
     /// A subproblem over an explicit universe; every candidate link must
     /// be in it.
-    pub fn new(
-        universe: Vec<LinkId>,
-        candidates: impl Into<CandidateBatch>,
-    ) -> Result<Self, PmcError> {
+    pub fn new(universe: Vec<LinkId>, candidates: impl Into<PathStore>) -> Result<Self, PmcError> {
         let candidates = candidates.into();
         let index = candidate_index(&universe, &candidates)?;
         Ok(Self {
@@ -57,9 +53,9 @@ impl Subproblem {
 
     /// Wraps a candidate set as a single subproblem (no decomposition);
     /// the universe is inferred from the links the candidates cover.
-    pub fn whole(candidates: impl Into<CandidateBatch>) -> Self {
+    pub fn whole(candidates: impl Into<PathStore>) -> Self {
         let candidates = candidates.into();
-        let mut universe = candidates.all_links().to_vec();
+        let mut universe = candidates.link_runs().items().to_vec();
         universe.sort_unstable();
         universe.dedup();
         Self::new(universe, candidates).expect("the universe is the candidates' links")
@@ -71,7 +67,7 @@ impl Subproblem {
     }
 
     /// The candidates, entirely within the universe.
-    pub fn candidates(&self) -> &CandidateBatch {
+    pub fn candidates(&self) -> &PathStore {
         &self.candidates
     }
 
@@ -137,7 +133,7 @@ impl Subproblem {
     pub fn resolve_seeded<'a>(
         &self,
         excluded: &HashSet<LinkId>,
-        seed: impl IntoIterator<Item = &'a ProbePath>,
+        seed: impl IntoIterator<Item = impl Into<PathRef<'a>>>,
         cfg: &PmcConfig,
     ) -> Result<SubSolution, PmcError> {
         repair_restricted(self.indexed(), excluded, seed, cfg, cfg.deadline())
@@ -149,11 +145,11 @@ impl Subproblem {
 /// Paths covering no links are dropped. Components are returned in
 /// ascending order of their smallest link id, each with its candidates in
 /// input order, so decomposition is fully deterministic.
-pub fn decompose(candidates: impl Into<CandidateBatch>) -> Vec<Subproblem> {
+pub fn decompose(candidates: impl Into<PathStore>) -> Vec<Subproblem> {
     let candidates = candidates.into();
     let mut sets = UnionFind::default();
     for c in candidates.iter() {
-        sets.join(c.links.iter().map(|l| l.0));
+        sets.join(c.links().iter().map(|l| l.0));
     }
     let (count, component) = sets.number();
     // Each link's local index is its rank in its component's (ascending)
@@ -168,26 +164,30 @@ pub fn decompose(candidates: impl Into<CandidateBatch>) -> Vec<Subproblem> {
     }
 
     // A candidate's component is its first link's; an empty one has none.
-    let of = |c: &Candidate<'_>| Some(component[c.links.first()?.index()] as usize);
-    let members = if count == 1 && candidates.iter().all(|c| !c.links.is_empty()) {
+    let of = |c: &PathRef<'_>| Some(component[c.links().first()?.index()] as usize);
+    let members = if count == 1 && candidates.iter().all(|c| !c.links().is_empty()) {
         vec![candidates]
     } else {
         let mut sizes = vec![(0, 0, 0); count];
         for c in candidates.iter() {
             if let Some(size) = of(&c).and_then(|k| sizes.get_mut(k)) {
-                *size = (size.0 + 1, size.1 + c.nodes.len(), size.2 + c.links.len());
+                *size = (
+                    size.0 + 1,
+                    size.1 + c.nodes().len(),
+                    size.2 + c.links().len(),
+                );
             }
         }
-        let mut members: Vec<CandidateBatch> = (sizes.into_iter())
+        let mut members: Vec<PathStore> = (sizes.into_iter())
             .map(|(n, nodes, links)| {
-                let mut batch = CandidateBatch::default();
+                let mut batch = PathStore::default();
                 batch.reserve(n, nodes, links);
                 batch
             })
             .collect();
         for c in candidates.iter() {
             if let Some(batch) = of(&c).and_then(|k| members.get_mut(k)) {
-                batch.push_candidate(c);
+                batch.push_path(c);
             }
         }
         members
@@ -210,7 +210,7 @@ pub fn decompose(candidates: impl Into<CandidateBatch>) -> Vec<Subproblem> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::NodeId;
+    use crate::types::{NodeId, ProbePath};
 
     fn path(id: u32, ls: &[u32]) -> ProbePath {
         ProbePath::from_links(id, ls.iter().map(|&l| LinkId(l)).collect())
@@ -311,7 +311,7 @@ mod tests {
     /// Each component's candidates, run by run: id, nodes and links.
     fn runs(sub: &Subproblem) -> Vec<(u32, Vec<NodeId>, Vec<LinkId>)> {
         (sub.candidates.iter())
-            .map(|c| (c.id.0, c.nodes.to_vec(), c.links.to_vec()))
+            .map(|c| (c.id.0, c.nodes().to_vec(), c.links().to_vec()))
             .collect()
     }
 
@@ -341,7 +341,7 @@ mod tests {
                 0..24,
             ),
         ) {
-            let mut batch = CandidateBatch::default();
+            let mut batch = PathStore::default();
             let mut paths = Vec::new();
             for (i, (ls, hops, id)) in raw.iter().enumerate() {
                 let route = nodes(&(0..*hops).map(|h| 10 * i as u32 + h).collect::<Vec<_>>());
@@ -371,7 +371,7 @@ mod tests {
         // One component, which keeps its batch whole unless a candidate
         // covers nothing, and two.
         for split in [false, true] {
-            let mut batch = CandidateBatch::default();
+            let mut batch = PathStore::default();
             batch.push(7, &nodes(&[1, 2]), &links(&[3, 2]));
             batch.push(8, &nodes(&[5]), &[]);
             batch.push(9, &nodes(&[3, 4]), &links(if split { &[6] } else { &[2] }));
@@ -392,7 +392,7 @@ mod tests {
     fn components_whose_links_come_out_of_order() {
         // First seen: links 9 and 8, then 0, then 4; components number
         // by their smallest link, so {5, 8, 9} comes last.
-        let mut batch = CandidateBatch::default();
+        let mut batch = PathStore::default();
         batch.push(10, &nodes(&[90, 80]), &links(&[9, 8]));
         batch.push(11, &nodes(&[0]), &links(&[1, 0]));
         batch.push(12, &nodes(&[4]), &links(&[4]));

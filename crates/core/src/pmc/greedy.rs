@@ -4,9 +4,9 @@
 use std::time::Instant;
 
 use super::index::{CellPool, Pool};
-use super::provider::Candidate;
 use super::state::SelectionState;
 use super::{check_deadline, PmcConfig, PmcError, SubSolution};
+use crate::types::PathRef;
 
 /// Runs the strawman greedy from `state` over the candidates of `pool`.
 ///
@@ -29,7 +29,7 @@ pub(crate) fn run(
     mut state: SelectionState,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
-    mut selected: impl FnMut(Candidate<'_>) -> bool,
+    mut selected: impl FnMut(PathRef<'_>) -> bool,
 ) -> Result<SubSolution, PmcError> {
     // detlint::allow(determinism, reason = "PMC solver timeout clock; deadlines only abort, never alter a completed plan")
     let start = Instant::now();

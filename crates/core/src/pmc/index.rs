@@ -1,10 +1,9 @@
 //! Candidate index: every candidate's links as sorted local indices.
 //!
-//! The greedy loops never look at a
-//! [`ProbePath`](crate::types::ProbePath) until they select it: they
-//! read [`Candidate`]s out of a [`CandidateBatch`] and build a path only
-//! for a selected one. A subproblem's candidates are indexed once — one
-//! run per candidate in the crate's run array ([`Runs`]), its links as
+//! The greedy loops read candidates as [`PathRef`]s out of a
+//! [`PathStore`] and copy one only when they select it. A subproblem's
+//! candidates are indexed once — one run per candidate in the crate's
+//! run array ([`Runs`]), its links as
 //! dense local indices into the subproblem's universe — and a solve
 //! addresses candidates by position: heap and alive entries hold a
 //! `u32`, scoring reads a `&[u32]`. Excluding links (the incremental
@@ -16,10 +15,9 @@
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-use super::provider::{Candidate, CandidateBatch};
 use super::PmcError;
 use crate::dense::Runs;
-use crate::types::LinkId;
+use crate::types::{LinkId, PathRef, PathStore};
 
 /// Remap entry of a link excluded from the restricted universe.
 const EXCLUDED: u32 = u32::MAX;
@@ -63,7 +61,7 @@ pub(crate) type CandidateIndex = Runs<u32>;
 /// universe is an error.
 pub(crate) fn candidate_index(
     universe: &[LinkId],
-    candidates: &CandidateBatch,
+    candidates: &PathStore,
 ) -> Result<CandidateIndex, PmcError> {
     let lookup = LinkLookup::new(universe);
     candidate_index_with(candidates, |link| lookup.local(link))
@@ -72,13 +70,13 @@ pub(crate) fn candidate_index(
 /// Indexes `candidates`, `local` naming each link's local index (`None`
 /// for a link outside the universe, an error).
 pub(crate) fn candidate_index_with(
-    candidates: &CandidateBatch,
+    candidates: &PathStore,
     local: impl Fn(LinkId) -> Option<u32>,
 ) -> Result<CandidateIndex, PmcError> {
     let mut index = Runs::default();
-    index.reserve(candidates.len(), candidates.all_links().len());
+    index.reserve(candidates.len(), candidates.link_runs().items().len());
     for c in candidates.iter() {
-        push_candidate(&mut index, &local, c.links)?;
+        push_candidate(&mut index, &local, c.links())?;
     }
     Ok(index)
 }
@@ -120,7 +118,7 @@ pub(crate) trait Pool {
 
     /// The locals and the candidate `pull` offered as `i` and `admit`
     /// kept.
-    fn get(&mut self, i: u32) -> (&[u32], Candidate<'_>);
+    fn get(&mut self, i: u32) -> (&[u32], PathRef<'_>);
 }
 
 /// A materialized subproblem seen through its candidate index.
@@ -128,7 +126,7 @@ pub(crate) trait Pool {
 pub(crate) struct IndexedCell<'a> {
     /// Link universe the index numbers its locals in.
     pub(crate) universe: &'a [LinkId],
-    pub(crate) candidates: &'a CandidateBatch,
+    pub(crate) candidates: &'a PathStore,
     pub(crate) index: &'a CandidateIndex,
 }
 
@@ -255,7 +253,7 @@ impl Pool for CellPool<'_> {
         Ok(true)
     }
 
-    fn get(&mut self, i: u32) -> (&[u32], Candidate<'_>) {
+    fn get(&mut self, i: u32) -> (&[u32], PathRef<'_>) {
         let i = i as usize;
         let locals = restricted(self.cell.index, self.remap.as_deref(), &mut self.scratch, i)
             .expect("only offered candidates are asked for");
@@ -353,7 +351,7 @@ mod tests {
         // A cell backed by a batch, as the enumerators write one: links in
         // hop order, nodes kept as given.
         let universe: Vec<LinkId> = (0..4).map(LinkId).collect();
-        let mut candidates = CandidateBatch::default();
+        let mut candidates = PathStore::default();
         let route = |ns: &[u32]| ns.iter().copied().map(NodeId).collect::<Vec<_>>();
         let links = |ls: &[u32]| ls.iter().copied().map(LinkId).collect::<Vec<_>>();
         candidates.push(10, &route(&[0, 1, 2]), &links(&[1, 0]));
@@ -382,15 +380,13 @@ mod tests {
         assert_eq!(locals, &[2u32][..]);
         assert_eq!(c, candidates.get(3));
         assert_eq!(
-            (c.id, c.nodes, c.links),
+            (c.id, c.nodes(), c.links()),
             (PathId(13), &route(&[3, 5])[..], &links(&[3])[..])
         );
         // The one candidate a path is built for reads back whole.
         let (_, c) = pool.get(1);
-        assert_eq!(
-            c.to_path(),
-            ProbePath::from_route(11, route(&[2, 3]), links(&[2, 3]))
-        );
+        let twin = ProbePath::from_route(11, route(&[2, 3]), links(&[2, 3]));
+        assert_eq!(c, PathRef::from(&twin));
         // Flags are in restricted locals: link 2 is local 1, link 3 local 2.
         assert_eq!(pool.crossing(&[true, false, false]), Vec::<u32>::new());
         assert_eq!(pool.crossing(&[false, true, false]), vec![1]);

@@ -268,7 +268,8 @@ fn pull_batch<P: Pool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pmc::{construct_with_provider, CandidateBatch, CandidateProvider, Subproblem};
+    use crate::pmc::{construct_with_provider, CandidateProvider, Subproblem};
+    use crate::types::PathStore;
     use crate::types::{LinkId, ProbePath};
 
     /// Solves a materialized subproblem with `cfg`'s strategy.
@@ -331,7 +332,7 @@ mod tests {
             fn universe(&self) -> &[LinkId] {
                 &self.universe
             }
-            fn next_batch(&mut self, batch: &mut CandidateBatch) {
+            fn next_batch(&mut self, batch: &mut PathStore) {
                 self.stage += 1;
                 match self.stage {
                     1 => batch.push(0, &[], &[LinkId(0), LinkId(1)]),

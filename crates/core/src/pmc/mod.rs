@@ -22,12 +22,14 @@
 //! loops address candidates through a candidate index — each candidate's
 //! links as sorted local indices, built once per [`Subproblem`] or grown
 //! batch by batch from a provider — so heap and alive entries hold an
-//! index, an exclusion is a renumbering, and a [`ProbePath`] is built
-//! only for a selected path. Both candidate sources write one flat
-//! [`CandidateBatch`] — a small topology's enumeration, which a
-//! [`Subproblem`] keeps, and a provider's rounds: a Fattree(32) base
-//! solve pulls 75 776 candidates and builds 939 paths, and the one
-//! 70 800-candidate cell of a VL2(20,12,2) plan holds no path at all.
+//! index, an exclusion is a renumbering, and a path is copied only when
+//! it is selected. Candidates, selections and a matrix's rows are all
+//! one flat [`PathStore`]: a small topology's enumeration, which a
+//! [`Subproblem`] keeps, a provider's rounds, each kept whole by the
+//! pool, the paths a solve selects and the rows of a [`ProbeMatrix`]. A
+//! Fattree(32) base solve pulls 75 776 candidates, a store per pull, and
+//! selects 939 paths into one; the one 70 800-candidate cell of a
+//! VL2(20,12,2) plan is one store of five arrays.
 
 mod decompose;
 mod greedy;
@@ -45,9 +47,7 @@ mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
 pub use jobs::JobPool;
-pub use provider::{
-    Candidate, CandidateBatch, CandidateProvider, ExcludingProvider, ExhaustiveProvider,
-};
+pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
 pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};
 pub use virtual_links::ExtendedUniverse;
@@ -56,8 +56,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-use crate::dense::Runs;
-use crate::types::{LinkId, PathId, ProbePath};
+use crate::types::{LinkId, PathId, PathRef, PathStore};
 use index::{candidate_index, CellPool, IndexedCell};
 use provider::ProviderPool;
 
@@ -279,9 +278,9 @@ pub struct RowTable {
 }
 
 impl RowTable {
-    fn build(paths: &[ProbePath]) -> Self {
-        let mut ids: Vec<(PathId, u32)> = (paths.iter().enumerate())
-            .map(|(row, p)| (p.id, row as u32))
+    fn build(paths: &PathStore) -> Self {
+        let mut ids: Vec<(PathId, u32)> = (paths.ids().iter().enumerate())
+            .map(|(row, &id)| (id, row as u32))
             .collect();
         ids.sort_unstable();
         let mut runs: Vec<IdRun> = Vec::new();
@@ -336,16 +335,22 @@ impl RowTable {
 }
 
 /// A constructed probe matrix: the selected probe paths plus metadata.
+///
+/// Row `r` is path `r` of one flat [`PathStore`], so the matrix's own
+/// link runs are its row → links incidence
+/// ([`PathStore::link_runs`]): the window walk and the localizers read
+/// them in place, and a clone is five array copies whatever the row
+/// count.
 #[derive(Clone, Debug)]
 pub struct ProbeMatrix {
     /// Size of the physical link universe (links are `0..num_links`).
     pub num_links: usize,
-    /// Selected probe paths. Ids are unique but not necessarily dense:
-    /// [`ProbeMatrix::from_paths`] re-numbers from 0 while
-    /// [`ProbeMatrix::from_segmented`] keeps the caller's (range-based)
-    /// ids. Resolve an id with [`ProbeMatrix::path`] instead of indexing
-    /// `paths` by `id.index()`.
-    pub paths: Vec<ProbePath>,
+    /// Selected probe paths, one per row. Ids are unique but not
+    /// necessarily dense: [`ProbeMatrix::from_paths`] re-numbers from 0
+    /// while [`ProbeMatrix::from_segmented`] keeps the caller's
+    /// (range-based) ids. Resolve an id with [`ProbeMatrix::path`]
+    /// instead of indexing `paths` by `id.index()`.
+    pub paths: PathStore,
     /// Targets achieved by the construction.
     pub achieved: Achieved,
     /// Links of the universe that no candidate path covered (these can
@@ -359,12 +364,9 @@ impl ProbeMatrix {
     /// Builds a probe matrix directly from externally selected paths
     /// (used by the baseline systems, whose "selection" is all-pairs).
     /// Paths are re-numbered densely from 0.
-    pub fn from_paths(num_links: usize, paths: Vec<ProbePath>) -> Self {
-        let paths: Vec<ProbePath> = paths
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| p.with_id(PathId(i as u32)))
-            .collect();
+    pub fn from_paths(num_links: usize, paths: impl Into<PathStore>) -> Self {
+        let mut paths = paths.into();
+        paths.renumber(|i| PathId(i as u32));
         Self::assemble(num_links, paths)
     }
 
@@ -375,17 +377,15 @@ impl ProbeMatrix {
     /// headroom gaps between cells. Ids must be unique; row order is the
     /// caller's path order (cell order, not id order — a re-based cell's
     /// range may sort after a later cell's).
-    pub fn from_segmented(num_links: usize, paths: Vec<ProbePath>) -> Self {
-        Self::assemble(num_links, paths)
+    pub fn from_segmented(num_links: usize, paths: impl Into<PathStore>) -> Self {
+        Self::assemble(num_links, paths.into())
     }
 
-    fn assemble(num_links: usize, paths: Vec<ProbePath>) -> Self {
+    fn assemble(num_links: usize, paths: PathStore) -> Self {
         let mut covered = vec![false; num_links];
-        for p in &paths {
-            for l in p.links() {
-                if l.index() < num_links {
-                    covered[l.index()] = true;
-                }
+        for l in paths.link_runs().items() {
+            if l.index() < num_links {
+                covered[l.index()] = true;
             }
         }
         let uncoverable = (0..num_links)
@@ -414,8 +414,8 @@ impl ProbeMatrix {
     /// reported against a pre-re-base pinglist) resolve to `None` —
     /// segmented allocation never reuses a retired id within a run, so a
     /// stale id can be dropped but can never alias another path.
-    pub fn path(&self, id: PathId) -> Option<&ProbePath> {
-        self.row_of(id).map(|row| &self.paths[row])
+    pub fn path(&self, id: PathId) -> Option<PathRef<'_>> {
+        self.row_of(id).map(|row| self.paths.get(row))
     }
 
     /// The id → row table, for a caller that keeps something per id slot.
@@ -435,31 +435,14 @@ impl ProbeMatrix {
     pub fn num_paths(&self) -> usize {
         self.paths.len()
     }
-
-    /// Iterates over the paths covering `link`.
-    pub fn paths_through(&self, link: LinkId) -> impl Iterator<Item = &ProbePath> {
-        self.paths.iter().filter(move |p| p.covers(link))
-    }
-
-    /// Refills `rows`, keeping its memory, with the row → links
-    /// incidence: run `r` is row `r`'s links, in its path's order.
-    pub fn fill_row_links(&self, rows: &mut Runs<LinkId>) {
-        rows.clear();
-        rows.reserve(
-            self.paths.len(),
-            self.paths.iter().map(ProbePath::len).sum(),
-        );
-        for p in &self.paths {
-            rows.push_run(p.links().iter().copied());
-        }
-    }
 }
 
 /// Result of solving one subproblem (used internally and by providers).
 #[derive(Clone, Debug)]
 pub struct SubSolution {
-    /// Selected paths (ids are meaningless until merged).
-    pub paths: Vec<ProbePath>,
+    /// Selected paths, in selection order (ids are meaningless until
+    /// merged).
+    pub paths: PathStore,
     /// True when both the α and β targets were met for this subproblem.
     pub targets_met: bool,
     /// Minimum coverage achieved over the subproblem's links.
@@ -469,8 +452,8 @@ pub struct SubSolution {
 }
 
 /// Constructs a probe matrix from a materialized candidate set: a
-/// [`CandidateBatch`] (what `DcnTopology::enumerate_candidates` writes)
-/// or hand-built paths.
+/// [`PathStore`] (what `DcnTopology::enumerate_candidates` writes) or
+/// hand-built paths.
 ///
 /// `num_links` is the size of the physical-link universe; every link id in
 /// `candidates` must be `< num_links`. Links that appear in no candidate are
@@ -494,12 +477,12 @@ pub struct SubSolution {
 /// ```
 pub fn construct(
     num_links: usize,
-    candidates: impl Into<CandidateBatch>,
+    candidates: impl Into<PathStore>,
     cfg: &PmcConfig,
 ) -> Result<ProbeMatrix, PmcError> {
     let deadline = cfg.deadline();
     let candidates = candidates.into();
-    let links = candidates.all_links();
+    let links = candidates.link_runs().items();
     if let Some(l) = links.iter().find(|l| l.index() >= num_links) {
         return Err(PmcError::UnknownLink { link: *l });
     }
@@ -582,7 +565,7 @@ pub fn construct_with_provider<P: CandidateProvider>(
 /// ```
 /// use std::collections::HashSet;
 /// use detector_core::pmc::{resolve_subproblem_seeded, PmcConfig};
-/// use detector_core::types::{LinkId, ProbePath};
+/// use detector_core::types::{LinkId, PathStore, ProbePath};
 ///
 /// let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
 /// let candidates = vec![
@@ -593,20 +576,20 @@ pub fn construct_with_provider<P: CandidateProvider>(
 /// let seed = vec![candidates[1].clone(), candidates[2].clone()];
 /// let dead: HashSet<LinkId> = [LinkId(0)].into_iter().collect();
 /// let cfg = PmcConfig::coverage(1);
-/// let sol = resolve_subproblem_seeded(&universe, &candidates, &dead, &seed, &cfg).unwrap();
+/// let sol = resolve_subproblem_seeded(&universe, &candidates[..], &dead, &seed, &cfg).unwrap();
 /// // The surviving seed already covers links 1 and 2: nothing churns.
 /// assert!(sol.targets_met);
-/// assert_eq!(sol.paths, seed);
+/// assert_eq!(sol.paths, PathStore::from(seed));
 /// ```
 pub fn resolve_subproblem_seeded<'a>(
     universe: &[LinkId],
-    candidates: &[ProbePath],
+    candidates: impl Into<PathStore>,
     excluded: &HashSet<LinkId>,
-    seed: impl IntoIterator<Item = &'a ProbePath>,
+    seed: impl IntoIterator<Item = impl Into<PathRef<'a>>>,
     cfg: &PmcConfig,
 ) -> Result<SubSolution, PmcError> {
     let deadline = cfg.deadline();
-    let candidates = CandidateBatch::from(candidates);
+    let candidates = candidates.into();
     let index = candidate_index(universe, &candidates)?;
     let cell = IndexedCell {
         universe,
@@ -639,7 +622,7 @@ pub(crate) fn solve_restricted(
 pub(crate) fn repair_restricted<'a>(
     cell: IndexedCell<'_>,
     excluded: &HashSet<LinkId>,
-    seed: impl IntoIterator<Item = &'a ProbePath>,
+    seed: impl IntoIterator<Item = impl Into<PathRef<'a>>>,
     cfg: &PmcConfig,
     deadline: Option<Instant>,
 ) -> Result<SubSolution, PmcError> {
@@ -653,6 +636,7 @@ pub(crate) fn repair_restricted<'a>(
     let seed = seed.into_iter();
     let mut survivors: HashMap<_, Cell<usize>> = HashMap::with_capacity(seed.size_hint().0);
     for p in seed {
+        let p = p.into();
         if p.is_empty() || p.links().iter().any(|l| excluded.contains(l)) {
             continue;
         }
@@ -664,7 +648,7 @@ pub(crate) fn repair_restricted<'a>(
     greedy::run(pool, state, cfg, deadline, |candidate| {
         // (`get` + `Cell`: `get_mut` would pin the key's lifetime to the
         // map's and reject a key borrowed from the pool.)
-        match survivors.get(&(candidate.nodes, candidate.links)) {
+        match survivors.get(&candidate.route()) {
             Some(left) if left.get() > 0 => {
                 left.set(left.get() - 1);
                 true
@@ -681,22 +665,19 @@ pub(crate) fn merge_solutions(
     solutions: Vec<SubSolution>,
     cfg: &PmcConfig,
 ) -> ProbeMatrix {
-    let mut paths = Vec::new();
+    let mut paths = PathStore::default();
+    paths.reserve_all(solutions.iter().map(|sol| &sol.paths));
     let mut targets_met = uncoverable.is_empty();
     let mut coverage = u32::MAX;
-    for sol in solutions {
+    for sol in &solutions {
         targets_met &= sol.targets_met;
         coverage = coverage.min(sol.coverage);
-        paths.extend(sol.paths);
+        let first = paths.len();
+        paths.extend_from(&sol.paths, |i| PathId((first + i) as u32));
     }
     if coverage == u32::MAX {
         coverage = 0;
     }
-    let paths: Vec<ProbePath> = paths
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| p.with_id(PathId(i as u32)))
-        .collect();
     let identifiability = if targets_met { cfg.beta } else { 0 };
     ProbeMatrix {
         num_links,
@@ -726,6 +707,7 @@ pub(crate) fn check_deadline(deadline: Option<Instant>, start: Instant) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ProbePath;
 
     fn fig3_candidates() -> Vec<ProbePath> {
         // The routing matrix of Fig. 3: p1 = {l1, l2}, p2 = {l1, l3},
@@ -832,16 +814,14 @@ mod tests {
         assert_eq!(m.path(PathId(4)), None);
         assert!(m.uncoverable.is_empty());
         // The incidence speaks rows, whatever the ids.
-        let mut rows = Runs::default();
-        m.fill_row_links(&mut rows);
-        assert_eq!(rows.run(3), &[LinkId(0), LinkId(2)]);
+        assert_eq!(m.paths.link_runs().run(3), &[LinkId(0), LinkId(2)]);
     }
 
     fn segmented(ids: &[u32]) -> ProbeMatrix {
         let paths = ids
             .iter()
             .map(|&id| ProbePath::from_links(id, vec![LinkId(0)]));
-        ProbeMatrix::from_segmented(1, paths.collect())
+        ProbeMatrix::from_segmented(1, paths.collect::<Vec<_>>())
     }
 
     fn table_bytes(m: &ProbeMatrix) -> usize {
@@ -926,10 +906,7 @@ mod tests {
     #[test]
     fn row_links_match_paths() {
         let m = construct(3, fig3_candidates(), &PmcConfig::identifiable(1)).unwrap();
-        // A refill leaves nothing of what the array held.
-        let mut rows = Runs::default();
-        rows.push_run([LinkId(9)]);
-        m.fill_row_links(&mut rows);
+        let rows = m.paths.link_runs();
         assert_eq!(rows.runs().count(), m.num_paths());
         for (row, p) in m.paths.iter().enumerate() {
             assert_eq!(rows.run(row), p.links());
@@ -953,14 +930,14 @@ mod tests {
         let cfg = PmcConfig::coverage(1);
         let sol = resolve_subproblem_seeded(
             &universe,
-            &candidates,
+            &candidates[..],
             &std::collections::HashSet::new(),
             &singles,
             &cfg,
         )
         .unwrap();
         assert!(sol.targets_met);
-        assert_eq!(sol.paths, singles);
+        assert_eq!(sol.paths, PathStore::from(singles));
     }
 
     #[test]
@@ -970,18 +947,20 @@ mod tests {
             ProbePath::from_links(0, vec![LinkId(0), LinkId(1)]),
             ProbePath::from_links(1, vec![LinkId(2)]),
         ];
-        let candidates = vec![
+        let candidates = [
             seed[0].clone(),
             seed[1].clone(),
             ProbePath::from_links(2, vec![LinkId(1)]),
         ];
         let dead: std::collections::HashSet<LinkId> = [LinkId(0)].into_iter().collect();
         let cfg = PmcConfig::coverage(1);
-        let sol = resolve_subproblem_seeded(&universe, &candidates, &dead, &seed, &cfg).unwrap();
+        let sol =
+            resolve_subproblem_seeded(&universe, &candidates[..], &dead, &seed, &cfg).unwrap();
         assert!(sol.targets_met);
         // The surviving seed path stays; the dead pair is replaced by the
         // one candidate that restores link 1's coverage.
-        assert_eq!(sol.paths, vec![seed[1].clone(), candidates[2].clone()]);
+        let want = vec![seed[1].clone(), candidates[2].clone()];
+        assert_eq!(sol.paths, PathStore::from(want));
     }
 
     #[test]
@@ -995,9 +974,14 @@ mod tests {
             let unseeded = cell.resolve(&dead, &cfg).unwrap();
             // Seed with the pristine full solve of the same cell.
             let pristine = cell.resolve(&HashSet::new(), &cfg).unwrap();
-            let seeded =
-                resolve_subproblem_seeded(&universe, &candidates, &dead, &pristine.paths, &cfg)
-                    .unwrap();
+            let seeded = resolve_subproblem_seeded(
+                &universe,
+                &candidates[..],
+                &dead,
+                pristine.paths.iter(),
+                &cfg,
+            )
+            .unwrap();
             assert_eq!(seeded.targets_met, unseeded.targets_met, "link {dead_link}");
             assert!(
                 seeded.coverage >= unseeded.coverage.min(1),

@@ -8,148 +8,17 @@
 //! group — and the lazy greedy pulls further rounds only while its (α, β)
 //! targets are unmet.
 //!
-//! Both candidate sources write a flat [`CandidateBatch`]: a provider
-//! writes its rounds into one that the pool reuses for every pull, and
+//! Both candidate sources write a flat [`PathStore`]: a provider fills
+//! a fresh one on every pull, which the pool keeps whole with the
+//! positions of the candidates the greedy admits, and
 //! `DcnTopology::enumerate_candidates` writes a small topology's whole
 //! candidate set into one that its [`Subproblem`](super::Subproblem)s
-//! keep. The pool keeps the candidates the greedy admits flat as well,
-//! and either source builds a [`ProbePath`] only for a selected one.
+//! keep. A selected candidate is copied once, into the solve's own
+//! store.
 
 use super::index::{push_candidate, CandidateIndex, LinkLookup, Pool};
 use super::PmcError;
-use crate::dense::Runs;
-use crate::types::{LinkId, NodeId, PathId, ProbePath};
-
-/// One candidate of a batch, or a [`ProbePath`] seen as one: its id,
-/// its node sequence and its sorted, de-duplicated links.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Candidate<'a> {
-    /// The provider's id for the candidate.
-    pub id: PathId,
-    /// Node sequence (empty for an abstract path).
-    pub nodes: &'a [NodeId],
-    /// Sorted, de-duplicated links.
-    pub links: &'a [LinkId],
-}
-
-impl Candidate<'_> {
-    /// The candidate as an owned path.
-    pub fn to_path(&self) -> ProbePath {
-        ProbePath::from_route(self.id.0, self.nodes.to_vec(), self.links.to_vec())
-    }
-}
-
-impl<'a> From<&'a ProbePath> for Candidate<'a> {
-    fn from(path: &'a ProbePath) -> Self {
-        let (nodes, links) = path.route();
-        Self {
-            id: path.id,
-            nodes,
-            links,
-        }
-    }
-}
-
-/// Candidates written flat: candidate `i` is its id and run `i` of the
-/// nodes and of the links ([`Runs`]); clearing keeps the memory.
-#[derive(Clone, Debug, Default)]
-pub struct CandidateBatch {
-    ids: Vec<PathId>,
-    nodes: Runs<NodeId>,
-    links: Runs<LinkId>,
-    /// Scratch: the links of the candidate being pushed, to sort.
-    sorting: Vec<LinkId>,
-}
-
-impl CandidateBatch {
-    /// Reserves room for `candidates` more candidates of `nodes` more
-    /// nodes and `links` more links in all.
-    pub fn reserve(&mut self, candidates: usize, nodes: usize, links: usize) {
-        self.ids.reserve(candidates);
-        self.nodes.reserve(candidates, nodes);
-        self.links.reserve(candidates, links);
-    }
-
-    /// Empties the batch, keeping the memory.
-    pub fn clear(&mut self) {
-        self.ids.clear();
-        self.nodes.clear();
-        self.links.clear();
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the batch holds no candidate.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Appends a candidate from its route: `links` in hop order, as
-    /// [`ProbePath::from_route`] takes them (sorted and de-duplicated
-    /// here).
-    pub fn push(&mut self, id: u32, nodes: &[NodeId], links: &[LinkId]) {
-        self.sorting.clear();
-        self.sorting.extend_from_slice(links);
-        self.sorting.sort_unstable();
-        self.sorting.dedup();
-        self.ids.push(PathId(id));
-        self.nodes.push_run(nodes.iter().copied());
-        self.links.push_run(self.sorting.iter().copied());
-    }
-
-    /// Appends a copy of `candidate`, whose links are already a sorted
-    /// set.
-    pub(crate) fn push_candidate(&mut self, candidate: Candidate<'_>) {
-        self.ids.push(candidate.id);
-        self.nodes.push_run(candidate.nodes.iter().copied());
-        self.links.push_run(candidate.links.iter().copied());
-    }
-
-    /// Candidate `i`; panics past the last.
-    pub(crate) fn get(&self, i: usize) -> Candidate<'_> {
-        Candidate {
-            id: self.ids[i],
-            nodes: self.nodes.run(i),
-            links: self.links.run(i),
-        }
-    }
-
-    /// Every candidate, in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Candidate<'_>> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// Every candidate's links, back to back.
-    pub(crate) fn all_links(&self) -> &[LinkId] {
-        self.links.items()
-    }
-}
-
-impl From<&[ProbePath]> for CandidateBatch {
-    fn from(paths: &[ProbePath]) -> Self {
-        let mut batch = Self::default();
-        batch.reserve(
-            paths.len(),
-            paths.iter().map(|p| p.nodes().len()).sum(),
-            paths.iter().map(ProbePath::len).sum(),
-        );
-        for p in paths {
-            batch.push_candidate(Candidate::from(p));
-        }
-        batch
-    }
-}
-
-/// Hand-built paths as a batch, so the entry points that take a
-/// candidate set take a `Vec<ProbePath>` as they always did.
-impl From<Vec<ProbePath>> for CandidateBatch {
-    fn from(paths: Vec<ProbePath>) -> Self {
-        Self::from(&paths[..])
-    }
-}
+use crate::types::{LinkId, PathRef, PathStore};
 
 /// A source of candidate probe paths for one PMC subproblem.
 pub trait CandidateProvider {
@@ -161,7 +30,7 @@ pub trait CandidateProvider {
     /// Appends the next batch of candidates to `batch`, which the caller
     /// hands in empty; leaving it empty signals exhaustion (the provider
     /// will not be polled again).
-    fn next_batch(&mut self, batch: &mut CandidateBatch);
+    fn next_batch(&mut self, batch: &mut PathStore);
 }
 
 impl<T: CandidateProvider + ?Sized> CandidateProvider for Box<T> {
@@ -169,7 +38,7 @@ impl<T: CandidateProvider + ?Sized> CandidateProvider for Box<T> {
         (**self).universe()
     }
 
-    fn next_batch(&mut self, batch: &mut CandidateBatch) {
+    fn next_batch(&mut self, batch: &mut PathStore) {
         (**self).next_batch(batch)
     }
 }
@@ -178,7 +47,7 @@ impl<T: CandidateProvider + ?Sized> CandidateProvider for Box<T> {
 #[derive(Clone, Debug)]
 pub struct ExhaustiveProvider {
     universe: Vec<LinkId>,
-    candidates: CandidateBatch,
+    candidates: PathStore,
     /// The first candidate not handed out yet.
     next: usize,
     batch_size: usize,
@@ -186,16 +55,16 @@ pub struct ExhaustiveProvider {
 
 impl ExhaustiveProvider {
     /// Builds a provider whose universe is inferred from the candidates.
-    pub fn new(candidates: impl Into<CandidateBatch>) -> Self {
+    pub fn new(candidates: impl Into<PathStore>) -> Self {
         let candidates = candidates.into();
-        let mut universe = candidates.all_links().to_vec();
+        let mut universe = candidates.link_runs().items().to_vec();
         universe.sort_unstable();
         universe.dedup();
         Self::with_universe(universe, candidates)
     }
 
     /// Builds a provider over an explicit universe.
-    pub fn with_universe(universe: Vec<LinkId>, candidates: impl Into<CandidateBatch>) -> Self {
+    pub fn with_universe(universe: Vec<LinkId>, candidates: impl Into<PathStore>) -> Self {
         let candidates = candidates.into();
         Self {
             universe,
@@ -218,10 +87,10 @@ impl CandidateProvider for ExhaustiveProvider {
         &self.universe
     }
 
-    fn next_batch(&mut self, batch: &mut CandidateBatch) {
+    fn next_batch(&mut self, batch: &mut PathStore) {
         let end = self.candidates.len().min(self.next + self.batch_size);
         for i in self.next..end {
-            batch.push_candidate(self.candidates.get(i));
+            batch.push_path(self.candidates.get(i));
         }
         self.next = end;
     }
@@ -240,7 +109,7 @@ pub struct ExcludingProvider<P> {
     universe: Vec<LinkId>,
     excluded: std::collections::HashSet<LinkId>,
     /// The inner provider's batch, before filtering.
-    unfiltered: CandidateBatch,
+    unfiltered: PathStore,
 }
 
 impl<P: CandidateProvider> ExcludingProvider<P> {
@@ -257,7 +126,7 @@ impl<P: CandidateProvider> ExcludingProvider<P> {
             inner,
             universe,
             excluded,
-            unfiltered: CandidateBatch::default(),
+            unfiltered: PathStore::default(),
         }
     }
 }
@@ -267,7 +136,7 @@ impl<P: CandidateProvider> CandidateProvider for ExcludingProvider<P> {
         &self.universe
     }
 
-    fn next_batch(&mut self, batch: &mut CandidateBatch) {
+    fn next_batch(&mut self, batch: &mut PathStore) {
         // An empty batch signals exhaustion to the greedy loop, so keep
         // pulling while filtering leaves nothing (a batch may cross the
         // excluded links entirely).
@@ -278,35 +147,36 @@ impl<P: CandidateProvider> CandidateProvider for ExcludingProvider<P> {
                 return;
             }
             for c in self.unfiltered.iter() {
-                if !c.links.iter().any(|l| self.excluded.contains(l)) {
-                    batch.push_candidate(c);
+                if !c.links().iter().any(|l| self.excluded.contains(l)) {
+                    batch.push_path(c);
                 }
             }
         }
     }
 }
 
-/// [`Pool`] fed by a provider: every pulled batch is indexed and the
-/// candidates the greedy keeps are copied out of it, so the loop that
-/// serves materialized cells serves providers too.
+/// [`Pool`] fed by a provider: every pull fills a fresh batch, indexes
+/// it, and keeps it whole with the positions of the candidates the
+/// greedy admits, so the loop that serves materialized cells serves
+/// providers too and no candidate is copied until it is selected.
 pub(crate) struct ProviderPool<P> {
     provider: P,
     lookup: LinkLookup,
-    /// The batch every pull refills.
-    batch: CandidateBatch,
-    /// The kept candidates, a chunk per pull.
+    /// The pulls that kept a candidate.
     chunks: Vec<Chunk>,
+    /// A pull that kept nothing, cleared for the next one.
+    spare: PathStore,
 }
 
-/// The candidates one pull kept and their locals, reserved at their
-/// batch's size: one array grown by doubling made a Fattree(32) base
-/// solve, which keeps 69 232 candidates, a third slower.
-#[derive(Default)]
+/// One pull: its batch, the positions of the candidates it kept and
+/// their locals, reserved at the batch's size.
 struct Chunk {
-    /// Number of the chunk's first candidate.
+    /// Number of the chunk's first kept candidate.
     first: u32,
-    kept: CandidateBatch,
-    /// Candidate `i`'s locals are run `i`.
+    batch: PathStore,
+    /// Kept candidate `i` is `batch`'s candidate `kept[i]`.
+    kept: Vec<u32>,
+    /// Kept candidate `i`'s locals are run `i`.
     index: CandidateIndex,
 }
 
@@ -315,8 +185,8 @@ impl<P: CandidateProvider> ProviderPool<P> {
         Self {
             lookup: LinkLookup::new(provider.universe()),
             provider,
-            batch: CandidateBatch::default(),
             chunks: Vec::new(),
+            spare: PathStore::default(),
         }
     }
 }
@@ -326,98 +196,104 @@ impl<P: CandidateProvider> Pool for ProviderPool<P> {
         &mut self,
         mut admit: impl FnMut(u32, &[u32]) -> Result<bool, PmcError>,
     ) -> Result<bool, PmcError> {
-        self.batch.clear();
-        self.provider.next_batch(&mut self.batch);
-        if self.batch.is_empty() {
+        let mut batch = std::mem::take(&mut self.spare);
+        if let Some(last) = self.chunks.last() {
+            batch.reserve_all([&last.batch]);
+        }
+        self.provider.next_batch(&mut batch);
+        if batch.is_empty() {
             return Ok(false);
         }
-        let (batch, last) = (&self.batch, self.chunks.last());
-        let mut chunk = Chunk {
-            first: last.map_or(0, |c| c.first + c.kept.len() as u32),
-            ..Chunk::default()
-        };
-        let (nodes, links) = (batch.nodes.items().len(), batch.links.items().len());
-        chunk.kept.ids.reserve(batch.len());
-        chunk.kept.nodes.reserve(batch.len(), nodes);
-        chunk.kept.links.reserve(batch.len(), links);
-        chunk.index.reserve(batch.len(), links);
-        for c in batch.iter() {
-            if c.links.is_empty() {
+        let first = (self.chunks.last()).map_or(0, |c| c.first + c.kept.len() as u32);
+        let mut kept = Vec::with_capacity(batch.len());
+        let mut index = CandidateIndex::default();
+        index.reserve(batch.len(), batch.link_runs().items().len());
+        for (at, c) in batch.iter().enumerate() {
+            if c.is_empty() {
                 continue;
             }
-            let i = chunk.kept.len();
-            push_candidate(&mut chunk.index, |link| self.lookup.local(link), c.links)?;
-            if admit(chunk.first + i as u32, chunk.index.run(i))? {
-                chunk.kept.push_candidate(c);
+            let i = kept.len();
+            push_candidate(&mut index, |link| self.lookup.local(link), c.links())?;
+            if admit(first + i as u32, index.run(i))? {
+                kept.push(at as u32);
             } else {
-                chunk.index.pop_run();
+                index.pop_run();
             }
         }
-        if !chunk.kept.is_empty() {
-            self.chunks.push(chunk);
+        if kept.is_empty() {
+            batch.clear();
+            self.spare = batch;
+        } else {
+            self.chunks.push(Chunk {
+                first,
+                batch,
+                kept,
+                index,
+            });
         }
         Ok(true)
     }
 
-    fn get(&mut self, i: u32) -> (&[u32], Candidate<'_>) {
+    fn get(&mut self, i: u32) -> (&[u32], PathRef<'_>) {
         let at = self.chunks.partition_point(|c| c.first <= i) - 1;
         let chunk = &self.chunks[at];
         let k = (i - chunk.first) as usize;
-        (chunk.index.run(k), chunk.kept.get(k))
+        (chunk.index.run(k), chunk.batch.get(chunk.kept[k] as usize))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{NodeId, PathId, ProbePath};
 
     fn path(id: u32, ls: &[u32]) -> ProbePath {
         ProbePath::from_links(id, ls.iter().map(|&l| LinkId(l)).collect())
     }
 
-    /// Every candidate `provider` hands out, one `Vec` per batch.
-    fn drain(provider: &mut impl CandidateProvider) -> Vec<Vec<ProbePath>> {
-        let mut batch = CandidateBatch::default();
+    fn store(paths: Vec<ProbePath>) -> PathStore {
+        paths.into()
+    }
+
+    /// Every candidate `provider` hands out, one store per batch.
+    fn drain(provider: &mut impl CandidateProvider) -> Vec<PathStore> {
         let mut batches = Vec::new();
         loop {
-            batch.clear();
+            let mut batch = PathStore::default();
             provider.next_batch(&mut batch);
             if batch.is_empty() {
                 return batches;
             }
-            batches.push(batch.iter().map(|c| c.to_path()).collect());
+            batches.push(batch);
         }
     }
 
     #[test]
     fn a_batch_sorts_and_dedups_links_and_keeps_nodes_in_order() {
-        let mut batch = CandidateBatch::default();
+        let mut batch = PathStore::default();
         batch.push(
             7,
             &[NodeId(3), NodeId(1), NodeId(3)],
             &[LinkId(5), LinkId(2), LinkId(5)],
         );
         let p = path(9, &[4]);
-        batch.push_candidate(Candidate::from(&p));
+        batch.push_path((&p).into());
         batch.push(8, &[], &[]);
         assert_eq!(batch.len(), 3);
         let c = batch.get(0);
         assert_eq!(c.id, PathId(7));
-        assert_eq!(c.nodes, &[NodeId(3), NodeId(1), NodeId(3)]);
-        assert_eq!(c.links, &[LinkId(2), LinkId(5)]);
+        assert_eq!(c.nodes(), &[NodeId(3), NodeId(1), NodeId(3)]);
+        assert_eq!(c.links(), &[LinkId(2), LinkId(5)]);
         let twin =
-            ProbePath::from_route(7, c.nodes.to_vec(), vec![LinkId(5), LinkId(2), LinkId(5)]);
-        assert_eq!(c.to_path(), twin);
-        assert_eq!(batch.get(1).to_path(), p);
-        assert!(batch.get(2).links.is_empty());
+            ProbePath::from_route(7, c.nodes().to_vec(), vec![LinkId(5), LinkId(2), LinkId(5)]);
+        assert_eq!(c, PathRef::from(&twin));
+        assert_eq!(batch.get(1), PathRef::from(&p));
+        assert!(batch.get(2).links().is_empty());
         // A refill keeps nothing of what the batch held.
         batch.clear();
         assert!(batch.is_empty());
         batch.push(1, &[], &[LinkId(0)]);
-        assert_eq!(
-            batch.iter().map(|c| c.to_path()).collect::<Vec<_>>(),
-            vec![path(1, &[0])]
-        );
+        assert_eq!(batch, store(vec![path(1, &[0])]));
     }
 
     #[test]
@@ -430,15 +306,12 @@ mod tests {
     fn batches_respect_size() {
         let mut p = ExhaustiveProvider::new(vec![path(0, &[0]), path(1, &[1]), path(2, &[2])])
             .with_batch_size(2);
-        let mut batch = CandidateBatch::default();
+        let mut batch = PathStore::default();
         p.next_batch(&mut batch);
         assert_eq!(batch.len(), 2);
         batch.clear();
         p.next_batch(&mut batch);
-        assert_eq!(
-            batch.iter().map(|c| c.to_path()).collect::<Vec<_>>(),
-            vec![path(2, &[2])]
-        );
+        assert_eq!(batch, store(vec![path(2, &[2])]));
         batch.clear();
         p.next_batch(&mut batch);
         assert!(batch.is_empty());
@@ -456,8 +329,10 @@ mod tests {
         let mut p = ExcludingProvider::new(inner, excluded);
         assert_eq!(p.universe(), &[LinkId(0), LinkId(2)]);
         // Paths crossing link 1 are gone; the rest keep their ids.
-        let got: Vec<ProbePath> = drain(&mut p).concat();
-        assert_eq!(got, vec![path(2, &[2]), path(3, &[0, 2])]);
+        assert_eq!(
+            drain(&mut p),
+            vec![store(vec![path(2, &[2]), path(3, &[0, 2])])]
+        );
     }
 
     #[test]
@@ -468,6 +343,6 @@ mod tests {
             .with_batch_size(1);
         let excluded: std::collections::HashSet<LinkId> = [LinkId(1)].into_iter().collect();
         let mut p = ExcludingProvider::new(inner, excluded);
-        assert_eq!(drain(&mut p), vec![vec![path(2, &[0])]]);
+        assert_eq!(drain(&mut p), vec![store(vec![path(2, &[0])])]);
     }
 }

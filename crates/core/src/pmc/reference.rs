@@ -16,10 +16,15 @@ use proptest::prelude::*;
 
 use super::state::SelectionState;
 use super::{
-    construct_with_provider, CandidateBatch, CandidateProvider, ExcludingProvider,
-    ExhaustiveProvider, PmcConfig, PmcError, Strategy as Greedy, SubSolution, Subproblem,
+    construct_with_provider, CandidateProvider, ExcludingProvider, ExhaustiveProvider, PmcConfig,
+    PmcError, Strategy as Greedy, SubSolution, Subproblem,
 };
-use crate::types::{LinkId, NodeId, ProbePath};
+use crate::types::{LinkId, NodeId, PathRef, PathStore, ProbePath};
+
+/// A stored path as an owned one.
+fn owned(p: PathRef<'_>) -> ProbePath {
+    ProbePath::from_route(p.id.0, p.nodes().to_vec(), p.links().to_vec())
+}
 
 struct Entry {
     score: i64,
@@ -66,14 +71,14 @@ fn lazy<P: CandidateProvider>(mut provider: P, cfg: &PmcConfig) -> Result<SubSol
                     pulled: &mut u64,
                     batch_min: &mut i64|
      -> Result<bool, PmcError> {
-        let mut batch = CandidateBatch::default();
+        let mut batch = PathStore::default();
         provider.next_batch(&mut batch);
         if batch.is_empty() {
             *batch_min = i64::MAX;
             return Ok(false);
         }
         let mut min_score = i64::MAX;
-        for p in batch.iter().map(|c| c.to_path()) {
+        for p in batch.iter().map(owned) {
             if p.is_empty() {
                 continue;
             }
@@ -203,7 +208,7 @@ fn resolve(
 }
 
 fn assert_same(got: &SubSolution, want: &SubSolution) {
-    // `ProbePath` equality covers id, nodes and links; order matters.
+    // `PathStore` equality covers id, nodes and links; order matters.
     assert_eq!(got.paths, want.paths);
     assert_eq!(got.targets_met, want.targets_met);
     assert_eq!(got.coverage, want.coverage);
@@ -270,7 +275,8 @@ proptest! {
         assert_same(&got, &want);
 
         // Seeded: repair the pristine solution after the exclusion.
-        let seed = cell.resolve(&HashSet::new(), &cfg).unwrap().paths;
+        let pristine = cell.resolve(&HashSet::new(), &cfg).unwrap().paths;
+        let seed: Vec<ProbePath> = pristine.iter().map(owned).collect();
         let got = cell.resolve_seeded(&excluded, &seed, &cfg).unwrap();
         let want = resolve(&universe, &candidates, &excluded, Some(&seed), &cfg).unwrap();
         assert_same(&got, &want);
@@ -319,7 +325,8 @@ proptest! {
         let cell = Subproblem::new(universe.clone(), candidates.clone()).unwrap();
 
         let mut seed = if from_pristine == 1 {
-            cell.resolve(&HashSet::new(), &cfg).unwrap().paths
+            let pristine = cell.resolve(&HashSet::new(), &cfg).unwrap().paths;
+            pristine.iter().map(owned).collect()
         } else {
             Vec::new()
         };

@@ -7,10 +7,9 @@
 //! evaluations (the Table 2 strawman under its cutoff), so the round
 //! counter clears the stamps rather than wrap onto values they still hold.
 
-use super::provider::Candidate;
 use super::virtual_links::ExtendedUniverse;
 use super::{PmcConfig, PmcError, SubSolution};
-use crate::types::{LinkId, ProbePath};
+use crate::types::{LinkId, PathRef, PathStore};
 
 /// A partition of extended-link elements into "link sets", refined by each
 /// selected path (§4.2: a selected path splits every set into the elements
@@ -173,7 +172,7 @@ pub struct SelectionState {
     incident: Vec<u64>,
     /// Scratch buffer of local link indices.
     locals: Vec<u32>,
-    selected: Vec<ProbePath>,
+    selected: PathStore,
 }
 
 impl SelectionState {
@@ -192,7 +191,7 @@ impl SelectionState {
             incident: Vec::new(),
             locals: Vec::new(),
             universe,
-            selected: Vec::new(),
+            selected: PathStore::default(),
         })
     }
 
@@ -248,7 +247,7 @@ impl SelectionState {
     }
 
     /// Paths selected so far.
-    pub fn selected(&self) -> &[ProbePath] {
+    pub fn selected(&self) -> &PathStore {
         &self.selected
     }
 
@@ -265,7 +264,7 @@ impl SelectionState {
     /// Runs `f` on the path's links as sorted local indices.
     fn with_locals<T>(
         &mut self,
-        path: &ProbePath,
+        path: PathRef<'_>,
         f: impl FnOnce(&mut Self, &[u32]) -> T,
     ) -> Result<T, PmcError> {
         let mut locals = std::mem::take(&mut self.locals);
@@ -291,7 +290,8 @@ impl SelectionState {
     }
 
     /// Scores a candidate path against the current state.
-    pub fn evaluate(&mut self, path: &ProbePath) -> Result<Eval, PmcError> {
+    pub fn evaluate<'p>(&mut self, path: impl Into<PathRef<'p>>) -> Result<Eval, PmcError> {
+        let path = path.into();
         self.with_locals(path, |state, locals| state.evaluate_locals(locals))
     }
 
@@ -317,16 +317,15 @@ impl SelectionState {
     }
 
     /// Selects a path: refines the partition and updates link weights.
-    pub fn select(&mut self, path: &ProbePath) -> Result<(), PmcError> {
-        self.with_locals(path, |state, locals| {
-            state.select_locals(locals, path.into())
-        })
+    pub fn select<'p>(&mut self, path: impl Into<PathRef<'p>>) -> Result<(), PmcError> {
+        let path = path.into();
+        self.with_locals(path, |state, locals| state.select_locals(locals, path))
     }
 
     /// [`SelectionState::select`] for a candidate whose sorted,
     /// de-duplicated local link indices are `locals`: the one place a
-    /// solve builds a [`ProbePath`].
-    pub(crate) fn select_locals(&mut self, locals: &[u32], path: Candidate<'_>) {
+    /// solve copies a path, into its selection's store.
+    pub(crate) fn select_locals(&mut self, locals: &[u32], path: PathRef<'_>) {
         if self.beta <= 1 {
             self.partition.refine(locals.iter().map(|&l| u64::from(l)));
         } else {
@@ -340,13 +339,14 @@ impl SelectionState {
                 self.under_covered -= 1;
             }
         }
-        self.selected.push(path.to_path());
+        self.selected.push_path(path);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ProbePath;
 
     fn cfg(alpha: u32, beta: u32) -> PmcConfig {
         PmcConfig::new(alpha, beta)

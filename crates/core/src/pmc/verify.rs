@@ -141,7 +141,7 @@ pub fn max_identifiability(matrix: &ProbeMatrix, up_to: u32) -> u32 {
     }
 
     // Per-component verification (see module docs for the reduction).
-    let comps = decompose(&matrix.paths[..]);
+    let comps = decompose(matrix.paths.clone());
 
     // Links never covered at all → not even 1-identifiable. (Components
     // only contain covered links, so compare against the universe size.)
@@ -161,7 +161,7 @@ pub fn max_identifiability(matrix: &ProbeMatrix, up_to: u32) -> u32 {
             .collect();
         let mut sigs: Vec<Vec<u32>> = vec![Vec::new(); comp.universe().len()];
         for (pi, p) in comp.candidates().iter().enumerate() {
-            for l in p.links {
+            for l in p.links() {
                 sigs[link_pos[l]].push(pi as u32);
             }
         }
@@ -232,7 +232,7 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, ls)| ProbePath::from_links(i as u32, ls.into_iter().map(LinkId).collect()))
-            .collect();
+            .collect::<Vec<_>>();
         ProbeMatrix::from_paths(num_links, paths)
     }
 

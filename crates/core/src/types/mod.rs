@@ -6,4 +6,4 @@ mod path;
 
 pub use ids::{LinkId, NodeId, PathId, PathIdRange};
 pub use observation::PathObservation;
-pub use path::ProbePath;
+pub use path::{PathRef, PathStore, Paths, ProbePath};

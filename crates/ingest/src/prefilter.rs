@@ -261,7 +261,7 @@ mod tests {
                 .map(|(id, links)| {
                     ProbePath::from_links(id, links.into_iter().map(LinkId).collect())
                 })
-                .collect();
+                .collect::<Vec<_>>();
             let matrix = ProbeMatrix::from_segmented(num_links, paths);
             // A sealed window: ascending, one observation per path.
             let mut o: Vec<PathObservation> = (raw_obs.into_iter())

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 use detector_core::dense::Runs;
 use detector_core::json::{Json, ToJson};
 use detector_core::pmc::{PmcError, ProbeMatrix};
-use detector_core::types::{LinkId, NodeId, ProbePath};
+use detector_core::types::{LinkId, NodeId, PathRef};
 use detector_topology::{DcnTopology, TopologyEvent, TopologyView};
 
 use crate::dispatch::DispatchStats;
@@ -288,7 +288,7 @@ impl Controller {
         // A path's pingers (the first one or two of the array) and its
         // responder: under the source and the destination ToR for ToR
         // endpoints, the path's own ends for server endpoints.
-        let place = |path: &ProbePath| -> Option<([NodeId; 2], usize, NodeId)> {
+        let place = |path: PathRef<'_>| -> Option<([NodeId; 2], usize, NodeId)> {
             let nodes = path.nodes();
             let (&first, &last) = (nodes.first()?, nodes.last()?);
             if !graph.node(first).kind.is_switch() {

@@ -24,8 +24,8 @@
 //! when that set of rows does. The window is aggregated once, with
 //! nothing to subtract or filter afterwards. Then its lossy paths are
 //! localized through [`ComponentPll`], which reads their links from the
-//! matrix's row → links incidence that the diagnoser flattens once per
-//! matrix ([`RowSums::incidence`]) — one greedy per connected component
+//! matrix's own row → links incidence, its flat link runs, in place
+//! ([`RowSums::incidence`]) — one greedy per connected component
 //! of the lossy path/link incidence, run in turn on the diagnosing
 //! thread. It keeps the last window's components and solves again only
 //! those the window changed (an onset of a storm re-solves a handful of
@@ -79,9 +79,9 @@ pub struct DiagnosisEvent {
 pub struct Diagnoser {
     matrix: ProbeMatrix,
     store: ReportStore,
-    /// The window walk's accumulator, the matrix's row → links incidence
-    /// and the latest window's lossy rows and hit-ratio denominators,
-    /// recycled across windows.
+    /// The window walk's accumulator, each link's row count and the
+    /// latest window's lossy rows and hit-ratio denominators, recycled
+    /// across windows.
     sums: RowSums,
     localizer: ComponentPll,
 }
@@ -141,7 +141,7 @@ impl Diagnoser {
         let excluded = |p| !watchdog.is_healthy(p);
         let (lossy, num_observations, reports) =
             (self.store).window_lossy(window, &self.matrix, &excluded, &mut self.sums);
-        let diagnosis = self.localizer.diagnose(lossy, self.sums.incidence());
+        let diagnosis = (self.localizer).diagnose(lossy, self.sums.incidence(&self.matrix));
         // The shape of the window's diagnosis work, for `WindowCounters`: the
         // partition the localizer just solved — a pure function of the
         // post-exclusion observations, so every driver reports the same
@@ -287,7 +287,8 @@ mod tests {
             .zip(links)
             .map(|(id, ls)| ProbePath::from_links(id, ls));
         let cfg = PllConfig::default();
-        let mut d = Diagnoser::new(ProbeMatrix::from_paths(2, paths.collect()), cfg);
+        let paths = paths.collect::<Vec<_>>();
+        let mut d = Diagnoser::new(ProbeMatrix::from_paths(2, paths), cfg);
         let w = Watchdog::new();
         d.ingest(report(
             1,

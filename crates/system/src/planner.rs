@@ -11,7 +11,7 @@
 //! Two candidate-source modes mirror the controller's former split:
 //!
 //! * **materialized** — small topologies enumerate every candidate once,
-//!   into one flat [`CandidateBatch`]; cells own their slice of the
+//!   into one flat [`PathStore`]; cells own their slice of the
 //!   pristine candidate set as an indexed [`Subproblem`] — its runs of
 //!   that batch — and solve on that candidate index with the offline
 //!   links excluded, never on a filtered copy of the candidates;
@@ -21,9 +21,12 @@
 //!   base coordinates through [`BaseComponent::replicate_link`], wraps a
 //!   fresh base provider in an [`ExcludingProvider`], solves, and
 //!   replicates the restricted solution to its own coordinates only.
-//!   Its provider writes each round into a [`CandidateBatch`] as well.
+//!   Its provider writes each round into a [`PathStore`] as well.
 //!
-//! Either way a cell holds no [`ProbePath`] but the ones it selected.
+//! Either way a cell's solution is one [`PathStore`] of the paths it
+//! selected — a replica writes its mapped runs straight into its own —
+//! and [`ProbePlan::matrix`] assembles the matrix as one run copy per
+//! cell, re-basing the ids into the cell's range.
 //!
 //! In both modes a cell whose exclusions return to empty restores its
 //! cached pristine solution without solving anything, so drain/undrain
@@ -87,8 +90,6 @@
 //! the cell *re-based* onto a fresh range allocated past every existing
 //! one ([`ReplanStats::cells_rebased`]); retired ranges are never reused
 //! within a plan's lifetime, so a stale id can never alias a live path.
-//!
-//! [`CandidateBatch`]: detector_core::pmc::CandidateBatch
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -98,8 +99,8 @@ use detector_core::pmc::{
     construct_with_provider, decompose, resolve_subproblem_seeded, Achieved, ExcludingProvider,
     JobPool, PmcConfig, PmcError, ProbeMatrix, SubSolution, Subproblem,
 };
-use detector_core::types::{LinkId, PathIdRange, ProbePath};
-use detector_topology::{BaseComponent, SharedTopology};
+use detector_core::types::{LinkId, PathIdRange, PathStore};
+use detector_topology::{BaseComponent, ReplicateLinkFn, ReplicateNodeFn, SharedTopology};
 
 /// Below this many original paths the planner materializes the full
 /// candidate set; above it, the symmetry plan is used (same threshold the
@@ -304,7 +305,7 @@ impl ProbePlan {
                     source: CellSource::Materialized(Arc::new(sp)),
                     // Filled in below.
                     solution: SubSolution {
-                        paths: Vec::new(),
+                        paths: PathStore::default(),
                         targets_met: false,
                         coverage: 0,
                         cells: (0, 0),
@@ -332,7 +333,7 @@ impl ProbePlan {
             let BaseComponent {
                 provider,
                 replicas,
-                replicate,
+                replicate_node,
                 replicate_link,
             } = base;
             let base_universe = provider.universe().to_vec();
@@ -363,7 +364,7 @@ impl ProbePlan {
                 let r = r as u32;
                 let solution = match &pristine_base {
                     Some(base_sol) if excluded.is_empty() => {
-                        replicate_solution(base_sol, r, &replicate)
+                        replicate_solution(base_sol, r, &replicate_node, &replicate_link)
                     }
                     _ => resolve_replica(topo, cfg, bi, r, &excluded)?,
                 };
@@ -586,7 +587,8 @@ impl ProbePlan {
     /// [`ProbeMatrix::uncoverable`] (no selected path crosses them), and
     /// the achieved targets are the conjunction over cells.
     pub fn matrix(&self) -> ProbeMatrix {
-        let mut paths = Vec::with_capacity(self.num_paths());
+        let mut paths = PathStore::default();
+        paths.reserve_all(self.cells.iter().map(|c| &c.solution.paths));
         let mut targets_met = true;
         let mut coverage = u32::MAX;
         for cell in &self.cells {
@@ -596,11 +598,7 @@ impl ProbePlan {
                 cell.range.fits(cell.solution.paths.len()),
                 "cell solution exceeds its id range (missed re-base)"
             );
-            for (i, p) in cell.solution.paths.iter().enumerate() {
-                let mut p = p.clone();
-                p.id = cell.range.id(i);
-                paths.push(p);
-            }
+            paths.extend_from(&cell.solution.paths, |i| cell.range.id(i));
         }
         if coverage == u32::MAX {
             coverage = 0;
@@ -695,17 +693,17 @@ fn repair_cell(
 ) -> Result<SubSolution, PmcError> {
     let excluded_set: HashSet<LinkId> = excluded.iter().copied().collect();
     let current = &cell.solution.paths;
-    let pristine: &[ProbePath] = cell.pristine().map_or(&[], |p| &p.paths);
-    let pristine_routes: HashSet<_> = pristine.iter().map(ProbePath::route).collect();
+    let pristine = cell.pristine().into_iter().flat_map(|p| p.paths.iter());
+    let pristine_routes: HashSet<_> = pristine.clone().map(|p| p.route()).collect();
     let repairs = current
         .iter()
         .filter(|p| !pristine_routes.contains(&p.route()));
-    let seed = pristine.iter().chain(repairs);
+    let seed = pristine.chain(repairs);
     let repaired = match &cell.source {
         CellSource::Materialized(sp) => sp.resolve_seeded(&excluded_set, seed, cfg)?,
         CellSource::Replica { .. } => {
             let pool = solve_cell(topo, cfg, cell, excluded)?.paths;
-            resolve_subproblem_seeded(&cell.universe, &pool, &excluded_set, seed, cfg)?
+            resolve_subproblem_seeded(&cell.universe, pool, &excluded_set, seed, cfg)?
         }
     };
     Ok(align_with_previous(current, repaired))
@@ -732,7 +730,7 @@ fn cell_exclusions(universe: &[LinkId], offline: &HashSet<LinkId>) -> Vec<LinkId
 /// (`align_by_search`, the quadratic search this replaced, is the test
 /// reference). A route `old` holds more than once hands out its slots in
 /// ascending order.
-fn align_with_previous(old: &[ProbePath], mut new: SubSolution) -> SubSolution {
+fn align_with_previous(old: &PathStore, mut new: SubSolution) -> SubSolution {
     const TAKEN: u32 = u32::MAX;
     // Route → its first free slot; `next_same` chains a slot to the next
     // one holding the same route.
@@ -743,17 +741,18 @@ fn align_with_previous(old: &[ProbePath], mut new: SubSolution) -> SubSolution {
             *next = later.get();
         }
     }
-    let mut slots: Vec<Option<ProbePath>> = old.iter().map(|_| None).collect();
+    // Per slot, the new path (its position in `new`) that fills it.
+    let mut slots: Vec<Option<usize>> = vec![None; old.len()];
     let mut fresh = Vec::new();
-    for p in std::mem::take(&mut new.paths) {
+    for (at, p) in new.paths.iter().enumerate() {
         let slot = free.get(&p.route()).and_then(|first| {
             let slot = first.get() as usize;
             first.set(*next_same.get(slot)?);
             Some(slot)
         });
         match slot.and_then(|slot| slots.get_mut(slot)) {
-            Some(kept) => *kept = Some(p),
-            None => fresh.push(p),
+            Some(kept) => *kept = Some(at),
+            None => fresh.push(at),
         }
     }
     let mut fresh = fresh.into_iter();
@@ -775,8 +774,18 @@ fn align_with_previous(old: &[ProbePath], mut new: SubSolution) -> SubSolution {
         }
         slots.swap(lo, hi - 1);
     }
-    new.paths = slots.into_iter().flatten().collect();
+    new.paths = in_order(&new.paths, slots.into_iter().flatten());
     new
+}
+
+/// The paths of `paths` at positions `order`, in that order.
+fn in_order(paths: &PathStore, order: impl IntoIterator<Item = usize>) -> PathStore {
+    let mut out = PathStore::default();
+    out.reserve_all([paths]);
+    for at in order {
+        out.push_path(paths.get(at));
+    }
+    out
 }
 
 /// [`align_with_previous`] as it was before the seed's order was put to
@@ -784,18 +793,18 @@ fn align_with_previous(old: &[ProbePath], mut new: SubSolution) -> SubSolution {
 /// correct for any `new`; kept as the reference the one-pass version is
 /// proptested against.
 #[cfg(test)]
-fn align_by_search(old: &[ProbePath], mut new: SubSolution) -> SubSolution {
-    let mut fresh: Vec<Option<ProbePath>> = new.paths.into_iter().map(Some).collect();
-    let mut slots: Vec<Option<ProbePath>> = old
+fn align_by_search(old: &PathStore, mut new: SubSolution) -> SubSolution {
+    let mut fresh: Vec<Option<usize>> = (0..new.paths.len()).map(Some).collect();
+    let mut slots: Vec<Option<usize>> = old
         .iter()
         .map(|o| {
             fresh
                 .iter_mut()
-                .find(|s| s.as_ref().is_some_and(|n| n.route() == o.route()))
+                .find(|s| s.is_some_and(|n| new.paths.get(n).route() == o.route()))
                 .and_then(Option::take)
         })
         .collect();
-    let mut spares: std::collections::VecDeque<ProbePath> = fresh.into_iter().flatten().collect();
+    let mut spares: std::collections::VecDeque<usize> = fresh.into_iter().flatten().collect();
     for slot in slots.iter_mut() {
         if slot.is_none() {
             if let Some(f) = spares.pop_front() {
@@ -824,18 +833,24 @@ fn align_by_search(old: &[ProbePath], mut new: SubSolution) -> SubSolution {
         slots[i] = Some(last);
         i += 1;
     }
-    new.paths = slots.into_iter().flatten().collect();
+    new.paths = in_order(&new.paths, slots.into_iter().flatten());
     new
 }
 
-/// Re-homes a base solution onto replica `r`.
+/// Re-homes a base solution onto replica `r` through the base's node
+/// and link maps: the replica's paths are written straight into a store
+/// of their own, reserved at the base's size.
 fn replicate_solution(
     base: &SubSolution,
     r: u32,
-    replicate: &dyn Fn(&ProbePath, u32) -> ProbePath,
+    node: &ReplicateNodeFn,
+    link: &ReplicateLinkFn,
 ) -> SubSolution {
+    let mut paths = PathStore::default();
+    paths.reserve_all([&base.paths]);
+    paths.extend_mapped(&base.paths, |n| node(n, r), |l| link(l, r));
     SubSolution {
-        paths: base.paths.iter().map(|p| replicate(p, r)).collect(),
+        paths,
         targets_met: base.targets_met,
         coverage: base.coverage,
         cells: base.cells,
@@ -870,13 +885,18 @@ fn resolve_replica(
         })
         .collect();
     let sol = construct_with_provider(ExcludingProvider::new(base.provider, excluded_base), cfg)?;
-    Ok(replicate_solution(&sol, replica, &base.replicate))
+    Ok(replicate_solution(
+        &sol,
+        replica,
+        &base.replicate_node,
+        &base.replicate_link,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detector_core::types::NodeId;
+    use detector_core::types::{NodeId, ProbePath};
     use detector_topology::{DcnTopology, Fattree, TopologyEvent, TopologyView};
 
     fn shared(k: u32) -> SharedTopology {
@@ -1021,7 +1041,7 @@ mod tests {
 
         let mut plan = ProbePlan::new(topo.clone(), &cfg, &HashSet::new()).unwrap();
         let before = plan.matrix();
-        let through = before.paths_through(dead).count();
+        let through = before.paths.iter().filter(|p| p.covers(dead)).count();
         assert!(through > 0);
         plan.apply(&[dead], &offline).unwrap();
         let after = plan.matrix();
@@ -1053,7 +1073,7 @@ mod tests {
         let mut plan =
             ProbePlan::with_exhaustive_limit(topo.clone(), &cfg, &HashSet::new(), 0).unwrap();
         let before = plan.matrix();
-        let through = before.paths_through(dead).count();
+        let through = before.paths.iter().filter(|p| p.covers(dead)).count();
         assert!(through > 0);
         let stats = plan.apply(&[dead], &offline).unwrap();
         assert_eq!(stats.cells_resolved, 1);
@@ -1122,9 +1142,9 @@ mod tests {
                     })
                     .collect()
             };
-            let old = paths(&old_routes, 0);
+            let old = PathStore::from(paths(&old_routes, 0));
             let new = SubSolution {
-                paths: paths(&new_routes, 100),
+                paths: paths(&new_routes, 100).into(),
                 targets_met: true,
                 coverage: 1,
                 cells: (1, 1),

@@ -53,11 +53,12 @@
 //! sent. It redoes those counts, and moves a generation, only when the
 //! rows left unobserved differ from the last walk's.
 //! [`RowSums::incidence`] hands PLL those rows, the matrix's row → links
-//! incidence (a [`Runs`], one flat array) and the denominators under that
-//! generation, so PLL resolves nothing in the matrix and, under a
-//! repeated generation, solves again only the components whose lossy
-//! paths changed. Diagnosis costs what was lost, as a report does. The slots and the incidence are built once
-//! per matrix and recycled from one window to the next.
+//! incidence — the matrix's own link runs, a [`Runs`] read in place — and
+//! the denominators under that generation, so PLL resolves nothing in the
+//! matrix and, under a repeated generation, solves again only the
+//! components whose lossy paths changed. Diagnosis costs what was lost,
+//! as a report does. The slots and the per-link counts are built once per
+//! matrix and recycled from one window to the next.
 //!
 //! Every driver owns its diagnoser, so the store needs no lock for them.
 //! The `RwLock` is there because [`ReportStore::ingest`] takes `&self`:
@@ -346,14 +347,16 @@ impl Logs {
 /// The recycled state of [`ReportStore::window_lossy`], fitted to one
 /// probe matrix: one `(sent, lost)` slot per slot of the matrix's id
 /// table ([`RowTable`]), gaps included, the side list of ids outside
-/// every run of the table, the matrix's row → links incidence, and what
-/// the latest walk leaves for PLL ([`incidence`](Self::incidence)): its
-/// lossy paths' rows, each link's observed rows and their generation.
-/// [`new`](Self::new) and [`fit`](Self::fit) size the slots and build
-/// the incidence — once per matrix, never per window — and between
-/// walks every slot is clear.
+/// every run of the table, each link's row count, and what the latest
+/// walk leaves for PLL ([`incidence`](Self::incidence)): its lossy
+/// paths' rows, each link's observed rows and their generation.
+/// [`new`](Self::new) and [`fit`](Self::fit) size the slots and count
+/// the rows through each link — once per matrix, never per window — and
+/// between walks every slot is clear. The row → links incidence is the
+/// matrix's own link runs ([`PathStore::link_runs`]), read in place.
+///
+/// [`PathStore::link_runs`]: detector_core::types::PathStore::link_runs
 pub struct RowSums {
-    row_links: Runs<LinkId>,
     /// Per id-table slot: the walk's sums, `(0, 0)` between walks.
     slots: Vec<(u64, u64)>,
     /// Ascending by path, one entry per id.
@@ -378,7 +381,6 @@ impl RowSums {
     /// State fitted to `matrix`.
     pub fn new(matrix: &ProbeMatrix) -> Self {
         let mut sums = Self {
-            row_links: Runs::default(),
             slots: Vec::new(),
             strays: Vec::new(),
             through: Vec::new(),
@@ -392,15 +394,14 @@ impl RowSums {
         sums
     }
 
-    /// Refits to a new matrix: re-indexes its links and resizes the
-    /// slots to its id table, keeping their memory. Every row starts out
-    /// observed.
+    /// Refits to a new matrix: counts the rows through each of its links
+    /// and resizes the slots to its id table, keeping their memory. Every
+    /// row starts out observed.
     pub fn fit(&mut self, matrix: &ProbeMatrix) {
-        matrix.fill_row_links(&mut self.row_links);
         self.slots.resize(matrix.row_table().slots().len(), (0, 0));
         self.through.clear();
         self.through.resize(matrix.num_links, 0);
-        for &l in self.row_links.items() {
+        for &l in matrix.paths.link_runs().items() {
             if l.index() >= self.through.len() {
                 self.through.resize(l.index() + 1, 0);
             }
@@ -422,13 +423,13 @@ impl RowSums {
     }
 
     /// What the latest walk hands PLL beside its lossy observations: their
-    /// rows, the matrix's row → links incidence and every link's
-    /// denominator, whose generation moves only when the set of rows the
-    /// walk left unobserved does.
-    pub fn incidence(&self) -> LossyIncidence<'_> {
+    /// rows, the row → links incidence of `matrix` (the one the walk
+    /// summed over) and every link's denominator, whose generation moves
+    /// only when the set of rows the walk left unobserved does.
+    pub fn incidence<'a>(&'a self, matrix: &'a ProbeMatrix) -> LossyIncidence<'a> {
         LossyIncidence {
             rows: &self.lossy_rows,
-            row_links: &self.row_links,
+            row_links: matrix.paths.link_runs(),
             observed: &self.observed,
             generation: self.generation,
         }
@@ -489,9 +490,14 @@ impl RowSums {
     /// [`LossyIncidence::STRAY`] for a gap slot or a side-list id. The
     /// rows summing to no probe sent are listed; only when that list
     /// differs from the last walk's are the per-link counts redone and
-    /// the generation moved. Out of line, as [`add_report`](Self::add_report) is.
+    /// the generation moved, reading each row's links in `row_links`. Out
+    /// of line, as [`add_report`](Self::add_report) is.
     #[inline(never)]
-    fn drain_lossy(&mut self, table: &RowTable) -> (Vec<PathObservation>, usize) {
+    fn drain_lossy(
+        &mut self,
+        table: &RowTable,
+        row_links: &Runs<LinkId>,
+    ) -> (Vec<PathObservation>, usize) {
         let mut observed = 0;
         let (lossy, lossy_rows) = (&mut self.lossy, &mut self.lossy_rows);
         lossy_rows.clear();
@@ -553,7 +559,7 @@ impl RowSums {
             self.generation += 1;
             self.observed.clone_from(&self.through);
             for &row in &self.unobserved {
-                for l in self.row_links.run(row as usize) {
+                for l in row_links.run(row as usize) {
                     if let Some(n) = self.observed.get_mut(l.index()) {
                         *n = n.saturating_sub(1);
                     }
@@ -662,7 +668,7 @@ impl ReportStore {
                 }),
             }
         }
-        let (lossy, observed) = sums.drain_lossy(table);
+        let (lossy, observed) = sums.drain_lossy(table, matrix.paths.link_runs());
         (lossy, observed, reports)
     }
 
@@ -821,7 +827,7 @@ mod tests {
         // Paths 0 and 1 cross link 0; path 1 goes unreported in window 1
         // and back in window 3, and its counters change in between.
         let paths = (0..2).map(|id| ProbePath::from_links(id, vec![LinkId(0)]));
-        let matrix = ProbeMatrix::from_paths(1, paths.collect());
+        let matrix = ProbeMatrix::from_paths(1, paths.collect::<Vec<_>>());
         let mut sums = RowSums::new(&matrix);
         let store = ReportStore::new();
         let rows = [
@@ -837,7 +843,7 @@ mod tests {
         }
         let mut walk = |w| {
             let (lossy, ..) = store.window_lossy(w, &matrix, &|_| false, &mut sums);
-            let view = sums.incidence();
+            let view = sums.incidence(&matrix);
             assert_eq!(view.rows.len(), lossy.len());
             (view.generation, sums.observed_through(LinkId(0)))
         };
@@ -850,7 +856,7 @@ mod tests {
         );
         // A refit moves it too: rows are renumbered.
         sums.fit(&matrix);
-        assert!(sums.incidence().generation > g[3]);
+        assert!(sums.incidence(&matrix).generation > g[3]);
     }
 
     #[test]
@@ -859,7 +865,7 @@ mod tests {
         // 1000..=1001. Ids 5 and 5000 lie outside both.
         let cells = [(1000, 2), (1001, 2), (10, 0), (11, 1), (13, 0), (14, 1)];
         let paths = cells.map(|(id, link)| ProbePath::from_links(id, vec![LinkId(link)]));
-        let matrix = ProbeMatrix::from_segmented(3, paths.into());
+        let matrix = ProbeMatrix::from_segmented(3, paths.to_vec());
         assert_eq!(matrix.row_table().runs().len(), 2);
         // Everything lossy but 11; 14 and 1001 unreported.
         let ascending = [
@@ -891,7 +897,12 @@ mod tests {
             let ids: Vec<u32> = lossy.iter().map(|o| o.path.0).collect();
             let denominators = (0..3).map(|l| sums.observed_through(LinkId(l)));
             let denominators: Vec<usize> = denominators.collect();
-            (ids, sums.incidence().rows.to_vec(), observed, denominators)
+            (
+                ids,
+                sums.incidence(&matrix).rows.to_vec(),
+                observed,
+                denominators,
+            )
         };
         let stray = LossyIncidence::STRAY;
         let want = (
@@ -949,7 +960,7 @@ mod tests {
         assert_eq!(store.window_observations(0, &excluded), want);
         // No path sums to (0, 0), so the walks read out every one.
         let paths = (0..6).map(|id| ProbePath::from_links(id, vec![LinkId(id % 3)]));
-        let matrix = ProbeMatrix::from_paths(3, paths.collect());
+        let matrix = ProbeMatrix::from_paths(3, paths.collect::<Vec<_>>());
         let mut whole = DenseSums::default();
         assert_eq!(
             store.window_sums(0, &matrix, &excluded, &mut whole),

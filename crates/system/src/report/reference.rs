@@ -516,7 +516,7 @@ fn cells_matrix(cells: &[(u32, u32, u16)]) -> ProbeMatrix {
             let links = links.iter().take(1 + id as usize % 3).map(|&l| LinkId(l));
             ProbePath::from_links(id, links.collect())
         })
-        .collect();
+        .collect::<Vec<_>>();
     ProbeMatrix::from_segmented(7, paths)
 }
 

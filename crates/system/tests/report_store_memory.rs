@@ -131,7 +131,7 @@ fn ten_thousand_windows_hold_what_twenty_one_do() {
     let paths = (0..4u32)
         .flat_map(|p| (0..60).map(move |i| p * 100 + i))
         .map(|id| ProbePath::from_links(id, vec![LinkId(id % 6)]));
-    let matrix = ProbeMatrix::from_segmented(6, paths.collect());
+    let matrix = ProbeMatrix::from_segmented(6, paths.collect::<Vec<_>>());
     let store = ReportStore::new();
     let mut sums = RowSums::new(&matrix);
     let mut live_after_warm_up = 0;
@@ -194,7 +194,7 @@ fn islands(count: u32) -> ProbeMatrix {
             ProbePath::from_links(3 * k + 2, vec![b]),
         ]
     });
-    ProbeMatrix::from_paths(2 * count as usize, paths.collect())
+    ProbeMatrix::from_paths(2 * count as usize, paths.collect::<Vec<_>>())
 }
 
 /// Pinger `p`'s window-`w` report over the paths of `count`

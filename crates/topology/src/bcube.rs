@@ -8,8 +8,8 @@
 //! two servers BCube's BuildPathSet yields k+1 parallel paths, one per
 //! starting correction level.
 
-use detector_core::pmc::{CandidateBatch, CandidateProvider};
-use detector_core::types::{LinkId, NodeId};
+use detector_core::pmc::CandidateProvider;
+use detector_core::types::{LinkId, NodeId, PathStore};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
 use crate::symmetric::{BaseComponent, SymmetryPlan};
@@ -231,14 +231,14 @@ impl DcnTopology for BCube {
             .collect()
     }
 
-    fn enumerate_candidates(&self) -> CandidateBatch {
+    fn enumerate_candidates(&self) -> PathStore {
         let d = &self.dims;
         let servers = d.servers as usize;
         let paths = servers * servers.saturating_sub(1) / 2 * d.levels as usize;
         // A route corrects each digit once, plus one detour hop: two
         // links and two nodes a hop, after the source.
         let hops = d.levels as usize + 1;
-        let mut out = CandidateBatch::default();
+        let mut out = PathStore::default();
         out.reserve(paths, (2 * hops + 1) * paths, 2 * hops * paths);
         let mut route = Route::default();
         let mut id = 0;
@@ -273,7 +273,7 @@ impl DcnTopology for BCube {
             bases: vec![BaseComponent {
                 provider: Box::new(BcubeProvider::new(self.dims)),
                 replicas: 1,
-                replicate: Box::new(|p, _| p.clone()),
+                replicate_node: Box::new(|n, _| n),
                 replicate_link: Box::new(|l, _| l),
             }],
         }
@@ -313,7 +313,7 @@ impl CandidateProvider for BcubeProvider {
         &self.universe
     }
 
-    fn next_batch(&mut self, out: &mut CandidateBatch) {
+    fn next_batch(&mut self, out: &mut PathStore) {
         if self.next_round >= self.total_rounds {
             return;
         }
@@ -444,9 +444,9 @@ mod tests {
         }
         for p in b.enumerate_candidates().iter() {
             assert!(
-                provided.contains(p.links),
+                provided.contains(p.links()),
                 "missing candidate {:?}",
-                p.links
+                p.links()
             );
         }
     }

@@ -11,8 +11,8 @@
 //! group index — which is exactly what the symmetry plan exploits: PMC
 //! solves group 0 and the solution is replicated to the other h groups.
 
-use detector_core::pmc::{CandidateBatch, CandidateProvider};
-use detector_core::types::{LinkId, NodeId, ProbePath};
+use detector_core::pmc::CandidateProvider;
+use detector_core::types::{LinkId, NodeId, PathStore};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
 use crate::symmetric::{BaseComponent, SymmetryPlan};
@@ -72,42 +72,29 @@ impl Dims {
         2 * (self.k * self.h * self.h) as usize
     }
 
-    /// Re-homes a group-0 path onto `group`: aggregation and core nodes
-    /// and edge–agg / agg–core links get their group index replaced.
-    fn map_path_to_group(&self, path: &ProbePath, group: u32) -> ProbePath {
+    /// Re-homes a group-0 path node onto `group`: an aggregation or core
+    /// switch gets its group index replaced, an edge switch stays.
+    fn map_node_to_group(&self, n: NodeId, group: u32) -> NodeId {
+        let v = n.0;
+        let hh = self.h * self.h;
         if group == 0 {
-            return path.clone();
+            n
+        } else if v < hh {
+            // Core(group0, c) — group is v / h, must be 0.
+            debug_assert_eq!(v / self.h, 0, "path not in group 0");
+            self.core(group, v % self.h)
+        } else if v < hh + self.k * self.h {
+            // Agg(pod, idx) — idx must be 0.
+            let rel = v - hh;
+            debug_assert_eq!(rel % self.h, 0, "path not in group 0");
+            self.agg(rel / self.h, group)
+        } else {
+            n
         }
-        let nodes: Vec<NodeId> = path
-            .nodes()
-            .iter()
-            .map(|&n| {
-                let v = n.0;
-                let hh = self.h * self.h;
-                if v < hh {
-                    // Core(group0, c) — group is v / h, must be 0.
-                    debug_assert_eq!(v / self.h, 0, "path not in group 0");
-                    self.core(group, v % self.h)
-                } else if v < hh + self.k * self.h {
-                    // Agg(pod, idx) — idx must be 0.
-                    let rel = v - hh;
-                    debug_assert_eq!(rel % self.h, 0, "path not in group 0");
-                    self.agg(rel / self.h, group)
-                } else {
-                    n
-                }
-            })
-            .collect();
-        let links: Vec<LinkId> = path
-            .links()
-            .iter()
-            .map(|&l| self.map_link_to_group(l, group))
-            .collect();
-        ProbePath::from_route(path.id.0, nodes, links)
     }
 
-    /// Re-homes a group-0 probe link onto `group` (the link-level
-    /// restriction of [`Self::map_path_to_group`]).
+    /// Re-homes a group-0 probe link onto `group`: an edge–agg or
+    /// agg–core link gets its group index replaced.
     fn map_link_to_group(&self, l: LinkId, group: u32) -> LinkId {
         if group == 0 {
             return l;
@@ -319,9 +306,9 @@ impl Fattree {
         FattreeGroupProvider::new(self.dims, group)
     }
 
-    /// Maps a group-0 probe path to its isomorphic image in `group`.
-    pub fn map_path_to_group(&self, path: &ProbePath, group: u32) -> ProbePath {
-        self.dims.map_path_to_group(path, group)
+    /// Maps a group-0 path node to its isomorphic image in `group`.
+    pub fn map_node_to_group(&self, node: NodeId, group: u32) -> NodeId {
+        self.dims.map_node_to_group(node, group)
     }
 
     /// Maps a group-0 probe link to its isomorphic image in `group`.
@@ -368,12 +355,12 @@ impl DcnTopology for Fattree {
         v
     }
 
-    fn enumerate_candidates(&self) -> CandidateBatch {
+    fn enumerate_candidates(&self) -> PathStore {
         let k = self.dims.k;
         let h = self.dims.h;
         let tors: Vec<(u32, u32)> = (0..k).flat_map(|p| (0..h).map(move |e| (p, e))).collect();
         let paths = tors.len() * (tors.len() - 1) / 2 * (h * h) as usize;
-        let mut out = CandidateBatch::default();
+        let mut out = PathStore::default();
         out.reserve(paths, 5 * paths, 4 * paths);
         let mut id = 0;
         for (i, &a) in tors.iter().enumerate() {
@@ -443,7 +430,7 @@ impl DcnTopology for Fattree {
             bases: vec![BaseComponent {
                 provider: Box::new(self.group_provider(0)),
                 replicas: dims.h,
-                replicate: Box::new(move |p, g| dims.map_path_to_group(p, g)),
+                replicate_node: Box::new(move |n, g| dims.map_node_to_group(n, g)),
                 replicate_link: Box::new(move |l, g| dims.map_link_to_group(l, g)),
             }],
         }
@@ -523,7 +510,7 @@ impl FattreeGroupProvider {
     /// diversity a coverage-only (β = 0) greedy needs. Identifiability
     /// pressure (β ≥ 1) draws further, structurally different candidates
     /// from the product enumeration that follows the tiling phases.
-    fn tiling_round(&mut self, r: u64, out: &mut CandidateBatch) {
+    fn tiling_round(&mut self, r: u64, out: &mut PathStore) {
         let k = self.dims.k as u64;
         let h = self.dims.h as u64;
         let t = r / h;
@@ -545,7 +532,7 @@ impl FattreeGroupProvider {
 
     /// Emits the inter-pod round `r`: pods paired by the circle method,
     /// (e1, e2, c) decoded from the round index.
-    fn inter_round(&mut self, r: u64, out: &mut CandidateBatch) {
+    fn inter_round(&mut self, r: u64, out: &mut PathStore) {
         let k = self.dims.k as u64;
         let h = self.dims.h as u64;
         let c = (r % h) as u32;
@@ -568,14 +555,14 @@ impl FattreeGroupProvider {
         }
     }
 
-    fn push_path(&mut self, a: (u32, u32), b: (u32, u32), c: u32, out: &mut CandidateBatch) {
+    fn push_path(&mut self, a: (u32, u32), b: (u32, u32), c: u32, out: &mut PathStore) {
         let (nodes, links) = self.dims.tor_route(a, b, self.group, c);
         out.push(self.next_id, &nodes, &links);
         self.next_id += 1;
     }
 
     /// Emits the intra-pod round `r`: one up-and-back path per pod.
-    fn intra_round(&mut self, r: u64, out: &mut CandidateBatch) {
+    fn intra_round(&mut self, r: u64, out: &mut PathStore) {
         let h = self.dims.h as u64;
         let c = (r % h) as u32;
         let e1 = ((r / h) % h) as u32;
@@ -592,7 +579,7 @@ impl CandidateProvider for FattreeGroupProvider {
         &self.universe
     }
 
-    fn next_batch(&mut self, out: &mut CandidateBatch) {
+    fn next_batch(&mut self, out: &mut PathStore) {
         // Tiling phases first: disjoint, perfectly covering rounds.
         if self.tiling_next < self.tiling_total {
             let h = self.dims.h as u64;
@@ -629,6 +616,7 @@ impl CandidateProvider for FattreeGroupProvider {
 mod tests {
     use super::*;
     use detector_core::pmc::{construct, verify, PmcConfig};
+    use detector_core::types::ProbePath;
 
     #[test]
     fn counts_match_paper_formulas() {
@@ -693,12 +681,12 @@ mod tests {
         for p in paths.iter() {
             let r = ft
                 .graph()
-                .route_from_nodes(p.nodes.to_vec())
+                .route_from_nodes(p.nodes().to_vec())
                 .expect("candidate path must be routable");
             let mut links: Vec<LinkId> = r.links.clone();
             links.sort_unstable();
             links.dedup();
-            assert_eq!(links.as_slice(), p.links);
+            assert_eq!(links.as_slice(), p.links());
         }
     }
 
@@ -762,7 +750,9 @@ mod tests {
         let batch = crate::symmetric::next_paths(&mut p);
         for path in batch.iter().take(40) {
             for g in 0..ft.half() {
-                let mapped = ft.map_path_to_group(path, g);
+                let nodes = path.nodes().iter().map(|&n| ft.map_node_to_group(n, g));
+                let links = path.links().iter().map(|&l| ft.map_link_to_group(l, g));
+                let mapped = ProbePath::from_route(path.id.0, nodes.collect(), links.collect());
                 // Same shape.
                 assert_eq!(mapped.links().len(), path.links().len());
                 // Still a valid route.
@@ -805,8 +795,8 @@ mod tests {
             let exhaustive: std::collections::HashSet<Vec<LinkId>> = ft
                 .enumerate_candidates()
                 .iter()
-                .filter(|p| p.links.iter().all(|l| uni.contains(l)))
-                .map(|p| p.links.to_vec())
+                .filter(|p| p.links().iter().all(|l| uni.contains(l)))
+                .map(|p| p.links().to_vec())
                 .collect();
             assert_eq!(provided, exhaustive, "k={k}");
         }

@@ -31,12 +31,13 @@ mod vl2;
 pub use bcube::BCube;
 pub use fattree::Fattree;
 pub use graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
-pub use symmetric::{construct_symmetric, BaseComponent, SymmetryPlan};
+pub use symmetric::{
+    construct_symmetric, BaseComponent, ReplicateLinkFn, ReplicateNodeFn, SymmetryPlan,
+};
 pub use view::{pod_switches, SharedTopology, TopologyDelta, TopologyEvent, TopologyView};
 pub use vl2::Vl2;
 
-use detector_core::pmc::CandidateBatch;
-use detector_core::types::NodeId;
+use detector_core::types::{NodeId, PathStore};
 
 /// Errors from topology construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,14 +84,13 @@ pub trait DcnTopology {
 
     /// Materializes every candidate path (unordered endpoint pairs — the
     /// reverse path covers the same undirected links) into one flat
-    /// [`CandidateBatch`], reserved up front: candidate `i` is path id
+    /// [`PathStore`], reserved up front: candidate `i` is path id
     /// `i`, its node run and its sorted, de-duplicated link run — the
-    /// batch a symmetry provider writes its rounds into, so both
+    /// store a symmetry provider writes its rounds into, so both
     /// candidate sources hand PMC the same representation and neither
-    /// builds a [`ProbePath`](detector_core::types::ProbePath) per
-    /// candidate. Only feasible for small
+    /// allocates per candidate. Only feasible for small
     /// instances; large instances must use [`Self::symmetry`].
-    fn enumerate_candidates(&self) -> CandidateBatch;
+    fn enumerate_candidates(&self) -> PathStore;
 
     /// ECMP route between two *servers* for a given flow hash, as the
     /// production network (and thus Pingmesh/NetNORAD probes) would route

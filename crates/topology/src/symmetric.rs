@@ -10,33 +10,34 @@
 use detector_core::pmc::{
     construct_with_provider, Achieved, CandidateProvider, PmcConfig, PmcError, ProbeMatrix,
 };
-use detector_core::types::{LinkId, ProbePath};
+use detector_core::types::{LinkId, NodeId, PathStore};
 
 use crate::DcnTopology;
 
-/// Maps a base-component path to a replica index (see
-/// [`BaseComponent::replicate`]).
-pub type ReplicateFn = Box<dyn Fn(&ProbePath, u32) -> ProbePath + Send + Sync>;
+/// Maps a base-component node to a replica index (see
+/// [`BaseComponent::replicate_node`]).
+pub type ReplicateNodeFn = Box<dyn Fn(NodeId, u32) -> NodeId + Send + Sync>;
 
 /// Maps a base-universe link to a replica index (see
 /// [`BaseComponent::replicate_link`]).
 pub type ReplicateLinkFn = Box<dyn Fn(LinkId, u32) -> LinkId + Send + Sync>;
 
 /// One isomorphism class of components: a provider for the base component
-/// plus the map that re-homes base paths onto each replica.
+/// plus the node and link maps that re-home base paths onto each replica.
 pub struct BaseComponent {
     /// Candidate source for the base component.
     pub provider: Box<dyn CandidateProvider + Send>,
     /// Number of isomorphic components, including the base itself.
     pub replicas: u32,
-    /// Maps a base-component path to replica `r` (`r = 0` must be the
-    /// identity).
-    pub replicate: ReplicateFn,
+    /// Maps a base-component path node to its image in replica `r`
+    /// (`r = 0` must be the identity).
+    pub replicate_node: ReplicateNodeFn,
     /// Maps a base-universe link to its image in replica `r` (`r = 0`
-    /// must be the identity). This is the link-level restriction of
-    /// [`Self::replicate`]; the incremental planner uses it to compute
-    /// replica universes and to pull a replica's excluded links back into
-    /// base coordinates for a per-replica re-solve.
+    /// must be the identity). Together with [`Self::replicate_node`] it
+    /// re-homes a base path ([`PathStore::extend_mapped`]); the
+    /// incremental planner also uses it to compute replica universes and
+    /// to pull a replica's excluded links back into base coordinates for
+    /// a per-replica re-solve.
     pub replicate_link: ReplicateLinkFn,
 }
 
@@ -71,7 +72,7 @@ pub fn construct_symmetric(
     cfg: &PmcConfig,
 ) -> Result<ProbeMatrix, PmcError> {
     let plan = topo.symmetry();
-    let mut all_paths: Vec<ProbePath> = Vec::new();
+    let mut all_paths = PathStore::default();
     let mut targets_met = true;
     let mut coverage = u32::MAX;
 
@@ -79,10 +80,9 @@ pub fn construct_symmetric(
         let sol = construct_with_provider(base.provider, cfg)?;
         targets_met &= sol.targets_met;
         coverage = coverage.min(sol.coverage);
+        let (node, link) = (&base.replicate_node, &base.replicate_link);
         for r in 0..base.replicas {
-            for p in &sol.paths {
-                all_paths.push((base.replicate)(p, r));
-            }
+            all_paths.extend_mapped(&sol.paths, |n| node(n, r), |l| link(l, r));
         }
     }
     if coverage == u32::MAX {
@@ -101,10 +101,15 @@ pub fn construct_symmetric(
 
 #[cfg(test)]
 /// The provider's next batch as paths (empty once it is exhausted).
-pub(crate) fn next_paths(provider: &mut (impl CandidateProvider + ?Sized)) -> Vec<ProbePath> {
-    let mut batch = detector_core::pmc::CandidateBatch::default();
+pub(crate) fn next_paths(
+    provider: &mut (impl CandidateProvider + ?Sized),
+) -> Vec<detector_core::types::ProbePath> {
+    let mut batch = PathStore::default();
     provider.next_batch(&mut batch);
-    batch.iter().map(|c| c.to_path()).collect()
+    let owned = |p: detector_core::types::PathRef<'_>| {
+        detector_core::types::ProbePath::from_route(p.id.0, p.nodes().to_vec(), p.links().to_vec())
+    };
+    batch.iter().map(owned).collect()
 }
 
 #[cfg(test)]
@@ -134,9 +139,9 @@ mod tests {
 
     #[test]
     fn replicate_link_agrees_with_replicate_on_paths() {
-        // The link-level map must be the restriction of the path-level
-        // map: replicating a path and mapping its links individually give
-        // the same link sets, for every topology family.
+        // The node and link maps re-home a path together: the replica's
+        // nodes route through exactly its mapped links, for every
+        // topology family.
         use crate::{BCube, DcnTopology, Vl2};
         let topos: Vec<Box<dyn DcnTopology>> = vec![
             Box::new(Fattree::new(6).unwrap()),
@@ -145,19 +150,19 @@ mod tests {
         ];
         for topo in &topos {
             let plan = topo.symmetry();
-            for base in plan.bases {
-                let mut provider = base.provider;
-                let batch = crate::symmetric::next_paths(&mut provider);
-                for p in batch.iter().take(20) {
-                    for r in 0..base.replicas {
-                        let mapped = (base.replicate)(p, r);
-                        let mut via_links: Vec<_> = p
-                            .links()
-                            .iter()
-                            .map(|&l| (base.replicate_link)(l, r))
-                            .collect();
-                        via_links.sort_unstable();
-                        assert_eq!(mapped.links(), via_links.as_slice(), "{}", topo.name());
+            for mut base in plan.bases {
+                let mut batch = PathStore::default();
+                base.provider.next_batch(&mut batch);
+                let (node, link) = (&base.replicate_node, &base.replicate_link);
+                for r in 0..base.replicas {
+                    let mut mapped = PathStore::default();
+                    mapped.extend_mapped(&batch, |n| node(n, r), |l| link(l, r));
+                    for p in mapped.iter().take(20) {
+                        let route = topo.graph().route_from_nodes(p.nodes().to_vec());
+                        let mut links = route.expect("a replica path routes").links;
+                        links.sort_unstable();
+                        links.dedup();
+                        assert_eq!(p.links(), links.as_slice(), "{}", topo.name());
                     }
                 }
             }

@@ -8,8 +8,8 @@
 //! Table 2), so the symmetry plan has a single base component whose
 //! provider enumerates ToR pairings round-robin.
 
-use detector_core::pmc::{CandidateBatch, CandidateProvider};
-use detector_core::types::{LinkId, NodeId};
+use detector_core::pmc::CandidateProvider;
+use detector_core::types::{LinkId, NodeId, PathStore};
 
 use crate::graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
 use crate::symmetric::{BaseComponent, SymmetryPlan};
@@ -254,11 +254,11 @@ impl DcnTopology for Vl2 {
         (0..self.dims.tors).map(|t| self.dims.tor(t)).collect()
     }
 
-    fn enumerate_candidates(&self) -> CandidateBatch {
+    fn enumerate_candidates(&self) -> PathStore {
         let d = &self.dims;
         let tors = d.tors as usize;
         let paths = tors * tors.saturating_sub(1) / 2 * 4 * d.ints as usize;
-        let mut out = CandidateBatch::default();
+        let mut out = PathStore::default();
         out.reserve(paths, 5 * paths, 4 * paths);
         let mut id = 0;
         for t1 in 0..d.tors {
@@ -318,7 +318,7 @@ impl DcnTopology for Vl2 {
             bases: vec![BaseComponent {
                 provider: Box::new(Vl2Provider::new(self.dims)),
                 replicas: 1,
-                replicate: Box::new(|p, _| p.clone()),
+                replicate_node: Box::new(|n, _| n),
                 replicate_link: Box::new(|l, _| l),
             }],
         }
@@ -363,7 +363,7 @@ impl Vl2Provider {
         }
     }
 
-    fn emit_round(&mut self, r: u64, out: &mut CandidateBatch) {
+    fn emit_round(&mut self, r: u64, out: &mut PathStore) {
         let d = self.dims;
         let ints = d.ints as u64;
         let i = (r % ints) as u32;
@@ -391,7 +391,7 @@ impl CandidateProvider for Vl2Provider {
         &self.universe
     }
 
-    fn next_batch(&mut self, out: &mut CandidateBatch) {
+    fn next_batch(&mut self, out: &mut PathStore) {
         for _ in 0..self.rounds_per_batch {
             if self.next_round >= self.total_rounds {
                 break;
@@ -450,7 +450,7 @@ mod tests {
         assert_eq!(paths.len(), 48);
         for p in paths.iter() {
             v.graph()
-                .route_from_nodes(p.nodes.to_vec())
+                .route_from_nodes(p.nodes().to_vec())
                 .expect("candidate must be routable");
         }
     }
@@ -490,7 +490,7 @@ mod tests {
         let exhaustive: std::collections::HashSet<Vec<LinkId>> = v
             .enumerate_candidates()
             .iter()
-            .map(|p| p.links.to_vec())
+            .map(|p| p.links().to_vec())
             .collect();
         assert_eq!(provided, exhaustive);
     }

@@ -73,7 +73,12 @@ fn main() {
         }
 
         let link_is_down = (down_window..up_window).contains(&w);
-        let covered = run.matrix().paths_through(victim).count();
+        let covered = run
+            .matrix()
+            .paths
+            .iter()
+            .filter(|p| p.covers(victim))
+            .count();
         let result = run.step(&fabric, &mut rng);
         println!(
             "window {w}: probes {:>6} | paths over drained link {:>2} | suspects {:?}",

@@ -60,7 +60,7 @@
 //! // Probes route around the drained link until it comes back.
 //! assert!(run.matrix().uncoverable.contains(&dead));
 //! run.apply(&TopologyEvent::LinkUp { link: dead }).unwrap();
-//! assert!(run.matrix().paths_through(dead).count() > 0);
+//! assert!(run.matrix().paths.iter().filter(|p| p.covers(dead)).count() > 0);
 //! ```
 //!
 //! # The algorithms without the runtime
@@ -123,7 +123,7 @@ pub mod prelude {
         construct, max_identifiability, min_coverage, verify, PmcConfig, ProbeMatrix,
     };
     pub use detector_core::types::{
-        LinkId, NodeId, PathId, PathIdRange, PathObservation, ProbePath,
+        LinkId, NodeId, PathId, PathIdRange, PathObservation, PathRef, PathStore, ProbePath,
     };
     pub use detector_simnet::{
         partition_hosts, ChurnSchedule, Fabric, FailureGenerator, FailureScenario, FlowKey,

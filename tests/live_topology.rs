@@ -47,7 +47,7 @@ fn online_submatrix(matrix: &ProbeMatrix, offline: &HashSet<LinkId>) -> ProbeMat
             let links = p.links().iter().map(|l| LinkId(dense[l.index()])).collect();
             ProbePath::from_links(0, links)
         })
-        .collect();
+        .collect::<Vec<_>>();
     ProbeMatrix::from_paths(online as usize, paths)
 }
 
@@ -240,7 +240,7 @@ proptest! {
                 .filter(|(i, _)| !touched.contains(i))
                 .map(|(_, r)| *r)
                 .collect();
-            let before_paths: Vec<ProbePath> = run.matrix().paths.clone();
+            let before_paths: PathStore = run.matrix().paths.clone();
             let before_lists: Vec<Pinglist> = run.pinglists().to_vec();
 
             let update = run.apply(&ev).unwrap();
@@ -340,7 +340,7 @@ fn fattree16_single_cell_delta_redispatches_only_the_touched_cell() {
     assert_eq!(ranges.len(), 8, "k=16 symmetric plan has h = 8 cells");
     assert_eq!(touched.len(), 1, "an ea link lives in exactly one cell");
     let before_lists: Vec<Pinglist> = run.pinglists().to_vec();
-    let before_paths: Vec<ProbePath> = run.matrix().paths.clone();
+    let before_paths: PathStore = run.matrix().paths.clone();
 
     let update = run.apply(&TopologyEvent::LinkDown { link: dead }).unwrap();
     assert_eq!(update.stats.cells_resolved, 1);

@@ -8,19 +8,21 @@
 //! achieves what a from-scratch plan does, stays within two paths of its
 //! size through overlapping link churn, and is the clean-boot plan bit for
 //! bit whenever nothing is offline. A deployment built from a plan
-//! allocates per entry and per list, not per path lookup, a re-plan
-//! copies no matrix and clones no list it does not ship, a symmetric
-//! boot allocates per selected path and per batch, not per candidate, and
-//! a materialized boot — its candidates enumerated into one flat batch —
-//! allocates per selected path and per cell, not per candidate.
+//! allocates per list, not per entry, per path or per path lookup, a
+//! re-plan clones no list it does not ship, a symmetric boot allocates
+//! per batch and per cell and its base solve per pull, not per candidate,
+//! and a materialized boot — its candidates enumerated into one flat
+//! store — allocates per cell, not per candidate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use detector_core::pmc::{decompose, PmcConfig, ProbeMatrix};
-use detector_core::types::LinkId;
+use detector_core::pmc::{
+    construct_with_provider, decompose, CandidateProvider, PmcConfig, ProbeMatrix,
+};
+use detector_core::types::{LinkId, PathStore};
 use detector_system::dispatch::rebase_and_diff;
 use detector_system::{Controller, Detector, ListUpdate, ProbePlan, SharedTopology, SystemConfig};
 use detector_topology::{DcnTopology, Fattree, TopologyEvent, Vl2};
@@ -125,7 +127,7 @@ fn link_down_with_sufficient_survivors_allocates_no_alive_list() {
     let mut plan = ProbePlan::new(ft.clone() as SharedTopology, &cfg, &HashSet::new()).unwrap();
     let before = plan.matrix();
     let dead = LinkId(0);
-    let through = before.paths_through(dead).count();
+    let through = before.paths.iter().filter(|p| p.covers(dead)).count();
     assert!(through > 0);
     let range = plan.cell_ranges()[plan.cells_touching(&[dead])[0]];
     let selected = before.paths.iter().filter(|p| range.contains(p.id)).count();
@@ -192,7 +194,7 @@ fn vl2_patches_equal_from_scratch_plans_and_heal_bit_for_bit() {
     // A ToR–aggregation link, one mid-fabric, and the last probe link.
     let links = plan.num_links() as u32;
     for dead in [LinkId(0), LinkId(links / 2), LinkId(links - 1)] {
-        assert!(pristine.paths_through(dead).next().is_some());
+        assert!(pristine.paths.iter().any(|p| p.covers(dead)));
         let offline: HashSet<LinkId> = [dead].into_iter().collect();
         let stats = plan.apply(&[dead], &offline).unwrap();
         assert_eq!(stats.cells_resolved, 1);
@@ -278,16 +280,17 @@ fn overlapping_churn_never_drifts_from_the_from_scratch_plan() {
 }
 
 /// `Controller::assign` looks each switch's usable servers up once, not
-/// per path, and counts every list before filling it: a deployment
-/// allocates a few arrays per list (its entries and its one run array of
-/// routes), the copy of the matrix the `Deployment` owns (two `Vec`s a
-/// path), and nothing per entry or per path beyond those. On this
-/// Fattree(16) (5 052 entries in 180 lists over 1 896 paths) it makes
-/// 4 343 allocations against a bound of 4 832; with a route `Vec` per
-/// entry it made 9 567, and collecting each route into a `Vec` before
-/// pushing it makes 9 395 and fails the bound. Looking a path's servers
-/// up per path (two filtered `servers_under` `Vec`s each) costs about
-/// 7 400 more.
+/// per path, and counts every list before filling it, and the plan
+/// assembles the matrix the `Deployment` owns as one run copy per cell:
+/// a deployment allocates a few arrays per list (its entries and its one
+/// run array of routes), a few for the matrix, and nothing per entry or
+/// per path. On this symmetric Fattree(16) (5 052 entries in 180 lists
+/// over 1 896 paths, 8 cells) it makes 555 allocations against a bound
+/// of 1 040. A `ProbePath` cloned per path into the matrix, as
+/// `ProbePlan::matrix` cloned until the matrix kept its paths flat, makes
+/// about 3 800 more; with a route `Vec` per entry `assign` made about
+/// 5 200 more, and looking a path's servers up per path (two filtered
+/// `servers_under` `Vec`s each) costs about 7 400 more.
 #[test]
 fn a_deployment_allocates_per_list_not_per_entry_or_path_lookup() {
     let ft = Arc::new(Fattree::new(16).unwrap());
@@ -300,7 +303,7 @@ fn a_deployment_allocates_per_list_not_per_entry_or_path_lookup() {
     let lists = d.pinglists.len();
     let entries: usize = d.pinglists.iter().map(|l| l.entries.len()).sum();
     assert!(
-        allocations <= 2 * paths + 4 * lists + switches,
+        allocations <= 4 * lists + switches,
         "a deployment of {entries} entries in {lists} lists over {paths} paths \
          made {allocations} allocations"
     );
@@ -308,11 +311,12 @@ fn a_deployment_allocates_per_list_not_per_entry_or_path_lookup() {
 
 /// A re-plan moves its deployment's matrix into the diagnoser and clones
 /// only the lists it ships whole. On Fattree(16) a link-up re-plan ships
-/// 8 edit scripts in about 10 200 allocations, 131 of them the diff's.
-/// Cloning the deployed matrix for the diagnoser (about 3 800 more),
+/// 8 edit scripts in 696 allocations, 135 of them the diff's. Cloning
 /// every changed list into a `Replace` only to measure it (about 300
-/// more, in the diff) or each edit script into a frame of its own only to
-/// measure it (46 more) crosses a bound.
+/// more, in the diff), each edit script into a frame of its own only to
+/// measure it (46 more) or anything per deployed path (1 896 of them)
+/// crosses a bound. A clone of the matrix, five array copies since the
+/// matrix keeps its paths flat, no longer shows in the count.
 #[test]
 fn a_link_up_replan_copies_no_matrix_and_no_list_it_does_not_ship() {
     let ft = Arc::new(Fattree::new(16).unwrap());
@@ -334,19 +338,18 @@ fn a_link_up_replan_copies_no_matrix_and_no_list_it_does_not_ship() {
     assert!(updates.iter().all(|u| matches!(u, ListUpdate::Diff { .. })));
     assert!(diff <= 160, "the install's diff made {diff} allocations");
     assert!(
-        replan <= 12_000,
+        replan <= 1_200,
         "the link-up re-plan made {replan} allocations"
     );
 }
 
-/// A symmetric boot keeps the candidates it pulls flat and builds a
-/// `ProbePath` only for a selected one. Fattree(16) at (3, 1) pulls
-/// 19 200 candidates in its one base solve to select 237 paths, which it
-/// replicates to 1 896: about 4 600 allocations, two per deployed path
-/// (its nodes and links) and the rest per batch and per cell. Building a
-/// `ProbePath` per pulled candidate, as providers did when they returned
-/// `Vec<ProbePath>`, made 46 836; caching a copy of each cell's pristine
-/// solution at boot adds about 3 700.
+/// A symmetric boot keeps the candidates it pulls flat and copies only
+/// a selected one. Fattree(16) at (3, 1) pulls 19 200 candidates in its
+/// one base solve to select 237 paths, which it replicates to 1 896,
+/// each replica written into one store of its cell: 436 allocations, per
+/// batch and per cell. Building a `ProbePath` per pulled candidate, as
+/// providers did when they returned `Vec<ProbePath>`, made 46 836, and a
+/// `ProbePath` per replicated path about 4 600.
 #[test]
 fn a_symmetric_boot_allocates_per_selected_path_and_batch_not_per_candidate() {
     let ft: SharedTopology = Arc::new(Fattree::new(16).unwrap());
@@ -364,9 +367,9 @@ fn a_symmetric_boot_allocates_per_selected_path_and_batch_not_per_candidate() {
 /// A materialized boot keeps its candidates in one flat batch — the
 /// enumeration writes it, `decompose` copies each component's runs into
 /// a batch of its own (a single component keeps it whole) and the
-/// solve reads candidates out of it — and builds a `ProbePath` only for
-/// a selected one. VL2(20,12,2) at (3, 1), one 70 800-candidate cell,
-/// boots to 241 paths in about 700 allocations; Fattree(8), whose four
+/// solve reads candidates out of it — and copies only a selected one
+/// into its cell's store. VL2(20,12,2) at (3, 1), one 70 800-candidate
+/// cell, boots to 241 paths in 237 allocations; Fattree(8), whose four
 /// cells solve on the job pool's threads (uncounted) once this thread
 /// has enumerated and decomposed, in about 90. Enumerating into a
 /// `ProbePath` per candidate made 142 313 and 15 986.
@@ -393,4 +396,40 @@ fn a_materialized_boot_allocates_per_selected_path_and_cell_not_per_candidate() 
              made {allocations} allocations"
         );
     }
+}
+
+/// A provider that counts its pulls.
+struct Pulls<'a, P>(P, &'a Cell<usize>);
+
+impl<P: CandidateProvider> CandidateProvider for Pulls<'_, P> {
+    fn universe(&self) -> &[LinkId] {
+        self.0.universe()
+    }
+
+    fn next_batch(&mut self, batch: &mut PathStore) {
+        self.1.set(self.1.get() + 1);
+        self.0.next_batch(batch);
+    }
+}
+
+/// A symmetric base solve keeps each pull's batch whole, with the
+/// positions of the candidates the greedy admits, and copies a
+/// candidate only into the selection's one store when it selects it.
+/// Fattree(16)'s group solve at (3, 1) makes 371 allocations over 23
+/// pulls to select 237 of 19 200 candidates; a `ProbePath` built per
+/// kept candidate, as the pool built before it kept batches flat, makes
+/// two more allocations per kept candidate and crosses the bound.
+#[test]
+fn a_symmetric_base_solve_allocates_per_pull_not_per_kept_candidate() {
+    let ft = Fattree::new(16).unwrap();
+    let cfg = PmcConfig::new(3, 1);
+    let pulls = Cell::new(0);
+    let provider = Pulls(ft.group_provider(0), &pulls);
+    let (sol, allocations) = allocations_of(|| construct_with_provider(provider, &cfg).unwrap());
+    assert_eq!((pulls.get(), sol.paths.len()), (23, 237));
+    assert!(
+        allocations <= 16 * pulls.get() + 128,
+        "a base solve of {} pulls made {allocations} allocations",
+        pulls.get()
+    );
 }
