@@ -45,20 +45,18 @@ impl From<FrameError> for TransportError {
     }
 }
 
-/// A bidirectional, ordered frame channel. `send` is non-blocking in
+/// A bidirectional, ordered frame channel. Sending is non-blocking in
 /// spirit (the loopback is unbounded; TCP writes through the socket
 /// buffer); `recv` blocks until a frame or a closed peer.
 pub trait Transport: Send {
-    /// Ships one frame to the peer.
-    fn send(&self, frame: &Frame) -> Result<(), TransportError>;
     /// Ships one frame already encoded — the bytes [`Frame::encode`]
     /// makes, or `wire::encode_update` makes of a list update without
-    /// cloning it into a frame. Both built-in transports ship the bytes
-    /// as given, and their [`send`](Self::send) is this over
-    /// `frame.encode()`; the default decodes the bytes and sends the
-    /// frame, for a transport that only speaks frames.
-    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError> {
-        self.send(&Frame::decode(&bytes)?)
+    /// cloning it into a frame — as given.
+    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError>;
+    /// Ships one frame to the peer: [`send_bytes`](Self::send_bytes)
+    /// over `frame.encode()`.
+    fn send(&self, frame: &Frame) -> Result<(), TransportError> {
+        self.send_bytes(frame.encode())
     }
     /// Receives the next frame, blocking until one arrives or the peer
     /// is gone.
@@ -125,10 +123,6 @@ fn loopback_with_budgets(a_budget: usize, b_budget: usize) -> (LoopbackEnd, Loop
 }
 
 impl Transport for LoopbackEnd {
-    fn send(&self, frame: &Frame) -> Result<(), TransportError> {
-        self.send_bytes(frame.encode())
-    }
-
     fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError> {
         // A spent budget means this end "crashed": it can never send
         // again. The peer still drains what was already in flight.
@@ -172,18 +166,13 @@ impl LoopbackEnd {
             Err(TryRecvError::Disconnected) => Err(TransportError::Closed),
         }
     }
-
-    /// Wire bytes the *peer* end has sent so far (counted at its send
-    /// call, so in-flight frames are included). The controller uses this
-    /// to account the report plane without owning the agents' ends.
-    pub fn peer_bytes_sent(&self) -> u64 {
-        self.peer_sent.load(Ordering::Relaxed)
-    }
 }
 
+/// The peer's send counter, read directly: counted at the peer's send
+/// call, so in-flight frames are included.
 impl ControlTransport for LoopbackEnd {
     fn peer_bytes_sent(&self) -> u64 {
-        LoopbackEnd::peer_bytes_sent(self)
+        self.peer_sent.load(Ordering::Relaxed)
     }
 }
 
@@ -229,10 +218,6 @@ fn io_err(e: &std::io::Error) -> TransportError {
 }
 
 impl Transport for TcpTransport {
-    fn send(&self, frame: &Frame) -> Result<(), TransportError> {
-        self.send_bytes(frame.encode())
-    }
-
     fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError> {
         use std::io::Write;
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);

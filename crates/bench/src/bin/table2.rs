@@ -10,11 +10,14 @@
 //! symmetric column handles all of them; the enumeration-based columns
 //! time out exactly where the paper reports > 24 h).
 
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use detector_bench::{secs, Scale, Table};
 use detector_core::pmc::{construct, PmcConfig, PmcError, Strategy};
-use detector_topology::{construct_symmetric, BCube, DcnTopology, Fattree, Vl2};
+use detector_system::ProbePlan;
+use detector_topology::{BCube, DcnTopology, Fattree, SharedTopology, Vl2};
 
 fn variant_cfg(strategy: Strategy, decompose: bool, timeout: Duration) -> PmcConfig {
     let mut cfg = PmcConfig::new(2, 1);
@@ -51,12 +54,14 @@ fn run_enumerated(
     }
 }
 
-fn run_symmetric(topo: &dyn DcnTopology, timeout: Duration) -> String {
+/// The symmetric plan: one solve per base component, replicated.
+fn run_symmetric(topo: &SharedTopology, timeout: Duration) -> String {
     let mut cfg = PmcConfig::new(2, 1);
     cfg.timeout = Some(timeout);
     let t0 = Instant::now();
-    match construct_symmetric(topo, &cfg) {
-        Ok(m) => {
+    match ProbePlan::with_exhaustive_limit(topo.clone(), &cfg, &HashSet::new(), 0) {
+        Ok(plan) => {
+            let m = plan.matrix();
             if m.achieved.targets_met {
                 secs(t0.elapsed())
             } else {
@@ -76,23 +81,23 @@ fn main() {
         Scale::Paper => (Duration::from_secs(600), 15_000_000u128),
     };
 
-    let topologies: Vec<Box<dyn DcnTopology>> = match scale {
+    let topologies: Vec<SharedTopology> = match scale {
         Scale::Quick => vec![
-            Box::new(Fattree::new(4).unwrap()),
-            Box::new(Fattree::new(6).unwrap()),
-            Box::new(Fattree::new(8).unwrap()),
-            Box::new(Vl2::new(8, 6, 4).unwrap()),
-            Box::new(Vl2::new(12, 8, 8).unwrap()),
-            Box::new(BCube::new(4, 2).unwrap()),
+            Arc::new(Fattree::new(4).unwrap()),
+            Arc::new(Fattree::new(6).unwrap()),
+            Arc::new(Fattree::new(8).unwrap()),
+            Arc::new(Vl2::new(8, 6, 4).unwrap()),
+            Arc::new(Vl2::new(12, 8, 8).unwrap()),
+            Arc::new(BCube::new(4, 2).unwrap()),
         ],
         Scale::Paper => vec![
-            Box::new(Fattree::new(12).unwrap()),
-            Box::new(Fattree::new(24).unwrap()),
-            Box::new(Fattree::new(72).unwrap()),
-            Box::new(Vl2::new(20, 12, 20).unwrap()),
-            Box::new(Vl2::new(40, 24, 40).unwrap()),
-            Box::new(BCube::new(4, 2).unwrap()),
-            Box::new(BCube::new(8, 2).unwrap()),
+            Arc::new(Fattree::new(12).unwrap()),
+            Arc::new(Fattree::new(24).unwrap()),
+            Arc::new(Fattree::new(72).unwrap()),
+            Arc::new(Vl2::new(20, 12, 20).unwrap()),
+            Arc::new(Vl2::new(40, 24, 40).unwrap()),
+            Arc::new(BCube::new(4, 2).unwrap()),
+            Arc::new(BCube::new(8, 2).unwrap()),
         ],
     };
 
@@ -128,7 +133,7 @@ fn main() {
         .unwrap_or_else(|e| e);
         let lazy = run_enumerated(t, &variant_cfg(Strategy::Lazy, true, timeout), max_paths)
             .unwrap_or_else(|e| e);
-        let symmetry = run_symmetric(t, timeout);
+        let symmetry = run_symmetric(topo, timeout);
         table.row(vec![
             t.name(),
             t.graph().num_nodes().to_string(),

@@ -128,8 +128,57 @@ impl Subproblem {
         solve_restricted(self.indexed(), excluded, cfg, cfg.deadline())
     }
 
-    /// [`resolve_subproblem_seeded`](super::resolve_subproblem_seeded) on
-    /// the stored index.
+    /// Repairs a previous solution of the subproblem after part of its
+    /// universe was excluded — the incremental re-plan (§4's "recompute
+    /// quickly when the network changes"), *seeded* with the paths of
+    /// `seed`, on the index built once at construction.
+    ///
+    /// Every seed path that avoids the excluded links and still makes
+    /// progress toward the targets is pre-selected, in the order given. If
+    /// the survivors already meet the targets they are the result and the
+    /// candidates are never looked at; otherwise the strawman greedy
+    /// completes the selection from the candidates that cross a link the
+    /// survivors leave under-covered or unidentified (no other candidate
+    /// can make progress), so the work is sized by what the delta broke,
+    /// not by the pool. A pre-selected path stands for its candidate,
+    /// which is not offered again. The result covers and identifies
+    /// exactly what an unseeded [`resolve`](Self::resolve) would (same
+    /// `targets_met` attainability — every candidate that can help is
+    /// still on the table), but its path set stays as close to `seed` as
+    /// the targets allow, so the dispatched pinglist diff is proportional
+    /// to the topology delta instead of the cell size.
+    ///
+    /// The price is a path set that depends on the seed, hence on the
+    /// order links failed in, and may be non-minimal (the planner, which
+    /// seeds with a cell's pristine solution and then its repairs,
+    /// measures what that costs in its module doc). It ends when the
+    /// exclusions do: a cell with no excluded link is solved canonically,
+    /// with [`resolve`](Self::resolve).
+    ///
+    /// Deterministic: depends only on the subproblem, `excluded` and
+    /// `seed`, and their orders.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::collections::HashSet;
+    /// use detector_core::pmc::{PmcConfig, Subproblem};
+    /// use detector_core::types::{LinkId, PathStore, ProbePath};
+    ///
+    /// let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
+    /// let candidates = vec![
+    ///     ProbePath::from_links(0, vec![LinkId(0), LinkId(1)]),
+    ///     ProbePath::from_links(1, vec![LinkId(1)]),
+    ///     ProbePath::from_links(2, vec![LinkId(2)]),
+    /// ];
+    /// let seed = vec![candidates[1].clone(), candidates[2].clone()];
+    /// let cell = Subproblem::new(universe, candidates).unwrap();
+    /// let dead: HashSet<LinkId> = [LinkId(0)].into_iter().collect();
+    /// let sol = cell.resolve_seeded(&dead, &seed, &PmcConfig::coverage(1)).unwrap();
+    /// // The surviving seed already covers links 1 and 2: nothing churns.
+    /// assert!(sol.targets_met);
+    /// assert_eq!(sol.paths, PathStore::from(seed));
+    /// ```
     pub fn resolve_seeded<'a>(
         &self,
         excluded: &HashSet<LinkId>,

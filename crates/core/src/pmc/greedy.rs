@@ -11,7 +11,7 @@ use crate::types::PathRef;
 /// Runs the strawman greedy from `state` over the candidates of `pool`.
 ///
 /// A `state` that already holds a selection makes this the completion half
-/// of a seeded repair (`resolve_subproblem_seeded` pre-selects the
+/// of a seeded repair (`Subproblem::resolve_seeded` pre-selects the
 /// surviving previous solution, then repairs from here), so the work is
 /// sized by what is still missing, not by the pool: a state that already
 /// meets the targets returns before the pool is looked at, and otherwise

@@ -47,7 +47,7 @@ mod virtual_links;
 
 pub use decompose::{decompose, Subproblem};
 pub use jobs::JobPool;
-pub use provider::{CandidateProvider, ExcludingProvider, ExhaustiveProvider};
+pub use provider::{CandidateProvider, ExcludingProvider};
 pub use state::{Eval, SelectionState};
 pub use verify::{max_identifiability, min_coverage, verify, VerifyReport};
 pub use virtual_links::ExtendedUniverse;
@@ -57,7 +57,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use crate::types::{LinkId, PathId, PathRef, PathStore};
-use index::{candidate_index, CellPool, IndexedCell};
+use index::{CellPool, IndexedCell};
 use provider::ProviderPool;
 
 /// Selection strategy for the greedy loop.
@@ -423,9 +423,9 @@ impl ProbeMatrix {
         &self.index
     }
 
-    /// Overrides the achieved targets (used by external constructors, e.g.
-    /// the symmetry-reduction driver in `detector-topology`, which certify
-    /// properties through their own reasoning).
+    /// Overrides the achieved targets. The planner in `detector-system`
+    /// (`ProbePlan::matrix`) assembles a matrix from per-cell solutions and
+    /// certifies it as the conjunction of what each cell achieved.
     pub fn with_achieved(mut self, achieved: Achieved) -> Self {
         self.achieved = achieved;
         self
@@ -525,78 +525,6 @@ pub fn construct_with_provider<P: CandidateProvider>(
     let deadline = cfg.deadline();
     let state = SelectionState::new(provider.universe(), cfg)?;
     lazy::run(ProviderPool::new(provider), state, cfg, deadline)
-}
-
-/// Repairs a previous solution of one subproblem after part of its
-/// universe was excluded — the incremental re-plan (§4's "recompute quickly
-/// when the network changes"), *seeded* with the paths of `seed`.
-///
-/// Every seed path that avoids the excluded links and still makes progress
-/// toward the targets is pre-selected, in the order given. If the
-/// survivors already meet the targets they are the result and `candidates`
-/// is never looked at; otherwise the strawman greedy completes the
-/// selection from the candidates that cross a link the survivors leave
-/// under-covered or unidentified (no other candidate can make progress),
-/// so the work is sized by what the delta broke, not by the pool. A
-/// pre-selected path stands for its candidate, which is not offered again.
-/// The result covers and identifies exactly what an unseeded
-/// [`Subproblem::resolve`] would (same `targets_met` attainability — every
-/// candidate that can help is still on the table), but its path set stays
-/// as close to `seed` as the targets allow, so the dispatched pinglist
-/// diff is proportional to the topology delta instead of the cell size.
-///
-/// The price is a path set that depends on the seed, hence on the order
-/// links failed in, and may be non-minimal. The planner seeds with the
-/// subproblem's pristine solution followed by the repairs in force;
-/// measured that way over 300 overlapping link-down/up events on
-/// VL2(20,12,2) with one to four links offline at once, the repaired plan
-/// met the from-scratch plan's targets at every step and ran 114.4 paths
-/// against 118.2 on average, never larger, at (1, 1); 241.9 against 237.7,
-/// at most 11 larger, at (3, 1). Nothing heals the difference periodically
-/// (the planner's cycle refresh re-assembles, it never re-solves); it ends
-/// when the exclusions do: the planner solves a cell with no excluded link
-/// canonically, with [`Subproblem::resolve`].
-///
-/// Deterministic: depends only on `(universe, candidates, excluded, seed)`
-/// and their orders.
-///
-/// # Examples
-///
-/// ```
-/// use std::collections::HashSet;
-/// use detector_core::pmc::{resolve_subproblem_seeded, PmcConfig};
-/// use detector_core::types::{LinkId, PathStore, ProbePath};
-///
-/// let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
-/// let candidates = vec![
-///     ProbePath::from_links(0, vec![LinkId(0), LinkId(1)]),
-///     ProbePath::from_links(1, vec![LinkId(1)]),
-///     ProbePath::from_links(2, vec![LinkId(2)]),
-/// ];
-/// let seed = vec![candidates[1].clone(), candidates[2].clone()];
-/// let dead: HashSet<LinkId> = [LinkId(0)].into_iter().collect();
-/// let cfg = PmcConfig::coverage(1);
-/// let sol = resolve_subproblem_seeded(&universe, &candidates[..], &dead, &seed, &cfg).unwrap();
-/// // The surviving seed already covers links 1 and 2: nothing churns.
-/// assert!(sol.targets_met);
-/// assert_eq!(sol.paths, PathStore::from(seed));
-/// ```
-pub fn resolve_subproblem_seeded<'a>(
-    universe: &[LinkId],
-    candidates: impl Into<PathStore>,
-    excluded: &HashSet<LinkId>,
-    seed: impl IntoIterator<Item = impl Into<PathRef<'a>>>,
-    cfg: &PmcConfig,
-) -> Result<SubSolution, PmcError> {
-    let deadline = cfg.deadline();
-    let candidates = candidates.into();
-    let index = candidate_index(universe, &candidates)?;
-    let cell = IndexedCell {
-        universe,
-        candidates: &candidates,
-        index: &index,
-    };
-    repair_restricted(cell, excluded, seed, cfg, deadline)
 }
 
 /// Solves `cell` from scratch without the `excluded` links, with the
@@ -928,14 +856,10 @@ mod tests {
         let mut candidates = vec![pair];
         candidates.extend(singles.iter().cloned());
         let cfg = PmcConfig::coverage(1);
-        let sol = resolve_subproblem_seeded(
-            &universe,
-            &candidates[..],
-            &std::collections::HashSet::new(),
-            &singles,
-            &cfg,
-        )
-        .unwrap();
+        let cell = Subproblem::new(universe, &candidates[..]).unwrap();
+        let sol = cell
+            .resolve_seeded(&HashSet::new(), &singles, &cfg)
+            .unwrap();
         assert!(sol.targets_met);
         assert_eq!(sol.paths, PathStore::from(singles));
     }
@@ -954,8 +878,8 @@ mod tests {
         ];
         let dead: std::collections::HashSet<LinkId> = [LinkId(0)].into_iter().collect();
         let cfg = PmcConfig::coverage(1);
-        let sol =
-            resolve_subproblem_seeded(&universe, &candidates[..], &dead, &seed, &cfg).unwrap();
+        let cell = Subproblem::new(universe, &candidates[..]).unwrap();
+        let sol = cell.resolve_seeded(&dead, &seed, &cfg).unwrap();
         assert!(sol.targets_met);
         // The surviving seed path stays; the dead pair is replaced by the
         // one candidate that restores link 1's coverage.
@@ -968,20 +892,15 @@ mod tests {
         let candidates = fig3_candidates();
         let universe = vec![LinkId(0), LinkId(1), LinkId(2)];
         let cfg = PmcConfig::identifiable(1);
-        let cell = Subproblem::new(universe.clone(), candidates.clone()).unwrap();
+        let cell = Subproblem::new(universe, candidates).unwrap();
         for dead_link in 0..3u32 {
             let dead: std::collections::HashSet<LinkId> = [LinkId(dead_link)].into_iter().collect();
             let unseeded = cell.resolve(&dead, &cfg).unwrap();
             // Seed with the pristine full solve of the same cell.
             let pristine = cell.resolve(&HashSet::new(), &cfg).unwrap();
-            let seeded = resolve_subproblem_seeded(
-                &universe,
-                &candidates[..],
-                &dead,
-                pristine.paths.iter(),
-                &cfg,
-            )
-            .unwrap();
+            let seeded = cell
+                .resolve_seeded(&dead, pristine.paths.iter(), &cfg)
+                .unwrap();
             assert_eq!(seeded.targets_met, unseeded.targets_met, "link {dead_link}");
             assert!(
                 seeded.coverage >= unseeded.coverage.min(1),

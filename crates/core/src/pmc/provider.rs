@@ -6,15 +6,20 @@
 //! topology crate instead exposes *providers* that generate candidates in
 //! symmetric "rounds" — orbit tilings under the topology's automorphism
 //! group — and the lazy greedy pulls further rounds only while its (α, β)
-//! targets are unmet.
+//! targets are unmet. [`ExcludingProvider`] drops failed or drained links
+//! from any provider, for the planner's per-replica re-solve.
 //!
 //! Both candidate sources write a flat [`PathStore`]: a provider fills
 //! a fresh one on every pull, which the pool keeps whole with the
 //! positions of the candidates the greedy admits, and
 //! `DcnTopology::enumerate_candidates` writes a small topology's whole
 //! candidate set into one that its [`Subproblem`](super::Subproblem)s
-//! keep. A selected candidate is copied once, into the solve's own
-//! store.
+//! keep, solved on their own candidate index without any provider. A
+//! selected candidate is copied once, into the solve's own store.
+//!
+//! The tests' `ExhaustiveProvider` hands a materialized set out in
+//! chunks: the reference oracle's lazy greedy and the adapter tests run
+//! on it.
 
 use super::index::{push_candidate, CandidateIndex, LinkLookup, Pool};
 use super::PmcError;
@@ -44,8 +49,9 @@ impl<T: CandidateProvider + ?Sized> CandidateProvider for Box<T> {
 }
 
 /// Provider over a fully materialized candidate set, handed out in chunks.
+#[cfg(test)]
 #[derive(Clone, Debug)]
-pub struct ExhaustiveProvider {
+pub(crate) struct ExhaustiveProvider {
     universe: Vec<LinkId>,
     candidates: PathStore,
     /// The first candidate not handed out yet.
@@ -53,9 +59,10 @@ pub struct ExhaustiveProvider {
     batch_size: usize,
 }
 
+#[cfg(test)]
 impl ExhaustiveProvider {
     /// Builds a provider whose universe is inferred from the candidates.
-    pub fn new(candidates: impl Into<PathStore>) -> Self {
+    pub(crate) fn new(candidates: impl Into<PathStore>) -> Self {
         let candidates = candidates.into();
         let mut universe = candidates.link_runs().items().to_vec();
         universe.sort_unstable();
@@ -64,7 +71,7 @@ impl ExhaustiveProvider {
     }
 
     /// Builds a provider over an explicit universe.
-    pub fn with_universe(universe: Vec<LinkId>, candidates: impl Into<PathStore>) -> Self {
+    pub(crate) fn with_universe(universe: Vec<LinkId>, candidates: impl Into<PathStore>) -> Self {
         let candidates = candidates.into();
         Self {
             universe,
@@ -74,14 +81,14 @@ impl ExhaustiveProvider {
         }
     }
 
-    /// Limits how many candidates are handed out per batch (used in tests
-    /// and to bound peak heap size).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
+    /// Limits how many candidates are handed out per batch.
+    pub(crate) fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self
     }
 }
 
+#[cfg(test)]
 impl CandidateProvider for ExhaustiveProvider {
     fn universe(&self) -> &[LinkId] {
         &self.universe

@@ -14,10 +14,11 @@ use std::collections::{BinaryHeap, HashSet};
 
 use proptest::prelude::*;
 
+use super::provider::ExhaustiveProvider;
 use super::state::SelectionState;
 use super::{
-    construct_with_provider, CandidateProvider, ExcludingProvider, ExhaustiveProvider, PmcConfig,
-    PmcError, Strategy as Greedy, SubSolution, Subproblem,
+    construct_with_provider, CandidateProvider, ExcludingProvider, PmcConfig, PmcError,
+    Strategy as Greedy, SubSolution, Subproblem,
 };
 use crate::types::{LinkId, NodeId, PathRef, PathStore, ProbePath};
 
@@ -166,7 +167,7 @@ fn strawman(
     Ok(state.into_solution())
 }
 
-/// `Subproblem::resolve` / `resolve_subproblem_seeded` by filter-and-clone.
+/// `Subproblem::resolve` / `Subproblem::resolve_seeded` by filter-and-clone.
 fn resolve(
     universe: &[LinkId],
     candidates: &[ProbePath],

@@ -195,31 +195,6 @@ impl Controller {
         Ok(plan.matrix())
     }
 
-    /// Recomputes the probe matrix from scratch for the *current* view
-    /// state, ignoring the incremental plan — the canonical plan for the
-    /// current offline set. It is the *targets* oracle for the
-    /// incremental path, not a row oracle: while a link is offline the
-    /// standing plan is a repair of what it had, so after any event
-    /// sequence [`Controller::compute_matrix`] must achieve what this
-    /// achieves (certified targets, uncoverable links, verified coverage
-    /// and identifiability over the online links) without necessarily
-    /// carrying the same paths; with nothing offline the two carry the
-    /// same paths row for row. `PathId`s may differ even then: the
-    /// standing plan keeps the id ranges it was born with (id
-    /// *stability* across deltas is the point of segmented allocation),
-    /// while a fresh plan derives its ranges from the current per-cell
-    /// solution sizes.
-    pub fn compute_matrix_from_scratch(&self) -> Result<ProbeMatrix, PmcError> {
-        let plan = ProbePlan::with_options(
-            self.view.shared(),
-            &self.cfg.pmc,
-            self.view.offline_links(),
-            self.exhaustive_limit,
-            self.cfg.id_headroom,
-        )?;
-        Ok(plan.matrix())
-    }
-
     /// Computes the matrix and builds pinglists, excluding unhealthy
     /// servers from pinger duty (watchdog input, §3.2).
     pub fn build_deployment(
@@ -416,6 +391,21 @@ mod tests {
     use detector_topology::Fattree;
     use std::sync::Arc;
 
+    /// The canonical plan for the view's current offline set, built from
+    /// scratch: the targets oracle for the incremental plan (and its row
+    /// oracle while nothing is offline).
+    fn from_scratch(ctl: &Controller) -> ProbeMatrix {
+        let view = ctl.view();
+        let plan = ProbePlan::with_options(
+            view.shared(),
+            &ctl.cfg.pmc,
+            view.offline_links(),
+            ctl.exhaustive_limit,
+            ctl.cfg.id_headroom,
+        );
+        plan.unwrap().matrix()
+    }
+
     fn deployment(k: u32) -> (Arc<Fattree>, Deployment) {
         let ft = Arc::new(Fattree::new(k).unwrap());
         let mut ctl = Controller::new(ft.clone(), SystemConfig::default());
@@ -553,7 +543,7 @@ mod tests {
         // plan achieves (coverage compared up to α; beyond it is
         // incidental in either) without probing an offline link…
         let patched = ctl.compute_matrix().unwrap();
-        let scratch = ctl.compute_matrix_from_scratch().unwrap();
+        let scratch = from_scratch(&ctl);
         let alpha = ctl.cfg.pmc.alpha;
         let certified = |m: &ProbeMatrix| {
             let a = m.achieved;
@@ -577,7 +567,7 @@ mod tests {
         })
         .unwrap();
         let patched = ctl.compute_matrix().unwrap();
-        let scratch = ctl.compute_matrix_from_scratch().unwrap();
+        let scratch = from_scratch(&ctl);
         assert_eq!(patched.num_paths(), scratch.num_paths());
         for (pa, pb) in patched.paths.iter().zip(&scratch.paths) {
             assert_eq!(pa.links(), pb.links());

@@ -35,7 +35,7 @@
 //! # Repair, not re-solve
 //!
 //! A cell whose exclusions are non-empty is *repaired* (`repair_cell`):
-//! the solve is seeded ([`resolve_subproblem_seeded`]) with the cell's
+//! the solve is seeded ([`Subproblem::resolve_seeded`]) with the cell's
 //! pristine solution and then the repair paths it already carries, the
 //! paths that survive the delta are pre-selected, and the greedy completes
 //! only what is still broken. The cost and the dispatched pinglist diff
@@ -96,8 +96,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use detector_core::pmc::{
-    construct_with_provider, decompose, resolve_subproblem_seeded, Achieved, ExcludingProvider,
-    JobPool, PmcConfig, PmcError, ProbeMatrix, SubSolution, Subproblem,
+    construct_with_provider, decompose, Achieved, ExcludingProvider, JobPool, PmcConfig, PmcError,
+    ProbeMatrix, SubSolution, Subproblem,
 };
 use detector_core::types::{LinkId, PathIdRange, PathStore};
 use detector_topology::{BaseComponent, ReplicateLinkFn, ReplicateNodeFn, SharedTopology};
@@ -226,8 +226,9 @@ impl ProbePlan {
         Self::with_exhaustive_limit(topo, cfg, offline, EXHAUSTIVE_LIMIT)
     }
 
-    /// [`ProbePlan::new`] with an explicit materialization threshold
-    /// (tests and benches use 0 to force the symmetric path).
+    /// [`ProbePlan::new`] with an explicit materialization threshold.
+    /// Tables and tests use 0 to force the symmetric path: the paper's
+    /// symmetry-reduced construction (§4.3), as large topologies boot.
     pub fn with_exhaustive_limit(
         topo: SharedTopology,
         cfg: &PmcConfig,
@@ -400,11 +401,6 @@ impl ProbePlan {
         self.cells.len()
     }
 
-    /// The offline links currently applied.
-    pub fn offline(&self) -> &HashSet<LinkId> {
-        &self.offline
-    }
-
     /// The id range of every cell, in cell order. Ranges are disjoint;
     /// a cell that was re-based sits past every older range.
     pub fn cell_ranges(&self) -> Vec<PathIdRange> {
@@ -420,11 +416,6 @@ impl ProbePlan {
             .filter(|(_, c)| c.intersects(links))
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// The headroom policy in force.
-    pub fn headroom(&self) -> IdHeadroom {
-        self.headroom
     }
 
     /// Patches the plan for a topology delta: `changed` are the links
@@ -703,7 +694,8 @@ fn repair_cell(
         CellSource::Materialized(sp) => sp.resolve_seeded(&excluded_set, seed, cfg)?,
         CellSource::Replica { .. } => {
             let pool = solve_cell(topo, cfg, cell, excluded)?.paths;
-            resolve_subproblem_seeded(&cell.universe, pool, &excluded_set, seed, cfg)?
+            let pool = Subproblem::new(cell.universe.clone(), pool)?;
+            pool.resolve_seeded(&excluded_set, seed, cfg)?
         }
     };
     Ok(align_with_previous(current, repaired))

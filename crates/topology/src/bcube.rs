@@ -457,7 +457,7 @@ mod tests {
         // switch has exactly two links and every path through it uses
         // both, so their routing-matrix columns are identical.
         let b = BCube::new(3, 1).unwrap();
-        let m = crate::construct_symmetric(&b, &PmcConfig::identifiable(1)).unwrap();
+        let m = crate::symmetric::replicated_matrix(&b, &PmcConfig::identifiable(1));
         assert!(m.achieved.targets_met, "achieved: {:?}", m.achieved);
         assert!(min_coverage(&m) >= 1);
         assert_eq!(max_identifiability(&m, 1), 1);
@@ -475,7 +475,7 @@ mod tests {
             &PmcConfig::identifiable(1),
         )
         .unwrap();
-        let symmetric = crate::construct_symmetric(&b, &PmcConfig::identifiable(1)).unwrap();
+        let symmetric = crate::symmetric::replicated_matrix(&b, &PmcConfig::identifiable(1));
         assert!(!exhaustive.achieved.targets_met);
         assert!(!symmetric.achieved.targets_met);
         assert_eq!(max_identifiability(&exhaustive, 1), 0);

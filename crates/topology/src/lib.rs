@@ -9,16 +9,19 @@
 //! # Examples
 //!
 //! Build a 4-ary Fattree (the paper's testbed topology, 20 switches) and
-//! construct a (3, 1) probe matrix through the symmetry driver:
+//! solve one base component of its symmetry plan at (α, β) = (3, 1); the
+//! solution stands for every replica of that base (the planner in
+//! `detector-system` replicates it):
 //!
 //! ```
-//! use detector_core::pmc::PmcConfig;
-//! use detector_topology::{construct_symmetric, DcnTopology, Fattree};
+//! use detector_core::pmc::{construct_with_provider, PmcConfig};
+//! use detector_topology::{DcnTopology, Fattree};
 //!
 //! let ft = Fattree::new(4).unwrap();
 //! assert_eq!(ft.graph().num_switches(), 20);
-//! let matrix = construct_symmetric(&ft, &PmcConfig::new(3, 1)).unwrap();
-//! assert!(matrix.achieved.targets_met);
+//! let base = ft.symmetry().bases.into_iter().next().unwrap();
+//! let sol = construct_with_provider(base.provider, &PmcConfig::new(3, 1)).unwrap();
+//! assert!(sol.targets_met);
 //! ```
 
 mod bcube;
@@ -31,9 +34,7 @@ mod vl2;
 pub use bcube::BCube;
 pub use fattree::Fattree;
 pub use graph::{Dcn, Link, LinkTier, Node, NodeKind, Route};
-pub use symmetric::{
-    construct_symmetric, BaseComponent, ReplicateLinkFn, ReplicateNodeFn, SymmetryPlan,
-};
+pub use symmetric::{BaseComponent, ReplicateLinkFn, ReplicateNodeFn, SymmetryPlan};
 pub use view::{pod_switches, SharedTopology, TopologyDelta, TopologyEvent, TopologyView};
 pub use vl2::Vl2;
 

@@ -1,4 +1,4 @@
-//! Symmetry-reduced probe-matrix construction (Observation 3 of §4.3).
+//! The symmetry plan of a topology (Observation 3 of §4.3).
 //!
 //! A topology's automorphism group acts on its decomposed PMC components;
 //! components in the same orbit are isomorphic, so PMC only needs to solve
@@ -6,13 +6,13 @@
 //! isomorphisms. Within a base component, candidates come from a
 //! round-based [`CandidateProvider`] instead of a full enumeration, so the
 //! greedy never materializes the astronomically large original path set.
+//!
+//! [`DcnTopology::symmetry`](crate::DcnTopology::symmetry) describes the
+//! orbits; the planner in `detector-system` (`ProbePlan`) solves each
+//! base and replicates it, and large topologies boot that way.
 
-use detector_core::pmc::{
-    construct_with_provider, Achieved, CandidateProvider, PmcConfig, PmcError, ProbeMatrix,
-};
-use detector_core::types::{LinkId, NodeId, PathStore};
-
-use crate::DcnTopology;
+use detector_core::pmc::CandidateProvider;
+use detector_core::types::{LinkId, NodeId};
 
 /// Maps a base-component node to a replica index (see
 /// [`BaseComponent::replicate_node`]).
@@ -34,10 +34,10 @@ pub struct BaseComponent {
     pub replicate_node: ReplicateNodeFn,
     /// Maps a base-universe link to its image in replica `r` (`r = 0`
     /// must be the identity). Together with [`Self::replicate_node`] it
-    /// re-homes a base path ([`PathStore::extend_mapped`]); the
-    /// incremental planner also uses it to compute replica universes and
-    /// to pull a replica's excluded links back into base coordinates for
-    /// a per-replica re-solve.
+    /// re-homes a base path (`PathStore::extend_mapped`); the incremental
+    /// planner also uses it to compute replica universes and to pull a
+    /// replica's excluded links back into base coordinates for a
+    /// per-replica re-solve.
     pub replicate_link: ReplicateLinkFn,
 }
 
@@ -49,62 +49,12 @@ pub struct SymmetryPlan {
     pub bases: Vec<BaseComponent>,
 }
 
-/// Constructs a probe matrix using the topology's symmetry plan.
-///
-/// Each base component is solved with [`construct_with_provider`]; its
-/// solution is replicated to all isomorphic components. The achieved
-/// (α, β) level of a base carries over to its replicas because the
-/// replication maps are link-relabeling isomorphisms; the returned matrix
-/// additionally gets a direct coverage re-check over the whole universe.
-///
-/// # Examples
-///
-/// ```
-/// use detector_core::pmc::PmcConfig;
-/// use detector_topology::{construct_symmetric, DcnTopology, Fattree};
-///
-/// let ft = Fattree::new(6).unwrap();
-/// let m = construct_symmetric(&ft, &PmcConfig::identifiable(1)).unwrap();
-/// assert!(m.achieved.targets_met);
-/// ```
-pub fn construct_symmetric(
-    topo: &dyn DcnTopology,
-    cfg: &PmcConfig,
-) -> Result<ProbeMatrix, PmcError> {
-    let plan = topo.symmetry();
-    let mut all_paths = PathStore::default();
-    let mut targets_met = true;
-    let mut coverage = u32::MAX;
-
-    for base in plan.bases {
-        let sol = construct_with_provider(base.provider, cfg)?;
-        targets_met &= sol.targets_met;
-        coverage = coverage.min(sol.coverage);
-        let (node, link) = (&base.replicate_node, &base.replicate_link);
-        for r in 0..base.replicas {
-            all_paths.extend_mapped(&sol.paths, |n| node(n, r), |l| link(l, r));
-        }
-    }
-    if coverage == u32::MAX {
-        coverage = 0;
-    }
-
-    let matrix = ProbeMatrix::from_paths(plan.num_probe_links, all_paths);
-    let targets_met = targets_met && matrix.uncoverable.is_empty();
-    let achieved = Achieved {
-        coverage,
-        identifiability: if targets_met { cfg.beta } else { 0 },
-        targets_met,
-    };
-    Ok(matrix.with_achieved(achieved))
-}
-
 #[cfg(test)]
 /// The provider's next batch as paths (empty once it is exhausted).
 pub(crate) fn next_paths(
     provider: &mut (impl CandidateProvider + ?Sized),
 ) -> Vec<detector_core::types::ProbePath> {
-    let mut batch = PathStore::default();
+    let mut batch = detector_core::types::PathStore::default();
     provider.next_batch(&mut batch);
     let owned = |p: detector_core::types::PathRef<'_>| {
         detector_core::types::ProbePath::from_route(p.id.0, p.nodes().to_vec(), p.links().to_vec())
@@ -113,15 +63,48 @@ pub(crate) fn next_paths(
 }
 
 #[cfg(test)]
+/// The whole-topology matrix the symmetry plan stands for: each base
+/// solved once, its paths re-homed into every replica. `targets_met`
+/// holds only if every base met its targets and no link is left
+/// uncoverable; the matrix is then claimed (α, β).
+pub(crate) fn replicated_matrix(
+    topo: &dyn crate::DcnTopology,
+    cfg: &detector_core::pmc::PmcConfig,
+) -> detector_core::pmc::ProbeMatrix {
+    use detector_core::pmc::{construct_with_provider, Achieved, ProbeMatrix};
+    let plan = topo.symmetry();
+    let mut paths = detector_core::types::PathStore::default();
+    let (mut targets_met, mut coverage) = (true, u32::MAX);
+    for base in plan.bases {
+        let sol = construct_with_provider(base.provider, cfg).unwrap();
+        targets_met &= sol.targets_met;
+        coverage = coverage.min(sol.coverage);
+        let (node, link) = (&base.replicate_node, &base.replicate_link);
+        for r in 0..base.replicas {
+            paths.extend_mapped(&sol.paths, |n| node(n, r), |l| link(l, r));
+        }
+    }
+    let matrix = ProbeMatrix::from_paths(plan.num_probe_links, paths);
+    let targets_met = targets_met && matrix.uncoverable.is_empty();
+    let achieved = Achieved {
+        coverage: if coverage == u32::MAX { 0 } else { coverage },
+        identifiability: if targets_met { cfg.beta } else { 0 },
+        targets_met,
+    };
+    matrix.with_achieved(achieved)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Fattree;
-    use detector_core::pmc::{max_identifiability, min_coverage};
+    use detector_core::pmc::{max_identifiability, min_coverage, PmcConfig};
+    use detector_core::types::PathStore;
 
     #[test]
     fn symmetric_fattree_matrix_is_verified_identifiable() {
         let ft = Fattree::new(6).unwrap();
-        let m = construct_symmetric(&ft, &PmcConfig::identifiable(1)).unwrap();
+        let m = replicated_matrix(&ft, &PmcConfig::identifiable(1));
         assert!(m.achieved.targets_met);
         assert!(m.uncoverable.is_empty());
         // Cross-check construction claims with the independent verifier.
@@ -132,9 +115,19 @@ mod tests {
     #[test]
     fn coverage_three_is_reached() {
         let ft = Fattree::new(4).unwrap();
-        let m = construct_symmetric(&ft, &PmcConfig::new(3, 0)).unwrap();
+        let m = replicated_matrix(&ft, &PmcConfig::new(3, 0));
         assert!(m.achieved.targets_met);
         assert!(min_coverage(&m) >= 3);
+    }
+
+    #[test]
+    fn selected_paths_are_far_fewer_than_original() {
+        use crate::DcnTopology;
+        let ft = Fattree::new(8).unwrap();
+        let m = replicated_matrix(&ft, &PmcConfig::identifiable(1));
+        assert!(m.achieved.targets_met);
+        let original = ft.original_path_count();
+        assert!((m.num_paths() as u128) < original / 10);
     }
 
     #[test]
@@ -167,14 +160,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn selected_paths_are_far_fewer_than_original() {
-        let ft = Fattree::new(8).unwrap();
-        let m = construct_symmetric(&ft, &PmcConfig::identifiable(1)).unwrap();
-        assert!(m.achieved.targets_met);
-        let original = ft.original_path_count();
-        assert!((m.num_paths() as u128) < original / 10);
     }
 }

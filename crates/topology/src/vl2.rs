@@ -498,13 +498,9 @@ mod tests {
     #[test]
     fn provider_reaches_identifiability() {
         let v = Vl2::new(4, 4, 2).unwrap();
-        let m = construct_symmetric_helper(&v, &PmcConfig::identifiable(1));
+        let m = crate::symmetric::replicated_matrix(&v, &PmcConfig::identifiable(1));
         assert!(m.achieved.targets_met);
         assert!(min_coverage(&m) >= 1);
         assert_eq!(max_identifiability(&m, 1), 1);
-    }
-
-    fn construct_symmetric_helper(v: &Vl2, cfg: &PmcConfig) -> detector_core::pmc::ProbeMatrix {
-        crate::construct_symmetric(v, cfg).unwrap()
     }
 }

@@ -4,9 +4,12 @@
 //!
 //! Run with: `cargo run --release --example probe_planning`
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use detector::prelude::*;
 
-fn plan(topo: &dyn DcnTopology) {
+fn plan(topo: SharedTopology) {
     println!(
         "{} — {} probe links, {} original ECMP paths",
         topo.name(),
@@ -14,8 +17,10 @@ fn plan(topo: &dyn DcnTopology) {
         topo.original_path_count()
     );
     for (a, b) in [(1u32, 0u32), (2, 0), (1, 1), (1, 2)] {
-        match construct_symmetric(topo, &PmcConfig::new(a, b)) {
-            Ok(m) => {
+        // The plan `Detector` deploys, with no link offline.
+        match ProbePlan::new(topo.clone(), &PmcConfig::new(a, b), &HashSet::new()) {
+            Ok(plan) => {
+                let m = plan.matrix();
                 let ident = max_identifiability(&m, 2);
                 println!(
                     "  ({a},{b}): {:>6} paths | verified coverage {} identifiability {}{}",
@@ -37,9 +42,9 @@ fn plan(topo: &dyn DcnTopology) {
 
 fn main() {
     println!("probe planning: selected paths per (alpha, beta) target\n");
-    plan(&Fattree::new(8).expect("fattree"));
-    plan(&Vl2::new(8, 6, 4).expect("vl2"));
-    plan(&BCube::new(4, 2).expect("bcube"));
+    plan(Arc::new(Fattree::new(8).expect("fattree")));
+    plan(Arc::new(Vl2::new(8, 6, 4).expect("vl2")));
+    plan(Arc::new(BCube::new(4, 2).expect("bcube")));
     println!("takeaway (paper §6.4): identifiability is a much better investment");
     println!("than coverage — a (1,1) matrix localizes failures a (3,0) matrix");
     println!("cannot, with fewer paths.");

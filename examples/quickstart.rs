@@ -3,13 +3,16 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use detector::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
     // An 8-ary Fattree: 80 switches, 128 servers, 256 inter-switch links.
-    let ft = Fattree::new(8).expect("valid radix");
+    let ft = Arc::new(Fattree::new(8).expect("valid radix"));
     println!(
         "topology: {} — {} switches, {} servers, {} probe links",
         ft.name(),
@@ -18,9 +21,10 @@ fn main() {
         ft.probe_links()
     );
 
-    // A probe matrix with 1-coverage and 1-identifiability, via the
-    // symmetry-reduced PMC (Observation 3, §4.3).
-    let matrix = construct_symmetric(&ft, &PmcConfig::identifiable(1)).expect("PMC");
+    // A probe matrix with 1-coverage and 1-identifiability: the plan
+    // `Detector` deploys, with no link offline.
+    let plan = ProbePlan::new(ft.clone(), &PmcConfig::identifiable(1), &HashSet::new());
+    let matrix = plan.expect("PMC").matrix();
     println!(
         "probe matrix: {} paths selected out of {} original ECMP paths ({:.4}%)",
         matrix.num_paths(),
@@ -36,7 +40,7 @@ fn main() {
     // Fig. 1: fail "link AB" — an aggregation-to-core link — and find it
     // by sending probes between ToRs.
     let bad = ft.ac_link(0, 1, 0);
-    let mut fabric = Fabric::new(&ft, 42); // Background noise included.
+    let mut fabric = Fabric::new(ft.as_ref(), 42); // Background noise included.
     fabric.set_discipline_both(bad, LossDiscipline::Full);
 
     let mut rng = SmallRng::seed_from_u64(7);

@@ -68,10 +68,14 @@
 //! ```
 //! use detector::prelude::*;
 //! use rand::SeedableRng;
+//! use std::collections::HashSet;
+//! use std::sync::Arc;
 //!
-//! // Build the paper's testbed topology and a (3, 1) probe matrix.
+//! // Build the paper's testbed topology and the (3, 1) probe matrix
+//! // `Detector` would deploy on it.
 //! let ft = Fattree::new(4).unwrap();
-//! let matrix = construct_symmetric(&ft, &PmcConfig::new(3, 1)).unwrap();
+//! let plan = ProbePlan::new(Arc::new(ft.clone()), &PmcConfig::new(3, 1), &HashSet::new());
+//! let matrix = plan.unwrap().matrix();
 //!
 //! // Fail a link, probe, localize through the Localizer trait.
 //! let mut fabric = Fabric::quiet(&ft);
@@ -137,7 +141,6 @@ pub mod prelude {
         UdpConfig, UdpDataPlane, UdpHarness, UdpStats, WindowResult,
     };
     pub use detector_topology::{
-        construct_symmetric, BCube, DcnTopology, Fattree, Route, TopologyDelta, TopologyEvent,
-        TopologyView, Vl2,
+        BCube, DcnTopology, Fattree, Route, TopologyDelta, TopologyEvent, TopologyView, Vl2,
     };
 }

@@ -25,8 +25,8 @@ use rand::SeedableRng;
 struct Tamper<F>(LoopbackEnd, Mutex<(F, VecDeque<Frame>)>);
 
 impl<F: FnMut(Frame) -> Vec<Frame> + Send> Transport for Tamper<F> {
-    fn send(&self, frame: &Frame) -> Result<(), TransportError> {
-        self.0.send(frame)
+    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), TransportError> {
+        self.0.send(&Frame::decode(&bytes)?)
     }
 
     fn recv(&self) -> Result<Frame, TransportError> {

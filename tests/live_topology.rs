@@ -153,7 +153,15 @@ fn check_equivalence(ft: Arc<Fattree>, raw: &[(u8, u16)], exhaustive_limit: u128
         let update = ctl.apply_event(&ev).unwrap();
         assert_eq!(update.epoch, (i + 1) as u64, "epoch must track events");
         let patched = ctl.compute_matrix().unwrap();
-        let scratch = ctl.compute_matrix_from_scratch().unwrap();
+        let (view, pmc) = (ctl.view(), &cfg.pmc);
+        let scratch = ProbePlan::with_exhaustive_limit(
+            view.shared(),
+            pmc,
+            view.offline_links(),
+            exhaustive_limit,
+        )
+        .unwrap()
+        .matrix();
         assert_patched_matches_scratch(
             &patched,
             &scratch,
@@ -413,7 +421,10 @@ fn equivalence_holds_for_vl2_and_bcube_sequences() {
         for ev in &seq {
             ctl.apply_event(ev).unwrap();
             let patched = ctl.compute_matrix().unwrap();
-            let scratch = ctl.compute_matrix_from_scratch().unwrap();
+            let view = ctl.view();
+            let scratch = ProbePlan::new(view.shared(), &cfg.pmc, view.offline_links())
+                .unwrap()
+                .matrix();
             assert_patched_matches_scratch(
                 &patched,
                 &scratch,
