@@ -10,7 +10,8 @@
 //! cold start (the topology, the plan, and `build_deployment`'s matrix
 //! and `assign`, then `Diagnoser::new`, the fresh diagnoser's first
 //! window, and dropping all of it: the steps the workload's `setup_s`
-//! bills), the CPU model and the codegen units; and exits non-zero if a
+//! bills), the process's peak RSS after the replay (`peak_rss_mb`), the
+//! CPU model and the codegen units; and exits non-zero if a
 //! window's suspects differ from `localize`'s. `crates/bench/README.md`
 //! has the protocol for comparing two builds.
 
@@ -194,6 +195,19 @@ fn main() -> ExitCode {
         wrong += u64::from(event.diagnosis.suspect_links() != *expected);
     }
 
+    // The process's peak resident set (`VmHWM`, MiB as the benchmark
+    // reads it), taken once the replay's windows have filled its logs.
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let peak_rss_mb = (status.lines())
+        .find_map(|l| {
+            l.strip_prefix("VmHWM:")?
+                .trim()
+                .strip_suffix("kB")?
+                .trim()
+                .parse()
+                .ok()
+        })
+        .map_or(0.0, |kb: f64| kb / 1024.0);
     let cpu = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
     let cpu = (cpu.lines())
         .find_map(|l| Some(l.strip_prefix("model name")?.split_once(':')?.1.trim()))
@@ -209,7 +223,7 @@ fn main() -> ExitCode {
         .collect::<Vec<_>>()
         .join(",");
     println!(
-        r#"{{"k":{k},"windows_wrong":{wrong},"onset":{onset},"reuse":{reuse},"onset_components_solved":{solved:?},"cold_start":{{{cold}}},"cpu":"{cpu}","codegen_units":"{units}"}}"#
+        r#"{{"k":{k},"windows_wrong":{wrong},"onset":{onset},"reuse":{reuse},"onset_components_solved":{solved:?},"cold_start":{{{cold}}},"peak_rss_mb":{peak_rss_mb:.2},"cpu":"{cpu}","codegen_units":"{units}"}}"#
     );
     if wrong > 0 {
         eprintln!("storm_stages: {wrong} windows differ from the localize oracle");

@@ -2,15 +2,15 @@
 //!
 //! Reports are filed as their window closes, in roster order, into the
 //! [`ReportStore`]: per retained window, each report's pinger, its
-//! `(path, flows_probed, sent, lost)` rows and its flow records, as
-//! columns of a log that a pruned window hands to the next. The in-rack
+//! 8-byte `(path, sent, lost, flows_probed)` rows and its flow records,
+//! as columns of a log that a pruned window hands to the next. The in-rack
 //! total is read before a report is filed and is not kept, and a report
 //! holds a flow record only where flows can differ — a flow that lost a
 //! probe on a path that kept one — so what the retained windows cost
 //! follows the paths and the partial loss, not the probing. The store's
 //! lock serves the benchmark's replay generator, which files reports
 //! through a shared reference (ROADMAP item 1(a)); the diagnoser itself
-//! owns the store.
+//! owns the store and files without it.
 //!
 //! Diagnosis is one path. One walk of the window's rows skips the
 //! pingers the watchdog excludes, sums the rest per slot of the matrix's
@@ -119,9 +119,10 @@ impl Diagnoser {
     }
 
     /// Ingests a pinger report (the HTTP POST of §6.1): files it in its
-    /// window's log. Nothing is aggregated until the window is diagnosed.
+    /// window's log, without taking the store's lock. Nothing is
+    /// aggregated until the window is diagnosed.
     pub fn ingest(&mut self, report: PingerReport) {
-        self.store.ingest(report);
+        self.store.file(report);
     }
 
     /// Aggregated observations of a window from the report store,

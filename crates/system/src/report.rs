@@ -25,13 +25,16 @@
 //!
 //! The store keeps what its queries read and nothing else. A window is
 //! one log of columns in ingest order — per report its pinger and where
-//! its rows and records end, per path `(path, flows_probed, sent, lost)`
-//! in 16 bytes, and the flow records — so filing a report copies its
-//! columns and drops it while its three heap blocks are still hot for the
-//! next decode. A row's counters are `u32`, which every report a pinger
-//! builds fits; whether a report does is decided once, when it is filed,
-//! and one with a counter past `u32::MAX` also files each path's exact
-//! `(sent, lost)` on a side column, which the store's readers take for
+//! its rows and records end, in 16 bytes, per path `(path, sent, lost,
+//! flows_probed)` in 8, and the flow records — so filing a report copies
+//! its columns and drops it while its three heap blocks are still hot
+//! for the next decode. A row's three counts are bytes: a pinger sends a
+//! few probes a path a window (a Fattree(32) storm's counters top out
+//! near 21), and it probes no flow without sending a probe on it, so a
+//! flow count never outgrows the path's `sent`. Whether a report fits
+//! is decided once, in the pass that copies its rows, and one with any
+//! count past 255 also files each path's exact `(sent, lost,
+//! flows_probed)` on a side column, which the store's readers take for
 //! that report only. The in-rack total is read before a report is
 //! filed (the close half's probe count) and is not kept. A pruned
 //! window's log is cleared and handed to the next window, so once the
@@ -60,11 +63,12 @@
 //! as a report does. The slots and the per-link counts are built once per
 //! matrix and recycled from one window to the next.
 //!
-//! Every driver owns its diagnoser, so the store needs no lock for them.
-//! The `RwLock` is there because [`ReportStore::ingest`] takes `&self`:
-//! the benchmark's replay input generator files reports through a shared
-//! binding. Both go when that generator stops building a store (ROADMAP
-//! item 1(a)).
+//! Every driver owns its diagnoser, and the diagnoser owns its store:
+//! it files through [`ReportStore::file`], which takes `&mut self` and
+//! reaches the logs without taking the lock. The `RwLock` is there
+//! because [`ReportStore::ingest`] takes `&self`: the benchmark's replay
+//! input generator files reports through a shared binding. Both go when
+//! that generator stops building a store (ROADMAP item 1(a)).
 
 #[cfg(test)]
 mod reference;
@@ -192,25 +196,39 @@ fn flows_of(flows: &[FlowRecord], path: PathId) -> &[FlowRecord] {
     rest.get(..own).unwrap_or_default()
 }
 
-/// Where one filed report ends in its window's columns.
+/// Where one filed report ends in its window's columns, in 16 bytes: a
+/// window's columns hold fewer than 2³² entries each (that many rows
+/// would take 32 GiB).
 struct Head {
     pinger: NodeId,
-    rows_end: usize,
-    wide_end: usize,
-    flows_end: usize,
+    rows_end: u32,
+    wide_end: u32,
+    flows_end: u32,
 }
 
-/// What the store keeps of one path of one report, in 16 bytes: its
-/// counters as `u32`, which fit every report a pinger builds. A report
-/// with a counter past `u32::MAX` also keeps every path's exact counters
-/// beside its rows ([`Rows::wide`]), decided once when it is filed.
+/// What the store keeps of one path of one report, in 8 bytes: its
+/// counters and flow count as bytes, which fit every report the
+/// benchmark's workloads build. A report with any of them past 255 also
+/// keeps every path's exact counts beside its rows ([`Rows::wide`]),
+/// decided once when it is filed; the fourth byte is padding.
 struct Row {
     path: PathId,
+    /// Truncated in a wide report, as are the two below.
+    sent: u8,
+    lost: u8,
     /// Zero where the report's `flows_probed` fell short of its paths.
+    flows_probed: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() == 8 && std::mem::size_of::<Head>() == 16);
+
+/// One path of one report, exact: what a narrow row reads back as, and
+/// what a wide report files beside its rows.
+#[derive(Clone, Copy, Default)]
+struct Exact {
+    sent: u64,
+    lost: u64,
     flows_probed: u32,
-    /// Truncated in a wide report.
-    sent: u32,
-    lost: u32,
 }
 
 impl Row {
@@ -218,23 +236,32 @@ impl Row {
     fn counters(&self) -> (u64, u64) {
         (u64::from(self.sent), u64::from(self.lost))
     }
+
+    /// The row's own counts: exact in a narrow report.
+    fn exact(&self) -> Exact {
+        Exact {
+            sent: self.sent.into(),
+            lost: self.lost.into(),
+            flows_probed: self.flows_probed.into(),
+        }
+    }
 }
 
 /// One filed report's rows.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
     narrow: &'a [Row],
-    /// Every row's exact `(sent, lost)`, parallel to `narrow`, for a
-    /// report with a counter past `u32::MAX`; empty for any other.
-    wide: &'a [(u64, u64)],
+    /// Every row's exact counts, parallel to `narrow`, for a report with
+    /// a count past 255; empty for any other.
+    wide: &'a [Exact],
 }
 
 impl<'a> Rows<'a> {
-    /// Each row with its exact `(sent, lost)`.
-    fn iter(self) -> impl Iterator<Item = (&'a Row, (u64, u64))> {
+    /// Each row's path with its exact counts.
+    fn iter(self) -> impl Iterator<Item = (PathId, Exact)> + 'a {
         self.narrow.iter().enumerate().map(move |(i, r)| {
             let exact = self.wide.get(i).copied();
-            (r, exact.unwrap_or_else(|| r.counters()))
+            (r.path, exact.unwrap_or_else(|| r.exact()))
         })
     }
 }
@@ -247,31 +274,48 @@ struct WindowLog {
     window: u64,
     heads: Vec<Head>,
     rows: Vec<Row>,
-    wide: Vec<(u64, u64)>,
+    wide: Vec<Exact>,
     flows: Vec<FlowRecord>,
 }
 
 impl WindowLog {
+    /// Copies `report`'s rows, finding in the same pass whether any
+    /// count is past a byte, and if one is, files the exact counts
+    /// beside them. The rows are copied in two loops over slices, the
+    /// paths with a flow count and then any past the end of
+    /// `flows_probed`: zipped with [`PingerReport::probed`]'s padded
+    /// run instead, a Fattree(32) storm window cost ~5 % more CPU (one
+    /// core of a 2-vCPU Xeon VM).
     fn push(&mut self, report: &PingerReport) {
-        let paths = report.paths.iter().zip(report.probed());
-        self.rows
-            .extend(paths.map(|(&(path, c), flows_probed)| Row {
+        let mut widest = 0;
+        let mut row = |&(path, c): &(PathId, PathCounters), flows_probed: u32| {
+            widest |= c.sent | c.lost | u64::from(flows_probed);
+            Row {
                 path,
+                sent: c.sent as u8,
+                lost: c.lost as u8,
+                flows_probed: flows_probed as u8,
+            }
+        };
+        let counted = report.paths.iter().zip(report.flows_probed.iter().copied());
+        self.rows.extend(counted.map(|(p, flows)| row(p, flows)));
+        let uncounted = report.paths.get(report.flows_probed.len()..);
+        self.rows
+            .extend(uncounted.unwrap_or_default().iter().map(|p| row(p, 0)));
+        if widest > u64::from(u8::MAX) {
+            let exact = report.paths.iter().zip(report.probed());
+            self.wide.extend(exact.map(|(&(_, c), flows_probed)| Exact {
+                sent: c.sent,
+                lost: c.lost,
                 flows_probed,
-                sent: c.sent as u32,
-                lost: c.lost as u32,
             }));
-        let widest = (report.paths.iter()).fold(0, |m, (_, c)| m | c.sent | c.lost);
-        if widest > u64::from(u32::MAX) {
-            let exact = report.paths.iter().map(|(_, c)| (c.sent, c.lost));
-            self.wide.extend(exact);
         }
         self.flows.extend_from_slice(&report.flows);
         self.heads.push(Head {
             pinger: report.pinger,
-            rows_end: self.rows.len(),
-            wide_end: self.wide.len(),
-            flows_end: self.flows.len(),
+            rows_end: self.rows.len() as u32,
+            wide_end: self.wide.len() as u32,
+            flows_end: self.flows.len() as u32,
         });
     }
 
@@ -280,12 +324,17 @@ impl WindowLog {
     fn reports(&self) -> impl Iterator<Item = (NodeId, Rows<'_>, &[FlowRecord])> {
         let mut from = (0, 0, 0);
         self.heads.iter().map(move |h| {
+            let to = (
+                h.rows_end as usize,
+                h.wide_end as usize,
+                h.flows_end as usize,
+            );
             let rows = Rows {
-                narrow: self.rows.get(from.0..h.rows_end).unwrap_or_default(),
-                wide: self.wide.get(from.1..h.wide_end).unwrap_or_default(),
+                narrow: self.rows.get(from.0..to.0).unwrap_or_default(),
+                wide: self.wide.get(from.1..to.1).unwrap_or_default(),
             };
-            let flows = self.flows.get(from.2..h.flows_end).unwrap_or_default();
-            from = (h.rows_end, h.wide_end, h.flows_end);
+            let flows = self.flows.get(from.2..to.2).unwrap_or_default();
+            from = to;
             (h.pinger, rows, flows)
         })
     }
@@ -600,9 +649,16 @@ impl ReportStore {
     }
 
     /// Ingests one report: files its columns in its window's log and
-    /// drops it.
+    /// drops it. Takes the lock; an owner files through
+    /// [`file`](Self::file).
     pub fn ingest(&self, report: PingerReport) {
         self.inner.write().file(&report);
+    }
+
+    /// [`ingest`](Self::ingest) for the store's one owner: reaches the
+    /// logs through `&mut self`, without taking the lock.
+    pub(crate) fn file(&mut self, report: PingerReport) {
+        self.inner.get_mut().file(&report);
     }
 
     /// Aggregates one window's reports into per-path observations,
@@ -617,10 +673,10 @@ impl ReportStore {
         let inner = self.inner.read();
         let mut agg: HashMap<PathId, (u64, u64)> = HashMap::new();
         for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
-            for (r, (sent, lost)) in rows.iter() {
-                let e = agg.entry(r.path).or_insert((0, 0));
-                e.0 += sent;
-                e.1 += lost;
+            for (path, c) in rows.iter() {
+                let e = agg.entry(path).or_insert((0, 0));
+                e.0 += c.sent;
+                e.1 += c.lost;
             }
         }
         let mut out: Vec<PathObservation> = agg
@@ -664,7 +720,7 @@ impl ReportStore {
             match rows.wide {
                 [] => sums.add_report(table, rows.narrow, |_, r| r.counters()),
                 wide => sums.add_report(table, rows.narrow, |i, _| {
-                    wide.get(i).copied().unwrap_or_default()
+                    wide.get(i).map_or((0, 0), |c| (c.sent, c.lost))
                 }),
             }
         }
@@ -695,16 +751,16 @@ impl ReportStore {
         let inner = self.inner.read();
         let mut samples = Vec::new();
         for (pinger, rows, flows) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
-            for (row, (sent, lost)) in rows.iter().filter(|(r, _)| keep_path(r.path)) {
-                let id = |flow| (u64::from(pinger.0) << 48) ^ (u64::from(row.path.0) << 24) ^ flow;
-                let lossy = flows_of(flows, row.path);
+            for (path, c) in rows.iter().filter(|&(path, _)| keep_path(path)) {
+                let id = |flow| (u64::from(pinger.0) << 48) ^ (u64::from(path.0) << 24) ^ flow;
+                let lossy = flows_of(flows, path);
                 for f in lossy {
                     let flow = u64::from(f.sport) | (u64::from(f.dscp) << 16);
                     samples.push(FlowSample::new(id(flow), f.sent, f.lost));
                 }
-                let rebuilt = u64::from(row.flows_probed).saturating_sub(lossy.len() as u64);
-                let rest = sent.saturating_sub(lossy.iter().map(|f| f.sent).sum());
-                let all_lost = sent > 0 && lost == sent;
+                let rebuilt = u64::from(c.flows_probed).saturating_sub(lossy.len() as u64);
+                let rest = c.sent.saturating_sub(lossy.iter().map(|f| f.sent).sum());
+                let all_lost = c.sent > 0 && c.lost == c.sent;
                 for i in 0..rebuilt {
                     let sent = if i == 0 {
                         rest.saturating_sub(rebuilt - 1)
@@ -920,41 +976,52 @@ mod tests {
     #[test]
     fn wide_counters_are_filed_exact_beside_narrow_rows() {
         use reference::{DenseSums, MapStore};
-        let max = u64::from(u32::MAX);
-        let flow = |path, sent, lost| FlowRecord {
-            path: PathId(path),
-            sport: 33000,
-            dscp: 0,
-            sent,
-            lost,
-        };
-        // Pingers 0 and 3 fit `u32`, to its last value; 1, 2 and the
-        // excluded 4 do not. No two pingers' sums on a path overflow.
-        let (flows_1, flows_2) = (vec![flow(2, max, 2)], vec![flow(4, 5, 1)]);
+        let (top, over) = (u64::from(u8::MAX), u64::from(u8::MAX) + 1);
+        // Rows are `(path, sent, lost, flows_probed)`. Pingers 0 and 3
+        // fit a byte, to its last value in each count; 1 is past it in
+        // `sent`, 2 in `lost` (and `sent` near `u64::MAX`), 5 only in
+        // `flows_probed`, and the excluded 4 in both counters. No two
+        // pingers' sums on a path overflow.
         let reports = [
-            (0, vec![(0, max - 1, 1), (1, max, max), (2, 9, 0)], vec![]),
-            (1, vec![(0, 4, 0), (2, max + 1, 2), (3, 8, 8)], flows_1),
-            (2, vec![(4, u64::MAX - 1, max + 1), (5, 7, 1)], flows_2),
-            (3, vec![(3, 2, 1), (5, max, 0)], vec![]),
-            (4, vec![(0, max + 2, max + 2), (1, 1, 1)], vec![]),
+            (0, vec![(0, top, 1, 3), (1, top, top, top), (2, 9, 0, 3)]),
+            (1, vec![(0, 4, 0, 3), (2, over, 2, 3), (3, 8, 8, 3)]),
+            (2, vec![(4, u64::MAX - 1, over, 3), (5, 7, 1, 3)]),
+            (3, vec![(3, 2, 1, 1), (5, top, 0, top)]),
+            (4, vec![(0, over << 24, over << 24, 3), (1, 1, 1, 1)]),
+            (5, vec![(1, 9, 0, over), (3, 2, 0, 1)]),
         ];
+        // Pingers 1 and 2 each keep a record of a flow that lost probes.
+        let flows = |pinger| {
+            let (path, sent, lost) = match pinger {
+                1 => (2, 200, 2),
+                2 => (4, 5, 1),
+                _ => return vec![],
+            };
+            vec![FlowRecord {
+                path: PathId(path),
+                sport: 33000,
+                dscp: 0,
+                sent,
+                lost,
+            }]
+        };
         let (store, mut map) = (ReportStore::new(), MapStore::default());
-        for (pinger, paths, flows) in reports {
+        for (pinger, paths) in reports {
             let report = PingerReport {
                 pinger: NodeId(pinger),
                 window: 0,
-                flows_probed: vec![3; paths.len()],
+                flows_probed: paths.iter().map(|&(.., f)| f as u32).collect(),
                 paths: (paths.iter())
-                    .map(|&(id, sent, lost)| (PathId(id), PathCounters { sent, lost }))
+                    .map(|&(id, sent, lost, _)| (PathId(id), PathCounters { sent, lost }))
                     .collect(),
-                flows,
+                flows: flows(pinger),
                 ..Default::default()
             };
             store.ingest(report.clone());
             map.ingest(report);
         }
-        // Only the three wide reports' paths are on the side column.
-        assert_eq!(store.inner.read().live[0].wide.len(), 7);
+        // Only the four wide reports' paths are on the side column.
+        assert_eq!(store.inner.read().live[0].wide.len(), 9);
         let excluded = |p: NodeId| p == NodeId(4);
         let want = map.window_observations(0, &excluded);
         assert_eq!(store.window_observations(0, &excluded), want);
@@ -964,17 +1031,51 @@ mod tests {
         let mut whole = DenseSums::default();
         assert_eq!(
             store.window_sums(0, &matrix, &excluded, &mut whole),
-            (want.clone(), 4)
+            (want.clone(), 5)
         );
         let lossy = want.iter().filter(|o| o.lost.min(o.sent) > 0);
         assert_eq!(
             store.window_lossy(0, &matrix, &excluded, &mut RowSums::new(&matrix)),
-            (lossy.copied().collect(), want.len(), 4)
+            (lossy.copied().collect(), want.len(), 5)
         );
         assert_eq!(
             store.flow_samples(0, &excluded, &|_| true),
             map.flow_samples(0, &excluded, &|_| true)
         );
+    }
+
+    #[test]
+    fn a_storm_window_files_no_wide_row() {
+        use crate::{Controller, PingerBatch, SystemConfig};
+        use detector_simnet::{Fabric, LossDiscipline};
+        use detector_topology::{DcnTopology, Fattree};
+        use std::collections::HashSet;
+        use std::sync::Arc;
+
+        // Default config, one dead uplink per edge switch: the storm the
+        // benchmark replays, on a Fattree(8).
+        let ft = Arc::new(Fattree::new(8).unwrap());
+        let cfg = SystemConfig::default();
+        let dep = (Controller::new(ft.clone(), cfg.clone()))
+            .build_deployment(&HashSet::new())
+            .unwrap();
+        let mut fabric = Fabric::quiet(ft.as_ref());
+        for pod in 0..ft.k() {
+            for edge in 0..ft.half() {
+                let uplink = ft.ea_link(pod, edge, (pod + edge) % ft.half());
+                fabric.set_discipline_both(uplink, LossDiscipline::Full);
+            }
+        }
+        let mut store = ReportStore::new();
+        for list in &dep.pinglists {
+            let batch = PingerBatch::bind(list.clone(), ft.graph());
+            store.file(batch.run_window(&fabric, &cfg, 0, 7));
+        }
+        let logs = store.inner.get_mut();
+        let log = &logs.live[0];
+        assert_eq!(log.heads.len(), dep.pinglists.len());
+        assert!(log.rows.iter().any(|r| r.lost > 0), "the storm lost probes");
+        assert!(log.wide.is_empty(), "{} wide rows", log.wide.len());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! 2. a recycled log that is not cleared (`log.clear()` dropped from
 //!    `Logs::prune_before`) — a reused window reports the pruned one's
 //!    reports;
-//! 3. the `probed()` zero padding dropped (`WindowLog::push` zipping
-//!    `paths` with `flows_probed` itself) — the paths past the short
-//!    run vanish;
+//! 3. the zero padding dropped (`WindowLog::push` without its second
+//!    loop, over the paths past a short `flows_probed`) — the paths
+//!    past the short run vanish;
 //! 4. a report's flow range starting at the log's start instead of at
 //!    the previous report's end — another pinger's records on the same
 //!    path turn into this pinger's samples.
@@ -107,6 +107,22 @@
 //!    path decodes, and the canonicality test
 //!    `a_report_breaking_its_invariants_does_not_decode`
 //!    (`crates/system/src/wire.rs`) fails.
+//!
+//! **A row's counts past a byte.** [`arbitrary_report`] draws counters
+//! and flow counts across the narrow width now and then, and
+//! `report::tests::wide_counters_are_filed_exact_beside_narrow_rows`
+//! puts each count at its last narrow value and one past it. Each
+//! mutation below was applied to `report.rs` by hand, and that test
+//! and the property named failed on it:
+//!
+//! l. a wide report read through its truncated rows (`Rows::iter`
+//!    ignoring the side column) — `store_answers_as_the_map_of_reports_did`;
+//! m. the walk's wide arm summing each row's own counters —
+//!    `lossy_walk_emits_the_lossy_sums_and_counts_what_each_link_observed`;
+//! n. the side column left unfiled (the width check never true) —
+//!    `store_answers_as_the_map_of_reports_did`;
+//! o. a wide report's flow count filed truncated to a byte —
+//!    `store_answers_as_the_map_of_reports_did` (the rebuilt flows).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -251,8 +267,8 @@ impl ReportStore {
         let mut reports = 0u64;
         for (_, rows, _) in inner.reports(window).filter(|(p, ..)| !excluded(*p)) {
             reports += 1;
-            for (r, (sent, lost)) in rows.iter() {
-                sums.add(matrix.row_of(r.path), r.path, sent, lost);
+            for (path, c) in rows.iter() {
+                sums.add(matrix.row_of(path), path, c.sent, c.lost);
             }
         }
         (sums.drain(matrix), reports)
@@ -399,10 +415,23 @@ const WINDOWS: u64 = 8;
 /// Path ids a report draws from.
 const PATHS: u32 = 12;
 
+/// A count below `small`, or one time in eight one drawn across the
+/// store's narrow width: 254 to 257, a byte's last two values and the
+/// first two past it.
+fn count(rng: &mut SmallRng, small: u64) -> u64 {
+    if rng.gen_range(0..8u8) == 0 {
+        rng.gen_range(254..258)
+    } else {
+        rng.gen_range(0..small)
+    }
+}
+
 /// A report of `pinger` for `window`, its shape drawn from `seed`: zero
 /// to five ascending paths (none: an empty report), a `flows_probed` run
 /// of any length up to the paths', an in-rack total, and up to three
-/// lossy flow records a path, ascending by key.
+/// lossy flow records a path, ascending by key. Counters and flow counts
+/// are now and then drawn across the narrow width ([`count`]), so both
+/// the narrow and the wide filing are held to the map of reports.
 fn arbitrary_report(pinger: u32, window: u64, seed: u64) -> PingerReport {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut ids: Vec<u32> = (0..rng.gen_range(0..6usize))
@@ -411,10 +440,10 @@ fn arbitrary_report(pinger: u32, window: u64, seed: u64) -> PingerReport {
     ids.sort_unstable();
     ids.dedup();
     let counters = |rng: &mut SmallRng| {
-        let sent = rng.gen_range(0..40u64);
+        let sent = count(rng, 40);
         PathCounters {
             sent,
-            lost: rng.gen_range(0..sent + 1),
+            lost: count(rng, sent + 1).min(sent),
         }
     };
     let paths: Vec<(PathId, PathCounters)> = ids
@@ -422,7 +451,7 @@ fn arbitrary_report(pinger: u32, window: u64, seed: u64) -> PingerReport {
         .map(|&p| (PathId(p), counters(&mut rng)))
         .collect();
     let probed_len = rng.gen_range(0..paths.len() + 1);
-    let flows_probed = (0..probed_len).map(|_| rng.gen_range(0..5u32)).collect();
+    let flows_probed = (0..probed_len).map(|_| count(&mut rng, 5) as u32).collect();
     let in_rack = counters(&mut rng);
     let mut flows = Vec::new();
     for &(path, _) in &paths {
