@@ -10,6 +10,7 @@
 //! (matrix, observations), so comparison harnesses can drive it through
 //! the same trait object as PLL, Tomo or Netbouncer.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use detector_core::pll::{Diagnosis, Localizer, SuspectLink};
@@ -191,8 +192,8 @@ pub fn fbtracert_sweep(
             let mut prev_loss = 0.0f64;
             for h in 1..=route.links.len() {
                 let prefix = Route {
-                    nodes: route.nodes[..=h].to_vec(),
-                    links: route.links[..h].to_vec(),
+                    nodes: Cow::Borrowed(&route.nodes[..=h]),
+                    links: Cow::Borrowed(&route.links[..h]),
                 };
                 let mut sent = 0u64;
                 let mut lost = 0u64;
@@ -218,8 +219,8 @@ pub fn fbtracert_sweep(
                 let id = paths.len() as u32;
                 paths.push(ProbePath::from_route(
                     id,
-                    prefix.nodes.clone(),
-                    prefix.links.clone(),
+                    prefix.nodes.to_vec(),
+                    prefix.links.to_vec(),
                 ));
                 observations.push(PathObservation::new(
                     detector_core::types::PathId(id),

@@ -78,7 +78,7 @@ pub fn netbouncer_sweep(
                 .copied()
                 .filter(|l| l.index() < topo.probe_links())
                 .collect();
-            let path = ProbePath::from_route(id, route.nodes.clone(), probe_links);
+            let path = ProbePath::from_route(id, route.nodes.to_vec(), probe_links);
             let mut sent = 0u64;
             let mut lost = 0u64;
             for p in 0..cfg.sweep_probes_per_path {

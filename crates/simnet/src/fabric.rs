@@ -180,10 +180,12 @@ impl<'a> Fabric<'a> {
     /// Sends one packet along `route`; applies dead switches, per-link
     /// disciplines and background noise hop by hop.
     pub fn send(&self, route: &Route, flow: FlowKey, rng: &mut SmallRng) -> ProbeOutcome {
+        // One deref of each list before the hop loop, not one a hop.
+        let (nodes, links): (&[NodeId], &[LinkId]) = (&route.nodes, &route.links);
         let mut latency = 0.0;
-        for (i, &link) in route.links.iter().enumerate() {
-            let from = route.nodes[i];
-            let to = route.nodes[i + 1];
+        for (i, &link) in links.iter().enumerate() {
+            let from = nodes[i];
+            let to = nodes[i + 1];
             // A dead switch silently eats everything it would forward.
             if self.dead_switches.contains(&from) || self.dead_switches.contains(&to) {
                 return ProbeOutcome {

@@ -132,7 +132,7 @@ impl WorkloadGenerator {
         let mut bytes = vec![0u64; topo.graph().num_links()];
         for f in flows {
             let route = topo.ecmp_route(f.src, f.dst, f.key.ecmp_hash());
-            for l in route.links {
+            for l in route.links.iter() {
                 bytes[l.index()] += f.bytes;
             }
         }

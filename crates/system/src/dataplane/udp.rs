@@ -711,11 +711,8 @@ mod tests {
         assert_eq!(clock.mono.load(Ordering::SeqCst), 2_400, "two reads");
     }
 
-    fn empty_route() -> Route {
-        Route {
-            nodes: vec![],
-            links: vec![],
-        }
+    fn empty_route() -> Route<'static> {
+        Route::default()
     }
 
     /// Patient enough that a descheduled responder on a busy host is a

@@ -184,11 +184,8 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn empty_route() -> Route {
-        Route {
-            nodes: vec![],
-            links: vec![],
-        }
+    fn empty_route() -> Route<'static> {
+        Route::default()
     }
 
     #[test]

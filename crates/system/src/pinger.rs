@@ -8,8 +8,9 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use detector_core::dense::Runs;
 use detector_core::splitmix64;
-use detector_core::types::{NodeId, PathId};
+use detector_core::types::{LinkId, NodeId, PathId};
 use detector_simnet::FlowKey;
 use detector_topology::{Dcn, Route};
 use rand::rngs::SmallRng;
@@ -29,12 +30,15 @@ use crate::SystemConfig;
 ///
 /// [`Detector::step`]: crate::Detector::step
 pub struct PingerBatch {
-    /// The header and the bound entries. Each entry's route was resolved
-    /// into `routes` at bind time, so the list's own route runs are empty
-    /// here.
+    /// The header and the bound entries. Their node runs moved out into
+    /// `nodes`, so the list's own route runs are empty here.
     list: Pinglist,
-    /// Resolved routes, one per pinglist entry.
-    routes: Vec<Route>,
+    /// Each bound entry's node run, in entry order: the dispatched
+    /// list's runs, moved in (copied only if bind dropped an entry).
+    nodes: Runs<NodeId>,
+    /// Each bound entry's links, resolved once at bind: one run per
+    /// entry, aligned with `nodes`. A probe's [`Route`] borrows both.
+    links: Runs<LinkId>,
     /// Counter slot of each entry: an index into `path_keys` for a path
     /// entry, `path_keys.len()` for every in-rack one. Entries probing
     /// the same path share a slot, and the in-rack entries share the
@@ -53,19 +57,39 @@ impl PingerBatch {
     /// monitored topology's graph and its report key to a counter slot.
     /// Entries whose route cannot be resolved (e.g. stale after a
     /// topology change) are dropped, as a production pinger would on a
-    /// dispatch error.
+    /// dispatch error. The list's node runs move in and every entry's
+    /// links go into one run array, so a bind allocates per list, not
+    /// per entry.
     pub fn bind(mut list: Pinglist, graph: &Dcn) -> Self {
         let stamp = list.stamp;
-        // The node runs come out of the list; an entry stays only if its
-        // run resolves.
-        let nodes = std::mem::take(&mut list.routes);
-        let mut routes = Vec::with_capacity(list.entries.len());
-        let mut run = nodes.runs();
-        list.entries.retain(|_| {
-            let route = run.next().and_then(|n| graph.route_from_nodes(n.to_vec()));
-            route.map(|r| routes.push(r)).is_some()
-        });
-        let mut path_keys: Vec<PathId> = list.entries.iter().filter_map(|e| e.path).collect();
+        let mut nodes = std::mem::take(&mut list.routes);
+        let mut links = Runs::default();
+        links.reserve(nodes.len(), nodes.items().len());
+        // An entry stays only if its run resolves hop by hop.
+        let resolved: Vec<bool> = (nodes.runs())
+            .map(|run| {
+                let hops = run.iter().zip(run.iter().skip(1));
+                let hops = hops.map_while(|(&a, &b)| graph.link_between(a, b));
+                let resolved = links.push_run(hops).len() + 1 >= run.len();
+                if !resolved {
+                    links.pop_run();
+                }
+                resolved
+            })
+            .collect();
+        let mut keep = resolved.iter();
+        list.entries.retain(|_| keep.next() == Some(&true));
+        if links.len() < nodes.len() {
+            // Only a stale list gets here: copy out the runs that stay.
+            let mut keep = resolved.iter();
+            let mut kept = Runs::default();
+            for run in nodes.runs().filter(|_| keep.next() == Some(&true)) {
+                kept.push_run(run.iter().copied());
+            }
+            nodes = kept;
+        }
+        let mut path_keys = Vec::with_capacity(list.entries.len());
+        path_keys.extend(list.entries.iter().filter_map(|e| e.path));
         path_keys.sort_unstable();
         path_keys.dedup();
         let slots = list
@@ -81,11 +105,20 @@ impl PingerBatch {
             .collect();
         Self {
             list,
-            routes,
+            nodes,
+            links,
             slots,
             path_keys,
             stamp,
         }
+    }
+
+    /// Each bound entry's route, in entry order, borrowed from the runs.
+    fn routes(&self) -> impl Iterator<Item = Route<'_>> {
+        (self.nodes.runs().zip(self.links.runs())).map(|(nodes, links)| Route {
+            nodes: nodes.into(),
+            links: links.into(),
+        })
     }
 
     /// The pinger server.
@@ -169,8 +202,9 @@ impl PingerBatch {
             } else {
                 partial
             };
-            let bound = entries.iter().zip(&self.routes).zip(&self.slots);
+            let bound = entries.iter().zip(self.routes()).zip(&self.slots);
             for ((entry, route), &slot) in bound.take(len) {
+                let route = &route;
                 let mut flow = FlowKey::udp(
                     self.list.pinger.0,
                     entry.responder.0,
@@ -334,7 +368,10 @@ pub(crate) fn run_window_full_records(
         let ei = (i as usize) % p.list.entries.len();
         let sweep = (i as usize) / p.list.entries.len();
         let entry = &p.list.entries[ei];
-        let route = &p.routes[ei];
+        let route = &Route {
+            nodes: p.nodes.run(ei).into(),
+            links: p.links.run(ei).into(),
+        };
         let sport = p
             .list
             .base_sport
@@ -455,7 +492,6 @@ impl PingerCostModel {
 mod tests {
     use super::*;
     use crate::pinglist::PingEntry;
-    use detector_core::dense::Runs;
     use detector_simnet::{Fabric, LossDiscipline};
     use detector_topology::{DcnTopology, Fattree};
     use rand::Rng;
@@ -551,6 +587,66 @@ mod tests {
         list.push(bad, [ft.server(0, 0, 0), ft.server(3, 1, 1)]); // Not adjacent.
         let pinger = PingerBatch::bind(list, ft.graph());
         assert_eq!(pinger.num_entries(), 1);
+    }
+
+    /// Dropping a middle entry drops its node run too: every entry after
+    /// it still probes its own route, so the node and link runs stay
+    /// aligned once the dropped entry's links are popped.
+    #[test]
+    fn a_dropped_middle_entry_leaves_the_routes_aligned() {
+        let ft = Fattree::new(4).unwrap();
+        let (mut list, _fabric) = setup(&ft);
+        let pinger = ft.server(0, 0, 0);
+        let bad = PingEntry {
+            path: Some(PathId(1)),
+            responder: ft.server(3, 1, 1),
+            waypoint: None,
+        };
+        // Resolves for three hops, then jumps to a node not adjacent.
+        let stale = [
+            pinger,
+            ft.edge(0, 0),
+            ft.agg(0, 0),
+            ft.core(0, 0),
+            ft.server(3, 1, 1),
+        ];
+        list.push(bad, stale);
+        let intra = PingEntry {
+            path: Some(PathId(2)),
+            responder: ft.server(0, 1, 0),
+            waypoint: None,
+        };
+        let up_down = [
+            pinger,
+            ft.edge(0, 0),
+            ft.agg(0, 1),
+            ft.edge(0, 1),
+            ft.server(0, 1, 0),
+        ];
+        list.push(intra, up_down);
+        let rack = PingEntry {
+            path: None,
+            responder: ft.server(0, 0, 1),
+            waypoint: None,
+        };
+        list.push(rack, [pinger, ft.edge(0, 0), ft.server(0, 0, 1)]);
+        list.seal();
+        let kept: Vec<Vec<NodeId>> = (list.routes.runs())
+            .enumerate()
+            .filter(|&(i, _)| i != 1)
+            .map(|(_, run)| run.to_vec())
+            .collect();
+
+        let batch = PingerBatch::bind(list, ft.graph());
+        assert_eq!(batch.num_entries(), 3);
+        let routes: Vec<Route<'_>> = batch.routes().collect();
+        assert_eq!(routes.len(), kept.len());
+        for (route, nodes) in routes.iter().zip(kept) {
+            assert_eq!(Some(route), ft.graph().route_from_nodes(nodes).as_ref());
+        }
+        let responders = batch.list.entries.iter().map(|e| e.responder);
+        let ends = routes.iter().map(|r| r.nodes.last().copied());
+        assert!(responders.map(Some).eq(ends));
     }
 
     #[test]

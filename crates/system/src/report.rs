@@ -649,8 +649,8 @@ impl ReportStore {
     }
 
     /// Ingests one report: files its columns in its window's log and
-    /// drops it. Takes the lock; an owner files through
-    /// [`file`](Self::file).
+    /// drops it. Takes the lock; the store's one owner files through the
+    /// crate's `file`, which does not.
     pub fn ingest(&self, report: PingerReport) {
         self.inner.write().file(&report);
     }

@@ -629,6 +629,10 @@ fn take_count(buf: &mut &[u8], min_record: usize) -> Result<usize, FrameError> {
 /// record are that count and nothing else. `#records` is the total over
 /// all paths, so the decoder sizes the flat flow run once. The in-rack
 /// total sums the probes of every in-rack responder.
+///
+/// The paths are written in two loops over slices, as `WindowLog::push`
+/// files them: those with a flow count, then any past the end of
+/// `flows_probed` with 0.
 fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
     put_u32(out, r.pinger.0);
     put_varint(out, r.window);
@@ -636,10 +640,10 @@ fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
     put_varint(out, r.flows.len() as u64);
     let mut flows = r.flows.as_slice();
     let mut prev = 0;
-    for ((pid, c), probed) in r.paths.iter().zip(r.probed()) {
+    let mut path = |out: &mut Vec<u8>, &(pid, c): &(PathId, PathCounters), probed: u32| {
         put_delta(out, &mut prev, pid.0);
-        encode_counters(c, out);
-        let n = flows.iter().take_while(|f| f.path == *pid).count();
+        encode_counters(&c, out);
+        let n = flows.iter().take_while(|f| f.path == pid).count();
         let (own, rest) = flows.split_at(n);
         flows = rest;
         put_varint(out, u64::from(probed));
@@ -651,6 +655,12 @@ fn encode_report(r: &PingerReport, out: &mut Vec<u8>) {
             put_varint(out, f.sent);
             put_varint(out, f.lost);
         }
+    };
+    for (p, &probed) in r.paths.iter().zip(&r.flows_probed) {
+        path(out, p, probed);
+    }
+    for p in r.paths.get(r.flows_probed.len()..).unwrap_or_default() {
+        path(out, p, 0);
     }
     encode_counters(&r.in_rack, out);
 }

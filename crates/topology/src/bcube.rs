@@ -83,18 +83,19 @@ impl Dims {
 
     /// Writes the BuildPathSet route from `src` to `dst` starting
     /// digit-correction at `start` (0 ≤ start ≤ k) into `route`.
-    fn route_into(&self, src: u32, dst: u32, start: u32, route: &mut Route) {
+    fn route_into(&self, src: u32, dst: u32, start: u32, route: &mut Route<'static>) {
         debug_assert_ne!(src, dst);
-        route.nodes.clear();
-        route.links.clear();
-        route.nodes.push(self.server_node(src));
+        let (nodes, links) = (route.nodes.to_mut(), route.links.to_mut());
+        nodes.clear();
+        links.clear();
+        nodes.push(self.server_node(src));
         let mut cur = src;
         let mut hop = |cur: &mut u32, level: u32, to: u32| {
             let sw = self.switch(level, self.strip(*cur, level));
-            route.nodes.push(sw);
-            route.links.push(self.link(level, *cur));
-            route.nodes.push(self.server_node(to));
-            route.links.push(self.link(level, to));
+            nodes.push(sw);
+            links.push(self.link(level, *cur));
+            nodes.push(self.server_node(to));
+            links.push(self.link(level, to));
             *cur = to;
         };
 
@@ -254,7 +255,7 @@ impl DcnTopology for BCube {
         out
     }
 
-    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route {
+    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route<'static> {
         let s1 = self.server_addr(src);
         let s2 = self.server_addr(dst);
         let start = (flow_hash % self.dims.levels as u64) as u32;
@@ -291,7 +292,7 @@ pub struct BcubeProvider {
     total_rounds: u64,
     next_id: u32,
     /// Scratch: the route being written.
-    route: Route,
+    route: Route<'static>,
 }
 
 impl BcubeProvider {
@@ -341,7 +342,7 @@ mod tests {
     fn server_path(b: &BCube, src: u32, dst: u32, start: u32) -> ProbePath {
         let mut route = Route::default();
         b.dims.route_into(src, dst, start, &mut route);
-        ProbePath::from_route(0, route.nodes, route.links)
+        ProbePath::from_route(0, route.nodes.into_owned(), route.links.into_owned())
     }
 
     #[test]
@@ -418,7 +419,7 @@ mod tests {
     fn ecmp_route_is_one_of_the_parallel_paths() {
         let b = BCube::new(4, 2).unwrap();
         let r = b.ecmp_route(b.server(5), b.server(40), 7);
-        b.graph().route_from_nodes(r.nodes.clone()).unwrap();
+        b.graph().route_from_nodes(r.nodes.to_vec()).unwrap();
         assert_eq!(b.ecmp_fanout(b.server(5), b.server(40)), 3);
     }
 

@@ -377,7 +377,7 @@ impl DcnTopology for Fattree {
         out
     }
 
-    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route {
+    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route<'static> {
         let (p1, e1, _) = self.server_coords(src);
         let (p2, e2, _) = self.server_coords(dst);
         let h = self.dims.h;
@@ -683,7 +683,7 @@ mod tests {
                 .graph()
                 .route_from_nodes(p.nodes().to_vec())
                 .expect("candidate path must be routable");
-            let mut links: Vec<LinkId> = r.links.clone();
+            let mut links: Vec<LinkId> = r.links.to_vec();
             links.sort_unstable();
             links.dedup();
             assert_eq!(links.as_slice(), p.links());
@@ -701,7 +701,7 @@ mod tests {
             assert_eq!(r.nodes.first(), Some(&s1));
             assert_eq!(r.nodes.last(), Some(&s2));
             ft.graph()
-                .route_from_nodes(r.nodes.clone())
+                .route_from_nodes(r.nodes.to_vec())
                 .expect("ECMP route must be connected");
             distinct.insert(r.nodes.clone());
         }

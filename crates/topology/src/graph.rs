@@ -1,5 +1,7 @@
 //! The concrete DCN graph: typed nodes, undirected links, adjacency.
 
+use std::borrow::Cow;
+
 use detector_core::types::{LinkId, NodeId};
 
 /// What a node is and where it sits in its topology.
@@ -107,16 +109,19 @@ pub struct Link {
 }
 
 /// A concrete hop-by-hop route (nodes in visit order plus the traversed
-/// links, one per hop, *not* de-duplicated).
+/// links, one per hop, *not* de-duplicated). A route either owns its two
+/// lists (`Route<'static>`, as the topologies return it) or borrows them:
+/// a bound pinglist keeps its routes back to back in run arrays and
+/// hands each probe a route that borrows its runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Route {
+pub struct Route<'a> {
     /// Visited nodes, source first.
-    pub nodes: Vec<NodeId>,
+    pub nodes: Cow<'a, [NodeId]>,
     /// Traversed links, `nodes.len() - 1` of them.
-    pub links: Vec<LinkId>,
+    pub links: Cow<'a, [LinkId]>,
 }
 
-impl Route {
+impl Route<'_> {
     /// Number of hops.
     pub fn hops(&self) -> usize {
         self.links.len()
@@ -204,12 +209,15 @@ impl Dcn {
 
     /// Resolves a node sequence into a [`Route`], failing if two
     /// consecutive nodes are not adjacent.
-    pub fn route_from_nodes(&self, nodes: Vec<NodeId>) -> Option<Route> {
+    pub fn route_from_nodes(&self, nodes: Vec<NodeId>) -> Option<Route<'static>> {
         let mut links = Vec::with_capacity(nodes.len().saturating_sub(1));
         for w in nodes.windows(2) {
             links.push(self.link_between(w[0], w[1])?);
         }
-        Some(Route { nodes, links })
+        Some(Route {
+            nodes: nodes.into(),
+            links: links.into(),
+        })
     }
 
     /// All servers attached to a switch (its ServerTor/Bcube links).

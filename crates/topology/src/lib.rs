@@ -96,7 +96,7 @@ pub trait DcnTopology {
     /// ECMP route between two *servers* for a given flow hash, as the
     /// production network (and thus Pingmesh/NetNORAD probes) would route
     /// it.
-    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route;
+    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route<'static>;
 
     /// Number of equal-cost paths between two servers (the ECMP fan-out
     /// a baseline prober must cover).
@@ -111,7 +111,7 @@ pub trait DcnTopology {
     /// localizer like Netbouncer must sweep). The default enumerates the
     /// hash space up to [`Self::ecmp_fanout`], which all built-in
     /// topologies decode as a mixed radix, and de-duplicates.
-    fn all_ecmp_routes(&self, src: NodeId, dst: NodeId) -> Vec<Route> {
+    fn all_ecmp_routes(&self, src: NodeId, dst: NodeId) -> Vec<Route<'static>> {
         let fanout = self.ecmp_fanout(src, dst);
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();

@@ -152,7 +152,7 @@ mod tests {
                     mapped.extend_mapped(&batch, |n| node(n, r), |l| link(l, r));
                     for p in mapped.iter().take(20) {
                         let route = topo.graph().route_from_nodes(p.nodes().to_vec());
-                        let mut links = route.expect("a replica path routes").links;
+                        let mut links = route.expect("a replica path routes").links.into_owned();
                         links.sort_unstable();
                         links.dedup();
                         assert_eq!(p.links(), links.as_slice(), "{}", topo.name());

@@ -277,7 +277,7 @@ impl DcnTopology for Vl2 {
         out
     }
 
-    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route {
+    fn ecmp_route(&self, src: NodeId, dst: NodeId, flow_hash: u64) -> Route<'static> {
         let (t1, _) = self.server_coords(src);
         let (t2, _) = self.server_coords(dst);
         let d = &self.dims;
@@ -464,7 +464,7 @@ mod tests {
         let mut distinct = std::collections::HashSet::new();
         for h in 0..64u64 {
             let r = v.ecmp_route(s1, s2, h);
-            v.graph().route_from_nodes(r.nodes.clone()).unwrap();
+            v.graph().route_from_nodes(r.nodes.to_vec()).unwrap();
             distinct.insert(r.nodes);
         }
         assert_eq!(distinct.len(), 8);

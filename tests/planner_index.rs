@@ -11,8 +11,9 @@
 //! allocates per list, not per entry, per path or per path lookup, a
 //! re-plan clones no list it does not ship, a symmetric boot allocates
 //! per batch and per cell and its base solve per pull, not per candidate,
-//! and a materialized boot — its candidates enumerated into one flat
-//! store — allocates per cell, not per candidate.
+//! a materialized boot — its candidates enumerated into one flat store —
+//! allocates per cell, not per candidate, and binding a list allocates
+//! per list, not per entry.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,7 +25,9 @@ use detector_core::pmc::{
 };
 use detector_core::types::{LinkId, PathStore};
 use detector_system::dispatch::rebase_and_diff;
-use detector_system::{Controller, Detector, ListUpdate, ProbePlan, SharedTopology, SystemConfig};
+use detector_system::{
+    Controller, Detector, ListUpdate, PingerBatch, ProbePlan, SharedTopology, SystemConfig,
+};
 use detector_topology::{DcnTopology, Fattree, TopologyEvent, Vl2};
 
 thread_local! {
@@ -306,6 +309,35 @@ fn a_deployment_allocates_per_list_not_per_entry_or_path_lookup() {
         allocations <= 4 * lists + switches,
         "a deployment of {entries} entries in {lists} lists over {paths} paths \
          made {allocations} allocations"
+    );
+}
+
+/// Binding a pinglist moves its node runs into the batch and resolves
+/// every entry's links into one run array: a bind allocates five arrays
+/// per list (the links' offsets and items, the resolution mask, the path
+/// keys and the counter slots), whatever the list's length. The 180
+/// lists of this symmetric Fattree(16) deployment hold 5 052 entries and
+/// bind in 901 allocations; one copy of each entry's node run makes
+/// 5 953, and the owned `Route` each entry kept made two `Vec`s.
+#[test]
+fn binding_a_deployment_allocates_per_list_not_per_entry() {
+    let ft = Arc::new(Fattree::new(16).unwrap());
+    let graph = ft.graph().clone();
+    let mut ctl = Controller::new(ft as SharedTopology, SystemConfig::default());
+    ctl.compute_matrix().unwrap();
+    let d = ctl.build_deployment(&HashSet::new()).unwrap();
+    let lists = d.pinglists.len();
+    let entries: usize = d.pinglists.iter().map(|l| l.entries.len()).sum();
+    let (batches, allocations) = allocations_of(|| {
+        (d.pinglists.into_iter())
+            .map(|l| PingerBatch::bind(l, &graph))
+            .collect::<Vec<_>>()
+    });
+    let bound: usize = batches.iter().map(PingerBatch::num_entries).sum();
+    assert_eq!((lists, bound), (180, entries));
+    assert!(
+        allocations <= 5 * lists + 1,
+        "binding {entries} entries in {lists} lists made {allocations} allocations"
     );
 }
 

@@ -107,10 +107,7 @@ fn a_warm_probe_path_allocates_nothing() {
         ..UdpConfig::default()
     };
     let plane = harness.dataplane(&cfg, None).unwrap();
-    let route = Route {
-        nodes: vec![],
-        links: vec![],
-    };
+    let route = Route::default();
     let mut rng = SmallRng::seed_from_u64(1);
     // Alternates responders, and encapsulated with direct probes.
     let mut probe = |i: u64| {
