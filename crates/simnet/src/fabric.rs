@@ -180,38 +180,42 @@ impl<'a> Fabric<'a> {
     /// Sends one packet along `route`; applies dead switches, per-link
     /// disciplines and background noise hop by hop.
     pub fn send(&self, route: &Route, flow: FlowKey, rng: &mut SmallRng) -> ProbeOutcome {
-        // One deref of each list before the hop loop, not one a hop.
-        let (nodes, links): (&[NodeId], &[LinkId]) = (&route.nodes, &route.links);
+        self.walk(hops(route), flow, rng)
+    }
+
+    /// Sends one packet over `hops`, each `(from, to, link)`, in order.
+    fn walk(
+        &self,
+        hops: impl Iterator<Item = (NodeId, NodeId, LinkId)>,
+        flow: FlowKey,
+        rng: &mut SmallRng,
+    ) -> ProbeOutcome {
         let mut latency = 0.0;
-        for (i, &link) in links.iter().enumerate() {
-            let from = nodes[i];
-            let to = nodes[i + 1];
+        for (from, to, link) in hops {
+            let dropped = ProbeOutcome {
+                delivered: false,
+                dropped_link: Some(link),
+                latency_us: latency,
+            };
             // A dead switch silently eats everything it would forward.
             if self.dead_switches.contains(&from) || self.dead_switches.contains(&to) {
-                return ProbeOutcome {
-                    delivered: false,
-                    dropped_link: Some(link),
-                    latency_us: latency,
-                };
+                return dropped;
             }
-            let dir = self.direction(link, from);
-            if let Some(d) = self.disciplines.get(&(link, dir)) {
-                let draw = rng.gen::<f64>();
-                if d.drops(flow, draw) {
-                    return ProbeOutcome {
-                        delivered: false,
-                        dropped_link: Some(link),
-                        latency_us: latency,
-                    };
+            // A quiet fabric has no discipline to look the direction up
+            // for; debug builds still check that `from` ends the link.
+            if !self.disciplines.is_empty() {
+                let dir = self.direction(link, from);
+                if let Some(d) = self.disciplines.get(&(link, dir)) {
+                    if d.drops(flow, rng.gen::<f64>()) {
+                        return dropped;
+                    }
                 }
+            } else if cfg!(debug_assertions) {
+                self.direction(link, from);
             }
             let noise = self.noise[link.index()];
             if noise > 0.0 && rng.gen::<f64>() < noise {
-                return ProbeOutcome {
-                    delivered: false,
-                    dropped_link: Some(link),
-                    latency_us: latency,
-                };
+                return dropped;
             }
             latency += self
                 .rtt_model
@@ -225,13 +229,15 @@ impl<'a> Fabric<'a> {
     }
 
     /// Request along `route`, response along the same route reversed
-    /// (deTector's source-routed echo, §3.2).
+    /// (deTector's source-routed echo, §3.2). The echo walks `route`
+    /// backwards in place, hop by hop, drawing from `rng` exactly as a
+    /// [`send`](Fabric::send) along a reversed copy would: nothing is
+    /// copied or allocated per probe.
     pub fn round_trip(&self, route: &Route, flow: FlowKey, rng: &mut SmallRng) -> RoundTrip {
-        let back = Route {
-            nodes: route.nodes.iter().rev().copied().collect(),
-            links: route.links.iter().rev().copied().collect(),
-        };
-        self.round_trip_via(route, &back, flow, rng)
+        let back = hops(route).rev().map(|(from, to, link)| (to, from, link));
+        exchange(self.send(route, flow, rng), || {
+            self.walk(back, flow.reversed(), rng)
+        })
     }
 
     /// Request along `fwd`, response along `rev` (baseline probes, whose
@@ -243,27 +249,36 @@ impl<'a> Fabric<'a> {
         flow: FlowKey,
         rng: &mut SmallRng,
     ) -> RoundTrip {
-        let out = self.send(fwd, flow, rng);
-        if !out.delivered {
-            return RoundTrip {
-                success: false,
-                rtt_us: 0.0,
-                dropped_link: out.dropped_link,
-            };
-        }
-        let back = self.send(rev, flow.reversed(), rng);
-        if !back.delivered {
-            return RoundTrip {
-                success: false,
-                rtt_us: 0.0,
-                dropped_link: back.dropped_link,
-            };
-        }
-        RoundTrip {
-            success: true,
-            rtt_us: out.latency_us + back.latency_us,
-            dropped_link: None,
-        }
+        exchange(self.send(fwd, flow, rng), || {
+            self.send(rev, flow.reversed(), rng)
+        })
+    }
+}
+
+/// A route's hops as `(from, to, link)`, source first.
+fn hops<'r>(route: &'r Route) -> impl DoubleEndedIterator<Item = (NodeId, NodeId, LinkId)> + 'r {
+    (route.links.iter().zip(route.nodes.windows(2))).map(|(&link, ends)| (ends[0], ends[1], link))
+}
+
+/// A request's outcome `out`, then the response's unless the request
+/// was lost: the response runs only after a delivered request.
+fn exchange(out: ProbeOutcome, back: impl FnOnce() -> ProbeOutcome) -> RoundTrip {
+    let lost = |o: ProbeOutcome| RoundTrip {
+        success: false,
+        rtt_us: 0.0,
+        dropped_link: o.dropped_link,
+    };
+    if !out.delivered {
+        return lost(out);
+    }
+    let back = back();
+    if !back.delivered {
+        return lost(back);
+    }
+    RoundTrip {
+        success: true,
+        rtt_us: out.latency_us + back.latency_us,
+        dropped_link: None,
     }
 }
 
@@ -353,6 +368,78 @@ mod tests {
         // One of the two directions must be hit.
         assert!(!rt.success);
         assert_eq!(rt.dropped_link, Some(bad));
+    }
+
+    /// The echo's in-place backward walk is a `send` along the collected
+    /// reverse route: `round_trip` and `round_trip_via` over that copy
+    /// agree, and leave the RNG at the same draw, under a `Full` loss on
+    /// either direction only, both partial disciplines, noise, a dead
+    /// switch and a loaded fabric. A `Full` loss on one direction of a
+    /// hop drops the exchange, whichever leg crosses it.
+    #[test]
+    fn the_echo_walks_the_route_backwards_as_its_collected_reverse() {
+        let ft = Fattree::new(4).unwrap();
+        let mut pick = SmallRng::seed_from_u64(61);
+        let server = |pick: &mut SmallRng| {
+            let (pod, edge) = (pick.gen_range(0..4), pick.gen_range(0..2));
+            ft.server(pod, edge, pick.gen_range(0..2))
+        };
+        for case in 0..7 * 64u64 {
+            let src = server(&mut pick);
+            let dst = loop {
+                let dst = server(&mut pick);
+                if dst != src {
+                    break dst;
+                }
+            };
+            let route = ft.ecmp_route(src, dst, pick.gen());
+            let back = Route {
+                nodes: route.nodes.iter().rev().copied().collect(),
+                links: route.links.iter().rev().copied().collect(),
+            };
+            let link = route.links[pick.gen_range(0..route.hops())];
+            let dir = match (case % 7, pick.gen::<bool>()) {
+                (0, _) | (2 | 3, true) => LinkDir::AtoB,
+                _ => LinkDir::BtoA,
+            };
+            let mut fabric = match case % 7 {
+                5 => Fabric::new(&ft, case),
+                _ => Fabric::quiet(&ft),
+            };
+            match case % 7 {
+                0 | 1 => fabric.set_discipline(link, dir, LossDiscipline::Full),
+                2 => {
+                    let disc = LossDiscipline::DeterministicPartial {
+                        fraction: 0.5,
+                        salt: case,
+                    };
+                    fabric.set_discipline(link, dir, disc);
+                }
+                3 => {
+                    let disc = LossDiscipline::RandomPartial { rate: 0.3 };
+                    fabric.set_discipline(link, dir, disc);
+                }
+                4 => fabric.kill_switch(route.nodes[pick.gen_range(1..route.hops())]),
+                5 => {}
+                _ => {
+                    let n = ft.graph().num_links();
+                    fabric.set_utilization((0..n).map(|_| pick.gen_range(0.0..0.9)).collect());
+                }
+            }
+            let flow = FlowKey::udp(src.0, dst.0, pick.gen(), pick.gen());
+            let seed = pick.gen();
+            let (walk, copy) = (
+                &mut SmallRng::seed_from_u64(seed),
+                &mut SmallRng::seed_from_u64(seed),
+            );
+            let walked = fabric.round_trip(&route, flow, walk);
+            let collected = fabric.round_trip_via(&route, &back, flow, copy);
+            assert_eq!(walked, collected, "case {case}: {route:?}");
+            assert_eq!(walk.gen::<u64>(), copy.gen::<u64>(), "case {case}");
+            if case % 7 < 2 {
+                assert_eq!((walked.success, walked.dropped_link), (false, Some(link)));
+            }
+        }
     }
 
     #[test]

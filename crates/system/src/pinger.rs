@@ -43,9 +43,13 @@ pub struct PingerBatch {
     /// entry, `path_keys.len()` for every in-rack one. Entries probing
     /// the same path share a slot, and the in-rack entries share the
     /// last, so a window accumulates each slot's counters in probe order.
-    slots: Vec<usize>,
-    /// The bound entries' distinct path ids, ascending.
-    path_keys: Vec<PathId>,
+    /// Kept as `u32`: the four bytes a slot saves pay for the fan-out
+    /// `path_keys` keeps beside each path.
+    slots: Vec<u32>,
+    /// The bound entries' distinct path ids, ascending, each with its
+    /// fan-out: the number of bound entries probing it, counted once at
+    /// bind for the flow records of a lossy path.
+    path_keys: Vec<(PathId, u32)>,
     /// [`Pinglist::stamp`] of the *dispatched* list (before any
     /// unresolvable entries were dropped) — half of the binding-cache
     /// key, see [`PingerBatch::bound_to`].
@@ -89,18 +93,22 @@ impl PingerBatch {
             nodes = kept;
         }
         let mut path_keys = Vec::with_capacity(list.entries.len());
-        path_keys.extend(list.entries.iter().filter_map(|e| e.path));
+        path_keys.extend(list.entries.iter().filter_map(|e| Some((e.path?, 1))));
         path_keys.sort_unstable();
-        path_keys.dedup();
+        path_keys.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            kept.1 += u32::from(same);
+            same
+        });
         let slots = list
             .entries
             .iter()
             .map(|e| match e.path {
                 Some(pid) => {
-                    let (Ok(at) | Err(at)) = path_keys.binary_search(&pid);
-                    at
+                    let (Ok(at) | Err(at)) = path_keys.binary_search_by_key(&pid, |k| k.0);
+                    at as u32
                 }
-                None => path_keys.len(),
+                None => path_keys.len() as u32,
             })
             .collect();
         Self {
@@ -204,6 +212,7 @@ impl PingerBatch {
             };
             let bound = entries.iter().zip(self.routes()).zip(&self.slots);
             for ((entry, route), &slot) in bound.take(len) {
+                let slot = slot as usize;
                 let route = &route;
                 let mut flow = FlowKey::udp(
                     self.list.pinger.0,
@@ -246,7 +255,7 @@ impl PingerBatch {
         let tail_flows = full_flows + u32::from(times(tail) == 0);
         let mut in_tail = vec![0u64; counters.len()];
         for &slot in self.slots.iter().take(partial) {
-            if let Some(n) = in_tail.get_mut(slot) {
+            if let Some(n) = in_tail.get_mut(slot as usize) {
                 *n += 1;
             }
         }
@@ -260,7 +269,7 @@ impl PingerBatch {
         report.paths.reserve(self.path_keys.len());
         report.flows_probed.reserve(self.path_keys.len());
         let bound = self.path_keys.iter().zip(&counters).zip(&in_tail);
-        for (slot, ((&path, &c), &in_tail)) in bound.enumerate() {
+        for (slot, ((&(path, fan), &c), &in_tail)) in bound.enumerate() {
             let (own, after) = rest.split_at(rest.partition_point(|l| l.0 == slot));
             rest = after;
             // A short window may not reach every entry: only probed paths
@@ -274,13 +283,12 @@ impl PingerBatch {
             if own.is_empty() || c.lost == c.sent {
                 continue;
             }
-            let fan = self.slots.iter().filter(|&&s| s == slot).count() as u64;
             for flow in own.chunk_by(|a, b| a.1 == b.1) {
                 let Some(&(_, (sport, dscp), _)) = flow.first() else {
                     continue;
                 };
-                let scheduled =
-                    fan * times((sport, dscp)) as u64 + in_tail * u64::from((sport, dscp) == tail);
+                let scheduled = u64::from(fan) * times((sport, dscp)) as u64
+                    + in_tail * u64::from((sport, dscp) == tail);
                 report.flows.push(FlowRecord {
                     path,
                     sport,
